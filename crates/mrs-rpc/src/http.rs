@@ -191,9 +191,9 @@ impl HttpServer {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
-                    // Responses are written as header + body segments; with
-                    // Nagle on, the trailing segment waits out the peer's
-                    // delayed ACK (~40 ms) — per-RPC poison for the
+                    // Large responses are written as header + body segments;
+                    // with Nagle on, the trailing segment waits out the
+                    // peer's delayed ACK (~40 ms) — per-RPC poison for the
                     // long-poll control plane's round-trip latency.
                     let _ = stream.set_nodelay(true);
                     connections.fetch_add(1, Ordering::Relaxed);
@@ -371,9 +371,27 @@ fn write_response(
         resp.body.len(),
         connection,
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(resp.body.as_slice())?;
-    stream.flush()
+    write_message(&mut stream, head, resp.body.as_slice())
+}
+
+/// Bodies up to this size are copied behind the head so the whole message
+/// leaves in one `write`: with `TCP_NODELAY`, head and body written apart
+/// are two segments and two reader wake-ups per message. Control RPCs and
+/// small buckets fit; larger bodies (shuffle frames shared with the
+/// cache) are written in place instead of copied.
+const COALESCE_MAX: usize = 16 * 1024;
+
+/// Write one HTTP message (request or response) and flush it.
+fn write_message<W: Write>(out: &mut W, head: String, body: &[u8]) -> std::io::Result<()> {
+    if body.len() <= COALESCE_MAX {
+        let mut message = head.into_bytes();
+        message.extend_from_slice(body);
+        out.write_all(&message)?;
+    } else {
+        out.write_all(head.as_bytes())?;
+        out.write_all(body)?;
+    }
+    out.flush()
 }
 
 /// How many idle connections the pool keeps per authority. More than the
@@ -482,9 +500,7 @@ impl HttpClient {
             "{method} {path} HTTP/1.1\r\nHost: {authority}\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
             body.len()
         );
-        conn.write_all(head.as_bytes())?;
-        conn.write_all(body)?;
-        conn.flush()?;
+        write_message(&mut conn, head, body)?;
 
         // A fresh BufReader per request is safe: the server sends exactly
         // one response per request, and we consume it fully below, so no
@@ -711,6 +727,40 @@ mod tests {
         let text = String::from_utf8_lossy(&resp);
         assert!(text.contains("200 OK"));
         assert!(text.to_lowercase().contains("connection: close"));
+    }
+
+    /// Counts `write` calls and keeps what was written.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn small_message_leaves_in_one_write_large_body_is_not_copied() {
+        let head = || "POST /RPC2 HTTP/1.1\r\n\r\n".to_owned();
+        let mut small = CountingWriter::default();
+        let body = vec![b'x'; COALESCE_MAX];
+        write_message(&mut small, head(), &body).unwrap();
+        assert_eq!(small.writes, 1, "head and body must share one write");
+        assert_eq!(small.bytes, [head().as_bytes(), &body[..]].concat());
+
+        let mut large = CountingWriter::default();
+        let body = vec![b'y'; COALESCE_MAX + 1];
+        write_message(&mut large, head(), &body).unwrap();
+        assert_eq!(large.writes, 2, "a large body is written in place after the head");
+        assert_eq!(large.bytes, [head().as_bytes(), &body[..]].concat());
     }
 
     #[test]

@@ -81,8 +81,9 @@ pub struct MasterConfig {
     /// Speculative execution policy (`--mrs-speculate`): when a task wave
     /// is nearly drained and a poller has idle slots, a running task whose
     /// elapsed time exceeds the configured multiple of the operation's
-    /// median completed-task runtime gets a backup attempt on a different
-    /// slave; first completion wins and the loser is cancelled.
+    /// median completed-task runtime (and a fixed launch floor past that
+    /// median) gets a backup attempt on a different slave; first completion
+    /// wins and the loser is cancelled.
     pub speculate: SpeculateMode,
     /// How reduce-like tasks assemble their input (`--mrs-merge`):
     /// streaming k-way merge over sorted runs (default) or the legacy
@@ -192,6 +193,18 @@ fn trace_op(kind: TaskKind) -> mrs_trace::Op {
         TaskKind::Reduce => mrs_trace::Op::Reduce,
         TaskKind::ReduceMap => mrs_trace::Op::ReduceMap,
     }
+}
+
+/// A backup is never launched before its original has run this long past
+/// the op's median: a backup pays one dispatch, one input fetch and one
+/// run of its own, so below that it cannot win the race it was started
+/// for — it only occupies the slot the next real task needs.
+const LAUNCH_FLOOR: Duration = Duration::from_millis(10);
+
+/// How long a task may run before it counts as a straggler, given the
+/// median runtime of its op's committed attempts.
+fn straggler_cutoff(median: Duration, threshold: f64) -> Duration {
+    median.mul_f64(threshold).max(median + LAUNCH_FLOOR)
 }
 
 /// Median of a (small, unsorted) runtime sample; `None` when empty.
@@ -693,7 +706,7 @@ impl Master {
             // to a straggling task as a speculative backup.
             let (data, index, stolen, speculative) = match Self::pick_task(st, slave, &in_flight) {
                 Some((d, i, s)) => (d, i, s, false),
-                None => match self.pick_backup(st, slave) {
+                None => match self.pick_backup(st, slave, Instant::now()) {
                     Some((d, i)) => (d, i, false, true),
                     None => break,
                 },
@@ -885,10 +898,10 @@ impl Master {
 
     /// Straggler candidates for speculation: running single-attempt tasks
     /// of ops past the wave threshold (≥ 75% complete), each paired with
-    /// its cutoff instant — `started + threshold × median completed
-    /// runtime`. Empty when speculation is off or no runtime sample exists
-    /// yet. One backup per task at most: racing more than two attempts
-    /// buys little and burns a slot.
+    /// its cutoff instant — `started +` [`straggler_cutoff`] of the median
+    /// completed runtime. Empty when speculation is off or no runtime
+    /// sample exists yet. One backup per task at most: racing more than
+    /// two attempts buys little and burns a slot.
     fn straggler_candidates(&self, st: &MState) -> Vec<(DataId, usize, Attempt, Instant)> {
         let SpeculateMode::On { threshold } = self.shared.cfg.speculate else {
             return Vec::new();
@@ -900,7 +913,7 @@ impl Master {
                 continue;
             }
             let Some(median) = median_micros(runtimes) else { continue };
-            let cutoff = Duration::from_micros((median as f64 * threshold) as u64);
+            let cutoff = straggler_cutoff(Duration::from_micros(median), threshold);
             for (i, slot) in tasks.iter().enumerate() {
                 let SlotState::Running(attempts) = &slot.state else { continue };
                 let [a] = attempts.as_slice() else { continue };
@@ -920,8 +933,7 @@ impl Master {
     /// single-attempt task running on a *different* slave. Prefers a task
     /// whose reduce partition this slave holds the affinity claim for (its
     /// eager-shuffle cache is warm), then the most overdue.
-    fn pick_backup(&self, st: &MState, slave: SlaveId) -> Option<(DataId, usize)> {
-        let now = Instant::now();
+    fn pick_backup(&self, st: &MState, slave: SlaveId, now: Instant) -> Option<(DataId, usize)> {
         let mut best: Option<((bool, Duration), (DataId, usize))> = None;
         for (d, i, a, deadline) in self.straggler_candidates(st) {
             if a.slave == slave || now < deadline {
@@ -1078,7 +1090,11 @@ impl Master {
             if self.shared.cfg.use_affinity {
                 st.affinity.insert((kind, func, index), slave);
             }
-            if kind.is_map_like() {
+            // The report that completes the dataset announces nothing:
+            // its consumers become runnable under this same lock and their
+            // task messages carry these same URLs, so a fragment would only
+            // be fetched twice.
+            if kind.is_map_like() && op_complete.is_none() {
                 self.publish_eager_locked(st, data, Some(index));
             }
         }
@@ -2416,17 +2432,20 @@ mod tests {
             .collect();
         m.task_done(s1, t2.data, t2.index, t2.attempt, urls2.clone());
 
-        // The barrier is clear: each slave is granted exactly the reduce
-        // partition whose fragments were predicted onto it.
+        // That report closed the wave, so it announces nothing: the
+        // barrier is clear and each slave is granted exactly the reduce
+        // partition whose fragments were predicted onto it, with the last
+        // map's buckets named in the task message itself.
         let d0 = m.get_dispatch(s0, 1, Duration::ZERO, &[]);
-        assert_eq!(d0.eager.len(), 1);
-        assert_eq!(d0.eager[0].url, urls2[0]);
+        assert!(d0.eager.is_empty(), "{:?}", d0.eager);
         let Assignment::Tasks(ts) = d0.assignment else { panic!("barrier should be clear") };
         assert_eq!((ts[0].kind, ts[0].index), (TaskKind::Reduce, 0));
+        assert_eq!(ts[0].inputs, [urls[0].clone(), urls2[0].clone()]);
         let d1 = m.get_dispatch(s1, 1, Duration::ZERO, &[]);
-        assert_eq!(d1.eager[0].url, urls2[1]);
+        assert!(d1.eager.is_empty(), "{:?}", d1.eager);
         let Assignment::Tasks(ts) = d1.assignment else { panic!("barrier should be clear") };
         assert_eq!((ts[0].kind, ts[0].index), (TaskKind::Reduce, 1));
+        assert_eq!(ts[0].inputs, [urls[1].clone(), urls2[1].clone()]);
     }
 
     #[test]
@@ -2573,6 +2592,35 @@ mod tests {
         m.task_failed(s1, straggler.data, straggler.index, straggler.attempt, "cancelled", None);
         assert_eq!(m.metrics().tasks_retried(), 0);
         assert_eq!(m.get_tasks(s1, 4), Assignment::Wait);
+    }
+
+    #[test]
+    fn no_backup_until_the_launch_floor_has_passed() {
+        let (mut m, store) = shared_master();
+        let s1 = m.signin("a:1", 4);
+        let s2 = m.signin("b:2", 1);
+        let (mapped, ts) = straggler_wave(&mut m, &store, s1);
+        // Pin the op's runtime sample to a 1 ms median and read when the
+        // straggler started, so eligibility is a function of the instant
+        // handed to `pick_backup` rather than of how fast this test runs.
+        let median = Duration::from_millis(1);
+        let mut st = m.shared.state.lock();
+        let MDs::Op { tasks, runtimes, .. } = &mut st.datasets[mapped.0 as usize] else {
+            panic!("map op")
+        };
+        runtimes.iter_mut().for_each(|r| *r = median.as_micros() as u64);
+        let SlotState::Running(attempts) = &tasks[ts[3].index].state else { panic!("running") };
+        let started = attempts[0].started;
+        // Three medians in — twice the 1.5x multiple — the task is still
+        // younger than a backup's own dispatch + fetch + run.
+        assert_eq!(m.pick_backup(&st, s2, started + 3 * median), None);
+        assert_eq!(
+            m.pick_backup(&st, s2, started + median + LAUNCH_FLOOR),
+            Some((mapped, ts[3].index))
+        );
+        // A long task keeps the multiple: the floor only binds when
+        // (threshold - 1) x median is below it.
+        assert_eq!(straggler_cutoff(Duration::from_millis(40), 1.5), Duration::from_millis(60));
     }
 
     #[test]

@@ -48,10 +48,11 @@ impl ControlMode {
 /// Whether the master launches speculative backup copies of straggling
 /// tasks (§ speculative execution). When a task wave is nearly drained and
 /// idle slots exist, a running task whose elapsed time exceeds
-/// `threshold ×` the median completed-task runtime of its operation gets a
-/// backup attempt on a different slave; the first attempt to finish wins
-/// and the loser is cancelled cooperatively. `Off` keeps the
-/// non-speculative scheduler as a first-class oracle for benchmarks.
+/// `threshold ×` the median completed-task runtime of its operation (and
+/// a fixed launch floor past that median) gets a backup attempt on a
+/// different slave; the first attempt to finish wins and the loser is
+/// cancelled cooperatively. `Off` keeps the non-speculative scheduler as
+/// a first-class oracle for benchmarks.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SpeculateMode {
     /// Never launch backup attempts.
@@ -435,6 +436,11 @@ impl CancelOrder {
     }
 }
 
+/// Bytes per event in a [`TraceBatch`] blob, all little-endian: `at_us`
+/// u64, then `lane`, `data`, `index`, `attempt` u32 each, then the
+/// `kind`, `name`, `op` codes one byte each.
+const EVENT_RECORD: usize = 27;
+
 /// A batch of trace events piggybacked on a `get_task` call: the slave
 /// drains its recorder every poll and ships the delta, so tracing costs
 /// zero extra RPCs. `sent_at_us` is the slave's clock at send time and
@@ -461,31 +467,25 @@ impl TraceBatch {
         self.events.is_empty() && self.dropped == 0
     }
 
-    /// Encode for the RPC request. Each event is a flat 8-int array —
-    /// `[at_us, kind, name, lane, op, data, index, attempt]` — to keep
-    /// the XML-RPC volume of a busy poll small.
+    /// Encode for the RPC request. The events travel as one `<base64>`
+    /// blob of [`EVENT_RECORD`]-byte records rather than XML values: a
+    /// busy poll ships dozens of events, and an `<int>` element per field
+    /// made the trace delta the bulk of the request.
     pub fn to_value(&self) -> Value {
         let mut m = BTreeMap::new();
         m.insert("sent_at".to_owned(), Value::Int(self.sent_at_us as i64));
         m.insert("rtt".to_owned(), Value::Int(self.rtt_us as i64));
         m.insert("dropped".to_owned(), Value::Int(self.dropped as i64));
-        let events = self
-            .events
-            .iter()
-            .map(|e| {
-                Value::Array(vec![
-                    Value::Int(e.at_us as i64),
-                    Value::Int(e.kind.code() as i64),
-                    Value::Int(e.name.code() as i64),
-                    Value::Int(e.lane as i64),
-                    Value::Int(e.tag.op.code() as i64),
-                    Value::Int(e.tag.data as i64),
-                    Value::Int(e.tag.index as i64),
-                    Value::Int(e.tag.attempt as i64),
-                ])
-            })
-            .collect();
-        m.insert("events".to_owned(), Value::Array(events));
+        let mut blob = Vec::with_capacity(self.events.len() * EVENT_RECORD);
+        for e in &self.events {
+            blob.extend_from_slice(&e.at_us.to_le_bytes());
+            blob.extend_from_slice(&e.lane.to_le_bytes());
+            blob.extend_from_slice(&e.tag.data.to_le_bytes());
+            blob.extend_from_slice(&e.tag.index.to_le_bytes());
+            blob.extend_from_slice(&e.tag.attempt.to_le_bytes());
+            blob.extend_from_slice(&[e.kind.code(), e.name.code(), e.tag.op.code()]);
+        }
+        m.insert("events".to_owned(), Value::Bytes(blob));
         Value::Struct(m)
     }
 
@@ -499,38 +499,38 @@ impl TraceBatch {
                 .and_then(Value::as_int)
                 .ok_or_else(|| Error::Rpc(format!("trace batch missing {name}")))
         };
-        let raw = v
+        let blob = v
             .field("events")
-            .and_then(Value::as_array)
+            .and_then(Value::as_bytes)
             .ok_or_else(|| Error::Rpc("trace batch missing events".into()))?;
-        let mut events = Vec::with_capacity(raw.len());
-        for e in raw {
-            let fields =
-                e.as_array().ok_or_else(|| Error::Rpc("trace event is not an array".into()))?;
-            if fields.len() != 8 {
-                return Err(Error::Rpc(format!("trace event has {} fields", fields.len())));
-            }
-            let mut ints = [0i64; 8];
-            for (slot, f) in ints.iter_mut().zip(fields) {
-                *slot = f.as_int().ok_or_else(|| Error::Rpc("non-int trace event field".into()))?;
-            }
+        if blob.len() % EVENT_RECORD != 0 {
+            return Err(Error::Rpc(format!(
+                "trace event blob of {} bytes is not a multiple of {EVENT_RECORD}",
+                blob.len()
+            )));
+        }
+        let u32_at = |r: &[u8], at: usize| {
+            u32::from_le_bytes(r[at..at + 4].try_into().expect("four-byte slice"))
+        };
+        let mut events = Vec::with_capacity(blob.len() / EVENT_RECORD);
+        for r in blob.chunks_exact(EVENT_RECORD) {
             let (Some(kind), Some(name), Some(op)) = (
-                mrs_trace::Kind::from_code(ints[1] as u8),
-                mrs_trace::Name::from_code(ints[2] as u8),
-                mrs_trace::Op::from_code(ints[4] as u8),
+                mrs_trace::Kind::from_code(r[24]),
+                mrs_trace::Name::from_code(r[25]),
+                mrs_trace::Op::from_code(r[26]),
             ) else {
                 continue;
             };
             events.push(mrs_trace::Event {
-                at_us: ints[0] as u64,
+                at_us: u64::from_le_bytes(r[..8].try_into().expect("eight-byte slice")),
                 kind,
                 name,
-                lane: ints[3] as u32,
+                lane: u32_at(r, 8),
                 tag: mrs_trace::Tag {
                     op,
-                    data: ints[5] as u32,
-                    index: ints[6] as u32,
-                    attempt: ints[7] as u32,
+                    data: u32_at(r, 12),
+                    index: u32_at(r, 16),
+                    attempt: u32_at(r, 20),
                 },
             });
         }
@@ -950,24 +950,18 @@ mod tests {
         // An event with an unknown name code (future vocabulary) is
         // skipped, not fatal…
         let Value::Struct(mut m) = b.to_value() else { panic!("struct") };
-        m.insert(
-            "events".to_owned(),
-            Value::Array(vec![Value::Array(vec![
-                Value::Int(5),
-                Value::Int(0),
-                Value::Int(200),
-                Value::Int(0),
-                Value::Int(0),
-                Value::Int(0),
-                Value::Int(0),
-                Value::Int(0),
-            ])]),
-        );
-        assert!(TraceBatch::from_value(&Value::Struct(m)).unwrap().events.is_empty());
-        // …but a structurally broken batch is rejected.
+        let Some(Value::Bytes(mut blob)) = m.remove("events") else { panic!("bytes") };
+        assert_eq!(blob.len(), 2 * EVENT_RECORD);
+        blob[25] = 200;
+        m.insert("events".to_owned(), Value::Bytes(blob.clone()));
+        assert_eq!(TraceBatch::from_value(&Value::Struct(m.clone())).unwrap().events, [e(20)]);
+        // …but a structurally broken batch is rejected: not a struct, a
+        // blob cut mid-record, or events in anything but a blob.
         assert!(TraceBatch::from_value(&Value::Int(3)).is_err());
-        let Value::Struct(mut m) = b.to_value() else { panic!("struct") };
-        m.insert("events".to_owned(), Value::Array(vec![Value::Array(vec![Value::Int(1)])]));
+        blob.pop();
+        m.insert("events".to_owned(), Value::Bytes(blob));
+        assert!(TraceBatch::from_value(&Value::Struct(m.clone())).is_err());
+        m.insert("events".to_owned(), Value::Array(vec![]));
         assert!(TraceBatch::from_value(&Value::Struct(m)).is_err());
     }
 

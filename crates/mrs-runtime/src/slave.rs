@@ -135,9 +135,11 @@ impl MasterLink for crate::master::Master {
 /// Slave tuning knobs.
 #[derive(Clone, Debug)]
 pub struct SlaveOptions {
-    /// Initial sleep between polls when the master says `Wait`.
+    /// Initial sleep after a `Wait` to a poll that did not park at the
+    /// master (workers busy, or legacy poll mode); a worker event cuts
+    /// the sleep short.
     pub poll_interval: Duration,
-    /// Idle-poll backoff cap: consecutive `Wait`s double the sleep from
+    /// Backoff cap: consecutive such `Wait`s double the sleep from
     /// `poll_interval` up to this; any granted work resets it.
     pub max_poll_interval: Duration,
     /// Concurrent task slots (worker threads). Defaults to the number of
@@ -272,9 +274,10 @@ struct PipeState {
     in_flight: usize,
     /// Completions waiting to ride on the next `get_tasks` poll.
     reports: Vec<TaskReport>,
-    /// Cancellation flags of attempts currently executing, keyed by
-    /// (data, index, attempt). A cancel order for a running attempt sets
-    /// its flag; the kernel observes it at the next record/group boundary.
+    /// Cancellation flags of attempts currently executing or having their
+    /// inputs prefetched, keyed by (data, index, attempt). A cancel order
+    /// for such an attempt sets its flag; the kernel observes it at the
+    /// next record/group boundary, the prefetch stage between inputs.
     active: HashMap<(u32, usize, u32), Arc<AtomicBool>>,
     /// Cancel orders for attempts this slave has accepted but not started
     /// (or never saw): checked when a worker is about to run a task, so a
@@ -357,10 +360,11 @@ impl Pipe {
 
     /// Apply attempt-cancellation orders piggybacked on a dispatch. A
     /// still-queued loser is dropped before it ever runs (freeing its slot
-    /// immediately); a running one gets its cooperative flag set; an
-    /// attempt this slave has no record of (report already sent, or the
-    /// order raced the assignment) leaves a tombstone so it is abandoned
-    /// the moment a worker picks it up. A dequeued loser still shows on
+    /// immediately); one running or mid-prefetch gets its cooperative flag
+    /// set; an attempt this slave has no record of (report already sent,
+    /// or the order raced the assignment) leaves a tombstone so it is
+    /// abandoned the moment a worker picks it up. A dequeued loser still
+    /// shows on
     /// the timeline — its accepted→cancelled span and `Cancel` instant
     /// land on the poll lane, since no worker ever owned it.
     fn apply_cancels(&self, orders: &[CancelOrder], th: Option<&TraceHandle>) {
@@ -572,12 +576,16 @@ pub fn run_slave(
                 _ => TraceBatch::default(),
             };
             let polled_at = Instant::now();
+            // Whether the answer handed over orders (purge, eager, cancel):
+            // a long-polling master cuts a park short to deliver those.
+            let mut delivered = false;
             // A master that has vanished is a normal end of life for a
             // slave: the paper's launch scripts tear everything down
             // together (the scheduler "kills processes as soon as a job
             // completes"), so losing the control channel means the job is
             // over, not an error.
             let answer = link.get_tasks_with(id, free, park, reports, batch).map(|d| {
+                delivered = !(d.purge.is_empty() && d.eager.is_empty() && d.cancel.is_empty());
                 // Apply lifetime-GC purge orders before acting on the
                 // assignment: spent datasets leave this slave's frame
                 // cache so long-running iterative jobs hold O(1)
@@ -619,7 +627,14 @@ pub fn run_slave(
                     break Ok(());
                 }
                 Ok(Assignment::Wait) => {
-                    if park.is_zero() || polled_at.elapsed() < park / 2 {
+                    if !park.is_zero() && (delivered || polled_at.elapsed() >= park / 2) {
+                        // The master held the request until it had orders
+                        // to deliver or the park ran out: the long poll
+                        // itself is the pacing, so park again at once — an
+                        // idle slave waits at the master, where the next
+                        // runnable task wakes it, never in a local sleep.
+                        backoff = opts.poll_interval;
+                    } else {
                         // Either we chose not to park (workers busy: their
                         // completions wake `poll_cv`) or the master did not
                         // honor the park (legacy poll mode): bounded local
@@ -630,10 +645,6 @@ pub fn run_slave(
                         }
                         drop(st);
                         backoff = (backoff * 2).min(opts.max_poll_interval);
-                    } else {
-                        // The master held the request to its deadline: the
-                        // long poll itself is the pacing, re-poll at once.
-                        backoff = opts.poll_interval;
                     }
                 }
                 Ok(Assignment::Tasks(tasks)) => {
@@ -694,14 +705,19 @@ fn prefetch_loop(
     th: Option<&TraceHandle>,
 ) -> Result<()> {
     loop {
-        let (task, accepted_us) = {
+        // Pop an assignment and register its cancellation flag in one lock
+        // section (as the workers do), so a cancel order that arrives
+        // mid-fetch finds the attempt instead of leaving a tombstone.
+        let (task, accepted_us, cancel) = {
             let mut st = pipe.state.lock();
             loop {
                 if st.halt || (st.drain && st.fetch_queue.is_empty()) {
                     return Ok(());
                 }
-                if let Some(t) = st.fetch_queue.pop_front() {
-                    break t;
+                if let Some((task, accepted_us)) = st.fetch_queue.pop_front() {
+                    let flag = Arc::new(AtomicBool::new(false));
+                    st.active.insert((task.data, task.index, task.attempt), Arc::clone(&flag));
+                    break (task, accepted_us, flag);
                 }
                 pipe.fetch_cv.wait(&mut st);
             }
@@ -714,22 +730,29 @@ fn prefetch_loop(
         if let Some(h) = th {
             h.begin(Name::Fetch, tag);
         }
-        let fetched = fetch_all_bucket_bytes(&task.inputs, shared, own_authority, frames, eager);
+        let fetched =
+            fetch_all_bucket_bytes(&task.inputs, shared, own_authority, frames, eager, &cancel);
         if let Some(h) = th {
             h.end(Name::Fetch, tag);
         }
-        if pipe.halted() {
+        // Hand the attempt over to the workers (or drop it) in the lock
+        // section that unregisters the flag: a cancel order lands on the
+        // flag before this point and on the queue entry after it.
+        let mut st = pipe.state.lock();
+        if st.halt {
             return Ok(());
         }
+        st.active.remove(&(task.data, task.index, task.attempt));
+        let cancelled = cancel.load(Ordering::Relaxed);
         match fetched {
-            Ok(raw) => {
-                let mut st = pipe.state.lock();
+            Ok(raw) if !cancelled => {
                 st.queue.push_back((task, accepted_us, raw));
                 drop(st);
                 pipe.cv.notify_one();
             }
-            Err(TaskError { msg, failed_input, .. }) => {
-                pipe.state.lock().in_flight -= 1;
+            Err(TaskError { msg, failed_input, cancelled: false }) if !cancelled => {
+                st.in_flight -= 1;
+                drop(st);
                 // The freed slot concerns the polling thread.
                 pipe.poll_cv.notify_all();
                 let r = link.task_failed(
@@ -750,6 +773,21 @@ fn prefetch_loop(
                         pipe.shut_down(true);
                         return Err(e);
                     }
+                }
+            }
+            _ => {
+                // The attempt lost its race while its inputs were in
+                // flight (typically inputs lifetime GC had already
+                // purged, so whatever the fetch came back with is moot):
+                // free the slot unreported, and close its span like the
+                // other cancellation paths.
+                st.in_flight -= 1;
+                drop(st);
+                pipe.poll_cv.notify_all();
+                if let Some(h) = th {
+                    h.begin_at(accepted_us, Name::Attempt, tag);
+                    h.instant(Name::Cancel, tag);
+                    h.end(Name::Attempt, tag);
                 }
             }
         }
@@ -1132,16 +1170,28 @@ const FETCH_PARALLELISM: usize = 8;
 /// residue — fragments the fetcher missed — is fetched cold. Cold fetches
 /// run on up to [`FETCH_PARALLELISM`] worker threads; results land in
 /// their input slot either way, so downstream parsing sees inputs in
-/// assignment order (the determinism oracle depends on it).
+/// assignment order (the determinism oracle depends on it). `cancel` is
+/// checked before each cold fetch: once set, the remaining inputs are
+/// skipped and the result is a cancelled [`TaskError`].
 fn fetch_all_bucket_bytes(
     urls: &[String],
     shared: Option<&Arc<dyn Store>>,
     own_authority: Option<&str>,
     frames: &FrameCache,
     eager: Option<&EagerHalf>,
+    cancel: &AtomicBool,
 ) -> std::result::Result<Vec<Vec<u8>>, TaskError> {
-    let fetch =
-        |url: &str| fetch_bucket_bytes_local_first(url, shared, own_authority, Some(frames));
+    let fetch = |url: &str| {
+        if cancel.load(Ordering::Relaxed) {
+            return Err(Error::Cancelled);
+        }
+        fetch_bucket_bytes_local_first(url, shared, own_authority, Some(frames))
+    };
+    let fetch_err = |e: Error, url: &String| TaskError {
+        cancelled: matches!(e, Error::Cancelled),
+        msg: e.to_string(),
+        failed_input: Some(url.clone()),
+    };
     let mut slots: Vec<Option<Vec<u8>>> = (0..urls.len()).map(|_| None).collect();
     let mut residue: Vec<usize> = Vec::new();
     if let Some(eg) = eager {
@@ -1198,15 +1248,10 @@ fn fetch_all_bucket_bytes(
     if residue.len() <= 1 {
         // Nothing to overlap; skip the thread machinery.
         for &i in &residue {
-            let b = fetch(&urls[i]).map_err(|e| TaskError {
-                msg: e.to_string(),
-                failed_input: Some(urls[i].clone()),
-                cancelled: false,
-            })?;
-            slots[i] = Some(b);
+            slots[i] = Some(fetch(&urls[i]).map_err(|e| fetch_err(e, &urls[i]))?);
         }
     } else {
-        type FetchSlot = Mutex<Option<std::result::Result<Vec<u8>, String>>>;
+        type FetchSlot = Mutex<Option<Result<Vec<u8>>>>;
         let results: Vec<FetchSlot> = residue.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         std::thread::scope(|s| {
@@ -1216,20 +1261,14 @@ fn fetch_all_bucket_bytes(
                     if r >= residue.len() {
                         break;
                     }
-                    let res = fetch(&urls[residue[r]]).map_err(|e| e.to_string());
-                    *results[r].lock() = Some(res);
+                    *results[r].lock() = Some(fetch(&urls[residue[r]]));
                 });
             }
         });
         for (r, slot) in results.into_iter().enumerate() {
             let i = residue[r];
             let res = slot.into_inner().expect("fetch worker filled every slot");
-            let b = res.map_err(|msg| TaskError {
-                msg,
-                failed_input: Some(urls[i].clone()),
-                cancelled: false,
-            })?;
-            slots[i] = Some(b);
+            slots[i] = Some(res.map_err(|e| fetch_err(e, &urls[i]))?);
         }
     }
     Ok(slots.into_iter().map(|b| b.expect("every slot seeded or fetched")).collect())
@@ -1608,6 +1647,196 @@ mod tests {
         handle.join().unwrap().unwrap();
     }
 
+    /// A master that plays a fixed script: the first (fully idle) poll
+    /// is answered `Wait` plus one eager fragment — what a long-polling
+    /// master does when it cuts a park short to hand orders over — and
+    /// the second grants one map task. After that it waits for the task's
+    /// report and says `Exit`. Records the park each poll asked for.
+    struct ScriptedLink {
+        task: TaskMsg,
+        parks: Mutex<Vec<Duration>>,
+        reported: AtomicBool,
+    }
+
+    impl MasterLink for ScriptedLink {
+        fn signin(&self, _authority: &str, _slots: usize) -> Result<SlaveId> {
+            Ok(0)
+        }
+        fn get_tasks_with(
+            &self,
+            _slave: SlaveId,
+            _free: usize,
+            park: Duration,
+            reports: Vec<TaskReport>,
+            _trace: TraceBatch,
+        ) -> Result<Dispatch> {
+            let mut parks = self.parks.lock();
+            parks.push(park);
+            if !reports.is_empty() {
+                self.reported.store(true, Ordering::SeqCst);
+            }
+            let mut eager = Vec::new();
+            let assignment = match parks.len() {
+                1 => {
+                    eager.push(EagerFragment {
+                        data: 0,
+                        partition: 0,
+                        url: "file://s9/d0/t0/b0.mrsb".into(),
+                    });
+                    Assignment::Wait
+                }
+                2 => Assignment::Tasks(vec![self.task.clone()]),
+                _ if self.reported.load(Ordering::SeqCst) => Assignment::Exit,
+                _ => Assignment::Wait,
+            };
+            Ok(Dispatch { assignment, purge: Vec::new(), eager, cancel: Vec::new() })
+        }
+        fn task_done(&self, _: SlaveId, _: u32, _: usize, _: u32, _: Vec<String>) -> Result<()> {
+            self.reported.store(true, Ordering::SeqCst);
+            Ok(())
+        }
+        fn task_failed(
+            &self,
+            _: SlaveId,
+            _: u32,
+            _: usize,
+            _: u32,
+            msg: &str,
+            _: Option<&str>,
+        ) -> Result<()> {
+            panic!("scripted task failed: {msg}");
+        }
+    }
+
+    /// An idle slave whose park is cut short by a delivery goes straight
+    /// back to the master with the same park. Both poll intervals are a
+    /// minute, so a single backoff sleep outlasts the watchdog below.
+    #[test]
+    fn early_wait_with_deliveries_is_reparked_not_slept_on() {
+        let store: Arc<dyn Store> = Arc::new(MemFs::new());
+        store.put("src0", &mrs_fs::format::write_bucket_bytes(&input())).unwrap();
+        let link = Arc::new(ScriptedLink {
+            task: TaskMsg {
+                data: 1,
+                index: 0,
+                kind: TaskKind::Map,
+                func: 0,
+                map_func: 0,
+                parts: 1,
+                combine: false,
+                attempt: 1,
+                inputs: vec!["file://src0".into()],
+            },
+            parks: Mutex::new(Vec::new()),
+            reported: AtomicBool::new(false),
+        });
+        let opts = SlaveOptions {
+            poll_interval: Duration::from_secs(60),
+            max_poll_interval: Duration::from_secs(60),
+            slots: 1,
+            ..SlaveOptions::default()
+        };
+        let long_poll = opts.long_poll;
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let slave = {
+            let link = Arc::clone(&link);
+            let plane = DataPlane::SharedFs(Arc::clone(&store));
+            std::thread::spawn(move || {
+                let program: Arc<dyn Program> = Arc::new(Simple(WordCount));
+                let r = run_slave(&*link, program, plane, &opts, &AtomicBool::new(false));
+                let _ = done_tx.send(r);
+            })
+        };
+        done_rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("slave slept out a backoff instead of re-polling")
+            .unwrap();
+        slave.join().unwrap();
+        assert!(link.reported.load(Ordering::SeqCst), "the granted task must run and report");
+        let parks = link.parks.lock();
+        assert_eq!(parks[0], long_poll, "an idle slave parks its first poll");
+        assert_eq!(parks[1], parks[0], "the re-poll after an early Wait parks like the first");
+    }
+
+    /// A store whose every `get` delivers a cancel order for the attempt
+    /// being prefetched — the interleaving "order arrives mid-fetch",
+    /// forced rather than raced for.
+    struct CancellingStore {
+        inner: MemFs,
+        pipe: Arc<Pipe>,
+        order: CancelOrder,
+    }
+
+    impl Store for CancellingStore {
+        fn put(&self, path: &str, data: &[u8]) -> Result<()> {
+            self.inner.put(path, data)
+        }
+        fn get(&self, path: &str) -> Result<Vec<u8>> {
+            self.pipe.apply_cancels(std::slice::from_ref(&self.order), None);
+            self.inner.get(path)
+        }
+        fn exists(&self, path: &str) -> bool {
+            self.inner.exists(path)
+        }
+        fn list(&self, prefix: &str) -> Result<Vec<String>> {
+            self.inner.list(prefix)
+        }
+        fn delete(&self, path: &str) -> Result<()> {
+            self.inner.delete(path)
+        }
+    }
+
+    /// A cancel order for the attempt the prefetch stage is fetching sets
+    /// that attempt's flag: the slot is freed, nothing reaches the workers
+    /// and no tombstone is left.
+    #[test]
+    fn cancel_order_reaches_the_attempt_being_prefetched() {
+        let pipe = Arc::new(Pipe::new(false, false));
+        let task = TaskMsg {
+            data: 3,
+            index: 1,
+            kind: TaskKind::Reduce,
+            func: 0,
+            map_func: 0,
+            parts: 1,
+            combine: false,
+            attempt: 2,
+            inputs: vec!["file://in0".into()],
+        };
+        let store = CancellingStore {
+            inner: MemFs::new(),
+            pipe: Arc::clone(&pipe),
+            order: CancelOrder { data: task.data, index: task.index, attempt: task.attempt },
+        };
+        store.put("in0", &mrs_fs::format::write_bucket_bytes(&[])).unwrap();
+        let store: Arc<dyn Store> = Arc::new(store);
+        {
+            let mut st = pipe.state.lock();
+            st.in_flight = 1;
+            st.fetch_queue.push_back((task, 0));
+            // Drain: the loop returns once the queue is empty.
+            st.drain = true;
+        }
+        let master = Master::new(MasterConfig::default(), DataPlane::Direct).unwrap();
+        let frames = Arc::new(FrameCache::new());
+        prefetch_loop(&master, Some(&store), None, &frames, 0, &pipe, None).unwrap();
+        let st = pipe.state.lock();
+        assert_eq!(st.in_flight, 0, "the cancelled attempt's slot is freed");
+        assert!(st.queue.is_empty(), "a cancelled attempt never reaches the workers");
+        assert!(st.tombstones.is_empty(), "the order found the attempt, not a gap");
+        assert!(st.active.is_empty());
+    }
+
+    /// Once the flag is set the remaining inputs are not fetched.
+    #[test]
+    fn cancelled_fetch_skips_remaining_inputs() {
+        let frames = FrameCache::new();
+        let urls = vec!["file://never-stored".to_owned()];
+        let err = fetch_all_bucket_bytes(&urls, None, None, &frames, None, &AtomicBool::new(true))
+            .expect_err("a cancelled fetch yields no bytes");
+        assert!(err.cancelled, "{}", err.msg);
+    }
+
     fn frag_url(index: usize) -> String {
         format!("file://s0/d1/t{index}/b0.mrsb")
     }
@@ -1638,9 +1867,10 @@ mod tests {
 
         let urls: Vec<String> = (0..5).map(frag_url).collect();
         let frames = Arc::new(FrameCache::new());
-        let got = fetch_all_bucket_bytes(&urls, None, None, &frames, Some(eg))
-            .map_err(|e| e.msg)
-            .unwrap();
+        let got =
+            fetch_all_bucket_bytes(&urls, None, None, &frames, Some(eg), &AtomicBool::new(false))
+                .map_err(|e| e.msg)
+                .unwrap();
         assert!(!got[0].is_empty(), "merged run lands in the first covered slot");
         assert!(got[1..].iter().all(Vec::is_empty), "covered slots carry the empty marker");
         let mut merged = Bucket::new();
@@ -1684,7 +1914,8 @@ mod tests {
         let mut urls: Vec<String> = (0..4).map(frag_url).collect();
         urls[2] = "file://s9/d1/t2/b0.mrsb".into();
         let frames = Arc::new(FrameCache::new());
-        let res = fetch_all_bucket_bytes(&urls, None, None, &frames, Some(eg));
+        let res =
+            fetch_all_bucket_bytes(&urls, None, None, &frames, Some(eg), &AtomicBool::new(false));
         // No store to serve the cold fallback in this test: the fetch
         // fails, but the merged run must already be gone.
         assert!(res.is_err());
