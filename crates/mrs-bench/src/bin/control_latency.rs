@@ -12,12 +12,12 @@
 //!     [--iters 50] [--parts 4] [--slaves 2] [--slots 2]
 //! ```
 //!
-//! Writes `BENCH_control.json` at the repo root and mirrors it under
-//! `results/`. Latency numbers on a 1-core host still separate the modes
-//! cleanly: the gap measured here is scheduler *wait* time (poll backoff
-//! vs condvar wake), not compute parallelism, so it does not need spare
-//! cores to show — but absolute per-iteration times on loaded or
-//! single-core hosts carry scheduling noise; read medians, not tails.
+//! Writes `results/BENCH_control.json`. Latency numbers on a 1-core host
+//! still separate the modes cleanly: the gap measured here is scheduler
+//! *wait* time (poll backoff vs condvar wake), not compute parallelism, so
+//! it does not need spare cores to show — but absolute per-iteration times
+//! on loaded or single-core hosts carry scheduling noise; read medians,
+//! not tails.
 
 use mrs::prelude::*;
 use mrs_bench::{Args, Report, Table};

@@ -14,10 +14,10 @@
 //!     [--words 500000] [--maps 16] [--reduces 8] [--slaves 2]
 //! ```
 //!
-//! Writes `BENCH_dataplane.json` at the repo root and mirrors it under
-//! `results/`. Wire counters are consumer-side: they count real HTTP body
-//! bytes of bucket fetches, so short-circuited local reads contribute
-//! nothing — exactly the traffic a real network would carry.
+//! Writes `results/BENCH_dataplane.json`. Wire counters are consumer-side:
+//! they count real HTTP body bytes of bucket fetches, so short-circuited
+//! local reads contribute nothing — exactly the traffic a real network
+//! would carry.
 
 use corpus::{Corpus, CorpusConfig};
 use mrs::apps::wordcount::{lines_to_records, WordCount};
@@ -144,9 +144,9 @@ fn main() {
         on.bytes_on_wire,
         off.bytes_on_wire
     );
-    assert_eq!(
-        off.bytes_on_wire, off.bytes_pre_compress,
-        "compression-off wire bytes must equal raw bytes"
+    assert!(
+        off.bytes_on_wire > off.bytes_pre_compress,
+        "compression-off ships stored frames: the bucket plus a header"
     );
     assert!(mock.shortcircuit_fetches > 0, "mock parallel never short-circuited a fetch");
     assert_eq!(mock.bytes_on_wire, 0, "mock parallel moved bytes over a wire");

@@ -7,19 +7,18 @@
 //! fetches still needed at reduce time, and the overlap window (time each
 //! warm fragment sat ready before its reduce task consumed it) — and
 //! *checks* the claims: eager fragments moved, a positive overlap window,
-//! eager wall clock no worse than the cold path, outputs byte-identical
-//! across all arms (the implementations-agree discipline applied to the
-//! shuffle schedule).
+//! an inert eager-off arm, outputs byte-identical across all arms (the
+//! implementations-agree discipline applied to the shuffle schedule). The
+//! wall-clock ratio between the arms is reported, not asserted.
 //!
 //! ```text
 //! cargo run --release -p mrs-bench --bin shuffle_overlap \
 //!     [--words 500000] [--maps 16] [--reduces 8] [--slaves 2] [--repeats 3]
 //! ```
 //!
-//! Writes `BENCH_overlap.json` at the repo root and mirrors it under
-//! `results/`. Each cluster arm runs `repeats` times and the fastest run
-//! is kept (wall clock on a shared host is noisy; the counters are
-//! schedule-dependent but the assertions hold for every run).
+//! Writes `results/BENCH_overlap.json`. Each cluster arm runs `repeats`
+//! times and the fastest run is kept; the counters are
+//! schedule-dependent but the assertions hold for every run.
 
 use corpus::{Corpus, CorpusConfig};
 use mrs::apps::wordcount::{lines_to_records, WordCount};
@@ -169,17 +168,8 @@ fn main() {
         "mock parallel should hand over every map-output fragment in memory"
     );
     assert_eq!(mock.residual_fetches, 0, "mock parallel made a residual fetch");
-    // Overlap must not cost wall clock. Best-of-N with interleaved arms
-    // still carries scheduling noise on shared 1-core hosts, so allow
-    // 25% before calling it a regression — on a multicore host eager
-    // should win outright; see EXPERIMENTS.md.
-    assert!(
-        eager.secs <= off.secs * 1.25,
-        "eager shuffle slower than the cold path: eager={:.3}s off={:.3}s",
-        eager.secs,
-        off.secs
-    );
 
+    // Reported, not asserted (best-of-N, interleaved arms).
     let speedup = off.secs / eager.secs.max(1e-9);
     let total = (maps * reduces) as u64;
     let warm = total.saturating_sub(eager.residual_fetches);

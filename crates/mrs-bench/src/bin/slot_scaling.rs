@@ -16,10 +16,9 @@
 //!     [--words 120000] [--pso-iters 10]
 //! ```
 //!
-//! Writes `BENCH_slots.json` at the repo root and mirrors it under
-//! `results/`. On a single-core host the speedup columns are flat (~1x);
-//! the JSON records `cores` so readers can tell the hardware ceiling from
-//! a scheduler regression.
+//! Writes `results/BENCH_slots.json`. On a single-core host the speedup
+//! columns are flat (~1x); the JSON records `cores` so readers can tell
+//! the hardware ceiling from a scheduler regression.
 
 use corpus::{Corpus, CorpusConfig};
 use mrs::apps::wordcount::{lines_to_records, WordCount};

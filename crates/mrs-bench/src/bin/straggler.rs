@@ -18,8 +18,7 @@
 //!     [--delay-ms 2000] [--repeats 1]
 //! ```
 //!
-//! Writes `BENCH_straggler.json` at the repo root and mirrors it under
-//! `results/`.
+//! Writes `results/BENCH_straggler.json`.
 
 use corpus::{Corpus, CorpusConfig};
 use mrs::apps::wordcount::{lines_to_records, WordCount};

@@ -22,8 +22,7 @@
 //!     [--jobs 6] [--repeats 5]
 //! ```
 //!
-//! Writes `BENCH_trace.json` at the repo root and mirrors it under
-//! `results/`.
+//! Writes `results/BENCH_trace.json`.
 
 use corpus::{Corpus, CorpusConfig};
 use mrs::apps::wordcount::{lines_to_records, WordCount};

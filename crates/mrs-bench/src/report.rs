@@ -4,12 +4,13 @@
 //! humans and by the CI smoke checks. Until PR 10 each binary
 //! hand-rolled its own `format!` block; this module is the one place
 //! that knows the conventions: insertion order preserved (the file reads
-//! top-down like the experiment), fixed float precision, a repo-root
-//! copy plus a `results/` mirror, and the closing "wrote ..." line.
+//! top-down like the experiment), fixed float precision, one copy under
+//! `results/` next to the CSVs, and the closing "wrote ..." line.
 
 use crate::results_path;
 
-/// An order-preserving flat JSON object, written as `BENCH_<file>.json`.
+/// An order-preserving flat JSON object, written as
+/// `results/BENCH_<file>.json`.
 pub struct Report {
     entries: Vec<(String, String)>,
 }
@@ -70,15 +71,13 @@ impl Report {
         out
     }
 
-    /// Write `BENCH_<file>.json` at the repo root, mirror it under
-    /// `results/`, and print the conventional closing line with `note`
-    /// appended after a semicolon.
+    /// Write `results/BENCH_<file>.json` and print the conventional
+    /// closing line with `note` appended after a semicolon.
     pub fn write(&self, file: &str, note: &str) {
-        let name = format!("BENCH_{file}.json");
-        let json = self.json();
-        std::fs::write(&name, &json).unwrap_or_else(|e| panic!("write {name}: {e}"));
-        std::fs::write(results_path(&name), &json).unwrap_or_else(|e| panic!("mirror {name}: {e}"));
-        println!("\nwrote {name} (and results/{name}); {note}");
+        let path = results_path(&format!("BENCH_{file}.json"));
+        std::fs::write(&path, self.json())
+            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        println!("\nwrote {}; {note}", path.display());
     }
 }
 

@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //!      0     5  magic  b"MRSF1"
-//!      5     1  flags  (bit 0: payload is LZ-compressed)
+//!      5     1  flags  (bit 0: payload is LZ-compressed, bit 1: sorted run)
 //!      6     4  uncompressed length (u32)
 //!     10     8  xxHash64 of the payload bytes as stored
 //!     18     –  payload
@@ -14,13 +14,18 @@
 //!
 //! The checksum covers the payload *as stored* (compressed bytes when
 //! flag 0 is set), so corruption is detected before the decompressor
-//! ever runs. Decoding is transparently backwards-compatible: input
-//! that does not start with the frame magic is returned as-is, which is
-//! exactly the old raw `MRSB1` wire format — a compressing producer and
-//! a raw producer can coexist in one cluster with no negotiation.
+//! ever runs. A frame with flag 0 clear is a *stored* frame: the payload
+//! is the bucket bytes themselves, so producing it is one copy and one
+//! checksum pass, and decoding it one checksum pass — the default, since
+//! every link the runtime opens today is loopback (DESIGN.md §2 records
+//! the break-even). Input that does not start with the frame magic is
+//! returned as-is (raw `MRSB1` bytes: store files, tests), and the
+//! compressed bit is read per payload, so a compressing producer and a
+//! storing one coexist in one cluster with no negotiation.
 
 use crate::lz;
 use crate::xxhash::xxh64;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Frame magic. Deliberately distinct from the `MRSB1` bucket magic so
@@ -55,52 +60,31 @@ pub fn sorted_claim_rejects() -> u64 {
     SORTED_CLAIM_REJECTS.load(Ordering::Relaxed)
 }
 
-/// Compression policy for produced shuffle payloads.
-///
-/// `Off` and below-threshold buckets are emitted as raw `MRSB1` bytes
-/// (no frame at all), keeping tiny payloads free of header overhead and
-/// permanently exercising the compat decode path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Compression policy for produced shuffle payloads. Either way the
+/// producer emits an `MRSF1` frame, so the checksum and the sorted-run
+/// flag always ride.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CompressMode {
-    /// Frame and compress every bucket regardless of size.
+    /// LZ-compress buckets of at least 512 bytes, keeping the compressed
+    /// payload only when it is smaller. Pays on a link
+    /// slower than the break-even DESIGN.md §2 records.
     On,
-    /// Emit raw bucket bytes, exactly the pre-frame wire format.
+    /// Store every bucket uncompressed.
+    #[default]
     Off,
-    /// Frame and compress buckets of at least this many bytes.
-    Threshold(usize),
 }
 
-/// Default threshold: below ~half a kilobyte the 18-byte header plus
+/// `On` leaves buckets below this stored: under ~half a kilobyte the
 /// compression call costs more than the wire bytes it saves.
-pub const DEFAULT_COMPRESS_THRESHOLD: usize = 512;
-
-impl Default for CompressMode {
-    fn default() -> Self {
-        CompressMode::Threshold(DEFAULT_COMPRESS_THRESHOLD)
-    }
-}
+const COMPRESS_FLOOR: usize = 512;
 
 impl CompressMode {
-    /// Parse a `--mrs-compress` value: `on`, `off`, or `threshold=N`.
+    /// Parse a `--mrs-compress` value: `on` or `off`.
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "on" => Ok(CompressMode::On),
             "off" => Ok(CompressMode::Off),
-            _ => match s.strip_prefix("threshold=") {
-                Some(n) => n
-                    .parse::<usize>()
-                    .map(CompressMode::Threshold)
-                    .map_err(|_| format!("bad compression threshold: {n:?}")),
-                None => Err(format!("bad --mrs-compress value {s:?} (want on|off|threshold=N)")),
-            },
-        }
-    }
-
-    fn applies_to(self, len: usize) -> bool {
-        match self {
-            CompressMode::On => true,
-            CompressMode::Off => false,
-            CompressMode::Threshold(t) => len >= t,
+            _ => Err(format!("bad --mrs-compress value {s:?} (want on|off)")),
         }
     }
 }
@@ -148,63 +132,47 @@ pub fn is_framed(bytes: &[u8]) -> bool {
     bytes.len() >= FRAME_MAGIC.len() && &bytes[..FRAME_MAGIC.len()] == FRAME_MAGIC
 }
 
-/// Encode `raw` bucket bytes for the wire under `mode`.
-///
-/// Returns the input unchanged (moved, not copied) when the mode says
-/// raw; otherwise builds a frame, storing the compressed payload only
-/// when compression actually won — incompressible buckets are framed
-/// uncompressed so the checksum still protects them without inflating
-/// them past `raw.len() + FRAME_HEADER_LEN`.
+/// Frame `raw` bucket bytes for the wire under `mode`: compressed when
+/// the mode asks for it and compression actually won, stored otherwise —
+/// never larger than `raw.len() + FRAME_HEADER_LEN`.
 pub fn encode_vec(raw: Vec<u8>, mode: CompressMode) -> Vec<u8> {
     encode_with_flags(raw, mode, 0)
 }
 
 /// Like [`encode_vec`], additionally advertising the payload as a sorted
-/// run ([`FLAG_SORTED_RUN`]) when `sorted` is true. The advertisement
-/// only rides on framed output: when the mode leaves the bucket raw there
-/// is no header to carry it, and consumers fall back to auto-detection.
+/// run ([`FLAG_SORTED_RUN`]) when `sorted` is true.
 pub fn encode_vec_sorted(raw: Vec<u8>, mode: CompressMode, sorted: bool) -> Vec<u8> {
     encode_with_flags(raw, mode, if sorted { FLAG_SORTED_RUN } else { 0 })
 }
 
 fn encode_with_flags(raw: Vec<u8>, mode: CompressMode, extra_flags: u8) -> Vec<u8> {
-    if !mode.applies_to(raw.len()) {
-        return raw;
-    }
     // Buckets beyond u32 range cannot be framed (header field width);
     // fall back to raw, which every decoder accepts.
     if raw.len() > u32::MAX as usize {
         return raw;
     }
-    let compressed = lz::compress(&raw);
-    let (flags, payload) =
-        if compressed.len() < raw.len() { (FLAG_COMPRESSED, compressed) } else { (0, raw.clone()) };
+    let compressed = (mode == CompressMode::On && raw.len() >= COMPRESS_FLOOR)
+        .then(|| lz::compress(&raw))
+        .filter(|c| c.len() < raw.len());
+    let (flags, payload) = match &compressed {
+        Some(c) => (FLAG_COMPRESSED, c.as_slice()),
+        None => (0, raw.as_slice()),
+    };
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
     out.extend_from_slice(FRAME_MAGIC);
     out.push(flags | extra_flags);
     out.extend_from_slice(&(raw.len() as u32).to_le_bytes());
-    out.extend_from_slice(&xxh64(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&xxh64(payload).to_le_bytes());
+    out.extend_from_slice(payload);
     out
 }
 
-/// Decode wire bytes back to raw bucket bytes.
-///
-/// Non-framed input (anything not starting with the `MRSF1` magic) is
-/// passed through untouched — that is the legacy raw format. Framed
-/// input is checksum-verified and decompressed.
-pub fn decode_vec(bytes: Vec<u8>) -> Result<Vec<u8>, FrameError> {
-    if !is_framed(&bytes) {
-        return Ok(bytes);
-    }
-    decode_frame(&bytes)
-}
-
-/// Decode a frame from a shared or borrowed buffer (the zero-copy serve
-/// path hands out `Arc<[u8]>` frames; consumers decode from the slice).
-pub fn decode_frame(bytes: &[u8]) -> Result<Vec<u8>, FrameError> {
+/// Verify a frame and return its cleartext and flags. A stored payload
+/// is borrowed from `bytes`; only a compressed one allocates. Non-framed
+/// input is the cleartext already.
+fn open(bytes: &[u8]) -> Result<(Cow<'_, [u8]>, u8), FrameError> {
     if !is_framed(bytes) {
-        return Ok(bytes.to_vec());
+        return Ok((Cow::Borrowed(bytes), 0));
     }
     if bytes.len() < FRAME_HEADER_LEN {
         return Err(FrameError::Truncated);
@@ -221,15 +189,37 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Vec<u8>, FrameError> {
         return Err(FrameError::Checksum { expected, actual });
     }
     if flags & FLAG_COMPRESSED != 0 {
-        lz::decompress(payload, ulen).map_err(FrameError::Compression)
+        let raw = lz::decompress(payload, ulen).map_err(FrameError::Compression)?;
+        Ok((Cow::Owned(raw), flags))
     } else if payload.len() != ulen {
         Err(FrameError::Compression(lz::LzError::WrongLength {
             expected: ulen,
             got: payload.len(),
         }))
     } else {
-        Ok(payload.to_vec())
+        Ok((Cow::Borrowed(payload), flags))
     }
+}
+
+/// Decode wire bytes back to raw bucket bytes.
+///
+/// Framed input is checksum-verified; a stored payload is then returned
+/// in the buffer it arrived in (the header is shifted out, nothing is
+/// allocated), a compressed one is decompressed. Non-framed input is
+/// passed through untouched.
+pub fn decode_vec(mut bytes: Vec<u8>) -> Result<Vec<u8>, FrameError> {
+    let header = match open(&bytes)?.0 {
+        Cow::Owned(raw) => return Ok(raw),
+        Cow::Borrowed(payload) => bytes.len() - payload.len(),
+    };
+    bytes.drain(..header);
+    Ok(bytes)
+}
+
+/// Decode a frame from a shared or borrowed buffer (the zero-copy serve
+/// path hands out `Arc<[u8]>` frames; consumers decode from the slice).
+pub fn decode_frame(bytes: &[u8]) -> Result<Vec<u8>, FrameError> {
+    open(bytes).map(|(raw, _)| raw.into_owned())
 }
 
 /// Decode wire bytes and report whether they carry a *verified* sorted-run
@@ -237,11 +227,16 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Vec<u8>, FrameError> {
 /// passed the monotonicity spot-check. A claim that fails the check is
 /// demoted to unsorted (and counted, see [`sorted_claim_rejects`]) rather
 /// than rejected outright — the consumer then sorts on arrival, exactly
-/// as it does for legacy/unflagged input.
+/// as it does for unflagged input.
 pub fn decode_frame_sorted(bytes: &[u8]) -> Result<(Vec<u8>, bool), FrameError> {
-    let claimed =
-        bytes.len() >= FRAME_HEADER_LEN && is_framed(bytes) && bytes[5] & FLAG_SORTED_RUN != 0;
-    let raw = decode_frame(bytes)?;
+    decode_frame_sorted_cow(bytes).map(|(raw, sorted)| (raw.into_owned(), sorted))
+}
+
+/// [`decode_frame_sorted`] for a consumer that only reads the cleartext:
+/// a stored payload is borrowed from `bytes`, never copied.
+pub fn decode_frame_sorted_cow(bytes: &[u8]) -> Result<(Cow<'_, [u8]>, bool), FrameError> {
+    let (raw, flags) = open(bytes)?;
+    let claimed = flags & FLAG_SORTED_RUN != 0;
     if claimed && !spot_check_sorted(&raw) {
         SORTED_CLAIM_REJECTS.fetch_add(1, Ordering::Relaxed);
         return Ok((raw, false));
@@ -305,25 +300,45 @@ mod tests {
     fn mode_parsing() {
         assert_eq!(CompressMode::parse("on"), Ok(CompressMode::On));
         assert_eq!(CompressMode::parse("off"), Ok(CompressMode::Off));
-        assert_eq!(CompressMode::parse("threshold=4096"), Ok(CompressMode::Threshold(4096)));
-        assert!(CompressMode::parse("sometimes").is_err());
-        assert!(CompressMode::parse("threshold=four").is_err());
+        assert_eq!(CompressMode::default(), CompressMode::Off);
+        for bad in ["sometimes", "threshold=4096"] {
+            let err = CompressMode::parse(bad).unwrap_err();
+            assert!(err.contains("on|off"), "{err}");
+        }
     }
 
     #[test]
-    fn off_mode_is_identity() {
-        let raw = b"MRSB1 pretend bucket bytes".to_vec();
-        assert_eq!(encode_vec(raw.clone(), CompressMode::Off), raw);
-    }
-
-    #[test]
-    fn threshold_gates_framing() {
-        let small = vec![7u8; 100];
-        let big = vec![7u8; 1000];
-        let mode = CompressMode::Threshold(512);
-        assert_eq!(encode_vec(small.clone(), mode), small, "below threshold stays raw");
-        let framed = encode_vec(big.clone(), mode);
+    fn off_mode_stores_the_bucket_in_a_frame() {
+        let raw = b"MRSB1 pretend bucket bytes ".repeat(40);
+        let framed = encode_vec(raw.clone(), CompressMode::Off);
         assert!(is_framed(&framed));
+        assert_eq!(framed[5] & FLAG_COMPRESSED, 0);
+        assert_eq!(&framed[FRAME_HEADER_LEN..], &raw[..], "payload is the bucket itself");
+        assert_eq!(decode_vec(framed).unwrap(), raw);
+    }
+
+    #[test]
+    fn stored_frame_decodes_in_the_buffer_it_arrived_in() {
+        let framed = encode_vec(vec![7u8; 4096], CompressMode::Off);
+        let (ptr, cap) = (framed.as_ptr(), framed.capacity());
+        let raw = decode_vec(framed).unwrap();
+        assert_eq!(raw, vec![7u8; 4096]);
+        assert_eq!((raw.as_ptr(), raw.capacity()), (ptr, cap), "no second allocation");
+        // The borrowing decoder hands out the frame's own payload bytes.
+        let framed = encode_vec_sorted(raw.clone(), CompressMode::Off, false);
+        let (view, _) = decode_frame_sorted_cow(&framed).unwrap();
+        assert!(matches!(view, Cow::Borrowed(p) if std::ptr::eq(p, &framed[FRAME_HEADER_LEN..])));
+    }
+
+    #[test]
+    fn on_mode_compresses_from_the_floor_up() {
+        let small = vec![7u8; COMPRESS_FLOOR - 1];
+        let big = vec![7u8; COMPRESS_FLOOR];
+        let framed = encode_vec(small.clone(), CompressMode::On);
+        assert_eq!(framed[5] & FLAG_COMPRESSED, 0, "below the floor stays stored");
+        assert_eq!(decode_vec(framed).unwrap(), small);
+        let framed = encode_vec(big.clone(), CompressMode::On);
+        assert_ne!(framed[5] & FLAG_COMPRESSED, 0);
         assert!(framed.len() < big.len(), "repetitive payload compresses");
         assert_eq!(decode_vec(framed).unwrap(), big);
     }
@@ -363,7 +378,7 @@ mod tests {
 
     #[test]
     fn empty_input_roundtrips_in_every_mode() {
-        for mode in [CompressMode::On, CompressMode::Off, CompressMode::Threshold(0)] {
+        for mode in [CompressMode::On, CompressMode::Off] {
             assert_eq!(decode_vec(encode_vec(Vec::new(), mode)).unwrap(), Vec::<u8>::new());
         }
     }
@@ -420,9 +435,9 @@ mod tests {
     }
 
     #[test]
-    fn sorted_claim_below_threshold_stays_raw() {
+    fn sorted_claim_rides_on_a_stored_frame() {
         let raw = bucket_bytes(&[(b"a", b"1")]);
-        let out = encode_vec_sorted(raw.clone(), CompressMode::Threshold(512), true);
-        assert_eq!(out, raw, "no frame, so no flag to carry");
+        let out = encode_vec_sorted(raw.clone(), CompressMode::Off, true);
+        assert_eq!(decode_frame_sorted(&out).unwrap(), (raw, true));
     }
 }

@@ -11,15 +11,15 @@
 //! Producers call [`encode_vec`] once per bucket; every consumer —
 //! remote fetch, colocated short-circuit, or shared-filesystem read —
 //! calls [`decode_vec`]/[`decode_frame`], which verify the checksum and
-//! transparently accept the legacy unframed format.
+//! transparently accept unframed `MRSB1` bytes.
 
 pub mod frame;
 pub mod lz;
 pub mod xxhash;
 
 pub use frame::{
-    decode_frame, decode_frame_sorted, decode_vec, encode_vec, encode_vec_sorted, is_framed,
-    sorted_claim_rejects, CompressMode, FrameError, DEFAULT_COMPRESS_THRESHOLD, FLAG_SORTED_RUN,
+    decode_frame, decode_frame_sorted, decode_frame_sorted_cow, decode_vec, encode_vec,
+    encode_vec_sorted, is_framed, sorted_claim_rejects, CompressMode, FrameError, FLAG_SORTED_RUN,
     FRAME_HEADER_LEN, FRAME_MAGIC,
 };
 pub use lz::{compress, decompress, LzError};

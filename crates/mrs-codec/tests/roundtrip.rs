@@ -36,14 +36,9 @@ proptest! {
 
     #[test]
     fn prop_frame_roundtrip_all_modes(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
-        for mode in [
-            CompressMode::On,
-            CompressMode::Off,
-            CompressMode::Threshold(0),
-            CompressMode::Threshold(256),
-            CompressMode::default(),
-        ] {
+        for mode in [CompressMode::On, CompressMode::Off] {
             let wire = encode_vec(data.clone(), mode);
+            prop_assert!(is_framed(&wire));
             prop_assert_eq!(decode_vec(wire).unwrap(), data.clone());
         }
     }
@@ -84,8 +79,9 @@ fn every_single_byte_flip_is_caught() {
         b"x".to_vec(),
         Vec::new(),
     ];
-    for raw in corpora {
-        let wire = encode_vec(raw.clone(), CompressMode::On);
+    let modes = [CompressMode::On, CompressMode::Off];
+    for (raw, mode) in corpora.into_iter().flat_map(|c| modes.map(|m| (c.clone(), m))) {
+        let wire = encode_vec(raw.clone(), mode);
         assert!(is_framed(&wire));
         for i in 0..wire.len() {
             for bit in [0x01u8, 0x80u8] {
@@ -116,18 +112,18 @@ fn every_single_byte_flip_is_caught() {
     }
 }
 
-/// The explicit compat matrix the cluster relies on: raw producer with
-/// frame-aware consumer, and framed producer where the payload happens
-/// to be below threshold (emitted raw) with the same consumer.
+/// The compat matrix the cluster relies on: a storing producer, a
+/// compressing producer and raw `MRSB1` bytes (store files written
+/// without a frame) all reach the same consumer.
 #[test]
 fn mixed_mode_compat_matrix() {
-    let raw = b"MRSB1-ish bucket payload, short".to_vec();
-    // Raw producer -> frame-aware consumer.
-    assert_eq!(decode_vec(encode_vec(raw.clone(), CompressMode::Off)).unwrap(), raw);
-    // Threshold producer under threshold -> raw on wire -> consumer.
-    let wire = encode_vec(raw.clone(), CompressMode::default());
-    assert!(!is_framed(&wire));
-    assert_eq!(decode_vec(wire).unwrap(), raw);
-    // Compressing producer -> consumer.
-    assert_eq!(decode_vec(encode_vec(raw.clone(), CompressMode::On)).unwrap(), raw);
+    let raw = b"MRSB1-ish bucket payload ".repeat(30);
+    let stored = encode_vec(raw.clone(), CompressMode::default());
+    assert_eq!(stored.len(), raw.len() + FRAME_HEADER_LEN);
+    assert_eq!(decode_vec(stored).unwrap(), raw);
+    let compressed = encode_vec(raw.clone(), CompressMode::On);
+    assert!(compressed.len() < raw.len());
+    assert_eq!(decode_vec(compressed).unwrap(), raw);
+    assert!(!is_framed(&raw));
+    assert_eq!(decode_vec(raw.clone()).unwrap(), raw);
 }

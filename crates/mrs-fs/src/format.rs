@@ -9,24 +9,16 @@
 //!   generally arbitrarily set to be the line number").
 //!
 //! Both readers are transparent to the `MRSF1` shuffle frame (mrs-codec):
-//! a bucket that was framed for the wire — compressed and checksummed —
-//! decodes here just like a raw one, so shared-filesystem stores and
-//! checkpoints can hold framed bytes without every call site caring.
+//! a bucket that was framed for the wire — checksummed, stored or
+//! compressed — decodes here just like a raw one, so shared-filesystem
+//! stores and checkpoints can hold framed bytes without every call site
+//! caring.
 
 use mrs_core::kv::{encode_record, read_varint, write_varint};
 use mrs_core::{Bucket, Datum, Error, Record, Result};
 
 /// Magic prefix of bucket files (format version 1).
 pub const BUCKET_MAGIC: &[u8; 5] = b"MRSB1";
-
-/// Unwrap an `MRSF1` frame if present (verifying its checksum), or borrow
-/// the input unchanged. Raw input costs nothing.
-fn unframe(b: &[u8]) -> Result<std::borrow::Cow<'_, [u8]>> {
-    if !mrs_codec::is_framed(b) {
-        return Ok(std::borrow::Cow::Borrowed(b));
-    }
-    mrs_codec::decode_frame(b).map(std::borrow::Cow::Owned).map_err(|e| Error::Codec(e.to_string()))
-}
 
 fn write_bucket_iter<'a>(
     count: usize,
@@ -84,12 +76,10 @@ pub struct RunInfo {
 /// whether the producer advertised them as such). The sortedness verdict
 /// covers only the records this call appended.
 pub fn read_bucket_run(b: &[u8], out: &mut Bucket) -> Result<RunInfo> {
-    let (unframed, claimed_sorted) = if mrs_codec::is_framed(b) {
-        let (v, s) = mrs_codec::decode_frame_sorted(b).map_err(|e| Error::Codec(e.to_string()))?;
-        (std::borrow::Cow::Owned(v), s)
-    } else {
-        (unframe(b)?, false)
-    };
+    // Raw bytes and stored frames parse in place; only a compressed
+    // frame is decoded into a buffer of its own first.
+    let (unframed, claimed_sorted) =
+        mrs_codec::decode_frame_sorted_cow(b).map_err(|e| Error::Codec(e.to_string()))?;
     let mut b = unframed.as_ref();
     let magic =
         b.get(..BUCKET_MAGIC.len()).ok_or_else(|| Error::Codec("bucket file too short".into()))?;
@@ -230,16 +220,18 @@ mod tests {
         let records: Vec<Record> =
             (0..40).map(|i| (format!("key{i}").into_bytes(), vec![i as u8; 16])).collect();
         let raw = write_bucket_bytes(&records);
-        let framed = mrs_codec::encode_vec(raw.clone(), mrs_codec::CompressMode::On);
-        assert_ne!(framed, raw, "this payload should have been framed");
-        let mut arena = Bucket::new();
-        read_bucket_into(&framed, &mut arena).unwrap();
-        assert_eq!(arena, Bucket::from_records(records));
-        // A corrupted frame surfaces as a codec error, not a panic.
-        let mut bad = framed.clone();
-        let last = bad.len() - 1;
-        bad[last] ^= 0xff;
-        assert!(matches!(read_records(&bad), Err(Error::Codec(_))));
+        for mode in [mrs_codec::CompressMode::On, mrs_codec::CompressMode::Off] {
+            let framed = mrs_codec::encode_vec(raw.clone(), mode);
+            assert!(mrs_codec::is_framed(&framed));
+            let mut arena = Bucket::new();
+            read_bucket_into(&framed, &mut arena).unwrap();
+            assert_eq!(arena, Bucket::from_records(records.clone()));
+            // A corrupted frame surfaces as a codec error, not a panic.
+            let mut bad = framed.clone();
+            let last = bad.len() - 1;
+            bad[last] ^= 0xff;
+            assert!(matches!(read_records(&bad), Err(Error::Codec(_))));
+        }
     }
 
     #[test]
@@ -260,15 +252,13 @@ mod tests {
         assert_eq!(info, RunInfo { claimed_sorted: false, sorted: false });
 
         // Framed with the sorted-run flag: claim survives and matches.
-        let framed = mrs_codec::encode_vec_sorted(
-            write_bucket_bytes(&sorted_recs),
-            mrs_codec::CompressMode::On,
-            true,
-        );
-        let mut out = Bucket::new();
-        let info = read_bucket_run(&framed, &mut out).unwrap();
-        assert_eq!(info, RunInfo { claimed_sorted: true, sorted: true });
-        assert_eq!(out.to_records(), sorted_recs);
+        for mode in [mrs_codec::CompressMode::On, mrs_codec::CompressMode::Off] {
+            let framed = mrs_codec::encode_vec_sorted(write_bucket_bytes(&sorted_recs), mode, true);
+            let mut out = Bucket::new();
+            let info = read_bucket_run(&framed, &mut out).unwrap();
+            assert_eq!(info, RunInfo { claimed_sorted: true, sorted: true });
+            assert_eq!(out.to_records(), sorted_recs);
+        }
 
         // An empty bucket counts as sorted.
         let mut out = Bucket::new();

@@ -15,8 +15,7 @@
 //! prog --mrs slave  --mrs-master H:P --mrs-slots 4   # slave with 4 task slots
 //! prog --mrs master --mrs-control poll    # legacy sleep-and-poll control plane
 //! prog --mrs master --mrs-longpoll-ms 250 # cap server-side get_task parks
-//! prog --mrs slave --mrs-master H:P --mrs-compress off          # raw buckets
-//! prog --mrs master --mrs-compress threshold=4096               # frame big buckets only
+//! prog --mrs master --mrs-compress on    # LZ-compress buckets (a link slower than loopback)
 //! prog --mrs master --mrs-keep-data   # disable dataset lifetime GC
 //! prog --mrs master --mrs-eager-shuffle off  # classic barrier-then-fetch shuffle
 //! prog --mrs master --mrs-speculate off      # no straggler backup tasks
@@ -82,9 +81,9 @@ pub struct CliOptions {
     /// Long-poll cap override (`--mrs-longpoll-ms`): on a master the
     /// maximum server-side park, on a slave the park it requests.
     pub long_poll: Option<Duration>,
-    /// Shuffle payload compression (`--mrs-compress=on|off|threshold=N`,
-    /// default: compress buckets above the built-in threshold). Decoders
-    /// auto-detect framing, so mixed settings across a cluster interoperate.
+    /// Shuffle payload compression (`--mrs-compress=on|off`, default off:
+    /// checksummed stored frames). Decoders read the compressed bit per
+    /// payload, so mixed settings across a cluster interoperate.
     pub compress: CompressMode,
     /// Disable dataset lifetime GC (`--mrs-keep-data`): intermediates stay
     /// fetchable after their last plan consumer finishes, and fault
@@ -444,17 +443,11 @@ mod tests {
 
     #[test]
     fn parses_compress_flag() {
-        use mrs_codec::DEFAULT_COMPRESS_THRESHOLD;
-        assert_eq!(
-            opts(&[]).unwrap().compress,
-            CompressMode::Threshold(DEFAULT_COMPRESS_THRESHOLD)
-        );
+        assert_eq!(opts(&[]).unwrap().compress, CompressMode::Off);
         assert_eq!(opts(&["--mrs-compress", "on"]).unwrap().compress, CompressMode::On);
         assert_eq!(opts(&["--mrs-compress", "off"]).unwrap().compress, CompressMode::Off);
-        assert_eq!(
-            opts(&["--mrs-compress", "threshold=4096"]).unwrap().compress,
-            CompressMode::Threshold(4096)
-        );
+        let err = opts(&["--mrs-compress", "threshold=4096"]).unwrap_err().to_string();
+        assert!(err.contains("on|off"), "{err}");
     }
 
     #[test]
@@ -543,7 +536,6 @@ mod tests {
         assert!(opts(&["--mrs-longpoll-ms", "soon"]).is_err());
         assert!(opts(&["--mrs-compress"]).is_err());
         assert!(opts(&["--mrs-compress", "maybe"]).is_err());
-        assert!(opts(&["--mrs-compress", "threshold=lots"]).is_err());
         assert!(opts(&["--mrs-eager-shuffle"]).is_err());
         assert!(opts(&["--mrs-eager-shuffle", "sometimes"]).is_err());
         assert!(opts(&["--mrs-speculate", "perhaps"]).is_err());

@@ -12,7 +12,8 @@
 //!   fetched over HTTP: the volume that *would* have crossed the wire
 //!   without the codec.
 //! - `bytes_on_wire` — the HTTP body bytes actually transferred for
-//!   those fetches. `pre / wire` is the live compression ratio.
+//!   those fetches. `pre / wire` is the live compression ratio (just
+//!   under 1 with stored frames: each carries an 18-byte header).
 //! - `shortcircuit_fetches` — fetches satisfied from the local frame
 //!   cache without touching a socket (colocated producer+consumer).
 //! - `checksum_retries` — remote frames that failed checksum
@@ -25,14 +26,12 @@
 //!   late, predicted onto another slave, or invalidated).
 //! - `overlap_micros` — for every warm fragment a reduce-like task
 //!   consumed, the time it sat ready in the cache before it was needed:
-//!   transfer + verify + decompress work that ran concurrently with map
-//!   execution instead of on the post-barrier critical path.
+//!   transfer + verify work that ran concurrently with map execution
+//!   instead of on the post-barrier critical path.
 //! - `merge_runs` / `presorted_runs` — input runs consumed by merge-mode
 //!   reduce tasks, and how many of them arrived already sorted (no
 //!   task-time sort needed). Equal when every producer upholds the
 //!   sorted-run guarantee.
-//! - `premerged_runs` — warm eager fragments the background pre-merge
-//!   collapsed into larger runs while maps were still running.
 //! - `merge_micros` — wall time reduce-like tasks spent assembling their
 //!   input (decode + any demoted-run sorts + the streamed merge is *not*
 //!   included: it overlaps the reduce itself).
@@ -51,7 +50,6 @@ static RESIDUAL_FETCHES: AtomicU64 = AtomicU64::new(0);
 static OVERLAP_MICROS: AtomicU64 = AtomicU64::new(0);
 static MERGE_RUNS: AtomicU64 = AtomicU64::new(0);
 static PRESORTED_RUNS: AtomicU64 = AtomicU64::new(0);
-static PREMERGED_RUNS: AtomicU64 = AtomicU64::new(0);
 static MERGE_MICROS: AtomicU64 = AtomicU64::new(0);
 static PEAK_REDUCE_RECORDS: AtomicU64 = AtomicU64::new(0);
 
@@ -108,12 +106,6 @@ pub fn record_merge_input(
     PEAK_REDUCE_RECORDS.fetch_max(records as u64, Ordering::Relaxed);
 }
 
-/// Record the background pre-merge collapsing `fragments` warm eager
-/// fragments into one larger run.
-pub fn record_premerge(fragments: usize) {
-    PREMERGED_RUNS.fetch_add(fragments as u64, Ordering::Relaxed);
-}
-
 /// A point-in-time (or delta) view of the data-plane counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DataPlaneStats {
@@ -138,8 +130,6 @@ pub struct DataPlaneStats {
     pub merge_runs: u64,
     /// Of those, runs that arrived already in sorted key order.
     pub presorted_runs: u64,
-    /// Warm fragments collapsed by the background pre-merge.
-    pub premerged_runs: u64,
     /// Microseconds spent assembling merge-ready reduce inputs.
     pub merge_micros: u64,
     /// Largest record count one reduce-like task materialized as input.
@@ -162,7 +152,6 @@ impl DataPlaneStats {
             overlap_micros: self.overlap_micros - earlier.overlap_micros,
             merge_runs: self.merge_runs - earlier.merge_runs,
             presorted_runs: self.presorted_runs - earlier.presorted_runs,
-            premerged_runs: self.premerged_runs - earlier.premerged_runs,
             merge_micros: self.merge_micros - earlier.merge_micros,
             peak_reduce_records: self.peak_reduce_records,
         }
@@ -190,7 +179,6 @@ impl DataPlaneStats {
         counter("overlap_micros_total", self.overlap_micros);
         counter("merge_runs_total", self.merge_runs);
         counter("presorted_runs_total", self.presorted_runs);
-        counter("premerged_runs_total", self.premerged_runs);
         counter("merge_micros_total", self.merge_micros);
         counter("peak_reduce_records", self.peak_reduce_records);
         out
@@ -210,7 +198,6 @@ pub fn snapshot() -> DataPlaneStats {
         overlap_micros: OVERLAP_MICROS.load(Ordering::Relaxed),
         merge_runs: MERGE_RUNS.load(Ordering::Relaxed),
         presorted_runs: PRESORTED_RUNS.load(Ordering::Relaxed),
-        premerged_runs: PREMERGED_RUNS.load(Ordering::Relaxed),
         merge_micros: MERGE_MICROS.load(Ordering::Relaxed),
         peak_reduce_records: PEAK_REDUCE_RECORDS.load(Ordering::Relaxed),
     }

@@ -44,7 +44,6 @@ pub struct JobMetrics {
     straggler_micros_saved: u64,
     merge_runs: u64,
     presorted_runs: u64,
-    premerged_runs: u64,
     merge_micros: u64,
     peak_reduce_records: u64,
 }
@@ -242,7 +241,6 @@ impl JobMetrics {
         self.overlap_micros += stats.overlap_micros;
         self.merge_runs += stats.merge_runs;
         self.presorted_runs += stats.presorted_runs;
-        self.premerged_runs += stats.premerged_runs;
         self.merge_micros += stats.merge_micros;
         self.peak_reduce_records = self.peak_reduce_records.max(stats.peak_reduce_records);
     }
@@ -252,8 +250,10 @@ impl JobMetrics {
         self.bytes_pre_compress
     }
 
-    /// Actual HTTP body bytes moved for those fetches; with compression on
-    /// and compressible data this is well below [`Self::bytes_pre_compress`].
+    /// Actual HTTP body bytes moved for those fetches: a frame header
+    /// above [`Self::bytes_pre_compress`] per bucket with stored frames
+    /// (the default), well below it with `--mrs-compress on` and
+    /// compressible data.
     pub fn bytes_on_wire(&self) -> u64 {
         self.bytes_on_wire
     }
@@ -432,10 +432,11 @@ impl JobMetrics {
         self.presorted_runs
     }
 
-    /// Warm eager fragments the background pre-merge collapsed into
-    /// larger runs while maps were still running.
+    /// Always 0: the background pre-merge is gone (every fragment reaches
+    /// the reduce as its own run). Kept because the repo benchmark still
+    /// reads `runtime.premerged_runs_per_job`; goes with that metric.
     pub fn premerged_runs(&self) -> u64 {
-        self.premerged_runs
+        0
     }
 
     /// Time reduce-like tasks spent assembling merge-ready input (decode
@@ -498,7 +499,6 @@ impl JobMetrics {
         counter("cancelled_tasks_total", self.cancelled_tasks);
         counter("merge_runs_total", self.merge_runs);
         counter("presorted_runs_total", self.presorted_runs);
-        counter("premerged_runs_total", self.premerged_runs);
         counter("peak_reduce_records", self.peak_reduce_records);
         let mut seconds = |name: &str, d: Duration| {
             out.push_str("mrs_");
@@ -549,7 +549,6 @@ mod tests {
             overlap_micros: 2500,
             merge_runs: 6,
             presorted_runs: 6,
-            premerged_runs: 4,
             merge_micros: 1500,
             peak_reduce_records: 900,
         });
@@ -581,7 +580,6 @@ mod tests {
         assert!(m.map_time() >= Duration::from_millis(10));
         assert_eq!(m.merge_runs(), 6);
         assert_eq!(m.presorted_runs(), 6);
-        assert_eq!(m.premerged_runs(), 4);
         assert_eq!(m.peak_reduce_records(), 900);
         assert_eq!(m.merge_time(), Duration::from_micros(1500));
     }

@@ -1040,48 +1040,51 @@ mod tests {
     }
 
     /// A peer that serves a corrupt frame once is given a second chance;
-    /// one that serves corruption persistently surfaces an error.
+    /// one that serves corruption persistently surfaces an error. Stored
+    /// and compressed frames alike: the checksum covers the payload as
+    /// shipped.
     #[test]
     fn corrupt_remote_frame_is_refetched_once() {
         use mrs_fs::format::write_bucket_bytes;
         use std::sync::atomic::{AtomicUsize, Ordering};
         let records = vec![(b"key".to_vec(), vec![9u8; 800])];
-        let good: Arc<[u8]> =
-            mrs_codec::encode_vec(write_bucket_bytes(&records), mrs_codec::CompressMode::On).into();
-        let bad: Arc<[u8]> = {
-            let mut b = good.to_vec();
-            let last = b.len() - 1;
-            b[last] ^= 0xff;
-            b.into()
-        };
+        for mode in [mrs_codec::CompressMode::Off, mrs_codec::CompressMode::On] {
+            let good: Arc<[u8]> = mrs_codec::encode_vec(write_bucket_bytes(&records), mode).into();
+            let bad: Arc<[u8]> = {
+                let mut b = good.to_vec();
+                let last = b.len() - 1;
+                b[last] ^= 0xff;
+                b.into()
+            };
 
-        let hits = Arc::new(AtomicUsize::new(0));
-        let provider: mrs_rpc::dataserver::Provider = {
-            let hits = Arc::clone(&hits);
-            let good = Arc::clone(&good);
-            let bad = Arc::clone(&bad);
-            Arc::new(move |p: &str| match p {
-                // First request corrupt, later ones clean.
-                "flaky" => Some(if hits.fetch_add(1, Ordering::SeqCst) == 0 {
-                    Arc::clone(&bad)
-                } else {
-                    Arc::clone(&good)
-                }),
-                "hosed" => Some(Arc::clone(&bad)),
-                _ => None,
-            })
-        };
-        let server = mrs_rpc::DataServer::serve(0, provider).unwrap();
+            let hits = Arc::new(AtomicUsize::new(0));
+            let provider: mrs_rpc::dataserver::Provider = {
+                let hits = Arc::clone(&hits);
+                let good = Arc::clone(&good);
+                let bad = Arc::clone(&bad);
+                Arc::new(move |p: &str| match p {
+                    // First request corrupt, later ones clean.
+                    "flaky" => Some(if hits.fetch_add(1, Ordering::SeqCst) == 0 {
+                        Arc::clone(&bad)
+                    } else {
+                        Arc::clone(&good)
+                    }),
+                    "hosed" => Some(Arc::clone(&bad)),
+                    _ => None,
+                })
+            };
+            let server = mrs_rpc::DataServer::serve(0, provider).unwrap();
 
-        let before = dataplane::snapshot();
-        let got = fetch_records(&server.url_for("flaky"), None).unwrap();
-        assert_eq!(got, records);
-        assert_eq!(hits.load(Ordering::SeqCst), 2, "exactly one refetch");
-        let d = dataplane::snapshot().since(before);
-        assert!(d.checksum_retries >= 1);
-        assert!(d.bytes_on_wire >= good.len() as u64);
+            let before = dataplane::snapshot();
+            let got = fetch_records(&server.url_for("flaky"), None).unwrap();
+            assert_eq!(got, records);
+            assert_eq!(hits.load(Ordering::SeqCst), 2, "exactly one refetch ({mode:?})");
+            let d = dataplane::snapshot().since(before);
+            assert!(d.checksum_retries >= 1);
+            assert!(d.bytes_on_wire >= good.len() as u64);
 
-        let err = fetch_records(&server.url_for("hosed"), None).unwrap_err();
-        assert!(matches!(err, Error::Codec(_)), "persistent corruption must surface: {err}");
+            let err = fetch_records(&server.url_for("hosed"), None).unwrap_err();
+            assert!(matches!(err, Error::Codec(_)), "persistent corruption must surface: {err}");
+        }
     }
 }

@@ -19,8 +19,7 @@
 //! calls (scheduler unit tests).
 
 use crate::dataplane::{
-    record_eager_fragment, record_merge_input, record_overlap, record_premerge,
-    record_residual_fetch,
+    record_eager_fragment, record_merge_input, record_overlap, record_residual_fetch,
 };
 use crate::master::SlaveId;
 use crate::proto::{
@@ -33,7 +32,7 @@ use mrs_core::task::{
     run_reduce_map_task_merge_cancellable, run_reduce_task_cancellable,
     run_reduce_task_merge_cancellable,
 };
-use mrs_core::{merge_runs, Bucket, Error, MergeMode, Program, Result};
+use mrs_core::{Bucket, Error, MergeMode, Program, Result};
 use mrs_fs::format::{read_bucket_into, read_bucket_run, write_bucket};
 use mrs_fs::Store;
 use mrs_rpc::{DataServer, FrameCache};
@@ -218,10 +217,6 @@ struct EagerHalf {
     state: Mutex<EagerState>,
     /// Wakes the fetcher when fragments are announced (or on shutdown).
     cv: Condvar,
-    /// Pre-merge warm fragments into larger runs while maps still run
-    /// (merge-mode reduce only: the sort oracle stays byte-for-byte on
-    /// the classic per-fragment path).
-    premerge: bool,
 }
 
 struct EagerState {
@@ -234,34 +229,9 @@ struct EagerState {
     /// ready: the overlap metric is how long a fragment sat here before
     /// its task consumed it.
     warm: HashMap<String, (Vec<u8>, Instant)>,
-    /// Runs the background pre-merge built out of warm fragments, keyed
-    /// by the first covered URL. Consumed only when a task's input list
-    /// carries the covered URLs contiguously in the same order; any
-    /// mismatch (a producer was re-executed under a new URL) drops the
-    /// whole entry and the task falls back to residual fetches.
-    premerged: HashMap<String, PremergedRun>,
     /// Shutdown flag mirroring the pipe's drain/halt for the fetcher.
     stop: bool,
 }
-
-/// One background-merged run: several contiguous map-output fragments
-/// collapsed into a single sorted `MRSB1` bucket.
-struct PremergedRun {
-    /// Raw sorted bucket bytes (re-parsed as one presorted run).
-    bytes: Vec<u8>,
-    /// The fragment URLs this run covers, in producer task-index order —
-    /// the order the master lists reduce inputs in.
-    urls: Vec<String>,
-    /// When the merge finished (feeds the overlap metric on consumption).
-    ready_at: Instant,
-}
-
-/// Background pre-merge fires once this many contiguous warm fragments
-/// pile up for one (dataset, partition)...
-const PREMERGE_MIN: usize = 4;
-/// ...and collapses at most this many per merged run (bounded fan-in, so
-/// one giant cascade never starves the fetch queue).
-const PREMERGE_FAN_IN: usize = 8;
 
 struct PipeState {
     /// Assignments accepted from the master, inputs not yet fetched. The
@@ -294,7 +264,7 @@ struct PipeState {
 }
 
 impl Pipe {
-    fn new(eager: bool, premerge: bool) -> Pipe {
+    fn new(eager: bool) -> Pipe {
         Pipe {
             state: Mutex::new(PipeState {
                 fetch_queue: VecDeque::new(),
@@ -315,11 +285,9 @@ impl Pipe {
                     queue: VecDeque::new(),
                     seen: HashSet::new(),
                     warm: HashMap::new(),
-                    premerged: HashMap::new(),
                     stop: false,
                 }),
                 cv: Condvar::new(),
-                premerge,
             }),
         }
     }
@@ -410,15 +378,22 @@ impl Pipe {
 
     /// Drop eager fragments (queued or warm) belonging to a lifetime-GC'd
     /// dataset. `prefix` is the purge order's bucket-path prefix
-    /// (`s{slave}/d{data}/`); fragment URLs embed it after `/data/`.
+    /// (`s{slave}/d{data}/`); its slave part names the *receiver* of the
+    /// order, so only the dataset id selects here — a fragment this slave
+    /// fetched from a peer and never consumed (the master mis-predicted
+    /// the reduce's owner) must go with the dataset too.
     fn purge_eager(&self, prefix: &str) {
         let Some(eg) = &self.eager else { return };
-        let needle = format!("/data/{prefix}");
+        let Some(data) =
+            prefix.split('/').nth(1).and_then(|d| d.strip_prefix('d')?.parse::<u64>().ok())
+        else {
+            return;
+        };
+        let keep = |u: &String| parse_bucket_coords(u).map(|c| c.0) != Some(data);
         let mut st = eg.state.lock();
-        st.queue.retain(|u| !u.contains(&needle));
-        st.seen.retain(|u| !u.contains(&needle));
-        st.warm.retain(|u, _| !u.contains(&needle));
-        st.premerged.retain(|u, _| !u.contains(&needle));
+        st.queue.retain(keep);
+        st.seen.retain(keep);
+        st.warm.retain(|u, _| keep(u));
     }
 
     fn halted(&self) -> bool {
@@ -461,7 +436,7 @@ pub fn run_slave(
     let id = link.signin(&authority, capacity)?;
 
     let piggyback = matches!(opts.control, ControlMode::LongPoll);
-    let pipe = Pipe::new(opts.eager_shuffle, opts.merge == MergeMode::Merge);
+    let pipe = Pipe::new(opts.eager_shuffle);
     // Trace recording: one recorder per slave, one handle (ring shard)
     // per recording thread. Handles live outside the thread scope so the
     // worker closures can borrow them.
@@ -796,11 +771,13 @@ fn prefetch_loop(
 
 /// The eager shuffle fetcher: pop announced fragment URLs and pull them
 /// into the warm cache while the producing operation is still running —
-/// the transfer, checksum verify, and decompress all happen off the
-/// post-barrier critical path. Failures are dropped silently (and the
-/// URL forgotten so a re-announcement can retry): the producer may have
-/// died, or its dataset may have been reclaimed; the residual fetch at
-/// task time is the correctness path, this thread only warms it up.
+/// the transfer and checksum verify happen off the post-barrier critical
+/// path, and that is all this thread does: every fragment is parked as
+/// fetched and the reduce's loser tree merges all of them once. Failures
+/// are dropped silently (and the URL forgotten so a re-announcement can
+/// retry): the producer may have died, or its dataset may have been
+/// reclaimed; the residual fetch at task time is the correctness path,
+/// this thread only warms it up.
 fn eager_fetch_loop(
     shared: Option<&Arc<dyn Store>>,
     own_authority: Option<&str>,
@@ -834,12 +811,10 @@ fn eager_fetch_loop(
                     h.instant(Name::EagerFetch, tag);
                 }
                 let mut st = eg.state.lock();
-                if !st.stop {
+                // A purge order that arrived mid-fetch has forgotten the
+                // URL: its dataset is gone, so the bytes are dropped too.
+                if !st.stop && st.seen.contains(&url) {
                     st.warm.insert(url, (bytes, Instant::now()));
-                }
-                drop(st);
-                if eg.premerge {
-                    premerge_warm(eg, th);
                 }
             }
             Err(_) => {
@@ -858,116 +833,6 @@ fn parse_bucket_coords(url: &str) -> Option<(u64, u64, u64)> {
     let index = segs.next()?.strip_prefix('t')?.parse().ok()?;
     let data = segs.next()?.strip_prefix('d')?.parse().ok()?;
     Some((data, index, part))
-}
-
-/// The background pre-merge: when enough warm fragments for one
-/// (dataset, partition) are contiguous by producer task index, collapse
-/// up to [`PREMERGE_FAN_IN`] of them into a single sorted run so the
-/// consuming reduce merges k/8 wide instead of k wide. Runs on the
-/// fetcher thread between fetches — the merge work happens while maps
-/// are still executing, off the post-barrier critical path.
-///
-/// Only *contiguous* fragments merge, and the merged run remembers the
-/// exact URLs it covers in task-index order: because the master lists
-/// reduce inputs in producer task-index order and the streaming merge
-/// breaks key ties by run slot, splicing the merged run into the covered
-/// slots reproduces the per-fragment merge byte for byte.
-fn premerge_warm(eg: &EagerHalf, th: Option<&TraceHandle>) {
-    loop {
-        // Pick one mergeable streak under the lock, taking its fragments
-        // out of the warm cache; decode and merge outside the lock so
-        // task-time consumers are never blocked behind merge work.
-        let streak: Vec<(String, (Vec<u8>, Instant))> = {
-            let mut st = eg.state.lock();
-            if st.stop {
-                return;
-            }
-            let Some(urls) = find_premerge_streak(&st.warm) else { return };
-            urls.into_iter()
-                .map(|u| {
-                    let entry = st.warm.remove(&u).expect("streak urls come from the warm cache");
-                    (u, entry)
-                })
-                .collect()
-        };
-        let mut runs = Vec::with_capacity(streak.len());
-        let mut ok = true;
-        for (_, (bytes, _)) in &streak {
-            let mut run = Bucket::new();
-            match read_bucket_run(bytes, &mut run) {
-                Ok(info) => {
-                    if !info.sorted {
-                        // Same demotion the task-time path applies.
-                        run.sort();
-                    }
-                    runs.push(run);
-                }
-                Err(_) => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok {
-            // Undecodable fragment: put the streak back untouched and let
-            // the task-time path surface the error against its URL.
-            let mut st = eg.state.lock();
-            for (u, entry) in streak {
-                st.warm.insert(u, entry);
-            }
-            return;
-        }
-        let fragments = streak.len();
-        let merged = write_bucket(&merge_runs(&runs));
-        drop(runs);
-        let mut st = eg.state.lock();
-        if st.stop {
-            return;
-        }
-        record_premerge(fragments);
-        if let Some(h) = th {
-            h.instant(Name::Premerge, Tag::NONE);
-        }
-        let urls: Vec<String> = streak.into_iter().map(|(u, _)| u).collect();
-        let key = urls[0].clone();
-        st.premerged.insert(key, PremergedRun { bytes: merged, urls, ready_at: Instant::now() });
-    }
-}
-
-/// Find one streak of at least [`PREMERGE_MIN`] warm fragments sharing a
-/// (dataset, partition) whose producer task indices are consecutive,
-/// returning up to [`PREMERGE_FAN_IN`] URLs in task-index order.
-fn find_premerge_streak(warm: &HashMap<String, (Vec<u8>, Instant)>) -> Option<Vec<String>> {
-    let mut groups: HashMap<(u64, u64), Vec<(u64, &String)>> = HashMap::new();
-    for url in warm.keys() {
-        if let Some((data, index, part)) = parse_bucket_coords(url) {
-            groups.entry((data, part)).or_default().push((index, url));
-        }
-    }
-    for mut members in groups.into_values() {
-        members.sort_unstable_by_key(|&(i, _)| i);
-        // Two attempts of one task can both sit warm under different
-        // URLs; keep one — if it turns out to be the superseded attempt,
-        // the exact-URL match at consumption drops the merged run and
-        // the task falls back to cold fetches.
-        members.dedup_by_key(|&mut (i, _)| i);
-        let mut start = 0;
-        for i in 1..=members.len() {
-            if i == members.len() || members[i].0 != members[i - 1].0 + 1 {
-                if i - start >= PREMERGE_MIN {
-                    return Some(
-                        members[start..i]
-                            .iter()
-                            .take(PREMERGE_FAN_IN)
-                            .map(|&(_, u)| u.clone())
-                            .collect(),
-                    );
-                }
-                start = i;
-            }
-        }
-    }
-    None
 }
 
 /// One compute worker: pop prefetched tasks, execute, report. With
@@ -1197,29 +1062,8 @@ fn fetch_all_bucket_bytes(
     if let Some(eg) = eager {
         let now = Instant::now();
         let mut st = eg.state.lock();
-        let mut i = 0;
-        while i < urls.len() {
-            // A background-merged run covers several input slots at once
-            // — but only when its covered URLs appear verbatim and
-            // contiguously here (re-execution renames a producer's URL,
-            // so a stale merged run simply never matches and is dropped).
-            if let Some(run) = st.premerged.get(&urls[i]) {
-                let n = run.urls.len();
-                if urls[i..].len() >= n && urls[i..i + n] == run.urls[..] {
-                    let run = st.premerged.remove(&urls[i]).expect("entry just found");
-                    record_overlap(now.saturating_duration_since(run.ready_at));
-                    slots[i] = Some(run.bytes);
-                    // Covered slots carry an empty marker: downstream
-                    // parsing skips them, the merged run stands in.
-                    for slot in slots.iter_mut().skip(i + 1).take(n - 1) {
-                        *slot = Some(Vec::new());
-                    }
-                    i += n;
-                    continue;
-                }
-                st.premerged.remove(&urls[i]);
-            }
-            match st.warm.remove(&urls[i]) {
+        for (i, url) in urls.iter().enumerate() {
+            match st.warm.remove(url) {
                 Some((bytes, ready_at)) => {
                     // How long the fragment sat ready is transfer latency
                     // that ran concurrently with map execution.
@@ -1228,7 +1072,6 @@ fn fetch_all_bucket_bytes(
                 }
                 None => residue.push(i),
             }
-            i += 1;
         }
         // The residue is about to be fetched right here; drop any of it
         // still queued for the background fetcher so the duplicate fetch
@@ -1326,8 +1169,6 @@ fn process_task(
 
     // Gather a reduce-like task's input per the merge mode: as separate
     // merge runs (Merge) or one concatenated arena (Sort, the oracle).
-    // Empty slots are pre-merge placeholders — their records live in the
-    // merged run occupying the slot of the first URL they covered.
     let gather_runs = || -> std::result::Result<Vec<Bucket>, TaskError> {
         span_begin(Name::Merge);
         let t0 = Instant::now();
@@ -1335,9 +1176,6 @@ fn process_task(
         let mut presorted = 0usize;
         let mut records = 0usize;
         for (url, bytes) in task.inputs.iter().zip(raw) {
-            if bytes.is_empty() {
-                continue;
-            }
             let mut run = Bucket::new();
             let info = read_bucket_run(bytes, &mut run).map_err(|e| parse_err(url, e))?;
             if info.sorted {
@@ -1358,9 +1196,6 @@ fn process_task(
         span_begin(Name::Merge);
         let mut input = Bucket::new();
         for (url, bytes) in task.inputs.iter().zip(raw) {
-            if bytes.is_empty() {
-                continue;
-            }
             read_bucket_into(bytes, &mut input).map_err(|e| parse_err(url, e))?;
         }
         span_end(Name::Merge);
@@ -1458,7 +1293,7 @@ fn process_task(
         }
     };
 
-    // Encode for the wire (compress + checksum per policy), then store
+    // Frame for the wire (checksum, compress per policy), then store
     // and name the outputs. Encoding happens exactly once per bucket,
     // here; every reader — remote peer, colocated short-circuit, shared
     // store — gets the same encoded bytes.
@@ -1758,21 +1593,21 @@ mod tests {
         assert_eq!(parks[1], parks[0], "the re-poll after an early Wait parks like the first");
     }
 
-    /// A store whose every `get` delivers a cancel order for the attempt
-    /// being prefetched — the interleaving "order arrives mid-fetch",
-    /// forced rather than raced for.
-    struct CancellingStore {
+    /// A store that runs a hook on the pipe inside every `get` — the
+    /// interleaving "an order arrives mid-fetch", forced rather than
+    /// raced for.
+    struct MidFetchStore {
         inner: MemFs,
         pipe: Arc<Pipe>,
-        order: CancelOrder,
+        on_get: fn(&Pipe, &str),
     }
 
-    impl Store for CancellingStore {
+    impl Store for MidFetchStore {
         fn put(&self, path: &str, data: &[u8]) -> Result<()> {
             self.inner.put(path, data)
         }
         fn get(&self, path: &str) -> Result<Vec<u8>> {
-            self.pipe.apply_cancels(std::slice::from_ref(&self.order), None);
+            (self.on_get)(&self.pipe, path);
             self.inner.get(path)
         }
         fn exists(&self, path: &str) -> bool {
@@ -1791,7 +1626,7 @@ mod tests {
     /// and no tombstone is left.
     #[test]
     fn cancel_order_reaches_the_attempt_being_prefetched() {
-        let pipe = Arc::new(Pipe::new(false, false));
+        let pipe = Arc::new(Pipe::new(false));
         let task = TaskMsg {
             data: 3,
             index: 1,
@@ -1803,10 +1638,13 @@ mod tests {
             attempt: 2,
             inputs: vec!["file://in0".into()],
         };
-        let store = CancellingStore {
+        let store = MidFetchStore {
             inner: MemFs::new(),
             pipe: Arc::clone(&pipe),
-            order: CancelOrder { data: task.data, index: task.index, attempt: task.attempt },
+            // The order names the task above.
+            on_get: |pipe, _| {
+                pipe.apply_cancels(&[CancelOrder { data: 3, index: 1, attempt: 2 }], None)
+            },
         };
         store.put("in0", &mrs_fs::format::write_bucket_bytes(&[])).unwrap();
         let store: Arc<dyn Store> = Arc::new(store);
@@ -1837,89 +1675,112 @@ mod tests {
         assert!(err.cancelled, "{}", err.msg);
     }
 
-    fn frag_url(index: usize) -> String {
-        format!("file://s0/d1/t{index}/b0.mrsb")
+    fn frag_url(slave: usize, data: u32, index: usize) -> String {
+        format!("http://127.0.0.1:1/data/s{slave}/d{data}/t{index}/b0.mrsb")
     }
 
-    fn warm_fragment(eg: &EagerHalf, index: usize) {
-        let recs = vec![(format!("k{index}").into_bytes(), vec![index as u8])];
-        let bytes = mrs_fs::format::write_bucket_bytes(&recs);
-        eg.state.lock().warm.insert(frag_url(index), (bytes, Instant::now()));
+    fn fragment(slave: usize, data: u32, index: usize) -> EagerFragment {
+        EagerFragment { data, partition: 0, url: frag_url(slave, data, index) }
     }
 
-    /// Contiguous warm fragments collapse into one merged run, and a task
-    /// whose input list matches consumes it across the covered slots.
+    /// The purge order a slave receives names that slave (`s{own}/d…`),
+    /// whoever produced the dataset's buckets. Fragments of the freed
+    /// dataset go from every eager structure — also the ones fetched from
+    /// a peer — and other datasets stay.
     #[test]
-    fn premerge_collapses_and_task_consumes_merged_run() {
-        let pipe = Pipe::new(true, true);
+    fn purge_eager_drops_a_freed_dataset_whichever_slave_produced_it() {
+        let pipe = Pipe::new(true);
         let eg = pipe.eager.as_ref().unwrap();
-        for i in 0..5 {
-            warm_fragment(eg, i);
-        }
-        premerge_warm(eg, None);
+        // Dataset 1: one fragment from this slave (0), two from a peer (1),
+        // one of them still queued. Dataset 2: one from the peer.
+        pipe.enqueue_eager(&[
+            fragment(0, 1, 0),
+            fragment(1, 1, 1),
+            fragment(1, 1, 2),
+            fragment(1, 2, 0),
+        ]);
         {
-            let st = eg.state.lock();
-            assert_eq!(st.premerged.len(), 1, "one merged run covering the streak");
-            let run = st.premerged.get(&frag_url(0)).expect("keyed by first covered url");
-            assert_eq!(run.urls, (0..5).map(frag_url).collect::<Vec<_>>());
-            assert!(st.warm.is_empty(), "merged fragments leave the warm cache");
+            let mut st = eg.state.lock();
+            for url in [frag_url(0, 1, 0), frag_url(1, 1, 1), frag_url(1, 2, 0)] {
+                st.queue.retain(|u| *u != url);
+                st.warm.insert(url, (vec![0u8; 8], Instant::now()));
+            }
         }
-
-        let urls: Vec<String> = (0..5).map(frag_url).collect();
-        let frames = Arc::new(FrameCache::new());
-        let got =
-            fetch_all_bucket_bytes(&urls, None, None, &frames, Some(eg), &AtomicBool::new(false))
-                .map_err(|e| e.msg)
-                .unwrap();
-        assert!(!got[0].is_empty(), "merged run lands in the first covered slot");
-        assert!(got[1..].iter().all(Vec::is_empty), "covered slots carry the empty marker");
-        let mut merged = Bucket::new();
-        read_bucket_into(&got[0], &mut merged).unwrap();
-        assert_eq!(merged.len(), 5);
-        assert!(merged.is_sorted());
-        assert!(eg.state.lock().premerged.is_empty());
-    }
-
-    /// Below the minimum streak, or with a gap in the task indices, the
-    /// pre-merge leaves fragments alone.
-    #[test]
-    fn premerge_requires_contiguous_minimum() {
-        let pipe = Pipe::new(true, true);
-        let eg = pipe.eager.as_ref().unwrap();
-        // Indices 0,1,2 then 4,5: no streak of PREMERGE_MIN.
-        for i in [0usize, 1, 2, 4, 5] {
-            warm_fragment(eg, i);
-        }
-        premerge_warm(eg, None);
+        pipe.purge_eager("s0/d1/");
         let st = eg.state.lock();
-        assert!(st.premerged.is_empty());
-        assert_eq!(st.warm.len(), 5);
+        let left = |urls: Vec<&String>| urls.into_iter().cloned().collect::<Vec<_>>();
+        assert_eq!(left(st.warm.keys().collect()), [frag_url(1, 2, 0)]);
+        assert_eq!(left(st.seen.iter().collect()), [frag_url(1, 2, 0)]);
+        assert!(st.queue.is_empty(), "{:?}", st.queue);
     }
 
-    /// A merged run whose covered URLs no longer match the task's input
-    /// list (a producer was re-executed elsewhere) is dropped whole; the
-    /// task falls back to per-fragment fetches.
+    /// A purge order that lands while the fetcher is mid-fetch on one of
+    /// the dataset's fragments wins: the fetched bytes are not parked.
     #[test]
-    fn premerge_mismatch_drops_merged_run() {
-        let pipe = Pipe::new(true, true);
-        let eg = pipe.eager.as_ref().unwrap();
-        for i in 0..4 {
-            warm_fragment(eg, i);
-        }
-        premerge_warm(eg, None);
-        assert_eq!(eg.state.lock().premerged.len(), 1);
+    fn fragment_purged_mid_fetch_is_not_parked() {
+        let pipe = Arc::new(Pipe::new(true));
+        let bucket = mrs_fs::format::write_bucket_bytes(&[(b"k".to_vec(), b"v".to_vec())]);
+        let store = MidFetchStore {
+            inner: MemFs::new(),
+            pipe: Arc::clone(&pipe),
+            // The first fetch is overtaken by its dataset's purge order;
+            // the second ends the loop.
+            on_get: |pipe, path| match path {
+                "s1/d1/t0/b0.mrsb" => pipe.purge_eager("s0/d1/"),
+                _ => pipe.shut_down(false),
+            },
+        };
+        store.put("s1/d1/t0/b0.mrsb", &bucket).unwrap();
+        store.put("s1/d2/t0/b0.mrsb", &bucket).unwrap();
+        let store: Arc<dyn Store> = Arc::new(store);
+        let frag = |data: u32| EagerFragment {
+            data,
+            partition: 0,
+            url: format!("file://s1/d{data}/t0/b0.mrsb"),
+        };
+        pipe.enqueue_eager(&[frag(1), frag(2)]);
+        eager_fetch_loop(Some(&store), None, &Arc::new(FrameCache::new()), &pipe, None);
+        let st = pipe.eager.as_ref().unwrap().state.lock();
+        assert!(st.warm.is_empty(), "{:?}", st.warm.keys());
+        assert!(!st.seen.contains(&frag(1).url));
+    }
 
-        // The task's input list names a different URL for t2 (the
-        // producer re-ran on slave 9): the merged run must not be used.
-        let mut urls: Vec<String> = (0..4).map(frag_url).collect();
-        urls[2] = "file://s9/d1/t2/b0.mrsb".into();
-        let frames = Arc::new(FrameCache::new());
-        let res =
-            fetch_all_bucket_bytes(&urls, None, None, &frames, Some(eg), &AtomicBool::new(false));
-        // No store to serve the cold fallback in this test: the fetch
-        // fails, but the merged run must already be gone.
-        assert!(res.is_err());
-        assert!(eg.state.lock().premerged.is_empty(), "stale merged run dropped whole");
+    /// A re-executed producer's fresh URL never consumes a stale warm
+    /// fragment: the warm cache is keyed by exact URL, re-execution on
+    /// another slave renames the bucket, so the task fetches the fresh
+    /// bytes cold and the stale ones wait for the dataset's purge.
+    #[test]
+    fn reexecuted_producers_fresh_url_never_consumes_a_stale_warm_fragment() {
+        let pipe = Pipe::new(true);
+        let eg = pipe.eager.as_ref().unwrap();
+        let bucket = |v: u8| mrs_fs::format::write_bucket_bytes(&[(b"k".to_vec(), vec![v])]);
+        let stale = "file://s0/d1/t2/b0.mrsb".to_owned();
+        let fresh = "file://s9/d1/t2/b0.mrsb".to_owned();
+        let warm = "file://s0/d1/t3/b0.mrsb".to_owned();
+        {
+            let mut st = eg.state.lock();
+            st.warm.insert(stale.clone(), (bucket(0), Instant::now()));
+            st.warm.insert(warm.clone(), (bucket(3), Instant::now()));
+        }
+        let store: Arc<dyn Store> = Arc::new(MemFs::new());
+        store
+            .put("s9/d1/t2/b0.mrsb", &mrs_codec::encode_vec(bucket(2), CompressMode::Off))
+            .unwrap();
+
+        let got = fetch_all_bucket_bytes(
+            &[fresh, warm],
+            Some(&store),
+            None,
+            &FrameCache::new(),
+            Some(eg),
+            &AtomicBool::new(false),
+        )
+        .map_err(|e| e.msg)
+        .unwrap();
+        assert_eq!(got, [bucket(2), bucket(3)], "fresh bytes cold, the matching fragment warm");
+        assert!(eg.state.lock().warm.contains_key(&stale), "left for the purge order");
+        pipe.purge_eager("s4/d1/");
+        assert!(eg.state.lock().warm.is_empty());
     }
 
     #[test]

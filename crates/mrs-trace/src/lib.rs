@@ -85,8 +85,7 @@ impl Kind {
 /// order was issued; slave side: the worker actually stopped — a
 /// cancelled attempt emits `Cancel` instead of a `Report`);
 /// [`Name::EagerFetch`] marks a map-output fragment staged ahead of the
-/// barrier and [`Name::Premerge`] a background pre-merge of warm
-/// fragments.
+/// barrier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Name {
     /// One task attempt, dequeue → report, on its worker lane.
@@ -109,8 +108,6 @@ pub enum Name {
     Cancel,
     /// A map-output fragment was fetched ahead of the barrier.
     EagerFetch,
-    /// Warm fragments were collapsed by the background pre-merge.
-    Premerge,
 }
 
 impl Name {
@@ -127,7 +124,6 @@ impl Name {
             Name::Speculate => "speculate",
             Name::Cancel => "cancel",
             Name::EagerFetch => "eager_fetch",
-            Name::Premerge => "premerge",
         }
     }
 
@@ -144,7 +140,6 @@ impl Name {
             Name::Speculate => 7,
             Name::Cancel => 8,
             Name::EagerFetch => 9,
-            Name::Premerge => 10,
         }
     }
 
@@ -161,7 +156,6 @@ impl Name {
             7 => Name::Speculate,
             8 => Name::Cancel,
             9 => Name::EagerFetch,
-            10 => Name::Premerge,
             _ => return None,
         })
     }
@@ -1066,7 +1060,6 @@ mod tests {
             Name::Speculate,
             Name::Cancel,
             Name::EagerFetch,
-            Name::Premerge,
         ] {
             assert_eq!(Name::from_code(name.code()), Some(name));
         }

@@ -90,9 +90,9 @@ fn wordcount_identical_across_all_five_runtimes() {
         wordcount_on(&mut Job::new(&mut cluster), 4, 3)
     };
 
-    // The shuffle codec must be invisible to the answer: always-compress
-    // and never-compress clusters (the ones above run the size-threshold
-    // default) bracket every framing path.
+    // The shuffle codec must be invisible to the answer: a compressing
+    // cluster and an explicitly storing one (the default the clusters
+    // above run) cover both framing paths.
     let compress_on = {
         let cfg = MasterConfig { compress: CompressMode::On, ..MasterConfig::default() };
         let mut cluster =
@@ -183,10 +183,9 @@ fn forced_backup_race_preserves_the_answer() {
 
 #[test]
 fn mixed_compression_slaves_interoperate() {
-    // One slave frames and compresses every bucket, the other emits raw
-    // MRSB1 bytes; consumers auto-detect per payload, so a mixed cluster
-    // must still produce the exact answer (and the master's own source
-    // splits add a third producer, the size-threshold default).
+    // The master (source splits) and one slave compress their buckets,
+    // the other slave stores them; consumers read the compressed bit per
+    // payload, so a mixed cluster must still produce the exact answer.
     let lines = sample_lines();
     let bypass = corpus::tokenizer::reference_counts(lines.iter().map(String::as_str));
     let cfg = MasterConfig { compress: CompressMode::On, ..MasterConfig::default() };
