@@ -14,7 +14,6 @@ use corpus::zipf::{word_for_rank, Zipf};
 use criterion::{criterion_group, criterion_main, Criterion};
 use mrs_core::kv::encode_record;
 use mrs_core::program::Program;
-use mrs_core::sortgroup::group_sorted;
 use mrs_core::task::{run_map_task_with, CombineStrategy};
 use mrs_core::{MapReduce, Record, Simple};
 use mrs_rng::SplitMix64;
@@ -81,10 +80,12 @@ fn seed_sort_combine_map_task(
     for b in &mut buckets {
         b.sort_by(|x, y| x.0.cmp(&y.0));
         let mut out: Vec<Record> = Vec::new();
-        for (key, values) in group_sorted(b) {
-            let mut iter = values;
+        for group in b.chunk_by(|x, y| x.0 == y.0) {
+            let mut values = group.iter().map(|r| r.1.as_slice());
             program
-                .combine_bytes(0, key, &mut iter, &mut |k, v| out.push((k.to_vec(), v.to_vec())))
+                .combine_bytes(0, &group[0].0, &mut values, &mut |k, v| {
+                    out.push((k.to_vec(), v.to_vec()))
+                })
                 .unwrap();
         }
         *b = out;

@@ -3,8 +3,9 @@
 //! (incremental vs direct, the paper's inner-loop optimization), the
 //! XML-RPC codec, bucket sort/group, and base64.
 
+use corpus::zipf::word_for_rank;
 use criterion::{criterion_group, criterion_main, Criterion};
-use mrs_core::{Bucket, Datum};
+use mrs_core::{Bucket, Datum, RunMerger};
 use mrs_rng::{halton, Halton2D, Mt19937_64, StreamFactory};
 use mrs_rpc::xmlrpc::{encode_request, parse_request, Value};
 use std::hint::black_box;
@@ -81,6 +82,41 @@ fn bench_bucket(c: &mut Criterion) {
             let mut bucket = Bucket::from_records(records.clone());
             bucket.sort();
             black_box(bucket.groups().count())
+        })
+    });
+    // The two shapes the ordering kernels are sized on. A WordCount map
+    // output bucket: 10k records over 125 distinct varint-prefixed words.
+    // Cloning a bucket copies two flat vectors, so the arm times the sort.
+    let words: Bucket = (0..10_000u64)
+        .map(|i| (word_for_rank((i * 2_654_435_761 % 125) as usize).to_bytes(), 1u64.to_bytes()))
+        .collect();
+    group.bench_function("sort_group_words_10k", |b| {
+        b.iter(|| {
+            let mut bucket = black_box(&words).clone();
+            bucket.sort();
+            black_box(bucket.groups().count())
+        })
+    });
+    // A range-sort reduce input: 8 sorted runs of 1250 unique `u64` keys
+    // (multiplying by an odd constant permutes the key space).
+    let runs: Vec<Bucket> = (0..8u64)
+        .map(|r| {
+            let mut run: Bucket = (0..1250u64)
+                .map(|i| ((i * 8 + r).wrapping_mul(0x9e37_79b9_7f4a_7c15).to_bytes(), i.to_bytes()))
+                .collect();
+            run.sort();
+            run
+        })
+        .collect();
+    group.bench_function("merge_8_runs", |b| {
+        b.iter(|| {
+            let mut merger = RunMerger::new(black_box(&runs));
+            let mut spans = Vec::new();
+            let mut groups = 0usize;
+            while merger.next_group(&mut spans).is_some() {
+                groups += 1;
+            }
+            black_box(groups)
         })
     });
     group.bench_function("bucket_file_roundtrip_10k", |b| {

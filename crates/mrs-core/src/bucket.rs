@@ -7,10 +7,51 @@
 //! value back to back, plus a compact offset table. Appending a record is
 //! two `extend_from_slice` calls and one 12-byte table entry — no per-record
 //! heap allocation — so a bucket performs O(1) amortized allocations no
-//! matter how many records flow through it. Sorting permutes only the
+//! matter how many records flow through it. Sorting reorders only the
 //! offset table; the payload bytes never move.
+//!
+//! Everything in this crate that orders keys — [`Bucket::sort`], the run
+//! merger, the hash combiner's final pass — does it through one primitive:
+//! a key's first 8 bytes cached as an integer ([`key_prefix`]) and compared
+//! first, the key bytes themselves read only when two prefixes tie
+//! ([`cmp_keys`]).
 
 use crate::kv::Record;
+use std::cmp::Ordering;
+
+/// The first 8 bytes of `key` as a big-endian integer, zero-padded on the
+/// right: for any two keys, a smaller prefix means a smaller key.
+#[inline]
+pub(crate) fn key_prefix(key: &[u8]) -> u64 {
+    match key.first_chunk::<8>() {
+        Some(head) => u64::from_be_bytes(*head),
+        // A short key is folded byte by byte: a variable-length copy into
+        // a zeroed buffer costs a `memcpy` call per WordCount-sized key.
+        None => key.iter().enumerate().fold(0, |p, (i, &b)| p | (b as u64) << (56 - 8 * i)),
+    }
+}
+
+/// `a.cmp(b)` for the keys `(a, b)` that `keys` yields, given each key's
+/// [`key_prefix`]; `keys` is called only when the prefixes tie. Equal
+/// prefixes of two keys of at most 8 bytes mean one is the other plus
+/// trailing zero bytes, so their lengths decide (zero padding must not
+/// equate `""` and `"\0"`); only a key longer than its prefix sends the
+/// compare to the key bytes.
+#[inline]
+pub(crate) fn cmp_keys<'k>(
+    pa: u64,
+    pb: u64,
+    keys: impl FnOnce() -> (&'k [u8], &'k [u8]),
+) -> Ordering {
+    pa.cmp(&pb).then_with(|| {
+        let (a, b) = keys();
+        if a.len() <= 8 && b.len() <= 8 {
+            a.len().cmp(&b.len())
+        } else {
+            a.cmp(b)
+        }
+    })
+}
 
 /// One record in the arena: `[off .. off+klen)` is the key,
 /// `[off+klen .. off+klen+vlen)` the value.
@@ -108,7 +149,11 @@ impl Bucket {
     /// The key of the record at position `i` (the merge machinery walks
     /// keys without touching values).
     pub fn key_at(&self, i: usize) -> &[u8] {
-        let e = self.entries[i];
+        self.key_of(&self.entries[i])
+    }
+
+    /// The key bytes an offset-table entry points at.
+    fn key_of(&self, e: &Entry) -> &[u8] {
         &self.data[e.off as usize..(e.off + e.klen) as usize]
     }
 
@@ -128,16 +173,19 @@ impl Bucket {
     }
 
     /// Sort by encoded key, preserving arrival order among equal keys (the
-    /// shuffle sort step). Implemented as an unstable sort over the pair
-    /// (key bytes, arrival index): arrival index is a total tiebreaker, so
-    /// the result is byte-for-byte identical to a stable sort by key while
-    /// permuting only the 12-byte offset entries, never the payload.
+    /// shuffle sort step): a stable sort of `(prefix, entry)` pairs by key
+    /// alone. Stability is the arrival-order guarantee; equal keys compare
+    /// `Equal`, so a bucket of few distinct keys or one already in order
+    /// costs the sort far less than n log n; and a compare reads the arena
+    /// only when two prefixes tie. The pairs are scratch, freed on return —
+    /// the offset table stays 12 bytes a record.
     pub fn sort(&mut self) {
-        let mut order: Vec<u32> = (0..self.entries.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| {
-            self.key_at(a as usize).cmp(self.key_at(b as usize)).then(a.cmp(&b))
-        });
-        self.entries = order.iter().map(|&i| self.entries[i as usize]).collect();
+        let mut keyed: Vec<(u64, Entry)> =
+            self.entries.iter().map(|e| (key_prefix(self.key_of(e)), *e)).collect();
+        keyed.sort_by(|a, b| cmp_keys(a.0, b.0, || (self.key_of(&a.1), self.key_of(&b.1))));
+        for (slot, (_, e)) in self.entries.iter_mut().zip(keyed) {
+            *slot = e;
+        }
     }
 
     /// True if records are in non-decreasing key order.
@@ -226,11 +274,62 @@ impl FromIterator<Record> for Bucket {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn rec(k: &str, v: &str) -> Record {
         (k.as_bytes().to_vec(), v.as_bytes().to_vec())
+    }
+
+    const STEMS: [&[u8; 12]; 3] = [&[0; 12], b"prefix--\0\0\0\0", b"prefix--tail"];
+
+    /// Keys built to collide on the 8-byte prefix: one of three 12-byte
+    /// stems cut to 0..=12 bytes, byte 9 bumped by 0..3. That yields `""`,
+    /// `"\0"`, `"\0\0"` (which zero padding must not equate), an 8-byte key
+    /// against its 9-byte extension by `\0`, every key a strict prefix of
+    /// its longer cuts, and keys that differ only past the prefix.
+    pub(crate) fn colliding_key() -> impl Strategy<Value = Vec<u8>> {
+        (0usize..3, 0usize..13, 0u8..3).prop_map(|(stem, len, bump)| {
+            let mut key = STEMS[stem][..len].to_vec();
+            if let Some(b) = key.get_mut(9) {
+                *b += bump;
+            }
+            key
+        })
+    }
+
+    /// Pair each key with its arrival index, so value order is checked.
+    pub(crate) fn tagged(keys: Vec<Vec<u8>>) -> Vec<Record> {
+        keys.into_iter().enumerate().map(|(i, k)| (k, (i as u32).to_be_bytes().to_vec())).collect()
+    }
+
+    #[test]
+    fn cmp_keys_is_slice_order_on_colliding_keys() {
+        let mut keys: Vec<Vec<u8>> = Vec::new();
+        for stem in STEMS.into_iter().chain([&[0xff; 12]]) {
+            keys.extend((0..=12).map(|len| stem[..len].to_vec()));
+        }
+        for a in &keys {
+            for b in &keys {
+                let got = cmp_keys(key_prefix(a), key_prefix(b), || (a, b));
+                assert_eq!(got, a.cmp(b), "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    proptest! {
+        /// `Bucket::sort` against the std stable sort of owned records.
+        #[test]
+        fn sort_agrees_with_std_stable_sort(
+            keys in proptest::collection::vec(colliding_key(), 0..200),
+        ) {
+            let mut records = tagged(keys);
+            let mut bucket = Bucket::from_records(records.clone());
+            bucket.sort();
+            records.sort_by(|a, b| a.0.cmp(&b.0));
+            prop_assert_eq!(bucket.to_records(), records);
+        }
     }
 
     #[test]
@@ -264,8 +363,8 @@ mod tests {
 
     #[test]
     fn sort_keeps_arrival_order_for_empty_key_runs() {
-        // Zero-length records share arena offsets; the arrival-index
-        // tiebreaker must still keep them in emit order.
+        // Zero-length records share arena offsets; the stable sort must
+        // still keep them in emit order.
         let mut b = Bucket::new();
         b.push(b"", b"");
         b.push(b"", b"x");

@@ -9,8 +9,8 @@
 //! * [`program`] — the user-facing [`program::MapReduce`] trait
 //!   (`map : (K1,V1) → list((K2,V2))`, `reduce : (K2, list(V2)) → list(V2)`)
 //!   and the object-safe [`program::Program`] layer the runtimes drive,
-//! * [`bucket`] / [`sortgroup`] — intermediate data containers, sorting and
-//!   grouping by key,
+//! * [`bucket`] / [`merge`] — intermediate data containers, sorting,
+//!   merging and grouping by key,
 //! * [`partition`] — hash and modulo partitioners,
 //! * [`plan`] — operation descriptors (map/reduce DAG) shared by all
 //!   runtimes, including the iterative chains of Fig. 2.
@@ -22,7 +22,6 @@ pub mod merge;
 pub mod partition;
 pub mod plan;
 pub mod program;
-pub mod sortgroup;
 pub mod task;
 
 pub use bucket::Bucket;

@@ -9,18 +9,23 @@
 //!
 //! The merger is a classic loser tree (tournament tree storing the loser
 //! of each internal match, winner at the root): advancing a run costs one
-//! replay along its leaf-to-root path, ⌈log₂ k⌉ comparisons. Two
-//! refinements keep constant factors down:
+//! replay along its leaf-to-root path, ⌈log₂ k⌉ matches. Three refinements
+//! keep constant factors down:
 //!
+//! * each run's head key is cached as its 8-byte prefix
+//!   ([`key_prefix`]), refreshed when the head advances, so a match is an
+//!   integer compare and reads the runs' arenas only when two prefixes
+//!   tie;
 //! * equal keys break ties by **run index**, so the merged stream is
 //!   byte-identical to a *stable* sort of the runs concatenated in input
 //!   order — the exact order the concatenate+sort oracle produces;
 //! * the winner's whole equal-key prefix is consumed in one linear scan
 //!   before the tree is replayed, so the tree pays per *group-span*, not
 //!   per record, and a single-run merge degenerates to plain group
-//!   iteration with no comparisons in the tree at all.
+//!   iteration with no matches played at all.
 
-use crate::bucket::Bucket;
+use crate::bucket::{cmp_keys, key_prefix, Bucket};
+use std::cmp::Ordering;
 
 /// One contiguous slice of a run contributing to the current group:
 /// `(run, start, end)` — records `start..end` of `runs[run]`.
@@ -35,6 +40,9 @@ pub struct RunMerger<'a> {
     runs: &'a [Bucket],
     /// Next unconsumed record per run.
     pos: Vec<usize>,
+    /// [`key_prefix`] of each run's head key (stale once the run is
+    /// exhausted; `exhausted` is checked first everywhere).
+    heads: Vec<u64>,
     /// Loser tree: `tree[0]` is the current overall winner, `tree[1..k]`
     /// hold the loser of the match played at each internal node. Leaves
     /// are implicit at `k..2k` (leaf of run `r` at `k + r`).
@@ -47,7 +55,9 @@ impl<'a> RunMerger<'a> {
     pub fn new(runs: &'a [Bucket]) -> Self {
         debug_assert!(runs.iter().all(|r| r.is_sorted()), "RunMerger requires sorted runs");
         let k = runs.len();
-        let mut m = RunMerger { runs, pos: vec![0; k], tree: vec![0; k.max(1)] };
+        let heads = runs.iter().map(|r| if r.is_empty() { 0 } else { key_prefix(r.key_at(0)) });
+        let mut m =
+            RunMerger { runs, pos: vec![0; k], heads: heads.collect(), tree: vec![0; k.max(1)] };
         if k == 0 {
             return m;
         }
@@ -79,12 +89,11 @@ impl<'a> RunMerger<'a> {
             (true, _) => false,
             (false, true) => true,
             (false, false) => {
-                let ka = self.runs[a].key_at(self.pos[a]);
-                let kb = self.runs[b].key_at(self.pos[b]);
-                match ka.cmp(kb) {
-                    std::cmp::Ordering::Less => true,
-                    std::cmp::Ordering::Greater => false,
-                    std::cmp::Ordering::Equal => a < b,
+                let head = |r: usize| self.runs[r].key_at(self.pos[r]);
+                match cmp_keys(self.heads[a], self.heads[b], || (head(a), head(b))) {
+                    Ordering::Less => true,
+                    Ordering::Greater => false,
+                    Ordering::Equal => a < b,
                 }
             }
         }
@@ -114,15 +123,9 @@ impl<'a> RunMerger<'a> {
         if self.runs.is_empty() || self.exhausted(self.tree[0]) {
             return None;
         }
-        let key: &'a [u8] = {
-            let w = self.tree[0];
-            self.runs[w].key_at(self.pos[w])
-        };
+        let mut w = self.tree[0];
+        let (key, prefix): (&'a [u8], u64) = (self.runs[w].key_at(self.pos[w]), self.heads[w]);
         loop {
-            let w = self.tree[0];
-            if self.exhausted(w) || self.runs[w].key_at(self.pos[w]) != key {
-                break;
-            }
             // Consume the winner's whole equal-key prefix in one scan.
             let run = &self.runs[w];
             let start = self.pos[w];
@@ -131,8 +134,19 @@ impl<'a> RunMerger<'a> {
                 end += 1;
             }
             self.pos[w] = end;
+            if end < run.len() {
+                self.heads[w] = key_prefix(run.key_at(end));
+            }
             spans.push((w, start, end));
             self.replay(w);
+            // The next winner joins the group only if its head is this key.
+            w = self.tree[0];
+            if self.exhausted(w)
+                || self.heads[w] != prefix
+                || self.runs[w].key_at(self.pos[w]) != key
+            {
+                break;
+            }
         }
         Some(key)
     }
@@ -165,6 +179,7 @@ pub fn merge_runs(runs: &[Bucket]) -> Bucket {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bucket::tests::{colliding_key, tagged};
     use crate::kv::Record;
     use proptest::prelude::*;
 
@@ -172,14 +187,12 @@ mod tests {
         recs.iter().map(|(k, v)| (k.as_bytes().to_vec(), v.as_bytes().to_vec())).collect()
     }
 
-    /// The oracle: concatenate in run order, stable-sort by key.
+    /// The oracle: concatenate in run order, stable-sort by key — with the
+    /// std sort over owned records, never through `Bucket::sort`.
     fn concat_sort(runs: &[Bucket]) -> Bucket {
-        let mut all = Bucket::new();
-        for r in runs {
-            all.extend_from(r);
-        }
-        all.sort();
-        all
+        let mut all: Vec<Record> = runs.iter().flat_map(Bucket::to_records).collect();
+        all.sort_by(|a, b| a.0.cmp(&b.0));
+        Bucket::from_records(all)
     }
 
     #[test]
@@ -230,34 +243,27 @@ mod tests {
     }
 
     proptest! {
-        /// merge(runs) == concat+sort over random run splits: random
-        /// record lists (small key alphabet forces cross-run duplicates)
-        /// cut at random points into runs — including empty runs at
-        /// either end and the single-run case — each run sorted, then
-        /// merged.
+        /// merge(runs) == concat+sort over random run splits: records
+        /// whose keys collide on the 8-byte prefix, values tagged with
+        /// arrival order, cut at random points into runs — including
+        /// empty runs at either end and the single-run case — each run
+        /// sorted (by the std sort), then merged.
         #[test]
         fn merge_agrees_with_concat_sort(
-            recs in proptest::collection::vec(
-                ((0u8..6), proptest::collection::vec(any::<u8>(), 0..4)),
-                0..120,
-            ),
+            keys in proptest::collection::vec(colliding_key(), 0..120),
             cuts in proptest::collection::vec(any::<usize>(), 0..8),
         ) {
-            let records: Vec<Record> =
-                recs.iter().map(|(k, v)| (vec![*k], v.clone())).collect();
+            let records = tagged(keys);
             // Random split points (duplicates allowed => empty runs).
             let mut bounds: Vec<usize> =
                 cuts.iter().map(|c| c % (records.len() + 1)).collect();
             bounds.push(0);
             bounds.push(records.len());
             bounds.sort_unstable();
-            let mut runs: Vec<Bucket> = Vec::new();
-            for w in bounds.windows(2) {
-                let mut b: Bucket =
-                    records[w[0]..w[1]].iter().cloned().collect();
-                b.sort();
-                runs.push(b);
-            }
+            let runs: Vec<Bucket> = bounds
+                .windows(2)
+                .map(|w| concat_sort(&[Bucket::from_records(records[w[0]..w[1]].to_vec())]))
+                .collect();
             // The oracle concatenates the *sorted* runs in run order —
             // exactly what the reduce path sees arriving off the wire.
             prop_assert_eq!(merge_runs(&runs), concat_sort(&runs));

@@ -28,7 +28,7 @@
 //! materializes the concatenated partition. Both reduce paths are
 //! byte-identical; the sort path is kept as the oracle.
 
-use crate::bucket::Bucket;
+use crate::bucket::{cmp_keys, key_prefix, Bucket};
 use crate::error::{Error, Result};
 use crate::kv::Record;
 use crate::merge::RunMerger;
@@ -689,12 +689,13 @@ impl StreamCombiner {
     /// into the output bucket — the same visit order as the sort path, so
     /// both strategies produce identical buckets.
     fn finalize(mut self, program: &dyn Program, func: FuncId) -> Result<Bucket> {
-        let mut order: Vec<u32> = (0..self.groups.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| {
-            self.key_of(&self.groups[a as usize]).cmp(self.key_of(&self.groups[b as usize]))
-        });
+        let key_of = |gid: u32| self.key_of(&self.groups[gid as usize]);
+        let mut order: Vec<(u64, u32)> =
+            (0..self.groups.len() as u32).map(|gid| (key_prefix(key_of(gid)), gid)).collect();
+        // Group keys are distinct, so an unstable sort has no ties to reorder.
+        order.sort_unstable_by(|a, b| cmp_keys(a.0, b.0, || (key_of(a.1), key_of(b.1))));
         let mut out = Bucket::with_capacity(self.groups.len(), self.keys.len());
-        for gid in order {
+        for (_, gid) in order {
             self.collect_spans(gid as usize);
             let g = &self.groups[gid as usize];
             let key = &self.keys[g.koff as usize..(g.koff + g.klen) as usize];

@@ -14,6 +14,7 @@ use mrs_core::task::{
 };
 use mrs_core::{Bucket, Error, FuncId, Program, Record, Result};
 use mrs_trace::{JobTrace, Name, Op, Recorder, Tag, TraceHandle};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// The serial runtime. Create one per job via [`SerialRuntime::new`].
@@ -76,18 +77,34 @@ impl SerialRuntime {
         JobTrace::from_local(events, dropped)
     }
 
+    /// The per-task buckets of a map-like dataset, borrowed from its slot.
+    /// Takes the dataset table, not `self`, so callers keep using the
+    /// recorder and metrics while they hold the borrow.
+    fn mapped<'d>(datasets: &'d [SerialData], id: DataId, op: &str) -> Result<&'d [Vec<Bucket>]> {
+        match datasets.get(id.0 as usize) {
+            Some(SerialData::Mapped(tasks)) => Ok(tasks),
+            _ => Err(Error::Invalid(format!("{op} must consume a map output"))),
+        }
+    }
+
     /// Gather partition `p` of every task as the reduce input, in the
     /// shape the configured [`MergeMode`] wants: either the per-task runs
     /// kept separate for the k-way merge, or one concatenated bucket.
-    fn partition_input(&mut self, tasks: &[Vec<Bucket>], p: usize) -> ReduceInput {
-        match self.merge {
+    /// Either way each bucket is copied once.
+    fn partition_input(
+        merge: MergeMode,
+        metrics: &mut JobMetrics,
+        tasks: &[Vec<Bucket>],
+        p: usize,
+    ) -> ReduceInput {
+        match merge {
             MergeMode::Merge => {
                 let t0 = std::time::Instant::now();
                 let runs: Vec<Bucket> = tasks.iter().map(|task| task[p].clone()).collect();
                 let records: usize = runs.iter().map(Bucket::len).sum();
                 // In-process runs come straight off the map kernels, which
                 // guarantee sorted output — every run counts as presorted.
-                self.metrics.record_merge_input(runs.len(), runs.len(), records, t0.elapsed());
+                metrics.record_merge_input(runs.len(), runs.len(), records, t0.elapsed());
                 ReduceInput::Runs(runs)
             }
             MergeMode::Sort => {
@@ -125,8 +142,14 @@ impl JobApi for SerialRuntime {
         parts: usize,
         combine: bool,
     ) -> Result<DataId> {
-        let records: Vec<Record> = match self.get(input)? {
-            SerialData::Plain(ds) => ds.iter().flatten().cloned().collect(),
+        // One split (every source) is mapped where it lies; only a
+        // multi-split reduce output is flattened into the one slice the
+        // single serial map task reads.
+        let records: Cow<'_, [Record]> = match self.get(input)? {
+            SerialData::Plain(ds) => match ds.as_slice() {
+                [split] => Cow::Borrowed(split),
+                splits => Cow::Owned(splits.concat()),
+            },
             SerialData::Mapped(_) => {
                 return Err(Error::Invalid("map cannot consume an unreduced map output".into()))
             }
@@ -149,10 +172,7 @@ impl JobApi for SerialRuntime {
     }
 
     fn reduce_data(&mut self, input: DataId, func: FuncId) -> Result<DataId> {
-        let tasks: Vec<Vec<Bucket>> = match self.get(input)? {
-            SerialData::Mapped(t) => t.clone(),
-            _ => return Err(Error::Invalid("reduce must consume a map output".into())),
-        };
+        let tasks = Self::mapped(&self.datasets, input, "reduce")?;
         let parts = tasks.first().map_or(0, Vec::len);
         let t0 = std::time::Instant::now();
         let mut splits = Vec::with_capacity(parts);
@@ -162,7 +182,7 @@ impl JobApi for SerialRuntime {
             self.th.instant(Name::Dispatch, tag);
             self.th.begin(Name::Attempt, tag);
             self.th.begin(Name::Merge, tag);
-            let input = self.partition_input(&tasks, p);
+            let input = Self::partition_input(self.merge, &mut self.metrics, tasks, p);
             self.th.end(Name::Merge, tag);
             self.th.begin(Name::Exec, tag);
             let out = match input {
@@ -189,10 +209,7 @@ impl JobApi for SerialRuntime {
         parts: usize,
         combine: bool,
     ) -> Result<DataId> {
-        let tasks: Vec<Vec<Bucket>> = match self.get(input)? {
-            SerialData::Mapped(t) => t.clone(),
-            _ => return Err(Error::Invalid("reducemap must consume a map output".into())),
-        };
+        let tasks = Self::mapped(&self.datasets, input, "reducemap")?;
         let in_parts = tasks.first().map_or(0, Vec::len);
         let t0 = std::time::Instant::now();
         let mut out_tasks = Vec::with_capacity(in_parts);
@@ -202,7 +219,7 @@ impl JobApi for SerialRuntime {
             self.th.instant(Name::Dispatch, tag);
             self.th.begin(Name::Attempt, tag);
             self.th.begin(Name::Merge, tag);
-            let input = self.partition_input(&tasks, p);
+            let input = Self::partition_input(self.merge, &mut self.metrics, tasks, p);
             self.th.end(Name::Merge, tag);
             self.th.begin(Name::Exec, tag);
             let out = match input {

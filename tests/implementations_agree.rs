@@ -9,12 +9,13 @@
 
 use mrs::apps::wordcount::{decode_counts, lines_to_records, WordCount};
 use mrs::prelude::*;
+use mrs_core::FuncId;
 use mrs_fs::MemFs;
 use mrs_pso::mapreduce::{PsoProgram, FUNC_PARTICLE};
 use mrs_pso::serial::SerialPso;
 use mrs_pso::{Objective, Particle, PsoConfig, Topology};
 use mrs_runtime::{LocalCluster, LocalRuntime};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 fn sample_lines() -> Vec<String> {
@@ -264,6 +265,119 @@ fn merge_oracle_wordcount_no_combiner_identical() {
     assert_eq!(pool_sort, pool_merge, "pool sort-oracle vs merge");
     assert_eq!(cluster_merge, pool_merge, "cluster merge vs pool merge");
     assert_eq!(cluster_sort, cluster_merge, "cluster sort-oracle vs merge");
+}
+
+/// A byte-level program over raw keys: map swaps each input record so
+/// its value becomes the intermediate key and its key (an arrival tag)
+/// the value; reduce — and the combiner, concatenation being associative —
+/// joins a key's tags in the order they arrive.
+struct RawKeys;
+
+impl Program for RawKeys {
+    fn map_bytes(
+        &self,
+        _func: FuncId,
+        key: &[u8],
+        value: &[u8],
+        emit: &mut dyn FnMut(&[u8], &[u8]),
+    ) -> Result<()> {
+        emit(value, key);
+        Ok(())
+    }
+
+    fn reduce_bytes(
+        &self,
+        _func: FuncId,
+        key: &[u8],
+        values: &mut dyn Iterator<Item = &[u8]>,
+        emit: &mut dyn FnMut(&[u8], &[u8]),
+    ) -> Result<()> {
+        emit(key, &values.collect::<Vec<_>>().concat());
+        Ok(())
+    }
+
+    fn combine_bytes(
+        &self,
+        func: FuncId,
+        key: &[u8],
+        values: &mut dyn Iterator<Item = &[u8]>,
+        emit: &mut dyn FnMut(&[u8], &[u8]),
+    ) -> Result<()> {
+        self.reduce_bytes(func, key, values, emit)
+    }
+
+    fn has_combiner(&self, _func: FuncId) -> bool {
+        true
+    }
+}
+
+/// 2 000 `(arrival tag, key)` records over keys built to collide on the
+/// 8-byte prefix the ordering kernels compare first: three 12-byte stems
+/// cut to every length 0..=12 (so `""`, `"\0"`, `"\0\0"` must stay apart
+/// under zero padding, an 8-byte key meets its extension by `\0`, and every
+/// key is a strict prefix of its longer cuts), plus variants that differ
+/// only at byte 9. Every other record goes to one of the four shortest
+/// keys, so a single map task sees groups long enough for the hash
+/// combiner's incremental folds.
+fn colliding_input() -> Vec<Record> {
+    let mut pool: Vec<Vec<u8>> = Vec::new();
+    for stem in [&[0u8; 12][..], b"prefix--\0\0\0\0", b"prefix--tail"] {
+        for len in 0..=12 {
+            pool.push(stem[..len].to_vec());
+            if len > 9 {
+                let mut bumped = stem[..len].to_vec();
+                bumped[9] += 1;
+                pool.push(bumped);
+            }
+        }
+    }
+    (0..2000u32)
+        .map(|i| {
+            let pick = if i % 2 == 0 { i / 2 % 4 } else { i.wrapping_mul(2_654_435_761) >> 7 };
+            (i.to_be_bytes().to_vec(), pool[pick as usize % pool.len()].clone())
+        })
+        .collect()
+}
+
+/// Key order, grouping and per-key value order on keys that tie on the
+/// cached prefix, byte for byte on every plane, against an oracle that
+/// never sorts a bucket: a `BTreeMap` per partition, tags appended in input
+/// order. Without the combiner this drives `Bucket::sort` and the run
+/// merger; with it, the hash combiner's final ordering pass.
+#[test]
+fn prefix_colliding_keys_identical_across_planes_and_oracle() {
+    let reduces = 3;
+    let input = colliding_input();
+    let mut parts = vec![BTreeMap::<Vec<u8>, Vec<u8>>::new(); reduces];
+    for (tag, key) in &input {
+        parts[RawKeys.partition(key, reduces)].entry(key.clone()).or_default().extend(tag);
+    }
+    let oracle: Vec<Record> = parts.into_iter().flatten().collect();
+
+    let mut cluster =
+        LocalCluster::start(Arc::new(RawKeys), 2, DataPlane::Direct, MasterConfig::default())
+            .unwrap();
+    for combine in [false, true] {
+        let run = |job: &mut Job, maps| job.map_reduce(input.clone(), maps, reduces, combine);
+        let serial = run(&mut Job::new(&mut SerialRuntime::new(Arc::new(RawKeys))), 1).unwrap();
+        let serial_sort = {
+            let mut rt = SerialRuntime::new(Arc::new(RawKeys));
+            rt.set_merge_mode(MergeMode::Sort);
+            run(&mut Job::new(&mut rt), 1).unwrap()
+        };
+        let pool = run(&mut Job::new(&mut LocalRuntime::pool(Arc::new(RawKeys), 4)), 5).unwrap();
+        let mock = {
+            let mut rt = LocalRuntime::mock_parallel(Arc::new(RawKeys), Arc::new(MemFs::new()));
+            run(&mut Job::new(&mut rt), 4).unwrap()
+        };
+        let clustered = run(&mut Job::new(&mut cluster), 4).unwrap();
+
+        assert_eq!(serial, oracle, "serial vs BTreeMap oracle, combine={combine}");
+        assert_eq!(serial_sort, oracle, "serial sort-oracle, combine={combine}");
+        assert_eq!(pool, oracle, "pool, combine={combine}");
+        assert_eq!(mock, oracle, "mock-parallel, combine={combine}");
+        assert_eq!(clustered, oracle, "2-slave cluster, combine={combine}");
+    }
 }
 
 fn pso_config() -> PsoConfig {
