@@ -15,7 +15,7 @@ use crate::clock::SimTime;
 use crate::config::SimConfig;
 use crate::events::EventQueue;
 use crate::hdfs::{input_scan_time, read_time, InputProfile};
-use mrs_core::task::{run_map_task, run_reduce_task};
+use mrs_core::task::{run_map_task_bucket, run_reduce_task};
 use mrs_core::{Bucket, Error, FuncId, Program, Record, Result};
 use mrs_rng::splitmix::hash_bytes;
 use std::collections::{HashMap, VecDeque};
@@ -130,10 +130,7 @@ impl HadoopCluster {
 
         // Split input (contiguous, even) and precompute per-split byte size.
         let splits = split_evenly(&spec.input, spec.n_maps);
-        let split_bytes: Vec<u64> = splits
-            .iter()
-            .map(|s| s.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum())
-            .collect();
+        let split_bytes: Vec<u64> = splits.iter().map(|s| s.byte_size() as u64).collect();
 
         // ---- DES state ----------------------------------------------------
         let mut q: EventQueue<Ev> = EventQueue::new();
@@ -243,7 +240,7 @@ impl HadoopCluster {
                                         trackers[i].free_map_slots -= 1;
                                         let (buckets, real) = {
                                             let t = std::time::Instant::now();
-                                            let b = run_map_task(
+                                            let b = run_map_task_bucket(
                                                 spec.program,
                                                 spec.map_func,
                                                 &splits[m],
@@ -366,7 +363,7 @@ impl HadoopCluster {
         // The client sees completion on its next status poll.
         let observed = cleanup_done_at.next_tick(cfg.client_poll, Duration::ZERO);
         let output: Vec<Record> =
-            reduce_outputs.into_iter().flatten().flat_map(Bucket::into_records).collect();
+            reduce_outputs.into_iter().flatten().flat_map(|b| b.to_records()).collect();
 
         Ok(JobReport {
             output,
@@ -417,7 +414,7 @@ fn speculation_candidate(
         .min() // deterministic choice
 }
 
-fn split_evenly(records: &[Record], splits: usize) -> Vec<Vec<Record>> {
+fn split_evenly(records: &[Record], splits: usize) -> Vec<Bucket> {
     let n = records.len();
     let base = n / splits;
     let extra = n % splits;
@@ -425,7 +422,7 @@ fn split_evenly(records: &[Record], splits: usize) -> Vec<Vec<Record>> {
     let mut pos = 0;
     for i in 0..splits {
         let take = base + usize::from(i < extra);
-        out.push(records[pos..pos + take].to_vec());
+        out.push(Bucket::from_slice(&records[pos..pos + take]));
         pos += take;
     }
     out
@@ -445,18 +442,13 @@ mod tests {
         type K2 = String;
         type V2 = u64;
 
-        fn map(&self, _k: u64, v: String, emit: &mut dyn FnMut(String, u64)) {
+        fn map(&self, _k: u64, v: &str, emit: &mut dyn FnMut(&str, u64)) {
             for w in v.split_whitespace() {
-                emit(w.to_owned(), 1);
+                emit(w, 1);
             }
         }
 
-        fn reduce(
-            &self,
-            _k: &String,
-            vs: &mut dyn Iterator<Item = u64>,
-            emit: &mut dyn FnMut(u64),
-        ) {
+        fn reduce(&self, _k: &str, vs: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
             emit(vs.sum());
         }
 
@@ -628,7 +620,7 @@ mod speculation_tests {
             emit(k % 4, 1);
         }
 
-        fn reduce(&self, _k: &u64, vs: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
+        fn reduce(&self, _k: u64, vs: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
             emit(vs.sum());
         }
     }

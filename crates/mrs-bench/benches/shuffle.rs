@@ -15,7 +15,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mrs_core::kv::encode_record;
 use mrs_core::program::Program;
 use mrs_core::task::{run_map_task_with, CombineStrategy};
-use mrs_core::{MapReduce, Record, Simple};
+use mrs_core::{Bucket, MapReduce, Record, Simple};
 use mrs_rng::SplitMix64;
 use mrs_rpc::http::{HttpClient, HttpServer, Response, ServerOptions};
 use std::hint::black_box;
@@ -29,13 +29,13 @@ impl MapReduce for WordCount {
     type K2 = String;
     type V2 = u64;
 
-    fn map(&self, _k: u64, v: String, emit: &mut dyn FnMut(String, u64)) {
+    fn map(&self, _k: u64, v: &str, emit: &mut dyn FnMut(&str, u64)) {
         for w in v.split_whitespace() {
-            emit(w.to_owned(), 1);
+            emit(w, 1);
         }
     }
 
-    fn reduce(&self, _k: &String, vs: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
+    fn reduce(&self, _k: &str, vs: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
         emit(vs.sum());
     }
 
@@ -94,40 +94,66 @@ fn seed_sort_combine_map_task(
 }
 
 fn bench_combine(c: &mut Criterion) {
-    let input = zipf_lines(10_000, 50); // 500k words
+    let records = zipf_lines(10_000, 50); // 500k words
+    let input = Bucket::from_slice(&records);
     let program = Simple(WordCount);
 
     // Sanity: the reconstructed seed path and the new hash path must agree
     // byte-for-byte, or the benchmark would be comparing different work.
-    let hash = run_map_task_with(&program, 0, &input, 4, true, CombineStrategy::Hash).unwrap();
-    let seed = seed_sort_combine_map_task(&program, &input, 4);
+    let hash =
+        run_map_task_with(&program, 0, &input, 4, true, CombineStrategy::Hash, None).unwrap();
+    let seed = seed_sort_combine_map_task(&program, &records, 4);
     assert_eq!(hash.iter().map(|b| b.to_records()).collect::<Vec<_>>(), seed);
 
     let mut group = c.benchmark_group("shuffle_combine");
     group.bench_function("hash_combine_zipf_500k", |b| {
         b.iter(|| {
             black_box(
-                run_map_task_with(&program, 0, black_box(&input), 4, true, CombineStrategy::Hash)
-                    .unwrap(),
+                run_map_task_with(
+                    &program,
+                    0,
+                    black_box(&input),
+                    4,
+                    true,
+                    CombineStrategy::Hash,
+                    None,
+                )
+                .unwrap(),
             )
         })
     });
     group.bench_function("sort_combine_zipf_500k", |b| {
         b.iter(|| {
             black_box(
-                run_map_task_with(&program, 0, black_box(&input), 4, true, CombineStrategy::Sort)
-                    .unwrap(),
+                run_map_task_with(
+                    &program,
+                    0,
+                    black_box(&input),
+                    4,
+                    true,
+                    CombineStrategy::Sort,
+                    None,
+                )
+                .unwrap(),
             )
         })
     });
     group.bench_function("seed_sort_combine_zipf_500k", |b| {
-        b.iter(|| black_box(seed_sort_combine_map_task(&program, black_box(&input), 4)))
+        b.iter(|| black_box(seed_sort_combine_map_task(&program, black_box(&records), 4)))
     });
     group.bench_function("no_combine_zipf_500k", |b| {
         b.iter(|| {
             black_box(
-                run_map_task_with(&program, 0, black_box(&input), 4, false, CombineStrategy::Hash)
-                    .unwrap(),
+                run_map_task_with(
+                    &program,
+                    0,
+                    black_box(&input),
+                    4,
+                    false,
+                    CombineStrategy::Hash,
+                    None,
+                )
+                .unwrap(),
             )
         })
     });

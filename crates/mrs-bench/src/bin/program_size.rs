@@ -24,13 +24,13 @@ impl MapReduce for WordCount {
     type K2 = String;
     type V2 = u64;
 
-    fn map(&self, _line_no: u64, line: String, emit: &mut dyn FnMut(String, u64)) {
+    fn map(&self, _line_no: u64, line: &str, emit: &mut dyn FnMut(&str, u64)) {
         for word in line.split_whitespace() {
-            emit(word.to_owned(), 1);
+            emit(word, 1);
         }
     }
 
-    fn reduce(&self, _word: &String, counts: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
+    fn reduce(&self, _word: &str, counts: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
         emit(counts.sum());
     }
 

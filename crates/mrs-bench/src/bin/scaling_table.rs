@@ -40,7 +40,7 @@ impl MapReduce for ExternalEval {
         emit(k % 4, v);
     }
 
-    fn reduce(&self, _k: &u64, vs: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
+    fn reduce(&self, _k: u64, vs: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
         emit(vs.sum());
     }
 }

@@ -22,7 +22,7 @@ use std::cmp::Ordering;
 /// The first 8 bytes of `key` as a big-endian integer, zero-padded on the
 /// right: for any two keys, a smaller prefix means a smaller key.
 #[inline]
-pub(crate) fn key_prefix(key: &[u8]) -> u64 {
+pub fn key_prefix(key: &[u8]) -> u64 {
     match key.first_chunk::<8>() {
         Some(head) => u64::from_be_bytes(*head),
         // A short key is folded byte by byte: a variable-length copy into
@@ -82,9 +82,14 @@ impl Bucket {
 
     /// Build from existing records.
     pub fn from_records(records: Vec<Record>) -> Self {
+        Bucket::from_slice(&records)
+    }
+
+    /// Build by copying borrowed records into a right-sized arena.
+    pub fn from_slice(records: &[Record]) -> Self {
         let bytes = records.iter().map(|(k, v)| k.len() + v.len()).sum();
         let mut b = Bucket::with_capacity(records.len(), bytes);
-        for (k, v) in &records {
+        for (k, v) in records {
             b.push(k, v);
         }
         b
@@ -162,14 +167,15 @@ impl Bucket {
         (0..self.entries.len()).map(move |i| self.get(i))
     }
 
-    /// Copy out into owned records (compat/serialization boundary).
-    pub fn to_records(&self) -> Vec<Record> {
-        self.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect()
+    /// Copy each record out as an owned pair: the conversion a runtime
+    /// does exactly once, in `fetch_all`, to fill the driver's vector.
+    pub fn records(&self) -> impl ExactSizeIterator<Item = Record> + '_ {
+        self.iter().map(|(k, v)| (k.to_vec(), v.to_vec()))
     }
 
-    /// Consume into owned records.
-    pub fn into_records(self) -> Vec<Record> {
-        self.to_records()
+    /// Copy out into owned records.
+    pub fn to_records(&self) -> Vec<Record> {
+        self.records().collect()
     }
 
     /// Sort by encoded key, preserving arrival order among equal keys (the
@@ -427,6 +433,5 @@ pub(crate) mod tests {
         let recs = vec![rec("k1", "v1"), rec("", ""), rec("k2", "")];
         let b = Bucket::from_records(recs.clone());
         assert_eq!(b.to_records(), recs);
-        assert_eq!(b.into_records(), recs);
     }
 }

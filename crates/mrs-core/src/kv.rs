@@ -19,7 +19,20 @@ use crate::error::{Error, Result};
 pub type Record = (Vec<u8>, Vec<u8>);
 
 /// Types that can serve as MapReduce keys or values.
+///
+/// Every type has an owned form (`Self`) and a [`Datum::View`]: what a
+/// typed program emits and receives. A view borrows from the encoded
+/// bytes where they can be read in place (`&str` for `String`, `&[u8]`
+/// for `Vec<u8>`), and is the value itself where decoding has to rebuild
+/// it (numbers, float vectors, user structs — see [`datum_owned_view!`]).
 pub trait Datum: Sized {
+    /// The form of `Self` a typed program emits and receives.
+    type View<'a>;
+
+    /// Append the encoding of a view to `buf`.
+    fn encode_view(v: &Self::View<'_>, buf: &mut Vec<u8>);
+    /// Decode a view from the front of `b`, returning it and the rest.
+    fn view_from(b: &[u8]) -> Result<(Self::View<'_>, &[u8])>;
     /// Append the encoding of `self` to `buf`.
     fn encode(&self, buf: &mut Vec<u8>);
     /// Decode a value from the front of `b`, returning it and the rest.
@@ -34,16 +47,45 @@ pub trait Datum: Sized {
 
     /// Decode, requiring the entire slice to be consumed.
     fn from_bytes(b: &[u8]) -> Result<Self> {
-        let (v, rest) = Self::decode_from(b)?;
-        if rest.is_empty() {
-            Ok(v)
-        } else {
-            Err(Error::Codec(format!("{} trailing bytes", rest.len())))
-        }
+        whole(Self::decode_from(b)?)
+    }
+
+    /// View, requiring the entire slice to be consumed.
+    fn view(b: &[u8]) -> Result<Self::View<'_>> {
+        whole(Self::view_from(b)?)
     }
 }
 
+/// [`Datum::View`] of `T`, spelled short for `MapReduce` signatures.
+pub type View<'a, T> = <T as Datum>::View<'a>;
+
+fn whole<T>((v, rest): (T, &[u8])) -> Result<T> {
+    if rest.is_empty() {
+        Ok(v)
+    } else {
+        Err(Error::Codec(format!("{} trailing bytes", rest.len())))
+    }
+}
+
+/// The view half of a [`Datum`] impl for a type that is its own view:
+/// decoding rebuilds the value, so there is nothing to borrow.
+#[macro_export]
+macro_rules! datum_owned_view {
+    () => {
+        type View<'a> = Self;
+        #[inline]
+        fn encode_view(v: &Self, buf: &mut Vec<u8>) {
+            v.encode(buf)
+        }
+        #[inline]
+        fn view_from(b: &[u8]) -> $crate::Result<(Self, &[u8])> {
+            Self::decode_from(b)
+        }
+    };
+}
+
 /// LEB128 unsigned varint.
+#[inline]
 pub fn write_varint(mut v: u64, buf: &mut Vec<u8>) {
     loop {
         let byte = (v & 0x7f) as u8;
@@ -57,6 +99,7 @@ pub fn write_varint(mut v: u64, buf: &mut Vec<u8>) {
 }
 
 /// Read a LEB128 unsigned varint from the front of `b`.
+#[inline]
 pub fn read_varint(b: &[u8]) -> Result<(u64, &[u8])> {
     let mut v = 0u64;
     let mut shift = 0u32;
@@ -77,6 +120,7 @@ pub fn read_varint(b: &[u8]) -> Result<(u64, &[u8])> {
     Err(Error::Codec("truncated varint".into()))
 }
 
+#[inline]
 fn take<'a>(b: &'a [u8], n: usize, what: &str) -> Result<(&'a [u8], &'a [u8])> {
     if b.len() < n {
         return Err(Error::Codec(format!("truncated {what}: need {n}, have {}", b.len())));
@@ -85,11 +129,14 @@ fn take<'a>(b: &'a [u8], n: usize, what: &str) -> Result<(&'a [u8], &'a [u8])> {
 }
 
 impl Datum for u64 {
+    datum_owned_view!();
     // Big-endian so that byte-wise ordering of encoded keys matches numeric
     // ordering — required by sort-and-group.
+    #[inline]
     fn encode(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&self.to_be_bytes());
     }
+    #[inline]
     fn decode_from(b: &[u8]) -> Result<(Self, &[u8])> {
         let (head, rest) = take(b, 8, "u64")?;
         Ok((u64::from_be_bytes(head.try_into().expect("len checked")), rest))
@@ -97,6 +144,7 @@ impl Datum for u64 {
 }
 
 impl Datum for u32 {
+    datum_owned_view!();
     fn encode(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&self.to_be_bytes());
     }
@@ -107,6 +155,7 @@ impl Datum for u32 {
 }
 
 impl Datum for i64 {
+    datum_owned_view!();
     // Sign-flip bias keeps byte order == numeric order.
     fn encode(&self, buf: &mut Vec<u8>) {
         ((*self as u64) ^ (1u64 << 63)).encode(buf);
@@ -118,6 +167,7 @@ impl Datum for i64 {
 }
 
 impl Datum for f64 {
+    datum_owned_view!();
     fn encode(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&self.to_bits().to_le_bytes());
     }
@@ -128,6 +178,7 @@ impl Datum for f64 {
 }
 
 impl Datum for bool {
+    datum_owned_view!();
     fn encode(&self, buf: &mut Vec<u8>) {
         buf.push(*self as u8);
     }
@@ -142,109 +193,115 @@ impl Datum for bool {
 }
 
 impl Datum for String {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        write_varint(self.len() as u64, buf);
-        buf.extend_from_slice(self.as_bytes());
+    type View<'a> = &'a str;
+    #[inline]
+    fn encode_view(v: &&str, buf: &mut Vec<u8>) {
+        <Vec<u8>>::encode_view(&v.as_bytes(), buf);
     }
-    fn decode_from(b: &[u8]) -> Result<(Self, &[u8])> {
-        let (len, rest) = read_varint(b)?;
-        let (head, rest) = take(rest, len as usize, "string")?;
+    #[inline]
+    fn view_from(b: &[u8]) -> Result<(&str, &[u8])> {
+        let (head, rest) = <Vec<u8>>::view_from(b)?;
         let s =
             std::str::from_utf8(head).map_err(|e| Error::Codec(format!("invalid utf-8: {e}")))?;
-        Ok((s.to_owned(), rest))
+        Ok((s, rest))
+    }
+    #[inline]
+    fn encode(&self, buf: &mut Vec<u8>) {
+        Self::encode_view(&self.as_str(), buf);
+    }
+    #[inline]
+    fn decode_from(b: &[u8]) -> Result<(Self, &[u8])> {
+        Self::view_from(b).map(|(s, rest)| (s.to_owned(), rest))
     }
 }
 
 impl Datum for Vec<u8> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        write_varint(self.len() as u64, buf);
-        buf.extend_from_slice(self);
+    type View<'a> = &'a [u8];
+    #[inline]
+    fn encode_view(v: &&[u8], buf: &mut Vec<u8>) {
+        write_varint(v.len() as u64, buf);
+        buf.extend_from_slice(v);
     }
-    fn decode_from(b: &[u8]) -> Result<(Self, &[u8])> {
+    #[inline]
+    fn view_from(b: &[u8]) -> Result<(&[u8], &[u8])> {
         let (len, rest) = read_varint(b)?;
-        let (head, rest) = take(rest, len as usize, "bytes")?;
-        Ok((head.to_vec(), rest))
+        take(rest, len as usize, "bytes")
+    }
+    #[inline]
+    fn encode(&self, buf: &mut Vec<u8>) {
+        Self::encode_view(&self.as_slice(), buf);
+    }
+    #[inline]
+    fn decode_from(b: &[u8]) -> Result<(Self, &[u8])> {
+        Self::view_from(b).map(|(v, rest)| (v.to_vec(), rest))
     }
 }
 
-impl Datum for Vec<f64> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        write_varint(self.len() as u64, buf);
-        for x in self {
-            x.encode(buf);
+/// A varint count followed by that many 8-byte elements.
+macro_rules! seq_datum {
+    ($elem:ty) => {
+        impl Datum for Vec<$elem> {
+            datum_owned_view!();
+            fn encode(&self, buf: &mut Vec<u8>) {
+                write_varint(self.len() as u64, buf);
+                for x in self {
+                    x.encode(buf);
+                }
+            }
+            fn decode_from(b: &[u8]) -> Result<(Self, &[u8])> {
+                let (len, mut rest) = read_varint(b)?;
+                // Each element takes 8 bytes: reject (and never allocate
+                // for) a length claim the remaining input cannot satisfy.
+                if len > rest.len() as u64 / 8 {
+                    let elem = stringify!($elem);
+                    return Err(Error::Codec(format!("{elem} seq length {len} exceeds input")));
+                }
+                let mut v = Vec::with_capacity(len as usize);
+                for _ in 0..len {
+                    let (x, r) = <$elem>::decode_from(rest)?;
+                    v.push(x);
+                    rest = r;
+                }
+                Ok((v, rest))
+            }
         }
-    }
-    fn decode_from(b: &[u8]) -> Result<(Self, &[u8])> {
-        let (len, mut rest) = read_varint(b)?;
-        // Each element takes 8 bytes: reject (and never allocate for) a
-        // length claim that the remaining input cannot possibly satisfy.
-        if len > rest.len() as u64 / 8 {
-            return Err(Error::Codec(format!("f64 seq length {len} exceeds input")));
-        }
-        let mut v = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            let (x, r) = f64::decode_from(rest)?;
-            v.push(x);
-            rest = r;
-        }
-        Ok((v, rest))
-    }
+    };
 }
-
-impl Datum for Vec<u64> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        write_varint(self.len() as u64, buf);
-        for x in self {
-            x.encode(buf);
-        }
-    }
-    fn decode_from(b: &[u8]) -> Result<(Self, &[u8])> {
-        let (len, mut rest) = read_varint(b)?;
-        if len > rest.len() as u64 / 8 {
-            return Err(Error::Codec(format!("u64 seq length {len} exceeds input")));
-        }
-        let mut v = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            let (x, r) = u64::decode_from(rest)?;
-            v.push(x);
-            rest = r;
-        }
-        Ok((v, rest))
-    }
-}
+seq_datum!(f64);
+seq_datum!(u64);
 
 impl Datum for () {
+    datum_owned_view!();
     fn encode(&self, _buf: &mut Vec<u8>) {}
     fn decode_from(b: &[u8]) -> Result<(Self, &[u8])> {
         Ok(((), b))
     }
 }
 
-impl<A: Datum, B: Datum> Datum for (A, B) {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-        self.1.encode(buf);
-    }
-    fn decode_from(b: &[u8]) -> Result<(Self, &[u8])> {
-        let (a, rest) = A::decode_from(b)?;
-        let (bb, rest) = B::decode_from(rest)?;
-        Ok(((a, bb), rest))
-    }
+/// Fields back to back; a tuple's view is the tuple of its fields' views.
+macro_rules! tuple_datum {
+    ($($T:ident $x:ident $i:tt),+) => {
+        impl<$($T: Datum),+> Datum for ($($T,)+) {
+            type View<'a> = ($($T::View<'a>,)+);
+            fn encode_view(v: &Self::View<'_>, buf: &mut Vec<u8>) {
+                $($T::encode_view(&v.$i, buf);)+
+            }
+            fn view_from(b: &[u8]) -> Result<(Self::View<'_>, &[u8])> {
+                $(let ($x, b) = $T::view_from(b)?;)+
+                Ok((($($x,)+), b))
+            }
+            fn encode(&self, buf: &mut Vec<u8>) {
+                $(self.$i.encode(buf);)+
+            }
+            fn decode_from(b: &[u8]) -> Result<(Self, &[u8])> {
+                $(let ($x, b) = $T::decode_from(b)?;)+
+                Ok((($($x,)+), b))
+            }
+        }
+    };
 }
-
-impl<A: Datum, B: Datum, C: Datum> Datum for (A, B, C) {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-        self.1.encode(buf);
-        self.2.encode(buf);
-    }
-    fn decode_from(b: &[u8]) -> Result<(Self, &[u8])> {
-        let (a, rest) = A::decode_from(b)?;
-        let (bb, rest) = B::decode_from(rest)?;
-        let (c, rest) = C::decode_from(rest)?;
-        Ok(((a, bb, c), rest))
-    }
-}
+tuple_datum!(A x 0, B y 1);
+tuple_datum!(A x 0, B y 1, C z 2);
 
 /// Encode a typed pair into a raw [`Record`].
 pub fn encode_record<K: Datum, V: Datum>(k: &K, v: &V) -> Record {
@@ -285,6 +342,49 @@ mod tests {
         round(());
         round((1u64, String::from("x")));
         round((1u64, 2.0f64, String::from("z")));
+    }
+
+    /// Both halves of the view contract on `x`'s encoding `b`: the view
+    /// re-encodes to exactly `b` (`encode_view(view(b)) == b`), and made
+    /// owned again it is `x` (`view(encode(x)) == x`, compared through the
+    /// injective encoding so NaN payloads count too).
+    fn view_round<T: Datum>(x: T, owned: impl Fn(T::View<'_>) -> T) {
+        let b = x.to_bytes();
+        let v = T::view(&b).unwrap();
+        let mut again = Vec::new();
+        T::encode_view(&v, &mut again);
+        assert_eq!(again, b);
+        assert_eq!(owned(v).to_bytes(), b);
+        // A view never reads past its own encoding.
+        let mut longer = b.clone();
+        longer.push(0);
+        assert!(matches!(T::view(&longer), Err(Error::Codec(_))));
+        assert_eq!(T::view_from(&longer).unwrap().1, [0]);
+    }
+
+    #[test]
+    fn views_of_borrowable_types_borrow_the_input() {
+        let b = String::from("héllo").to_bytes();
+        let s = String::view(&b).unwrap();
+        assert_eq!(s, "héllo");
+        assert!(b.as_ptr_range().contains(&s.as_ptr()));
+        // Nested tuples view each field where it lies.
+        let nested = (7u64, (String::new(), vec![9u8])).to_bytes();
+        let (n, (s, raw)) = <(u64, (String, Vec<u8>))>::view(&nested).unwrap();
+        assert_eq!((n, s, raw), (7, "", &[9u8][..]));
+    }
+
+    #[test]
+    fn views_reject_invalid_utf8_as_codec_errors() {
+        let mut bad = Vec::new();
+        write_varint(2, &mut bad);
+        bad.extend_from_slice(&[0xff, 0xfe]);
+        assert!(matches!(String::view(&bad), Err(Error::Codec(_))));
+        let mut pair = 5u64.to_bytes();
+        pair.extend_from_slice(&bad);
+        assert!(matches!(<(u64, String)>::view(&pair), Err(Error::Codec(_))));
+        // The same bytes are a fine `Vec<u8>`.
+        assert_eq!(<Vec<u8>>::view(&bad).unwrap(), [0xff, 0xfe]);
     }
 
     #[test]
@@ -406,6 +506,30 @@ mod tests {
         }
 
         #[test]
+        fn prop_views_round_trip_every_datum(
+            n in any::<u64>(),
+            flag in any::<bool>(),
+            s in ".*",
+            raw in proptest::collection::vec(any::<u8>(), 0..48),
+            bits in proptest::collection::vec(any::<u64>(), 0..16),
+        ) {
+            let floats: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+            view_round(n, |v| v);
+            view_round(n as u32, |v| v);
+            view_round(n as i64, |v| v);
+            view_round(f64::from_bits(n), |v| v);
+            view_round(flag, |v| v);
+            view_round((), |v| v);
+            view_round(s.clone(), |v| v.to_owned());
+            view_round(String::new(), |v| v.to_owned());
+            view_round(raw.clone(), |v| v.to_vec());
+            view_round(floats.clone(), |v| v);
+            view_round(bits.clone(), |v| v);
+            view_round((n, s.clone()), |(a, b)| (a, b.to_owned()));
+            view_round((s, floats, raw), |(a, b, c)| (a.to_owned(), b, c.to_vec()));
+        }
+
+        #[test]
         fn prop_u64_order(a in any::<u64>(), b in any::<u64>()) {
             prop_assert_eq!(a.cmp(&b), a.to_bytes().cmp(&b.to_bytes()));
         }
@@ -444,6 +568,7 @@ mod tests {
             let _ = String::from_bytes(&b);
             let _ = Vec::<f64>::from_bytes(&b);
             let _ = <(u64, String)>::from_bytes(&b);
+            let _ = <(u64, String, Vec<u8>)>::view(&b);
         }
     }
 }

@@ -26,7 +26,7 @@ pub mod task;
 
 pub use bucket::Bucket;
 pub use error::{Error, Result};
-pub use kv::{Datum, Record};
+pub use kv::{Datum, Record, View};
 pub use merge::{merge_runs, RunMerger};
 pub use plan::{DataRef, FuncId, OpId, OpKind, OpSpec, Plan};
 pub use program::{MapReduce, Program, Simple};

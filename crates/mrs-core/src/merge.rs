@@ -25,6 +25,7 @@
 //!   iteration with no matches played at all.
 
 use crate::bucket::{cmp_keys, key_prefix, Bucket};
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 
 /// One contiguous slice of a run contributing to the current group:
@@ -36,8 +37,10 @@ pub type GroupSpan = (usize, usize, usize);
 /// concatenate+sort oracle orders them (run index, then in-run position).
 ///
 /// Every run must be sorted (`Bucket::is_sorted`); debug builds assert it.
-pub struct RunMerger<'a> {
-    runs: &'a [Bucket],
+/// Runs are anything that lends a bucket — `Bucket` itself where the task
+/// owns its decoded input, `Arc<Bucket>` where a dataset shares it.
+pub struct RunMerger<'a, B = Bucket> {
+    runs: &'a [B],
     /// Next unconsumed record per run.
     pos: Vec<usize>,
     /// [`key_prefix`] of each run's head key (stale once the run is
@@ -49,13 +52,14 @@ pub struct RunMerger<'a> {
     tree: Vec<usize>,
 }
 
-impl<'a> RunMerger<'a> {
+impl<'a, B: Borrow<Bucket>> RunMerger<'a, B> {
     /// Build a merger over `runs`. Empty runs are handled (they start
     /// exhausted); an empty slice yields no groups.
-    pub fn new(runs: &'a [Bucket]) -> Self {
-        debug_assert!(runs.iter().all(|r| r.is_sorted()), "RunMerger requires sorted runs");
+    pub fn new(runs: &'a [B]) -> Self {
+        let buckets = runs.iter().map(Borrow::borrow);
+        debug_assert!(buckets.clone().all(Bucket::is_sorted), "RunMerger requires sorted runs");
         let k = runs.len();
-        let heads = runs.iter().map(|r| if r.is_empty() { 0 } else { key_prefix(r.key_at(0)) });
+        let heads = buckets.map(|r| if r.is_empty() { 0 } else { key_prefix(r.key_at(0)) });
         let mut m =
             RunMerger { runs, pos: vec![0; k], heads: heads.collect(), tree: vec![0; k.max(1)] };
         if k == 0 {
@@ -77,8 +81,12 @@ impl<'a> RunMerger<'a> {
         m
     }
 
+    fn run(&self, r: usize) -> &'a Bucket {
+        self.runs[r].borrow()
+    }
+
     fn exhausted(&self, r: usize) -> bool {
-        self.pos[r] >= self.runs[r].len()
+        self.pos[r] >= self.run(r).len()
     }
 
     /// Does run `a` win against run `b`? Smaller head key wins; an
@@ -89,7 +97,7 @@ impl<'a> RunMerger<'a> {
             (true, _) => false,
             (false, true) => true,
             (false, false) => {
-                let head = |r: usize| self.runs[r].key_at(self.pos[r]);
+                let head = |r: usize| self.run(r).key_at(self.pos[r]);
                 match cmp_keys(self.heads[a], self.heads[b], || (head(a), head(b))) {
                     Ordering::Less => true,
                     Ordering::Greater => false,
@@ -124,10 +132,10 @@ impl<'a> RunMerger<'a> {
             return None;
         }
         let mut w = self.tree[0];
-        let (key, prefix): (&'a [u8], u64) = (self.runs[w].key_at(self.pos[w]), self.heads[w]);
+        let (key, prefix): (&'a [u8], u64) = (self.run(w).key_at(self.pos[w]), self.heads[w]);
         loop {
             // Consume the winner's whole equal-key prefix in one scan.
-            let run = &self.runs[w];
+            let run = self.run(w);
             let start = self.pos[w];
             let mut end = start + 1;
             while end < run.len() && run.key_at(end) == key {
@@ -143,7 +151,7 @@ impl<'a> RunMerger<'a> {
             w = self.tree[0];
             if self.exhausted(w)
                 || self.heads[w] != prefix
-                || self.runs[w].key_at(self.pos[w]) != key
+                || self.run(w).key_at(self.pos[w]) != key
             {
                 break;
             }
@@ -153,7 +161,7 @@ impl<'a> RunMerger<'a> {
 
     /// Total records remaining across all runs.
     pub fn remaining(&self) -> usize {
-        self.runs.iter().zip(&self.pos).map(|(r, &p)| r.len() - p).sum()
+        self.runs.iter().zip(&self.pos).map(|(r, &p)| r.borrow().len() - p).sum()
     }
 }
 
@@ -199,7 +207,7 @@ mod tests {
     fn empty_input_yields_nothing() {
         assert_eq!(merge_runs(&[]), Bucket::new());
         assert_eq!(merge_runs(&[Bucket::new(), Bucket::new()]), Bucket::new());
-        let mut m = RunMerger::new(&[]);
+        let mut m = RunMerger::<Bucket>::new(&[]);
         assert_eq!(m.next_group(&mut Vec::new()), None);
     }
 

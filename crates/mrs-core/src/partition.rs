@@ -25,10 +25,20 @@ const PARTITION_HASH_SEED: u64 = 0x6d72_735f_7061_7274; // "mrs_part"
 
 impl Partition {
     /// The partition index for an encoded key. `n` must be nonzero.
+    #[inline]
     pub fn index(&self, key: &[u8], n: usize) -> usize {
         assert!(n > 0, "cannot partition into 0 parts");
         match self {
-            Partition::Hash => (hash_bytes(PARTITION_HASH_SEED, key) % n as u64) as usize,
+            Partition::Hash => {
+                let h = hash_bytes(PARTITION_HASH_SEED, key);
+                // Called once per emitted record: a power-of-two `n` (the
+                // usual reduce count) takes the same remainder by mask.
+                if n.is_power_of_two() {
+                    h as usize & (n - 1)
+                } else {
+                    (h % n as u64) as usize
+                }
+            }
             Partition::Mod => {
                 let mut tail = [0u8; 8];
                 let take = key.len().min(8);
@@ -53,6 +63,17 @@ mod tests {
                 let i = p.index(&key, n);
                 assert!(i < n);
                 assert_eq!(i, p.index(&key, n));
+            }
+        }
+    }
+
+    #[test]
+    fn hash_index_is_the_remainder_for_every_part_count() {
+        for n in 1..=17usize {
+            for k in 0..300u64 {
+                let key = format!("word{k}").to_bytes();
+                let h = hash_bytes(PARTITION_HASH_SEED, &key);
+                assert_eq!(Partition::Hash.index(&key, n), (h % n as u64) as usize, "n={n}");
             }
         }
     }

@@ -14,14 +14,16 @@
 //!
 //! [`Simple`] adapts any [`MapReduce`] into a [`Program`] as function id 0.
 //!
-//! Emission is by borrowed slices: `emit(&[u8], &[u8])` lets the runtime
-//! copy records straight into its bucket arena, so the hot map path makes
-//! no per-record heap allocation. [`Simple`] encodes typed pairs into a
-//! pair of thread-local scratch buffers that are reused across every emit
-//! of a task.
+//! Records stay bytes from `emit` to the driver. A typed program sees
+//! *views* ([`Datum::View`]: `&str` for a `String` key, numbers by value)
+//! decoded in place from the input bytes, and emits views that [`Simple`]
+//! encodes straight into a pair of thread-local scratch buffers reused
+//! across every emit of a task; `emit(&[u8], &[u8])` then lets the runtime
+//! copy them into its bucket arena. The hot path makes no heap allocation
+//! per emitted record, per decoded input value or per reduce key.
 
 use crate::error::{Error, Result};
-use crate::kv::Datum;
+use crate::kv::{Datum, View};
 use crate::partition::Partition;
 use crate::plan::FuncId;
 use std::cell::Cell;
@@ -43,15 +45,21 @@ pub trait MapReduce: Send + Sync + 'static {
     type V2: Datum;
 
     /// Called once per input record; may emit any number of pairs.
-    fn map(&self, key: Self::K1, value: Self::V1, emit: &mut dyn FnMut(Self::K2, Self::V2));
+    #[allow(clippy::type_complexity)] // an alias would hide the emit shape from implementors
+    fn map(
+        &self,
+        key: View<'_, Self::K1>,
+        value: View<'_, Self::V1>,
+        emit: &mut dyn FnMut(View<'_, Self::K2>, View<'_, Self::V2>),
+    );
 
     /// Called once per distinct key with all its values; may emit any
     /// number of output values for that key.
     fn reduce(
         &self,
-        key: &Self::K2,
-        values: &mut dyn Iterator<Item = Self::V2>,
-        emit: &mut dyn FnMut(Self::V2),
+        key: View<'_, Self::K2>,
+        values: &mut dyn Iterator<Item = View<'_, Self::V2>>,
+        emit: &mut dyn FnMut(View<'_, Self::V2>),
     );
 
     /// Optional combiner ("local reduce", §V-A). Only invoked when
@@ -61,9 +69,9 @@ pub trait MapReduce: Send + Sync + 'static {
     /// function can function as a combiner without any modifications".
     fn combine(
         &self,
-        key: &Self::K2,
-        values: &mut dyn Iterator<Item = Self::V2>,
-        emit: &mut dyn FnMut(Self::V2),
+        key: View<'_, Self::K2>,
+        values: &mut dyn Iterator<Item = View<'_, Self::V2>>,
+        emit: &mut dyn FnMut(View<'_, Self::V2>),
     ) {
         self.reduce(key, values, emit);
     }
@@ -174,30 +182,66 @@ impl<P: MapReduce> Simple<P> {
     }
 }
 
-/// Decoding iterator adapter: lazily decodes each value of a group. The
-/// first decode failure is stashed in `error` and ends the iteration, so the
-/// typed reduce never sees corrupt data.
-struct DecodeValues<'i, 'd, V: Datum> {
+/// Lazily views each value of a group. The first decode failure is stashed
+/// in `error` and ends the iteration, so the typed reduce never sees
+/// corrupt data.
+struct ViewValues<'i, 'd, V: Datum> {
     inner: &'i mut dyn Iterator<Item = &'d [u8]>,
     error: &'i mut Option<Error>,
     _marker: std::marker::PhantomData<V>,
 }
 
-impl<V: Datum> Iterator for DecodeValues<'_, '_, V> {
-    type Item = V;
+impl<'d, V: Datum> Iterator for ViewValues<'_, 'd, V> {
+    type Item = V::View<'d>;
 
-    fn next(&mut self) -> Option<V> {
+    fn next(&mut self) -> Option<V::View<'d>> {
         if self.error.is_some() {
             return None;
         }
-        let raw = self.inner.next()?;
-        match V::from_bytes(raw) {
+        match V::view(self.inner.next()?) {
             Ok(v) => Some(v),
             Err(e) => {
                 *self.error = Some(e);
                 None
             }
         }
+    }
+}
+
+/// What [`Simple`] hands a typed reduce or combine: the viewed key, the
+/// viewed values and an emit of viewed values.
+type TypedFold<'f, P> = &'f dyn Fn(
+    View<'_, <P as MapReduce>::K2>,
+    &mut dyn Iterator<Item = View<'_, <P as MapReduce>::V2>>,
+    &mut dyn FnMut(View<'_, <P as MapReduce>::V2>),
+);
+
+impl<P: MapReduce> Simple<P> {
+    /// The shared body of `reduce_bytes` and `combine_bytes`: view the key
+    /// and values in place, run `fold`, re-emit under the input key bytes.
+    fn fold_bytes(
+        func: FuncId,
+        key: &[u8],
+        values: &mut dyn Iterator<Item = &[u8]>,
+        emit: &mut dyn FnMut(&[u8], &[u8]),
+        fold: TypedFold<'_, P>,
+    ) -> Result<()> {
+        Self::check(func)?;
+        let k = P::K2::view(key)?;
+        let mut error = None;
+        let mut views = ViewValues::<P::V2> {
+            inner: values,
+            error: &mut error,
+            _marker: std::marker::PhantomData,
+        };
+        with_scratch(|_, vbuf| {
+            fold(k, &mut views, &mut |v2| {
+                vbuf.clear();
+                P::V2::encode_view(&v2, vbuf);
+                emit(key, vbuf);
+            });
+        });
+        error.map_or(Ok(()), Err)
     }
 }
 
@@ -210,14 +254,14 @@ impl<P: MapReduce> Program for Simple<P> {
         emit: &mut dyn FnMut(&[u8], &[u8]),
     ) -> Result<()> {
         Self::check(func)?;
-        let k = P::K1::from_bytes(key)?;
-        let v = P::V1::from_bytes(value)?;
+        let k = P::K1::view(key)?;
+        let v = P::V1::view(value)?;
         with_scratch(|kbuf, vbuf| {
             self.0.map(k, v, &mut |k2, v2| {
                 kbuf.clear();
                 vbuf.clear();
-                k2.encode(kbuf);
-                v2.encode(vbuf);
+                P::K2::encode_view(&k2, kbuf);
+                P::V2::encode_view(&v2, vbuf);
                 emit(kbuf, vbuf);
             });
         });
@@ -231,25 +275,7 @@ impl<P: MapReduce> Program for Simple<P> {
         values: &mut dyn Iterator<Item = &[u8]>,
         emit: &mut dyn FnMut(&[u8], &[u8]),
     ) -> Result<()> {
-        Self::check(func)?;
-        let k = P::K2::from_bytes(key)?;
-        let mut error = None;
-        let mut dec = DecodeValues::<P::V2> {
-            inner: values,
-            error: &mut error,
-            _marker: std::marker::PhantomData,
-        };
-        with_scratch(|_, vbuf| {
-            self.0.reduce(&k, &mut dec, &mut |v2| {
-                vbuf.clear();
-                v2.encode(vbuf);
-                emit(key, vbuf);
-            });
-        });
-        match error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        Self::fold_bytes(func, key, values, emit, &|k, vs, e| self.0.reduce(k, vs, e))
     }
 
     fn combine_bytes(
@@ -259,25 +285,7 @@ impl<P: MapReduce> Program for Simple<P> {
         values: &mut dyn Iterator<Item = &[u8]>,
         emit: &mut dyn FnMut(&[u8], &[u8]),
     ) -> Result<()> {
-        Self::check(func)?;
-        let k = P::K2::from_bytes(key)?;
-        let mut error = None;
-        let mut dec = DecodeValues::<P::V2> {
-            inner: values,
-            error: &mut error,
-            _marker: std::marker::PhantomData,
-        };
-        with_scratch(|_, vbuf| {
-            self.0.combine(&k, &mut dec, &mut |v2| {
-                vbuf.clear();
-                v2.encode(vbuf);
-                emit(key, vbuf);
-            });
-        });
-        match error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        Self::fold_bytes(func, key, values, emit, &|k, vs, e| self.0.combine(k, vs, e))
     }
 
     fn has_combiner(&self, func: FuncId) -> bool {
@@ -309,15 +317,15 @@ mod tests {
         type K2 = String;
         type V2 = u64;
 
-        fn map(&self, _key: u64, value: String, emit: &mut dyn FnMut(String, u64)) {
+        fn map(&self, _key: u64, value: &str, emit: &mut dyn FnMut(&str, u64)) {
             for word in value.split_whitespace() {
-                emit(word.to_owned(), 1);
+                emit(word, 1);
             }
         }
 
         fn reduce(
             &self,
-            _key: &String,
+            _key: &str,
             values: &mut dyn Iterator<Item = u64>,
             emit: &mut dyn FnMut(u64),
         ) {

@@ -30,10 +30,11 @@
 
 use crate::bucket::{cmp_keys, key_prefix, Bucket};
 use crate::error::{Error, Result};
-use crate::kv::Record;
 use crate::merge::RunMerger;
 use crate::plan::FuncId;
 use crate::program::Program;
+use mrs_rng::splitmix::hash_bytes;
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Check a cooperative-cancellation flag (if any); raise [`Error::Cancelled`]
@@ -85,24 +86,12 @@ impl MergeMode {
     }
 }
 
-/// Run one map task: apply map function `func` to every input record and
-/// partition the output into `parts` buckets. When `combine` is set and the
-/// function has a combiner, map output is combined locally — the "local
-/// reduce" optimisation of §V-A — using the default [`CombineStrategy`].
-pub fn run_map_task(
-    program: &dyn Program,
-    func: FuncId,
-    input: &[Record],
-    parts: usize,
-    combine: bool,
-) -> Result<Vec<Bucket>> {
-    run_map_task_with(program, func, input, parts, combine, CombineStrategy::default())
-}
-
-/// [`run_map_task`] reading its input straight from a [`Bucket`] arena:
-/// the distributed slave decodes fetched input files into one reused
-/// bucket and maps over the borrowed slices, so the hot map path never
-/// materializes a `Vec<Record>`.
+/// Run one map task: apply map function `func` to every record of the
+/// input split — read as borrowed slices straight from its [`Bucket`]
+/// arena — and partition the output into `parts` buckets. When `combine`
+/// is set and the function has a combiner, map output is combined locally
+/// — the "local reduce" optimisation of §V-A — using the default
+/// [`CombineStrategy`].
 pub fn run_map_task_bucket(
     program: &dyn Program,
     func: FuncId,
@@ -126,34 +115,15 @@ pub fn run_map_task_bucket_cancellable(
     combine: bool,
     cancel: Option<&AtomicBool>,
 ) -> Result<Vec<Bucket>> {
-    run_map_records_cancellable(
-        program,
-        func,
-        input.iter(),
-        parts,
-        combine,
-        CombineStrategy::default(),
-        cancel,
-    )
+    run_map_task_with(program, func, input, parts, combine, CombineStrategy::default(), cancel)
 }
 
-/// [`run_map_task`] with an explicit combining strategy.
+/// The map kernel with every choice explicit: the combining strategy and
+/// the cancellation flag.
 pub fn run_map_task_with(
     program: &dyn Program,
     func: FuncId,
-    input: &[Record],
-    parts: usize,
-    combine: bool,
-    strategy: CombineStrategy,
-) -> Result<Vec<Bucket>> {
-    let records = input.iter().map(|(k, v)| (k.as_slice(), v.as_slice()));
-    run_map_records_cancellable(program, func, records, parts, combine, strategy, None)
-}
-
-fn run_map_records_cancellable<'a>(
-    program: &dyn Program,
-    func: FuncId,
-    input: impl Iterator<Item = (&'a [u8], &'a [u8])>,
+    input: &Bucket,
     parts: usize,
     combine: bool,
     strategy: CombineStrategy,
@@ -164,7 +134,7 @@ fn run_map_records_cancellable<'a>(
         return run_map_task_hash_combine(program, func, input, parts, cancel);
     }
     let mut buckets: Vec<Bucket> = (0..parts).map(|_| Bucket::new()).collect();
-    for (key, value) in input {
+    for (key, value) in input.iter() {
         check_cancel(cancel)?;
         program.map_bytes(func, key, value, &mut |k2, v2| {
             let p = program.partition(k2, parts);
@@ -193,15 +163,15 @@ fn sort_runs(buckets: &mut [Bucket]) {
     }
 }
 
-fn run_map_task_hash_combine<'a>(
+fn run_map_task_hash_combine(
     program: &dyn Program,
     func: FuncId,
-    input: impl Iterator<Item = (&'a [u8], &'a [u8])>,
+    input: &Bucket,
     parts: usize,
     cancel: Option<&AtomicBool>,
 ) -> Result<Vec<Bucket>> {
     let mut combiners: Vec<StreamCombiner> = (0..parts).map(|_| StreamCombiner::new()).collect();
-    for (key, value) in input {
+    for (key, value) in input.iter() {
         check_cancel(cancel)?;
         // `emit` cannot return an error, so a failing partial fold inside
         // the combiner is stashed and re-raised after the map call.
@@ -262,20 +232,20 @@ pub fn run_reduce_task_cancellable(
 /// materializing the concatenated partition. Byte-identical to the
 /// concatenate+sort kernel — the merge breaks equal keys by run index,
 /// reproducing exactly the stable sort's value order.
-pub fn run_reduce_task_merge(
+pub fn run_reduce_task_merge<B: Borrow<Bucket>>(
     program: &dyn Program,
     func: FuncId,
-    runs: &[Bucket],
+    runs: &[B],
 ) -> Result<Bucket> {
     run_reduce_task_merge_cancellable(program, func, runs, None)
 }
 
 /// [`run_reduce_task_merge`] with a cooperative-cancellation flag checked
 /// at every key-group boundary.
-pub fn run_reduce_task_merge_cancellable(
+pub fn run_reduce_task_merge_cancellable<B: Borrow<Bucket>>(
     program: &dyn Program,
     func: FuncId,
-    runs: &[Bucket],
+    runs: &[B],
     cancel: Option<&AtomicBool>,
 ) -> Result<Bucket> {
     let mut merger = RunMerger::new(runs);
@@ -283,7 +253,8 @@ pub fn run_reduce_task_merge_cancellable(
     let mut out = Bucket::new();
     while let Some(key) = merger.next_group(&mut spans) {
         check_cancel(cancel)?;
-        let mut iter = spans.iter().flat_map(|&(r, s, e)| (s..e).map(move |i| runs[r].get(i).1));
+        let mut iter =
+            spans.iter().flat_map(|&(r, s, e)| (s..e).map(move |i| runs[r].borrow().get(i).1));
         program.reduce_bytes(func, key, &mut iter, &mut |k, v| out.push(k, v))?;
     }
     Ok(out)
@@ -335,11 +306,11 @@ pub fn run_reduce_map_task_cancellable(
 /// [`run_reduce_map_task`] over pre-sorted runs: the k-way-merge twin of
 /// [`run_reduce_task_merge`], streaming merged key groups through the fused
 /// reduce+map pipeline without concatenating the partition.
-pub fn run_reduce_map_task_merge(
+pub fn run_reduce_map_task_merge<B: Borrow<Bucket>>(
     program: &dyn Program,
     reduce_func: FuncId,
     map_func: FuncId,
-    runs: &[Bucket],
+    runs: &[B],
     parts: usize,
     combine: bool,
 ) -> Result<Vec<Bucket>> {
@@ -356,11 +327,11 @@ pub fn run_reduce_map_task_merge(
 
 /// [`run_reduce_map_task_merge`] with a cooperative-cancellation flag
 /// checked at every key-group boundary of the reduce pass.
-pub fn run_reduce_map_task_merge_cancellable(
+pub fn run_reduce_map_task_merge_cancellable<B: Borrow<Bucket>>(
     program: &dyn Program,
     reduce_func: FuncId,
     map_func: FuncId,
-    runs: &[Bucket],
+    runs: &[B],
     parts: usize,
     combine: bool,
     cancel: Option<&AtomicBool>,
@@ -370,7 +341,7 @@ pub fn run_reduce_map_task_merge_cancellable(
         let mut spans = Vec::new();
         while let Some(key) = merger.next_group(&mut spans) {
             let mut iter =
-                spans.iter().flat_map(|&(r, s, e)| (s..e).map(move |i| runs[r].get(i).1));
+                spans.iter().flat_map(|&(r, s, e)| (s..e).map(move |i| runs[r].borrow().get(i).1));
             sink(key, &mut iter)?;
         }
         Ok(())
@@ -517,15 +488,6 @@ struct StreamCombiner {
     out_spans: Vec<(u32, u32)>,
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl StreamCombiner {
     fn new() -> Self {
         StreamCombiner {
@@ -576,7 +538,7 @@ impl StreamCombiner {
         if (self.groups.len() + 1) * 8 > self.table.len() * 7 {
             self.grow_table();
         }
-        let h = fnv1a(key);
+        let h = hash_bytes(0, key);
         let mask = self.table.len() - 1;
         let mut i = h as usize & mask;
         loop {
@@ -724,18 +686,13 @@ mod tests {
         type K2 = String;
         type V2 = u64;
 
-        fn map(&self, _k: u64, v: String, emit: &mut dyn FnMut(String, u64)) {
+        fn map(&self, _k: u64, v: &str, emit: &mut dyn FnMut(&str, u64)) {
             for w in v.split_whitespace() {
-                emit(w.to_owned(), 1);
+                emit(w, 1);
             }
         }
 
-        fn reduce(
-            &self,
-            _k: &String,
-            vs: &mut dyn Iterator<Item = u64>,
-            emit: &mut dyn FnMut(u64),
-        ) {
+        fn reduce(&self, _k: &str, vs: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
             emit(vs.sum());
         }
 
@@ -744,7 +701,7 @@ mod tests {
         }
     }
 
-    fn lines(texts: &[&str]) -> Vec<Record> {
+    fn lines(texts: &[&str]) -> Bucket {
         texts.iter().enumerate().map(|(i, t)| encode_record(&(i as u64), &t.to_string())).collect()
     }
 
@@ -761,7 +718,7 @@ mod tests {
     fn map_then_reduce_counts_words() {
         let p = Simple(WordCount);
         let input = lines(&["the cat sat", "the cat"]);
-        let buckets = run_map_task(&p, 0, &input, 3, false).unwrap();
+        let buckets = run_map_task_bucket(&p, 0, &input, 3, false).unwrap();
         assert_eq!(buckets.len(), 3);
         let total: usize = buckets.iter().map(|b| b.len()).sum();
         assert_eq!(total, 5);
@@ -779,8 +736,8 @@ mod tests {
     fn combiner_shrinks_map_output_but_preserves_result() {
         let p = Simple(WordCount);
         let input = lines(&["a a a a b", "a b b"]);
-        let plain = run_map_task(&p, 0, &input, 2, false).unwrap();
-        let combined = run_map_task(&p, 0, &input, 2, true).unwrap();
+        let plain = run_map_task_bucket(&p, 0, &input, 2, false).unwrap();
+        let combined = run_map_task_bucket(&p, 0, &input, 2, true).unwrap();
         let plain_n: usize = plain.iter().map(|b| b.len()).sum();
         let comb_n: usize = combined.iter().map(|b| b.len()).sum();
         assert_eq!(plain_n, 8);
@@ -802,18 +759,6 @@ mod tests {
     }
 
     #[test]
-    fn bucket_input_matches_record_input() {
-        let p = Simple(WordCount);
-        let input = lines(&["the cat sat", "the cat", "on the mat"]);
-        let bucket = Bucket::from_records(input.clone());
-        for combine in [false, true] {
-            let from_records = run_map_task(&p, 0, &input, 3, combine).unwrap();
-            let from_bucket = run_map_task_bucket(&p, 0, &bucket, 3, combine).unwrap();
-            assert_eq!(from_records, from_bucket, "combine={combine}");
-        }
-    }
-
-    #[test]
     fn hash_and_sort_combining_produce_identical_buckets() {
         let p = Simple(WordCount);
         // Zipf-ish duplicate-heavy input plus singletons, across partitions.
@@ -824,9 +769,9 @@ mod tests {
         ]);
         for parts in [1, 2, 5] {
             let hash =
-                run_map_task_with(&p, 0, &input, parts, true, CombineStrategy::Hash).unwrap();
+                run_map_task_with(&p, 0, &input, parts, true, CombineStrategy::Hash, None).unwrap();
             let sort =
-                run_map_task_with(&p, 0, &input, parts, true, CombineStrategy::Sort).unwrap();
+                run_map_task_with(&p, 0, &input, parts, true, CombineStrategy::Sort, None).unwrap();
             assert_eq!(hash, sort, "strategies diverged at parts={parts}");
         }
     }
@@ -838,7 +783,8 @@ mod tests {
         let p = Simple(WordCount);
         let line = "hot ".repeat(10 * FOLD_EVERY);
         let input = lines(&[line.trim()]);
-        let buckets = run_map_task_with(&p, 0, &input, 1, true, CombineStrategy::Hash).unwrap();
+        let buckets =
+            run_map_task_with(&p, 0, &input, 1, true, CombineStrategy::Hash, None).unwrap();
         assert_eq!(counts(&buckets[0]), vec![("hot".into(), 10 * FOLD_EVERY as u64)]);
     }
 
@@ -907,7 +853,7 @@ mod tests {
     fn partitioning_is_consistent_for_same_key() {
         let p = Simple(WordCount);
         let input = lines(&["x y z x y z x"]);
-        let buckets = run_map_task(&p, 0, &input, 4, false).unwrap();
+        let buckets = run_map_task_bucket(&p, 0, &input, 4, false).unwrap();
         // Every occurrence of a word must land in the same bucket: reducing
         // each bucket independently must never split a key.
         for b in &buckets {
@@ -929,7 +875,8 @@ mod tests {
     fn empty_input_produces_empty_buckets() {
         let p = Simple(WordCount);
         for strategy in [CombineStrategy::Hash, CombineStrategy::Sort] {
-            let buckets = run_map_task_with(&p, 0, &[], 2, true, strategy).unwrap();
+            let buckets =
+                run_map_task_with(&p, 0, &Bucket::new(), 2, true, strategy, None).unwrap();
             assert!(buckets.iter().all(|b| b.is_empty()));
         }
         let out = run_reduce_task(&p, 0, Bucket::new()).unwrap();
@@ -939,9 +886,9 @@ mod tests {
     #[test]
     fn map_error_propagates() {
         let p = Simple(WordCount);
-        let bad = vec![(vec![1u8, 2], b"not a string".to_vec())];
-        assert!(run_map_task(&p, 0, &bad, 1, false).is_err());
-        assert!(run_map_task_with(&p, 0, &bad, 1, true, CombineStrategy::Hash).is_err());
+        let bad = Bucket::from_records(vec![(vec![1u8, 2], b"not a string".to_vec())]);
+        assert!(run_map_task_bucket(&p, 0, &bad, 1, false).is_err());
+        assert!(run_map_task_with(&p, 0, &bad, 1, true, CombineStrategy::Hash, None).is_err());
     }
 
     /// A chainable iterative program over `u64` records: reduce output
@@ -1026,7 +973,7 @@ mod tests {
     fn pre_set_cancel_flag_aborts_every_kernel() {
         let p = Simple(WordCount);
         let flag = AtomicBool::new(true);
-        let input = Bucket::from_records(lines(&["the cat sat", "on the mat"]));
+        let input = lines(&["the cat sat", "on the mat"]);
         for combine in [false, true] {
             let r = run_map_task_bucket_cancellable(&p, 0, &input, 2, combine, Some(&flag));
             assert!(matches!(r, Err(Error::Cancelled)), "map combine={combine}");
@@ -1053,7 +1000,7 @@ mod tests {
     fn unset_cancel_flag_leaves_outputs_identical() {
         let p = Simple(WordCount);
         let flag = AtomicBool::new(false);
-        let input = Bucket::from_records(lines(&["the cat sat", "the cat"]));
+        let input = lines(&["the cat sat", "the cat"]);
         for combine in [false, true] {
             let plain = run_map_task_bucket(&p, 0, &input, 3, combine).unwrap();
             let flagged =
@@ -1073,7 +1020,7 @@ mod tests {
         let input = lines(&["zebra the mat cat", "the cat apple zebra"]);
         for combine in [false, true] {
             for strategy in [CombineStrategy::Hash, CombineStrategy::Sort] {
-                let buckets = run_map_task_with(&p, 0, &input, 3, combine, strategy).unwrap();
+                let buckets = run_map_task_with(&p, 0, &input, 3, combine, strategy, None).unwrap();
                 for b in &buckets {
                     assert!(b.is_sorted(), "combine={combine} strategy={strategy:?}");
                 }
@@ -1092,8 +1039,8 @@ mod tests {
         let p = Simple(WordCount);
         let task_a = lines(&["the cat sat on the mat", "the cat"]);
         let task_b = lines(&["a mat for the cat", "the the the"]);
-        let runs_a = run_map_task(&p, 0, &task_a, parts, false).unwrap();
-        let runs_b = run_map_task(&p, 0, &task_b, parts, false).unwrap();
+        let runs_a = run_map_task_bucket(&p, 0, &task_a, parts, false).unwrap();
+        let runs_b = run_map_task_bucket(&p, 0, &task_b, parts, false).unwrap();
         (0..parts).map(|part| vec![runs_a[part].clone(), runs_b[part].clone()]).collect()
     }
 
@@ -1149,9 +1096,9 @@ mod tests {
     #[test]
     fn merge_kernels_on_empty_runs_are_empty() {
         let p = Simple(WordCount);
-        assert!(run_reduce_task_merge(&p, 0, &[]).unwrap().is_empty());
+        assert!(run_reduce_task_merge::<Bucket>(&p, 0, &[]).unwrap().is_empty());
         assert!(run_reduce_task_merge(&p, 0, &[Bucket::new(), Bucket::new()]).unwrap().is_empty());
-        let fused = run_reduce_map_task_merge(&Chain, 0, 0, &[], 2, false).unwrap();
+        let fused = run_reduce_map_task_merge::<Bucket>(&Chain, 0, 0, &[], 2, false).unwrap();
         assert!(fused.iter().all(|b| b.is_empty()));
     }
 

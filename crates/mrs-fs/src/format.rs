@@ -76,11 +76,43 @@ pub struct RunInfo {
 /// whether the producer advertised them as such). The sortedness verdict
 /// covers only the records this call appended.
 pub fn read_bucket_run(b: &[u8], out: &mut Bucket) -> Result<RunInfo> {
-    // Raw bytes and stored frames parse in place; only a compressed
-    // frame is decoded into a buffer of its own first.
-    let (unframed, claimed_sorted) =
-        mrs_codec::decode_frame_sorted_cow(b).map_err(|e| Error::Codec(e.to_string()))?;
-    let mut b = unframed.as_ref();
+    let (unframed, claimed_sorted) = unframe(b)?;
+    let mut sorted = true;
+    let mut prev: Option<&[u8]> = None;
+    parse_records(&unframed, |k, v| {
+        if prev.is_some_and(|p| p > k) {
+            sorted = false;
+        }
+        prev = Some(k);
+        out.push(k, v);
+    })?;
+    Ok(RunInfo { claimed_sorted, sorted })
+}
+
+/// Parse one bucket file straight into owned records appended to `out`:
+/// the driver's `fetch_all` edge, where a `Vec<Record>` is the result
+/// type and a [`Bucket`] in between would only be copied out of again.
+/// On error `out` is left as it was.
+pub fn read_bucket_records(b: &[u8], out: &mut Vec<Record>) -> Result<()> {
+    let start = out.len();
+    let parsed = unframe(b).and_then(|(unframed, _)| {
+        parse_records(&unframed, |k, v| out.push((k.to_vec(), v.to_vec())))
+    });
+    if parsed.is_err() {
+        out.truncate(start);
+    }
+    parsed
+}
+
+/// Strip the `MRSF1` frame, if any: raw bytes and stored frames are
+/// borrowed in place, only a compressed frame is decoded into a buffer
+/// of its own. Also returns whether the frame advertised a sorted run.
+fn unframe(b: &[u8]) -> Result<(std::borrow::Cow<'_, [u8]>, bool)> {
+    mrs_codec::decode_frame_sorted_cow(b).map_err(|e| Error::Codec(e.to_string()))
+}
+
+/// Walk the records of an unframed `MRSB1` bucket file.
+fn parse_records<'b>(mut b: &'b [u8], mut sink: impl FnMut(&'b [u8], &'b [u8])) -> Result<()> {
     let magic =
         b.get(..BUCKET_MAGIC.len()).ok_or_else(|| Error::Codec("bucket file too short".into()))?;
     if magic != BUCKET_MAGIC {
@@ -88,8 +120,6 @@ pub fn read_bucket_run(b: &[u8], out: &mut Bucket) -> Result<RunInfo> {
     }
     b = &b[BUCKET_MAGIC.len()..];
     let (count, mut rest) = read_varint(b)?;
-    let mut sorted = true;
-    let mut prev: Option<&[u8]> = None;
     for _ in 0..count {
         let (klen, r) = read_varint(rest)?;
         if klen > r.len() as u64 {
@@ -101,17 +131,13 @@ pub fn read_bucket_run(b: &[u8], out: &mut Bucket) -> Result<RunInfo> {
             return Err(Error::Codec("truncated bucket value".into()));
         }
         let (v, r) = r.split_at(vlen as usize);
-        if prev.is_some_and(|p| p > k) {
-            sorted = false;
-        }
-        prev = Some(k);
-        out.push(k, v);
+        sink(k, v);
         rest = r;
     }
     if !rest.is_empty() {
         return Err(Error::Codec(format!("{} trailing bytes in bucket file", rest.len())));
     }
-    Ok(RunInfo { claimed_sorted, sorted })
+    Ok(())
 }
 
 /// Turn text into `(line_no, line)` records. Line numbers start at
@@ -134,12 +160,20 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Decode through the arena path and hand back owned records — what
-    /// every former `read_bucket_bytes` caller actually wanted.
+    /// Decode through both readers — the arena path and the driver-edge
+    /// record path must agree — and hand back owned records.
     fn read_records(b: &[u8]) -> Result<Vec<Record>> {
         let mut bucket = Bucket::new();
-        read_bucket_into(b, &mut bucket)?;
-        Ok(bucket.to_records())
+        let arena = read_bucket_into(b, &mut bucket).map(|()| bucket.to_records());
+        let mut records = vec![(b"kept".to_vec(), vec![])];
+        let direct = read_bucket_records(b, &mut records);
+        assert_eq!(arena.is_ok(), direct.is_ok(), "{arena:?} vs {direct:?}");
+        assert_eq!(records[0].0, b"kept", "earlier records stay");
+        assert_eq!(records.len() - 1, arena.as_ref().map_or(0, Vec::len), "no partial append");
+        if let Ok(arena) = &arena {
+            assert_eq!(&records[1..], arena);
+        }
+        arena
     }
 
     #[test]

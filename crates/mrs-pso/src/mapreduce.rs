@@ -44,6 +44,7 @@ pub enum IslandMsg {
 }
 
 impl Datum for IslandMsg {
+    mrs_core::datum_owned_view!();
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             IslandMsg::Island(i) => {

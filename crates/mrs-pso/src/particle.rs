@@ -58,6 +58,7 @@ pub enum PsoMessage {
 }
 
 impl Datum for Particle {
+    mrs_core::datum_owned_view!();
     fn encode(&self, buf: &mut Vec<u8>) {
         self.id.encode(buf);
         self.iteration.encode(buf);
@@ -83,6 +84,7 @@ impl Datum for Particle {
 }
 
 impl Datum for PsoMessage {
+    mrs_core::datum_owned_view!();
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             PsoMessage::Particle(p) => {

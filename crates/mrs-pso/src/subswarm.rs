@@ -19,6 +19,7 @@ use mrs_rng::StreamFactory;
 pub struct Island(pub Vec<Particle>);
 
 impl Datum for Island {
+    mrs_core::datum_owned_view!();
     fn encode(&self, buf: &mut Vec<u8>) {
         mrs_core::kv::write_varint(self.0.len() as u64, buf);
         for p in &self.0 {

@@ -555,7 +555,7 @@ mod tests {
         fn map(&self, k: u64, v: u64, emit: &mut dyn FnMut(u64, u64)) {
             emit(k % 2, v);
         }
-        fn reduce(&self, _k: &u64, vs: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
+        fn reduce(&self, _k: u64, vs: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
             emit(vs.sum());
         }
     }

@@ -3,40 +3,122 @@
 //! A dataset is a list of *splits*; a map or reduce task reads one split's
 //! worth of input. Splitting input data evenly across a target task count
 //! is the runtimes' first scheduling decision.
+//!
+//! Records are `(Vec<u8>, Vec<u8>)` only in `JobApi::local_data`
+//! arguments and `fetch_all` results. In between, every in-process plane
+//! holds each split, run and op output as an `Arc<Bucket>`: a task takes
+//! its input by reference count, and the two conversions at the edges
+//! ([`split_buckets`], [`materialize`]) each run once per dataset.
 
-use mrs_core::Record;
+use crate::metrics::JobMetrics;
+use mrs_core::task::{
+    run_reduce_map_task, run_reduce_map_task_merge, run_reduce_task, run_reduce_task_merge,
+};
+use mrs_core::{Bucket, FuncId, MergeMode, Program, Record, Result};
+use std::sync::Arc;
 
 /// Identifies a dataset within one job (sources and op outputs alike).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DataId(pub u32);
 
-/// A fully materialized dataset: `splits[i]` is the record list of split i.
-pub type Dataset = Vec<Vec<Record>>;
+/// Lengths of `splits` contiguous, nearly equal pieces of `n` records.
+fn split_lens(n: usize, splits: usize) -> impl Iterator<Item = usize> {
+    assert!(splits > 0, "need at least one split");
+    (0..splits).map(move |i| n / splits + usize::from(i < n % splits))
+}
 
 /// Split `records` into `splits` contiguous, nearly equal pieces. Always
 /// returns exactly `splits` pieces (some possibly empty), preserving order.
-pub fn split_evenly(records: Vec<Record>, splits: usize) -> Dataset {
-    assert!(splits > 0, "need at least one split");
-    let n = records.len();
-    let base = n / splits;
-    let extra = n % splits;
-    let mut out = Vec::with_capacity(splits);
+pub fn split_evenly(records: Vec<Record>, splits: usize) -> Vec<Vec<Record>> {
     let mut iter = records.into_iter();
-    for i in 0..splits {
-        let take = base + usize::from(i < extra);
-        out.push(iter.by_ref().take(take).collect());
+    split_lens(iter.len(), splits).map(|take| iter.by_ref().take(take).collect()).collect()
+}
+
+/// The pieces of [`split_evenly`] as borrowed slices.
+pub(crate) fn split_slices(records: &[Record], splits: usize) -> impl Iterator<Item = &[Record]> {
+    let mut rest = records;
+    split_lens(records.len(), splits).map(move |take| {
+        let (head, tail) = rest.split_at(take);
+        rest = tail;
+        head
+    })
+}
+
+/// The `local_data` edge: the caller's records copied once into one
+/// arena-backed bucket per split.
+pub(crate) fn split_buckets(records: &[Record], splits: usize) -> Vec<Arc<Bucket>> {
+    split_slices(records, splits).map(|s| Arc::new(Bucket::from_slice(s))).collect()
+}
+
+/// The `fetch_all` edge: owned records copied once out of `buckets`.
+pub(crate) fn materialize(buckets: &[Arc<Bucket>]) -> Vec<Record> {
+    let mut out = Vec::with_capacity(buckets.iter().map(|b| b.len()).sum());
+    for b in buckets {
+        out.extend(b.records());
     }
     out
 }
 
-/// Flatten a dataset back into one record list (split order preserved).
-pub fn gather(dataset: Dataset) -> Vec<Record> {
-    dataset.into_iter().flatten().collect()
+/// Partition `p` of every task of a map-like dataset, taken by reference
+/// count. In-process runs come straight off the map kernels, which
+/// guarantee sorted output — in merge mode every run counts as presorted.
+pub(crate) fn partition_runs<'a>(
+    tasks: impl Iterator<Item = &'a Vec<Arc<Bucket>>>,
+    p: usize,
+    merge: MergeMode,
+    metrics: &mut JobMetrics,
+) -> Vec<Arc<Bucket>> {
+    let t0 = std::time::Instant::now();
+    let runs: Vec<Arc<Bucket>> = tasks.map(|task| Arc::clone(&task[p])).collect();
+    if merge == MergeMode::Merge {
+        let records = runs.iter().map(|r| r.len()).sum();
+        metrics.record_merge_input(runs.len(), runs.len(), records, t0.elapsed());
+    }
+    runs
 }
 
-/// Total records across all splits.
-pub fn total_len(dataset: &Dataset) -> usize {
-    dataset.iter().map(Vec::len).sum()
+/// All of `runs` in one bucket, in run order: what the single serial map
+/// task reads, and the concatenate+sort oracle's input.
+pub(crate) fn concat(runs: &[Arc<Bucket>]) -> Bucket {
+    let bytes = runs.iter().map(|r| r.byte_size()).sum();
+    let mut out = Bucket::with_capacity(runs.iter().map(|r| r.len()).sum(), bytes);
+    for run in runs {
+        out.extend_from(run);
+    }
+    out
+}
+
+/// One reduce task over a partition's `runs`, assembled as `merge` says.
+pub(crate) fn reduce_runs(
+    program: &dyn Program,
+    func: FuncId,
+    runs: &[Arc<Bucket>],
+    merge: MergeMode,
+) -> Result<Bucket> {
+    match merge {
+        MergeMode::Merge => run_reduce_task_merge(program, func, runs),
+        MergeMode::Sort => run_reduce_task(program, func, concat(runs)),
+    }
+}
+
+/// One fused reduce+map task over a partition's `runs`.
+pub(crate) fn reduce_map_runs(
+    program: &dyn Program,
+    reduce_func: FuncId,
+    map_func: FuncId,
+    runs: &[Arc<Bucket>],
+    parts: usize,
+    combine: bool,
+    merge: MergeMode,
+) -> Result<Vec<Bucket>> {
+    match merge {
+        MergeMode::Merge => {
+            run_reduce_map_task_merge(program, reduce_func, map_func, runs, parts, combine)
+        }
+        MergeMode::Sort => {
+            run_reduce_map_task(program, reduce_func, map_func, concat(runs), parts, combine)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -63,7 +145,7 @@ mod tests {
     fn split_more_splits_than_records() {
         let ds = split_evenly(recs(2), 5);
         assert_eq!(ds.len(), 5);
-        assert_eq!(total_len(&ds), 2);
+        assert_eq!(ds.concat().len(), 2);
     }
 
     #[test]
@@ -74,10 +156,15 @@ mod tests {
     }
 
     #[test]
-    fn gather_inverts_split() {
+    fn every_split_shape_holds_the_same_pieces_in_order() {
         let original = recs(17);
         let ds = split_evenly(original.clone(), 5);
-        assert_eq!(gather(ds), original);
+        assert_eq!(ds.concat(), original);
+        assert!(split_slices(&original, 5).eq(ds.iter().map(Vec::as_slice)));
+        let buckets = split_buckets(&original, 5);
+        assert!(buckets.iter().map(|b| b.to_records()).eq(ds.iter().cloned()));
+        assert_eq!(materialize(&buckets), original);
+        assert_eq!(concat(&buckets).to_records(), original);
     }
 
     #[test]

@@ -211,10 +211,10 @@ mod tests {
         type V1 = String;
         type K2 = u64;
         type V2 = u64;
-        fn map(&self, _k: u64, _v: String, emit: &mut dyn FnMut(u64, u64)) {
+        fn map(&self, _k: u64, _v: &str, emit: &mut dyn FnMut(u64, u64)) {
             emit(0, 1);
         }
-        fn reduce(&self, _k: &u64, vs: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
+        fn reduce(&self, _k: u64, vs: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
             emit(vs.sum());
         }
     }

@@ -64,7 +64,7 @@ pub mod serial;
 pub mod slave;
 
 pub use cli::{main_with, CliOptions, Implementation};
-pub use data::{DataId, Dataset};
+pub use data::DataId;
 pub use dataplane::DataPlaneStats;
 pub use distributed::LocalCluster;
 pub use job::{Job, JobApi};

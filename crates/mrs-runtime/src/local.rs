@@ -18,15 +18,14 @@
 //! output stays byte-identical to the distributed planes with speculation
 //! on or off (the implementations-agree oracle enforces it).
 
-use crate::data::{split_evenly, DataId, Dataset};
+use crate::data::{
+    materialize, partition_runs, reduce_map_runs, reduce_runs, split_buckets, DataId,
+};
 use crate::dataplane::DataPlaneStats;
 use crate::job::JobApi;
 use crate::metrics::JobMetrics;
 use mrs_codec::CompressMode;
-use mrs_core::task::{
-    run_map_task, run_reduce_map_task, run_reduce_map_task_merge, run_reduce_task,
-    run_reduce_task_merge, MergeMode,
-};
+use mrs_core::task::{run_map_task_bucket, MergeMode};
 use mrs_core::{Bucket, Error, FuncId, Program, Record, Result};
 use mrs_fs::format::write_bucket;
 use mrs_fs::Store;
@@ -42,35 +41,41 @@ struct TaskRef {
     index: usize,
 }
 
+/// A finished task's output buckets: `parts` of them for a map-like
+/// task, the one output split for a reduce task. Shared by reference
+/// count with every task that reads them.
+type TaskOut = Vec<Arc<Bucket>>;
+
+/// What the tasks of an operation run.
+#[derive(Clone, Copy, Debug)]
+enum OpKind {
+    /// One task per input split, each producing `parts` buckets.
+    Map { func: FuncId, parts: usize, combine: bool },
+    /// One task per input partition, each producing one bucket.
+    Reduce { func: FuncId },
+    /// Fused reduce+map: one task per input partition, map-like output.
+    ReduceMap { reduce_func: FuncId, map_func: FuncId, parts: usize, combine: bool },
+}
+
+impl OpKind {
+    /// Buckets per task when the output is map-like (reducible).
+    fn parts(self) -> Option<usize> {
+        match self {
+            OpKind::Map { parts, .. } | OpKind::ReduceMap { parts, .. } => Some(parts),
+            OpKind::Reduce { .. } => None,
+        }
+    }
+}
+
 #[derive(Debug)]
 enum DsState {
-    /// Fully materialized source data.
-    Source(Dataset),
-    /// A map operation's output: per task, `parts` buckets.
-    MapOut {
+    /// Source data, one bucket per split.
+    Source(Vec<Arc<Bucket>>),
+    /// An operation's output, per task; `remaining` tasks are still out.
+    Op {
+        kind: OpKind,
         input: DataId,
-        func: FuncId,
-        parts: usize,
-        combine: bool,
-        tasks: Vec<Option<Vec<Bucket>>>,
-        remaining: usize,
-    },
-    /// A reduce operation's output: one record list per partition.
-    ReduceOut {
-        input: DataId,
-        func: FuncId,
-        tasks: Vec<Option<Vec<Record>>>,
-        remaining: usize,
-    },
-    /// A fused reduce+map operation's output: map-like (per task, `parts`
-    /// buckets), one task per partition of the input.
-    ReduceMapOut {
-        input: DataId,
-        reduce_func: FuncId,
-        map_func: FuncId,
-        parts: usize,
-        combine: bool,
-        tasks: Vec<Option<Vec<Bucket>>>,
+        tasks: Vec<Option<TaskOut>>,
         remaining: usize,
     },
     Discarded,
@@ -78,13 +83,7 @@ enum DsState {
 
 impl DsState {
     fn complete(&self) -> bool {
-        match self {
-            DsState::Source(_) => true,
-            DsState::MapOut { remaining, .. }
-            | DsState::ReduceOut { remaining, .. }
-            | DsState::ReduceMapOut { remaining, .. } => *remaining == 0,
-            DsState::Discarded => true,
-        }
+        !matches!(self, DsState::Op { remaining: 1.., .. })
     }
 }
 
@@ -227,18 +226,15 @@ impl Drop for LocalRuntime {
 
 /// Is task `t` ready, given current dataset states?
 fn ready(st: &State, t: TaskRef) -> bool {
-    match &st.datasets[t.data.0 as usize] {
-        DsState::MapOut { input, .. } => match &st.datasets[input.0 as usize] {
-            DsState::Source(_) => true,
-            DsState::ReduceOut { tasks, .. } => tasks[t.index].is_some(),
-            _ => false,
-        },
+    let DsState::Op { kind, input, .. } = &st.datasets[t.data.0 as usize] else { return false };
+    match (kind, &st.datasets[input.0 as usize]) {
+        // A map task only waits for its own input split.
+        (OpKind::Map { .. }, DsState::Source(_)) => true,
+        (OpKind::Map { .. }, DsState::Op { tasks, .. }) => tasks[t.index].is_some(),
+        (OpKind::Map { .. }, DsState::Discarded) => false,
         // Reduce-like tasks (plain or fused) gather one partition from
         // *every* task of the input, so they wait for the whole op.
-        DsState::ReduceOut { input, .. } | DsState::ReduceMapOut { input, .. } => {
-            st.datasets[input.0 as usize].complete()
-        }
-        _ => false,
+        (_, input) => input.complete(),
     }
 }
 
@@ -258,127 +254,62 @@ fn promote(st: &mut State) -> usize {
     moved
 }
 
-/// Clone the input records for a task (under the lock; execution happens
-/// outside it). In spill mode (`count_handover`) each map-output bucket a
-/// reduce task receives is an in-memory handover of data that the
-/// distributed runtime would fetch over a socket — counted as a
-/// short-circuit fetch so mock-parallel metrics mirror colocated fetches,
-/// and as an eager fragment: on one core every fragment is available the
-/// instant its producer finishes, so mock-parallel is the perfect-overlap
-/// oracle the eager shuffle plane is measured against.
+/// One task, ready to run outside the lock: what to run and its input by
+/// reference count — the one split of a map task, or partition `index` of
+/// every task of a reduce-like task's input.
+struct TaskWork {
+    kind: OpKind,
+    input: Vec<Arc<Bucket>>,
+    merge: MergeMode,
+}
+
+impl TaskWork {
+    fn op(&self) -> Op {
+        match self.kind {
+            OpKind::Map { .. } => Op::Map,
+            OpKind::Reduce { .. } => Op::Reduce,
+            OpKind::ReduceMap { .. } => Op::ReduceMap,
+        }
+    }
+}
+
+/// Take a task's input (under the lock: O(1) per split or run, never per
+/// record; execution happens outside it). In spill mode (`count_handover`)
+/// each map-output bucket a reduce task receives is an in-memory handover
+/// of data that the distributed runtime would fetch over a socket —
+/// counted as a short-circuit fetch so mock-parallel metrics mirror
+/// colocated fetches, and as an eager fragment: on one core every fragment
+/// is available the instant its producer finishes, so mock-parallel is the
+/// perfect-overlap oracle the eager shuffle plane is measured against.
 fn task_input(st: &mut State, t: TaskRef, count_handover: bool) -> Result<TaskWork> {
-    match &st.datasets[t.data.0 as usize] {
-        DsState::MapOut { input, func, parts, combine, .. } => {
-            let records = match &st.datasets[input.0 as usize] {
-                DsState::Source(ds) => ds[t.index].clone(),
-                DsState::ReduceOut { tasks, .. } => tasks[t.index]
-                    .clone()
-                    .ok_or_else(|| Error::Invalid("map input split not ready".into()))?,
-                _ => return Err(Error::Invalid("bad map input".into())),
-            };
-            Ok(TaskWork::Map { records, func: *func, parts: *parts, combine: *combine })
-        }
-        DsState::ReduceOut { input, func, .. } => {
-            let func = *func;
-            let (input, handovers) = gather_partition(st, *input, t.index)?;
-            if count_handover {
-                st.metrics.record_dataplane(DataPlaneStats {
-                    shortcircuit_fetches: handovers,
-                    eager_fragments: handovers,
-                    ..DataPlaneStats::default()
-                });
-            }
-            Ok(TaskWork::Reduce { input, func })
-        }
-        DsState::ReduceMapOut { input, reduce_func, map_func, parts, combine, .. } => {
-            let (reduce_func, map_func, parts, combine) =
-                (*reduce_func, *map_func, *parts, *combine);
-            let (input, handovers) = gather_partition(st, *input, t.index)?;
-            if count_handover {
-                st.metrics.record_dataplane(DataPlaneStats {
-                    shortcircuit_fetches: handovers,
-                    eager_fragments: handovers,
-                    ..DataPlaneStats::default()
-                });
-            }
-            Ok(TaskWork::ReduceMap { input, reduce_func, map_func, parts, combine })
-        }
-        _ => Err(Error::Invalid("task on non-op dataset".into())),
-    }
-}
-
-/// One reduce-like task's gathered input, shaped by the [`MergeMode`]:
-/// the per-task runs kept separate for the k-way merge, or partition
-/// `index` of every task concatenated into one bucket.
-enum ReduceInput {
-    Runs(Vec<Bucket>),
-    Concat(Bucket),
-}
-
-/// Gather partition `index` of every task of a map-like dataset,
-/// returning the input (shaped by the configured merge mode) and the
-/// number of in-memory handovers.
-fn gather_partition(st: &mut State, input: DataId, index: usize) -> Result<(ReduceInput, u64)> {
-    let merge = st.merge;
-    let t0 = std::time::Instant::now();
-    let (DsState::MapOut { tasks, .. } | DsState::ReduceMapOut { tasks, .. }) =
-        &st.datasets[input.0 as usize]
-    else {
-        return Err(Error::Invalid("reduce input is not a map-like output".into()));
+    let DsState::Op { kind, input, .. } = &st.datasets[t.data.0 as usize] else {
+        return Err(Error::Invalid("task on non-op dataset".into()));
     };
-    let handovers = tasks.len() as u64;
-    match merge {
-        MergeMode::Merge => {
-            let mut runs = Vec::with_capacity(tasks.len());
-            for task in tasks {
-                let buckets =
-                    task.as_ref().ok_or_else(|| Error::Invalid("map task not done".into()))?;
-                runs.push(buckets[index].clone());
+    let kind = *kind;
+    let input = match (kind, &st.datasets[input.0 as usize]) {
+        (OpKind::Map { .. }, DsState::Source(splits)) => vec![Arc::clone(&splits[t.index])],
+        (OpKind::Map { .. }, DsState::Op { kind: OpKind::Reduce { .. }, tasks, .. }) => tasks
+            [t.index]
+            .clone()
+            .ok_or_else(|| Error::Invalid("map input split not ready".into()))?,
+        (OpKind::Map { .. }, _) => return Err(Error::Invalid("bad map input".into())),
+        (_, DsState::Op { tasks, .. }) => {
+            let runs = partition_runs(tasks.iter().flatten(), t.index, st.merge, &mut st.metrics);
+            if runs.len() != tasks.len() {
+                return Err(Error::Invalid("map task not done".into()));
             }
-            // In-process runs come straight off the map kernels, which
-            // guarantee sorted output — every run counts as presorted.
-            let records = runs.iter().map(Bucket::len).sum();
-            st.metrics.record_merge_input(runs.len(), runs.len(), records, t0.elapsed());
-            Ok((ReduceInput::Runs(runs), handovers))
-        }
-        MergeMode::Sort => {
-            let mut bucket = Bucket::new();
-            for task in tasks {
-                let buckets =
-                    task.as_ref().ok_or_else(|| Error::Invalid("map task not done".into()))?;
-                bucket.extend_from(&buckets[index]);
+            if count_handover {
+                st.metrics.record_dataplane(DataPlaneStats {
+                    shortcircuit_fetches: runs.len() as u64,
+                    eager_fragments: runs.len() as u64,
+                    ..DataPlaneStats::default()
+                });
             }
-            Ok((ReduceInput::Concat(bucket), handovers))
+            runs
         }
-    }
-}
-
-enum TaskWork {
-    Map {
-        records: Vec<Record>,
-        func: FuncId,
-        parts: usize,
-        combine: bool,
-    },
-    Reduce {
-        input: ReduceInput,
-        func: FuncId,
-    },
-    ReduceMap {
-        input: ReduceInput,
-        reduce_func: FuncId,
-        map_func: FuncId,
-        parts: usize,
-        combine: bool,
-    },
-}
-
-fn op_of(work: &TaskWork) -> Op {
-    match work {
-        TaskWork::Map { .. } => Op::Map,
-        TaskWork::Reduce { .. } => Op::Reduce,
-        TaskWork::ReduceMap { .. } => Op::ReduceMap,
-    }
+        _ => return Err(Error::Invalid("reduce input is not a map-like output".into())),
+    };
+    Ok(TaskWork { kind, input, merge: st.merge })
 }
 
 fn worker_loop(shared: &Shared, lane: u32) {
@@ -407,166 +338,103 @@ fn worker_loop(shared: &Shared, lane: u32) {
 
         // The attempt reaches back to when the task left the queue, so
         // the gathered-input window (the in-memory shuffle handover,
-        // assembled under the scheduler lock) is on the timeline too.
-        let tag = Tag::task(op_of(&work), task.data.0, task.index, 1);
+        // taken under the scheduler lock) is on the timeline too.
+        let tag = Tag::task(work.op(), task.data.0, task.index, 1);
         th.begin_at(picked_us, Name::Attempt, tag);
-        if !matches!(work, TaskWork::Map { .. }) {
+        if work.op() != Op::Map {
             th.begin_at(picked_us, Name::Merge, tag);
             th.end(Name::Merge, tag);
         }
         th.instant(Name::Dispatch, tag);
 
-        let outcome = execute(shared, task, work, &th, tag);
-        th.end(Name::Attempt, tag);
+        let t0 = std::time::Instant::now();
+        let outcome = execute(shared, task, &work, &th, tag);
 
+        // The attempt ends and reports in the critical section that
+        // publishes its completion: once `wait` sees the dataset
+        // complete, every event of its tasks is already in the trace.
         let mut st = shared.state.lock();
-        match outcome {
+        th.end(Name::Attempt, tag);
+        let committed = outcome.and_then(|out| {
+            th.instant(Name::Report, tag);
+            let bytes = out.iter().map(|b| b.byte_size()).sum();
+            match work.kind {
+                OpKind::Map { .. } => st.metrics.record_map(t0.elapsed(), bytes),
+                OpKind::Reduce { .. } => st.metrics.record_reduce(t0.elapsed()),
+                OpKind::ReduceMap { .. } => st.metrics.record_reducemap_task(t0.elapsed(), bytes),
+            }
+            commit(&mut st, task, out)
+        });
+        match committed {
             Ok(()) => {
-                th.instant(Name::Report, tag);
                 st.metrics.record_task();
                 promote(&mut st);
             }
-            Err(e) => {
-                st.error = Some(e.to_string());
-            }
+            Err(e) => st.error = Some(e.to_string()),
         }
         shared.cv.notify_all();
     }
 }
 
-fn execute(shared: &Shared, t: TaskRef, work: TaskWork, th: &TraceHandle, tag: Tag) -> Result<()> {
-    match work {
-        TaskWork::Map { records, func, parts, combine } => {
-            let t0 = std::time::Instant::now();
-            th.begin(Name::Exec, tag);
-            let buckets = run_map_task(shared.program.as_ref(), func, &records, parts, combine);
-            th.end(Name::Exec, tag);
-            let buckets = buckets?;
-            let bytes: usize = buckets.iter().map(|b| b.byte_size()).sum();
-            if let Some(store) = &shared.spill {
-                th.begin(Name::Emit, tag);
-                for (p, b) in buckets.iter().enumerate() {
-                    let path = format!("ds{}/map{}/b{p}.mrsb", t.data.0, t.index);
-                    store.put(
-                        &path,
-                        &mrs_codec::encode_vec(write_bucket(b), shared.spill_compress),
-                    )?;
-                }
-                th.end(Name::Emit, tag);
-            }
-            let mut st = shared.state.lock();
-            st.metrics.record_map(t0.elapsed(), bytes);
-            let DsState::MapOut { tasks, remaining, .. } = &mut st.datasets[t.data.0 as usize]
-            else {
-                return Err(Error::Invalid("map task on non-map dataset".into()));
-            };
-            tasks[t.index] = Some(buckets);
-            *remaining -= 1;
-            if *remaining == 0 {
-                st.metrics.record_dataset_live();
-                op_completed(&mut st, t.data);
-            }
-            Ok(())
+/// Run one task outside the scheduler lock and, in spill mode, write its
+/// output buckets to the store.
+fn execute(
+    shared: &Shared,
+    t: TaskRef,
+    work: &TaskWork,
+    th: &TraceHandle,
+    tag: Tag,
+) -> Result<TaskOut> {
+    let program = shared.program.as_ref();
+    th.begin(Name::Exec, tag);
+    let (input, merge) = (work.input.as_slice(), work.merge);
+    let out = match work.kind {
+        OpKind::Map { func, parts, combine } => {
+            run_map_task_bucket(program, func, &input[0], parts, combine)
         }
-        TaskWork::Reduce { input, func } => {
-            let t0 = std::time::Instant::now();
-            th.begin(Name::Exec, tag);
-            let out = match input {
-                ReduceInput::Runs(runs) => {
-                    run_reduce_task_merge(shared.program.as_ref(), func, &runs)
-                }
-                ReduceInput::Concat(bucket) => {
-                    run_reduce_task(shared.program.as_ref(), func, bucket)
-                }
-            };
-            th.end(Name::Exec, tag);
-            let out = out?;
-            if let Some(store) = &shared.spill {
-                th.begin(Name::Emit, tag);
-                let path = format!("ds{}/reduce{}.mrsb", t.data.0, t.index);
-                store.put(
-                    &path,
-                    &mrs_codec::encode_vec(write_bucket(&out), shared.spill_compress),
-                )?;
-                th.end(Name::Emit, tag);
-            }
-            let mut st = shared.state.lock();
-            st.metrics.record_reduce(t0.elapsed());
-            let DsState::ReduceOut { tasks, remaining, .. } = &mut st.datasets[t.data.0 as usize]
-            else {
-                return Err(Error::Invalid("reduce task on non-reduce dataset".into()));
-            };
-            tasks[t.index] = Some(out.into_records());
-            *remaining -= 1;
-            if *remaining == 0 {
-                st.metrics.record_dataset_live();
-                op_completed(&mut st, t.data);
-            }
-            Ok(())
+        OpKind::Reduce { func } => reduce_runs(program, func, input, merge).map(|out| vec![out]),
+        OpKind::ReduceMap { reduce_func, map_func, parts, combine } => {
+            reduce_map_runs(program, reduce_func, map_func, input, parts, combine, merge)
         }
-        TaskWork::ReduceMap { input, reduce_func, map_func, parts, combine } => {
-            let t0 = std::time::Instant::now();
-            th.begin(Name::Exec, tag);
-            let out = match input {
-                ReduceInput::Runs(runs) => run_reduce_map_task_merge(
-                    shared.program.as_ref(),
-                    reduce_func,
-                    map_func,
-                    &runs,
-                    parts,
-                    combine,
-                ),
-                ReduceInput::Concat(bucket) => run_reduce_map_task(
-                    shared.program.as_ref(),
-                    reduce_func,
-                    map_func,
-                    bucket,
-                    parts,
-                    combine,
-                ),
+    };
+    th.end(Name::Exec, tag);
+    let out = out?;
+    if let Some(store) = &shared.spill {
+        th.begin(Name::Emit, tag);
+        let stem = format!("ds{}/{}{}", t.data.0, work.op().as_str(), t.index);
+        for (p, b) in out.iter().enumerate() {
+            // A reduce task's one output bucket is the file itself.
+            let path = match work.kind {
+                OpKind::Reduce { .. } => format!("{stem}.mrsb"),
+                _ => format!("{stem}/b{p}.mrsb"),
             };
-            th.end(Name::Exec, tag);
-            let out = out?;
-            let bytes: usize = out.iter().map(Bucket::byte_size).sum();
-            if let Some(store) = &shared.spill {
-                th.begin(Name::Emit, tag);
-                for (p, b) in out.iter().enumerate() {
-                    let path = format!("ds{}/reducemap{}/b{p}.mrsb", t.data.0, t.index);
-                    store.put(
-                        &path,
-                        &mrs_codec::encode_vec(write_bucket(b), shared.spill_compress),
-                    )?;
-                }
-                th.end(Name::Emit, tag);
-            }
-            let mut st = shared.state.lock();
-            st.metrics.record_reducemap_task(t0.elapsed(), bytes);
-            let DsState::ReduceMapOut { tasks, remaining, .. } =
-                &mut st.datasets[t.data.0 as usize]
-            else {
-                return Err(Error::Invalid("reducemap task on non-reducemap dataset".into()));
-            };
-            tasks[t.index] = Some(out);
-            *remaining -= 1;
-            if *remaining == 0 {
-                st.metrics.record_dataset_live();
-                op_completed(&mut st, t.data);
-            }
-            Ok(())
+            store.put(&path, &mrs_codec::encode_vec(write_bucket(b), shared.spill_compress))?;
         }
+        th.end(Name::Emit, tag);
     }
+    Ok(out.into_iter().map(Arc::new).collect())
+}
+
+/// Publish a finished task's output (under the lock).
+fn commit(st: &mut State, t: TaskRef, out: TaskOut) -> Result<()> {
+    let DsState::Op { tasks, remaining, .. } = &mut st.datasets[t.data.0 as usize] else {
+        return Err(Error::Invalid("task output for a non-op dataset".into()));
+    };
+    tasks[t.index] = Some(out);
+    *remaining -= 1;
+    if *remaining == 0 {
+        st.metrics.record_dataset_live();
+        op_completed(st, t.data);
+    }
+    Ok(())
 }
 
 /// Called when an op's last task lands: release the refcount the op held
 /// on its input and, if that was the input's last registered consumer,
 /// reclaim the input's storage (unless GC is off or the driver pinned it).
 fn op_completed(st: &mut State, data: DataId) {
-    let input = match &st.datasets[data.0 as usize] {
-        DsState::MapOut { input, .. }
-        | DsState::ReduceOut { input, .. }
-        | DsState::ReduceMapOut { input, .. } => *input,
-        _ => return,
-    };
+    let DsState::Op { input, .. } = &st.datasets[data.0 as usize] else { return };
+    let input = *input;
     let c = &mut st.consumers[input.0 as usize];
     *c = c.saturating_sub(1);
     if *c == 0 && !st.keep_data && !st.pins.contains(&input.0) {
@@ -581,39 +449,64 @@ fn op_completed(st: &mut State, data: DataId) {
 }
 
 impl LocalRuntime {
-    fn submit(&mut self, ds: DsState, ntasks: usize) -> DataId {
-        let input = match &ds {
-            DsState::MapOut { input, .. }
-            | DsState::ReduceOut { input, .. }
-            | DsState::ReduceMapOut { input, .. } => Some(*input),
-            _ => None,
-        };
+    /// Queue dataset `ds` and one pending task per output task of an op.
+    fn submit(&mut self, ds: DsState) -> DataId {
         let mut st = self.shared.state.lock();
+        let ntasks = match &ds {
+            DsState::Op { input, tasks, .. } => {
+                st.consumers[input.0 as usize] += 1;
+                tasks.len()
+            }
+            // Sources are materialized at submission; op outputs count as
+            // live when their last task lands (see `commit`), so
+            // `peak_live_datasets` tracks held storage, not queue depth.
+            _ => {
+                st.metrics.record_dataset_live();
+                0
+            }
+        };
         st.datasets.push(ds);
         st.consumers.push(0);
-        match input {
-            Some(input) => st.consumers[input.0 as usize] += 1,
-            // Sources are materialized at submission; op outputs count as
-            // live when their last task lands (see `execute`), so
-            // `peak_live_datasets` tracks held storage, not queue depth.
-            None => st.metrics.record_dataset_live(),
-        }
         let id = DataId(st.datasets.len() as u32 - 1);
-        for index in 0..ntasks {
-            st.pending.push(TaskRef { data: id, index });
-        }
+        st.pending.extend((0..ntasks).map(|index| TaskRef { data: id, index }));
         promote(&mut st);
         drop(st);
         self.shared.cv.notify_all();
         id
     }
 
-    fn check_error(st: &State) -> Result<()> {
-        match &st.error {
-            Some(e) => Err(Error::TaskFailed(e.clone())),
-            None => Ok(()),
+    /// Queue an op of `kind` over `input`, with one task per input split
+    /// (map) or per input partition (reduce-like) as `ntasks` finds it.
+    fn submit_op(
+        &mut self,
+        kind: OpKind,
+        input: DataId,
+        ntasks: impl FnOnce(&DsState) -> Result<usize>,
+    ) -> Result<DataId> {
+        if kind.parts() == Some(0) {
+            return Err(Error::Invalid("need at least one partition".into()));
         }
+        let ntasks = {
+            let mut st = self.shared.state.lock();
+            let ds = st.datasets.get(input.0 as usize);
+            let n = ntasks(ds.ok_or_else(|| Error::MissingData(format!("dataset {input:?}")))?)?;
+            if matches!(kind, OpKind::ReduceMap { .. }) {
+                st.metrics.record_fused_op();
+            }
+            n
+        };
+        let tasks = (0..ntasks).map(|_| None).collect();
+        Ok(self.submit(DsState::Op { kind, input, tasks, remaining: ntasks }))
     }
+}
+
+/// Partitions of a map-like dataset: the task count of a reduce-like op.
+fn map_like_parts(ds: &DsState, op: &str) -> Result<usize> {
+    match ds {
+        DsState::Op { kind, .. } => kind.parts(),
+        _ => None,
+    }
+    .ok_or_else(|| Error::Invalid(format!("{op} must consume a map output")))
 }
 
 impl JobApi for LocalRuntime {
@@ -621,7 +514,7 @@ impl JobApi for LocalRuntime {
         if splits == 0 {
             return Err(Error::Invalid("need at least one split".into()));
         }
-        Ok(self.submit(DsState::Source(split_evenly(records, splits)), 0))
+        Ok(self.submit(DsState::Source(split_buckets(&records, splits))))
     }
 
     fn map_data(
@@ -631,54 +524,20 @@ impl JobApi for LocalRuntime {
         parts: usize,
         combine: bool,
     ) -> Result<DataId> {
-        if parts == 0 {
-            return Err(Error::Invalid("need at least one partition".into()));
-        }
-        let ntasks = {
-            let st = self.shared.state.lock();
-            match st.datasets.get(input.0 as usize) {
-                Some(DsState::Source(ds)) => ds.len(),
-                Some(DsState::ReduceOut { tasks, .. }) => tasks.len(),
-                Some(DsState::MapOut { .. } | DsState::ReduceMapOut { .. }) => {
-                    return Err(Error::Invalid("map cannot consume an unreduced map output".into()))
-                }
-                Some(DsState::Discarded) => {
-                    return Err(Error::MissingData(format!("dataset {input:?} was discarded")))
-                }
-                None => return Err(Error::MissingData(format!("dataset {input:?}"))),
+        self.submit_op(OpKind::Map { func, parts, combine }, input, |ds| match ds {
+            DsState::Source(splits) => Ok(splits.len()),
+            DsState::Op { kind: OpKind::Reduce { .. }, tasks, .. } => Ok(tasks.len()),
+            DsState::Op { .. } => {
+                Err(Error::Invalid("map cannot consume an unreduced map output".into()))
             }
-        };
-        Ok(self.submit(
-            DsState::MapOut {
-                input,
-                func,
-                parts,
-                combine,
-                tasks: (0..ntasks).map(|_| None).collect(),
-                remaining: ntasks,
-            },
-            ntasks,
-        ))
+            DsState::Discarded => {
+                Err(Error::MissingData(format!("dataset {input:?} was discarded")))
+            }
+        })
     }
 
     fn reduce_data(&mut self, input: DataId, func: FuncId) -> Result<DataId> {
-        let parts = {
-            let st = self.shared.state.lock();
-            match st.datasets.get(input.0 as usize) {
-                Some(DsState::MapOut { parts, .. } | DsState::ReduceMapOut { parts, .. }) => *parts,
-                Some(_) => return Err(Error::Invalid("reduce must consume a map output".into())),
-                None => return Err(Error::MissingData(format!("dataset {input:?}"))),
-            }
-        };
-        Ok(self.submit(
-            DsState::ReduceOut {
-                input,
-                func,
-                tasks: (0..parts).map(|_| None).collect(),
-                remaining: parts,
-            },
-            parts,
-        ))
+        self.submit_op(OpKind::Reduce { func }, input, |ds| map_like_parts(ds, "reduce"))
     }
 
     fn reduce_map_data(
@@ -689,33 +548,8 @@ impl JobApi for LocalRuntime {
         parts: usize,
         combine: bool,
     ) -> Result<DataId> {
-        if parts == 0 {
-            return Err(Error::Invalid("need at least one partition".into()));
-        }
-        let ntasks = {
-            let mut st = self.shared.state.lock();
-            let n = match st.datasets.get(input.0 as usize) {
-                Some(DsState::MapOut { parts, .. } | DsState::ReduceMapOut { parts, .. }) => *parts,
-                Some(_) => {
-                    return Err(Error::Invalid("reduce_map must consume a map-like output".into()))
-                }
-                None => return Err(Error::MissingData(format!("dataset {input:?}"))),
-            };
-            st.metrics.record_fused_op();
-            n
-        };
-        Ok(self.submit(
-            DsState::ReduceMapOut {
-                input,
-                reduce_func,
-                map_func,
-                parts,
-                combine,
-                tasks: (0..ntasks).map(|_| None).collect(),
-                remaining: ntasks,
-            },
-            ntasks,
-        ))
+        let kind = OpKind::ReduceMap { reduce_func, map_func, parts, combine };
+        self.submit_op(kind, input, |ds| map_like_parts(ds, "reduce_map"))
     }
 
     fn keep(&mut self, data: DataId) {
@@ -725,7 +559,9 @@ impl JobApi for LocalRuntime {
     fn wait(&mut self, data: DataId) -> Result<()> {
         let mut st = self.shared.state.lock();
         loop {
-            Self::check_error(&st)?;
+            if let Some(e) = &st.error {
+                return Err(Error::TaskFailed(e.clone()));
+            }
             match st.datasets.get(data.0 as usize) {
                 None => return Err(Error::MissingData(format!("dataset {data:?}"))),
                 Some(ds) if ds.complete() => return Ok(()),
@@ -737,21 +573,16 @@ impl JobApi for LocalRuntime {
 
     fn fetch_all(&mut self, data: DataId) -> Result<Vec<Record>> {
         self.wait(data)?;
-        let st = self.shared.state.lock();
-        match &st.datasets[data.0 as usize] {
-            DsState::Source(ds) => Ok(ds.iter().flatten().cloned().collect()),
-            DsState::MapOut { tasks, .. } | DsState::ReduceMapOut { tasks, .. } => Ok(tasks
-                .iter()
-                .flatten()
-                .flat_map(|buckets| buckets.iter().flat_map(|b| b.to_records()))
-                .collect()),
-            DsState::ReduceOut { tasks, .. } => {
-                Ok(tasks.iter().flatten().flatten().cloned().collect())
-            }
+        // Under the lock only the reference counts move; the records are
+        // materialized once, after it is released.
+        let buckets: Vec<Arc<Bucket>> = match &self.shared.state.lock().datasets[data.0 as usize] {
+            DsState::Source(splits) => splits.clone(),
+            DsState::Op { tasks, .. } => tasks.iter().flatten().flatten().cloned().collect(),
             DsState::Discarded => {
-                Err(Error::MissingData(format!("dataset {data:?} was discarded")))
+                return Err(Error::MissingData(format!("dataset {data:?} was discarded")))
             }
-        }
+        };
+        Ok(materialize(&buckets))
     }
 
     fn discard(&mut self, data: DataId) {
@@ -759,12 +590,10 @@ impl JobApi for LocalRuntime {
         // Refuse while any incomplete consumer still needs this data —
         // discarding it would leave those tasks unready forever. Discard is
         // advisory per the JobApi contract, so ignoring is always safe.
-        let has_live_consumer = st.datasets.iter().any(|ds| match ds {
-            DsState::MapOut { input, remaining, .. }
-            | DsState::ReduceOut { input, remaining, .. }
-            | DsState::ReduceMapOut { input, remaining, .. } => *input == data && *remaining > 0,
-            _ => false,
-        });
+        let has_live_consumer = st
+            .datasets
+            .iter()
+            .any(|ds| matches!(ds, DsState::Op { input, remaining: 1.., .. } if *input == data));
         if has_live_consumer {
             return;
         }
@@ -794,18 +623,13 @@ mod tests {
         type K2 = String;
         type V2 = u64;
 
-        fn map(&self, _k: u64, v: String, emit: &mut dyn FnMut(String, u64)) {
+        fn map(&self, _k: u64, v: &str, emit: &mut dyn FnMut(&str, u64)) {
             for w in v.split_whitespace() {
-                emit(w.to_owned(), 1);
+                emit(w, 1);
             }
         }
 
-        fn reduce(
-            &self,
-            _k: &String,
-            vs: &mut dyn Iterator<Item = u64>,
-            emit: &mut dyn FnMut(u64),
-        ) {
+        fn reduce(&self, _k: &str, vs: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
             emit(vs.sum());
         }
 
@@ -897,12 +721,12 @@ mod tests {
             type V1 = u64;
             type K2 = String;
             type V2 = u64;
-            fn map(&self, k: String, v: u64, emit: &mut dyn FnMut(String, u64)) {
+            fn map(&self, k: &str, v: u64, emit: &mut dyn FnMut(&str, u64)) {
                 emit(k, v);
             }
             fn reduce(
                 &self,
-                _k: &String,
+                _k: &str,
                 vs: &mut dyn Iterator<Item = u64>,
                 emit: &mut dyn FnMut(u64),
             ) {
@@ -963,12 +787,12 @@ mod tests {
             type V1 = u64;
             type K2 = String;
             type V2 = u64;
-            fn map(&self, k: String, v: u64, emit: &mut dyn FnMut(String, u64)) {
+            fn map(&self, k: &str, v: u64, emit: &mut dyn FnMut(&str, u64)) {
                 emit(k, v + 1);
             }
             fn reduce(
                 &self,
-                _k: &String,
+                _k: &str,
                 vs: &mut dyn Iterator<Item = u64>,
                 emit: &mut dyn FnMut(u64),
             ) {
@@ -1001,7 +825,7 @@ mod tests {
             emit(k % 5, v + 1);
             emit((k * 3 + 1) % 5, v);
         }
-        fn reduce(&self, _k: &u64, vs: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
+        fn reduce(&self, _k: u64, vs: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
             emit(vs.sum());
         }
         fn has_combiner(&self) -> bool {
@@ -1161,36 +985,81 @@ mod tests {
     #[test]
     fn trace_covers_every_task_across_worker_lanes() {
         use mrs_trace::{Kind, Name, MASTER_PID};
-        let mut rt = LocalRuntime::pool(Arc::new(Simple(WordCount)), 4);
+        // Looped: the last attempt's end and report used to be recorded
+        // after its completion was published, so a trace taken right after
+        // `wait` returned could miss them about once in a hundred runs.
+        for _ in 0..200 {
+            let mut rt = LocalRuntime::pool(Arc::new(Simple(WordCount)), 4);
+            {
+                let mut job = Job::new(&mut rt);
+                job.map_reduce(input(&["a b a", "c a", "b b c", "a"]), 3, 4, true).unwrap();
+            }
+            let trace = rt.take_trace();
+            assert_eq!(trace.dropped, 0);
+            let count = |n: Name, k: Kind| trace.count(|g| g.event.name == n && g.event.kind == k);
+            // 3 map tasks + 4 reduce partitions.
+            assert_eq!(count(Name::Attempt, Kind::Begin), 7);
+            assert_eq!(count(Name::Attempt, Kind::End), 7);
+            assert_eq!(count(Name::Exec, Kind::Begin), 7);
+            assert_eq!(count(Name::Merge, Kind::Begin), 4, "one merge per reduce");
+            assert_eq!(count(Name::Dispatch, Kind::Instant), 7);
+            assert_eq!(count(Name::Report, Kind::Instant), 7);
+            // Scheduler instants sit on the master row; execution spans keep
+            // their worker lane under the single slave pid.
+            assert!(trace
+                .events
+                .iter()
+                .all(|g| (g.pid == MASTER_PID)
+                    == matches!(g.event.name, Name::Dispatch | Name::Report)));
+            assert!(trace.events.iter().all(|g| g.pid == MASTER_PID || g.event.lane < 4));
+            let cov = trace.coverage();
+            assert_eq!(cov.len(), 7);
+            for c in &cov {
+                // Tasks here finish in microseconds, so bound the uncovered
+                // remainder absolutely rather than as a flaky ratio.
+                assert!(
+                    c.window_us - c.covered_us < 1_000,
+                    "attempt should fill its window: {c:?}"
+                );
+            }
+            let json = trace.chrome_json();
+            assert!(json.contains("\"ph\":\"B\"") && json.contains("process_name"));
+        }
+    }
+
+    #[test]
+    fn tasks_take_their_input_by_reference_count_and_fetch_all_repeats() {
+        let mut rt = LocalRuntime::pool(Arc::new(Simple(Rotate)), 2);
+        let src = rt.local_data(rotate_input(), 2).unwrap();
+        let mapped = rt.map_data(src, 0, 3, false).unwrap();
+        rt.wait(mapped).unwrap();
+        rt.keep(mapped);
         {
-            let mut job = Job::new(&mut rt);
-            job.map_reduce(input(&["a b a", "c a", "b b c", "a"]), 3, 4, true).unwrap();
+            let mut st = rt.shared.state.lock();
+            let map_task = TaskRef { data: mapped, index: 1 };
+            let split = task_input(&mut st, map_task, false).unwrap().input;
+            let DsState::Source(splits) = &st.datasets[src.0 as usize] else { panic!("source") };
+            assert_eq!(split.len(), 1);
+            assert!(Arc::ptr_eq(&split[0], &splits[1]), "the split is handed over, not copied");
         }
-        let trace = rt.take_trace();
-        assert_eq!(trace.dropped, 0);
-        let count = |n: Name, k: Kind| trace.count(|g| g.event.name == n && g.event.kind == k);
-        // 3 map tasks + 4 reduce partitions.
-        assert_eq!(count(Name::Attempt, Kind::Begin), 7);
-        assert_eq!(count(Name::Attempt, Kind::End), 7);
-        assert_eq!(count(Name::Exec, Kind::Begin), 7);
-        assert_eq!(count(Name::Merge, Kind::Begin), 4, "one merge per reduce");
-        assert_eq!(count(Name::Dispatch, Kind::Instant), 7);
-        assert_eq!(count(Name::Report, Kind::Instant), 7);
-        // Scheduler instants sit on the master row; execution spans keep
-        // their worker lane under the single slave pid.
-        assert!(trace.events.iter().all(
-            |g| (g.pid == MASTER_PID) == matches!(g.event.name, Name::Dispatch | Name::Report)
-        ));
-        assert!(trace.events.iter().all(|g| g.pid == MASTER_PID || g.event.lane < 4));
-        let cov = trace.coverage();
-        assert_eq!(cov.len(), 7);
-        for c in &cov {
-            // Tasks here finish in microseconds, so bound the uncovered
-            // remainder absolutely rather than as a flaky ratio.
-            assert!(c.window_us - c.covered_us < 1_000, "attempt should fill its window: {c:?}");
+        let reduced = rt.reduce_data(mapped, 0).unwrap();
+        rt.keep(reduced);
+        rt.wait(reduced).unwrap();
+        {
+            let mut st = rt.shared.state.lock();
+            let reduce_task = TaskRef { data: reduced, index: 2 };
+            let runs = task_input(&mut st, reduce_task, false).unwrap().input;
+            let DsState::Op { tasks, .. } = &st.datasets[mapped.0 as usize] else {
+                panic!("map output")
+            };
+            assert_eq!(runs.len(), 2, "one run per map task");
+            for (run, task) in runs.iter().zip(tasks) {
+                assert!(Arc::ptr_eq(run, &task.as_ref().unwrap()[2]), "runs are handed over");
+            }
         }
-        let json = trace.chrome_json();
-        assert!(json.contains("\"ph\":\"B\"") && json.contains("process_name"));
+        let first = rt.fetch_all(reduced).unwrap();
+        assert!(!first.is_empty());
+        assert_eq!(rt.fetch_all(reduced).unwrap(), first, "fetch_all leaves the dataset intact");
     }
 
     #[test]

@@ -26,12 +26,12 @@
 //! the earliest instant a slave could cross the death timeout — no loop
 //! here discovers state by fixed-interval sleep.
 
-use crate::data::{split_evenly, DataId};
+use crate::data::{split_slices, DataId};
 use crate::dataplane;
 use crate::job::JobApi;
 use crate::metrics::JobMetrics;
 use crate::proto::{
-    fetch_records, Assignment, CancelOrder, ControlMode, DataPlane, Dispatch, EagerFragment,
+    fetch_records_into, Assignment, CancelOrder, ControlMode, DataPlane, Dispatch, EagerFragment,
     SpeculateMode, TaskKind, TaskMsg, TaskReport, TraceBatch,
 };
 use mrs_codec::CompressMode;
@@ -1519,7 +1519,7 @@ impl JobApi for Master {
             st.datasets.len() as u32 - 1
         };
         let mut urls = Vec::with_capacity(splits);
-        for (i, split) in split_evenly(records, splits).iter().enumerate() {
+        for (i, split) in split_slices(&records, splits).enumerate() {
             urls.push(self.put_source_split(id, i, split)?);
         }
         let mut st = self.shared.state.lock();
@@ -1706,13 +1706,10 @@ impl JobApi for Master {
             let mut out = Vec::new();
             let mut failed = false;
             for url in urls {
-                match fetch_records(&url, shared.as_ref()) {
-                    Ok(records) => out.extend(records),
-                    Err(e) => {
-                        last_err = Some(e);
-                        failed = true;
-                        break;
-                    }
+                if let Err(e) = fetch_records_into(&url, shared.as_ref(), &mut out) {
+                    last_err = Some(e);
+                    failed = true;
+                    break;
                 }
             }
             if !failed {

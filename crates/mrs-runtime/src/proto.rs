@@ -7,8 +7,8 @@
 
 use crate::dataplane;
 use mrs_codec::FrameError;
-use mrs_core::{Bucket, Error, Record, Result};
-use mrs_fs::format::read_bucket_into;
+use mrs_core::{Error, Record, Result};
+use mrs_fs::format::read_bucket_records;
 use mrs_fs::{BucketUrl, Store};
 use mrs_rpc::xmlrpc::Value;
 use mrs_rpc::FrameCache;
@@ -644,29 +644,28 @@ impl std::fmt::Debug for DataPlane {
 /// Fetch and parse a bucket by URL. `shared` resolves `file://`/`mem://`
 /// URLs; `http://` URLs are fetched from the owning peer's data server.
 pub fn fetch_records(url: &str, shared: Option<&Arc<dyn Store>>) -> Result<Vec<Record>> {
-    fetch_records_local_first(url, shared, None, None)
+    let mut out = Vec::new();
+    fetch_records_into(url, shared, &mut out)?;
+    Ok(out)
 }
 
-/// Like [`fetch_records`], but an `http://` URL whose authority is
-/// `own_authority` is read straight from `own_cache` instead of going
-/// through a socket — the short-circuit real Mrs gets for free by reading
-/// its own local files, which is what makes task→slave affinity pay even
-/// for data the slave itself produced (§IV-A).
-pub fn fetch_records_local_first(
+/// [`fetch_records`] appending to `out`: the driver's `fetch_all` parses
+/// every fetched bucket straight into its one result vector.
+pub fn fetch_records_into(
     url: &str,
     shared: Option<&Arc<dyn Store>>,
-    own_authority: Option<&str>,
-    own_cache: Option<&FrameCache>,
-) -> Result<Vec<Record>> {
-    let bytes = fetch_bucket_bytes_local_first(url, shared, own_authority, own_cache)?;
-    let mut bucket = Bucket::new();
-    read_bucket_into(&bytes, &mut bucket)?;
-    Ok(bucket.to_records())
+    out: &mut Vec<Record>,
+) -> Result<()> {
+    read_bucket_records(&fetch_bucket_bytes_local_first(url, shared, None, None)?, out)
 }
 
-/// The transfer half of [`fetch_records_local_first`]: resolve the URL
-/// and return the raw (decoded `MRSB1`) bucket bytes without parsing
-/// them. The reduce path uses this to decode several fetched buckets
+/// The transfer half of a fetch: resolve the URL and return the raw
+/// (decoded `MRSB1`) bucket bytes without parsing them. An `http://` URL
+/// whose authority is `own_authority` is read straight from `own_cache`
+/// instead of going through a socket — the short-circuit real Mrs gets
+/// for free by reading its own local files, which is what makes
+/// task→slave affinity pay even for data the slave itself produced
+/// (§IV-A). The reduce path uses this to decode several fetched buckets
 /// straight into one arena instead of materializing a `Vec<Record>` per
 /// bucket.
 ///
@@ -1015,11 +1014,14 @@ mod tests {
         cache.insert("d0/t0/b0.mrsb", frame);
         let url = "http://127.0.0.1:1/data/d0/t0/b0.mrsb";
         let before = dataplane::snapshot();
-        let got = fetch_records_local_first(url, None, Some("127.0.0.1:1"), Some(&cache)).unwrap();
-        assert_eq!(got, records);
+        let got =
+            fetch_bucket_bytes_local_first(url, None, Some("127.0.0.1:1"), Some(&cache)).unwrap();
+        assert_eq!(got, write_bucket_bytes(&records));
         assert!(dataplane::snapshot().since(before).shortcircuit_fetches >= 1);
         // A different authority still goes to the network (and fails here).
-        assert!(fetch_records_local_first(url, None, Some("127.0.0.1:2"), Some(&cache)).is_err());
+        assert!(
+            fetch_bucket_bytes_local_first(url, None, Some("127.0.0.1:2"), Some(&cache)).is_err()
+        );
     }
 
     #[test]

@@ -5,16 +5,14 @@
 //! inline at submission time, so `wait` is a no-op; this is the reference
 //! implementation against which the others are checked.
 
-use crate::data::{gather, DataId, Dataset};
+use crate::data::{
+    concat, materialize, partition_runs, reduce_map_runs, reduce_runs, split_buckets, DataId,
+};
 use crate::job::JobApi;
 use crate::metrics::JobMetrics;
-use mrs_core::task::{
-    run_map_task, run_reduce_map_task, run_reduce_map_task_merge, run_reduce_task,
-    run_reduce_task_merge, MergeMode,
-};
+use mrs_core::task::{run_map_task_bucket, MergeMode};
 use mrs_core::{Bucket, Error, FuncId, Program, Record, Result};
 use mrs_trace::{JobTrace, Name, Op, Recorder, Tag, TraceHandle};
-use std::borrow::Cow;
 use std::sync::Arc;
 
 /// The serial runtime. Create one per job via [`SerialRuntime::new`].
@@ -28,20 +26,14 @@ pub struct SerialRuntime {
 }
 
 enum SerialData {
-    /// Materialized records (sources and reduce outputs), one split each.
-    Plain(Dataset),
+    /// Sources and reduce outputs: one bucket per split.
+    Plain(Vec<Arc<Bucket>>),
     /// Map-like output (map or fused reducemap): per task, per partition
     /// buckets. Serial runs one map task (`len() == 1`), but a reducemap
     /// runs one task per input partition.
-    Mapped(Vec<Vec<Bucket>>),
+    Mapped(Vec<Vec<Arc<Bucket>>>),
     /// Reclaimed by `discard`.
     Discarded,
-}
-
-/// One partition's gathered reduce input, shaped by the [`MergeMode`].
-enum ReduceInput {
-    Runs(Vec<Bucket>),
-    Concat(Bucket),
 }
 
 impl SerialRuntime {
@@ -80,40 +72,14 @@ impl SerialRuntime {
     /// The per-task buckets of a map-like dataset, borrowed from its slot.
     /// Takes the dataset table, not `self`, so callers keep using the
     /// recorder and metrics while they hold the borrow.
-    fn mapped<'d>(datasets: &'d [SerialData], id: DataId, op: &str) -> Result<&'d [Vec<Bucket>]> {
+    fn mapped<'d>(
+        datasets: &'d [SerialData],
+        id: DataId,
+        op: &str,
+    ) -> Result<&'d [Vec<Arc<Bucket>>]> {
         match datasets.get(id.0 as usize) {
             Some(SerialData::Mapped(tasks)) => Ok(tasks),
             _ => Err(Error::Invalid(format!("{op} must consume a map output"))),
-        }
-    }
-
-    /// Gather partition `p` of every task as the reduce input, in the
-    /// shape the configured [`MergeMode`] wants: either the per-task runs
-    /// kept separate for the k-way merge, or one concatenated bucket.
-    /// Either way each bucket is copied once.
-    fn partition_input(
-        merge: MergeMode,
-        metrics: &mut JobMetrics,
-        tasks: &[Vec<Bucket>],
-        p: usize,
-    ) -> ReduceInput {
-        match merge {
-            MergeMode::Merge => {
-                let t0 = std::time::Instant::now();
-                let runs: Vec<Bucket> = tasks.iter().map(|task| task[p].clone()).collect();
-                let records: usize = runs.iter().map(Bucket::len).sum();
-                // In-process runs come straight off the map kernels, which
-                // guarantee sorted output — every run counts as presorted.
-                metrics.record_merge_input(runs.len(), runs.len(), records, t0.elapsed());
-                ReduceInput::Runs(runs)
-            }
-            MergeMode::Sort => {
-                let mut bucket = Bucket::new();
-                for task in tasks {
-                    bucket.extend_from(&task[p]);
-                }
-                ReduceInput::Concat(bucket)
-            }
         }
     }
 
@@ -127,12 +93,43 @@ impl SerialRuntime {
         self.datasets.push(d);
         DataId(self.datasets.len() as u32 - 1)
     }
+
+    /// Run every reduce-like task of the op that consumes `input`: per
+    /// partition, take its runs by reference count (the Merge span), hand
+    /// them to `kernel` (the Exec span) and collect what it returns.
+    fn reduce_like<T>(
+        &mut self,
+        input: DataId,
+        op: Op,
+        kernel: impl Fn(&dyn Program, &[Arc<Bucket>], MergeMode) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        let what = if op == Op::Reduce { "reduce" } else { "reducemap" };
+        let tasks = Self::mapped(&self.datasets, input, what)?;
+        let parts = tasks.first().map_or(0, Vec::len);
+        let out_data = self.datasets.len() as u32;
+        let mut outs = Vec::with_capacity(parts);
+        for p in 0..parts {
+            let tag = Tag::task(op, out_data, p, 1);
+            self.th.instant(Name::Dispatch, tag);
+            self.th.begin(Name::Attempt, tag);
+            self.th.begin(Name::Merge, tag);
+            let runs = partition_runs(tasks.iter(), p, self.merge, &mut self.metrics);
+            self.th.end(Name::Merge, tag);
+            self.th.begin(Name::Exec, tag);
+            let out = kernel(self.program.as_ref(), &runs, self.merge);
+            self.th.end(Name::Exec, tag);
+            self.th.end(Name::Attempt, tag);
+            outs.push(out?);
+            self.th.instant(Name::Report, tag);
+        }
+        Ok(outs)
+    }
 }
 
 impl JobApi for SerialRuntime {
     fn local_data(&mut self, records: Vec<Record>, _splits: usize) -> Result<DataId> {
         // Serial ignores the split hint: everything is one task.
-        Ok(self.push(SerialData::Plain(vec![records])))
+        Ok(self.push(SerialData::Plain(split_buckets(&records, 1))))
     }
 
     fn map_data(
@@ -143,12 +140,12 @@ impl JobApi for SerialRuntime {
         combine: bool,
     ) -> Result<DataId> {
         // One split (every source) is mapped where it lies; only a
-        // multi-split reduce output is flattened into the one slice the
-        // single serial map task reads.
-        let records: Cow<'_, [Record]> = match self.get(input)? {
-            SerialData::Plain(ds) => match ds.as_slice() {
-                [split] => Cow::Borrowed(split),
-                splits => Cow::Owned(splits.concat()),
+        // multi-split reduce output is concatenated into the one bucket
+        // the single serial map task reads.
+        let split = match self.get(input)? {
+            SerialData::Plain(splits) => match splits.as_slice() {
+                [split] => Arc::clone(split),
+                splits => Arc::new(concat(splits)),
             },
             SerialData::Mapped(_) => {
                 return Err(Error::Invalid("map cannot consume an unreduced map output".into()))
@@ -162,41 +159,20 @@ impl JobApi for SerialRuntime {
         self.th.begin(Name::Attempt, tag);
         self.th.begin(Name::Exec, tag);
         let t0 = std::time::Instant::now();
-        let buckets = run_map_task(self.program.as_ref(), func, &records, parts, combine);
+        let buckets = run_map_task_bucket(self.program.as_ref(), func, &split, parts, combine);
         self.th.end(Name::Exec, tag);
         self.th.end(Name::Attempt, tag);
         let buckets = buckets?;
         self.th.instant(Name::Report, tag);
         self.metrics.record_map(t0.elapsed(), buckets.iter().map(|b| b.byte_size()).sum());
-        Ok(self.push(SerialData::Mapped(vec![buckets])))
+        Ok(self.push(SerialData::Mapped(vec![buckets.into_iter().map(Arc::new).collect()])))
     }
 
     fn reduce_data(&mut self, input: DataId, func: FuncId) -> Result<DataId> {
-        let tasks = Self::mapped(&self.datasets, input, "reduce")?;
-        let parts = tasks.first().map_or(0, Vec::len);
         let t0 = std::time::Instant::now();
-        let mut splits = Vec::with_capacity(parts);
-        let out_data = self.datasets.len() as u32;
-        for p in 0..parts {
-            let tag = Tag::task(Op::Reduce, out_data, p, 1);
-            self.th.instant(Name::Dispatch, tag);
-            self.th.begin(Name::Attempt, tag);
-            self.th.begin(Name::Merge, tag);
-            let input = Self::partition_input(self.merge, &mut self.metrics, tasks, p);
-            self.th.end(Name::Merge, tag);
-            self.th.begin(Name::Exec, tag);
-            let out = match input {
-                ReduceInput::Runs(runs) => {
-                    run_reduce_task_merge(self.program.as_ref(), func, &runs)
-                }
-                ReduceInput::Concat(bucket) => run_reduce_task(self.program.as_ref(), func, bucket),
-            };
-            self.th.end(Name::Exec, tag);
-            self.th.end(Name::Attempt, tag);
-            let out = out?;
-            self.th.instant(Name::Report, tag);
-            splits.push(out.into_records());
-        }
+        let splits = self.reduce_like(input, Op::Reduce, |program, runs, merge| {
+            reduce_runs(program, func, runs, merge).map(Arc::new)
+        })?;
         self.metrics.record_reduce(t0.elapsed());
         Ok(self.push(SerialData::Plain(splits)))
     }
@@ -209,48 +185,16 @@ impl JobApi for SerialRuntime {
         parts: usize,
         combine: bool,
     ) -> Result<DataId> {
-        let tasks = Self::mapped(&self.datasets, input, "reducemap")?;
-        let in_parts = tasks.first().map_or(0, Vec::len);
         let t0 = std::time::Instant::now();
-        let mut out_tasks = Vec::with_capacity(in_parts);
-        let out_data = self.datasets.len() as u32;
-        for p in 0..in_parts {
-            let tag = Tag::task(Op::ReduceMap, out_data, p, 1);
-            self.th.instant(Name::Dispatch, tag);
-            self.th.begin(Name::Attempt, tag);
-            self.th.begin(Name::Merge, tag);
-            let input = Self::partition_input(self.merge, &mut self.metrics, tasks, p);
-            self.th.end(Name::Merge, tag);
-            self.th.begin(Name::Exec, tag);
-            let out = match input {
-                ReduceInput::Runs(runs) => run_reduce_map_task_merge(
-                    self.program.as_ref(),
-                    reduce_func,
-                    map_func,
-                    &runs,
-                    parts,
-                    combine,
-                ),
-                ReduceInput::Concat(bucket) => run_reduce_map_task(
-                    self.program.as_ref(),
-                    reduce_func,
-                    map_func,
-                    bucket,
-                    parts,
-                    combine,
-                ),
-            };
-            self.th.end(Name::Exec, tag);
-            self.th.end(Name::Attempt, tag);
-            let out = out?;
-            self.th.instant(Name::Report, tag);
-            out_tasks.push(out);
-        }
+        let out_tasks = self.reduce_like(input, Op::ReduceMap, |program, runs, merge| {
+            reduce_map_runs(program, reduce_func, map_func, runs, parts, combine, merge)
+                .map(|out| out.into_iter().map(Arc::new).collect::<Vec<_>>())
+        })?;
         let elapsed = t0.elapsed();
         self.metrics.record_fused_op();
         for task in &out_tasks {
-            let bytes = task.iter().map(Bucket::byte_size).sum();
-            self.metrics.record_reducemap_task(elapsed / in_parts.max(1) as u32, bytes);
+            let bytes = task.iter().map(|b| b.byte_size()).sum();
+            self.metrics.record_reducemap_task(elapsed / out_tasks.len().max(1) as u32, bytes);
         }
         Ok(self.push(SerialData::Mapped(out_tasks)))
     }
@@ -262,10 +206,8 @@ impl JobApi for SerialRuntime {
 
     fn fetch_all(&mut self, data: DataId) -> Result<Vec<Record>> {
         match self.get(data)? {
-            SerialData::Plain(ds) => Ok(gather(ds.clone())),
-            SerialData::Mapped(tasks) => {
-                Ok(tasks.iter().flatten().flat_map(|b| b.to_records()).collect())
-            }
+            SerialData::Plain(splits) => Ok(materialize(splits)),
+            SerialData::Mapped(tasks) => Ok(materialize(&tasks.concat())),
             SerialData::Discarded => {
                 Err(Error::MissingData(format!("dataset {data:?} was discarded")))
             }
@@ -294,18 +236,13 @@ mod tests {
         type K2 = String;
         type V2 = u64;
 
-        fn map(&self, _k: u64, v: String, emit: &mut dyn FnMut(String, u64)) {
+        fn map(&self, _k: u64, v: &str, emit: &mut dyn FnMut(&str, u64)) {
             for w in v.split_whitespace() {
-                emit(w.to_owned(), 1);
+                emit(w, 1);
             }
         }
 
-        fn reduce(
-            &self,
-            _k: &String,
-            vs: &mut dyn Iterator<Item = u64>,
-            emit: &mut dyn FnMut(u64),
-        ) {
+        fn reduce(&self, _k: &str, vs: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
             emit(vs.sum());
         }
 
@@ -417,7 +354,7 @@ mod tests {
             emit((k + 1) % 3, v);
         }
 
-        fn reduce(&self, _k: &u64, vs: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
+        fn reduce(&self, _k: u64, vs: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
             emit(vs.sum());
         }
     }

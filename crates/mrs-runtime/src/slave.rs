@@ -1334,18 +1334,13 @@ mod tests {
         type K2 = String;
         type V2 = u64;
 
-        fn map(&self, _k: u64, v: String, emit: &mut dyn FnMut(String, u64)) {
+        fn map(&self, _k: u64, v: &str, emit: &mut dyn FnMut(&str, u64)) {
             for w in v.split_whitespace() {
-                emit(w.to_owned(), 1);
+                emit(w, 1);
             }
         }
 
-        fn reduce(
-            &self,
-            _k: &String,
-            vs: &mut dyn Iterator<Item = u64>,
-            emit: &mut dyn FnMut(u64),
-        ) {
+        fn reduce(&self, _k: &str, vs: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
             emit(vs.sum());
         }
     }

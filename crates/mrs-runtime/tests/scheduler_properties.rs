@@ -29,7 +29,7 @@ impl MapReduce for FanFold {
         }
     }
 
-    fn reduce(&self, _k: &u64, vs: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
+    fn reduce(&self, _k: u64, vs: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
         // Order-insensitive fold (sum + count mixed in).
         let mut sum = 0u64;
         let mut count = 0u64;

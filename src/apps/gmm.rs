@@ -36,6 +36,7 @@ pub struct SuffStats {
 }
 
 impl Datum for SuffStats {
+    mrs_core::datum_owned_view!();
     fn encode(&self, buf: &mut Vec<u8>) {
         self.resp.encode(buf);
         self.x_sum.encode(buf);
@@ -209,7 +210,7 @@ impl MapReduce for Gmm {
 
     fn reduce(
         &self,
-        _j: &u64,
+        _j: u64,
         values: &mut dyn Iterator<Item = SuffStats>,
         emit: &mut dyn FnMut(SuffStats),
     ) {

@@ -17,7 +17,7 @@ impl MapReduce for Grep {
     type K2 = u64; // line number (so output can be re-ordered)
     type V2 = String; // matching line
 
-    fn map(&self, line_no: u64, line: String, emit: &mut dyn FnMut(u64, String)) {
+    fn map(&self, line_no: u64, line: &str, emit: &mut dyn FnMut(u64, &str)) {
         if line.contains(&self.pattern) {
             emit(line_no, line);
         }
@@ -25,9 +25,9 @@ impl MapReduce for Grep {
 
     fn reduce(
         &self,
-        _line_no: &u64,
-        values: &mut dyn Iterator<Item = String>,
-        emit: &mut dyn FnMut(String),
+        _line_no: u64,
+        values: &mut dyn Iterator<Item = &str>,
+        emit: &mut dyn FnMut(&str),
     ) {
         for line in values {
             emit(line);

@@ -30,6 +30,7 @@ pub struct Partial {
 }
 
 impl Datum for Partial {
+    mrs_core::datum_owned_view!();
     fn encode(&self, buf: &mut Vec<u8>) {
         self.sum.encode(buf);
         self.count.encode(buf);
@@ -151,7 +152,7 @@ impl MapReduce for KMeans {
 
     fn reduce(
         &self,
-        _cluster: &u64,
+        _cluster: u64,
         values: &mut dyn Iterator<Item = Partial>,
         emit: &mut dyn FnMut(Partial),
     ) {

@@ -25,6 +25,7 @@ pub struct GradPart {
 }
 
 impl Datum for GradPart {
+    mrs_core::datum_owned_view!();
     fn encode(&self, buf: &mut Vec<u8>) {
         self.grad.encode(buf);
         self.count.encode(buf);
@@ -134,7 +135,7 @@ impl MapReduce for LogReg {
 
     fn reduce(
         &self,
-        _k: &u64,
+        _k: u64,
         values: &mut dyn Iterator<Item = GradPart>,
         emit: &mut dyn FnMut(GradPart),
     ) {

@@ -166,7 +166,7 @@ impl MapReduce for PiEstimator {
 
     fn reduce(
         &self,
-        _key: &u64,
+        _key: u64,
         values: &mut dyn Iterator<Item = (u64, u64)>,
         emit: &mut dyn FnMut((u64, u64)),
     ) {

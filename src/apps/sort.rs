@@ -12,6 +12,7 @@
 //! equal numeric order (see `mrs_core::kv`), exactly the property the
 //! shuffle sort needs.
 
+use mrs_core::bucket::key_prefix;
 use mrs_core::kv::encode_record;
 use mrs_core::{Datum, Error, MapReduce, Record, Result};
 use mrs_rng::{Rng64, SplitMix64};
@@ -23,6 +24,9 @@ pub struct RangeSort {
     /// last (ascending). `boundaries.len() + 1` = partition count the
     /// sampler planned for (the job may use fewer or equal `parts`).
     boundaries: Vec<Vec<u8>>,
+    /// [`key_prefix`] of each boundary: what the partitioner searches.
+    /// The boundary bytes are read only where a key's prefix ties.
+    prefixes: Vec<u64>,
 }
 
 impl RangeSort {
@@ -34,13 +38,14 @@ impl RangeSort {
         }
         let mut keys: Vec<Vec<u8>> = sample.iter().map(|(k, _)| k.clone()).collect();
         keys.sort();
-        let boundaries = (1..parts)
+        let boundaries: Vec<Vec<u8>> = (1..parts)
             .map(|i| {
                 let idx = (i * keys.len()) / parts;
                 keys.get(idx).cloned().unwrap_or_default()
             })
             .collect();
-        Ok(RangeSort { boundaries })
+        let prefixes = boundaries.iter().map(|b| key_prefix(b)).collect();
+        Ok(RangeSort { boundaries, prefixes })
     }
 
     /// Draw a deterministic sample of about `n` records.
@@ -63,15 +68,21 @@ impl MapReduce for RangeSort {
         emit(key, value);
     }
 
-    fn reduce(&self, _key: &u64, values: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
+    fn reduce(&self, _key: u64, values: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
         for v in values {
             emit(v);
         }
     }
 
     fn custom_partition(&self, key: &[u8], parts: usize) -> Option<usize> {
-        // First boundary strictly greater than the key names the partition.
-        let planned = self.boundaries.partition_point(|b| b.as_slice() <= key);
+        // The first boundary strictly greater than the key names the
+        // partition. A smaller prefix means a smaller key, so an integer
+        // search settles every boundary but those whose prefix ties.
+        let prefix = key_prefix(key);
+        let end = self.prefixes.partition_point(|&p| p <= prefix);
+        let tied = self.prefixes[..end].iter().rev().take_while(|&&p| p == prefix).count();
+        let ties = &self.boundaries[end - tied..end];
+        let planned = end - tied + ties.partition_point(|b| b.as_slice() <= key);
         Some(planned.min(parts - 1))
     }
 }
@@ -145,6 +156,31 @@ mod tests {
         let max = *counts.iter().max().unwrap();
         let min = *counts.iter().min().unwrap();
         assert!(max < min * 4 + 64, "badly skewed: {counts:?}");
+    }
+
+    #[test]
+    fn prefix_search_assigns_every_key_as_the_byte_search_does() {
+        // Boundaries and keys that tie on the 8-byte prefix, are shorter
+        // than it, or differ only past it.
+        let stems: [&[u8]; 4] = [&[0; 12], b"prefix--\0\0\0\0", b"prefix--tail", &[0xff; 12]];
+        let keys: Vec<Vec<u8>> =
+            stems.iter().flat_map(|s| (0..=12).map(|len| s[..len].to_vec())).collect();
+        for every in [1, 3, 7] {
+            let sample: Vec<Record> =
+                keys.iter().step_by(every).map(|k| (k.clone(), vec![])).collect();
+            for parts in [1, 2, 5, 16] {
+                let sorter = RangeSort::plan(&sample, parts).unwrap();
+                for key in &keys {
+                    let bytewise = sorter.boundaries.partition_point(|b| b <= key);
+                    assert_eq!(
+                        sorter.custom_partition(key, parts),
+                        Some(bytewise.min(parts - 1)),
+                        "key {key:?}, boundaries {:?}",
+                        sorter.boundaries
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ impl MapReduce for Sleepy {
         std::thread::sleep(std::time::Duration::from_millis(100));
         emit(k, v);
     }
-    fn reduce(&self, _k: &u64, vs: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
+    fn reduce(&self, _k: u64, vs: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
         emit(vs.sum());
     }
 }
