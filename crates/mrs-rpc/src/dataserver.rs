@@ -12,7 +12,7 @@
 //! and any `..` component 404 before the provider runs, so providers
 //! backed by a real filesystem need no escaping logic of their own.
 
-use crate::http::{Handler, HttpClient, HttpServer, Request, Response};
+use crate::http::{Handler, HttpClient, HttpServer, Pipelined, Request, Response};
 use mrs_core::{Error, Result};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -167,8 +167,15 @@ impl DataServer {
 /// Fetch a bucket from a peer's data server given `host:port` and the
 /// absolute path component of its URL.
 pub fn fetch(authority: &str, path: &str) -> Result<Vec<u8>> {
-    let (status, body) = HttpClient::get(authority, path)
-        .map_err(|e| Error::Rpc(format!("fetch {authority}{path}: {e}")))?;
+    let answer = HttpClient::get(authority, path).map_err(|e| no_answer(authority, path, &e))?;
+    bucket_of(authority, path, answer)
+}
+
+fn no_answer(authority: &str, path: &str, e: &std::io::Error) -> Error {
+    Error::Rpc(format!("fetch {authority}{path}: {e}"))
+}
+
+fn bucket_of(authority: &str, path: &str, (status, body): (u16, Vec<u8>)) -> Result<Vec<u8>> {
     if status != 200 {
         // The error body is the peer's own diagnosis ("no such bucket",
         // "malformed bucket path", a provider panic message…) — losing it
@@ -177,6 +184,38 @@ pub fn fetch(authority: &str, path: &str) -> Result<Vec<u8>> {
         return Err(Error::MissingData(format!("{authority}{path}: http {status}: {reason}")));
     }
     Ok(body)
+}
+
+/// [`fetch`] for several buckets of one peer, in two halves: this one
+/// puts the pipelined GETs on the wire ([`HttpClient::send_gets`]) and
+/// returns; [`FetchMany::finish`] reads the answers. A caller with
+/// several peers sends to all of them before it waits for any.
+pub fn fetch_many<'a>(authority: &'a str, paths: &'a [&'a str]) -> FetchMany<'a> {
+    FetchMany { authority, paths, batch: HttpClient::send_gets(authority, paths) }
+}
+
+/// Buckets requested from one peer and not yet read.
+pub struct FetchMany<'a> {
+    authority: &'a str,
+    paths: &'a [&'a str],
+    batch: std::io::Result<Pipelined<'a>>,
+}
+
+impl FetchMany<'_> {
+    /// One result per path, in request order, each what [`fetch`] would
+    /// have returned for it; a transport failure is the result of every
+    /// path it left unanswered.
+    pub fn finish(self) -> Vec<Result<Vec<u8>>> {
+        let FetchMany { authority, paths, batch } = self;
+        let mut answers = Vec::with_capacity(paths.len());
+        let failed = batch.and_then(|b| b.finish(&mut answers)).err();
+        let mut out: Vec<_> =
+            paths.iter().zip(answers).map(|(p, a)| bucket_of(authority, p, a)).collect();
+        if let Some(e) = failed {
+            out.extend(paths[out.len()..].iter().map(|p| Err(no_answer(authority, p, &e))));
+        }
+        out
+    }
 }
 
 #[cfg(test)]

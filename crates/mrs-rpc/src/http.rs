@@ -6,6 +6,22 @@
 //! `Connection: close`; the client keeps a process-wide pool of open
 //! connections keyed by authority and transparently retries once on a
 //! stale pooled connection (one the server closed while it sat idle).
+//!
+//! The client pipelines. Every exchange is a [`Pipelined`] batch: its
+//! requests are written back to back in one `write` on one connection
+//! (at most 64 ahead of the answers read, so neither side can block
+//! writing into a full buffer) and the answers are read in request order
+//! — plain HTTP/1.1 pipelining, which the server gets for free by
+//! answering requests one after another from one buffered reader. A
+//! single `get`/`post` is a batch of one and puts the same bytes on the
+//! wire as ever. The contract of a batch: answers come back in request
+//! order; a request the server never answered (it closed the connection
+//! mid-batch, announced or not) is written again on a fresh dial, an
+//! answered one never is, so the batch must be idempotent beyond its
+//! first request — [`HttpClient::get_many`] only offers GETs; and a
+//! connection returns to the pool only when every request written on it
+//! has been answered and the last answer kept it alive — a half-drained
+//! connection (abandoned batch, error mid-answer) is closed instead.
 //! Persistent connections matter here for the same reason they matter in
 //! any shuffle: a job issues O(tasks × partitions) bucket fetches and
 //! O(tasks) control RPCs, and paying a TCP handshake for each turns the
@@ -24,7 +40,7 @@
 //! ([`IO_TIMEOUT`], 10s) or the held request reads as a dead server.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -322,32 +338,33 @@ fn read_request<R: BufRead>(reader: &mut R) -> std::io::Result<Option<(Request, 
         _ => return Err(std::io::Error::other(format!("bad request line {line:?}"))),
     };
     let http10 = parts.next() == Some("HTTP/1.0");
-    let mut content_length = 0usize;
-    let mut connection = String::new();
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            break;
-        }
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
+    let (content_length, connection) = read_headers(reader)?;
+    let mut body = vec![0u8; content_length.unwrap_or(0)];
+    reader.read_exact(&mut body)?;
+    let closes = connection.contains("close") || (http10 && !connection.contains("keep-alive"));
+    Ok(Some((Request { method, path, body }, closes)))
+}
+
+/// Read header lines up to the blank one, for the two headers either side
+/// acts on: `(Content-Length, lower-cased Connection value)`.
+fn read_headers<R: BufRead>(reader: &mut R) -> std::io::Result<(Option<usize>, String)> {
+    let (mut content_length, mut connection) = (None, String::new());
+    let mut line = String::new();
+    while reader.read_line(&mut line)? != 0 && !line.trim_end().is_empty() {
+        if let Some((name, value)) = line.trim_end().split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|e| std::io::Error::other(format!("bad content-length: {e}")))?;
+                let length = value.trim().parse();
+                content_length = Some(
+                    length
+                        .map_err(|e| std::io::Error::other(format!("bad content-length: {e}")))?,
+                );
             } else if name.eq_ignore_ascii_case("connection") {
                 connection = value.trim().to_ascii_lowercase();
             }
         }
+        line.clear();
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    let closes = connection.contains("close") || (http10 && !connection.contains("keep-alive"));
-    Ok(Some((Request { method, path, body }, closes)))
+    Ok((content_length, connection))
 }
 
 fn write_response(
@@ -451,107 +468,36 @@ impl ConnectionPool {
 pub struct HttpClient;
 
 impl HttpClient {
-    /// Issue a request and return `(status, body)`.
-    ///
-    /// A request on a pooled connection that fails (the server closed it
-    /// while idle, or it died with the server) is retried exactly once on
-    /// a freshly dialled connection. Fresh-connection failures propagate:
-    /// those are real errors, not staleness.
+    /// Issue a request and return `(status, body)` — a [`Pipelined`] batch
+    /// of one, with its rule for stale pooled connections.
     pub fn request(
         authority: &str,
         method: &str,
         path: &str,
         body: &[u8],
     ) -> std::io::Result<(u16, Vec<u8>)> {
-        let pool = ConnectionPool::global();
-        if let Some(conn) = pool.checkout(authority) {
-            if let Ok(result) = Self::request_on(&conn, authority, method, path, body) {
-                return Self::finish(pool, authority, conn, result);
-            }
-            // Stale pooled connection: fall through to a fresh dial.
-        }
-        let conn = pool.dial(authority)?;
-        let result = Self::request_on(&conn, authority, method, path, body)?;
-        Self::finish(pool, authority, conn, result)
+        let mut out = Vec::with_capacity(1);
+        Pipelined::send(authority, method, &[path], body)?.finish(&mut out)?;
+        Ok(out.pop().expect("one answer per request"))
     }
 
-    fn finish(
-        pool: &ConnectionPool,
-        authority: &str,
-        conn: TcpStream,
-        (status, body, reusable): (u16, Vec<u8>, bool),
-    ) -> std::io::Result<(u16, Vec<u8>)> {
-        if reusable {
-            pool.checkin(authority, conn);
-        }
-        Ok((status, body))
+    /// GET every path from one peer on one connection, answers in request
+    /// order: [`HttpClient::send_gets`], then [`Pipelined::finish`]. An
+    /// empty batch touches no socket.
+    pub fn get_many(authority: &str, paths: &[&str]) -> std::io::Result<Vec<(u16, Vec<u8>)>> {
+        let mut out = Vec::with_capacity(paths.len());
+        Self::send_gets(authority, paths)?.finish(&mut out)?;
+        Ok(out)
     }
 
-    /// One request/response exchange on an open connection. The extra
-    /// boolean says whether the server agreed to keep the connection open.
-    fn request_on(
-        mut conn: &TcpStream,
-        authority: &str,
-        method: &str,
-        path: &str,
-        body: &[u8],
-    ) -> std::io::Result<(u16, Vec<u8>, bool)> {
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: {authority}\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
-            body.len()
-        );
-        write_message(&mut conn, head, body)?;
-
-        // A fresh BufReader per request is safe: the server sends exactly
-        // one response per request, and we consume it fully below, so no
-        // buffered bytes are lost when the reader is dropped.
-        let mut reader = BufReader::new(conn);
-        let mut status_line = String::new();
-        reader.read_line(&mut status_line)?;
-        if status_line.is_empty() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed before response",
-            ));
-        }
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| std::io::Error::other(format!("bad status line {status_line:?}")))?;
-        let mut content_length: Option<usize> = None;
-        let mut keep_alive = status_line.starts_with("HTTP/1.1");
-        loop {
-            let mut header = String::new();
-            if reader.read_line(&mut header)? == 0 {
-                break;
-            }
-            let header = header.trim_end();
-            if header.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = header.split_once(':') {
-                if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value.trim().parse().ok();
-                } else if name.eq_ignore_ascii_case("connection") {
-                    keep_alive = !value.trim().eq_ignore_ascii_case("close");
-                }
-            }
-        }
-        let mut body = Vec::new();
-        match content_length {
-            Some(n) => {
-                body.resize(n, 0);
-                reader.read_exact(&mut body)?;
-            }
-            None => {
-                // Without a length the body runs to EOF, which also means
-                // the connection cannot be reused.
-                keep_alive = false;
-                reader.read_to_end(&mut body)?;
-            }
-        }
-        Ok((status, body, keep_alive))
+    /// The write half of [`HttpClient::get_many`]: put the batch's request
+    /// heads on the wire and return without reading, so a caller with
+    /// several peers has every peer working before it waits for any.
+    pub fn send_gets<'a>(
+        authority: &'a str,
+        paths: &'a [&'a str],
+    ) -> std::io::Result<Pipelined<'a>> {
+        Pipelined::send(authority, "GET", paths, &[])
     }
 
     /// GET a path.
@@ -573,9 +519,168 @@ impl HttpClient {
     }
 }
 
+/// Most requests written before their answers are read. Bounds the bytes
+/// in flight towards the server (64 GET heads are a few KB, well inside a
+/// socket buffer), so this side never blocks in `write` while the server
+/// blocks writing large frames nobody is reading yet.
+const PIPELINE_MAX: usize = 64;
+
+/// Requests in flight on one connection (HTTP/1.1 pipelining): the first
+/// `PIPELINE_MAX` of them written back to back in one `write`, answers
+/// unread. Dropping it closes the connection — it is half-drained, and
+/// only a fully drained connection may go back to the pool.
+pub struct Pipelined<'a> {
+    authority: &'a str,
+    method: &'a str,
+    paths: &'a [&'a str],
+    /// Sent with every request (empty for GETs).
+    body: &'a [u8],
+    /// The connection carrying the batch; `None` for an empty batch.
+    conn: Option<TcpStream>,
+    /// How many of `paths` have their request written on `conn`, and how
+    /// many have been answered (on any connection).
+    sent: usize,
+    answered: usize,
+    /// `conn` was dialled for this batch, not taken from the pool.
+    fresh: bool,
+}
+
+impl<'a> Pipelined<'a> {
+    /// Write the batch on a pooled connection, or on a fresh dial when
+    /// there is none or it refuses the write.
+    fn send(
+        authority: &'a str,
+        method: &'a str,
+        paths: &'a [&'a str],
+        body: &'a [u8],
+    ) -> std::io::Result<Self> {
+        let sent = paths.len().min(PIPELINE_MAX);
+        let mut batch = Pipelined {
+            authority,
+            method,
+            paths,
+            body,
+            conn: None,
+            sent,
+            answered: 0,
+            fresh: false,
+        };
+        if !paths.is_empty() {
+            let pool = ConnectionPool::global();
+            batch.conn = pool.checkout(authority).filter(|c| batch.write_from(c, 0).is_ok());
+            if batch.conn.is_none() {
+                let conn = pool.dial(authority)?;
+                batch.write_from(&conn, 0)?;
+                (batch.conn, batch.fresh) = (Some(conn), true);
+            }
+        }
+        Ok(batch)
+    }
+
+    /// Write the next (at most [`PIPELINE_MAX`]) requests, starting at
+    /// `paths[from]`, in one `write`.
+    fn write_from(&self, mut conn: &TcpStream, from: usize) -> std::io::Result<()> {
+        let (method, authority, len) = (self.method, self.authority, self.body.len());
+        let mut message = Vec::new();
+        for path in self.paths[from..].iter().take(PIPELINE_MAX) {
+            write!(
+                message,
+                "{method} {path} HTTP/1.1\r\nHost: {authority}\r\nContent-Length: {len}\r\nConnection: keep-alive\r\n\r\n"
+            )?;
+            message.extend_from_slice(self.body);
+        }
+        conn.write_all(&message)
+    }
+
+    /// The read half: append `(status, body)` per path to `out`, in
+    /// request order. A connection that ends before every answer arrived
+    /// (gone stale in the pool — the server closed it while it sat idle,
+    /// or died — or closed by the server mid-batch, with or without
+    /// `Connection: close`) has its unanswered requests written again on
+    /// a fresh dial; answered ones are never repeated. Fresh-connection
+    /// failures with no answer propagate: those are real errors, not
+    /// staleness, and `out` then holds the answers read so far.
+    pub fn finish(mut self, out: &mut Vec<(u16, Vec<u8>)>) -> std::io::Result<()> {
+        let pool = ConnectionPool::global();
+        while self.answered < self.paths.len() {
+            let before = self.answered;
+            let conn = match self.conn.take() {
+                Some(conn) => conn,
+                None => {
+                    (self.sent, self.fresh) = (before, true);
+                    pool.dial(self.authority)?
+                }
+            };
+            match self.drain(&conn, out) {
+                Ok(true) => pool.checkin(self.authority, conn),
+                Ok(false) => {}
+                Err(e) if self.fresh && self.answered == before => return Err(e),
+                Err(_) => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Read answers off `conn` until the batch is complete, writing the
+    /// requests beyond `sent` in groups as the earlier answers are
+    /// drained. One reader spans the batch: back-to-back answers share its
+    /// buffer. `Ok(true)` means every answer was read and the server keeps
+    /// the connection open — the only state in which it may be pooled.
+    fn drain(&mut self, conn: &TcpStream, out: &mut Vec<(u16, Vec<u8>)>) -> std::io::Result<bool> {
+        let mut reader = BufReader::new(conn);
+        while self.answered < self.paths.len() {
+            if self.answered == self.sent {
+                self.write_from(conn, self.sent)?;
+                self.sent = self.paths.len().min(self.sent + PIPELINE_MAX);
+            }
+            let (status, body, keep_alive) = read_response(&mut reader)?;
+            out.push((status, body));
+            self.answered += 1;
+            if !keep_alive {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+}
+
+/// Read one response: `(status, body, server keeps the connection open)`.
+fn read_response<R: BufRead>(reader: &mut R) -> std::io::Result<(u16, Vec<u8>, bool)> {
+    let mut status_line = String::new();
+    reader.read_line(&mut status_line)?;
+    if status_line.is_empty() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "connection closed before response",
+        ));
+    }
+    let status: u16 = status_line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| std::io::Error::other(format!("bad status line {status_line:?}")))?;
+    let (content_length, connection) = read_headers(reader)?;
+    let mut keep_alive = status_line.starts_with("HTTP/1.1") && !connection.contains("close");
+    let mut body = Vec::new();
+    match content_length {
+        Some(n) => {
+            body.resize(n, 0);
+            reader.read_exact(&mut body)?;
+        }
+        None => {
+            // Without a length the body runs to EOF, which also means
+            // the connection cannot be reused.
+            keep_alive = false;
+            reader.read_to_end(&mut body)?;
+        }
+    }
+    Ok((status, body, keep_alive))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
 
     fn echo_server() -> HttpServer {
         echo_server_with(ServerOptions::default())
@@ -727,6 +832,121 @@ mod tests {
         let text = String::from_utf8_lossy(&resp);
         assert!(text.contains("200 OK"));
         assert!(text.to_lowercase().contains("connection: close"));
+    }
+
+    fn ok(path: &str) -> (u16, Vec<u8>) {
+        (200, format!("GET {path} ").into_bytes())
+    }
+
+    #[test]
+    fn get_many_answers_in_request_order_with_mixed_statuses() {
+        let server = echo_server();
+        let paths = ["/a", "/missing", "/b", "/missing", "/c"];
+        let got = HttpClient::get_many(&server.authority(), &paths).unwrap();
+        let missing = (404, b"nope".to_vec());
+        assert_eq!(got, [ok("/a"), missing.clone(), ok("/b"), missing, ok("/c")]);
+        assert_eq!(server.request_count(), 5);
+        assert_eq!(server.connection_count(), 1, "one connection carries the batch");
+    }
+
+    #[test]
+    fn empty_batch_touches_no_socket_and_a_batch_of_one_is_a_get() {
+        let server = echo_server();
+        let authority = server.authority();
+        assert_eq!(HttpClient::get_many(&authority, &[]).unwrap(), []);
+        assert_eq!(server.connection_count(), 0);
+        assert_eq!(HttpClient::get_many(&authority, &["/one"]).unwrap(), [ok("/one")]);
+        assert_eq!(HttpClient::get(&authority, "/one").unwrap(), ok("/one"));
+        assert_eq!((server.request_count(), server.connection_count()), (2, 1));
+    }
+
+    #[test]
+    fn server_closing_mid_batch_has_only_the_unanswered_paths_retried() {
+        // The server hangs up, unannounced, after 3 requests per connection.
+        let server =
+            echo_server_with(ServerOptions { keep_alive: true, max_requests_per_connection: 3 });
+        let authority = server.authority();
+        let paths = ["/p0", "/p1", "/p2", "/p3", "/p4"];
+        let got = HttpClient::get_many(&authority, &paths).unwrap();
+        assert_eq!(got, paths.map(ok));
+        assert_eq!(server.request_count(), 5, "answered paths are not requested again");
+        assert_eq!(server.connection_count(), 2, "one fresh dial for the unanswered two");
+        // The second connection was drained and is still open, so it was
+        // pooled: the next request rides it (and uses up its budget).
+        assert_eq!(HttpClient::get(&authority, "/p5").unwrap(), ok("/p5"));
+        assert_eq!(server.connection_count(), 2);
+    }
+
+    #[test]
+    fn connection_close_on_an_answer_ends_the_connection_not_the_batch() {
+        // Every answer says `Connection: close`, the last one included.
+        let server =
+            echo_server_with(ServerOptions { keep_alive: false, ..ServerOptions::default() });
+        let authority = server.authority();
+        let paths = ["/c0", "/c1", "/c2"];
+        assert_eq!(HttpClient::get_many(&authority, &paths).unwrap(), paths.map(ok));
+        assert_eq!((server.request_count(), server.connection_count()), (3, 3));
+        // None of those connections was pooled.
+        assert_eq!(HttpClient::get(&authority, "/c3").unwrap(), ok("/c3"));
+        assert_eq!(server.connection_count(), 4);
+    }
+
+    #[test]
+    fn abandoned_batch_never_reaches_the_pool() {
+        let server = echo_server();
+        let authority = server.authority();
+        // Heads written, answers never read: the connection is half-drained.
+        drop(HttpClient::send_gets(&authority, &["/x", "/y"]).unwrap());
+        // A pooled half-drained connection would answer this with "/x".
+        assert_eq!(HttpClient::get(&authority, "/z").unwrap(), ok("/z"));
+        assert_eq!(server.connection_count(), 2);
+    }
+
+    #[test]
+    fn unreachable_peer_fails_the_batch() {
+        // Port 1 is essentially never listening.
+        assert!(HttpClient::get_many("127.0.0.1:1", &["/a", "/b"]).is_err());
+    }
+
+    /// A server, on a raw socket, that refuses to answer before it has
+    /// seen that the client stopped writing: it reads `expect` request
+    /// heads, checks that nothing more arrives, then answers them.
+    #[test]
+    fn request_heads_in_flight_are_capped() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let authority = listener.local_addr().unwrap().to_string();
+        const N: usize = 2 * PIPELINE_MAX + 22;
+        let server = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut seen = Vec::new();
+            let mut answered = 0;
+            for expect in [PIPELINE_MAX, PIPELINE_MAX, 22] {
+                let heads = |seen: &[u8]| seen.windows(4).filter(|w| w == b"\r\n\r\n").count();
+                let mut buf = [0u8; 4096];
+                conn.set_read_timeout(None).unwrap();
+                while heads(&seen) < answered + expect {
+                    let n = conn.read(&mut buf).unwrap();
+                    assert!(n > 0, "client hung up early");
+                    seen.extend_from_slice(&buf[..n]);
+                }
+                // Nothing beyond the cap follows until answers are read.
+                conn.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
+                assert!(conn.read(&mut buf).is_err(), "more than {PIPELINE_MAX} heads in flight");
+                assert_eq!(heads(&seen), answered + expect);
+                for i in answered..answered + expect {
+                    let body = format!("r{i}");
+                    let head = format!("HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n", body.len());
+                    conn.write_all((head + &body).as_bytes()).unwrap();
+                }
+                answered += expect;
+            }
+        });
+        let paths: Vec<String> = (0..N).map(|i| format!("/q{i}")).collect();
+        let refs: Vec<&str> = paths.iter().map(String::as_str).collect();
+        let got = HttpClient::get_many(&authority, &refs).unwrap();
+        let want: Vec<_> = (0..N).map(|i| (200, format!("r{i}").into_bytes())).collect();
+        assert_eq!(got, want);
+        server.join().unwrap();
     }
 
     /// Counts `write` calls and keeps what was written.

@@ -31,12 +31,12 @@ use crate::dataplane;
 use crate::job::JobApi;
 use crate::metrics::JobMetrics;
 use crate::proto::{
-    fetch_records_into, Assignment, CancelOrder, ControlMode, DataPlane, Dispatch, EagerFragment,
+    fetch_buckets, Assignment, CancelOrder, ControlMode, DataPlane, Dispatch, EagerFragment,
     SpeculateMode, TaskKind, TaskMsg, TaskReport, TraceBatch,
 };
 use mrs_codec::CompressMode;
 use mrs_core::{Error, FuncId, MergeMode, Record, Result};
-use mrs_fs::format::write_bucket_bytes;
+use mrs_fs::format::{read_bucket_records, write_bucket_bytes};
 use mrs_fs::Store;
 use mrs_rpc::{DataServer, FrameCache, Pages, Response};
 use mrs_trace::{ClockSync, GlobalEvent, JobTrace, Recorder, TraceHandle, MASTER_PID};
@@ -1702,18 +1702,14 @@ impl JobApi for Master {
                     }
                 }
             };
-            let shared = self.shared_store();
+            // One round trip per slave holding a piece of the dataset,
+            // parsed in URL order straight into the result vector.
+            let urls: Vec<&str> = urls.iter().map(String::as_str).collect();
             let mut out = Vec::new();
-            let mut failed = false;
-            for url in urls {
-                if let Err(e) = fetch_records_into(&url, shared.as_ref(), &mut out) {
-                    last_err = Some(e);
-                    failed = true;
-                    break;
-                }
-            }
-            if !failed {
-                return Ok(out);
+            let fetched = fetch_buckets(&urls, self.shared_store().as_ref(), None, None, None);
+            match fetched.into_iter().try_for_each(|b| read_bucket_records(&b?, &mut out)) {
+                Ok(()) => return Ok(out),
+                Err(e) => last_err = Some(e),
             }
             // The owner of the lost bucket stopped polling when it died, so
             // the earliest death deadline is its `last_seen + slave_timeout`.

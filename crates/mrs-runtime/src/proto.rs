@@ -11,8 +11,9 @@ use mrs_core::{Error, Record, Result};
 use mrs_fs::format::read_bucket_records;
 use mrs_fs::{BucketUrl, Store};
 use mrs_rpc::xmlrpc::Value;
-use mrs_rpc::FrameCache;
+use mrs_rpc::{dataserver, FrameCache};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// How the control channel discovers state changes.
@@ -656,47 +657,132 @@ pub fn fetch_records_into(
     shared: Option<&Arc<dyn Store>>,
     out: &mut Vec<Record>,
 ) -> Result<()> {
-    read_bucket_records(&fetch_bucket_bytes_local_first(url, shared, None, None)?, out)
+    let fetched = fetch_buckets(&[url], shared, None, None, None).pop();
+    read_bucket_records(&fetched.expect("one result per url")?, out)
 }
 
-/// The transfer half of a fetch: resolve the URL and return the raw
-/// (decoded `MRSB1`) bucket bytes without parsing them. An `http://` URL
-/// whose authority is `own_authority` is read straight from `own_cache`
-/// instead of going through a socket — the short-circuit real Mrs gets
-/// for free by reading its own local files, which is what makes
-/// task→slave affinity pay even for data the slave itself produced
-/// (§IV-A). The reduce path uses this to decode several fetched buckets
-/// straight into one arena instead of materializing a `Vec<Record>` per
-/// bucket.
+/// One group of [`fetch_buckets`]' URLs: everything one peer serves, or
+/// (`peer == None`) everything resolved without a socket.
+struct Batch<'a> {
+    peer: Option<&'a str>,
+    /// Result slot and parsed URL of each member, in input order.
+    urls: Vec<(usize, &'a BucketUrl)>,
+    /// The members' request paths (peer batches only).
+    paths: Vec<&'a str>,
+}
+
+/// The transfer half of a fetch: resolve every URL to its raw (decoded
+/// `MRSB1`) bucket bytes without parsing them, one result per URL in
+/// input order, at one round trip per peer. URLs are grouped
+/// into batches in order of first appearance: one per peer authority, and
+/// one for those served inline — an `http://` URL whose authority is
+/// `own_authority` is read straight from `own_cache` (the short-circuit
+/// real Mrs gets for free by reading its own local files, which is what
+/// makes task→slave affinity pay even for data the slave itself produced,
+/// §IV-A), and `file://`/`mem://` URLs come from the `shared` store. Each
+/// peer is sent its whole batch as pipelined GETs where the batch first
+/// appears, the inline batch is served where it first appears, and only
+/// then are the peers' answers read, so peers serve concurrently without
+/// a thread per fetch. `cancel` is observed between batches (and between
+/// inline fetches): once set, nothing further is sent or read and every
+/// slot not yet filled reads `Err(Error::Cancelled)`.
 ///
 /// Every resolution path runs the wire bytes through the `MRSF1` frame
 /// decoder, which verifies the checksum and transparently accepts raw
 /// legacy payloads. A *remote* frame that fails its checksum is fetched
-/// once more from the peer (transient corruption) before the error
-/// surfaces; local and shared-store corruption is not retried — re-reading
-/// the same bytes cannot help.
-pub fn fetch_bucket_bytes_local_first(
-    url: &str,
+/// once more from the peer, alone (transient corruption), before the
+/// error surfaces; local and shared-store corruption is not retried —
+/// re-reading the same bytes cannot help.
+pub fn fetch_buckets(
+    urls: &[&str],
     shared: Option<&Arc<dyn Store>>,
     own_authority: Option<&str>,
     own_cache: Option<&FrameCache>,
-) -> Result<Vec<u8>> {
-    let parsed = BucketUrl::parse(url)?;
-    match &parsed {
-        BucketUrl::Http { authority, path } => {
-            if let (Some(own), Some(cache), Some(rel)) =
-                (own_authority, own_cache, path.strip_prefix("/data/"))
+    cancel: Option<&AtomicBool>,
+) -> Vec<Result<Vec<u8>>> {
+    let cancelled = || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
+    let mut slots: Vec<Result<Vec<u8>>> = Vec::with_capacity(urls.len());
+    let parsed: Vec<Option<BucketUrl>> = urls
+        .iter()
+        .map(|url| match BucketUrl::parse(url) {
+            Ok(parsed) => {
+                slots.push(Err(Error::Cancelled));
+                Some(parsed)
+            }
+            Err(e) => {
+                slots.push(Err(e));
+                None
+            }
+        })
+        .collect();
+    let mut batches: Vec<Batch> = Vec::new();
+    for (i, url) in parsed.iter().enumerate() {
+        let Some(url) = url else { continue };
+        let remote = match url {
+            BucketUrl::Http { authority, path }
+                if !(own_cache.is_some()
+                    && own_authority == Some(authority.as_str())
+                    && path.starts_with("/data/")) =>
             {
-                if own == authority {
-                    let frame = cache.get(rel).ok_or_else(|| {
-                        Error::MissingData(format!("own bucket {rel} missing from frame cache"))
-                    })?;
-                    dataplane::record_shortcircuit();
-                    return mrs_codec::decode_frame(&frame)
-                        .map_err(|e| Error::Codec(format!("local frame {rel}: {e}")));
+                Some((authority.as_str(), path.as_str()))
+            }
+            _ => None,
+        };
+        let peer = remote.map(|(authority, _)| authority);
+        let batch = match batches.iter().position(|b| b.peer == peer) {
+            Some(known) => &mut batches[known],
+            None => {
+                batches.push(Batch { peer, urls: Vec::new(), paths: Vec::new() });
+                batches.last_mut().expect("just pushed")
+            }
+        };
+        batch.urls.push((i, url));
+        batch.paths.extend(remote.map(|(_, path)| path));
+    }
+    let mut in_flight = Vec::new();
+    for batch in &batches {
+        if cancelled() {
+            return slots;
+        }
+        match batch.peer {
+            Some(peer) => in_flight.push((peer, batch, dataserver::fetch_many(peer, &batch.paths))),
+            None => {
+                for &(i, url) in &batch.urls {
+                    if cancelled() {
+                        return slots;
+                    }
+                    slots[i] = fetch_inline(url, shared, own_cache);
                 }
             }
-            fetch_remote_verified(authority, path)
+        }
+    }
+    for (peer, batch, answers) in in_flight {
+        if cancelled() {
+            return slots;
+        }
+        for ((&(i, _), path), wire) in batch.urls.iter().zip(&batch.paths).zip(answers.finish()) {
+            slots[i] = wire.and_then(|wire| verify_remote(peer, path, wire));
+        }
+    }
+    slots
+}
+
+/// Resolve a URL that needs no socket: this node's own frame cache or
+/// the shared store.
+fn fetch_inline(
+    url: &BucketUrl,
+    shared: Option<&Arc<dyn Store>>,
+    own_cache: Option<&FrameCache>,
+) -> Result<Vec<u8>> {
+    match url {
+        BucketUrl::Http { path, .. } => {
+            let rel = path.strip_prefix("/data/").unwrap_or(path);
+            let frame = own_cache.and_then(|cache| cache.get(rel)).ok_or_else(|| {
+                Error::MissingData(format!("own bucket {rel} missing from frame cache"))
+            })?;
+            dataplane::record_shortcircuit();
+            mrs_codec::decode_frame(&frame)
+                .map_err(|e| Error::Codec(format!("local frame {rel}: {e}")))
         }
         BucketUrl::File(p) | BucketUrl::Mem(p) => {
             let bytes = shared
@@ -707,11 +793,10 @@ pub fn fetch_bucket_bytes_local_first(
     }
 }
 
-/// Fetch a bucket from a peer and decode its frame, re-fetching once on a
-/// checksum mismatch. Successful transfers feed the process-wide wire
-/// counters (raw vs on-wire bytes).
-fn fetch_remote_verified(authority: &str, path: &str) -> Result<Vec<u8>> {
-    let wire = mrs_rpc::dataserver::fetch(authority, path)?;
+/// Decode the frame a peer answered with, re-fetching that one bucket
+/// once on a checksum mismatch. Successful transfers feed the
+/// process-wide wire counters (raw vs on-wire bytes).
+fn verify_remote(authority: &str, path: &str, wire: Vec<u8>) -> Result<Vec<u8>> {
     let wire_len = wire.len();
     match mrs_codec::decode_vec(wire) {
         Ok(raw) => {
@@ -720,7 +805,7 @@ fn fetch_remote_verified(authority: &str, path: &str) -> Result<Vec<u8>> {
         }
         Err(FrameError::Checksum { .. }) => {
             dataplane::record_checksum_retry();
-            let wire = mrs_rpc::dataserver::fetch(authority, path)?;
+            let wire = dataserver::fetch(authority, path)?;
             let wire_len = wire.len();
             let raw = mrs_codec::decode_vec(wire).map_err(|e| {
                 Error::Codec(format!("bucket {authority}{path} corrupt after refetch: {e}"))
@@ -1014,14 +1099,11 @@ mod tests {
         cache.insert("d0/t0/b0.mrsb", frame);
         let url = "http://127.0.0.1:1/data/d0/t0/b0.mrsb";
         let before = dataplane::snapshot();
-        let got =
-            fetch_bucket_bytes_local_first(url, None, Some("127.0.0.1:1"), Some(&cache)).unwrap();
-        assert_eq!(got, write_bucket_bytes(&records));
+        let mut got = fetch_buckets(&[url], None, Some("127.0.0.1:1"), Some(&cache), None);
+        assert_eq!(got.pop().unwrap().unwrap(), write_bucket_bytes(&records));
         assert!(dataplane::snapshot().since(before).shortcircuit_fetches >= 1);
         // A different authority still goes to the network (and fails here).
-        assert!(
-            fetch_bucket_bytes_local_first(url, None, Some("127.0.0.1:2"), Some(&cache)).is_err()
-        );
+        assert!(fetch_buckets(&[url], None, Some("127.0.0.1:2"), Some(&cache), None)[0].is_err());
     }
 
     #[test]
@@ -1088,5 +1170,132 @@ mod tests {
             let err = fetch_records(&server.url_for("hosed"), None).unwrap_err();
             assert!(matches!(err, Error::Codec(_)), "persistent corruption must surface: {err}");
         }
+    }
+    /// A data server over a fixed set of frames that counts the requests
+    /// each path received.
+    fn counting_server(
+        frames: Vec<(&'static str, Arc<[u8]>)>,
+    ) -> (mrs_rpc::DataServer, Arc<parking_lot::Mutex<Vec<String>>>) {
+        let hits = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let provider: mrs_rpc::dataserver::Provider = {
+            let hits = Arc::clone(&hits);
+            Arc::new(move |p: &str| {
+                hits.lock().push(p.to_owned());
+                frames.iter().find(|(path, _)| *path == p).map(|(_, f)| Arc::clone(f))
+            })
+        };
+        (mrs_rpc::DataServer::serve(0, provider).unwrap(), hits)
+    }
+
+    fn frame_of(tag: u8) -> (Vec<u8>, Arc<[u8]>) {
+        let raw = mrs_fs::format::write_bucket_bytes(&[(vec![tag], vec![tag; 40])]);
+        let frame = mrs_codec::encode_vec(raw.clone(), mrs_codec::CompressMode::Off);
+        (raw, frame.into())
+    }
+
+    /// One damaged bucket in a batch costs one extra request for that
+    /// bucket alone; its batch-mates are fetched once, and every slot
+    /// holds its own bucket.
+    #[test]
+    fn flipped_byte_in_one_bucket_of_a_batch_refetches_only_that_bucket() {
+        let (raws, frames): (Vec<_>, Vec<_>) = (0..4).map(frame_of).unzip();
+        let bad: Arc<[u8]> = {
+            let mut b = frames[2].to_vec();
+            let last = b.len() - 1;
+            b[last] ^= 0x10;
+            b.into()
+        };
+        let served = Arc::new(AtomicBool::new(false));
+        let hits = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let provider: mrs_rpc::dataserver::Provider = {
+            let (hits, served) = (Arc::clone(&hits), Arc::clone(&served));
+            Arc::new(move |p: &str| {
+                hits.lock().push(p.to_owned());
+                let i: usize = p.strip_prefix('b')?.parse().ok()?;
+                // Bucket 2 arrives damaged the first time only.
+                let first = i == 2 && !served.swap(true, Ordering::SeqCst);
+                Some(Arc::clone(if first { &bad } else { frames.get(i)? }))
+            })
+        };
+        let server = mrs_rpc::DataServer::serve(0, provider).unwrap();
+        let urls: Vec<String> = (0..4).map(|i| server.url_for(&format!("b{i}"))).collect();
+        let urls: Vec<&str> = urls.iter().map(String::as_str).collect();
+
+        let before = dataplane::snapshot();
+        let got: Vec<Vec<u8>> =
+            fetch_buckets(&urls, None, None, None, None).into_iter().map(|r| r.unwrap()).collect();
+        assert_eq!(got, raws);
+        assert_eq!(*hits.lock(), ["b0", "b1", "b2", "b3", "b2"], "one refetch, of b2 only");
+        assert!(dataplane::snapshot().since(before).checksum_retries >= 1);
+    }
+
+    /// A bucket the peer does not have fails its own slot, naming itself;
+    /// the rest of the batch arrives.
+    #[test]
+    fn missing_bucket_mid_batch_fails_only_its_slot() {
+        let (raw, frame) = frame_of(7);
+        let (server, hits) = counting_server(vec![("a", Arc::clone(&frame)), ("c", frame)]);
+        let urls = [server.url_for("a"), server.url_for("gone"), server.url_for("c")];
+        let urls: Vec<&str> = urls.iter().map(String::as_str).collect();
+        let mut got = fetch_buckets(&urls, None, None, None, None);
+        assert_eq!(got.remove(0).unwrap(), raw);
+        let err = got.remove(0).unwrap_err();
+        assert!(matches!(&err, Error::MissingData(m) if m.contains("/data/gone")), "{err}");
+        assert_eq!(got.remove(0).unwrap(), raw);
+        assert_eq!(*hits.lock(), ["a", "gone", "c"]);
+    }
+
+    /// `cancel` is observed between batches: set while the inline batch is
+    /// being served, it keeps the next peer from ever being contacted and
+    /// the first peer's answers from being read.
+    #[test]
+    fn cancel_before_the_second_peer_never_contacts_it() {
+        struct CancellingStore(Arc<AtomicBool>);
+        impl Store for CancellingStore {
+            fn put(&self, _: &str, _: &[u8]) -> Result<()> {
+                Ok(())
+            }
+            fn get(&self, _: &str) -> Result<Vec<u8>> {
+                self.0.store(true, Ordering::SeqCst);
+                Ok(mrs_fs::format::write_bucket_bytes(&[]))
+            }
+            fn exists(&self, _: &str) -> bool {
+                true
+            }
+            fn list(&self, _: &str) -> Result<Vec<String>> {
+                Ok(Vec::new())
+            }
+            fn delete(&self, _: &str) -> Result<()> {
+                Ok(())
+            }
+        }
+        let cancel = Arc::new(AtomicBool::new(false));
+        let store: Arc<dyn Store> = Arc::new(CancellingStore(Arc::clone(&cancel)));
+        let (_, frame) = frame_of(1);
+        let (first, _) = counting_server(vec![("x", Arc::clone(&frame))]);
+        let (second, second_hits) = counting_server(vec![("y", frame)]);
+        let urls = [first.url_for("x"), "file://inline".to_owned(), second.url_for("y")];
+        let urls: Vec<&str> = urls.iter().map(String::as_str).collect();
+
+        let got = fetch_buckets(&urls, Some(&store), None, None, Some(&cancel));
+        assert!(matches!(got[0], Err(Error::Cancelled)), "sent, never read");
+        assert!(got[1].is_ok(), "the fetch that was under way completes");
+        assert!(matches!(got[2], Err(Error::Cancelled)));
+        assert!(second_hits.lock().is_empty(), "the second peer was contacted");
+        // Set from the start, nothing is contacted at all.
+        let got = fetch_buckets(&urls[2..], None, None, None, Some(&cancel));
+        assert!(matches!(got[0], Err(Error::Cancelled)));
+        assert!(second_hits.lock().is_empty());
+    }
+
+    /// A URL that does not parse fails its slot and nothing else.
+    #[test]
+    fn unparseable_url_fails_only_its_slot() {
+        let store: Arc<dyn Store> = Arc::new(mrs_fs::MemFs::new());
+        store.put("ok", &mrs_fs::format::write_bucket_bytes(&[])).unwrap();
+        let got = fetch_buckets(&["ftp://nope", "file://ok"], Some(&store), None, None, None);
+        assert!(matches!(got[0], Err(Error::Url(_))));
+        assert!(got[1].is_ok());
+        assert!(fetch_buckets(&[], None, None, None, None).is_empty());
     }
 }

@@ -6,13 +6,23 @@
 //! shared-filesystem plane it writes bucket files to the common store.
 //!
 //! A slave is multicore-aware: it advertises a slot count at signin and
-//! runs that many worker threads plus a dedicated prefetch thread that
-//! fetches the *next* assignment's input buckets while the workers
+//! runs that many worker threads plus one fetch stage — a single thread
+//! that fetches the *next* assignment's input buckets while the workers
 //! compute, so transfer overlaps computation (the pipelining the paper's
 //! serial-phase analysis motivates). Capacity is one more than the worker
 //! count: that extra slot is the prefetch buffer. The polling thread
 //! itself never fetches data — a slow or dead peer can stall the data
-//! plane without silencing the control heartbeat.
+//! plane without silencing the control heartbeat. So a slave is
+//! `slots` workers + the poll thread + the fetch stage, and nothing else.
+//!
+//! The fetch stage is the only thing on a slave that moves bucket bytes.
+//! Its work, in priority order: the inputs of accepted tasks (one
+//! pipelined round trip per peer, [`crate::proto::fetch_buckets`]), and,
+//! when no task is waiting, the map-output fragments the master announced
+//! ahead of the barrier (eager shuffle), which it parks warm for the
+//! reduce-like task that will want them. Both halves work over one piece
+//! of state (`EagerState`, under the pipe's lock), so a fragment is
+//! fetched once: whichever half touches a URL first owns it.
 //!
 //! The slave is written against the [`MasterLink`] trait so the same loop
 //! runs over real XML-RPC (production/distributed tests) or direct method
@@ -23,8 +33,8 @@ use crate::dataplane::{
 };
 use crate::master::SlaveId;
 use crate::proto::{
-    fetch_bucket_bytes_local_first, Assignment, CancelOrder, ControlMode, DataPlane, Dispatch,
-    EagerFragment, TaskKind, TaskMsg, TaskReport, TraceBatch,
+    fetch_buckets, Assignment, CancelOrder, ControlMode, DataPlane, Dispatch, EagerFragment,
+    TaskKind, TaskMsg, TaskReport, TraceBatch,
 };
 use mrs_codec::CompressMode;
 use mrs_core::task::{
@@ -36,10 +46,10 @@ use mrs_core::{Bucket, Error, MergeMode, Program, Result};
 use mrs_fs::format::{read_bucket_into, read_bucket_run, write_bucket};
 use mrs_fs::Store;
 use mrs_rpc::{DataServer, FrameCache};
-use mrs_trace::{Name, Op, Recorder, Tag, TraceHandle, EAGER_LANE, POLL_LANE, PREFETCH_LANE};
+use mrs_trace::{Name, Op, Recorder, Tag, TraceHandle, POLL_LANE, PREFETCH_LANE};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -194,8 +204,8 @@ impl Default for SlaveOptions {
     }
 }
 
-/// Prefetched-task queue shared between the polling/prefetch thread and
-/// the compute workers.
+/// Prefetched-task queue shared between the polling thread, the fetch
+/// stage and the compute workers.
 struct Pipe {
     state: Mutex<PipeState>,
     /// Wakes compute workers when tasks are queued (or on shutdown).
@@ -203,34 +213,34 @@ struct Pipe {
     /// Wakes the polling thread on worker events: a slot freed, a report
     /// queued for piggybacking (or shutdown).
     poll_cv: Condvar,
-    /// Wakes the prefetch thread when assignments land (or on shutdown).
+    /// Wakes the fetch stage when assignments or announcements land (or
+    /// on shutdown).
     fetch_cv: Condvar,
-    /// Eager-shuffle fragment queue and warm cache; `None` with
-    /// `--mrs-eager-shuffle off`.
-    eager: Option<EagerHalf>,
 }
 
-/// The eager shuffle fetcher's half of the pipe: fragment URLs announced
-/// by the master but not yet fetched, and fetched fragments kept warm
-/// until their reduce-like task consumes them.
-struct EagerHalf {
-    state: Mutex<EagerState>,
-    /// Wakes the fetcher when fragments are announced (or on shutdown).
-    cv: Condvar,
-}
-
+/// Eager shuffle's share of the fetch stage's state: what the master
+/// announced and what became of every map-output fragment this slave has
+/// dealt with. The stage serves it only when no accepted task is waiting.
+#[derive(Default)]
 struct EagerState {
-    /// Announced fragment URLs awaiting fetch.
-    queue: VecDeque<String>,
-    /// Every URL ever queued — duplicate announcements (two consumers of
-    /// one map output) fetch once.
-    seen: HashSet<String>,
-    /// Decoded bucket bytes by URL, stamped with the instant they became
-    /// ready: the overlap metric is how long a fragment sat here before
-    /// its task consumed it.
-    warm: HashMap<String, (Vec<u8>, Instant)>,
-    /// Shutdown flag mirroring the pipe's drain/halt for the fetcher.
-    stop: bool,
+    /// Announced fragment URLs awaiting fetch, oldest first.
+    announced: VecDeque<String>,
+    /// Every fragment URL the master announced or a reduce-like task
+    /// fetched, until its dataset's purge order: an announcement of a
+    /// known URL (a second consumer of one map output, or one that arrives
+    /// after a task already pulled the bytes) fetches nothing.
+    frags: HashMap<String, Frag>,
+}
+
+enum Frag {
+    /// Announced, bytes not fetched yet.
+    Announced,
+    /// Decoded bucket bytes, stamped with the instant they became ready:
+    /// the overlap metric is how long a fragment sat here before its task
+    /// consumed it.
+    Warm(Vec<u8>, Instant),
+    /// A task has the bytes (from here or fetched cold).
+    Taken,
 }
 
 struct PipeState {
@@ -238,6 +248,8 @@ struct PipeState {
     /// stamp is the recorder time the assignment arrived (0 untraced), so
     /// the attempt span can reach back to acceptance.
     fetch_queue: VecDeque<(TaskMsg, u64)>,
+    /// `None` with `--mrs-eager-shuffle off`.
+    eager: Option<EagerState>,
     /// Tasks with their inputs already fetched, ready to compute.
     queue: VecDeque<(TaskMsg, u64, Vec<Vec<u8>>)>,
     /// Assignments accepted from the master and not yet reported back.
@@ -268,6 +280,7 @@ impl Pipe {
         Pipe {
             state: Mutex::new(PipeState {
                 fetch_queue: VecDeque::new(),
+                eager: eager.then(EagerState::default),
                 queue: VecDeque::new(),
                 in_flight: 0,
                 reports: Vec::new(),
@@ -280,15 +293,6 @@ impl Pipe {
             cv: Condvar::new(),
             poll_cv: Condvar::new(),
             fetch_cv: Condvar::new(),
-            eager: eager.then(|| EagerHalf {
-                state: Mutex::new(EagerState {
-                    queue: VecDeque::new(),
-                    seen: HashSet::new(),
-                    warm: HashMap::new(),
-                    stop: false,
-                }),
-                cv: Condvar::new(),
-            }),
         }
     }
 
@@ -300,29 +304,37 @@ impl Pipe {
             st.drain = true;
         }
         drop(st);
-        if let Some(eg) = &self.eager {
-            eg.state.lock().stop = true;
-            eg.cv.notify_all();
-        }
         self.cv.notify_all();
         self.poll_cv.notify_all();
         self.fetch_cv.notify_all();
     }
 
-    /// Queue announced fragments for the eager fetcher (dedup by URL).
-    fn enqueue_eager(&self, frags: &[EagerFragment]) {
-        let Some(eg) = &self.eager else { return };
-        let mut st = eg.state.lock();
-        let mut queued = false;
-        for f in frags {
-            if st.seen.insert(f.url.clone()) {
-                st.queue.push_back(f.url.clone());
-                queued = true;
+    /// Hand the fetch stage what one poll answer brought — granted tasks
+    /// and announced fragments (new URLs only) — in one critical section:
+    /// the stage serves tasks first, so it must never find an answer's
+    /// announcements without its tasks.
+    fn enqueue(&self, tasks: Vec<TaskMsg>, accepted_us: u64, frags: &[EagerFragment]) {
+        if tasks.is_empty() && frags.is_empty() {
+            return;
+        }
+        let mut st = self.state.lock();
+        let mut queued = !tasks.is_empty();
+        for task in tasks {
+            st.in_flight += 1;
+            st.fetch_queue.push_back((task, accepted_us));
+        }
+        if let Some(eg) = &mut st.eager {
+            for f in frags {
+                if !eg.frags.contains_key(&f.url) {
+                    eg.frags.insert(f.url.clone(), Frag::Announced);
+                    eg.announced.push_back(f.url.clone());
+                    queued = true;
+                }
             }
         }
         drop(st);
         if queued {
-            eg.cv.notify_all();
+            self.fetch_cv.notify_all();
         }
     }
 
@@ -376,24 +388,23 @@ impl Pipe {
         }
     }
 
-    /// Drop eager fragments (queued or warm) belonging to a lifetime-GC'd
+    /// Drop eager fragments (announced, warm or taken) of a lifetime-GC'd
     /// dataset. `prefix` is the purge order's bucket-path prefix
     /// (`s{slave}/d{data}/`); its slave part names the *receiver* of the
     /// order, so only the dataset id selects here — a fragment this slave
     /// fetched from a peer and never consumed (the master mis-predicted
     /// the reduce's owner) must go with the dataset too.
     fn purge_eager(&self, prefix: &str) {
-        let Some(eg) = &self.eager else { return };
         let Some(data) =
             prefix.split('/').nth(1).and_then(|d| d.strip_prefix('d')?.parse::<u64>().ok())
         else {
             return;
         };
         let keep = |u: &String| parse_bucket_coords(u).map(|c| c.0) != Some(data);
-        let mut st = eg.state.lock();
-        st.queue.retain(keep);
-        st.seen.retain(keep);
-        st.warm.retain(|u, _| keep(u));
+        if let Some(eg) = &mut self.state.lock().eager {
+            eg.announced.retain(keep);
+            eg.frags.retain(|u, _| keep(u));
+        }
     }
 
     fn halted(&self) -> bool {
@@ -443,8 +454,7 @@ pub fn run_slave(
     let rec = opts.trace.then(Recorder::new);
     let worker_handles: Vec<Option<TraceHandle>> =
         (0..workers).map(|w| rec.as_ref().map(|r| r.handle(w as u32))).collect();
-    let prefetch_handle = rec.as_ref().map(|r| r.handle(PREFETCH_LANE));
-    let eager_handle = rec.as_ref().map(|r| r.handle(EAGER_LANE));
+    let fetch_handle = rec.as_ref().map(|r| r.handle(PREFETCH_LANE));
     let poll_handle = rec.as_ref().map(|r| r.handle(POLL_LANE));
     let mut result: Result<()> = Ok(());
     std::thread::scope(|s| {
@@ -469,38 +479,26 @@ pub fn run_slave(
                 })
             })
             .collect();
-        // The prefetch stage runs on its own thread so a slow or dead peer
+        // The fetch stage runs on its own thread so a slow or dead peer
         // stalls only the data plane: the polling thread keeps
         // heartbeating, and fetch failures report standalone so recovery
-        // starts immediately.
+        // starts immediately. It is the slave's only fetching thread:
+        // accepted tasks' inputs first, and when none is waiting the
+        // map-output fragments the master announced (eager shuffle),
+        // pulled while the workers are still mapping. That second half is
+        // purely advisory: every failure is silently dropped and the
+        // task-time fetch restores correctness.
         handles.push(s.spawn(|| {
-            prefetch_loop(
+            fetch_loop(
                 link,
                 shared.as_ref(),
                 own_authority.as_deref(),
                 &frames,
                 id,
                 &pipe,
-                prefetch_handle.as_ref(),
+                fetch_handle.as_ref(),
             )
         }));
-        // The eager shuffle fetcher pulls announced map-output fragments
-        // while the workers are still mapping, hiding reduce-input
-        // transfer behind map execution. Purely advisory: every failure
-        // is silently dropped and the task-time residual fetch restores
-        // correctness.
-        if pipe.eager.is_some() {
-            handles.push(s.spawn(|| {
-                eager_fetch_loop(
-                    shared.as_ref(),
-                    own_authority.as_deref(),
-                    &frames,
-                    &pipe,
-                    eager_handle.as_ref(),
-                );
-                Ok(())
-            }));
-        }
 
         let mut backoff = opts.poll_interval;
         // The round-trip measured around the *previous* poll, shipped with
@@ -554,6 +552,7 @@ pub fn run_slave(
             // Whether the answer handed over orders (purge, eager, cancel):
             // a long-polling master cuts a park short to deliver those.
             let mut delivered = false;
+            let mut announced = Vec::new();
             // A master that has vanished is a normal end of life for a
             // slave: the paper's launch scripts tear everything down
             // together (the scheduler "kills processes as soon as a job
@@ -571,11 +570,11 @@ pub fn run_slave(
                     frames.remove_prefix(prefix);
                     pipe.purge_eager(prefix);
                 }
-                pipe.enqueue_eager(&d.eager);
                 // Cancel orders never name a task granted in this same
                 // answer (they are issued for attempts dispatched earlier),
                 // so applying them before enqueueing the assignment is safe.
                 pipe.apply_cancels(&d.cancel, poll_handle.as_ref());
+                announced = d.eager;
                 d.assignment
             });
             if rec.is_some() {
@@ -602,6 +601,7 @@ pub fn run_slave(
                     break Ok(());
                 }
                 Ok(Assignment::Wait) => {
+                    pipe.enqueue(Vec::new(), 0, &announced);
                     if !park.is_zero() && (delivered || polled_at.elapsed() >= park / 2) {
                         // The master held the request until it had orders
                         // to deliver or the park ran out: the long poll
@@ -625,13 +625,7 @@ pub fn run_slave(
                 Ok(Assignment::Tasks(tasks)) => {
                     backoff = opts.poll_interval;
                     let accepted_us = rec.as_ref().map(|r| r.now_us()).unwrap_or(0);
-                    let mut st = pipe.state.lock();
-                    for task in tasks {
-                        st.in_flight += 1;
-                        st.fetch_queue.push_back((task, accepted_us));
-                    }
-                    drop(st);
-                    pipe.fetch_cv.notify_all();
+                    pipe.enqueue(tasks, accepted_us, &announced);
                 }
                 Err(Error::Rpc(_)) => {
                     pipe.shut_down(true);
@@ -664,17 +658,19 @@ pub fn run_slave(
     result
 }
 
-/// The prefetch stage: pop accepted assignments, fetch their input
-/// buckets (overlapping the workers' compute), and queue them ready to
-/// run. Runs on its own thread so a stalled fetch — a dead peer, a slow
-/// store — never blocks the polling thread's control heartbeat. A fetch
+/// The fetch stage, the one thread of a slave that moves bucket bytes:
+/// pop accepted assignments, fetch their input buckets (overlapping the
+/// workers' compute) and queue them ready to run; when no assignment is
+/// waiting, warm announced map-output fragments ([`warm_fragments`]).
+/// Runs on its own thread so a stalled fetch — a dead peer, a slow store —
+/// never blocks the polling thread's control heartbeat. A task's fetch
 /// failure reports standalone via `task_failed` (recovery starts
 /// immediately) and frees the slot.
-fn prefetch_loop(
+fn fetch_loop(
     link: &dyn MasterLink,
     shared: Option<&Arc<dyn Store>>,
     own_authority: Option<&str>,
-    frames: &Arc<FrameCache>,
+    frames: &FrameCache,
     id: SlaveId,
     pipe: &Pipe,
     th: Option<&TraceHandle>,
@@ -694,19 +690,34 @@ fn prefetch_loop(
                     st.active.insert((task.data, task.index, task.attempt), Arc::clone(&flag));
                     break (task, accepted_us, flag);
                 }
-                pipe.fetch_cv.wait(&mut st);
+                // No task is waiting: serve the announcements, if any (a
+                // task may have taken an announced fragment since). All of
+                // them at once: it is one round trip per peer either way,
+                // and a task accepted meanwhile is their likeliest reader.
+                let mut announced = Vec::new();
+                if let Some(eg) = &mut st.eager {
+                    let fresh = |url: &String| matches!(eg.frags.get(url), Some(Frag::Announced));
+                    announced = eg.announced.drain(..).filter(fresh).collect();
+                }
+                if announced.is_empty() {
+                    pipe.fetch_cv.wait(&mut st);
+                    continue;
+                }
+                drop(st);
+                warm_fragments(announced, shared, own_authority, frames, pipe, th);
+                st = pipe.state.lock();
             }
         };
         // Only reduce-like tasks (plain or fused) gather map-output
         // partitions, so only they consult the eager warm cache; map
         // tasks fetching source splits must not skew the residual count.
-        let eager = pipe.eager.as_ref().filter(|_| task.kind != TaskKind::Map);
+        let warm = task.kind != TaskKind::Map;
         let tag = Tag::task(op_of(task.kind), task.data, task.index, task.attempt);
         if let Some(h) = th {
             h.begin(Name::Fetch, tag);
         }
         let fetched =
-            fetch_all_bucket_bytes(&task.inputs, shared, own_authority, frames, eager, &cancel);
+            fetch_inputs(&task.inputs, pipe, warm, shared, own_authority, frames, &cancel);
         if let Some(h) = th {
             h.end(Name::Fetch, tag);
         }
@@ -769,57 +780,47 @@ fn prefetch_loop(
     }
 }
 
-/// The eager shuffle fetcher: pop announced fragment URLs and pull them
-/// into the warm cache while the producing operation is still running —
-/// the transfer and checksum verify happen off the post-barrier critical
-/// path, and that is all this thread does: every fragment is parked as
-/// fetched and the reduce's loser tree merges all of them once. Failures
-/// are dropped silently (and the URL forgotten so a re-announcement can
-/// retry): the producer may have died, or its dataset may have been
-/// reclaimed; the residual fetch at task time is the correctness path,
-/// this thread only warms it up.
-fn eager_fetch_loop(
+/// Eager shuffle: pull a batch of announced fragments into the warm cache
+/// while the producing operation is still running — the transfer and
+/// checksum verify happen off the post-barrier critical path, and that is
+/// all that happens here: every fragment is parked as fetched and the
+/// reduce's loser tree merges all of them once. Failures are dropped
+/// silently (and the URL forgotten so a re-announcement can retry): the
+/// producer may have died, or its dataset may have been reclaimed; the
+/// fetch at task time is the correctness path, this only warms it up.
+fn warm_fragments(
+    urls: Vec<String>,
     shared: Option<&Arc<dyn Store>>,
     own_authority: Option<&str>,
-    frames: &Arc<FrameCache>,
+    frames: &FrameCache,
     pipe: &Pipe,
     th: Option<&TraceHandle>,
 ) {
-    let Some(eg) = &pipe.eager else { return };
-    loop {
-        let url = {
-            let mut st = eg.state.lock();
-            loop {
-                if st.stop {
-                    return;
-                }
-                if let Some(u) = st.queue.pop_front() {
-                    break u;
-                }
-                eg.cv.wait(&mut st);
-            }
+    let refs: Vec<&str> = urls.iter().map(String::as_str).collect();
+    let fetched = fetch_buckets(&refs, shared, own_authority, Some(frames), None);
+    let mut st = pipe.state.lock();
+    if st.halt || st.drain {
+        return;
+    }
+    let Some(eg) = &mut st.eager else { return };
+    for (url, bytes) in urls.into_iter().zip(fetched) {
+        let Ok(bytes) = bytes else {
+            eg.frags.remove(&url);
+            continue;
         };
-        match fetch_bucket_bytes_local_first(&url, shared, own_authority, Some(frames)) {
-            Ok(bytes) => {
-                record_eager_fragment(bytes.len());
-                if let Some(h) = th {
-                    // Tag with the producer coordinates when the URL names
-                    // them; attempt 0 marks "whichever attempt produced it".
-                    let tag = parse_bucket_coords(&url)
-                        .map(|(d, i, _)| Tag::task(Op::None, d as u32, i as usize, 0))
-                        .unwrap_or(Tag::NONE);
-                    h.instant(Name::EagerFetch, tag);
-                }
-                let mut st = eg.state.lock();
-                // A purge order that arrived mid-fetch has forgotten the
-                // URL: its dataset is gone, so the bytes are dropped too.
-                if !st.stop && st.seen.contains(&url) {
-                    st.warm.insert(url, (bytes, Instant::now()));
-                }
-            }
-            Err(_) => {
-                eg.state.lock().seen.remove(&url);
-            }
+        record_eager_fragment(bytes.len());
+        if let Some(h) = th {
+            // Tag with the producer coordinates when the URL names
+            // them; attempt 0 marks "whichever attempt produced it".
+            let tag = parse_bucket_coords(&url)
+                .map(|(d, i, _)| Tag::task(Op::None, d as u32, i as usize, 0))
+                .unwrap_or(Tag::NONE);
+            h.instant(Name::EagerFetch, tag);
+        }
+        // A purge order that arrived mid-fetch has forgotten the URL:
+        // its dataset is gone, so the bytes are dropped too.
+        if let Some(frag @ Frag::Announced) = eg.frags.get_mut(&url) {
+            *frag = Frag::Warm(bytes, Instant::now());
         }
     }
 }
@@ -1025,94 +1026,48 @@ pub struct TaskError {
     pub cancelled: bool,
 }
 
-/// How many input buckets a slave fetches concurrently. A reduce task
-/// reads one bucket per map task; fetching them serially serializes
-/// round-trips to every peer, so this is the main shuffle latency lever.
-const FETCH_PARALLELISM: usize = 8;
-
-/// Fetch the raw bytes of every input URL, in order. With `eager`, slots
-/// are seeded from the shuffle fetcher's warm cache first and only the
-/// residue — fragments the fetcher missed — is fetched cold. Cold fetches
-/// run on up to [`FETCH_PARALLELISM`] worker threads; results land in
-/// their input slot either way, so downstream parsing sees inputs in
-/// assignment order (the determinism oracle depends on it). `cancel` is
-/// checked before each cold fetch: once set, the remaining inputs are
-/// skipped and the result is a cancelled [`TaskError`].
-fn fetch_all_bucket_bytes(
+/// Fetch the raw bytes of every input URL, in order. With `warm`, slots
+/// are seeded from the eager shuffle's warm cache first and only the
+/// residue — fragments it missed — is fetched cold, every URL marked
+/// taken so that no announcement (queued or yet to come) fetches it
+/// again. The cold fetch is [`fetch_buckets`]: one round trip per peer,
+/// results in their input slot, so downstream parsing sees inputs in
+/// assignment order (the determinism oracle depends on it). The first
+/// failing input makes the [`TaskError`]; once `cancel` is set the
+/// remaining inputs are skipped and the error is a cancelled one.
+fn fetch_inputs(
     urls: &[String],
+    pipe: &Pipe,
+    warm: bool,
     shared: Option<&Arc<dyn Store>>,
     own_authority: Option<&str>,
     frames: &FrameCache,
-    eager: Option<&EagerHalf>,
     cancel: &AtomicBool,
 ) -> std::result::Result<Vec<Vec<u8>>, TaskError> {
-    let fetch = |url: &str| {
-        if cancel.load(Ordering::Relaxed) {
-            return Err(Error::Cancelled);
-        }
-        fetch_bucket_bytes_local_first(url, shared, own_authority, Some(frames))
-    };
-    let fetch_err = |e: Error, url: &String| TaskError {
-        cancelled: matches!(e, Error::Cancelled),
-        msg: e.to_string(),
-        failed_input: Some(url.clone()),
-    };
-    let mut slots: Vec<Option<Vec<u8>>> = (0..urls.len()).map(|_| None).collect();
-    let mut residue: Vec<usize> = Vec::new();
-    if let Some(eg) = eager {
+    let mut slots: Vec<Option<Vec<u8>>> = urls.iter().map(|_| None).collect();
+    if let Some(eg) = pipe.state.lock().eager.as_mut().filter(|_| warm) {
         let now = Instant::now();
-        let mut st = eg.state.lock();
-        for (i, url) in urls.iter().enumerate() {
-            match st.warm.remove(url) {
-                Some((bytes, ready_at)) => {
+        for (slot, url) in slots.iter_mut().zip(urls) {
+            match eg.frags.insert(url.clone(), Frag::Taken) {
+                Some(Frag::Warm(bytes, ready_at)) => {
                     // How long the fragment sat ready is transfer latency
                     // that ran concurrently with map execution.
                     record_overlap(now.saturating_duration_since(ready_at));
-                    slots[i] = Some(bytes);
+                    *slot = Some(bytes);
                 }
-                None => residue.push(i),
+                _ => record_residual_fetch(),
             }
         }
-        // The residue is about to be fetched right here; drop any of it
-        // still queued for the background fetcher so the duplicate fetch
-        // doesn't compete with the barrier-time critical path. (Entries
-        // stay in `seen`: the bytes are being fetched either way.)
-        if !residue.is_empty() {
-            let residual: HashSet<&String> = residue.iter().map(|&i| &urls[i]).collect();
-            st.queue.retain(|u| !residual.contains(u));
-        }
-        drop(st);
-        for _ in &residue {
-            record_residual_fetch();
-        }
-    } else {
-        residue = (0..urls.len()).collect();
     }
-    if residue.len() <= 1 {
-        // Nothing to overlap; skip the thread machinery.
-        for &i in &residue {
-            slots[i] = Some(fetch(&urls[i]).map_err(|e| fetch_err(e, &urls[i]))?);
-        }
-    } else {
-        type FetchSlot = Mutex<Option<Result<Vec<u8>>>>;
-        let results: Vec<FetchSlot> = residue.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..FETCH_PARALLELISM.min(residue.len()) {
-                s.spawn(|| loop {
-                    let r = next.fetch_add(1, Ordering::Relaxed);
-                    if r >= residue.len() {
-                        break;
-                    }
-                    *results[r].lock() = Some(fetch(&urls[residue[r]]));
-                });
-            }
-        });
-        for (r, slot) in results.into_iter().enumerate() {
-            let i = residue[r];
-            let res = slot.into_inner().expect("fetch worker filled every slot");
-            slots[i] = Some(res.map_err(|e| fetch_err(e, &urls[i]))?);
-        }
+    let residue: Vec<usize> = (0..urls.len()).filter(|&i| slots[i].is_none()).collect();
+    let cold: Vec<&str> = residue.iter().map(|&i| urls[i].as_str()).collect();
+    let fetched = fetch_buckets(&cold, shared, own_authority, Some(frames), Some(cancel));
+    for (&i, bytes) in residue.iter().zip(fetched) {
+        slots[i] = Some(bytes.map_err(|e| TaskError {
+            cancelled: matches!(e, Error::Cancelled),
+            msg: e.to_string(),
+            failed_input: Some(urls[i].clone()),
+        })?);
     }
     Ok(slots.into_iter().map(|b| b.expect("every slot seeded or fetched")).collect())
 }
@@ -1590,11 +1545,12 @@ mod tests {
 
     /// A store that runs a hook on the pipe inside every `get` — the
     /// interleaving "an order arrives mid-fetch", forced rather than
-    /// raced for.
+    /// raced for — and logs the paths fetched.
     struct MidFetchStore {
         inner: MemFs,
         pipe: Arc<Pipe>,
         on_get: fn(&Pipe, &str),
+        gets: Mutex<Vec<String>>,
     }
 
     impl Store for MidFetchStore {
@@ -1602,6 +1558,7 @@ mod tests {
             self.inner.put(path, data)
         }
         fn get(&self, path: &str) -> Result<Vec<u8>> {
+            self.gets.lock().push(path.to_owned());
             (self.on_get)(&self.pipe, path);
             self.inner.get(path)
         }
@@ -1640,6 +1597,7 @@ mod tests {
             on_get: |pipe, _| {
                 pipe.apply_cancels(&[CancelOrder { data: 3, index: 1, attempt: 2 }], None)
             },
+            gets: Mutex::default(),
         };
         store.put("in0", &mrs_fs::format::write_bucket_bytes(&[])).unwrap();
         let store: Arc<dyn Store> = Arc::new(store);
@@ -1652,7 +1610,7 @@ mod tests {
         }
         let master = Master::new(MasterConfig::default(), DataPlane::Direct).unwrap();
         let frames = Arc::new(FrameCache::new());
-        prefetch_loop(&master, Some(&store), None, &frames, 0, &pipe, None).unwrap();
+        fetch_loop(&master, Some(&store), None, &frames, 0, &pipe, None).unwrap();
         let st = pipe.state.lock();
         assert_eq!(st.in_flight, 0, "the cancelled attempt's slot is freed");
         assert!(st.queue.is_empty(), "a cancelled attempt never reaches the workers");
@@ -1665,9 +1623,31 @@ mod tests {
     fn cancelled_fetch_skips_remaining_inputs() {
         let frames = FrameCache::new();
         let urls = vec!["file://never-stored".to_owned()];
-        let err = fetch_all_bucket_bytes(&urls, None, None, &frames, None, &AtomicBool::new(true))
+        let pipe = Pipe::new(false);
+        let err = fetch_inputs(&urls, &pipe, false, None, None, &frames, &AtomicBool::new(true))
             .expect_err("a cancelled fetch yields no bytes");
         assert!(err.cancelled, "{}", err.msg);
+    }
+
+    /// A bucket the peer no longer has fails the attempt naming that
+    /// bucket — the producer the master must re-execute — wherever in the
+    /// peer's batch it sits.
+    #[test]
+    fn missing_bucket_mid_batch_is_the_failed_input() {
+        let peer = Arc::new(FrameCache::new());
+        let frame =
+            mrs_codec::encode_vec(mrs_fs::format::write_bucket_bytes(&[]), CompressMode::default());
+        for path in ["b0", "b1", "b3"] {
+            peer.insert(path, frame.clone());
+        }
+        let server = DataServer::serve(0, peer.provider()).unwrap();
+        let urls: Vec<String> = (0..4).map(|i| server.url_for(&format!("b{i}"))).collect();
+        let pipe = Pipe::new(false);
+        let cancel = AtomicBool::new(false);
+        let err = fetch_inputs(&urls, &pipe, false, None, None, &FrameCache::new(), &cancel)
+            .expect_err("b2 is gone");
+        assert_eq!(err.failed_input.as_deref(), Some(urls[2].as_str()), "{}", err.msg);
+        assert!(!err.cancelled);
     }
 
     fn frag_url(slave: usize, data: u32, index: usize) -> String {
@@ -1678,6 +1658,27 @@ mod tests {
         EagerFragment { data, partition: 0, url: frag_url(slave, data, index) }
     }
 
+    /// The fragment URLs in each state of the eager bookkeeping.
+    fn frag_urls(pipe: &Pipe, state: fn(&Frag) -> bool) -> Vec<String> {
+        let st = pipe.state.lock();
+        let frags = &st.eager.as_ref().unwrap().frags;
+        let mut urls: Vec<_> =
+            frags.iter().filter(|(_, f)| state(f)).map(|(u, _)| u.clone()).collect();
+        urls.sort();
+        urls
+    }
+
+    fn warm_urls(pipe: &Pipe) -> Vec<String> {
+        frag_urls(pipe, |f| matches!(f, Frag::Warm(..)))
+    }
+
+    fn park(pipe: &Pipe, url: &str, bytes: Vec<u8>) {
+        let mut st = pipe.state.lock();
+        let eg = st.eager.as_mut().unwrap();
+        eg.announced.retain(|u| u != url);
+        eg.frags.insert(url.to_owned(), Frag::Warm(bytes, Instant::now()));
+    }
+
     /// The purge order a slave receives names that slave (`s{own}/d…`),
     /// whoever produced the dataset's buckets. Fragments of the freed
     /// dataset go from every eager structure — also the ones fetched from
@@ -1685,32 +1686,24 @@ mod tests {
     #[test]
     fn purge_eager_drops_a_freed_dataset_whichever_slave_produced_it() {
         let pipe = Pipe::new(true);
-        let eg = pipe.eager.as_ref().unwrap();
         // Dataset 1: one fragment from this slave (0), two from a peer (1),
         // one of them still queued. Dataset 2: one from the peer.
-        pipe.enqueue_eager(&[
-            fragment(0, 1, 0),
-            fragment(1, 1, 1),
-            fragment(1, 1, 2),
-            fragment(1, 2, 0),
-        ]);
-        {
-            let mut st = eg.state.lock();
-            for url in [frag_url(0, 1, 0), frag_url(1, 1, 1), frag_url(1, 2, 0)] {
-                st.queue.retain(|u| *u != url);
-                st.warm.insert(url, (vec![0u8; 8], Instant::now()));
-            }
+        let announced =
+            [fragment(0, 1, 0), fragment(1, 1, 1), fragment(1, 1, 2), fragment(1, 2, 0)];
+        pipe.enqueue(Vec::new(), 0, &announced);
+        for url in [frag_url(0, 1, 0), frag_url(1, 1, 1), frag_url(1, 2, 0)] {
+            park(&pipe, &url, vec![0u8; 8]);
         }
         pipe.purge_eager("s0/d1/");
-        let st = eg.state.lock();
-        let left = |urls: Vec<&String>| urls.into_iter().cloned().collect::<Vec<_>>();
-        assert_eq!(left(st.warm.keys().collect()), [frag_url(1, 2, 0)]);
-        assert_eq!(left(st.seen.iter().collect()), [frag_url(1, 2, 0)]);
-        assert!(st.queue.is_empty(), "{:?}", st.queue);
+        assert_eq!(warm_urls(&pipe), [frag_url(1, 2, 0)]);
+        assert_eq!(frag_urls(&pipe, |_| true), [frag_url(1, 2, 0)]);
+        let st = pipe.state.lock();
+        let queue = &st.eager.as_ref().unwrap().announced;
+        assert!(queue.is_empty(), "{queue:?}");
     }
 
-    /// A purge order that lands while the fetcher is mid-fetch on one of
-    /// the dataset's fragments wins: the fetched bytes are not parked.
+    /// A purge order that lands while the fetch stage is mid-fetch on one
+    /// of the dataset's fragments wins: the fetched bytes are not parked.
     #[test]
     fn fragment_purged_mid_fetch_is_not_parked() {
         let pipe = Arc::new(Pipe::new(true));
@@ -1724,6 +1717,7 @@ mod tests {
                 "s1/d1/t0/b0.mrsb" => pipe.purge_eager("s0/d1/"),
                 _ => pipe.shut_down(false),
             },
+            gets: Mutex::default(),
         };
         store.put("s1/d1/t0/b0.mrsb", &bucket).unwrap();
         store.put("s1/d2/t0/b0.mrsb", &bucket).unwrap();
@@ -1733,11 +1727,11 @@ mod tests {
             partition: 0,
             url: format!("file://s1/d{data}/t0/b0.mrsb"),
         };
-        pipe.enqueue_eager(&[frag(1), frag(2)]);
-        eager_fetch_loop(Some(&store), None, &Arc::new(FrameCache::new()), &pipe, None);
-        let st = pipe.eager.as_ref().unwrap().state.lock();
-        assert!(st.warm.is_empty(), "{:?}", st.warm.keys());
-        assert!(!st.seen.contains(&frag(1).url));
+        pipe.enqueue(Vec::new(), 0, &[frag(1), frag(2)]);
+        let master = Master::new(MasterConfig::default(), DataPlane::Direct).unwrap();
+        fetch_loop(&master, Some(&store), None, &FrameCache::new(), 0, &pipe, None).unwrap();
+        assert!(warm_urls(&pipe).is_empty(), "{:?}", warm_urls(&pipe));
+        assert!(!frag_urls(&pipe, |_| true).contains(&frag(1).url));
     }
 
     /// A re-executed producer's fresh URL never consumes a stale warm
@@ -1747,35 +1741,82 @@ mod tests {
     #[test]
     fn reexecuted_producers_fresh_url_never_consumes_a_stale_warm_fragment() {
         let pipe = Pipe::new(true);
-        let eg = pipe.eager.as_ref().unwrap();
         let bucket = |v: u8| mrs_fs::format::write_bucket_bytes(&[(b"k".to_vec(), vec![v])]);
         let stale = "file://s0/d1/t2/b0.mrsb".to_owned();
         let fresh = "file://s9/d1/t2/b0.mrsb".to_owned();
         let warm = "file://s0/d1/t3/b0.mrsb".to_owned();
-        {
-            let mut st = eg.state.lock();
-            st.warm.insert(stale.clone(), (bucket(0), Instant::now()));
-            st.warm.insert(warm.clone(), (bucket(3), Instant::now()));
-        }
+        park(&pipe, &stale, bucket(0));
+        park(&pipe, &warm, bucket(3));
         let store: Arc<dyn Store> = Arc::new(MemFs::new());
         store
             .put("s9/d1/t2/b0.mrsb", &mrs_codec::encode_vec(bucket(2), CompressMode::Off))
             .unwrap();
 
-        let got = fetch_all_bucket_bytes(
+        let got = fetch_inputs(
             &[fresh, warm],
+            &pipe,
+            true,
             Some(&store),
             None,
             &FrameCache::new(),
-            Some(eg),
             &AtomicBool::new(false),
         )
         .map_err(|e| e.msg)
         .unwrap();
         assert_eq!(got, [bucket(2), bucket(3)], "fresh bytes cold, the matching fragment warm");
-        assert!(eg.state.lock().warm.contains_key(&stale), "left for the purge order");
+        assert_eq!(warm_urls(&pipe), [stale], "left for the purge order");
         pipe.purge_eager("s4/d1/");
-        assert!(eg.state.lock().warm.is_empty());
+        assert!(frag_urls(&pipe, |_| true).is_empty());
+    }
+
+    /// A fragment a task fetched is never fetched again, whether its
+    /// announcement was queued before the task (same poll answer) or
+    /// arrives once the task has claimed it: one `get` each, nothing
+    /// parked warm for the purge order to find. A re-executed producer's
+    /// fresh URL is still fetched.
+    #[test]
+    fn announcement_of_a_fragment_a_task_consumed_fetches_nothing() {
+        const EARLY: &str = "s0/d1/t0/b0.mrsb";
+        const LATE: &str = "s0/d1/t1/b0.mrsb";
+        const FRESH: &str = "s9/d1/t1/b0.mrsb";
+        fn frag(path: &str) -> EagerFragment {
+            EagerFragment { data: 1, partition: 0, url: format!("file://{path}") }
+        }
+        let pipe = Arc::new(Pipe::new(true));
+        let store = Arc::new(MidFetchStore {
+            inner: MemFs::new(),
+            pipe: Arc::clone(&pipe),
+            on_get: |pipe, path| match path {
+                // The task has claimed its inputs and is fetching them:
+                // announce one of them, and a fresh URL of the same task.
+                LATE => pipe.enqueue(Vec::new(), 0, &[frag(LATE), frag(FRESH)]),
+                FRESH => pipe.shut_down(false),
+                _ => {}
+            },
+            gets: Mutex::default(),
+        });
+        for path in [EARLY, LATE, FRESH] {
+            store.put(path, &mrs_fs::format::write_bucket_bytes(&[])).unwrap();
+        }
+        let task = TaskMsg {
+            data: 2,
+            index: 0,
+            kind: TaskKind::Reduce,
+            func: 0,
+            map_func: 0,
+            parts: 1,
+            combine: false,
+            attempt: 1,
+            inputs: vec![frag(EARLY).url, frag(LATE).url],
+        };
+        // One poll answer grants the task and announces its first input.
+        pipe.enqueue(vec![task], 0, &[frag(EARLY)]);
+        let master = Master::new(MasterConfig::default(), DataPlane::Direct).unwrap();
+        let shared: Arc<dyn Store> = store.clone();
+        fetch_loop(&master, Some(&shared), None, &FrameCache::new(), 0, &pipe, None).unwrap();
+        assert_eq!(*store.gets.lock(), [EARLY, LATE, FRESH], "one fetch per URL");
+        assert!(warm_urls(&pipe).is_empty(), "{:?}", warm_urls(&pipe));
+        assert_eq!(pipe.state.lock().queue.len(), 1, "the task reached the workers");
     }
 
     #[test]
