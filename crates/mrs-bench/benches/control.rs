@@ -1,7 +1,5 @@
 //! Control-plane round-trip cost: one near-empty map+reduce round on a
-//! real-socket cluster under each control mode. The long-poll plane wins
-//! by replacing poll backoff sleeps with condvar wakes and standalone
-//! `task_done` RPCs with piggybacked reports; this bench pins that gap.
+//! real-socket cluster — long-poll dispatch, piggybacked reports.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mrs::apps::wordcount::{lines_to_records, WordCount};
@@ -27,22 +25,19 @@ fn bench_control(c: &mut Criterion) {
     let mut group = c.benchmark_group("control_round");
     group.sample_size(20);
 
-    for (name, control) in [("longpoll", ControlMode::LongPoll), ("poll", ControlMode::Poll)] {
-        group.bench_function(name, |b| {
-            let cfg = MasterConfig { control, ..MasterConfig::default() };
-            let mut cluster = LocalCluster::start_with(
-                Arc::new(Simple(WordCount)),
-                2,
-                DataPlane::Direct,
-                cfg,
-                SlaveOptions { slots: 2, ..SlaveOptions::default() },
-            )
-            .unwrap();
-            let mut job = Job::new(&mut cluster);
-            let src = job.local_data(tiny_input(tasks), tasks).unwrap();
-            b.iter(|| one_round(&mut job, src, tasks));
-        });
-    }
+    group.bench_function("longpoll", |b| {
+        let mut cluster = LocalCluster::start_with(
+            Arc::new(Simple(WordCount)),
+            2,
+            DataPlane::Direct,
+            MasterConfig::default(),
+            SlaveOptions { slots: 2, ..SlaveOptions::default() },
+        )
+        .unwrap();
+        let mut job = Job::new(&mut cluster);
+        let src = job.local_data(tiny_input(tasks), tasks).unwrap();
+        b.iter(|| one_round(&mut job, src, tasks));
+    });
 
     group.finish();
 }

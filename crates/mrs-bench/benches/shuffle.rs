@@ -1,12 +1,11 @@
 //! Shuffle data-plane benchmarks: the two halves of the overhaul.
 //!
-//! * `shuffle_combine` — in-mapper combining strategies on Zipf-distributed
-//!   WordCount input (the shape where streaming hash combining wins: a few
-//!   very hot keys fold incrementally instead of being buffered and sorted).
-//!   The `seed_sort_combine` arm reconstructs the pre-overhaul pipeline
-//!   (per-emit record allocation + stable `Vec<Record>` sort) so the
-//!   speedup is measured against the original implementation, not just
-//!   against the already-optimised arena sort path.
+//! * `shuffle_combine` — in-mapper combining on Zipf-distributed WordCount
+//!   input (the shape where streaming hash combining wins: a few very hot
+//!   keys fold incrementally instead of being buffered and sorted). The
+//!   `seed_sort_combine` arm reconstructs the pre-overhaul pipeline
+//!   (per-emit record allocation + stable `Vec<Record>` sort), so the
+//!   speedup is measured against the original implementation.
 //! * `shuffle_transfer` — bucket fetch over a persistent pooled connection
 //!   vs. a fresh TCP dial per request (the keep-alive ablation, A4).
 
@@ -14,7 +13,7 @@ use corpus::zipf::{word_for_rank, Zipf};
 use criterion::{criterion_group, criterion_main, Criterion};
 use mrs_core::kv::encode_record;
 use mrs_core::program::Program;
-use mrs_core::task::{run_map_task_with, CombineStrategy};
+use mrs_core::task::run_map_task_bucket;
 use mrs_core::{Bucket, MapReduce, Record, Simple};
 use mrs_rng::SplitMix64;
 use mrs_rpc::http::{HttpClient, HttpServer, Response, ServerOptions};
@@ -100,62 +99,19 @@ fn bench_combine(c: &mut Criterion) {
 
     // Sanity: the reconstructed seed path and the new hash path must agree
     // byte-for-byte, or the benchmark would be comparing different work.
-    let hash =
-        run_map_task_with(&program, 0, &input, 4, true, CombineStrategy::Hash, None).unwrap();
+    let hash = run_map_task_bucket(&program, 0, &input, 4, true).unwrap();
     let seed = seed_sort_combine_map_task(&program, &records, 4);
     assert_eq!(hash.iter().map(|b| b.to_records()).collect::<Vec<_>>(), seed);
 
     let mut group = c.benchmark_group("shuffle_combine");
     group.bench_function("hash_combine_zipf_500k", |b| {
-        b.iter(|| {
-            black_box(
-                run_map_task_with(
-                    &program,
-                    0,
-                    black_box(&input),
-                    4,
-                    true,
-                    CombineStrategy::Hash,
-                    None,
-                )
-                .unwrap(),
-            )
-        })
-    });
-    group.bench_function("sort_combine_zipf_500k", |b| {
-        b.iter(|| {
-            black_box(
-                run_map_task_with(
-                    &program,
-                    0,
-                    black_box(&input),
-                    4,
-                    true,
-                    CombineStrategy::Sort,
-                    None,
-                )
-                .unwrap(),
-            )
-        })
+        b.iter(|| black_box(run_map_task_bucket(&program, 0, black_box(&input), 4, true).unwrap()))
     });
     group.bench_function("seed_sort_combine_zipf_500k", |b| {
         b.iter(|| black_box(seed_sort_combine_map_task(&program, black_box(&records), 4)))
     });
     group.bench_function("no_combine_zipf_500k", |b| {
-        b.iter(|| {
-            black_box(
-                run_map_task_with(
-                    &program,
-                    0,
-                    black_box(&input),
-                    4,
-                    false,
-                    CombineStrategy::Hash,
-                    None,
-                )
-                .unwrap(),
-            )
-        })
+        b.iter(|| black_box(run_map_task_bucket(&program, 0, black_box(&input), 4, false).unwrap()))
     });
     group.finish();
 }

@@ -18,10 +18,13 @@
 //! is the bucket bytes themselves, so producing it is one copy and one
 //! checksum pass, and decoding it one checksum pass — the default, since
 //! every link the runtime opens today is loopback (DESIGN.md §2 records
-//! the break-even). Input that does not start with the frame magic is
-//! returned as-is (raw `MRSB1` bytes: store files, tests), and the
-//! compressed bit is read per payload, so a compressing producer and a
-//! storing one coexist in one cluster with no negotiation.
+//! the break-even). Every decoder here is strict: input that does not
+//! start with the frame magic is [`FrameError::NotFramed`], so a damaged
+//! magic byte is caught like any other damaged byte. (The one reader of
+//! bucket *files*, `mrs_fs::format`, tests [`is_framed`] itself and parses
+//! unframed `MRSB1` bytes directly.) The compressed bit is read per
+//! payload, so a compressing producer and a storing one coexist in one
+//! cluster with no negotiation.
 
 use crate::lz;
 use crate::xxhash::xxh64;
@@ -92,14 +95,17 @@ impl CompressMode {
 /// Why a frame failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {
+    /// Input does not start with the `MRSF1` magic: not a frame at all,
+    /// or a frame whose magic was damaged in transit. Remote fetchers
+    /// retry once on this variant, as they do on [`FrameError::Checksum`].
+    NotFramed,
     /// Frame shorter than its fixed header.
     Truncated,
     /// Flags field has bits set that this decoder does not know — a
     /// newer producer or a corrupted header byte.
     UnknownFlags(u8),
     /// Stored checksum does not match the payload — the frame was
-    /// corrupted in transit or at rest. Remote fetchers retry once on
-    /// exactly this variant.
+    /// corrupted in transit or at rest. Remote fetchers retry once.
     Checksum { expected: u64, actual: u64 },
     /// Checksum was fine but the compressed payload is malformed — this
     /// indicates a producer bug, not wire corruption, so it is not
@@ -110,6 +116,7 @@ pub enum FrameError {
 impl std::fmt::Display for FrameError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            FrameError::NotFramed => write!(f, "missing MRSF1 frame magic"),
             FrameError::Truncated => write!(f, "truncated MRSF1 frame"),
             FrameError::UnknownFlags(flags) => {
                 write!(f, "frame has unknown flag bits: {flags:#04x}")
@@ -135,6 +142,11 @@ pub fn is_framed(bytes: &[u8]) -> bool {
 /// Frame `raw` bucket bytes for the wire under `mode`: compressed when
 /// the mode asks for it and compression actually won, stored otherwise —
 /// never larger than `raw.len() + FRAME_HEADER_LEN`.
+///
+/// # Panics
+/// If `raw` exceeds `u32::MAX` bytes, the width of the header's length
+/// field. There is no chunked format; a producer must keep its buckets
+/// below 4 GiB (`mrs_core::Bucket`'s own arena offsets are `u32` too).
 pub fn encode_vec(raw: Vec<u8>, mode: CompressMode) -> Vec<u8> {
     encode_with_flags(raw, mode, 0)
 }
@@ -146,11 +158,11 @@ pub fn encode_vec_sorted(raw: Vec<u8>, mode: CompressMode, sorted: bool) -> Vec<
 }
 
 fn encode_with_flags(raw: Vec<u8>, mode: CompressMode, extra_flags: u8) -> Vec<u8> {
-    // Buckets beyond u32 range cannot be framed (header field width);
-    // fall back to raw, which every decoder accepts.
-    if raw.len() > u32::MAX as usize {
-        return raw;
-    }
+    assert!(
+        raw.len() <= u32::MAX as usize,
+        "bucket of {} bytes exceeds the 4 GiB frame",
+        raw.len()
+    );
     let compressed = (mode == CompressMode::On && raw.len() >= COMPRESS_FLOOR)
         .then(|| lz::compress(&raw))
         .filter(|c| c.len() < raw.len());
@@ -168,11 +180,10 @@ fn encode_with_flags(raw: Vec<u8>, mode: CompressMode, extra_flags: u8) -> Vec<u
 }
 
 /// Verify a frame and return its cleartext and flags. A stored payload
-/// is borrowed from `bytes`; only a compressed one allocates. Non-framed
-/// input is the cleartext already.
+/// is borrowed from `bytes`; only a compressed one allocates.
 fn open(bytes: &[u8]) -> Result<(Cow<'_, [u8]>, u8), FrameError> {
     if !is_framed(bytes) {
-        return Ok((Cow::Borrowed(bytes), 0));
+        return Err(FrameError::NotFramed);
     }
     if bytes.len() < FRAME_HEADER_LEN {
         return Err(FrameError::Truncated);
@@ -203,10 +214,9 @@ fn open(bytes: &[u8]) -> Result<(Cow<'_, [u8]>, u8), FrameError> {
 
 /// Decode wire bytes back to raw bucket bytes.
 ///
-/// Framed input is checksum-verified; a stored payload is then returned
-/// in the buffer it arrived in (the header is shifted out, nothing is
-/// allocated), a compressed one is decompressed. Non-framed input is
-/// passed through untouched.
+/// The frame is checksum-verified; a stored payload is then returned in
+/// the buffer it arrived in (the header is shifted out, nothing is
+/// allocated), a compressed one is decompressed.
 pub fn decode_vec(mut bytes: Vec<u8>) -> Result<Vec<u8>, FrameError> {
     let header = match open(&bytes)?.0 {
         Cow::Owned(raw) => return Ok(raw),
@@ -226,8 +236,7 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Vec<u8>, FrameError> {
 /// claim: the frame set [`FLAG_SORTED_RUN`] **and** the decoded payload
 /// passed the monotonicity spot-check. A claim that fails the check is
 /// demoted to unsorted (and counted, see [`sorted_claim_rejects`]) rather
-/// than rejected outright — the consumer then sorts on arrival, exactly
-/// as it does for unflagged input.
+/// than rejected outright — the consumer then sorts on arrival.
 pub fn decode_frame_sorted(bytes: &[u8]) -> Result<(Vec<u8>, bool), FrameError> {
     decode_frame_sorted_cow(bytes).map(|(raw, sorted)| (raw.into_owned(), sorted))
 }
@@ -362,10 +371,15 @@ mod tests {
     }
 
     #[test]
-    fn raw_passthrough_on_decode() {
-        let raw = b"anything that is not the frame magic".to_vec();
-        assert_eq!(decode_vec(raw.clone()).unwrap(), raw);
-        assert_eq!(decode_frame(&raw).unwrap(), raw);
+    fn input_without_the_magic_is_not_a_frame() {
+        let raw = b"MRSB1 bucket bytes, never framed".to_vec();
+        assert_eq!(decode_vec(raw.clone()), Err(FrameError::NotFramed));
+        assert_eq!(decode_frame(&raw), Err(FrameError::NotFramed));
+        assert_eq!(decode_frame_sorted(&raw), Err(FrameError::NotFramed));
+        // One damaged magic byte of a real frame is caught the same way.
+        let mut framed = encode_vec(raw, CompressMode::Off);
+        framed[0] ^= 1;
+        assert_eq!(decode_vec(framed), Err(FrameError::NotFramed));
     }
 
     #[test]
@@ -411,11 +425,10 @@ mod tests {
     }
 
     #[test]
-    fn unflagged_and_raw_input_report_unsorted() {
+    fn unflagged_input_reports_unsorted() {
         let raw = bucket_bytes(&[(b"a", b"1")]);
         let framed = encode_vec(raw.clone(), CompressMode::On);
         assert_eq!(decode_frame_sorted(&framed).unwrap(), (raw.clone(), false));
-        assert_eq!(decode_frame_sorted(&raw).unwrap(), (raw.clone(), false));
         let unflagged = encode_vec_sorted(raw.clone(), CompressMode::On, false);
         assert_eq!(decode_frame_sorted(&unflagged).unwrap(), (raw, false));
     }

@@ -11,7 +11,7 @@
 //! Producers call [`encode_vec`] once per bucket; every consumer —
 //! remote fetch, colocated short-circuit, or shared-filesystem read —
 //! calls [`decode_vec`]/[`decode_frame`], which verify the checksum and
-//! transparently accept unframed `MRSB1` bytes.
+//! reject anything that is not a frame.
 
 pub mod frame;
 pub mod lz;

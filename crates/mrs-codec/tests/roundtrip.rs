@@ -54,11 +54,8 @@ proptest! {
 /// flip every single byte of the encoded frame in turn and assert a
 /// flip can never yield *wrong* data. A flip either errors, or — if it
 /// is semantically neutral (e.g. the compressed-flag bit on an empty
-/// payload) — reproduces the exact original bytes. The one designed
-/// exception is the magic itself: a flipped magic byte demotes the
-/// frame to legacy raw passthrough, returning the mangled frame bytes
-/// verbatim, which the downstream `MRSB1` parser then rejects; here we
-/// only require that it never reconstructs the original cleartext.
+/// payload) — reproduces the exact original bytes. The magic is no
+/// exception: a flipped magic byte is `NotFramed`, never a passthrough.
 #[test]
 fn every_single_byte_flip_is_caught() {
     let noise: Vec<u8> = {
@@ -88,12 +85,8 @@ fn every_single_byte_flip_is_caught() {
                 let mut bad = wire.clone();
                 bad[i] ^= bit;
                 match decode_vec(bad) {
-                    Err(_) => {}
-                    Ok(decoded) if i < 5 => {
-                        // Corrupted magic: raw passthrough of the
-                        // mangled frame bytes, never the cleartext.
-                        assert_ne!(decoded, raw, "flip at byte {i} reproduced the cleartext");
-                    }
+                    Err(FrameError::NotFramed) => assert!(i < 5, "flip at byte {i}"),
+                    Err(_) => assert!(i >= 5, "magic flip at byte {i} must be NotFramed"),
                     Ok(decoded) => {
                         assert_eq!(decoded, raw, "flip at byte {i} produced wrong data");
                     }
@@ -112,9 +105,8 @@ fn every_single_byte_flip_is_caught() {
     }
 }
 
-/// The compat matrix the cluster relies on: a storing producer, a
-/// compressing producer and raw `MRSB1` bytes (store files written
-/// without a frame) all reach the same consumer.
+/// The compat matrix the cluster relies on: a storing producer and a
+/// compressing producer reach the same consumer.
 #[test]
 fn mixed_mode_compat_matrix() {
     let raw = b"MRSB1-ish bucket payload ".repeat(30);
@@ -124,6 +116,4 @@ fn mixed_mode_compat_matrix() {
     let compressed = encode_vec(raw.clone(), CompressMode::On);
     assert!(compressed.len() < raw.len());
     assert_eq!(decode_vec(compressed).unwrap(), raw);
-    assert!(!is_framed(&raw));
-    assert_eq!(decode_vec(raw.clone()).unwrap(), raw);
 }

@@ -12,15 +12,14 @@
 //! * [`bucket`] / [`merge`] — intermediate data containers, sorting,
 //!   merging and grouping by key,
 //! * [`partition`] — hash and modulo partitioners,
-//! * [`plan`] — operation descriptors (map/reduce DAG) shared by all
-//!   runtimes, including the iterative chains of Fig. 2.
+//! * [`task`] — [`task::TaskSpec`] and the one task kernel every runtime
+//!   runs it with.
 
 pub mod bucket;
 pub mod error;
 pub mod kv;
 pub mod merge;
 pub mod partition;
-pub mod plan;
 pub mod program;
 pub mod task;
 
@@ -28,6 +27,5 @@ pub use bucket::Bucket;
 pub use error::{Error, Result};
 pub use kv::{Datum, Record, View};
 pub use merge::{merge_runs, RunMerger};
-pub use plan::{DataRef, FuncId, OpId, OpKind, OpSpec, Plan};
-pub use program::{MapReduce, Program, Simple};
-pub use task::MergeMode;
+pub use program::{FuncId, MapReduce, Program, Simple};
+pub use task::TaskSpec;

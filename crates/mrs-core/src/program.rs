@@ -25,8 +25,10 @@
 use crate::error::{Error, Result};
 use crate::kv::{Datum, View};
 use crate::partition::Partition;
-use crate::plan::FuncId;
 use std::cell::Cell;
+
+/// Identifies one of a program's map/reduce functions.
+pub type FuncId = u32;
 
 /// A typed, single-stage MapReduce program.
 ///

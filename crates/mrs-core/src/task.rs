@@ -1,45 +1,101 @@
-//! Task kernels: the actual work of a map task or a reduce task.
+//! The task kernel: the actual work of a map, reduce or fused task.
 //!
 //! Every execution implementation — serial, mock-parallel, thread pool,
-//! master/slave, and the Hadoop baseline — funnels through these two
-//! functions, which is what guarantees the paper's property that all
-//! implementations "produce identical answers" (§IV-A): the runtimes differ
-//! only in *where and when* tasks run, never in what a task computes.
+//! master/slave, and the Hadoop baseline — funnels through this code,
+//! which is what guarantees the paper's property that all implementations
+//! "produce identical answers" (§IV-A): the runtimes differ only in
+//! *where and when* tasks run, never in what a task computes.
 //!
-//! Combining comes in two flavours selected by [`CombineStrategy`]:
+//! There is one kernel, [`run_task`], over one description of a task,
+//! [`TaskSpec`], and the sorted runs it reads:
 //!
-//! * [`CombineStrategy::Sort`] — the classic post-pass: buffer the whole
-//!   map output, sort each bucket, combine each key group. O(n log n)
-//!   comparisons and peak memory proportional to the raw map output.
-//! * [`CombineStrategy::Hash`] (default) — an in-mapper streaming
-//!   combiner: records are folded into a hash table *as they are emitted*,
-//!   so duplicate-heavy workloads (Zipf-distributed WordCount) never
-//!   materialize the raw output. O(n) expected work; the final sort only
-//!   touches distinct keys. Groups are emitted in sorted key order, so the
-//!   output is byte-for-byte identical to the sort path for the
-//!   associative, key-preserving combiners the paper's contract requires
-//!   ("the reduce function can function as a combiner").
+//! * a **map** reads `runs[0]` record by record and partitions what the
+//!   map function emits;
+//! * a **reduce** streams key groups out of a k-way [`RunMerger`] over its
+//!   runs straight into the reduce function, never materializing the
+//!   concatenated partition — the merge breaks equal keys by run index,
+//!   which is exactly a stable sort's value order;
+//! * a fused **reduce-map** feeds every reduced record of that same merge
+//!   into the map function, in the order a reduce task's output bucket
+//!   would hold them, so its buckets are byte-identical to running the
+//!   reduce task and then a map task over its output.
 //!
-//! Every map kernel emits each output bucket as a **sorted run** (the
-//! combiner paths do so inherently; the raw path sorts in place), which
-//! lets the reduce-side kernels choose via [`MergeMode`] between the
-//! classic concatenate+sort and a streaming k-way merge
-//! ([`run_reduce_task_merge`], [`run_reduce_map_task_merge`]) that never
-//! materializes the concatenated partition. Both reduce paths are
-//! byte-identical; the sort path is kept as the oracle.
+//! Map-like output goes through one partitioned sink chosen once per task:
+//! plain buckets sorted at the end, or — when the task combines — one
+//! streaming [`StreamCombiner`] per partition that folds records into a
+//! hash table *as they are emitted*, so duplicate-heavy workloads never
+//! materialize the raw output ("the reduce function can function as a
+//! combiner", §V-A). Either way every output bucket is a **sorted run**,
+//! which is what lets the next reduce merge instead of sort.
+//!
+//! Three thin conveniences sit beside the kernel: [`run_map_task_bucket`]
+//! and [`run_reduce_task_merge`] are the kernel's map and reduce arms
+//! under the names the layer benchmarks and allocation tests time, and
+//! [`run_reduce_task`] is the concatenate+sort reduce — independent of the
+//! merger, the reference the merge is tested against and the shape
+//! `hadoop-sim` models.
 
 use crate::bucket::{cmp_keys, key_prefix, Bucket};
 use crate::error::{Error, Result};
 use crate::merge::RunMerger;
-use crate::plan::FuncId;
-use crate::program::Program;
+use crate::program::{FuncId, Program};
 use mrs_rng::splitmix::hash_bytes;
 use std::borrow::Borrow;
 use std::sync::atomic::{AtomicBool, Ordering};
 
+/// What one task does with its input: the one description every plane
+/// schedules by and the kernel runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TaskSpec {
+    /// Map each input record, partitioning the output into `parts` buckets.
+    Map {
+        /// Map function id.
+        func: FuncId,
+        /// Output partitions.
+        parts: usize,
+        /// Combine map output locally when `func` has a combiner.
+        combine: bool,
+    },
+    /// Group the gathered partition by key and reduce each group into the
+    /// task's one output bucket.
+    Reduce {
+        /// Reduce function id.
+        func: FuncId,
+    },
+    /// Fused reduce+map (§ iterative jobs): reduce each group and feed
+    /// every reduced record straight into the map function — one task
+    /// where the unfused plan schedules and shuffles two.
+    ReduceMap {
+        /// Reduce function id.
+        reduce_func: FuncId,
+        /// Map function id.
+        map_func: FuncId,
+        /// Output partitions.
+        parts: usize,
+        /// Combine map output locally when `map_func` has a combiner.
+        combine: bool,
+    },
+}
+
+impl TaskSpec {
+    /// Buckets per task when the output is map-like (reducible).
+    pub fn parts(&self) -> Option<usize> {
+        match *self {
+            TaskSpec::Map { parts, .. } | TaskSpec::ReduceMap { parts, .. } => Some(parts),
+            TaskSpec::Reduce { .. } => None,
+        }
+    }
+
+    /// Whether the task gathers one partition of every task of its input
+    /// (reduce and reduce-map) rather than reading one split (map).
+    pub fn gathers(&self) -> bool {
+        !matches!(self, TaskSpec::Map { .. })
+    }
+}
+
 /// Check a cooperative-cancellation flag (if any); raise [`Error::Cancelled`]
-/// when it is set. Called at record boundaries in the map kernels and at
-/// group boundaries in the reduce kernels, so a losing speculative attempt
+/// when it is set. Called at record boundaries of a map and at group
+/// boundaries of a reduce-like task, so a losing speculative attempt
 /// abandons its work within one record/group of the cancel order landing.
 #[inline]
 fn check_cancel(cancel: Option<&AtomicBool>) -> Result<()> {
@@ -49,49 +105,54 @@ fn check_cancel(cancel: Option<&AtomicBool>) -> Result<()> {
     }
 }
 
-/// How a map task applies its combiner.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CombineStrategy {
-    /// Streaming in-mapper hash combining (default).
-    #[default]
-    Hash,
-    /// Buffer, sort, then combine key groups (the pre-overhaul behaviour;
-    /// kept for the A4 ablation and as the reference implementation).
-    Sort,
+/// Run one task over its input `runs`: the split of a map (`runs[0]`), or
+/// the sorted runs a reduce-like task gathered, in producer order. Returns
+/// the task's output buckets — `parts` sorted runs for a map-like task,
+/// one bucket for a reduce. When `cancel` becomes set the kernel stops and
+/// returns [`Error::Cancelled`], discarding all partial output.
+pub fn run_task<B: Borrow<Bucket>>(
+    program: &dyn Program,
+    spec: &TaskSpec,
+    runs: &[B],
+    cancel: Option<&AtomicBool>,
+) -> Result<Vec<Bucket>> {
+    kernel(program, spec, &borrowed(runs), cancel)
 }
 
-/// How a reduce-side task assembles its gathered partition. Every map
-/// kernel emits each output bucket as a *sorted run*, so the reduce input
-/// is k sorted runs either way; the mode only chooses between streaming
-/// them through a k-way merge and the classic concatenate+sort.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum MergeMode {
-    /// Stream key groups out of a k-way merge of the fetched runs
-    /// (default): O(n log k) comparisons, no concatenated bucket.
-    #[default]
-    Merge,
-    /// Concatenate all runs and sort — the pre-merge behaviour, kept as
-    /// the byte-identity oracle behind `--mrs-merge=sort`.
-    Sort,
+/// The caller's runs as plain references. Everything below this point is
+/// written over `&[&Bucket]` and so compiled once, in this crate, where
+/// the per-record `Bucket` operations inline — not once per `B` in
+/// whichever crate names it.
+fn borrowed<B: Borrow<Bucket>>(runs: &[B]) -> Vec<&Bucket> {
+    runs.iter().map(Borrow::borrow).collect()
 }
 
-impl MergeMode {
-    /// Parse a `--mrs-merge` value.
-    pub fn parse(s: &str) -> Result<MergeMode> {
-        match s {
-            "merge" => Ok(MergeMode::Merge),
-            "sort" => Ok(MergeMode::Sort),
-            other => Err(Error::Invalid(format!("unknown merge mode {other:?} (merge|sort)"))),
+fn kernel(
+    program: &dyn Program,
+    spec: &TaskSpec,
+    runs: &[&Bucket],
+    cancel: Option<&AtomicBool>,
+) -> Result<Vec<Bucket>> {
+    let (reduce_func, map_func, parts, combine) = match *spec {
+        TaskSpec::Reduce { func } => return reduce(program, func, runs, cancel).map(|b| vec![b]),
+        TaskSpec::Map { func, parts, combine } => (None, func, parts, combine),
+        TaskSpec::ReduceMap { reduce_func, map_func, parts, combine } => {
+            (Some(reduce_func), map_func, parts, combine)
         }
+    };
+    // The sink is chosen here, once: each instantiation of `map_like`
+    // has its per-record emit path compiled for one sink.
+    if combine && program.has_combiner(map_func) {
+        map_like(program, reduce_func, map_func, runs, cancel, Combined::new(parts))
+    } else {
+        let buckets: Vec<Bucket> = (0..parts).map(|_| Bucket::new()).collect();
+        map_like(program, reduce_func, map_func, runs, cancel, buckets)
     }
 }
 
-/// Run one map task: apply map function `func` to every record of the
+/// The kernel's map arm: apply map function `func` to every record of the
 /// input split — read as borrowed slices straight from its [`Bucket`]
-/// arena — and partition the output into `parts` buckets. When `combine`
-/// is set and the function has a combiner, map output is combined locally
-/// — the "local reduce" optimisation of §V-A — using the default
-/// [`CombineStrategy`].
+/// arena — and partition the output into `parts` sorted buckets.
 pub fn run_map_task_bucket(
     program: &dyn Program,
     func: FuncId,
@@ -99,338 +160,175 @@ pub fn run_map_task_bucket(
     parts: usize,
     combine: bool,
 ) -> Result<Vec<Bucket>> {
-    run_map_task_bucket_cancellable(program, func, input, parts, combine, None)
+    kernel(program, &TaskSpec::Map { func, parts, combine }, &[input], None)
 }
 
-/// [`run_map_task_bucket`] with a cooperative-cancellation flag checked at
-/// every input-record boundary: when `cancel` becomes set, the kernel stops
-/// and returns [`Error::Cancelled`], discarding all partial output. Used by
-/// the distributed slave to abandon a speculative attempt that lost the
-/// first-completion race.
-pub fn run_map_task_bucket_cancellable(
-    program: &dyn Program,
-    func: FuncId,
-    input: &Bucket,
-    parts: usize,
-    combine: bool,
-    cancel: Option<&AtomicBool>,
-) -> Result<Vec<Bucket>> {
-    run_map_task_with(program, func, input, parts, combine, CombineStrategy::default(), cancel)
-}
-
-/// The map kernel with every choice explicit: the combining strategy and
-/// the cancellation flag.
-pub fn run_map_task_with(
-    program: &dyn Program,
-    func: FuncId,
-    input: &Bucket,
-    parts: usize,
-    combine: bool,
-    strategy: CombineStrategy,
-    cancel: Option<&AtomicBool>,
-) -> Result<Vec<Bucket>> {
-    let combining = combine && program.has_combiner(func);
-    if combining && strategy == CombineStrategy::Hash {
-        return run_map_task_hash_combine(program, func, input, parts, cancel);
-    }
-    let mut buckets: Vec<Bucket> = (0..parts).map(|_| Bucket::new()).collect();
-    for (key, value) in input.iter() {
-        check_cancel(cancel)?;
-        program.map_bytes(func, key, value, &mut |k2, v2| {
-            let p = program.partition(k2, parts);
-            buckets[p].push(k2, v2);
-        })?;
-    }
-    if combining {
-        for b in &mut buckets {
-            let taken = std::mem::take(b);
-            *b = combine_bucket(program, func, taken)?;
-        }
-    } else {
-        sort_runs(&mut buckets);
-    }
-    Ok(buckets)
-}
-
-/// Uphold the sorted-run output guarantee on the raw (no-combiner) path:
-/// both combiner strategies already emit each bucket in sorted key order,
-/// so this key-stable in-place sort makes *every* map output bucket a
-/// sorted run. Reduce output is unchanged — the reduce side's stable
-/// sort/merge preserves each bucket's per-key value order either way.
-fn sort_runs(buckets: &mut [Bucket]) {
-    for b in buckets {
-        b.sort();
-    }
-}
-
-fn run_map_task_hash_combine(
-    program: &dyn Program,
-    func: FuncId,
-    input: &Bucket,
-    parts: usize,
-    cancel: Option<&AtomicBool>,
-) -> Result<Vec<Bucket>> {
-    let mut combiners: Vec<StreamCombiner> = (0..parts).map(|_| StreamCombiner::new()).collect();
-    for (key, value) in input.iter() {
-        check_cancel(cancel)?;
-        // `emit` cannot return an error, so a failing partial fold inside
-        // the combiner is stashed and re-raised after the map call.
-        let mut deferred: Option<Error> = None;
-        program.map_bytes(func, key, value, &mut |k2, v2| {
-            if deferred.is_some() {
-                return;
-            }
-            let p = program.partition(k2, parts);
-            if let Err(e) = combiners[p].insert(program, func, k2, v2) {
-                deferred = Some(e);
-            }
-        })?;
-        if let Some(e) = deferred {
-            return Err(e);
-        }
-    }
-    combiners.into_iter().map(|c| c.finalize(program, func)).collect()
-}
-
-/// Locally sort a bucket and apply the combiner to each key group.
-pub fn combine_bucket(program: &dyn Program, func: FuncId, mut bucket: Bucket) -> Result<Bucket> {
-    bucket.sort();
-    let mut out = Bucket::new();
-    for (key, values) in bucket.groups() {
-        let mut iter = values;
-        program.combine_bytes(func, key, &mut iter, &mut |k, v| out.push(k, v))?;
-    }
-    Ok(out)
-}
-
-/// Run one reduce task: sort the gathered records of one partition, group
-/// by key, and apply reduce function `func` to each group.
-pub fn run_reduce_task(program: &dyn Program, func: FuncId, input: Bucket) -> Result<Bucket> {
-    run_reduce_task_cancellable(program, func, input, None)
-}
-
-/// [`run_reduce_task`] with a cooperative-cancellation flag checked at every
-/// key-group boundary.
-pub fn run_reduce_task_cancellable(
-    program: &dyn Program,
-    func: FuncId,
-    mut input: Bucket,
-    cancel: Option<&AtomicBool>,
-) -> Result<Bucket> {
-    input.sort();
-    let mut out = Bucket::new();
-    for (key, values) in input.groups() {
-        check_cancel(cancel)?;
-        let mut iter = values;
-        program.reduce_bytes(func, key, &mut iter, &mut |k, v| out.push(k, v))?;
-    }
-    Ok(out)
-}
-
-/// [`run_reduce_task`] over pre-sorted runs: stream key groups out of a
-/// k-way [`RunMerger`] straight into the reduce function, never
-/// materializing the concatenated partition. Byte-identical to the
-/// concatenate+sort kernel — the merge breaks equal keys by run index,
-/// reproducing exactly the stable sort's value order.
+/// The kernel's reduce arm: stream key groups out of a k-way merge of the
+/// sorted `runs` into reduce function `func`.
 pub fn run_reduce_task_merge<B: Borrow<Bucket>>(
     program: &dyn Program,
     func: FuncId,
     runs: &[B],
 ) -> Result<Bucket> {
-    run_reduce_task_merge_cancellable(program, func, runs, None)
+    reduce(program, func, &borrowed(runs), None)
 }
 
-/// [`run_reduce_task_merge`] with a cooperative-cancellation flag checked
-/// at every key-group boundary.
-pub fn run_reduce_task_merge_cancellable<B: Borrow<Bucket>>(
-    program: &dyn Program,
-    func: FuncId,
-    runs: &[B],
-    cancel: Option<&AtomicBool>,
-) -> Result<Bucket> {
-    let mut merger = RunMerger::new(runs);
-    let mut spans = Vec::new();
+/// The reference reduce: sort the concatenated partition, group by key,
+/// and apply reduce function `func` to each group. Byte-identical to the
+/// merge over the same records split into sorted runs.
+pub fn run_reduce_task(program: &dyn Program, func: FuncId, mut input: Bucket) -> Result<Bucket> {
+    input.sort();
     let mut out = Bucket::new();
-    while let Some(key) = merger.next_group(&mut spans) {
-        check_cancel(cancel)?;
-        let mut iter =
-            spans.iter().flat_map(|&(r, s, e)| (s..e).map(move |i| runs[r].borrow().get(i).1));
+    for (key, values) in input.groups() {
+        let mut iter = values;
         program.reduce_bytes(func, key, &mut iter, &mut |k, v| out.push(k, v))?;
     }
     Ok(out)
 }
 
-/// Run one fused reduce+map task: sort the gathered records of one
-/// partition, reduce each key group, and feed every reduced record
-/// straight into map function `map_func`, partitioning the map output into
-/// `parts` buckets — without ever materializing the reduce output. This is
-/// the `reducemap` operation of the paper's iterative pipeline: one task
-/// does the work of a reduce round plus the following map round.
-///
-/// Because the reduced records are produced in sorted-group order — the
-/// exact order [`run_reduce_task`]'s output bucket would hold them — the
-/// buckets returned here are byte-identical to running the reduce task and
-/// then a map task over its output.
-pub fn run_reduce_map_task(
-    program: &dyn Program,
-    reduce_func: FuncId,
-    map_func: FuncId,
-    input: Bucket,
-    parts: usize,
-    combine: bool,
-) -> Result<Vec<Bucket>> {
-    run_reduce_map_task_cancellable(program, reduce_func, map_func, input, parts, combine, None)
+/// Walk the key groups of a k-way merge over `runs` in sorted order,
+/// checking `cancel` at every group boundary.
+fn for_each_group(
+    runs: &[&Bucket],
+    cancel: Option<&AtomicBool>,
+    mut group: impl FnMut(&[u8], &mut dyn Iterator<Item = &[u8]>) -> Result<()>,
+) -> Result<()> {
+    let mut merger = RunMerger::new(runs);
+    let mut spans = Vec::new();
+    while let Some(key) = merger.next_group(&mut spans) {
+        check_cancel(cancel)?;
+        let mut values = spans.iter().flat_map(|&(r, s, e)| (s..e).map(move |i| runs[r].get(i).1));
+        group(key, &mut values)?;
+    }
+    Ok(())
 }
 
-/// [`run_reduce_map_task`] with a cooperative-cancellation flag checked at
-/// every key-group boundary of the reduce pass.
-pub fn run_reduce_map_task_cancellable(
+fn reduce(
     program: &dyn Program,
-    reduce_func: FuncId,
-    map_func: FuncId,
-    mut input: Bucket,
-    parts: usize,
-    combine: bool,
+    func: FuncId,
+    runs: &[&Bucket],
     cancel: Option<&AtomicBool>,
-) -> Result<Vec<Bucket>> {
-    input.sort();
-    run_reduce_map_groups(program, reduce_func, map_func, parts, combine, cancel, &mut |sink| {
-        for (key, values) in input.groups() {
-            let mut iter = values;
-            sink(key, &mut iter)?;
+) -> Result<Bucket> {
+    let mut out = Bucket::new();
+    for_each_group(runs, cancel, |key, values| {
+        program.reduce_bytes(func, key, values, &mut |k, v| out.push(k, v))
+    })?;
+    Ok(out)
+}
+
+/// Where a map-like task's output goes: `parts` partitions, filled record
+/// by record and finished into sorted runs.
+trait PartSink {
+    /// Route one emitted record to its partition. Emit closures cannot
+    /// return errors, so a failure is kept for [`PartSink::take_error`].
+    fn emit(&mut self, program: &dyn Program, func: FuncId, key: &[u8], value: &[u8]);
+    /// The first failure since the last call, if any.
+    fn take_error(&mut self) -> Option<Error>;
+    /// Turn what was emitted into one sorted bucket per partition.
+    fn finish(self, program: &dyn Program, func: FuncId) -> Result<Vec<Bucket>>;
+}
+
+/// The raw sink: records land in their bucket as emitted, and each bucket
+/// is sorted in place at the end (a key-stable sort, so the reduce side's
+/// merge sees each bucket's per-key value order unchanged).
+impl PartSink for Vec<Bucket> {
+    #[inline]
+    fn emit(&mut self, program: &dyn Program, _func: FuncId, key: &[u8], value: &[u8]) {
+        let p = program.partition(key, self.len());
+        self[p].push(key, value);
+    }
+
+    fn take_error(&mut self) -> Option<Error> {
+        None
+    }
+
+    fn finish(mut self, _program: &dyn Program, _func: FuncId) -> Result<Vec<Bucket>> {
+        for b in &mut self {
+            b.sort();
         }
-        Ok(())
-    })
+        Ok(self)
+    }
 }
 
-/// [`run_reduce_map_task`] over pre-sorted runs: the k-way-merge twin of
-/// [`run_reduce_task_merge`], streaming merged key groups through the fused
-/// reduce+map pipeline without concatenating the partition.
-pub fn run_reduce_map_task_merge<B: Borrow<Bucket>>(
-    program: &dyn Program,
-    reduce_func: FuncId,
-    map_func: FuncId,
-    runs: &[B],
-    parts: usize,
-    combine: bool,
-) -> Result<Vec<Bucket>> {
-    run_reduce_map_task_merge_cancellable(
-        program,
-        reduce_func,
-        map_func,
-        runs,
-        parts,
-        combine,
-        None,
-    )
+/// The combining sink: one [`StreamCombiner`] per partition.
+struct Combined {
+    combiners: Vec<StreamCombiner>,
+    failed: Option<Error>,
 }
 
-/// [`run_reduce_map_task_merge`] with a cooperative-cancellation flag
-/// checked at every key-group boundary of the reduce pass.
-pub fn run_reduce_map_task_merge_cancellable<B: Borrow<Bucket>>(
-    program: &dyn Program,
-    reduce_func: FuncId,
-    map_func: FuncId,
-    runs: &[B],
-    parts: usize,
-    combine: bool,
-    cancel: Option<&AtomicBool>,
-) -> Result<Vec<Bucket>> {
-    run_reduce_map_groups(program, reduce_func, map_func, parts, combine, cancel, &mut |sink| {
-        let mut merger = RunMerger::new(runs);
-        let mut spans = Vec::new();
-        while let Some(key) = merger.next_group(&mut spans) {
-            let mut iter =
-                spans.iter().flat_map(|&(r, s, e)| (s..e).map(move |i| runs[r].borrow().get(i).1));
-            sink(key, &mut iter)?;
+impl Combined {
+    fn new(parts: usize) -> Self {
+        Combined { combiners: (0..parts).map(|_| StreamCombiner::new()).collect(), failed: None }
+    }
+}
+
+impl PartSink for Combined {
+    #[inline]
+    fn emit(&mut self, program: &dyn Program, func: FuncId, key: &[u8], value: &[u8]) {
+        if self.failed.is_some() {
+            return;
         }
-        Ok(())
-    })
+        let p = program.partition(key, self.combiners.len());
+        if let Err(e) = self.combiners[p].insert(program, func, key, value) {
+            self.failed = Some(e);
+        }
+    }
+
+    fn take_error(&mut self) -> Option<Error> {
+        self.failed.take()
+    }
+
+    fn finish(self, program: &dyn Program, func: FuncId) -> Result<Vec<Bucket>> {
+        self.combiners.into_iter().map(|c| c.finalize(program, func)).collect()
+    }
 }
 
-/// Sink handed one sorted `(key, values)` group at a time by a group
-/// source (see [`run_reduce_map_groups`]).
-type GroupSink<'a> = &'a mut dyn FnMut(&[u8], &mut dyn Iterator<Item = &[u8]>) -> Result<()>;
-
-/// The fused reduce+map pipeline, factored over its group source: `drive`
-/// walks the sorted key groups (from one sorted bucket or a k-way merge)
-/// and hands each to the sink, which reduces it and feeds the reduced
-/// records straight into the map function. Sharing this body is what keeps
-/// the merge and concatenate+sort paths byte-identical by construction.
-fn run_reduce_map_groups(
+/// Feed one record through map function `func` into `sink`.
+#[inline]
+fn map_into<S: PartSink>(
     program: &dyn Program,
-    reduce_func: FuncId,
+    func: FuncId,
+    key: &[u8],
+    value: &[u8],
+    sink: &mut S,
+) -> Result<()> {
+    program.map_bytes(func, key, value, &mut |k2, v2| sink.emit(program, func, k2, v2))?;
+    sink.take_error().map_or(Ok(()), Err)
+}
+
+/// The map-like arms of the kernel over one sink: with no `reduce_func`
+/// the records of `runs[0]` feed the map function (a map task), otherwise
+/// the reduced records of the merge over `runs` do (a reduce-map task).
+fn map_like<S: PartSink>(
+    program: &dyn Program,
+    reduce_func: Option<FuncId>,
     map_func: FuncId,
-    parts: usize,
-    combine: bool,
+    runs: &[&Bucket],
     cancel: Option<&AtomicBool>,
-    drive: &mut dyn FnMut(GroupSink<'_>) -> Result<()>,
+    mut sink: S,
 ) -> Result<Vec<Bucket>> {
-    use std::cell::RefCell;
-    let combining = combine && program.has_combiner(map_func);
-    // Emit closures cannot return errors, and here two of them nest
-    // (reduce emit wrapping map emit), so failures from either layer are
-    // stashed in one shared slot and re-raised after each reduce call.
-    let deferred: RefCell<Option<Error>> = RefCell::new(None);
-    if combining && CombineStrategy::default() == CombineStrategy::Hash {
-        let combiners: RefCell<Vec<StreamCombiner>> =
-            RefCell::new((0..parts).map(|_| StreamCombiner::new()).collect());
-        drive(&mut |key, values| {
-            check_cancel(cancel)?;
+    match reduce_func {
+        None => {
+            let input =
+                runs.first().ok_or_else(|| Error::Invalid("map task without an input".into()))?;
+            for (key, value) in input.iter() {
+                check_cancel(cancel)?;
+                map_into(program, map_func, key, value, &mut sink)?;
+            }
+        }
+        Some(reduce_func) => for_each_group(runs, cancel, |key, values| {
+            // The reduce's emit closure cannot return the map's failure
+            // either: keep the first and re-raise it after the reduce call.
+            let mut failed = None;
             program.reduce_bytes(reduce_func, key, values, &mut |rk, rv| {
-                if deferred.borrow().is_some() {
-                    return;
-                }
-                let r = program.map_bytes(map_func, rk, rv, &mut |k2, v2| {
-                    if deferred.borrow().is_some() {
-                        return;
-                    }
-                    let p = program.partition(k2, parts);
-                    if let Err(e) = combiners.borrow_mut()[p].insert(program, map_func, k2, v2) {
-                        *deferred.borrow_mut() = Some(e);
-                    }
-                });
-                if let Err(e) = r {
-                    *deferred.borrow_mut() = Some(e);
+                if failed.is_none() {
+                    failed = map_into(program, map_func, rk, rv, &mut sink).err();
                 }
             })?;
-            match deferred.borrow_mut().take() {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
-        })?;
-        return combiners.into_inner().into_iter().map(|c| c.finalize(program, map_func)).collect();
+            failed.map_or(Ok(()), Err)
+        })?,
     }
-    let buckets: RefCell<Vec<Bucket>> = RefCell::new((0..parts).map(|_| Bucket::new()).collect());
-    drive(&mut |key, values| {
-        check_cancel(cancel)?;
-        program.reduce_bytes(reduce_func, key, values, &mut |rk, rv| {
-            if deferred.borrow().is_some() {
-                return;
-            }
-            let r = program.map_bytes(map_func, rk, rv, &mut |k2, v2| {
-                let p = program.partition(k2, parts);
-                buckets.borrow_mut()[p].push(k2, v2);
-            });
-            if let Err(e) = r {
-                *deferred.borrow_mut() = Some(e);
-            }
-        })?;
-        match deferred.borrow_mut().take() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    })?;
-    let mut buckets = buckets.into_inner();
-    if combining {
-        for b in &mut buckets {
-            let taken = std::mem::take(b);
-            *b = combine_bucket(program, map_func, taken)?;
-        }
-    } else {
-        sort_runs(&mut buckets);
-    }
-    Ok(buckets)
+    sink.finish(program, map_func)
 }
 
 /// Fold a group's pending values eagerly once this many have accumulated.
@@ -648,8 +546,9 @@ impl StreamCombiner {
     }
 
     /// Sort groups by key bytes and run the combiner over each, emitting
-    /// into the output bucket — the same visit order as the sort path, so
-    /// both strategies produce identical buckets.
+    /// into the output bucket — the visit order of sorting the raw output
+    /// and combining each key group, so the bucket is the one that
+    /// post-pass would produce.
     fn finalize(mut self, program: &dyn Program, func: FuncId) -> Result<Bucket> {
         let key_of = |gid: u32| self.key_of(&self.groups[gid as usize]);
         let mut order: Vec<(u64, u32)> =
@@ -675,8 +574,10 @@ impl StreamCombiner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bucket::tests::{colliding_key, tagged};
     use crate::kv::{encode_record, Datum};
     use crate::program::{MapReduce, Simple};
+    use proptest::prelude::*;
 
     struct WordCount;
 
@@ -712,6 +613,44 @@ mod tests {
             .collect();
         v.sort();
         v
+    }
+
+    fn map_spec(parts: usize, combine: bool) -> TaskSpec {
+        TaskSpec::Map { func: 0, parts, combine }
+    }
+
+    fn fused_spec(parts: usize, combine: bool) -> TaskSpec {
+        TaskSpec::ReduceMap { reduce_func: 0, map_func: 0, parts, combine }
+    }
+
+    const REDUCE: TaskSpec = TaskSpec::Reduce { func: 0 };
+
+    /// The reference the streaming combiner is tested against: map into
+    /// raw buckets, then sort each bucket and combine each key group.
+    fn sort_combine_map_task(
+        program: &dyn Program,
+        func: FuncId,
+        input: &Bucket,
+        parts: usize,
+    ) -> Result<Vec<Bucket>> {
+        let mut buckets: Vec<Bucket> = (0..parts).map(|_| Bucket::new()).collect();
+        for (key, value) in input.iter() {
+            program.map_bytes(func, key, value, &mut |k2, v2| {
+                buckets[program.partition(k2, parts)].push(k2, v2)
+            })?;
+        }
+        buckets
+            .into_iter()
+            .map(|mut bucket| {
+                bucket.sort();
+                let mut out = Bucket::new();
+                for (key, values) in bucket.groups() {
+                    let mut iter = values;
+                    program.combine_bytes(func, key, &mut iter, &mut |k, v| out.push(k, v))?;
+                }
+                Ok(out)
+            })
+            .collect()
     }
 
     #[test]
@@ -759,7 +698,7 @@ mod tests {
     }
 
     #[test]
-    fn hash_and_sort_combining_produce_identical_buckets() {
+    fn streaming_combiner_matches_the_sort_combine_reference() {
         let p = Simple(WordCount);
         // Zipf-ish duplicate-heavy input plus singletons, across partitions.
         let input = lines(&[
@@ -768,11 +707,9 @@ mod tests {
             "zebra apple the quick the",
         ]);
         for parts in [1, 2, 5] {
-            let hash =
-                run_map_task_with(&p, 0, &input, parts, true, CombineStrategy::Hash, None).unwrap();
-            let sort =
-                run_map_task_with(&p, 0, &input, parts, true, CombineStrategy::Sort, None).unwrap();
-            assert_eq!(hash, sort, "strategies diverged at parts={parts}");
+            let streamed = run_map_task_bucket(&p, 0, &input, parts, true).unwrap();
+            let reference = sort_combine_map_task(&p, 0, &input, parts).unwrap();
+            assert_eq!(streamed, reference, "diverged at parts={parts}");
         }
     }
 
@@ -783,14 +720,13 @@ mod tests {
         let p = Simple(WordCount);
         let line = "hot ".repeat(10 * FOLD_EVERY);
         let input = lines(&[line.trim()]);
-        let buckets =
-            run_map_task_with(&p, 0, &input, 1, true, CombineStrategy::Hash, None).unwrap();
+        let buckets = run_map_task_bucket(&p, 0, &input, 1, true).unwrap();
         assert_eq!(counts(&buckets[0]), vec![("hot".into(), 10 * FOLD_EVERY as u64)]);
     }
 
     /// A combiner that is *not* key-preserving: it re-keys every group to a
     /// constant. The trial-fold rollback must detect this and defer to
-    /// finalize, where output matches the sort path.
+    /// finalize, where the output is the reference's.
     struct Rekey;
 
     impl Program for Rekey {
@@ -872,15 +808,21 @@ mod tests {
     }
 
     #[test]
-    fn empty_input_produces_empty_buckets() {
+    fn empty_input_produces_empty_output() {
         let p = Simple(WordCount);
-        for strategy in [CombineStrategy::Hash, CombineStrategy::Sort] {
-            let buckets =
-                run_map_task_with(&p, 0, &Bucket::new(), 2, true, strategy, None).unwrap();
+        for combine in [false, true] {
+            let buckets = run_map_task_bucket(&p, 0, &Bucket::new(), 2, combine).unwrap();
+            assert_eq!(buckets.len(), 2);
             assert!(buckets.iter().all(|b| b.is_empty()));
         }
-        let out = run_reduce_task(&p, 0, Bucket::new()).unwrap();
-        assert!(out.is_empty());
+        assert!(run_reduce_task(&p, 0, Bucket::new()).unwrap().is_empty());
+        assert!(run_reduce_task_merge::<Bucket>(&p, 0, &[]).unwrap().is_empty());
+        assert!(run_reduce_task_merge(&p, 0, &[Bucket::new(), Bucket::new()]).unwrap().is_empty());
+        let fused = run_task::<Bucket>(&Chain, &fused_spec(2, false), &[], None).unwrap();
+        assert_eq!(fused.len(), 2);
+        assert!(fused.iter().all(|b| b.is_empty()));
+        // A map reads `runs[0]`: handing it no run at all is a caller bug.
+        assert!(run_task::<Bucket>(&p, &map_spec(2, false), &[], None).is_err());
     }
 
     #[test]
@@ -888,7 +830,7 @@ mod tests {
         let p = Simple(WordCount);
         let bad = Bucket::from_records(vec![(vec![1u8, 2], b"not a string".to_vec())]);
         assert!(run_map_task_bucket(&p, 0, &bad, 1, false).is_err());
-        assert!(run_map_task_with(&p, 0, &bad, 1, true, CombineStrategy::Hash, None).is_err());
+        assert!(run_map_task_bucket(&p, 0, &bad, 1, true).is_err());
     }
 
     /// A chainable iterative program over `u64` records: reduce output
@@ -949,87 +891,27 @@ mod tests {
         b
     }
 
+    /// `chain_input` mapped twice: two producer runs per partition, the
+    /// shape a reduce-like task sees after a shuffle.
+    fn chain_runs(parts: usize) -> Vec<Vec<Bucket>> {
+        let a = run_map_task_bucket(&Chain, 0, &chain_input(), parts, false).unwrap();
+        let b = run_map_task_bucket(&Chain, 0, &chain_input(), parts, false).unwrap();
+        a.into_iter().zip(b).map(|(a, b)| vec![a, b]).collect()
+    }
+
     #[test]
     fn fused_kernel_matches_reduce_then_map() {
-        let p = Chain;
-        for parts in [1, 3, 5] {
-            for combine in [false, true] {
-                let fused = run_reduce_map_task(&p, 0, 0, chain_input(), parts, combine).unwrap();
-                let reduced = run_reduce_task(&p, 0, chain_input()).unwrap();
-                let unfused = run_map_task_bucket(&p, 0, &reduced, parts, combine).unwrap();
-                assert_eq!(fused, unfused, "parts={parts} combine={combine}");
-                assert_eq!(fused.len(), parts);
-            }
-        }
-    }
-
-    #[test]
-    fn fused_kernel_on_empty_input_is_empty() {
-        let fused = run_reduce_map_task(&Chain, 0, 0, Bucket::new(), 2, false).unwrap();
-        assert!(fused.iter().all(|b| b.is_empty()));
-    }
-
-    #[test]
-    fn pre_set_cancel_flag_aborts_every_kernel() {
-        let p = Simple(WordCount);
-        let flag = AtomicBool::new(true);
-        let input = lines(&["the cat sat", "on the mat"]);
-        for combine in [false, true] {
-            let r = run_map_task_bucket_cancellable(&p, 0, &input, 2, combine, Some(&flag));
-            assert!(matches!(r, Err(Error::Cancelled)), "map combine={combine}");
-        }
-        let mut gathered = Bucket::new();
-        gathered.push(&"w".to_string().to_bytes(), &1u64.to_bytes());
-        let r = run_reduce_task_cancellable(&p, 0, gathered, Some(&flag));
-        assert!(matches!(r, Err(Error::Cancelled)), "reduce");
-        for combine in [false, true] {
-            let r = run_reduce_map_task_cancellable(
-                &Chain,
-                0,
-                0,
-                chain_input(),
-                2,
-                combine,
-                Some(&flag),
-            );
-            assert!(matches!(r, Err(Error::Cancelled)), "reducemap combine={combine}");
-        }
-    }
-
-    #[test]
-    fn unset_cancel_flag_leaves_outputs_identical() {
-        let p = Simple(WordCount);
-        let flag = AtomicBool::new(false);
-        let input = lines(&["the cat sat", "the cat"]);
-        for combine in [false, true] {
-            let plain = run_map_task_bucket(&p, 0, &input, 3, combine).unwrap();
-            let flagged =
-                run_map_task_bucket_cancellable(&p, 0, &input, 3, combine, Some(&flag)).unwrap();
-            assert_eq!(plain, flagged, "combine={combine}");
-        }
-        let fused = run_reduce_map_task(&Chain, 0, 0, chain_input(), 3, true).unwrap();
-        let flagged =
-            run_reduce_map_task_cancellable(&Chain, 0, 0, chain_input(), 3, true, Some(&flag))
-                .unwrap();
-        assert_eq!(fused, flagged);
-    }
-
-    #[test]
-    fn map_output_buckets_are_sorted_runs() {
-        let p = Simple(WordCount);
-        let input = lines(&["zebra the mat cat", "the cat apple zebra"]);
-        for combine in [false, true] {
-            for strategy in [CombineStrategy::Hash, CombineStrategy::Sort] {
-                let buckets = run_map_task_with(&p, 0, &input, 3, combine, strategy, None).unwrap();
-                for b in &buckets {
-                    assert!(b.is_sorted(), "combine={combine} strategy={strategy:?}");
+        for runs in chain_runs(2) {
+            for parts in [1, 3, 5] {
+                for combine in [false, true] {
+                    let fused = run_task(&Chain, &fused_spec(parts, combine), &runs, None).unwrap();
+                    let reduced = run_task(&Chain, &REDUCE, &runs, None).unwrap();
+                    let unfused =
+                        run_task(&Chain, &map_spec(parts, combine), &reduced, None).unwrap();
+                    assert_eq!(fused, unfused, "parts={parts} combine={combine}");
+                    assert_eq!(fused.len(), parts);
                 }
             }
-        }
-        // The fused kernel's map output upholds the same guarantee.
-        for combine in [false, true] {
-            let fused = run_reduce_map_task(&Chain, 0, 0, chain_input(), 3, combine).unwrap();
-            assert!(fused.iter().all(Bucket::is_sorted), "fused combine={combine}");
         }
     }
 
@@ -1042,6 +924,64 @@ mod tests {
         let runs_a = run_map_task_bucket(&p, 0, &task_a, parts, false).unwrap();
         let runs_b = run_map_task_bucket(&p, 0, &task_b, parts, false).unwrap();
         (0..parts).map(|part| vec![runs_a[part].clone(), runs_b[part].clone()]).collect()
+    }
+
+    #[test]
+    fn pre_set_cancel_flag_aborts_every_kind() {
+        let p = Simple(WordCount);
+        let flag = AtomicBool::new(true);
+        let input = lines(&["the cat sat", "on the mat"]);
+        for combine in [false, true] {
+            let r = run_task(&p, &map_spec(2, combine), &[&input], Some(&flag));
+            assert!(matches!(r, Err(Error::Cancelled)), "map combine={combine}");
+        }
+        let runs = shuffled_runs(1).remove(0);
+        let r = run_task(&p, &REDUCE, &runs, Some(&flag));
+        assert!(matches!(r, Err(Error::Cancelled)), "reduce");
+        let runs = chain_runs(1).remove(0);
+        for combine in [false, true] {
+            let r = run_task(&Chain, &fused_spec(2, combine), &runs, Some(&flag));
+            assert!(matches!(r, Err(Error::Cancelled)), "reducemap combine={combine}");
+        }
+    }
+
+    #[test]
+    fn unset_cancel_flag_leaves_outputs_identical() {
+        let p = Simple(WordCount);
+        let flag = AtomicBool::new(false);
+        let input = lines(&["the cat sat", "the cat"]);
+        for combine in [false, true] {
+            let spec = map_spec(3, combine);
+            let plain = run_task(&p, &spec, &[&input], None).unwrap();
+            let flagged = run_task(&p, &spec, &[&input], Some(&flag)).unwrap();
+            assert_eq!(plain, flagged, "map combine={combine}");
+        }
+        let runs = shuffled_runs(1).remove(0);
+        assert_eq!(
+            run_task(&p, &REDUCE, &runs, None).unwrap(),
+            run_task(&p, &REDUCE, &runs, Some(&flag)).unwrap()
+        );
+        let runs = chain_runs(1).remove(0);
+        for combine in [false, true] {
+            let spec = fused_spec(3, combine);
+            let plain = run_task(&Chain, &spec, &runs, None).unwrap();
+            let flagged = run_task(&Chain, &spec, &runs, Some(&flag)).unwrap();
+            assert_eq!(plain, flagged, "reducemap combine={combine}");
+        }
+    }
+
+    #[test]
+    fn map_output_buckets_are_sorted_runs() {
+        let p = Simple(WordCount);
+        let input = lines(&["zebra the mat cat", "the cat apple zebra"]);
+        for combine in [false, true] {
+            let buckets = run_map_task_bucket(&p, 0, &input, 3, combine).unwrap();
+            assert!(buckets.iter().all(Bucket::is_sorted), "combine={combine}");
+            // The fused arm's map output upholds the same guarantee.
+            let runs = chain_runs(1).remove(0);
+            let fused = run_task(&Chain, &fused_spec(3, combine), &runs, None).unwrap();
+            assert!(fused.iter().all(Bucket::is_sorted), "fused combine={combine}");
+        }
     }
 
     #[test]
@@ -1059,58 +999,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_reduce_map_matches_concat_sort_reduce_map() {
-        // Chain records keyed 0..5 across two producer runs, per partition.
-        let runs_a = run_map_task_bucket(&Chain, 0, &chain_input(), 2, false).unwrap();
-        let runs_b = run_map_task_bucket(&Chain, 0, &chain_input(), 2, false).unwrap();
-        for part in 0..2 {
-            let runs = vec![runs_a[part].clone(), runs_b[part].clone()];
-            for parts in [1, 3] {
-                for combine in [false, true] {
-                    let mut concat = Bucket::new();
-                    for r in &runs {
-                        concat.extend_from(r);
-                    }
-                    let oracle = run_reduce_map_task(&Chain, 0, 0, concat, parts, combine).unwrap();
-                    let merged =
-                        run_reduce_map_task_merge(&Chain, 0, 0, &runs, parts, combine).unwrap();
-                    assert_eq!(merged, oracle, "part={part} parts={parts} combine={combine}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn merge_kernels_honor_cancellation() {
-        let p = Simple(WordCount);
-        let flag = AtomicBool::new(true);
-        let runs = shuffled_runs(1).remove(0);
-        let r = run_reduce_task_merge_cancellable(&p, 0, &runs, Some(&flag));
-        assert!(matches!(r, Err(Error::Cancelled)));
-        let chain_runs = run_map_task_bucket(&Chain, 0, &chain_input(), 1, false).unwrap();
-        let r =
-            run_reduce_map_task_merge_cancellable(&Chain, 0, 0, &chain_runs, 2, true, Some(&flag));
-        assert!(matches!(r, Err(Error::Cancelled)));
-    }
-
-    #[test]
-    fn merge_kernels_on_empty_runs_are_empty() {
-        let p = Simple(WordCount);
-        assert!(run_reduce_task_merge::<Bucket>(&p, 0, &[]).unwrap().is_empty());
-        assert!(run_reduce_task_merge(&p, 0, &[Bucket::new(), Bucket::new()]).unwrap().is_empty());
-        let fused = run_reduce_map_task_merge::<Bucket>(&Chain, 0, 0, &[], 2, false).unwrap();
-        assert!(fused.iter().all(|b| b.is_empty()));
-    }
-
-    #[test]
-    fn merge_mode_parses() {
-        assert_eq!(MergeMode::parse("merge").unwrap(), MergeMode::Merge);
-        assert_eq!(MergeMode::parse("sort").unwrap(), MergeMode::Sort);
-        assert!(MergeMode::parse("bogus").is_err());
-        assert_eq!(MergeMode::default(), MergeMode::Merge);
-    }
-
-    #[test]
     fn fused_kernel_propagates_map_errors() {
         // Reduce emits (key, sum) but the WordCount map expects a String
         // value, so the inner map fails; the error must surface through the
@@ -1119,7 +1007,102 @@ mod tests {
         let mut input = Bucket::new();
         input.push(&"w".to_string().to_bytes(), &1u64.to_bytes());
         for combine in [false, true] {
-            assert!(run_reduce_map_task(&p, 0, 0, input.clone(), 1, combine).is_err());
+            assert!(run_task(&p, &fused_spec(1, combine), &[&input], None).is_err());
+        }
+    }
+
+    /// A byte-level program for arbitrary keys whose output shows value
+    /// order: map re-emits each record under its key and under the key's
+    /// first nine bytes, reduce joins a group's values with `|` — an
+    /// associative, key-preserving fold, so it doubles as the combiner
+    /// and its output is valid map input.
+    struct Join;
+
+    impl Program for Join {
+        fn map_bytes(
+            &self,
+            _func: FuncId,
+            key: &[u8],
+            value: &[u8],
+            emit: &mut dyn FnMut(&[u8], &[u8]),
+        ) -> Result<()> {
+            emit(key, value);
+            emit(&key[..key.len().min(9)], &[value, b"'"].concat());
+            Ok(())
+        }
+
+        fn reduce_bytes(
+            &self,
+            _func: FuncId,
+            key: &[u8],
+            values: &mut dyn Iterator<Item = &[u8]>,
+            emit: &mut dyn FnMut(&[u8], &[u8]),
+        ) -> Result<()> {
+            emit(key, &values.collect::<Vec<_>>().join(&b"|"[..]));
+            Ok(())
+        }
+
+        fn combine_bytes(
+            &self,
+            func: FuncId,
+            key: &[u8],
+            values: &mut dyn Iterator<Item = &[u8]>,
+            emit: &mut dyn FnMut(&[u8], &[u8]),
+        ) -> Result<()> {
+            self.reduce_bytes(func, key, values, emit)
+        }
+
+        fn has_combiner(&self, _func: FuncId) -> bool {
+            true
+        }
+    }
+
+    proptest! {
+        /// `run_task` against the per-kind references, over records whose
+        /// keys collide on the 8-byte prefix, values tagged with arrival
+        /// order, cut at random points into sorted runs (empty runs, one
+        /// run and k runs included).
+        #[test]
+        fn run_task_agrees_with_the_per_kind_references(
+            keys in proptest::collection::vec(colliding_key(), 0..120),
+            cuts in proptest::collection::vec(any::<usize>(), 0..8),
+            parts in 1usize..4,
+        ) {
+            let records = tagged(keys);
+            let mut bounds: Vec<usize> =
+                cuts.iter().map(|c| c % (records.len() + 1)).collect();
+            bounds.push(0);
+            bounds.push(records.len());
+            bounds.sort_unstable();
+            let runs: Vec<Bucket> = bounds
+                .windows(2)
+                .map(|w| {
+                    let mut run = Bucket::from_records(records[w[0]..w[1]].to_vec());
+                    run.sort();
+                    run
+                })
+                .collect();
+
+            // Reduce: the merge against concatenate+sort.
+            let mut concat = Bucket::new();
+            for run in &runs {
+                concat.extend_from(run);
+            }
+            let reduced = run_task(&Join, &REDUCE, &runs, None).unwrap();
+            prop_assert_eq!(&reduced, &vec![run_reduce_task(&Join, 0, concat).unwrap()]);
+
+            for combine in [false, true] {
+                // ReduceMap: the fused arm against reduce, then map.
+                let fused = run_task(&Join, &fused_spec(parts, combine), &runs, None).unwrap();
+                let unfused = run_task(&Join, &map_spec(parts, combine), &reduced, None).unwrap();
+                prop_assert_eq!(fused, unfused);
+            }
+
+            // Map with a combiner: the streaming combiner against the
+            // sort-then-combine post-pass, over the records as they came.
+            let input = Bucket::from_records(records);
+            let streamed = run_task(&Join, &map_spec(parts, true), &[&input], None).unwrap();
+            prop_assert_eq!(streamed, sort_combine_map_task(&Join, 0, &input, parts).unwrap());
         }
     }
 }

@@ -8,11 +8,12 @@
 //!   records, the WordCount input convention (§V-A: "the input key is …
 //!   generally arbitrarily set to be the line number").
 //!
-//! Both readers are transparent to the `MRSF1` shuffle frame (mrs-codec):
-//! a bucket that was framed for the wire — checksummed, stored or
-//! compressed — decodes here just like a raw one, so shared-filesystem
-//! stores and checkpoints can hold framed bytes without every call site
-//! caring.
+//! The bucket readers are transparent to the `MRSF1` shuffle frame
+//! (mrs-codec): a bucket that was framed for the wire — checksummed,
+//! stored or compressed — decodes here just like a raw one, so
+//! shared-filesystem stores and checkpoints can hold either. This module
+//! is the one place that choice is made; the codec itself only opens
+//! frames.
 
 use mrs_core::kv::{encode_record, read_varint, write_varint};
 use mrs_core::{Bucket, Datum, Error, Record, Result};
@@ -63,7 +64,7 @@ pub fn read_bucket_into(b: &[u8], out: &mut Bucket) -> Result<()> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RunInfo {
     /// The wire bytes advertised a sorted run (`MRSF1` sorted-run flag,
-    /// spot-check passed). Raw/legacy payloads never claim.
+    /// spot-check passed). Unframed bucket bytes never claim.
     pub claimed_sorted: bool,
     /// Ground truth: the parsed records are in non-decreasing key order.
     /// Established during the arena fill (one adjacent-key compare per
@@ -108,6 +109,9 @@ pub fn read_bucket_records(b: &[u8], out: &mut Vec<Record>) -> Result<()> {
 /// borrowed in place, only a compressed frame is decoded into a buffer
 /// of its own. Also returns whether the frame advertised a sorted run.
 fn unframe(b: &[u8]) -> Result<(std::borrow::Cow<'_, [u8]>, bool)> {
+    if !mrs_codec::is_framed(b) {
+        return Ok((std::borrow::Cow::Borrowed(b), false));
+    }
     mrs_codec::decode_frame_sorted_cow(b).map_err(|e| Error::Codec(e.to_string()))
 }
 

@@ -13,17 +13,18 @@
 //! prog --mrs master --mrs-port-file P     # master: binds, writes its port
 //! prog --mrs slave  --mrs-master H:P      # slave: joins an existing master
 //! prog --mrs slave  --mrs-master H:P --mrs-slots 4   # slave with 4 task slots
-//! prog --mrs master --mrs-control poll    # legacy sleep-and-poll control plane
 //! prog --mrs master --mrs-longpoll-ms 250 # cap server-side get_task parks
 //! prog --mrs master --mrs-compress on    # LZ-compress buckets (a link slower than loopback)
 //! prog --mrs master --mrs-keep-data   # disable dataset lifetime GC
 //! prog --mrs master --mrs-eager-shuffle off  # classic barrier-then-fetch shuffle
 //! prog --mrs master --mrs-speculate off      # no straggler backup tasks
 //! prog --mrs master --mrs-speculate threshold=2.5  # back up at 2.5× median runtime
-//! prog --mrs master --mrs-merge sort   # concat+sort reduce input (merge oracle)
 //! prog --mrs master --mrs-trace trace.json   # write a Chrome trace at job end
 //! prog --mrs slave --mrs-master H:P --mrs-no-trace  # slave ships no trace deltas
 //! ```
+//!
+//! An `--mrs…` argument that is none of these options is an error, not a
+//! program argument: a mistyped or retired flag must not be ignored.
 //!
 //! A master runs the driver and serves slaves; a slave never runs the
 //! driver — it executes tasks until told to exit, exactly the paper's
@@ -34,11 +35,11 @@ use crate::distributed::{serve_master, RpcMasterLink};
 use crate::job::Job;
 use crate::local::LocalRuntime;
 use crate::master::{Master, MasterConfig};
-use crate::proto::{ControlMode, DataPlane, SpeculateMode};
+use crate::proto::{DataPlane, SpeculateMode};
 use crate::serial::SerialRuntime;
 use crate::slave::{run_slave, SlaveOptions};
 use mrs_codec::CompressMode;
-use mrs_core::{Error, MergeMode, Program, Result};
+use mrs_core::{Error, Program, Result};
 use mrs_fs::TempFs;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -75,9 +76,6 @@ pub enum Implementation {
 pub struct CliOptions {
     /// Selected implementation (default: serial, like the original Mrs).
     pub implementation: Implementation,
-    /// Control-plane mode for master/slave roles (`--mrs-control`,
-    /// default: event-driven long-poll).
-    pub control: ControlMode,
     /// Long-poll cap override (`--mrs-longpoll-ms`): on a master the
     /// maximum server-side park, on a slave the park it requests.
     pub long_poll: Option<Duration>,
@@ -102,19 +100,13 @@ pub struct CliOptions {
     /// `off` is the non-speculative scheduler, kept as a first-class
     /// oracle. A no-op on the single-process implementations.
     pub speculate: SpeculateMode,
-    /// Reduce-input assembly (`--mrs-merge=merge|sort`, default merge):
-    /// stream a k-way merge over the sorted map-output runs, or
-    /// concatenate and sort — the legacy path, kept as a byte-identical
-    /// oracle. Applies to every implementation.
-    pub merge: MergeMode,
     /// Write the job's assembled timeline as Chrome trace-event JSON to
     /// this path at job end (`--mrs-trace <path>`), and print the
     /// critical-path report to stderr. Loadable in Perfetto or
     /// `chrome://tracing`.
     pub trace_path: Option<String>,
     /// Trace recording (`--mrs-no-trace` turns it off): with tracing off
-    /// a slave's `get_task` request is byte-identical to the legacy wire
-    /// form and the master keeps no timeline.
+    /// a slave ships no trace batches and the master keeps no timeline.
     pub trace: bool,
     /// Hidden test hook (`--mrs-test-delay data:index:ms`, repeatable):
     /// a slave delays the *first* attempt of the named task by `ms`,
@@ -133,13 +125,11 @@ pub fn parse_options<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptio
     let mut port_file = None;
     let mut master = None;
     let mut slots = None;
-    let mut control = ControlMode::default();
     let mut long_poll = None;
     let mut compress = CompressMode::default();
     let mut keep_data = false;
     let mut eager_shuffle = true;
     let mut speculate = SpeculateMode::default();
-    let mut merge = MergeMode::default();
     let mut trace_path = None;
     let mut trace = true;
     let mut test_delays = Vec::new();
@@ -177,10 +167,6 @@ pub fn parse_options<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptio
                         .map_err(|e| Error::Invalid(format!("--mrs-slots {v:?}: {e}")))?,
                 );
             }
-            "--mrs-control" => {
-                let v = value_of("--mrs-control")?;
-                control = ControlMode::parse(&v)?;
-            }
             "--mrs-longpoll-ms" => {
                 let v = value_of("--mrs-longpoll-ms")?;
                 let ms = v
@@ -196,10 +182,6 @@ pub fn parse_options<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptio
             "--mrs-speculate" => {
                 let v = value_of("--mrs-speculate")?;
                 speculate = SpeculateMode::parse(&v)?;
-            }
-            "--mrs-merge" => {
-                let v = value_of("--mrs-merge")?;
-                merge = MergeMode::parse(&v)?;
             }
             "--mrs-trace" => trace_path = Some(value_of("--mrs-trace")?),
             "--mrs-no-trace" => trace = false,
@@ -233,6 +215,9 @@ pub fn parse_options<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptio
                         )))
                     }
                 };
+            }
+            unknown if unknown.starts_with("--mrs") => {
+                return Err(Error::Invalid(format!("unknown option {unknown:?}")))
             }
             _ => rest.push(arg),
         }
@@ -268,13 +253,11 @@ pub fn parse_options<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptio
     }
     Ok(CliOptions {
         implementation,
-        control,
         long_poll,
         compress,
         keep_data,
         eager_shuffle,
         speculate,
-        merge,
         trace_path,
         trace,
         test_delays,
@@ -306,7 +289,6 @@ where
     match &options.implementation {
         Implementation::Serial => {
             let mut rt = SerialRuntime::new(program);
-            rt.set_merge_mode(options.merge);
             let result = driver(&mut Job::new(&mut rt));
             result.and(export_trace(options.trace_path.as_deref(), Some(rt.take_trace())))
         }
@@ -314,25 +296,21 @@ where
             let spill = Arc::new(TempFs::new("mockparallel")?);
             let mut rt = LocalRuntime::mock_parallel_with(program, spill, options.compress);
             rt.set_keep_data(options.keep_data);
-            rt.set_merge_mode(options.merge);
             let result = driver(&mut Job::new(&mut rt));
             result.and(export_trace(options.trace_path.as_deref(), Some(rt.take_trace())))
         }
         Implementation::Pool(workers) => {
             let mut rt = LocalRuntime::pool(program, *workers);
             rt.set_keep_data(options.keep_data);
-            rt.set_merge_mode(options.merge);
             let result = driver(&mut Job::new(&mut rt));
             result.and(export_trace(options.trace_path.as_deref(), Some(rt.take_trace())))
         }
         Implementation::Master { port, port_file } => {
             let mut cfg = MasterConfig {
-                control: options.control,
                 compress: options.compress,
                 keep_data: options.keep_data,
                 eager_shuffle: options.eager_shuffle,
                 speculate: options.speculate,
-                merge: options.merge,
                 trace: options.trace,
                 ..MasterConfig::default()
             };
@@ -362,10 +340,8 @@ where
             if let Some(n) = slots {
                 slave_opts.slots = *n;
             }
-            slave_opts.control = options.control;
             slave_opts.compress = options.compress;
             slave_opts.eager_shuffle = options.eager_shuffle;
-            slave_opts.merge = options.merge;
             slave_opts.trace = options.trace;
             slave_opts.test_delays = options.test_delays.clone();
             if let Some(lp) = options.long_poll {
@@ -429,16 +405,10 @@ mod tests {
     }
 
     #[test]
-    fn parses_control_plane_flags() {
-        let o = opts(&["--mrs", "master", "--mrs-control", "poll"]).unwrap();
-        assert_eq!(o.control, ControlMode::Poll);
-        assert_eq!(o.long_poll, None);
-        let o = opts(&["--mrs", "master", "--mrs-control", "longpoll", "--mrs-longpoll-ms", "250"])
-            .unwrap();
-        assert_eq!(o.control, ControlMode::LongPoll);
+    fn parses_longpoll_flag() {
+        assert_eq!(opts(&["--mrs", "master"]).unwrap().long_poll, None);
+        let o = opts(&["--mrs", "master", "--mrs-longpoll-ms", "250"]).unwrap();
         assert_eq!(o.long_poll, Some(Duration::from_millis(250)));
-        // Default is event-driven.
-        assert_eq!(opts(&[]).unwrap().control, ControlMode::LongPoll);
     }
 
     #[test]
@@ -474,13 +444,6 @@ mod tests {
             opts(&["--mrs-speculate", "threshold=2.5"]).unwrap().speculate,
             SpeculateMode::On { threshold: 2.5 }
         );
-    }
-
-    #[test]
-    fn parses_merge_flag() {
-        assert_eq!(opts(&[]).unwrap().merge, MergeMode::Merge, "merge reduce defaults on");
-        assert_eq!(opts(&["--mrs-merge", "merge"]).unwrap().merge, MergeMode::Merge);
-        assert_eq!(opts(&["--mrs-merge", "sort"]).unwrap().merge, MergeMode::Sort);
     }
 
     #[test]
@@ -531,7 +494,6 @@ mod tests {
         assert!(opts(&["--mrs", "pool", "--mrs-workers", "0"]).is_err());
         assert!(opts(&["--mrs-port", "not-a-port"]).is_err());
         assert!(opts(&["--mrs", "slave", "--mrs-master", "h:1", "--mrs-slots", "0"]).is_err());
-        assert!(opts(&["--mrs-control", "telepathy"]).is_err());
         assert!(opts(&["--mrs-longpoll-ms", "0"]).is_err());
         assert!(opts(&["--mrs-longpoll-ms", "soon"]).is_err());
         assert!(opts(&["--mrs-compress"]).is_err());
@@ -540,8 +502,12 @@ mod tests {
         assert!(opts(&["--mrs-eager-shuffle", "sometimes"]).is_err());
         assert!(opts(&["--mrs-speculate", "perhaps"]).is_err());
         assert!(opts(&["--mrs-speculate", "threshold=0.5"]).is_err());
-        assert!(opts(&["--mrs-merge"]).is_err());
-        assert!(opts(&["--mrs-merge", "quantum"]).is_err());
+        // Retired and mistyped options are named, not passed through to
+        // the program.
+        for flag in ["--mrs-control", "--mrs-merge", "--mrs-sloots"] {
+            let err = opts(&["--mrs", "master", flag, "x"]).unwrap_err().to_string();
+            assert!(err.contains("unknown option") && err.contains(flag), "{err}");
+        }
         assert!(opts(&["--mrs-test-delay", "1:0"]).is_err());
         assert!(opts(&["--mrs-test-delay", "a:b:c"]).is_err());
     }
@@ -584,13 +550,11 @@ mod tests {
                 port: 0,
                 port_file: Some(path.to_string_lossy().into_owned()),
             },
-            control: ControlMode::default(),
             long_poll: None,
             compress: CompressMode::default(),
             keep_data: false,
             eager_shuffle: true,
             speculate: SpeculateMode::default(),
-            merge: MergeMode::default(),
             trace_path: None,
             trace: true,
             test_delays: vec![],

@@ -11,10 +11,7 @@
 //! ([`split_buckets`], [`materialize`]) each run once per dataset.
 
 use crate::metrics::JobMetrics;
-use mrs_core::task::{
-    run_reduce_map_task, run_reduce_map_task_merge, run_reduce_task, run_reduce_task_merge,
-};
-use mrs_core::{Bucket, FuncId, MergeMode, Program, Record, Result};
+use mrs_core::{Bucket, Record};
 use std::sync::Arc;
 
 /// Identifies a dataset within one job (sources and op outputs alike).
@@ -60,25 +57,23 @@ pub(crate) fn materialize(buckets: &[Arc<Bucket>]) -> Vec<Record> {
 }
 
 /// Partition `p` of every task of a map-like dataset, taken by reference
-/// count. In-process runs come straight off the map kernels, which
-/// guarantee sorted output — in merge mode every run counts as presorted.
+/// count: the merge runs of one reduce-like task. In-process runs come
+/// straight off the map kernels, which guarantee sorted output, so every
+/// run counts as presorted.
 pub(crate) fn partition_runs<'a>(
     tasks: impl Iterator<Item = &'a Vec<Arc<Bucket>>>,
     p: usize,
-    merge: MergeMode,
     metrics: &mut JobMetrics,
 ) -> Vec<Arc<Bucket>> {
     let t0 = std::time::Instant::now();
     let runs: Vec<Arc<Bucket>> = tasks.map(|task| Arc::clone(&task[p])).collect();
-    if merge == MergeMode::Merge {
-        let records = runs.iter().map(|r| r.len()).sum();
-        metrics.record_merge_input(runs.len(), runs.len(), records, t0.elapsed());
-    }
+    let records = runs.iter().map(|r| r.len()).sum();
+    metrics.record_merge_input(runs.len(), runs.len(), records, t0.elapsed());
     runs
 }
 
 /// All of `runs` in one bucket, in run order: what the single serial map
-/// task reads, and the concatenate+sort oracle's input.
+/// task reads when its input has several splits.
 pub(crate) fn concat(runs: &[Arc<Bucket>]) -> Bucket {
     let bytes = runs.iter().map(|r| r.byte_size()).sum();
     let mut out = Bucket::with_capacity(runs.iter().map(|r| r.len()).sum(), bytes);
@@ -86,39 +81,6 @@ pub(crate) fn concat(runs: &[Arc<Bucket>]) -> Bucket {
         out.extend_from(run);
     }
     out
-}
-
-/// One reduce task over a partition's `runs`, assembled as `merge` says.
-pub(crate) fn reduce_runs(
-    program: &dyn Program,
-    func: FuncId,
-    runs: &[Arc<Bucket>],
-    merge: MergeMode,
-) -> Result<Bucket> {
-    match merge {
-        MergeMode::Merge => run_reduce_task_merge(program, func, runs),
-        MergeMode::Sort => run_reduce_task(program, func, concat(runs)),
-    }
-}
-
-/// One fused reduce+map task over a partition's `runs`.
-pub(crate) fn reduce_map_runs(
-    program: &dyn Program,
-    reduce_func: FuncId,
-    map_func: FuncId,
-    runs: &[Arc<Bucket>],
-    parts: usize,
-    combine: bool,
-    merge: MergeMode,
-) -> Result<Vec<Bucket>> {
-    match merge {
-        MergeMode::Merge => {
-            run_reduce_map_task_merge(program, reduce_func, map_func, runs, parts, combine)
-        }
-        MergeMode::Sort => {
-            run_reduce_map_task(program, reduce_func, map_func, concat(runs), parts, combine)
-        }
-    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,9 @@ use crate::dataplane::{self, DataPlaneStats};
 use crate::job::JobApi;
 use crate::master::{Master, MasterConfig, SlaveId};
 use crate::metrics::JobMetrics;
-use crate::proto::{DataPlane, Dispatch, TaskReport, TraceBatch};
+use crate::proto::{
+    attempt_id, strings, DataPlane, Dispatch, TaskReport, TraceBatch, PROTOCOL_VERSION,
+};
 use crate::slave::{run_slave, MasterLink, SlaveOptions};
 use mrs_core::{Error, FuncId, Program, Record, Result};
 use mrs_rpc::rpc::{Dispatch as RpcDispatch, RpcClient, RpcServer};
@@ -23,8 +25,41 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// Fault code of a malformed call: a missing or mistyped parameter.
+const BAD_PARAMS: i64 = 3;
+/// Fault code of a `signin` from a peer speaking another protocol version.
+const VERSION_MISMATCH: i64 = 4;
+
+/// An XML-RPC fault: code and message.
+type Fault = (i64, String);
+
+/// Positional parameter `i` of `method` as an integer; every parameter of
+/// every method is required.
+fn int_param(
+    method: &str,
+    params: &[Value],
+    i: usize,
+    name: &str,
+) -> std::result::Result<i64, Fault> {
+    params
+        .get(i)
+        .and_then(Value::as_int)
+        .ok_or_else(|| (BAD_PARAMS, format!("{method}: missing {name} (parameter {i})")))
+}
+
+fn bad_params(method: &str, e: Error) -> Fault {
+    (BAD_PARAMS, format!("{method}: {e}"))
+}
+
 /// Expose a master over XML-RPC. The returned server lives as long as the
 /// handle; slaves connect to `server.authority()`.
+///
+/// | method | parameters |
+/// |---|---|
+/// | `signin` | authority, slots (>= 1), [`PROTOCOL_VERSION`] |
+/// | `get_task` | slave, free slots, park ms, reports\[, trace batch\] |
+/// | `task_done` | slave, data, index, urls, attempt |
+/// | `task_failed` | slave, data, index, message, failed input or `""`, attempt |
 pub fn serve_master(master: Master, port: u16) -> std::io::Result<RpcServer> {
     let m1 = master.clone();
     let m2 = master.clone();
@@ -35,87 +70,89 @@ pub fn serve_master(master: Master, port: u16) -> std::io::Result<RpcServer> {
             let authority = params
                 .first()
                 .and_then(Value::as_str)
-                .ok_or((3, "signin: missing authority".to_owned()))?;
-            // Slot count; older single-slot callers may omit it.
-            let slots = params.get(1).and_then(Value::as_int).unwrap_or(1).max(1) as usize;
-            Ok(Value::Int(m1.signin(authority, slots) as i64))
+                .ok_or((BAD_PARAMS, "signin: missing authority".to_owned()))?;
+            let slots = int_param("signin", params, 1, "slots")?;
+            if slots < 1 {
+                return Err((BAD_PARAMS, format!("signin: {slots} slots (need at least 1)")));
+            }
+            // Checked before the slave is registered: a peer from another
+            // build never becomes a slave this master waits on.
+            match params.get(2).and_then(Value::as_int) {
+                Some(PROTOCOL_VERSION) => {}
+                theirs => {
+                    let theirs = theirs.map_or("none".to_owned(), |v| v.to_string());
+                    return Err((
+                        VERSION_MISMATCH,
+                        format!(
+                            "slave speaks protocol version {theirs}, this master speaks \
+                             {PROTOCOL_VERSION}; build both from the same commit"
+                        ),
+                    ));
+                }
+            }
+            Ok(Value::Int(m1.signin(authority, slots as usize) as i64))
         })
         .register("get_task", move |params| {
-            let slave = params
-                .first()
-                .and_then(Value::as_int)
-                .ok_or((3, "get_task: missing slave id".to_owned()))?;
-            // Free slot count; omitted means a single-task poll.
-            let free = params.get(1).and_then(Value::as_int).unwrap_or(1).max(1) as usize;
-            // Requested long-poll park in milliseconds; older pollers omit
-            // it and get the immediate-return behaviour.
-            let park = Duration::from_millis(
-                params.get(2).and_then(Value::as_int).unwrap_or(0).max(0) as u64,
-            );
-            // Piggybacked completion reports; older pollers omit them.
-            let reports = match params.get(3).and_then(Value::as_array) {
-                Some(items) => items
-                    .iter()
-                    .map(TaskReport::from_value)
-                    .collect::<Result<Vec<_>>>()
-                    .map_err(|e| (3, format!("get_task: bad report: {e}")))?,
-                None => Vec::new(),
-            };
-            // Piggybacked trace-event delta; legacy (and tracing-off)
-            // slaves omit it.
+            let slave = int_param("get_task", params, 0, "slave id")?;
+            let free = int_param("get_task", params, 1, "free slots")?.max(0) as usize;
+            let park = int_param("get_task", params, 2, "park ms")?.max(0) as u64;
+            let reports = params
+                .get(3)
+                .and_then(Value::as_array)
+                .ok_or((BAD_PARAMS, "get_task: missing reports (parameter 3)".to_owned()))?
+                .iter()
+                .map(TaskReport::from_value)
+                .collect::<Result<Vec<_>>>()
+                .map_err(|e| bad_params("get_task", e))?;
+            // The trace delta is the one trailing parameter a slave leaves
+            // out: an empty batch is not worth its bytes.
             let trace = match params.get(4) {
-                Some(v) => TraceBatch::from_value(v)
-                    .map_err(|e| (3, format!("get_task: bad trace batch: {e}")))?,
+                Some(v) => TraceBatch::from_value(v).map_err(|e| bad_params("get_task", e))?,
                 None => TraceBatch::default(),
             };
-            Ok(m2.get_dispatch_traced(slave as SlaveId, free, park, &reports, &trace).to_value())
+            let park = Duration::from_millis(park);
+            Ok(m2.poll(slave as SlaveId, free, park, &reports, &trace).to_value())
         })
         .register("task_done", move |params| {
-            let (slave, data, index, urls) = parse_report(params)?;
-            // Attempt id; legacy slaves omit it and report 0 (matched by
-            // slave alone at the master's commit point).
-            let attempt = params.get(4).and_then(Value::as_int).unwrap_or(0).max(0) as u32;
+            let (slave, data, index) = task_coords("task_done", params)?;
+            let urls = params
+                .get(3)
+                .and_then(Value::as_array)
+                .ok_or((BAD_PARAMS, "task_done: missing urls (parameter 3)".to_owned()))?;
+            let urls =
+                strings(urls, "task_done", "urls").map_err(|e| bad_params("task_done", e))?;
+            let attempt = attempt_id(int_param("task_done", params, 4, "attempt")?)
+                .map_err(|e| bad_params("task_done", e))?;
             m3.task_done(slave, data, index, attempt, urls);
             Ok(Value::Bool(true))
         })
         .register("task_failed", move |params| {
-            let slave =
-                params.first().and_then(Value::as_int).ok_or((3, "missing slave".to_owned()))?;
-            let data =
-                params.get(1).and_then(Value::as_int).ok_or((3, "missing data".to_owned()))?;
-            let index =
-                params.get(2).and_then(Value::as_int).ok_or((3, "missing index".to_owned()))?;
-            let msg = params.get(3).and_then(Value::as_str).unwrap_or("unknown error");
-            let failed_input = params.get(4).and_then(Value::as_str).filter(|u| !u.is_empty());
-            // Attempt id; legacy slaves omit it (0 = match by slave alone).
-            let attempt = params.get(5).and_then(Value::as_int).unwrap_or(0).max(0) as u32;
-            m4.task_failed(
-                slave as SlaveId,
-                data as u32,
-                index as usize,
-                attempt,
-                msg,
-                failed_input,
-            );
+            let (slave, data, index) = task_coords("task_failed", params)?;
+            let text = |i: usize, name: &str| {
+                params.get(i).and_then(Value::as_str).ok_or_else(|| {
+                    (BAD_PARAMS, format!("task_failed: missing {name} (parameter {i})"))
+                })
+            };
+            let msg = text(3, "message")?;
+            let failed_input = Some(text(4, "failed input")?).filter(|u| !u.is_empty());
+            let attempt = attempt_id(int_param("task_failed", params, 5, "attempt")?)
+                .map_err(|e| bad_params("task_failed", e))?;
+            m4.task_failed(slave, data, index, attempt, msg, failed_input);
             Ok(Value::Bool(true))
         });
     RpcServer::serve(port, dispatch)
 }
 
-type ReportArgs = (SlaveId, u32, usize, Vec<String>);
-
-fn parse_report(params: &[Value]) -> std::result::Result<ReportArgs, (i64, String)> {
-    let slave = params.first().and_then(Value::as_int).ok_or((3, "missing slave".to_owned()))?;
-    let data = params.get(1).and_then(Value::as_int).ok_or((3, "missing data".to_owned()))?;
-    let index = params.get(2).and_then(Value::as_int).ok_or((3, "missing index".to_owned()))?;
-    let urls = params
-        .get(3)
-        .and_then(Value::as_array)
-        .ok_or((3, "missing urls".to_owned()))?
-        .iter()
-        .map(|v| v.as_str().map(str::to_owned).ok_or((3, "non-string url".to_owned())))
-        .collect::<std::result::Result<Vec<_>, _>>()?;
-    Ok((slave as SlaveId, data as u32, index as usize, urls))
+/// The (slave, data, index) head of a `task_done` / `task_failed` call.
+fn task_coords(
+    method: &str,
+    params: &[Value],
+) -> std::result::Result<(SlaveId, u32, usize), Fault> {
+    Ok((
+        int_param(method, params, 0, "slave id")? as SlaveId,
+        int_param(method, params, 1, "data")? as u32,
+        int_param(method, params, 2, "index")? as usize,
+    ))
 }
 
 /// Slave-side stub speaking XML-RPC to a remote master.
@@ -132,13 +169,18 @@ impl RpcMasterLink {
 
 impl MasterLink for RpcMasterLink {
     fn signin(&self, authority: &str, slots: usize) -> Result<SlaveId> {
-        let v = self
-            .client
-            .call("signin", &[Value::Str(authority.to_owned()), Value::Int(slots as i64)])?;
+        let v = self.client.call(
+            "signin",
+            &[
+                Value::Str(authority.to_owned()),
+                Value::Int(slots as i64),
+                Value::Int(PROTOCOL_VERSION),
+            ],
+        )?;
         v.as_int().map(|i| i as SlaveId).ok_or_else(|| Error::Rpc("signin returned non-int".into()))
     }
 
-    fn get_tasks_with(
+    fn poll(
         &self,
         slave: SlaveId,
         free: usize,
@@ -153,9 +195,7 @@ impl MasterLink for RpcMasterLink {
             Value::Int(park.as_millis() as i64),
             reports,
         ];
-        // The trace delta rides as an optional trailing param: an empty
-        // batch is omitted entirely, so tracing-off slaves put the exact
-        // legacy request on the wire.
+        // An empty batch (tracing off, nothing recorded) is left out.
         if !trace.is_empty() {
             params.push(trace.to_value());
         }
@@ -256,15 +296,11 @@ impl LocalCluster {
         cfg: MasterConfig,
         mut options: SlaveOptions,
     ) -> Result<LocalCluster> {
-        // The control mode is a cluster-wide property: slaves must match
-        // the master or the long-poll/piggyback negotiation degrades to
-        // the backward-compat fallbacks on every round trip. Compression
-        // would interoperate mixed (decoders auto-detect), but a uniform
-        // default keeps the benchmarks honest; add_slave_with can diverge.
-        options.control = cfg.control;
+        // Compression would interoperate mixed (decoders read the bit per
+        // payload), but a uniform default keeps the benchmarks honest;
+        // add_slave_with can diverge.
         options.compress = cfg.compress;
         options.eager_shuffle = cfg.eager_shuffle;
-        options.merge = cfg.merge;
         options.trace = cfg.trace;
         let master = Master::new(cfg, plane.clone())?;
         let server = serve_master(master.clone(), 0).map_err(Error::Io)?;
@@ -359,8 +395,7 @@ impl LocalCluster {
     }
 
     /// Control-channel RPC requests the master has served so far (signin,
-    /// `get_task`, `task_done`, `task_failed`). The control-latency bench
-    /// reads this to compare round-trip counts across control modes.
+    /// `get_task`, `task_done`, `task_failed`).
     pub fn control_requests(&self) -> u64 {
         self.server.request_count()
     }
@@ -623,7 +658,7 @@ mod tests {
         };
         assert_eq!(serial, distributed);
         // The tracing-off arm must agree byte for byte: with no trace the
-        // slave's get_task request is the exact legacy wire form.
+        // slave's get_task request has no fifth parameter.
         let untraced = {
             let cfg = MasterConfig { trace: false, ..MasterConfig::default() };
             let opts = SlaveOptions { trace: false, ..SlaveOptions::default() };

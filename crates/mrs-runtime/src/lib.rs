@@ -17,10 +17,10 @@
 //! The distributed runtime is capacity-aware: each slave advertises
 //! `slots + 1` at signin ([`SlaveOptions::slots`] compute workers plus
 //! one prefetch buffer) and asks for up to its free capacity per poll.
-//! Inside the slave, the poll loop prefetches task inputs into a bounded
+//! Inside the slave, a fetch stage prefetches task inputs into a bounded
 //! queue that a pool of worker threads drains — fetch, compute, and
-//! report overlap (double buffering), and an idle slave backs off its
-//! poll interval exponentially until work reappears. The master dispatches
+//! report overlap (double buffering) — and an idle slave waits parked at
+//! the master, not in a local sleep. The master dispatches
 //! batches up to each slave's capacity, breaks affinity ties toward
 //! underloaded slaves, steals claims only from fractionally busier
 //! owners, and on a slave death re-queues *all* of its in-flight tasks.
@@ -36,15 +36,14 @@
 //! poll, and a stale report from a loser is recognized by its attempt id
 //! and ignored.
 //!
-//! Its control plane is event-driven ([`proto::ControlMode::LongPoll`],
-//! the default): an idle slave's `get_task` parks server-side on a
-//! condvar until a state transition makes work runnable (long-poll
-//! dispatch), completion reports ride piggybacked on the next poll
-//! instead of costing their own RPC, and the driver's `wait`/`fetch_all`
-//! and the dead-slave sweeper sleep on the completion condvar with a
-//! deadline at the earliest possible slave death. The legacy
-//! sleep-and-poll plane remains available as `ControlMode::Poll`
-//! (`--mrs-control=poll`) for comparison benchmarks.
+//! Its control plane is event-driven: an idle slave's `get_task` parks
+//! server-side on a condvar until a state transition makes work runnable
+//! (long-poll dispatch), completion reports ride piggybacked on the next
+//! poll instead of costing their own RPC, and the driver's
+//! `wait`/`fetch_all` and the dead-slave sweeper sleep on the completion
+//! condvar with a deadline at the earliest possible slave death. Master
+//! and slaves speak one wire version ([`proto::PROTOCOL_VERSION`]),
+//! checked at `signin`.
 //! * the **bypass** implementation is a plain function call in Rust: run
 //!   your serial code directly (see `examples/`).
 //!
@@ -71,7 +70,6 @@ pub use job::{Job, JobApi};
 pub use local::LocalRuntime;
 pub use master::{Master, MasterConfig};
 pub use mrs_codec::CompressMode;
-pub use mrs_core::MergeMode;
-pub use proto::{ControlMode, DataPlane, SpeculateMode};
+pub use proto::{DataPlane, SpeculateMode};
 pub use serial::SerialRuntime;
 pub use slave::SlaveOptions;

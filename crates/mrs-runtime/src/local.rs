@@ -18,18 +18,17 @@
 //! output stays byte-identical to the distributed planes with speculation
 //! on or off (the implementations-agree oracle enforces it).
 
-use crate::data::{
-    materialize, partition_runs, reduce_map_runs, reduce_runs, split_buckets, DataId,
-};
+use crate::data::{materialize, partition_runs, split_buckets, DataId};
 use crate::dataplane::DataPlaneStats;
 use crate::job::JobApi;
 use crate::metrics::JobMetrics;
+use crate::proto::trace_op;
 use mrs_codec::CompressMode;
-use mrs_core::task::{run_map_task_bucket, MergeMode};
-use mrs_core::{Bucket, Error, FuncId, Program, Record, Result};
+use mrs_core::task::run_task;
+use mrs_core::{Bucket, Error, FuncId, Program, Record, Result, TaskSpec};
 use mrs_fs::format::write_bucket;
 use mrs_fs::Store;
-use mrs_trace::{JobTrace, Name, Op, Recorder, Tag, TraceHandle};
+use mrs_trace::{JobTrace, Name, Recorder, Tag, TraceHandle};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
@@ -46,34 +45,14 @@ struct TaskRef {
 /// count with every task that reads them.
 type TaskOut = Vec<Arc<Bucket>>;
 
-/// What the tasks of an operation run.
-#[derive(Clone, Copy, Debug)]
-enum OpKind {
-    /// One task per input split, each producing `parts` buckets.
-    Map { func: FuncId, parts: usize, combine: bool },
-    /// One task per input partition, each producing one bucket.
-    Reduce { func: FuncId },
-    /// Fused reduce+map: one task per input partition, map-like output.
-    ReduceMap { reduce_func: FuncId, map_func: FuncId, parts: usize, combine: bool },
-}
-
-impl OpKind {
-    /// Buckets per task when the output is map-like (reducible).
-    fn parts(self) -> Option<usize> {
-        match self {
-            OpKind::Map { parts, .. } | OpKind::ReduceMap { parts, .. } => Some(parts),
-            OpKind::Reduce { .. } => None,
-        }
-    }
-}
-
 #[derive(Debug)]
 enum DsState {
     /// Source data, one bucket per split.
     Source(Vec<Arc<Bucket>>),
     /// An operation's output, per task; `remaining` tasks are still out.
     Op {
-        kind: OpKind,
+        /// What every task of the op runs.
+        spec: TaskSpec,
         input: DataId,
         tasks: Vec<Option<TaskOut>>,
         remaining: usize,
@@ -99,8 +78,6 @@ struct State {
     pins: HashSet<u32>,
     /// When set, lifetime GC is disabled (`--mrs-keep-data`).
     keep_data: bool,
-    /// How reduce-like tasks assemble their input (`--mrs-merge`).
-    merge: MergeMode,
     /// Tasks not yet ready to run.
     pending: Vec<TaskRef>,
     /// Tasks ready to run.
@@ -160,7 +137,6 @@ impl LocalRuntime {
                 consumers: Vec::new(),
                 pins: HashSet::new(),
                 keep_data: false,
-                merge: MergeMode::default(),
                 pending: Vec::new(),
                 queue: VecDeque::new(),
                 error: None,
@@ -204,11 +180,6 @@ impl LocalRuntime {
     pub fn set_keep_data(&mut self, keep: bool) {
         self.shared.state.lock().keep_data = keep;
     }
-
-    /// Choose how reduce-like tasks assemble their input (`--mrs-merge`).
-    pub fn set_merge_mode(&mut self, merge: MergeMode) {
-        self.shared.state.lock().merge = merge;
-    }
 }
 
 impl Drop for LocalRuntime {
@@ -226,12 +197,12 @@ impl Drop for LocalRuntime {
 
 /// Is task `t` ready, given current dataset states?
 fn ready(st: &State, t: TaskRef) -> bool {
-    let DsState::Op { kind, input, .. } = &st.datasets[t.data.0 as usize] else { return false };
-    match (kind, &st.datasets[input.0 as usize]) {
+    let DsState::Op { spec, input, .. } = &st.datasets[t.data.0 as usize] else { return false };
+    match (spec, &st.datasets[input.0 as usize]) {
         // A map task only waits for its own input split.
-        (OpKind::Map { .. }, DsState::Source(_)) => true,
-        (OpKind::Map { .. }, DsState::Op { tasks, .. }) => tasks[t.index].is_some(),
-        (OpKind::Map { .. }, DsState::Discarded) => false,
+        (TaskSpec::Map { .. }, DsState::Source(_)) => true,
+        (TaskSpec::Map { .. }, DsState::Op { tasks, .. }) => tasks[t.index].is_some(),
+        (TaskSpec::Map { .. }, DsState::Discarded) => false,
         // Reduce-like tasks (plain or fused) gather one partition from
         // *every* task of the input, so they wait for the whole op.
         (_, input) => input.complete(),
@@ -258,19 +229,8 @@ fn promote(st: &mut State) -> usize {
 /// reference count — the one split of a map task, or partition `index` of
 /// every task of a reduce-like task's input.
 struct TaskWork {
-    kind: OpKind,
+    spec: TaskSpec,
     input: Vec<Arc<Bucket>>,
-    merge: MergeMode,
-}
-
-impl TaskWork {
-    fn op(&self) -> Op {
-        match self.kind {
-            OpKind::Map { .. } => Op::Map,
-            OpKind::Reduce { .. } => Op::Reduce,
-            OpKind::ReduceMap { .. } => Op::ReduceMap,
-        }
-    }
 }
 
 /// Take a task's input (under the lock: O(1) per split or run, never per
@@ -282,19 +242,19 @@ impl TaskWork {
 /// is available the instant its producer finishes, so mock-parallel is the
 /// perfect-overlap oracle the eager shuffle plane is measured against.
 fn task_input(st: &mut State, t: TaskRef, count_handover: bool) -> Result<TaskWork> {
-    let DsState::Op { kind, input, .. } = &st.datasets[t.data.0 as usize] else {
+    let DsState::Op { spec, input, .. } = &st.datasets[t.data.0 as usize] else {
         return Err(Error::Invalid("task on non-op dataset".into()));
     };
-    let kind = *kind;
-    let input = match (kind, &st.datasets[input.0 as usize]) {
-        (OpKind::Map { .. }, DsState::Source(splits)) => vec![Arc::clone(&splits[t.index])],
-        (OpKind::Map { .. }, DsState::Op { kind: OpKind::Reduce { .. }, tasks, .. }) => tasks
+    let spec = *spec;
+    let input = match (spec, &st.datasets[input.0 as usize]) {
+        (TaskSpec::Map { .. }, DsState::Source(splits)) => vec![Arc::clone(&splits[t.index])],
+        (TaskSpec::Map { .. }, DsState::Op { spec: TaskSpec::Reduce { .. }, tasks, .. }) => tasks
             [t.index]
             .clone()
             .ok_or_else(|| Error::Invalid("map input split not ready".into()))?,
-        (OpKind::Map { .. }, _) => return Err(Error::Invalid("bad map input".into())),
+        (TaskSpec::Map { .. }, _) => return Err(Error::Invalid("bad map input".into())),
         (_, DsState::Op { tasks, .. }) => {
-            let runs = partition_runs(tasks.iter().flatten(), t.index, st.merge, &mut st.metrics);
+            let runs = partition_runs(tasks.iter().flatten(), t.index, &mut st.metrics);
             if runs.len() != tasks.len() {
                 return Err(Error::Invalid("map task not done".into()));
             }
@@ -309,7 +269,7 @@ fn task_input(st: &mut State, t: TaskRef, count_handover: bool) -> Result<TaskWo
         }
         _ => return Err(Error::Invalid("reduce input is not a map-like output".into())),
     };
-    Ok(TaskWork { kind, input, merge: st.merge })
+    Ok(TaskWork { spec, input })
 }
 
 fn worker_loop(shared: &Shared, lane: u32) {
@@ -339,9 +299,9 @@ fn worker_loop(shared: &Shared, lane: u32) {
         // The attempt reaches back to when the task left the queue, so
         // the gathered-input window (the in-memory shuffle handover,
         // taken under the scheduler lock) is on the timeline too.
-        let tag = Tag::task(work.op(), task.data.0, task.index, 1);
+        let tag = Tag::task(trace_op(&work.spec), task.data.0, task.index, 1);
         th.begin_at(picked_us, Name::Attempt, tag);
-        if work.op() != Op::Map {
+        if work.spec.gathers() {
             th.begin_at(picked_us, Name::Merge, tag);
             th.end(Name::Merge, tag);
         }
@@ -358,10 +318,10 @@ fn worker_loop(shared: &Shared, lane: u32) {
         let committed = outcome.and_then(|out| {
             th.instant(Name::Report, tag);
             let bytes = out.iter().map(|b| b.byte_size()).sum();
-            match work.kind {
-                OpKind::Map { .. } => st.metrics.record_map(t0.elapsed(), bytes),
-                OpKind::Reduce { .. } => st.metrics.record_reduce(t0.elapsed()),
-                OpKind::ReduceMap { .. } => st.metrics.record_reducemap_task(t0.elapsed(), bytes),
+            match work.spec {
+                TaskSpec::Map { .. } => st.metrics.record_map(t0.elapsed(), bytes),
+                TaskSpec::Reduce { .. } => st.metrics.record_reduce(t0.elapsed()),
+                TaskSpec::ReduceMap { .. } => st.metrics.record_reducemap_task(t0.elapsed(), bytes),
             }
             commit(&mut st, task, out)
         });
@@ -387,25 +347,16 @@ fn execute(
 ) -> Result<TaskOut> {
     let program = shared.program.as_ref();
     th.begin(Name::Exec, tag);
-    let (input, merge) = (work.input.as_slice(), work.merge);
-    let out = match work.kind {
-        OpKind::Map { func, parts, combine } => {
-            run_map_task_bucket(program, func, &input[0], parts, combine)
-        }
-        OpKind::Reduce { func } => reduce_runs(program, func, input, merge).map(|out| vec![out]),
-        OpKind::ReduceMap { reduce_func, map_func, parts, combine } => {
-            reduce_map_runs(program, reduce_func, map_func, input, parts, combine, merge)
-        }
-    };
+    let out = run_task(program, &work.spec, &work.input, None);
     th.end(Name::Exec, tag);
     let out = out?;
     if let Some(store) = &shared.spill {
         th.begin(Name::Emit, tag);
-        let stem = format!("ds{}/{}{}", t.data.0, work.op().as_str(), t.index);
+        let stem = format!("ds{}/{}{}", t.data.0, trace_op(&work.spec).as_str(), t.index);
         for (p, b) in out.iter().enumerate() {
             // A reduce task's one output bucket is the file itself.
-            let path = match work.kind {
-                OpKind::Reduce { .. } => format!("{stem}.mrsb"),
+            let path = match work.spec {
+                TaskSpec::Reduce { .. } => format!("{stem}.mrsb"),
                 _ => format!("{stem}/b{p}.mrsb"),
             };
             store.put(&path, &mrs_codec::encode_vec(write_bucket(b), shared.spill_compress))?;
@@ -475,35 +426,35 @@ impl LocalRuntime {
         id
     }
 
-    /// Queue an op of `kind` over `input`, with one task per input split
-    /// (map) or per input partition (reduce-like) as `ntasks` finds it.
+    /// Queue an op running `spec` over `input`, with one task per input
+    /// split (map) or per input partition (reduce-like) as `ntasks` finds it.
     fn submit_op(
         &mut self,
-        kind: OpKind,
+        spec: TaskSpec,
         input: DataId,
         ntasks: impl FnOnce(&DsState) -> Result<usize>,
     ) -> Result<DataId> {
-        if kind.parts() == Some(0) {
+        if spec.parts() == Some(0) {
             return Err(Error::Invalid("need at least one partition".into()));
         }
         let ntasks = {
             let mut st = self.shared.state.lock();
             let ds = st.datasets.get(input.0 as usize);
             let n = ntasks(ds.ok_or_else(|| Error::MissingData(format!("dataset {input:?}")))?)?;
-            if matches!(kind, OpKind::ReduceMap { .. }) {
+            if matches!(spec, TaskSpec::ReduceMap { .. }) {
                 st.metrics.record_fused_op();
             }
             n
         };
         let tasks = (0..ntasks).map(|_| None).collect();
-        Ok(self.submit(DsState::Op { kind, input, tasks, remaining: ntasks }))
+        Ok(self.submit(DsState::Op { spec, input, tasks, remaining: ntasks }))
     }
 }
 
 /// Partitions of a map-like dataset: the task count of a reduce-like op.
 fn map_like_parts(ds: &DsState, op: &str) -> Result<usize> {
     match ds {
-        DsState::Op { kind, .. } => kind.parts(),
+        DsState::Op { spec, .. } => spec.parts(),
         _ => None,
     }
     .ok_or_else(|| Error::Invalid(format!("{op} must consume a map output")))
@@ -524,9 +475,9 @@ impl JobApi for LocalRuntime {
         parts: usize,
         combine: bool,
     ) -> Result<DataId> {
-        self.submit_op(OpKind::Map { func, parts, combine }, input, |ds| match ds {
+        self.submit_op(TaskSpec::Map { func, parts, combine }, input, |ds| match ds {
             DsState::Source(splits) => Ok(splits.len()),
-            DsState::Op { kind: OpKind::Reduce { .. }, tasks, .. } => Ok(tasks.len()),
+            DsState::Op { spec: TaskSpec::Reduce { .. }, tasks, .. } => Ok(tasks.len()),
             DsState::Op { .. } => {
                 Err(Error::Invalid("map cannot consume an unreduced map output".into()))
             }
@@ -537,7 +488,7 @@ impl JobApi for LocalRuntime {
     }
 
     fn reduce_data(&mut self, input: DataId, func: FuncId) -> Result<DataId> {
-        self.submit_op(OpKind::Reduce { func }, input, |ds| map_like_parts(ds, "reduce"))
+        self.submit_op(TaskSpec::Reduce { func }, input, |ds| map_like_parts(ds, "reduce"))
     }
 
     fn reduce_map_data(
@@ -548,8 +499,8 @@ impl JobApi for LocalRuntime {
         parts: usize,
         combine: bool,
     ) -> Result<DataId> {
-        let kind = OpKind::ReduceMap { reduce_func, map_func, parts, combine };
-        self.submit_op(kind, input, |ds| map_like_parts(ds, "reduce_map"))
+        let spec = TaskSpec::ReduceMap { reduce_func, map_func, parts, combine };
+        self.submit_op(spec, input, |ds| map_like_parts(ds, "reduce_map"))
     }
 
     fn keep(&mut self, data: DataId) {
@@ -946,40 +897,23 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_sort_modes_agree_across_planes() {
+    fn every_reduce_input_run_is_a_presorted_merge_run_on_both_planes() {
         let data = input(&["the quick brown fox", "jumps over the lazy dog", "the end the"]);
-        let run = |mut rt: LocalRuntime, mode: MergeMode| {
-            rt.set_merge_mode(mode);
+        let run = |mut rt: LocalRuntime| {
             let out = {
                 let mut job = Job::new(&mut rt);
                 job.map_reduce(data.clone(), 3, 4, false).unwrap()
             };
             (out, rt.metrics())
         };
-        let (merged, mm) =
-            run(LocalRuntime::pool(Arc::new(Simple(WordCount)), 4), MergeMode::Merge);
-        let (sorted, sm) = run(LocalRuntime::pool(Arc::new(Simple(WordCount)), 4), MergeMode::Sort);
-        assert_eq!(merged, sorted, "merge mode diverged from the sort oracle");
+        let (pool, pm) = run(LocalRuntime::pool(Arc::new(Simple(WordCount)), 4));
         // 4 partitions × 3 map tasks, every run sorted at the producer.
-        assert_eq!(mm.merge_runs(), 12);
-        assert_eq!(mm.presorted_runs(), 12);
-        assert!(mm.peak_reduce_records() > 0);
-        assert_eq!(sm.merge_runs(), 0);
-        let (mock, _) = run(
-            LocalRuntime::mock_parallel(Arc::new(Simple(WordCount)), Arc::new(MemFs::new())),
-            MergeMode::Merge,
-        );
-        assert_eq!(mock, merged);
-    }
-
-    #[test]
-    fn reducemap_merge_mode_matches_sort_mode() {
-        let run = |mode: MergeMode| {
-            let mut rt = LocalRuntime::pool(Arc::new(Simple(Rotate)), 3);
-            rt.set_merge_mode(mode);
-            rotate_fused(&mut rt, 4, 3)
-        };
-        assert_eq!(run(MergeMode::Merge), run(MergeMode::Sort));
+        assert_eq!(pm.merge_runs(), 12);
+        assert_eq!(pm.presorted_runs(), 12);
+        assert!(pm.peak_reduce_records() > 0);
+        let (mock, _) =
+            run(LocalRuntime::mock_parallel(Arc::new(Simple(WordCount)), Arc::new(MemFs::new())));
+        assert_eq!(mock, pool);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Transport-agnostic core of the master/slave implementation: the RPC glue
 //! in [`crate::distributed`] maps `signin` / `get_task` / `task_done` /
-//! `task_failed` calls straight onto these methods, and the unit tests
+//! `task_failed` calls straight onto [`Master::signin`], [`Master::poll`],
+//! [`Master::task_done`] and [`Master::task_failed`], and the unit tests
 //! drive them directly. Responsibilities, per §IV:
 //!
 //! * hand out map/reduce tasks to polling slaves, dispatching each task as
@@ -16,12 +17,12 @@
 //! * cap per-task retry attempts so a poisoned task fails the job instead
 //!   of looping forever.
 //!
-//! The control plane is event-driven: a `get_tasks` with nothing runnable
+//! The control plane is event-driven: a poll with nothing runnable
 //! parks server-side on a dispatch condvar and is woken precisely when a
 //! state transition (a completion crossing an operation barrier, a new
 //! operation, a dead slave's requeue) makes work available, with
 //! `Assignment::Wait` only as the long-poll timeout fallback. Completion
-//! reports may ride piggybacked on `get_tasks` calls, and the driver-side
+//! reports ride piggybacked on the next poll, and the driver-side
 //! `wait`/`fetch_all`/sweeper loops sleep on the completion condvar until
 //! the earliest instant a slave could cross the death timeout — no loop
 //! here discovers state by fixed-interval sleep.
@@ -31,11 +32,11 @@ use crate::dataplane;
 use crate::job::JobApi;
 use crate::metrics::JobMetrics;
 use crate::proto::{
-    fetch_buckets, Assignment, CancelOrder, ControlMode, DataPlane, Dispatch, EagerFragment,
+    fetch_buckets, trace_op, Assignment, CancelOrder, DataPlane, Dispatch, EagerFragment,
     SpeculateMode, TaskKind, TaskMsg, TaskReport, TraceBatch,
 };
 use mrs_codec::CompressMode;
-use mrs_core::{Error, FuncId, MergeMode, Record, Result};
+use mrs_core::{Error, FuncId, Record, Result, TaskSpec};
 use mrs_fs::format::{read_bucket_records, write_bucket_bytes};
 use mrs_fs::Store;
 use mrs_rpc::{DataServer, FrameCache, Pages, Response};
@@ -58,9 +59,7 @@ pub struct MasterConfig {
     pub max_attempts: u32,
     /// Prefer the slave that ran the corresponding task last time.
     pub use_affinity: bool,
-    /// How slaves discover state changes (long-poll vs legacy polling).
-    pub control: ControlMode,
-    /// Upper bound on how long a `get_tasks` request may park server-side
+    /// Upper bound on how long a poll may park server-side
     /// before returning `Wait`. Also clamped to `slave_timeout / 2` so a
     /// parked slave still heartbeats; must stay well below the RPC
     /// client's I/O timeout (10s) or held requests would look like hangs.
@@ -85,11 +84,6 @@ pub struct MasterConfig {
     /// median) gets a backup attempt on a different slave; first completion
     /// wins and the loser is cancelled.
     pub speculate: SpeculateMode,
-    /// How reduce-like tasks assemble their input (`--mrs-merge`):
-    /// streaming k-way merge over sorted runs (default) or the legacy
-    /// concatenate-and-sort oracle. [`crate::LocalCluster`] propagates
-    /// the setting to its slaves.
-    pub merge: MergeMode,
     /// Record task-attempt trace events (on by default — the recorder is
     /// bounded and lock-cheap, and `--mrs-no-trace` exists to prove it).
     /// Export is separately opt-in via [`Master::take_trace`] /
@@ -104,13 +98,11 @@ impl Default for MasterConfig {
             slave_timeout: Duration::from_secs(2),
             max_attempts: 4,
             use_affinity: true,
-            control: ControlMode::default(),
             long_poll_timeout: Duration::from_secs(1),
             compress: CompressMode::default(),
             keep_data: false,
             eager_shuffle: true,
             speculate: SpeculateMode::default(),
-            merge: MergeMode::default(),
             trace: true,
         }
     }
@@ -169,13 +161,8 @@ enum MDs {
     /// A queued/running/complete operation.
     Op {
         input: DataId,
-        kind: TaskKind,
-        /// Program function (the reduce function for fused ops).
-        func: FuncId,
-        /// Map function of a fused `ReduceMap` op; 0 otherwise.
-        map_func: FuncId,
-        parts: usize,
-        combine: bool,
+        /// What every task of the op runs.
+        spec: TaskSpec,
         tasks: Vec<TaskSlot>,
         done_count: usize,
         /// Wall-clock runtimes (µs) of this op's committed attempts — the
@@ -186,13 +173,16 @@ enum MDs {
     Discarded,
 }
 
-/// The trace-vocabulary operation kind of a task kind.
-fn trace_op(kind: TaskKind) -> mrs_trace::Op {
-    match kind {
-        TaskKind::Map => mrs_trace::Op::Map,
-        TaskKind::Reduce => mrs_trace::Op::Reduce,
-        TaskKind::ReduceMap => mrs_trace::Op::ReduceMap,
-    }
+/// What an affinity claim is keyed by: task kind, program function (the
+/// reduce function of a fused op) and task index.
+type Claim = (TaskKind, FuncId, usize);
+
+fn claim(spec: &TaskSpec, index: usize) -> Claim {
+    let func = match *spec {
+        TaskSpec::Map { func, .. } | TaskSpec::Reduce { func } => func,
+        TaskSpec::ReduceMap { reduce_func, .. } => reduce_func,
+    };
+    (TaskKind::of(spec), func, index)
 }
 
 /// A backup is never launched before its original has run this long past
@@ -246,7 +236,7 @@ struct MState {
     /// explicit discard.
     pins: HashSet<u32>,
     /// Per-slave frame-cache purge orders not yet delivered; drained onto
-    /// the next [`Master::get_dispatch`] answer for that slave.
+    /// the next [`Master::poll`] answer for that slave.
     pending_purge: Vec<Vec<String>>,
     /// Per-slave eager-shuffle fragment announcements not yet delivered:
     /// completed map-output bucket URLs, published to the slave predicted
@@ -261,10 +251,10 @@ struct MState {
     /// Keying by kind means a fused `ReduceMap` op carries its own claims
     /// from one iteration to the next, exactly like the map/reduce pair it
     /// replaced.
-    affinity: HashMap<(TaskKind, FuncId, usize), SlaveId>,
+    affinity: HashMap<Claim, SlaveId>,
     error: Option<String>,
     finished: bool,
-    /// `get_tasks` requests currently parked on `dispatch_cv`. Wakes are
+    /// Polls currently parked on `dispatch_cv`. Wakes are
     /// recorded (and broadcast) only while this is non-zero, so the
     /// `wakeups` metric counts precise wakes, not every state change.
     parked: usize,
@@ -303,7 +293,7 @@ struct MasterShared {
     state: Mutex<MState>,
     /// Completion condvar: driver `wait`/`fetch_all` and the sweeper.
     cv: Condvar,
-    /// Dispatch condvar: parked `get_tasks` requests (long-poll mode).
+    /// Dispatch condvar: parked polls.
     dispatch_cv: Condvar,
     plane: DataPlane,
     /// Master-local frame cache for source splits (direct plane): each
@@ -412,16 +402,12 @@ impl Master {
                     out.push_str(&format!("  data {d}: source, {} split(s)\n", urls.len()));
                 }
                 MDs::Discarded => out.push_str(&format!("  data {d}: discarded\n")),
-                MDs::Op { kind, tasks, done_count, .. } => {
+                MDs::Op { spec, tasks, done_count, .. } => {
                     let running =
                         tasks.iter().filter(|t| matches!(t.state, SlotState::Running(_))).count();
                     out.push_str(&format!(
                         "  data {d}: {} {done_count}/{} done, {running} running\n",
-                        match kind {
-                            TaskKind::Map => "map",
-                            TaskKind::Reduce => "reduce",
-                            TaskKind::ReduceMap => "reducemap",
-                        },
+                        trace_op(spec).as_str(),
                         tasks.len(),
                     ));
                 }
@@ -555,7 +541,7 @@ impl Master {
         }
     }
 
-    /// Wake any parked `get_tasks` requests: a state transition may have
+    /// Wake any parked polls: a state transition may have
     /// made work runnable (or ended the job). Recorded only when someone
     /// is actually parked, so `wakeups` measures precise wakes.
     fn wake_dispatch(st: &mut MState, dispatch_cv: &Condvar) {
@@ -565,56 +551,74 @@ impl Master {
         }
     }
 
-    /// A slave polls for a single task. Unit-test convenience; the real
-    /// slave polls with its free slot count via [`Master::get_tasks`].
-    pub fn get_task(&self, slave: SlaveId) -> Assignment {
-        self.get_tasks(slave, 1)
-    }
-
-    /// A slave with `free_slots` idle slots polls for work. Grants up to
-    /// `min(free_slots, capacity − in_flight)` tasks in one round trip,
-    /// where `capacity` is the slot count the slave advertised at signin —
-    /// filling an N-slot slave costs one poll, not N.
-    pub fn get_tasks(&self, slave: SlaveId, free_slots: usize) -> Assignment {
-        self.get_tasks_with(slave, free_slots, Duration::ZERO, &[])
-    }
-
-    /// Full-form poll. First applies any piggybacked completion `reports`
-    /// (each one a `task_done` that rode along instead of costing its own
-    /// RPC — and applied *before* the dispatch budget is computed, so the
-    /// slots they free are grantable in this same round trip). Then tries
-    /// to dispatch; with nothing runnable and a non-zero `park`, the
-    /// request parks server-side on the dispatch condvar and is woken
-    /// precisely when a state transition makes work available. `Wait` is
-    /// returned only when the (clamped) park deadline expires.
-    pub fn get_tasks_with(
+    /// A slave polls. In one critical section: apply the piggybacked
+    /// completion `reports`, grant up to `free_slots` tasks (parking up to
+    /// `park` when nothing is runnable, see [`Self::assign`]) and drain the
+    /// purge, eager-fragment and cancel orders queued for this slave. The
+    /// `trace` batch is ingested first so its events land on the timeline
+    /// before anything this poll itself dispatches.
+    pub fn poll(
         &self,
         slave: SlaveId,
         free_slots: usize,
         park: Duration,
         reports: &[TaskReport],
-    ) -> Assignment {
+        trace: &TraceBatch,
+    ) -> Dispatch {
+        self.ingest_trace(slave, trace);
         let mut st = self.shared.state.lock();
-        Self::touch(&mut st, slave);
+        let assignment = self.assign(&mut st, slave, free_slots, park, reports);
+        let at = slave as usize;
+        Dispatch {
+            assignment,
+            purge: st.pending_purge.get_mut(at).map(std::mem::take).unwrap_or_default(),
+            eager: st.pending_eager.get_mut(at).map(std::mem::take).unwrap_or_default(),
+            cancel: st.pending_cancel.get_mut(at).map(std::mem::take).unwrap_or_default(),
+        }
+    }
+
+    /// [`Master::poll`] without parking, reports or order delivery: just
+    /// the grant. For callers that drive the scheduler in process (unit
+    /// tests, the dispatch microbenchmark); queued orders stay queued for
+    /// the slave's next real poll.
+    pub fn get_tasks(&self, slave: SlaveId, free_slots: usize) -> Assignment {
+        self.assign(&mut self.shared.state.lock(), slave, free_slots, Duration::ZERO, &[])
+    }
+
+    /// The grant half of a poll, under the state lock. First applies the
+    /// piggybacked completion `reports` (each one a `task_done` that rode
+    /// along instead of costing its own RPC — and applied *before* the
+    /// dispatch budget is computed, so the slots they free are grantable
+    /// in this same round trip). Then grants up to
+    /// `min(free_slots, capacity − in_flight)` tasks, where `capacity` is
+    /// the slot count the slave advertised at signin — filling an N-slot
+    /// slave costs one poll, not N. With nothing runnable and a non-zero
+    /// `park`, the request parks on the dispatch condvar and is woken
+    /// precisely when a state transition makes work available. `Wait` is
+    /// returned only when the (clamped) park deadline expires.
+    fn assign(
+        &self,
+        st: &mut parking_lot::MutexGuard<'_, MState>,
+        slave: SlaveId,
+        free_slots: usize,
+        park: Duration,
+        reports: &[TaskReport],
+    ) -> Assignment {
+        Self::touch(st, slave);
         if !reports.is_empty() {
             for r in reports {
-                self.apply_done_locked(&mut st, slave, r.data, r.index, r.attempt, r.urls.clone());
+                self.apply_done_locked(st, slave, r.data, r.index, r.attempt, r.urls.clone());
             }
             st.metrics.record_piggybacked_reports(reports.len());
             // The reports are themselves state transitions: another parked
             // slave may now have runnable work (a barrier may have cleared).
-            Self::wake_dispatch(&mut st, &self.shared.dispatch_cv);
+            Self::wake_dispatch(st, &self.shared.dispatch_cv);
             self.shared.cv.notify_all();
         }
-        // Parking is long-poll behaviour; legacy pollers get `Wait` at once.
         // The clamp to `slave_timeout / 2` keeps a parked slave heartbeating
         // at least twice per death timeout.
-        let park = match self.shared.cfg.control {
-            ControlMode::LongPoll => {
-                park.min(self.shared.cfg.long_poll_timeout).min(self.shared.cfg.slave_timeout / 2)
-            }
-            ControlMode::Poll => Duration::ZERO,
-        };
+        let park =
+            park.min(self.shared.cfg.long_poll_timeout).min(self.shared.cfg.slave_timeout / 2);
         let deadline = Instant::now() + park;
         let mut parked = false;
         loop {
@@ -624,7 +628,7 @@ impl Master {
                 }
                 return Assignment::Exit;
             }
-            if let Some(granted) = self.dispatch_locked(&mut st, slave, free_slots) {
+            if let Some(granted) = self.dispatch_locked(st, slave, free_slots) {
                 if parked {
                     st.parked -= 1;
                 }
@@ -634,7 +638,7 @@ impl Master {
             // behind the park: fragments exist to start transfers while
             // maps still run, and a cancel order's whole value is freeing
             // the doomed slot *now* — so answer `Wait` at once and let
-            // `get_dispatch` attach them.
+            // `poll` attach them.
             if st.pending_eager.get(slave as usize).is_some_and(|v| !v.is_empty())
                 || st.pending_cancel.get(slave as usize).is_some_and(|v| !v.is_empty())
             {
@@ -660,14 +664,14 @@ impl Master {
             // at the earliest instant a task could cross the straggler
             // cutoff for this poller; the retried dispatch then grants the
             // backup within one wake of eligibility.
-            let wake = match self.next_speculation_deadline(&st, slave) {
+            let wake = match self.next_speculation_deadline(st, slave) {
                 Some(spec) => deadline.min(spec),
                 None => deadline,
             };
-            self.shared.dispatch_cv.wait_until(&mut st, wake);
+            self.shared.dispatch_cv.wait_until(st, wake);
             // Parked is not silent: the request being held here is proof of
             // life, so refresh `last_seen` on every wake.
-            Self::touch(&mut st, slave);
+            Self::touch(st, slave);
         }
     }
 
@@ -711,33 +715,16 @@ impl Master {
                     None => break,
                 },
             };
-            let mut msg = {
-                let MDs::Op { input, kind, func, map_func, parts, combine, .. } =
-                    &st.datasets[data.0 as usize]
-                else {
-                    unreachable!("candidates only contain ops");
-                };
-                let inputs = self.input_urls(st, *input, *kind, index);
-                TaskMsg {
-                    data: data.0,
-                    index,
-                    kind: *kind,
-                    func: *func,
-                    map_func: *map_func,
-                    parts: if kind.is_map_like() { *parts } else { 1 },
-                    combine: *combine,
-                    attempt: 0,
-                    inputs,
-                }
+            let MDs::Op { input, spec, .. } = &st.datasets[data.0 as usize] else {
+                unreachable!("candidates only contain ops");
             };
+            let spec = *spec;
+            let inputs = self.input_urls(st, *input, &spec, index);
             if speculative {
                 st.metrics.record_speculative_launch();
             } else {
                 if self.shared.cfg.use_affinity {
-                    let MDs::Op { kind, func, .. } = &st.datasets[data.0 as usize] else {
-                        unreachable!()
-                    };
-                    if let Some(&pref) = st.affinity.get(&(*kind, *func, index)) {
+                    if let Some(&pref) = st.affinity.get(&claim(&spec, index)) {
                         st.metrics.record_affinity(pref == slave);
                     }
                 }
@@ -749,7 +736,6 @@ impl Master {
             let slot = &mut tasks[index];
             slot.next_attempt += 1;
             slot.attempts += 1;
-            msg.attempt = slot.next_attempt;
             let attempt =
                 Attempt { id: slot.next_attempt, slave, started: Instant::now(), speculative };
             match &mut slot.state {
@@ -757,12 +743,12 @@ impl Master {
                 state => *state = SlotState::Running(vec![attempt]),
             }
             in_flight[slave as usize] += 1;
-            let tag = mrs_trace::Tag::task(trace_op(msg.kind), msg.data, msg.index, msg.attempt);
+            let tag = mrs_trace::Tag::task(trace_op(&spec), data.0, index, attempt.id);
             self.trace_instant(slave, mrs_trace::Name::Dispatch, tag);
             if speculative {
                 self.trace_instant(slave, mrs_trace::Name::Speculate, tag);
             }
-            granted.push(msg);
+            granted.push(TaskMsg::new(data.0, index, &spec, attempt.id, inputs));
         }
         if granted.is_empty() {
             return None;
@@ -789,12 +775,12 @@ impl Master {
         // Collect dispatchable tasks: Pending with satisfied inputs.
         let mut candidates: Vec<(DataId, usize)> = Vec::new();
         for (d, ds) in st.datasets.iter().enumerate() {
-            let MDs::Op { input, kind, tasks, .. } = ds else { continue };
+            let MDs::Op { input, spec, tasks, .. } = ds else { continue };
             for (i, slot) in tasks.iter().enumerate() {
                 if slot.state != SlotState::Pending {
                     continue;
                 }
-                if Self::input_ready(st, *input, *kind, i) {
+                if Self::input_ready(st, *input, spec, i) {
                     candidates.push((DataId(d as u32), i));
                 }
             }
@@ -802,8 +788,8 @@ impl Master {
         let &first = candidates.first()?;
 
         let owner_of = |d: DataId, i: usize| -> Option<SlaveId> {
-            let MDs::Op { kind, func, .. } = &st.datasets[d.0 as usize] else { return None };
-            st.affinity.get(&(*kind, *func, i)).copied()
+            let MDs::Op { spec, .. } = &st.datasets[d.0 as usize] else { return None };
+            st.affinity.get(&claim(spec, i)).copied()
         };
         let live = |s: SlaveId| st.slaves.get(s as usize).map(|x| x.alive).unwrap_or(false);
         // Fractional load (busy, slots) for cross-multiplied comparison.
@@ -850,32 +836,33 @@ impl Master {
         Some((first.0, first.1, false))
     }
 
-    fn input_ready(st: &MState, input: DataId, kind: TaskKind, index: usize) -> bool {
+    fn input_ready(st: &MState, input: DataId, spec: &TaskSpec, index: usize) -> bool {
         match &st.datasets[input.0 as usize] {
-            MDs::Source { .. } => kind == TaskKind::Map,
-            MDs::Op { kind: input_kind, tasks, done_count, .. } => {
-                if kind == TaskKind::Map {
+            MDs::Source { .. } => !spec.gathers(),
+            MDs::Op { spec: input_spec, tasks, done_count, .. } => {
+                let map_like_input = input_spec.parts().is_some();
+                if spec.gathers() {
+                    // reduce-like tasks (plain or fused) need the whole
+                    // map-like output to gather their partition
+                    map_like_input && *done_count == tasks.len()
+                } else {
                     // map task i needs split i of a reduce output
-                    !input_kind.is_map_like()
+                    !map_like_input
                         && matches!(
                             tasks.get(index).map(|t| &t.state),
                             Some(SlotState::Done { .. })
                         )
-                } else {
-                    // reduce-like tasks (plain or fused) need the whole
-                    // map-like output to gather their partition
-                    input_kind.is_map_like() && *done_count == tasks.len()
                 }
             }
             MDs::Discarded => false,
         }
     }
 
-    fn input_urls(&self, st: &MState, input: DataId, kind: TaskKind, index: usize) -> Vec<String> {
+    fn input_urls(&self, st: &MState, input: DataId, spec: &TaskSpec, index: usize) -> Vec<String> {
         match &st.datasets[input.0 as usize] {
             MDs::Source { urls } => vec![urls[index].clone()],
             MDs::Op { tasks, .. } => {
-                if kind == TaskKind::Map {
+                if !spec.gathers() {
                     // reduce output split `index`: its single url
                     match &tasks[index].state {
                         SlotState::Done { urls, .. } => urls.clone(),
@@ -908,7 +895,7 @@ impl Master {
         };
         let mut out = Vec::new();
         for (d, ds) in st.datasets.iter().enumerate() {
-            let MDs::Op { input, kind, tasks, done_count, runtimes, .. } = ds else { continue };
+            let MDs::Op { input, spec, tasks, done_count, runtimes } = ds else { continue };
             if *done_count == 0 || *done_count * 4 < tasks.len() * 3 {
                 continue;
             }
@@ -920,7 +907,7 @@ impl Master {
                 // A producer re-execution (dead slave on the direct plane)
                 // can unready the input of a still-running consumer; a
                 // backup could not fetch, so skip it.
-                if !Self::input_ready(st, *input, *kind, i) {
+                if !Self::input_ready(st, *input, spec, i) {
                     continue;
                 }
                 out.push((DataId(d as u32), i, *a, a.started + cutoff));
@@ -940,10 +927,10 @@ impl Master {
                 continue;
             }
             let warm = {
-                let MDs::Op { kind, func, .. } = &st.datasets[d.0 as usize] else {
+                let MDs::Op { spec, .. } = &st.datasets[d.0 as usize] else {
                     unreachable!("candidates only contain ops")
                 };
-                st.affinity.get(&(*kind, *func, i)) == Some(&slave)
+                st.affinity.get(&claim(spec, i)) == Some(&slave)
             };
             let key = (warm, now - deadline);
             if best.as_ref().is_none_or(|(k, _)| key > *k) {
@@ -970,8 +957,7 @@ impl Master {
 
     /// A slave reports a completed task. `urls` are the output bucket URLs
     /// (one per partition for map tasks, exactly one for reduce tasks).
-    /// `attempt` echoes the id carried by the task message (0 from legacy
-    /// slaves that do not echo one).
+    /// `attempt` echoes the id carried by the task message.
     pub fn task_done(
         &self,
         slave: SlaveId,
@@ -989,7 +975,7 @@ impl Master {
     }
 
     /// Record one completed task under the lock. Shared between the
-    /// standalone `task_done` RPC and reports piggybacked on `get_tasks`.
+    /// standalone `task_done` RPC and reports piggybacked on a poll.
     fn apply_done_locked(
         &self,
         st: &mut MState,
@@ -1003,35 +989,32 @@ impl Master {
             DataPlane::Direct => Some(slave),
             DataPlane::SharedFs(_) => None,
         };
-        let mut record_affinity: Option<(TaskKind, FuncId)> = None;
+        // Attempt ids start at 1; the wire decoders reject 0 already.
+        if attempt == 0 {
+            return;
+        }
+        let mut done_spec: Option<TaskSpec> = None;
         let mut op_complete: Option<DataId> = None;
         // Racing attempts the winner beat: (slave, attempt-id, speculative,
         // elapsed). The winner itself: (speculative, elapsed).
         let mut losers: Vec<(SlaveId, u32, bool, Duration)> = Vec::new();
         let mut winner: Option<(bool, Duration)> = None;
-        // The attempt id that actually committed (resolved below when a
-        // legacy report arrives with attempt 0); tags the Report instant.
-        let mut committed = attempt;
-        if let Some(MDs::Op { tasks, done_count, func, kind, input, runtimes, .. }) =
+        if let Some(MDs::Op { tasks, done_count, spec, input, runtimes }) =
             st.datasets.get_mut(data as usize)
         {
             let Some(slot) = tasks.get_mut(index) else { return };
             match &slot.state {
                 SlotState::Done { .. } => return, // duplicate report: ignore
                 SlotState::Running(attempts) => {
-                    // The commit point. The report must name a live attempt
-                    // — matched by (slave, id), or by slave alone for a
-                    // legacy report (attempt 0). A report from a superseded
-                    // attempt (cancelled, swept, or beaten to this very
-                    // point) is stale: its URLs are never published and its
-                    // completion is never counted.
-                    let won = attempts
-                        .iter()
-                        .position(|a| a.slave == slave && (attempt == 0 || a.id == attempt));
+                    // The commit point. The report must name an attempt
+                    // that is live on the reporting slave. A report from a
+                    // superseded attempt (cancelled, swept, or beaten to
+                    // this very point) is stale: its URLs are never
+                    // published and its completion is never counted.
+                    let won = attempts.iter().position(|a| a.slave == slave && a.id == attempt);
                     let Some(won) = won else { return };
                     let now = Instant::now();
                     let w = attempts[won];
-                    committed = w.id;
                     winner = Some((w.speculative, now - w.started));
                     runtimes.push((now - w.started).as_micros() as u64);
                     for (p, a) in attempts.iter().enumerate() {
@@ -1048,7 +1031,7 @@ impl Master {
             }
             slot.state = SlotState::Done { urls, owner };
             *done_count += 1;
-            record_affinity = Some((*kind, *func));
+            done_spec = Some(*spec);
             if *done_count == tasks.len() {
                 op_complete = Some(*input);
             }
@@ -1056,7 +1039,7 @@ impl Master {
         // Losers get cancellation orders piggybacked on their slave's next
         // poll; the winner's margin over the slowest loser is the straggler
         // time a speculative win saved.
-        let op = record_affinity.map(|(kind, _)| trace_op(kind)).unwrap_or_default();
+        let op = done_spec.as_ref().map(trace_op).unwrap_or_default();
         let slowest_loser = losers.iter().map(|l| l.3).max().unwrap_or(Duration::ZERO);
         for (l_slave, l_id, l_speculative, _) in losers {
             if let Some(q) = st.pending_cancel.get_mut(l_slave as usize) {
@@ -1075,26 +1058,26 @@ impl Master {
         if let Some((true, w_elapsed)) = winner {
             st.metrics.record_speculative_win(slowest_loser.saturating_sub(w_elapsed));
         }
-        if let Some((kind, func)) = record_affinity {
+        if let Some(spec) = done_spec {
             self.trace_instant(
                 slave,
                 mrs_trace::Name::Report,
-                mrs_trace::Tag::task(trace_op(kind), data, index, committed),
+                mrs_trace::Tag::task(op, data, index, attempt),
             );
             st.metrics.record_task();
-            if kind == TaskKind::ReduceMap {
+            if matches!(spec, TaskSpec::ReduceMap { .. }) {
                 // Time and shuffle bytes happened slave-side; the master
                 // only observes that a fused task completed.
                 st.metrics.record_reducemap_task(Duration::ZERO, 0);
             }
             if self.shared.cfg.use_affinity {
-                st.affinity.insert((kind, func, index), slave);
+                st.affinity.insert(claim(&spec, index), slave);
             }
             // The report that completes the dataset announces nothing:
             // its consumers become runnable under this same lock and their
             // task messages carry these same URLs, so a fragment would only
             // be fetched twice.
-            if kind.is_map_like() && op_complete.is_none() {
+            if spec.parts().is_some() && op_complete.is_none() {
                 self.publish_eager_locked(st, data, Some(index));
             }
         }
@@ -1123,16 +1106,16 @@ impl Master {
             return;
         }
         // Reduce-like consumers of this dataset that still have work left.
-        let consumers: Vec<(TaskKind, FuncId)> = st
+        let consumers: Vec<TaskSpec> = st
             .datasets
             .iter()
             .filter_map(|ds| match ds {
                 // Reduce-like on the *input* side: plain reduces and fused
                 // ReduceMaps both gather partitions of a map-like output.
-                MDs::Op { input, kind, func, tasks, done_count, .. }
-                    if input.0 == data && *kind != TaskKind::Map && *done_count < tasks.len() =>
+                MDs::Op { input, spec, tasks, done_count, .. }
+                    if input.0 == data && spec.gathers() && *done_count < tasks.len() =>
                 {
-                    Some((*kind, *func))
+                    Some(*spec)
                 }
                 _ => None,
             })
@@ -1140,10 +1123,10 @@ impl Master {
         if consumers.is_empty() {
             return;
         }
-        let Some(MDs::Op { kind: prod, tasks, .. }) = st.datasets.get(data as usize) else {
+        let Some(MDs::Op { spec: prod, tasks, .. }) = st.datasets.get(data as usize) else {
             return;
         };
-        if !prod.is_map_like() {
+        if prod.parts().is_none() {
             return;
         }
         let frags: Vec<Vec<String>> = tasks
@@ -1165,15 +1148,15 @@ impl Master {
         if live.is_empty() {
             return;
         }
-        for (kind, func) in consumers {
+        for consumer in consumers {
             for urls in &frags {
                 for (p, url) in urls.iter().enumerate() {
-                    let owner = match st.affinity.get(&(kind, func, p)) {
+                    let owner = match st.affinity.get(&claim(&consumer, p)) {
                         Some(&s) if st.slaves.get(s as usize).is_some_and(|x| x.alive) => s,
                         _ => {
                             let s = live[p % live.len()];
                             if self.shared.cfg.use_affinity {
-                                st.affinity.insert((kind, func, p), s);
+                                st.affinity.insert(claim(&consumer, p), s);
                             }
                             s
                         }
@@ -1251,42 +1234,6 @@ impl Master {
         }
     }
 
-    /// Full poll answer for the RPC layer: the assignment plus any pending
-    /// lifetime-GC purge orders for this slave, drained in one round trip.
-    pub fn get_dispatch(
-        &self,
-        slave: SlaveId,
-        free_slots: usize,
-        park: Duration,
-        reports: &[TaskReport],
-    ) -> Dispatch {
-        let assignment = self.get_tasks_with(slave, free_slots, park, reports);
-        let (purge, eager, cancel) = {
-            let mut st = self.shared.state.lock();
-            (
-                st.pending_purge.get_mut(slave as usize).map(std::mem::take).unwrap_or_default(),
-                st.pending_eager.get_mut(slave as usize).map(std::mem::take).unwrap_or_default(),
-                st.pending_cancel.get_mut(slave as usize).map(std::mem::take).unwrap_or_default(),
-            )
-        };
-        Dispatch { assignment, purge, eager, cancel }
-    }
-
-    /// [`Master::get_dispatch`] plus the piggybacked trace batch: the
-    /// batch is ingested first so its events land on the timeline before
-    /// anything this poll itself dispatches.
-    pub fn get_dispatch_traced(
-        &self,
-        slave: SlaveId,
-        free_slots: usize,
-        park: Duration,
-        reports: &[TaskReport],
-        trace: &TraceBatch,
-    ) -> Dispatch {
-        self.ingest_trace(slave, trace);
-        self.get_dispatch(slave, free_slots, park, reports)
-    }
-
     /// A slave reports a failed task attempt.
     ///
     /// `failed_input` carries the input URL the slave could not fetch, if
@@ -1314,9 +1261,7 @@ impl Master {
             let slot = &mut tasks[index];
             let mut emptied = false;
             if let SlotState::Running(attempts) = &mut slot.state {
-                let pos = attempts
-                    .iter()
-                    .position(|a| a.slave == slave && (attempt == 0 || a.id == attempt));
+                let pos = attempts.iter().position(|a| a.slave == slave && a.id == attempt);
                 if let Some(pos) = pos {
                     found = true;
                     let removed = attempts.remove(pos);
@@ -1487,6 +1432,60 @@ impl Master {
         self.shared.state.lock().slaves.get(slave as usize).map(|s| s.authority.clone())
     }
 
+    /// Queue an op running `spec` over `input`: one task per input split
+    /// for a map, one per input partition for a reduce-like op.
+    fn submit_op(&self, input: DataId, spec: TaskSpec) -> Result<DataId> {
+        if spec.parts() == Some(0) {
+            return Err(Error::Invalid("need at least one partition".into()));
+        }
+        let mut st = self.shared.state.lock();
+        let input_ds = st
+            .datasets
+            .get(input.0 as usize)
+            .ok_or_else(|| Error::MissingData(format!("dataset {input:?}")))?;
+        let input_parts = match input_ds {
+            MDs::Op { spec: input_spec, .. } => input_spec.parts(),
+            _ => None,
+        };
+        let ntasks = if spec.gathers() {
+            input_parts
+                .ok_or_else(|| Error::Invalid("reduce must consume a map-like output".into()))?
+        } else {
+            match input_ds {
+                MDs::Source { urls } => urls.len(),
+                MDs::Op { tasks, .. } if input_parts.is_none() => tasks.len(),
+                MDs::Op { .. } => {
+                    return Err(Error::Invalid("map cannot consume an unreduced map output".into()))
+                }
+                MDs::Discarded => {
+                    return Err(Error::MissingData(format!("dataset {input:?} was discarded")))
+                }
+            }
+        };
+        st.consumers[input.0 as usize] += 1;
+        if matches!(spec, TaskSpec::ReduceMap { .. }) {
+            st.metrics.record_fused_op();
+        }
+        st.datasets.push(MDs::Op {
+            input,
+            spec,
+            tasks: (0..ntasks).map(|_| TaskSlot::new()).collect(),
+            done_count: 0,
+            runtimes: Vec::new(),
+        });
+        st.consumers.push(0);
+        let id = DataId(st.datasets.len() as u32 - 1);
+        if spec.gathers() {
+            // Maps that finished before this consumer existed are
+            // publishable right now (iterative drivers submit it late).
+            self.publish_eager_locked(&mut st, input.0, None);
+        }
+        Self::wake_dispatch(&mut st, &self.shared.dispatch_cv);
+        drop(st);
+        self.shared.cv.notify_all();
+        Ok(id)
+    }
+
     fn put_source_split(&self, id: u32, split: usize, records: &[Record]) -> Result<String> {
         let path = format!("src{id}/s{split}.mrsb");
         let wire = mrs_codec::encode_vec(write_bucket_bytes(records), self.shared.cfg.compress);
@@ -1538,73 +1537,11 @@ impl JobApi for Master {
         parts: usize,
         combine: bool,
     ) -> Result<DataId> {
-        if parts == 0 {
-            return Err(Error::Invalid("need at least one partition".into()));
-        }
-        let mut st = self.shared.state.lock();
-        let ntasks = match st.datasets.get(input.0 as usize) {
-            Some(MDs::Source { urls }) => urls.len(),
-            Some(MDs::Op { kind, tasks, .. }) => {
-                if kind.is_map_like() {
-                    return Err(Error::Invalid(
-                        "map cannot consume an unreduced map output".into(),
-                    ));
-                }
-                tasks.len()
-            }
-            Some(MDs::Discarded) => {
-                return Err(Error::MissingData(format!("dataset {input:?} was discarded")))
-            }
-            None => return Err(Error::MissingData(format!("dataset {input:?}"))),
-        };
-        st.consumers[input.0 as usize] += 1;
-        st.datasets.push(MDs::Op {
-            input,
-            kind: TaskKind::Map,
-            func,
-            map_func: 0,
-            parts,
-            combine,
-            tasks: (0..ntasks).map(|_| TaskSlot::new()).collect(),
-            done_count: 0,
-            runtimes: Vec::new(),
-        });
-        st.consumers.push(0);
-        let id = DataId(st.datasets.len() as u32 - 1);
-        Self::wake_dispatch(&mut st, &self.shared.dispatch_cv);
-        drop(st);
-        self.shared.cv.notify_all();
-        Ok(id)
+        self.submit_op(input, TaskSpec::Map { func, parts, combine })
     }
 
     fn reduce_data(&mut self, input: DataId, func: FuncId) -> Result<DataId> {
-        let mut st = self.shared.state.lock();
-        let parts = match st.datasets.get(input.0 as usize) {
-            Some(MDs::Op { kind, parts, .. }) if kind.is_map_like() => *parts,
-            Some(_) => return Err(Error::Invalid("reduce must consume a map output".into())),
-            None => return Err(Error::MissingData(format!("dataset {input:?}"))),
-        };
-        st.consumers[input.0 as usize] += 1;
-        st.datasets.push(MDs::Op {
-            input,
-            kind: TaskKind::Reduce,
-            func,
-            map_func: 0,
-            parts,
-            combine: false,
-            tasks: (0..parts).map(|_| TaskSlot::new()).collect(),
-            done_count: 0,
-            runtimes: Vec::new(),
-        });
-        st.consumers.push(0);
-        let id = DataId(st.datasets.len() as u32 - 1);
-        // Maps that finished before this consumer existed are publishable
-        // right now (iterative drivers submit the reduce late).
-        self.publish_eager_locked(&mut st, input.0, None);
-        Self::wake_dispatch(&mut st, &self.shared.dispatch_cv);
-        drop(st);
-        self.shared.cv.notify_all();
-        Ok(id)
+        self.submit_op(input, TaskSpec::Reduce { func })
     }
 
     fn reduce_map_data(
@@ -1615,37 +1552,7 @@ impl JobApi for Master {
         parts: usize,
         combine: bool,
     ) -> Result<DataId> {
-        if parts == 0 {
-            return Err(Error::Invalid("need at least one partition".into()));
-        }
-        let mut st = self.shared.state.lock();
-        let ntasks = match st.datasets.get(input.0 as usize) {
-            Some(MDs::Op { kind, parts, .. }) if kind.is_map_like() => *parts,
-            Some(_) => {
-                return Err(Error::Invalid("reduce_map must consume a map-like output".into()))
-            }
-            None => return Err(Error::MissingData(format!("dataset {input:?}"))),
-        };
-        st.consumers[input.0 as usize] += 1;
-        st.metrics.record_fused_op();
-        st.datasets.push(MDs::Op {
-            input,
-            kind: TaskKind::ReduceMap,
-            func: reduce_func,
-            map_func,
-            parts,
-            combine,
-            tasks: (0..ntasks).map(|_| TaskSlot::new()).collect(),
-            done_count: 0,
-            runtimes: Vec::new(),
-        });
-        st.consumers.push(0);
-        let id = DataId(st.datasets.len() as u32 - 1);
-        self.publish_eager_locked(&mut st, input.0, None);
-        Self::wake_dispatch(&mut st, &self.shared.dispatch_cv);
-        drop(st);
-        self.shared.cv.notify_all();
-        Ok(id)
+        self.submit_op(input, TaskSpec::ReduceMap { reduce_func, map_func, parts, combine })
     }
 
     fn keep(&mut self, data: DataId) {
@@ -1767,6 +1674,17 @@ mod tests {
         )
     }
 
+    /// An empty bucket as a slave would store it: framed.
+    fn empty_bucket() -> Vec<u8> {
+        mrs_codec::encode_vec(write_bucket_bytes(&[]), CompressMode::default())
+    }
+
+    /// A poll that neither parks nor reports: the grant plus this slave's
+    /// queued orders.
+    fn poll(m: &Master, slave: SlaveId, free_slots: usize) -> Dispatch {
+        m.poll(slave, free_slots, Duration::ZERO, &[], &TraceBatch::default())
+    }
+
     fn records(n: u64) -> Vec<Record> {
         (0..n).map(|i| (i.to_be_bytes().to_vec(), vec![])).collect()
     }
@@ -1782,17 +1700,10 @@ mod tests {
     /// Simulate a slave completing whatever it is handed, writing outputs to
     /// the shared store.
     fn fake_slave_step(m: &Master, store: &Arc<dyn Store>, slave: SlaveId) -> Assignment {
-        let a = m.get_task(slave);
+        let a = m.get_tasks(slave, 1);
         if let Assignment::Tasks(ts) = &a {
             for t in ts {
-                let urls: Vec<String> = (0..t.parts)
-                    .map(|p| {
-                        let path = format!("out/d{}t{}p{p}", t.data, t.index);
-                        store.put(&path, &write_bucket_bytes(&[])).unwrap();
-                        format!("file://{path}")
-                    })
-                    .collect();
-                m.task_done(slave, t.data, t.index, t.attempt, urls);
+                finish_task(m, store, slave, t);
             }
         }
         a
@@ -1811,9 +1722,9 @@ mod tests {
     fn no_work_means_wait_then_exit_after_finish() {
         let m = master_direct();
         let s = m.signin("a:1", 1);
-        assert_eq!(m.get_task(s), Assignment::Wait);
+        assert_eq!(m.get_tasks(s, 1), Assignment::Wait);
         m.finish();
-        assert_eq!(m.get_task(s), Assignment::Exit);
+        assert_eq!(m.get_tasks(s, 1), Assignment::Exit);
     }
 
     #[test]
@@ -1840,7 +1751,7 @@ mod tests {
                 "{a:?}"
             );
         }
-        assert_eq!(m.get_task(s), Assignment::Wait);
+        assert_eq!(m.get_tasks(s, 1), Assignment::Wait);
     }
 
     #[test]
@@ -1853,14 +1764,7 @@ mod tests {
         // Take both map tasks but complete only one.
         let t1 = take1(m.get_tasks(s, 1));
         let _t2 = take1(m.get_tasks(s, 1));
-        let urls: Vec<String> = (0..t1.parts)
-            .map(|p| {
-                let path = format!("out/d{}t{}p{p}", t1.data, t1.index);
-                store.put(&path, &write_bucket_bytes(&[])).unwrap();
-                format!("file://{path}")
-            })
-            .collect();
-        m.task_done(s, t1.data, t1.index, t1.attempt, urls);
+        finish_task(&m, &store, s, &t1);
         // Nothing dispatchable: the other map is running, reduce is blocked.
         assert_eq!(m.get_tasks(s, 1), Assignment::Wait);
     }
@@ -1874,14 +1778,14 @@ mod tests {
         let src = m.local_data(records(4), 1).unwrap();
         let _mapped = m.map_data(src, 0, 1, false).unwrap();
 
-        let t = take1(m.get_task(s));
+        let t = take1(m.get_tasks(s, 1));
         m.task_failed(s, t.data, t.index, t.attempt, "boom", None);
         // Re-queued: same task handed out again.
-        let t2 = take1(m.get_task(s));
+        let t2 = take1(m.get_tasks(s, 1));
         assert_eq!((t2.data, t2.index), (t.data, t.index));
         m.task_failed(s, t2.data, t2.index, t2.attempt, "boom again", None);
         // Attempt cap reached: job errors out, slaves are told to exit.
-        assert_eq!(m.get_task(s), Assignment::Exit);
+        assert_eq!(m.get_tasks(s, 1), Assignment::Exit);
         assert!(m.wait(DataId(1)).is_err());
     }
 
@@ -1897,14 +1801,14 @@ mod tests {
         let _mapped = m.map_data(src, 0, 1, false).unwrap();
 
         // s1 takes the task and goes silent.
-        let t = take1(m.get_task(s1));
+        let t = take1(m.get_tasks(s1, 1));
         std::thread::sleep(Duration::from_millis(40));
         // Keep s2 alive and sweep.
-        assert_eq!(m.get_task(s2), Assignment::Wait);
+        assert_eq!(m.get_tasks(s2, 1), Assignment::Wait);
         m.sweep();
         assert_eq!(m.live_slaves(), 1);
         // s2 gets the re-queued task.
-        let t2 = take1(m.get_task(s2));
+        let t2 = take1(m.get_tasks(s2, 1));
         assert_eq!((t2.data, t2.index), (t.data, t.index));
     }
 
@@ -1928,18 +1832,18 @@ mod tests {
         let _reduced = m.reduce_data(mapped, 0).unwrap();
 
         // s1 completes the map (its output lives on s1), then dies.
-        let t = take1(m.get_task(s1));
+        let t = take1(m.get_tasks(s1, 1));
         assert_eq!(t.kind, TaskKind::Map);
         m.task_done(s1, t.data, t.index, t.attempt, vec!["http://dead:1/data/x".into()]);
         // s2 picks up the now-ready reduce whose input lives on s1.
-        let tr = take1(m.get_task(s2));
+        let tr = take1(m.get_tasks(s2, 1));
         assert_eq!(tr.kind, TaskKind::Reduce);
         std::thread::sleep(Duration::from_millis(40));
         // Touch s2 so only s1 is swept; then the lost map output forces the
         // map task to be re-queued (direct plane: data died with s1).
-        assert_eq!(m.get_task(s2), Assignment::Wait);
+        assert_eq!(m.get_tasks(s2, 1), Assignment::Wait);
         m.sweep();
-        let t2 = take1(m.get_task(s2));
+        let t2 = take1(m.get_tasks(s2, 1));
         assert_eq!(t2.kind, TaskKind::Map, "expected requeued map, got {t2:?}");
         assert_eq!((t2.data, t2.index), (t.data, t.index));
     }
@@ -1953,7 +1857,7 @@ mod tests {
         let s = m.signin("a:1", 1);
         let src = m.local_data(records(4), 1).unwrap();
         let mapped = m.map_data(src, 0, 1, false).unwrap();
-        let _t = take1(m.get_task(s));
+        let _t = take1(m.get_tasks(s, 1));
         std::thread::sleep(Duration::from_millis(30));
         m.sweep();
         assert!(m.wait(mapped).is_err());
@@ -1969,14 +1873,14 @@ mod tests {
         let src = m.local_data(records(8), 2).unwrap();
         let m1 = m.map_data(src, 0, 2, false).unwrap();
         let r1 = m.reduce_data(m1, 0).unwrap();
-        let t0 = take1(m.get_task(s0));
-        let t1 = take1(m.get_task(s1));
+        let t0 = take1(m.get_tasks(s0, 1));
+        let t1 = take1(m.get_tasks(s1, 1));
         assert_eq!(t0.index, 0);
         assert_eq!(t1.index, 1);
         finish_task(&m, &store, s0, &t0);
         finish_task(&m, &store, s1, &t1);
         // Reduce round so iteration 2 maps become ready.
-        while let Assignment::Tasks(ts) = m.get_task(s0) {
+        while let Assignment::Tasks(ts) = m.get_tasks(s0, 1) {
             for t in &ts {
                 finish_task(&m, &store, s0, t);
             }
@@ -1986,24 +1890,29 @@ mod tests {
         // Iteration 2 over the reduce output: with affinity, s1 should again
         // be preferred for map index 1 even if s0 asks first.
         let m2 = m.map_data(r1, 0, 2, false).unwrap();
-        let t = take1(m.get_task(s0));
+        let t = take1(m.get_tasks(s0, 1));
         assert_eq!(t.index, 0, "s0 must get its old index back, not steal s1's");
-        let t = take1(m.get_task(s1));
+        let t = take1(m.get_tasks(s1, 1));
         assert_eq!(t.index, 1);
         let _ = m2;
         let hits = m.metrics().affinity_hits();
         assert!(hits >= 2, "affinity hits {hits}");
     }
 
-    fn finish_task(m: &Master, store: &Arc<dyn Store>, slave: SlaveId, t: &TaskMsg) {
-        let urls: Vec<String> = (0..t.parts)
+    /// Store an empty bucket per output partition of `t` and name them:
+    /// the URLs a slave would report.
+    fn output_urls(store: &Arc<dyn Store>, t: &TaskMsg) -> Vec<String> {
+        (0..t.parts)
             .map(|p| {
                 let path = format!("out/d{}t{}p{p}", t.data, t.index);
-                store.put(&path, &write_bucket_bytes(&[])).unwrap();
+                store.put(&path, &empty_bucket()).unwrap();
                 format!("file://{path}")
             })
-            .collect();
-        m.task_done(slave, t.data, t.index, t.attempt, urls);
+            .collect()
+    }
+
+    fn finish_task(m: &Master, store: &Arc<dyn Store>, slave: SlaveId, t: &TaskMsg) {
+        m.task_done(slave, t.data, t.index, t.attempt, output_urls(store, t));
     }
 
     #[test]
@@ -2012,7 +1921,7 @@ mod tests {
         let s = m.signin("a:1", 1);
         let src = m.local_data(records(4), 1).unwrap();
         let mapped = m.map_data(src, 0, 1, false).unwrap();
-        let t = take1(m.get_task(s));
+        let t = take1(m.get_tasks(s, 1));
         finish_task(&m, &store, s, &t);
         finish_task(&m, &store, s, &t); // duplicate
         m.wait(mapped).unwrap();
@@ -2055,11 +1964,11 @@ mod tests {
         let src = m.local_data(records(8), 2).unwrap();
         let m1 = m.map_data(src, 0, 2, false).unwrap();
         let r1 = m.reduce_data(m1, 0).unwrap();
-        let t0 = take1(m.get_task(s0));
-        let t1 = take1(m.get_task(s1));
+        let t0 = take1(m.get_tasks(s0, 1));
+        let t1 = take1(m.get_tasks(s1, 1));
         finish_task(&m, &store, s0, &t0);
         finish_task(&m, &store, s1, &t1);
-        while let Assignment::Tasks(ts) = m.get_task(s0) {
+        while let Assignment::Tasks(ts) = m.get_tasks(s0, 1) {
             for t in &ts {
                 finish_task(&m, &store, s0, t);
             }
@@ -2071,12 +1980,12 @@ mod tests {
         // must NOT steal: s1 will claim it on its own next poll, keeping
         // the iteration-to-iteration affinity the paper's scheduler is for.
         let m2 = m.map_data(r1, 0, 2, false).unwrap();
-        let mine = take1(m.get_task(s0));
+        let mine = take1(m.get_tasks(s0, 1));
         assert_eq!(mine.index, 0);
         finish_task(&m, &store, s0, &mine);
-        assert_eq!(m.get_task(s0), Assignment::Wait, "must not steal from an idle peer");
+        assert_eq!(m.get_tasks(s0, 1), Assignment::Wait, "must not steal from an idle peer");
         assert_eq!(m.metrics().tasks_stolen(), 0);
-        let theirs = take1(m.get_task(s1));
+        let theirs = take1(m.get_tasks(s1, 1));
         assert_eq!(theirs.index, 1);
         let _ = m2;
 
@@ -2084,10 +1993,10 @@ mod tests {
         // (0/1). Once s0 exhausts its own claim, stealing s1's is allowed
         // and counted.
         let m3 = m.map_data(r1, 0, 2, false).unwrap();
-        let t = take1(m.get_task(s0));
+        let t = take1(m.get_tasks(s0, 1));
         assert_eq!(t.index, 0);
         finish_task(&m, &store, s0, &t);
-        let stolen = take1(m.get_task(s0));
+        let stolen = take1(m.get_tasks(s0, 1));
         assert_eq!(stolen.index, 1);
         assert_eq!(m.metrics().tasks_stolen(), 1);
         let _ = m3;
@@ -2105,7 +2014,7 @@ mod tests {
         // Nothing queued: the request parks, the deadline expires, and the
         // timeout fallback is Wait — not a hang, not a busy poll.
         let start = Instant::now();
-        let a = m.get_tasks_with(s, 1, Duration::from_millis(200), &[]);
+        let a = m.poll(s, 1, Duration::from_millis(200), &[], &TraceBatch::default()).assignment;
         assert_eq!(a, Assignment::Wait);
         assert!(start.elapsed() >= Duration::from_millis(30), "{:?}", start.elapsed());
         let metrics = m.metrics();
@@ -2124,12 +2033,15 @@ mod tests {
 
         // s0 holds the only map task; s1 has nothing runnable (the reduce
         // is blocked behind the map barrier) and parks.
-        let t = take1(m.get_task(s0));
+        let t = take1(m.get_tasks(s0, 1));
         assert_eq!(t.kind, TaskKind::Map);
         let m2 = m.clone();
         let parked = std::thread::spawn(move || {
             let start = Instant::now();
-            (m2.get_tasks_with(s1, 1, Duration::from_millis(900), &[]), start.elapsed())
+            (
+                m2.poll(s1, 1, Duration::from_millis(900), &[], &TraceBatch::default()).assignment,
+                start.elapsed(),
+            )
         });
         std::thread::sleep(Duration::from_millis(30));
         // Completing the map crosses the barrier and must wake s1 with the
@@ -2152,7 +2064,10 @@ mod tests {
         let m2 = m.clone();
         let parked = std::thread::spawn(move || {
             let start = Instant::now();
-            (m2.get_tasks_with(s, 1, Duration::from_millis(900), &[]), start.elapsed())
+            (
+                m2.poll(s, 1, Duration::from_millis(900), &[], &TraceBatch::default()).assignment,
+                start.elapsed(),
+            )
         });
         std::thread::sleep(Duration::from_millis(20));
         m.finish();
@@ -2168,37 +2083,23 @@ mod tests {
         let src = m.local_data(records(8), 2).unwrap();
         let mapped = m.map_data(src, 0, 1, false).unwrap();
 
-        let t1 = take1(m.get_task(s));
+        let t1 = take1(m.get_tasks(s, 1));
         // The slave is at capacity (1 slot). Reporting t1 inside the next
         // poll must free the slot *before* the budget is computed, so the
         // second task is granted in the same round trip.
-        let path = format!("out/d{}t{}p0", t1.data, t1.index);
-        store.put(&path, &write_bucket_bytes(&[])).unwrap();
         let report = TaskReport {
             data: t1.data,
             index: t1.index,
             attempt: t1.attempt,
-            urls: vec![format!("file://{path}")],
+            urls: output_urls(&store, &t1),
         };
-        let t2 = take1(m.get_tasks_with(s, 1, Duration::ZERO, &[report]));
+        let t2 = take1(m.poll(s, 1, Duration::ZERO, &[report], &TraceBatch::default()).assignment);
         assert_ne!(t1.index, t2.index);
         finish_task(&m, &store, s, &t2);
         m.wait(mapped).unwrap();
         let metrics = m.metrics();
         assert_eq!(metrics.piggybacked_reports(), 1);
         assert_eq!(metrics.tasks_executed(), 2);
-    }
-
-    #[test]
-    fn poll_mode_never_parks() {
-        let cfg = MasterConfig { control: ControlMode::Poll, ..MasterConfig::default() };
-        let store: Arc<dyn Store> = Arc::new(MemFs::new());
-        let m = Master::new(cfg, DataPlane::SharedFs(store)).unwrap();
-        let s = m.signin("a:1", 1);
-        let start = Instant::now();
-        assert_eq!(m.get_tasks_with(s, 1, Duration::from_millis(500), &[]), Assignment::Wait);
-        assert!(start.elapsed() < Duration::from_millis(100), "poll mode must not hold requests");
-        assert_eq!(m.metrics().longpoll_parks(), 0);
     }
 
     #[test]
@@ -2220,10 +2121,10 @@ mod tests {
         // s1 takes the task and goes silent; s2 keeps heartbeating. The
         // sweeper must declare s1 dead on its own (no manual sweep) and the
         // task must become grantable to s2.
-        let t = take1(m.get_task(s1));
+        let t = take1(m.get_tasks(s1, 1));
         let deadline = Instant::now() + Duration::from_secs(2);
         let t2 = loop {
-            if let Assignment::Tasks(mut ts) = m.get_task(s2) {
+            if let Assignment::Tasks(mut ts) = m.get_tasks(s2, 1) {
                 break ts.remove(0);
             }
             assert!(Instant::now() < deadline, "sweeper never requeued the dead slave's task");
@@ -2253,7 +2154,7 @@ mod tests {
         // Then one fused task per input partition, shaped like a map task
         // on the output side and a reduce task on the input side.
         for _ in 0..3 {
-            let t = take1(m.get_task(s));
+            let t = take1(m.get_tasks(s, 1));
             assert_eq!(t.kind, TaskKind::ReduceMap);
             assert_eq!((t.func, t.map_func), (1, 2));
             assert_eq!(t.parts, 4);
@@ -2262,7 +2163,7 @@ mod tests {
             finish_task(&m, &store, s, &t);
         }
         // The final reduce gathers one partition from every fused task.
-        let t = take1(m.get_task(s));
+        let t = take1(m.get_tasks(s, 1));
         assert_eq!(t.kind, TaskKind::Reduce);
         assert_eq!(t.inputs.len(), 3);
         let metrics = m.metrics();
@@ -2280,12 +2181,12 @@ mod tests {
 
         // Iteration 1: a fused round; s0 ends up with index 0, s1 with 1.
         let f1 = m.reduce_map_data(m1, 0, 0, 2, false).unwrap();
-        let t0 = take1(m.get_task(s0));
-        let t1 = take1(m.get_task(s1));
+        let t0 = take1(m.get_tasks(s0, 1));
+        let t1 = take1(m.get_tasks(s1, 1));
         finish_task(&m, &store, s0, &t0);
         finish_task(&m, &store, s1, &t1);
-        let t0 = take1(m.get_task(s0));
-        let t1 = take1(m.get_task(s1));
+        let t0 = take1(m.get_tasks(s0, 1));
+        let t1 = take1(m.get_tasks(s1, 1));
         assert_eq!(t0.kind, TaskKind::ReduceMap);
         assert_eq!((t0.index, t1.index), (0, 1));
         finish_task(&m, &store, s0, &t0);
@@ -2295,11 +2196,11 @@ mod tests {
         // fused shape hold — s0 gets its index back, and does not steal
         // s1's even when polling first.
         let f2 = m.reduce_map_data(f1, 0, 0, 2, false).unwrap();
-        let t = take1(m.get_task(s0));
+        let t = take1(m.get_tasks(s0, 1));
         assert_eq!(t.index, 0, "s0 keeps its fused index across iterations");
         finish_task(&m, &store, s0, &t);
-        assert_eq!(m.get_task(s0), Assignment::Wait, "must not steal the idle peer's claim");
-        let t = take1(m.get_task(s1));
+        assert_eq!(m.get_tasks(s0, 1), Assignment::Wait, "must not steal the idle peer's claim");
+        let t = take1(m.get_tasks(s1, 1));
         assert_eq!(t.index, 1);
         let _ = f2;
         assert!(m.metrics().affinity_hits() >= 2);
@@ -2313,7 +2214,7 @@ mod tests {
         let m1 = m.map_data(src, 0, 1, false).unwrap();
         let _r1 = m.reduce_data(m1, 0).unwrap();
 
-        let t = take1(m.get_task(s));
+        let t = take1(m.get_tasks(s, 1));
         assert_eq!(t.kind, TaskKind::Map);
         m.task_done(
             s,
@@ -2322,7 +2223,7 @@ mod tests {
             t.attempt,
             vec![format!("http://a:1/data/s0/d{}/t0/b0.mrsb", t.data)],
         );
-        let t = take1(m.get_task(s));
+        let t = take1(m.get_tasks(s, 1));
         assert_eq!(t.kind, TaskKind::Reduce);
         m.task_done(
             s,
@@ -2334,10 +2235,10 @@ mod tests {
 
         // The reduce's completion released the map output: a purge order
         // for the slave's copy rides the next dispatch, exactly once.
-        let d = m.get_dispatch(s, 1, Duration::ZERO, &[]);
+        let d = poll(&m, s, 1);
         assert_eq!(d.assignment, Assignment::Wait);
         assert!(d.purge.contains(&format!("s0/d{}/", m1.0)), "{:?}", d.purge);
-        let d2 = m.get_dispatch(s, 1, Duration::ZERO, &[]);
+        let d2 = poll(&m, s, 1);
         assert!(d2.purge.is_empty(), "purge orders are drained on delivery");
         let metrics = m.metrics();
         assert_eq!(metrics.datasets_freed(), 1);
@@ -2354,7 +2255,7 @@ mod tests {
         let src = m.local_data(records(4), 1).unwrap();
         let m1 = m.map_data(src, 0, 1, false).unwrap();
         let _r1 = m.reduce_data(m1, 0).unwrap();
-        while let Assignment::Tasks(ts) = m.get_task(s) {
+        while let Assignment::Tasks(ts) = m.get_tasks(s, 1) {
             for t in &ts {
                 finish_task(&m, &store, s, t);
             }
@@ -2408,11 +2309,11 @@ mod tests {
             .collect();
         m.task_done(s0, t.data, t.index, t.attempt, urls.clone());
 
-        let d0 = m.get_dispatch(s0, 0, Duration::ZERO, &[]);
+        let d0 = poll(&m, s0, 0);
         assert_eq!(d0.eager.len(), 1, "{:?}", d0.eager);
         assert_eq!((d0.eager[0].data, d0.eager[0].partition), (t.data, 0));
         assert_eq!(d0.eager[0].url, urls[0]);
-        let d1 = m.get_dispatch(s1, 0, Duration::ZERO, &[]);
+        let d1 = poll(&m, s1, 0);
         assert_eq!(d1.eager.len(), 1, "{:?}", d1.eager);
         assert_eq!(d1.eager[0].partition, 1);
         assert_eq!(d1.eager[0].url, urls[1]);
@@ -2429,12 +2330,12 @@ mod tests {
         // barrier is clear and each slave is granted exactly the reduce
         // partition whose fragments were predicted onto it, with the last
         // map's buckets named in the task message itself.
-        let d0 = m.get_dispatch(s0, 1, Duration::ZERO, &[]);
+        let d0 = poll(&m, s0, 1);
         assert!(d0.eager.is_empty(), "{:?}", d0.eager);
         let Assignment::Tasks(ts) = d0.assignment else { panic!("barrier should be clear") };
         assert_eq!((ts[0].kind, ts[0].index), (TaskKind::Reduce, 0));
         assert_eq!(ts[0].inputs, [urls[0].clone(), urls2[0].clone()]);
-        let d1 = m.get_dispatch(s1, 1, Duration::ZERO, &[]);
+        let d1 = poll(&m, s1, 1);
         assert!(d1.eager.is_empty(), "{:?}", d1.eager);
         let Assignment::Tasks(ts) = d1.assignment else { panic!("barrier should be clear") };
         assert_eq!((ts[0].kind, ts[0].index), (TaskKind::Reduce, 1));
@@ -2453,13 +2354,13 @@ mod tests {
             (0..t.parts).map(|p| format!("http://a:1/data/s0/d{}/t0/b{p}.mrsb", t.data)).collect();
         m.task_done(s0, t.data, t.index, t.attempt, urls);
         // No reduce-like consumer yet: nothing to predict, nothing sent.
-        assert!(m.get_dispatch(s0, 0, Duration::ZERO, &[]).eager.is_empty());
-        assert!(m.get_dispatch(s1, 0, Duration::ZERO, &[]).eager.is_empty());
+        assert!(poll(&m, s0, 0).eager.is_empty());
+        assert!(poll(&m, s1, 0).eager.is_empty());
         // Submitting the reduce retroactively publishes the already-done
         // fragments (iterative drivers submit consumers late).
         let _r = m.reduce_data(mapped, 0).unwrap();
-        let d0 = m.get_dispatch(s0, 0, Duration::ZERO, &[]);
-        let d1 = m.get_dispatch(s1, 0, Duration::ZERO, &[]);
+        let d0 = poll(&m, s0, 0);
+        let d1 = poll(&m, s1, 0);
         assert_eq!(d0.eager.len() + d1.eager.len(), 2, "{:?} {:?}", d0.eager, d1.eager);
     }
 
@@ -2475,7 +2376,7 @@ mod tests {
         let urls: Vec<String> =
             (0..t.parts).map(|p| format!("http://a:1/data/s0/d{}/t0/b{p}.mrsb", t.data)).collect();
         m.task_done(s0, t.data, t.index, t.attempt, urls);
-        assert!(m.get_dispatch(s0, 0, Duration::ZERO, &[]).eager.is_empty());
+        assert!(poll(&m, s0, 0).eager.is_empty());
     }
 
     /// A four-task map wave where s1 holds every task and finishes all but
@@ -2530,13 +2431,13 @@ mod tests {
 
         // The loser's slave receives a cancel order on its next poll,
         // exactly once.
-        let d = m.get_dispatch(s1, 0, Duration::ZERO, &[]);
+        let d = poll(&m, s1, 0);
         assert_eq!(d.cancel.len(), 1, "{:?}", d.cancel);
         assert_eq!(
             (d.cancel[0].data, d.cancel[0].index, d.cancel[0].attempt),
             (straggler.data, straggler.index, straggler.attempt)
         );
-        assert!(m.get_dispatch(s1, 0, Duration::ZERO, &[]).cancel.is_empty());
+        assert!(poll(&m, s1, 0).cancel.is_empty());
 
         // The straggler's late report is stale: ignored entirely.
         finish_task(&m, &store, s1, straggler);
@@ -2560,7 +2461,7 @@ mod tests {
         assert_eq!(metrics.speculative_wins(), 0);
         assert_eq!(metrics.speculative_losses(), 1);
         assert_eq!(metrics.cancelled_tasks(), 1);
-        let d = m.get_dispatch(s2, 0, Duration::ZERO, &[]);
+        let d = poll(&m, s2, 0);
         assert_eq!(d.cancel.len(), 1, "{:?}", d.cancel);
         assert_eq!(d.cancel[0].attempt, backup.attempt);
 
@@ -2671,11 +2572,11 @@ mod tests {
         let mapped = m.map_data(src, 0, 1, false).unwrap();
 
         // s1 takes the task and goes silent long enough to be swept.
-        let t1 = take1(m.get_task(s1));
+        let t1 = take1(m.get_tasks(s1, 1));
         std::thread::sleep(Duration::from_millis(40));
-        assert_eq!(m.get_task(s2), Assignment::Wait);
+        assert_eq!(m.get_tasks(s2, 1), Assignment::Wait);
         m.sweep();
-        let t2 = take1(m.get_task(s2));
+        let t2 = take1(m.get_tasks(s2, 1));
         assert_eq!((t2.data, t2.index), (t1.data, t1.index));
         assert_ne!(t2.attempt, t1.attempt, "attempt ids are never reused");
 
@@ -2689,22 +2590,38 @@ mod tests {
     }
 
     #[test]
-    fn legacy_report_without_attempt_id_is_accepted() {
+    fn report_naming_no_live_attempt_of_its_slave_is_dropped() {
         let (mut m, store) = shared_master();
         let s = m.signin("a:1", 1);
         let src = m.local_data(records(4), 1).unwrap();
         let mapped = m.map_data(src, 0, 1, false).unwrap();
-        let t = take1(m.get_task(s));
-        let urls: Vec<String> = (0..t.parts)
-            .map(|p| {
-                let path = format!("out/d{}t{}p{p}", t.data, t.index);
-                store.put(&path, &write_bucket_bytes(&[])).unwrap();
-                format!("file://{path}")
-            })
-            .collect();
-        // Attempt 0 is the legacy wire value (decoder default for old
-        // slaves): matched by slave identity alone.
-        m.task_done(s, t.data, t.index, 0, urls);
+        // Attempt 1 fails and the task is re-queued: the slave now holds
+        // live attempt 2.
+        let t1 = take1(m.get_tasks(s, 1));
+        m.task_failed(s, t1.data, t1.index, t1.attempt, "boom", None);
+        let t2 = take1(m.get_tasks(s, 1));
+        assert_eq!((t1.attempt, t2.attempt), (1, 2));
+        // A report without an attempt id, and one naming the superseded
+        // attempt, both come from the right slave — and both are dropped
+        // at the commit point: nothing published, the slot still running.
+        for stale in [0, t1.attempt] {
+            finish_task(&m, &store, s, &TaskMsg { attempt: stale, ..t2.clone() });
+            assert_eq!(m.metrics().tasks_executed(), 0, "attempt {stale} committed");
+            let st = m.shared.state.lock();
+            let MDs::Op { tasks, done_count, .. } = &st.datasets[mapped.0 as usize] else {
+                panic!("map op")
+            };
+            assert_eq!(*done_count, 0);
+            assert!(
+                matches!(&tasks[t2.index].state, SlotState::Running(a) if a.len() == 1 && a[0].id == 2),
+                "{:?}",
+                tasks[t2.index].state
+            );
+        }
+        // A stale failure is equally inert; the live attempt then commits.
+        m.task_failed(s, t2.data, t2.index, 0, "late", None);
+        assert_eq!(m.metrics().tasks_retried(), 1);
+        finish_task(&m, &store, s, &t2);
         m.wait(mapped).unwrap();
         assert_eq!(m.metrics().tasks_executed(), 1);
     }
@@ -2729,7 +2646,7 @@ mod tests {
         // An idle slave parking for 900ms must be woken at the
         // speculation deadline instead of sleeping out its park.
         let start = Instant::now();
-        let a = m.get_tasks_with(s2, 1, Duration::from_millis(900), &[]);
+        let a = m.poll(s2, 1, Duration::from_millis(900), &[], &TraceBatch::default()).assignment;
         let elapsed = start.elapsed();
         let backup = take1(a);
         assert_eq!((backup.data, backup.index), (ts[3].data, ts[3].index));

@@ -1,13 +1,19 @@
 //! Master↔slave protocol messages and their XML-RPC encoding.
 //!
 //! The control channel (§IV-B) is genuine XML-RPC; these are the typed
-//! views of the `get_task` / `task_done` payloads plus the URL resolver
-//! both sides use to read bucket data (`http://` direct transfer, `file://`
-//! / `mem://` shared filesystem).
+//! views of the `signin` / `get_task` / `task_done` payloads plus the URL
+//! resolver both sides use to read bucket data (`http://` direct transfer,
+//! `file://` / `mem://` shared filesystem).
+//!
+//! The wire has exactly one version, [`PROTOCOL_VERSION`]: a slave names
+//! it at `signin` and a master refuses any other, so behind that gate
+//! every decoder here *requires* every field its encoder writes. What the
+//! encoders leave out — empty `purge` / `eager` / `cancel` lists, an empty
+//! trace batch — is left out for compactness and means "none".
 
 use crate::dataplane;
 use mrs_codec::FrameError;
-use mrs_core::{Error, Record, Result};
+use mrs_core::{Error, Record, Result, TaskSpec};
 use mrs_fs::format::read_bucket_records;
 use mrs_fs::{BucketUrl, Store};
 use mrs_rpc::xmlrpc::Value;
@@ -16,35 +22,14 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// How the control channel discovers state changes.
-///
-/// The event-driven mode is the default: a `get_task` with nothing
-/// runnable parks server-side on a condvar until a state transition makes
-/// work available (or a deadline expires), and completion reports ride on
-/// the next `get_task` instead of costing their own RPC. The legacy
-/// `Poll` mode — fixed-interval sleeps between polls, standalone
-/// `task_done` calls — is kept behind `--mrs-control=poll` so the
-/// `control_latency` bench can measure the delta honestly.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ControlMode {
-    /// Sleep-and-poll: `Wait` answers return immediately and the slave
-    /// backs off between polls; completions are standalone RPCs.
-    Poll,
-    /// Event-driven: long-poll dispatch plus piggybacked completions.
-    #[default]
-    LongPoll,
-}
-
-impl ControlMode {
-    /// Parse a `--mrs-control` value.
-    pub fn parse(s: &str) -> Result<ControlMode> {
-        match s {
-            "poll" => Ok(ControlMode::Poll),
-            "longpoll" | "event" => Ok(ControlMode::LongPoll),
-            other => Err(Error::Invalid(format!("unknown control mode {other:?} (poll|longpoll)"))),
-        }
-    }
-}
+/// The version of the master↔slave wire protocol this build speaks: the
+/// set of RPC methods, their positional parameters, and the keys of every
+/// struct in this module. A slave sends it as `signin`'s third parameter;
+/// a master answers a missing or different version with a fault naming
+/// both, which ends the slave. Every node of a cluster is built from one
+/// commit, so there are no older peers to stay readable for — bump this
+/// on any change to the wire instead of adding a fallback.
+pub const PROTOCOL_VERSION: i64 = 2;
 
 /// Whether the master launches speculative backup copies of straggling
 /// tasks (§ speculative execution). When a task wave is nearly drained and
@@ -91,6 +76,40 @@ impl SpeculateMode {
     }
 }
 
+/// Integer field `name` of struct `v`, a `what` message.
+fn int_field(v: &Value, what: &str, name: &str) -> Result<i64> {
+    v.field(name)
+        .and_then(Value::as_int)
+        .ok_or_else(|| Error::Rpc(format!("{what} missing {name}")))
+}
+
+/// The strings of array `items`, the `name` list of a `what` message.
+pub(crate) fn strings(items: &[Value], what: &str, name: &str) -> Result<Vec<String>> {
+    items
+        .iter()
+        .map(|s| s.as_str().map(str::to_owned))
+        .collect::<Option<Vec<_>>>()
+        .ok_or_else(|| Error::Rpc(format!("non-string entry in {what} {name}")))
+}
+
+/// String-array field `name` of struct `v`, a `what` message.
+fn strings_field(v: &Value, what: &str, name: &str) -> Result<Vec<String>> {
+    let items = v
+        .field(name)
+        .and_then(Value::as_array)
+        .ok_or_else(|| Error::Rpc(format!("{what} missing {name}")))?;
+    strings(items, what, name)
+}
+
+/// Attempt ids are 1-based; 0 (or anything that does not fit) on the wire
+/// is a malformed message, not "no attempt tracking".
+pub(crate) fn attempt_id(wire: i64) -> Result<u32> {
+    u32::try_from(wire)
+        .ok()
+        .filter(|&a| a >= 1)
+        .ok_or_else(|| Error::Rpc(format!("attempt id {wire} out of range (ids start at 1)")))
+}
+
 /// A task-completion report: the payload of `task_done`, also batched on
 /// `get_task` calls as the piggybacked `reports` parameter so that in the
 /// steady state one control round trip both returns finished work and
@@ -101,8 +120,7 @@ pub struct TaskReport {
     pub data: u32,
     /// Task index within the dataset.
     pub index: usize,
-    /// The attempt id this report is for (0 from legacy slaves that echo
-    /// no attempt; the master then accepts the report unconditionally).
+    /// The attempt id the task message carried (never 0).
     pub attempt: u32,
     /// Output bucket URLs (one per partition for map, one for reduce).
     pub urls: Vec<String>,
@@ -122,32 +140,15 @@ impl TaskReport {
         Value::Struct(m)
     }
 
-    /// Decode from the RPC request. A missing `attempt` key (legacy slave)
-    /// decodes as 0, which the master treats as "no attempt tracking".
+    /// Decode from the RPC request.
     pub fn from_value(v: &Value) -> Result<TaskReport> {
-        let int = |name: &str| -> Result<i64> {
-            v.field(name)
-                .and_then(Value::as_int)
-                .ok_or_else(|| Error::Rpc(format!("report missing {name}")))
-        };
-        let urls = v
-            .field("urls")
-            .and_then(Value::as_array)
-            .ok_or_else(|| Error::Rpc("report missing urls".into()))?
-            .iter()
-            .map(|u| {
-                u.as_str()
-                    .map(str::to_owned)
-                    .ok_or_else(|| Error::Rpc("non-string report url".into()))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let attempt = match v.field("attempt") {
-            Some(a) => {
-                a.as_int().ok_or_else(|| Error::Rpc("non-int report attempt".into()))? as u32
-            }
-            None => 0,
-        };
-        Ok(TaskReport { data: int("data")? as u32, index: int("index")? as usize, attempt, urls })
+        let int = |name| int_field(v, "report", name);
+        Ok(TaskReport {
+            data: int("data")? as u32,
+            index: int("index")? as usize,
+            attempt: attempt_id(int("attempt")?)?,
+            urls: strings_field(v, "report", "urls")?,
+        })
     }
 }
 
@@ -183,6 +184,15 @@ pub enum TaskKind {
 }
 
 impl TaskKind {
+    /// The wire discriminator of a task description.
+    pub fn of(spec: &TaskSpec) -> TaskKind {
+        match spec {
+            TaskSpec::Map { .. } => TaskKind::Map,
+            TaskSpec::Reduce { .. } => TaskKind::Reduce,
+            TaskSpec::ReduceMap { .. } => TaskKind::ReduceMap,
+        }
+    }
+
     fn as_str(self) -> &'static str {
         match self {
             TaskKind::Map => "map",
@@ -191,10 +201,22 @@ impl TaskKind {
         }
     }
 
-    /// Map-like kinds emit partitioned buckets; reduce-like kinds gather
-    /// one partition from every task of their input.
-    pub fn is_map_like(self) -> bool {
-        matches!(self, TaskKind::Map | TaskKind::ReduceMap)
+    fn parse(s: &str) -> Result<TaskKind> {
+        match s {
+            "map" => Ok(TaskKind::Map),
+            "reduce" => Ok(TaskKind::Reduce),
+            "reducemap" => Ok(TaskKind::ReduceMap),
+            other => Err(Error::Rpc(format!("unknown task kind {other:?}"))),
+        }
+    }
+}
+
+/// The trace-vocabulary operation of a task description.
+pub(crate) fn trace_op(spec: &TaskSpec) -> mrs_trace::Op {
+    match spec {
+        TaskSpec::Map { .. } => mrs_trace::Op::Map,
+        TaskSpec::Reduce { .. } => mrs_trace::Op::Reduce,
+        TaskSpec::ReduceMap { .. } => mrs_trace::Op::ReduceMap,
     }
 }
 
@@ -217,24 +239,57 @@ pub struct TaskMsg {
     pub combine: bool,
     /// Attempt id (1-based, unique per task slot): echoed back in the
     /// completion report so the master can reject reports from attempts
-    /// that have since been cancelled or superseded. 0 from legacy masters
-    /// that never wrote the key.
+    /// that have since been cancelled or superseded.
     pub attempt: u32,
     /// Input bucket URLs.
     pub inputs: Vec<String>,
 }
 
 impl TaskMsg {
-    /// Encode for the RPC response. Alongside the `kind` discriminator the
-    /// legacy `is_map` boolean is still written (fused tasks gather like a
-    /// reduce, so they encode as `false`) — struct decoders ignore unknown
-    /// keys, so old peers keep working for the kinds they know.
+    /// The message for attempt `attempt` of task `index` of dataset
+    /// `data`, running `spec` over `inputs`. A reduce is written with
+    /// `map_func` 0, `parts` 1 and no combiner.
+    pub fn new(
+        data: u32,
+        index: usize,
+        spec: &TaskSpec,
+        attempt: u32,
+        inputs: Vec<String>,
+    ) -> Self {
+        let (func, map_func, parts, combine) = match *spec {
+            TaskSpec::Map { func, parts, combine } => (func, 0, parts, combine),
+            TaskSpec::Reduce { func } => (func, 0, 1, false),
+            TaskSpec::ReduceMap { reduce_func, map_func, parts, combine } => {
+                (reduce_func, map_func, parts, combine)
+            }
+        };
+        let kind = TaskKind::of(spec);
+        TaskMsg { data, index, kind, func, map_func, parts, combine, attempt, inputs }
+    }
+
+    /// The task's kernel description: what [`mrs_core::task::run_task`]
+    /// runs over the fetched inputs.
+    pub fn spec(&self) -> TaskSpec {
+        match self.kind {
+            TaskKind::Map => {
+                TaskSpec::Map { func: self.func, parts: self.parts, combine: self.combine }
+            }
+            TaskKind::Reduce => TaskSpec::Reduce { func: self.func },
+            TaskKind::ReduceMap => TaskSpec::ReduceMap {
+                reduce_func: self.func,
+                map_func: self.map_func,
+                parts: self.parts,
+                combine: self.combine,
+            },
+        }
+    }
+
+    /// Encode for the RPC response.
     pub fn to_value(&self) -> Value {
         let mut m = BTreeMap::new();
         m.insert("data".to_owned(), Value::Int(self.data as i64));
         m.insert("index".to_owned(), Value::Int(self.index as i64));
         m.insert("kind".to_owned(), Value::Str(self.kind.as_str().into()));
-        m.insert("is_map".to_owned(), Value::Bool(self.kind == TaskKind::Map));
         m.insert("func".to_owned(), Value::Int(self.func as i64));
         m.insert("map_func".to_owned(), Value::Int(self.map_func as i64));
         m.insert("parts".to_owned(), Value::Int(self.parts as i64));
@@ -247,58 +302,28 @@ impl TaskMsg {
         Value::Struct(m)
     }
 
-    /// Decode from the RPC response. Prefers the `kind` discriminator and
-    /// falls back to the legacy `is_map` boolean from pre-fusion masters.
+    /// Decode from the RPC response; every key `to_value` writes is
+    /// required.
     pub fn from_value(v: &Value) -> Result<TaskMsg> {
-        let int = |name: &str| -> Result<i64> {
-            v.field(name)
-                .and_then(Value::as_int)
-                .ok_or_else(|| Error::Rpc(format!("assignment missing {name}")))
-        };
-        let inputs = v
-            .field("inputs")
-            .and_then(Value::as_array)
-            .ok_or_else(|| Error::Rpc("assignment missing inputs".into()))?
-            .iter()
-            .map(|u| {
-                u.as_str()
-                    .map(str::to_owned)
-                    .ok_or_else(|| Error::Rpc("non-string input url".into()))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let kind = match v.field("kind").and_then(Value::as_str) {
-            Some("map") => TaskKind::Map,
-            Some("reduce") => TaskKind::Reduce,
-            Some("reducemap") => TaskKind::ReduceMap,
-            Some(other) => return Err(Error::Rpc(format!("unknown task kind {other:?}"))),
-            None => match v.field("is_map") {
-                Some(Value::Bool(true)) => TaskKind::Map,
-                Some(Value::Bool(false)) => TaskKind::Reduce,
-                _ => return Err(Error::Rpc("assignment missing kind/is_map".into())),
-            },
-        };
+        let int = |name| int_field(v, "assignment", name);
+        let kind = v
+            .field("kind")
+            .and_then(Value::as_str)
+            .ok_or_else(|| Error::Rpc("assignment missing kind".into()))?;
         let combine = match v.field("combine") {
             Some(Value::Bool(b)) => *b,
             _ => return Err(Error::Rpc("assignment missing combine".into())),
         };
-        let map_func = match v.field("map_func") {
-            Some(f) => f.as_int().ok_or_else(|| Error::Rpc("non-int map_func".into()))? as u32,
-            None => 0,
-        };
-        let attempt = match v.field("attempt") {
-            Some(a) => a.as_int().ok_or_else(|| Error::Rpc("non-int attempt".into()))? as u32,
-            None => 0,
-        };
         Ok(TaskMsg {
             data: int("data")? as u32,
             index: int("index")? as usize,
-            kind,
+            kind: TaskKind::parse(kind)?,
             func: int("func")? as u32,
-            map_func,
+            map_func: int("map_func")? as u32,
             parts: int("parts")? as usize,
             combine,
-            attempt,
-            inputs,
+            attempt: attempt_id(int("attempt")?)?,
+            inputs: strings_field(v, "assignment", "inputs")?,
         })
     }
 }
@@ -380,11 +405,7 @@ impl EagerFragment {
 
     /// Decode from the RPC response.
     pub fn from_value(v: &Value) -> Result<EagerFragment> {
-        let int = |name: &str| -> Result<i64> {
-            v.field(name)
-                .and_then(Value::as_int)
-                .ok_or_else(|| Error::Rpc(format!("eager fragment missing {name}")))
-        };
+        let int = |name| int_field(v, "eager fragment", name);
         let url = v
             .field("url")
             .and_then(Value::as_str)
@@ -399,9 +420,8 @@ impl EagerFragment {
 /// the first-completion race (or whose task became moot). The slave sets
 /// the attempt's cancellation flag — checked at kernel record/group
 /// boundaries — and silently discards the partial output, freeing the slot
-/// without reporting. Encoded as an extra struct key, so legacy slaves
-/// (which ignore unknown keys) simply let the doomed attempt run to
-/// completion; its stale report is then rejected by attempt id.
+/// without reporting. An order that arrives too late to stop the attempt
+/// costs nothing: its stale report is rejected by attempt id.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CancelOrder {
     /// Output dataset id of the task.
@@ -424,15 +444,11 @@ impl CancelOrder {
 
     /// Decode from the RPC response.
     pub fn from_value(v: &Value) -> Result<CancelOrder> {
-        let int = |name: &str| -> Result<i64> {
-            v.field(name)
-                .and_then(Value::as_int)
-                .ok_or_else(|| Error::Rpc(format!("cancel order missing {name}")))
-        };
+        let int = |name| int_field(v, "cancel order", name);
         Ok(CancelOrder {
             data: int("data")? as u32,
             index: int("index")? as usize,
-            attempt: int("attempt")? as u32,
+            attempt: attempt_id(int("attempt")?)?,
         })
     }
 }
@@ -448,8 +464,7 @@ const EVENT_RECORD: usize = 27;
 /// `rtt_us` the slave-measured round trip of its *previous* poll (0 =
 /// not yet known); together they let the master fit a clock offset
 /// ([`mrs_trace::ClockSync`]) and map the events onto its own timeline.
-/// Encoded as an extra optional positional parameter, so legacy peers
-/// (which never send or read it) interoperate.
+/// An empty batch (tracing off, or nothing recorded) is not sent at all.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TraceBatch {
     /// Slave recorder clock (µs since its epoch) when the batch was sent.
@@ -491,15 +506,11 @@ impl TraceBatch {
     }
 
     /// Decode from the RPC request. Tracing is best-effort observability:
-    /// an event with an unknown kind/name/op code (a newer slave's
-    /// vocabulary) is skipped rather than failing the whole dispatch;
-    /// only a structurally malformed batch is an error.
+    /// an event with an unknown kind/name/op code is skipped rather than
+    /// failing the whole dispatch; only a structurally malformed batch is
+    /// an error.
     pub fn from_value(v: &Value) -> Result<TraceBatch> {
-        let int = |name: &str| -> Result<i64> {
-            v.field(name)
-                .and_then(Value::as_int)
-                .ok_or_else(|| Error::Rpc(format!("trace batch missing {name}")))
-        };
+        let int = |name| int_field(v, "trace batch", name);
         let blob = v
             .field("events")
             .and_then(Value::as_bytes)
@@ -550,9 +561,9 @@ impl TraceBatch {
 /// remaining consumers; the slave drops the matching frames (and eager
 /// fragments) from its caches. `eager` lists freshly completed map-output
 /// buckets this slave should pre-fetch before the barrier clears.
-/// `cancel` lists attempts this slave should abort cooperatively. All are
-/// encoded as extra keys on the assignment struct, so older slaves (which
-/// ignore unknown keys) interoperate.
+/// `cancel` lists attempts this slave should abort cooperatively. All
+/// three ride as extra keys on the assignment struct, each written only
+/// when non-empty.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Dispatch {
     /// What to run (or wait/exit).
@@ -593,19 +604,11 @@ impl Dispatch {
     }
 
     /// Decode from the RPC response. A missing `purge`, `eager`, or
-    /// `cancel` key (old master) means nothing to drop, pre-fetch, or
-    /// abort.
+    /// `cancel` key means nothing to drop, pre-fetch, or abort.
     pub fn from_value(v: &Value) -> Result<Dispatch> {
         let assignment = Assignment::from_value(v)?;
         let purge = match v.field("purge").and_then(Value::as_array) {
-            Some(items) => items
-                .iter()
-                .map(|p| {
-                    p.as_str()
-                        .map(str::to_owned)
-                        .ok_or_else(|| Error::Rpc("non-string purge prefix".into()))
-                })
-                .collect::<Result<Vec<_>>>()?,
+            Some(items) => strings(items, "dispatch", "purge")?,
             None => Vec::new(),
         };
         let eager = match v.field("eager").and_then(Value::as_array) {
@@ -645,20 +648,10 @@ impl std::fmt::Debug for DataPlane {
 /// Fetch and parse a bucket by URL. `shared` resolves `file://`/`mem://`
 /// URLs; `http://` URLs are fetched from the owning peer's data server.
 pub fn fetch_records(url: &str, shared: Option<&Arc<dyn Store>>) -> Result<Vec<Record>> {
-    let mut out = Vec::new();
-    fetch_records_into(url, shared, &mut out)?;
-    Ok(out)
-}
-
-/// [`fetch_records`] appending to `out`: the driver's `fetch_all` parses
-/// every fetched bucket straight into its one result vector.
-pub fn fetch_records_into(
-    url: &str,
-    shared: Option<&Arc<dyn Store>>,
-    out: &mut Vec<Record>,
-) -> Result<()> {
     let fetched = fetch_buckets(&[url], shared, None, None, None).pop();
-    read_bucket_records(&fetched.expect("one result per url")?, out)
+    let mut out = Vec::new();
+    read_bucket_records(&fetched.expect("one result per url")?, &mut out)?;
+    Ok(out)
 }
 
 /// One group of [`fetch_buckets`]' URLs: everything one peer serves, or
@@ -688,11 +681,10 @@ struct Batch<'a> {
 /// slot not yet filled reads `Err(Error::Cancelled)`.
 ///
 /// Every resolution path runs the wire bytes through the `MRSF1` frame
-/// decoder, which verifies the checksum and transparently accepts raw
-/// legacy payloads. A *remote* frame that fails its checksum is fetched
-/// once more from the peer, alone (transient corruption), before the
-/// error surfaces; local and shared-store corruption is not retried —
-/// re-reading the same bytes cannot help.
+/// decoder, which verifies magic and checksum. A *remote* frame that
+/// fails either is fetched once more from the peer, alone (transient
+/// corruption), before the error surfaces; local and shared-store
+/// corruption is not retried — re-reading the same bytes cannot help.
 pub fn fetch_buckets(
     urls: &[&str],
     shared: Option<&Arc<dyn Store>>,
@@ -794,8 +786,9 @@ fn fetch_inline(
 }
 
 /// Decode the frame a peer answered with, re-fetching that one bucket
-/// once on a checksum mismatch. Successful transfers feed the
-/// process-wide wire counters (raw vs on-wire bytes).
+/// once when the bytes were damaged on the way (bad checksum, bad magic).
+/// Successful transfers feed the process-wide wire counters (raw vs
+/// on-wire bytes).
 fn verify_remote(authority: &str, path: &str, wire: Vec<u8>) -> Result<Vec<u8>> {
     let wire_len = wire.len();
     match mrs_codec::decode_vec(wire) {
@@ -803,7 +796,7 @@ fn verify_remote(authority: &str, path: &str, wire: Vec<u8>) -> Result<Vec<u8>> 
             dataplane::record_remote_fetch(raw.len(), wire_len);
             Ok(raw)
         }
-        Err(FrameError::Checksum { .. }) => {
+        Err(FrameError::Checksum { .. } | FrameError::NotFramed) => {
             dataplane::record_checksum_retry();
             let wire = dataserver::fetch(authority, path)?;
             let wire_len = wire.len();
@@ -846,32 +839,61 @@ mod tests {
         }
     }
 
+    /// The golden shape of a task on the wire: exactly these nine keys,
+    /// each one required by the decoder.
     #[test]
-    fn legacy_is_map_decodes_without_kind() {
+    fn task_msg_wire_has_exactly_its_nine_keys_and_requires_each() {
         let t = TaskMsg {
-            data: 1,
-            index: 0,
-            kind: TaskKind::Reduce,
-            func: 0,
-            map_func: 0,
-            parts: 1,
-            combine: false,
-            attempt: 0,
-            inputs: vec![],
+            data: 2,
+            index: 3,
+            kind: TaskKind::ReduceMap,
+            func: 1,
+            map_func: 4,
+            parts: 2,
+            combine: true,
+            attempt: 7,
+            inputs: vec!["http://h:1/data/s0/d1/t0/b3.mrsb".into()],
         };
-        // Strip the new keys the way a pre-fusion master would never have
-        // written them.
-        let Value::Struct(mut m) = t.to_value() else { panic!("struct") };
-        m.remove("kind");
-        m.remove("map_func");
-        m.remove("attempt");
-        let got = TaskMsg::from_value(&Value::Struct(m)).unwrap();
-        assert_eq!(got, t);
+        let Value::Struct(m) = t.to_value() else { panic!("struct") };
+        let keys: Vec<&str> = m.keys().map(String::as_str).collect();
+        assert_eq!(
+            keys,
+            ["attempt", "combine", "data", "func", "index", "inputs", "kind", "map_func", "parts"]
+        );
+        assert_eq!(TaskMsg::from_value(&Value::Struct(m.clone())).unwrap(), t);
+        for key in keys {
+            let mut without = m.clone();
+            without.remove(key);
+            let err = TaskMsg::from_value(&Value::Struct(without)).unwrap_err();
+            assert!(err.to_string().contains(key), "dropping {key}: {err}");
+        }
     }
 
     #[test]
-    fn attempt_id_roundtrips_and_defaults_to_zero() {
-        // New master → new slave: the attempt id survives the round trip.
+    fn task_msg_spec_is_the_kernel_view_of_the_message() {
+        let mut t = TaskMsg {
+            data: 0,
+            index: 0,
+            kind: TaskKind::Map,
+            func: 1,
+            map_func: 4,
+            parts: 3,
+            combine: true,
+            attempt: 1,
+            inputs: vec![],
+        };
+        assert_eq!(t.spec(), TaskSpec::Map { func: 1, parts: 3, combine: true });
+        t.kind = TaskKind::Reduce;
+        assert_eq!(t.spec(), TaskSpec::Reduce { func: 1 });
+        t.kind = TaskKind::ReduceMap;
+        assert_eq!(
+            t.spec(),
+            TaskSpec::ReduceMap { reduce_func: 1, map_func: 4, parts: 3, combine: true }
+        );
+    }
+
+    #[test]
+    fn attempt_ids_roundtrip_and_zero_or_missing_is_rejected() {
         let t = TaskMsg {
             data: 2,
             index: 3,
@@ -884,23 +906,29 @@ mod tests {
             inputs: vec![],
         };
         assert_eq!(TaskMsg::from_value(&t.to_value()).unwrap().attempt, 7);
-        // Old master → new slave: a missing attempt key decodes as 0.
-        let Value::Struct(mut m) = t.to_value() else { panic!("struct") };
-        m.remove("attempt");
-        assert_eq!(TaskMsg::from_value(&Value::Struct(m)).unwrap().attempt, 0);
-        // Old slave → new master: an attempt-less report decodes as 0, the
-        // "accept unconditionally" sentinel.
         let r = TaskReport { data: 2, index: 3, attempt: 5, urls: vec!["file://a".into()] };
         assert_eq!(TaskReport::from_value(&r.to_value()).unwrap().attempt, 5);
-        let Value::Struct(mut m) = r.to_value() else { panic!("struct") };
-        m.remove("attempt");
-        let legacy = TaskReport::from_value(&Value::Struct(m)).unwrap();
-        assert_eq!(legacy.attempt, 0);
-        assert_eq!(legacy.urls, r.urls);
+        let c = CancelOrder { data: 2, index: 3, attempt: 5 };
+        // Attempt ids start at 1: a 0, a negative or an absent id is a
+        // malformed message in every struct that carries one.
+        for v in [t.to_value(), r.to_value(), c.to_value()] {
+            let Value::Struct(m) = v else { panic!("struct") };
+            for bad in [Some(0), Some(-1), Some(i64::from(u32::MAX) + 1), None] {
+                let mut m = m.clone();
+                match bad {
+                    Some(a) => m.insert("attempt".to_owned(), Value::Int(a)),
+                    None => m.remove("attempt"),
+                };
+                let v = Value::Struct(m);
+                assert!(TaskMsg::from_value(&v).is_err(), "{bad:?}");
+                assert!(TaskReport::from_value(&v).is_err(), "{bad:?}");
+                assert!(CancelOrder::from_value(&v).is_err(), "{bad:?}");
+            }
+        }
     }
 
     #[test]
-    fn cancel_order_roundtrips_and_legacy_decoder_ignores_it() {
+    fn cancel_order_roundtrips_beside_the_assignment() {
         let c = CancelOrder { data: 4, index: 2, attempt: 3 };
         assert_eq!(CancelOrder::from_value(&c.to_value()).unwrap(), c);
         // Malformed orders are rejected, not mis-decoded.
@@ -916,12 +944,12 @@ mod tests {
             cancel: vec![c.clone(), CancelOrder { data: 4, index: 5, attempt: 1 }],
         };
         assert_eq!(Dispatch::from_value(&d.to_value()).unwrap(), d);
-        // ...and a legacy decoder (assignment-only view) still parses the
-        // same bytes: the cancel key rides along ignored.
+        // ...the assignment-only view reads the same struct, the cancel
+        // key riding along ignored...
         assert_eq!(Assignment::from_value(&d.to_value()).unwrap(), Assignment::Wait);
-        // A new slave reading an old master's dispatch sees no cancels.
-        let old = Assignment::Wait.to_value();
-        assert!(Dispatch::from_value(&old).unwrap().cancel.is_empty());
+        // ...and an absent key means no cancels.
+        let bare = Assignment::Wait.to_value();
+        assert!(Dispatch::from_value(&bare).unwrap().cancel.is_empty());
     }
 
     #[test]
@@ -936,7 +964,9 @@ mod tests {
         assert_eq!(Dispatch::from_value(&d.to_value()).unwrap(), d);
         let bare = Dispatch { assignment: a.clone(), purge: vec![], eager: vec![], cancel: vec![] };
         assert_eq!(Dispatch::from_value(&bare.to_value()).unwrap(), bare);
-        // An old master's plain assignment decodes as an empty purge list.
+        // Empty lists are not written: the bare dispatch *is* the plain
+        // assignment on the wire.
+        assert_eq!(bare.to_value(), a.to_value());
         assert_eq!(Dispatch::from_value(&a.to_value()).unwrap(), bare);
     }
 
@@ -998,7 +1028,7 @@ mod tests {
             urls: vec!["http://h:1/data/a".into(), "file://b".into()],
         };
         assert_eq!(TaskReport::from_value(&r.to_value()).unwrap(), r);
-        let empty = TaskReport { data: 0, index: 0, attempt: 0, urls: vec![] };
+        let empty = TaskReport { data: 0, index: 0, attempt: 1, urls: vec![] };
         assert_eq!(TaskReport::from_value(&empty.to_value()).unwrap(), empty);
     }
 
@@ -1064,20 +1094,16 @@ mod tests {
     }
 
     #[test]
-    fn control_mode_parses_and_rejects() {
-        assert_eq!(ControlMode::parse("poll").unwrap(), ControlMode::Poll);
-        assert_eq!(ControlMode::parse("longpoll").unwrap(), ControlMode::LongPoll);
-        assert_eq!(ControlMode::parse("event").unwrap(), ControlMode::LongPoll);
-        assert!(ControlMode::parse("telepathy").is_err());
-        assert_eq!(ControlMode::default(), ControlMode::LongPoll);
-    }
-
-    #[test]
     fn fetch_from_shared_store() {
         use mrs_fs::format::write_bucket_bytes;
         let store: Arc<dyn Store> = Arc::new(mrs_fs::MemFs::new());
         let records = vec![(b"k".to_vec(), b"v".to_vec())];
-        store.put("op/b0", &write_bucket_bytes(&records)).unwrap();
+        let frame = mrs_codec::encode_vec(write_bucket_bytes(&records), Default::default());
+        store.put("op/b0", &frame).unwrap();
+        // Whatever reaches a store through the runtime is framed; bare
+        // bucket bytes there are damage, not a format.
+        store.put("op/bare", &write_bucket_bytes(&records)).unwrap();
+        assert!(matches!(fetch_records("file://op/bare", Some(&store)), Err(Error::Codec(_))));
         let got = fetch_records("file://op/b0", Some(&store)).unwrap();
         assert_eq!(got, records);
     }
@@ -1125,19 +1151,21 @@ mod tests {
 
     /// A peer that serves a corrupt frame once is given a second chance;
     /// one that serves corruption persistently surfaces an error. Stored
-    /// and compressed frames alike: the checksum covers the payload as
-    /// shipped.
+    /// and compressed frames alike, and wherever the damage lands: the
+    /// checksum covers the payload as shipped, and a damaged magic byte
+    /// is damage too, not an unframed bucket.
     #[test]
     fn corrupt_remote_frame_is_refetched_once() {
         use mrs_fs::format::write_bucket_bytes;
         use std::sync::atomic::{AtomicUsize, Ordering};
         let records = vec![(b"key".to_vec(), vec![9u8; 800])];
-        for mode in [mrs_codec::CompressMode::Off, mrs_codec::CompressMode::On] {
+        let modes = [mrs_codec::CompressMode::Off, mrs_codec::CompressMode::On];
+        for (mode, flip_first) in modes.into_iter().flat_map(|m| [(m, false), (m, true)]) {
             let good: Arc<[u8]> = mrs_codec::encode_vec(write_bucket_bytes(&records), mode).into();
             let bad: Arc<[u8]> = {
                 let mut b = good.to_vec();
-                let last = b.len() - 1;
-                b[last] ^= 0xff;
+                let at = if flip_first { 0 } else { b.len() - 1 };
+                b[at] ^= 0xff;
                 b.into()
             };
 
@@ -1162,7 +1190,11 @@ mod tests {
             let before = dataplane::snapshot();
             let got = fetch_records(&server.url_for("flaky"), None).unwrap();
             assert_eq!(got, records);
-            assert_eq!(hits.load(Ordering::SeqCst), 2, "exactly one refetch ({mode:?})");
+            assert_eq!(
+                hits.load(Ordering::SeqCst),
+                2,
+                "exactly one refetch ({mode:?}, first byte: {flip_first})"
+            );
             let d = dataplane::snapshot().since(before);
             assert!(d.checksum_retries >= 1);
             assert!(d.bytes_on_wire >= good.len() as u64);
@@ -1257,7 +1289,7 @@ mod tests {
             }
             fn get(&self, _: &str) -> Result<Vec<u8>> {
                 self.0.store(true, Ordering::SeqCst);
-                Ok(mrs_fs::format::write_bucket_bytes(&[]))
+                Ok(frame_of(0).1.to_vec())
             }
             fn exists(&self, _: &str) -> bool {
                 true
@@ -1292,7 +1324,7 @@ mod tests {
     #[test]
     fn unparseable_url_fails_only_its_slot() {
         let store: Arc<dyn Store> = Arc::new(mrs_fs::MemFs::new());
-        store.put("ok", &mrs_fs::format::write_bucket_bytes(&[])).unwrap();
+        store.put("ok", &frame_of(0).1).unwrap();
         let got = fetch_buckets(&["ftp://nope", "file://ok"], Some(&store), None, None, None);
         assert!(matches!(got[0], Err(Error::Url(_))));
         assert!(got[1].is_ok());

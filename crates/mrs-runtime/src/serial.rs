@@ -5,13 +5,12 @@
 //! inline at submission time, so `wait` is a no-op; this is the reference
 //! implementation against which the others are checked.
 
-use crate::data::{
-    concat, materialize, partition_runs, reduce_map_runs, reduce_runs, split_buckets, DataId,
-};
+use crate::data::{concat, materialize, partition_runs, split_buckets, DataId};
 use crate::job::JobApi;
 use crate::metrics::JobMetrics;
-use mrs_core::task::{run_map_task_bucket, MergeMode};
-use mrs_core::{Bucket, Error, FuncId, Program, Record, Result};
+use crate::proto::trace_op;
+use mrs_core::task::run_task;
+use mrs_core::{Bucket, Error, FuncId, Program, Record, Result, TaskSpec};
 use mrs_trace::{JobTrace, Name, Op, Recorder, Tag, TraceHandle};
 use std::sync::Arc;
 
@@ -20,7 +19,6 @@ pub struct SerialRuntime {
     program: Arc<dyn Program>,
     datasets: Vec<SerialData>,
     metrics: JobMetrics,
-    merge: MergeMode,
     rec: Recorder,
     th: TraceHandle,
 }
@@ -41,19 +39,7 @@ impl SerialRuntime {
     pub fn new(program: Arc<dyn Program>) -> Self {
         let rec = Recorder::new();
         let th = rec.handle(0);
-        SerialRuntime {
-            program,
-            datasets: Vec::new(),
-            metrics: JobMetrics::default(),
-            merge: MergeMode::default(),
-            rec,
-            th,
-        }
-    }
-
-    /// Choose how reduce-like tasks assemble their input (`--mrs-merge`).
-    pub fn set_merge_mode(&mut self, merge: MergeMode) {
-        self.merge = merge;
+        SerialRuntime { program, datasets: Vec::new(), metrics: JobMetrics::default(), rec, th }
     }
 
     /// Metrics collected so far.
@@ -94,17 +80,12 @@ impl SerialRuntime {
         DataId(self.datasets.len() as u32 - 1)
     }
 
-    /// Run every reduce-like task of the op that consumes `input`: per
-    /// partition, take its runs by reference count (the Merge span), hand
-    /// them to `kernel` (the Exec span) and collect what it returns.
-    fn reduce_like<T>(
-        &mut self,
-        input: DataId,
-        op: Op,
-        kernel: impl Fn(&dyn Program, &[Arc<Bucket>], MergeMode) -> Result<T>,
-    ) -> Result<Vec<T>> {
-        let what = if op == Op::Reduce { "reduce" } else { "reducemap" };
-        let tasks = Self::mapped(&self.datasets, input, what)?;
+    /// Run every task of the reduce-like op `spec` over `input`: per
+    /// partition, take its runs by reference count (the Merge span), run
+    /// the kernel over them (the Exec span) and collect its output buckets.
+    fn reduce_like(&mut self, input: DataId, spec: TaskSpec) -> Result<Vec<Vec<Arc<Bucket>>>> {
+        let op = trace_op(&spec);
+        let tasks = Self::mapped(&self.datasets, input, op.as_str())?;
         let parts = tasks.first().map_or(0, Vec::len);
         let out_data = self.datasets.len() as u32;
         let mut outs = Vec::with_capacity(parts);
@@ -113,13 +94,13 @@ impl SerialRuntime {
             self.th.instant(Name::Dispatch, tag);
             self.th.begin(Name::Attempt, tag);
             self.th.begin(Name::Merge, tag);
-            let runs = partition_runs(tasks.iter(), p, self.merge, &mut self.metrics);
+            let runs = partition_runs(tasks.iter(), p, &mut self.metrics);
             self.th.end(Name::Merge, tag);
             self.th.begin(Name::Exec, tag);
-            let out = kernel(self.program.as_ref(), &runs, self.merge);
+            let out = run_task(self.program.as_ref(), &spec, &runs, None);
             self.th.end(Name::Exec, tag);
             self.th.end(Name::Attempt, tag);
-            outs.push(out?);
+            outs.push(out?.into_iter().map(Arc::new).collect());
             self.th.instant(Name::Report, tag);
         }
         Ok(outs)
@@ -159,7 +140,8 @@ impl JobApi for SerialRuntime {
         self.th.begin(Name::Attempt, tag);
         self.th.begin(Name::Exec, tag);
         let t0 = std::time::Instant::now();
-        let buckets = run_map_task_bucket(self.program.as_ref(), func, &split, parts, combine);
+        let spec = TaskSpec::Map { func, parts, combine };
+        let buckets = run_task(self.program.as_ref(), &spec, &[split], None);
         self.th.end(Name::Exec, tag);
         self.th.end(Name::Attempt, tag);
         let buckets = buckets?;
@@ -170,11 +152,10 @@ impl JobApi for SerialRuntime {
 
     fn reduce_data(&mut self, input: DataId, func: FuncId) -> Result<DataId> {
         let t0 = std::time::Instant::now();
-        let splits = self.reduce_like(input, Op::Reduce, |program, runs, merge| {
-            reduce_runs(program, func, runs, merge).map(Arc::new)
-        })?;
+        let tasks = self.reduce_like(input, TaskSpec::Reduce { func })?;
         self.metrics.record_reduce(t0.elapsed());
-        Ok(self.push(SerialData::Plain(splits)))
+        // A reduce task's one output bucket is one split of the dataset.
+        Ok(self.push(SerialData::Plain(tasks.into_iter().flatten().collect())))
     }
 
     fn reduce_map_data(
@@ -186,10 +167,8 @@ impl JobApi for SerialRuntime {
         combine: bool,
     ) -> Result<DataId> {
         let t0 = std::time::Instant::now();
-        let out_tasks = self.reduce_like(input, Op::ReduceMap, |program, runs, merge| {
-            reduce_map_runs(program, reduce_func, map_func, runs, parts, combine, merge)
-                .map(|out| out.into_iter().map(Arc::new).collect::<Vec<_>>())
-        })?;
+        let spec = TaskSpec::ReduceMap { reduce_func, map_func, parts, combine };
+        let out_tasks = self.reduce_like(input, spec)?;
         let elapsed = t0.elapsed();
         self.metrics.record_fused_op();
         for task in &out_tasks {
@@ -398,41 +377,17 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_sort_modes_agree() {
-        let run = |mode: MergeMode| {
-            let mut rt = SerialRuntime::new(Arc::new(Simple(WordCount)));
-            rt.set_merge_mode(mode);
-            let out = {
-                let mut job = Job::new(&mut rt);
-                job.map_reduce(input(), 2, 3, false).unwrap()
-            };
-            let m = rt.metrics().clone();
-            (out, m)
-        };
-        let (merged, mm) = run(MergeMode::Merge);
-        let (sorted, sm) = run(MergeMode::Sort);
-        assert_eq!(merged, sorted, "merge mode diverged from the sort oracle");
-        assert!(mm.merge_runs() > 0);
-        assert_eq!(mm.merge_runs(), mm.presorted_runs(), "in-process runs are always sorted");
-        assert!(mm.peak_reduce_records() > 0);
-        assert_eq!(sm.merge_runs(), 0, "sort mode never touches the merger");
-    }
-
-    #[test]
-    fn reducemap_merge_mode_matches_sort_mode() {
-        let run = |mode: MergeMode| {
-            let mut rt = SerialRuntime::new(Arc::new(Simple(Relabel)));
-            rt.set_merge_mode(mode);
+    fn every_reduce_input_run_is_a_presorted_merge_run() {
+        let mut rt = SerialRuntime::new(Arc::new(Simple(WordCount)));
+        {
             let mut job = Job::new(&mut rt);
-            let src = job.local_data(relabel_input(), 1).unwrap();
-            let mut m = job.map_data(src, 0, 3, false).unwrap();
-            for _ in 0..3 {
-                m = job.reduce_map_data(m, 0, 0, 3, false).unwrap();
-            }
-            let out = job.reduce_data(m, 0).unwrap();
-            job.fetch_all(out).unwrap()
-        };
-        assert_eq!(run(MergeMode::Merge), run(MergeMode::Sort));
+            job.map_reduce(input(), 2, 3, false).unwrap();
+        }
+        let m = rt.metrics();
+        // One serial map task, three reduce partitions: one run each.
+        assert_eq!(m.merge_runs(), 3);
+        assert_eq!(m.merge_runs(), m.presorted_runs(), "in-process runs are always sorted");
+        assert!(m.peak_reduce_records() > 0);
     }
 
     #[test]

@@ -33,16 +33,12 @@ use crate::dataplane::{
 };
 use crate::master::SlaveId;
 use crate::proto::{
-    fetch_buckets, Assignment, CancelOrder, ControlMode, DataPlane, Dispatch, EagerFragment,
-    TaskKind, TaskMsg, TaskReport, TraceBatch,
+    fetch_buckets, trace_op, Assignment, CancelOrder, DataPlane, Dispatch, EagerFragment, TaskMsg,
+    TaskReport, TraceBatch,
 };
 use mrs_codec::CompressMode;
-use mrs_core::task::{
-    run_map_task_bucket_cancellable, run_reduce_map_task_cancellable,
-    run_reduce_map_task_merge_cancellable, run_reduce_task_cancellable,
-    run_reduce_task_merge_cancellable,
-};
-use mrs_core::{Bucket, Error, MergeMode, Program, Result};
+use mrs_core::task::run_task;
+use mrs_core::{Bucket, Error, Program, Result};
 use mrs_fs::format::{read_bucket_into, read_bucket_run, write_bucket};
 use mrs_fs::Store;
 use mrs_rpc::{DataServer, FrameCache};
@@ -58,18 +54,14 @@ pub trait MasterLink: Send + Sync {
     /// Register, advertising how many assignments this slave can hold at
     /// once; returns the slave id.
     fn signin(&self, authority: &str, slots: usize) -> Result<SlaveId>;
-    /// Poll for work with `free` idle slots; the master may grant up to
-    /// `free` tasks in one batch.
-    fn get_tasks(&self, slave: SlaveId, free: usize) -> Result<Dispatch> {
-        self.get_tasks_with(slave, free, Duration::ZERO, Vec::new(), TraceBatch::default())
-    }
-    /// Full-form poll: delivers piggybacked completion `reports` and asks
-    /// the master to hold the request up to `park` when nothing is
-    /// runnable (long-poll dispatch). The `trace` batch piggybacks this
-    /// slave's trace-event delta (empty when tracing is off). The answer
-    /// is a full [`Dispatch`]: the assignment plus any lifetime-GC purge
-    /// orders for this slave.
-    fn get_tasks_with(
+    /// Poll for work with `free` idle slots (the master may grant up to
+    /// `free` tasks in one batch), delivering piggybacked completion
+    /// `reports` and asking the master to hold the request up to `park`
+    /// when nothing is runnable (long-poll dispatch). The `trace` batch
+    /// piggybacks this slave's trace-event delta (empty when tracing is
+    /// off). The answer is a full [`Dispatch`]: the assignment plus the
+    /// purge, eager-fragment and cancel orders queued for this slave.
+    fn poll(
         &self,
         slave: SlaveId,
         free: usize,
@@ -106,7 +98,7 @@ impl MasterLink for crate::master::Master {
     fn signin(&self, authority: &str, slots: usize) -> Result<SlaveId> {
         Ok(crate::master::Master::signin(self, authority, slots))
     }
-    fn get_tasks_with(
+    fn poll(
         &self,
         slave: SlaveId,
         free: usize,
@@ -114,7 +106,7 @@ impl MasterLink for crate::master::Master {
         reports: Vec<TaskReport>,
         trace: TraceBatch,
     ) -> Result<Dispatch> {
-        Ok(crate::master::Master::get_dispatch_traced(self, slave, free, park, &reports, &trace))
+        Ok(crate::master::Master::poll(self, slave, free, park, &reports, &trace))
     }
     fn task_done(
         &self,
@@ -145,8 +137,7 @@ impl MasterLink for crate::master::Master {
 #[derive(Clone, Debug)]
 pub struct SlaveOptions {
     /// Initial sleep after a `Wait` to a poll that did not park at the
-    /// master (workers busy, or legacy poll mode); a worker event cuts
-    /// the sleep short.
+    /// master (workers busy); a worker event cuts the sleep short.
     pub poll_interval: Duration,
     /// Backoff cap: consecutive such `Wait`s double the sleep from
     /// `poll_interval` up to this; any granted work resets it.
@@ -154,10 +145,7 @@ pub struct SlaveOptions {
     /// Concurrent task slots (worker threads). Defaults to the number of
     /// available CPU cores.
     pub slots: usize,
-    /// How the slave discovers state changes: event-driven long-poll with
-    /// piggybacked completions (default), or legacy sleep-and-poll.
-    pub control: ControlMode,
-    /// Server-side park requested on fully-idle polls (long-poll mode).
+    /// Server-side park requested on fully-idle polls.
     /// The master clamps it to its own `long_poll_timeout` and to half its
     /// slave death timeout, so requesting generously is safe.
     pub long_poll: Duration,
@@ -170,10 +158,6 @@ pub struct SlaveOptions {
     /// seed reduce-input fetches from the warm cache. Off restores the
     /// classic fetch-everything-at-task-time path.
     pub eager_shuffle: bool,
-    /// How reduce-like tasks assemble their input (`--mrs-merge`):
-    /// stream a k-way merge over the decoded sorted runs (default), or
-    /// concatenate and sort — the legacy path, kept as the oracle.
-    pub merge: MergeMode,
     /// Record task-attempt trace events (on by default; `--mrs-no-trace`
     /// turns it off). Events are shipped to the master piggybacked on the
     /// poll loop; the recorder is bounded, so tracing never grows memory
@@ -193,11 +177,9 @@ impl Default for SlaveOptions {
             poll_interval: Duration::from_millis(2),
             max_poll_interval: Duration::from_millis(50),
             slots: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            control: ControlMode::default(),
             long_poll: Duration::from_secs(1),
             compress: CompressMode::default(),
             eager_shuffle: true,
-            merge: MergeMode::default(),
             trace: true,
             test_delays: Vec::new(),
         }
@@ -254,7 +236,7 @@ struct PipeState {
     queue: VecDeque<(TaskMsg, u64, Vec<Vec<u8>>)>,
     /// Assignments accepted from the master and not yet reported back.
     in_flight: usize,
-    /// Completions waiting to ride on the next `get_tasks` poll.
+    /// Completions waiting to ride on the next poll.
     reports: Vec<TaskReport>,
     /// Cancellation flags of attempts currently executing or having their
     /// inputs prefetched, keyed by (data, index, attempt). A cancel order
@@ -377,7 +359,7 @@ impl Pipe {
         drop(st);
         if let Some(h) = th {
             for (t, accepted_us) in &dequeued {
-                let tag = Tag::task(op_of(t.kind), t.data, t.index, t.attempt);
+                let tag = task_tag(t);
                 h.begin_at(*accepted_us, Name::Attempt, tag);
                 h.instant(Name::Cancel, tag);
                 h.end(Name::Attempt, tag);
@@ -446,7 +428,6 @@ pub fn run_slave(
     let capacity = workers + 1;
     let id = link.signin(&authority, capacity)?;
 
-    let piggyback = matches!(opts.control, ControlMode::LongPoll);
     let pipe = Pipe::new(opts.eager_shuffle);
     // Trace recording: one recorder per slave, one handle (ring shard)
     // per recording thread. Handles live outside the thread scope so the
@@ -470,9 +451,7 @@ pub fn run_slave(
                         server.as_ref(),
                         id,
                         &pipe,
-                        piggyback,
                         opts.compress,
-                        opts.merge,
                         &opts.test_delays,
                         th.as_ref(),
                     )
@@ -537,7 +516,7 @@ pub fn run_slave(
             // a local completion could otherwise sit behind our own parked
             // request, so a busy slave polls without parking and waits
             // locally on the worker condvar instead.
-            let park = if piggyback && free == capacity { opts.long_poll } else { Duration::ZERO };
+            let park = if free == capacity { opts.long_poll } else { Duration::ZERO };
             // Drain the trace delta *after* taking the reports: any event a
             // worker recorded before queueing its report is guaranteed to
             // ride the same (or an earlier) poll as the report itself.
@@ -549,17 +528,13 @@ pub fn run_slave(
                 _ => TraceBatch::default(),
             };
             let polled_at = Instant::now();
-            // Whether the answer handed over orders (purge, eager, cancel):
-            // a long-polling master cuts a park short to deliver those.
-            let mut delivered = false;
             let mut announced = Vec::new();
             // A master that has vanished is a normal end of life for a
             // slave: the paper's launch scripts tear everything down
             // together (the scheduler "kills processes as soon as a job
             // completes"), so losing the control channel means the job is
             // over, not an error.
-            let answer = link.get_tasks_with(id, free, park, reports, batch).map(|d| {
-                delivered = !(d.purge.is_empty() && d.eager.is_empty() && d.cancel.is_empty());
+            let answer = link.poll(id, free, park, reports, batch).map(|d| {
                 // Apply lifetime-GC purge orders before acting on the
                 // assignment: spent datasets leave this slave's frame
                 // cache so long-running iterative jobs hold O(1)
@@ -602,7 +577,7 @@ pub fn run_slave(
                 }
                 Ok(Assignment::Wait) => {
                     pipe.enqueue(Vec::new(), 0, &announced);
-                    if !park.is_zero() && (delivered || polled_at.elapsed() >= park / 2) {
+                    if !park.is_zero() {
                         // The master held the request until it had orders
                         // to deliver or the park ran out: the long poll
                         // itself is the pacing, so park again at once — an
@@ -610,9 +585,8 @@ pub fn run_slave(
                         // runnable task wakes it, never in a local sleep.
                         backoff = opts.poll_interval;
                     } else {
-                        // Either we chose not to park (workers busy: their
-                        // completions wake `poll_cv`) or the master did not
-                        // honor the park (legacy poll mode): bounded local
+                        // We chose not to park (workers busy: their
+                        // completions wake `poll_cv`): bounded local
                         // condvar wait with exponential backoff.
                         let mut st = pipe.state.lock();
                         if !st.halt && st.reports.is_empty() {
@@ -711,8 +685,8 @@ fn fetch_loop(
         // Only reduce-like tasks (plain or fused) gather map-output
         // partitions, so only they consult the eager warm cache; map
         // tasks fetching source splits must not skew the residual count.
-        let warm = task.kind != TaskKind::Map;
-        let tag = Tag::task(op_of(task.kind), task.data, task.index, task.attempt);
+        let warm = task.spec().gathers();
+        let tag = task_tag(&task);
         if let Some(h) = th {
             h.begin(Name::Fetch, tag);
         }
@@ -836,11 +810,10 @@ fn parse_bucket_coords(url: &str) -> Option<(u64, u64, u64)> {
     Some((data, index, part))
 }
 
-/// One compute worker: pop prefetched tasks, execute, report. With
-/// `piggyback`, successful completions are queued on the pipe for the
-/// polling thread to deliver inside its next `get_tasks` call (one fewer
-/// control RPC per task); failures always report standalone so recovery
-/// starts immediately.
+/// One compute worker: pop prefetched tasks, execute, report. Successful
+/// completions are queued on the pipe for the polling thread to deliver
+/// inside its next poll (one fewer control RPC per task); failures always
+/// report standalone so recovery starts immediately.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     link: &dyn MasterLink,
@@ -850,9 +823,7 @@ fn worker_loop(
     server: Option<&DataServer>,
     id: SlaveId,
     pipe: &Pipe,
-    piggyback: bool,
     compress: CompressMode,
-    merge: MergeMode,
     delays: &[(u32, usize, u64)],
     th: Option<&TraceHandle>,
 ) -> Result<()> {
@@ -879,8 +850,7 @@ fn worker_loop(
                         st.in_flight -= 1;
                         pipe.poll_cv.notify_all();
                         if let Some(h) = th {
-                            let tag =
-                                Tag::task(op_of(task.kind), task.data, task.index, task.attempt);
+                            let tag = task_tag(&task);
                             h.begin_at(accepted_us, Name::Attempt, tag);
                             h.instant(Name::Cancel, tag);
                             h.end(Name::Attempt, tag);
@@ -900,7 +870,7 @@ fn worker_loop(
         // The attempt span reaches back to when the assignment arrived:
         // queue wait and prefetch both belong to the attempt's lifetime
         // (the handle clamps it monotone against this lane's last event).
-        let tag = Tag::task(op_of(task.kind), task.data, task.index, task.attempt);
+        let tag = task_tag(&task);
         if let Some(h) = th {
             h.begin_at(accepted_us, Name::Attempt, tag);
         }
@@ -935,7 +905,6 @@ fn worker_loop(
                 id,
                 &mut scratch,
                 compress,
-                merge,
                 Some(&cancel),
                 th,
             )
@@ -959,7 +928,7 @@ fn worker_loop(
             Ok(urls) => {
                 let mut st = pipe.state.lock();
                 st.in_flight -= 1;
-                if piggyback && !st.direct_report {
+                if !st.direct_report {
                     st.reports.push(TaskReport {
                         data: task.data,
                         index: task.index,
@@ -1072,19 +1041,16 @@ fn fetch_inputs(
     Ok(slots.into_iter().map(|b| b.expect("every slot seeded or fetched")).collect())
 }
 
-/// The trace op tag for a task kind.
-fn op_of(kind: TaskKind) -> Op {
-    match kind {
-        TaskKind::Map => Op::Map,
-        TaskKind::Reduce => Op::Reduce,
-        TaskKind::ReduceMap => Op::ReduceMap,
-    }
+/// The trace tag of a task attempt.
+fn task_tag(task: &TaskMsg) -> Tag {
+    Tag::task(trace_op(&task.spec()), task.data, task.index, task.attempt)
 }
 
 /// Execute one task whose input bytes are already fetched (slot-ordered,
-/// one entry per input URL), store its outputs, and return their URLs.
-/// With a trace handle, the merge/exec/emit phases record as spans nested
-/// inside the caller's attempt span.
+/// one entry per input URL): gather them into runs, run the kernel, store
+/// the outputs and return their URLs. With a trace handle, the
+/// merge/exec/emit phases record as spans nested inside the caller's
+/// attempt span.
 #[allow(clippy::too_many_arguments)]
 fn process_task(
     task: &TaskMsg,
@@ -1096,11 +1062,10 @@ fn process_task(
     slave: SlaveId,
     scratch: &mut Bucket,
     compress: CompressMode,
-    merge: MergeMode,
     cancel: Option<&AtomicBool>,
     th: Option<&TraceHandle>,
 ) -> std::result::Result<Vec<String>, TaskError> {
-    let tag = Tag::task(op_of(task.kind), task.data, task.index, task.attempt);
+    let tag = task_tag(task);
     let span_begin = |name: Name| {
         if let Some(h) = th {
             h.begin(name, tag);
@@ -1122,9 +1087,13 @@ fn process_task(
         failed_input: None,
     };
 
-    // Gather a reduce-like task's input per the merge mode: as separate
-    // merge runs (Merge) or one concatenated arena (Sort, the oracle).
-    let gather_runs = || -> std::result::Result<Vec<Bucket>, TaskError> {
+    // Gather: decode every input straight into an arena — no per-record
+    // `Vec<u8>` allocations. A reduce-like task reads each input as one
+    // merge run; a map's one split lands in the worker's scratch arena,
+    // reused across tasks, in the order it was written.
+    let spec = task.spec();
+    let gathered: Vec<Bucket>;
+    let runs: &[Bucket] = if spec.gathers() {
         span_begin(Name::Merge);
         let t0 = Instant::now();
         let mut runs = Vec::with_capacity(raw.len());
@@ -1136,8 +1105,9 @@ fn process_task(
             if info.sorted {
                 presorted += 1;
             } else {
-                // Legacy/unflagged producer: sort on arrival, then merge
-                // as usual — the demotion keeps the fallback correct.
+                // Input validation: the merge needs sorted runs, so a run
+                // that is not (its frame's sorted claim failed the check,
+                // or it never claimed) is sorted on arrival.
                 run.sort();
             }
             records += run.len();
@@ -1145,118 +1115,32 @@ fn process_task(
         }
         record_merge_input(runs.len(), presorted, records, t0.elapsed());
         span_end(Name::Merge);
-        Ok(runs)
-    };
-    let gather_concat = || -> std::result::Result<Bucket, TaskError> {
-        span_begin(Name::Merge);
-        let mut input = Bucket::new();
+        gathered = runs;
+        &gathered
+    } else {
+        scratch.clear();
         for (url, bytes) in task.inputs.iter().zip(raw) {
-            read_bucket_into(bytes, &mut input).map_err(|e| parse_err(url, e))?;
+            read_bucket_into(bytes, scratch).map_err(|e| parse_err(url, e))?;
         }
-        span_end(Name::Merge);
-        Ok(input)
+        std::slice::from_ref(scratch)
     };
 
-    // Execute and serialize output buckets. All paths decode straight
-    // into an arena — no per-record `Vec<u8>` allocations; the map path
-    // additionally reuses the worker's scratch arena across tasks.
-    // Every output rides with its sortedness so the wire frame can carry
-    // the sorted-run flag (the kernels sort map-side, so in practice
-    // every bucket qualifies).
-    let buckets: Vec<(Vec<u8>, bool)> = match task.kind {
-        TaskKind::Map => {
-            scratch.clear();
-            for (url, bytes) in task.inputs.iter().zip(raw) {
-                read_bucket_into(bytes, scratch).map_err(|e| parse_err(url, e))?;
-            }
-            span_begin(Name::Exec);
-            let out = run_map_task_bucket_cancellable(
-                program,
-                task.func,
-                scratch,
-                task.parts,
-                task.combine,
-                cancel,
-            )
-            .map_err(run_err);
-            span_end(Name::Exec);
-            out?.iter().map(|b| (write_bucket(b), b.is_sorted())).collect()
-        }
-        TaskKind::Reduce => {
-            let out = match merge {
-                MergeMode::Merge => {
-                    let runs = gather_runs()?;
-                    span_begin(Name::Exec);
-                    let out = run_reduce_task_merge_cancellable(program, task.func, &runs, cancel)
-                        .map_err(run_err);
-                    span_end(Name::Exec);
-                    out?
-                }
-                // Reduce consumes its input arena (sorted in place), so
-                // it cannot reuse the scratch buffer.
-                MergeMode::Sort => {
-                    let input = gather_concat()?;
-                    span_begin(Name::Exec);
-                    let out = run_reduce_task_cancellable(program, task.func, input, cancel)
-                        .map_err(run_err);
-                    span_end(Name::Exec);
-                    out?
-                }
-            };
-            let sorted = out.is_sorted();
-            vec![(write_bucket(&out), sorted)]
-        }
-        TaskKind::ReduceMap => {
-            // Fused reduce+map: gather one partition like a reduce, then
-            // feed each reduced record straight into the next map — one
-            // task where the unfused plan schedules and shuffles two.
-            let out = match merge {
-                MergeMode::Merge => {
-                    let runs = gather_runs()?;
-                    span_begin(Name::Exec);
-                    let out = run_reduce_map_task_merge_cancellable(
-                        program,
-                        task.func,
-                        task.map_func,
-                        &runs,
-                        task.parts,
-                        task.combine,
-                        cancel,
-                    )
-                    .map_err(run_err);
-                    span_end(Name::Exec);
-                    out?
-                }
-                MergeMode::Sort => {
-                    let input = gather_concat()?;
-                    span_begin(Name::Exec);
-                    let out = run_reduce_map_task_cancellable(
-                        program,
-                        task.func,
-                        task.map_func,
-                        input,
-                        task.parts,
-                        task.combine,
-                        cancel,
-                    )
-                    .map_err(run_err);
-                    span_end(Name::Exec);
-                    out?
-                }
-            };
-            out.iter().map(|b| (write_bucket(b), b.is_sorted())).collect()
-        }
-    };
+    span_begin(Name::Exec);
+    let out = run_task(program, &spec, runs, cancel).map_err(run_err);
+    span_end(Name::Exec);
 
     // Frame for the wire (checksum, compress per policy), then store
     // and name the outputs. Encoding happens exactly once per bucket,
     // here; every reader — remote peer, colocated short-circuit, shared
-    // store — gets the same encoded bytes.
+    // store — gets the same encoded bytes. Every output rides with its
+    // sortedness so the frame can carry the sorted-run flag (the kernel
+    // sorts map-side, so in practice every bucket qualifies).
+    let buckets = out?;
     span_begin(Name::Emit);
     let mut urls = Vec::with_capacity(buckets.len());
-    for (p, (bytes, sorted)) in buckets.into_iter().enumerate() {
+    for (p, bucket) in buckets.iter().enumerate() {
         let path = format!("s{slave}/d{}/t{}/b{p}.mrsb", task.data, task.index);
-        let wire = mrs_codec::encode_vec_sorted(bytes, compress, sorted);
+        let wire = mrs_codec::encode_vec_sorted(write_bucket(bucket), compress, bucket.is_sorted());
         match plane {
             DataPlane::Direct => {
                 frames.insert(&path, wire);
@@ -1277,6 +1161,7 @@ mod tests {
     use super::*;
     use crate::job::JobApi;
     use crate::master::{Master, MasterConfig};
+    use crate::proto::TaskKind;
     use mrs_core::kv::encode_record;
     use mrs_core::{Datum, MapReduce, Simple};
     use mrs_fs::MemFs;
@@ -1298,6 +1183,11 @@ mod tests {
         fn reduce(&self, _k: &str, vs: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
             emit(vs.sum());
         }
+    }
+
+    /// Bucket bytes as every producer stores them: framed.
+    fn framed(records: &[mrs_core::Record]) -> Vec<u8> {
+        mrs_codec::encode_vec(mrs_fs::format::write_bucket_bytes(records), CompressMode::default())
     }
 
     fn input() -> Vec<mrs_core::Record> {
@@ -1401,37 +1291,6 @@ mod tests {
         handle.join().unwrap().unwrap();
     }
 
-    /// The sort oracle (`--mrs-merge=sort`) must produce the same answer
-    /// as the default merge path the other tests exercise.
-    #[test]
-    fn sort_mode_slave_matches_merge_mode() {
-        let master = Master::new(MasterConfig::default(), DataPlane::Direct).unwrap();
-        let program: Arc<dyn Program> = Arc::new(Simple(WordCount));
-        let stop = Arc::new(AtomicBool::new(false));
-        let opts = SlaveOptions { merge: MergeMode::Sort, ..SlaveOptions::default() };
-        let handle = {
-            let m = master.clone();
-            let p = Arc::clone(&program);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || run_slave(&m, p, DataPlane::Direct, &opts, &stop))
-        };
-
-        let mut driver = master.clone();
-        let src = driver.local_data(input(), 2).unwrap();
-        let mapped = driver.map_data(src, 0, 2, false).unwrap();
-        let reduced = driver.reduce_data(mapped, 0).unwrap();
-        let out = driver.fetch_all(reduced).unwrap();
-        let mut counts: Vec<(String, u64)> = out
-            .iter()
-            .map(|(k, v)| (String::from_bytes(k).unwrap(), u64::from_bytes(v).unwrap()))
-            .collect();
-        counts.sort();
-        assert_eq!(counts, vec![("a".into(), 2), ("b".into(), 2), ("c".into(), 1)]);
-
-        master.finish();
-        handle.join().unwrap().unwrap();
-    }
-
     /// A master that plays a fixed script: the first (fully idle) poll
     /// is answered `Wait` plus one eager fragment — what a long-polling
     /// master does when it cuts a park short to hand orders over — and
@@ -1447,7 +1306,7 @@ mod tests {
         fn signin(&self, _authority: &str, _slots: usize) -> Result<SlaveId> {
             Ok(0)
         }
-        fn get_tasks_with(
+        fn poll(
             &self,
             _slave: SlaveId,
             _free: usize,
@@ -1499,7 +1358,7 @@ mod tests {
     #[test]
     fn early_wait_with_deliveries_is_reparked_not_slept_on() {
         let store: Arc<dyn Store> = Arc::new(MemFs::new());
-        store.put("src0", &mrs_fs::format::write_bucket_bytes(&input())).unwrap();
+        store.put("src0", &framed(&input())).unwrap();
         let link = Arc::new(ScriptedLink {
             task: TaskMsg {
                 data: 1,
@@ -1599,7 +1458,7 @@ mod tests {
             },
             gets: Mutex::default(),
         };
-        store.put("in0", &mrs_fs::format::write_bucket_bytes(&[])).unwrap();
+        store.put("in0", &framed(&[])).unwrap();
         let store: Arc<dyn Store> = Arc::new(store);
         {
             let mut st = pipe.state.lock();
@@ -1635,10 +1494,8 @@ mod tests {
     #[test]
     fn missing_bucket_mid_batch_is_the_failed_input() {
         let peer = Arc::new(FrameCache::new());
-        let frame =
-            mrs_codec::encode_vec(mrs_fs::format::write_bucket_bytes(&[]), CompressMode::default());
         for path in ["b0", "b1", "b3"] {
-            peer.insert(path, frame.clone());
+            peer.insert(path, framed(&[]));
         }
         let server = DataServer::serve(0, peer.provider()).unwrap();
         let urls: Vec<String> = (0..4).map(|i| server.url_for(&format!("b{i}"))).collect();
@@ -1707,7 +1564,7 @@ mod tests {
     #[test]
     fn fragment_purged_mid_fetch_is_not_parked() {
         let pipe = Arc::new(Pipe::new(true));
-        let bucket = mrs_fs::format::write_bucket_bytes(&[(b"k".to_vec(), b"v".to_vec())]);
+        let bucket = framed(&[(b"k".to_vec(), b"v".to_vec())]);
         let store = MidFetchStore {
             inner: MemFs::new(),
             pipe: Arc::clone(&pipe),
@@ -1748,9 +1605,7 @@ mod tests {
         park(&pipe, &stale, bucket(0));
         park(&pipe, &warm, bucket(3));
         let store: Arc<dyn Store> = Arc::new(MemFs::new());
-        store
-            .put("s9/d1/t2/b0.mrsb", &mrs_codec::encode_vec(bucket(2), CompressMode::Off))
-            .unwrap();
+        store.put("s9/d1/t2/b0.mrsb", &framed(&[(b"k".to_vec(), vec![2])])).unwrap();
 
         let got = fetch_inputs(
             &[fresh, warm],
@@ -1796,7 +1651,7 @@ mod tests {
             gets: Mutex::default(),
         });
         for path in [EARLY, LATE, FRESH] {
-            store.put(path, &mrs_fs::format::write_bucket_bytes(&[])).unwrap();
+            store.put(path, &framed(&[])).unwrap();
         }
         let task = TaskMsg {
             data: 2,

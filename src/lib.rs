@@ -34,7 +34,7 @@ pub mod apps;
 pub mod prelude {
     pub use mrs_core::{Datum, Error, MapReduce, Program, Record, Result, Simple};
     pub use mrs_runtime::{
-        CompressMode, ControlMode, DataId, DataPlane, Job, JobApi, LocalCluster, LocalRuntime,
-        Master, MasterConfig, MergeMode, SerialRuntime, SlaveOptions, SpeculateMode,
+        CompressMode, DataId, DataPlane, Job, JobApi, LocalCluster, LocalRuntime, Master,
+        MasterConfig, SerialRuntime, SlaveOptions, SpeculateMode,
     };
 }

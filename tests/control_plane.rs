@@ -2,14 +2,22 @@
 //! feature: long-poll dispatch and piggybacked completions change *when*
 //! control messages flow, never the answer. These tests pin the RPC
 //! economics — an iteration's control traffic scales with the number of
-//! slaves, not the number of tasks — and the behavioural switches of
-//! `--mrs-control`.
+//! slaves, not the number of tasks — and the one gate in front of the
+//! wire: a slave speaking another protocol version is refused at signin.
 
-use mrs::apps::wordcount::{lines_to_records, WordCount};
+use mrs::apps::wordcount::WordCount;
 use mrs::prelude::*;
 use mrs_pso::mapreduce::{PsoProgram, FUNC_PARTICLE};
 use mrs_pso::{Objective, PsoConfig, Topology};
+use mrs_rpc::rpc::RpcClient;
+use mrs_rpc::Value;
+use mrs_runtime::distributed::serve_master;
+use mrs_runtime::master::SlaveId;
+use mrs_runtime::proto::{Dispatch, TaskReport, TraceBatch, PROTOCOL_VERSION};
+use mrs_runtime::slave::{run_slave, MasterLink};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn pso_config() -> PsoConfig {
     PsoConfig {
@@ -21,19 +29,23 @@ fn pso_config() -> PsoConfig {
     }
 }
 
-/// Run an iterative tiny-task PSO job under the given control mode and
-/// return (sorted output bytes, control RPCs served, metrics).
-fn run_pso(control: ControlMode, iters: u64, parts: usize) -> (Vec<Record>, u64, u64) {
-    let cfg = MasterConfig { control, ..MasterConfig::default() };
+/// Piggybacking makes completions free: the bulk of task reports must
+/// ride on `get_task` polls instead of costing standalone RPCs, so the
+/// per-iteration control traffic of an iterative tiny-task PSO job is
+/// O(slaves), not O(tasks).
+#[test]
+fn piggybacking_bounds_control_rpcs_by_slaves_not_tasks() {
+    let iters = 10;
+    let parts = 6;
     let mut cluster = LocalCluster::start_with(
         Arc::new(PsoProgram::new(pso_config(), 1)),
         2,
         DataPlane::Direct,
-        cfg,
+        MasterConfig::default(),
         SlaveOptions { slots: 2, ..SlaveOptions::default() },
     )
     .unwrap();
-    let mut out = {
+    {
         let mut job = Job::new(&mut cluster);
         let program = PsoProgram::new(pso_config(), 1);
         let mut ds = job.local_data(program.initial_particles(), parts).unwrap();
@@ -41,56 +53,22 @@ fn run_pso(control: ControlMode, iters: u64, parts: usize) -> (Vec<Record>, u64,
             let m = job.map_data(ds, FUNC_PARTICLE, parts, false).unwrap();
             ds = job.reduce_data(m, FUNC_PARTICLE).unwrap();
         }
-        job.fetch_all(ds).unwrap()
-    };
-    out.sort();
+        job.fetch_all(ds).unwrap();
+    }
     let rpcs = cluster.control_requests();
-    let m = cluster.metrics();
-    // Fold the two counters the smoke test needs into one tuple slot each.
-    let parks = m.longpoll_parks();
-    let piggybacked = m.piggybacked_reports();
-    assert!(
-        matches!(control, ControlMode::LongPoll) || parks == 0,
-        "poll mode must never park (got {parks})"
-    );
-    (out, rpcs, if matches!(control, ControlMode::LongPoll) { piggybacked } else { parks })
-}
-
-/// Piggybacking makes completions free: the bulk of task reports must
-/// ride on `get_tasks` polls instead of costing standalone RPCs, so the
-/// per-iteration control traffic is O(slaves), not O(tasks).
-#[test]
-fn piggybacking_bounds_control_rpcs_by_slaves_not_tasks() {
-    let iters = 10;
-    let parts = 6;
-    let (_, rpcs, piggybacked) = run_pso(ControlMode::LongPoll, iters, parts);
+    let piggybacked = cluster.metrics().piggybacked_reports();
     let tasks = iters * (parts as u64 + 1); // per iteration: `parts` maps + 1 reduce batch
-    assert!(piggybacked > 0, "expected piggybacked completion reports");
+    assert!(cluster.metrics().longpoll_parks() > 0, "idle polls must park at the master");
     assert!(
         piggybacked >= tasks / 2,
         "most completions should ride polls: {piggybacked} piggybacked of {tasks} tasks"
     );
-    // In poll mode every task costs its own `task_done` on top of the
-    // dispatch polls, so the control RPC count has a 2-per-task floor.
-    // Event-driven mode must beat that floor.
+    // A slave that polled for every task and reported every completion
+    // standalone would spend two control RPCs per task; batched grants
+    // and piggybacked reports must undercut that floor.
     assert!(
         rpcs < 2 * tasks,
-        "control RPCs must undercut the poll-mode floor: {rpcs} RPCs for {tasks} tasks"
-    );
-}
-
-/// The same job under both control planes: the event-driven plane must
-/// spend strictly fewer control RPCs, park at least once, and produce a
-/// byte-identical answer.
-#[test]
-fn longpoll_spends_fewer_rpcs_than_poll_for_identical_output() {
-    let (out_long, rpcs_long, piggybacked) = run_pso(ControlMode::LongPoll, 8, 4);
-    let (out_poll, rpcs_poll, _) = run_pso(ControlMode::Poll, 8, 4);
-    assert_eq!(out_long, out_poll, "control mode must never change the answer");
-    assert!(piggybacked > 0, "long-poll run should piggyback completions");
-    assert!(
-        rpcs_long < rpcs_poll,
-        "event-driven control plane must reduce RPC count: longpoll={rpcs_long} poll={rpcs_poll}"
+        "control RPCs must undercut two per task: {rpcs} RPCs for {tasks} tasks"
     );
 }
 
@@ -125,25 +103,117 @@ fn idle_slaves_park_instead_of_polling() {
     );
 }
 
-/// WordCount through both control planes end-to-end (map + combine +
-/// reduce over real sockets) stays byte-identical.
+/// A slave as another build would sign in: over real XML-RPC, naming
+/// `version` (or no version at all) as `signin`'s third parameter.
+struct OtherBuild {
+    client: RpcClient,
+    version: Option<i64>,
+}
+
+impl MasterLink for OtherBuild {
+    fn signin(&self, authority: &str, slots: usize) -> Result<SlaveId> {
+        let mut params = vec![Value::Str(authority.to_owned()), Value::Int(slots as i64)];
+        params.extend(self.version.map(Value::Int));
+        let id = self.client.call("signin", &params)?;
+        Ok(id.as_int().expect("slave id") as SlaveId)
+    }
+    fn poll(
+        &self,
+        _: SlaveId,
+        _: usize,
+        _: Duration,
+        _: Vec<TaskReport>,
+        _: TraceBatch,
+    ) -> Result<Dispatch> {
+        panic!("a refused slave must never poll")
+    }
+    fn task_done(&self, _: SlaveId, _: u32, _: usize, _: u32, _: Vec<String>) -> Result<()> {
+        panic!("a refused slave must never report")
+    }
+    fn task_failed(
+        &self,
+        _: SlaveId,
+        _: u32,
+        _: usize,
+        _: u32,
+        _: &str,
+        _: Option<&str>,
+    ) -> Result<()> {
+        panic!("a refused slave must never report")
+    }
+}
+
+/// `signin` without a protocol version, or with another build's, is an
+/// XML-RPC fault naming both versions, and registers nobody.
 #[test]
-fn wordcount_identical_across_control_modes() {
-    let lines: Vec<String> =
-        (0..90).map(|i| format!("omega w{} shared w{} w{}", i % 7, i % 11, i % 3)).collect();
-    let run = |control: ControlMode| {
-        let cfg = MasterConfig { control, ..MasterConfig::default() };
-        let mut cluster =
-            LocalCluster::start(Arc::new(Simple(WordCount)), 2, DataPlane::Direct, cfg).unwrap();
-        let mut job = Job::new(&mut cluster);
-        let input = lines_to_records(lines.iter().map(String::as_str));
-        let mut out = job.map_reduce(input, 6, 3, true).unwrap();
-        out.sort();
-        out
-    };
-    assert_eq!(
-        run(ControlMode::LongPoll),
-        run(ControlMode::Poll),
-        "WordCount output must not depend on the control plane"
-    );
+fn signin_with_a_missing_or_different_protocol_version_is_a_fault() {
+    let master = Master::new(MasterConfig::default(), DataPlane::Direct).unwrap();
+    let server = serve_master(master.clone(), 0).unwrap();
+    for version in [None, Some(PROTOCOL_VERSION + 1)] {
+        let link = OtherBuild { client: RpcClient::new(server.authority()), version };
+        let err = link.signin("127.0.0.1:1", 2).unwrap_err().to_string();
+        let theirs = version.map_or("none".to_owned(), |v| v.to_string());
+        assert!(err.contains("fault 4"), "{err}");
+        assert!(
+            err.contains(&format!("version {theirs},"))
+                && err.contains(&format!("speaks {PROTOCOL_VERSION};")),
+            "the fault must name both versions: {err}"
+        );
+        assert_eq!(master.live_slaves(), 0, "a refused slave was registered");
+    }
+    // The same call with this build's version is a sign-in.
+    let version = Some(PROTOCOL_VERSION);
+    let link = OtherBuild { client: RpcClient::new(server.authority()), version };
+    assert_eq!(link.signin("127.0.0.1:1", 2).unwrap(), 0);
+    assert_eq!(master.live_slaves(), 1);
+}
+
+/// A slave the master refuses ends with an error after that one round
+/// trip — not the silent `Ok(())` of a slave whose master went away.
+#[test]
+fn slave_refused_at_signin_is_a_hard_error_not_a_retry() {
+    let master = Master::new(MasterConfig::default(), DataPlane::Direct).unwrap();
+    let server = serve_master(master.clone(), 0).unwrap();
+    for version in [None, Some(PROTOCOL_VERSION + 1)] {
+        let before = server.request_count();
+        let link = OtherBuild { client: RpcClient::new(server.authority()), version };
+        let result = run_slave(
+            &link,
+            Arc::new(Simple(WordCount)),
+            DataPlane::Direct,
+            &SlaveOptions::default(),
+            &AtomicBool::new(false),
+        );
+        let err = result.expect_err("a refused slave must not exit cleanly").to_string();
+        assert!(err.contains("protocol version"), "{err}");
+        assert_eq!(server.request_count() - before, 1, "exactly one round trip");
+        assert_eq!(master.live_slaves(), 0);
+    }
+}
+
+/// Behind the version gate every positional parameter is required: a
+/// short `get_task`, a `signin` without slots and one with none to offer
+/// are all fault 3 (malformed call).
+#[test]
+fn calls_with_missing_parameters_are_fault_3() {
+    let master = Master::new(MasterConfig::default(), DataPlane::Direct).unwrap();
+    let server = serve_master(master.clone(), 0).unwrap();
+    let client = RpcClient::new(server.authority());
+    let version = Value::Int(PROTOCOL_VERSION);
+    let slave = client
+        .call("signin", &[Value::Str("127.0.0.1:1".into()), Value::Int(1), version.clone()])
+        .unwrap();
+    let full = [slave, Value::Int(1), Value::Int(0), Value::Array(vec![])];
+    assert!(client.call("get_task", &full).is_ok());
+    for given in 0..full.len() {
+        let err = client.call("get_task", &full[..given]).unwrap_err().to_string();
+        assert!(err.contains("fault 3"), "{given} parameters: {err}");
+    }
+    let authority = Value::Str("127.0.0.1:2".into());
+    for slots in [vec![], vec![Value::Int(0), version.clone()], vec![Value::Int(-3), version]] {
+        let params: Vec<Value> = std::iter::once(authority.clone()).chain(slots).collect();
+        let err = client.call("signin", &params).unwrap_err().to_string();
+        assert!(err.contains("fault 3"), "{params:?}: {err}");
+    }
+    assert_eq!(master.live_slaves(), 1, "only the well-formed signin registered");
 }

@@ -2,20 +2,26 @@
 //! *stored* `MRSF1` frames that advertise their sort order — and what a
 //! consumer does when one of them arrives damaged.
 //!
-//! Nothing else in this binary corrupts a frame, so the process-wide
-//! checksum-retry counter can be compared exactly.
+//! The data-plane counters are process-wide, so the tests here run one
+//! at a time (`ONE_AT_A_TIME`) and compare them exactly.
 
 use mrs::apps::wordcount::{decode_counts, lines_to_records, WordCount};
 use mrs::prelude::*;
+use mrs_core::task::run_map_task_bucket;
 use mrs_core::Bucket;
 use mrs_fs::format::{read_bucket_run, write_bucket, RunInfo};
 use mrs_fs::{MemFs, Store};
 use mrs_rpc::DataServer;
-use mrs_runtime::{dataplane, proto::fetch_records};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use mrs_runtime::proto::{fetch_records, Assignment};
+use mrs_runtime::{dataplane, slave::run_slave};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 const FRAME_HEADER_LEN: usize = 18;
+
+/// Held by every test for its whole run (see the module docs).
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 fn lines() -> Vec<String> {
     (0..400).map(|i| format!("common w{} w{} w{}", i % 13, i % 29, i % 7)).collect()
@@ -53,6 +59,7 @@ fn stored_frames(store: &dyn Store) -> Vec<(String, Vec<u8>, Bucket, RunInfo)> {
 
 #[test]
 fn default_config_cluster_ships_stored_sorted_frames() {
+    let _one_at_a_time = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     // Over sockets: a stored frame is its bucket plus a header, so the
     // wire carries no less than the decoded volume.
     let m = wordcount(DataPlane::Direct);
@@ -87,6 +94,7 @@ fn default_config_cluster_ships_stored_sorted_frames() {
 
 #[test]
 fn flipped_byte_in_a_stored_frame_is_refetched_exactly_once() {
+    let _one_at_a_time = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     // A frame as a default-config slave emits it.
     let store = Arc::new(MemFs::new());
     wordcount(DataPlane::SharedFs(store.clone()));
@@ -121,4 +129,104 @@ fn flipped_byte_in_a_stored_frame_is_refetched_exactly_once() {
     assert_eq!(got, bucket.to_records(), "the clean copy is what the consumer parses");
     assert_eq!(hits.load(Ordering::SeqCst), 2, "one fetch, one refetch");
     assert_eq!(dataplane::snapshot().since(before).checksum_retries, 1);
+}
+
+/// The same damage landing on the frame's first byte, inside a running
+/// job: a reduce task's fetch sees a map output without its `MRSF1` magic.
+/// That is wire damage like any other — the one bucket is fetched once
+/// more and the job goes on — not an unframed bucket whose parse failure
+/// would indict the producer and re-execute it.
+#[test]
+fn flipped_magic_byte_costs_one_refetch_and_no_reexecution() {
+    let _one_at_a_time = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let (maps, reduces) = (2, 2);
+    let lines = lines();
+    let input = lines_to_records(lines.iter().map(String::as_str));
+    let program = Arc::new(Simple(WordCount));
+    // No eager shuffle: it would promise reduce partitions to the
+    // producer below, which never polls again. A generous death timeout
+    // keeps that silent producer's outputs valid for the whole job, and
+    // with no backups every task runs exactly once.
+    let cfg = MasterConfig {
+        eager_shuffle: false,
+        speculate: SpeculateMode::Off,
+        slave_timeout: std::time::Duration::from_secs(120),
+        ..MasterConfig::default()
+    };
+    let mut master = Master::new(cfg, DataPlane::Direct).unwrap();
+    let src = master.local_data(input, maps).unwrap();
+    let mapped = master.map_data(src, 0, reduces, false).unwrap();
+    let reduced = master.reduce_data(mapped, 0).unwrap();
+
+    // The map wave runs on a hand-driven producer whose data server
+    // damages the first byte of the first frame it is asked for, once.
+    let frames: Arc<Mutex<HashMap<String, Arc<[u8]>>>> = Arc::default();
+    let hits: Arc<Mutex<Vec<String>>> = Arc::default();
+    let server = {
+        let (frames, hits) = (Arc::clone(&frames), Arc::clone(&hits));
+        DataServer::serve(
+            0,
+            Arc::new(move |path: &str| {
+                let frame = Arc::clone(frames.lock().unwrap().get(path)?);
+                let mut hits = hits.lock().unwrap();
+                hits.push(path.to_owned());
+                if hits.len() > 1 {
+                    return Some(frame);
+                }
+                let mut damaged = frame.to_vec();
+                damaged[0] ^= 0x20;
+                Some(damaged.into())
+            }),
+        )
+        .unwrap()
+    };
+    let producer = master.signin(&server.authority(), maps);
+    let Assignment::Tasks(tasks) = master.get_tasks(producer, maps) else {
+        panic!("the map wave is ready")
+    };
+    assert_eq!(tasks.len(), maps);
+    for t in &tasks {
+        let split = Bucket::from_records(fetch_records(&t.inputs[0], None).unwrap());
+        let out =
+            run_map_task_bucket(program.as_ref(), t.func, &split, t.parts, t.combine).unwrap();
+        let urls = (0..t.parts)
+            .map(|p| {
+                let path = format!("s{producer}/d{}/t{}/b{p}.mrsb", t.data, t.index);
+                let frame = mrs_codec::encode_vec_sorted(
+                    write_bucket(&out[p]),
+                    CompressMode::default(),
+                    true,
+                );
+                frames.lock().unwrap().insert(path.clone(), frame.into());
+                server.url_for(&path)
+            })
+            .collect();
+        master.task_done(producer, t.data, t.index, t.attempt, urls);
+    }
+
+    // A real slave takes the reduce wave and fetches from that server.
+    let before = dataplane::snapshot();
+    let slave = {
+        let (master, program) = (master.clone(), Arc::clone(&program));
+        std::thread::spawn(move || {
+            let opts = SlaveOptions::default();
+            run_slave(&master, program, DataPlane::Direct, &opts, &AtomicBool::new(false))
+        })
+    };
+    let out = master.fetch_all(reduced).unwrap();
+    master.finish();
+    slave.join().unwrap().unwrap();
+
+    let bypass = corpus::tokenizer::reference_counts(lines.iter().map(String::as_str));
+    assert_eq!(decode_counts(&out).unwrap(), bypass, "job output");
+    let moved = dataplane::snapshot().since(before);
+    assert_eq!(moved.checksum_retries, 1);
+    assert_eq!(moved.merge_runs, (maps * reduces) as u64, "one merge run per map-output bucket");
+    assert_eq!(moved.presorted_runs, moved.merge_runs, "each of them arriving sorted");
+    let hits = hits.lock().unwrap();
+    assert_eq!(hits.len(), maps * reduces + 1, "every bucket once, one of them twice: {hits:?}");
+    assert_eq!(hits.iter().filter(|p| **p == hits[0]).count(), 2, "{hits:?}");
+    let m = master.metrics();
+    assert_eq!(m.tasks_retried(), 0, "a damaged transfer must not re-execute its producer");
+    assert_eq!(m.tasks_executed(), (maps + reduces) as u64);
 }

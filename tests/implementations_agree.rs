@@ -81,16 +81,6 @@ fn wordcount_identical_across_all_five_runtimes() {
         .unwrap();
         wordcount_on(&mut Job::new(&mut cluster), 6, 3)
     };
-    // The legacy sleep-and-poll control plane (the clusters above run the
-    // event-driven default) must agree too: long-poll dispatch and
-    // piggybacked completions change control timing, never the answer.
-    let pollmode = {
-        let cfg = MasterConfig { control: ControlMode::Poll, ..MasterConfig::default() };
-        let mut cluster =
-            LocalCluster::start(Arc::new(Simple(WordCount)), 2, DataPlane::Direct, cfg).unwrap();
-        wordcount_on(&mut Job::new(&mut cluster), 4, 3)
-    };
-
     // The shuffle codec must be invisible to the answer: a compressing
     // cluster and an explicitly storing one (the default the clusters
     // above run) cover both framing paths.
@@ -138,8 +128,7 @@ fn wordcount_identical_across_all_five_runtimes() {
     assert_eq!(pool, direct, "distributed-direct vs pool");
     assert_eq!(direct, shared, "distributed-sharedfs vs distributed-direct");
     assert_eq!(shared, multislot, "multi-slot cluster vs distributed-sharedfs");
-    assert_eq!(multislot, pollmode, "poll-mode cluster vs long-poll cluster");
-    assert_eq!(pollmode, compress_on, "compress-on cluster vs poll-mode cluster");
+    assert_eq!(multislot, compress_on, "compress-on cluster vs multi-slot cluster");
     assert_eq!(compress_on, compress_off, "compress-off cluster vs compress-on cluster");
     assert_eq!(compress_off, eager_off, "eager-off cluster vs compress-off cluster");
     assert_eq!(eager_off, speculate_off, "speculate-off cluster vs eager-off cluster");
@@ -197,13 +186,12 @@ fn mixed_compression_slaves_interoperate() {
     assert_eq!(mixed, bypass, "mixed-compression cluster vs bypass");
 }
 
-/// The merge-reduce oracle on the plan that stresses it hardest: with no
+/// The merge reduce on the plan that stresses it hardest: with no
 /// combiner, map tasks emit full unaggregated runs, so reduce tasks see
-/// many duplicate keys per run and the streaming k-way merge (default)
-/// must group them exactly like the legacy concatenate-and-sort path
-/// (`--mrs-merge=sort`). Any divergence — grouping, value order within a
-/// key, output order — is a bug, so the comparison is on the raw decoded
-/// counts across every plane.
+/// many duplicate keys per run and the streaming k-way merge must group
+/// them exactly as the bypass count does. Any divergence — grouping,
+/// value order within a key, output order — is a bug, so the comparison
+/// is on the raw decoded counts across every plane.
 #[test]
 fn merge_oracle_wordcount_no_combiner_identical() {
     let lines = sample_lines();
@@ -215,20 +203,8 @@ fn merge_oracle_wordcount_no_combiner_identical() {
         let out = Job::new(&mut rt).map_reduce(input.clone(), 5, 4, false).unwrap();
         decode_counts(&out).unwrap()
     };
-    let serial_sort = {
-        let mut rt = SerialRuntime::new(Arc::new(Simple(WordCount)));
-        rt.set_merge_mode(MergeMode::Sort);
-        let out = Job::new(&mut rt).map_reduce(input.clone(), 5, 4, false).unwrap();
-        decode_counts(&out).unwrap()
-    };
     let pool_merge = {
         let mut rt = LocalRuntime::pool(Arc::new(Simple(WordCount)), 4);
-        let out = Job::new(&mut rt).map_reduce(input.clone(), 5, 4, false).unwrap();
-        decode_counts(&out).unwrap()
-    };
-    let pool_sort = {
-        let mut rt = LocalRuntime::pool(Arc::new(Simple(WordCount)), 4);
-        rt.set_merge_mode(MergeMode::Sort);
         let out = Job::new(&mut rt).map_reduce(input.clone(), 5, 4, false).unwrap();
         decode_counts(&out).unwrap()
     };
@@ -243,7 +219,7 @@ fn merge_oracle_wordcount_no_combiner_identical() {
         let out = Job::new(&mut cluster).map_reduce(input.clone(), 5, 4, false).unwrap();
         let counts = decode_counts(&out).unwrap();
         let m = cluster.metrics();
-        assert!(m.merge_runs() > 0, "merge-mode cluster never recorded a merge run");
+        assert!(m.merge_runs() > 0, "the cluster never recorded a merge run");
         assert_eq!(
             m.presorted_runs(),
             m.merge_runs(),
@@ -251,20 +227,10 @@ fn merge_oracle_wordcount_no_combiner_identical() {
         );
         counts
     };
-    let cluster_sort = {
-        let cfg = MasterConfig { merge: MergeMode::Sort, ..MasterConfig::default() };
-        let mut cluster =
-            LocalCluster::start(Arc::new(Simple(WordCount)), 2, DataPlane::Direct, cfg).unwrap();
-        let out = Job::new(&mut cluster).map_reduce(input.clone(), 5, 4, false).unwrap();
-        decode_counts(&out).unwrap()
-    };
 
     assert_eq!(serial_merge, bypass, "serial merge vs bypass");
-    assert_eq!(serial_sort, serial_merge, "serial sort-oracle vs merge");
     assert_eq!(pool_merge, serial_merge, "pool merge vs serial merge");
-    assert_eq!(pool_sort, pool_merge, "pool sort-oracle vs merge");
     assert_eq!(cluster_merge, pool_merge, "cluster merge vs pool merge");
-    assert_eq!(cluster_sort, cluster_merge, "cluster sort-oracle vs merge");
 }
 
 /// A byte-level program over raw keys: map swaps each input record so
@@ -360,11 +326,6 @@ fn prefix_colliding_keys_identical_across_planes_and_oracle() {
     for combine in [false, true] {
         let run = |job: &mut Job, maps| job.map_reduce(input.clone(), maps, reduces, combine);
         let serial = run(&mut Job::new(&mut SerialRuntime::new(Arc::new(RawKeys))), 1).unwrap();
-        let serial_sort = {
-            let mut rt = SerialRuntime::new(Arc::new(RawKeys));
-            rt.set_merge_mode(MergeMode::Sort);
-            run(&mut Job::new(&mut rt), 1).unwrap()
-        };
         let pool = run(&mut Job::new(&mut LocalRuntime::pool(Arc::new(RawKeys), 4)), 5).unwrap();
         let mock = {
             let mut rt = LocalRuntime::mock_parallel(Arc::new(RawKeys), Arc::new(MemFs::new()));
@@ -373,7 +334,6 @@ fn prefix_colliding_keys_identical_across_planes_and_oracle() {
         let clustered = run(&mut Job::new(&mut cluster), 4).unwrap();
 
         assert_eq!(serial, oracle, "serial vs BTreeMap oracle, combine={combine}");
-        assert_eq!(serial_sort, oracle, "serial sort-oracle, combine={combine}");
         assert_eq!(pool, oracle, "pool, combine={combine}");
         assert_eq!(mock, oracle, "mock-parallel, combine={combine}");
         assert_eq!(clustered, oracle, "2-slave cluster, combine={combine}");
@@ -438,20 +398,6 @@ fn stochastic_pso_bitwise_identical_across_runtimes() {
         .unwrap();
         pso_swarm_on(&mut Job::new(&mut cluster), 5, iters)
     };
-    // A stochastic iterative job is the sharpest oracle for the control
-    // plane: any reordering the long-poll/piggyback machinery leaked into
-    // execution would diverge the trajectory bit-for-bit.
-    let pollmode = {
-        let cfg = MasterConfig { control: ControlMode::Poll, ..MasterConfig::default() };
-        let mut cluster = LocalCluster::start(
-            Arc::new(PsoProgram::new(pso_config(), 1)),
-            2,
-            DataPlane::Direct,
-            cfg,
-        )
-        .unwrap();
-        pso_swarm_on(&mut Job::new(&mut cluster), 5, iters)
-    };
     // An iterative stochastic trajectory is equally sharp for the eager
     // shuffle plane: warm-fragment seeding must feed reduce tasks the
     // exact bytes (and bucket order) the cold path fetches.
@@ -482,35 +428,18 @@ fn stochastic_pso_bitwise_identical_across_runtimes() {
         pso_swarm_on(&mut Job::new(&mut cluster), 5, iters)
     };
 
-    // The trajectory is just as sharp an oracle for reduce-input
-    // assembly: the sort path must reproduce the default streaming
-    // merge bit-for-bit across a 12-iteration stochastic chain.
-    let merge_sort = {
-        let cfg = MasterConfig { merge: MergeMode::Sort, ..MasterConfig::default() };
-        let mut cluster = LocalCluster::start(
-            Arc::new(PsoProgram::new(pso_config(), 1)),
-            2,
-            DataPlane::Direct,
-            cfg,
-        )
-        .unwrap();
-        pso_swarm_on(&mut Job::new(&mut cluster), 5, iters)
-    };
-
     assert_eq!(serial, expected, "MapReduce-serial vs bypass");
     assert_eq!(pool, expected, "pool vs bypass");
     assert_eq!(cluster, expected, "cluster vs bypass");
     assert_eq!(multislot, expected, "multi-slot cluster vs bypass");
-    assert_eq!(pollmode, expected, "poll-mode cluster vs bypass");
     assert_eq!(eager_off, expected, "eager-off cluster vs bypass");
     assert_eq!(speculate_off, expected, "speculate-off cluster vs bypass");
-    assert_eq!(merge_sort, expected, "sort-oracle cluster vs bypass");
 }
 
 /// The fused-ReduceMap oracle: the same iterative island chain run
 /// unfused (materialized reduce then map) and fused (one ReduceMap op per
-/// interior round), across every plane, with lifetime GC both on and off
-/// and under both control modes. Fusion and GC are perf transforms only —
+/// interior round), across every plane, with lifetime GC both on and
+/// off. Fusion and GC are perf transforms only —
 /// any byte of divergence is a bug.
 #[test]
 fn fused_reducemap_identical_across_runtimes_and_gc_modes() {
@@ -564,9 +493,8 @@ fn fused_reducemap_identical_across_runtimes_and_gc_modes() {
         let m = cluster.metrics();
         (out, m.fused_ops(), m.datasets_freed())
     };
-    let cluster_poll_keepdata = {
-        let cfg_m =
-            MasterConfig { control: ControlMode::Poll, keep_data: true, ..MasterConfig::default() };
+    let cluster_keepdata = {
+        let cfg_m = MasterConfig { keep_data: true, ..MasterConfig::default() };
         let mut cluster = LocalCluster::start(
             Arc::new(PsoProgram::new(cfg.clone(), 4)),
             2,
@@ -593,7 +521,7 @@ fn fused_reducemap_identical_across_runtimes_and_gc_modes() {
     assert_eq!(pool_fused, serial_unfused, "pool fused vs serial unfused");
     assert_eq!(pool_keepdata, serial_unfused, "pool keep-data vs serial unfused");
     assert_eq!(cluster_fused, serial_unfused, "cluster fused vs serial unfused");
-    assert_eq!(cluster_poll_keepdata, serial_unfused, "poll-mode keep-data cluster");
+    assert_eq!(cluster_keepdata, serial_unfused, "keep-data cluster");
     assert_eq!(cluster_sharedfs, serial_unfused, "shared-fs cluster fused");
     // The machinery under test must actually have engaged.
     assert_eq!(cluster_fused_ops, iters - 1, "cluster should run every interior round fused");

@@ -41,32 +41,24 @@ fn wordcount_output_identical_one_slot_vs_four_slots() {
     assert_eq!(run(1), run(4), "WordCount output must not depend on slot count");
 }
 
-/// The control plane crossed with slot count: a single-slot poll-mode
-/// cluster and a four-slot long-poll cluster must still agree byte for
-/// byte — neither concurrency inside a slave nor the event-driven
-/// dispatch machinery may leak into the answer.
+/// Slot count crossed with the serial oracle: a single-slot and a
+/// four-slot long-poll cluster must both reproduce the serial runtime's
+/// answer byte for byte — neither concurrency inside a slave nor the
+/// event-driven dispatch machinery may leak into it.
 #[test]
-fn wordcount_output_identical_across_control_modes_and_slots() {
+fn wordcount_output_matches_serial_at_one_and_four_slots() {
     let lines: Vec<String> =
         (0..70).map(|i| format!("kappa w{} common w{} w{}", i % 6, i % 11, i % 5)).collect();
-    let run = |slots: usize, control: ControlMode| {
-        let cfg = MasterConfig { control, ..MasterConfig::default() };
-        let mut cluster = LocalCluster::start_with(
-            Arc::new(Simple(WordCount)),
-            1,
-            DataPlane::Direct,
-            cfg,
-            SlaveOptions { slots, ..SlaveOptions::default() },
-        )
-        .unwrap();
-        let mut job = Job::new(&mut cluster);
-        let input = lines_to_records(lines.iter().map(String::as_str));
-        sorted_bytes(job.map_reduce(input, 8, 4, true).unwrap())
+    let input = || lines_to_records(lines.iter().map(String::as_str));
+    let serial = {
+        let mut rt = SerialRuntime::new(Arc::new(Simple(WordCount)));
+        sorted_bytes(Job::new(&mut rt).map_reduce(input(), 8, 4, true).unwrap())
     };
-    let baseline = run(1, ControlMode::Poll);
-    assert_eq!(baseline, run(4, ControlMode::Poll), "poll mode must scale cleanly");
-    assert_eq!(baseline, run(1, ControlMode::LongPoll), "long-poll must not change the answer");
-    assert_eq!(baseline, run(4, ControlMode::LongPoll), "long-poll x multislot must agree");
+    for slots in [1, 4] {
+        let mut cluster = cluster_with_slots(Arc::new(Simple(WordCount)), slots);
+        let out = sorted_bytes(Job::new(&mut cluster).map_reduce(input(), 8, 4, true).unwrap());
+        assert_eq!(out, serial, "{slots}-slot long-poll cluster vs serial");
+    }
 }
 
 #[test]
