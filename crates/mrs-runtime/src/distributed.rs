@@ -111,7 +111,8 @@ pub fn serve_master(master: Master, port: u16) -> std::io::Result<RpcServer> {
                 None => TraceBatch::default(),
             };
             let park = Duration::from_millis(park);
-            Ok(m2.poll(slave as SlaveId, free, park, &reports, &trace).to_value())
+            let (dispatch, more) = m2.poll(slave as SlaveId, free, park, &reports, &trace);
+            Ok(dispatch.answer_value(more))
         })
         .register("task_done", move |params| {
             let (slave, data, index) = task_coords("task_done", params)?;
@@ -187,7 +188,7 @@ impl MasterLink for RpcMasterLink {
         park: Duration,
         reports: Vec<TaskReport>,
         trace: TraceBatch,
-    ) -> Result<Dispatch> {
+    ) -> Result<(Dispatch, bool)> {
         let reports = Value::Array(reports.iter().map(TaskReport::to_value).collect());
         let mut params = vec![
             Value::Int(slave as i64),
@@ -200,7 +201,7 @@ impl MasterLink for RpcMasterLink {
             params.push(trace.to_value());
         }
         let v = self.client.call("get_task", &params)?;
-        Dispatch::from_value(&v)
+        Dispatch::from_answer(&v)
     }
 
     fn task_done(

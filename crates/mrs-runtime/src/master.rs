@@ -22,10 +22,11 @@
 //! state transition (a completion crossing an operation barrier, a new
 //! operation, a dead slave's requeue) makes work available, with
 //! `Assignment::Wait` only as the long-poll timeout fallback. Completion
-//! reports ride piggybacked on the next poll, and the driver-side
-//! `wait`/`fetch_all`/sweeper loops sleep on the completion condvar until
-//! the earliest instant a slave could cross the death timeout — no loop
-//! here discovers state by fixed-interval sleep.
+//! reports ride piggybacked on the next poll and wake a thread only if
+//! they change what it does next (parked polls: work became runnable; the
+//! driver-side `wait`/`fetch_all`: a dataset completed); the sweeper sleeps
+//! on its own condvar until the earliest instant a slave could cross the
+//! death timeout — no loop here discovers state by fixed-interval sleep.
 
 use crate::data::{split_slices, DataId};
 use crate::dataplane;
@@ -154,6 +155,8 @@ impl TaskSlot {
 
 #[derive(Debug)]
 enum MDs {
+    /// A source `local_data` is still storing: not complete, not consumable.
+    Loading,
     /// Job input, already materialized as bucket files; one URL per split.
     Source {
         urls: Vec<String>,
@@ -211,11 +214,21 @@ impl MDs {
     fn complete(&self) -> bool {
         match self {
             MDs::Source { .. } | MDs::Discarded => true,
+            MDs::Loading => false,
             MDs::Op { tasks, done_count, .. } => *done_count == tasks.len(),
+        }
+    }
+
+    /// What this op runs, if it is an op over dataset `data`.
+    fn reader_of(&self, data: u32) -> Option<&TaskSpec> {
+        match self {
+            MDs::Op { input, spec, .. } if input.0 == data => Some(spec),
+            _ => None,
         }
     }
 }
 
+#[derive(Clone)]
 struct SlaveInfo {
     authority: String,
     alive: bool,
@@ -227,6 +240,9 @@ struct SlaveInfo {
 
 struct MState {
     datasets: Vec<MDs>,
+    /// Ids of the incomplete ops, ascending: all a poll ever walks, so it
+    /// costs the same after a thousand discarded jobs as after none.
+    live: Vec<u32>,
     /// Remaining registered consumers per dataset (index-aligned with
     /// `datasets`): incremented when an op is queued over the dataset,
     /// decremented when that op completes. Lifetime GC frees a dataset
@@ -258,7 +274,25 @@ struct MState {
     /// recorded (and broadcast) only while this is non-zero, so the
     /// `wakeups` metric counts precise wakes, not every state change.
     parked: usize,
+    /// Times the completion condvar was notified; tests read it to show
+    /// that a report which completes nothing wakes no driver.
+    sleeper_wakes: u64,
     metrics: JobMetrics,
+}
+
+impl MState {
+    /// The incomplete ops, oldest first.
+    fn live_ops(&self) -> impl Iterator<Item = (usize, &MDs)> {
+        self.live.iter().map(|&d| (d as usize, &self.datasets[d as usize]))
+    }
+
+    /// Recompute `live` after completed tasks were sent back to `Pending`
+    /// (a dead slave's outputs, an unfetchable bucket's producer).
+    fn reopen_ops(&mut self) {
+        let open = |ds: &MDs| matches!(ds, MDs::Op { .. }) && !ds.complete();
+        self.live =
+            (0..self.datasets.len() as u32).filter(|&d| open(&self.datasets[d as usize])).collect();
+    }
 }
 
 /// Master-side trace state: its own recorder (dispatch/report/cancel
@@ -291,10 +325,12 @@ impl MasterTrace {
 struct MasterShared {
     cfg: MasterConfig,
     state: Mutex<MState>,
-    /// Completion condvar: driver `wait`/`fetch_all` and the sweeper.
+    /// Completion condvar: driver `wait`/`fetch_all`.
     cv: Condvar,
     /// Dispatch condvar: parked polls.
     dispatch_cv: Condvar,
+    /// The sweeper's condvar: sign-in and the end of the job.
+    sweep_cv: Condvar,
     plane: DataPlane,
     /// Master-local frame cache for source splits (direct plane): each
     /// split is encoded once and served zero-copy to every reader.
@@ -324,6 +360,7 @@ impl Master {
                 cfg,
                 state: Mutex::new(MState {
                     datasets: Vec::new(),
+                    live: Vec::new(),
                     consumers: Vec::new(),
                     pins: HashSet::new(),
                     pending_purge: Vec::new(),
@@ -334,10 +371,12 @@ impl Master {
                     error: None,
                     finished: false,
                     parked: 0,
+                    sleeper_wakes: 0,
                     metrics: JobMetrics::default(),
                 }),
                 cv: Condvar::new(),
                 dispatch_cv: Condvar::new(),
+                sweep_cv: Condvar::new(),
                 plane,
                 source_frames,
                 source_server: OnceLock::new(),
@@ -370,23 +409,45 @@ impl Master {
         self.shared.source_server.get().expect("server started at construction").authority()
     }
 
-    /// Human-readable live state: job phase, per-slave rows, per-dataset
-    /// task progress. Served as `/status` by the master's HTTP server.
+    /// Human-readable live state: job phase, per-slave rows, task progress
+    /// of every undiscarded dataset. Served as `/status` by the master's HTTP
+    /// server; numbers are copied under the state lock, text formatted after.
     pub fn status_page(&self) -> String {
         let st = self.shared.state.lock();
-        let mut out = String::with_capacity(1024);
         let phase = match (&st.error, st.finished) {
             (Some(e), _) => format!("error: {e}"),
             (None, true) => "finished".to_owned(),
             (None, false) => "running".to_owned(),
         };
+        let slaves = st.slaves.clone();
+        // (id, op name or `None` for a source, tasks or splits, done, running)
+        let rows: Vec<(usize, Option<&str>, usize, usize, usize)> = st
+            .datasets
+            .iter()
+            .enumerate()
+            .filter_map(|(d, ds)| match ds {
+                MDs::Discarded => None,
+                MDs::Loading => Some((d, None, 0, 0, 0)),
+                MDs::Source { urls } => Some((d, None, urls.len(), 0, 0)),
+                MDs::Op { spec, tasks, done_count, .. } => {
+                    let running =
+                        tasks.iter().filter(|t| matches!(t.state, SlotState::Running(_))).count();
+                    Some((d, Some(trace_op(spec).as_str()), tasks.len(), *done_count, running))
+                }
+            })
+            .collect();
+        let discarded = st.datasets.len() - rows.len();
+        let (executed, retried) = (st.metrics.tasks_executed(), st.metrics.tasks_retried());
+        drop(st);
+
+        let mut out = String::with_capacity(1024);
         out.push_str(&format!("mrs master: {phase}\n"));
         out.push_str(&format!(
             "slaves: {} signed in, {} alive\n",
-            st.slaves.len(),
-            st.slaves.iter().filter(|s| s.alive).count()
+            slaves.len(),
+            slaves.iter().filter(|s| s.alive).count()
         ));
-        for (id, s) in st.slaves.iter().enumerate() {
+        for (id, s) in slaves.iter().enumerate() {
             out.push_str(&format!(
                 "  slave {id}: {} {} slots={} last_seen={}ms ago\n",
                 s.authority,
@@ -395,44 +456,28 @@ impl Master {
                 s.last_seen.elapsed().as_millis()
             ));
         }
-        out.push_str(&format!("datasets: {}\n", st.datasets.len()));
-        for (d, ds) in st.datasets.iter().enumerate() {
-            match ds {
-                MDs::Source { urls } => {
-                    out.push_str(&format!("  data {d}: source, {} split(s)\n", urls.len()));
-                }
-                MDs::Discarded => out.push_str(&format!("  data {d}: discarded\n")),
-                MDs::Op { spec, tasks, done_count, .. } => {
-                    let running =
-                        tasks.iter().filter(|t| matches!(t.state, SlotState::Running(_))).count();
-                    out.push_str(&format!(
-                        "  data {d}: {} {done_count}/{} done, {running} running\n",
-                        trace_op(spec).as_str(),
-                        tasks.len(),
-                    ));
-                }
-            }
+        out.push_str(&format!("datasets: {} live, {discarded} discarded\n", rows.len()));
+        for (d, op, total, done, running) in rows {
+            out.push_str(&match op {
+                None => format!("  data {d}: source, {total} split(s)\n"),
+                Some(op) => format!("  data {d}: {op} {done}/{total} done, {running} running\n"),
+            });
         }
-        out.push_str(&format!(
-            "tasks executed: {}, retries: {}\n",
-            st.metrics.tasks_executed(),
-            st.metrics.tasks_retried()
-        ));
+        out.push_str(&format!("tasks executed: {executed}, retries: {retried}\n"));
         out
     }
 
     /// Prometheus text exposition over the job metrics, the process-wide
     /// data-plane counters, and a few master gauges. Served as
-    /// `/metrics` by the master's HTTP server.
+    /// `/metrics` by the master's HTTP server, formatted outside the lock.
     pub fn metrics_page(&self) -> String {
         let st = self.shared.state.lock();
-        let mut out = st.metrics.to_prometheus();
-        out.push_str(&format!(
-            "mrs_slaves_alive {}\n",
-            st.slaves.iter().filter(|s| s.alive).count()
-        ));
-        out.push_str(&format!("mrs_slaves_signed_in {}\n", st.slaves.len()));
+        let (metrics, signed_in) = (st.metrics.clone(), st.slaves.len());
+        let alive = st.slaves.iter().filter(|s| s.alive).count();
         drop(st);
+        let mut out = metrics.to_prometheus();
+        out.push_str(&format!("mrs_slaves_alive {alive}\n"));
+        out.push_str(&format!("mrs_slaves_signed_in {signed_in}\n"));
         out.push_str(&dataplane::snapshot().to_prometheus());
         if let Some(t) = &self.shared.trace {
             out.push_str(&format!("mrs_trace_dropped_events {}\n", t.rec.dropped_events()));
@@ -505,9 +550,9 @@ impl Master {
         st.pending_purge.push(Vec::new());
         st.pending_eager.push(Vec::new());
         st.pending_cancel.push(Vec::new());
-        let id = st.slaves.len() as SlaveId - 1;
-        self.shared.cv.notify_all();
-        id
+        // The sweeper's next deadline may now be this slave's.
+        self.shared.sweep_cv.notify_all();
+        st.slaves.len() as SlaveId - 1
     }
 
     /// Number of slaves currently considered alive.
@@ -525,8 +570,7 @@ impl Master {
         let mut st = self.shared.state.lock();
         st.finished = true;
         Self::wake_dispatch(&mut st, &self.shared.dispatch_cv);
-        drop(st);
-        self.shared.cv.notify_all();
+        self.wake_sleepers(&mut st);
     }
 
     /// The configuration this master was built with.
@@ -541,13 +585,24 @@ impl Master {
         }
     }
 
-    /// Wake any parked polls: a state transition may have
-    /// made work runnable (or ended the job). Recorded only when someone
-    /// is actually parked, so `wakeups` measures precise wakes.
+    /// Wake any parked polls: a state transition has made work runnable,
+    /// queued a cancel order or ended the job (a report that does none of
+    /// these wakes nobody). Recorded only when someone is actually parked,
+    /// so `wakeups` measures precise wakes.
     fn wake_dispatch(st: &mut MState, dispatch_cv: &Condvar) {
         if st.parked > 0 {
             st.metrics.record_wakeup();
             dispatch_cv.notify_all();
+        }
+    }
+
+    /// Wake the drivers in `wait`/`fetch_all` — a dataset completed, a slave
+    /// was declared dead, the job is over — and, only then, the sweeper.
+    fn wake_sleepers(&self, st: &mut MState) {
+        st.sleeper_wakes += 1;
+        self.shared.cv.notify_all();
+        if st.finished || st.error.is_some() {
+            self.shared.sweep_cv.notify_all();
         }
     }
 
@@ -556,7 +611,11 @@ impl Master {
     /// `park` when nothing is runnable, see [`Self::assign`]) and drain the
     /// purge, eager-fragment and cancel orders queued for this slave. The
     /// `trace` batch is ingested first so its events land on the timeline
-    /// before anything this poll itself dispatches.
+    /// before anything this poll itself dispatches. The boolean beside the
+    /// dispatch is the hint "runnable work was left ungranted for you": a
+    /// slot this slave frees can be refilled, so its next completion is
+    /// worth a poll of its own; `false` (always, on `Wait`) lets it hold
+    /// its reports until it goes idle.
     pub fn poll(
         &self,
         slave: SlaveId,
@@ -564,17 +623,18 @@ impl Master {
         park: Duration,
         reports: &[TaskReport],
         trace: &TraceBatch,
-    ) -> Dispatch {
+    ) -> (Dispatch, bool) {
         self.ingest_trace(slave, trace);
         let mut st = self.shared.state.lock();
-        let assignment = self.assign(&mut st, slave, free_slots, park, reports);
+        let (assignment, more) = self.assign(&mut st, slave, free_slots, park, reports);
         let at = slave as usize;
-        Dispatch {
+        let dispatch = Dispatch {
             assignment,
             purge: st.pending_purge.get_mut(at).map(std::mem::take).unwrap_or_default(),
             eager: st.pending_eager.get_mut(at).map(std::mem::take).unwrap_or_default(),
             cancel: st.pending_cancel.get_mut(at).map(std::mem::take).unwrap_or_default(),
-        }
+        };
+        (dispatch, more)
     }
 
     /// [`Master::poll`] without parking, reports or order delivery: just
@@ -582,7 +642,7 @@ impl Master {
     /// tests, the dispatch microbenchmark); queued orders stay queued for
     /// the slave's next real poll.
     pub fn get_tasks(&self, slave: SlaveId, free_slots: usize) -> Assignment {
-        self.assign(&mut self.shared.state.lock(), slave, free_slots, Duration::ZERO, &[])
+        self.assign(&mut self.shared.state.lock(), slave, free_slots, Duration::ZERO, &[]).0
     }
 
     /// The grant half of a poll, under the state lock. First applies the
@@ -595,7 +655,8 @@ impl Master {
     /// slave costs one poll, not N. With nothing runnable and a non-zero
     /// `park`, the request parks on the dispatch condvar and is woken
     /// precisely when a state transition makes work available. `Wait` is
-    /// returned only when the (clamped) park deadline expires.
+    /// returned only when the (clamped) park deadline expires or a cancel
+    /// order is due; beside the assignment, the hint of [`Self::poll`].
     fn assign(
         &self,
         st: &mut parking_lot::MutexGuard<'_, MState>,
@@ -603,18 +664,17 @@ impl Master {
         free_slots: usize,
         park: Duration,
         reports: &[TaskReport],
-    ) -> Assignment {
+    ) -> (Assignment, bool) {
         Self::touch(st, slave);
-        if !reports.is_empty() {
-            for r in reports {
-                self.apply_done_locked(st, slave, r.data, r.index, r.attempt, r.urls.clone());
-            }
-            st.metrics.record_piggybacked_reports(reports.len());
-            // The reports are themselves state transitions: another parked
-            // slave may now have runnable work (a barrier may have cleared).
-            Self::wake_dispatch(st, &self.shared.dispatch_cv);
-            self.shared.cv.notify_all();
+        // One wake for all of them, and only if one of them calls for it.
+        let mut wake = false;
+        for r in reports {
+            wake |= self.apply_done_locked(st, slave, r.data, r.index, r.attempt, r.urls.clone());
         }
+        if wake {
+            Self::wake_dispatch(st, &self.shared.dispatch_cv);
+        }
+        st.metrics.record_piggybacked_reports(reports.len());
         // The clamp to `slave_timeout / 2` keeps a parked slave heartbeating
         // at least twice per death timeout.
         let park =
@@ -626,33 +686,31 @@ impl Master {
                 if parked {
                     st.parked -= 1;
                 }
-                return Assignment::Exit;
+                return (Assignment::Exit, false);
             }
-            if let Some(granted) = self.dispatch_locked(st, slave, free_slots) {
+            if let Some((granted, more)) = self.dispatch_locked(st, slave, free_slots) {
                 if parked {
                     st.parked -= 1;
                 }
-                return Assignment::Tasks(granted);
+                return (Assignment::Tasks(granted), more);
             }
-            // Undelivered eager fragments or cancel orders must not sit
-            // behind the park: fragments exist to start transfers while
-            // maps still run, and a cancel order's whole value is freeing
-            // the doomed slot *now* — so answer `Wait` at once and let
-            // `poll` attach them.
-            if st.pending_eager.get(slave as usize).is_some_and(|v| !v.is_empty())
-                || st.pending_cancel.get(slave as usize).is_some_and(|v| !v.is_empty())
-            {
+            // An undelivered cancel order must not sit behind the park: its
+            // whole value is freeing the doomed slot *now* — so answer
+            // `Wait` at once and let `poll` attach it. Eager fragments, by
+            // contrast, are advisory and ride whichever answer is sent
+            // anyway: they never cost a round trip of their own.
+            if st.pending_cancel.get(slave as usize).is_some_and(|v| !v.is_empty()) {
                 if parked {
                     st.parked -= 1;
                 }
-                return Assignment::Wait;
+                return (Assignment::Wait, false);
             }
             if park.is_zero() || Instant::now() >= deadline {
                 if parked {
                     st.parked -= 1;
                     st.metrics.record_longpoll_timeout();
                 }
-                return Assignment::Wait;
+                return (Assignment::Wait, false);
             }
             if !parked {
                 parked = true;
@@ -676,13 +734,14 @@ impl Master {
     }
 
     /// Try to grant tasks under the lock; `None` when nothing is runnable
-    /// for this slave right now (the park/`Wait` case).
+    /// for this slave right now (the park/`Wait` case). Beside the grant,
+    /// whether a task this slave would be given is still runnable after it.
     fn dispatch_locked(
         &self,
         st: &mut MState,
         slave: SlaveId,
         free_slots: usize,
-    ) -> Option<Vec<TaskMsg>> {
+    ) -> Option<(Vec<TaskMsg>, bool)> {
         let capacity = st.slaves.get(slave as usize).map(|s| s.slots)?;
 
         // In-flight counts are derived from task states on every poll, not
@@ -690,7 +749,7 @@ impl Master {
         // therefore never leave the accounting stale. Every racing attempt
         // occupies a slot on its slave, so attempts are counted, not slots.
         let mut in_flight = vec![0usize; st.slaves.len()];
-        for ds in &st.datasets {
+        for (_, ds) in st.live_ops() {
             let MDs::Op { tasks, .. } = ds else { continue };
             for slot in tasks {
                 if let SlotState::Running(attempts) = &slot.state {
@@ -755,7 +814,10 @@ impl Master {
         }
         let total: usize = in_flight.iter().sum();
         st.metrics.record_dispatch(granted.len(), total);
-        Some(granted)
+        // One more pick, with this grant counted into the loads: work left
+        // for an equally idle claimant is not work left for this slave.
+        let more = Self::pick_task(st, slave, &in_flight).is_some();
+        Some((granted, more))
     }
 
     /// Choose the next task for `slave`. Priority order: a task whose
@@ -774,7 +836,7 @@ impl Master {
     ) -> Option<(DataId, usize, bool)> {
         // Collect dispatchable tasks: Pending with satisfied inputs.
         let mut candidates: Vec<(DataId, usize)> = Vec::new();
-        for (d, ds) in st.datasets.iter().enumerate() {
+        for (d, ds) in st.live_ops() {
             let MDs::Op { input, spec, tasks, .. } = ds else { continue };
             for (i, slot) in tasks.iter().enumerate() {
                 if slot.state != SlotState::Pending {
@@ -854,7 +916,7 @@ impl Master {
                         )
                 }
             }
-            MDs::Discarded => false,
+            MDs::Discarded | MDs::Loading => false,
         }
     }
 
@@ -879,7 +941,7 @@ impl Master {
                         .collect()
                 }
             }
-            MDs::Discarded => Vec::new(),
+            MDs::Discarded | MDs::Loading => Vec::new(),
         }
     }
 
@@ -894,7 +956,7 @@ impl Master {
             return Vec::new();
         };
         let mut out = Vec::new();
-        for (d, ds) in st.datasets.iter().enumerate() {
+        for (d, ds) in st.live_ops() {
             let MDs::Op { input, spec, tasks, done_count, runtimes } = ds else { continue };
             if *done_count == 0 || *done_count * 4 < tasks.len() * 3 {
                 continue;
@@ -968,14 +1030,16 @@ impl Master {
     ) {
         let mut st = self.shared.state.lock();
         Self::touch(&mut st, slave);
-        self.apply_done_locked(&mut st, slave, data, index, attempt, urls);
-        Self::wake_dispatch(&mut st, &self.shared.dispatch_cv);
-        drop(st);
-        self.shared.cv.notify_all();
+        if self.apply_done_locked(&mut st, slave, data, index, attempt, urls) {
+            Self::wake_dispatch(&mut st, &self.shared.dispatch_cv);
+        }
     }
 
     /// Record one completed task under the lock. Shared between the
-    /// standalone `task_done` RPC and reports piggybacked on a poll.
+    /// standalone `task_done` RPC and reports piggybacked on a poll. Wakes
+    /// the waiting drivers if it completes the op, and returns whether the
+    /// caller must wake the parked polls: the op completed, a cancel order
+    /// was queued, a map over this reduce output or a backup got nearer.
     fn apply_done_locked(
         &self,
         st: &mut MState,
@@ -984,14 +1048,14 @@ impl Master {
         index: usize,
         attempt: u32,
         urls: Vec<String>,
-    ) {
+    ) -> bool {
         let owner = match self.shared.plane {
             DataPlane::Direct => Some(slave),
             DataPlane::SharedFs(_) => None,
         };
         // Attempt ids start at 1; the wire decoders reject 0 already.
         if attempt == 0 {
-            return;
+            return false;
         }
         let mut done_spec: Option<TaskSpec> = None;
         let mut op_complete: Option<DataId> = None;
@@ -1002,9 +1066,9 @@ impl Master {
         if let Some(MDs::Op { tasks, done_count, spec, input, runtimes }) =
             st.datasets.get_mut(data as usize)
         {
-            let Some(slot) = tasks.get_mut(index) else { return };
+            let Some(slot) = tasks.get_mut(index) else { return false };
             match &slot.state {
-                SlotState::Done { .. } => return, // duplicate report: ignore
+                SlotState::Done { .. } => return false, // duplicate report: ignore
                 SlotState::Running(attempts) => {
                     // The commit point. The report must name an attempt
                     // that is live on the reporting slave. A report from a
@@ -1012,7 +1076,7 @@ impl Master {
                     // this very point) is stale: its URLs are never
                     // published and its completion is never counted.
                     let won = attempts.iter().position(|a| a.slave == slave && a.id == attempt);
-                    let Some(won) = won else { return };
+                    let Some(won) = won else { return false };
                     let now = Instant::now();
                     let w = attempts[won];
                     winner = Some((w.speculative, now - w.started));
@@ -1041,6 +1105,7 @@ impl Master {
         // time a speculative win saved.
         let op = done_spec.as_ref().map(trace_op).unwrap_or_default();
         let slowest_loser = losers.iter().map(|l| l.3).max().unwrap_or(Duration::ZERO);
+        let mut wake = !losers.is_empty();
         for (l_slave, l_id, l_speculative, _) in losers {
             if let Some(q) = st.pending_cancel.get_mut(l_slave as usize) {
                 q.push(CancelOrder { data, index, attempt: l_id });
@@ -1080,13 +1145,26 @@ impl Master {
             if spec.parts().is_some() && op_complete.is_none() {
                 self.publish_eager_locked(st, data, Some(index));
             }
+            // A map task reads one split of a reduce output, so it is runnable
+            // with that split, ahead of the op's barrier; and a report that
+            // leaves a straggler candidate behind moves the instant a parked
+            // poll must wake to back it up.
+            wake |= st.parked > 0
+                && (spec.parts().is_none()
+                    && st
+                        .live_ops()
+                        .any(|(_, ds)| ds.reader_of(data).is_some_and(|s| !s.gathers()))
+                    || op_complete.is_none() && !self.straggler_candidates(st).is_empty());
         }
         if let Some(input) = op_complete {
             // The op's output is now fully materialized, and the op no
             // longer needs its input.
+            st.live.retain(|&d| d != data);
             st.metrics.record_dataset_live();
             self.release_consumer(st, input);
+            self.wake_sleepers(st);
         }
+        wake || op_complete.is_some()
     }
 
     /// Publish finished map-like fragments of dataset `data` to the slaves
@@ -1105,20 +1183,11 @@ impl Master {
         if !self.shared.cfg.eager_shuffle || !matches!(self.shared.plane, DataPlane::Direct) {
             return;
         }
-        // Reduce-like consumers of this dataset that still have work left.
+        // Consumers of this dataset that still have work left and are
+        // reduce-like on the *input* side: plain reduces and fused ReduceMaps.
         let consumers: Vec<TaskSpec> = st
-            .datasets
-            .iter()
-            .filter_map(|ds| match ds {
-                // Reduce-like on the *input* side: plain reduces and fused
-                // ReduceMaps both gather partitions of a map-like output.
-                MDs::Op { input, spec, tasks, done_count, .. }
-                    if input.0 == data && spec.gathers() && *done_count < tasks.len() =>
-                {
-                    Some(*spec)
-                }
-                _ => None,
-            })
+            .live_ops()
+            .filter_map(|(_, ds)| ds.reader_of(data).filter(|s| s.gathers()).copied())
             .collect();
         if consumers.is_empty() {
             return;
@@ -1167,9 +1236,8 @@ impl Master {
                 }
             }
         }
-        // Callers (task completion / op submission) wake the dispatch
-        // condvar themselves; the park loop's pending-eager check then
-        // turns that wake into prompt delivery.
+        // Nobody is woken for these: a fragment rides the next answer its
+        // slave is sent anyway.
     }
 
     /// Release the refcount a completed op held on `input`; when that was
@@ -1220,17 +1288,17 @@ impl Master {
         if st.error.is_some() {
             return;
         }
-        for d in 0..st.datasets.len() {
-            let MDs::Op { input, ref tasks, .. } = st.datasets[d] else { continue };
-            let any_pending = tasks.iter().any(|t| t.state == SlotState::Pending);
-            if any_pending && matches!(st.datasets[input.0 as usize], MDs::Discarded) {
-                st.error = Some(format!(
-                    "task input (dataset {}) was reclaimed by lifetime GC before re-execution; \
-                     re-run with --mrs-keep-data",
-                    input.0
-                ));
-                return;
+        let lost = st.live_ops().find_map(|(_, ds)| match ds {
+            MDs::Op { input, tasks, .. } if tasks.iter().any(|t| t.state == SlotState::Pending) => {
+                matches!(st.datasets[input.0 as usize], MDs::Discarded).then_some(input.0)
             }
+            _ => None,
+        });
+        if let Some(input) = lost {
+            st.error = Some(format!(
+                "task input (dataset {input}) was reclaimed by lifetime GC before re-execution; \
+                 re-run with --mrs-keep-data"
+            ));
         }
     }
 
@@ -1310,6 +1378,7 @@ impl Master {
                     }
                 }
             }
+            st.reopen_ops();
         }
         st.metrics.record_retry();
         if let Some(e) = fail_job {
@@ -1317,8 +1386,9 @@ impl Master {
         }
         Self::check_freed_inputs(&mut st);
         Self::wake_dispatch(&mut st, &self.shared.dispatch_cv);
-        drop(st);
-        self.shared.cv.notify_all();
+        if st.error.is_some() {
+            self.wake_sleepers(&mut st);
+        }
     }
 
     /// Sweep for dead slaves: re-queue their running tasks and (on the
@@ -1371,6 +1441,7 @@ impl Master {
                 }
             }
         }
+        st.reopen_ops();
         for _ in 0..requeued {
             st.metrics.record_retry();
         }
@@ -1379,15 +1450,13 @@ impl Master {
         }
         // If nobody is left to run re-queued work, fail rather than hang.
         let any_alive = st.slaves.iter().any(|s| s.alive);
-        let any_incomplete = st.datasets.iter().any(|d| !d.complete());
-        if !any_alive && any_incomplete {
+        if !any_alive && !st.live.is_empty() {
             st.error = Some("no live slaves remain".into());
         }
         Self::check_freed_inputs(&mut st);
         // Requeued tasks (or the error) are runnable-state transitions.
         Self::wake_dispatch(&mut st, &self.shared.dispatch_cv);
-        drop(st);
-        self.shared.cv.notify_all();
+        self.wake_sleepers(&mut st);
     }
 
     /// Earliest instant at which a currently-live slave could cross the
@@ -1403,10 +1472,11 @@ impl Master {
     }
 
     /// Run the dead-slave sweeper until the job finishes, errors, or
-    /// `stop` is set. Sleeps on the completion condvar until the earliest
-    /// instant a slave could cross the death timeout, instead of a fixed
-    /// interval — requeue happens as soon as it possibly could, and the
-    /// loop costs nothing while slaves are heartbeating.
+    /// `stop` is set (checked at every wake; `finish` is what wakes it).
+    /// Sleeps on its own condvar until the earliest instant a slave could
+    /// cross the death timeout, instead of a fixed interval — requeue
+    /// happens as soon as it possibly could. Heartbeats move that instant
+    /// without waking it: a healthy cluster costs one sweep per timeout.
     pub fn sweeper_loop(&self, stop: &AtomicBool) {
         loop {
             {
@@ -1418,7 +1488,7 @@ impl Master {
                     let deadline = self
                         .next_death_deadline(&st)
                         .unwrap_or_else(|| Instant::now() + self.shared.cfg.slave_timeout);
-                    if self.shared.cv.wait_until(&mut st, deadline).timed_out() {
+                    if self.shared.sweep_cv.wait_until(&mut st, deadline).timed_out() {
                         break;
                     }
                 }
@@ -1457,8 +1527,10 @@ impl Master {
                 MDs::Op { .. } => {
                     return Err(Error::Invalid("map cannot consume an unreduced map output".into()))
                 }
-                MDs::Discarded => {
-                    return Err(Error::MissingData(format!("dataset {input:?} was discarded")))
+                MDs::Discarded | MDs::Loading => {
+                    return Err(Error::MissingData(format!(
+                        "dataset {input:?} is discarded or loading"
+                    )))
                 }
             }
         };
@@ -1475,14 +1547,13 @@ impl Master {
         });
         st.consumers.push(0);
         let id = DataId(st.datasets.len() as u32 - 1);
+        st.live.push(id.0);
         if spec.gathers() {
             // Maps that finished before this consumer existed are
             // publishable right now (iterative drivers submit it late).
             self.publish_eager_locked(&mut st, input.0, None);
         }
         Self::wake_dispatch(&mut st, &self.shared.dispatch_cv);
-        drop(st);
-        self.shared.cv.notify_all();
         Ok(id)
     }
 
@@ -1510,24 +1581,28 @@ impl JobApi for Master {
             return Err(Error::Invalid("need at least one split".into()));
         }
         // Reserve the slot first so concurrent driver clones cannot collide
-        // on ids or bucket paths; fill in the URLs once the data is stored.
+        // on ids or bucket paths — as `Loading`, which `wait` sleeps on and
+        // nothing consumes — and publish the source once its data is stored.
         let id = {
             let mut st = self.shared.state.lock();
-            st.datasets.push(MDs::Source { urls: Vec::new() });
+            st.datasets.push(MDs::Loading);
             st.consumers.push(0);
             st.datasets.len() as u32 - 1
         };
-        let mut urls = Vec::with_capacity(splits);
-        for (i, split) in split_slices(&records, splits).enumerate() {
-            urls.push(self.put_source_split(id, i, split)?);
-        }
+        let urls: Result<Vec<String>> = split_slices(&records, splits)
+            .enumerate()
+            .map(|(i, split)| self.put_source_split(id, i, split))
+            .collect();
         let mut st = self.shared.state.lock();
-        st.datasets[id as usize] = MDs::Source { urls };
-        st.metrics.record_dataset_live();
+        st.datasets[id as usize] = MDs::Discarded;
+        let published = urls.map(|urls| {
+            st.datasets[id as usize] = MDs::Source { urls };
+            st.metrics.record_dataset_live();
+            DataId(id)
+        });
         Self::wake_dispatch(&mut st, &self.shared.dispatch_cv);
-        drop(st);
-        self.shared.cv.notify_all();
-        Ok(DataId(id))
+        self.wake_sleepers(&mut st);
+        published
     }
 
     fn map_data(
@@ -1604,7 +1679,7 @@ impl JobApi for Master {
                             _ => Vec::new(),
                         })
                         .collect(),
-                    MDs::Discarded => {
+                    MDs::Discarded | MDs::Loading => {
                         return Err(Error::MissingData(format!("dataset {data:?} was discarded")))
                     }
                 }
@@ -1682,7 +1757,7 @@ mod tests {
     /// A poll that neither parks nor reports: the grant plus this slave's
     /// queued orders.
     fn poll(m: &Master, slave: SlaveId, free_slots: usize) -> Dispatch {
-        m.poll(slave, free_slots, Duration::ZERO, &[], &TraceBatch::default())
+        m.poll(slave, free_slots, Duration::ZERO, &[], &TraceBatch::default()).0
     }
 
     fn records(n: u64) -> Vec<Record> {
@@ -2014,7 +2089,7 @@ mod tests {
         // Nothing queued: the request parks, the deadline expires, and the
         // timeout fallback is Wait — not a hang, not a busy poll.
         let start = Instant::now();
-        let a = m.poll(s, 1, Duration::from_millis(200), &[], &TraceBatch::default()).assignment;
+        let a = m.poll(s, 1, Duration::from_millis(200), &[], &TraceBatch::default()).0.assignment;
         assert_eq!(a, Assignment::Wait);
         assert!(start.elapsed() >= Duration::from_millis(30), "{:?}", start.elapsed());
         let metrics = m.metrics();
@@ -2039,7 +2114,9 @@ mod tests {
         let parked = std::thread::spawn(move || {
             let start = Instant::now();
             (
-                m2.poll(s1, 1, Duration::from_millis(900), &[], &TraceBatch::default()).assignment,
+                m2.poll(s1, 1, Duration::from_millis(900), &[], &TraceBatch::default())
+                    .0
+                    .assignment,
                 start.elapsed(),
             )
         });
@@ -2065,7 +2142,7 @@ mod tests {
         let parked = std::thread::spawn(move || {
             let start = Instant::now();
             (
-                m2.poll(s, 1, Duration::from_millis(900), &[], &TraceBatch::default()).assignment,
+                m2.poll(s, 1, Duration::from_millis(900), &[], &TraceBatch::default()).0.assignment,
                 start.elapsed(),
             )
         });
@@ -2093,7 +2170,8 @@ mod tests {
             attempt: t1.attempt,
             urls: output_urls(&store, &t1),
         };
-        let t2 = take1(m.poll(s, 1, Duration::ZERO, &[report], &TraceBatch::default()).assignment);
+        let t2 =
+            take1(m.poll(s, 1, Duration::ZERO, &[report], &TraceBatch::default()).0.assignment);
         assert_ne!(t1.index, t2.index);
         finish_task(&m, &store, s, &t2);
         m.wait(mapped).unwrap();
@@ -2646,11 +2724,268 @@ mod tests {
         // An idle slave parking for 900ms must be woken at the
         // speculation deadline instead of sleeping out its park.
         let start = Instant::now();
-        let a = m.poll(s2, 1, Duration::from_millis(900), &[], &TraceBatch::default()).assignment;
+        let a = m.poll(s2, 1, Duration::from_millis(900), &[], &TraceBatch::default()).0.assignment;
         let elapsed = start.elapsed();
         let backup = take1(a);
         assert_eq!((backup.data, backup.index), (ts[3].data, ts[3].index));
         assert!(elapsed < Duration::from_millis(400), "woke too late: {elapsed:?}");
         assert_eq!(m.metrics().speculative_launches(), 1);
+    }
+    /// Block until a poll is parked on the dispatch condvar. A poll counts
+    /// itself parked under the state lock it releases only by waiting, so
+    /// once this returns it is asleep.
+    fn await_parked(m: &Master) {
+        while m.shared.state.lock().parked == 0 {
+            std::thread::yield_now();
+        }
+    }
+
+    /// URLs as a direct-plane slave would report them for `t`.
+    fn direct_urls(slave: SlaveId, t: &TaskMsg) -> Vec<String> {
+        (0..t.parts)
+            .map(|p| format!("http://a:1/data/s{slave}/d{}/t{}/b{p}.mrsb", t.data, t.index))
+            .collect()
+    }
+
+    #[test]
+    fn parked_poll_sleeps_through_a_fragment_and_a_non_final_report_and_wakes_on_the_closing_one() {
+        let mut m = master_direct();
+        let s0 = m.signin("a:1", 2);
+        let s1 = m.signin("b:2", 1);
+        let src = m.local_data(records(4), 2).unwrap();
+        let mapped = m.map_data(src, 0, 2, false).unwrap();
+        let _reduced = m.reduce_data(mapped, 0).unwrap();
+        let Assignment::Tasks(ts) = m.get_tasks(s0, 2) else { panic!("two maps") };
+        let m2 = m.clone();
+        let parked = std::thread::spawn(move || {
+            m2.poll(s1, 1, Duration::from_secs(60), &[], &TraceBatch::default())
+        });
+        await_parked(&m);
+
+        // The first report completes nothing, though it publishes a
+        // fragment to the parked slave: nobody is woken for either.
+        m.task_done(s0, ts[0].data, ts[0].index, ts[0].attempt, direct_urls(s0, &ts[0]));
+        {
+            let st = m.shared.state.lock();
+            assert_eq!(st.pending_eager[s1 as usize].len(), 1, "a fragment is waiting for s1");
+            assert_eq!((st.parked, st.metrics.wakeups()), (1, 0));
+        }
+        // The closing report wakes it, and the fragment rides the answer.
+        m.task_done(s0, ts[1].data, ts[1].index, ts[1].attempt, direct_urls(s0, &ts[1]));
+        let (d, _) = parked.join().unwrap();
+        assert_eq!(take1(d.assignment).kind, TaskKind::Reduce);
+        assert_eq!(d.eager.len(), 1, "{:?}", d.eager);
+        let metrics = m.metrics();
+        assert_eq!((metrics.wakeups(), metrics.longpoll_timeouts()), (1, 0));
+    }
+
+    #[test]
+    fn parked_poll_wakes_for_a_reduce_split_a_queued_map_reads() {
+        let (mut m, store) = shared_master();
+        let s0 = m.signin("a:1", 2);
+        let s1 = m.signin("b:2", 1);
+        let src = m.local_data(records(4), 1).unwrap();
+        let mapped = m.map_data(src, 0, 2, false).unwrap();
+        let reduced = m.reduce_data(mapped, 0).unwrap();
+        let _next = m.map_data(reduced, 0, 1, false).unwrap();
+        finish_task(&m, &store, s0, &take1(m.get_tasks(s0, 1)));
+        let Assignment::Tasks(ts) = m.get_tasks(s0, 2) else { panic!("two reduces") };
+        let m2 = m.clone();
+        let parked = std::thread::spawn(move || {
+            m2.poll(s1, 1, Duration::from_secs(60), &[], &TraceBatch::default())
+        });
+        await_parked(&m);
+        // Not the op's last report, but the map over split 0 is runnable.
+        finish_task(&m, &store, s0, &ts[0]);
+        let (d, _) = parked.join().unwrap();
+        let t = take1(d.assignment);
+        assert_eq!((t.kind, t.index), (TaskKind::Map, ts[0].index));
+    }
+
+    #[test]
+    fn reports_that_complete_nothing_wake_neither_wait_nor_the_sweeper() {
+        let (mut m, store) = shared_master();
+        let s = m.signin("a:1", 4);
+        let src = m.local_data(records(8), 4).unwrap();
+        let mapped = m.map_data(src, 0, 1, false).unwrap();
+        let Assignment::Tasks(ts) = m.get_tasks(s, 4) else { panic!("four maps") };
+        let wakes = |m: &Master| m.shared.state.lock().sleeper_wakes;
+        let before = wakes(&m);
+        for t in &ts[..3] {
+            finish_task(&m, &store, s, t);
+        }
+        assert_eq!(wakes(&m), before, "a report that completes nothing woke a sleeper");
+        finish_task(&m, &store, s, &ts[3]);
+        assert_eq!(wakes(&m), before + 1, "the completed op wakes `wait`");
+        m.wait(mapped).unwrap();
+        m.finish();
+        assert_eq!(wakes(&m), before + 2, "the end of the job wakes `wait` and the sweeper");
+    }
+
+    #[test]
+    fn hint_is_true_while_work_is_left_false_on_wait_and_false_for_an_idle_peers_claim() {
+        let (m, store) = shared_master();
+        let s0 = m.signin("a:1", 1);
+        let s1 = m.signin("b:2", 1);
+        let full = |slave| m.poll(slave, 1, Duration::ZERO, &[], &TraceBatch::default());
+
+        // Round 1, nobody has a claim yet: one of two tasks granted, the
+        // other is left for whoever asks — also for this slave.
+        let src = m.clone().local_data(records(8), 2).unwrap();
+        let m1 = m.clone().map_data(src, 0, 2, false).unwrap();
+        let (d0, more) = full(s0);
+        assert!(more, "a runnable task was left ungranted");
+        let (d1, more) = full(s1);
+        assert!(!more, "the wave is handed out");
+        assert_eq!(full(s0), (poll(&m, s0, 1), false), "nothing granted, nothing hinted");
+        let (t0, t1) = (take1(d0.assignment), take1(d1.assignment));
+        finish_task(&m, &store, s0, &t0);
+        finish_task(&m, &store, s1, &t1);
+
+        // Round 2, a map wave over the reduced round 1: each slave owns the
+        // index it ran. s0 is granted its own task; the one left is the
+        // claim of a live peer no busier than s0 — s0 would not be given
+        // it, so it is not "more" for s0.
+        let r1 = m.clone().reduce_data(m1, 0).unwrap();
+        while let Assignment::Tasks(ts) = m.get_tasks(s0, 1) {
+            ts.iter().for_each(|t| finish_task(&m, &store, s0, t));
+        }
+        let _m2 = m.clone().map_data(r1, 0, 2, false).unwrap();
+        let (d0, more) = full(s0);
+        assert_eq!(take1(d0.assignment).index, t0.index);
+        assert!(!more, "the rest of the wave belongs to an idle peer");
+    }
+
+    #[test]
+    fn a_dispatch_walks_the_same_slots_after_500_discarded_jobs() {
+        /// Task slots one poll of `m` looks at.
+        fn walked(m: &Master) -> usize {
+            let st = m.shared.state.lock();
+            st.live_ops()
+                .map(|(_, ds)| if let MDs::Op { tasks, .. } = ds { tasks.len() } else { 0 })
+                .sum()
+        }
+        fn submit(m: &mut Master) -> (DataId, DataId) {
+            let src = m.local_data(records(4), 2).unwrap();
+            let mapped = m.map_data(src, 0, 1, false).unwrap();
+            (src, m.reduce_data(mapped, 0).unwrap())
+        }
+        let (mut fresh, _) = shared_master();
+        fresh.signin("a:1", 1);
+        submit(&mut fresh);
+
+        let (mut used, store) = shared_master();
+        let s = used.signin("a:1", 1);
+        for _ in 0..500 {
+            let (src, reduced) = submit(&mut used);
+            while let Assignment::Tasks(_) = fake_slave_step(&used, &store, s) {}
+            used.discard(src);
+            used.discard(reduced);
+        }
+        assert_eq!(walked(&used), 0, "nothing is left to walk between jobs");
+        submit(&mut used);
+        assert_eq!(used.shared.state.lock().datasets.len(), 501 * 3);
+        assert_eq!(walked(&used), walked(&fresh), "2 maps + 1 reduce, whatever came before");
+        assert_eq!(take1(used.get_tasks(s, 1)).kind, TaskKind::Map);
+    }
+
+    #[test]
+    fn reopened_ops_are_walked_again() {
+        let cfg = MasterConfig {
+            slave_timeout: Duration::from_millis(20),
+            eager_shuffle: false,
+            ..MasterConfig::default()
+        };
+        let mut m = Master::new(cfg, DataPlane::Direct).unwrap();
+        let s1 = m.signin("a:1", 1);
+        let s2 = m.signin("b:2", 1);
+        let src = m.local_data(records(4), 1).unwrap();
+        let mapped = m.map_data(src, 0, 1, false).unwrap();
+        let t = take1(m.get_tasks(s1, 1));
+        m.task_done(s1, t.data, t.index, t.attempt, direct_urls(s1, &t));
+        assert!(m.shared.state.lock().live.is_empty(), "the only op is complete");
+        // s1 dies with the map's output: the op is incomplete again.
+        std::thread::sleep(Duration::from_millis(40));
+        assert_eq!(m.get_tasks(s2, 1), Assignment::Wait);
+        m.sweep();
+        assert_eq!(m.shared.state.lock().live, [mapped.0]);
+        assert_eq!(take1(m.get_tasks(s2, 1)).index, t.index);
+    }
+
+    #[test]
+    fn pages_render_while_a_poll_is_parked() {
+        let mut m = master_direct();
+        let s = m.signin("a:1", 1);
+        let _src = m.local_data(records(2), 1).unwrap();
+        let m2 = m.clone();
+        let parked = std::thread::spawn(move || {
+            m2.poll(s, 1, Duration::from_secs(60), &[], &TraceBatch::default())
+        });
+        await_parked(&m);
+        let status = m.status_page();
+        assert!(status.contains("mrs master: running"), "{status}");
+        assert!(status.contains("datasets: 1 live, 0 discarded"), "{status}");
+        assert!(status.contains("data 0: source, 1 split(s)"), "{status}");
+        assert!(m.metrics_page().contains("mrs_slaves_alive 1"));
+        m.finish();
+        assert_eq!(parked.join().unwrap().0.assignment, Assignment::Exit);
+    }
+
+    /// A store that runs `hook` inside `put`: the window in which
+    /// `local_data` has reserved its id but not yet published the source.
+    struct MidPutStore<F> {
+        inner: MemFs,
+        hook: F,
+    }
+
+    impl<F: Fn() + Send + Sync> Store for MidPutStore<F> {
+        fn put(&self, path: &str, data: &[u8]) -> Result<()> {
+            (self.hook)();
+            self.inner.put(path, data)
+        }
+        fn get(&self, path: &str) -> Result<Vec<u8>> {
+            self.inner.get(path)
+        }
+        fn exists(&self, path: &str) -> bool {
+            self.inner.exists(path)
+        }
+        fn list(&self, prefix: &str) -> Result<Vec<String>> {
+            self.inner.list(prefix)
+        }
+        fn delete(&self, path: &str) -> Result<()> {
+            self.inner.delete(path)
+        }
+    }
+
+    #[test]
+    fn a_source_being_loaded_is_neither_complete_nor_consumable_from_another_handle() {
+        let other: Arc<OnceLock<Master>> = Arc::new(OnceLock::new());
+        let seen = Arc::clone(&other);
+        let looked = Arc::new(AtomicBool::new(false));
+        let looked2 = Arc::clone(&looked);
+        // While the first handle is storing split 0, a second handle looks
+        // at the dataset whose id it can already guess.
+        let hook = move || {
+            let mut m = seen.get().expect("set before local_data").clone();
+            assert!(!m.shared.state.lock().datasets[0].complete(), "`wait` would return");
+            let err = m.map_data(DataId(0), 0, 1, false).expect_err("an op over zero splits");
+            assert!(matches!(err, Error::MissingData(_)), "{err}");
+            assert_eq!(m.shared.state.lock().datasets.len(), 1, "no op was queued");
+            looked2.store(true, Ordering::SeqCst);
+        };
+        let store: Arc<dyn Store> = Arc::new(MidPutStore { inner: MemFs::new(), hook });
+        let mut m = Master::new(MasterConfig::default(), DataPlane::SharedFs(store)).unwrap();
+        other.set(m.clone()).ok().expect("set once");
+        let src = m.local_data(records(4), 2).unwrap();
+        assert!(looked.load(Ordering::SeqCst), "the hook never ran");
+        // Published, it is an ordinary source for every handle.
+        let mut second = other.get().unwrap().clone();
+        second.wait(src).unwrap();
+        assert_eq!(second.fetch_all(src).unwrap().len(), 4);
+        let mapped = second.map_data(src, 0, 1, false).unwrap();
+        let st = m.shared.state.lock();
+        assert!(
+            matches!(&st.datasets[mapped.0 as usize], MDs::Op { tasks, .. } if tasks.len() == 2)
+        );
     }
 }

@@ -29,7 +29,7 @@ use std::sync::Arc;
 /// both, which ends the slave. Every node of a cluster is built from one
 /// commit, so there are no older peers to stay readable for — bump this
 /// on any change to the wire instead of adding a fallback.
-pub const PROTOCOL_VERSION: i64 = 2;
+pub const PROTOCOL_VERSION: i64 = 3;
 
 /// Whether the master launches speculative backup copies of straggling
 /// tasks (§ speculative execution). When a task wave is nearly drained and
@@ -623,6 +623,24 @@ impl Dispatch {
         };
         Ok(Dispatch { assignment, purge, eager, cancel })
     }
+
+    /// Encode a whole `get_task` answer: this dispatch and, as one more key
+    /// of the same struct, the hint `more` of [`crate::Master::poll`].
+    pub fn answer_value(&self, more: bool) -> Value {
+        let mut v = self.to_value();
+        if let Value::Struct(m) = &mut v {
+            m.insert("more".to_owned(), Value::Bool(more));
+        }
+        v
+    }
+
+    /// Decode a whole `get_task` answer (`more` is always written).
+    pub fn from_answer(v: &Value) -> Result<(Dispatch, bool)> {
+        match v.field("more") {
+            Some(&Value::Bool(more)) => Ok((Dispatch::from_value(v)?, more)),
+            _ => Err(Error::Rpc("dispatch missing more".into())),
+        }
+    }
 }
 
 /// How intermediate data moves between slaves.
@@ -968,6 +986,36 @@ mod tests {
         // assignment on the wire.
         assert_eq!(bare.to_value(), a.to_value());
         assert_eq!(Dispatch::from_value(&a.to_value()).unwrap(), bare);
+    }
+
+    /// The golden shape of a `get_task` answer: the dispatch's own keys
+    /// plus `more`, always written and required — a bare dispatch (what a
+    /// version-2 master sent) is not an answer.
+    #[test]
+    fn answer_wire_is_the_dispatch_plus_a_required_more_key() {
+        let d = Dispatch {
+            assignment: Assignment::Wait,
+            purge: vec!["s0/d3/".into()],
+            eager: vec![],
+            cancel: vec![],
+        };
+        for more in [false, true] {
+            let v = d.answer_value(more);
+            let Value::Struct(m) = &v else { panic!("an answer is a struct") };
+            let keys: Vec<&str> = m.keys().map(String::as_str).collect();
+            assert_eq!(keys, ["more", "purge", "type"]);
+            assert_eq!(m["more"], Value::Bool(more));
+            assert_eq!(Dispatch::from_answer(&v).unwrap(), (d.clone(), more));
+            // The dispatch inside reads as before: `more` sits beside it.
+            assert_eq!(Dispatch::from_value(&v).unwrap(), d);
+        }
+        let err = Dispatch::from_answer(&d.to_value()).unwrap_err().to_string();
+        assert!(err.contains("missing more"), "{err}");
+        let mut mistyped = d.answer_value(true);
+        if let Value::Struct(m) = &mut mistyped {
+            m.insert("more".into(), Value::Int(1));
+        }
+        assert!(Dispatch::from_answer(&mistyped).is_err(), "an int is not the hint");
     }
 
     #[test]

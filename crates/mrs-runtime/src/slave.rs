@@ -59,8 +59,10 @@ pub trait MasterLink: Send + Sync {
     /// `reports` and asking the master to hold the request up to `park`
     /// when nothing is runnable (long-poll dispatch). The `trace` batch
     /// piggybacks this slave's trace-event delta (empty when tracing is
-    /// off). The answer is a full [`Dispatch`]: the assignment plus the
-    /// purge, eager-fragment and cancel orders queued for this slave.
+    /// off). The answer is a full [`Dispatch`] — the assignment plus the
+    /// purge, eager-fragment and cancel orders queued for this slave — and
+    /// the hint that runnable work was left ungranted for it, which decides
+    /// whether its next completion is worth a poll of its own.
     fn poll(
         &self,
         slave: SlaveId,
@@ -68,7 +70,7 @@ pub trait MasterLink: Send + Sync {
         park: Duration,
         reports: Vec<TaskReport>,
         trace: TraceBatch,
-    ) -> Result<Dispatch>;
+    ) -> Result<(Dispatch, bool)>;
     /// Report success with output bucket URLs. `attempt` echoes the id the
     /// task message carried, so the master can recognize a stale report
     /// from a superseded attempt.
@@ -105,7 +107,7 @@ impl MasterLink for crate::master::Master {
         park: Duration,
         reports: Vec<TaskReport>,
         trace: TraceBatch,
-    ) -> Result<Dispatch> {
+    ) -> Result<(Dispatch, bool)> {
         Ok(crate::master::Master::poll(self, slave, free, park, &reports, &trace))
     }
     fn task_done(
@@ -136,11 +138,9 @@ impl MasterLink for crate::master::Master {
 /// Slave tuning knobs.
 #[derive(Clone, Debug)]
 pub struct SlaveOptions {
-    /// Initial sleep after a `Wait` to a poll that did not park at the
-    /// master (workers busy); a worker event cuts the sleep short.
-    pub poll_interval: Duration,
-    /// Backoff cap: consecutive such `Wait`s double the sleep from
-    /// `poll_interval` up to this; any granted work resets it.
+    /// Longest a busy slave stays away from the master: with nothing to
+    /// ask for it polls this often anyway — its heartbeat, and the ride
+    /// out for any completion report it is holding.
     pub max_poll_interval: Duration,
     /// Concurrent task slots (worker threads). Defaults to the number of
     /// available CPU cores.
@@ -174,7 +174,6 @@ pub struct SlaveOptions {
 impl Default for SlaveOptions {
     fn default() -> Self {
         SlaveOptions {
-            poll_interval: Duration::from_millis(2),
             max_poll_interval: Duration::from_millis(50),
             slots: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             long_poll: Duration::from_secs(1),
@@ -192,8 +191,8 @@ struct Pipe {
     state: Mutex<PipeState>,
     /// Wakes compute workers when tasks are queued (or on shutdown).
     cv: Condvar,
-    /// Wakes the polling thread on worker events: a slot freed, a report
-    /// queued for piggybacking (or shutdown).
+    /// Wakes the polling thread on worker events worth a poll: the slave
+    /// went idle, a slot was freed that can be refilled (or shutdown).
     poll_cv: Condvar,
     /// Wakes the fetch stage when assignments or announcements land (or
     /// on shutdown).
@@ -238,6 +237,9 @@ struct PipeState {
     in_flight: usize,
     /// Completions waiting to ride on the next poll.
     reports: Vec<TaskReport>,
+    /// The last poll answer said runnable work was left ungranted: a freed
+    /// slot can be refilled, so a completion is worth a poll of its own.
+    more: bool,
     /// Cancellation flags of attempts currently executing or having their
     /// inputs prefetched, keyed by (data, index, attempt). A cancel order
     /// for such an attempt sets its flag; the kernel observes it at the
@@ -266,6 +268,7 @@ impl Pipe {
                 queue: VecDeque::new(),
                 in_flight: 0,
                 reports: Vec::new(),
+                more: false,
                 active: HashMap::new(),
                 tombstones: HashSet::new(),
                 direct_report: false,
@@ -294,12 +297,11 @@ impl Pipe {
     /// Hand the fetch stage what one poll answer brought — granted tasks
     /// and announced fragments (new URLs only) — in one critical section:
     /// the stage serves tasks first, so it must never find an answer's
-    /// announcements without its tasks.
-    fn enqueue(&self, tasks: Vec<TaskMsg>, accepted_us: u64, frags: &[EagerFragment]) {
-        if tasks.is_empty() && frags.is_empty() {
-            return;
-        }
+    /// announcements without its tasks. The answer's `more` hint lands in
+    /// the same section, so no completion is judged by a stale one.
+    fn enqueue(&self, tasks: Vec<TaskMsg>, accepted_us: u64, frags: &[EagerFragment], more: bool) {
         let mut st = self.state.lock();
+        st.more = more;
         let mut queued = !tasks.is_empty();
         for task in tasks {
             st.in_flight += 1;
@@ -479,7 +481,6 @@ pub fn run_slave(
             )
         }));
 
-        let mut backoff = opts.poll_interval;
         // The round-trip measured around the *previous* poll, shipped with
         // the next trace batch so the master's clock sync can bound the
         // one-way delay. Until a round-trip exists the batch stays empty —
@@ -496,20 +497,8 @@ pub fn run_slave(
                 break Ok(());
             }
             // Occupancy and pending reports, read in one lock section.
-            // When every slot (including the prefetch buffer) is occupied,
-            // wait for a worker's condvar wake rather than sleeping a
-            // fixed interval. The wait is bounded: a slave that stays full
-            // past it polls anyway with `free = 0` — the empty request is
-            // its heartbeat, and it hears about `Exit` without waiting for
-            // a slot to open.
             let (free, reports) = {
                 let mut st = pipe.state.lock();
-                if capacity.saturating_sub(st.in_flight) == 0
-                    && !st.halt
-                    && !stop.load(Ordering::SeqCst)
-                {
-                    pipe.poll_cv.wait_for(&mut st, opts.max_poll_interval);
-                }
                 (capacity.saturating_sub(st.in_flight), std::mem::take(&mut st.reports))
             };
             // Park server-side only when fully idle: with workers running,
@@ -534,7 +523,7 @@ pub fn run_slave(
             // together (the scheduler "kills processes as soon as a job
             // completes"), so losing the control channel means the job is
             // over, not an error.
-            let answer = link.poll(id, free, park, reports, batch).map(|d| {
+            let answer = link.poll(id, free, park, reports, batch).map(|(d, more)| {
                 // Apply lifetime-GC purge orders before acting on the
                 // assignment: spent datasets leave this slave's frame
                 // cache so long-running iterative jobs hold O(1)
@@ -550,7 +539,7 @@ pub fn run_slave(
                 // so applying them before enqueueing the assignment is safe.
                 pipe.apply_cancels(&d.cancel, poll_handle.as_ref());
                 announced = d.eager;
-                d.assignment
+                (d.assignment, more)
             });
             if rec.is_some() {
                 // Parked long-polls inflate this sample; the master's
@@ -558,7 +547,7 @@ pub fn run_slave(
                 prev_rtt_us = Some(polled_at.elapsed().as_micros() as u64);
             }
             match answer {
-                Ok(Assignment::Exit) => {
+                Ok((Assignment::Exit, _)) => {
                     // No further poll will carry reports: flush anything
                     // queued since this poll was sent, and route later
                     // completions straight to `task_done`.
@@ -575,31 +564,13 @@ pub fn run_slave(
                     pipe.shut_down(false);
                     break Ok(());
                 }
-                Ok(Assignment::Wait) => {
-                    pipe.enqueue(Vec::new(), 0, &announced);
-                    if !park.is_zero() {
-                        // The master held the request until it had orders
-                        // to deliver or the park ran out: the long poll
-                        // itself is the pacing, so park again at once — an
-                        // idle slave waits at the master, where the next
-                        // runnable task wakes it, never in a local sleep.
-                        backoff = opts.poll_interval;
-                    } else {
-                        // We chose not to park (workers busy: their
-                        // completions wake `poll_cv`): bounded local
-                        // condvar wait with exponential backoff.
-                        let mut st = pipe.state.lock();
-                        if !st.halt && st.reports.is_empty() {
-                            pipe.poll_cv.wait_for(&mut st, backoff);
-                        }
-                        drop(st);
-                        backoff = (backoff * 2).min(opts.max_poll_interval);
-                    }
-                }
-                Ok(Assignment::Tasks(tasks)) => {
-                    backoff = opts.poll_interval;
+                Ok((assignment, more)) => {
+                    let tasks = match assignment {
+                        Assignment::Tasks(tasks) => tasks,
+                        _ => Vec::new(),
+                    };
                     let accepted_us = rec.as_ref().map(|r| r.now_us()).unwrap_or(0);
-                    pipe.enqueue(tasks, accepted_us, &announced);
+                    pipe.enqueue(tasks, accepted_us, &announced, more);
                 }
                 Err(Error::Rpc(_)) => {
                     pipe.shut_down(true);
@@ -609,6 +580,17 @@ pub fn run_slave(
                     pipe.shut_down(true);
                     break Err(e);
                 }
+            }
+            // The next poll goes out when it can change something. An idle
+            // slave polls at once (it parks at the master, and its reports
+            // may close a wave); so does one with a free slot that was told
+            // more is runnable. A busy slave told nothing is left holds only
+            // reports the master cannot act on: it waits for a worker event
+            // (going idle, a slot freed by a failure or a cancel), bounded
+            // so that the empty request is its heartbeat and hears `Exit`.
+            let mut st = pipe.state.lock();
+            if st.in_flight > 0 && !(st.more && st.in_flight < capacity) && !st.halt {
+                pipe.poll_cv.wait_for(&mut st, opts.max_poll_interval);
             }
         };
 
@@ -812,8 +794,9 @@ fn parse_bucket_coords(url: &str) -> Option<(u64, u64, u64)> {
 
 /// One compute worker: pop prefetched tasks, execute, report. Successful
 /// completions are queued on the pipe for the polling thread to deliver
-/// inside its next poll (one fewer control RPC per task); failures always
-/// report standalone so recovery starts immediately.
+/// inside its next poll (one fewer control RPC per task) and coalesce
+/// there until a poll is worth sending; failures always report standalone
+/// so recovery starts immediately.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     link: &dyn MasterLink,
@@ -935,10 +918,12 @@ fn worker_loop(
                         attempt: task.attempt,
                         urls,
                     });
-                    drop(st);
-                    // The freed slot and the queued report both concern the
-                    // polling thread.
-                    pipe.poll_cv.notify_all();
+                    // Worth a poll of its own only if it may close a wave
+                    // (the slave is now idle) or the freed slot can be
+                    // refilled; otherwise it rides the poll made anyway.
+                    if st.in_flight == 0 || st.more {
+                        pipe.poll_cv.notify_all();
+                    }
                     Ok(())
                 } else {
                     drop(st);
@@ -1291,115 +1276,387 @@ mod tests {
         handle.join().unwrap().unwrap();
     }
 
-    /// A master that plays a fixed script: the first (fully idle) poll
-    /// is answered `Wait` plus one eager fragment — what a long-polling
-    /// master does when it cuts a park short to hand orders over — and
-    /// the second grants one map task. After that it waits for the task's
-    /// report and says `Exit`. Records the park each poll asked for.
-    struct ScriptedLink {
-        task: TaskMsg,
-        parks: Mutex<Vec<Duration>>,
-        reported: AtomicBool,
+    /// What one poll carried.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Polled {
+        free: usize,
+        park: Duration,
+        /// (data, index) of every piggybacked report.
+        reports: Vec<(u32, usize)>,
     }
 
-    impl MasterLink for ScriptedLink {
+    /// A master that plays a script: every poll is logged and answered by
+    /// `answer(n, log)` — `n` counts polls from 1 and `log[n - 1]` is the
+    /// poll being answered. Failure reports are logged and handed to
+    /// `on_failed`; a standalone `task_done` is a script error.
+    struct Script<F> {
+        answer: F,
+        on_failed: fn(&Gate),
+        gate: Arc<Gate>,
+        polls: Mutex<Vec<Polled>>,
+        failed: Mutex<Vec<(u32, usize)>>,
+    }
+
+    impl<F> Script<F> {
+        fn new(gate: &Arc<Gate>, answer: F) -> Arc<Self> {
+            Arc::new(Script {
+                answer,
+                on_failed: |_| {},
+                gate: Arc::clone(gate),
+                polls: Mutex::default(),
+                failed: Mutex::default(),
+            })
+        }
+    }
+
+    /// Reports seen so far, over all polls.
+    fn reported(log: &[Polled]) -> usize {
+        log.iter().map(|p| p.reports.len()).sum()
+    }
+
+    impl<F> MasterLink for Script<F>
+    where
+        F: Fn(usize, &[Polled]) -> (Dispatch, bool) + Send + Sync,
+    {
         fn signin(&self, _authority: &str, _slots: usize) -> Result<SlaveId> {
             Ok(0)
         }
         fn poll(
             &self,
             _slave: SlaveId,
-            _free: usize,
+            free: usize,
             park: Duration,
             reports: Vec<TaskReport>,
             _trace: TraceBatch,
-        ) -> Result<Dispatch> {
-            let mut parks = self.parks.lock();
-            parks.push(park);
-            if !reports.is_empty() {
-                self.reported.store(true, Ordering::SeqCst);
-            }
-            let mut eager = Vec::new();
-            let assignment = match parks.len() {
-                1 => {
-                    eager.push(EagerFragment {
-                        data: 0,
-                        partition: 0,
-                        url: "file://s9/d0/t0/b0.mrsb".into(),
-                    });
-                    Assignment::Wait
-                }
-                2 => Assignment::Tasks(vec![self.task.clone()]),
-                _ if self.reported.load(Ordering::SeqCst) => Assignment::Exit,
-                _ => Assignment::Wait,
-            };
-            Ok(Dispatch { assignment, purge: Vec::new(), eager, cancel: Vec::new() })
+        ) -> Result<(Dispatch, bool)> {
+            let mut polls = self.polls.lock();
+            let reports = reports.iter().map(|r| (r.data, r.index)).collect();
+            polls.push(Polled { free, park, reports });
+            Ok((self.answer)(polls.len(), &polls))
         }
-        fn task_done(&self, _: SlaveId, _: u32, _: usize, _: u32, _: Vec<String>) -> Result<()> {
-            self.reported.store(true, Ordering::SeqCst);
-            Ok(())
+        fn task_done(&self, _: SlaveId, d: u32, i: usize, _: u32, _: Vec<String>) -> Result<()> {
+            panic!("task ({d}, {i}) reported standalone before any Exit");
         }
         fn task_failed(
             &self,
             _: SlaveId,
+            data: u32,
+            index: usize,
             _: u32,
-            _: usize,
-            _: u32,
-            msg: &str,
+            _: &str,
             _: Option<&str>,
         ) -> Result<()> {
-            panic!("scripted task failed: {msg}");
+            self.failed.lock().push((data, index));
+            (self.on_failed)(&self.gate);
+            Ok(())
         }
     }
 
-    /// An idle slave whose park is cut short by a delivery goes straight
-    /// back to the master with the same park. Both poll intervals are a
-    /// minute, so a single backoff sleep outlasts the watchdog below.
-    #[test]
-    fn early_wait_with_deliveries_is_reparked_not_slept_on() {
+    fn answer(assignment: Assignment, more: bool) -> (Dispatch, bool) {
+        (Dispatch { assignment, purge: Vec::new(), eager: Vec::new(), cancel: Vec::new() }, more)
+    }
+
+    /// Map task `index` of dataset 1 over the one-record split `src{index}`.
+    fn map_task(index: usize) -> TaskMsg {
+        TaskMsg {
+            data: 1,
+            index,
+            kind: TaskKind::Map,
+            func: 0,
+            map_func: 0,
+            parts: 1,
+            combine: false,
+            attempt: 1,
+            inputs: vec![format!("file://src{index}")],
+        }
+    }
+
+    /// A gate in the middle of a map function: the interleaving "the
+    /// second task is still running", forced rather than slept for.
+    #[derive(Default)]
+    struct Gate {
+        /// (a map call is waiting at the gate, the gate is open)
+        state: Mutex<(bool, bool)>,
+        cv: Condvar,
+    }
+
+    impl Gate {
+        fn pass(&self) {
+            let mut g = self.state.lock();
+            g.0 = true;
+            self.cv.notify_all();
+            while !g.1 {
+                self.cv.wait(&mut g);
+            }
+        }
+        fn open(&self) {
+            self.state.lock().1 = true;
+            self.cv.notify_all();
+        }
+        fn await_arrival(&self) {
+            let mut g = self.state.lock();
+            while !g.0 {
+                self.cv.wait(&mut g);
+            }
+        }
+    }
+
+    /// WordCount whose map of the record keyed 1 stops at the gate.
+    struct Gated(Arc<Gate>);
+
+    impl MapReduce for Gated {
+        type K1 = u64;
+        type V1 = String;
+        type K2 = String;
+        type V2 = u64;
+
+        fn map(&self, k: u64, v: &str, emit: &mut dyn FnMut(&str, u64)) {
+            if k == 1 {
+                self.0.pass();
+            }
+            WordCount.map(k, v, emit);
+        }
+
+        fn reduce(&self, k: &str, vs: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
+            WordCount.reduce(k, vs, emit);
+        }
+    }
+
+    /// A store holding `input()` as the one-record splits `src0`, `src1`:
+    /// task 0 runs free, task 1 stops at the gate.
+    fn split_store() -> Arc<dyn Store> {
         let store: Arc<dyn Store> = Arc::new(MemFs::new());
-        store.put("src0", &framed(&input())).unwrap();
-        let link = Arc::new(ScriptedLink {
-            task: TaskMsg {
-                data: 1,
-                index: 0,
-                kind: TaskKind::Map,
-                func: 0,
-                map_func: 0,
-                parts: 1,
-                combine: false,
-                attempt: 1,
-                inputs: vec!["file://src0".into()],
-            },
-            parks: Mutex::new(Vec::new()),
-            reported: AtomicBool::new(false),
-        });
-        let opts = SlaveOptions {
-            poll_interval: Duration::from_secs(60),
-            max_poll_interval: Duration::from_secs(60),
-            slots: 1,
-            ..SlaveOptions::default()
-        };
-        let long_poll = opts.long_poll;
+        for (i, record) in input().into_iter().enumerate() {
+            store.put(&format!("src{i}"), &framed(&[record])).unwrap();
+        }
+        store
+    }
+
+    /// Run a one-worker slave against `link` until it exits on its own; a
+    /// slave that sleeps where it should poll hangs, and fails after 20 s.
+    fn run_scripted(
+        link: Arc<dyn MasterLink>,
+        gate: &Arc<Gate>,
+        store: &Arc<dyn Store>,
+        max_poll_interval: Duration,
+    ) {
+        let opts = SlaveOptions { max_poll_interval, slots: 1, ..SlaveOptions::default() };
+        let program: Arc<dyn Program> = Arc::new(Simple(Gated(Arc::clone(gate))));
+        let plane = DataPlane::SharedFs(Arc::clone(store));
         let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let slave = {
-            let link = Arc::clone(&link);
-            let plane = DataPlane::SharedFs(Arc::clone(&store));
-            std::thread::spawn(move || {
-                let program: Arc<dyn Program> = Arc::new(Simple(WordCount));
-                let r = run_slave(&*link, program, plane, &opts, &AtomicBool::new(false));
-                let _ = done_tx.send(r);
-            })
-        };
+        let slave = std::thread::spawn(move || {
+            let r = run_slave(&*link, program, plane, &opts, &AtomicBool::new(false));
+            let _ = done_tx.send(r);
+        });
         done_rx
             .recv_timeout(Duration::from_secs(20))
-            .expect("slave slept out a backoff instead of re-polling")
+            .expect("slave slept where it should have polled")
             .unwrap();
         slave.join().unwrap();
-        assert!(link.reported.load(Ordering::SeqCst), "the granted task must run and report");
-        let parks = link.parks.lock();
-        assert_eq!(parks[0], long_poll, "an idle slave parks its first poll");
-        assert_eq!(parks[1], parks[0], "the re-poll after an early Wait parks like the first");
+    }
+
+    /// Longer than any test runs: a wait this long only ends by a wake.
+    const NEVER: Duration = Duration::from_secs(60);
+
+    /// An idle slave whose park is cut short by a delivery goes straight
+    /// back to the master with the same park: the first (fully idle) poll
+    /// is answered `Wait` plus one eager fragment — what a long-polling
+    /// master does when it cuts a park short to hand orders over — the
+    /// second grants one map task, and the report ends the script.
+    #[test]
+    fn early_wait_with_deliveries_is_reparked_not_slept_on() {
+        let gate = Arc::new(Gate::default());
+        let link = Script::new(&gate, |n, log: &[Polled]| match n {
+            1 => {
+                let (mut d, more) = answer(Assignment::Wait, false);
+                let url = "file://s9/d0/t0/b0.mrsb".into();
+                d.eager.push(EagerFragment { data: 0, partition: 0, url });
+                (d, more)
+            }
+            2 => answer(Assignment::Tasks(vec![map_task(0)]), false),
+            _ if reported(log) == 1 => answer(Assignment::Exit, false),
+            _ => answer(Assignment::Wait, false),
+        });
+        run_scripted(link.clone(), &gate, &split_store(), NEVER);
+        let polls = link.polls.lock().clone();
+        assert_eq!(reported(&polls), 1, "the granted task must run and report");
+        assert_eq!(polls[0].park, SlaveOptions::default().long_poll, "an idle slave parks");
+        assert_eq!(polls[1].park, polls[0].park, "the re-poll after an early Wait parks too");
+    }
+
+    /// Told nothing is left for it, a slave with two queued tasks keeps
+    /// the first report until the second task is done: one poll carries
+    /// both, and finds the slave idle.
+    #[test]
+    fn told_nothing_left_one_poll_carries_both_reports() {
+        let gate = Arc::new(Gate::default());
+        gate.open();
+        let link = Script::new(&gate, |n, _: &[Polled]| match n {
+            1 => answer(Assignment::Tasks(vec![map_task(0), map_task(1)]), false),
+            _ => answer(Assignment::Exit, false),
+        });
+        run_scripted(link.clone(), &gate, &split_store(), NEVER);
+        let polls = link.polls.lock().clone();
+        assert_eq!(polls.len(), 2, "{polls:?}");
+        assert_eq!(polls[1].reports, [(1, 0), (1, 1)]);
+        assert_eq!((polls[1].free, polls[1].park), (2, SlaveOptions::default().long_poll));
+    }
+
+    /// Told more is runnable, the first completion polls at once — while
+    /// the second task still runs — so the freed slot is refilled.
+    #[test]
+    fn told_more_runnable_the_first_completion_polls_at_once() {
+        let gate = Arc::new(Gate::default());
+        let script_gate = Arc::clone(&gate);
+        let link = Script::new(&gate, move |n, log: &[Polled]| match n {
+            1 => answer(Assignment::Tasks(vec![map_task(0), map_task(1)]), true),
+            _ if reported(log) == 2 => answer(Assignment::Exit, false),
+            _ => {
+                // Only now may the second task finish.
+                script_gate.open();
+                answer(Assignment::Wait, false)
+            }
+        });
+        run_scripted(link.clone(), &gate, &split_store(), NEVER);
+        let polls = link.polls.lock().clone();
+        assert_eq!(polls[1].reports, [(1, 0)], "{polls:?}");
+        assert_eq!((polls[1].free, polls[1].park), (1, Duration::ZERO), "a busy slave never parks");
+    }
+
+    /// A report withheld behind a running task leaves with the bounded
+    /// heartbeat poll: nothing but `max_poll_interval` running out sends
+    /// it, since the second task cannot finish before it has left.
+    #[test]
+    fn withheld_report_leaves_within_max_poll_interval() {
+        let gate = Arc::new(Gate::default());
+        let script_gate = Arc::clone(&gate);
+        let link = Script::new(&gate, move |n, log: &[Polled]| match n {
+            1 => answer(Assignment::Tasks(vec![map_task(0), map_task(1)]), false),
+            _ if reported(log) == 2 => answer(Assignment::Exit, false),
+            _ => {
+                if reported(log) == 1 {
+                    script_gate.open();
+                }
+                answer(Assignment::Wait, false)
+            }
+        });
+        run_scripted(link.clone(), &gate, &split_store(), Duration::from_millis(5));
+        let polls = link.polls.lock().clone();
+        let carrier = polls.iter().find(|p| !p.reports.is_empty()).unwrap();
+        assert_eq!(carrier.reports, [(1, 0)], "{polls:?}");
+        assert_eq!(carrier.free, 1, "the second task still held its slot");
+    }
+
+    /// A failure is never withheld: it reports standalone while the other
+    /// task is still running, whatever the last answer said.
+    #[test]
+    fn failure_reports_standalone_at_once() {
+        let gate = Arc::new(Gate::default());
+        let mut script = Script::new(&gate, |n, log: &[Polled]| match n {
+            // Split 7 does not exist: the fetch of task 7 fails.
+            1 => answer(Assignment::Tasks(vec![map_task(7), map_task(1)]), false),
+            _ if reported(log) == 1 => answer(Assignment::Exit, false),
+            _ => answer(Assignment::Wait, false),
+        });
+        // Only the failure report lets the other task finish.
+        Arc::get_mut(&mut script).unwrap().on_failed = Gate::open;
+        run_scripted(script.clone(), &gate, &split_store(), NEVER);
+        assert_eq!(*script.failed.lock(), [(1, 7)]);
+        let polls = script.polls.lock().clone();
+        assert_eq!(polls.last().unwrap().reports, [(1, 1)], "{polls:?}");
+    }
+
+    /// A link to a real master that logs every completion report it
+    /// forwards, piggybacked or standalone.
+    struct Spy {
+        master: Master,
+        reports: Mutex<Vec<(u32, usize)>>,
+    }
+
+    impl MasterLink for Spy {
+        fn signin(&self, authority: &str, slots: usize) -> Result<SlaveId> {
+            MasterLink::signin(&self.master, authority, slots)
+        }
+        fn poll(
+            &self,
+            slave: SlaveId,
+            free: usize,
+            park: Duration,
+            reports: Vec<TaskReport>,
+            trace: TraceBatch,
+        ) -> Result<(Dispatch, bool)> {
+            self.reports.lock().extend(reports.iter().map(|r| (r.data, r.index)));
+            MasterLink::poll(&self.master, slave, free, park, reports, trace)
+        }
+        fn task_done(&self, s: SlaveId, d: u32, i: usize, a: u32, urls: Vec<String>) -> Result<()> {
+            self.reports.lock().push((d, i));
+            MasterLink::task_done(&self.master, s, d, i, a, urls)
+        }
+        fn task_failed(
+            &self,
+            s: SlaveId,
+            d: u32,
+            i: usize,
+            a: u32,
+            msg: &str,
+            input: Option<&str>,
+        ) -> Result<()> {
+            MasterLink::task_failed(&self.master, s, d, i, a, msg, input)
+        }
+    }
+
+    /// Coalescing opens a window in which a finished task is unreported.
+    /// A slave stopped inside it (crash semantics) takes the report with
+    /// it — nothing is flushed on the way out — and the master re-runs the
+    /// task elsewhere like any other lost attempt.
+    #[test]
+    fn stopped_slave_holding_an_unsent_completion_stays_silent_and_the_task_is_rerun() {
+        let cfg =
+            MasterConfig { slave_timeout: Duration::from_millis(100), ..MasterConfig::default() };
+        let store: Arc<dyn Store> = Arc::new(MemFs::new());
+        let plane = DataPlane::SharedFs(Arc::clone(&store));
+        let master = Master::new(cfg, plane.clone()).unwrap();
+        let gate = Arc::new(Gate::default());
+        let program: Arc<dyn Program> = Arc::new(Simple(Gated(Arc::clone(&gate))));
+        let mut driver = master.clone();
+        let src = driver.local_data(input(), 2).unwrap();
+        let mapped = driver.map_data(src, 0, 1, false).unwrap();
+
+        // The first slave is granted both map tasks and told nothing is
+        // left. Its one worker reaches the gate inside the second task, so
+        // the first task's report is queued by then — and stays queued:
+        // the slave is busy, and its bounded wait is a minute.
+        let spy = Arc::new(Spy { master: master.clone(), reports: Mutex::default() });
+        let stop = Arc::new(AtomicBool::new(false));
+        let first = {
+            let (spy, program, plane, stop) =
+                (Arc::clone(&spy), Arc::clone(&program), plane.clone(), Arc::clone(&stop));
+            let opts =
+                SlaveOptions { max_poll_interval: NEVER, slots: 1, ..SlaveOptions::default() };
+            std::thread::spawn(move || run_slave(&*spy, program, plane, &opts, &stop))
+        };
+        gate.await_arrival();
+        // Stop it, then let the second task finish: going idle wakes the
+        // poll thread, which finds the stop flag instead of polling.
+        stop.store(true, Ordering::SeqCst);
+        gate.open();
+        first.join().unwrap().unwrap();
+        let reported = spy.reports.lock().clone();
+        assert!(reported.is_empty(), "a stopped slave reported {reported:?}");
+
+        // A second slave arrives; the driver's wait sweeps the silent one
+        // and both tasks run again.
+        let second = {
+            let (m, stop) = (master.clone(), AtomicBool::new(false));
+            std::thread::spawn(move || {
+                run_slave(&m, program, plane, &SlaveOptions::default(), &stop)
+            })
+        };
+        assert_eq!(driver.fetch_all(mapped).unwrap().len(), 5, "one record per token");
+        let metrics = master.metrics();
+        assert_eq!((metrics.tasks_executed(), metrics.tasks_retried()), (2, 2));
+        master.finish();
+        second.join().unwrap().unwrap();
     }
 
     /// A store that runs a hook on the pipe inside every `get` — the
@@ -1547,7 +1804,7 @@ mod tests {
         // one of them still queued. Dataset 2: one from the peer.
         let announced =
             [fragment(0, 1, 0), fragment(1, 1, 1), fragment(1, 1, 2), fragment(1, 2, 0)];
-        pipe.enqueue(Vec::new(), 0, &announced);
+        pipe.enqueue(Vec::new(), 0, &announced, false);
         for url in [frag_url(0, 1, 0), frag_url(1, 1, 1), frag_url(1, 2, 0)] {
             park(&pipe, &url, vec![0u8; 8]);
         }
@@ -1584,7 +1841,7 @@ mod tests {
             partition: 0,
             url: format!("file://s1/d{data}/t0/b0.mrsb"),
         };
-        pipe.enqueue(Vec::new(), 0, &[frag(1), frag(2)]);
+        pipe.enqueue(Vec::new(), 0, &[frag(1), frag(2)], false);
         let master = Master::new(MasterConfig::default(), DataPlane::Direct).unwrap();
         fetch_loop(&master, Some(&store), None, &FrameCache::new(), 0, &pipe, None).unwrap();
         assert!(warm_urls(&pipe).is_empty(), "{:?}", warm_urls(&pipe));
@@ -1644,7 +1901,7 @@ mod tests {
             on_get: |pipe, path| match path {
                 // The task has claimed its inputs and is fetching them:
                 // announce one of them, and a fresh URL of the same task.
-                LATE => pipe.enqueue(Vec::new(), 0, &[frag(LATE), frag(FRESH)]),
+                LATE => pipe.enqueue(Vec::new(), 0, &[frag(LATE), frag(FRESH)], false),
                 FRESH => pipe.shut_down(false),
                 _ => {}
             },
@@ -1665,7 +1922,7 @@ mod tests {
             inputs: vec![frag(EARLY).url, frag(LATE).url],
         };
         // One poll answer grants the task and announces its first input.
-        pipe.enqueue(vec![task], 0, &[frag(EARLY)]);
+        pipe.enqueue(vec![task], 0, &[frag(EARLY)], false);
         let master = Master::new(MasterConfig::default(), DataPlane::Direct).unwrap();
         let shared: Arc<dyn Store> = store.clone();
         fetch_loop(&master, Some(&shared), None, &FrameCache::new(), 0, &pipe, None).unwrap();

@@ -72,6 +72,40 @@ fn piggybacking_bounds_control_rpcs_by_slaves_not_tasks() {
     );
 }
 
+/// Reports coalesce and announcements are silent: a fused round of four
+/// tiny tasks on two one-slot slaves needs one poll per slave — both
+/// reports out, both next tasks in — so a chain's control traffic is
+/// bounded by two polls per slave per round, with room to spare for the
+/// first round (no task has an owner yet, so slaves are told more is
+/// runnable and report as they go) and the final reduce.
+#[test]
+fn fused_chain_costs_at_most_two_polls_per_slave_per_round() {
+    let cfg = PsoConfig { topology: Topology::Subswarms { size: 3 }, ..pso_config() };
+    let program = PsoProgram::new(cfg.clone(), 1);
+    assert_eq!(program.n_islands(), 4, "four tasks per round");
+    let (rounds, slaves) = (10, 2);
+    let mut cluster = LocalCluster::start_with(
+        Arc::new(PsoProgram::new(cfg, 1)),
+        slaves,
+        DataPlane::Direct,
+        MasterConfig::default(),
+        SlaveOptions { slots: 1, ..SlaveOptions::default() },
+    )
+    .unwrap();
+    while cluster.live_slaves() < slaves {
+        std::thread::yield_now();
+    }
+    let before = cluster.control_requests();
+    program.run_islands(&mut Job::new(&mut cluster), rounds, true).unwrap();
+    let polls = cluster.control_requests() - before;
+    let metrics = cluster.metrics();
+    assert_eq!(metrics.tasks_executed(), 4 * (rounds + 1), "map, nine fused rounds, reduce");
+    assert!(
+        polls <= 2 * slaves as u64 * rounds + 8,
+        "{polls} control RPCs for {rounds} rounds on {slaves} slaves"
+    );
+}
+
 /// An idle cluster under long-poll parks instead of burning empty polls:
 /// with no work queued, a waiting slave's requests are held server-side.
 #[test]
@@ -124,7 +158,7 @@ impl MasterLink for OtherBuild {
         _: Duration,
         _: Vec<TaskReport>,
         _: TraceBatch,
-    ) -> Result<Dispatch> {
+    ) -> Result<(Dispatch, bool)> {
         panic!("a refused slave must never poll")
     }
     fn task_done(&self, _: SlaveId, _: u32, _: usize, _: u32, _: Vec<String>) -> Result<()> {
@@ -149,7 +183,10 @@ impl MasterLink for OtherBuild {
 fn signin_with_a_missing_or_different_protocol_version_is_a_fault() {
     let master = Master::new(MasterConfig::default(), DataPlane::Direct).unwrap();
     let server = serve_master(master.clone(), 0).unwrap();
-    for version in [None, Some(PROTOCOL_VERSION + 1)] {
+    // No version, the next one, and the last one: version 2's answers had
+    // no `more` key, and a slave of that build would never send one's
+    // reports the way this master expects.
+    for version in [None, Some(PROTOCOL_VERSION + 1), Some(2)] {
         let link = OtherBuild { client: RpcClient::new(server.authority()), version };
         let err = link.signin("127.0.0.1:1", 2).unwrap_err().to_string();
         let theirs = version.map_or("none".to_owned(), |v| v.to_string());
