@@ -57,9 +57,7 @@ pub(crate) fn materialize(buckets: &[Arc<Bucket>]) -> Vec<Record> {
 }
 
 /// Partition `p` of every task of a map-like dataset, taken by reference
-/// count: the merge runs of one reduce-like task. In-process runs come
-/// straight off the map kernels, which guarantee sorted output, so every
-/// run counts as presorted.
+/// count: the merge runs of one reduce-like task.
 pub(crate) fn partition_runs<'a>(
     tasks: impl Iterator<Item = &'a Vec<Arc<Bucket>>>,
     p: usize,
@@ -67,9 +65,16 @@ pub(crate) fn partition_runs<'a>(
 ) -> Vec<Arc<Bucket>> {
     let t0 = std::time::Instant::now();
     let runs: Vec<Arc<Bucket>> = tasks.map(|task| Arc::clone(&task[p])).collect();
+    record_runs(&runs, t0, metrics);
+    runs
+}
+
+/// Count the merge runs one reduce-like task was handed, gathered since
+/// `t0`. In-process runs come straight off the map kernels, which
+/// guarantee sorted output, so every run counts as presorted.
+pub(crate) fn record_runs(runs: &[Arc<Bucket>], t0: std::time::Instant, metrics: &mut JobMetrics) {
     let records = runs.iter().map(|r| r.len()).sum();
     metrics.record_merge_input(runs.len(), runs.len(), records, t0.elapsed());
-    runs
 }
 
 /// All of `runs` in one bucket, in run order: what the single serial map

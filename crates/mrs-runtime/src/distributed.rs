@@ -684,13 +684,23 @@ mod tests {
         use crate::proto::SpeculateMode;
         use mrs_trace::{Kind, Name, MASTER_PID};
         let cfg = MasterConfig { speculate: SpeculateMode::Off, ..MasterConfig::default() };
-        let opts = SlaveOptions { slots: 2, ..SlaveOptions::default() };
+        // Every map task (data 1) holds its worker for 50 ms. Whichever
+        // slave polls first is granted three at once (two workers and the
+        // double-buffer slot), so both its workers run side by side, and
+        // it stays full for the 200 ms it would need to run all eight:
+        // the rest can only go to the other slave. Both slave rows and
+        // both worker lanes are in the trace whatever the machine's load.
+        let test_delays = (0..8).map(|i| (1, i, 50)).collect();
+        let opts = SlaveOptions { slots: 2, test_delays, ..SlaveOptions::default() };
         let mut cluster =
             LocalCluster::start_with(Arc::new(Simple(WordCount)), 2, DataPlane::Direct, cfg, opts)
                 .unwrap();
+        while cluster.live_slaves() < 2 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let out = {
             let mut job = Job::new(&mut cluster);
-            job.map_reduce(lines(50), 4, 3, true).unwrap()
+            job.map_reduce(lines(50), 8, 3, true).unwrap()
         };
         assert!(!out.is_empty());
 
@@ -719,15 +729,15 @@ mod tests {
         let trace = cluster.take_trace().expect("tracing on by default");
         assert_eq!(trace.dropped, 0);
         let count = |n: Name, k: Kind| trace.count(|g| g.event.name == n && g.event.kind == k);
-        // 4 map tasks + 3 reduce partitions, exactly one attempt each
+        // 8 map tasks + 3 reduce partitions, exactly one attempt each
         // with speculation off.
-        assert_eq!(count(Name::Attempt, Kind::Begin), 7);
-        assert_eq!(count(Name::Attempt, Kind::End), 7);
-        assert_eq!(count(Name::Exec, Kind::Begin), 7);
-        assert_eq!(count(Name::Fetch, Kind::Begin), 7);
+        assert_eq!(count(Name::Attempt, Kind::Begin), 11);
+        assert_eq!(count(Name::Attempt, Kind::End), 11);
+        assert_eq!(count(Name::Exec, Kind::Begin), 11);
+        assert_eq!(count(Name::Fetch, Kind::Begin), 11);
         assert_eq!(count(Name::Merge, Kind::Begin), 3, "one gather per reduce");
-        assert_eq!(count(Name::Dispatch, Kind::Instant), 7);
-        assert_eq!(count(Name::Report, Kind::Instant), 7);
+        assert_eq!(count(Name::Dispatch, Kind::Instant), 11);
+        assert_eq!(count(Name::Report, Kind::Instant), 11);
         assert_eq!(count(Name::Cancel, Kind::Instant), 0);
         // Dispatch/Report ride the master row; execution spans ride the
         // slave rows, one pid per slave process.
@@ -744,7 +754,7 @@ mod tests {
         // Every dispatch→report window matches an attempt and is covered
         // by its spans up to control-plane latency.
         let cov = trace.coverage();
-        assert_eq!(cov.len(), 7);
+        assert_eq!(cov.len(), 11);
         for c in &cov {
             assert!(c.window_us - c.covered_us < 200_000, "uncovered gap too wide: {c:?}");
         }

@@ -58,6 +58,7 @@ pub mod job;
 pub mod local;
 pub mod master;
 pub mod metrics;
+mod plan;
 pub mod proto;
 pub mod serial;
 pub mod slave;

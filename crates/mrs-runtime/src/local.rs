@@ -18,10 +18,11 @@
 //! output stays byte-identical to the distributed planes with speculation
 //! on or off (the implementations-agree oracle enforces it).
 
-use crate::data::{materialize, partition_runs, split_buckets, DataId};
+use crate::data::{materialize, record_runs, split_buckets, DataId};
 use crate::dataplane::DataPlaneStats;
 use crate::job::JobApi;
 use crate::metrics::JobMetrics;
+use crate::plan::Plan;
 use crate::proto::trace_op;
 use mrs_codec::CompressMode;
 use mrs_core::task::run_task;
@@ -30,58 +31,18 @@ use mrs_fs::format::write_bucket;
 use mrs_fs::Store;
 use mrs_trace::{JobTrace, Name, Recorder, Tag, TraceHandle};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct TaskRef {
-    data: DataId,
-    index: usize,
-}
 
 /// A finished task's output buckets: `parts` of them for a map-like
 /// task, the one output split for a reduce task. Shared by reference
 /// count with every task that reads them.
 type TaskOut = Vec<Arc<Bucket>>;
 
-#[derive(Debug)]
-enum DsState {
-    /// Source data, one bucket per split.
-    Source(Vec<Arc<Bucket>>),
-    /// An operation's output, per task; `remaining` tasks are still out.
-    Op {
-        /// What every task of the op runs.
-        spec: TaskSpec,
-        input: DataId,
-        tasks: Vec<Option<TaskOut>>,
-        remaining: usize,
-    },
-    Discarded,
-}
-
-impl DsState {
-    fn complete(&self) -> bool {
-        !matches!(self, DsState::Op { remaining: 1.., .. })
-    }
-}
-
 struct State {
-    datasets: Vec<DsState>,
-    /// Remaining registered consumers per dataset (index-aligned with
-    /// `datasets`): incremented when an op is queued over the dataset,
-    /// decremented when that op completes. Lifetime GC frees a dataset
-    /// when its count returns to zero.
-    consumers: Vec<u32>,
-    /// Datasets pinned by `keep` — exempt from lifetime GC until an
-    /// explicit discard.
-    pins: HashSet<u32>,
-    /// When set, lifetime GC is disabled (`--mrs-keep-data`).
-    keep_data: bool,
-    /// Tasks not yet ready to run.
-    pending: Vec<TaskRef>,
-    /// Tasks ready to run.
-    queue: VecDeque<TaskRef>,
+    /// The task graph. All this executor adds to a task is whether a
+    /// worker has claimed it: every task here runs exactly once.
+    plan: Plan<Arc<Bucket>, bool>,
     error: Option<String>,
     shutdown: bool,
     metrics: JobMetrics,
@@ -133,12 +94,7 @@ impl LocalRuntime {
     ) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
-                datasets: Vec::new(),
-                consumers: Vec::new(),
-                pins: HashSet::new(),
-                keep_data: false,
-                pending: Vec::new(),
-                queue: VecDeque::new(),
+                plan: Plan::new(false),
                 error: None,
                 shutdown: false,
                 metrics: JobMetrics::default(),
@@ -178,7 +134,7 @@ impl LocalRuntime {
     /// default) a dataset is reclaimed as soon as its last queued consumer
     /// finishes; `--mrs-keep-data` routes here.
     pub fn set_keep_data(&mut self, keep: bool) {
-        self.shared.state.lock().keep_data = keep;
+        self.shared.state.lock().plan.set_keep_data(keep);
     }
 }
 
@@ -195,140 +151,91 @@ impl Drop for LocalRuntime {
     }
 }
 
-/// Is task `t` ready, given current dataset states?
-fn ready(st: &State, t: TaskRef) -> bool {
-    let DsState::Op { spec, input, .. } = &st.datasets[t.data.0 as usize] else { return false };
-    match (spec, &st.datasets[input.0 as usize]) {
-        // A map task only waits for its own input split.
-        (TaskSpec::Map { .. }, DsState::Source(_)) => true,
-        (TaskSpec::Map { .. }, DsState::Op { tasks, .. }) => tasks[t.index].is_some(),
-        (TaskSpec::Map { .. }, DsState::Discarded) => false,
-        // Reduce-like tasks (plain or fused) gather one partition from
-        // *every* task of the input, so they wait for the whole op.
-        (_, input) => input.complete(),
-    }
-}
-
-/// Move newly-ready pending tasks into the run queue.
-fn promote(st: &mut State) -> usize {
-    let mut moved = 0;
-    let mut i = 0;
-    while i < st.pending.len() {
-        if ready(st, st.pending[i]) {
-            let t = st.pending.swap_remove(i);
-            st.queue.push_back(t);
-            moved += 1;
-        } else {
-            i += 1;
+/// Claim the oldest runnable task no worker has yet and take its input
+/// (under the lock: O(1) per split or run, never per record; execution
+/// happens outside it). In spill mode (`count_handover`) each map-output
+/// bucket a reduce task receives is an in-memory handover of data that
+/// the distributed runtime would fetch over a socket — counted as a
+/// short-circuit fetch so mock-parallel metrics mirror colocated fetches,
+/// and as an eager fragment: on one core every fragment is available the
+/// instant its producer finishes, so mock-parallel is the perfect-overlap
+/// oracle the eager shuffle plane is measured against.
+fn claim(st: &mut State, count_handover: bool) -> Option<(DataId, usize, TaskSpec, TaskOut)> {
+    let (data, index, op) = st.plan.runnable().find(|(_, i, op)| !op.tasks()[*i].x)?;
+    let spec = op.spec;
+    *st.plan.x_mut(data, index).expect("a runnable task") = true;
+    let t0 = std::time::Instant::now();
+    let input = st.plan.input(data, index);
+    if spec.gathers() {
+        record_runs(&input, t0, &mut st.metrics);
+        if count_handover {
+            st.metrics.record_dataplane(DataPlaneStats {
+                shortcircuit_fetches: input.len() as u64,
+                eager_fragments: input.len() as u64,
+                ..DataPlaneStats::default()
+            });
         }
     }
-    moved
-}
-
-/// One task, ready to run outside the lock: what to run and its input by
-/// reference count — the one split of a map task, or partition `index` of
-/// every task of a reduce-like task's input.
-struct TaskWork {
-    spec: TaskSpec,
-    input: Vec<Arc<Bucket>>,
-}
-
-/// Take a task's input (under the lock: O(1) per split or run, never per
-/// record; execution happens outside it). In spill mode (`count_handover`)
-/// each map-output bucket a reduce task receives is an in-memory handover
-/// of data that the distributed runtime would fetch over a socket —
-/// counted as a short-circuit fetch so mock-parallel metrics mirror
-/// colocated fetches, and as an eager fragment: on one core every fragment
-/// is available the instant its producer finishes, so mock-parallel is the
-/// perfect-overlap oracle the eager shuffle plane is measured against.
-fn task_input(st: &mut State, t: TaskRef, count_handover: bool) -> Result<TaskWork> {
-    let DsState::Op { spec, input, .. } = &st.datasets[t.data.0 as usize] else {
-        return Err(Error::Invalid("task on non-op dataset".into()));
-    };
-    let spec = *spec;
-    let input = match (spec, &st.datasets[input.0 as usize]) {
-        (TaskSpec::Map { .. }, DsState::Source(splits)) => vec![Arc::clone(&splits[t.index])],
-        (TaskSpec::Map { .. }, DsState::Op { spec: TaskSpec::Reduce { .. }, tasks, .. }) => tasks
-            [t.index]
-            .clone()
-            .ok_or_else(|| Error::Invalid("map input split not ready".into()))?,
-        (TaskSpec::Map { .. }, _) => return Err(Error::Invalid("bad map input".into())),
-        (_, DsState::Op { tasks, .. }) => {
-            let runs = partition_runs(tasks.iter().flatten(), t.index, &mut st.metrics);
-            if runs.len() != tasks.len() {
-                return Err(Error::Invalid("map task not done".into()));
-            }
-            if count_handover {
-                st.metrics.record_dataplane(DataPlaneStats {
-                    shortcircuit_fetches: runs.len() as u64,
-                    eager_fragments: runs.len() as u64,
-                    ..DataPlaneStats::default()
-                });
-            }
-            runs
-        }
-        _ => return Err(Error::Invalid("reduce input is not a map-like output".into())),
-    };
-    Ok(TaskWork { spec, input })
+    Some((data, index, spec, input))
 }
 
 fn worker_loop(shared: &Shared, lane: u32) {
     let th = shared.trace.handle(lane);
     loop {
-        let (task, work, picked_us) = {
+        let (picked_us, (data, index, spec, input)) = {
             let mut st = shared.state.lock();
             loop {
                 if st.shutdown {
                     return;
                 }
-                if let Some(t) = st.queue.pop_front() {
-                    let picked_us = th.now_us();
-                    match task_input(&mut st, t, shared.spill.is_some()) {
-                        Ok(w) => break (t, w, picked_us),
-                        Err(e) => {
-                            st.error = Some(e.to_string());
-                            shared.cv.notify_all();
-                            return;
-                        }
-                    }
+                let picked_us = th.now_us();
+                if let Some(work) = claim(&mut st, shared.spill.is_some()) {
+                    break (picked_us, work);
                 }
                 shared.cv.wait(&mut st);
             }
         };
 
-        // The attempt reaches back to when the task left the queue, so
-        // the gathered-input window (the in-memory shuffle handover,
-        // taken under the scheduler lock) is on the timeline too.
-        let tag = Tag::task(trace_op(&work.spec), task.data.0, task.index, 1);
+        // The attempt reaches back to when the task was claimed, so the
+        // gathered-input window (the in-memory shuffle handover, taken
+        // under the scheduler lock) is on the timeline too.
+        let tag = Tag::task(trace_op(&spec), data.0, index, 1);
         th.begin_at(picked_us, Name::Attempt, tag);
-        if work.spec.gathers() {
+        if spec.gathers() {
             th.begin_at(picked_us, Name::Merge, tag);
             th.end(Name::Merge, tag);
         }
         th.instant(Name::Dispatch, tag);
 
         let t0 = std::time::Instant::now();
-        let outcome = execute(shared, task, &work, &th, tag);
+        let outcome = execute(shared, &spec, &input, &th, tag);
 
         // The attempt ends and reports in the critical section that
         // publishes its completion: once `wait` sees the dataset
         // complete, every event of its tasks is already in the trace.
         let mut st = shared.state.lock();
         th.end(Name::Attempt, tag);
-        let committed = outcome.and_then(|out| {
-            th.instant(Name::Report, tag);
-            let bytes = out.iter().map(|b| b.byte_size()).sum();
-            match work.spec {
-                TaskSpec::Map { .. } => st.metrics.record_map(t0.elapsed(), bytes),
-                TaskSpec::Reduce { .. } => st.metrics.record_reduce(t0.elapsed()),
-                TaskSpec::ReduceMap { .. } => st.metrics.record_reducemap_task(t0.elapsed(), bytes),
-            }
-            commit(&mut st, task, out)
-        });
-        match committed {
-            Ok(()) => {
+        match outcome {
+            Ok(out) => {
+                th.instant(Name::Report, tag);
+                let bytes = out.iter().map(|b| b.byte_size()).sum();
+                match spec {
+                    TaskSpec::Map { .. } => st.metrics.record_map(t0.elapsed(), bytes),
+                    TaskSpec::Reduce { .. } => st.metrics.record_reduce(t0.elapsed()),
+                    TaskSpec::ReduceMap { .. } => {
+                        st.metrics.record_reducemap_task(t0.elapsed(), bytes)
+                    }
+                }
                 st.metrics.record_task();
-                promote(&mut st);
+                let done = st.plan.commit(data, index, out);
+                // Op outputs count as live when their last task lands, so
+                // `peak_live_datasets` tracks held storage, not queue depth.
+                if done.completed {
+                    st.metrics.record_dataset_live();
+                }
+                if done.freed.is_some() {
+                    st.metrics.record_dataset_freed(true);
+                }
             }
             Err(e) => st.error = Some(e.to_string()),
         }
@@ -340,22 +247,21 @@ fn worker_loop(shared: &Shared, lane: u32) {
 /// output buckets to the store.
 fn execute(
     shared: &Shared,
-    t: TaskRef,
-    work: &TaskWork,
+    spec: &TaskSpec,
+    input: &[Arc<Bucket>],
     th: &TraceHandle,
     tag: Tag,
 ) -> Result<TaskOut> {
-    let program = shared.program.as_ref();
     th.begin(Name::Exec, tag);
-    let out = run_task(program, &work.spec, &work.input, None);
+    let out = run_task(shared.program.as_ref(), spec, input, None);
     th.end(Name::Exec, tag);
     let out = out?;
     if let Some(store) = &shared.spill {
         th.begin(Name::Emit, tag);
-        let stem = format!("ds{}/{}{}", t.data.0, trace_op(&work.spec).as_str(), t.index);
+        let stem = format!("ds{}/{}{}", tag.data, trace_op(spec).as_str(), tag.index);
         for (p, b) in out.iter().enumerate() {
             // A reduce task's one output bucket is the file itself.
-            let path = match work.spec {
+            let path = match spec {
                 TaskSpec::Reduce { .. } => format!("{stem}.mrsb"),
                 _ => format!("{stem}/b{p}.mrsb"),
             };
@@ -366,98 +272,18 @@ fn execute(
     Ok(out.into_iter().map(Arc::new).collect())
 }
 
-/// Publish a finished task's output (under the lock).
-fn commit(st: &mut State, t: TaskRef, out: TaskOut) -> Result<()> {
-    let DsState::Op { tasks, remaining, .. } = &mut st.datasets[t.data.0 as usize] else {
-        return Err(Error::Invalid("task output for a non-op dataset".into()));
-    };
-    tasks[t.index] = Some(out);
-    *remaining -= 1;
-    if *remaining == 0 {
-        st.metrics.record_dataset_live();
-        op_completed(st, t.data);
-    }
-    Ok(())
-}
-
-/// Called when an op's last task lands: release the refcount the op held
-/// on its input and, if that was the input's last registered consumer,
-/// reclaim the input's storage (unless GC is off or the driver pinned it).
-fn op_completed(st: &mut State, data: DataId) {
-    let DsState::Op { input, .. } = &st.datasets[data.0 as usize] else { return };
-    let input = *input;
-    let c = &mut st.consumers[input.0 as usize];
-    *c = c.saturating_sub(1);
-    if *c == 0 && !st.keep_data && !st.pins.contains(&input.0) {
-        let slot = &mut st.datasets[input.0 as usize];
-        // Sources are exempt (matching the master): job input stays
-        // available unless explicitly discarded.
-        if slot.complete() && !matches!(slot, DsState::Discarded | DsState::Source(_)) {
-            *slot = DsState::Discarded;
-            st.metrics.record_dataset_freed(true);
-        }
-    }
-}
-
 impl LocalRuntime {
-    /// Queue dataset `ds` and one pending task per output task of an op.
-    fn submit(&mut self, ds: DsState) -> DataId {
+    /// Queue an op and wake the workers for its tasks.
+    fn submit(&mut self, spec: TaskSpec, input: DataId) -> Result<DataId> {
         let mut st = self.shared.state.lock();
-        let ntasks = match &ds {
-            DsState::Op { input, tasks, .. } => {
-                st.consumers[input.0 as usize] += 1;
-                tasks.len()
-            }
-            // Sources are materialized at submission; op outputs count as
-            // live when their last task lands (see `commit`), so
-            // `peak_live_datasets` tracks held storage, not queue depth.
-            _ => {
-                st.metrics.record_dataset_live();
-                0
-            }
-        };
-        st.datasets.push(ds);
-        st.consumers.push(0);
-        let id = DataId(st.datasets.len() as u32 - 1);
-        st.pending.extend((0..ntasks).map(|index| TaskRef { data: id, index }));
-        promote(&mut st);
+        let id = st.plan.op(spec, input)?;
+        if matches!(spec, TaskSpec::ReduceMap { .. }) {
+            st.metrics.record_fused_op();
+        }
         drop(st);
         self.shared.cv.notify_all();
-        id
+        Ok(id)
     }
-
-    /// Queue an op running `spec` over `input`, with one task per input
-    /// split (map) or per input partition (reduce-like) as `ntasks` finds it.
-    fn submit_op(
-        &mut self,
-        spec: TaskSpec,
-        input: DataId,
-        ntasks: impl FnOnce(&DsState) -> Result<usize>,
-    ) -> Result<DataId> {
-        if spec.parts() == Some(0) {
-            return Err(Error::Invalid("need at least one partition".into()));
-        }
-        let ntasks = {
-            let mut st = self.shared.state.lock();
-            let ds = st.datasets.get(input.0 as usize);
-            let n = ntasks(ds.ok_or_else(|| Error::MissingData(format!("dataset {input:?}")))?)?;
-            if matches!(spec, TaskSpec::ReduceMap { .. }) {
-                st.metrics.record_fused_op();
-            }
-            n
-        };
-        let tasks = (0..ntasks).map(|_| None).collect();
-        Ok(self.submit(DsState::Op { spec, input, tasks, remaining: ntasks }))
-    }
-}
-
-/// Partitions of a map-like dataset: the task count of a reduce-like op.
-fn map_like_parts(ds: &DsState, op: &str) -> Result<usize> {
-    match ds {
-        DsState::Op { spec, .. } => spec.parts(),
-        _ => None,
-    }
-    .ok_or_else(|| Error::Invalid(format!("{op} must consume a map output")))
 }
 
 impl JobApi for LocalRuntime {
@@ -465,7 +291,11 @@ impl JobApi for LocalRuntime {
         if splits == 0 {
             return Err(Error::Invalid("need at least one split".into()));
         }
-        Ok(self.submit(DsState::Source(split_buckets(&records, splits))))
+        let splits = split_buckets(&records, splits);
+        let mut st = self.shared.state.lock();
+        let id = st.plan.reserve();
+        st.metrics.record_dataset_live();
+        st.plan.source(id, Ok(splits))
     }
 
     fn map_data(
@@ -475,20 +305,11 @@ impl JobApi for LocalRuntime {
         parts: usize,
         combine: bool,
     ) -> Result<DataId> {
-        self.submit_op(TaskSpec::Map { func, parts, combine }, input, |ds| match ds {
-            DsState::Source(splits) => Ok(splits.len()),
-            DsState::Op { spec: TaskSpec::Reduce { .. }, tasks, .. } => Ok(tasks.len()),
-            DsState::Op { .. } => {
-                Err(Error::Invalid("map cannot consume an unreduced map output".into()))
-            }
-            DsState::Discarded => {
-                Err(Error::MissingData(format!("dataset {input:?} was discarded")))
-            }
-        })
+        self.submit(TaskSpec::Map { func, parts, combine }, input)
     }
 
     fn reduce_data(&mut self, input: DataId, func: FuncId) -> Result<DataId> {
-        self.submit_op(TaskSpec::Reduce { func }, input, |ds| map_like_parts(ds, "reduce"))
+        self.submit(TaskSpec::Reduce { func }, input)
     }
 
     fn reduce_map_data(
@@ -499,12 +320,11 @@ impl JobApi for LocalRuntime {
         parts: usize,
         combine: bool,
     ) -> Result<DataId> {
-        let spec = TaskSpec::ReduceMap { reduce_func, map_func, parts, combine };
-        self.submit_op(spec, input, |ds| map_like_parts(ds, "reduce_map"))
+        self.submit(TaskSpec::ReduceMap { reduce_func, map_func, parts, combine }, input)
     }
 
     fn keep(&mut self, data: DataId) {
-        self.shared.state.lock().pins.insert(data.0);
+        self.shared.state.lock().plan.keep(data);
     }
 
     fn wait(&mut self, data: DataId) -> Result<()> {
@@ -513,10 +333,8 @@ impl JobApi for LocalRuntime {
             if let Some(e) = &st.error {
                 return Err(Error::TaskFailed(e.clone()));
             }
-            match st.datasets.get(data.0 as usize) {
-                None => return Err(Error::MissingData(format!("dataset {data:?}"))),
-                Some(ds) if ds.complete() => return Ok(()),
-                Some(_) => {}
+            if st.plan.complete(data)? {
+                return Ok(());
             }
             self.shared.cv.wait(&mut st);
         }
@@ -526,34 +344,14 @@ impl JobApi for LocalRuntime {
         self.wait(data)?;
         // Under the lock only the reference counts move; the records are
         // materialized once, after it is released.
-        let buckets: Vec<Arc<Bucket>> = match &self.shared.state.lock().datasets[data.0 as usize] {
-            DsState::Source(splits) => splits.clone(),
-            DsState::Op { tasks, .. } => tasks.iter().flatten().flatten().cloned().collect(),
-            DsState::Discarded => {
-                return Err(Error::MissingData(format!("dataset {data:?} was discarded")))
-            }
-        };
+        let buckets = self.shared.state.lock().plan.outputs(data)?;
         Ok(materialize(&buckets))
     }
 
     fn discard(&mut self, data: DataId) {
         let mut st = self.shared.state.lock();
-        // Refuse while any incomplete consumer still needs this data —
-        // discarding it would leave those tasks unready forever. Discard is
-        // advisory per the JobApi contract, so ignoring is always safe.
-        let has_live_consumer = st
-            .datasets
-            .iter()
-            .any(|ds| matches!(ds, DsState::Op { input, remaining: 1.., .. } if *input == data));
-        if has_live_consumer {
-            return;
-        }
-        st.pins.remove(&data.0);
-        if let Some(slot) = st.datasets.get_mut(data.0 as usize) {
-            if slot.complete() && !matches!(slot, DsState::Discarded) {
-                *slot = DsState::Discarded;
-                st.metrics.record_dataset_freed(false);
-            }
+        if st.plan.discard(data).is_some() {
+            st.metrics.record_dataset_freed(false);
         }
     }
 }
@@ -562,6 +360,7 @@ impl JobApi for LocalRuntime {
 mod tests {
     use super::*;
     use crate::job::Job;
+    use crate::plan::Ds;
     use mrs_core::kv::encode_record;
     use mrs_core::{Datum, MapReduce, Simple};
     use mrs_fs::MemFs;
@@ -726,44 +525,6 @@ mod tests {
         assert!(job.fetch_all(m).is_err());
     }
 
-    #[test]
-    fn discard_with_live_consumers_is_ignored_not_hung() {
-        // Regression: discarding a dataset that queued-but-unrun consumers
-        // still need must be refused, otherwise those tasks never become
-        // ready and wait() hangs forever.
-        // Self-feeding program: reduce output is valid map input.
-        struct SelfFeed;
-        impl MapReduce for SelfFeed {
-            type K1 = String;
-            type V1 = u64;
-            type K2 = String;
-            type V2 = u64;
-            fn map(&self, k: &str, v: u64, emit: &mut dyn FnMut(&str, u64)) {
-                emit(k, v + 1);
-            }
-            fn reduce(
-                &self,
-                _k: &str,
-                vs: &mut dyn Iterator<Item = u64>,
-                emit: &mut dyn FnMut(u64),
-            ) {
-                emit(vs.sum());
-            }
-        }
-        let mut rt = LocalRuntime::pool(Arc::new(Simple(SelfFeed)), 1);
-        let mut job = Job::new(&mut rt);
-        let recs: Vec<Record> = (0..4u64).map(|i| encode_record(&format!("k{i}"), &i)).collect();
-        let src = job.local_data(recs, 2).unwrap();
-        let m1 = job.map_data(src, 0, 2, false).unwrap();
-        let r1 = job.reduce_data(m1, 0).unwrap();
-        // Queue a second round over r1, then immediately ask to discard r1.
-        let m2 = job.map_data(r1, 0, 2, false).unwrap();
-        job.discard(r1); // must be ignored: m2 still needs it
-        let r2 = job.reduce_data(m2, 0).unwrap();
-        let out = job.fetch_all(r2).unwrap();
-        assert_eq!(out.len(), 4);
-    }
-
     /// Self-feeding chain program for iterative tests: reduce output is
     /// valid map input, map scatters across keys so every partition mixes.
     struct Rotate;
@@ -868,35 +629,6 @@ mod tests {
     }
 
     #[test]
-    fn keep_pins_dataset_against_gc_until_discard() {
-        let mut rt = LocalRuntime::pool(Arc::new(Simple(Rotate)), 2);
-        let mut job = Job::new(&mut rt);
-        let src = job.local_data(rotate_input(), 2).unwrap();
-        let m1 = job.map_data(src, 0, 2, true).unwrap();
-        let r1 = job.reduce_data(m1, 0).unwrap();
-        job.keep(r1);
-        // Queue the next round over r1 *before* fetching it — without the
-        // pin, the map's completion would free r1 out from under us.
-        let m2 = job.map_data(r1, 0, 2, true).unwrap();
-        let r2 = job.reduce_data(m2, 0).unwrap();
-        job.wait(r2).unwrap();
-        assert!(job.fetch_all(r1).is_ok(), "pinned dataset must survive its last consumer");
-        job.discard(r1);
-        assert!(job.fetch_all(r1).is_err(), "explicit discard releases the pin");
-    }
-
-    #[test]
-    fn reducemap_of_reduce_output_is_error() {
-        let mut rt = LocalRuntime::pool(Arc::new(Simple(Rotate)), 1);
-        let mut job = Job::new(&mut rt);
-        let src = job.local_data(rotate_input(), 1).unwrap();
-        let m = job.map_data(src, 0, 2, false).unwrap();
-        let r = job.reduce_data(m, 0).unwrap();
-        assert!(job.reduce_map_data(r, 0, 0, 2, false).is_err());
-        assert!(job.reduce_map_data(src, 0, 0, 2, false).is_err());
-    }
-
-    #[test]
     fn every_reduce_input_run_is_a_presorted_merge_run_on_both_planes() {
         let data = input(&["the quick brown fox", "jumps over the lazy dog", "the end the"]);
         let run = |mut rt: LocalRuntime| {
@@ -969,10 +701,9 @@ mod tests {
         rt.wait(mapped).unwrap();
         rt.keep(mapped);
         {
-            let mut st = rt.shared.state.lock();
-            let map_task = TaskRef { data: mapped, index: 1 };
-            let split = task_input(&mut st, map_task, false).unwrap().input;
-            let DsState::Source(splits) = &st.datasets[src.0 as usize] else { panic!("source") };
+            let st = rt.shared.state.lock();
+            let split = st.plan.input(mapped, 1);
+            let Ds::Source(splits) = &st.plan.datasets()[src.0 as usize] else { panic!("source") };
             assert_eq!(split.len(), 1);
             assert!(Arc::ptr_eq(&split[0], &splits[1]), "the split is handed over, not copied");
         }
@@ -980,15 +711,12 @@ mod tests {
         rt.keep(reduced);
         rt.wait(reduced).unwrap();
         {
-            let mut st = rt.shared.state.lock();
-            let reduce_task = TaskRef { data: reduced, index: 2 };
-            let runs = task_input(&mut st, reduce_task, false).unwrap().input;
-            let DsState::Op { tasks, .. } = &st.datasets[mapped.0 as usize] else {
-                panic!("map output")
-            };
+            let st = rt.shared.state.lock();
+            let runs = st.plan.input(reduced, 2);
+            let tasks = st.plan.at(mapped).expect("map output").tasks();
             assert_eq!(runs.len(), 2, "one run per map task");
             for (run, task) in runs.iter().zip(tasks) {
-                assert!(Arc::ptr_eq(run, &task.as_ref().unwrap()[2]), "runs are handed over");
+                assert!(Arc::ptr_eq(run, &task.out().unwrap()[2]), "runs are handed over");
             }
         }
         let first = rt.fetch_all(reduced).unwrap();

@@ -32,6 +32,7 @@ use crate::data::{split_slices, DataId};
 use crate::dataplane;
 use crate::job::JobApi;
 use crate::metrics::JobMetrics;
+use crate::plan::{Ds, Plan};
 use crate::proto::{
     fetch_buckets, trace_op, Assignment, CancelOrder, DataPlane, Dispatch, EagerFragment,
     SpeculateMode, TaskKind, TaskMsg, TaskReport, TraceBatch,
@@ -43,7 +44,7 @@ use mrs_fs::Store;
 use mrs_rpc::{DataServer, FrameCache, Pages, Response};
 use mrs_trace::{ClockSync, GlobalEvent, JobTrace, Recorder, TraceHandle, MASTER_PID};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -124,56 +125,27 @@ struct Attempt {
     speculative: bool,
 }
 
-#[derive(Clone, Debug, PartialEq)]
-enum SlotState {
-    /// Not running and not done (may or may not be dispatchable yet).
-    Pending,
-    /// At least one attempt is running (more than one while a speculative
-    /// backup races the original).
-    Running(Vec<Attempt>),
-    /// Completed; `owner` is the slave holding the data on the direct data
-    /// plane (None when outputs live on the shared filesystem).
-    Done { urls: Vec<String>, owner: Option<SlaveId> },
-}
-
-#[derive(Clone, Debug)]
-struct TaskSlot {
-    state: SlotState,
+/// The master's own state of one task of the plan. The plan knows whether
+/// the task is committed; a task with no live attempt and no committed
+/// output is pending (it may or may not be dispatchable yet).
+#[derive(Debug, Default)]
+struct Slot {
+    /// The live attempts: more than one while a speculative backup races
+    /// the original, none once the task is committed.
+    running: Vec<Attempt>,
     /// Charged execution attempts, compared against `max_attempts` (fetch
     /// failures are forgiven and decrement this).
     attempts: u32,
     /// Monotonic attempt-id generator; unlike `attempts` it never goes
     /// down, so ids are never reused within a slot.
     next_attempt: u32,
-}
-
-impl TaskSlot {
-    fn new() -> Self {
-        TaskSlot { state: SlotState::Pending, attempts: 0, next_attempt: 0 }
-    }
-}
-
-#[derive(Debug)]
-enum MDs {
-    /// A source `local_data` is still storing: not complete, not consumable.
-    Loading,
-    /// Job input, already materialized as bucket files; one URL per split.
-    Source {
-        urls: Vec<String>,
-    },
-    /// A queued/running/complete operation.
-    Op {
-        input: DataId,
-        /// What every task of the op runs.
-        spec: TaskSpec,
-        tasks: Vec<TaskSlot>,
-        done_count: usize,
-        /// Wall-clock runtimes (µs) of this op's committed attempts — the
-        /// streaming estimate whose median sets the straggler cutoff for
-        /// speculative backups.
-        runtimes: Vec<u64>,
-    },
-    Discarded,
+    /// The slave holding the committed output on the direct data plane
+    /// (None when outputs live on the shared filesystem).
+    owner: Option<SlaveId>,
+    /// Wall-clock runtime (µs) of the committed attempt: the sample whose
+    /// median over the op sets the straggler cutoff for speculative
+    /// backups.
+    runtime_us: Option<u64>,
 }
 
 /// What an affinity claim is keyed by: task kind, program function (the
@@ -201,31 +173,9 @@ fn straggler_cutoff(median: Duration, threshold: f64) -> Duration {
 }
 
 /// Median of a (small, unsorted) runtime sample; `None` when empty.
-fn median_micros(samples: &[u64]) -> Option<u64> {
-    if samples.is_empty() {
-        return None;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    Some(sorted[sorted.len() / 2])
-}
-
-impl MDs {
-    fn complete(&self) -> bool {
-        match self {
-            MDs::Source { .. } | MDs::Discarded => true,
-            MDs::Loading => false,
-            MDs::Op { tasks, done_count, .. } => *done_count == tasks.len(),
-        }
-    }
-
-    /// What this op runs, if it is an op over dataset `data`.
-    fn reader_of(&self, data: u32) -> Option<&TaskSpec> {
-        match self {
-            MDs::Op { input, spec, .. } if input.0 == data => Some(spec),
-            _ => None,
-        }
-    }
+fn median_micros(mut samples: Vec<u64>) -> Option<u64> {
+    samples.sort_unstable();
+    samples.get(samples.len() / 2).copied()
 }
 
 #[derive(Clone)]
@@ -239,18 +189,9 @@ struct SlaveInfo {
 }
 
 struct MState {
-    datasets: Vec<MDs>,
-    /// Ids of the incomplete ops, ascending: all a poll ever walks, so it
-    /// costs the same after a thousand discarded jobs as after none.
-    live: Vec<u32>,
-    /// Remaining registered consumers per dataset (index-aligned with
-    /// `datasets`): incremented when an op is queued over the dataset,
-    /// decremented when that op completes. Lifetime GC frees a dataset
-    /// when its count returns to zero.
-    consumers: Vec<u32>,
-    /// Datasets pinned by `keep` — exempt from lifetime GC until an
-    /// explicit discard.
-    pins: HashSet<u32>,
+    /// The task graph: datasets, readiness, the barrier, lifetime GC.
+    /// Everything below is policy over it.
+    plan: Plan<String, Slot>,
     /// Per-slave frame-cache purge orders not yet delivered; drained onto
     /// the next [`Master::poll`] answer for that slave.
     pending_purge: Vec<Vec<String>>,
@@ -278,21 +219,6 @@ struct MState {
     /// that a report which completes nothing wakes no driver.
     sleeper_wakes: u64,
     metrics: JobMetrics,
-}
-
-impl MState {
-    /// The incomplete ops, oldest first.
-    fn live_ops(&self) -> impl Iterator<Item = (usize, &MDs)> {
-        self.live.iter().map(|&d| (d as usize, &self.datasets[d as usize]))
-    }
-
-    /// Recompute `live` after completed tasks were sent back to `Pending`
-    /// (a dead slave's outputs, an unfetchable bucket's producer).
-    fn reopen_ops(&mut self) {
-        let open = |ds: &MDs| matches!(ds, MDs::Op { .. }) && !ds.complete();
-        self.live =
-            (0..self.datasets.len() as u32).filter(|&d| open(&self.datasets[d as usize])).collect();
-    }
 }
 
 /// Master-side trace state: its own recorder (dispatch/report/cancel
@@ -355,14 +281,12 @@ impl Master {
     pub fn new(cfg: MasterConfig, plane: DataPlane) -> Result<Master> {
         let source_frames = Arc::new(FrameCache::new());
         let trace = cfg.trace.then(MasterTrace::new);
+        let plan = Plan::new(cfg.keep_data);
         let master = Master {
             shared: Arc::new(MasterShared {
                 cfg,
                 state: Mutex::new(MState {
-                    datasets: Vec::new(),
-                    live: Vec::new(),
-                    consumers: Vec::new(),
-                    pins: HashSet::new(),
+                    plan,
                     pending_purge: Vec::new(),
                     pending_eager: Vec::new(),
                     pending_cancel: Vec::new(),
@@ -422,21 +346,22 @@ impl Master {
         let slaves = st.slaves.clone();
         // (id, op name or `None` for a source, tasks or splits, done, running)
         let rows: Vec<(usize, Option<&str>, usize, usize, usize)> = st
-            .datasets
+            .plan
+            .datasets()
             .iter()
             .enumerate()
             .filter_map(|(d, ds)| match ds {
-                MDs::Discarded => None,
-                MDs::Loading => Some((d, None, 0, 0, 0)),
-                MDs::Source { urls } => Some((d, None, urls.len(), 0, 0)),
-                MDs::Op { spec, tasks, done_count, .. } => {
-                    let running =
-                        tasks.iter().filter(|t| matches!(t.state, SlotState::Running(_))).count();
-                    Some((d, Some(trace_op(spec).as_str()), tasks.len(), *done_count, running))
+                Ds::Discarded => None,
+                Ds::Loading => Some((d, None, 0, 0, 0)),
+                Ds::Source(urls) => Some((d, None, urls.len(), 0, 0)),
+                Ds::Op(op) => {
+                    let (tasks, name) = (op.tasks(), trace_op(&op.spec).as_str());
+                    let running = tasks.iter().filter(|t| !t.x.running.is_empty()).count();
+                    Some((d, Some(name), tasks.len(), op.done(), running))
                 }
             })
             .collect();
-        let discarded = st.datasets.len() - rows.len();
+        let discarded = st.plan.datasets().len() - rows.len();
         let (executed, retried) = (st.metrics.tasks_executed(), st.metrics.tasks_retried());
         drop(st);
 
@@ -749,15 +674,10 @@ impl Master {
         // therefore never leave the accounting stale. Every racing attempt
         // occupies a slot on its slave, so attempts are counted, not slots.
         let mut in_flight = vec![0usize; st.slaves.len()];
-        for (_, ds) in st.live_ops() {
-            let MDs::Op { tasks, .. } = ds else { continue };
-            for slot in tasks {
-                if let SlotState::Running(attempts) = &slot.state {
-                    for a in attempts {
-                        if let Some(n) = in_flight.get_mut(a.slave as usize) {
-                            *n += 1;
-                        }
-                    }
+        for (_, op) in st.plan.live_ops() {
+            for a in op.tasks().iter().flat_map(|t| &t.x.running) {
+                if let Some(n) = in_flight.get_mut(a.slave as usize) {
+                    *n += 1;
                 }
             }
         }
@@ -774,11 +694,8 @@ impl Master {
                     None => break,
                 },
             };
-            let MDs::Op { input, spec, .. } = &st.datasets[data.0 as usize] else {
-                unreachable!("candidates only contain ops");
-            };
-            let spec = *spec;
-            let inputs = self.input_urls(st, *input, &spec, index);
+            let spec = st.plan.at(data).expect("candidates only contain ops").spec;
+            let inputs = st.plan.input(data, index);
             if speculative {
                 st.metrics.record_speculative_launch();
             } else {
@@ -791,16 +708,12 @@ impl Master {
                     st.metrics.record_steal();
                 }
             }
-            let MDs::Op { tasks, .. } = &mut st.datasets[data.0 as usize] else { unreachable!() };
-            let slot = &mut tasks[index];
+            let slot = st.plan.x_mut(data, index).expect("candidates only contain ops");
             slot.next_attempt += 1;
             slot.attempts += 1;
             let attempt =
                 Attempt { id: slot.next_attempt, slave, started: Instant::now(), speculative };
-            match &mut slot.state {
-                SlotState::Running(attempts) if speculative => attempts.push(attempt),
-                state => *state = SlotState::Running(vec![attempt]),
-            }
+            slot.running.push(attempt);
             in_flight[slave as usize] += 1;
             let tag = mrs_trace::Tag::task(trace_op(&spec), data.0, index, attempt.id);
             self.trace_instant(slave, mrs_trace::Name::Dispatch, tag);
@@ -834,24 +747,17 @@ impl Master {
         slave: SlaveId,
         in_flight: &[usize],
     ) -> Option<(DataId, usize, bool)> {
-        // Collect dispatchable tasks: Pending with satisfied inputs.
+        // Collect dispatchable tasks: pending, with satisfied inputs.
         let mut candidates: Vec<(DataId, usize)> = Vec::new();
-        for (d, ds) in st.live_ops() {
-            let MDs::Op { input, spec, tasks, .. } = ds else { continue };
-            for (i, slot) in tasks.iter().enumerate() {
-                if slot.state != SlotState::Pending {
-                    continue;
-                }
-                if Self::input_ready(st, *input, spec, i) {
-                    candidates.push((DataId(d as u32), i));
-                }
+        st.plan.runnable().for_each(|(d, i, op)| {
+            if op.tasks()[i].x.running.is_empty() {
+                candidates.push((d, i));
             }
-        }
+        });
         let &first = candidates.first()?;
 
         let owner_of = |d: DataId, i: usize| -> Option<SlaveId> {
-            let MDs::Op { spec, .. } = &st.datasets[d.0 as usize] else { return None };
-            st.affinity.get(&claim(spec, i)).copied()
+            st.affinity.get(&claim(&st.plan.at(d)?.spec, i)).copied()
         };
         let live = |s: SlaveId| st.slaves.get(s as usize).map(|x| x.alive).unwrap_or(false);
         // Fractional load (busy, slots) for cross-multiplied comparison.
@@ -898,53 +804,6 @@ impl Master {
         Some((first.0, first.1, false))
     }
 
-    fn input_ready(st: &MState, input: DataId, spec: &TaskSpec, index: usize) -> bool {
-        match &st.datasets[input.0 as usize] {
-            MDs::Source { .. } => !spec.gathers(),
-            MDs::Op { spec: input_spec, tasks, done_count, .. } => {
-                let map_like_input = input_spec.parts().is_some();
-                if spec.gathers() {
-                    // reduce-like tasks (plain or fused) need the whole
-                    // map-like output to gather their partition
-                    map_like_input && *done_count == tasks.len()
-                } else {
-                    // map task i needs split i of a reduce output
-                    !map_like_input
-                        && matches!(
-                            tasks.get(index).map(|t| &t.state),
-                            Some(SlotState::Done { .. })
-                        )
-                }
-            }
-            MDs::Discarded | MDs::Loading => false,
-        }
-    }
-
-    fn input_urls(&self, st: &MState, input: DataId, spec: &TaskSpec, index: usize) -> Vec<String> {
-        match &st.datasets[input.0 as usize] {
-            MDs::Source { urls } => vec![urls[index].clone()],
-            MDs::Op { tasks, .. } => {
-                if !spec.gathers() {
-                    // reduce output split `index`: its single url
-                    match &tasks[index].state {
-                        SlotState::Done { urls, .. } => urls.clone(),
-                        _ => Vec::new(),
-                    }
-                } else {
-                    // partition `index` of every map-like task
-                    tasks
-                        .iter()
-                        .filter_map(|t| match &t.state {
-                            SlotState::Done { urls, .. } => urls.get(index).cloned(),
-                            _ => None,
-                        })
-                        .collect()
-                }
-            }
-            MDs::Discarded | MDs::Loading => Vec::new(),
-        }
-    }
-
     /// Straggler candidates for speculation: running single-attempt tasks
     /// of ops past the wave threshold (≥ 75% complete), each paired with
     /// its cutoff instant — `started +` [`straggler_cutoff`] of the median
@@ -956,23 +815,22 @@ impl Master {
             return Vec::new();
         };
         let mut out = Vec::new();
-        for (d, ds) in st.live_ops() {
-            let MDs::Op { input, spec, tasks, done_count, runtimes } = ds else { continue };
-            if *done_count == 0 || *done_count * 4 < tasks.len() * 3 {
+        for (d, op) in st.plan.live_ops() {
+            let tasks = op.tasks();
+            if op.done() == 0 || op.done() * 4 < tasks.len() * 3 {
                 continue;
             }
+            let runtimes = tasks.iter().filter_map(|t| t.x.runtime_us).collect();
             let Some(median) = median_micros(runtimes) else { continue };
             let cutoff = straggler_cutoff(Duration::from_micros(median), threshold);
-            for (i, slot) in tasks.iter().enumerate() {
-                let SlotState::Running(attempts) = &slot.state else { continue };
-                let [a] = attempts.as_slice() else { continue };
+            for (i, task) in tasks.iter().enumerate() {
+                let [a] = task.x.running.as_slice() else { continue };
                 // A producer re-execution (dead slave on the direct plane)
                 // can unready the input of a still-running consumer; a
                 // backup could not fetch, so skip it.
-                if !Self::input_ready(st, *input, spec, i) {
-                    continue;
+                if st.plan.ready(op, i) {
+                    out.push((d, i, *a, a.started + cutoff));
                 }
-                out.push((DataId(d as u32), i, *a, a.started + cutoff));
             }
         }
         out
@@ -988,12 +846,8 @@ impl Master {
             if a.slave == slave || now < deadline {
                 continue;
             }
-            let warm = {
-                let MDs::Op { spec, .. } = &st.datasets[d.0 as usize] else {
-                    unreachable!("candidates only contain ops")
-                };
-                st.affinity.get(&claim(spec, i)) == Some(&slave)
-            };
+            let spec = &st.plan.at(d).expect("candidates only contain ops").spec;
+            let warm = st.affinity.get(&claim(spec, i)) == Some(&slave);
             let key = (warm, now - deadline);
             if best.as_ref().is_none_or(|(k, _)| key > *k) {
                 best = Some((key, (d, i)));
@@ -1049,122 +903,88 @@ impl Master {
         attempt: u32,
         urls: Vec<String>,
     ) -> bool {
-        let owner = match self.shared.plane {
-            DataPlane::Direct => Some(slave),
-            DataPlane::SharedFs(_) => None,
-        };
-        // Attempt ids start at 1; the wire decoders reject 0 already.
-        if attempt == 0 {
+        let id = DataId(data);
+        // The commit point. The report must name an attempt that is live
+        // on the reporting slave. Any other report — a duplicate, one from
+        // a superseded attempt (cancelled, swept, or beaten to this very
+        // point), one for a slot a fetch failure sent back to pending — is
+        // stale: its URLs are never published and its completion is never
+        // counted.
+        let Some(slot) = st.plan.x_mut(id, index) else { return false };
+        let Some(won) = slot.running.iter().position(|a| a.slave == slave && a.id == attempt)
+        else {
             return false;
-        }
-        let mut done_spec: Option<TaskSpec> = None;
-        let mut op_complete: Option<DataId> = None;
-        // Racing attempts the winner beat: (slave, attempt-id, speculative,
-        // elapsed). The winner itself: (speculative, elapsed).
-        let mut losers: Vec<(SlaveId, u32, bool, Duration)> = Vec::new();
-        let mut winner: Option<(bool, Duration)> = None;
-        if let Some(MDs::Op { tasks, done_count, spec, input, runtimes }) =
-            st.datasets.get_mut(data as usize)
-        {
-            let Some(slot) = tasks.get_mut(index) else { return false };
-            match &slot.state {
-                SlotState::Done { .. } => return false, // duplicate report: ignore
-                SlotState::Running(attempts) => {
-                    // The commit point. The report must name an attempt
-                    // that is live on the reporting slave. A report from a
-                    // superseded attempt (cancelled, swept, or beaten to
-                    // this very point) is stale: its URLs are never
-                    // published and its completion is never counted.
-                    let won = attempts.iter().position(|a| a.slave == slave && a.id == attempt);
-                    let Some(won) = won else { return false };
-                    let now = Instant::now();
-                    let w = attempts[won];
-                    winner = Some((w.speculative, now - w.started));
-                    runtimes.push((now - w.started).as_micros() as u64);
-                    for (p, a) in attempts.iter().enumerate() {
-                        if p != won {
-                            losers.push((a.slave, a.id, a.speculative, now - a.started));
-                        }
-                    }
-                }
-                // Pending: an out-of-band completion for a task the master
-                // no longer thinks is running (requeued by a sweep, but the
-                // presumed-dead slave finished anyway). The output is real;
-                // accept it and the requeue becomes unnecessary.
-                SlotState::Pending => {}
-            }
-            slot.state = SlotState::Done { urls, owner };
-            *done_count += 1;
-            done_spec = Some(*spec);
-            if *done_count == tasks.len() {
-                op_complete = Some(*input);
-            }
-        }
+        };
+        // The racing attempts the winner beat.
+        let mut losers = std::mem::take(&mut slot.running);
+        let winner = losers.remove(won);
+        let now = Instant::now();
+        slot.runtime_us = Some((now - winner.started).as_micros() as u64);
+        slot.owner = matches!(self.shared.plane, DataPlane::Direct).then_some(slave);
+        let spec = st.plan.at(id).expect("the slot's op").spec;
+        let done = st.plan.commit(id, index, urls);
         // Losers get cancellation orders piggybacked on their slave's next
         // poll; the winner's margin over the slowest loser is the straggler
         // time a speculative win saved.
-        let op = done_spec.as_ref().map(trace_op).unwrap_or_default();
-        let slowest_loser = losers.iter().map(|l| l.3).max().unwrap_or(Duration::ZERO);
+        let op = trace_op(&spec);
+        let slowest_loser = losers.iter().map(|l| now - l.started).max().unwrap_or(Duration::ZERO);
         let mut wake = !losers.is_empty();
-        for (l_slave, l_id, l_speculative, _) in losers {
-            if let Some(q) = st.pending_cancel.get_mut(l_slave as usize) {
-                q.push(CancelOrder { data, index, attempt: l_id });
+        for l in losers {
+            if let Some(q) = st.pending_cancel.get_mut(l.slave as usize) {
+                q.push(CancelOrder { data, index, attempt: l.id });
             }
             self.trace_instant(
-                l_slave,
+                l.slave,
                 mrs_trace::Name::Cancel,
-                mrs_trace::Tag::task(op, data, index, l_id),
+                mrs_trace::Tag::task(op, data, index, l.id),
             );
             st.metrics.record_cancel();
-            if l_speculative {
+            if l.speculative {
                 st.metrics.record_speculative_loss();
             }
         }
-        if let Some((true, w_elapsed)) = winner {
-            st.metrics.record_speculative_win(slowest_loser.saturating_sub(w_elapsed));
+        if winner.speculative {
+            st.metrics.record_speculative_win(slowest_loser.saturating_sub(now - winner.started));
         }
-        if let Some(spec) = done_spec {
-            self.trace_instant(
-                slave,
-                mrs_trace::Name::Report,
-                mrs_trace::Tag::task(op, data, index, attempt),
-            );
-            st.metrics.record_task();
-            if matches!(spec, TaskSpec::ReduceMap { .. }) {
-                // Time and shuffle bytes happened slave-side; the master
-                // only observes that a fused task completed.
-                st.metrics.record_reducemap_task(Duration::ZERO, 0);
-            }
-            if self.shared.cfg.use_affinity {
-                st.affinity.insert(claim(&spec, index), slave);
-            }
-            // The report that completes the dataset announces nothing:
-            // its consumers become runnable under this same lock and their
-            // task messages carry these same URLs, so a fragment would only
-            // be fetched twice.
-            if spec.parts().is_some() && op_complete.is_none() {
-                self.publish_eager_locked(st, data, Some(index));
-            }
-            // A map task reads one split of a reduce output, so it is runnable
-            // with that split, ahead of the op's barrier; and a report that
-            // leaves a straggler candidate behind moves the instant a parked
-            // poll must wake to back it up.
-            wake |= st.parked > 0
-                && (spec.parts().is_none()
-                    && st
-                        .live_ops()
-                        .any(|(_, ds)| ds.reader_of(data).is_some_and(|s| !s.gathers()))
-                    || op_complete.is_none() && !self.straggler_candidates(st).is_empty());
+        self.trace_instant(
+            slave,
+            mrs_trace::Name::Report,
+            mrs_trace::Tag::task(op, data, index, attempt),
+        );
+        st.metrics.record_task();
+        if matches!(spec, TaskSpec::ReduceMap { .. }) {
+            // Time and shuffle bytes happened slave-side; the master
+            // only observes that a fused task completed.
+            st.metrics.record_reducemap_task(Duration::ZERO, 0);
         }
-        if let Some(input) = op_complete {
+        if self.shared.cfg.use_affinity {
+            st.affinity.insert(claim(&spec, index), slave);
+        }
+        // The report that completes the dataset announces nothing:
+        // its consumers become runnable under this same lock and their
+        // task messages carry these same URLs, so a fragment would only
+        // be fetched twice.
+        if spec.parts().is_some() && !done.completed {
+            self.publish_eager_locked(st, id, Some(index));
+        }
+        // A map task reads one split of a reduce output, so it is runnable
+        // with that split, ahead of the op's barrier; and a report that
+        // leaves a straggler candidate behind moves the instant a parked
+        // poll must wake to back it up.
+        wake |= st.parked > 0
+            && (spec.parts().is_none()
+                && st.plan.live_ops().any(|(_, op)| op.input == id && !op.spec.gathers())
+                || !done.completed && !self.straggler_candidates(st).is_empty());
+        if done.completed {
             // The op's output is now fully materialized, and the op no
             // longer needs its input.
-            st.live.retain(|&d| d != data);
             st.metrics.record_dataset_live();
-            self.release_consumer(st, input);
+            if let Some(spent) = done.freed {
+                self.reclaimed_locked(st, spent, false, true);
+            }
             self.wake_sleepers(st);
         }
-        wake || op_complete.is_some()
+        wake || done.completed
     }
 
     /// Publish finished map-like fragments of dataset `data` to the slaves
@@ -1179,33 +999,30 @@ impl Master {
     /// task where the bytes already are. Re-executed producers publish
     /// fresh URLs (a new `s{slave}/` prefix), so a stale fragment is never
     /// re-announced. Direct plane only; no-op when eager shuffle is off.
-    fn publish_eager_locked(&self, st: &mut MState, data: u32, only_task: Option<usize>) {
+    fn publish_eager_locked(&self, st: &mut MState, data: DataId, only_task: Option<usize>) {
         if !self.shared.cfg.eager_shuffle || !matches!(self.shared.plane, DataPlane::Direct) {
             return;
         }
         // Consumers of this dataset that still have work left and are
         // reduce-like on the *input* side: plain reduces and fused ReduceMaps.
         let consumers: Vec<TaskSpec> = st
+            .plan
             .live_ops()
-            .filter_map(|(_, ds)| ds.reader_of(data).filter(|s| s.gathers()).copied())
+            .filter(|(_, op)| op.input == data && op.spec.gathers())
+            .map(|(_, op)| op.spec)
             .collect();
         if consumers.is_empty() {
             return;
         }
-        let Some(MDs::Op { spec: prod, tasks, .. }) = st.datasets.get(data as usize) else {
+        let Some(producer) = st.plan.at(data).filter(|op| op.spec.parts().is_some()) else {
             return;
         };
-        if prod.parts().is_none() {
-            return;
-        }
-        let frags: Vec<Vec<String>> = tasks
+        let frags: Vec<Vec<String>> = producer
+            .tasks()
             .iter()
             .enumerate()
             .filter(|(i, _)| only_task.is_none_or(|t| t == *i))
-            .filter_map(|(_, slot)| match &slot.state {
-                SlotState::Done { urls, .. } => Some(urls.clone()),
-                _ => None,
-            })
+            .filter_map(|(_, task)| Some(task.out()?.to_vec()))
             .collect();
         let live: Vec<SlaveId> = st
             .slaves
@@ -1231,7 +1048,7 @@ impl Master {
                         }
                     };
                     if let Some(q) = st.pending_eager.get_mut(owner as usize) {
-                        q.push(EagerFragment { data, partition: p, url: url.clone() });
+                        q.push(EagerFragment { data: data.0, partition: p, url: url.clone() });
                     }
                 }
             }
@@ -1240,36 +1057,11 @@ impl Master {
         // slave is sent anyway.
     }
 
-    /// Release the refcount a completed op held on `input`; when that was
-    /// the last registered consumer, reclaim the dataset (lifetime GC).
-    /// Sources are exempt: real Mrs re-reads job input from the
-    /// filesystem, so keeping splits means a first-level map task can
-    /// always be re-executed after a slave death. Only an explicit
-    /// discard frees them.
-    fn release_consumer(&self, st: &mut MState, input: DataId) {
-        let c = &mut st.consumers[input.0 as usize];
-        *c = c.saturating_sub(1);
-        if *c == 0
-            && !self.shared.cfg.keep_data
-            && !st.pins.contains(&input.0)
-            && !matches!(st.datasets[input.0 as usize], MDs::Source { .. })
-        {
-            self.free_dataset(st, input, true);
-        }
-    }
-
-    /// Drop a dataset's storage everywhere: master-held source frames are
-    /// removed immediately; slave-held frames are purged via orders
-    /// piggybacked on each slave's next poll (direct plane only — on a
-    /// shared filesystem slaves hold no frames). No-op unless the dataset
-    /// is complete and not already gone.
-    fn free_dataset(&self, st: &mut MState, data: DataId, by_gc: bool) {
-        let slot = &mut st.datasets[data.0 as usize];
-        if !slot.complete() || matches!(slot, MDs::Discarded) {
-            return;
-        }
-        let was_source = matches!(slot, MDs::Source { .. });
-        *slot = MDs::Discarded;
+    /// The plan reclaimed dataset `data`: drop its storage everywhere.
+    /// Master-held source frames are removed immediately; slave-held
+    /// frames are purged via orders piggybacked on each slave's next poll
+    /// (direct plane only — on a shared filesystem slaves hold no frames).
+    fn reclaimed_locked(&self, st: &mut MState, data: DataId, was_source: bool, by_gc: bool) {
         st.metrics.record_dataset_freed(by_gc);
         if was_source {
             self.shared.source_frames.remove_prefix(&format!("src{}/", data.0));
@@ -1280,25 +1072,12 @@ impl Master {
         }
     }
 
-    /// Fail the job if any re-queued task's input has been reclaimed by
-    /// lifetime GC: re-execution cannot proceed without it. Called from the
-    /// failure/requeue paths — during normal forward progress a pending
-    /// task's input is refcounted alive.
-    fn check_freed_inputs(st: &mut MState) {
-        if st.error.is_some() {
-            return;
-        }
-        let lost = st.live_ops().find_map(|(_, ds)| match ds {
-            MDs::Op { input, tasks, .. } if tasks.iter().any(|t| t.state == SlotState::Pending) => {
-                matches!(st.datasets[input.0 as usize], MDs::Discarded).then_some(input.0)
-            }
-            _ => None,
-        });
-        if let Some(input) = lost {
-            st.error = Some(format!(
-                "task input (dataset {input}) was reclaimed by lifetime GC before re-execution; \
-                 re-run with --mrs-keep-data"
-            ));
+    /// Send a committed task whose output was lost back to pending. Fails
+    /// the job if its input has been reclaimed by lifetime GC meanwhile:
+    /// re-execution cannot proceed without it.
+    fn reopen_locked(st: &mut MState, data: DataId, index: usize) {
+        if let Err(e) = st.plan.reopen(data, index) {
+            st.error.get_or_insert(format!("{e}; re-run with --mrs-keep-data"));
         }
     }
 
@@ -1321,70 +1100,42 @@ impl Master {
     ) {
         let mut st = self.shared.state.lock();
         Self::touch(&mut st, slave);
-        let max = self.shared.cfg.max_attempts;
-        let mut fail_job = None;
-        let mut found = false;
-        let mut speculative_lost = false;
-        if let Some(MDs::Op { tasks, .. }) = st.datasets.get_mut(data as usize) {
-            let slot = &mut tasks[index];
-            let mut emptied = false;
-            if let SlotState::Running(attempts) = &mut slot.state {
-                let pos = attempts.iter().position(|a| a.slave == slave && a.id == attempt);
-                if let Some(pos) = pos {
-                    found = true;
-                    let removed = attempts.remove(pos);
-                    // A failed backup while the original still runs is just
-                    // a lost speculation, not a task failure.
-                    speculative_lost = removed.speculative && !attempts.is_empty();
-                    emptied = attempts.is_empty();
-                }
-            }
-            if found {
-                if failed_input.is_some() {
-                    // Fetch failure: forgive the attempt.
-                    slot.attempts = slot.attempts.saturating_sub(1);
-                }
-                if emptied {
-                    if failed_input.is_none() && slot.attempts >= max {
-                        fail_job = Some(format!(
-                            "task (data {data}, index {index}) failed {} times; last error: {msg}",
-                            slot.attempts
-                        ));
-                    } else {
-                        slot.state = SlotState::Pending;
-                    }
-                }
-            }
-        }
-        if !found {
-            // Stale failure from a cancelled or superseded attempt: the
-            // slot moved on, nothing to re-queue or charge.
+        // A failure naming no live attempt of this slave is stale (the
+        // attempt was cancelled or superseded): the slot moved on, nothing
+        // to re-queue or charge.
+        let Some(slot) = st.plan.x_mut(DataId(data), index) else { return };
+        let Some(pos) = slot.running.iter().position(|a| a.slave == slave && a.id == attempt)
+        else {
             return;
+        };
+        // A failed backup while the original still runs is just a lost
+        // speculation, not a task failure.
+        let speculative_lost = slot.running.remove(pos).speculative && !slot.running.is_empty();
+        if failed_input.is_some() {
+            // Fetch failure: forgive the attempt.
+            slot.attempts = slot.attempts.saturating_sub(1);
+        }
+        // With no attempt left the task is pending again, unless it has
+        // used up its attempts.
+        let attempts = slot.attempts;
+        let exhausted = slot.running.is_empty() && attempts >= self.shared.cfg.max_attempts;
+        if exhausted && failed_input.is_none() {
+            st.error = Some(format!(
+                "task (data {data}, index {index}) failed {attempts} times; last error: {msg}"
+            ));
         }
         if speculative_lost {
             st.metrics.record_speculative_loss();
         }
-        // Re-execute the task that produced the unfetchable URL.
-        if let Some(url) = failed_input {
-            'outer: for ds in &mut st.datasets {
-                let MDs::Op { tasks, done_count, .. } = ds else { continue };
-                for slot in tasks.iter_mut() {
-                    if let SlotState::Done { urls, .. } = &slot.state {
-                        if urls.iter().any(|u| u == url) {
-                            slot.state = SlotState::Pending;
-                            *done_count -= 1;
-                            break 'outer;
-                        }
-                    }
-                }
-            }
-            st.reopen_ops();
-        }
         st.metrics.record_retry();
-        if let Some(e) = fail_job {
-            st.error = Some(e);
+        // Re-execute the task that produced the unfetchable URL.
+        let producer = failed_input.and_then(|url| {
+            let holds = |urls: &[String]| urls.iter().any(|u| u == url);
+            st.plan.tasks_mut().find(|(_, _, t)| t.out().is_some_and(holds)).map(|(d, i, _)| (d, i))
+        });
+        if let Some((producer, task)) = producer {
+            Self::reopen_locked(&mut st, producer, task);
         }
-        Self::check_freed_inputs(&mut st);
         Self::wake_dispatch(&mut st, &self.shared.dispatch_cv);
         if st.error.is_some() {
             self.wake_sleepers(&mut st);
@@ -1411,37 +1162,32 @@ impl Master {
         }
         let mut requeued = 0u32;
         let mut speculative_lost = 0u32;
-        for ds in &mut st.datasets {
-            let MDs::Op { tasks, done_count, .. } = ds else { continue };
-            for slot in tasks.iter_mut() {
-                match &mut slot.state {
-                    SlotState::Running(attempts) => {
-                        let had_any = !attempts.is_empty();
-                        attempts.retain(|a| {
-                            let dead = newly_dead.contains(&a.slave);
-                            if dead && a.speculative {
-                                speculative_lost += 1;
-                            }
-                            !dead
-                        });
-                        // Re-queue only when every racing attempt died; a
-                        // surviving attempt (original or backup) still owns
-                        // the slot and will report in its own time.
-                        if had_any && attempts.is_empty() {
-                            slot.state = SlotState::Pending;
-                            requeued += 1;
-                        }
-                    }
-                    SlotState::Done { owner: Some(s), .. } if direct && newly_dead.contains(s) => {
-                        slot.state = SlotState::Pending;
-                        *done_count -= 1;
-                        requeued += 1;
-                    }
-                    _ => {}
+        let mut lost: Vec<(DataId, usize)> = Vec::new();
+        for (d, i, task) in st.plan.tasks_mut() {
+            let had_any = !task.x.running.is_empty();
+            task.x.running.retain(|a| {
+                let dead = newly_dead.contains(&a.slave);
+                if dead && a.speculative {
+                    speculative_lost += 1;
                 }
+                !dead
+            });
+            // Re-queue only when every racing attempt died; a surviving
+            // attempt (original or backup) still owns the slot and will
+            // report in its own time.
+            if had_any && task.x.running.is_empty() {
+                requeued += 1;
+            } else if direct
+                && task.out().is_some()
+                && task.x.owner.is_some_and(|s| newly_dead.contains(&s))
+            {
+                lost.push((d, i));
             }
         }
-        st.reopen_ops();
+        requeued += lost.len() as u32;
+        for (d, i) in lost {
+            Self::reopen_locked(&mut st, d, i);
+        }
         for _ in 0..requeued {
             st.metrics.record_retry();
         }
@@ -1450,10 +1196,9 @@ impl Master {
         }
         // If nobody is left to run re-queued work, fail rather than hang.
         let any_alive = st.slaves.iter().any(|s| s.alive);
-        if !any_alive && !st.live.is_empty() {
-            st.error = Some("no live slaves remain".into());
+        if !any_alive && st.plan.live_ops().next().is_some() {
+            st.error.get_or_insert("no live slaves remain".into());
         }
-        Self::check_freed_inputs(&mut st);
         // Requeued tasks (or the error) are runnable-state transitions.
         Self::wake_dispatch(&mut st, &self.shared.dispatch_cv);
         self.wake_sleepers(&mut st);
@@ -1502,56 +1247,17 @@ impl Master {
         self.shared.state.lock().slaves.get(slave as usize).map(|s| s.authority.clone())
     }
 
-    /// Queue an op running `spec` over `input`: one task per input split
-    /// for a map, one per input partition for a reduce-like op.
-    fn submit_op(&self, input: DataId, spec: TaskSpec) -> Result<DataId> {
-        if spec.parts() == Some(0) {
-            return Err(Error::Invalid("need at least one partition".into()));
-        }
+    /// Queue an op and wake the parked polls for its tasks.
+    fn submit(&self, spec: TaskSpec, input: DataId) -> Result<DataId> {
         let mut st = self.shared.state.lock();
-        let input_ds = st
-            .datasets
-            .get(input.0 as usize)
-            .ok_or_else(|| Error::MissingData(format!("dataset {input:?}")))?;
-        let input_parts = match input_ds {
-            MDs::Op { spec: input_spec, .. } => input_spec.parts(),
-            _ => None,
-        };
-        let ntasks = if spec.gathers() {
-            input_parts
-                .ok_or_else(|| Error::Invalid("reduce must consume a map-like output".into()))?
-        } else {
-            match input_ds {
-                MDs::Source { urls } => urls.len(),
-                MDs::Op { tasks, .. } if input_parts.is_none() => tasks.len(),
-                MDs::Op { .. } => {
-                    return Err(Error::Invalid("map cannot consume an unreduced map output".into()))
-                }
-                MDs::Discarded | MDs::Loading => {
-                    return Err(Error::MissingData(format!(
-                        "dataset {input:?} is discarded or loading"
-                    )))
-                }
-            }
-        };
-        st.consumers[input.0 as usize] += 1;
+        let id = st.plan.op(spec, input)?;
         if matches!(spec, TaskSpec::ReduceMap { .. }) {
             st.metrics.record_fused_op();
         }
-        st.datasets.push(MDs::Op {
-            input,
-            spec,
-            tasks: (0..ntasks).map(|_| TaskSlot::new()).collect(),
-            done_count: 0,
-            runtimes: Vec::new(),
-        });
-        st.consumers.push(0);
-        let id = DataId(st.datasets.len() as u32 - 1);
-        st.live.push(id.0);
         if spec.gathers() {
             // Maps that finished before this consumer existed are
             // publishable right now (iterative drivers submit it late).
-            self.publish_eager_locked(&mut st, input.0, None);
+            self.publish_eager_locked(&mut st, input, None);
         }
         Self::wake_dispatch(&mut st, &self.shared.dispatch_cv);
         Ok(id)
@@ -1583,23 +1289,16 @@ impl JobApi for Master {
         // Reserve the slot first so concurrent driver clones cannot collide
         // on ids or bucket paths — as `Loading`, which `wait` sleeps on and
         // nothing consumes — and publish the source once its data is stored.
-        let id = {
-            let mut st = self.shared.state.lock();
-            st.datasets.push(MDs::Loading);
-            st.consumers.push(0);
-            st.datasets.len() as u32 - 1
-        };
+        let id = self.shared.state.lock().plan.reserve();
         let urls: Result<Vec<String>> = split_slices(&records, splits)
             .enumerate()
-            .map(|(i, split)| self.put_source_split(id, i, split))
+            .map(|(i, split)| self.put_source_split(id.0, i, split))
             .collect();
         let mut st = self.shared.state.lock();
-        st.datasets[id as usize] = MDs::Discarded;
-        let published = urls.map(|urls| {
-            st.datasets[id as usize] = MDs::Source { urls };
+        let published = st.plan.source(id, urls);
+        if published.is_ok() {
             st.metrics.record_dataset_live();
-            DataId(id)
-        });
+        }
         Self::wake_dispatch(&mut st, &self.shared.dispatch_cv);
         self.wake_sleepers(&mut st);
         published
@@ -1612,11 +1311,11 @@ impl JobApi for Master {
         parts: usize,
         combine: bool,
     ) -> Result<DataId> {
-        self.submit_op(input, TaskSpec::Map { func, parts, combine })
+        self.submit(TaskSpec::Map { func, parts, combine }, input)
     }
 
     fn reduce_data(&mut self, input: DataId, func: FuncId) -> Result<DataId> {
-        self.submit_op(input, TaskSpec::Reduce { func })
+        self.submit(TaskSpec::Reduce { func }, input)
     }
 
     fn reduce_map_data(
@@ -1627,11 +1326,11 @@ impl JobApi for Master {
         parts: usize,
         combine: bool,
     ) -> Result<DataId> {
-        self.submit_op(input, TaskSpec::ReduceMap { reduce_func, map_func, parts, combine })
+        self.submit(TaskSpec::ReduceMap { reduce_func, map_func, parts, combine }, input)
     }
 
     fn keep(&mut self, data: DataId) {
-        self.shared.state.lock().pins.insert(data.0);
+        self.shared.state.lock().plan.keep(data);
     }
 
     fn wait(&mut self, data: DataId) -> Result<()> {
@@ -1640,10 +1339,8 @@ impl JobApi for Master {
             if let Some(e) = &st.error {
                 return Err(Error::TaskFailed(e.clone()));
             }
-            match st.datasets.get(data.0 as usize) {
-                None => return Err(Error::MissingData(format!("dataset {data:?}"))),
-                Some(ds) if ds.complete() => return Ok(()),
-                Some(_) => {}
+            if st.plan.complete(data)? {
+                return Ok(());
             }
             // Sleep until a completion wakes us, or until the earliest
             // instant a slave could cross the death timeout — then sweep.
@@ -1668,22 +1365,7 @@ impl JobApi for Master {
         let mut last_err = None;
         for _attempt in 0..self.shared.cfg.max_attempts {
             self.wait(data)?;
-            let urls: Vec<String> = {
-                let st = self.shared.state.lock();
-                match &st.datasets[data.0 as usize] {
-                    MDs::Source { urls } => urls.clone(),
-                    MDs::Op { tasks, .. } => tasks
-                        .iter()
-                        .flat_map(|t| match &t.state {
-                            SlotState::Done { urls, .. } => urls.clone(),
-                            _ => Vec::new(),
-                        })
-                        .collect(),
-                    MDs::Discarded | MDs::Loading => {
-                        return Err(Error::MissingData(format!("dataset {data:?} was discarded")))
-                    }
-                }
-            };
+            let urls = self.shared.state.lock().plan.outputs(data)?;
             // One round trip per slave holding a piece of the dataset,
             // parsed in URL order straight into the result vector.
             let urls: Vec<&str> = urls.iter().map(String::as_str).collect();
@@ -1721,13 +1403,8 @@ impl JobApi for Master {
 
     fn discard(&mut self, data: DataId) {
         let mut st = self.shared.state.lock();
-        // Advisory: refuse while a queued consumer still needs the data.
-        if st.consumers.get(data.0 as usize).is_some_and(|c| *c > 0) {
-            return;
-        }
-        st.pins.remove(&data.0);
-        if st.datasets.get(data.0 as usize).is_some() {
-            self.free_dataset(&mut st, data, false);
+        if let Some(old) = st.plan.discard(data) {
+            self.reclaimed_locked(&mut st, data, matches!(old, Ds::Source(_)), false);
         }
     }
 }
@@ -1826,21 +1503,6 @@ mod tests {
                 "{a:?}"
             );
         }
-        assert_eq!(m.get_tasks(s, 1), Assignment::Wait);
-    }
-
-    #[test]
-    fn reduce_not_dispatched_before_all_maps_done() {
-        let (mut m, store) = shared_master();
-        let s = m.signin("a:1", 2);
-        let src = m.local_data(records(10), 2).unwrap();
-        let mapped = m.map_data(src, 0, 2, false).unwrap();
-        let _r = m.reduce_data(mapped, 0).unwrap();
-        // Take both map tasks but complete only one.
-        let t1 = take1(m.get_tasks(s, 1));
-        let _t2 = take1(m.get_tasks(s, 1));
-        finish_task(&m, &store, s, &t1);
-        // Nothing dispatchable: the other map is running, reduce is blocked.
         assert_eq!(m.get_tasks(s, 1), Assignment::Wait);
     }
 
@@ -2577,12 +2239,10 @@ mod tests {
         // handed to `pick_backup` rather than of how fast this test runs.
         let median = Duration::from_millis(1);
         let mut st = m.shared.state.lock();
-        let MDs::Op { tasks, runtimes, .. } = &mut st.datasets[mapped.0 as usize] else {
-            panic!("map op")
-        };
-        runtimes.iter_mut().for_each(|r| *r = median.as_micros() as u64);
-        let SlotState::Running(attempts) = &tasks[ts[3].index].state else { panic!("running") };
-        let started = attempts[0].started;
+        for t in &ts[..3] {
+            st.plan.x_mut(mapped, t.index).unwrap().runtime_us = Some(median.as_micros() as u64);
+        }
+        let started = st.plan.x_mut(mapped, ts[3].index).unwrap().running[0].started;
         // Three medians in — twice the 1.5x multiple — the task is still
         // younger than a backup's own dispatch + fetch + run.
         assert_eq!(m.pick_backup(&st, s2, started + 3 * median), None);
@@ -2686,15 +2346,10 @@ mod tests {
             finish_task(&m, &store, s, &TaskMsg { attempt: stale, ..t2.clone() });
             assert_eq!(m.metrics().tasks_executed(), 0, "attempt {stale} committed");
             let st = m.shared.state.lock();
-            let MDs::Op { tasks, done_count, .. } = &st.datasets[mapped.0 as usize] else {
-                panic!("map op")
-            };
-            assert_eq!(*done_count, 0);
-            assert!(
-                matches!(&tasks[t2.index].state, SlotState::Running(a) if a.len() == 1 && a[0].id == 2),
-                "{:?}",
-                tasks[t2.index].state
-            );
+            let op = st.plan.at(mapped).expect("map op");
+            assert_eq!(op.done(), 0);
+            let running = &op.tasks()[t2.index].x.running;
+            assert!(matches!(running.as_slice(), [a] if a.id == 2), "{running:?}");
         }
         // A stale failure is equally inert; the live attempt then commits.
         m.task_failed(s, t2.data, t2.index, 0, "late", None);
@@ -2702,6 +2357,41 @@ mod tests {
         finish_task(&m, &store, s, &t2);
         m.wait(mapped).unwrap();
         assert_eq!(m.metrics().tasks_executed(), 1);
+    }
+
+    #[test]
+    fn a_replayed_report_for_a_reopened_producer_publishes_nothing() {
+        let mut m = master_direct();
+        let s0 = m.signin("a:1", 1);
+        let s1 = m.signin("b:2", 1);
+        let src = m.local_data(records(4), 1).unwrap();
+        let mapped = m.map_data(src, 0, 1, false).unwrap();
+        let _reduced = m.reduce_data(mapped, 0).unwrap();
+        let map = take1(m.get_tasks(s0, 1));
+        let urls = direct_urls(s0, &map);
+        m.task_done(s0, map.data, map.index, map.attempt, urls.clone());
+        let reduce = take1(m.get_tasks(s1, 1));
+        assert_eq!(reduce.inputs, urls);
+        // s1 cannot fetch the map's bucket: the producer is indicted and
+        // sent back to pending.
+        m.task_failed(s1, reduce.data, reduce.index, reduce.attempt, "fetch", Some(&urls[0]));
+        assert_eq!(m.metrics().tasks_executed(), 1);
+        // The original report is delivered again. It names no live attempt
+        // — the slot has none — so the indicted URLs are not re-published
+        // and the completion is not counted twice.
+        m.task_done(s0, map.data, map.index, map.attempt, urls);
+        assert_eq!(m.metrics().tasks_executed(), 1, "the replayed report was counted");
+        {
+            let st = m.shared.state.lock();
+            let op = st.plan.at(mapped).expect("map op");
+            assert_eq!(op.done(), 0);
+            assert!(op.tasks()[map.index].out().is_none(), "the indicted URLs are back");
+        }
+        // The reduce stays behind the barrier; the map re-runs under a
+        // fresh attempt id.
+        assert_eq!(m.get_tasks(s1, 1), Assignment::Wait);
+        let again = take1(m.get_tasks(s0, 1));
+        assert_eq!((again.kind, again.index, again.attempt), (TaskKind::Map, map.index, 2));
     }
 
     #[test]
@@ -2860,10 +2550,7 @@ mod tests {
     fn a_dispatch_walks_the_same_slots_after_500_discarded_jobs() {
         /// Task slots one poll of `m` looks at.
         fn walked(m: &Master) -> usize {
-            let st = m.shared.state.lock();
-            st.live_ops()
-                .map(|(_, ds)| if let MDs::Op { tasks, .. } = ds { tasks.len() } else { 0 })
-                .sum()
+            m.shared.state.lock().plan.live_ops().map(|(_, op)| op.tasks().len()).sum()
         }
         fn submit(m: &mut Master) -> (DataId, DataId) {
             let src = m.local_data(records(4), 2).unwrap();
@@ -2884,7 +2571,7 @@ mod tests {
         }
         assert_eq!(walked(&used), 0, "nothing is left to walk between jobs");
         submit(&mut used);
-        assert_eq!(used.shared.state.lock().datasets.len(), 501 * 3);
+        assert_eq!(used.shared.state.lock().plan.datasets().len(), 501 * 3);
         assert_eq!(walked(&used), walked(&fresh), "2 maps + 1 reduce, whatever came before");
         assert_eq!(take1(used.get_tasks(s, 1)).kind, TaskKind::Map);
     }
@@ -2903,12 +2590,15 @@ mod tests {
         let mapped = m.map_data(src, 0, 1, false).unwrap();
         let t = take1(m.get_tasks(s1, 1));
         m.task_done(s1, t.data, t.index, t.attempt, direct_urls(s1, &t));
-        assert!(m.shared.state.lock().live.is_empty(), "the only op is complete");
+        let live = |m: &Master| -> Vec<DataId> {
+            m.shared.state.lock().plan.live_ops().map(|(d, _)| d).collect()
+        };
+        assert_eq!(live(&m), [], "the only op is complete");
         // s1 dies with the map's output: the op is incomplete again.
         std::thread::sleep(Duration::from_millis(40));
         assert_eq!(m.get_tasks(s2, 1), Assignment::Wait);
         m.sweep();
-        assert_eq!(m.shared.state.lock().live, [mapped.0]);
+        assert_eq!(live(&m), [mapped]);
         assert_eq!(take1(m.get_tasks(s2, 1)).index, t.index);
     }
 
@@ -2967,10 +2657,13 @@ mod tests {
         // at the dataset whose id it can already guess.
         let hook = move || {
             let mut m = seen.get().expect("set before local_data").clone();
-            assert!(!m.shared.state.lock().datasets[0].complete(), "`wait` would return");
+            assert!(
+                !m.shared.state.lock().plan.complete(DataId(0)).unwrap(),
+                "`wait` would return"
+            );
             let err = m.map_data(DataId(0), 0, 1, false).expect_err("an op over zero splits");
             assert!(matches!(err, Error::MissingData(_)), "{err}");
-            assert_eq!(m.shared.state.lock().datasets.len(), 1, "no op was queued");
+            assert_eq!(m.shared.state.lock().plan.datasets().len(), 1, "no op was queued");
             looked2.store(true, Ordering::SeqCst);
         };
         let store: Arc<dyn Store> = Arc::new(MidPutStore { inner: MemFs::new(), hook });
@@ -2983,9 +2676,6 @@ mod tests {
         second.wait(src).unwrap();
         assert_eq!(second.fetch_all(src).unwrap().len(), 4);
         let mapped = second.map_data(src, 0, 1, false).unwrap();
-        let st = m.shared.state.lock();
-        assert!(
-            matches!(&st.datasets[mapped.0 as usize], MDs::Op { tasks, .. } if tasks.len() == 2)
-        );
+        assert_eq!(m.shared.state.lock().plan.at(mapped).expect("an op").tasks().len(), 2);
     }
 }

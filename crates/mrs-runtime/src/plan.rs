@@ -1,0 +1,724 @@
+//! The plan: one table of datasets and tasks behind every executor.
+//!
+//! The thread pool ([`crate::local`]) and the master ([`crate::master`])
+//! run the *same* task graph — a map task waits only for its own split, a
+//! reduce-like task for every task of the op it gathers from (Fig. 1/2) —
+//! so the graph is written down once, here: submission validation and task
+//! counts, readiness and the barrier, consumer-refcount lifetime GC,
+//! `keep` / `discard`, completion. An executor only says *where* an
+//! attempt runs. `O` is one stored output piece (an `Arc<Bucket>` in
+//! process, a URL on the cluster); `X` is executor-private per-task state
+//! the plan never inspects (claimed or not; attempts and owner). The plan
+//! takes no lock, no clock and no thread: every call is a state
+//! transition, so a test or a simulator can drive it step by step.
+
+use crate::data::DataId;
+use crate::proto::trace_op;
+use mrs_core::{Error, Result, TaskSpec};
+use std::collections::HashSet;
+
+/// One task of an op.
+#[derive(Debug)]
+pub(crate) struct Task<O, X> {
+    /// The committed output: `parts` pieces for a map-like task, the one
+    /// output split for a reduce task. `None` until committed.
+    out: Option<Vec<O>>,
+    /// The executor's own state for this task.
+    pub x: X,
+}
+
+impl<O, X> Task<O, X> {
+    /// The committed output pieces, if the task is done.
+    pub fn out(&self) -> Option<&[O]> {
+        self.out.as_deref()
+    }
+}
+
+/// A queued, running or complete operation: one output dataset.
+#[derive(Debug)]
+pub(crate) struct Op<O, X> {
+    /// What every task of the op runs.
+    pub spec: TaskSpec,
+    pub input: DataId,
+    tasks: Vec<Task<O, X>>,
+    done: usize,
+    /// Every task below this index is committed: where `runnable` starts.
+    open: usize,
+}
+
+impl<O, X> Op<O, X> {
+    pub fn tasks(&self) -> &[Task<O, X>] {
+        &self.tasks
+    }
+
+    /// Committed tasks.
+    pub fn done(&self) -> usize {
+        self.done
+    }
+
+    fn complete(&self) -> bool {
+        self.open == self.tasks.len()
+    }
+}
+
+#[derive(Debug)]
+pub(crate) enum Ds<O, X> {
+    /// A source whose data is still being stored: not complete, not
+    /// consumable.
+    Loading,
+    /// Job input, one piece per split.
+    Source(Vec<O>),
+    Op(Op<O, X>),
+    /// Reclaimed, by lifetime GC or an explicit discard.
+    Discarded,
+}
+
+/// What a [`Plan::commit`] changed beyond the task itself.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct Commit {
+    /// The op's last task landed: its dataset is complete.
+    pub completed: bool,
+    /// The completed op was the last registered consumer of this dataset,
+    /// and lifetime GC reclaimed it.
+    pub freed: Option<DataId>,
+}
+
+#[derive(Debug)]
+pub(crate) struct Plan<O, X> {
+    datasets: Vec<Ds<O, X>>,
+    /// Ids of the incomplete ops, ascending: all `runnable` ever walks, so
+    /// it costs the same after a thousand discarded jobs as after none.
+    live: Vec<u32>,
+    /// Incomplete ops reading each dataset (index-aligned with
+    /// `datasets`). Lifetime GC frees a dataset when its count returns to
+    /// zero.
+    consumers: Vec<u32>,
+    /// Datasets pinned by `keep`: exempt from lifetime GC until an
+    /// explicit discard.
+    pins: HashSet<u32>,
+    /// When set, lifetime GC is disabled (`--mrs-keep-data`).
+    keep_data: bool,
+}
+
+impl<O: Clone, X: Default> Plan<O, X> {
+    pub fn new(keep_data: bool) -> Self {
+        Plan {
+            datasets: Vec::new(),
+            live: Vec::new(),
+            consumers: Vec::new(),
+            pins: HashSet::new(),
+            keep_data,
+        }
+    }
+
+    fn push(&mut self, ds: Ds<O, X>) -> DataId {
+        self.datasets.push(ds);
+        self.consumers.push(0);
+        DataId(self.datasets.len() as u32 - 1)
+    }
+
+    /// Reserve a source's id while its data is stored outside the lock
+    /// that guards the plan; [`Plan::source`] publishes it.
+    pub fn reserve(&mut self) -> DataId {
+        self.push(Ds::Loading)
+    }
+
+    /// Publish a reserved source, one piece per split — or, if storing it
+    /// failed, retire the id and hand the error on.
+    pub fn source(&mut self, id: DataId, splits: Result<Vec<O>>) -> Result<DataId> {
+        self.datasets[id.0 as usize] = Ds::Discarded;
+        self.datasets[id.0 as usize] = Ds::Source(splits?);
+        Ok(id)
+    }
+
+    /// Queue an op running `spec` over `input`: one task per input split
+    /// for a map, one per input partition for a reduce-like op.
+    pub fn op(&mut self, spec: TaskSpec, input: DataId) -> Result<DataId> {
+        if spec.parts() == Some(0) {
+            return Err(Error::Invalid("need at least one partition".into()));
+        }
+        let ds = self
+            .datasets
+            .get(input.0 as usize)
+            .ok_or_else(|| Error::MissingData(format!("dataset {input:?}")))?;
+        let input_parts = match ds {
+            Ds::Op(op) => op.spec.parts(),
+            _ => None,
+        };
+        let ntasks = match ds {
+            Ds::Loading | Ds::Discarded => {
+                return Err(Error::MissingData(format!(
+                    "dataset {input:?} is discarded or loading"
+                )));
+            }
+            _ if spec.gathers() => input_parts.ok_or_else(|| {
+                let op = trace_op(&spec).as_str();
+                Error::Invalid(format!("{op} must consume a map output"))
+            })?,
+            Ds::Source(splits) => splits.len(),
+            Ds::Op(op) if input_parts.is_none() => op.tasks.len(),
+            Ds::Op(_) => {
+                return Err(Error::Invalid("map cannot consume an unreduced map output".into()))
+            }
+        };
+        self.consumers[input.0 as usize] += 1;
+        let tasks = (0..ntasks).map(|_| Task { out: None, x: X::default() }).collect();
+        let id = self.push(Ds::Op(Op { spec, input, tasks, done: 0, open: 0 }));
+        self.live.push(id.0);
+        Ok(id)
+    }
+
+    /// Can task `index` of `op` read its input now? A map task waits only
+    /// for its own split, so consecutive rounds pipeline (§IV-A); a
+    /// reduce-like task (plain or fused) gathers one partition from
+    /// *every* task of its input, so it waits for the whole op — the
+    /// barrier of Fig. 1.
+    pub fn ready(&self, op: &Op<O, X>, index: usize) -> bool {
+        match &self.datasets[op.input.0 as usize] {
+            Ds::Source(_) => true,
+            Ds::Op(input) if op.spec.gathers() => input.complete(),
+            Ds::Op(input) => input.tasks[index].out.is_some(),
+            Ds::Loading | Ds::Discarded => false,
+        }
+    }
+
+    /// The incomplete ops, oldest first.
+    pub fn live_ops(&self) -> impl Iterator<Item = (DataId, &Op<O, X>)> + '_ {
+        self.live.iter().filter_map(|&d| Some((DataId(d), self.at(DataId(d))?)))
+    }
+
+    /// Every uncommitted task whose input is ready, oldest op first. A
+    /// task is yielded until it is committed, whatever its executor is
+    /// doing with it: whether it is claimed or running is in its `x`.
+    pub fn runnable(&self) -> impl Iterator<Item = (DataId, usize, &Op<O, X>)> + '_ {
+        self.live_ops().flat_map(move |(d, op)| {
+            let open = move |&i: &usize| op.tasks[i].out.is_none() && self.ready(op, i);
+            (op.open..op.tasks.len()).filter(open).map(move |i| (d, i, op))
+        })
+    }
+
+    /// The input of a runnable task, one clone per piece: the one split of
+    /// a map task, or partition `index` of every task of a reduce-like
+    /// task's input.
+    pub fn input(&self, data: DataId, index: usize) -> Vec<O> {
+        let Some(op) = self.at(data) else { return Vec::new() };
+        match &self.datasets[op.input.0 as usize] {
+            Ds::Source(splits) => vec![splits[index].clone()],
+            Ds::Op(input) if op.spec.gathers() => {
+                input.tasks.iter().filter_map(|t| t.out()?.get(index).cloned()).collect()
+            }
+            Ds::Op(input) => input.tasks[index].out.clone().unwrap_or_default(),
+            Ds::Loading | Ds::Discarded => Vec::new(),
+        }
+    }
+
+    /// Publish the output of task `index` of op `data`. When that was the
+    /// op's last task, the op releases the refcount it held on its input.
+    pub fn commit(&mut self, data: DataId, index: usize, outs: Vec<O>) -> Commit {
+        let Some(Ds::Op(op)) = self.datasets.get_mut(data.0 as usize) else {
+            return Commit::default();
+        };
+        let task = &mut op.tasks[index];
+        if task.out.is_some() {
+            return Commit::default();
+        }
+        task.out = Some(outs);
+        op.done += 1;
+        op.open += op.tasks[op.open..].iter().take_while(|t| t.out.is_some()).count();
+        if !op.complete() {
+            return Commit::default();
+        }
+        let input = op.input;
+        self.live.retain(|&d| d != data.0);
+        Commit { completed: true, freed: self.release(input) }
+    }
+
+    /// Lifetime GC: a completed op no longer needs `input`; when it was
+    /// the last registered consumer, reclaim the dataset — unless GC is
+    /// off or the driver pinned it. Sources are exempt: real Mrs re-reads
+    /// job input from the filesystem, so keeping splits means a
+    /// first-level map task can always be re-executed. Only an explicit
+    /// discard frees them.
+    fn release(&mut self, input: DataId) -> Option<DataId> {
+        let at = input.0 as usize;
+        self.consumers[at] -= 1;
+        let spent = self.consumers[at] == 0
+            && !self.keep_data
+            && !self.pins.contains(&input.0)
+            && matches!(&self.datasets[at], Ds::Op(op) if op.complete());
+        spent.then(|| {
+            self.datasets[at] = Ds::Discarded;
+            input
+        })
+    }
+
+    /// The fault path: the committed output of a task was lost, so the
+    /// task is pending again and its op (incomplete again) re-registers
+    /// as a consumer of its input. Errors if that input was reclaimed:
+    /// re-execution cannot proceed without it.
+    pub fn reopen(&mut self, data: DataId, index: usize) -> Result<()> {
+        let (input, was_complete) = match self.at(data) {
+            Some(op) if op.tasks.get(index).is_some_and(|t| t.out.is_some()) => {
+                (op.input, op.complete())
+            }
+            _ => return Err(Error::Invalid(format!("no committed task {index} of {data:?}"))),
+        };
+        if matches!(self.datasets[input.0 as usize], Ds::Discarded) {
+            return Err(Error::MissingData(format!(
+                "task input (dataset {}) was reclaimed by lifetime GC before re-execution",
+                input.0
+            )));
+        }
+        if was_complete {
+            self.consumers[input.0 as usize] += 1;
+            let at = self.live.partition_point(|&d| d < data.0);
+            self.live.insert(at, data.0);
+        }
+        let Some(Ds::Op(op)) = self.datasets.get_mut(data.0 as usize) else { unreachable!() };
+        op.tasks[index].out = None;
+        op.done -= 1;
+        op.open = op.open.min(index);
+        Ok(())
+    }
+
+    /// Turn lifetime GC off, or back on, for every op that completes later.
+    pub fn set_keep_data(&mut self, keep: bool) {
+        self.keep_data = keep;
+    }
+
+    /// Pin a dataset against lifetime GC until it is discarded.
+    pub fn keep(&mut self, data: DataId) {
+        self.pins.insert(data.0);
+    }
+
+    /// Reclaim a complete dataset on the driver's word, returning what it
+    /// held. Advisory: refused (`None`) while a queued consumer still
+    /// needs the data — its tasks would never become ready.
+    pub fn discard(&mut self, data: DataId) -> Option<Ds<O, X>> {
+        let at = data.0 as usize;
+        if *self.consumers.get(at)? > 0 {
+            return None;
+        }
+        self.pins.remove(&data.0);
+        let slot = &mut self.datasets[at];
+        let spent = match slot {
+            Ds::Source(_) => true,
+            Ds::Op(op) => op.complete(),
+            Ds::Loading | Ds::Discarded => false,
+        };
+        spent.then(|| std::mem::replace(slot, Ds::Discarded))
+    }
+
+    /// Is the dataset fully materialized (or gone)? What `wait` sleeps on.
+    pub fn complete(&self, data: DataId) -> Result<bool> {
+        match self.datasets.get(data.0 as usize) {
+            None => Err(Error::MissingData(format!("dataset {data:?}"))),
+            Some(Ds::Loading) => Ok(false),
+            Some(Ds::Op(op)) => Ok(op.complete()),
+            Some(Ds::Source(_) | Ds::Discarded) => Ok(true),
+        }
+    }
+
+    /// Every committed piece of a dataset, in split order.
+    pub fn outputs(&self, data: DataId) -> Result<Vec<O>> {
+        match self.datasets.get(data.0 as usize) {
+            None => Err(Error::MissingData(format!("dataset {data:?}"))),
+            Some(Ds::Source(splits)) => Ok(splits.clone()),
+            Some(Ds::Op(op)) => {
+                Ok(op.tasks.iter().filter_map(Task::out).flatten().cloned().collect())
+            }
+            Some(Ds::Loading | Ds::Discarded) => {
+                Err(Error::MissingData(format!("dataset {data:?} was discarded")))
+            }
+        }
+    }
+
+    /// Every dataset ever created, by id.
+    pub fn datasets(&self) -> &[Ds<O, X>] {
+        &self.datasets
+    }
+
+    /// The op producing `data`, if it is an op and not reclaimed.
+    pub fn at(&self, data: DataId) -> Option<&Op<O, X>> {
+        match self.datasets.get(data.0 as usize) {
+            Some(Ds::Op(op)) => Some(op),
+            _ => None,
+        }
+    }
+
+    /// The executor's state of one task.
+    pub fn x_mut(&mut self, data: DataId, index: usize) -> Option<&mut X> {
+        match self.datasets.get_mut(data.0 as usize) {
+            Some(Ds::Op(op)) => op.tasks.get_mut(index).map(|t| &mut t.x),
+            _ => None,
+        }
+    }
+
+    /// Every task of every op not reclaimed, complete or not: what a fault
+    /// sweep walks.
+    pub fn tasks_mut(&mut self) -> impl Iterator<Item = (DataId, usize, &mut Task<O, X>)> + '_ {
+        self.datasets.iter_mut().enumerate().flat_map(|(d, ds)| {
+            let tasks = match ds {
+                Ds::Op(op) => op.tasks.as_mut_slice(),
+                _ => &mut [],
+            };
+            tasks.iter_mut().enumerate().map(move |(i, task)| (DataId(d as u32), i, task))
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A piece names where it came from: (dataset, task, piece).
+    type Piece = (u32, usize, usize);
+    type TestPlan = Plan<Piece, ()>;
+
+    fn map(parts: usize) -> TaskSpec {
+        TaskSpec::Map { func: 0, parts, combine: false }
+    }
+
+    fn reduce() -> TaskSpec {
+        TaskSpec::Reduce { func: 0 }
+    }
+
+    fn fused(parts: usize) -> TaskSpec {
+        TaskSpec::ReduceMap { reduce_func: 0, map_func: 0, parts, combine: false }
+    }
+
+    fn source(plan: &mut TestPlan, splits: usize) -> DataId {
+        let id = plan.reserve();
+        plan.source(id, Ok((0..splits).map(|s| (id.0, s, 0)).collect())).unwrap()
+    }
+
+    /// Commit task `index` of `data` with as many pieces as its op makes.
+    fn finish(plan: &mut TestPlan, data: DataId, index: usize) -> Commit {
+        let pieces = plan.at(data).expect("an op").spec.parts().unwrap_or(1);
+        plan.commit(data, index, (0..pieces).map(|p| (data.0, index, p)).collect())
+    }
+
+    fn runnable(plan: &TestPlan) -> Vec<(DataId, usize)> {
+        plan.runnable().map(|(d, i, _)| (d, i)).collect()
+    }
+
+    #[test]
+    fn a_reduce_waits_for_every_map_and_a_map_only_for_its_own_split() {
+        let mut plan = TestPlan::new(false);
+        let src = source(&mut plan, 2);
+        let m = plan.op(map(2), src).unwrap();
+        let r = plan.op(reduce(), m).unwrap();
+        let m2 = plan.op(map(1), r).unwrap();
+        assert_eq!(runnable(&plan), [(m, 0), (m, 1)]);
+        assert_eq!(plan.input(m, 1), [(src.0, 1, 0)]);
+        finish(&mut plan, m, 0);
+        assert_eq!(runnable(&plan), [(m, 1)], "a map is still out: the reduce is blocked");
+        finish(&mut plan, m, 1);
+        assert_eq!(runnable(&plan), [(r, 0), (r, 1)], "the barrier is clear");
+        assert_eq!(plan.input(r, 1), [(m.0, 0, 1), (m.0, 1, 1)], "partition 1 of every map");
+        finish(&mut plan, r, 1);
+        assert_eq!(runnable(&plan), [(r, 0), (m2, 1)], "split 1 is enough for the map over it");
+        assert_eq!(plan.input(m2, 1), [(r.0, 1, 0)]);
+        // A task is yielded until committed, then never again.
+        finish(&mut plan, m2, 1);
+        assert_eq!(finish(&mut plan, m2, 1), Commit::default(), "a second commit is ignored");
+        assert_eq!(runnable(&plan), [(r, 0)]);
+    }
+
+    #[test]
+    fn malformed_plans_are_rejected() {
+        let mut plan = TestPlan::new(false);
+        let src = source(&mut plan, 1);
+        let m = plan.op(map(2), src).unwrap();
+        let r = plan.op(reduce(), m).unwrap();
+        let loading = plan.reserve();
+        let gone = source(&mut plan, 1);
+        assert!(plan.discard(gone).is_some());
+        let datasets = plan.datasets().len();
+        for (spec, input, says) in [
+            (reduce(), src, "reduce must consume a map output"),
+            (fused(2), src, "reducemap must consume a map output"),
+            (reduce(), r, "reduce must consume a map output"),
+            (fused(2), r, "reducemap must consume a map output"),
+            (map(2), m, "map cannot consume an unreduced map output"),
+            (map(0), src, "need at least one partition"),
+            (fused(0), m, "need at least one partition"),
+            (map(1), gone, "is discarded or loading"),
+            (reduce(), gone, "is discarded or loading"),
+            (map(1), loading, "is discarded or loading"),
+            (map(1), DataId(99), "dataset DataId(99)"),
+        ] {
+            let got = plan.op(spec, input).expect_err("a malformed plan").to_string();
+            assert!(got.contains(says), "{spec:?} over {input:?}: {got}");
+        }
+        assert_eq!(plan.datasets().len(), datasets, "a rejected op queues nothing");
+        assert_eq!(runnable(&plan), [(m, 0)], "and registers no consumer");
+    }
+
+    #[test]
+    fn discard_is_refused_while_a_queued_consumer_needs_the_data() {
+        let mut plan = TestPlan::new(false);
+        let src = source(&mut plan, 1);
+        let m1 = plan.op(map(1), src).unwrap();
+        let r1 = plan.op(reduce(), m1).unwrap();
+        assert!(plan.discard(m1).is_none(), "incomplete, and r1 reads it");
+        finish(&mut plan, m1, 0);
+        finish(&mut plan, r1, 0);
+        // A second round is queued over r1; discarding r1 now would leave
+        // its tasks unready forever.
+        let m2 = plan.op(map(1), r1).unwrap();
+        assert!(plan.discard(r1).is_none());
+        assert_eq!(runnable(&plan), [(m2, 0)]);
+        assert_eq!(finish(&mut plan, m2, 0), Commit { completed: true, freed: Some(r1) });
+        // Complete and unread: the driver's word is enough, once.
+        assert!(matches!(plan.discard(m2), Some(Ds::Op(_))));
+        assert!(plan.discard(m2).is_none());
+        assert!(plan.outputs(m2).is_err() && plan.complete(m2).unwrap());
+        assert!(matches!(plan.discard(src), Some(Ds::Source(_))), "only a discard frees a source");
+    }
+
+    #[test]
+    fn a_pinned_dataset_survives_its_last_consumer_until_discarded() {
+        let mut plan = TestPlan::new(false);
+        let src = source(&mut plan, 1);
+        let m1 = plan.op(map(1), src).unwrap();
+        let r1 = plan.op(reduce(), m1).unwrap();
+        plan.keep(r1);
+        let m2 = plan.op(map(1), r1).unwrap();
+        finish(&mut plan, m1, 0);
+        assert_eq!(finish(&mut plan, r1, 0).freed, Some(m1), "unpinned: freed by its reader");
+        assert_eq!(finish(&mut plan, m2, 0), Commit { completed: true, freed: None });
+        assert_eq!(plan.outputs(r1).unwrap(), [(r1.0, 0, 0)]);
+        assert!(plan.discard(r1).is_some(), "an explicit discard releases the pin");
+        assert!(plan.outputs(r1).is_err());
+        // With GC off nothing is reclaimed at all.
+        let mut plan = TestPlan::new(true);
+        let src = source(&mut plan, 1);
+        let m = plan.op(map(1), src).unwrap();
+        let r = plan.op(reduce(), m).unwrap();
+        finish(&mut plan, m, 0);
+        assert_eq!(finish(&mut plan, r, 0), Commit { completed: true, freed: None });
+        assert!(plan.outputs(m).is_ok());
+    }
+
+    #[test]
+    fn a_reopened_task_reopens_its_op_and_needs_its_input() {
+        let mut plan = TestPlan::new(false);
+        let src = source(&mut plan, 2);
+        let m = plan.op(map(1), src).unwrap();
+        let r = plan.op(reduce(), m).unwrap();
+        finish(&mut plan, m, 0);
+        finish(&mut plan, m, 1);
+        assert!(plan.reopen(r, 0).is_err(), "nothing committed to lose");
+        // The lost map output blocks the reduce again and is re-run.
+        plan.reopen(m, 1).unwrap();
+        assert_eq!(runnable(&plan), [(m, 1)]);
+        assert_eq!(plan.live_ops().map(|(d, _)| d).collect::<Vec<_>>(), [m, r], "oldest first");
+        finish(&mut plan, m, 1);
+        assert_eq!(finish(&mut plan, r, 0), Commit { completed: true, freed: Some(m) });
+        // The reduce's output is lost after its input was reclaimed.
+        let err = plan.reopen(r, 0).expect_err("the map output is gone").to_string();
+        assert!(err.contains("reclaimed by lifetime GC"), "{err}");
+        assert!(plan.complete(r).unwrap() && plan.live_ops().next().is_none());
+    }
+
+    /// What the test knows about one dataset, written down beside the plan
+    /// and never read back from it.
+    #[derive(Debug)]
+    struct Shadow {
+        /// The dataset the op reads; `None` for a source.
+        input: Option<usize>,
+        gathers: bool,
+        /// Pieces per task when the output is map-like.
+        parts: Option<usize>,
+        done: Vec<bool>,
+        kept: bool,
+        /// Reclaimed, by GC or by a discard.
+        gone: bool,
+        /// Incomplete ops reading it.
+        readers: usize,
+    }
+
+    impl Shadow {
+        fn complete(&self) -> bool {
+            self.done.iter().all(|d| *d)
+        }
+    }
+
+    /// The rule under test, stated over the shadows: an uncommitted task is
+    /// runnable when a map's own split exists, or when every task of a
+    /// reduce-like op's input is committed. Oldest op first.
+    fn expected_runnable(shadows: &[Shadow]) -> Vec<(DataId, usize)> {
+        let mut out = Vec::new();
+        for (d, s) in shadows.iter().enumerate() {
+            let Some(input) = s.input.map(|i| &shadows[i]) else { continue };
+            for i in (0..s.done.len()).filter(|&i| !s.done[i] && !s.gone && !input.gone) {
+                if if s.gathers { input.complete() } else { input.done[i] } {
+                    out.push((DataId(d as u32), i));
+                }
+            }
+        }
+        out
+    }
+
+    #[derive(Clone, Debug)]
+    enum Step {
+        Submit { kind: usize, parts: usize, input: usize, keep: bool },
+        Commit(usize),
+        Reopen(usize),
+        Discard(usize),
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        let submit = (0usize..3, 1usize..4, any::<usize>(), any::<bool>())
+            .prop_map(|(kind, parts, input, keep)| Step::Submit { kind, parts, input, keep });
+        prop_oneof![
+            submit,
+            any::<usize>().prop_map(Step::Commit),
+            any::<usize>().prop_map(Step::Commit),
+            any::<usize>().prop_map(Step::Commit),
+            any::<usize>().prop_map(Step::Reopen),
+            any::<usize>().prop_map(Step::Discard),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn random_graphs_obey_the_barrier_and_free_every_spent_dataset_once(
+            splits in 1usize..4,
+            keep_data in any::<bool>(),
+            steps in proptest::collection::vec(arb_step(), 1..60),
+            drain in proptest::collection::vec(any::<usize>(), 1..8),
+        ) {
+            let mut plan = TestPlan::new(keep_data);
+            source(&mut plan, splits);
+            let mut shadows = vec![Shadow {
+                input: None,
+                gathers: false,
+                parts: None,
+                done: vec![true; splits],
+                kept: false,
+                gone: false,
+                readers: 0,
+            }];
+            let mut gc_frees = vec![0usize];
+            // Apply one commit to the plan and to the shadows, and check
+            // that lifetime GC freed exactly what the shadows say is spent.
+            let commit = |plan: &mut TestPlan, shadows: &mut Vec<Shadow>, gc: &mut Vec<usize>,
+                          (d, i): (DataId, usize)| {
+                let got = finish(plan, d, i);
+                let at = d.0 as usize;
+                shadows[at].done[i] = true;
+                let completed = shadows[at].complete();
+                let mut freed = None;
+                if completed {
+                    let input = shadows[at].input.expect("an op");
+                    let s = &mut shadows[input];
+                    s.readers -= 1;
+                    let spent = s.readers == 0 && s.input.is_some() && s.complete();
+                    if spent && !s.kept && !keep_data {
+                        s.gone = true;
+                        gc[input] += 1;
+                        freed = Some(DataId(input as u32));
+                    }
+                }
+                (got, Commit { completed, freed })
+            };
+            for step in &steps {
+                match *step {
+                    Step::Submit { kind, parts, input, keep } if shadows.len() < 12 => {
+                        let spec = [map(parts), reduce(), fused(parts)][kind];
+                        let fits = |s: &Shadow| !s.gone && s.parts.is_some() == spec.gathers();
+                        let fitting: Vec<usize> =
+                            (0..shadows.len()).filter(|&d| fits(&shadows[d])).collect();
+                        if fitting.is_empty() {
+                            let any = DataId((input % shadows.len()) as u32);
+                            prop_assert!(plan.op(spec, any).is_err(), "{spec:?} over {any:?}");
+                            continue;
+                        }
+                        let input = fitting[input % fitting.len()];
+                        let id = plan.op(spec, DataId(input as u32)).unwrap();
+                        prop_assert_eq!(id.0 as usize, shadows.len());
+                        // One task per split for a map, per partition otherwise.
+                        let tasks = match shadows[input].parts {
+                            Some(parts) => parts,
+                            None => shadows[input].done.len(),
+                        };
+                        prop_assert_eq!(plan.at(id).unwrap().tasks().len(), tasks);
+                        shadows[input].readers += 1;
+                        shadows.push(Shadow {
+                            input: Some(input),
+                            gathers: spec.gathers(),
+                            parts: spec.parts(),
+                            done: vec![false; tasks],
+                            kept: keep,
+                            gone: false,
+                            readers: 0,
+                        });
+                        gc_frees.push(0);
+                        if keep {
+                            plan.keep(id);
+                        }
+                    }
+                    Step::Submit { .. } => {}
+                    Step::Commit(pick) => {
+                        let ready = runnable(&plan);
+                        if let Some(&task) = ready.get(pick % ready.len().max(1)) {
+                            let (got, want) = commit(&mut plan, &mut shadows, &mut gc_frees, task);
+                            prop_assert_eq!(got, want, "commit of {:?}", task);
+                        }
+                    }
+                    Step::Reopen(pick) => {
+                        let committed: Vec<(usize, usize)> = (0..shadows.len())
+                            .filter(|&d| shadows[d].input.is_some() && !shadows[d].gone)
+                            .flat_map(|d| (0..shadows[d].done.len()).map(move |i| (d, i)))
+                            .filter(|&(d, i)| shadows[d].done[i])
+                            .collect();
+                        if committed.is_empty() {
+                            continue;
+                        }
+                        let (d, i) = committed[pick % committed.len()];
+                        let input = shadows[d].input.expect("an op");
+                        let reopened = plan.reopen(DataId(d as u32), i).is_ok();
+                        prop_assert_eq!(reopened, !shadows[input].gone, "reopen of {:?}", (d, i));
+                        if reopened {
+                            if shadows[d].complete() {
+                                shadows[input].readers += 1;
+                            }
+                            shadows[d].done[i] = false;
+                        }
+                    }
+                    Step::Discard(pick) => {
+                        let d = pick % shadows.len();
+                        let s = &mut shadows[d];
+                        let spent = !s.gone && s.readers == 0 && s.complete();
+                        prop_assert_eq!(plan.discard(DataId(d as u32)).is_some(), spent);
+                        s.kept &= s.readers > 0;
+                        s.gone |= spent;
+                    }
+                }
+                prop_assert_eq!(runnable(&plan), expected_runnable(&shadows), "after {:?}", step);
+            }
+            // Run what is left to the end, in an arbitrary order.
+            for turn in 0.. {
+                let ready = runnable(&plan);
+                prop_assert_eq!(&ready, &expected_runnable(&shadows));
+                if ready.is_empty() {
+                    break;
+                }
+                let task = ready[drain[turn % drain.len()] % ready.len()];
+                let (got, want) = commit(&mut plan, &mut shadows, &mut gc_frees, task);
+                prop_assert_eq!(got, want, "commit of {:?}", task);
+            }
+            prop_assert_eq!(plan.live_ops().count(), 0);
+            for (d, s) in shadows.iter().enumerate() {
+                prop_assert!(s.gone || s.complete(), "dataset {} never finished: {:?}", d, s);
+                prop_assert_eq!(plan.outputs(DataId(d as u32)).is_err(), s.gone);
+                prop_assert!(gc_frees[d] <= 1);
+            }
+        }
+    }
+}

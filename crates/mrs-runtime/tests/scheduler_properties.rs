@@ -1,8 +1,9 @@
 //! Property tests over the schedulers: for *randomly shaped* operation
-//! chains (split counts, partition counts, combiner flags, chain length,
-//! wait/discard positions), the pool scheduler must produce exactly what
-//! the serial runtime produces. This is the §IV-A identical-answers
-//! invariant quantified over job shapes rather than one fixed program.
+//! chains (split counts, partition counts, chain length, fused or unfused
+//! rounds, wait/discard/keep positions), the pool scheduler must produce
+//! exactly what the serial runtime produces. This is the §IV-A
+//! identical-answers invariant quantified over job shapes rather than one
+//! fixed program.
 
 use mrs_core::kv::encode_record;
 use mrs_core::{Datum, MapReduce, Record, Simple};
@@ -50,31 +51,63 @@ struct Round {
     parts: usize,
     wait_after: bool,
     discard_map: bool,
+    /// Open this round with a fused `reduce_map_data` over the previous
+    /// round's map output instead of a reduce followed by a map.
+    fused: bool,
+    /// Pin the dataset that closes this round and fetch it at the end,
+    /// long after its last consumer finished.
+    keep: bool,
 }
 
 fn arb_round() -> impl Strategy<Value = Round> {
-    (1usize..6, any::<bool>(), any::<bool>()).prop_map(|(parts, wait_after, discard_map)| Round {
-        parts,
-        wait_after,
-        discard_map,
-    })
+    (1usize..6, any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()).prop_map(
+        |(parts, wait_after, discard_map, fused, keep)| Round {
+            parts,
+            wait_after,
+            discard_map,
+            fused,
+            keep,
+        },
+    )
 }
 
 fn run_chain(job: &mut Job, input: Vec<Record>, splits: usize, rounds: &[Round]) -> Vec<Record> {
-    let mut ds = job.local_data(input, splits).unwrap();
-    for round in rounds {
-        let m = job.map_data(ds, 0, round.parts, false).unwrap();
-        let r = job.reduce_data(m, 0).unwrap();
+    let src = job.local_data(input, splits).unwrap();
+    let mut mapped = job.map_data(src, 0, rounds[0].parts, false).unwrap();
+    let mut kept = Vec::new();
+    for (i, round) in rounds.iter().enumerate() {
+        // Close the round with a reduce: fused with the next round's map
+        // when that round asks for it, followed by that map otherwise.
+        let next = rounds.get(i + 1);
+        let closed = match next {
+            Some(next) if next.fused => {
+                job.reduce_map_data(mapped, 0, 0, next.parts, false).unwrap()
+            }
+            _ => job.reduce_data(mapped, 0).unwrap(),
+        };
+        if round.keep {
+            // Pinned before its consumer is queued, as a driver would.
+            job.keep(closed);
+            kept.push(closed);
+        }
+        let opened = match next {
+            Some(next) if !next.fused => job.map_data(closed, 0, next.parts, false).unwrap(),
+            _ => closed,
+        };
         if round.wait_after {
-            job.wait(r).unwrap();
-        }
-        if round.discard_map && round.wait_after {
+            job.wait(closed).unwrap();
             // Only safe to discard once its consumer finished.
-            job.discard(m);
+            if round.discard_map && !kept.contains(&mapped) {
+                job.discard(mapped);
+            }
         }
-        ds = r;
+        mapped = opened;
     }
-    let mut out = job.fetch_all(ds).unwrap();
+    // `mapped` is the last round's reduce output by now.
+    let mut out = job.fetch_all(mapped).unwrap();
+    for data in kept {
+        out.extend(job.fetch_all(data).unwrap());
+    }
     out.sort();
     out
 }

@@ -563,3 +563,55 @@ fn island_granularity_identical_serial_vs_pool() {
     assert_eq!(a, b, "pool vs serial");
     assert_eq!(b, c, "cluster vs pool");
 }
+
+/// The pool and the cluster queue operations through one plan, so a
+/// malformed one is refused in the same words on both: same `Error`
+/// variant, same message, nothing queued.
+#[test]
+fn malformed_plans_are_rejected_identically_by_pool_and_cluster() {
+    fn rejections(job: &mut Job) -> Vec<String> {
+        let records = || lines_to_records(["a b", "b c"]);
+        let src = job.local_data(records(), 2).unwrap();
+        let mapped = job.map_data(src, 0, 2, false).unwrap();
+        let gone = job.local_data(records(), 1).unwrap();
+        job.discard(gone);
+        let mut refused = vec![
+            job.reduce_data(src, 0),
+            job.reduce_map_data(src, 0, 0, 2, false),
+            job.map_data(mapped, 0, 2, false),
+            job.map_data(gone, 0, 2, false),
+            job.reduce_data(gone, 0),
+            job.map_data(src, 0, 0, false),
+            job.reduce_map_data(mapped, 0, 0, 0, false),
+            job.map_data(DataId(77), 0, 1, false),
+        ];
+        let reduced = job.reduce_data(mapped, 0).unwrap();
+        refused.push(job.reduce_data(reduced, 0));
+        refused.push(job.reduce_map_data(reduced, 0, 0, 2, false));
+        // The well-formed part of the plan is unharmed.
+        assert_eq!(job.fetch_all(reduced).unwrap().len(), 3);
+        refused.into_iter().map(|r| format!("{:?}", r.expect_err("a malformed plan"))).collect()
+    }
+    let pool = {
+        let mut rt = LocalRuntime::pool(Arc::new(Simple(WordCount)), 2);
+        rejections(&mut Job::new(&mut rt))
+    };
+    let cluster = {
+        let mut cluster = LocalCluster::start(
+            Arc::new(Simple(WordCount)),
+            2,
+            DataPlane::Direct,
+            MasterConfig::default(),
+        )
+        .unwrap();
+        rejections(&mut Job::new(&mut cluster))
+    };
+    assert_eq!(pool, cluster);
+    let variants: Vec<&str> = pool.iter().map(|e| e.split('(').next().unwrap()).collect();
+    let (invalid, missing) = ("Invalid", "MissingData");
+    assert_eq!(
+        variants,
+        [invalid, invalid, invalid, missing, missing, invalid, invalid, missing, invalid, invalid],
+        "{pool:#?}"
+    );
+}
