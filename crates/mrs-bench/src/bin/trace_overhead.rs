@@ -54,10 +54,12 @@ fn sorted(mut records: Vec<Record>) -> Vec<Record> {
     records
 }
 
-/// Every line of a Prometheus text page must be `mrs_* <float>`.
-/// Returns the sample count; panics on any malformed line.
+/// Every line of a Prometheus text page must be `mrs_* <float>`, and no
+/// sample name may appear twice. Returns the sample count; panics on any
+/// malformed line.
 fn check_prometheus(body: &str) -> u64 {
     let mut samples = 0;
+    let mut names = std::collections::HashSet::new();
     for line in body.lines().filter(|l| !l.is_empty()) {
         let mut parts = line.split_whitespace();
         let (name, value) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
@@ -65,6 +67,7 @@ fn check_prometheus(body: &str) -> u64 {
             name.starts_with("mrs_") && parts.next().is_none(),
             "malformed metrics line: {line:?}"
         );
+        assert!(names.insert(name), "sample {name} appears twice on the page");
         value.parse::<f64>().unwrap_or_else(|_| panic!("bad sample value in {line:?}"));
         samples += 1;
     }

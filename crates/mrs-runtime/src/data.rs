@@ -10,9 +10,10 @@
 //! its input by reference count, and the two conversions at the edges
 //! ([`split_buckets`], [`materialize`]) each run once per dataset.
 
-use crate::metrics::JobMetrics;
-use mrs_core::{Bucket, Record};
+use crate::metrics::{Counter, JobMetrics};
+use mrs_core::{Bucket, Record, TaskSpec};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Identifies a dataset within one job (sources and op outputs alike).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -74,7 +75,43 @@ pub(crate) fn partition_runs<'a>(
 /// guarantee sorted output, so every run counts as presorted.
 pub(crate) fn record_runs(runs: &[Arc<Bucket>], t0: std::time::Instant, metrics: &mut JobMetrics) {
     let records = runs.iter().map(|r| r.len()).sum();
-    metrics.record_merge_input(runs.len(), runs.len(), records, t0.elapsed());
+    count_merge_input(metrics, runs.len(), runs.len(), records, t0);
+}
+
+/// Count one reduce-like task's input, on any plane: `runs` merge runs,
+/// `presorted` of them already in key order, `records` in all, made
+/// merge-ready since `t0`.
+pub(crate) fn count_merge_input(
+    metrics: &mut JobMetrics,
+    runs: usize,
+    presorted: usize,
+    records: usize,
+    t0: std::time::Instant,
+) {
+    metrics.add(Counter::MergeRuns, runs as u64);
+    metrics.add(Counter::PresortedRuns, presorted as u64);
+    metrics.max(Counter::PeakReduceRecords, records as u64);
+    metrics.add_time(Counter::MergeTime, t0.elapsed());
+}
+
+/// Count one executed task of `spec` that ran for `elapsed` and emitted
+/// `bytes` (map-like output is shuffle input; a reduce's is not).
+pub(crate) fn count_task(
+    metrics: &mut JobMetrics,
+    spec: &TaskSpec,
+    elapsed: Duration,
+    bytes: usize,
+) {
+    let (ops, time) = match spec {
+        TaskSpec::Map { .. } => (Counter::MapOps, Counter::MapTime),
+        TaskSpec::Reduce { .. } => (Counter::ReduceOps, Counter::ReduceTime),
+        TaskSpec::ReduceMap { .. } => (Counter::ReducemapTasks, Counter::ReduceTime),
+    };
+    metrics.add(ops, 1);
+    metrics.add_time(time, elapsed);
+    if spec.parts().is_some() {
+        metrics.add(Counter::ShuffleBytes, bytes as u64);
+    }
 }
 
 /// All of `runs` in one bucket, in run order: what the single serial map

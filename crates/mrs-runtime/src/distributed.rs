@@ -9,12 +9,12 @@
 //! threads instead of `pssh`-started remote processes).
 
 use crate::data::DataId;
-use crate::dataplane::{self, DataPlaneStats};
 use crate::job::JobApi;
 use crate::master::{Master, MasterConfig, SlaveId};
-use crate::metrics::JobMetrics;
+use crate::metrics::{Counter, JobMetrics};
 use crate::proto::{
-    attempt_id, strings, DataPlane, Dispatch, TaskReport, TraceBatch, PROTOCOL_VERSION,
+    attempt_id, counts_from_value, counts_value, strings, DataPlane, Dispatch, TaskReport,
+    TraceBatch, PROTOCOL_VERSION,
 };
 use crate::slave::{run_slave, MasterLink, SlaveOptions};
 use mrs_core::{Error, FuncId, Program, Record, Result};
@@ -57,7 +57,7 @@ fn bad_params(method: &str, e: Error) -> Fault {
 /// | method | parameters |
 /// |---|---|
 /// | `signin` | authority, slots (>= 1), [`PROTOCOL_VERSION`] |
-/// | `get_task` | slave, free slots, park ms, reports\[, trace batch\] |
+/// | `get_task` | slave, free slots, park ms, reports, counts\[, trace batch\] |
 /// | `task_done` | slave, data, index, urls, attempt |
 /// | `task_failed` | slave, data, index, message, failed input or `""`, attempt |
 pub fn serve_master(master: Master, port: u16) -> std::io::Result<RpcServer> {
@@ -104,14 +104,20 @@ pub fn serve_master(master: Master, port: u16) -> std::io::Result<RpcServer> {
                 .map(TaskReport::from_value)
                 .collect::<Result<Vec<_>>>()
                 .map_err(|e| bad_params("get_task", e))?;
+            // The slave's counter tally since its last poll: nonzero
+            // counters only, an empty struct when there are none.
+            let counts = params
+                .get(4)
+                .ok_or((BAD_PARAMS, "get_task: missing counts (parameter 4)".to_owned()))
+                .and_then(|v| counts_from_value(v).map_err(|e| bad_params("get_task", e)))?;
             // The trace delta is the one trailing parameter a slave leaves
             // out: an empty batch is not worth its bytes.
-            let trace = match params.get(4) {
+            let trace = match params.get(5) {
                 Some(v) => TraceBatch::from_value(v).map_err(|e| bad_params("get_task", e))?,
                 None => TraceBatch::default(),
             };
             let park = Duration::from_millis(park);
-            let (dispatch, more) = m2.poll(slave as SlaveId, free, park, &reports, &trace);
+            let (dispatch, more) = m2.poll(slave as SlaveId, free, park, &reports, &counts, &trace);
             Ok(dispatch.answer_value(more))
         })
         .register("task_done", move |params| {
@@ -187,6 +193,7 @@ impl MasterLink for RpcMasterLink {
         free: usize,
         park: Duration,
         reports: Vec<TaskReport>,
+        counts: JobMetrics,
         trace: TraceBatch,
     ) -> Result<(Dispatch, bool)> {
         let reports = Value::Array(reports.iter().map(TaskReport::to_value).collect());
@@ -195,6 +202,7 @@ impl MasterLink for RpcMasterLink {
             Value::Int(free as i64),
             Value::Int(park.as_millis() as i64),
             reports,
+            counts_value(&counts),
         ];
         // An empty batch (tracing off, nothing recorded) is left out.
         if !trace.is_empty() {
@@ -271,9 +279,6 @@ pub struct LocalCluster {
     /// `HttpClient::pool_stats()` at cluster start; [`Self::metrics`]
     /// reports the delta as this cluster's connection counters.
     pool_baseline: (u64, u64),
-    /// `dataplane::snapshot()` at cluster start; [`Self::metrics`] reports
-    /// the delta as this cluster's shuffle-payload counters.
-    dataplane_baseline: DataPlaneStats,
 }
 
 impl LocalCluster {
@@ -326,7 +331,6 @@ impl LocalCluster {
             plane,
             options,
             pool_baseline: mrs_rpc::HttpClient::pool_stats(),
-            dataplane_baseline: dataplane::snapshot(),
         };
         for _ in 0..n_slaves {
             cluster.add_slave();
@@ -401,15 +405,16 @@ impl LocalCluster {
         self.server.request_count()
     }
 
-    /// Job metrics snapshot. Connection counters are the change in the
+    /// Job metrics snapshot: the master's, which its slaves' polls keep
+    /// whole. Connection counters alone are the change in the
     /// process-wide pool stats since this cluster started, so they include
     /// any unrelated HTTP traffic made by the same process in that window
     /// (in practice: this cluster's RPC polls and bucket transfers).
     pub fn metrics(&self) -> JobMetrics {
         let mut m = self.master.metrics();
         let (opened, reused) = mrs_rpc::HttpClient::pool_stats();
-        m.record_connections(opened - self.pool_baseline.0, reused - self.pool_baseline.1);
-        m.record_dataplane(dataplane::snapshot().since(self.dataplane_baseline));
+        m.add(Counter::ConnectionsOpened, opened - self.pool_baseline.0);
+        m.add(Counter::ConnectionsReused, reused - self.pool_baseline.1);
         m
     }
 }
@@ -724,7 +729,6 @@ mod tests {
         }
         assert!(metrics.contains("mrs_slaves_alive 2"), "{metrics}");
         assert!(metrics.contains("mrs_trace_dropped_events 0"), "{metrics}");
-        assert!(metrics.contains("mrs_dataplane_bytes_on_wire_total"), "{metrics}");
 
         let trace = cluster.take_trace().expect("tracing on by default");
         assert_eq!(trace.dropped, 0);
@@ -765,6 +769,63 @@ mod tests {
         assert!(json.contains("\"name\":\"master\""), "missing master row");
         assert!(json.contains("\"name\":\"slave 0\"") && json.contains("\"name\":\"slave 1\""));
         assert!(json.contains("worker 0") && json.contains("worker 1"), "one lane per slot");
+    }
+
+    /// The master's `/metrics` page is the cluster's: every data-plane
+    /// sample — counted by the slaves, delivered on their polls — reads
+    /// what `LocalCluster::metrics` reads, and no sample is printed twice.
+    #[test]
+    fn metrics_page_carries_the_slaves_data_plane_counts() {
+        let mut cluster = LocalCluster::start(
+            Arc::new(Simple(WordCount)),
+            2,
+            DataPlane::Direct,
+            MasterConfig::default(),
+        )
+        .unwrap();
+        let out = Job::new(&mut cluster).map_reduce(lines(200), 6, 3, false).unwrap();
+        assert_eq!(sorted_counts(out).iter().find(|(w, _)| w == "common").unwrap().1, 200);
+
+        let secs = |d: Duration| format!("{:.6}", d.as_secs_f64());
+        let expected = |m: &JobMetrics| {
+            [
+                ("mrs_bytes_pre_compress_total", m.bytes_pre_compress().to_string()),
+                ("mrs_bytes_on_wire_total", m.bytes_on_wire().to_string()),
+                ("mrs_shortcircuit_fetches_total", m.shortcircuit_fetches().to_string()),
+                ("mrs_checksum_retries_total", m.checksum_retries().to_string()),
+                ("mrs_eager_fragments_total", m.eager_fragments().to_string()),
+                ("mrs_eager_bytes_total", m.eager_bytes().to_string()),
+                ("mrs_residual_fetches_total", m.residual_fetches().to_string()),
+                ("mrs_overlap_seconds_total", secs(m.overlap_time())),
+                ("mrs_merge_runs_total", m.merge_runs().to_string()),
+                ("mrs_presorted_runs_total", m.presorted_runs().to_string()),
+                ("mrs_merge_seconds_total", secs(m.merge_time())),
+                ("mrs_peak_reduce_records", m.peak_reduce_records().to_string()),
+            ]
+        };
+        let authority = cluster.http_authority();
+        // A straggler's backup or a mispredicted eager fragment may still
+        // deliver counts on a later poll: read until a page sits between
+        // two equal snapshots.
+        let (want, page) = loop {
+            let before = expected(&cluster.metrics());
+            let (code, body) =
+                mrs_rpc::HttpClient::request(&authority, "GET", "/metrics", &[]).unwrap();
+            assert_eq!(code, 200);
+            if expected(&cluster.metrics()) == before {
+                break (before, String::from_utf8(body).unwrap());
+            }
+        };
+        let samples: Vec<(&str, &str)> =
+            page.lines().map(|l| l.split_once(' ').expect(l)).collect();
+        let names: std::collections::HashSet<&str> = samples.iter().map(|s| s.0).collect();
+        assert_eq!(names.len(), samples.len(), "a sample name appears twice:\n{page}");
+        for (name, value) in want {
+            let got = samples.iter().find(|s| s.0 == name).map(|s| s.1);
+            assert_eq!(got, Some(value.as_str()), "{name}:\n{page}");
+        }
+        let on_wire = samples.iter().find(|s| s.0 == "mrs_bytes_on_wire_total").unwrap().1;
+        assert!(on_wire.parse::<u64>().unwrap() > 0, "the shuffle crossed no socket:\n{page}");
     }
 
     #[test]

@@ -52,7 +52,6 @@
 
 pub mod cli;
 pub mod data;
-pub mod dataplane;
 pub mod distributed;
 pub mod job;
 pub mod local;
@@ -65,7 +64,6 @@ pub mod slave;
 
 pub use cli::{main_with, CliOptions, Implementation};
 pub use data::DataId;
-pub use dataplane::DataPlaneStats;
 pub use distributed::LocalCluster;
 pub use job::{Job, JobApi};
 pub use local::LocalRuntime;

@@ -18,10 +18,9 @@
 //! output stays byte-identical to the distributed planes with speculation
 //! on or off (the implementations-agree oracle enforces it).
 
-use crate::data::{materialize, record_runs, split_buckets, DataId};
-use crate::dataplane::DataPlaneStats;
+use crate::data::{count_task, materialize, record_runs, split_buckets, DataId};
 use crate::job::JobApi;
-use crate::metrics::JobMetrics;
+use crate::metrics::{Counter, JobMetrics};
 use crate::plan::Plan;
 use crate::proto::trace_op;
 use mrs_codec::CompressMode;
@@ -119,7 +118,7 @@ impl LocalRuntime {
 
     /// Metrics accumulated so far.
     pub fn metrics(&self) -> JobMetrics {
-        self.shared.state.lock().metrics.clone()
+        self.shared.state.lock().metrics
     }
 
     /// Drain the recorded timeline: one lane per pool worker, the same
@@ -169,11 +168,8 @@ fn claim(st: &mut State, count_handover: bool) -> Option<(DataId, usize, TaskSpe
     if spec.gathers() {
         record_runs(&input, t0, &mut st.metrics);
         if count_handover {
-            st.metrics.record_dataplane(DataPlaneStats {
-                shortcircuit_fetches: input.len() as u64,
-                eager_fragments: input.len() as u64,
-                ..DataPlaneStats::default()
-            });
+            st.metrics.add(Counter::ShortcircuitFetches, input.len() as u64);
+            st.metrics.add(Counter::EagerFragments, input.len() as u64);
         }
     }
     Some((data, index, spec, input))
@@ -219,22 +215,17 @@ fn worker_loop(shared: &Shared, lane: u32) {
             Ok(out) => {
                 th.instant(Name::Report, tag);
                 let bytes = out.iter().map(|b| b.byte_size()).sum();
-                match spec {
-                    TaskSpec::Map { .. } => st.metrics.record_map(t0.elapsed(), bytes),
-                    TaskSpec::Reduce { .. } => st.metrics.record_reduce(t0.elapsed()),
-                    TaskSpec::ReduceMap { .. } => {
-                        st.metrics.record_reducemap_task(t0.elapsed(), bytes)
-                    }
-                }
-                st.metrics.record_task();
+                count_task(&mut st.metrics, &spec, t0.elapsed(), bytes);
+                st.metrics.add(Counter::TasksExecuted, 1);
                 let done = st.plan.commit(data, index, out);
                 // Op outputs count as live when their last task lands, so
                 // `peak_live_datasets` tracks held storage, not queue depth.
                 if done.completed {
-                    st.metrics.record_dataset_live();
+                    st.metrics.dataset_live(true);
                 }
                 if done.freed.is_some() {
-                    st.metrics.record_dataset_freed(true);
+                    st.metrics.dataset_live(false);
+                    st.metrics.add(Counter::DatasetsFreed, 1);
                 }
             }
             Err(e) => st.error = Some(e.to_string()),
@@ -278,7 +269,7 @@ impl LocalRuntime {
         let mut st = self.shared.state.lock();
         let id = st.plan.op(spec, input)?;
         if matches!(spec, TaskSpec::ReduceMap { .. }) {
-            st.metrics.record_fused_op();
+            st.metrics.add(Counter::FusedOps, 1);
         }
         drop(st);
         self.shared.cv.notify_all();
@@ -294,7 +285,7 @@ impl JobApi for LocalRuntime {
         let splits = split_buckets(&records, splits);
         let mut st = self.shared.state.lock();
         let id = st.plan.reserve();
-        st.metrics.record_dataset_live();
+        st.metrics.dataset_live(true);
         st.plan.source(id, Ok(splits))
     }
 
@@ -351,7 +342,7 @@ impl JobApi for LocalRuntime {
     fn discard(&mut self, data: DataId) {
         let mut st = self.shared.state.lock();
         if st.plan.discard(data).is_some() {
-            st.metrics.record_dataset_freed(false);
+            st.metrics.dataset_live(false);
         }
     }
 }

@@ -29,9 +29,8 @@
 //! death timeout — no loop here discovers state by fixed-interval sleep.
 
 use crate::data::{split_slices, DataId};
-use crate::dataplane;
 use crate::job::JobApi;
-use crate::metrics::JobMetrics;
+use crate::metrics::{Counter, JobMetrics};
 use crate::plan::{Ds, Plan};
 use crate::proto::{
     fetch_buckets, trace_op, Assignment, CancelOrder, DataPlane, Dispatch, EagerFragment,
@@ -392,18 +391,17 @@ impl Master {
         out
     }
 
-    /// Prometheus text exposition over the job metrics, the process-wide
-    /// data-plane counters, and a few master gauges. Served as
-    /// `/metrics` by the master's HTTP server, formatted outside the lock.
+    /// Prometheus text exposition over the job metrics — the whole
+    /// cluster's, slave counts included — and a few master gauges. Served
+    /// as `/metrics` by the master's HTTP server, formatted outside the lock.
     pub fn metrics_page(&self) -> String {
         let st = self.shared.state.lock();
-        let (metrics, signed_in) = (st.metrics.clone(), st.slaves.len());
+        let (metrics, signed_in) = (st.metrics, st.slaves.len());
         let alive = st.slaves.iter().filter(|s| s.alive).count();
         drop(st);
         let mut out = metrics.to_prometheus();
         out.push_str(&format!("mrs_slaves_alive {alive}\n"));
         out.push_str(&format!("mrs_slaves_signed_in {signed_in}\n"));
-        out.push_str(&dataplane::snapshot().to_prometheus());
         if let Some(t) = &self.shared.trace {
             out.push_str(&format!("mrs_trace_dropped_events {}\n", t.rec.dropped_events()));
         }
@@ -485,9 +483,10 @@ impl Master {
         self.shared.state.lock().slaves.iter().filter(|s| s.alive).count()
     }
 
-    /// Metrics snapshot.
+    /// Metrics snapshot: the master's own counts and every tally its
+    /// slaves' polls delivered.
     pub fn metrics(&self) -> JobMetrics {
-        self.shared.state.lock().metrics.clone()
+        self.shared.state.lock().metrics
     }
 
     /// Mark the job finished: polling slaves are told to exit.
@@ -516,7 +515,7 @@ impl Master {
     /// so `wakeups` measures precise wakes.
     fn wake_dispatch(st: &mut MState, dispatch_cv: &Condvar) {
         if st.parked > 0 {
-            st.metrics.record_wakeup();
+            st.metrics.add(Counter::Wakeups, 1);
             dispatch_cv.notify_all();
         }
     }
@@ -531,10 +530,13 @@ impl Master {
         }
     }
 
-    /// A slave polls. In one critical section: apply the piggybacked
-    /// completion `reports`, grant up to `free_slots` tasks (parking up to
-    /// `park` when nothing is runnable, see [`Self::assign`]) and drain the
-    /// purge, eager-fragment and cancel orders queued for this slave. The
+    /// A slave polls. In one critical section: merge its counter tally
+    /// `counts` (what its fetches and tasks counted since its last poll —
+    /// never later than the reports those tasks make), apply the
+    /// piggybacked completion `reports`, grant up to `free_slots` tasks
+    /// (parking up to `park` when nothing is runnable, see
+    /// [`Self::assign`]) and drain the purge, eager-fragment and cancel
+    /// orders queued for this slave. The
     /// `trace` batch is ingested first so its events land on the timeline
     /// before anything this poll itself dispatches. The boolean beside the
     /// dispatch is the hint "runnable work was left ungranted for you": a
@@ -547,10 +549,12 @@ impl Master {
         free_slots: usize,
         park: Duration,
         reports: &[TaskReport],
+        counts: &JobMetrics,
         trace: &TraceBatch,
     ) -> (Dispatch, bool) {
         self.ingest_trace(slave, trace);
         let mut st = self.shared.state.lock();
+        st.metrics.merge(counts);
         let (assignment, more) = self.assign(&mut st, slave, free_slots, park, reports);
         let at = slave as usize;
         let dispatch = Dispatch {
@@ -599,7 +603,7 @@ impl Master {
         if wake {
             Self::wake_dispatch(st, &self.shared.dispatch_cv);
         }
-        st.metrics.record_piggybacked_reports(reports.len());
+        st.metrics.add(Counter::PiggybackedReports, reports.len() as u64);
         // The clamp to `slave_timeout / 2` keeps a parked slave heartbeating
         // at least twice per death timeout.
         let park =
@@ -633,14 +637,14 @@ impl Master {
             if park.is_zero() || Instant::now() >= deadline {
                 if parked {
                     st.parked -= 1;
-                    st.metrics.record_longpoll_timeout();
+                    st.metrics.add(Counter::LongpollTimeouts, 1);
                 }
                 return (Assignment::Wait, false);
             }
             if !parked {
                 parked = true;
                 st.parked += 1;
-                st.metrics.record_longpoll_park();
+                st.metrics.add(Counter::LongpollParks, 1);
             }
             // A running task becomes backup-eligible purely by time passing
             // — no state transition fires, so no wake would. Cap the sleep
@@ -697,15 +701,17 @@ impl Master {
             let spec = st.plan.at(data).expect("candidates only contain ops").spec;
             let inputs = st.plan.input(data, index);
             if speculative {
-                st.metrics.record_speculative_launch();
+                st.metrics.add(Counter::SpeculativeLaunches, 1);
             } else {
                 if self.shared.cfg.use_affinity {
                     if let Some(&pref) = st.affinity.get(&claim(&spec, index)) {
-                        st.metrics.record_affinity(pref == slave);
+                        let hit = pref == slave;
+                        let c = if hit { Counter::AffinityHits } else { Counter::AffinityMisses };
+                        st.metrics.add(c, 1);
                     }
                 }
                 if stolen {
-                    st.metrics.record_steal();
+                    st.metrics.add(Counter::TasksStolen, 1);
                 }
             }
             let slot = st.plan.x_mut(data, index).expect("candidates only contain ops");
@@ -726,7 +732,9 @@ impl Master {
             return None;
         }
         let total: usize = in_flight.iter().sum();
-        st.metrics.record_dispatch(granted.len(), total);
+        st.metrics.add(Counter::DispatchPolls, 1);
+        st.metrics.add(Counter::DispatchedTasks, granted.len() as u64);
+        st.metrics.max(Counter::PeakInFlight, total as u64);
         // One more pick, with this grant counted into the loads: work left
         // for an equally idle claimant is not work left for this slave.
         let more = Self::pick_task(st, slave, &in_flight).is_some();
@@ -938,24 +946,26 @@ impl Master {
                 mrs_trace::Name::Cancel,
                 mrs_trace::Tag::task(op, data, index, l.id),
             );
-            st.metrics.record_cancel();
+            st.metrics.add(Counter::CancelledTasks, 1);
             if l.speculative {
-                st.metrics.record_speculative_loss();
+                st.metrics.add(Counter::SpeculativeLosses, 1);
             }
         }
         if winner.speculative {
-            st.metrics.record_speculative_win(slowest_loser.saturating_sub(now - winner.started));
+            st.metrics.add(Counter::SpeculativeWins, 1);
+            let saved = slowest_loser.saturating_sub(now - winner.started);
+            st.metrics.add_time(Counter::StragglerTimeSaved, saved);
         }
         self.trace_instant(
             slave,
             mrs_trace::Name::Report,
             mrs_trace::Tag::task(op, data, index, attempt),
         );
-        st.metrics.record_task();
+        st.metrics.add(Counter::TasksExecuted, 1);
         if matches!(spec, TaskSpec::ReduceMap { .. }) {
             // Time and shuffle bytes happened slave-side; the master
             // only observes that a fused task completed.
-            st.metrics.record_reducemap_task(Duration::ZERO, 0);
+            st.metrics.add(Counter::ReducemapTasks, 1);
         }
         if self.shared.cfg.use_affinity {
             st.affinity.insert(claim(&spec, index), slave);
@@ -978,7 +988,7 @@ impl Master {
         if done.completed {
             // The op's output is now fully materialized, and the op no
             // longer needs its input.
-            st.metrics.record_dataset_live();
+            st.metrics.dataset_live(true);
             if let Some(spent) = done.freed {
                 self.reclaimed_locked(st, spent, false, true);
             }
@@ -1062,7 +1072,8 @@ impl Master {
     /// frames are purged via orders piggybacked on each slave's next poll
     /// (direct plane only — on a shared filesystem slaves hold no frames).
     fn reclaimed_locked(&self, st: &mut MState, data: DataId, was_source: bool, by_gc: bool) {
-        st.metrics.record_dataset_freed(by_gc);
+        st.metrics.dataset_live(false);
+        st.metrics.add(Counter::DatasetsFreed, by_gc as u64);
         if was_source {
             self.shared.source_frames.remove_prefix(&format!("src{}/", data.0));
         } else if matches!(self.shared.plane, DataPlane::Direct) {
@@ -1124,10 +1135,8 @@ impl Master {
                 "task (data {data}, index {index}) failed {attempts} times; last error: {msg}"
             ));
         }
-        if speculative_lost {
-            st.metrics.record_speculative_loss();
-        }
-        st.metrics.record_retry();
+        st.metrics.add(Counter::SpeculativeLosses, speculative_lost as u64);
+        st.metrics.add(Counter::TasksRetried, 1);
         // Re-execute the task that produced the unfetchable URL.
         let producer = failed_input.and_then(|url| {
             let holds = |urls: &[String]| urls.iter().any(|u| u == url);
@@ -1160,8 +1169,8 @@ impl Master {
         if newly_dead.is_empty() {
             return;
         }
-        let mut requeued = 0u32;
-        let mut speculative_lost = 0u32;
+        let mut requeued = 0u64;
+        let mut speculative_lost = 0u64;
         let mut lost: Vec<(DataId, usize)> = Vec::new();
         for (d, i, task) in st.plan.tasks_mut() {
             let had_any = !task.x.running.is_empty();
@@ -1184,16 +1193,12 @@ impl Master {
                 lost.push((d, i));
             }
         }
-        requeued += lost.len() as u32;
+        requeued += lost.len() as u64;
         for (d, i) in lost {
             Self::reopen_locked(&mut st, d, i);
         }
-        for _ in 0..requeued {
-            st.metrics.record_retry();
-        }
-        for _ in 0..speculative_lost {
-            st.metrics.record_speculative_loss();
-        }
+        st.metrics.add(Counter::TasksRetried, requeued);
+        st.metrics.add(Counter::SpeculativeLosses, speculative_lost);
         // If nobody is left to run re-queued work, fail rather than hang.
         let any_alive = st.slaves.iter().any(|s| s.alive);
         if !any_alive && st.plan.live_ops().next().is_some() {
@@ -1252,7 +1257,7 @@ impl Master {
         let mut st = self.shared.state.lock();
         let id = st.plan.op(spec, input)?;
         if matches!(spec, TaskSpec::ReduceMap { .. }) {
-            st.metrics.record_fused_op();
+            st.metrics.add(Counter::FusedOps, 1);
         }
         if spec.gathers() {
             // Maps that finished before this consumer existed are
@@ -1297,7 +1302,7 @@ impl JobApi for Master {
         let mut st = self.shared.state.lock();
         let published = st.plan.source(id, urls);
         if published.is_ok() {
-            st.metrics.record_dataset_live();
+            st.metrics.dataset_live(true);
         }
         Self::wake_dispatch(&mut st, &self.shared.dispatch_cv);
         self.wake_sleepers(&mut st);
@@ -1370,7 +1375,10 @@ impl JobApi for Master {
             // parsed in URL order straight into the result vector.
             let urls: Vec<&str> = urls.iter().map(String::as_str).collect();
             let mut out = Vec::new();
-            let fetched = fetch_buckets(&urls, self.shared_store().as_ref(), None, None, None);
+            let mut tally = JobMetrics::default();
+            let shared = self.shared_store();
+            let fetched = fetch_buckets(&urls, shared.as_ref(), None, None, None, &mut tally);
+            self.shared.state.lock().metrics.merge(&tally);
             match fetched.into_iter().try_for_each(|b| read_bucket_records(&b?, &mut out)) {
                 Ok(()) => return Ok(out),
                 Err(e) => last_err = Some(e),
@@ -1434,7 +1442,15 @@ mod tests {
     /// A poll that neither parks nor reports: the grant plus this slave's
     /// queued orders.
     fn poll(m: &Master, slave: SlaveId, free_slots: usize) -> Dispatch {
-        m.poll(slave, free_slots, Duration::ZERO, &[], &TraceBatch::default()).0
+        m.poll(
+            slave,
+            free_slots,
+            Duration::ZERO,
+            &[],
+            &JobMetrics::default(),
+            &TraceBatch::default(),
+        )
+        .0
     }
 
     fn records(n: u64) -> Vec<Record> {
@@ -1751,7 +1767,17 @@ mod tests {
         // Nothing queued: the request parks, the deadline expires, and the
         // timeout fallback is Wait — not a hang, not a busy poll.
         let start = Instant::now();
-        let a = m.poll(s, 1, Duration::from_millis(200), &[], &TraceBatch::default()).0.assignment;
+        let a = m
+            .poll(
+                s,
+                1,
+                Duration::from_millis(200),
+                &[],
+                &JobMetrics::default(),
+                &TraceBatch::default(),
+            )
+            .0
+            .assignment;
         assert_eq!(a, Assignment::Wait);
         assert!(start.elapsed() >= Duration::from_millis(30), "{:?}", start.elapsed());
         let metrics = m.metrics();
@@ -1776,9 +1802,16 @@ mod tests {
         let parked = std::thread::spawn(move || {
             let start = Instant::now();
             (
-                m2.poll(s1, 1, Duration::from_millis(900), &[], &TraceBatch::default())
-                    .0
-                    .assignment,
+                m2.poll(
+                    s1,
+                    1,
+                    Duration::from_millis(900),
+                    &[],
+                    &JobMetrics::default(),
+                    &TraceBatch::default(),
+                )
+                .0
+                .assignment,
                 start.elapsed(),
             )
         });
@@ -1804,7 +1837,16 @@ mod tests {
         let parked = std::thread::spawn(move || {
             let start = Instant::now();
             (
-                m2.poll(s, 1, Duration::from_millis(900), &[], &TraceBatch::default()).0.assignment,
+                m2.poll(
+                    s,
+                    1,
+                    Duration::from_millis(900),
+                    &[],
+                    &JobMetrics::default(),
+                    &TraceBatch::default(),
+                )
+                .0
+                .assignment,
                 start.elapsed(),
             )
         });
@@ -1832,8 +1874,11 @@ mod tests {
             attempt: t1.attempt,
             urls: output_urls(&store, &t1),
         };
-        let t2 =
-            take1(m.poll(s, 1, Duration::ZERO, &[report], &TraceBatch::default()).0.assignment);
+        let t2 = take1(
+            m.poll(s, 1, Duration::ZERO, &[report], &JobMetrics::default(), &TraceBatch::default())
+                .0
+                .assignment,
+        );
         assert_ne!(t1.index, t2.index);
         finish_task(&m, &store, s, &t2);
         m.wait(mapped).unwrap();
@@ -2414,7 +2459,17 @@ mod tests {
         // An idle slave parking for 900ms must be woken at the
         // speculation deadline instead of sleeping out its park.
         let start = Instant::now();
-        let a = m.poll(s2, 1, Duration::from_millis(900), &[], &TraceBatch::default()).0.assignment;
+        let a = m
+            .poll(
+                s2,
+                1,
+                Duration::from_millis(900),
+                &[],
+                &JobMetrics::default(),
+                &TraceBatch::default(),
+            )
+            .0
+            .assignment;
         let elapsed = start.elapsed();
         let backup = take1(a);
         assert_eq!((backup.data, backup.index), (ts[3].data, ts[3].index));
@@ -2448,7 +2503,14 @@ mod tests {
         let Assignment::Tasks(ts) = m.get_tasks(s0, 2) else { panic!("two maps") };
         let m2 = m.clone();
         let parked = std::thread::spawn(move || {
-            m2.poll(s1, 1, Duration::from_secs(60), &[], &TraceBatch::default())
+            m2.poll(
+                s1,
+                1,
+                Duration::from_secs(60),
+                &[],
+                &JobMetrics::default(),
+                &TraceBatch::default(),
+            )
         });
         await_parked(&m);
 
@@ -2482,7 +2544,14 @@ mod tests {
         let Assignment::Tasks(ts) = m.get_tasks(s0, 2) else { panic!("two reduces") };
         let m2 = m.clone();
         let parked = std::thread::spawn(move || {
-            m2.poll(s1, 1, Duration::from_secs(60), &[], &TraceBatch::default())
+            m2.poll(
+                s1,
+                1,
+                Duration::from_secs(60),
+                &[],
+                &JobMetrics::default(),
+                &TraceBatch::default(),
+            )
         });
         await_parked(&m);
         // Not the op's last report, but the map over split 0 is runnable.
@@ -2517,7 +2586,9 @@ mod tests {
         let (m, store) = shared_master();
         let s0 = m.signin("a:1", 1);
         let s1 = m.signin("b:2", 1);
-        let full = |slave| m.poll(slave, 1, Duration::ZERO, &[], &TraceBatch::default());
+        let full = |slave| {
+            m.poll(slave, 1, Duration::ZERO, &[], &JobMetrics::default(), &TraceBatch::default())
+        };
 
         // Round 1, nobody has a claim yet: one of two tasks granted, the
         // other is left for whoever asks — also for this slave.
@@ -2609,7 +2680,14 @@ mod tests {
         let _src = m.local_data(records(2), 1).unwrap();
         let m2 = m.clone();
         let parked = std::thread::spawn(move || {
-            m2.poll(s, 1, Duration::from_secs(60), &[], &TraceBatch::default())
+            m2.poll(
+                s,
+                1,
+                Duration::from_secs(60),
+                &[],
+                &JobMetrics::default(),
+                &TraceBatch::default(),
+            )
         });
         await_parked(&m);
         let status = m.status_page();

@@ -9,9 +9,10 @@
 //! it at `signin` and a master refuses any other, so behind that gate
 //! every decoder here *requires* every field its encoder writes. What the
 //! encoders leave out — empty `purge` / `eager` / `cancel` lists, an empty
-//! trace batch — is left out for compactness and means "none".
+//! trace batch, a zero counter in a slave's tally — is left out for
+//! compactness and means "none".
 
-use crate::dataplane;
+use crate::metrics::{Counter, JobMetrics};
 use mrs_codec::FrameError;
 use mrs_core::{Error, Record, Result, TaskSpec};
 use mrs_fs::format::read_bucket_records;
@@ -29,7 +30,7 @@ use std::sync::Arc;
 /// both, which ends the slave. Every node of a cluster is built from one
 /// commit, so there are no older peers to stay readable for — bump this
 /// on any change to the wire instead of adding a fallback.
-pub const PROTOCOL_VERSION: i64 = 3;
+pub const PROTOCOL_VERSION: i64 = 4;
 
 /// Whether the master launches speculative backup copies of straggling
 /// tasks (§ speculative execution). When a task wave is nearly drained and
@@ -555,6 +556,36 @@ impl TraceBatch {
     }
 }
 
+/// Encode a slave's counter tally for `get_task` (its fifth parameter):
+/// a struct of one non-negative int per *nonzero* counter, keyed by the
+/// counter's `JobMetrics` accessor name — microseconds for a time
+/// counter. An idle poll's tally is the empty struct.
+pub fn counts_value(tally: &JobMetrics) -> Value {
+    let int = |v: u64| Value::Int(i64::try_from(v).unwrap_or(i64::MAX));
+    let nonzero = Counter::ALL.iter().filter(|&&c| tally.get(c) > 0);
+    Value::Struct(nonzero.map(|&c| (c.name().to_owned(), int(tally.get(c)))).collect())
+}
+
+/// Decode a [`counts_value`] tally. Strict: anything but a struct of
+/// known counter names mapped to non-negative ints is an error.
+pub fn counts_from_value(v: &Value) -> Result<JobMetrics> {
+    let Value::Struct(fields) = v else {
+        return Err(Error::Rpc("counts is not a struct".into()));
+    };
+    let mut tally = JobMetrics::default();
+    for (name, value) in fields {
+        let c = Counter::named(name)
+            .ok_or_else(|| Error::Rpc(format!("unknown counter {name:?} in counts")))?;
+        let n = value
+            .as_int()
+            .and_then(|n| u64::try_from(n).ok())
+            .ok_or_else(|| Error::Rpc(format!("counter {name} is not a non-negative int")))?;
+        // One key per counter: adding to zero sets every kind alike.
+        tally.add(c, n);
+    }
+    Ok(tally)
+}
+
 /// A full `get_task` answer: the assignment plus lifetime-GC purge
 /// orders, eager-shuffle fragment announcements, and attempt-cancellation
 /// orders. `purge` lists output-path prefixes whose datasets have no
@@ -665,8 +696,13 @@ impl std::fmt::Debug for DataPlane {
 
 /// Fetch and parse a bucket by URL. `shared` resolves `file://`/`mem://`
 /// URLs; `http://` URLs are fetched from the owning peer's data server.
-pub fn fetch_records(url: &str, shared: Option<&Arc<dyn Store>>) -> Result<Vec<Record>> {
-    let fetched = fetch_buckets(&[url], shared, None, None, None).pop();
+/// The transfer is counted into `tally`.
+pub fn fetch_records(
+    url: &str,
+    shared: Option<&Arc<dyn Store>>,
+    tally: &mut JobMetrics,
+) -> Result<Vec<Record>> {
+    let fetched = fetch_buckets(&[url], shared, None, None, None, tally).pop();
     let mut out = Vec::new();
     read_bucket_records(&fetched.expect("one result per url")?, &mut out)?;
     Ok(out)
@@ -698,6 +734,10 @@ struct Batch<'a> {
 /// inline fetches): once set, nothing further is sent or read and every
 /// slot not yet filled reads `Err(Error::Cancelled)`.
 ///
+/// What the fetch moved — bytes decoded and on the wire, short circuits,
+/// refetches — is added to `tally`, which the caller merges into its
+/// node's store (a slave's rides its next poll).
+///
 /// Every resolution path runs the wire bytes through the `MRSF1` frame
 /// decoder, which verifies magic and checksum. A *remote* frame that
 /// fails either is fetched once more from the peer, alone (transient
@@ -709,6 +749,7 @@ pub fn fetch_buckets(
     own_authority: Option<&str>,
     own_cache: Option<&FrameCache>,
     cancel: Option<&AtomicBool>,
+    tally: &mut JobMetrics,
 ) -> Vec<Result<Vec<u8>>> {
     let cancelled = || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
     let mut slots: Vec<Result<Vec<u8>>> = Vec::with_capacity(urls.len());
@@ -761,7 +802,7 @@ pub fn fetch_buckets(
                     if cancelled() {
                         return slots;
                     }
-                    slots[i] = fetch_inline(url, shared, own_cache);
+                    slots[i] = fetch_inline(url, shared, own_cache, tally);
                 }
             }
         }
@@ -771,7 +812,7 @@ pub fn fetch_buckets(
             return slots;
         }
         for ((&(i, _), path), wire) in batch.urls.iter().zip(&batch.paths).zip(answers.finish()) {
-            slots[i] = wire.and_then(|wire| verify_remote(peer, path, wire));
+            slots[i] = wire.and_then(|wire| verify_remote(peer, path, wire, tally));
         }
     }
     slots
@@ -783,6 +824,7 @@ fn fetch_inline(
     url: &BucketUrl,
     shared: Option<&Arc<dyn Store>>,
     own_cache: Option<&FrameCache>,
+    tally: &mut JobMetrics,
 ) -> Result<Vec<u8>> {
     match url {
         BucketUrl::Http { path, .. } => {
@@ -790,7 +832,7 @@ fn fetch_inline(
             let frame = own_cache.and_then(|cache| cache.get(rel)).ok_or_else(|| {
                 Error::MissingData(format!("own bucket {rel} missing from frame cache"))
             })?;
-            dataplane::record_shortcircuit();
+            tally.add(Counter::ShortcircuitFetches, 1);
             mrs_codec::decode_frame(&frame)
                 .map_err(|e| Error::Codec(format!("local frame {rel}: {e}")))
         }
@@ -805,23 +847,31 @@ fn fetch_inline(
 
 /// Decode the frame a peer answered with, re-fetching that one bucket
 /// once when the bytes were damaged on the way (bad checksum, bad magic).
-/// Successful transfers feed the process-wide wire counters (raw vs
-/// on-wire bytes).
-fn verify_remote(authority: &str, path: &str, wire: Vec<u8>) -> Result<Vec<u8>> {
+/// Successful transfers count their raw and on-wire bytes into `tally`.
+fn verify_remote(
+    authority: &str,
+    path: &str,
+    wire: Vec<u8>,
+    tally: &mut JobMetrics,
+) -> Result<Vec<u8>> {
+    let moved = |tally: &mut JobMetrics, raw: &[u8], wire_len: usize| {
+        tally.add(Counter::BytesPreCompress, raw.len() as u64);
+        tally.add(Counter::BytesOnWire, wire_len as u64);
+    };
     let wire_len = wire.len();
     match mrs_codec::decode_vec(wire) {
         Ok(raw) => {
-            dataplane::record_remote_fetch(raw.len(), wire_len);
+            moved(tally, &raw, wire_len);
             Ok(raw)
         }
         Err(FrameError::Checksum { .. } | FrameError::NotFramed) => {
-            dataplane::record_checksum_retry();
+            tally.add(Counter::ChecksumRetries, 1);
             let wire = dataserver::fetch(authority, path)?;
             let wire_len = wire.len();
             let raw = mrs_codec::decode_vec(wire).map_err(|e| {
                 Error::Codec(format!("bucket {authority}{path} corrupt after refetch: {e}"))
             })?;
-            dataplane::record_remote_fetch(raw.len(), wire_len);
+            moved(tally, &raw, wire_len);
             Ok(raw)
         }
         Err(e) => Err(Error::Codec(format!("bucket {authority}{path}: {e}"))),
@@ -1018,6 +1068,44 @@ mod tests {
         assert!(Dispatch::from_answer(&mistyped).is_err(), "an int is not the hint");
     }
 
+    /// The golden shape of a slave's tally on `get_task`: one int per
+    /// nonzero counter under its accessor name, raw microseconds for a
+    /// time; an idle tally is the empty struct. Decoding is strict.
+    #[test]
+    fn counts_wire_is_one_int_per_nonzero_counter() {
+        let mut tally = JobMetrics::default();
+        tally.add(Counter::MergeRuns, 4);
+        tally.max(Counter::PeakReduceRecords, 900);
+        tally.add_time(Counter::MergeTime, std::time::Duration::from_micros(1500));
+        let mut golden = BTreeMap::new();
+        golden.insert("merge_runs".to_owned(), Value::Int(4));
+        golden.insert("merge_time".to_owned(), Value::Int(1500));
+        golden.insert("peak_reduce_records".to_owned(), Value::Int(900));
+        assert_eq!(counts_value(&tally), Value::Struct(golden.clone()));
+        assert_eq!(counts_from_value(&counts_value(&tally)).unwrap(), tally);
+        assert_eq!(counts_value(&JobMetrics::default()), Value::Struct(BTreeMap::new()));
+        let empty = counts_from_value(&Value::Struct(BTreeMap::new())).unwrap();
+        assert_eq!(empty, JobMetrics::default());
+        // Every counter travels under its own name.
+        let mut all = JobMetrics::default();
+        for (n, &c) in Counter::ALL.iter().enumerate() {
+            all.add(c, n as u64 + 1);
+        }
+        assert_eq!(counts_from_value(&counts_value(&all)).unwrap(), all);
+        // An unknown name, a non-int and a negative value are malformed.
+        for (key, bad) in [
+            ("mrs_merge_runs_total", Value::Int(1)),
+            ("merge_runs", Value::Str("4".into())),
+            ("merge_runs", Value::Int(-1)),
+        ] {
+            let mut m = golden.clone();
+            m.insert(key.to_owned(), bad);
+            let err = counts_from_value(&Value::Struct(m)).unwrap_err().to_string();
+            assert!(err.contains(key), "{key}: {err}");
+        }
+        assert!(counts_from_value(&Value::Array(vec![])).is_err(), "not a struct");
+    }
+
     #[test]
     fn dispatch_roundtrip_with_eager_fragments() {
         let frag = |p: usize| EagerFragment {
@@ -1151,14 +1239,18 @@ mod tests {
         // Whatever reaches a store through the runtime is framed; bare
         // bucket bytes there are damage, not a format.
         store.put("op/bare", &write_bucket_bytes(&records)).unwrap();
-        assert!(matches!(fetch_records("file://op/bare", Some(&store)), Err(Error::Codec(_))));
-        let got = fetch_records("file://op/b0", Some(&store)).unwrap();
+        let mut tally = JobMetrics::default();
+        assert!(matches!(
+            fetch_records("file://op/bare", Some(&store), &mut tally),
+            Err(Error::Codec(_))
+        ));
+        let got = fetch_records("file://op/b0", Some(&store), &mut tally).unwrap();
         assert_eq!(got, records);
     }
 
     #[test]
     fn fetch_without_shared_store_fails() {
-        assert!(fetch_records("file://x", None).is_err());
+        assert!(fetch_records("file://x", None, &mut JobMetrics::default()).is_err());
     }
 
     #[test]
@@ -1172,12 +1264,16 @@ mod tests {
             mrs_codec::encode_vec(write_bucket_bytes(&records), mrs_codec::CompressMode::On);
         cache.insert("d0/t0/b0.mrsb", frame);
         let url = "http://127.0.0.1:1/data/d0/t0/b0.mrsb";
-        let before = dataplane::snapshot();
-        let mut got = fetch_buckets(&[url], None, Some("127.0.0.1:1"), Some(&cache), None);
+        let mut tally = JobMetrics::default();
+        let own = Some("127.0.0.1:1");
+        let mut got = fetch_buckets(&[url], None, own, Some(&cache), None, &mut tally);
         assert_eq!(got.pop().unwrap().unwrap(), write_bucket_bytes(&records));
-        assert!(dataplane::snapshot().since(before).shortcircuit_fetches >= 1);
+        assert_eq!(tally.shortcircuit_fetches(), 1);
+        assert_eq!(tally.bytes_on_wire(), 0, "nothing crossed a socket");
         // A different authority still goes to the network (and fails here).
-        assert!(fetch_buckets(&[url], None, Some("127.0.0.1:2"), Some(&cache), None)[0].is_err());
+        let other = Some("127.0.0.1:2");
+        assert!(fetch_buckets(&[url], None, other, Some(&cache), None, &mut tally)[0].is_err());
+        assert_eq!(tally.shortcircuit_fetches(), 1);
     }
 
     #[test]
@@ -1192,9 +1288,13 @@ mod tests {
         bad[last] ^= 0xff;
         store.put("good", &frame).unwrap();
         store.put("bad", &bad).unwrap();
-        assert_eq!(fetch_records("mem://good", Some(&store)).unwrap(), records);
+        let mut tally = JobMetrics::default();
+        assert_eq!(fetch_records("mem://good", Some(&store), &mut tally).unwrap(), records);
         // Local corruption is not retried — it surfaces immediately.
-        assert!(matches!(fetch_records("mem://bad", Some(&store)), Err(Error::Codec(_))));
+        assert!(matches!(
+            fetch_records("mem://bad", Some(&store), &mut tally),
+            Err(Error::Codec(_))
+        ));
     }
 
     /// A peer that serves a corrupt frame once is given a second chance;
@@ -1235,19 +1335,22 @@ mod tests {
             };
             let server = mrs_rpc::DataServer::serve(0, provider).unwrap();
 
-            let before = dataplane::snapshot();
-            let got = fetch_records(&server.url_for("flaky"), None).unwrap();
+            let mut tally = JobMetrics::default();
+            let got = fetch_records(&server.url_for("flaky"), None, &mut tally).unwrap();
             assert_eq!(got, records);
             assert_eq!(
                 hits.load(Ordering::SeqCst),
                 2,
                 "exactly one refetch ({mode:?}, first byte: {flip_first})"
             );
-            let d = dataplane::snapshot().since(before);
-            assert!(d.checksum_retries >= 1);
-            assert!(d.bytes_on_wire >= good.len() as u64);
+            // The damaged copy is counted as a retry, the clean one as moved.
+            assert_eq!(tally.checksum_retries(), 1);
+            assert_eq!(tally.bytes_on_wire(), good.len() as u64);
+            assert_eq!(tally.bytes_pre_compress(), write_bucket_bytes(&records).len() as u64);
 
-            let err = fetch_records(&server.url_for("hosed"), None).unwrap_err();
+            let mut tally = JobMetrics::default();
+            let err = fetch_records(&server.url_for("hosed"), None, &mut tally).unwrap_err();
+            assert_eq!((tally.checksum_retries(), tally.bytes_on_wire()), (1, 0));
             assert!(matches!(err, Error::Codec(_)), "persistent corruption must surface: {err}");
         }
     }
@@ -1279,6 +1382,7 @@ mod tests {
     #[test]
     fn flipped_byte_in_one_bucket_of_a_batch_refetches_only_that_bucket() {
         let (raws, frames): (Vec<_>, Vec<_>) = (0..4).map(frame_of).unzip();
+        let wire_bytes: u64 = frames.iter().map(|f| f.len() as u64).sum();
         let bad: Arc<[u8]> = {
             let mut b = frames[2].to_vec();
             let last = b.len() - 1;
@@ -1301,12 +1405,16 @@ mod tests {
         let urls: Vec<String> = (0..4).map(|i| server.url_for(&format!("b{i}"))).collect();
         let urls: Vec<&str> = urls.iter().map(String::as_str).collect();
 
-        let before = dataplane::snapshot();
-        let got: Vec<Vec<u8>> =
-            fetch_buckets(&urls, None, None, None, None).into_iter().map(|r| r.unwrap()).collect();
+        let mut tally = JobMetrics::default();
+        let got: Vec<Vec<u8>> = fetch_buckets(&urls, None, None, None, None, &mut tally)
+            .into_iter()
+            .map(|r| r.unwrap())
+            .collect();
         assert_eq!(got, raws);
         assert_eq!(*hits.lock(), ["b0", "b1", "b2", "b3", "b2"], "one refetch, of b2 only");
-        assert!(dataplane::snapshot().since(before).checksum_retries >= 1);
+        assert_eq!(tally.checksum_retries(), 1);
+        assert_eq!(tally.bytes_on_wire(), wire_bytes, "each bucket's clean frame, once");
+        assert_eq!(tally.bytes_pre_compress(), raws.iter().map(|r| r.len() as u64).sum::<u64>());
     }
 
     /// A bucket the peer does not have fails its own slot, naming itself;
@@ -1317,7 +1425,7 @@ mod tests {
         let (server, hits) = counting_server(vec![("a", Arc::clone(&frame)), ("c", frame)]);
         let urls = [server.url_for("a"), server.url_for("gone"), server.url_for("c")];
         let urls: Vec<&str> = urls.iter().map(String::as_str).collect();
-        let mut got = fetch_buckets(&urls, None, None, None, None);
+        let mut got = fetch_buckets(&urls, None, None, None, None, &mut JobMetrics::default());
         assert_eq!(got.remove(0).unwrap(), raw);
         let err = got.remove(0).unwrap_err();
         assert!(matches!(&err, Error::MissingData(m) if m.contains("/data/gone")), "{err}");
@@ -1357,13 +1465,21 @@ mod tests {
         let urls = [first.url_for("x"), "file://inline".to_owned(), second.url_for("y")];
         let urls: Vec<&str> = urls.iter().map(String::as_str).collect();
 
-        let got = fetch_buckets(&urls, Some(&store), None, None, Some(&cancel));
+        let got = fetch_buckets(
+            &urls,
+            Some(&store),
+            None,
+            None,
+            Some(&cancel),
+            &mut JobMetrics::default(),
+        );
         assert!(matches!(got[0], Err(Error::Cancelled)), "sent, never read");
         assert!(got[1].is_ok(), "the fetch that was under way completes");
         assert!(matches!(got[2], Err(Error::Cancelled)));
         assert!(second_hits.lock().is_empty(), "the second peer was contacted");
         // Set from the start, nothing is contacted at all.
-        let got = fetch_buckets(&urls[2..], None, None, None, Some(&cancel));
+        let got =
+            fetch_buckets(&urls[2..], None, None, None, Some(&cancel), &mut JobMetrics::default());
         assert!(matches!(got[0], Err(Error::Cancelled)));
         assert!(second_hits.lock().is_empty());
     }
@@ -1373,9 +1489,11 @@ mod tests {
     fn unparseable_url_fails_only_its_slot() {
         let store: Arc<dyn Store> = Arc::new(mrs_fs::MemFs::new());
         store.put("ok", &frame_of(0).1).unwrap();
-        let got = fetch_buckets(&["ftp://nope", "file://ok"], Some(&store), None, None, None);
+        let mut tally = JobMetrics::default();
+        let got =
+            fetch_buckets(&["ftp://nope", "file://ok"], Some(&store), None, None, None, &mut tally);
         assert!(matches!(got[0], Err(Error::Url(_))));
         assert!(got[1].is_ok());
-        assert!(fetch_buckets(&[], None, None, None, None).is_empty());
+        assert!(fetch_buckets(&[], None, None, None, None, &mut tally).is_empty());
     }
 }

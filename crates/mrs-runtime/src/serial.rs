@@ -5,9 +5,9 @@
 //! inline at submission time, so `wait` is a no-op; this is the reference
 //! implementation against which the others are checked.
 
-use crate::data::{concat, materialize, partition_runs, split_buckets, DataId};
+use crate::data::{concat, count_task, materialize, partition_runs, split_buckets, DataId};
 use crate::job::JobApi;
-use crate::metrics::JobMetrics;
+use crate::metrics::{Counter, JobMetrics};
 use crate::proto::trace_op;
 use mrs_core::task::run_task;
 use mrs_core::{Bucket, Error, FuncId, Program, Record, Result, TaskSpec};
@@ -146,14 +146,16 @@ impl JobApi for SerialRuntime {
         self.th.end(Name::Attempt, tag);
         let buckets = buckets?;
         self.th.instant(Name::Report, tag);
-        self.metrics.record_map(t0.elapsed(), buckets.iter().map(|b| b.byte_size()).sum());
+        let bytes = buckets.iter().map(|b| b.byte_size()).sum();
+        count_task(&mut self.metrics, &spec, t0.elapsed(), bytes);
         Ok(self.push(SerialData::Mapped(vec![buckets.into_iter().map(Arc::new).collect()])))
     }
 
     fn reduce_data(&mut self, input: DataId, func: FuncId) -> Result<DataId> {
         let t0 = std::time::Instant::now();
-        let tasks = self.reduce_like(input, TaskSpec::Reduce { func })?;
-        self.metrics.record_reduce(t0.elapsed());
+        let spec = TaskSpec::Reduce { func };
+        let tasks = self.reduce_like(input, spec)?;
+        count_task(&mut self.metrics, &spec, t0.elapsed(), 0);
         // A reduce task's one output bucket is one split of the dataset.
         Ok(self.push(SerialData::Plain(tasks.into_iter().flatten().collect())))
     }
@@ -170,10 +172,10 @@ impl JobApi for SerialRuntime {
         let spec = TaskSpec::ReduceMap { reduce_func, map_func, parts, combine };
         let out_tasks = self.reduce_like(input, spec)?;
         let elapsed = t0.elapsed();
-        self.metrics.record_fused_op();
+        self.metrics.add(Counter::FusedOps, 1);
         for task in &out_tasks {
             let bytes = task.iter().map(|b| b.byte_size()).sum();
-            self.metrics.record_reducemap_task(elapsed / out_tasks.len().max(1) as u32, bytes);
+            count_task(&mut self.metrics, &spec, elapsed / out_tasks.len().max(1) as u32, bytes);
         }
         Ok(self.push(SerialData::Mapped(out_tasks)))
     }

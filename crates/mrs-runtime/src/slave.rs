@@ -24,14 +24,19 @@
 //! of state (`EagerState`, under the pipe's lock), so a fragment is
 //! fetched once: whichever half touches a URL first owns it.
 //!
+//! What a slave counts — bytes fetched, merge runs, eager fragments — it
+//! tallies beside its pipe and drains into the next poll it sends anyway,
+//! so the master's metrics are the cluster's. A task's counts enter the
+//! tally no later than its report is queued, so they never reach the
+//! master after it.
+//!
 //! The slave is written against the [`MasterLink`] trait so the same loop
 //! runs over real XML-RPC (production/distributed tests) or direct method
 //! calls (scheduler unit tests).
 
-use crate::dataplane::{
-    record_eager_fragment, record_merge_input, record_overlap, record_residual_fetch,
-};
+use crate::data::count_merge_input;
 use crate::master::SlaveId;
+use crate::metrics::{Counter, JobMetrics};
 use crate::proto::{
     fetch_buckets, trace_op, Assignment, CancelOrder, DataPlane, Dispatch, EagerFragment, TaskMsg,
     TaskReport, TraceBatch,
@@ -56,8 +61,9 @@ pub trait MasterLink: Send + Sync {
     fn signin(&self, authority: &str, slots: usize) -> Result<SlaveId>;
     /// Poll for work with `free` idle slots (the master may grant up to
     /// `free` tasks in one batch), delivering piggybacked completion
-    /// `reports` and asking the master to hold the request up to `park`
-    /// when nothing is runnable (long-poll dispatch). The `trace` batch
+    /// `reports` and the `counts` tallied since the last poll, and asking
+    /// the master to hold the request up to `park` when nothing is
+    /// runnable (long-poll dispatch). The `trace` batch
     /// piggybacks this slave's trace-event delta (empty when tracing is
     /// off). The answer is a full [`Dispatch`] — the assignment plus the
     /// purge, eager-fragment and cancel orders queued for this slave — and
@@ -69,6 +75,7 @@ pub trait MasterLink: Send + Sync {
         free: usize,
         park: Duration,
         reports: Vec<TaskReport>,
+        counts: JobMetrics,
         trace: TraceBatch,
     ) -> Result<(Dispatch, bool)>;
     /// Report success with output bucket URLs. `attempt` echoes the id the
@@ -106,9 +113,10 @@ impl MasterLink for crate::master::Master {
         free: usize,
         park: Duration,
         reports: Vec<TaskReport>,
+        counts: JobMetrics,
         trace: TraceBatch,
     ) -> Result<(Dispatch, bool)> {
-        Ok(crate::master::Master::poll(self, slave, free, park, &reports, &trace))
+        Ok(crate::master::Master::poll(self, slave, free, park, &reports, &counts, &trace))
     }
     fn task_done(
         &self,
@@ -237,6 +245,9 @@ struct PipeState {
     in_flight: usize,
     /// Completions waiting to ride on the next poll.
     reports: Vec<TaskReport>,
+    /// What this slave counted since its last poll; the next one carries
+    /// it. A task's counts land here before (or with) its report.
+    tally: JobMetrics,
     /// The last poll answer said runnable work was left ungranted: a freed
     /// slot can be refilled, so a completion is worth a poll of its own.
     more: bool,
@@ -268,6 +279,7 @@ impl Pipe {
                 queue: VecDeque::new(),
                 in_flight: 0,
                 reports: Vec::new(),
+                tally: JobMetrics::default(),
                 more: false,
                 active: HashMap::new(),
                 tombstones: HashSet::new(),
@@ -496,10 +508,12 @@ pub fn run_slave(
                 // A worker lost the control channel; nothing left to do.
                 break Ok(());
             }
-            // Occupancy and pending reports, read in one lock section.
-            let (free, reports) = {
+            // Occupancy, pending reports and the tally, read in one lock
+            // section: every report leaves with its task's counts.
+            let (free, reports, counts) = {
                 let mut st = pipe.state.lock();
-                (capacity.saturating_sub(st.in_flight), std::mem::take(&mut st.reports))
+                let reports = std::mem::take(&mut st.reports);
+                (capacity.saturating_sub(st.in_flight), reports, std::mem::take(&mut st.tally))
             };
             // Park server-side only when fully idle: with workers running,
             // a local completion could otherwise sit behind our own parked
@@ -523,7 +537,7 @@ pub fn run_slave(
             // together (the scheduler "kills processes as soon as a job
             // completes"), so losing the control channel means the job is
             // over, not an error.
-            let answer = link.poll(id, free, park, reports, batch).map(|(d, more)| {
+            let answer = link.poll(id, free, park, reports, counts, batch).map(|(d, more)| {
                 // Apply lifetime-GC purge orders before acting on the
                 // assignment: spent datasets leave this slave's frame
                 // cache so long-running iterative jobs hold O(1)
@@ -672,18 +686,29 @@ fn fetch_loop(
         if let Some(h) = th {
             h.begin(Name::Fetch, tag);
         }
-        let fetched =
-            fetch_inputs(&task.inputs, pipe, warm, shared, own_authority, frames, &cancel);
+        let mut tally = JobMetrics::default();
+        let fetched = fetch_inputs(
+            &task.inputs,
+            pipe,
+            warm,
+            shared,
+            own_authority,
+            frames,
+            &cancel,
+            &mut tally,
+        );
         if let Some(h) = th {
             h.end(Name::Fetch, tag);
         }
         // Hand the attempt over to the workers (or drop it) in the lock
         // section that unregisters the flag: a cancel order lands on the
-        // flag before this point and on the queue entry after it.
+        // flag before this point and on the queue entry after it. The
+        // fetch's counts go in first, well ahead of any report.
         let mut st = pipe.state.lock();
         if st.halt {
             return Ok(());
         }
+        st.tally.merge(&tally);
         st.active.remove(&(task.data, task.index, task.attempt));
         let cancelled = cancel.load(Ordering::Relaxed);
         match fetched {
@@ -753,18 +778,21 @@ fn warm_fragments(
     th: Option<&TraceHandle>,
 ) {
     let refs: Vec<&str> = urls.iter().map(String::as_str).collect();
-    let fetched = fetch_buckets(&refs, shared, own_authority, Some(frames), None);
+    let mut fetch_tally = JobMetrics::default();
+    let fetched = fetch_buckets(&refs, shared, own_authority, Some(frames), None, &mut fetch_tally);
     let mut st = pipe.state.lock();
     if st.halt || st.drain {
         return;
     }
-    let Some(eg) = &mut st.eager else { return };
+    let PipeState { eager: Some(eg), tally, .. } = &mut *st else { return };
+    tally.merge(&fetch_tally);
     for (url, bytes) in urls.into_iter().zip(fetched) {
         let Ok(bytes) = bytes else {
             eg.frags.remove(&url);
             continue;
         };
-        record_eager_fragment(bytes.len());
+        tally.add(Counter::EagerFragments, 1);
+        tally.add(Counter::EagerBytes, bytes.len() as u64);
         if let Some(h) = th {
             // Tag with the producer coordinates when the URL names
             // them; attempt 0 marks "whichever attempt produced it".
@@ -871,6 +899,7 @@ fn worker_loop(
                 }
             }
         }
+        let mut tally = JobMetrics::default();
         let outcome = if cancel.load(Ordering::Relaxed) {
             Err(TaskError {
                 msg: Error::Cancelled.to_string(),
@@ -890,6 +919,7 @@ fn worker_loop(
                 compress,
                 Some(&cancel),
                 th,
+                &mut tally,
             )
         };
         pipe.state.lock().active.remove(&(task.data, task.index, task.attempt));
@@ -907,41 +937,43 @@ fn worker_loop(
             }
             h.end(Name::Attempt, tag);
         }
+        // One lock section frees the slot, counts the task and queues its
+        // report: the poll that takes the report takes its counts too.
+        let mut st = pipe.state.lock();
+        st.in_flight -= 1;
+        st.tally.merge(&tally);
         let report = match outcome {
-            Ok(urls) => {
-                let mut st = pipe.state.lock();
-                st.in_flight -= 1;
-                if !st.direct_report {
-                    st.reports.push(TaskReport {
-                        data: task.data,
-                        index: task.index,
-                        attempt: task.attempt,
-                        urls,
-                    });
-                    // Worth a poll of its own only if it may close a wave
-                    // (the slave is now idle) or the freed slot can be
-                    // refilled; otherwise it rides the poll made anyway.
-                    if st.in_flight == 0 || st.more {
-                        pipe.poll_cv.notify_all();
-                    }
-                    Ok(())
-                } else {
-                    drop(st);
-                    let r = link.task_done(id, task.data, task.index, task.attempt, urls);
+            Ok(urls) if !st.direct_report => {
+                st.reports.push(TaskReport {
+                    data: task.data,
+                    index: task.index,
+                    attempt: task.attempt,
+                    urls,
+                });
+                // Worth a poll of its own only if it may close a wave
+                // (the slave is now idle) or the freed slot can be
+                // refilled; otherwise it rides the poll made anyway.
+                if st.in_flight == 0 || st.more {
                     pipe.poll_cv.notify_all();
-                    r
                 }
+                continue;
+            }
+            Ok(urls) => {
+                drop(st);
+                let r = link.task_done(id, task.data, task.index, task.attempt, urls);
+                pipe.poll_cv.notify_all();
+                r
             }
             Err(TaskError { cancelled: true, .. }) => {
                 // Cooperative cancellation: another attempt already won at
                 // the master's commit point. Abandon silently — the slot
                 // frees, the partial output is never stored or announced.
-                pipe.state.lock().in_flight -= 1;
+                drop(st);
                 pipe.poll_cv.notify_all();
                 continue;
             }
             Err(TaskError { msg, failed_input, .. }) => {
-                pipe.state.lock().in_flight -= 1;
+                drop(st);
                 let r = link.task_failed(
                     id,
                     task.data,
@@ -988,7 +1020,9 @@ pub struct TaskError {
 /// results in their input slot, so downstream parsing sees inputs in
 /// assignment order (the determinism oracle depends on it). The first
 /// failing input makes the [`TaskError`]; once `cancel` is set the
-/// remaining inputs are skipped and the error is a cancelled one.
+/// remaining inputs are skipped and the error is a cancelled one. What
+/// the fetch counted is added to `tally`.
+#[allow(clippy::too_many_arguments)]
 fn fetch_inputs(
     urls: &[String],
     pipe: &Pipe,
@@ -997,6 +1031,7 @@ fn fetch_inputs(
     own_authority: Option<&str>,
     frames: &FrameCache,
     cancel: &AtomicBool,
+    tally: &mut JobMetrics,
 ) -> std::result::Result<Vec<Vec<u8>>, TaskError> {
     let mut slots: Vec<Option<Vec<u8>>> = urls.iter().map(|_| None).collect();
     if let Some(eg) = pipe.state.lock().eager.as_mut().filter(|_| warm) {
@@ -1006,16 +1041,16 @@ fn fetch_inputs(
                 Some(Frag::Warm(bytes, ready_at)) => {
                     // How long the fragment sat ready is transfer latency
                     // that ran concurrently with map execution.
-                    record_overlap(now.saturating_duration_since(ready_at));
+                    tally.add_time(Counter::OverlapTime, now.saturating_duration_since(ready_at));
                     *slot = Some(bytes);
                 }
-                _ => record_residual_fetch(),
+                _ => tally.add(Counter::ResidualFetches, 1),
             }
         }
     }
     let residue: Vec<usize> = (0..urls.len()).filter(|&i| slots[i].is_none()).collect();
     let cold: Vec<&str> = residue.iter().map(|&i| urls[i].as_str()).collect();
-    let fetched = fetch_buckets(&cold, shared, own_authority, Some(frames), Some(cancel));
+    let fetched = fetch_buckets(&cold, shared, own_authority, Some(frames), Some(cancel), tally);
     for (&i, bytes) in residue.iter().zip(fetched) {
         slots[i] = Some(bytes.map_err(|e| TaskError {
             cancelled: matches!(e, Error::Cancelled),
@@ -1035,7 +1070,7 @@ fn task_tag(task: &TaskMsg) -> Tag {
 /// one entry per input URL): gather them into runs, run the kernel, store
 /// the outputs and return their URLs. With a trace handle, the
 /// merge/exec/emit phases record as spans nested inside the caller's
-/// attempt span.
+/// attempt span. The gathered input is counted into `tally`.
 #[allow(clippy::too_many_arguments)]
 fn process_task(
     task: &TaskMsg,
@@ -1049,6 +1084,7 @@ fn process_task(
     compress: CompressMode,
     cancel: Option<&AtomicBool>,
     th: Option<&TraceHandle>,
+    tally: &mut JobMetrics,
 ) -> std::result::Result<Vec<String>, TaskError> {
     let tag = task_tag(task);
     let span_begin = |name: Name| {
@@ -1098,7 +1134,7 @@ fn process_task(
             records += run.len();
             runs.push(run);
         }
-        record_merge_input(runs.len(), presorted, records, t0.elapsed());
+        count_merge_input(tally, runs.len(), presorted, records, t0);
         span_end(Name::Merge);
         gathered = runs;
         &gathered
@@ -1283,6 +1319,8 @@ mod tests {
         park: Duration,
         /// (data, index) of every piggybacked report.
         reports: Vec<(u32, usize)>,
+        /// The merge runs in the poll's tally.
+        merge_runs: u64,
     }
 
     /// A master that plays a script: every poll is logged and answered by
@@ -1327,11 +1365,12 @@ mod tests {
             free: usize,
             park: Duration,
             reports: Vec<TaskReport>,
+            counts: JobMetrics,
             _trace: TraceBatch,
         ) -> Result<(Dispatch, bool)> {
             let mut polls = self.polls.lock();
             let reports = reports.iter().map(|r| (r.data, r.index)).collect();
-            polls.push(Polled { free, park, reports });
+            polls.push(Polled { free, park, reports, merge_runs: counts.merge_runs() });
             Ok((self.answer)(polls.len(), &polls))
         }
         fn task_done(&self, _: SlaveId, d: u32, i: usize, _: u32, _: Vec<String>) -> Result<()> {
@@ -1567,10 +1606,18 @@ mod tests {
     }
 
     /// A link to a real master that logs every completion report it
-    /// forwards, piggybacked or standalone.
+    /// forwards, piggybacked or standalone, and every poll it forwards.
     struct Spy {
         master: Master,
         reports: Mutex<Vec<(u32, usize)>>,
+        polls: Mutex<Vec<Polled>>,
+    }
+
+    impl Spy {
+        fn new(master: &Master) -> Arc<Spy> {
+            let (reports, polls) = (Mutex::default(), Mutex::default());
+            Arc::new(Spy { master: master.clone(), reports, polls })
+        }
     }
 
     impl MasterLink for Spy {
@@ -1583,10 +1630,14 @@ mod tests {
             free: usize,
             park: Duration,
             reports: Vec<TaskReport>,
+            counts: JobMetrics,
             trace: TraceBatch,
         ) -> Result<(Dispatch, bool)> {
-            self.reports.lock().extend(reports.iter().map(|r| (r.data, r.index)));
-            MasterLink::poll(&self.master, slave, free, park, reports, trace)
+            let carried: Vec<(u32, usize)> = reports.iter().map(|r| (r.data, r.index)).collect();
+            self.reports.lock().extend(&carried);
+            let merge_runs = counts.merge_runs();
+            self.polls.lock().push(Polled { free, park, reports: carried, merge_runs });
+            MasterLink::poll(&self.master, slave, free, park, reports, counts, trace)
         }
         fn task_done(&self, s: SlaveId, d: u32, i: usize, a: u32, urls: Vec<String>) -> Result<()> {
             self.reports.lock().push((d, i));
@@ -1626,7 +1677,7 @@ mod tests {
         // left. Its one worker reaches the gate inside the second task, so
         // the first task's report is queued by then — and stays queued:
         // the slave is busy, and its bounded wait is a minute.
-        let spy = Arc::new(Spy { master: master.clone(), reports: Mutex::default() });
+        let spy = Spy::new(&master);
         let stop = Arc::new(AtomicBool::new(false));
         let first = {
             let (spy, program, plane, stop) =
@@ -1657,6 +1708,42 @@ mod tests {
         assert_eq!((metrics.tasks_executed(), metrics.tasks_retried()), (2, 2));
         master.finish();
         second.join().unwrap().unwrap();
+    }
+
+    /// A task's counts ride no later than its report: with one worker,
+    /// each reduce's merge runs (one per map task) are in the tally of
+    /// exactly the poll that carries its report, and of no other.
+    #[test]
+    fn every_poll_carrying_a_report_carries_that_tasks_merge_runs() {
+        let store: Arc<dyn Store> = Arc::new(MemFs::new());
+        let plane = DataPlane::SharedFs(Arc::clone(&store));
+        let master = Master::new(MasterConfig::default(), plane.clone()).unwrap();
+        let spy = Spy::new(&master);
+        let slave = {
+            let (spy, plane) = (Arc::clone(&spy), plane.clone());
+            let program: Arc<dyn Program> = Arc::new(Simple(WordCount));
+            let opts = SlaveOptions { slots: 1, ..SlaveOptions::default() };
+            std::thread::spawn(move || {
+                run_slave(&*spy, program, plane, &opts, &AtomicBool::new(false))
+            })
+        };
+        let (maps, reduces) = (3, 4);
+        let mut driver = master.clone();
+        let src = driver.local_data(input(), maps).unwrap();
+        let mapped = driver.map_data(src, 0, reduces, false).unwrap();
+        let reduced = driver.reduce_data(mapped, 0).unwrap();
+        driver.fetch_all(reduced).unwrap();
+        master.finish();
+        slave.join().unwrap().unwrap();
+
+        let polls = spy.polls.lock().clone();
+        let reduce_reports = |p: &Polled| p.reports.iter().filter(|(d, _)| *d == reduced.0).count();
+        for p in &polls {
+            assert_eq!(p.merge_runs, (maps * reduce_reports(p)) as u64, "{polls:?}");
+        }
+        let carried: usize = polls.iter().map(reduce_reports).sum();
+        assert_eq!(carried, reduces, "every reduce report rode a poll: {polls:?}");
+        assert_eq!(master.metrics().merge_runs(), (maps * reduces) as u64);
     }
 
     /// A store that runs a hook on the pipe inside every `get` — the
@@ -1740,7 +1827,9 @@ mod tests {
         let frames = FrameCache::new();
         let urls = vec!["file://never-stored".to_owned()];
         let pipe = Pipe::new(false);
-        let err = fetch_inputs(&urls, &pipe, false, None, None, &frames, &AtomicBool::new(true))
+        let cancel = AtomicBool::new(true);
+        let mut tally = JobMetrics::default();
+        let err = fetch_inputs(&urls, &pipe, false, None, None, &frames, &cancel, &mut tally)
             .expect_err("a cancelled fetch yields no bytes");
         assert!(err.cancelled, "{}", err.msg);
     }
@@ -1758,7 +1847,9 @@ mod tests {
         let urls: Vec<String> = (0..4).map(|i| server.url_for(&format!("b{i}"))).collect();
         let pipe = Pipe::new(false);
         let cancel = AtomicBool::new(false);
-        let err = fetch_inputs(&urls, &pipe, false, None, None, &FrameCache::new(), &cancel)
+        let frames = FrameCache::new();
+        let mut tally = JobMetrics::default();
+        let err = fetch_inputs(&urls, &pipe, false, None, None, &frames, &cancel, &mut tally)
             .expect_err("b2 is gone");
         assert_eq!(err.failed_input.as_deref(), Some(urls[2].as_str()), "{}", err.msg);
         assert!(!err.cancelled);
@@ -1863,6 +1954,7 @@ mod tests {
         park(&pipe, &warm, bucket(3));
         let store: Arc<dyn Store> = Arc::new(MemFs::new());
         store.put("s9/d1/t2/b0.mrsb", &framed(&[(b"k".to_vec(), vec![2])])).unwrap();
+        let mut tally = JobMetrics::default();
 
         let got = fetch_inputs(
             &[fresh, warm],
@@ -1872,10 +1964,12 @@ mod tests {
             None,
             &FrameCache::new(),
             &AtomicBool::new(false),
+            &mut tally,
         )
         .map_err(|e| e.msg)
         .unwrap();
         assert_eq!(got, [bucket(2), bucket(3)], "fresh bytes cold, the matching fragment warm");
+        assert_eq!((tally.residual_fetches(), tally.eager_fragments()), (1, 0));
         assert_eq!(warm_urls(&pipe), [stale], "left for the purge order");
         pipe.purge_eager("s4/d1/");
         assert!(frag_urls(&pipe, |_| true).is_empty());

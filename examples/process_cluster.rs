@@ -72,6 +72,15 @@ fn main() -> Result<()> {
         t0.elapsed().as_secs_f64()
     );
     assert_eq!(counts["alpha"], 2_000);
+    // What the slave processes counted reached the master on their polls:
+    // every reduce merged one run per map task (a backup attempt, more).
+    let m = master.metrics();
+    println!(
+        "master's view of the slaves' shuffle: {} merge runs, {} bytes on the wire",
+        m.merge_runs(),
+        m.bytes_on_wire()
+    );
+    assert!(m.merge_runs() >= (n_slaves * 4 * n_slaves * 2) as u64);
 
     // Shut down: slaves observe Exit on their next poll and terminate.
     master.finish();

@@ -13,8 +13,10 @@ use mrs_rpc::rpc::RpcClient;
 use mrs_rpc::Value;
 use mrs_runtime::distributed::serve_master;
 use mrs_runtime::master::SlaveId;
+use mrs_runtime::metrics::JobMetrics;
 use mrs_runtime::proto::{Dispatch, TaskReport, TraceBatch, PROTOCOL_VERSION};
 use mrs_runtime::slave::{run_slave, MasterLink};
+use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
@@ -157,6 +159,7 @@ impl MasterLink for OtherBuild {
         _: usize,
         _: Duration,
         _: Vec<TaskReport>,
+        _: JobMetrics,
         _: TraceBatch,
     ) -> Result<(Dispatch, bool)> {
         panic!("a refused slave must never poll")
@@ -183,10 +186,11 @@ impl MasterLink for OtherBuild {
 fn signin_with_a_missing_or_different_protocol_version_is_a_fault() {
     let master = Master::new(MasterConfig::default(), DataPlane::Direct).unwrap();
     let server = serve_master(master.clone(), 0).unwrap();
-    // No version, the next one, and the last one: version 2's answers had
-    // no `more` key, and a slave of that build would never send one's
-    // reports the way this master expects.
-    for version in [None, Some(PROTOCOL_VERSION + 1), Some(2)] {
+    // No version, the next one, and the last two: a version-3 slave sends
+    // no counts (its shuffle counts would be visible nowhere), and
+    // version 2's answers had no `more` key.
+    assert_eq!(PROTOCOL_VERSION, 4);
+    for version in [None, Some(PROTOCOL_VERSION + 1), Some(3), Some(2)] {
         let link = OtherBuild { client: RpcClient::new(server.authority()), version };
         let err = link.signin("127.0.0.1:1", 2).unwrap_err().to_string();
         let theirs = version.map_or("none".to_owned(), |v| v.to_string());
@@ -240,7 +244,8 @@ fn calls_with_missing_parameters_are_fault_3() {
     let slave = client
         .call("signin", &[Value::Str("127.0.0.1:1".into()), Value::Int(1), version.clone()])
         .unwrap();
-    let full = [slave, Value::Int(1), Value::Int(0), Value::Array(vec![])];
+    let counts = Value::Struct(BTreeMap::new());
+    let full = [slave, Value::Int(1), Value::Int(0), Value::Array(vec![]), counts];
     assert!(client.call("get_task", &full).is_ok());
     for given in 0..full.len() {
         let err = client.call("get_task", &full[..given]).unwrap_err().to_string();
@@ -253,4 +258,45 @@ fn calls_with_missing_parameters_are_fault_3() {
         assert!(err.contains("fault 3"), "{params:?}: {err}");
     }
     assert_eq!(master.live_slaves(), 1, "only the well-formed signin registered");
+}
+
+/// A slave's counter tally is decoded strictly: a name no counter has, a
+/// value that is not an int, or a negative one makes the whole `get_task`
+/// a malformed call (fault 3) — and nothing of it is counted.
+#[test]
+fn get_task_with_malformed_counts_is_fault_3() {
+    let master = Master::new(MasterConfig::default(), DataPlane::Direct).unwrap();
+    let server = serve_master(master.clone(), 0).unwrap();
+    let client = RpcClient::new(server.authority());
+    let version = Value::Int(PROTOCOL_VERSION);
+    let slave =
+        client.call("signin", &[Value::Str("127.0.0.1:1".into()), Value::Int(1), version]).unwrap();
+    let poll = |counts: &[(&str, Value)]| {
+        let counts = counts.iter().map(|(k, v)| (k.to_string(), v.clone())).collect();
+        let params = [
+            slave.clone(),
+            Value::Int(1),
+            Value::Int(0),
+            Value::Array(vec![]),
+            Value::Struct(counts),
+        ];
+        client.call("get_task", &params)
+    };
+    assert!(poll(&[("merge_runs", Value::Int(3))]).is_ok());
+    assert_eq!(master.metrics().merge_runs(), 3, "a well-formed tally is merged");
+    for bad in [
+        [("merge_runs", Value::Int(1)), ("no_such_counter", Value::Int(1))],
+        [("merge_runs", Value::Int(1)), ("bytes_on_wire", Value::Str("7".into()))],
+        [("merge_runs", Value::Int(1)), ("bytes_on_wire", Value::Int(-7))],
+    ] {
+        let err = poll(&bad).unwrap_err().to_string();
+        assert!(err.contains("fault 3") && err.contains(bad[1].0), "{bad:?}: {err}");
+    }
+    let m = master.metrics();
+    assert_eq!((m.merge_runs(), m.bytes_on_wire()), (3, 0), "a refused tally counted");
+    let err = client.call(
+        "get_task",
+        &[slave, Value::Int(1), Value::Int(0), Value::Array(vec![]), Value::Int(0)],
+    );
+    assert!(err.unwrap_err().to_string().contains("fault 3"), "counts must be a struct");
 }

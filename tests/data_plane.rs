@@ -1,9 +1,6 @@
 //! What a default-config cluster puts on the data plane: checksummed
 //! *stored* `MRSF1` frames that advertise their sort order — and what a
 //! consumer does when one of them arrives damaged.
-//!
-//! The data-plane counters are process-wide, so the tests here run one
-//! at a time (`ONE_AT_A_TIME`) and compare them exactly.
 
 use mrs::apps::wordcount::{decode_counts, lines_to_records, WordCount};
 use mrs::prelude::*;
@@ -12,33 +9,40 @@ use mrs_core::Bucket;
 use mrs_fs::format::{read_bucket_run, write_bucket, RunInfo};
 use mrs_fs::{MemFs, Store};
 use mrs_rpc::DataServer;
+use mrs_runtime::metrics::JobMetrics;
 use mrs_runtime::proto::{fetch_records, Assignment};
-use mrs_runtime::{dataplane, slave::run_slave};
+use mrs_runtime::slave::run_slave;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 
 const FRAME_HEADER_LEN: usize = 18;
-
-/// Held by every test for its whole run (see the module docs).
-static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 fn lines() -> Vec<String> {
     (0..400).map(|i| format!("common w{} w{} w{}", i % 13, i % 29, i % 7)).collect()
 }
 
-/// Run a no-combiner WordCount (every token crosses the shuffle) and
-/// return the cluster's metrics.
-fn wordcount(plane: DataPlane) -> mrs_runtime::metrics::JobMetrics {
+/// Run a no-combiner WordCount (every token crosses the shuffle) on
+/// `slaves` slaves and return the cluster's metrics. With `sync`, the
+/// cluster waits there once started and once the job is done, so that
+/// clusters sharing it overlap for their whole jobs.
+fn wordcount_on(plane: DataPlane, slaves: usize, sync: Option<&Barrier>) -> JobMetrics {
     let lines = lines();
     let input = lines_to_records(lines.iter().map(String::as_str));
     let mut cluster =
-        LocalCluster::start(Arc::new(Simple(WordCount)), 2, plane, MasterConfig::default())
+        LocalCluster::start(Arc::new(Simple(WordCount)), slaves, plane, MasterConfig::default())
             .unwrap();
+    let meet = || sync.map(|b| b.wait());
+    meet();
     let out = Job::new(&mut cluster).map_reduce(input, 6, 3, false).unwrap();
+    meet();
     let bypass = corpus::tokenizer::reference_counts(lines.iter().map(String::as_str));
     assert_eq!(decode_counts(&out).unwrap(), bypass);
     cluster.metrics()
+}
+
+fn wordcount(plane: DataPlane) -> JobMetrics {
+    wordcount_on(plane, 2, None)
 }
 
 /// Every bucket a default-config cluster wrote to `store`, with what the
@@ -59,7 +63,6 @@ fn stored_frames(store: &dyn Store) -> Vec<(String, Vec<u8>, Bucket, RunInfo)> {
 
 #[test]
 fn default_config_cluster_ships_stored_sorted_frames() {
-    let _one_at_a_time = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     // Over sockets: a stored frame is its bucket plus a header, so the
     // wire carries no less than the decoded volume.
     let m = wordcount(DataPlane::Direct);
@@ -94,7 +97,6 @@ fn default_config_cluster_ships_stored_sorted_frames() {
 
 #[test]
 fn flipped_byte_in_a_stored_frame_is_refetched_exactly_once() {
-    let _one_at_a_time = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     // A frame as a default-config slave emits it.
     let store = Arc::new(MemFs::new());
     wordcount(DataPlane::SharedFs(store.clone()));
@@ -124,11 +126,11 @@ fn flipped_byte_in_a_stored_frame_is_refetched_exactly_once() {
         .unwrap()
     };
 
-    let before = dataplane::snapshot();
-    let got = fetch_records(&server.url_for("flaky"), None).unwrap();
+    let mut tally = JobMetrics::default();
+    let got = fetch_records(&server.url_for("flaky"), None, &mut tally).unwrap();
     assert_eq!(got, bucket.to_records(), "the clean copy is what the consumer parses");
     assert_eq!(hits.load(Ordering::SeqCst), 2, "one fetch, one refetch");
-    assert_eq!(dataplane::snapshot().since(before).checksum_retries, 1);
+    assert_eq!(tally.checksum_retries(), 1);
 }
 
 /// The same damage landing on the frame's first byte, inside a running
@@ -138,7 +140,6 @@ fn flipped_byte_in_a_stored_frame_is_refetched_exactly_once() {
 /// would indict the producer and re-execute it.
 #[test]
 fn flipped_magic_byte_costs_one_refetch_and_no_reexecution() {
-    let _one_at_a_time = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let (maps, reduces) = (2, 2);
     let lines = lines();
     let input = lines_to_records(lines.iter().map(String::as_str));
@@ -186,7 +187,8 @@ fn flipped_magic_byte_costs_one_refetch_and_no_reexecution() {
     };
     assert_eq!(tasks.len(), maps);
     for t in &tasks {
-        let split = Bucket::from_records(fetch_records(&t.inputs[0], None).unwrap());
+        let split = fetch_records(&t.inputs[0], None, &mut JobMetrics::default()).unwrap();
+        let split = Bucket::from_records(split);
         let out =
             run_map_task_bucket(program.as_ref(), t.func, &split, t.parts, t.combine).unwrap();
         let urls = (0..t.parts)
@@ -204,8 +206,8 @@ fn flipped_magic_byte_costs_one_refetch_and_no_reexecution() {
         master.task_done(producer, t.data, t.index, t.attempt, urls);
     }
 
-    // A real slave takes the reduce wave and fetches from that server.
-    let before = dataplane::snapshot();
+    // A real slave takes the reduce wave and fetches from that server;
+    // its counts reach the master on the polls that report the reduces.
     let slave = {
         let (master, program) = (master.clone(), Arc::clone(&program));
         std::thread::spawn(move || {
@@ -219,14 +221,35 @@ fn flipped_magic_byte_costs_one_refetch_and_no_reexecution() {
 
     let bypass = corpus::tokenizer::reference_counts(lines.iter().map(String::as_str));
     assert_eq!(decode_counts(&out).unwrap(), bypass, "job output");
-    let moved = dataplane::snapshot().since(before);
-    assert_eq!(moved.checksum_retries, 1);
-    assert_eq!(moved.merge_runs, (maps * reduces) as u64, "one merge run per map-output bucket");
-    assert_eq!(moved.presorted_runs, moved.merge_runs, "each of them arriving sorted");
+    let m = master.metrics();
+    assert_eq!(m.checksum_retries(), 1);
+    assert_eq!(m.merge_runs(), (maps * reduces) as u64, "one merge run per map-output bucket");
+    assert_eq!(m.presorted_runs(), m.merge_runs(), "each of them arriving sorted");
     let hits = hits.lock().unwrap();
     assert_eq!(hits.len(), maps * reduces + 1, "every bucket once, one of them twice: {hits:?}");
     assert_eq!(hits.iter().filter(|p| **p == hits[0]).count(), 2, "{hits:?}");
-    let m = master.metrics();
     assert_eq!(m.tasks_retried(), 0, "a damaged transfer must not re-execute its producer");
     assert_eq!(m.tasks_executed(), (maps + reduces) as u64);
+}
+
+/// Counters belong to a cluster, not to the process: two clusters running
+/// the same job side by side each count exactly what that job counts
+/// alone. One slave each, so every reduce input is the slave's own and
+/// what crosses a socket (source splits in, results out) does not depend
+/// on where the scheduler put a task.
+#[test]
+fn two_clusters_at_once_each_count_only_their_own_job() {
+    let counted = |m: &JobMetrics| {
+        (m.merge_runs(), m.presorted_runs(), m.bytes_pre_compress(), m.peak_reduce_records())
+    };
+    let solo = counted(&wordcount_on(DataPlane::Direct, 1, None));
+    assert!(solo.0 > 0 && solo.2 > 0 && solo.3 > 0, "{solo:?}");
+    let sync = Barrier::new(2);
+    let (a, b) = std::thread::scope(|s| {
+        let a = s.spawn(|| wordcount_on(DataPlane::Direct, 1, Some(&sync)));
+        let b = s.spawn(|| wordcount_on(DataPlane::Direct, 1, Some(&sync)));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert_eq!(counted(&a), solo);
+    assert_eq!(counted(&b), solo);
 }
