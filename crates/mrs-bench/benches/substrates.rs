@@ -62,10 +62,10 @@ fn bench_rpc_codec(c: &mut Criterion) {
                 .collect(),
         ),
     ];
-    let xml = encode_request("task_done", &params);
+    let xml = encode_request("task_failed", &params);
     let mut group = c.benchmark_group("substrate_xmlrpc");
     group.bench_function("encode_request", |b| {
-        b.iter(|| black_box(encode_request("task_done", black_box(&params))))
+        b.iter(|| black_box(encode_request("task_failed", black_box(&params))))
     });
     group.bench_function("parse_request", |b| {
         b.iter(|| black_box(parse_request(black_box(&xml)).unwrap()))

@@ -1,9 +1,9 @@
 //! **Straggler mitigation** — the speculative-execution experiment: one
 //! WordCount run on identical 2-slave clusters, with a hidden test hook
-//! (`--mrs-test-delay` in the CLI) forcing the first attempt of one map
-//! task to sleep far past the speculation cutoff. The speculating arm
-//! (`--mrs-speculate on`, the default) must launch a backup on the other
-//! slave, commit the backup's completion, and cancel the sleeper; the
+//! (`--mrs-test-delay` in the CLI) making one slave hold one map task far
+//! past the speculation cutoff. The speculating arm (`--mrs-speculate
+//! on`, the default) must launch a backup on the other slave, commit the
+//! backup's completion, and cancel the sleeper; the
 //! non-speculating arm (`--mrs-speculate off`) has to sit out the full
 //! injected delay. A mock-parallel run is the no-stragglers oracle.
 //!
@@ -27,7 +27,7 @@ use mrs_bench::{Args, Report, Table};
 use mrs_core::Record;
 use mrs_fs::MemFs;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Zipf text totalling roughly `words` tokens, as input records.
 fn zipf_input(words: u64) -> Vec<Record> {
@@ -57,10 +57,10 @@ struct ArmRun {
     output: Vec<Record>,
 }
 
-/// One WordCount on a fresh 2-slave cluster whose slaves both carry the
+/// One WordCount on a fresh 2-slave cluster. The first slave carries the
 /// straggler injection (dataset ids are deterministic per job: source = 0,
-/// map = 1, so `(1, 0, delay_ms)` delays the first attempt of map task 0
-/// on whichever slave draws it; backup attempts run at full speed).
+/// map = 1, so `(1, 0, delay_ms)` delays map task 0) and draws that task,
+/// the first dispatched; only then does the clean second slave join.
 fn cluster_run(
     input: &[Record],
     speculate: SpeculateMode,
@@ -74,13 +74,19 @@ fn cluster_run(
         .expect("cluster");
     let straggly =
         SlaveOptions { slots, test_delays: vec![(1, 0, delay_ms)], ..SlaveOptions::default() };
-    cluster.add_slave_with(straggly.clone());
     cluster.add_slave_with(straggly);
     let t0 = Instant::now();
-    let output = {
+    let reduced = {
         let mut job = Job::new(&mut cluster);
-        job.map_reduce(input.to_vec(), maps, reduces, true).expect("wordcount")
+        let src = job.local_data(input.to_vec(), maps).expect("input");
+        let mapped = job.map_data(src, 0, reduces, true).expect("map");
+        job.reduce_data(mapped, 0).expect("reduce")
     };
+    while cluster.metrics().dispatched_tasks() == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    cluster.add_slave_with(SlaveOptions { slots, ..SlaveOptions::default() });
+    let output = Job::new(&mut cluster).fetch_all(reduced).expect("wordcount");
     let secs = t0.elapsed().as_secs_f64();
     let m = cluster.metrics();
     ArmRun {

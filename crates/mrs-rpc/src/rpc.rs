@@ -2,7 +2,7 @@
 //!
 //! This is the master↔slave control channel (§IV-B): the master runs an
 //! [`RpcServer`] with registered methods (`signin`, `get_task`,
-//! `task_done`, `ping`, …) and slaves call them through [`RpcClient`].
+//! `task_failed`, …) and slaves call them through [`RpcClient`].
 
 use crate::http::{Handler, HttpServer, Request, Response};
 use crate::xmlrpc::{self, Value};

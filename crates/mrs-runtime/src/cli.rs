@@ -15,8 +15,6 @@
 //! prog --mrs slave  --mrs-master H:P --mrs-slots 4   # slave with 4 task slots
 //! prog --mrs master --mrs-longpoll-ms 250 # cap server-side get_task parks
 //! prog --mrs master --mrs-compress on    # LZ-compress buckets (a link slower than loopback)
-//! prog --mrs master --mrs-keep-data   # disable dataset lifetime GC
-//! prog --mrs master --mrs-eager-shuffle off  # classic barrier-then-fetch shuffle
 //! prog --mrs master --mrs-speculate off      # no straggler backup tasks
 //! prog --mrs master --mrs-speculate threshold=2.5  # back up at 2.5× median runtime
 //! prog --mrs master --mrs-trace trace.json   # write a Chrome trace at job end
@@ -83,16 +81,6 @@ pub struct CliOptions {
     /// checksummed stored frames). Decoders read the compressed bit per
     /// payload, so mixed settings across a cluster interoperate.
     pub compress: CompressMode,
-    /// Disable dataset lifetime GC (`--mrs-keep-data`): intermediates stay
-    /// fetchable after their last plan consumer finishes, and fault
-    /// recovery can always re-execute from them. The default (GC on)
-    /// bounds an iterative job's footprint at O(1) live datasets.
-    pub keep_data: bool,
-    /// Eager shuffle (`--mrs-eager-shuffle on|off`, default on): the
-    /// master announces finished map-output fragments early and slaves
-    /// fetch them while maps still run. `off` is the classic
-    /// barrier-then-fetch path, kept as a first-class oracle.
-    pub eager_shuffle: bool,
     /// Speculative execution (`--mrs-speculate on|off|threshold=X`,
     /// default on at 1.5×): once a wave is mostly done, a task running
     /// longer than X× the median completed runtime gets a backup attempt
@@ -109,7 +97,7 @@ pub struct CliOptions {
     /// a slave ships no trace batches and the master keeps no timeline.
     pub trace: bool,
     /// Hidden test hook (`--mrs-test-delay data:index:ms`, repeatable):
-    /// a slave delays the *first* attempt of the named task by `ms`,
+    /// a slave delays every attempt of the named task it runs by `ms`,
     /// manufacturing a deterministic straggler for tests and benches.
     pub test_delays: Vec<(u32, usize, u64)>,
     /// Everything that was not an `--mrs*` option, for the program's own
@@ -127,8 +115,6 @@ pub fn parse_options<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptio
     let mut slots = None;
     let mut long_poll = None;
     let mut compress = CompressMode::default();
-    let mut keep_data = false;
-    let mut eager_shuffle = true;
     let mut speculate = SpeculateMode::default();
     let mut trace_path = None;
     let mut trace = true;
@@ -178,7 +164,6 @@ pub fn parse_options<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptio
                 let v = value_of("--mrs-compress")?;
                 compress = CompressMode::parse(&v).map_err(Error::Invalid)?;
             }
-            "--mrs-keep-data" => keep_data = true,
             "--mrs-speculate" => {
                 let v = value_of("--mrs-speculate")?;
                 speculate = SpeculateMode::parse(&v)?;
@@ -203,18 +188,6 @@ pub fn parse_options<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptio
                         )))
                     }
                 }
-            }
-            "--mrs-eager-shuffle" => {
-                let v = value_of("--mrs-eager-shuffle")?;
-                eager_shuffle = match v.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => {
-                        return Err(Error::Invalid(format!(
-                            "--mrs-eager-shuffle {other:?} (expected on|off)"
-                        )))
-                    }
-                };
             }
             unknown if unknown.starts_with("--mrs") => {
                 return Err(Error::Invalid(format!("unknown option {unknown:?}")))
@@ -255,8 +228,6 @@ pub fn parse_options<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptio
         implementation,
         long_poll,
         compress,
-        keep_data,
-        eager_shuffle,
         speculate,
         trace_path,
         trace,
@@ -295,21 +266,17 @@ where
         Implementation::MockParallel => {
             let spill = Arc::new(TempFs::new("mockparallel")?);
             let mut rt = LocalRuntime::mock_parallel_with(program, spill, options.compress);
-            rt.set_keep_data(options.keep_data);
             let result = driver(&mut Job::new(&mut rt));
             result.and(export_trace(options.trace_path.as_deref(), Some(rt.take_trace())))
         }
         Implementation::Pool(workers) => {
             let mut rt = LocalRuntime::pool(program, *workers);
-            rt.set_keep_data(options.keep_data);
             let result = driver(&mut Job::new(&mut rt));
             result.and(export_trace(options.trace_path.as_deref(), Some(rt.take_trace())))
         }
         Implementation::Master { port, port_file } => {
             let mut cfg = MasterConfig {
                 compress: options.compress,
-                keep_data: options.keep_data,
-                eager_shuffle: options.eager_shuffle,
                 speculate: options.speculate,
                 trace: options.trace,
                 ..MasterConfig::default()
@@ -341,7 +308,6 @@ where
                 slave_opts.slots = *n;
             }
             slave_opts.compress = options.compress;
-            slave_opts.eager_shuffle = options.eager_shuffle;
             slave_opts.trace = options.trace;
             slave_opts.test_delays = options.test_delays.clone();
             if let Some(lp) = options.long_poll {
@@ -420,19 +386,20 @@ mod tests {
         assert!(err.contains("on|off"), "{err}");
     }
 
+    /// `--mrs-keep-data` (lineage rebuilds what GC reclaimed) and
+    /// `--mrs-eager-shuffle` (every reduce input is fetched at task time)
+    /// are gone: each is an unknown option now, with or without a value,
+    /// not an argument for the program.
     #[test]
-    fn parses_keep_data_flag() {
-        assert!(!opts(&[]).unwrap().keep_data);
-        let o = opts(&["--mrs", "pool", "--mrs-keep-data", "rest.txt"]).unwrap();
-        assert!(o.keep_data);
-        assert_eq!(o.rest, vec!["rest.txt"]);
-    }
-
-    #[test]
-    fn parses_eager_shuffle_flag() {
-        assert!(opts(&[]).unwrap().eager_shuffle, "eager shuffle defaults on");
-        assert!(opts(&["--mrs-eager-shuffle", "on"]).unwrap().eager_shuffle);
-        assert!(!opts(&["--mrs-eager-shuffle", "off"]).unwrap().eager_shuffle);
+    fn retired_flags_are_rejected_as_unknown() {
+        for args in [
+            &["--mrs", "pool", "--mrs-keep-data", "rest.txt"][..],
+            &["--mrs", "master", "--mrs-eager-shuffle", "off"],
+            &["--mrs-eager-shuffle"],
+        ] {
+            let err = opts(args).unwrap_err().to_string();
+            assert!(err.contains("unknown option \"--mrs-"), "{args:?}: {err}");
+        }
     }
 
     #[test]
@@ -498,8 +465,6 @@ mod tests {
         assert!(opts(&["--mrs-longpoll-ms", "soon"]).is_err());
         assert!(opts(&["--mrs-compress"]).is_err());
         assert!(opts(&["--mrs-compress", "maybe"]).is_err());
-        assert!(opts(&["--mrs-eager-shuffle"]).is_err());
-        assert!(opts(&["--mrs-eager-shuffle", "sometimes"]).is_err());
         assert!(opts(&["--mrs-speculate", "perhaps"]).is_err());
         assert!(opts(&["--mrs-speculate", "threshold=0.5"]).is_err());
         // Retired and mistyped options are named, not passed through to
@@ -552,8 +517,6 @@ mod tests {
             },
             long_poll: None,
             compress: CompressMode::default(),
-            keep_data: false,
-            eager_shuffle: true,
             speculate: SpeculateMode::default(),
             trace_path: None,
             trace: true,

@@ -13,8 +13,8 @@ use crate::job::JobApi;
 use crate::master::{Master, MasterConfig, SlaveId};
 use crate::metrics::{Counter, JobMetrics};
 use crate::proto::{
-    attempt_id, counts_from_value, counts_value, strings, DataPlane, Dispatch, TaskReport,
-    TraceBatch, PROTOCOL_VERSION,
+    attempt_id, counts_from_value, counts_value, DataPlane, Dispatch, TaskReport, TraceBatch,
+    PROTOCOL_VERSION,
 };
 use crate::slave::{run_slave, MasterLink, SlaveOptions};
 use mrs_core::{Error, FuncId, Program, Record, Result};
@@ -58,13 +58,13 @@ fn bad_params(method: &str, e: Error) -> Fault {
 /// |---|---|
 /// | `signin` | authority, slots (>= 1), [`PROTOCOL_VERSION`] |
 /// | `get_task` | slave, free slots, park ms, reports, counts\[, trace batch\] |
-/// | `task_done` | slave, data, index, urls, attempt |
 /// | `task_failed` | slave, data, index, message, failed input or `""`, attempt |
+///
+/// A completion report rides `get_task`; there is no call of its own.
 pub fn serve_master(master: Master, port: u16) -> std::io::Result<RpcServer> {
     let m1 = master.clone();
     let m2 = master.clone();
-    let m3 = master.clone();
-    let m4 = master;
+    let m3 = master;
     let dispatch = RpcDispatch::new()
         .register("signin", move |params| {
             let authority = params
@@ -120,19 +120,6 @@ pub fn serve_master(master: Master, port: u16) -> std::io::Result<RpcServer> {
             let (dispatch, more) = m2.poll(slave as SlaveId, free, park, &reports, &counts, &trace);
             Ok(dispatch.answer_value(more))
         })
-        .register("task_done", move |params| {
-            let (slave, data, index) = task_coords("task_done", params)?;
-            let urls = params
-                .get(3)
-                .and_then(Value::as_array)
-                .ok_or((BAD_PARAMS, "task_done: missing urls (parameter 3)".to_owned()))?;
-            let urls =
-                strings(urls, "task_done", "urls").map_err(|e| bad_params("task_done", e))?;
-            let attempt = attempt_id(int_param("task_done", params, 4, "attempt")?)
-                .map_err(|e| bad_params("task_done", e))?;
-            m3.task_done(slave, data, index, attempt, urls);
-            Ok(Value::Bool(true))
-        })
         .register("task_failed", move |params| {
             let (slave, data, index) = task_coords("task_failed", params)?;
             let text = |i: usize, name: &str| {
@@ -144,13 +131,13 @@ pub fn serve_master(master: Master, port: u16) -> std::io::Result<RpcServer> {
             let failed_input = Some(text(4, "failed input")?).filter(|u| !u.is_empty());
             let attempt = attempt_id(int_param("task_failed", params, 5, "attempt")?)
                 .map_err(|e| bad_params("task_failed", e))?;
-            m4.task_failed(slave, data, index, attempt, msg, failed_input);
+            m3.task_failed(slave, data, index, attempt, msg, failed_input);
             Ok(Value::Bool(true))
         });
     RpcServer::serve(port, dispatch)
 }
 
-/// The (slave, data, index) head of a `task_done` / `task_failed` call.
+/// The (slave, data, index) head of a `task_failed` call.
 fn task_coords(
     method: &str,
     params: &[Value],
@@ -210,28 +197,6 @@ impl MasterLink for RpcMasterLink {
         }
         let v = self.client.call("get_task", &params)?;
         Dispatch::from_answer(&v)
-    }
-
-    fn task_done(
-        &self,
-        slave: SlaveId,
-        data: u32,
-        index: usize,
-        attempt: u32,
-        urls: Vec<String>,
-    ) -> Result<()> {
-        let urls = Value::Array(urls.into_iter().map(Value::Str).collect());
-        self.client.call(
-            "task_done",
-            &[
-                Value::Int(slave as i64),
-                Value::Int(data as i64),
-                Value::Int(index as i64),
-                urls,
-                Value::Int(attempt as i64),
-            ],
-        )?;
-        Ok(())
     }
 
     fn task_failed(
@@ -306,7 +271,6 @@ impl LocalCluster {
         // payload), but a uniform default keeps the benchmarks honest;
         // add_slave_with can diverge.
         options.compress = cfg.compress;
-        options.eager_shuffle = cfg.eager_shuffle;
         options.trace = cfg.trace;
         let master = Master::new(cfg, plane.clone())?;
         let server = serve_master(master.clone(), 0).map_err(Error::Io)?;
@@ -400,7 +364,7 @@ impl LocalCluster {
     }
 
     /// Control-channel RPC requests the master has served so far (signin,
-    /// `get_task`, `task_done`, `task_failed`).
+    /// `get_task`, `task_failed`).
     pub fn control_requests(&self) -> u64 {
         self.server.request_count()
     }
@@ -793,10 +757,6 @@ mod tests {
                 ("mrs_bytes_on_wire_total", m.bytes_on_wire().to_string()),
                 ("mrs_shortcircuit_fetches_total", m.shortcircuit_fetches().to_string()),
                 ("mrs_checksum_retries_total", m.checksum_retries().to_string()),
-                ("mrs_eager_fragments_total", m.eager_fragments().to_string()),
-                ("mrs_eager_bytes_total", m.eager_bytes().to_string()),
-                ("mrs_residual_fetches_total", m.residual_fetches().to_string()),
-                ("mrs_overlap_seconds_total", secs(m.overlap_time())),
                 ("mrs_merge_runs_total", m.merge_runs().to_string()),
                 ("mrs_presorted_runs_total", m.presorted_runs().to_string()),
                 ("mrs_merge_seconds_total", secs(m.merge_time())),
@@ -804,9 +764,8 @@ mod tests {
             ]
         };
         let authority = cluster.http_authority();
-        // A straggler's backup or a mispredicted eager fragment may still
-        // deliver counts on a later poll: read until a page sits between
-        // two equal snapshots.
+        // A straggler's backup may still deliver counts on a later poll:
+        // read until a page sits between two equal snapshots.
         let (want, page) = loop {
             let before = expected(&cluster.metrics());
             let (code, body) =
@@ -831,10 +790,11 @@ mod tests {
     #[test]
     fn cancelled_speculative_loser_traces_cancel_not_report() {
         use mrs_trace::{Kind, Name, MASTER_PID};
-        // Both slaves carry the straggler injection: the first attempt of
-        // map task 0 (data 1) sleeps far past the speculation cutoff, so
-        // the other slave gets a backup, wins, and the sleeper is
-        // cancelled (same setup as the straggler bench, scaled down).
+        // The first slave carries the straggler injection, and draws map
+        // task 0 (data 1), the first task dispatched: it sleeps far past
+        // the speculation cutoff, so the clean slave that joins next gets a
+        // backup, wins, and the sleeper is cancelled (same setup as the
+        // straggler bench, scaled down).
         let mut cluster = LocalCluster::start(
             Arc::new(Simple(WordCount)),
             0,
@@ -844,12 +804,18 @@ mod tests {
         .unwrap();
         let straggly =
             SlaveOptions { slots: 2, test_delays: vec![(1, 0, 600)], ..SlaveOptions::default() };
-        cluster.add_slave_with(straggly.clone());
         cluster.add_slave_with(straggly);
-        let out = {
+        let reduced = {
             let mut job = Job::new(&mut cluster);
-            job.map_reduce(lines(200), 8, 2, true).unwrap()
+            let src = job.local_data(lines(200), 8).unwrap();
+            let mapped = job.map_data(src, 0, 2, true).unwrap();
+            job.reduce_data(mapped, 0).unwrap()
         };
+        while cluster.metrics().dispatched_tasks() == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        cluster.add_slave_with(SlaveOptions { slots: 2, ..SlaveOptions::default() });
+        let out = Job::new(&mut cluster).fetch_all(reduced).unwrap();
         assert!(!out.is_empty());
         let m = cluster.metrics();
         assert!(m.speculative_wins() >= 1, "backup never won: {m:?}");

@@ -29,8 +29,7 @@
 //! ([`proto::SpeculateMode`], `--mrs-speculate`, default on): when a wave
 //! is mostly complete and idle slots exist, a task running past a
 //! configurable multiple of the median completed-task runtime gets a
-//! backup attempt on a different slave (preferring one whose
-//! eager-shuffle cache is already warm for that partition). The first
+//! backup attempt on a different slave. The first
 //! completion wins at the master's commit point; every losing attempt is
 //! cancelled cooperatively via an order piggybacked on its slave's next
 //! poll, and a stale report from a loser is recognized by its attempt id

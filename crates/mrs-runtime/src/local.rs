@@ -93,7 +93,7 @@ impl LocalRuntime {
     ) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
-                plan: Plan::new(false),
+                plan: Plan::new(),
                 error: None,
                 shutdown: false,
                 metrics: JobMetrics::default(),
@@ -128,13 +128,6 @@ impl LocalRuntime {
         let (events, dropped) = self.shared.trace.drain();
         JobTrace::from_local(events, dropped)
     }
-
-    /// Disable (or re-enable) dataset lifetime GC. With GC on (the
-    /// default) a dataset is reclaimed as soon as its last queued consumer
-    /// finishes; `--mrs-keep-data` routes here.
-    pub fn set_keep_data(&mut self, keep: bool) {
-        self.shared.state.lock().plan.set_keep_data(keep);
-    }
 }
 
 impl Drop for LocalRuntime {
@@ -155,10 +148,7 @@ impl Drop for LocalRuntime {
 /// happens outside it). In spill mode (`count_handover`) each map-output
 /// bucket a reduce task receives is an in-memory handover of data that
 /// the distributed runtime would fetch over a socket — counted as a
-/// short-circuit fetch so mock-parallel metrics mirror colocated fetches,
-/// and as an eager fragment: on one core every fragment is available the
-/// instant its producer finishes, so mock-parallel is the perfect-overlap
-/// oracle the eager shuffle plane is measured against.
+/// short-circuit fetch so mock-parallel metrics mirror colocated fetches.
 fn claim(st: &mut State, count_handover: bool) -> Option<(DataId, usize, TaskSpec, TaskOut)> {
     let (data, index, op) = st.plan.runnable().find(|(_, i, op)| !op.tasks()[*i].x)?;
     let spec = op.spec;
@@ -169,7 +159,6 @@ fn claim(st: &mut State, count_handover: bool) -> Option<(DataId, usize, TaskSpe
         record_runs(&input, t0, &mut st.metrics);
         if count_handover {
             st.metrics.add(Counter::ShortcircuitFetches, input.len() as u64);
-            st.metrics.add(Counter::EagerFragments, input.len() as u64);
         }
     }
     Some((data, index, spec, input))
@@ -427,10 +416,8 @@ mod tests {
         let out = job.map_reduce(input(&["x y", "y z", "x x"]), 3, 2, false).unwrap();
         assert_eq!(sorted_counts(out).len(), 3);
         // Every reduce partition took all 3 map outputs by in-memory
-        // handover: 2 partitions × 3 map tasks. Each handover is also a
-        // perfect-overlap eager fragment (the mock-parallel oracle arm).
+        // handover: 2 partitions × 3 map tasks.
         assert_eq!(rt.metrics().shortcircuit_fetches(), 6);
-        assert_eq!(rt.metrics().eager_fragments(), 6);
         // Spilled buckets carry the MRSF1 frame and decode back to MRSB1.
         let files = store.list("").unwrap();
         let spilled = store.get(files.iter().find(|f| f.contains("/map")).unwrap()).unwrap();
@@ -598,25 +585,6 @@ mod tests {
         let (short, long) = (peak_at(3), peak_at(12));
         assert_eq!(short, long, "peak live datasets must not grow with iteration count");
         assert!(long <= 4, "chain should hold O(1) datasets, saw {long}");
-    }
-
-    #[test]
-    fn keep_data_disables_gc_and_keeps_intermediates_fetchable() {
-        let mut rt = LocalRuntime::pool(Arc::new(Simple(Rotate)), 2);
-        rt.set_keep_data(true);
-        let (m1, out) = {
-            let mut job = Job::new(&mut rt);
-            let src = job.local_data(rotate_input(), 2).unwrap();
-            let m1 = job.map_data(src, 0, 2, true).unwrap();
-            let m2 = job.reduce_map_data(m1, 0, 0, 2, true).unwrap();
-            let last = job.reduce_data(m2, 0).unwrap();
-            (m1, job.fetch_all(last).unwrap())
-        };
-        assert!(!out.is_empty());
-        let metrics = rt.metrics();
-        assert_eq!(metrics.datasets_freed(), 0);
-        let mut job = Job::new(&mut rt);
-        assert!(job.fetch_all(m1).is_ok(), "keep-data mode must retain intermediates");
     }
 
     #[test]

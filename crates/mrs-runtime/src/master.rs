@@ -1,10 +1,11 @@
 //! The master: task scheduling, affinity, fault tolerance.
 //!
 //! Transport-agnostic core of the master/slave implementation: the RPC glue
-//! in [`crate::distributed`] maps `signin` / `get_task` / `task_done` /
-//! `task_failed` calls straight onto [`Master::signin`], [`Master::poll`],
-//! [`Master::task_done`] and [`Master::task_failed`], and the unit tests
-//! drive them directly. Responsibilities, per §IV:
+//! in [`crate::distributed`] maps `signin` / `get_task` / `task_failed`
+//! calls straight onto [`Master::signin`], [`Master::poll`] and
+//! [`Master::task_failed`], and the unit tests drive them — and
+//! [`Master::task_done`], a report without a poll — directly.
+//! Responsibilities, per §IV:
 //!
 //! * hand out map/reduce tasks to polling slaves, dispatching each task as
 //!   soon as *its own* inputs exist (operation pipelining, Fig. 2),
@@ -13,7 +14,8 @@
 //!   function, and index),
 //! * detect silent slaves by poll timeout, re-queue their running tasks,
 //!   and — when intermediate data lived on the dead slave (direct data
-//!   plane) — re-execute the tasks that produced it,
+//!   plane) — re-execute the tasks that produced it, rebuilding from
+//!   lineage any input lifetime GC has reclaimed since,
 //! * cap per-task retry attempts so a poisoned task fails the job instead
 //!   of looping forever.
 //!
@@ -33,8 +35,8 @@ use crate::job::JobApi;
 use crate::metrics::{Counter, JobMetrics};
 use crate::plan::{Ds, Plan};
 use crate::proto::{
-    fetch_buckets, trace_op, Assignment, CancelOrder, DataPlane, Dispatch, EagerFragment,
-    SpeculateMode, TaskKind, TaskMsg, TaskReport, TraceBatch,
+    fetch_buckets, trace_op, Assignment, CancelOrder, DataPlane, Dispatch, SpeculateMode, TaskKind,
+    TaskMsg, TaskReport, TraceBatch,
 };
 use mrs_codec::CompressMode;
 use mrs_core::{Error, FuncId, Record, Result, TaskSpec};
@@ -69,15 +71,6 @@ pub struct MasterConfig {
     /// (source splits). [`crate::LocalCluster`] propagates the same
     /// setting to its slaves.
     pub compress: CompressMode,
-    /// Disable dataset lifetime GC (`--mrs-keep-data`): intermediates stay
-    /// fetchable forever, and fault-tolerant re-execution never finds its
-    /// inputs reclaimed.
-    pub keep_data: bool,
-    /// Publish map-output bucket URLs to slaves as each map task completes
-    /// (`--mrs-eager-shuffle`), letting reduce-input transfer overlap with
-    /// map execution. Off (`off`) preserves the classic barrier-then-fetch
-    /// path as a first-class oracle. Direct data plane only.
-    pub eager_shuffle: bool,
     /// Speculative execution policy (`--mrs-speculate`): when a task wave
     /// is nearly drained and a poller has idle slots, a running task whose
     /// elapsed time exceeds the configured multiple of the operation's
@@ -101,8 +94,6 @@ impl Default for MasterConfig {
             use_affinity: true,
             long_poll_timeout: Duration::from_secs(1),
             compress: CompressMode::default(),
-            keep_data: false,
-            eager_shuffle: true,
             speculate: SpeculateMode::default(),
             trace: true,
         }
@@ -114,9 +105,10 @@ impl Default for MasterConfig {
 /// completion commits and the rest are cancelled.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct Attempt {
-    /// Unique per-slot id (1-based, never reused): the task message carries
-    /// it out and the completion report echoes it back, so a report from a
-    /// cancelled or superseded attempt is recognizably stale.
+    /// Unique per-master id (1-based, never reused): the task message
+    /// carries it out and the completion report echoes it back, so a report
+    /// from a cancelled or superseded attempt — or from a life of the task
+    /// before its dataset was reclaimed and rebuilt — is recognizably stale.
     id: u32,
     slave: SlaveId,
     started: Instant,
@@ -135,9 +127,6 @@ struct Slot {
     /// Charged execution attempts, compared against `max_attempts` (fetch
     /// failures are forgiven and decrement this).
     attempts: u32,
-    /// Monotonic attempt-id generator; unlike `attempts` it never goes
-    /// down, so ids are never reused within a slot.
-    next_attempt: u32,
     /// The slave holding the committed output on the direct data plane
     /// (None when outputs live on the shared filesystem).
     owner: Option<SlaveId>,
@@ -192,12 +181,10 @@ struct MState {
     /// Everything below is policy over it.
     plan: Plan<String, Slot>,
     /// Per-slave frame-cache purge orders not yet delivered; drained onto
-    /// the next [`Master::poll`] answer for that slave.
+    /// the next [`Master::poll`] answer for that slave — the same answer as
+    /// any grant to it, so a rebuilt task's output never meets the purge
+    /// order of its previous life.
     pending_purge: Vec<Vec<String>>,
-    /// Per-slave eager-shuffle fragment announcements not yet delivered:
-    /// completed map-output bucket URLs, published to the slave predicted
-    /// to reduce that partition, drained like `pending_purge`.
-    pending_eager: Vec<Vec<EagerFragment>>,
     /// Per-slave attempt-cancellation orders not yet delivered: issued at
     /// the commit point for every losing attempt of a won race, drained
     /// like `pending_purge`.
@@ -208,6 +195,9 @@ struct MState {
     /// from one iteration to the next, exactly like the map/reduce pair it
     /// replaced.
     affinity: HashMap<Claim, SlaveId>,
+    /// The last attempt id handed out. One counter for every task, never
+    /// reset, so ids are unique per master.
+    last_attempt: u32,
     error: Option<String>,
     finished: bool,
     /// Polls currently parked on `dispatch_cv`. Wakes are
@@ -280,17 +270,16 @@ impl Master {
     pub fn new(cfg: MasterConfig, plane: DataPlane) -> Result<Master> {
         let source_frames = Arc::new(FrameCache::new());
         let trace = cfg.trace.then(MasterTrace::new);
-        let plan = Plan::new(cfg.keep_data);
         let master = Master {
             shared: Arc::new(MasterShared {
                 cfg,
                 state: Mutex::new(MState {
-                    plan,
+                    plan: Plan::new(),
                     pending_purge: Vec::new(),
-                    pending_eager: Vec::new(),
                     pending_cancel: Vec::new(),
                     slaves: Vec::new(),
                     affinity: HashMap::new(),
+                    last_attempt: 0,
                     error: None,
                     finished: false,
                     parked: 0,
@@ -350,7 +339,7 @@ impl Master {
             .iter()
             .enumerate()
             .filter_map(|(d, ds)| match ds {
-                Ds::Discarded => None,
+                Ds::Discarded(_) => None,
                 Ds::Loading => Some((d, None, 0, 0, 0)),
                 Ds::Source(urls) => Some((d, None, urls.len(), 0, 0)),
                 Ds::Op(op) => {
@@ -471,7 +460,6 @@ impl Master {
             slots: slots.max(1),
         });
         st.pending_purge.push(Vec::new());
-        st.pending_eager.push(Vec::new());
         st.pending_cancel.push(Vec::new());
         // The sweeper's next deadline may now be this slave's.
         self.shared.sweep_cv.notify_all();
@@ -535,14 +523,13 @@ impl Master {
     /// never later than the reports those tasks make), apply the
     /// piggybacked completion `reports`, grant up to `free_slots` tasks
     /// (parking up to `park` when nothing is runnable, see
-    /// [`Self::assign`]) and drain the purge, eager-fragment and cancel
-    /// orders queued for this slave. The
-    /// `trace` batch is ingested first so its events land on the timeline
-    /// before anything this poll itself dispatches. The boolean beside the
-    /// dispatch is the hint "runnable work was left ungranted for you": a
-    /// slot this slave frees can be refilled, so its next completion is
-    /// worth a poll of its own; `false` (always, on `Wait`) lets it hold
-    /// its reports until it goes idle.
+    /// [`Self::assign`]) and drain the purge and cancel orders queued for
+    /// this slave. The `trace` batch is ingested first so its events land
+    /// on the timeline before anything this poll itself dispatches. The
+    /// boolean beside the dispatch is the hint "runnable work was left
+    /// ungranted for you": a slot this slave frees can be refilled, so its
+    /// next completion is worth a poll of its own; `false` (always, on
+    /// `Wait`) lets it hold its reports until it goes idle.
     pub fn poll(
         &self,
         slave: SlaveId,
@@ -560,7 +547,7 @@ impl Master {
         let dispatch = Dispatch {
             assignment,
             purge: st.pending_purge.get_mut(at).map(std::mem::take).unwrap_or_default(),
-            eager: st.pending_eager.get_mut(at).map(std::mem::take).unwrap_or_default(),
+            eager: Vec::new(),
             cancel: st.pending_cancel.get_mut(at).map(std::mem::take).unwrap_or_default(),
         };
         (dispatch, more)
@@ -575,10 +562,9 @@ impl Master {
     }
 
     /// The grant half of a poll, under the state lock. First applies the
-    /// piggybacked completion `reports` (each one a `task_done` that rode
-    /// along instead of costing its own RPC — and applied *before* the
-    /// dispatch budget is computed, so the slots they free are grantable
-    /// in this same round trip). Then grants up to
+    /// piggybacked completion `reports` (applied *before* the dispatch
+    /// budget is computed, so the slots they free are grantable in this
+    /// same round trip). Then grants up to
     /// `min(free_slots, capacity − in_flight)` tasks, where `capacity` is
     /// the slot count the slave advertised at signin — filling an N-slot
     /// slave costs one poll, not N. With nothing runnable and a non-zero
@@ -625,9 +611,7 @@ impl Master {
             }
             // An undelivered cancel order must not sit behind the park: its
             // whole value is freeing the doomed slot *now* — so answer
-            // `Wait` at once and let `poll` attach it. Eager fragments, by
-            // contrast, are advisory and ride whichever answer is sent
-            // anyway: they never cost a round trip of their own.
+            // `Wait` at once and let `poll` attach it.
             if st.pending_cancel.get(slave as usize).is_some_and(|v| !v.is_empty()) {
                 if parked {
                     st.parked -= 1;
@@ -714,11 +698,11 @@ impl Master {
                     st.metrics.add(Counter::TasksStolen, 1);
                 }
             }
-            let slot = st.plan.x_mut(data, index).expect("candidates only contain ops");
-            slot.next_attempt += 1;
-            slot.attempts += 1;
+            st.last_attempt += 1;
             let attempt =
-                Attempt { id: slot.next_attempt, slave, started: Instant::now(), speculative };
+                Attempt { id: st.last_attempt, slave, started: Instant::now(), speculative };
+            let slot = st.plan.x_mut(data, index).expect("candidates only contain ops");
+            slot.attempts += 1;
             slot.running.push(attempt);
             in_flight[slave as usize] += 1;
             let tag = mrs_trace::Tag::task(trace_op(&spec), data.0, index, attempt.id);
@@ -844,24 +828,14 @@ impl Master {
         out
     }
 
-    /// Choose a straggling task to back up on `slave`: an overdue
-    /// single-attempt task running on a *different* slave. Prefers a task
-    /// whose reduce partition this slave holds the affinity claim for (its
-    /// eager-shuffle cache is warm), then the most overdue.
+    /// Choose a straggling task to back up on `slave`: the most overdue
+    /// single-attempt task running on a *different* slave.
     fn pick_backup(&self, st: &MState, slave: SlaveId, now: Instant) -> Option<(DataId, usize)> {
-        let mut best: Option<((bool, Duration), (DataId, usize))> = None;
-        for (d, i, a, deadline) in self.straggler_candidates(st) {
-            if a.slave == slave || now < deadline {
-                continue;
-            }
-            let spec = &st.plan.at(d).expect("candidates only contain ops").spec;
-            let warm = st.affinity.get(&claim(spec, i)) == Some(&slave);
-            let key = (warm, now - deadline);
-            if best.as_ref().is_none_or(|(k, _)| key > *k) {
-                best = Some((key, (d, i)));
-            }
-        }
-        best.map(|(_, t)| t)
+        self.straggler_candidates(st)
+            .into_iter()
+            .filter(|(_, _, a, deadline)| a.slave != slave && now >= *deadline)
+            .min_by_key(|(_, _, _, deadline)| *deadline)
+            .map(|(d, i, _, _)| (d, i))
     }
 
     /// Earliest future instant at which a running task becomes eligible
@@ -879,9 +853,11 @@ impl Master {
             .min()
     }
 
-    /// A slave reports a completed task. `urls` are the output bucket URLs
-    /// (one per partition for map tasks, exactly one for reduce tasks).
-    /// `attempt` echoes the id carried by the task message.
+    /// Report a completed task without a poll: what a report on
+    /// [`Self::poll`] does, for callers that drive the scheduler in process
+    /// (unit tests, the dispatch microbenchmark). `urls` are the output
+    /// bucket URLs (one per partition for map tasks, exactly one for
+    /// reduce tasks); `attempt` echoes the id carried by the task message.
     pub fn task_done(
         &self,
         slave: SlaveId,
@@ -897,11 +873,10 @@ impl Master {
         }
     }
 
-    /// Record one completed task under the lock. Shared between the
-    /// standalone `task_done` RPC and reports piggybacked on a poll. Wakes
-    /// the waiting drivers if it completes the op, and returns whether the
-    /// caller must wake the parked polls: the op completed, a cancel order
-    /// was queued, a map over this reduce output or a backup got nearer.
+    /// Record one completed task under the lock. Wakes the waiting drivers
+    /// if it completes the op, and returns whether the caller must wake the
+    /// parked polls: the op completed, a cancel order was queued, a map
+    /// over this reduce output or a backup got nearer.
     fn apply_done_locked(
         &self,
         st: &mut MState,
@@ -970,13 +945,6 @@ impl Master {
         if self.shared.cfg.use_affinity {
             st.affinity.insert(claim(&spec, index), slave);
         }
-        // The report that completes the dataset announces nothing:
-        // its consumers become runnable under this same lock and their
-        // task messages carry these same URLs, so a fragment would only
-        // be fetched twice.
-        if spec.parts().is_some() && !done.completed {
-            self.publish_eager_locked(st, id, Some(index));
-        }
         // A map task reads one split of a reduce output, so it is runnable
         // with that split, ahead of the op's barrier; and a report that
         // leaves a straggler candidate behind moves the instant a parked
@@ -997,76 +965,6 @@ impl Master {
         wake || done.completed
     }
 
-    /// Publish finished map-like fragments of dataset `data` to the slaves
-    /// predicted to reduce them. Called with `Some(index)` when one map
-    /// task just completed, and with `None` when a reduce-like op is
-    /// submitted over a dataset that already has `Done` tasks (the
-    /// retroactive case — fragments that finished before the consumer
-    /// existed). Each partition's URL goes to the slave holding the
-    /// affinity claim for that reduce partition; with no claim yet the
-    /// owner is round-robin over live slaves and the prediction is
-    /// committed into the affinity map so the scheduler later sends the
-    /// task where the bytes already are. Re-executed producers publish
-    /// fresh URLs (a new `s{slave}/` prefix), so a stale fragment is never
-    /// re-announced. Direct plane only; no-op when eager shuffle is off.
-    fn publish_eager_locked(&self, st: &mut MState, data: DataId, only_task: Option<usize>) {
-        if !self.shared.cfg.eager_shuffle || !matches!(self.shared.plane, DataPlane::Direct) {
-            return;
-        }
-        // Consumers of this dataset that still have work left and are
-        // reduce-like on the *input* side: plain reduces and fused ReduceMaps.
-        let consumers: Vec<TaskSpec> = st
-            .plan
-            .live_ops()
-            .filter(|(_, op)| op.input == data && op.spec.gathers())
-            .map(|(_, op)| op.spec)
-            .collect();
-        if consumers.is_empty() {
-            return;
-        }
-        let Some(producer) = st.plan.at(data).filter(|op| op.spec.parts().is_some()) else {
-            return;
-        };
-        let frags: Vec<Vec<String>> = producer
-            .tasks()
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| only_task.is_none_or(|t| t == *i))
-            .filter_map(|(_, task)| Some(task.out()?.to_vec()))
-            .collect();
-        let live: Vec<SlaveId> = st
-            .slaves
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.alive)
-            .map(|(i, _)| i as SlaveId)
-            .collect();
-        if live.is_empty() {
-            return;
-        }
-        for consumer in consumers {
-            for urls in &frags {
-                for (p, url) in urls.iter().enumerate() {
-                    let owner = match st.affinity.get(&claim(&consumer, p)) {
-                        Some(&s) if st.slaves.get(s as usize).is_some_and(|x| x.alive) => s,
-                        _ => {
-                            let s = live[p % live.len()];
-                            if self.shared.cfg.use_affinity {
-                                st.affinity.insert(claim(&consumer, p), s);
-                            }
-                            s
-                        }
-                    };
-                    if let Some(q) = st.pending_eager.get_mut(owner as usize) {
-                        q.push(EagerFragment { data: data.0, partition: p, url: url.clone() });
-                    }
-                }
-            }
-        }
-        // Nobody is woken for these: a fragment rides the next answer its
-        // slave is sent anyway.
-    }
-
     /// The plan reclaimed dataset `data`: drop its storage everywhere.
     /// Master-held source frames are removed immediately; slave-held
     /// frames are purged via orders piggybacked on each slave's next poll
@@ -1083,12 +981,17 @@ impl Master {
         }
     }
 
-    /// Send a committed task whose output was lost back to pending. Fails
-    /// the job if its input has been reclaimed by lifetime GC meanwhile:
-    /// re-execution cannot proceed without it.
+    /// Send a committed task whose output was lost back to pending; the
+    /// plan rebuilds whatever it reads that lifetime GC reclaimed. Fails
+    /// the job only when that lineage ends at a discarded source. An op
+    /// that was complete stops counting as live until it is again.
     fn reopen_locked(st: &mut MState, data: DataId, index: usize) {
-        if let Err(e) = st.plan.reopen(data, index) {
-            st.error.get_or_insert(format!("{e}; re-run with --mrs-keep-data"));
+        match st.plan.reopen(data, index) {
+            Ok(true) => st.metrics.dataset_live(false),
+            Ok(false) => {}
+            Err(e) => {
+                st.error.get_or_insert(e.to_string());
+            }
         }
     }
 
@@ -1258,11 +1161,6 @@ impl Master {
         let id = st.plan.op(spec, input)?;
         if matches!(spec, TaskSpec::ReduceMap { .. }) {
             st.metrics.add(Counter::FusedOps, 1);
-        }
-        if spec.gathers() {
-            // Maps that finished before this consumer existed are
-            // publishable right now (iterative drivers submit it late).
-            self.publish_eager_locked(&mut st, input, None);
         }
         Self::wake_dispatch(&mut st, &self.shared.dispatch_cv);
         Ok(id)
@@ -1567,14 +1465,8 @@ mod tests {
 
     #[test]
     fn dead_slave_completed_outputs_recomputed_on_direct_plane() {
-        // Eager shuffle off: its affinity prediction would pin the reduce
-        // to the map's owner (s1), but this scenario needs s2 holding the
-        // doomed reduce while s1 dies.
-        let cfg = MasterConfig {
-            slave_timeout: Duration::from_millis(20),
-            eager_shuffle: false,
-            ..MasterConfig::default()
-        };
+        let cfg =
+            MasterConfig { slave_timeout: Duration::from_millis(20), ..MasterConfig::default() };
         let mut m = Master::new(cfg, DataPlane::Direct).unwrap();
         let s1 = m.signin("a:1", 1);
         // s2 needs a second slot: it still holds the doomed reduce when it
@@ -2032,24 +1924,6 @@ mod tests {
     }
 
     #[test]
-    fn keep_data_config_disables_master_gc() {
-        let cfg = MasterConfig { keep_data: true, ..Default::default() };
-        let store: Arc<dyn Store> = Arc::new(MemFs::new());
-        let mut m = Master::new(cfg, DataPlane::SharedFs(Arc::clone(&store))).unwrap();
-        let s = m.signin("a:1", 1);
-        let src = m.local_data(records(4), 1).unwrap();
-        let m1 = m.map_data(src, 0, 1, false).unwrap();
-        let _r1 = m.reduce_data(m1, 0).unwrap();
-        while let Assignment::Tasks(ts) = m.get_tasks(s, 1) {
-            for t in &ts {
-                finish_task(&m, &store, s, t);
-            }
-        }
-        assert_eq!(m.metrics().datasets_freed(), 0);
-        assert!(m.fetch_all(m1).is_ok(), "intermediates stay fetchable with keep-data");
-    }
-
-    #[test]
     fn dead_multislot_slave_has_all_running_tasks_requeued() {
         let cfg =
             MasterConfig { slave_timeout: Duration::from_millis(20), ..MasterConfig::default() };
@@ -2073,95 +1947,6 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 2]);
         assert_eq!(m.metrics().tasks_retried(), 3);
-    }
-
-    #[test]
-    fn eager_fragments_published_incrementally_with_affinity_prediction() {
-        let mut m = master_direct();
-        let s0 = m.signin("a:1", 1);
-        let s1 = m.signin("b:2", 1);
-        let src = m.local_data(records(4), 2).unwrap();
-        let _mapped = m.map_data(src, 0, 2, false).unwrap();
-        let _reduced = m.reduce_data(_mapped, 0).unwrap();
-
-        // Slave 0 completes the first map task: its per-partition URLs are
-        // published at once, keyed to the predicted reduce owner
-        // (round-robin over live slaves: partition p → slave p % 2).
-        let t = take1(m.get_tasks(s0, 1));
-        assert_eq!(t.kind, TaskKind::Map);
-        let urls: Vec<String> = (0..t.parts)
-            .map(|p| format!("http://a:1/data/s0/d{}/t{}/b{p}.mrsb", t.data, t.index))
-            .collect();
-        m.task_done(s0, t.data, t.index, t.attempt, urls.clone());
-
-        let d0 = poll(&m, s0, 0);
-        assert_eq!(d0.eager.len(), 1, "{:?}", d0.eager);
-        assert_eq!((d0.eager[0].data, d0.eager[0].partition), (t.data, 0));
-        assert_eq!(d0.eager[0].url, urls[0]);
-        let d1 = poll(&m, s1, 0);
-        assert_eq!(d1.eager.len(), 1, "{:?}", d1.eager);
-        assert_eq!(d1.eager[0].partition, 1);
-        assert_eq!(d1.eager[0].url, urls[1]);
-
-        // Slave 1 completes the second map; its fragments go to the
-        // owners the first publication committed into the affinity map.
-        let t2 = take1(m.get_tasks(s1, 1));
-        let urls2: Vec<String> = (0..t2.parts)
-            .map(|p| format!("http://b:2/data/s1/d{}/t{}/b{p}.mrsb", t2.data, t2.index))
-            .collect();
-        m.task_done(s1, t2.data, t2.index, t2.attempt, urls2.clone());
-
-        // That report closed the wave, so it announces nothing: the
-        // barrier is clear and each slave is granted exactly the reduce
-        // partition whose fragments were predicted onto it, with the last
-        // map's buckets named in the task message itself.
-        let d0 = poll(&m, s0, 1);
-        assert!(d0.eager.is_empty(), "{:?}", d0.eager);
-        let Assignment::Tasks(ts) = d0.assignment else { panic!("barrier should be clear") };
-        assert_eq!((ts[0].kind, ts[0].index), (TaskKind::Reduce, 0));
-        assert_eq!(ts[0].inputs, [urls[0].clone(), urls2[0].clone()]);
-        let d1 = poll(&m, s1, 1);
-        assert!(d1.eager.is_empty(), "{:?}", d1.eager);
-        let Assignment::Tasks(ts) = d1.assignment else { panic!("barrier should be clear") };
-        assert_eq!((ts[0].kind, ts[0].index), (TaskKind::Reduce, 1));
-        assert_eq!(ts[0].inputs, [urls[1].clone(), urls2[1].clone()]);
-    }
-
-    #[test]
-    fn eager_publication_waits_for_a_consumer_then_backfills() {
-        let mut m = master_direct();
-        let s0 = m.signin("a:1", 1);
-        let s1 = m.signin("b:2", 1);
-        let src = m.local_data(records(4), 1).unwrap();
-        let mapped = m.map_data(src, 0, 2, false).unwrap();
-        let t = take1(m.get_tasks(s0, 1));
-        let urls: Vec<String> =
-            (0..t.parts).map(|p| format!("http://a:1/data/s0/d{}/t0/b{p}.mrsb", t.data)).collect();
-        m.task_done(s0, t.data, t.index, t.attempt, urls);
-        // No reduce-like consumer yet: nothing to predict, nothing sent.
-        assert!(poll(&m, s0, 0).eager.is_empty());
-        assert!(poll(&m, s1, 0).eager.is_empty());
-        // Submitting the reduce retroactively publishes the already-done
-        // fragments (iterative drivers submit consumers late).
-        let _r = m.reduce_data(mapped, 0).unwrap();
-        let d0 = poll(&m, s0, 0);
-        let d1 = poll(&m, s1, 0);
-        assert_eq!(d0.eager.len() + d1.eager.len(), 2, "{:?} {:?}", d0.eager, d1.eager);
-    }
-
-    #[test]
-    fn eager_shuffle_off_publishes_nothing() {
-        let cfg = MasterConfig { eager_shuffle: false, ..MasterConfig::default() };
-        let mut m = Master::new(cfg, DataPlane::Direct).unwrap();
-        let s0 = m.signin("a:1", 1);
-        let src = m.local_data(records(4), 1).unwrap();
-        let _mapped = m.map_data(src, 0, 2, false).unwrap();
-        let _reduced = m.reduce_data(_mapped, 0).unwrap();
-        let t = take1(m.get_tasks(s0, 1));
-        let urls: Vec<String> =
-            (0..t.parts).map(|p| format!("http://a:1/data/s0/d{}/t0/b{p}.mrsb", t.data)).collect();
-        m.task_done(s0, t.data, t.index, t.attempt, urls);
-        assert!(poll(&m, s0, 0).eager.is_empty());
     }
 
     /// A four-task map wave where s1 holds every task and finishes all but
@@ -2433,10 +2218,10 @@ mod tests {
             assert!(op.tasks()[map.index].out().is_none(), "the indicted URLs are back");
         }
         // The reduce stays behind the barrier; the map re-runs under a
-        // fresh attempt id.
+        // fresh attempt id, the master's third.
         assert_eq!(m.get_tasks(s1, 1), Assignment::Wait);
         let again = take1(m.get_tasks(s0, 1));
-        assert_eq!((again.kind, again.index, again.attempt), (TaskKind::Map, map.index, 2));
+        assert_eq!((again.kind, again.index, again.attempt), (TaskKind::Map, map.index, 3));
     }
 
     #[test]
@@ -2514,19 +2299,17 @@ mod tests {
         });
         await_parked(&m);
 
-        // The first report completes nothing, though it publishes a
-        // fragment to the parked slave: nobody is woken for either.
+        // The first report lands a fragment of the reduce's input but
+        // completes nothing, and the barrier still holds: nobody is woken.
         m.task_done(s0, ts[0].data, ts[0].index, ts[0].attempt, direct_urls(s0, &ts[0]));
         {
             let st = m.shared.state.lock();
-            assert_eq!(st.pending_eager[s1 as usize].len(), 1, "a fragment is waiting for s1");
             assert_eq!((st.parked, st.metrics.wakeups()), (1, 0));
         }
-        // The closing report wakes it, and the fragment rides the answer.
+        // The closing report wakes it with the reduce.
         m.task_done(s0, ts[1].data, ts[1].index, ts[1].attempt, direct_urls(s0, &ts[1]));
         let (d, _) = parked.join().unwrap();
         assert_eq!(take1(d.assignment).kind, TaskKind::Reduce);
-        assert_eq!(d.eager.len(), 1, "{:?}", d.eager);
         let metrics = m.metrics();
         assert_eq!((metrics.wakeups(), metrics.longpoll_timeouts()), (1, 0));
     }
@@ -2649,11 +2432,8 @@ mod tests {
 
     #[test]
     fn reopened_ops_are_walked_again() {
-        let cfg = MasterConfig {
-            slave_timeout: Duration::from_millis(20),
-            eager_shuffle: false,
-            ..MasterConfig::default()
-        };
+        let cfg =
+            MasterConfig { slave_timeout: Duration::from_millis(20), ..MasterConfig::default() };
         let mut m = Master::new(cfg, DataPlane::Direct).unwrap();
         let s1 = m.signin("a:1", 1);
         let s2 = m.signin("b:2", 1);
@@ -2671,6 +2451,123 @@ mod tests {
         m.sweep();
         assert_eq!(live(&m), [mapped]);
         assert_eq!(take1(m.get_tasks(s2, 1)).index, t.index);
+    }
+
+    /// A direct-plane slave played by the test: it keeps the paths in its
+    /// frame cache, applies an answer's purge orders before it runs the
+    /// answer's tasks (as `run_slave` does), and checks that every input it
+    /// produced itself is still cached when a task reading it is granted.
+    struct FakeSlave {
+        id: SlaveId,
+        frames: std::collections::HashSet<String>,
+        reports: Vec<TaskReport>,
+    }
+
+    impl FakeSlave {
+        fn poll(&mut self, m: &Master) -> Dispatch {
+            let reports = std::mem::take(&mut self.reports);
+            let counts = JobMetrics::default();
+            let (d, _) =
+                m.poll(self.id, 1, Duration::ZERO, &reports, &counts, &TraceBatch::default());
+            self.frames.retain(|path| !d.purge.iter().any(|p| path.starts_with(p.as_str())));
+            let own = |url: &str| url.strip_prefix("http://a:1/data/").map(str::to_owned);
+            for t in match &d.assignment {
+                Assignment::Tasks(ts) => ts.as_slice(),
+                _ => &[],
+            } {
+                for path in t.inputs.iter().filter_map(|u| own(u)) {
+                    assert!(self.frames.contains(&path), "{t:?} granted, its input {path} purged");
+                }
+                let urls = direct_urls(self.id, t);
+                self.frames.extend(urls.iter().filter_map(|u| own(u)));
+                self.reports.push(TaskReport {
+                    data: t.data,
+                    index: t.index,
+                    attempt: t.attempt,
+                    urls,
+                });
+            }
+            d
+        }
+    }
+
+    /// Two rounds, `m1 -> r1 -> m2 -> r2`, on one fake slave, up to the
+    /// moment r2 finds m2's output gone. By then GC has reclaimed m1 (its
+    /// purge order delivered) and r1 (its purge order still queued), so
+    /// re-running m2's task first rebuilds r1 and m1 from lineage. Returns
+    /// the slave — its reports sent, nothing granted — and `[m1, r1, m2,
+    /// r2]`.
+    fn rebuild_after_a_lost_output(m: &mut Master) -> (FakeSlave, [DataId; 4]) {
+        let id = m.signin("a:1", 1);
+        let mut slave = FakeSlave { id, frames: Default::default(), reports: Vec::new() };
+        let src = m.local_data(records(4), 1).unwrap();
+        let m1 = m.map_data(src, 0, 1, false).unwrap();
+        let r1 = m.reduce_data(m1, 0).unwrap();
+        let m2 = m.map_data(r1, 0, 1, false).unwrap();
+        let r2 = m.reduce_data(m2, 0).unwrap();
+        // m1, r1 and m2 are granted in turn, each poll reporting the last.
+        for want in [m1, r1, m2] {
+            assert_eq!(take1(slave.poll(m).assignment).data, want.0);
+        }
+        // m2's report arrives without a poll: r1's purge order waits.
+        let report = slave.reports.pop().expect("m2's report");
+        m.task_done(id, report.data, report.index, report.attempt, report.urls.clone());
+        assert_eq!(m.metrics().datasets_freed(), 2);
+        let t = take1(m.get_tasks(id, 1));
+        assert_eq!(t.data, r2.0);
+        m.task_failed(id, t.data, t.index, t.attempt, "fetch", Some(&report.urls[0]));
+        (slave, [m1, r1, m2, r2])
+    }
+
+    #[test]
+    fn after_a_rebuild_a_report_from_the_previous_life_commits_nothing() {
+        let mut m = master_direct();
+        let (mut slave, [m1, ..]) = rebuild_after_a_lost_output(&mut m);
+        let rebuilt = take1(slave.poll(&m).assignment);
+        assert_eq!((rebuilt.data, rebuilt.index), (m1.0, 0), "the map at the chain's root");
+        // The first life's report of that task, replayed: attempt 1, from
+        // the same slave. Attempt ids are unique per master, so it names
+        // no live attempt.
+        let executed = m.metrics().tasks_executed();
+        m.task_done(slave.id, m1.0, 0, 1, vec!["http://a:1/data/stale".into()]);
+        assert_eq!(m.metrics().tasks_executed(), executed, "the stale report committed");
+        {
+            let st = m.shared.state.lock();
+            let op = st.plan.at(m1).expect("rebuilt");
+            assert_eq!(op.done(), 0);
+            let running = &op.tasks()[0].x.running;
+            assert!(matches!(running.as_slice(), [a] if a.id == rebuilt.attempt), "{running:?}");
+        }
+        // The live attempt's report commits.
+        slave.poll(&m);
+        assert_eq!(m.metrics().tasks_executed(), executed + 1);
+    }
+
+    #[test]
+    fn a_rebuilt_tasks_output_on_the_same_slave_survives_the_old_purge_order() {
+        let mut m = master_direct();
+        let (mut slave, [m1, r1, _, r2]) = rebuild_after_a_lost_output(&mut m);
+        // The answer granting the rebuilt map carries r1's first-life purge
+        // order, so the slave drops r1's old output before the rebuilt r1
+        // can write the same paths.
+        let d = slave.poll(&m);
+        assert_eq!(take1(d.assignment).data, m1.0);
+        assert_eq!(d.purge, [format!("s{}/d{}/", slave.id, r1.0)]);
+        // The chain drains; `FakeSlave::poll` checks every own input.
+        loop {
+            let d = slave.poll(&m);
+            if m.shared.state.lock().plan.complete(r2).unwrap() {
+                break;
+            }
+            assert_ne!(d.assignment, Assignment::Wait, "the chain stalled");
+        }
+        let metrics = m.metrics();
+        assert_eq!(metrics.tasks_executed(), 3 + 4, "m1, r1 and m2 ran twice, r2 once");
+        assert_eq!(metrics.datasets_freed(), 2 + 3, "m1 and r1 in both lives, m2 in its one");
+        // The gauge is balanced across rebuild and re-free: the source and
+        // r2 hold data, as if nothing had been lost.
+        assert_eq!(metrics.live_datasets(), 2);
+        assert_eq!(m.shared.state.lock().plan.live_ops().count(), 0);
     }
 
     #[test]

@@ -90,9 +90,6 @@ metrics! {
     BytesOnWire bytes_on_wire Sum "bytes_on_wire_total" "HTTP body bytes those fetches moved (framed, maybe compressed).",
     ShortcircuitFetches shortcircuit_fetches Sum "shortcircuit_fetches_total" "Fetches served without a socket (own frame cache, in-memory handover).",
     ChecksumRetries checksum_retries Sum "checksum_retries_total" "Damaged remote frames fetched a second time.",
-    EagerFragments eager_fragments Sum "eager_fragments_total" "Map-output buckets the eager shuffle pulled before the barrier.",
-    EagerBytes eager_bytes Sum "eager_bytes_total" "Decoded bytes of those eager fetches.",
-    ResidualFetches residual_fetches Sum "residual_fetches_total" "Reduce inputs an eager slave still fetched cold at task time.",
     FusedOps fused_ops Sum "fused_ops_total" "Fused reduce+map operations queued.",
     ReducemapTasks reducemap_tasks Sum "reducemap_tasks_total" "Reducemap tasks executed across all fused operations.",
     DatasetsFreed datasets_freed Sum "datasets_freed_total" "Datasets reclaimed by lifetime GC (not by `discard`).",
@@ -107,7 +104,6 @@ metrics! {
     PeakReduceRecords peak_reduce_records Max "peak_reduce_records" "Most records one reduce-like task took as input.",
     MapTime map_time Micros "map_time_seconds_total" "Cumulative map wall time.",
     ReduceTime reduce_time Micros "reduce_time_seconds_total" "Cumulative reduce (and reducemap) wall time.",
-    OverlapTime overlap_time Micros "overlap_seconds_total" "How long warm eager fragments sat ready before their task.",
     StragglerTimeSaved straggler_time_saved Micros "straggler_seconds_saved_total" "Per speculative win, the loser's lead over the winner's runtime.",
     MergeTime merge_time Micros "merge_seconds_total" "Reduce-like tasks' time assembling merge-ready input.",
 }
@@ -192,10 +188,22 @@ impl JobMetrics {
         self.max(Counter::PeakLiveDatasets, live);
     }
 
-    /// Always 0: the background pre-merge is gone (every fragment reaches
-    /// the reduce as its own run). Kept because the repo benchmark still
-    /// reads `runtime.premerged_runs_per_job`; goes with that metric.
+    /// Counters of retired features, always 0 and outside the table: the
+    /// repo benchmark still reads them (`bench/src/main.rs:498-501`), and
+    /// they go with those metrics. Background pre-merge is gone (every
+    /// fragment reaches the reduce as its own run), and so is the eager
+    /// shuffle (every reduce input is fetched at task time).
     pub fn premerged_runs(&self) -> u64 {
+        0
+    }
+
+    /// See [`Self::premerged_runs`].
+    pub fn eager_fragments(&self) -> u64 {
+        0
+    }
+
+    /// See [`Self::premerged_runs`].
+    pub fn residual_fetches(&self) -> u64 {
         0
     }
 
@@ -231,16 +239,16 @@ mod tests {
         m.max(Counter::PeakInFlight, 5);
         m.max(Counter::PeakInFlight, 2);
         m.add(Counter::BytesOnWire, 300);
-        m.add_time(Counter::OverlapTime, Duration::from_nanos(2_500_999));
+        m.add_time(Counter::MergeTime, Duration::from_nanos(2_500_999));
         assert_eq!(m.map_ops(), 2);
         assert_eq!(m.map_time(), Duration::from_millis(10));
         assert_eq!(m.shuffle_bytes(), 150);
         assert_eq!((m.connections_opened(), m.connections_reused()), (3, 40));
         assert_eq!(m.peak_in_flight(), 5, "a high-water mark, not a sum");
         assert_eq!(m.bytes_on_wire(), 300);
-        assert_eq!(m.overlap_time(), Duration::from_micros(2500), "microsecond granularity");
+        assert_eq!(m.merge_time(), Duration::from_micros(2500), "microsecond granularity");
         assert_eq!(m.reduce_ops(), 0);
-        assert_eq!(m.get(Counter::OverlapTime), 2500);
+        assert_eq!(m.get(Counter::MergeTime), 2500);
     }
 
     #[test]
@@ -299,12 +307,12 @@ mod tests {
     }
 
     /// The sample names `JobMetrics::to_prometheus` emitted before the
-    /// table existed (hand-listed, parent of this change), in order: the
-    /// table must emit exactly these — dashboards and the CI smoke read
-    /// them by name.
+    /// table existed (hand-listed), in order, less the four the eager
+    /// shuffle took with it: the table must emit exactly these —
+    /// dashboards and the CI smoke read them by name.
     #[test]
     fn prometheus_names_are_the_hand_listed_ones() {
-        const BEFORE: [&str; 41] = [
+        const BEFORE: [&str; 37] = [
             "mrs_map_ops_total",
             "mrs_reduce_ops_total",
             "mrs_shuffle_bytes_total",
@@ -326,9 +334,6 @@ mod tests {
             "mrs_bytes_on_wire_total",
             "mrs_shortcircuit_fetches_total",
             "mrs_checksum_retries_total",
-            "mrs_eager_fragments_total",
-            "mrs_eager_bytes_total",
-            "mrs_residual_fetches_total",
             "mrs_fused_ops_total",
             "mrs_reducemap_tasks_total",
             "mrs_datasets_freed_total",
@@ -343,7 +348,6 @@ mod tests {
             "mrs_peak_reduce_records",
             "mrs_map_time_seconds_total",
             "mrs_reduce_time_seconds_total",
-            "mrs_overlap_seconds_total",
             "mrs_straggler_seconds_saved_total",
             "mrs_merge_seconds_total",
         ];

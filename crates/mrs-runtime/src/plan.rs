@@ -5,12 +5,13 @@
 //! reduce-like task for every task of the op it gathers from (Fig. 1/2) —
 //! so the graph is written down once, here: submission validation and task
 //! counts, readiness and the barrier, consumer-refcount lifetime GC,
-//! `keep` / `discard`, completion. An executor only says *where* an
-//! attempt runs. `O` is one stored output piece (an `Arc<Bucket>` in
-//! process, a URL on the cluster); `X` is executor-private per-task state
-//! the plan never inspects (claimed or not; attempts and owner). The plan
-//! takes no lock, no clock and no thread: every call is a state
-//! transition, so a test or a simulator can drive it step by step.
+//! `keep` / `discard`, completion, and rebuilding lost outputs from
+//! lineage. An executor only says *where* an attempt runs. `O` is one
+//! stored output piece (an `Arc<Bucket>` in process, a URL on the
+//! cluster); `X` is executor-private per-task state the plan never
+//! inspects (claimed or not; attempts and owner). The plan takes no lock,
+//! no clock and no thread: every call is a state transition, so a test or
+//! a simulator can drive it step by step.
 
 use crate::data::DataId;
 use crate::proto::trace_op;
@@ -61,6 +62,22 @@ impl<O, X> Op<O, X> {
     }
 }
 
+impl<O, X: Default> Op<O, X> {
+    /// A fresh op: every task pending.
+    fn new(spec: TaskSpec, input: DataId, tasks: usize) -> Self {
+        let tasks = (0..tasks).map(|_| Task { out: None, x: X::default() }).collect();
+        Op { spec, input, tasks, done: 0, open: 0 }
+    }
+}
+
+/// What a reclaimed op leaves behind: enough to run it again.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Lineage {
+    spec: TaskSpec,
+    input: DataId,
+    tasks: usize,
+}
+
 #[derive(Debug)]
 pub(crate) enum Ds<O, X> {
     /// A source whose data is still being stored: not complete, not
@@ -69,8 +86,21 @@ pub(crate) enum Ds<O, X> {
     /// Job input, one piece per split.
     Source(Vec<O>),
     Op(Op<O, X>),
-    /// Reclaimed, by lifetime GC or an explicit discard.
-    Discarded,
+    /// Reclaimed, by lifetime GC or an explicit discard. An op keeps its
+    /// lineage, so a lost output downstream can rebuild it; a source
+    /// keeps nothing.
+    Discarded(Option<Lineage>),
+}
+
+impl<O, X> Ds<O, X> {
+    /// What this dataset leaves behind when it is reclaimed.
+    fn reclaimed(&self) -> Self {
+        Ds::Discarded(match self {
+            Ds::Op(op) => Some(Lineage { spec: op.spec, input: op.input, tasks: op.tasks.len() }),
+            Ds::Discarded(lineage) => *lineage,
+            Ds::Loading | Ds::Source(_) => None,
+        })
+    }
 }
 
 /// What a [`Plan::commit`] changed beyond the task itself.
@@ -96,19 +126,11 @@ pub(crate) struct Plan<O, X> {
     /// Datasets pinned by `keep`: exempt from lifetime GC until an
     /// explicit discard.
     pins: HashSet<u32>,
-    /// When set, lifetime GC is disabled (`--mrs-keep-data`).
-    keep_data: bool,
 }
 
 impl<O: Clone, X: Default> Plan<O, X> {
-    pub fn new(keep_data: bool) -> Self {
-        Plan {
-            datasets: Vec::new(),
-            live: Vec::new(),
-            consumers: Vec::new(),
-            pins: HashSet::new(),
-            keep_data,
-        }
+    pub fn new() -> Self {
+        Plan { datasets: Vec::new(), live: Vec::new(), consumers: Vec::new(), pins: HashSet::new() }
     }
 
     fn push(&mut self, ds: Ds<O, X>) -> DataId {
@@ -126,7 +148,7 @@ impl<O: Clone, X: Default> Plan<O, X> {
     /// Publish a reserved source, one piece per split — or, if storing it
     /// failed, retire the id and hand the error on.
     pub fn source(&mut self, id: DataId, splits: Result<Vec<O>>) -> Result<DataId> {
-        self.datasets[id.0 as usize] = Ds::Discarded;
+        self.datasets[id.0 as usize] = Ds::Discarded(None);
         self.datasets[id.0 as usize] = Ds::Source(splits?);
         Ok(id)
     }
@@ -146,7 +168,7 @@ impl<O: Clone, X: Default> Plan<O, X> {
             _ => None,
         };
         let ntasks = match ds {
-            Ds::Loading | Ds::Discarded => {
+            Ds::Loading | Ds::Discarded(_) => {
                 return Err(Error::MissingData(format!(
                     "dataset {input:?} is discarded or loading"
                 )));
@@ -162,8 +184,7 @@ impl<O: Clone, X: Default> Plan<O, X> {
             }
         };
         self.consumers[input.0 as usize] += 1;
-        let tasks = (0..ntasks).map(|_| Task { out: None, x: X::default() }).collect();
-        let id = self.push(Ds::Op(Op { spec, input, tasks, done: 0, open: 0 }));
+        let id = self.push(Ds::Op(Op::new(spec, input, ntasks)));
         self.live.push(id.0);
         Ok(id)
     }
@@ -178,7 +199,7 @@ impl<O: Clone, X: Default> Plan<O, X> {
             Ds::Source(_) => true,
             Ds::Op(input) if op.spec.gathers() => input.complete(),
             Ds::Op(input) => input.tasks[index].out.is_some(),
-            Ds::Loading | Ds::Discarded => false,
+            Ds::Loading | Ds::Discarded(_) => false,
         }
     }
 
@@ -208,7 +229,7 @@ impl<O: Clone, X: Default> Plan<O, X> {
                 input.tasks.iter().filter_map(|t| t.out()?.get(index).cloned()).collect()
             }
             Ds::Op(input) => input.tasks[index].out.clone().unwrap_or_default(),
-            Ds::Loading | Ds::Discarded => Vec::new(),
+            Ds::Loading | Ds::Discarded(_) => Vec::new(),
         }
     }
 
@@ -234,56 +255,71 @@ impl<O: Clone, X: Default> Plan<O, X> {
     }
 
     /// Lifetime GC: a completed op no longer needs `input`; when it was
-    /// the last registered consumer, reclaim the dataset — unless GC is
-    /// off or the driver pinned it. Sources are exempt: real Mrs re-reads
-    /// job input from the filesystem, so keeping splits means a
-    /// first-level map task can always be re-executed. Only an explicit
-    /// discard frees them.
+    /// the last registered consumer, reclaim the dataset — unless the
+    /// driver pinned it. Sources are exempt: real Mrs re-reads job input
+    /// from the filesystem, so keeping splits means every lineage bottoms
+    /// out in data that is still there. Only an explicit discard frees
+    /// them.
     fn release(&mut self, input: DataId) -> Option<DataId> {
         let at = input.0 as usize;
         self.consumers[at] -= 1;
         let spent = self.consumers[at] == 0
-            && !self.keep_data
             && !self.pins.contains(&input.0)
             && matches!(&self.datasets[at], Ds::Op(op) if op.complete());
         spent.then(|| {
-            self.datasets[at] = Ds::Discarded;
+            self.datasets[at] = self.datasets[at].reclaimed();
             input
         })
     }
 
+    /// Op `data` is incomplete again: it holds its input against GC and
+    /// `runnable` walks it.
+    fn relive(&mut self, data: DataId, input: DataId) {
+        self.consumers[input.0 as usize] += 1;
+        let at = self.live.partition_point(|&d| d < data.0);
+        self.live.insert(at, data.0);
+    }
+
     /// The fault path: the committed output of a task was lost, so the
-    /// task is pending again and its op (incomplete again) re-registers
-    /// as a consumer of its input. Errors if that input was reclaimed:
-    /// re-execution cannot proceed without it.
-    pub fn reopen(&mut self, data: DataId, index: usize) -> Result<()> {
+    /// task is pending again and its op, incomplete again, re-registers
+    /// as a consumer of its input. An input reclaimed meanwhile is rebuilt
+    /// from its lineage — stage resubmission: its op is revived whole
+    /// (every task pending, live again, a consumer of its own input
+    /// again), and so on down the chain to a dataset that still holds
+    /// data. Errs, changing nothing, only when that chain ends at a
+    /// discarded source. Returns whether the op was complete before.
+    pub fn reopen(&mut self, data: DataId, index: usize) -> Result<bool> {
         let (input, was_complete) = match self.at(data) {
             Some(op) if op.tasks.get(index).is_some_and(|t| t.out.is_some()) => {
                 (op.input, op.complete())
             }
             _ => return Err(Error::Invalid(format!("no committed task {index} of {data:?}"))),
         };
-        if matches!(self.datasets[input.0 as usize], Ds::Discarded) {
-            return Err(Error::MissingData(format!(
-                "task input (dataset {}) was reclaimed by lifetime GC before re-execution",
-                input.0
-            )));
+        let mut revive = Vec::new();
+        let mut at = input;
+        while let Ds::Discarded(lineage) = self.datasets[at.0 as usize] {
+            let Some(lineage) = lineage else {
+                return Err(Error::MissingData(format!(
+                    "task input (dataset {}) was reclaimed and its lineage ends at \
+                     discarded source {}",
+                    input.0, at.0
+                )));
+            };
+            revive.push((at, lineage));
+            at = lineage.input;
+        }
+        for (d, Lineage { spec, input, tasks }) in revive {
+            self.datasets[d.0 as usize] = Ds::Op(Op::new(spec, input, tasks));
+            self.relive(d, input);
         }
         if was_complete {
-            self.consumers[input.0 as usize] += 1;
-            let at = self.live.partition_point(|&d| d < data.0);
-            self.live.insert(at, data.0);
+            self.relive(data, input);
         }
         let Some(Ds::Op(op)) = self.datasets.get_mut(data.0 as usize) else { unreachable!() };
         op.tasks[index].out = None;
         op.done -= 1;
         op.open = op.open.min(index);
-        Ok(())
-    }
-
-    /// Turn lifetime GC off, or back on, for every op that completes later.
-    pub fn set_keep_data(&mut self, keep: bool) {
-        self.keep_data = keep;
+        Ok(was_complete)
     }
 
     /// Pin a dataset against lifetime GC until it is discarded.
@@ -304,9 +340,12 @@ impl<O: Clone, X: Default> Plan<O, X> {
         let spent = match slot {
             Ds::Source(_) => true,
             Ds::Op(op) => op.complete(),
-            Ds::Loading | Ds::Discarded => false,
+            Ds::Loading | Ds::Discarded(_) => false,
         };
-        spent.then(|| std::mem::replace(slot, Ds::Discarded))
+        spent.then(|| {
+            let gone = slot.reclaimed();
+            std::mem::replace(slot, gone)
+        })
     }
 
     /// Is the dataset fully materialized (or gone)? What `wait` sleeps on.
@@ -315,7 +354,7 @@ impl<O: Clone, X: Default> Plan<O, X> {
             None => Err(Error::MissingData(format!("dataset {data:?}"))),
             Some(Ds::Loading) => Ok(false),
             Some(Ds::Op(op)) => Ok(op.complete()),
-            Some(Ds::Source(_) | Ds::Discarded) => Ok(true),
+            Some(Ds::Source(_) | Ds::Discarded(_)) => Ok(true),
         }
     }
 
@@ -327,7 +366,7 @@ impl<O: Clone, X: Default> Plan<O, X> {
             Some(Ds::Op(op)) => {
                 Ok(op.tasks.iter().filter_map(Task::out).flatten().cloned().collect())
             }
-            Some(Ds::Loading | Ds::Discarded) => {
+            Some(Ds::Loading | Ds::Discarded(_)) => {
                 Err(Error::MissingData(format!("dataset {data:?} was discarded")))
             }
         }
@@ -405,7 +444,7 @@ mod tests {
 
     #[test]
     fn a_reduce_waits_for_every_map_and_a_map_only_for_its_own_split() {
-        let mut plan = TestPlan::new(false);
+        let mut plan = TestPlan::new();
         let src = source(&mut plan, 2);
         let m = plan.op(map(2), src).unwrap();
         let r = plan.op(reduce(), m).unwrap();
@@ -428,7 +467,7 @@ mod tests {
 
     #[test]
     fn malformed_plans_are_rejected() {
-        let mut plan = TestPlan::new(false);
+        let mut plan = TestPlan::new();
         let src = source(&mut plan, 1);
         let m = plan.op(map(2), src).unwrap();
         let r = plan.op(reduce(), m).unwrap();
@@ -458,7 +497,7 @@ mod tests {
 
     #[test]
     fn discard_is_refused_while_a_queued_consumer_needs_the_data() {
-        let mut plan = TestPlan::new(false);
+        let mut plan = TestPlan::new();
         let src = source(&mut plan, 1);
         let m1 = plan.op(map(1), src).unwrap();
         let r1 = plan.op(reduce(), m1).unwrap();
@@ -480,7 +519,7 @@ mod tests {
 
     #[test]
     fn a_pinned_dataset_survives_its_last_consumer_until_discarded() {
-        let mut plan = TestPlan::new(false);
+        let mut plan = TestPlan::new();
         let src = source(&mut plan, 1);
         let m1 = plan.op(map(1), src).unwrap();
         let r1 = plan.op(reduce(), m1).unwrap();
@@ -492,19 +531,11 @@ mod tests {
         assert_eq!(plan.outputs(r1).unwrap(), [(r1.0, 0, 0)]);
         assert!(plan.discard(r1).is_some(), "an explicit discard releases the pin");
         assert!(plan.outputs(r1).is_err());
-        // With GC off nothing is reclaimed at all.
-        let mut plan = TestPlan::new(true);
-        let src = source(&mut plan, 1);
-        let m = plan.op(map(1), src).unwrap();
-        let r = plan.op(reduce(), m).unwrap();
-        finish(&mut plan, m, 0);
-        assert_eq!(finish(&mut plan, r, 0), Commit { completed: true, freed: None });
-        assert!(plan.outputs(m).is_ok());
     }
 
     #[test]
     fn a_reopened_task_reopens_its_op_and_needs_its_input() {
-        let mut plan = TestPlan::new(false);
+        let mut plan = TestPlan::new();
         let src = source(&mut plan, 2);
         let m = plan.op(map(1), src).unwrap();
         let r = plan.op(reduce(), m).unwrap();
@@ -512,15 +543,32 @@ mod tests {
         finish(&mut plan, m, 1);
         assert!(plan.reopen(r, 0).is_err(), "nothing committed to lose");
         // The lost map output blocks the reduce again and is re-run.
-        plan.reopen(m, 1).unwrap();
+        assert!(plan.reopen(m, 1).unwrap(), "the map was complete");
         assert_eq!(runnable(&plan), [(m, 1)]);
         assert_eq!(plan.live_ops().map(|(d, _)| d).collect::<Vec<_>>(), [m, r], "oldest first");
         finish(&mut plan, m, 1);
         assert_eq!(finish(&mut plan, r, 0), Commit { completed: true, freed: Some(m) });
-        // The reduce's output is lost after its input was reclaimed.
-        let err = plan.reopen(r, 0).expect_err("the map output is gone").to_string();
-        assert!(err.contains("reclaimed by lifetime GC"), "{err}");
+        // The reduce's output is lost after its input was reclaimed: the
+        // map is rebuilt from its lineage, whole, and the barrier holds
+        // the reduce until it is.
+        assert!(plan.reopen(r, 0).unwrap(), "the reduce was complete");
+        assert_eq!(plan.live_ops().map(|(d, _)| d).collect::<Vec<_>>(), [m, r]);
+        assert_eq!(runnable(&plan), [(m, 0), (m, 1)], "every task of the revived map");
+        assert_eq!(plan.input(m, 1), [(src.0, 1, 0)]);
+        assert!(plan.discard(m).is_none() && plan.discard(src).is_none(), "both are read again");
+        finish(&mut plan, m, 0);
+        assert_eq!(runnable(&plan), [(m, 1)]);
+        finish(&mut plan, m, 1);
+        assert_eq!(plan.input(r, 0), [(m.0, 0, 0), (m.0, 1, 0)]);
+        let again = finish(&mut plan, r, 0);
+        assert_eq!(again, Commit { completed: true, freed: Some(m) }, "freed once more, once read");
+        // Only a lineage that ends at a discarded source cannot be rebuilt,
+        // and then nothing changes.
+        assert!(plan.discard(src).is_some());
+        let err = plan.reopen(r, 0).expect_err("the source is gone").to_string();
+        assert!(err.contains("discarded source 0"), "{err}");
         assert!(plan.complete(r).unwrap() && plan.live_ops().next().is_none());
+        assert!(plan.outputs(m).is_err() && plan.outputs(r).is_ok());
     }
 
     /// What the test knows about one dataset, written down beside the plan
@@ -538,9 +586,27 @@ mod tests {
         gone: bool,
         /// Incomplete ops reading it.
         readers: usize,
+        /// Times it was created or rebuilt from its lineage.
+        lives: usize,
+        /// Times it was reclaimed, by GC or by a discard.
+        freed: usize,
     }
 
     impl Shadow {
+        fn new(input: Option<usize>, spec: Option<TaskSpec>, tasks: usize, kept: bool) -> Self {
+            Shadow {
+                input,
+                gathers: spec.is_some_and(|s| s.gathers()),
+                parts: spec.and_then(|s| s.parts()),
+                done: vec![spec.is_none(); tasks],
+                kept,
+                gone: false,
+                readers: 0,
+                lives: 1,
+                freed: 0,
+            }
+        }
+
         fn complete(&self) -> bool {
             self.done.iter().all(|d| *d)
         }
@@ -586,29 +652,22 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2048))]
 
+        /// Any committed task may lose its output at any point — also one
+        /// whose input GC already reclaimed, which the shadows rebuild
+        /// whole from lineage — and the graph still drains: `live` empty,
+        /// every life of every dataset ended by exactly one free.
         #[test]
         fn random_graphs_obey_the_barrier_and_free_every_spent_dataset_once(
             splits in 1usize..4,
-            keep_data in any::<bool>(),
             steps in proptest::collection::vec(arb_step(), 1..60),
             drain in proptest::collection::vec(any::<usize>(), 1..8),
         ) {
-            let mut plan = TestPlan::new(keep_data);
+            let mut plan = TestPlan::new();
             source(&mut plan, splits);
-            let mut shadows = vec![Shadow {
-                input: None,
-                gathers: false,
-                parts: None,
-                done: vec![true; splits],
-                kept: false,
-                gone: false,
-                readers: 0,
-            }];
-            let mut gc_frees = vec![0usize];
+            let mut shadows = vec![Shadow::new(None, None, splits, false)];
             // Apply one commit to the plan and to the shadows, and check
             // that lifetime GC freed exactly what the shadows say is spent.
-            let commit = |plan: &mut TestPlan, shadows: &mut Vec<Shadow>, gc: &mut Vec<usize>,
-                          (d, i): (DataId, usize)| {
+            let commit = |plan: &mut TestPlan, shadows: &mut Vec<Shadow>, (d, i): (DataId, usize)| {
                 let got = finish(plan, d, i);
                 let at = d.0 as usize;
                 shadows[at].done[i] = true;
@@ -619,9 +678,9 @@ mod tests {
                     let s = &mut shadows[input];
                     s.readers -= 1;
                     let spent = s.readers == 0 && s.input.is_some() && s.complete();
-                    if spent && !s.kept && !keep_data {
+                    if spent && !s.kept {
                         s.gone = true;
-                        gc[input] += 1;
+                        s.freed += 1;
                         freed = Some(DataId(input as u32));
                     }
                 }
@@ -649,16 +708,7 @@ mod tests {
                         };
                         prop_assert_eq!(plan.at(id).unwrap().tasks().len(), tasks);
                         shadows[input].readers += 1;
-                        shadows.push(Shadow {
-                            input: Some(input),
-                            gathers: spec.gathers(),
-                            parts: spec.parts(),
-                            done: vec![false; tasks],
-                            kept: keep,
-                            gone: false,
-                            readers: 0,
-                        });
-                        gc_frees.push(0);
+                        shadows.push(Shadow::new(Some(input), Some(spec), tasks, keep));
                         if keep {
                             plan.keep(id);
                         }
@@ -667,7 +717,7 @@ mod tests {
                     Step::Commit(pick) => {
                         let ready = runnable(&plan);
                         if let Some(&task) = ready.get(pick % ready.len().max(1)) {
-                            let (got, want) = commit(&mut plan, &mut shadows, &mut gc_frees, task);
+                            let (got, want) = commit(&mut plan, &mut shadows, task);
                             prop_assert_eq!(got, want, "commit of {:?}", task);
                         }
                     }
@@ -681,11 +731,32 @@ mod tests {
                             continue;
                         }
                         let (d, i) = committed[pick % committed.len()];
+                        // Down the lineage to data that still exists: every
+                        // reclaimed op on the way is rebuilt; a reclaimed
+                        // source cannot be.
                         let input = shadows[d].input.expect("an op");
-                        let reopened = plan.reopen(DataId(d as u32), i).is_ok();
-                        prop_assert_eq!(reopened, !shadows[input].gone, "reopen of {:?}", (d, i));
-                        if reopened {
-                            if shadows[d].complete() {
+                        let (mut chain, mut at) = (Vec::new(), input);
+                        while shadows[at].gone {
+                            chain.push(at);
+                            match shadows[at].input {
+                                Some(next) => at = next,
+                                None => break,
+                            }
+                        }
+                        let rebuilt = !shadows[at].gone;
+                        let was_complete = shadows[d].complete();
+                        let got = plan.reopen(DataId(d as u32), i).ok();
+                        prop_assert_eq!(got, rebuilt.then_some(was_complete), "reopen of {:?}", (d, i));
+                        if rebuilt {
+                            for r in chain {
+                                let s = &mut shadows[r];
+                                s.gone = false;
+                                s.lives += 1;
+                                s.done.fill(false);
+                                let read = s.input.expect("only an op has a lineage");
+                                shadows[read].readers += 1;
+                            }
+                            if was_complete {
                                 shadows[input].readers += 1;
                             }
                             shadows[d].done[i] = false;
@@ -698,6 +769,7 @@ mod tests {
                         prop_assert_eq!(plan.discard(DataId(d as u32)).is_some(), spent);
                         s.kept &= s.readers > 0;
                         s.gone |= spent;
+                        s.freed += usize::from(spent);
                     }
                 }
                 prop_assert_eq!(runnable(&plan), expected_runnable(&shadows), "after {:?}", step);
@@ -710,14 +782,14 @@ mod tests {
                     break;
                 }
                 let task = ready[drain[turn % drain.len()] % ready.len()];
-                let (got, want) = commit(&mut plan, &mut shadows, &mut gc_frees, task);
+                let (got, want) = commit(&mut plan, &mut shadows, task);
                 prop_assert_eq!(got, want, "commit of {:?}", task);
             }
             prop_assert_eq!(plan.live_ops().count(), 0);
             for (d, s) in shadows.iter().enumerate() {
                 prop_assert!(s.gone || s.complete(), "dataset {} never finished: {:?}", d, s);
                 prop_assert_eq!(plan.outputs(DataId(d as u32)).is_err(), s.gone);
-                prop_assert!(gc_frees[d] <= 1);
+                prop_assert_eq!(s.freed, s.lives - usize::from(!s.gone), "dataset {}: {:?}", d, s);
             }
         }
     }

@@ -1,14 +1,14 @@
 //! Master↔slave protocol messages and their XML-RPC encoding.
 //!
 //! The control channel (§IV-B) is genuine XML-RPC; these are the typed
-//! views of the `signin` / `get_task` / `task_done` payloads plus the URL
+//! views of the `signin` / `get_task` / `task_failed` payloads plus the URL
 //! resolver both sides use to read bucket data (`http://` direct transfer,
 //! `file://` / `mem://` shared filesystem).
 //!
 //! The wire has exactly one version, [`PROTOCOL_VERSION`]: a slave names
 //! it at `signin` and a master refuses any other, so behind that gate
 //! every decoder here *requires* every field its encoder writes. What the
-//! encoders leave out — empty `purge` / `eager` / `cancel` lists, an empty
+//! encoders leave out — empty `purge` / `cancel` lists, an empty
 //! trace batch, a zero counter in a slave's tally — is left out for
 //! compactness and means "none".
 
@@ -30,7 +30,7 @@ use std::sync::Arc;
 /// both, which ends the slave. Every node of a cluster is built from one
 /// commit, so there are no older peers to stay readable for — bump this
 /// on any change to the wire instead of adding a fallback.
-pub const PROTOCOL_VERSION: i64 = 4;
+pub const PROTOCOL_VERSION: i64 = 5;
 
 /// Whether the master launches speculative backup copies of straggling
 /// tasks (§ speculative execution). When a task wave is nearly drained and
@@ -85,7 +85,7 @@ fn int_field(v: &Value, what: &str, name: &str) -> Result<i64> {
 }
 
 /// The strings of array `items`, the `name` list of a `what` message.
-pub(crate) fn strings(items: &[Value], what: &str, name: &str) -> Result<Vec<String>> {
+fn strings(items: &[Value], what: &str, name: &str) -> Result<Vec<String>> {
     items
         .iter()
         .map(|s| s.as_str().map(str::to_owned))
@@ -111,10 +111,9 @@ pub(crate) fn attempt_id(wire: i64) -> Result<u32> {
         .ok_or_else(|| Error::Rpc(format!("attempt id {wire} out of range (ids start at 1)")))
 }
 
-/// A task-completion report: the payload of `task_done`, also batched on
-/// `get_task` calls as the piggybacked `reports` parameter so that in the
-/// steady state one control round trip both returns finished work and
-/// fetches the next batch.
+/// A task-completion report, batched on `get_task` calls as the
+/// piggybacked `reports` parameter: one control round trip both returns
+/// finished work and fetches the next batch.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TaskReport {
     /// Output dataset id the task contributed to.
@@ -238,9 +237,10 @@ pub struct TaskMsg {
     pub parts: usize,
     /// Run the combiner after mapping.
     pub combine: bool,
-    /// Attempt id (1-based, unique per task slot): echoed back in the
+    /// Attempt id (1-based, unique per master): echoed back in the
     /// completion report so the master can reject reports from attempts
-    /// that have since been cancelled or superseded.
+    /// that have since been cancelled or superseded — also from a life of
+    /// the task before its dataset was reclaimed and rebuilt.
     pub attempt: u32,
     /// Input bucket URLs.
     pub inputs: Vec<String>,
@@ -375,44 +375,6 @@ impl Assignment {
             }
             other => Err(Error::Rpc(format!("unknown assignment type {other:?}"))),
         }
-    }
-}
-
-/// An eagerly published map-output fragment: one partition bucket of one
-/// completed map-like task, announced to the slave the master predicts
-/// will own the consuming reduce partition — *before* the operation
-/// barrier clears. The receiving slave may fetch it in the background
-/// while the remaining map tasks run, hiding transfer latency behind map
-/// compute.
-#[derive(Clone, Debug, PartialEq)]
-pub struct EagerFragment {
-    /// The map-like dataset the fragment belongs to.
-    pub data: u32,
-    /// The reduce partition the bucket feeds.
-    pub partition: usize,
-    /// Bucket URL, exactly as the consuming task's `inputs` will name it.
-    pub url: String,
-}
-
-impl EagerFragment {
-    /// Encode for the RPC response.
-    pub fn to_value(&self) -> Value {
-        let mut m = BTreeMap::new();
-        m.insert("data".to_owned(), Value::Int(self.data as i64));
-        m.insert("partition".to_owned(), Value::Int(self.partition as i64));
-        m.insert("url".to_owned(), Value::Str(self.url.clone()));
-        Value::Struct(m)
-    }
-
-    /// Decode from the RPC response.
-    pub fn from_value(v: &Value) -> Result<EagerFragment> {
-        let int = |name| int_field(v, "eager fragment", name);
-        let url = v
-            .field("url")
-            .and_then(Value::as_str)
-            .ok_or_else(|| Error::Rpc("eager fragment missing url".into()))?
-            .to_owned();
-        Ok(EagerFragment { data: int("data")? as u32, partition: int("partition")? as usize, url })
     }
 }
 
@@ -587,13 +549,11 @@ pub fn counts_from_value(v: &Value) -> Result<JobMetrics> {
 }
 
 /// A full `get_task` answer: the assignment plus lifetime-GC purge
-/// orders, eager-shuffle fragment announcements, and attempt-cancellation
-/// orders. `purge` lists output-path prefixes whose datasets have no
-/// remaining consumers; the slave drops the matching frames (and eager
-/// fragments) from its caches. `eager` lists freshly completed map-output
-/// buckets this slave should pre-fetch before the barrier clears.
-/// `cancel` lists attempts this slave should abort cooperatively. All
-/// three ride as extra keys on the assignment struct, each written only
+/// orders and attempt-cancellation orders. `purge` lists output-path
+/// prefixes whose datasets have no remaining consumers; the slave drops
+/// the matching frames from its cache before it queues the answer's
+/// tasks. `cancel` lists attempts this slave should abort cooperatively.
+/// Both ride as extra keys on the assignment struct, each written only
 /// when non-empty.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Dispatch {
@@ -601,8 +561,10 @@ pub struct Dispatch {
     pub assignment: Assignment,
     /// Frame-cache path prefixes to drop.
     pub purge: Vec<String>,
-    /// Map-output fragments available for eager pre-fetch.
-    pub eager: Vec<EagerFragment>,
+    /// Always empty, and neither encoded nor decoded: the eager shuffle
+    /// that filled it is gone. Kept only because the repo benchmark
+    /// builds a `Dispatch` naming it (`bench/src/layers.rs:84`).
+    pub eager: Vec<std::convert::Infallible>,
     /// Running attempts to abort.
     pub cancel: Vec<CancelOrder>,
 }
@@ -618,12 +580,6 @@ impl Dispatch {
                     Value::Array(self.purge.iter().map(|p| Value::Str(p.clone())).collect()),
                 );
             }
-            if !self.eager.is_empty() {
-                m.insert(
-                    "eager".to_owned(),
-                    Value::Array(self.eager.iter().map(EagerFragment::to_value).collect()),
-                );
-            }
             if !self.cancel.is_empty() {
                 m.insert(
                     "cancel".to_owned(),
@@ -634,25 +590,19 @@ impl Dispatch {
         v
     }
 
-    /// Decode from the RPC response. A missing `purge`, `eager`, or
-    /// `cancel` key means nothing to drop, pre-fetch, or abort.
+    /// Decode from the RPC response. A missing `purge` or `cancel` key
+    /// means nothing to drop or abort.
     pub fn from_value(v: &Value) -> Result<Dispatch> {
         let assignment = Assignment::from_value(v)?;
         let purge = match v.field("purge").and_then(Value::as_array) {
             Some(items) => strings(items, "dispatch", "purge")?,
             None => Vec::new(),
         };
-        let eager = match v.field("eager").and_then(Value::as_array) {
-            Some(items) => {
-                items.iter().map(EagerFragment::from_value).collect::<Result<Vec<_>>>()?
-            }
-            None => Vec::new(),
-        };
         let cancel = match v.field("cancel").and_then(Value::as_array) {
             Some(items) => items.iter().map(CancelOrder::from_value).collect::<Result<Vec<_>>>()?,
             None => Vec::new(),
         };
-        Ok(Dispatch { assignment, purge, eager, cancel })
+        Ok(Dispatch { assignment, purge, eager: Vec::new(), cancel })
     }
 
     /// Encode a whole `get_task` answer: this dispatch and, as one more key
@@ -1104,35 +1054,6 @@ mod tests {
             assert!(err.contains(key), "{key}: {err}");
         }
         assert!(counts_from_value(&Value::Array(vec![])).is_err(), "not a struct");
-    }
-
-    #[test]
-    fn dispatch_roundtrip_with_eager_fragments() {
-        let frag = |p: usize| EagerFragment {
-            data: 2,
-            partition: p,
-            url: format!("http://h:1/data/s0/d2/t0/b{p}.mrsb"),
-        };
-        let d = Dispatch {
-            assignment: Assignment::Wait,
-            purge: vec!["s1/d0/".into()],
-            eager: vec![frag(0), frag(3)],
-            cancel: vec![],
-        };
-        assert_eq!(Dispatch::from_value(&d.to_value()).unwrap(), d);
-        // Fragment messages round-trip standalone too.
-        let f = frag(7);
-        assert_eq!(EagerFragment::from_value(&f.to_value()).unwrap(), f);
-    }
-
-    #[test]
-    fn malformed_eager_fragment_rejected() {
-        assert!(EagerFragment::from_value(&Value::Int(1)).is_err());
-        let mut m = BTreeMap::new();
-        m.insert("data".to_owned(), Value::Int(1));
-        m.insert("partition".to_owned(), Value::Int(0));
-        // Missing url.
-        assert!(EagerFragment::from_value(&Value::Struct(m)).is_err());
     }
 
     #[test]

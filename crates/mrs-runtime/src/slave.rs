@@ -15,20 +15,20 @@
 //! plane without silencing the control heartbeat. So a slave is
 //! `slots` workers + the poll thread + the fetch stage, and nothing else.
 //!
-//! The fetch stage is the only thing on a slave that moves bucket bytes.
-//! Its work, in priority order: the inputs of accepted tasks (one
-//! pipelined round trip per peer, [`crate::proto::fetch_buckets`]), and,
-//! when no task is waiting, the map-output fragments the master announced
-//! ahead of the barrier (eager shuffle), which it parks warm for the
-//! reduce-like task that will want them. Both halves work over one piece
-//! of state (`EagerState`, under the pipe's lock), so a fragment is
-//! fetched once: whichever half touches a URL first owns it.
+//! The fetch stage is the only thing on a slave that moves bucket bytes:
+//! the inputs of accepted tasks, at one pipelined round trip per peer
+//! ([`crate::proto::fetch_buckets`]).
 //!
-//! What a slave counts — bytes fetched, merge runs, eager fragments — it
-//! tallies beside its pipe and drains into the next poll it sends anyway,
-//! so the master's metrics are the cluster's. A task's counts enter the
-//! tally no later than its report is queued, so they never reach the
-//! master after it.
+//! What a slave counts — bytes fetched, merge runs — it tallies beside its
+//! pipe and drains into the next poll it sends anyway, so the master's
+//! metrics are the cluster's. A task's counts enter the tally no later
+//! than its report is queued, so they never reach the master after it.
+//!
+//! Every message to the master is a poll, except a failure report: a
+//! completion rides the next poll. When a poll is answered `Exit` the job
+//! is over, and the slave stops exactly as when it loses its master:
+//! queued work and unsent reports are dropped, since nothing they could
+//! tell the master would change what its driver sees.
 //!
 //! The slave is written against the [`MasterLink`] trait so the same loop
 //! runs over real XML-RPC (production/distributed tests) or direct method
@@ -36,10 +36,10 @@
 
 use crate::data::count_merge_input;
 use crate::master::SlaveId;
-use crate::metrics::{Counter, JobMetrics};
+use crate::metrics::JobMetrics;
 use crate::proto::{
-    fetch_buckets, trace_op, Assignment, CancelOrder, DataPlane, Dispatch, EagerFragment, TaskMsg,
-    TaskReport, TraceBatch,
+    fetch_buckets, trace_op, Assignment, CancelOrder, DataPlane, Dispatch, TaskMsg, TaskReport,
+    TraceBatch,
 };
 use mrs_codec::CompressMode;
 use mrs_core::task::run_task;
@@ -47,7 +47,7 @@ use mrs_core::{Bucket, Error, Program, Result};
 use mrs_fs::format::{read_bucket_into, read_bucket_run, write_bucket};
 use mrs_fs::Store;
 use mrs_rpc::{DataServer, FrameCache};
-use mrs_trace::{Name, Op, Recorder, Tag, TraceHandle, POLL_LANE, PREFETCH_LANE};
+use mrs_trace::{Name, Recorder, Tag, TraceHandle, POLL_LANE, PREFETCH_LANE};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -66,9 +66,9 @@ pub trait MasterLink: Send + Sync {
     /// runnable (long-poll dispatch). The `trace` batch
     /// piggybacks this slave's trace-event delta (empty when tracing is
     /// off). The answer is a full [`Dispatch`] — the assignment plus the
-    /// purge, eager-fragment and cancel orders queued for this slave — and
-    /// the hint that runnable work was left ungranted for it, which decides
-    /// whether its next completion is worth a poll of its own.
+    /// purge and cancel orders queued for this slave — and the hint that
+    /// runnable work was left ungranted for it, which decides whether its
+    /// next completion is worth a poll of its own.
     fn poll(
         &self,
         slave: SlaveId,
@@ -78,17 +78,6 @@ pub trait MasterLink: Send + Sync {
         counts: JobMetrics,
         trace: TraceBatch,
     ) -> Result<(Dispatch, bool)>;
-    /// Report success with output bucket URLs. `attempt` echoes the id the
-    /// task message carried, so the master can recognize a stale report
-    /// from a superseded attempt.
-    fn task_done(
-        &self,
-        slave: SlaveId,
-        data: u32,
-        index: usize,
-        attempt: u32,
-        urls: Vec<String>,
-    ) -> Result<()>;
     /// Report a failed attempt. `failed_input` is the input URL that could
     /// not be fetched, when the failure was a fetch failure.
     fn task_failed(
@@ -117,17 +106,6 @@ impl MasterLink for crate::master::Master {
         trace: TraceBatch,
     ) -> Result<(Dispatch, bool)> {
         Ok(crate::master::Master::poll(self, slave, free, park, &reports, &counts, &trace))
-    }
-    fn task_done(
-        &self,
-        slave: SlaveId,
-        data: u32,
-        index: usize,
-        attempt: u32,
-        urls: Vec<String>,
-    ) -> Result<()> {
-        crate::master::Master::task_done(self, slave, data, index, attempt, urls);
-        Ok(())
     }
     fn task_failed(
         &self,
@@ -161,21 +139,16 @@ pub struct SlaveOptions {
     /// (`--mrs-compress`). Consumers auto-detect, so slaves with
     /// different settings interoperate.
     pub compress: CompressMode,
-    /// Run the background shuffle fetcher (`--mrs-eager-shuffle`): pull
-    /// master-announced map-output fragments while maps still run, then
-    /// seed reduce-input fetches from the warm cache. Off restores the
-    /// classic fetch-everything-at-task-time path.
-    pub eager_shuffle: bool,
     /// Record task-attempt trace events (on by default; `--mrs-no-trace`
     /// turns it off). Events are shipped to the master piggybacked on the
     /// poll loop; the recorder is bounded, so tracing never grows memory
     /// without bound and costs one uncontended lock per event.
     pub trace: bool,
     /// Test-only straggler injection (`--mrs-test-delay data:index:ms`):
-    /// before running the *first* attempt of the named task this slave
-    /// sleeps the given milliseconds (checking its cancellation flag, so
-    /// a backed-up straggler aborts promptly). Backups (attempt ≥ 2) run
-    /// clean wherever they land.
+    /// before running any attempt of the named task this slave sleeps the
+    /// given milliseconds (checking its cancellation flag, so a backed-up
+    /// straggler aborts promptly). A backup runs clean on a slave not
+    /// given the delay.
     pub test_delays: Vec<(u32, usize, u64)>,
 }
 
@@ -186,7 +159,6 @@ impl Default for SlaveOptions {
             slots: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             long_poll: Duration::from_secs(1),
             compress: CompressMode::default(),
-            eager_shuffle: true,
             trace: true,
             test_delays: Vec::new(),
         }
@@ -202,34 +174,8 @@ struct Pipe {
     /// Wakes the polling thread on worker events worth a poll: the slave
     /// went idle, a slot was freed that can be refilled (or shutdown).
     poll_cv: Condvar,
-    /// Wakes the fetch stage when assignments or announcements land (or
-    /// on shutdown).
+    /// Wakes the fetch stage when assignments land (or on shutdown).
     fetch_cv: Condvar,
-}
-
-/// Eager shuffle's share of the fetch stage's state: what the master
-/// announced and what became of every map-output fragment this slave has
-/// dealt with. The stage serves it only when no accepted task is waiting.
-#[derive(Default)]
-struct EagerState {
-    /// Announced fragment URLs awaiting fetch, oldest first.
-    announced: VecDeque<String>,
-    /// Every fragment URL the master announced or a reduce-like task
-    /// fetched, until its dataset's purge order: an announcement of a
-    /// known URL (a second consumer of one map output, or one that arrives
-    /// after a task already pulled the bytes) fetches nothing.
-    frags: HashMap<String, Frag>,
-}
-
-enum Frag {
-    /// Announced, bytes not fetched yet.
-    Announced,
-    /// Decoded bucket bytes, stamped with the instant they became ready:
-    /// the overlap metric is how long a fragment sat here before its task
-    /// consumed it.
-    Warm(Vec<u8>, Instant),
-    /// A task has the bytes (from here or fetched cold).
-    Taken,
 }
 
 struct PipeState {
@@ -237,8 +183,6 @@ struct PipeState {
     /// stamp is the recorder time the assignment arrived (0 untraced), so
     /// the attempt span can reach back to acceptance.
     fetch_queue: VecDeque<(TaskMsg, u64)>,
-    /// `None` with `--mrs-eager-shuffle off`.
-    eager: Option<EagerState>,
     /// Tasks with their inputs already fetched, ready to compute.
     queue: VecDeque<(TaskMsg, u64, Vec<Vec<u8>>)>,
     /// Assignments accepted from the master and not yet reported back.
@@ -260,22 +204,17 @@ struct PipeState {
     /// (or never saw): checked when a worker is about to run a task, so a
     /// queued loser is abandoned without executing at all.
     tombstones: HashSet<(u32, usize, u32)>,
-    /// The poll loop has exited: no further poll will carry reports, so
-    /// workers report straight to `task_done` from here on.
-    direct_report: bool,
-    /// No more work will arrive; workers drain the queue then exit.
-    drain: bool,
     /// Stop immediately and silently — crash semantics (the fault-injection
-    /// hook) or a lost control channel. Nothing further is reported.
+    /// hook), a lost control channel, or the end of the job. Nothing
+    /// further is reported.
     halt: bool,
 }
 
 impl Pipe {
-    fn new(eager: bool) -> Pipe {
+    fn new() -> Pipe {
         Pipe {
             state: Mutex::new(PipeState {
                 fetch_queue: VecDeque::new(),
-                eager: eager.then(EagerState::default),
                 queue: VecDeque::new(),
                 in_flight: 0,
                 reports: Vec::new(),
@@ -283,8 +222,6 @@ impl Pipe {
                 more: false,
                 active: HashMap::new(),
                 tombstones: HashSet::new(),
-                direct_report: false,
-                drain: false,
                 halt: false,
             }),
             cv: Condvar::new(),
@@ -293,40 +230,23 @@ impl Pipe {
         }
     }
 
-    fn shut_down(&self, halt: bool) {
-        let mut st = self.state.lock();
-        if halt {
-            st.halt = true;
-        } else {
-            st.drain = true;
-        }
-        drop(st);
+    fn shut_down(&self) {
+        self.state.lock().halt = true;
         self.cv.notify_all();
         self.poll_cv.notify_all();
         self.fetch_cv.notify_all();
     }
 
-    /// Hand the fetch stage what one poll answer brought — granted tasks
-    /// and announced fragments (new URLs only) — in one critical section:
-    /// the stage serves tasks first, so it must never find an answer's
-    /// announcements without its tasks. The answer's `more` hint lands in
-    /// the same section, so no completion is judged by a stale one.
-    fn enqueue(&self, tasks: Vec<TaskMsg>, accepted_us: u64, frags: &[EagerFragment], more: bool) {
+    /// Hand the fetch stage the tasks one poll answer granted, with the
+    /// answer's `more` hint in the same critical section, so no completion
+    /// is judged by a stale one.
+    fn enqueue(&self, tasks: Vec<TaskMsg>, accepted_us: u64, more: bool) {
         let mut st = self.state.lock();
         st.more = more;
-        let mut queued = !tasks.is_empty();
+        let queued = !tasks.is_empty();
         for task in tasks {
             st.in_flight += 1;
             st.fetch_queue.push_back((task, accepted_us));
-        }
-        if let Some(eg) = &mut st.eager {
-            for f in frags {
-                if !eg.frags.contains_key(&f.url) {
-                    eg.frags.insert(f.url.clone(), Frag::Announced);
-                    eg.announced.push_back(f.url.clone());
-                    queued = true;
-                }
-            }
         }
         drop(st);
         if queued {
@@ -384,25 +304,6 @@ impl Pipe {
         }
     }
 
-    /// Drop eager fragments (announced, warm or taken) of a lifetime-GC'd
-    /// dataset. `prefix` is the purge order's bucket-path prefix
-    /// (`s{slave}/d{data}/`); its slave part names the *receiver* of the
-    /// order, so only the dataset id selects here — a fragment this slave
-    /// fetched from a peer and never consumed (the master mis-predicted
-    /// the reduce's owner) must go with the dataset too.
-    fn purge_eager(&self, prefix: &str) {
-        let Some(data) =
-            prefix.split('/').nth(1).and_then(|d| d.strip_prefix('d')?.parse::<u64>().ok())
-        else {
-            return;
-        };
-        let keep = |u: &String| parse_bucket_coords(u).map(|c| c.0) != Some(data);
-        if let Some(eg) = &mut self.state.lock().eager {
-            eg.announced.retain(keep);
-            eg.frags.retain(|u, _| keep(u));
-        }
-    }
-
     fn halted(&self) -> bool {
         self.state.lock().halt
     }
@@ -410,8 +311,8 @@ impl Pipe {
 
 /// Run the slave loop until the master says `Exit`, the link dies, or
 /// `stop` is set (the fault-injection hook: a stopped slave goes silent
-/// exactly like a crashed process — queued and running work is abandoned
-/// unreported).
+/// exactly like a crashed process). Every way out abandons queued and
+/// running work unreported.
 pub fn run_slave(
     link: &dyn MasterLink,
     program: Arc<dyn Program>,
@@ -442,7 +343,7 @@ pub fn run_slave(
     let capacity = workers + 1;
     let id = link.signin(&authority, capacity)?;
 
-    let pipe = Pipe::new(opts.eager_shuffle);
+    let pipe = Pipe::new();
     // Trace recording: one recorder per slave, one handle (ring shard)
     // per recording thread. Handles live outside the thread scope so the
     // worker closures can borrow them.
@@ -475,12 +376,7 @@ pub fn run_slave(
         // The fetch stage runs on its own thread so a slow or dead peer
         // stalls only the data plane: the polling thread keeps
         // heartbeating, and fetch failures report standalone so recovery
-        // starts immediately. It is the slave's only fetching thread:
-        // accepted tasks' inputs first, and when none is waiting the
-        // map-output fragments the master announced (eager shuffle),
-        // pulled while the workers are still mapping. That second half is
-        // purely advisory: every failure is silently dropped and the
-        // task-time fetch restores correctness.
+        // starts immediately.
         handles.push(s.spawn(|| {
             fetch_loop(
                 link,
@@ -501,7 +397,7 @@ pub fn run_slave(
         let mut prev_rtt_us: Option<u64> = None;
         let main_res: Result<()> = loop {
             if stop.load(Ordering::SeqCst) {
-                pipe.shut_down(true);
+                pipe.shut_down();
                 break Ok(());
             }
             if pipe.halted() {
@@ -531,28 +427,20 @@ pub fn run_slave(
                 _ => TraceBatch::default(),
             };
             let polled_at = Instant::now();
-            let mut announced = Vec::new();
-            // A master that has vanished is a normal end of life for a
-            // slave: the paper's launch scripts tear everything down
-            // together (the scheduler "kills processes as soon as a job
-            // completes"), so losing the control channel means the job is
-            // over, not an error.
             let answer = link.poll(id, free, park, reports, counts, batch).map(|(d, more)| {
-                // Apply lifetime-GC purge orders before acting on the
-                // assignment: spent datasets leave this slave's frame
-                // cache so long-running iterative jobs hold O(1)
-                // intermediate data, not O(iterations). The eager
-                // fragment cache honors the same orders — a freed
-                // dataset must not leak warm fragments either.
+                // Apply lifetime-GC purge orders before queueing the
+                // answer's tasks: spent datasets leave this slave's frame
+                // cache, so long-running iterative jobs hold O(1)
+                // intermediate data, not O(iterations) — and a granted task
+                // that rebuilds a reclaimed dataset writes under the same
+                // paths only after its previous life's frames are gone.
                 for prefix in &d.purge {
                     frames.remove_prefix(prefix);
-                    pipe.purge_eager(prefix);
                 }
                 // Cancel orders never name a task granted in this same
                 // answer (they are issued for attempts dispatched earlier),
                 // so applying them before enqueueing the assignment is safe.
                 pipe.apply_cancels(&d.cancel, poll_handle.as_ref());
-                announced = d.eager;
                 (d.assignment, more)
             });
             if rec.is_some() {
@@ -561,21 +449,14 @@ pub fn run_slave(
                 prev_rtt_us = Some(polled_at.elapsed().as_micros() as u64);
             }
             match answer {
-                Ok((Assignment::Exit, _)) => {
-                    // No further poll will carry reports: flush anything
-                    // queued since this poll was sent, and route later
-                    // completions straight to `task_done`.
-                    let late: Vec<TaskReport> = {
-                        let mut st = pipe.state.lock();
-                        st.direct_report = true;
-                        std::mem::take(&mut st.reports)
-                    };
-                    for r in late {
-                        // The master may already be gone; either way this
-                        // slave's job is over.
-                        let _ = link.task_done(id, r.data, r.index, r.attempt, r.urls);
-                    }
-                    pipe.shut_down(false);
+                // The job is over, or the master has vanished — a normal end
+                // of life for a slave: the paper's launch scripts tear
+                // everything down together (the scheduler "kills processes
+                // as soon as a job completes"). `Exit` is only answered once
+                // the job has finished or failed, so nothing left to report
+                // could change what the driver sees.
+                Ok((Assignment::Exit, _)) | Err(Error::Rpc(_)) => {
+                    pipe.shut_down();
                     break Ok(());
                 }
                 Ok((assignment, more)) => {
@@ -584,14 +465,10 @@ pub fn run_slave(
                         _ => Vec::new(),
                     };
                     let accepted_us = rec.as_ref().map(|r| r.now_us()).unwrap_or(0);
-                    pipe.enqueue(tasks, accepted_us, &announced, more);
-                }
-                Err(Error::Rpc(_)) => {
-                    pipe.shut_down(true);
-                    break Ok(());
+                    pipe.enqueue(tasks, accepted_us, more);
                 }
                 Err(e) => {
-                    pipe.shut_down(true);
+                    pipe.shut_down();
                     break Err(e);
                 }
             }
@@ -630,9 +507,7 @@ pub fn run_slave(
 
 /// The fetch stage, the one thread of a slave that moves bucket bytes:
 /// pop accepted assignments, fetch their input buckets (overlapping the
-/// workers' compute) and queue them ready to run; when no assignment is
-/// waiting, warm announced map-output fragments ([`warm_fragments`]).
-/// Runs on its own thread so a stalled fetch — a dead peer, a slow store —
+/// workers' compute) and queue them ready to run. Runs on its own thread so a stalled fetch — a dead peer, a slow store —
 /// never blocks the polling thread's control heartbeat. A task's fetch
 /// failure reports standalone via `task_failed` (recovery starts
 /// immediately) and frees the slot.
@@ -652,7 +527,7 @@ fn fetch_loop(
         let (task, accepted_us, cancel) = {
             let mut st = pipe.state.lock();
             loop {
-                if st.halt || (st.drain && st.fetch_queue.is_empty()) {
+                if st.halt {
                     return Ok(());
                 }
                 if let Some((task, accepted_us)) = st.fetch_queue.pop_front() {
@@ -660,43 +535,16 @@ fn fetch_loop(
                     st.active.insert((task.data, task.index, task.attempt), Arc::clone(&flag));
                     break (task, accepted_us, flag);
                 }
-                // No task is waiting: serve the announcements, if any (a
-                // task may have taken an announced fragment since). All of
-                // them at once: it is one round trip per peer either way,
-                // and a task accepted meanwhile is their likeliest reader.
-                let mut announced = Vec::new();
-                if let Some(eg) = &mut st.eager {
-                    let fresh = |url: &String| matches!(eg.frags.get(url), Some(Frag::Announced));
-                    announced = eg.announced.drain(..).filter(fresh).collect();
-                }
-                if announced.is_empty() {
-                    pipe.fetch_cv.wait(&mut st);
-                    continue;
-                }
-                drop(st);
-                warm_fragments(announced, shared, own_authority, frames, pipe, th);
-                st = pipe.state.lock();
+                pipe.fetch_cv.wait(&mut st);
             }
         };
-        // Only reduce-like tasks (plain or fused) gather map-output
-        // partitions, so only they consult the eager warm cache; map
-        // tasks fetching source splits must not skew the residual count.
-        let warm = task.spec().gathers();
         let tag = task_tag(&task);
         if let Some(h) = th {
             h.begin(Name::Fetch, tag);
         }
         let mut tally = JobMetrics::default();
-        let fetched = fetch_inputs(
-            &task.inputs,
-            pipe,
-            warm,
-            shared,
-            own_authority,
-            frames,
-            &cancel,
-            &mut tally,
-        );
+        let fetched =
+            fetch_inputs(&task.inputs, shared, own_authority, frames, &cancel, &mut tally);
         if let Some(h) = th {
             h.end(Name::Fetch, tag);
         }
@@ -733,11 +581,11 @@ fn fetch_loop(
                 match r {
                     Ok(()) => {}
                     Err(Error::Rpc(_)) => {
-                        pipe.shut_down(true);
+                        pipe.shut_down();
                         return Ok(());
                     }
                     Err(e) => {
-                        pipe.shut_down(true);
+                        pipe.shut_down();
                         return Err(e);
                     }
                 }
@@ -759,65 +607,6 @@ fn fetch_loop(
             }
         }
     }
-}
-
-/// Eager shuffle: pull a batch of announced fragments into the warm cache
-/// while the producing operation is still running — the transfer and
-/// checksum verify happen off the post-barrier critical path, and that is
-/// all that happens here: every fragment is parked as fetched and the
-/// reduce's loser tree merges all of them once. Failures are dropped
-/// silently (and the URL forgotten so a re-announcement can retry): the
-/// producer may have died, or its dataset may have been reclaimed; the
-/// fetch at task time is the correctness path, this only warms it up.
-fn warm_fragments(
-    urls: Vec<String>,
-    shared: Option<&Arc<dyn Store>>,
-    own_authority: Option<&str>,
-    frames: &FrameCache,
-    pipe: &Pipe,
-    th: Option<&TraceHandle>,
-) {
-    let refs: Vec<&str> = urls.iter().map(String::as_str).collect();
-    let mut fetch_tally = JobMetrics::default();
-    let fetched = fetch_buckets(&refs, shared, own_authority, Some(frames), None, &mut fetch_tally);
-    let mut st = pipe.state.lock();
-    if st.halt || st.drain {
-        return;
-    }
-    let PipeState { eager: Some(eg), tally, .. } = &mut *st else { return };
-    tally.merge(&fetch_tally);
-    for (url, bytes) in urls.into_iter().zip(fetched) {
-        let Ok(bytes) = bytes else {
-            eg.frags.remove(&url);
-            continue;
-        };
-        tally.add(Counter::EagerFragments, 1);
-        tally.add(Counter::EagerBytes, bytes.len() as u64);
-        if let Some(h) = th {
-            // Tag with the producer coordinates when the URL names
-            // them; attempt 0 marks "whichever attempt produced it".
-            let tag = parse_bucket_coords(&url)
-                .map(|(d, i, _)| Tag::task(Op::None, d as u32, i as usize, 0))
-                .unwrap_or(Tag::NONE);
-            h.instant(Name::EagerFetch, tag);
-        }
-        // A purge order that arrived mid-fetch has forgotten the URL:
-        // its dataset is gone, so the bytes are dropped too.
-        if let Some(frag @ Frag::Announced) = eg.frags.get_mut(&url) {
-            *frag = Frag::Warm(bytes, Instant::now());
-        }
-    }
-}
-
-/// Pull the (dataset, task index, partition) coordinates out of a bucket
-/// URL (`…/s{slave}/d{data}/t{index}/b{p}.mrsb`). Returns `None` for
-/// anything that does not look like a map-output bucket path.
-fn parse_bucket_coords(url: &str) -> Option<(u64, u64, u64)> {
-    let mut segs = url.rsplit('/');
-    let part = segs.next()?.strip_prefix('b')?.strip_suffix(".mrsb")?.parse().ok()?;
-    let index = segs.next()?.strip_prefix('t')?.parse().ok()?;
-    let data = segs.next()?.strip_prefix('d')?.parse().ok()?;
-    Some((data, index, part))
 }
 
 /// One compute worker: pop prefetched tasks, execute, report. Successful
@@ -872,9 +661,6 @@ fn worker_loop(
                     st.active.insert(key, Arc::clone(&flag));
                     break (task, accepted_us, raw, flag);
                 }
-                if st.drain {
-                    return Ok(());
-                }
                 pipe.cv.wait(&mut st);
             }
         };
@@ -885,18 +671,14 @@ fn worker_loop(
         if let Some(h) = th {
             h.begin_at(accepted_us, Name::Attempt, tag);
         }
-        // Straggler injection (test-only): only the task's first attempt
-        // is delayed, so a speculative backup runs clean. The sleep is
-        // sliced to observe the cancellation flag promptly.
-        if task.attempt <= 1 {
-            if let Some(&(_, _, ms)) =
-                delays.iter().find(|&&(d, i, _)| d == task.data && i == task.index)
-            {
-                let deadline = Instant::now() + Duration::from_millis(ms);
-                while Instant::now() < deadline && !cancel.load(Ordering::Relaxed) && !pipe.halted()
-                {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
+        // Straggler injection (test-only). The sleep is sliced to observe
+        // the cancellation flag promptly.
+        if let Some(&(_, _, ms)) =
+            delays.iter().find(|&&(d, i, _)| d == task.data && i == task.index)
+        {
+            let deadline = Instant::now() + Duration::from_millis(ms);
+            while Instant::now() < deadline && !cancel.load(Ordering::Relaxed) && !pipe.halted() {
+                std::thread::sleep(Duration::from_millis(2));
             }
         }
         let mut tally = JobMetrics::default();
@@ -942,8 +724,8 @@ fn worker_loop(
         let mut st = pipe.state.lock();
         st.in_flight -= 1;
         st.tally.merge(&tally);
-        let report = match outcome {
-            Ok(urls) if !st.direct_report => {
+        let (msg, failed_input) = match outcome {
+            Ok(urls) => {
                 st.reports.push(TaskReport {
                     data: task.data,
                     index: task.index,
@@ -958,12 +740,6 @@ fn worker_loop(
                 }
                 continue;
             }
-            Ok(urls) => {
-                drop(st);
-                let r = link.task_done(id, task.data, task.index, task.attempt, urls);
-                pipe.poll_cv.notify_all();
-                r
-            }
             Err(TaskError { cancelled: true, .. }) => {
                 // Cooperative cancellation: another attempt already won at
                 // the master's commit point. Abandon silently — the slot
@@ -972,28 +748,26 @@ fn worker_loop(
                 pipe.poll_cv.notify_all();
                 continue;
             }
-            Err(TaskError { msg, failed_input, .. }) => {
-                drop(st);
-                let r = link.task_failed(
-                    id,
-                    task.data,
-                    task.index,
-                    task.attempt,
-                    &msg,
-                    failed_input.as_deref(),
-                );
-                pipe.poll_cv.notify_all();
-                r
-            }
+            Err(TaskError { msg, failed_input, .. }) => (msg, failed_input),
         };
-        match report {
+        drop(st);
+        let reported = link.task_failed(
+            id,
+            task.data,
+            task.index,
+            task.attempt,
+            &msg,
+            failed_input.as_deref(),
+        );
+        pipe.poll_cv.notify_all();
+        match reported {
             Ok(()) => {}
             Err(Error::Rpc(_)) => {
-                pipe.shut_down(true);
+                pipe.shut_down();
                 return Ok(());
             }
             Err(e) => {
-                pipe.shut_down(true);
+                pipe.shut_down();
                 return Err(e);
             }
         }
@@ -1012,53 +786,33 @@ pub struct TaskError {
     pub cancelled: bool,
 }
 
-/// Fetch the raw bytes of every input URL, in order. With `warm`, slots
-/// are seeded from the eager shuffle's warm cache first and only the
-/// residue — fragments it missed — is fetched cold, every URL marked
-/// taken so that no announcement (queued or yet to come) fetches it
-/// again. The cold fetch is [`fetch_buckets`]: one round trip per peer,
-/// results in their input slot, so downstream parsing sees inputs in
-/// assignment order (the determinism oracle depends on it). The first
-/// failing input makes the [`TaskError`]; once `cancel` is set the
+/// Fetch the raw bytes of every input URL with [`fetch_buckets`]: one
+/// round trip per peer, results in input order, so downstream parsing sees
+/// inputs in assignment order (the determinism oracle depends on it). The
+/// first failing input makes the [`TaskError`]; once `cancel` is set the
 /// remaining inputs are skipped and the error is a cancelled one. What
 /// the fetch counted is added to `tally`.
-#[allow(clippy::too_many_arguments)]
 fn fetch_inputs(
     urls: &[String],
-    pipe: &Pipe,
-    warm: bool,
     shared: Option<&Arc<dyn Store>>,
     own_authority: Option<&str>,
     frames: &FrameCache,
     cancel: &AtomicBool,
     tally: &mut JobMetrics,
 ) -> std::result::Result<Vec<Vec<u8>>, TaskError> {
-    let mut slots: Vec<Option<Vec<u8>>> = urls.iter().map(|_| None).collect();
-    if let Some(eg) = pipe.state.lock().eager.as_mut().filter(|_| warm) {
-        let now = Instant::now();
-        for (slot, url) in slots.iter_mut().zip(urls) {
-            match eg.frags.insert(url.clone(), Frag::Taken) {
-                Some(Frag::Warm(bytes, ready_at)) => {
-                    // How long the fragment sat ready is transfer latency
-                    // that ran concurrently with map execution.
-                    tally.add_time(Counter::OverlapTime, now.saturating_duration_since(ready_at));
-                    *slot = Some(bytes);
-                }
-                _ => tally.add(Counter::ResidualFetches, 1),
-            }
-        }
-    }
-    let residue: Vec<usize> = (0..urls.len()).filter(|&i| slots[i].is_none()).collect();
-    let cold: Vec<&str> = residue.iter().map(|&i| urls[i].as_str()).collect();
-    let fetched = fetch_buckets(&cold, shared, own_authority, Some(frames), Some(cancel), tally);
-    for (&i, bytes) in residue.iter().zip(fetched) {
-        slots[i] = Some(bytes.map_err(|e| TaskError {
-            cancelled: matches!(e, Error::Cancelled),
-            msg: e.to_string(),
-            failed_input: Some(urls[i].clone()),
-        })?);
-    }
-    Ok(slots.into_iter().map(|b| b.expect("every slot seeded or fetched")).collect())
+    let refs: Vec<&str> = urls.iter().map(String::as_str).collect();
+    let fetched = fetch_buckets(&refs, shared, own_authority, Some(frames), Some(cancel), tally);
+    fetched
+        .into_iter()
+        .zip(urls)
+        .map(|(bytes, url)| {
+            bytes.map_err(|e| TaskError {
+                cancelled: matches!(e, Error::Cancelled),
+                msg: e.to_string(),
+                failed_input: Some(url.clone()),
+            })
+        })
+        .collect()
 }
 
 /// The trace tag of a task attempt.
@@ -1326,7 +1080,7 @@ mod tests {
     /// A master that plays a script: every poll is logged and answered by
     /// `answer(n, log)` — `n` counts polls from 1 and `log[n - 1]` is the
     /// poll being answered. Failure reports are logged and handed to
-    /// `on_failed`; a standalone `task_done` is a script error.
+    /// `on_failed`.
     struct Script<F> {
         answer: F,
         on_failed: fn(&Gate),
@@ -1372,9 +1126,6 @@ mod tests {
             let reports = reports.iter().map(|r| (r.data, r.index)).collect();
             polls.push(Polled { free, park, reports, merge_runs: counts.merge_runs() });
             Ok((self.answer)(polls.len(), &polls))
-        }
-        fn task_done(&self, _: SlaveId, d: u32, i: usize, _: u32, _: Vec<String>) -> Result<()> {
-            panic!("task ({d}, {i}) reported standalone before any Exit");
         }
         fn task_failed(
             &self,
@@ -1499,7 +1250,7 @@ mod tests {
 
     /// An idle slave whose park is cut short by a delivery goes straight
     /// back to the master with the same park: the first (fully idle) poll
-    /// is answered `Wait` plus one eager fragment — what a long-polling
+    /// is answered `Wait` plus one cancel order — what a long-polling
     /// master does when it cuts a park short to hand orders over — the
     /// second grants one map task, and the report ends the script.
     #[test]
@@ -1508,8 +1259,7 @@ mod tests {
         let link = Script::new(&gate, |n, log: &[Polled]| match n {
             1 => {
                 let (mut d, more) = answer(Assignment::Wait, false);
-                let url = "file://s9/d0/t0/b0.mrsb".into();
-                d.eager.push(EagerFragment { data: 0, partition: 0, url });
+                d.cancel.push(CancelOrder { data: 9, index: 0, attempt: 9 });
                 (d, more)
             }
             2 => answer(Assignment::Tasks(vec![map_task(0)]), false),
@@ -1605,18 +1355,32 @@ mod tests {
         assert_eq!(polls.last().unwrap().reports, [(1, 1)], "{polls:?}");
     }
 
-    /// A link to a real master that logs every completion report it
-    /// forwards, piggybacked or standalone, and every poll it forwards.
+    /// A link to a real master that logs every completion report and
+    /// every poll it forwards, and every call made after it forwarded an
+    /// `Exit`.
     struct Spy {
         master: Master,
         reports: Mutex<Vec<(u32, usize)>>,
         polls: Mutex<Vec<Polled>>,
+        exited: AtomicBool,
+        after_exit: Mutex<Vec<&'static str>>,
     }
 
     impl Spy {
         fn new(master: &Master) -> Arc<Spy> {
-            let (reports, polls) = (Mutex::default(), Mutex::default());
-            Arc::new(Spy { master: master.clone(), reports, polls })
+            Arc::new(Spy {
+                master: master.clone(),
+                reports: Mutex::default(),
+                polls: Mutex::default(),
+                exited: AtomicBool::new(false),
+                after_exit: Mutex::default(),
+            })
+        }
+
+        fn called(&self, method: &'static str) {
+            if self.exited.load(Ordering::SeqCst) {
+                self.after_exit.lock().push(method);
+            }
         }
     }
 
@@ -1633,15 +1397,16 @@ mod tests {
             counts: JobMetrics,
             trace: TraceBatch,
         ) -> Result<(Dispatch, bool)> {
+            self.called("poll");
             let carried: Vec<(u32, usize)> = reports.iter().map(|r| (r.data, r.index)).collect();
             self.reports.lock().extend(&carried);
             let merge_runs = counts.merge_runs();
             self.polls.lock().push(Polled { free, park, reports: carried, merge_runs });
-            MasterLink::poll(&self.master, slave, free, park, reports, counts, trace)
-        }
-        fn task_done(&self, s: SlaveId, d: u32, i: usize, a: u32, urls: Vec<String>) -> Result<()> {
-            self.reports.lock().push((d, i));
-            MasterLink::task_done(&self.master, s, d, i, a, urls)
+            let answer = MasterLink::poll(&self.master, slave, free, park, reports, counts, trace);
+            if matches!(&answer, Ok((d, _)) if d.assignment == Assignment::Exit) {
+                self.exited.store(true, Ordering::SeqCst);
+            }
+            answer
         }
         fn task_failed(
             &self,
@@ -1652,8 +1417,48 @@ mod tests {
             msg: &str,
             input: Option<&str>,
         ) -> Result<()> {
+            self.called("task_failed");
             MasterLink::task_failed(&self.master, s, d, i, a, msg, input)
         }
+    }
+
+    /// `Exit` is the last word: a slave told the job is over while a task
+    /// still runs stops there, as on a lost master, and the task's
+    /// completion goes nowhere.
+    #[test]
+    fn a_slave_answered_exit_calls_the_master_no_more() {
+        let store: Arc<dyn Store> = Arc::new(MemFs::new());
+        let plane = DataPlane::SharedFs(Arc::clone(&store));
+        let master = Master::new(MasterConfig::default(), plane.clone()).unwrap();
+        let gate = Arc::new(Gate::default());
+        let program: Arc<dyn Program> = Arc::new(Simple(Gated(Arc::clone(&gate))));
+        let mut driver = master.clone();
+        let src = driver.local_data(input(), 2).unwrap();
+        driver.map_data(src, 0, 1, false).unwrap();
+        // One worker, granted both map tasks; it stops at the gate inside
+        // the second while its heartbeat polls go on.
+        let spy = Spy::new(&master);
+        let slave = {
+            let (spy, plane) = (Arc::clone(&spy), plane.clone());
+            let opts = SlaveOptions {
+                max_poll_interval: Duration::from_millis(5),
+                slots: 1,
+                ..SlaveOptions::default()
+            };
+            std::thread::spawn(move || {
+                run_slave(&*spy, program, plane, &opts, &AtomicBool::new(false))
+            })
+        };
+        gate.await_arrival();
+        // The job ends; once a poll has been answered `Exit`, the task
+        // finishes.
+        master.finish();
+        while !spy.exited.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        gate.open();
+        slave.join().unwrap().unwrap();
+        assert_eq!(*spy.after_exit.lock(), Vec::<&str>::new(), "the link was called after Exit");
     }
 
     /// Coalescing opens a window in which a finished task is unreported.
@@ -1748,12 +1553,11 @@ mod tests {
 
     /// A store that runs a hook on the pipe inside every `get` — the
     /// interleaving "an order arrives mid-fetch", forced rather than
-    /// raced for — and logs the paths fetched.
+    /// raced for.
     struct MidFetchStore {
         inner: MemFs,
         pipe: Arc<Pipe>,
-        on_get: fn(&Pipe, &str),
-        gets: Mutex<Vec<String>>,
+        on_get: fn(&Pipe),
     }
 
     impl Store for MidFetchStore {
@@ -1761,8 +1565,7 @@ mod tests {
             self.inner.put(path, data)
         }
         fn get(&self, path: &str) -> Result<Vec<u8>> {
-            self.gets.lock().push(path.to_owned());
-            (self.on_get)(&self.pipe, path);
+            (self.on_get)(&self.pipe);
             self.inner.get(path)
         }
         fn exists(&self, path: &str) -> bool {
@@ -1781,7 +1584,7 @@ mod tests {
     /// and no tombstone is left.
     #[test]
     fn cancel_order_reaches_the_attempt_being_prefetched() {
-        let pipe = Arc::new(Pipe::new(false));
+        let pipe = Arc::new(Pipe::new());
         let task = TaskMsg {
             data: 3,
             index: 1,
@@ -1797,10 +1600,9 @@ mod tests {
             inner: MemFs::new(),
             pipe: Arc::clone(&pipe),
             // The order names the task above.
-            on_get: |pipe, _| {
+            on_get: |pipe| {
                 pipe.apply_cancels(&[CancelOrder { data: 3, index: 1, attempt: 2 }], None)
             },
-            gets: Mutex::default(),
         };
         store.put("in0", &framed(&[])).unwrap();
         let store: Arc<dyn Store> = Arc::new(store);
@@ -1808,12 +1610,21 @@ mod tests {
             let mut st = pipe.state.lock();
             st.in_flight = 1;
             st.fetch_queue.push_back((task, 0));
-            // Drain: the loop returns once the queue is empty.
-            st.drain = true;
         }
         let master = Master::new(MasterConfig::default(), DataPlane::Direct).unwrap();
-        let frames = Arc::new(FrameCache::new());
-        fetch_loop(&master, Some(&store), None, &frames, 0, &pipe, None).unwrap();
+        let frames = FrameCache::new();
+        std::thread::scope(|s| {
+            let stage =
+                s.spawn(|| fetch_loop(&master, Some(&store), None, &frames, 0, &pipe, None));
+            // Freeing a slot wakes the poll condvar; then stop the stage.
+            let mut st = pipe.state.lock();
+            while st.in_flight > 0 {
+                pipe.poll_cv.wait(&mut st);
+            }
+            drop(st);
+            pipe.shut_down();
+            stage.join().unwrap().unwrap();
+        });
         let st = pipe.state.lock();
         assert_eq!(st.in_flight, 0, "the cancelled attempt's slot is freed");
         assert!(st.queue.is_empty(), "a cancelled attempt never reaches the workers");
@@ -1826,10 +1637,9 @@ mod tests {
     fn cancelled_fetch_skips_remaining_inputs() {
         let frames = FrameCache::new();
         let urls = vec!["file://never-stored".to_owned()];
-        let pipe = Pipe::new(false);
         let cancel = AtomicBool::new(true);
         let mut tally = JobMetrics::default();
-        let err = fetch_inputs(&urls, &pipe, false, None, None, &frames, &cancel, &mut tally)
+        let err = fetch_inputs(&urls, None, None, &frames, &cancel, &mut tally)
             .expect_err("a cancelled fetch yields no bytes");
         assert!(err.cancelled, "{}", err.msg);
     }
@@ -1845,194 +1655,13 @@ mod tests {
         }
         let server = DataServer::serve(0, peer.provider()).unwrap();
         let urls: Vec<String> = (0..4).map(|i| server.url_for(&format!("b{i}"))).collect();
-        let pipe = Pipe::new(false);
         let cancel = AtomicBool::new(false);
         let frames = FrameCache::new();
         let mut tally = JobMetrics::default();
-        let err = fetch_inputs(&urls, &pipe, false, None, None, &frames, &cancel, &mut tally)
-            .expect_err("b2 is gone");
+        let err =
+            fetch_inputs(&urls, None, None, &frames, &cancel, &mut tally).expect_err("b2 is gone");
         assert_eq!(err.failed_input.as_deref(), Some(urls[2].as_str()), "{}", err.msg);
         assert!(!err.cancelled);
-    }
-
-    fn frag_url(slave: usize, data: u32, index: usize) -> String {
-        format!("http://127.0.0.1:1/data/s{slave}/d{data}/t{index}/b0.mrsb")
-    }
-
-    fn fragment(slave: usize, data: u32, index: usize) -> EagerFragment {
-        EagerFragment { data, partition: 0, url: frag_url(slave, data, index) }
-    }
-
-    /// The fragment URLs in each state of the eager bookkeeping.
-    fn frag_urls(pipe: &Pipe, state: fn(&Frag) -> bool) -> Vec<String> {
-        let st = pipe.state.lock();
-        let frags = &st.eager.as_ref().unwrap().frags;
-        let mut urls: Vec<_> =
-            frags.iter().filter(|(_, f)| state(f)).map(|(u, _)| u.clone()).collect();
-        urls.sort();
-        urls
-    }
-
-    fn warm_urls(pipe: &Pipe) -> Vec<String> {
-        frag_urls(pipe, |f| matches!(f, Frag::Warm(..)))
-    }
-
-    fn park(pipe: &Pipe, url: &str, bytes: Vec<u8>) {
-        let mut st = pipe.state.lock();
-        let eg = st.eager.as_mut().unwrap();
-        eg.announced.retain(|u| u != url);
-        eg.frags.insert(url.to_owned(), Frag::Warm(bytes, Instant::now()));
-    }
-
-    /// The purge order a slave receives names that slave (`s{own}/d…`),
-    /// whoever produced the dataset's buckets. Fragments of the freed
-    /// dataset go from every eager structure — also the ones fetched from
-    /// a peer — and other datasets stay.
-    #[test]
-    fn purge_eager_drops_a_freed_dataset_whichever_slave_produced_it() {
-        let pipe = Pipe::new(true);
-        // Dataset 1: one fragment from this slave (0), two from a peer (1),
-        // one of them still queued. Dataset 2: one from the peer.
-        let announced =
-            [fragment(0, 1, 0), fragment(1, 1, 1), fragment(1, 1, 2), fragment(1, 2, 0)];
-        pipe.enqueue(Vec::new(), 0, &announced, false);
-        for url in [frag_url(0, 1, 0), frag_url(1, 1, 1), frag_url(1, 2, 0)] {
-            park(&pipe, &url, vec![0u8; 8]);
-        }
-        pipe.purge_eager("s0/d1/");
-        assert_eq!(warm_urls(&pipe), [frag_url(1, 2, 0)]);
-        assert_eq!(frag_urls(&pipe, |_| true), [frag_url(1, 2, 0)]);
-        let st = pipe.state.lock();
-        let queue = &st.eager.as_ref().unwrap().announced;
-        assert!(queue.is_empty(), "{queue:?}");
-    }
-
-    /// A purge order that lands while the fetch stage is mid-fetch on one
-    /// of the dataset's fragments wins: the fetched bytes are not parked.
-    #[test]
-    fn fragment_purged_mid_fetch_is_not_parked() {
-        let pipe = Arc::new(Pipe::new(true));
-        let bucket = framed(&[(b"k".to_vec(), b"v".to_vec())]);
-        let store = MidFetchStore {
-            inner: MemFs::new(),
-            pipe: Arc::clone(&pipe),
-            // The first fetch is overtaken by its dataset's purge order;
-            // the second ends the loop.
-            on_get: |pipe, path| match path {
-                "s1/d1/t0/b0.mrsb" => pipe.purge_eager("s0/d1/"),
-                _ => pipe.shut_down(false),
-            },
-            gets: Mutex::default(),
-        };
-        store.put("s1/d1/t0/b0.mrsb", &bucket).unwrap();
-        store.put("s1/d2/t0/b0.mrsb", &bucket).unwrap();
-        let store: Arc<dyn Store> = Arc::new(store);
-        let frag = |data: u32| EagerFragment {
-            data,
-            partition: 0,
-            url: format!("file://s1/d{data}/t0/b0.mrsb"),
-        };
-        pipe.enqueue(Vec::new(), 0, &[frag(1), frag(2)], false);
-        let master = Master::new(MasterConfig::default(), DataPlane::Direct).unwrap();
-        fetch_loop(&master, Some(&store), None, &FrameCache::new(), 0, &pipe, None).unwrap();
-        assert!(warm_urls(&pipe).is_empty(), "{:?}", warm_urls(&pipe));
-        assert!(!frag_urls(&pipe, |_| true).contains(&frag(1).url));
-    }
-
-    /// A re-executed producer's fresh URL never consumes a stale warm
-    /// fragment: the warm cache is keyed by exact URL, re-execution on
-    /// another slave renames the bucket, so the task fetches the fresh
-    /// bytes cold and the stale ones wait for the dataset's purge.
-    #[test]
-    fn reexecuted_producers_fresh_url_never_consumes_a_stale_warm_fragment() {
-        let pipe = Pipe::new(true);
-        let bucket = |v: u8| mrs_fs::format::write_bucket_bytes(&[(b"k".to_vec(), vec![v])]);
-        let stale = "file://s0/d1/t2/b0.mrsb".to_owned();
-        let fresh = "file://s9/d1/t2/b0.mrsb".to_owned();
-        let warm = "file://s0/d1/t3/b0.mrsb".to_owned();
-        park(&pipe, &stale, bucket(0));
-        park(&pipe, &warm, bucket(3));
-        let store: Arc<dyn Store> = Arc::new(MemFs::new());
-        store.put("s9/d1/t2/b0.mrsb", &framed(&[(b"k".to_vec(), vec![2])])).unwrap();
-        let mut tally = JobMetrics::default();
-
-        let got = fetch_inputs(
-            &[fresh, warm],
-            &pipe,
-            true,
-            Some(&store),
-            None,
-            &FrameCache::new(),
-            &AtomicBool::new(false),
-            &mut tally,
-        )
-        .map_err(|e| e.msg)
-        .unwrap();
-        assert_eq!(got, [bucket(2), bucket(3)], "fresh bytes cold, the matching fragment warm");
-        assert_eq!((tally.residual_fetches(), tally.eager_fragments()), (1, 0));
-        assert_eq!(warm_urls(&pipe), [stale], "left for the purge order");
-        pipe.purge_eager("s4/d1/");
-        assert!(frag_urls(&pipe, |_| true).is_empty());
-    }
-
-    /// A fragment a task fetched is never fetched again, whether its
-    /// announcement was queued before the task (same poll answer) or
-    /// arrives once the task has claimed it: one `get` each, nothing
-    /// parked warm for the purge order to find. A re-executed producer's
-    /// fresh URL is still fetched.
-    #[test]
-    fn announcement_of_a_fragment_a_task_consumed_fetches_nothing() {
-        const EARLY: &str = "s0/d1/t0/b0.mrsb";
-        const LATE: &str = "s0/d1/t1/b0.mrsb";
-        const FRESH: &str = "s9/d1/t1/b0.mrsb";
-        fn frag(path: &str) -> EagerFragment {
-            EagerFragment { data: 1, partition: 0, url: format!("file://{path}") }
-        }
-        let pipe = Arc::new(Pipe::new(true));
-        let store = Arc::new(MidFetchStore {
-            inner: MemFs::new(),
-            pipe: Arc::clone(&pipe),
-            on_get: |pipe, path| match path {
-                // The task has claimed its inputs and is fetching them:
-                // announce one of them, and a fresh URL of the same task.
-                LATE => pipe.enqueue(Vec::new(), 0, &[frag(LATE), frag(FRESH)], false),
-                FRESH => pipe.shut_down(false),
-                _ => {}
-            },
-            gets: Mutex::default(),
-        });
-        for path in [EARLY, LATE, FRESH] {
-            store.put(path, &framed(&[])).unwrap();
-        }
-        let task = TaskMsg {
-            data: 2,
-            index: 0,
-            kind: TaskKind::Reduce,
-            func: 0,
-            map_func: 0,
-            parts: 1,
-            combine: false,
-            attempt: 1,
-            inputs: vec![frag(EARLY).url, frag(LATE).url],
-        };
-        // One poll answer grants the task and announces its first input.
-        pipe.enqueue(vec![task], 0, &[frag(EARLY)], false);
-        let master = Master::new(MasterConfig::default(), DataPlane::Direct).unwrap();
-        let shared: Arc<dyn Store> = store.clone();
-        fetch_loop(&master, Some(&shared), None, &FrameCache::new(), 0, &pipe, None).unwrap();
-        assert_eq!(*store.gets.lock(), [EARLY, LATE, FRESH], "one fetch per URL");
-        assert!(warm_urls(&pipe).is_empty(), "{:?}", warm_urls(&pipe));
-        assert_eq!(pipe.state.lock().queue.len(), 1, "the task reached the workers");
-    }
-
-    #[test]
-    fn bucket_coords_parse_from_urls() {
-        assert_eq!(
-            parse_bucket_coords("http://127.0.0.1:8000/data/s3/d7/t12/b2.mrsb"),
-            Some((7, 12, 2))
-        );
-        assert_eq!(parse_bucket_coords("file://s0/d1/t0/b0.mrsb"), Some((1, 0, 0)));
-        assert_eq!(parse_bucket_coords("file://s0/d1/t0/split0"), None);
     }
 
     #[test]

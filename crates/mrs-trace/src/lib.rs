@@ -33,8 +33,6 @@ pub const DEFAULT_CAPACITY: usize = 65_536;
 
 /// Lane id used for a slave's input-prefetch thread.
 pub const PREFETCH_LANE: u32 = 1_000;
-/// Lane id used for a slave's eager-shuffle fetch thread.
-pub const EAGER_LANE: u32 = 1_001;
 /// Lane id used for a slave's poll/main loop.
 pub const POLL_LANE: u32 = 1_002;
 /// Chrome `pid` of the master's timeline; slave `s` renders as `s + 1`.
@@ -83,9 +81,7 @@ impl Kind {
 /// master's view of an attempt; [`Name::Speculate`] marks a backup
 /// launch; [`Name::Cancel`] marks an attempt aborted (master side: the
 /// order was issued; slave side: the worker actually stopped — a
-/// cancelled attempt emits `Cancel` instead of a `Report`);
-/// [`Name::EagerFetch`] marks a map-output fragment staged ahead of the
-/// barrier.
+/// cancelled attempt emits `Cancel` instead of a `Report`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Name {
     /// One task attempt, dequeue → report, on its worker lane.
@@ -106,8 +102,6 @@ pub enum Name {
     Speculate,
     /// The attempt was cancelled (no `Report` follows for it).
     Cancel,
-    /// A map-output fragment was fetched ahead of the barrier.
-    EagerFetch,
 }
 
 impl Name {
@@ -123,7 +117,6 @@ impl Name {
             Name::Report => "report",
             Name::Speculate => "speculate",
             Name::Cancel => "cancel",
-            Name::EagerFetch => "eager_fetch",
         }
     }
 
@@ -139,11 +132,11 @@ impl Name {
             Name::Report => 6,
             Name::Speculate => 7,
             Name::Cancel => 8,
-            Name::EagerFetch => 9,
         }
     }
 
-    /// Decode a wire code.
+    /// Decode a wire code. Code 9 is retired (it marked an eager-shuffle
+    /// fetch) and, like any unknown code, decodes to nothing.
     pub fn from_code(c: u8) -> Option<Name> {
         Some(match c {
             0 => Name::Attempt,
@@ -155,7 +148,6 @@ impl Name {
             6 => Name::Report,
             7 => Name::Speculate,
             8 => Name::Cancel,
-            9 => Name::EagerFetch,
             _ => return None,
         })
     }
@@ -519,7 +511,6 @@ fn lane_name(pid: u32, lane: u32) -> String {
     }
     match lane {
         PREFETCH_LANE => "prefetch".to_owned(),
-        EAGER_LANE => "eager".to_owned(),
         POLL_LANE => "poll".to_owned(),
         w => format!("worker {w}"),
     }
@@ -554,7 +545,7 @@ impl JobTrace {
     /// Render as Chrome trace-event JSON (the array-of-events object
     /// form), loadable in Perfetto or `chrome://tracing`. One process
     /// row per machine, one lane per slave worker slot (plus the
-    /// prefetch/eager/poll service lanes and the master's per-slave
+    /// prefetch and poll service lanes and the master's per-slave
     /// dispatch lanes).
     pub fn chrome_json(&self) -> String {
         let mut out = String::with_capacity(self.events.len() * 96 + 256);
@@ -1059,10 +1050,10 @@ mod tests {
             Name::Report,
             Name::Speculate,
             Name::Cancel,
-            Name::EagerFetch,
         ] {
             assert_eq!(Name::from_code(name.code()), Some(name));
         }
+        assert_eq!(Name::from_code(9), None, "a retired code");
         for kind in [Kind::Begin, Kind::End, Kind::Instant] {
             assert_eq!(Kind::from_code(kind.code()), Some(kind));
         }

@@ -164,9 +164,6 @@ impl MasterLink for OtherBuild {
     ) -> Result<(Dispatch, bool)> {
         panic!("a refused slave must never poll")
     }
-    fn task_done(&self, _: SlaveId, _: u32, _: usize, _: u32, _: Vec<String>) -> Result<()> {
-        panic!("a refused slave must never report")
-    }
     fn task_failed(
         &self,
         _: SlaveId,
@@ -186,11 +183,12 @@ impl MasterLink for OtherBuild {
 fn signin_with_a_missing_or_different_protocol_version_is_a_fault() {
     let master = Master::new(MasterConfig::default(), DataPlane::Direct).unwrap();
     let server = serve_master(master.clone(), 0).unwrap();
-    // No version, the next one, and the last two: a version-3 slave sends
-    // no counts (its shuffle counts would be visible nowhere), and
-    // version 2's answers had no `more` key.
-    assert_eq!(PROTOCOL_VERSION, 4);
-    for version in [None, Some(PROTOCOL_VERSION + 1), Some(3), Some(2)] {
+    // No version, the next one, and the last three: a version-4 slave
+    // flushes its last reports with `task_done`, which this wire no longer
+    // has, a version-3 slave sends no counts (its shuffle counts would be
+    // visible nowhere), and version 2's answers had no `more` key.
+    assert_eq!(PROTOCOL_VERSION, 5);
+    for version in [None, Some(PROTOCOL_VERSION + 1), Some(4), Some(3), Some(2)] {
         let link = OtherBuild { client: RpcClient::new(server.authority()), version };
         let err = link.signin("127.0.0.1:1", 2).unwrap_err().to_string();
         let theirs = version.map_or("none".to_owned(), |v| v.to_string());
@@ -258,6 +256,24 @@ fn calls_with_missing_parameters_are_fault_3() {
         assert!(err.contains("fault 3"), "{params:?}: {err}");
     }
     assert_eq!(master.live_slaves(), 1, "only the well-formed signin registered");
+}
+
+/// A completion rides `get_task`: `task_done` is no method of this wire,
+/// whatever its parameters.
+#[test]
+fn task_done_is_an_unknown_method() {
+    let master = Master::new(MasterConfig::default(), DataPlane::Direct).unwrap();
+    let server = serve_master(master.clone(), 0).unwrap();
+    let client = RpcClient::new(server.authority());
+    let version = Value::Int(PROTOCOL_VERSION);
+    let slave =
+        client.call("signin", &[Value::Str("127.0.0.1:1".into()), Value::Int(1), version]).unwrap();
+    // A version-4 report: slave, data, index, urls, attempt.
+    let urls = Value::Array(vec![Value::Str("http://127.0.0.1:1/data/s0/d1/t0/b0.mrsb".into())]);
+    let report = [slave, Value::Int(1), Value::Int(0), urls, Value::Int(1)];
+    let err = client.call("task_done", &report).unwrap_err().to_string();
+    assert!(err.contains("fault 2") && err.contains("unknown method"), "{err}");
+    assert_eq!(master.metrics().tasks_executed(), 0);
 }
 
 /// A slave's counter tally is decoded strictly: a name no counter has, a

@@ -144,12 +144,9 @@ fn flipped_magic_byte_costs_one_refetch_and_no_reexecution() {
     let lines = lines();
     let input = lines_to_records(lines.iter().map(String::as_str));
     let program = Arc::new(Simple(WordCount));
-    // No eager shuffle: it would promise reduce partitions to the
-    // producer below, which never polls again. A generous death timeout
-    // keeps that silent producer's outputs valid for the whole job, and
-    // with no backups every task runs exactly once.
+    // A generous death timeout keeps the silent producer below valid for
+    // the whole job, and with no backups every task runs exactly once.
     let cfg = MasterConfig {
-        eager_shuffle: false,
         speculate: SpeculateMode::Off,
         slave_timeout: std::time::Duration::from_secs(120),
         ..MasterConfig::default()

@@ -1,5 +1,7 @@
 //! Fault-tolerance behaviour of the master/slave implementation: slave
-//! crashes, storage hiccups, and poisoned tasks.
+//! crashes, storage hiccups, and poisoned tasks — on the default config,
+//! where lifetime GC reclaims every intermediate its readers are done
+//! with, so recovery rebuilds what it needs from lineage.
 
 use mrs::apps::wordcount::{decode_counts, lines_to_records, WordCount};
 use mrs::prelude::*;
@@ -43,33 +45,32 @@ fn killing_one_slave_mid_job_preserves_the_answer() {
     assert_eq!(counts["common"], 600);
 }
 
-/// Producer death mid-overlap: slaves eagerly fetch map-output fragments
-/// while the map phase is still running; then a slave that produced some
-/// of those outputs dies. The master re-executes its map tasks on a
+/// Producer death mid-shuffle: a slave that produced some map outputs
+/// dies while the job runs. The master re-executes its map tasks on a
 /// surviving slave, whose outputs get fresh URLs (a new `s{slave}/`
-/// prefix) — so the warm fragments keyed by the dead slave's URLs are
-/// simply never consumed, and the residual fetch at reduce time pulls the
-/// re-executed outputs. The answer must be exact in every interleaving:
-/// the kill may land mid-map, mid-reduce, or after completion depending
-/// on build and scheduling, so keep-data stays on to make recovery
-/// possible from any of them (the eager-invalidation path under test
-/// needs the mid-flight interleavings, which the short sleep makes the
-/// common case).
+/// prefix), and the reduces fetch those. The answer must be exact in
+/// every interleaving — the kill may land mid-map, mid-reduce, or after
+/// completion, once GC has reclaimed the map output, depending on build
+/// and scheduling — and every run a reduce merges arrives sorted, fresh or
+/// re-executed.
 #[test]
-fn producer_death_mid_overlap_invalidates_eager_fragments() {
-    let cfg = MasterConfig { keep_data: true, ..quick_sweep_config() };
-    let mut cluster =
-        LocalCluster::start(Arc::new(Simple(WordCount)), 3, DataPlane::Direct, cfg).unwrap();
+fn producer_death_mid_shuffle_keeps_the_answer_and_every_run_presorted() {
+    let mut cluster = LocalCluster::start(
+        Arc::new(Simple(WordCount)),
+        3,
+        DataPlane::Direct,
+        quick_sweep_config(),
+    )
+    .unwrap();
     let reduced = {
         let mut job = Job::new(&mut cluster);
         let src = job.local_data(big_input(), 24).unwrap();
-        // No combiner: every map output record crosses the shuffle, so
-        // eager fetches move real data before the kill lands.
+        // No combiner: every map output record crosses the shuffle.
         let mapped = job.map_data(src, 0, 8, false).unwrap();
         job.reduce_data(mapped, 0).unwrap()
     };
-    // Let some maps finish and their fragments get eagerly fetched, then
-    // kill a slave that (very likely) produced some of them.
+    // Let some maps finish, then kill a slave that (very likely) produced
+    // some of them.
     std::thread::sleep(Duration::from_millis(3));
     cluster.kill_slave(1);
     let out = {
@@ -80,10 +81,6 @@ fn producer_death_mid_overlap_invalidates_eager_fragments() {
     assert_eq!(counts["common"], 600);
     assert_eq!(counts.values().sum::<u64>(), 2400, "one count per input token");
     let m = cluster.metrics();
-    assert!(
-        m.eager_fragments() > 0,
-        "eager shuffle should have moved fragments before the barrier"
-    );
     assert!(m.merge_runs() > 0, "reduce tasks should consume merge runs");
     assert_eq!(
         m.presorted_runs(),
@@ -123,30 +120,37 @@ fn killing_all_but_one_slave_still_completes() {
 /// report from the cancelled loser.
 #[test]
 fn winners_slave_dying_after_commit_recomputes_the_task() {
-    let cfg = MasterConfig { keep_data: true, ..quick_sweep_config() };
-    let mut cluster =
-        LocalCluster::start(Arc::new(Simple(WordCount)), 0, DataPlane::Direct, cfg).unwrap();
+    let mut cluster = LocalCluster::start(
+        Arc::new(Simple(WordCount)),
+        0,
+        DataPlane::Direct,
+        quick_sweep_config(),
+    )
+    .unwrap();
     // Dataset ids are deterministic per job: source = 0, map = 1. The
-    // first attempt of map task (1, 0) sleeps 400ms on whichever slave
-    // draws it, so the backup attempt on the other slave commits first.
+    // first slave holds map task (1, 0) for 400ms, and draws it: it is the
+    // first task dispatched. Only then does a clean slave join, whose
+    // backup of the task commits first.
     let straggly = SlaveOptions { slots: 2, test_delays: vec![(1, 0, 400)], ..Default::default() };
-    cluster.add_slave_with(straggly.clone());
     cluster.add_slave_with(straggly);
-
     let reduced = {
         let mut job = Job::new(&mut cluster);
         let src = job.local_data(big_input(), 8).unwrap();
         let mapped = job.map_data(src, 0, 4, false).unwrap();
         job.reduce_data(mapped, 0).unwrap()
     };
+    while cluster.metrics().dispatched_tasks() == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    cluster.add_slave_with(SlaveOptions { slots: 2, ..Default::default() });
     // Wait for the backup's completion to be committed.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while cluster.metrics().speculative_wins() == 0 {
         assert!(std::time::Instant::now() < deadline, "speculative backup never won");
         std::thread::sleep(Duration::from_millis(5));
     }
-    // The winner is one of the two original slaves; kill them both, with
-    // a replacement arriving first so the job is never slave-less.
+    // The winner is the second slave; kill both, with a replacement
+    // arriving first so the job is never slave-less.
     cluster.add_slave();
     cluster.kill_slave(0);
     cluster.kill_slave(1);
@@ -220,4 +224,81 @@ fn job_submitted_before_any_slave_completes_when_one_arrives() {
         job.fetch_all(reduced).unwrap()
     };
     assert_eq!(decode_counts(&out).unwrap()["common"], 600);
+}
+
+/// A chainable program: its reduce output is valid input for its map, and
+/// every map task scatters over every partition.
+struct Relay;
+
+impl MapReduce for Relay {
+    type K1 = u64;
+    type V1 = u64;
+    type K2 = u64;
+    type V2 = u64;
+
+    fn map(&self, k: u64, v: u64, emit: &mut dyn FnMut(u64, u64)) {
+        emit(k % 5, v + 1);
+        emit((k * 3 + 1) % 7, v);
+    }
+
+    fn reduce(&self, _k: u64, vs: &mut dyn Iterator<Item = u64>, emit: &mut dyn FnMut(u64)) {
+        emit(vs.sum());
+    }
+}
+
+/// Queue one map+reduce round of [`Relay`] over `input`.
+fn relay_round(job: &mut Job, input: DataId) -> DataId {
+    let mapped = job.map_data(input, 0, 3, false).unwrap();
+    job.reduce_data(mapped, 0).unwrap()
+}
+
+fn relay_input() -> Vec<Record> {
+    (0..40u64).map(|i| mrs_core::kv::encode_record(&i, &(i * i % 13))).collect()
+}
+
+/// Recovery needs no `keep`: a three-round chain on the default config,
+/// where lifetime GC has reclaimed rounds 1 and 2 (all but round 2's
+/// output) by the time round 2 is done. Then every slave holding round 2's
+/// output dies, so round 3 can only run once the master rebuilds rounds 1
+/// and 2 from the source, by lineage — and the answer must equal serial.
+#[test]
+fn a_chain_whose_reclaimed_rounds_died_with_their_slaves_is_rebuilt_from_lineage() {
+    let mut serial = SerialRuntime::new(Arc::new(Simple(Relay)));
+    let want = {
+        let mut job = Job::new(&mut serial);
+        let src = job.local_data(relay_input(), 4).unwrap();
+        let r1 = relay_round(&mut job, src);
+        let r2 = relay_round(&mut job, r1);
+        let r3 = relay_round(&mut job, r2);
+        let mut out = job.fetch_all(r3).unwrap();
+        out.sort();
+        out
+    };
+
+    let mut cluster =
+        LocalCluster::start(Arc::new(Simple(Relay)), 2, DataPlane::Direct, quick_sweep_config())
+            .unwrap();
+    let r2 = {
+        let mut job = Job::new(&mut cluster);
+        let src = job.local_data(relay_input(), 4).unwrap();
+        let r1 = relay_round(&mut job, src);
+        let r2 = relay_round(&mut job, r1);
+        job.wait(r2).unwrap();
+        r2
+    };
+    assert_eq!(cluster.metrics().datasets_freed(), 3, "both maps and round 1's reduce");
+    cluster.add_slave();
+    while cluster.live_slaves() < 3 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    cluster.kill_slave(0);
+    cluster.kill_slave(1);
+    let mut got = {
+        let mut job = Job::new(&mut cluster);
+        let r3 = relay_round(&mut job, r2);
+        job.fetch_all(r3).unwrap()
+    };
+    got.sort();
+    assert_eq!(got, want, "rebuilt chain vs serial");
+    assert!(cluster.metrics().tasks_retried() > 0, "round 2's output was lost and recomputed");
 }

@@ -97,16 +97,6 @@ fn wordcount_identical_across_all_five_runtimes() {
         wordcount_on(&mut Job::new(&mut cluster), 4, 3)
     };
 
-    // Eager shuffle is on by default in every direct cluster above; the
-    // off path (classic barrier-then-fetch) is the tentpole's oracle and
-    // must agree byte for byte.
-    let eager_off = {
-        let cfg = MasterConfig { eager_shuffle: false, ..MasterConfig::default() };
-        let mut cluster =
-            LocalCluster::start(Arc::new(Simple(WordCount)), 2, DataPlane::Direct, cfg).unwrap();
-        wordcount_on(&mut Job::new(&mut cluster), 4, 3)
-    };
-
     // Speculative execution is on by default in every cluster above; the
     // non-speculative scheduler is its oracle and must agree exactly.
     let speculate_off = {
@@ -130,16 +120,15 @@ fn wordcount_identical_across_all_five_runtimes() {
     assert_eq!(shared, multislot, "multi-slot cluster vs distributed-sharedfs");
     assert_eq!(multislot, compress_on, "compress-on cluster vs multi-slot cluster");
     assert_eq!(compress_on, compress_off, "compress-off cluster vs compress-on cluster");
-    assert_eq!(compress_off, eager_off, "eager-off cluster vs compress-off cluster");
-    assert_eq!(eager_off, speculate_off, "speculate-off cluster vs eager-off cluster");
+    assert_eq!(compress_off, speculate_off, "speculate-off cluster vs compress-off cluster");
 }
 
 /// Force an actual backup-vs-original race and check it is answer-neutral:
-/// a hidden per-slave test hook delays the first attempt of one map task
-/// far past the speculation cutoff, so the master launches a backup on the
-/// other slave, the backup wins, and the delayed original is cancelled.
-/// First-completion-wins arbitration must keep the output byte-identical
-/// to the bypass count.
+/// a hidden per-slave test hook holds one map task far past the
+/// speculation cutoff on the slave that draws it, so the master launches a
+/// backup on the other slave, the backup wins, and the delayed original is
+/// cancelled. First-completion-wins arbitration must keep the output
+/// byte-identical to the bypass count.
 #[test]
 fn forced_backup_race_preserves_the_answer() {
     let lines = sample_lines();
@@ -152,14 +141,23 @@ fn forced_backup_race_preserves_the_answer() {
         MasterConfig::default(),
     )
     .unwrap();
-    // Dataset ids are deterministic per job: source = 0, map = 1. Delay
-    // the first attempt of map task (1, 0) by 400ms on whichever slave
-    // draws it; backup attempts (id >= 2) run at full speed.
+    // Dataset ids are deterministic per job: source = 0, map = 1. The
+    // first slave holds map task (1, 0) for 400ms, and draws it: it is the
+    // first task dispatched. Only then does a clean slave join.
     let straggly = SlaveOptions { slots: 2, test_delays: vec![(1, 0, 400)], ..Default::default() };
-    cluster.add_slave_with(straggly.clone());
     cluster.add_slave_with(straggly);
+    let reduced = {
+        let mut job = Job::new(&mut cluster);
+        let src = job.local_data(lines_to_records(lines.iter().map(String::as_str)), 8).unwrap();
+        let mapped = job.map_data(src, 0, 3, true).unwrap();
+        job.reduce_data(mapped, 0).unwrap()
+    };
+    while cluster.metrics().dispatched_tasks() == 0 {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    cluster.add_slave_with(SlaveOptions { slots: 2, ..Default::default() });
 
-    let raced = wordcount_on(&mut Job::new(&mut cluster), 8, 3);
+    let raced = decode_counts(&Job::new(&mut cluster).fetch_all(reduced).unwrap()).unwrap();
     assert_eq!(raced, bypass, "forced-backup cluster vs bypass");
     let metrics = cluster.metrics();
     assert!(metrics.speculative_launches() >= 1, "the injected straggler never got a backup");
@@ -398,20 +396,6 @@ fn stochastic_pso_bitwise_identical_across_runtimes() {
         .unwrap();
         pso_swarm_on(&mut Job::new(&mut cluster), 5, iters)
     };
-    // An iterative stochastic trajectory is equally sharp for the eager
-    // shuffle plane: warm-fragment seeding must feed reduce tasks the
-    // exact bytes (and bucket order) the cold path fetches.
-    let eager_off = {
-        let cfg = MasterConfig { eager_shuffle: false, ..MasterConfig::default() };
-        let mut cluster = LocalCluster::start(
-            Arc::new(PsoProgram::new(pso_config(), 1)),
-            2,
-            DataPlane::Direct,
-            cfg,
-        )
-        .unwrap();
-        pso_swarm_on(&mut Job::new(&mut cluster), 5, iters)
-    };
     // The stochastic trajectory is the sharpest oracle for speculation
     // too: a backup attempt re-running a particle task with any hidden
     // state, or a loser's output leaking past the commit point, would
@@ -432,15 +416,14 @@ fn stochastic_pso_bitwise_identical_across_runtimes() {
     assert_eq!(pool, expected, "pool vs bypass");
     assert_eq!(cluster, expected, "cluster vs bypass");
     assert_eq!(multislot, expected, "multi-slot cluster vs bypass");
-    assert_eq!(eager_off, expected, "eager-off cluster vs bypass");
     assert_eq!(speculate_off, expected, "speculate-off cluster vs bypass");
 }
 
 /// The fused-ReduceMap oracle: the same iterative island chain run
 /// unfused (materialized reduce then map) and fused (one ReduceMap op per
-/// interior round), across every plane, with lifetime GC both on and
-/// off. Fusion and GC are perf transforms only —
-/// any byte of divergence is a bug.
+/// interior round), across every plane, with lifetime GC reclaiming every
+/// interior round. Fusion and GC are perf transforms only — any byte of
+/// divergence is a bug.
 #[test]
 fn fused_reducemap_identical_across_runtimes_and_gc_modes() {
     let cfg = PsoConfig {
@@ -476,11 +459,6 @@ fn fused_reducemap_identical_across_runtimes_and_gc_modes() {
         let out = run(&mut Job::new(&mut rt), true);
         (out, rt.metrics().datasets_freed())
     };
-    let pool_keepdata = {
-        let mut rt = LocalRuntime::pool(Arc::new(PsoProgram::new(cfg.clone(), 4)), 5);
-        rt.set_keep_data(true);
-        run(&mut Job::new(&mut rt), true)
-    };
     let (cluster_fused, cluster_fused_ops, cluster_freed) = {
         let mut cluster = LocalCluster::start(
             Arc::new(PsoProgram::new(cfg.clone(), 4)),
@@ -492,17 +470,6 @@ fn fused_reducemap_identical_across_runtimes_and_gc_modes() {
         let out = run(&mut Job::new(&mut cluster), true);
         let m = cluster.metrics();
         (out, m.fused_ops(), m.datasets_freed())
-    };
-    let cluster_keepdata = {
-        let cfg_m = MasterConfig { keep_data: true, ..MasterConfig::default() };
-        let mut cluster = LocalCluster::start(
-            Arc::new(PsoProgram::new(cfg.clone(), 4)),
-            2,
-            DataPlane::Direct,
-            cfg_m,
-        )
-        .unwrap();
-        run(&mut Job::new(&mut cluster), true)
     };
     let cluster_sharedfs = {
         let store: Arc<dyn mrs_fs::Store> = Arc::new(MemFs::new());
@@ -519,9 +486,7 @@ fn fused_reducemap_identical_across_runtimes_and_gc_modes() {
     assert_eq!(serial_fused, serial_unfused, "serial fused vs unfused");
     assert_eq!(mock_fused, serial_unfused, "mock fused vs serial unfused");
     assert_eq!(pool_fused, serial_unfused, "pool fused vs serial unfused");
-    assert_eq!(pool_keepdata, serial_unfused, "pool keep-data vs serial unfused");
     assert_eq!(cluster_fused, serial_unfused, "cluster fused vs serial unfused");
-    assert_eq!(cluster_keepdata, serial_unfused, "keep-data cluster");
     assert_eq!(cluster_sharedfs, serial_unfused, "shared-fs cluster fused");
     // The machinery under test must actually have engaged.
     assert_eq!(cluster_fused_ops, iters - 1, "cluster should run every interior round fused");
