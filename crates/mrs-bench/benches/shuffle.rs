@@ -8,6 +8,13 @@
 //!   speedup is measured against the original implementation.
 //! * `shuffle_transfer` — bucket fetch over a persistent pooled connection
 //!   vs. a fresh TCP dial per request (the keep-alive ablation, A4).
+//! * `bucket_sort` — the map-side sort step alone, `Bucket::sort` on the
+//!   three shapes the suite's workloads hand it: one `wc_shuffle` map
+//!   output bucket (Zipf words over a 1 000-word vocabulary), one
+//!   `sort_range` map output bucket (random `u64` keys), and eight
+//!   `sort_range` buckets concatenated as sorted runs (what the layer
+//!   metric `core.sort_us_p50` sorts). Each iteration clones the unsorted
+//!   bucket first; clone cost is the same on every arm.
 
 use corpus::zipf::{word_for_rank, Zipf};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -116,6 +123,42 @@ fn bench_combine(c: &mut Criterion) {
     group.finish();
 }
 
+/// Records per map output bucket in the suite: 10 000 tokens or 12 500
+/// sort records per map task, over 8 partitions.
+const BUCKET_RECORDS: usize = 1_300;
+
+fn bench_bucket_sort(c: &mut Criterion) {
+    let zipf = Zipf::new(1_000, 1.1);
+    let mut rng = SplitMix64::new(7);
+    let words: Bucket = (0..BUCKET_RECORDS)
+        .map(|_| encode_record(&word_for_rank(zipf.sample(&mut rng)), &1u64))
+        .collect();
+    let random = |rng: &mut SplitMix64| -> Bucket {
+        (0..BUCKET_RECORDS).map(|_| encode_record(&rng.next_u64(), &rng.next_u64())).collect()
+    };
+    let range = random(&mut rng);
+    let mut runs = Bucket::new();
+    for _ in 0..8 {
+        let mut run = random(&mut rng);
+        run.sort();
+        runs.extend_from(&run);
+    }
+
+    let mut group = c.benchmark_group("bucket_sort");
+    for (name, bucket) in
+        [("wc_shuffle_bucket", &words), ("sort_range_bucket", &range), ("eight_sorted_runs", &runs)]
+    {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut sorted = black_box(bucket).clone();
+                sorted.sort();
+                sorted
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_transfer(c: &mut Criterion) {
     let payload = Arc::new(vec![0xabu8; 64 * 1024]);
     let handler = {
@@ -144,5 +187,5 @@ fn bench_transfer(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_combine, bench_transfer);
+criterion_group!(benches, bench_combine, bench_bucket_sort, bench_transfer);
 criterion_main!(benches);

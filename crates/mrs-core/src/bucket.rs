@@ -8,12 +8,15 @@
 //! two `extend_from_slice` calls and one 12-byte table entry — no per-record
 //! heap allocation — so a bucket performs O(1) amortized allocations no
 //! matter how many records flow through it. Sorting reorders only the
-//! offset table; the payload bytes never move.
+//! offset table, in place; the payload bytes never move.
 //!
-//! Everything in this crate that orders keys — [`Bucket::sort`], the run
-//! merger, the hash combiner's final pass — does it through one primitive:
-//! a key's first 8 bytes cached as an integer ([`key_prefix`]) and compared
-//! first, the key bytes themselves read only when two prefixes tie
+//! Every key order in the workspace starts from one integer: a key's first
+//! 8 bytes, big-endian ([`key_prefix`]). Sorting ([`Bucket::sort`], the
+//! hash combiner's final pass) packs it with the key length and an arrival
+//! tag into one `u128` and sorts integers, reading key bytes only for runs
+//! of longer-than-8-byte keys that tie on the prefix. Pairwise compares —
+//! the run merger's heads, its equal-key scans, the sortedness check on
+//! decode — compare prefixes first and read key bytes only on a tie
 //! ([`cmp_keys`]).
 
 use crate::kv::Record;
@@ -38,11 +41,7 @@ pub fn key_prefix(key: &[u8]) -> u64 {
 /// equate `""` and `"\0"`); only a key longer than its prefix sends the
 /// compare to the key bytes.
 #[inline]
-pub(crate) fn cmp_keys<'k>(
-    pa: u64,
-    pb: u64,
-    keys: impl FnOnce() -> (&'k [u8], &'k [u8]),
-) -> Ordering {
+pub fn cmp_keys<'k>(pa: u64, pb: u64, keys: impl FnOnce() -> (&'k [u8], &'k [u8])) -> Ordering {
     pa.cmp(&pb).then_with(|| {
         let (a, b) = keys();
         if a.len() <= 8 && b.len() <= 8 {
@@ -53,6 +52,65 @@ pub(crate) fn cmp_keys<'k>(
     })
 }
 
+/// [`key_prefix`] of the `klen`-byte key at `off` in `arena`: one 8-byte
+/// load masked to the key's length, the byte-wise fold only where fewer
+/// than 8 bytes remain in the arena.
+#[inline]
+pub(crate) fn prefix_in(arena: &[u8], off: usize, klen: usize) -> u64 {
+    match arena[off..].first_chunk::<8>() {
+        Some(word) if klen >= 8 => u64::from_be_bytes(*word),
+        Some(word) => u64::from_be_bytes(*word) & !(u64::MAX >> (8 * klen)),
+        None => key_prefix(&arena[off..off + klen]),
+    }
+}
+
+/// Length field of a packed sort key whose key is longer than its prefix.
+const LONG: u128 = 9;
+
+/// The order of `keys`, given as `(prefix, length)` pairs, as their
+/// indices — one `u128` per key, `prefix << 64 | min(length, 9) << 32 |
+/// index`, sorted as integers; `key(i)` is read only to order keys longer
+/// than 8 bytes that share a prefix. Equal keys keep index order, so this
+/// is a stable sort by key bytes: for keys of at most 8 bytes (prefix,
+/// length) is key order, and a shorter key sharing a longer key's prefix
+/// is a prefix of it. Input made of a few presorted runs (counted as
+/// descents while packing) goes to the run-merging stable sort, anything
+/// else to the unstable one; the keys are distinct integers either way.
+/// The index of each entry is its low 32 bits.
+pub(crate) fn sorted_order<'k>(
+    keys: impl ExactSizeIterator<Item = (u64, usize)>,
+    key: impl Fn(u32) -> &'k [u8],
+) -> Vec<u128> {
+    assert!(keys.len() <= 1 << 32, "more than 2^32 keys to sort");
+    let mut packed = Vec::with_capacity(keys.len());
+    let (mut descents, mut long) = (0usize, false);
+    let mut last = 0u128;
+    for (i, (prefix, len)) in keys.enumerate() {
+        let k = (prefix as u128) << 64 | (len as u128).min(LONG) << 32 | i as u128;
+        descents += usize::from(k < last);
+        long |= len > 8;
+        last = k;
+        packed.push(k);
+    }
+    if descents * 64 < packed.len() {
+        packed.sort();
+    } else {
+        packed.sort_unstable();
+    }
+    if !long {
+        return packed;
+    }
+    for run in packed.chunk_by_mut(|a, b| a >> 32 == b >> 32) {
+        if run.len() > 1 && (run[0] >> 32) as u32 as u128 == LONG {
+            let by_key = |a: &u128, b: &u128| key(*a as u32).cmp(key(*b as u32));
+            if !run.is_sorted_by(|a, b| by_key(a, b).is_le()) {
+                run.sort_by(by_key);
+            }
+        }
+    }
+    packed
+}
+
 /// One record in the arena: `[off .. off+klen)` is the key,
 /// `[off+klen .. off+klen+vlen)` the value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,6 +118,17 @@ struct Entry {
     off: u32,
     klen: u32,
     vlen: u32,
+}
+
+impl Entry {
+    /// The entry as one integer, so the sort can park it in its key slot.
+    fn pack(self) -> u128 {
+        (self.off as u128) << 64 | (self.klen as u128) << 32 | self.vlen as u128
+    }
+
+    fn unpack(x: u128) -> Entry {
+        Entry { off: (x >> 64) as u32, klen: (x >> 32) as u32, vlen: x as u32 }
+    }
 }
 
 /// An append-only collection of records destined for one partition.
@@ -157,6 +226,14 @@ impl Bucket {
         self.key_of(&self.entries[i])
     }
 
+    /// [`key_prefix`] of the key at position `i`, read straight from the
+    /// arena.
+    #[inline]
+    pub(crate) fn key_prefix_at(&self, i: usize) -> u64 {
+        let e = self.entries[i];
+        prefix_in(&self.data, e.off as usize, e.klen as usize)
+    }
+
     /// The key bytes an offset-table entry points at.
     fn key_of(&self, e: &Entry) -> &[u8] {
         &self.data[e.off as usize..(e.off + e.klen) as usize]
@@ -179,18 +256,25 @@ impl Bucket {
     }
 
     /// Sort by encoded key, preserving arrival order among equal keys (the
-    /// shuffle sort step): a stable sort of `(prefix, entry)` pairs by key
-    /// alone. Stability is the arrival-order guarantee; equal keys compare
-    /// `Equal`, so a bucket of few distinct keys or one already in order
-    /// costs the sort far less than n log n; and a compare reads the arena
-    /// only when two prefixes tie. The pairs are scratch, freed on return —
-    /// the offset table stays 12 bytes a record.
+    /// shuffle sort step): `sorted_order` over each entry's prefix and
+    /// key length, the arrival index as tag. The permuted entries are
+    /// written back into the offset table itself — each sorted key's slot
+    /// first takes its entry, then the table is refilled from the slots —
+    /// so the only scratch is the 16-byte keys, freed on return.
     pub fn sort(&mut self) {
-        let mut keyed: Vec<(u64, Entry)> =
-            self.entries.iter().map(|e| (key_prefix(self.key_of(e)), *e)).collect();
-        keyed.sort_by(|a, b| cmp_keys(a.0, b.0, || (self.key_of(&a.1), self.key_of(&b.1))));
-        for (slot, (_, e)) in self.entries.iter_mut().zip(keyed) {
-            *slot = e;
+        let data = &self.data;
+        let entries = &self.entries;
+        let mut order = sorted_order(
+            entries
+                .iter()
+                .map(|e| (prefix_in(data, e.off as usize, e.klen as usize), e.klen as usize)),
+            |i| self.key_of(&entries[i as usize]),
+        );
+        for slot in &mut order {
+            *slot = entries[*slot as u32 as usize].pack();
+        }
+        for (e, &slot) in self.entries.iter_mut().zip(&order) {
+            *e = Entry::unpack(slot);
         }
     }
 
@@ -324,18 +408,76 @@ pub(crate) mod tests {
         }
     }
 
+    /// Keys at the packed sort key's edges: `""` against `"\0"`, 7-, 8-
+    /// and 9-byte keys sharing a prefix, and keys ending in zero bytes.
+    const EDGES: [&[u8]; 11] = [
+        b"",
+        b"\0",
+        b"\0\0",
+        b"abcdefg",
+        b"abcdefg\0",
+        b"abcdefgh",
+        b"abcdefgh\0",
+        b"abcdefgh\0\0",
+        b"abcdefghi",
+        b"abcdefghi\0",
+        b"abcdefgz",
+    ];
+
+    fn edge_key() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            colliding_key(),
+            (0..EDGES.len()).prop_map(|i| EDGES[i].to_vec()),
+            proptest::collection::vec(any::<u8>(), 0..12),
+        ]
+    }
+
+    /// Arrange drawn keys as the sort meets them: as drawn, all equal,
+    /// already sorted, or `runs` concatenated sorted runs (the shape of a
+    /// reduce partition gathered from several map outputs).
+    fn arrange(mut keys: Vec<Vec<u8>>, shape: u8, runs: usize) -> Vec<Vec<u8>> {
+        match shape {
+            0 => {}
+            1 => {
+                let first = keys.first().cloned().unwrap_or_default();
+                keys.iter_mut().for_each(|k| k.clone_from(&first));
+            }
+            2 => keys.sort(),
+            _ => {
+                let len = keys.len().div_ceil(runs).max(1);
+                keys.chunks_mut(len).for_each(<[Vec<u8>]>::sort);
+            }
+        }
+        keys
+    }
+
     proptest! {
-        /// `Bucket::sort` against the std stable sort of owned records.
+        /// `Bucket::sort` against the std stable sort of owned records, on
+        /// every shape of input it takes a different path for.
         #[test]
         fn sort_agrees_with_std_stable_sort(
-            keys in proptest::collection::vec(colliding_key(), 0..200),
+            keys in proptest::collection::vec(edge_key(), 0..400),
+            shape in 0u8..4,
+            runs in 1usize..9,
         ) {
-            let mut records = tagged(keys);
+            let mut records = tagged(arrange(keys, shape, runs));
             let mut bucket = Bucket::from_records(records.clone());
             bucket.sort();
             records.sort_by(|a, b| a.0.cmp(&b.0));
             prop_assert_eq!(bucket.to_records(), records);
         }
+    }
+
+    /// The sort permutes the offset table in place: a freshly collected
+    /// table in its stead measurably slowed the pool plane.
+    #[test]
+    fn sort_keeps_the_offset_table_allocation() {
+        let keys = (0..1000u32).map(|i| i.wrapping_mul(2_654_435_761).to_le_bytes().to_vec());
+        let mut b = Bucket::from_records(tagged(keys.collect()));
+        let table = (b.entries.as_ptr(), b.entries.capacity());
+        b.sort();
+        assert!(b.is_sorted());
+        assert_eq!((b.entries.as_ptr(), b.entries.capacity()), table);
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! keep constant factors down:
 //!
 //! * each run's head key is cached as its 8-byte prefix
-//!   ([`key_prefix`]), refreshed when the head advances, so a match is an
-//!   integer compare and reads the runs' arenas only when two prefixes
-//!   tie;
+//!   ([`key_prefix`](crate::bucket::key_prefix)), refreshed when the head
+//!   advances, so a match is an integer compare and reads the runs'
+//!   arenas only when two prefixes tie — and so is each step of the
+//!   equal-key scan below;
 //! * equal keys break ties by **run index**, so the merged stream is
 //!   byte-identical to a *stable* sort of the runs concatenated in input
 //!   order — the exact order the concatenate+sort oracle produces;
@@ -24,7 +25,7 @@
 //!   per record, and a single-run merge degenerates to plain group
 //!   iteration with no matches played at all.
 
-use crate::bucket::{cmp_keys, key_prefix, Bucket};
+use crate::bucket::{cmp_keys, Bucket};
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 
@@ -59,7 +60,7 @@ impl<'a, B: Borrow<Bucket>> RunMerger<'a, B> {
         let buckets = runs.iter().map(Borrow::borrow);
         debug_assert!(buckets.clone().all(Bucket::is_sorted), "RunMerger requires sorted runs");
         let k = runs.len();
-        let heads = buckets.map(|r| if r.is_empty() { 0 } else { key_prefix(r.key_at(0)) });
+        let heads = buckets.map(|r| if r.is_empty() { 0 } else { r.key_prefix_at(0) });
         let mut m =
             RunMerger { runs, pos: vec![0; k], heads: heads.collect(), tree: vec![0; k.max(1)] };
         if k == 0 {
@@ -134,17 +135,21 @@ impl<'a, B: Borrow<Bucket>> RunMerger<'a, B> {
         let mut w = self.tree[0];
         let (key, prefix): (&'a [u8], u64) = (self.run(w).key_at(self.pos[w]), self.heads[w]);
         loop {
-            // Consume the winner's whole equal-key prefix in one scan.
+            // Consume the winner's whole equal-key prefix in one scan,
+            // prefix first; the first prefix past it is the new head's.
             let run = self.run(w);
             let start = self.pos[w];
             let mut end = start + 1;
-            while end < run.len() && run.key_at(end) == key {
+            let mut next = prefix;
+            while end < run.len() {
+                next = run.key_prefix_at(end);
+                if cmp_keys(next, prefix, || (run.key_at(end), key)).is_ne() {
+                    break;
+                }
                 end += 1;
             }
+            self.heads[w] = next;
             self.pos[w] = end;
-            if end < run.len() {
-                self.heads[w] = key_prefix(run.key_at(end));
-            }
             spans.push((w, start, end));
             self.replay(w);
             // The next winner joins the group only if its head is this key.

@@ -35,7 +35,7 @@
 //! merger, the reference the merge is tested against and the shape
 //! `hadoop-sim` models.
 
-use crate::bucket::{cmp_keys, key_prefix, Bucket};
+use crate::bucket::{prefix_in, sorted_order, Bucket};
 use crate::error::{Error, Result};
 use crate::merge::RunMerger;
 use crate::program::{FuncId, Program};
@@ -550,15 +550,16 @@ impl StreamCombiner {
     /// and combining each key group, so the bucket is the one that
     /// post-pass would produce.
     fn finalize(mut self, program: &dyn Program, func: FuncId) -> Result<Bucket> {
-        let key_of = |gid: u32| self.key_of(&self.groups[gid as usize]);
-        let mut order: Vec<(u64, u32)> =
-            (0..self.groups.len() as u32).map(|gid| (key_prefix(key_of(gid)), gid)).collect();
-        // Group keys are distinct, so an unstable sort has no ties to reorder.
-        order.sort_unstable_by(|a, b| cmp_keys(a.0, b.0, || (key_of(a.1), key_of(b.1))));
+        let order = sorted_order(
+            self.groups.iter().map(|g| {
+                (prefix_in(&self.keys, g.koff as usize, g.klen as usize), g.klen as usize)
+            }),
+            |gid| self.key_of(&self.groups[gid as usize]),
+        );
         let mut out = Bucket::with_capacity(self.groups.len(), self.keys.len());
-        for (_, gid) in order {
-            self.collect_spans(gid as usize);
-            let g = &self.groups[gid as usize];
+        for gid in order.into_iter().map(|k| k as u32 as usize) {
+            self.collect_spans(gid);
+            let g = &self.groups[gid];
             let key = &self.keys[g.koff as usize..(g.koff + g.klen) as usize];
             let vals = &self.vals;
             let mut iter = self

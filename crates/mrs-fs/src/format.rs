@@ -15,6 +15,7 @@
 //! is the one place that choice is made; the codec itself only opens
 //! frames.
 
+use mrs_core::bucket::{cmp_keys, key_prefix};
 use mrs_core::kv::{encode_record, read_varint, write_varint};
 use mrs_core::{Bucket, Datum, Error, Record, Result};
 
@@ -67,8 +68,9 @@ pub struct RunInfo {
     /// spot-check passed). Unframed bucket bytes never claim.
     pub claimed_sorted: bool,
     /// Ground truth: the parsed records are in non-decreasing key order.
-    /// Established during the arena fill (one adjacent-key compare per
-    /// record), so the merge path never has to trust the claim.
+    /// Established during the arena fill (one adjacent-prefix compare per
+    /// record, key bytes read only on a tie), so the merge path never has
+    /// to trust the claim.
     pub sorted: bool,
 }
 
@@ -79,12 +81,14 @@ pub struct RunInfo {
 pub fn read_bucket_run(b: &[u8], out: &mut Bucket) -> Result<RunInfo> {
     let (unframed, claimed_sorted) = unframe(b)?;
     let mut sorted = true;
-    let mut prev: Option<&[u8]> = None;
+    // `""` sorts first, so the first record never counts as a descent.
+    let mut prev: (u64, &[u8]) = (0, &[]);
     parse_records(&unframed, |k, v| {
-        if prev.is_some_and(|p| p > k) {
+        let prefix = key_prefix(k);
+        if cmp_keys(prev.0, prefix, || (prev.1, k)).is_gt() {
             sorted = false;
         }
-        prev = Some(k);
+        prev = (prefix, k);
         out.push(k, v);
     })?;
     Ok(RunInfo { claimed_sorted, sorted })
@@ -208,6 +212,25 @@ mod tests {
         // Appending a second file accumulates into the same arena.
         read_bucket_into(&bytes, &mut back).unwrap();
         assert_eq!(back.len(), 2 * bucket.len());
+    }
+
+    /// The sortedness verdict is key order (prefix first, so it must tell
+    /// `""` from `"\0"` and read past a shared 8-byte prefix), over only
+    /// the records the call appends.
+    #[test]
+    fn run_verdict_is_key_order_over_appended_records() {
+        let file = |keys: &[&[u8]]| {
+            write_bucket_bytes(&keys.iter().map(|k| (k.to_vec(), vec![])).collect::<Vec<_>>())
+        };
+        let sorted = file(&[b"", b"\0", b"abcdefgh", b"abcdefgh1", b"abcdefgh2"]);
+        let mut out = Bucket::new();
+        out.push(b"zzz", b"");
+        let info = read_bucket_run(&sorted, &mut out).unwrap();
+        assert_eq!(info, RunInfo { claimed_sorted: false, sorted: true });
+        assert_eq!(out.len(), 6);
+        for unsorted in [file(&[b"\0", b""]), file(&[b"abcdefgh2", b"abcdefgh1"])] {
+            assert!(!read_bucket_run(&unsorted, &mut Bucket::new()).unwrap().sorted);
+        }
     }
 
     #[test]

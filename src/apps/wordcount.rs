@@ -4,6 +4,7 @@
 //! lines and a `reduce` that sums; the reduce doubles as the combiner
 //! without modification (§V-A).
 
+use corpus::tokenizer::tokenize;
 use mrs_core::kv::encode_record;
 use mrs_core::{Datum, MapReduce, Record, Result};
 use std::collections::HashMap;
@@ -13,6 +14,8 @@ use std::collections::HashMap;
 /// `map` sees its line as a `&str` borrowed from the input record and
 /// emits each word as a `&str` borrowed from that line: from `emit` to the
 /// driver a record is only ever bytes, and a token costs no allocation.
+/// Words are split by [`tokenize`], the one tokenizer the reference
+/// counts use too.
 ///
 /// ```
 /// use mrs_core::MapReduce;
@@ -30,7 +33,7 @@ impl MapReduce for WordCount {
     type V2 = u64;
 
     fn map(&self, _line_no: u64, line: &str, emit: &mut dyn FnMut(&str, u64)) {
-        for word in line.split_whitespace() {
+        for word in tokenize(line) {
             emit(word, 1);
         }
     }
