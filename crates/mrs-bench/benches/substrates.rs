@@ -1,7 +1,8 @@
 //! Substrate microbenchmarks: the building blocks whose costs underlie
 //! the system-level numbers — PRNG throughput, Halton generation
 //! (incremental vs direct, the paper's inner-loop optimization), the
-//! XML-RPC codec, bucket sort/group, and base64.
+//! XML-RPC codec, bucket sort/group, base64, and the float-vector `Datum`
+//! codec that carries every PSO particle.
 
 use corpus::zipf::word_for_rank;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -23,6 +24,36 @@ fn bench_rng(c: &mut Criterion) {
             i += 1;
             black_box(f.stream(&[1, 2, i]))
         });
+    });
+    // One PSO move step on Rosenbrock-250: derive the particle's stream,
+    // then two uniform draws per dimension.
+    group.bench_function("stream_then_500_draws", |b| {
+        let f = StreamFactory::new(42);
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            let mut g = f.stream(&[0x6d6f_7665, 17, i]);
+            black_box((0..500).fold(0u64, |acc, _| acc ^ g.next_u64()))
+        });
+    });
+    group.finish();
+}
+
+fn bench_datum(c: &mut Criterion) {
+    // A Rosenbrock-250 position, as a PSO record carries it.
+    let position: Vec<f64> = (0..250).map(|i| f64::from(i) * 0.37 - 40.0).collect();
+    let bytes = position.to_bytes();
+    let mut group = c.benchmark_group("substrate_datum");
+    group.bench_function("f64_seq_encode_250", |b| {
+        let mut buf = Vec::new();
+        b.iter(|| {
+            buf.clear();
+            black_box(&position).encode(&mut buf);
+            black_box(buf.len())
+        })
+    });
+    group.bench_function("f64_seq_decode_250", |b| {
+        b.iter(|| black_box(Vec::<f64>::from_bytes(black_box(&bytes)).unwrap()))
     });
     group.finish();
 }
@@ -143,5 +174,13 @@ fn bench_base64(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_rng, bench_halton, bench_rpc_codec, bench_bucket, bench_base64);
+criterion_group!(
+    benches,
+    bench_rng,
+    bench_datum,
+    bench_halton,
+    bench_rpc_codec,
+    bench_bucket,
+    bench_base64
+);
 criterion_main!(benches);

@@ -237,38 +237,42 @@ impl Datum for Vec<u8> {
     }
 }
 
-/// A varint count followed by that many 8-byte elements.
+/// A varint count followed by that many 8-byte elements, each laid out as
+/// the element's own [`Datum`] encoding. Both directions move the elements
+/// as one block: a single resize (encode) or a single exact allocation
+/// (decode), with no per-element length checks or buffer growth.
 macro_rules! seq_datum {
-    ($elem:ty) => {
+    ($elem:ty, $to_bytes:expr, $from_bytes:expr) => {
         impl Datum for Vec<$elem> {
             datum_owned_view!();
             fn encode(&self, buf: &mut Vec<u8>) {
                 write_varint(self.len() as u64, buf);
-                for x in self {
-                    x.encode(buf);
+                let start = buf.len();
+                buf.resize(start + 8 * self.len(), 0);
+                for (out, x) in buf[start..].chunks_exact_mut(8).zip(self) {
+                    out.copy_from_slice(&$to_bytes(x));
                 }
             }
             fn decode_from(b: &[u8]) -> Result<(Self, &[u8])> {
-                let (len, mut rest) = read_varint(b)?;
+                let (len, rest) = read_varint(b)?;
                 // Each element takes 8 bytes: reject (and never allocate
                 // for) a length claim the remaining input cannot satisfy.
                 if len > rest.len() as u64 / 8 {
                     let elem = stringify!($elem);
                     return Err(Error::Codec(format!("{elem} seq length {len} exceeds input")));
                 }
-                let mut v = Vec::with_capacity(len as usize);
-                for _ in 0..len {
-                    let (x, r) = <$elem>::decode_from(rest)?;
-                    v.push(x);
-                    rest = r;
-                }
+                let (body, rest) = rest.split_at(8 * len as usize);
+                let v = body
+                    .chunks_exact(8)
+                    .map(|c| $from_bytes(c.try_into().expect("8-byte chunk")))
+                    .collect();
                 Ok((v, rest))
             }
         }
     };
 }
-seq_datum!(f64);
-seq_datum!(u64);
+seq_datum!(f64, |x: &f64| x.to_bits().to_le_bytes(), |b| f64::from_bits(u64::from_le_bytes(b)));
+seq_datum!(u64, |x: &u64| x.to_be_bytes(), u64::from_be_bytes);
 
 impl Datum for () {
     datum_owned_view!();
@@ -484,6 +488,106 @@ mod tests {
         assert_eq!(f64::from_bytes(&b).unwrap().to_bits(), x.to_bits());
     }
 
+    #[test]
+    fn seq_encodings_are_pinned() {
+        let nan = f64::from_bits(0x7ff8_0000_0000_1234);
+        assert_eq!(
+            vec![-0.0f64, 1.0, nan].to_bytes(),
+            [
+                &[3u8][..],
+                &[0, 0, 0, 0, 0, 0, 0, 0x80],
+                &[0, 0, 0, 0, 0, 0, 0xf0, 0x3f],
+                &[0x34, 0x12, 0, 0, 0, 0, 0xf8, 0x7f],
+            ]
+            .concat()
+        );
+        assert_eq!(
+            vec![1u64, 256].to_bytes(),
+            [2u8, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0]
+        );
+        // Either side of the one-byte varint count.
+        for (n, header) in [(127usize, &[0x7fu8][..]), (128, &[0x80, 0x01])] {
+            let v: Vec<u64> = (0..n as u64).collect();
+            let b = v.to_bytes();
+            assert_eq!(&b[..header.len()], header);
+            assert_eq!(b.len(), header.len() + 8 * n);
+            assert_eq!(&b[b.len() - 8..], (n as u64 - 1).to_be_bytes());
+            assert_eq!(Vec::<u64>::from_bytes(&b).unwrap(), v);
+        }
+    }
+
+    /// The sequence codec one element at a time, through the element's
+    /// own `Datum` impl: what the bulk codec must agree with.
+    fn ref_encode<T: Datum>(v: &[T]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_varint(v.len() as u64, &mut buf);
+        for x in v {
+            x.encode(&mut buf);
+        }
+        buf
+    }
+
+    fn ref_decode<T: Datum>(b: &[u8]) -> Result<(Vec<T>, &[u8])> {
+        let (len, mut rest) = read_varint(b)?;
+        if len > rest.len() as u64 / 8 {
+            return Err(Error::Codec(format!("seq length {len} exceeds input")));
+        }
+        let mut v = Vec::new();
+        for _ in 0..len {
+            let (x, r) = T::decode_from(rest)?;
+            v.push(x);
+            rest = r;
+        }
+        Ok((v, rest))
+    }
+
+    /// Both decoders on `b`: the same verdict, and on success the same
+    /// elements (compared through their encodings, so NaNs count) and rest.
+    fn decoders_agree<T: Datum>(b: &[u8])
+    where
+        Vec<T>: Datum,
+    {
+        match (Vec::<T>::decode_from(b), ref_decode::<T>(b)) {
+            (Ok((v, rest)), Ok((r, ref_rest))) => {
+                assert_eq!(v.to_bytes(), ref_encode(&r));
+                assert_eq!(rest, ref_rest);
+            }
+            (Err(Error::Codec(_)), Err(Error::Codec(_))) => {}
+            (got, want) => panic!(
+                "{} bytes: bulk {:?} vs reference {:?}",
+                b.len(),
+                got.map(|(v, _)| v.len()),
+                want.map(|(v, _)| v.len())
+            ),
+        }
+    }
+
+    fn seq_agrees_with_reference<T: Datum + Clone>(v: &[T])
+    where
+        Vec<T>: Datum,
+    {
+        let b = v.to_vec().to_bytes();
+        assert_eq!(b, ref_encode(v));
+        // Every truncation, the whole encoding, and one trailing byte.
+        for cut in 0..=b.len() {
+            decoders_agree::<T>(&b[..cut]);
+        }
+        let mut longer = b.clone();
+        longer.push(0xa5);
+        decoders_agree::<T>(&longer);
+        // Count claims over the same body: shorter ones leave a rest, and
+        // every over-long one, from just past the body up to absurd, errs.
+        let body = &b[b.len() - 8 * v.len()..];
+        let n = v.len() as u64;
+        let over = (n + 1..n + 10).chain([1 << 61, u64::MAX]);
+        for claim in [0, n / 2, n.saturating_sub(1)].into_iter().chain(over) {
+            let mut claimed = Vec::new();
+            write_varint(claim, &mut claimed);
+            claimed.extend_from_slice(body);
+            decoders_agree::<T>(&claimed);
+        }
+    }
+
     proptest! {
         #[test]
         fn prop_roundtrip_u64(x in any::<u64>()) {
@@ -503,6 +607,15 @@ mod tests {
             for (a, bb) in v.iter().zip(&back) {
                 prop_assert_eq!(a.to_bits(), bb.to_bits());
             }
+        }
+
+        #[test]
+        fn prop_seq_codec_matches_the_reference(
+            bits in proptest::collection::vec(any::<u64>(), 0..600),
+        ) {
+            let floats: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+            seq_agrees_with_reference(&floats);
+            seq_agrees_with_reference(&bits);
         }
 
         #[test]

@@ -5,6 +5,8 @@
 //! reduce/combine entry points. Bucket arenas and the hash combiner still
 //! grow by doubling, so the map task's count may rise with input size —
 //! but by a handful of reallocations, not by one allocation per token.
+//! The float-vector codec that every PSO record goes through is measured
+//! the same way.
 
 use mrs_core::kv::encode_record;
 use mrs_core::task::run_map_task_bucket;
@@ -137,4 +139,16 @@ fn reduce_and_combine_allocate_nothing_per_group() {
         let (allocs, ()) = allocs_during(|| fold_all(combine));
         assert_eq!(allocs, 0, "combine={combine}: 1000 String-keyed groups");
     }
+}
+
+#[test]
+fn float_vectors_encode_and_decode_in_one_block() {
+    let small: Vec<f64> = (0..25).map(f64::from).collect();
+    let large: Vec<f64> = (0..2_500).map(f64::from).collect();
+    let (few, _) = allocs_during(|| small.to_bytes());
+    let (many, bytes) = allocs_during(|| large.to_bytes());
+    assert!(many <= few, "2500 floats cost {many} allocations, 25 cost {few}");
+    let (decode, back) = allocs_during(|| Vec::<f64>::from_bytes(&bytes).unwrap());
+    assert_eq!(decode, 1, "decoding 2500 floats");
+    assert_eq!(back, large);
 }

@@ -110,6 +110,50 @@ mod tests {
         let _ = f.stream(&args);
     }
 
+    /// The first three draws and the 700th, which comes from the third refill.
+    fn fingerprint(mut g: Mt19937_64) -> ([u64; 3], u64) {
+        let first = [g.next_u64(), g.next_u64(), g.next_u64()];
+        (first, (3..700).map(|_| g.next_u64()).last().unwrap())
+    }
+
+    #[test]
+    fn streams_match_their_goldens() {
+        // A program's output depends on these draws on every plane and in
+        // every rerun, so a change to how streams are derived must
+        // reproduce them exactly.
+        let f = StreamFactory::new(42);
+        assert_eq!(
+            fingerprint(f.stream(&[])),
+            (
+                [10_984_952_841_892_987_572, 16_399_869_582_966_900_329, 1_035_973_155_936_334_285],
+                12_816_589_329_666_897_317
+            )
+        );
+        // A PSO "move" tuple: (tag, particle id, iteration).
+        assert_eq!(
+            fingerprint(f.stream(&[0x6d6f_7665, 17, 250])),
+            (
+                [5_590_964_652_699_104_620, 3_777_575_530_005_282_678, 2_758_762_938_231_070_843],
+                14_802_227_945_575_093_013
+            )
+        );
+        // 311 arguments make a 313-word key: longer than the state, so the
+        // first absorption loop wraps with key words still to come.
+        let long: Vec<u64> =
+            (0..MAX_STREAM_ARGS as u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
+        assert_eq!(
+            fingerprint(f.stream(&long)),
+            (
+                [
+                    14_622_135_083_460_168_870,
+                    15_831_851_377_606_564_905,
+                    15_003_919_466_256_738_977
+                ],
+                17_575_934_034_113_690_892
+            )
+        );
+    }
+
     proptest! {
         #[test]
         fn distinct_tuples_distinct_streams(
