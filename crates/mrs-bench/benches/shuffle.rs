@@ -5,7 +5,13 @@
 //!   keys fold incrementally instead of being buffered and sorted). The
 //!   `seed_sort_combine` arm reconstructs the pre-overhaul pipeline
 //!   (per-emit record allocation + stable `Vec<Record>` sort), so the
-//!   speedup is measured against the original implementation.
+//!   speedup is measured against the original implementation. Two more
+//!   rows time the combiner on the map tasks the suite runs:
+//!   `hash_combine_wc_split` is one `wc_combine` map task (10 000 tokens
+//!   over a 1 000-word vocabulary, 8 partitions), where most words repeat
+//!   a few times, and `hash_combine_distinct_heavy` is one E2 map task
+//!   (156 000 tokens over a 50 000-word vocabulary, 12 partitions), where
+//!   most groups hold a value or two.
 //! * `shuffle_transfer` — bucket fetch over a persistent pooled connection
 //!   vs. a fresh TCP dial per request (the keep-alive ablation, A4).
 //! * `bucket_sort` — the map-side sort step alone, `Bucket::sort` on the
@@ -51,10 +57,10 @@ impl MapReduce for WordCount {
 }
 
 /// Zipf(1.1) WordCount input: `lines` lines of `words_per_line` words drawn
-/// from a 50k-word vocabulary. Rank 0 alone is ~10% of all draws, so the
-/// combiner's hot-key path dominates.
-fn zipf_lines(lines: usize, words_per_line: usize) -> Vec<Record> {
-    let zipf = Zipf::new(50_000, 1.1);
+/// from a `vocab`-word vocabulary. Over 50k words rank 0 alone is ~10% of
+/// all draws, so the combiner's hot-key path dominates.
+fn zipf_lines(lines: usize, words_per_line: usize, vocab: usize) -> Vec<Record> {
+    let zipf = Zipf::new(vocab, 1.1);
     let mut rng = SplitMix64::new(42);
     (0..lines)
         .map(|i| {
@@ -100,7 +106,7 @@ fn seed_sort_combine_map_task(
 }
 
 fn bench_combine(c: &mut Criterion) {
-    let records = zipf_lines(10_000, 50); // 500k words
+    let records = zipf_lines(10_000, 50, 50_000); // 500k words
     let input = Bucket::from_slice(&records);
     let program = Simple(WordCount);
 
@@ -120,6 +126,18 @@ fn bench_combine(c: &mut Criterion) {
     group.bench_function("no_combine_zipf_500k", |b| {
         b.iter(|| black_box(run_map_task_bucket(&program, 0, black_box(&input), 4, false).unwrap()))
     });
+    let wc_split = Bucket::from_slice(&zipf_lines(1_000, 10, 1_000));
+    let distinct_heavy = Bucket::from_slice(&zipf_lines(13_000, 12, 50_000));
+    for (name, input, parts) in [
+        ("hash_combine_wc_split", &wc_split, 8),
+        ("hash_combine_distinct_heavy", &distinct_heavy, 12),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                black_box(run_map_task_bucket(&program, 0, black_box(input), parts, true).unwrap())
+            })
+        });
+    }
     group.finish();
 }
 

@@ -11,6 +11,9 @@
 //! scale factor is reported. Mrs times are measured on a real localhost
 //! cluster; Hadoop times are virtual-clock simulation. The claim checked
 //! is structural: *Hadoop's startup alone exceeds Mrs's entire job.*
+//! Both frameworks' counts are checked against a plain count of the
+//! documents' `corpus::tokenize` tokens in a `HashMap`, which runs neither
+//! framework's task kernel (`hadoop-sim` runs the same one Mrs does).
 //!
 //! ```text
 //! cargo run --release -p mrs-bench --bin wordcount_table [--slaves 6] [--mean-tokens 120]
@@ -25,6 +28,7 @@ use mrs::apps::wordcount::{decode_counts, documents_to_records, WordCount};
 use mrs::prelude::*;
 use mrs_bench::{Args, Table};
 use mrs_runtime::LocalCluster;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 const PAPER_MEAN_TOKENS: u64 = 64_000; // ≈2e9 tokens / 31,173 files
@@ -60,6 +64,11 @@ fn main() {
         let tokens: u64 = documents.iter().map(|d| corpus::tokenizer::token_count(d)).sum();
         let bytes: u64 = documents.iter().map(|d| d.len() as u64).sum();
         let records = documents_to_records(documents.iter().map(String::as_str));
+        let mut expected: HashMap<String, u64> = HashMap::new();
+        for word in documents.iter().flat_map(|d| corpus::tokenizer::tokenize(d)) {
+            *expected.entry(word.to_string()).or_default() += 1;
+        }
+        assert_eq!(expected.values().sum::<u64>(), tokens, "token count on {label}");
         let dirs = directory_count(Layout::Nested, files);
 
         // Mrs: measured on a real localhost master/slave cluster.
@@ -78,6 +87,7 @@ fn main() {
             decode_counts(&out).expect("decode")
         };
         let mrs_secs = t0.elapsed().as_secs_f64();
+        assert_eq!(mrs_counts, expected, "Mrs miscounts {label}");
 
         // Hadoop: the same job on the virtual cluster with the real
         // nested-tree namenode traffic. Bytes are scaled back up to paper

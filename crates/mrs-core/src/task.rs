@@ -22,11 +22,12 @@
 //!
 //! Map-like output goes through one partitioned sink chosen once per task:
 //! plain buckets sorted at the end, or — when the task combines — one
-//! streaming [`StreamCombiner`] per partition that folds records into a
-//! hash table *as they are emitted*, so duplicate-heavy workloads never
-//! materialize the raw output ("the reduce function can function as a
-//! combiner", §V-A). Either way every output bucket is a **sorted run**,
-//! which is what lets the next reduce merge instead of sort.
+//! [`Combiner`] for the whole task, which hashes and partitions each key
+//! once, logs values flat, and folds each key group on the schedule of
+//! folding as values arrive, so duplicate-heavy workloads never hold the
+//! raw output ("the reduce function can function as a combiner", §V-A).
+//! Either way every output bucket is a **sorted run**, which is what lets
+//! the next reduce merge instead of sort.
 //!
 //! Three thin conveniences sit beside the kernel: [`run_map_task_bucket`]
 //! and [`run_reduce_task_merge`] are the kernel's map and reduce arms
@@ -35,7 +36,7 @@
 //! merger, the reference the merge is tested against and the shape
 //! `hadoop-sim` models.
 
-use crate::bucket::{prefix_in, sorted_order, Bucket};
+use crate::bucket::{key_prefix, sorted_order, Bucket};
 use crate::error::{Error, Result};
 use crate::merge::RunMerger;
 use crate::program::{FuncId, Program};
@@ -94,9 +95,11 @@ impl TaskSpec {
 }
 
 /// Check a cooperative-cancellation flag (if any); raise [`Error::Cancelled`]
-/// when it is set. Called at record boundaries of a map and at group
-/// boundaries of a reduce-like task, so a losing speculative attempt
-/// abandons its work within one record/group of the cancel order landing.
+/// when it is set. Called at record boundaries of a map, at group
+/// boundaries of a reduce-like task and at group boundaries of the
+/// combiner's finish (where every fold of a combining task runs), so a
+/// losing speculative attempt abandons its work within one record/group
+/// of the cancel order landing.
 #[inline]
 fn check_cancel(cancel: Option<&AtomicBool>) -> Result<()> {
     match cancel {
@@ -143,7 +146,7 @@ fn kernel(
     // The sink is chosen here, once: each instantiation of `map_like`
     // has its per-record emit path compiled for one sink.
     if combine && program.has_combiner(map_func) {
-        map_like(program, reduce_func, map_func, runs, cancel, Combined::new(parts))
+        map_like(program, reduce_func, map_func, runs, cancel, Combiner::new(parts))
     } else {
         let buckets: Vec<Bucket> = (0..parts).map(|_| Bucket::new()).collect();
         map_like(program, reduce_func, map_func, runs, cancel, buckets)
@@ -224,8 +227,14 @@ trait PartSink {
     fn emit(&mut self, program: &dyn Program, func: FuncId, key: &[u8], value: &[u8]);
     /// The first failure since the last call, if any.
     fn take_error(&mut self) -> Option<Error>;
-    /// Turn what was emitted into one sorted bucket per partition.
-    fn finish(self, program: &dyn Program, func: FuncId) -> Result<Vec<Bucket>>;
+    /// Turn what was emitted into one sorted bucket per partition,
+    /// checking `cancel` at every group boundary.
+    fn finish(
+        self,
+        program: &dyn Program,
+        func: FuncId,
+        cancel: Option<&AtomicBool>,
+    ) -> Result<Vec<Bucket>>;
 }
 
 /// The raw sink: records land in their bucket as emitted, and each bucket
@@ -242,44 +251,16 @@ impl PartSink for Vec<Bucket> {
         None
     }
 
-    fn finish(mut self, _program: &dyn Program, _func: FuncId) -> Result<Vec<Bucket>> {
+    fn finish(
+        mut self,
+        _program: &dyn Program,
+        _func: FuncId,
+        _cancel: Option<&AtomicBool>,
+    ) -> Result<Vec<Bucket>> {
         for b in &mut self {
             b.sort();
         }
         Ok(self)
-    }
-}
-
-/// The combining sink: one [`StreamCombiner`] per partition.
-struct Combined {
-    combiners: Vec<StreamCombiner>,
-    failed: Option<Error>,
-}
-
-impl Combined {
-    fn new(parts: usize) -> Self {
-        Combined { combiners: (0..parts).map(|_| StreamCombiner::new()).collect(), failed: None }
-    }
-}
-
-impl PartSink for Combined {
-    #[inline]
-    fn emit(&mut self, program: &dyn Program, func: FuncId, key: &[u8], value: &[u8]) {
-        if self.failed.is_some() {
-            return;
-        }
-        let p = program.partition(key, self.combiners.len());
-        if let Err(e) = self.combiners[p].insert(program, func, key, value) {
-            self.failed = Some(e);
-        }
-    }
-
-    fn take_error(&mut self) -> Option<Error> {
-        self.failed.take()
-    }
-
-    fn finish(self, program: &dyn Program, func: FuncId) -> Result<Vec<Bucket>> {
-        self.combiners.into_iter().map(|c| c.finalize(program, func)).collect()
     }
 }
 
@@ -328,7 +309,7 @@ fn map_like<S: PartSink>(
             failed.map_or(Ok(()), Err)
         })?,
     }
-    sink.finish(program, map_func)
+    sink.finish(program, map_func, cancel)
 }
 
 /// Fold a group's pending values eagerly once this many have accumulated.
@@ -336,93 +317,128 @@ fn map_like<S: PartSink>(
 /// enough that the combiner cost stays amortized.
 const FOLD_EVERY: usize = 64;
 
-/// Sentinel for "no entry" in the combiner's table and span chains.
+/// Gather the arrival log (fold what came due, compact the value arena)
+/// once this many values arrived since the last gather, or as many as it
+/// carried over if more, so a gather's copying stays amortized.
+const FLUSH_EVERY: usize = 16_384;
+
+/// Sentinel for "no group" in the combiner's table.
 const NONE: u32 = u32::MAX;
 
-/// One key group inside a [`StreamCombiner`].
+/// One key group of a [`Combiner`].
 struct Group {
+    /// `hash_bytes(0, key)`: the group's place in the table.
+    hash: u64,
+    /// The key's [`key_prefix`]; with `klen`, all of a key of ≤ 8 bytes.
+    prefix: u64,
     /// Key bytes live at `koff..koff + klen` in the key arena.
     koff: u32,
     klen: u32,
-    /// Most recent span id for this group (`NONE` when empty); spans chain
-    /// backwards through [`Span::prev`], newest first.
-    tail: u32,
-    /// Pending span count (chain length from `tail`).
-    pending: u32,
+    /// The key's output partition, asked of the program once.
+    part: u32,
+    /// Values the last flush carried over: this group's first arrivals
+    /// in the log, which count as pending but are not new arrivals.
+    carried: u32,
     /// Set when a trial fold showed this combiner is not key-preserving
     /// for this group; its raw values are then kept until finalize.
     no_fold: bool,
 }
 
-/// One pending value: a slice of the value arena plus a link to the
-/// previous span of the same group. Chaining through one global vector
-/// keeps the per-group bookkeeping allocation-free no matter how many
-/// distinct keys a map task produces.
+/// One logged value: its group and its bytes in the value arena.
 #[derive(Clone, Copy)]
-struct Span {
+struct Arrival {
+    group: u32,
     off: u32,
     len: u32,
-    prev: u32,
 }
 
-/// Streaming in-mapper combiner: an open-addressing hash index over key
-/// bytes with arena storage, folding hot groups incrementally via the
-/// program's combiner. Everything lives in flat vectors — inserting a
-/// record is hash + probe + two arena appends, no allocation.
-struct StreamCombiner {
+/// The `(off, len)` span of `arena`.
+#[inline]
+fn span(arena: &[u8], (off, len): (u32, u32)) -> &[u8] {
+    &arena[off as usize..(off + len) as usize]
+}
+
+/// The combining sink: one in-mapper combiner for the whole task. Each
+/// emitted key is hashed once, into one open-addressing table whose
+/// groups know their partition; its value is appended to a flat arena and
+/// one [`Arrival`] to a log. A *gather* counting-sorts the log by group,
+/// making each group's values contiguous in arrival order, and replays
+/// them on the schedule of folding on arrival: at finalize, and at a flush
+/// that also compacts the arena, so a key-preserving combiner holds at
+/// most distinct keys × [`FOLD_EVERY`] values plus one flush's worth.
+#[derive(Default)]
+struct Combiner {
+    parts: usize,
     /// Power-of-two open-addressing table of group ids (`NONE` = empty).
-    /// Key comparison is always by bytes, never by hash alone.
     table: Vec<u32>,
-    /// Cached key hash per group (avoids re-hashing on table growth).
-    hashes: Vec<u64>,
     groups: Vec<Group>,
-    spans: Vec<Span>,
     keys: Vec<u8>,
     vals: Vec<u8>,
-    /// Reusable fold scratch: the group's spans in arrival order.
-    span_scratch: Vec<(u32, u32)>,
-    /// Reusable fold scratch: folded output bytes and their spans.
-    out_scratch: Vec<u8>,
-    out_spans: Vec<(u32, u32)>,
+    log: Vec<Arrival>,
+    /// Log entries the last flush carried over, at its head.
+    carried: usize,
+    /// After a gather, group `g`'s values are the spans
+    /// `gathered[starts[g]..starts[g + 1]]`, in arrival order.
+    starts: Vec<u32>,
+    gathered: Vec<(u32, u32)>,
+    /// The replaying group's last fold outputs (values under empty keys),
+    /// and a fold's new ones.
+    held: Bucket,
+    out: Bucket,
+    /// The compacted value arena a flush fills.
+    spare: Vec<u8>,
+    failed: Option<Error>,
 }
 
-impl StreamCombiner {
-    fn new() -> Self {
-        StreamCombiner {
-            table: vec![NONE; 16],
-            hashes: Vec::new(),
-            groups: Vec::new(),
-            spans: Vec::new(),
-            keys: Vec::new(),
-            vals: Vec::new(),
-            span_scratch: Vec::new(),
-            out_scratch: Vec::new(),
-            out_spans: Vec::new(),
+impl Combiner {
+    fn new(parts: usize) -> Self {
+        Combiner { parts, table: vec![NONE; 16], ..Default::default() }
+    }
+
+    fn key_of(&self, gid: usize) -> &[u8] {
+        let g = &self.groups[gid];
+        span(&self.keys, (g.koff, g.klen))
+    }
+
+    /// The group of `key`, created and partitioned on first sight. A key
+    /// of at most 8 bytes is settled by (hash, prefix, length); only a
+    /// longer one is compared byte by byte.
+    #[inline]
+    fn group_for(&mut self, program: &dyn Program, key: &[u8]) -> u32 {
+        let (hash, prefix) = (hash_bytes(0, key), key_prefix(key));
+        let mask = self.table.len() - 1;
+        let mut i = hash as usize & mask;
+        while self.table[i] != NONE {
+            let gid = self.table[i];
+            let g = &self.groups[gid as usize];
+            if g.hash == hash
+                && g.prefix == prefix
+                && g.klen as usize == key.len()
+                && (key.len() <= 8 || self.key_of(gid as usize) == key)
+            {
+                return gid;
+            }
+            i = (i + 1) & mask;
         }
+        let koff = self.keys.len();
+        assert!(koff + key.len() <= u32::MAX as usize, "combiner arena exceeds 4 GiB");
+        self.keys.extend_from_slice(key);
+        let (koff, klen) = (koff as u32, key.len() as u32);
+        let part = program.partition(key, self.parts) as u32;
+        self.groups.push(Group { hash, prefix, koff, klen, part, carried: 0, no_fold: false });
+        self.table[i] = (self.groups.len() - 1) as u32;
+        if self.groups.len() * 8 > self.table.len() * 7 {
+            self.grow_table();
+        }
+        (self.groups.len() - 1) as u32
     }
 
-    fn key_of(&self, g: &Group) -> &[u8] {
-        &self.keys[g.koff as usize..(g.koff + g.klen) as usize]
-    }
-
-    /// Append a value span to a group's chain.
-    fn push_val(&mut self, gid: usize, value: &[u8]) {
-        let off = self.vals.len();
-        assert!(off + value.len() <= u32::MAX as usize, "combiner arena exceeds 4 GiB");
-        self.vals.extend_from_slice(value);
-        let g = &mut self.groups[gid];
-        self.spans.push(Span { off: off as u32, len: value.len() as u32, prev: g.tail });
-        g.tail = (self.spans.len() - 1) as u32;
-        g.pending += 1;
-    }
-
-    /// Double the table and re-seat every group (hashes are cached, keys
-    /// are never re-read).
+    /// Double the table and re-seat every group by its cached hash.
     fn grow_table(&mut self) {
         let mask = self.table.len() * 2 - 1;
         let mut table = vec![NONE; mask + 1];
-        for (gid, &h) in self.hashes.iter().enumerate() {
-            let mut i = h as usize & mask;
+        for (gid, g) in self.groups.iter().enumerate() {
+            let mut i = g.hash as usize & mask;
             while table[i] != NONE {
                 i = (i + 1) & mask;
             }
@@ -431,142 +447,137 @@ impl StreamCombiner {
         self.table = table;
     }
 
-    /// Find the group for `key`, creating it if new.
-    fn group_for(&mut self, key: &[u8]) -> usize {
-        if (self.groups.len() + 1) * 8 > self.table.len() * 7 {
-            self.grow_table();
+    /// Counting-sort the log by group into `starts` and `gathered`.
+    fn gather(&mut self) {
+        self.starts.clear();
+        self.starts.resize(self.groups.len() + 2, 0);
+        for a in &self.log {
+            self.starts[a.group as usize + 2] += 1;
         }
-        let h = hash_bytes(0, key);
-        let mask = self.table.len() - 1;
-        let mut i = h as usize & mask;
-        loop {
-            match self.table[i] {
-                slot if slot == NONE => {
-                    let koff = self.keys.len();
-                    assert!(koff + key.len() <= u32::MAX as usize, "combiner arena exceeds 4 GiB");
-                    self.keys.extend_from_slice(key);
-                    self.groups.push(Group {
-                        koff: koff as u32,
-                        klen: key.len() as u32,
-                        tail: NONE,
-                        pending: 0,
-                        no_fold: false,
-                    });
-                    self.hashes.push(h);
-                    let gid = self.groups.len() - 1;
-                    self.table[i] = gid as u32;
-                    return gid;
-                }
-                slot => {
-                    let gid = slot as usize;
-                    if self.hashes[gid] == h && self.key_of(&self.groups[gid]) == key {
-                        return gid;
-                    }
-                    i = (i + 1) & mask;
-                }
-            }
+        for g in 2..self.starts.len() {
+            self.starts[g] += self.starts[g - 1];
+        }
+        self.gathered.resize(self.log.len(), (0, 0));
+        for a in &self.log {
+            let next = &mut self.starts[a.group as usize + 1];
+            self.gathered[*next as usize] = (a.off, a.len);
+            *next += 1;
         }
     }
 
-    fn insert(
-        &mut self,
+    /// A replaying group's pending values: `held`, then the gathered
+    /// values `raw..end`.
+    fn pending(&self, raw: usize, end: usize) -> impl Iterator<Item = &[u8]> {
+        let vals = &self.vals;
+        let raw = self.gathered[raw..end].iter().map(move |&s| span(vals, s));
+        self.held.iter().map(|(_, v)| v).chain(raw)
+    }
+
+    /// Replay group `gid`'s gathered values: fold at each arrival that
+    /// brings the pending count (the last fold's outputs plus the raw
+    /// values since) to [`FOLD_EVERY`], which is where folding on arrival
+    /// folds. The fold is a trial: if the combiner emits any key other
+    /// than the group's it is not key-preserving, so the fold is dropped
+    /// and the group keeps raw values until finalize. Returns `raw`: the
+    /// group's pending values are then `pending(raw, starts[gid + 1])`.
+    fn replay(&mut self, program: &dyn Program, func: FuncId, gid: usize) -> Result<usize> {
+        let (start, end) = (self.starts[gid] as usize, self.starts[gid + 1] as usize);
+        self.held.clear();
+        let (mut raw, mut pending) = (start, self.groups[gid].carried as usize);
+        let mut at = start + pending + (FOLD_EVERY - 1).saturating_sub(pending);
+        let mut out = std::mem::take(&mut self.out);
+        while at < end && !self.groups[gid].no_fold {
+            let (key, mut preserved) = (self.key_of(gid), true);
+            out.clear();
+            program.combine_bytes(func, key, &mut self.pending(raw, at + 1), &mut |k, v| {
+                preserved &= k == key;
+                out.push(&[], v);
+            })?;
+            if preserved {
+                std::mem::swap(&mut self.held, &mut out);
+                (raw, pending) = (at + 1, self.held.len());
+            } else {
+                self.groups[gid].no_fold = true;
+            }
+            at += 1 + (FOLD_EVERY - 1).saturating_sub(pending);
+        }
+        self.out = out;
+        Ok(raw)
+    }
+
+    /// Gather, fold every group that came due, and rebuild the log and the
+    /// value arena from what is left pending.
+    fn flush(&mut self, program: &dyn Program, func: FuncId) -> Result<()> {
+        self.gather();
+        let (mut log, mut spare) = (std::mem::take(&mut self.log), std::mem::take(&mut self.spare));
+        log.clear();
+        spare.clear();
+        for gid in 0..self.groups.len() {
+            let end = self.starts[gid + 1] as usize;
+            if self.starts[gid] as usize == end {
+                continue;
+            }
+            let raw = self.replay(program, func, gid)?;
+            let before = log.len();
+            for v in self.pending(raw, end) {
+                assert!(spare.len() + v.len() <= u32::MAX as usize, "combiner arena exceeds 4 GiB");
+                log.push(Arrival {
+                    group: gid as u32,
+                    off: spare.len() as u32,
+                    len: v.len() as u32,
+                });
+                spare.extend_from_slice(v);
+            }
+            self.groups[gid].carried = (log.len() - before) as u32;
+        }
+        self.spare = std::mem::replace(&mut self.vals, spare);
+        self.carried = log.len();
+        self.log = log;
+        Ok(())
+    }
+}
+
+impl PartSink for Combiner {
+    #[inline]
+    fn emit(&mut self, program: &dyn Program, func: FuncId, key: &[u8], value: &[u8]) {
+        if self.failed.is_some() {
+            return;
+        }
+        let group = self.group_for(program, key);
+        let off = self.vals.len();
+        assert!(off + value.len() <= u32::MAX as usize, "combiner arena exceeds 4 GiB");
+        self.vals.extend_from_slice(value);
+        self.log.push(Arrival { group, off: off as u32, len: value.len() as u32 });
+        if self.log.len() - self.carried >= FLUSH_EVERY.max(self.carried) {
+            self.failed = self.flush(program, func).err();
+        }
+    }
+
+    fn take_error(&mut self) -> Option<Error> {
+        self.failed.take()
+    }
+
+    /// Sort the groups by key once, then replay each and combine what is
+    /// left into its partition's bucket: per bucket, the visit order of
+    /// sorting the raw output and combining each key group.
+    fn finish(
+        mut self,
         program: &dyn Program,
         func: FuncId,
-        key: &[u8],
-        value: &[u8],
-    ) -> Result<()> {
-        let gid = self.group_for(key);
-        self.push_val(gid, value);
-        let g = &self.groups[gid];
-        if g.pending as usize >= FOLD_EVERY && !g.no_fold {
-            self.fold_group(program, func, gid)?;
-        }
-        Ok(())
-    }
-
-    /// Walk a group's span chain into `span_scratch` in arrival order.
-    fn collect_spans(&mut self, gid: usize) {
-        self.span_scratch.clear();
-        let mut s = self.groups[gid].tail;
-        while s != NONE {
-            let sp = self.spans[s as usize];
-            self.span_scratch.push((sp.off, sp.len));
-            s = sp.prev;
-        }
-        self.span_scratch.reverse();
-    }
-
-    /// Collapse a group's pending values through the combiner. The fold is
-    /// a trial: if the combiner emits any key other than the group key it
-    /// is not key-preserving, so the fold is rolled back and the group
-    /// keeps raw values until finalize (where emitting foreign keys is
-    /// handled by the ordinary output path).
-    fn fold_group(&mut self, program: &dyn Program, func: FuncId, gid: usize) -> Result<()> {
-        self.collect_spans(gid);
-        self.out_scratch.clear();
-        self.out_spans.clear();
-        let g = &self.groups[gid];
-        let key = &self.keys[g.koff as usize..(g.koff + g.klen) as usize];
-        let vals = &self.vals;
-        let mut iter =
-            self.span_scratch.iter().map(|&(off, len)| &vals[off as usize..(off + len) as usize]);
-        let out_scratch = &mut self.out_scratch;
-        let out_spans = &mut self.out_spans;
-        let mut preserved = true;
-        program.combine_bytes(func, key, &mut iter, &mut |k, v| {
-            if k != key {
-                preserved = false;
-            }
-            let off = out_scratch.len() as u32;
-            out_scratch.extend_from_slice(v);
-            out_spans.push((off, v.len() as u32));
-        })?;
-        if preserved {
-            // Replace the chain with the folded values. The superseded
-            // value bytes and span entries stay behind in the arenas until
-            // finalize — bounded by input size, the price of never moving
-            // live data.
-            self.groups[gid].tail = NONE;
-            self.groups[gid].pending = 0;
-            let out_spans = std::mem::take(&mut self.out_spans);
-            for &(off, len) in &out_spans {
-                let voff = self.vals.len();
-                assert!(voff + len as usize <= u32::MAX as usize, "combiner arena exceeds 4 GiB");
-                self.vals.extend_from_slice(&self.out_scratch[off as usize..(off + len) as usize]);
-                let g = &mut self.groups[gid];
-                self.spans.push(Span { off: voff as u32, len, prev: g.tail });
-                g.tail = (self.spans.len() - 1) as u32;
-                g.pending += 1;
-            }
-            self.out_spans = out_spans;
-        } else {
-            self.groups[gid].no_fold = true;
-        }
-        Ok(())
-    }
-
-    /// Sort groups by key bytes and run the combiner over each, emitting
-    /// into the output bucket — the visit order of sorting the raw output
-    /// and combining each key group, so the bucket is the one that
-    /// post-pass would produce.
-    fn finalize(mut self, program: &dyn Program, func: FuncId) -> Result<Bucket> {
-        let order = sorted_order(
-            self.groups.iter().map(|g| {
-                (prefix_in(&self.keys, g.koff as usize, g.klen as usize), g.klen as usize)
-            }),
-            |gid| self.key_of(&self.groups[gid as usize]),
-        );
-        let mut out = Bucket::with_capacity(self.groups.len(), self.keys.len());
+        cancel: Option<&AtomicBool>,
+    ) -> Result<Vec<Bucket>> {
+        self.gather();
+        let mut out: Vec<Bucket> = (0..self.parts).map(|_| Bucket::new()).collect();
+        let keys = self.groups.iter().map(|g| (g.prefix, g.klen as usize));
+        let order = sorted_order(keys, |gid| self.key_of(gid as usize));
         for gid in order.into_iter().map(|k| k as u32 as usize) {
-            self.collect_spans(gid);
-            let g = &self.groups[gid];
-            let key = &self.keys[g.koff as usize..(g.koff + g.klen) as usize];
-            let vals = &self.vals;
-            let mut iter = self
-                .span_scratch
-                .iter()
-                .map(|&(off, len)| &vals[off as usize..(off + len) as usize]);
-            program.combine_bytes(func, key, &mut iter, &mut |k, v| out.push(k, v))?;
+            check_cancel(cancel)?;
+            let raw = self.replay(program, func, gid)?;
+            let bucket = &mut out[self.groups[gid].part as usize];
+            let mut values = self.pending(raw, self.starts[gid + 1] as usize);
+            program.combine_bytes(func, self.key_of(gid), &mut values, &mut |k, v| {
+                bucket.push(k, v)
+            })?;
         }
         Ok(out)
     }
@@ -578,7 +589,10 @@ mod tests {
     use crate::bucket::tests::{colliding_key, tagged};
     use crate::kv::{encode_record, Datum};
     use crate::program::{MapReduce, Simple};
+    use mrs_rng::splitmix::mix64;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
+    use std::sync::atomic::AtomicU64;
 
     struct WordCount;
 
@@ -771,15 +785,16 @@ mod tests {
     #[test]
     fn non_key_preserving_combiner_rolls_back_partial_folds() {
         let p = Rekey;
-        let mut c = StreamCombiner::new();
+        let mut c = Combiner::new(1);
         let key = "hot".to_string().to_bytes();
         for _ in 0..(2 * FOLD_EVERY) {
-            c.insert(&p, 0, &key, &1u64.to_bytes()).unwrap();
+            c.emit(&p, 0, &key, &1u64.to_bytes());
         }
+        c.flush(&p, 0).unwrap();
         // The trial fold re-keyed, so raw values must all still be pending.
         assert!(c.groups[0].no_fold);
-        assert_eq!(c.groups[0].pending as usize, 2 * FOLD_EVERY);
-        let out = c.finalize(&p, 0).unwrap();
+        assert_eq!(c.groups[0].carried as usize, 2 * FOLD_EVERY);
+        let out = c.finish(&p, 0, None).unwrap().remove(0);
         assert_eq!(out.len(), 1);
         let (k, v) = out.get(0);
         assert_eq!(String::from_bytes(k).unwrap(), "ALL");
@@ -1105,5 +1120,321 @@ mod tests {
             let streamed = run_task(&Join, &map_spec(parts, true), &[&input], None).unwrap();
             prop_assert_eq!(streamed, sort_combine_map_task(&Join, 0, &input, parts).unwrap());
         }
+    }
+
+    /// A byte-level program whose output shows every combine call it took
+    /// part in: the map passes records through, and the combiner hashes
+    /// its values in order together with their count, so a fold at any
+    /// other arrival, or over the values in any other order, changes the
+    /// output. Some keys are re-keyed (the trial fold must roll back) and
+    /// some emit a second value (a fold leaves two pending). `calls` sums
+    /// a hash of every call's key and values: the same calls in any order
+    /// give the same sum, and one trial fold more or less changes it.
+    #[derive(Default)]
+    struct Seq {
+        calls: AtomicU64,
+    }
+
+    impl Program for Seq {
+        fn map_bytes(
+            &self,
+            _func: FuncId,
+            key: &[u8],
+            value: &[u8],
+            emit: &mut dyn FnMut(&[u8], &[u8]),
+        ) -> Result<()> {
+            emit(key, value);
+            Ok(())
+        }
+
+        fn reduce_bytes(
+            &self,
+            func: FuncId,
+            key: &[u8],
+            values: &mut dyn Iterator<Item = &[u8]>,
+            emit: &mut dyn FnMut(&[u8], &[u8]),
+        ) -> Result<()> {
+            self.combine_bytes(func, key, values, emit)
+        }
+
+        fn combine_bytes(
+            &self,
+            _func: FuncId,
+            key: &[u8],
+            values: &mut dyn Iterator<Item = &[u8]>,
+            emit: &mut dyn FnMut(&[u8], &[u8]),
+        ) -> Result<()> {
+            let (mut h, mut n) = (hash_bytes(1, key), 0u64);
+            for v in values {
+                h = hash_bytes(h, v);
+                n += 1;
+            }
+            self.calls.fetch_add(mix64(h ^ n), Ordering::Relaxed);
+            let folded = [h.to_le_bytes(), n.to_le_bytes()].concat();
+            match hash_bytes(2, key) % 35 {
+                t if t % 7 == 0 => emit(&[key, b"'"].concat(), &folded),
+                t => {
+                    emit(key, &folded);
+                    if t % 5 == 0 {
+                        emit(key, &n.to_le_bytes());
+                    }
+                }
+            }
+            Ok(())
+        }
+
+        fn has_combiner(&self, _func: FuncId) -> bool {
+            true
+        }
+    }
+
+    /// The `i`-th draw of stream `salt`.
+    fn draw(i: u64, salt: u64) -> u64 {
+        mix64(mix64(i) ^ salt)
+    }
+
+    /// `n` records, record `i` being `(key(i), value(i))`.
+    fn stream(n: u64, key: impl Fn(u64) -> Vec<u8>, value: impl Fn(u64) -> Vec<u8>) -> Bucket {
+        let mut b = Bucket::new();
+        for i in 0..n {
+            b.push(&key(i), &value(i));
+        }
+        b
+    }
+
+    /// Another 24-byte key with `key`'s first 8 bytes and `key`'s
+    /// `hash_bytes(0, ·)`: the second word is flipped and the third
+    /// chosen so that the hash state meets again (`hash_bytes` starts
+    /// from its seed mixed with the golden gamma, `0x9E37…`, and mixes in
+    /// one 8-byte word at a time).
+    fn hash_twin(key: &[u8; 24]) -> Vec<u8> {
+        let w = |i: usize| u64::from_le_bytes(key[8 * i..8 * i + 8].try_into().unwrap());
+        let s1 = mix64(mix64(0x9E37_79B9_7F4A_7C15) ^ w(0));
+        let w1 = w(1) ^ 1;
+        let w2 = w(2) ^ mix64(s1 ^ w(1)) ^ mix64(s1 ^ w1);
+        [&key[..8], &w1.to_le_bytes()[..], &w2.to_le_bytes()[..]].concat()
+    }
+
+    const TWIN: &[u8; 24] = b"twin-key-with-long-tail!";
+
+    #[test]
+    fn hash_twins_share_hash_prefix_and_length() {
+        let twin = hash_twin(TWIN);
+        assert_ne!(&twin[..], &TWIN[..]);
+        assert_eq!(hash_bytes(0, &twin), hash_bytes(0, TWIN));
+        assert_eq!(crate::bucket::key_prefix(&twin), crate::bucket::key_prefix(TWIN));
+    }
+
+    /// Digest of a task's output: every bucket's length, keys and values.
+    fn digest(buckets: &[Bucket]) -> u64 {
+        let mut h = 0;
+        for b in buckets {
+            h = hash_bytes(h, &(b.len() as u64).to_le_bytes());
+            for (k, v) in b.iter() {
+                h = hash_bytes(hash_bytes(h, k), v);
+            }
+        }
+        h
+    }
+
+    /// Map inputs the fold schedule is pinned on, with their part counts.
+    fn golden_shapes() -> Vec<(&'static str, Bucket, usize)> {
+        let word = |r: u64| format!("w{r}").into_bytes();
+        let twin = hash_twin(TWIN);
+        vec![
+            ("tiny", stream(100, |i| word(draw(i, 1) % 10), |i| vec![i as u8]), 1),
+            (
+                "hot key",
+                stream(
+                    120_000,
+                    |i| {
+                        if draw(i, 2).is_multiple_of(2) {
+                            b"hot".to_vec()
+                        } else {
+                            word(draw(i, 3) % 19)
+                        }
+                    },
+                    |i| draw(i, 4).to_le_bytes().to_vec(),
+                ),
+                3,
+            ),
+            (
+                "60k distinct keys",
+                stream(100_000, |i| word(draw(i, 5) % 60_000), |i| vec![i as u8]),
+                8,
+            ),
+            (
+                "varying values",
+                stream(
+                    30_000,
+                    |i| match draw(i, 6) % 50 {
+                        r if r % 2 == 0 => format!("shared-prefix-{r}").into_bytes(),
+                        r => word(r),
+                    },
+                    |i| vec![i as u8; (draw(i, 7) % 200) as usize],
+                ),
+                4,
+            ),
+            (
+                "edge keys",
+                stream(
+                    40_000,
+                    |i| match draw(i, 8) % 8 {
+                        0 => vec![],
+                        1 => vec![0],
+                        2 => b"eightbyt".to_vec(),
+                        3 => b"eightbyt\0".to_vec(),
+                        4 => TWIN.to_vec(),
+                        5 => twin.clone(),
+                        _ => word(draw(i, 9) % 300),
+                    },
+                    |i| vec![b'v'; (draw(i, 10) % 4) as usize],
+                ),
+                5,
+            ),
+        ]
+    }
+
+    /// The digests of `golden_shapes` under [`Seq`] (output and calls),
+    /// taken from the per-partition combiner that folded each group on
+    /// arrival: every combine call must still see the same key and the
+    /// same values.
+    const GOLDEN: [u64; 5] = [
+        0xf524_68d6_102a_b3ca,
+        0xc2df_4512_b02f_cbfd,
+        0xfda4_115a_2161_5003,
+        0xbca2_4fd2_4d97_6399,
+        0xd0ac_170a_69f7_ce52,
+    ];
+
+    #[test]
+    fn combiner_output_is_pinned_to_its_fold_schedule() {
+        for ((name, input, parts), want) in golden_shapes().into_iter().zip(GOLDEN) {
+            let seq = Seq::default();
+            let out = run_task(&seq, &map_spec(parts, true), &[&input], None).unwrap();
+            let got = hash_bytes(digest(&out), &seq.calls.into_inner().to_le_bytes());
+            assert_eq!(got, want, "{name}: {got:#018x}");
+        }
+    }
+
+    /// The fold schedule written plainly: each key's pending values in a
+    /// map, folded through the combiner at the arrival that brings them to
+    /// `FOLD_EVERY` (never again once a fold re-keys), then every key in
+    /// byte order combined into its partition's bucket.
+    fn reference_combine(program: &dyn Program, input: &Bucket, parts: usize) -> Vec<Bucket> {
+        let mut pending: BTreeMap<Vec<u8>, (Vec<Vec<u8>>, bool)> = BTreeMap::new();
+        let combine = |key: &[u8], values: &[Vec<u8>], emit: &mut dyn FnMut(&[u8], &[u8])| {
+            program.combine_bytes(0, key, &mut values.iter().map(Vec::as_slice), emit).unwrap()
+        };
+        for (key, value) in input.iter() {
+            program
+                .map_bytes(0, key, value, &mut |k, v| {
+                    let (values, no_fold) = pending.entry(k.to_vec()).or_default();
+                    values.push(v.to_vec());
+                    if values.len() >= FOLD_EVERY && !*no_fold {
+                        let (mut folded, mut preserved) = (Vec::new(), true);
+                        combine(k, values, &mut |k2, v2| {
+                            preserved &= k2 == k;
+                            folded.push(v2.to_vec());
+                        });
+                        match preserved {
+                            true => *values = folded,
+                            false => *no_fold = true,
+                        }
+                    }
+                })
+                .unwrap();
+        }
+        let mut buckets = vec![Bucket::new(); parts];
+        for (key, (values, _)) in &pending {
+            let bucket = &mut buckets[program.partition(key, parts)];
+            combine(key, values, &mut |k, v| bucket.push(k, v));
+        }
+        buckets
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The combiner against the reference model, over streams long
+        /// enough to fold and to flush several times: a hot key, hash
+        /// twins, edge keys and keys sharing an 8-byte prefix, values of
+        /// varying length, under `Seq`'s re-keying and two-value groups.
+        #[test]
+        fn combiner_agrees_with_the_fold_schedule_model(
+            seed in any::<u64>(),
+            keys in 1u64..400,
+            n in 0u64..3 * FLUSH_EVERY as u64,
+            parts in 1usize..5,
+        ) {
+            let twin = hash_twin(TWIN);
+            let input = stream(
+                n,
+                |i| match draw(i, seed) % 16 {
+                    0..=5 => b"hot".to_vec(),
+                    6 => TWIN.to_vec(),
+                    7 => twin.clone(),
+                    8 => vec![],
+                    9 => vec![0],
+                    r if r % 2 == 0 => format!("shared-prefix-{}", draw(i, !seed) % keys).into_bytes(),
+                    _ => format!("k{}", draw(i, !seed) % keys).into_bytes(),
+                },
+                |i| vec![i as u8; (draw(i, seed ^ 1) % 6) as usize],
+            );
+            let (seq, model) = (Seq::default(), Seq::default());
+            let got = run_task(&seq, &map_spec(parts, true), &[&input], None).unwrap();
+            prop_assert_eq!(got, reference_combine(&model, &input, parts));
+            prop_assert_eq!(seq.calls.into_inner(), model.calls.into_inner());
+        }
+    }
+
+    /// A combiner that raises the task's cancel flag on its first call.
+    struct CancelOnCombine(std::sync::Arc<AtomicBool>, Seq);
+
+    impl Program for CancelOnCombine {
+        fn map_bytes(
+            &self,
+            func: FuncId,
+            key: &[u8],
+            value: &[u8],
+            emit: &mut dyn FnMut(&[u8], &[u8]),
+        ) -> Result<()> {
+            self.1.map_bytes(func, key, value, emit)
+        }
+
+        fn reduce_bytes(
+            &self,
+            func: FuncId,
+            key: &[u8],
+            values: &mut dyn Iterator<Item = &[u8]>,
+            emit: &mut dyn FnMut(&[u8], &[u8]),
+        ) -> Result<()> {
+            self.1.reduce_bytes(func, key, values, emit)
+        }
+
+        fn combine_bytes(
+            &self,
+            func: FuncId,
+            key: &[u8],
+            values: &mut dyn Iterator<Item = &[u8]>,
+            emit: &mut dyn FnMut(&[u8], &[u8]),
+        ) -> Result<()> {
+            self.0.store(true, Ordering::Relaxed);
+            self.1.combine_bytes(func, key, values, emit)
+        }
+
+        fn has_combiner(&self, _func: FuncId) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn cancel_reaches_the_combiners_finish() {
+        // Ten keys, none near `FOLD_EVERY`: the first combine call is the
+        // finish's, and the next group boundary must see its flag.
+        let p = CancelOnCombine(Default::default(), Seq::default());
+        let input = stream(100, |i| format!("w{}", i % 10).into_bytes(), |i| vec![i as u8]);
+        let r = run_task(&p, &map_spec(2, true), &[&input], Some(&p.0));
+        assert!(matches!(r, Err(Error::Cancelled)), "{r:?}");
     }
 }

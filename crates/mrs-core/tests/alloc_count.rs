@@ -6,7 +6,8 @@
 //! grow by doubling, so the map task's count may rise with input size —
 //! but by a handful of reallocations, not by one allocation per token.
 //! The float-vector codec that every PSO record goes through is measured
-//! the same way.
+//! the same way. The same allocator keeps a per-thread high-water mark of
+//! live bytes, which bounds what a combining map task holds at once.
 
 use mrs_core::kv::encode_record;
 use mrs_core::task::run_map_task_bucket;
@@ -18,6 +19,10 @@ struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus bytes it freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The highest `LIVE` since [`peak_during`] last reset it.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count_one() {
@@ -25,20 +30,30 @@ fn count_one() {
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
 }
 
+fn grow(bytes: i64) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + bytes);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
 // SAFETY: every call is forwarded unchanged to the system allocator; the
 // only addition is a thread-local counter that itself never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
+        grow(layout.size() as i64);
         // SAFETY: the caller's contract is passed through as is.
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grow(-(layout.size() as i64));
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_one();
+        grow(new_size as i64 - layout.size() as i64);
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -52,6 +67,15 @@ fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// The most bytes live at once on this thread while `f` runs, beyond
+/// those live when it started.
+fn peak_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(base));
+    let out = f();
+    ((PEAK.with(Cell::get) - base) as u64, out)
 }
 
 /// Program 1, as `src/apps/wordcount.rs` has it.
@@ -114,6 +138,28 @@ fn map_task_allocations_do_not_grow_with_tokens() {
             "combine={combine}: 9000 more tokens cost {grown} more allocations ({few} -> {many})"
         );
     }
+}
+
+/// `tokens` tokens over a 10-word vocabulary, ten to a line.
+fn ten_key_split(tokens: usize) -> Bucket {
+    let line: Vec<String> = (0..10).map(|i| format!("word{i}")).collect();
+    let line = line.join(" ");
+    (0..tokens / 10).map(|n| encode_record(&(n as u64), &line)).collect()
+}
+
+#[test]
+fn combining_map_task_memory_does_not_grow_with_tokens() {
+    let program = Simple(WordCount);
+    let peak = |tokens: usize| {
+        let input = ten_key_split(tokens);
+        let (bytes, out) =
+            peak_during(|| run_map_task_bucket(&program, 0, &input, 2, true).unwrap());
+        assert_eq!(out.iter().map(Bucket::len).sum::<usize>(), 10);
+        bytes
+    };
+    peak(1_000); // warm the thread-local scratch buffers
+    let (small, large) = (peak(100_000), peak(1_000_000));
+    assert!(large * 4 <= small * 5, "10 keys: 1M tokens peaked at {large} bytes, 100k at {small}");
 }
 
 #[test]
