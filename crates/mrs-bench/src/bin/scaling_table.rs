@@ -11,6 +11,10 @@
 //! * overhead-bound: tiny WordCount — never scales (it measures the
 //!   framework floor), the contrast the paper draws for iterative jobs.
 //!
+//! Every job's output is checked against `SerialRuntime`'s on the same
+//! input and task counts; a disagreement panics, naming the arm and the
+//! slave count.
+//!
 //! ```text
 //! cargo run --release -p mrs-bench --bin scaling_table [--samples 4000000]
 //! ```
@@ -21,7 +25,6 @@ use mrs::prelude::*;
 use mrs_bench::{Args, Table};
 use mrs_core::kv::encode_record;
 use mrs_core::MapReduce;
-use mrs_runtime::LocalCluster;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -45,24 +48,44 @@ impl MapReduce for ExternalEval {
     }
 }
 
-fn timed<P: mrs_core::Program>(
-    program: P,
-    n_slaves: usize,
-    input: Vec<mrs_core::Record>,
+/// One arm's job: its program, input and task counts.
+struct Arm {
+    name: &'static str,
+    program: Arc<dyn Program>,
+    input: Vec<Record>,
     maps: usize,
     reduces: usize,
-) -> f64 {
-    let mut cluster = LocalCluster::start(
-        Arc::new(program),
-        n_slaves,
-        DataPlane::Direct,
-        MasterConfig::default(),
-    )
-    .expect("cluster");
-    let mut job = Job::new(&mut cluster);
-    let t0 = Instant::now();
-    job.map_reduce(input, maps, reduces, false).expect("job");
-    t0.elapsed().as_secs_f64()
+}
+
+impl Arm {
+    /// The job's output on `rt`.
+    fn run(&self, rt: &mut dyn JobApi) -> Vec<Record> {
+        let mut job = Job::new(rt);
+        job.map_reduce(self.input.clone(), self.maps, self.reduces, false).expect(self.name)
+    }
+
+    /// What `SerialRuntime` makes of this arm: the oracle every cluster
+    /// run must reproduce.
+    fn serial(&self) -> Vec<Record> {
+        self.run(&mut SerialRuntime::new(Arc::clone(&self.program)))
+    }
+
+    /// Seconds for the job on a fresh `n_slaves` cluster, whose output
+    /// must equal `expected`.
+    fn timed(&self, n_slaves: usize, expected: &[Record]) -> f64 {
+        let mut cluster = LocalCluster::start(
+            Arc::clone(&self.program),
+            n_slaves,
+            DataPlane::Direct,
+            MasterConfig::default(),
+        )
+        .expect("cluster");
+        let t0 = Instant::now();
+        let out = self.run(&mut cluster);
+        let secs = t0.elapsed().as_secs_f64();
+        assert!(out == expected, "{}: {n_slaves} slave(s) disagree with SerialRuntime", self.name);
+        secs
+    }
 }
 
 fn main() {
@@ -79,25 +102,37 @@ fn main() {
         "pi_compute_s",
         "wordcount_tiny_s",
     ]);
+    // 32 external evaluations of 50 ms each: 1.6 s of task time.
+    let latency = Arm {
+        name: "latency-bound",
+        program: Arc::new(Simple(ExternalEval)),
+        input: (0..32u64).map(|i| encode_record(&i, &i)).collect(),
+        maps: 32,
+        reduces: 4,
+    };
+    let wordcount = Arm {
+        name: "tiny wordcount",
+        program: Arc::new(Simple(WordCount)),
+        input: lines_to_records(["a b c", "d e f"]),
+        maps: 2,
+        reduces: 2,
+    };
+    let (latency_serial, wordcount_serial) = (latency.serial(), wordcount.serial());
     let mut latency_base = None;
     for &n in &slave_counts {
-        // 32 external evaluations of 50 ms each: 1.6 s of task time.
-        let latency_secs = {
-            let input: Vec<mrs_core::Record> = (0..32u64).map(|i| encode_record(&i, &i)).collect();
-            timed(Simple(ExternalEval), n, input, 32, 4)
-        };
+        let latency_secs = latency.timed(n, &latency_serial);
         let base = *latency_base.get_or_insert(latency_secs);
 
-        let tasks = (n * 4) as u64;
-        let pi_secs = timed(
-            Simple(PiEstimator { kernel: Kernel::Native }),
-            n,
-            slabs(samples, tasks),
-            tasks as usize,
-            1,
-        );
+        let pi = Arm {
+            name: "pi",
+            program: Arc::new(Simple(PiEstimator { kernel: Kernel::Native })),
+            input: slabs(samples, (n * 4) as u64),
+            maps: n * 4,
+            reduces: 1,
+        };
+        let pi_secs = pi.timed(n, &pi.serial());
 
-        let wc_secs = timed(Simple(WordCount), n, lines_to_records(["a b c", "d e f"]), 2, 2);
+        let wc_secs = wordcount.timed(n, &wordcount_serial);
 
         table.row([
             n.to_string(),

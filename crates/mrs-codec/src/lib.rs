@@ -8,10 +8,11 @@
 //!   uncompressed length, checksum, payload) that the data plane puts
 //!   on the wire around raw `MRSB1` bucket bytes.
 //!
-//! Producers call [`encode_vec`] once per bucket; every consumer —
-//! remote fetch, colocated short-circuit, or shared-filesystem read —
-//! calls [`decode_vec`]/[`decode_frame`], which verify the checksum and
-//! reject anything that is not a frame.
+//! A frame is built for every bucket that leaves its producer — a peer's
+//! GET, a shared-filesystem write — and every consumer of one calls
+//! [`decode_vec`]/[`decode_frame`], which verify the checksum and reject
+//! anything that is not a frame. A bucket that stays on its slave is
+//! never framed.
 
 pub mod frame;
 pub mod lz;

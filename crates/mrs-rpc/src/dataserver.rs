@@ -5,12 +5,13 @@
 //! HTTP server" (§IV-B). A [`DataServer`] exposes a provider callback over
 //! HTTP GET; the companion [`fetch`] retrieves a bucket by URL.
 //!
-//! The provider returns `Arc<[u8]>`, not owned bytes: producers encode
-//! each bucket exactly once into a [`FrameCache`] and every reader is
-//! served the same shared buffer straight to the socket (see
-//! [`crate::http::Body::Shared`]). Paths are sanitized here — empty paths
-//! and any `..` component 404 before the provider runs, so providers
-//! backed by a real filesystem need no escaping logic of their own.
+//! The provider returns `Arc<[u8]>`, not owned bytes, which go straight
+//! to the socket (see [`crate::http::Body::Shared`]): a provider may hand
+//! every reader one buffer it holds (a [`FrameCache`]) or build a frame
+//! per request (a slave framing the bucket a peer asked for). Paths are
+//! sanitized here — empty paths and any `..` component 404 before the
+//! provider runs, so providers backed by a real filesystem need no
+//! escaping logic of their own.
 
 use crate::http::{Handler, HttpClient, HttpServer, Pipelined, Request, Response};
 use mrs_core::{Error, Result};
@@ -21,12 +22,13 @@ use std::sync::Arc;
 /// Callback resolving a bucket path to its (shared) bytes.
 pub type Provider = Arc<dyn Fn(&str) -> Option<Arc<[u8]>> + Send + Sync>;
 
-/// A shared cache of encoded shuffle frames keyed by bucket path.
+/// A shared cache of encoded frames keyed by bucket path: wire-ready
+/// bytes inserted once and handed to every reader as the same
+/// `Arc<[u8]>`.
 ///
-/// This is the "serialize+compress exactly once" half of the zero-copy
-/// data plane: the producer inserts the wire-ready frame, and the same
-/// `Arc<[u8]>` is handed to the HTTP writer for remote readers and to
-/// the short-circuit path for colocated readers.
+/// The master serves its source splits from one: a split is framed once
+/// by `local_data` and read once per map attempt. A slave keeps no
+/// frames; it frames a bucket per GET.
 #[derive(Default)]
 pub struct FrameCache {
     frames: Mutex<HashMap<String, Arc<[u8]>>>,

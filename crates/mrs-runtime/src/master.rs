@@ -1275,7 +1275,7 @@ impl JobApi for Master {
             let mut out = Vec::new();
             let mut tally = JobMetrics::default();
             let shared = self.shared_store();
-            let fetched = fetch_buckets(&urls, shared.as_ref(), None, None, None, &mut tally);
+            let fetched = fetch_buckets(&urls, shared.as_ref(), None, &mut tally);
             self.shared.state.lock().metrics.merge(&tally);
             match fetched.into_iter().try_for_each(|b| read_bucket_records(&b?, &mut out)) {
                 Ok(()) => return Ok(out),
@@ -2454,7 +2454,7 @@ mod tests {
     }
 
     /// A direct-plane slave played by the test: it keeps the paths in its
-    /// frame cache, applies an answer's purge orders before it runs the
+    /// output table, applies an answer's purge orders before it runs the
     /// answer's tasks (as `run_slave` does), and checks that every input it
     /// produced itself is still cached when a task reading it is granted.
     struct FakeSlave {

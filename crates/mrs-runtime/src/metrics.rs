@@ -88,7 +88,7 @@ metrics! {
     Wakeups wakeups Sum "wakeups_total" "State transitions that woke a parked poll.",
     BytesPreCompress bytes_pre_compress Sum "bytes_pre_compress_total" "Decoded bytes of buckets fetched over HTTP.",
     BytesOnWire bytes_on_wire Sum "bytes_on_wire_total" "HTTP body bytes those fetches moved (framed, maybe compressed).",
-    ShortcircuitFetches shortcircuit_fetches Sum "shortcircuit_fetches_total" "Fetches served without a socket (own frame cache, in-memory handover).",
+    ShortcircuitFetches shortcircuit_fetches Sum "shortcircuit_fetches_total" "Fetches served without a socket (own output table, in-memory handover).",
     ChecksumRetries checksum_retries Sum "checksum_retries_total" "Damaged remote frames fetched a second time.",
     FusedOps fused_ops Sum "fused_ops_total" "Fused reduce+map operations queued.",
     ReducemapTasks reducemap_tasks Sum "reducemap_tasks_total" "Reducemap tasks executed across all fused operations.",

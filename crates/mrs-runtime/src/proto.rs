@@ -17,8 +17,8 @@ use mrs_codec::FrameError;
 use mrs_core::{Error, Record, Result, TaskSpec};
 use mrs_fs::format::read_bucket_records;
 use mrs_fs::{BucketUrl, Store};
+use mrs_rpc::dataserver;
 use mrs_rpc::xmlrpc::Value;
-use mrs_rpc::{dataserver, FrameCache};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -652,52 +652,48 @@ pub fn fetch_records(
     shared: Option<&Arc<dyn Store>>,
     tally: &mut JobMetrics,
 ) -> Result<Vec<Record>> {
-    let fetched = fetch_buckets(&[url], shared, None, None, None, tally).pop();
+    let fetched = fetch_buckets(&[url], shared, None, tally).pop();
     let mut out = Vec::new();
     read_bucket_records(&fetched.expect("one result per url")?, &mut out)?;
     Ok(out)
 }
 
 /// One group of [`fetch_buckets`]' URLs: everything one peer serves, or
-/// (`peer == None`) everything resolved without a socket.
+/// (`peer == None`) everything the shared store serves.
 struct Batch<'a> {
     peer: Option<&'a str>,
-    /// Result slot and parsed URL of each member, in input order.
-    urls: Vec<(usize, &'a BucketUrl)>,
-    /// The members' request paths (peer batches only).
+    /// Result slot of each member, in input order.
+    slots: Vec<usize>,
+    /// Each member's request path on the peer, or its path in the store.
     paths: Vec<&'a str>,
 }
 
 /// The transfer half of a fetch: resolve every URL to its raw (decoded
 /// `MRSB1`) bucket bytes without parsing them, one result per URL in
-/// input order, at one round trip per peer. URLs are grouped
-/// into batches in order of first appearance: one per peer authority, and
-/// one for those served inline — an `http://` URL whose authority is
-/// `own_authority` is read straight from `own_cache` (the short-circuit
-/// real Mrs gets for free by reading its own local files, which is what
-/// makes task→slave affinity pay even for data the slave itself produced,
-/// §IV-A), and `file://`/`mem://` URLs come from the `shared` store. Each
+/// input order, at one round trip per peer. URLs are grouped into batches
+/// in order of first appearance: one per peer authority, and one for the
+/// `file://`/`mem://` URLs served inline from the `shared` store. Each
 /// peer is sent its whole batch as pipelined GETs where the batch first
 /// appears, the inline batch is served where it first appears, and only
 /// then are the peers' answers read, so peers serve concurrently without
 /// a thread per fetch. `cancel` is observed between batches (and between
 /// inline fetches): once set, nothing further is sent or read and every
-/// slot not yet filled reads `Err(Error::Cancelled)`.
+/// slot not yet filled reads `Err(Error::Cancelled)`. A slave resolves
+/// the URLs of its own outputs before it calls this, by reference count
+/// (see [`crate::slave`]); every URL here is read.
 ///
-/// What the fetch moved — bytes decoded and on the wire, short circuits,
-/// refetches — is added to `tally`, which the caller merges into its
-/// node's store (a slave's rides its next poll).
+/// What the fetch moved — bytes decoded and on the wire, refetches — is
+/// added to `tally`, which the caller merges into its node's store (a
+/// slave's rides its next poll).
 ///
 /// Every resolution path runs the wire bytes through the `MRSF1` frame
 /// decoder, which verifies magic and checksum. A *remote* frame that
 /// fails either is fetched once more from the peer, alone (transient
-/// corruption), before the error surfaces; local and shared-store
-/// corruption is not retried — re-reading the same bytes cannot help.
+/// corruption), before the error surfaces; shared-store corruption is not
+/// retried — re-reading the same bytes cannot help.
 pub fn fetch_buckets(
     urls: &[&str],
     shared: Option<&Arc<dyn Store>>,
-    own_authority: Option<&str>,
-    own_cache: Option<&FrameCache>,
     cancel: Option<&AtomicBool>,
     tally: &mut JobMetrics,
 ) -> Vec<Result<Vec<u8>>> {
@@ -718,27 +714,20 @@ pub fn fetch_buckets(
         .collect();
     let mut batches: Vec<Batch> = Vec::new();
     for (i, url) in parsed.iter().enumerate() {
-        let Some(url) = url else { continue };
-        let remote = match url {
-            BucketUrl::Http { authority, path }
-                if !(own_cache.is_some()
-                    && own_authority == Some(authority.as_str())
-                    && path.starts_with("/data/")) =>
-            {
-                Some((authority.as_str(), path.as_str()))
-            }
-            _ => None,
+        let (peer, path) = match url {
+            Some(BucketUrl::Http { authority, path }) => (Some(authority.as_str()), path.as_str()),
+            Some(BucketUrl::File(path) | BucketUrl::Mem(path)) => (None, path.as_str()),
+            None => continue,
         };
-        let peer = remote.map(|(authority, _)| authority);
         let batch = match batches.iter().position(|b| b.peer == peer) {
             Some(known) => &mut batches[known],
             None => {
-                batches.push(Batch { peer, urls: Vec::new(), paths: Vec::new() });
+                batches.push(Batch { peer, slots: Vec::new(), paths: Vec::new() });
                 batches.last_mut().expect("just pushed")
             }
         };
-        batch.urls.push((i, url));
-        batch.paths.extend(remote.map(|(_, path)| path));
+        batch.slots.push(i);
+        batch.paths.push(path);
     }
     let mut in_flight = Vec::new();
     for batch in &batches {
@@ -748,11 +737,11 @@ pub fn fetch_buckets(
         match batch.peer {
             Some(peer) => in_flight.push((peer, batch, dataserver::fetch_many(peer, &batch.paths))),
             None => {
-                for &(i, url) in &batch.urls {
+                for (&i, path) in batch.slots.iter().zip(&batch.paths) {
                     if cancelled() {
                         return slots;
                     }
-                    slots[i] = fetch_inline(url, shared, own_cache, tally);
+                    slots[i] = fetch_shared(urls[i], path, shared);
                 }
             }
         }
@@ -761,38 +750,17 @@ pub fn fetch_buckets(
         if cancelled() {
             return slots;
         }
-        for ((&(i, _), path), wire) in batch.urls.iter().zip(&batch.paths).zip(answers.finish()) {
+        for ((&i, path), wire) in batch.slots.iter().zip(&batch.paths).zip(answers.finish()) {
             slots[i] = wire.and_then(|wire| verify_remote(peer, path, wire, tally));
         }
     }
     slots
 }
 
-/// Resolve a URL that needs no socket: this node's own frame cache or
-/// the shared store.
-fn fetch_inline(
-    url: &BucketUrl,
-    shared: Option<&Arc<dyn Store>>,
-    own_cache: Option<&FrameCache>,
-    tally: &mut JobMetrics,
-) -> Result<Vec<u8>> {
-    match url {
-        BucketUrl::Http { path, .. } => {
-            let rel = path.strip_prefix("/data/").unwrap_or(path);
-            let frame = own_cache.and_then(|cache| cache.get(rel)).ok_or_else(|| {
-                Error::MissingData(format!("own bucket {rel} missing from frame cache"))
-            })?;
-            tally.add(Counter::ShortcircuitFetches, 1);
-            mrs_codec::decode_frame(&frame)
-                .map_err(|e| Error::Codec(format!("local frame {rel}: {e}")))
-        }
-        BucketUrl::File(p) | BucketUrl::Mem(p) => {
-            let bytes = shared
-                .ok_or_else(|| Error::Url(format!("no shared store to resolve {url}")))?
-                .get(p)?;
-            mrs_codec::decode_vec(bytes).map_err(|e| Error::Codec(format!("bucket {p}: {e}")))
-        }
-    }
+/// Read and decode `url`, whose path in the `shared` store is `path`.
+fn fetch_shared(url: &str, path: &str, shared: Option<&Arc<dyn Store>>) -> Result<Vec<u8>> {
+    let store = shared.ok_or_else(|| Error::Url(format!("no shared store to resolve {url}")))?;
+    mrs_codec::decode_vec(store.get(path)?).map_err(|e| Error::Codec(format!("bucket {path}: {e}")))
 }
 
 /// Decode the frame a peer answered with, re-fetching that one bucket
@@ -1175,29 +1143,6 @@ mod tests {
     }
 
     #[test]
-    fn local_first_bypasses_the_socket_for_own_urls() {
-        use mrs_fs::format::write_bucket_bytes;
-        // No server is listening on this authority, so only the local
-        // short-circuit can satisfy the fetch.
-        let cache = FrameCache::new();
-        let records = vec![(b"k".to_vec(), b"v".to_vec())];
-        let frame =
-            mrs_codec::encode_vec(write_bucket_bytes(&records), mrs_codec::CompressMode::On);
-        cache.insert("d0/t0/b0.mrsb", frame);
-        let url = "http://127.0.0.1:1/data/d0/t0/b0.mrsb";
-        let mut tally = JobMetrics::default();
-        let own = Some("127.0.0.1:1");
-        let mut got = fetch_buckets(&[url], None, own, Some(&cache), None, &mut tally);
-        assert_eq!(got.pop().unwrap().unwrap(), write_bucket_bytes(&records));
-        assert_eq!(tally.shortcircuit_fetches(), 1);
-        assert_eq!(tally.bytes_on_wire(), 0, "nothing crossed a socket");
-        // A different authority still goes to the network (and fails here).
-        let other = Some("127.0.0.1:2");
-        assert!(fetch_buckets(&[url], None, other, Some(&cache), None, &mut tally)[0].is_err());
-        assert_eq!(tally.shortcircuit_fetches(), 1);
-    }
-
-    #[test]
     fn shared_store_frames_are_verified_and_decoded() {
         use mrs_fs::format::write_bucket_bytes;
         let store: Arc<dyn Store> = Arc::new(mrs_fs::MemFs::new());
@@ -1327,10 +1272,8 @@ mod tests {
         let urls: Vec<&str> = urls.iter().map(String::as_str).collect();
 
         let mut tally = JobMetrics::default();
-        let got: Vec<Vec<u8>> = fetch_buckets(&urls, None, None, None, None, &mut tally)
-            .into_iter()
-            .map(|r| r.unwrap())
-            .collect();
+        let got: Vec<Vec<u8>> =
+            fetch_buckets(&urls, None, None, &mut tally).into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(got, raws);
         assert_eq!(*hits.lock(), ["b0", "b1", "b2", "b3", "b2"], "one refetch, of b2 only");
         assert_eq!(tally.checksum_retries(), 1);
@@ -1346,7 +1289,7 @@ mod tests {
         let (server, hits) = counting_server(vec![("a", Arc::clone(&frame)), ("c", frame)]);
         let urls = [server.url_for("a"), server.url_for("gone"), server.url_for("c")];
         let urls: Vec<&str> = urls.iter().map(String::as_str).collect();
-        let mut got = fetch_buckets(&urls, None, None, None, None, &mut JobMetrics::default());
+        let mut got = fetch_buckets(&urls, None, None, &mut JobMetrics::default());
         assert_eq!(got.remove(0).unwrap(), raw);
         let err = got.remove(0).unwrap_err();
         assert!(matches!(&err, Error::MissingData(m) if m.contains("/data/gone")), "{err}");
@@ -1386,21 +1329,13 @@ mod tests {
         let urls = [first.url_for("x"), "file://inline".to_owned(), second.url_for("y")];
         let urls: Vec<&str> = urls.iter().map(String::as_str).collect();
 
-        let got = fetch_buckets(
-            &urls,
-            Some(&store),
-            None,
-            None,
-            Some(&cancel),
-            &mut JobMetrics::default(),
-        );
+        let got = fetch_buckets(&urls, Some(&store), Some(&cancel), &mut JobMetrics::default());
         assert!(matches!(got[0], Err(Error::Cancelled)), "sent, never read");
         assert!(got[1].is_ok(), "the fetch that was under way completes");
         assert!(matches!(got[2], Err(Error::Cancelled)));
         assert!(second_hits.lock().is_empty(), "the second peer was contacted");
         // Set from the start, nothing is contacted at all.
-        let got =
-            fetch_buckets(&urls[2..], None, None, None, Some(&cancel), &mut JobMetrics::default());
+        let got = fetch_buckets(&urls[2..], None, Some(&cancel), &mut JobMetrics::default());
         assert!(matches!(got[0], Err(Error::Cancelled)));
         assert!(second_hits.lock().is_empty());
     }
@@ -1411,10 +1346,9 @@ mod tests {
         let store: Arc<dyn Store> = Arc::new(mrs_fs::MemFs::new());
         store.put("ok", &frame_of(0).1).unwrap();
         let mut tally = JobMetrics::default();
-        let got =
-            fetch_buckets(&["ftp://nope", "file://ok"], Some(&store), None, None, None, &mut tally);
+        let got = fetch_buckets(&["ftp://nope", "file://ok"], Some(&store), None, &mut tally);
         assert!(matches!(got[0], Err(Error::Url(_))));
         assert!(got[1].is_ok());
-        assert!(fetch_buckets(&[], None, None, None, None, &mut tally).is_empty());
+        assert!(fetch_buckets(&[], None, None, &mut tally).is_empty());
     }
 }

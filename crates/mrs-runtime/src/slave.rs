@@ -1,9 +1,10 @@
 //! The slave: poll the master, execute tasks, serve outputs.
 //!
 //! A slave "needs only the master's address and port to connect" (§IV).
-//! On the direct data plane it keeps its outputs in a local store and
-//! serves them to peers over its built-in HTTP data server; on the
-//! shared-filesystem plane it writes bucket files to the common store.
+//! On the direct data plane it keeps each task output as the bucket the
+//! kernel returned and serves it to peers over its built-in HTTP data
+//! server, framing it only when a peer asks; on the shared-filesystem
+//! plane it writes framed bucket files to the common store.
 //!
 //! A slave is multicore-aware: it advertises a slot count at signin and
 //! runs that many worker threads plus one fetch stage — a single thread
@@ -17,7 +18,10 @@
 //!
 //! The fetch stage is the only thing on a slave that moves bucket bytes:
 //! the inputs of accepted tasks, at one pipelined round trip per peer
-//! ([`crate::proto::fetch_buckets`]).
+//! ([`crate::proto::fetch_buckets`]). An input this slave produced itself
+//! costs no bytes and no codec work: it is taken from the output table by
+//! reference count, as on the pool (§IV-B's writer reading its own local
+//! files).
 //!
 //! What a slave counts — bytes fetched, merge runs — it tallies beside its
 //! pipe and drains into the next poll it sends anyway, so the master's
@@ -36,7 +40,7 @@
 
 use crate::data::count_merge_input;
 use crate::master::SlaveId;
-use crate::metrics::JobMetrics;
+use crate::metrics::{Counter, JobMetrics};
 use crate::proto::{
     fetch_buckets, trace_op, Assignment, CancelOrder, DataPlane, Dispatch, TaskMsg, TaskReport,
     TraceBatch,
@@ -46,7 +50,7 @@ use mrs_core::task::run_task;
 use mrs_core::{Bucket, Error, Program, Result};
 use mrs_fs::format::{read_bucket_into, read_bucket_run, write_bucket};
 use mrs_fs::Store;
-use mrs_rpc::{DataServer, FrameCache};
+use mrs_rpc::{DataServer, Provider};
 use mrs_trace::{Name, Recorder, Tag, TraceHandle, POLL_LANE, PREFETCH_LANE};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -184,7 +188,7 @@ struct PipeState {
     /// the attempt span can reach back to acceptance.
     fetch_queue: VecDeque<(TaskMsg, u64)>,
     /// Tasks with their inputs already fetched, ready to compute.
-    queue: VecDeque<(TaskMsg, u64, Vec<Vec<u8>>)>,
+    queue: VecDeque<(TaskMsg, u64, Vec<Input>)>,
     /// Assignments accepted from the master and not yet reported back.
     in_flight: usize,
     /// Completions waiting to ride on the next poll.
@@ -320,13 +324,14 @@ pub fn run_slave(
     opts: &SlaveOptions,
     stop: &AtomicBool,
 ) -> Result<()> {
-    // Local frame cache and (direct plane) the data server for peers.
-    // Outputs are encoded exactly once into the cache; the server hands
-    // every reader the same shared buffer (zero-copy), and this slave's
-    // own reduce inputs short-circuit through the cache without a socket.
-    let frames = Arc::new(FrameCache::new());
+    // The output table and (direct plane) the data server for peers: a
+    // peer's GET frames the bucket it names, and this slave's own reduce
+    // inputs are taken from the table without a socket or a codec.
+    let outputs = Arc::new(Outputs::default());
     let server = match &plane {
-        DataPlane::Direct => Some(DataServer::serve(0, frames.provider()).map_err(Error::Io)?),
+        DataPlane::Direct => {
+            Some(DataServer::serve(0, serve_outputs(&outputs, opts.compress)).map_err(Error::Io)?)
+        }
         DataPlane::SharedFs(_) => None,
     };
     let authority = server.as_ref().map(|s| s.authority()).unwrap_or_else(|| "shared".into());
@@ -335,6 +340,7 @@ pub fn run_slave(
         DataPlane::Direct => None,
     };
     let own_authority = server.as_ref().map(|s| s.authority());
+    let own = own_authority.as_deref().map(|authority| (authority, &*outputs));
 
     let workers = opts.slots.max(1);
     // Advertise one slot beyond the worker count: while all workers
@@ -362,7 +368,7 @@ pub fn run_slave(
                         link,
                         program.as_ref(),
                         &plane,
-                        &frames,
+                        &outputs,
                         server.as_ref(),
                         id,
                         &pipe,
@@ -377,17 +383,9 @@ pub fn run_slave(
         // stalls only the data plane: the polling thread keeps
         // heartbeating, and fetch failures report standalone so recovery
         // starts immediately.
-        handles.push(s.spawn(|| {
-            fetch_loop(
-                link,
-                shared.as_ref(),
-                own_authority.as_deref(),
-                &frames,
-                id,
-                &pipe,
-                fetch_handle.as_ref(),
-            )
-        }));
+        handles.push(
+            s.spawn(|| fetch_loop(link, shared.as_ref(), own, id, &pipe, fetch_handle.as_ref())),
+        );
 
         // The round-trip measured around the *previous* poll, shipped with
         // the next trace batch so the master's clock sync can bound the
@@ -429,13 +427,13 @@ pub fn run_slave(
             let polled_at = Instant::now();
             let answer = link.poll(id, free, park, reports, counts, batch).map(|(d, more)| {
                 // Apply lifetime-GC purge orders before queueing the
-                // answer's tasks: spent datasets leave this slave's frame
-                // cache, so long-running iterative jobs hold O(1)
+                // answer's tasks: spent datasets leave this slave's output
+                // table, so long-running iterative jobs hold O(1)
                 // intermediate data, not O(iterations) — and a granted task
                 // that rebuilds a reclaimed dataset writes under the same
-                // paths only after its previous life's frames are gone.
+                // paths only after its previous life's buckets are gone.
                 for prefix in &d.purge {
-                    frames.remove_prefix(prefix);
+                    outputs.lock().retain(|path, _| !path.starts_with(prefix.as_str()));
                 }
                 // Cancel orders never name a task granted in this same
                 // answer (they are issued for attempts dispatched earlier),
@@ -507,15 +505,16 @@ pub fn run_slave(
 
 /// The fetch stage, the one thread of a slave that moves bucket bytes:
 /// pop accepted assignments, fetch their input buckets (overlapping the
-/// workers' compute) and queue them ready to run. Runs on its own thread so a stalled fetch — a dead peer, a slow store —
-/// never blocks the polling thread's control heartbeat. A task's fetch
-/// failure reports standalone via `task_failed` (recovery starts
-/// immediately) and frees the slot.
+/// workers' compute) and queue them ready to run. Runs on its own thread
+/// so a stalled fetch — a dead peer, a slow store — never blocks the
+/// polling thread's control heartbeat. A task's fetch failure reports
+/// standalone via `task_failed` (recovery starts immediately) and frees
+/// the slot. `own` is this slave's data server authority and output
+/// table (direct plane only).
 fn fetch_loop(
     link: &dyn MasterLink,
     shared: Option<&Arc<dyn Store>>,
-    own_authority: Option<&str>,
-    frames: &FrameCache,
+    own: Option<(&str, &Outputs)>,
     id: SlaveId,
     pipe: &Pipe,
     th: Option<&TraceHandle>,
@@ -543,8 +542,7 @@ fn fetch_loop(
             h.begin(Name::Fetch, tag);
         }
         let mut tally = JobMetrics::default();
-        let fetched =
-            fetch_inputs(&task.inputs, shared, own_authority, frames, &cancel, &mut tally);
+        let fetched = fetch_inputs(&task.inputs, shared, own, &cancel, &mut tally);
         if let Some(h) = th {
             h.end(Name::Fetch, tag);
         }
@@ -560,8 +558,8 @@ fn fetch_loop(
         st.active.remove(&(task.data, task.index, task.attempt));
         let cancelled = cancel.load(Ordering::Relaxed);
         match fetched {
-            Ok(raw) if !cancelled => {
-                st.queue.push_back((task, accepted_us, raw));
+            Ok(inputs) if !cancelled => {
+                st.queue.push_back((task, accepted_us, inputs));
                 drop(st);
                 pipe.cv.notify_one();
             }
@@ -619,7 +617,7 @@ fn worker_loop(
     link: &dyn MasterLink,
     program: &dyn Program,
     plane: &DataPlane,
-    frames: &Arc<FrameCache>,
+    outputs: &Outputs,
     server: Option<&DataServer>,
     id: SlaveId,
     pipe: &Pipe,
@@ -633,13 +631,13 @@ fn worker_loop(
         // Pop a task and register its cancellation flag in one lock
         // section, so a cancel order lands either on the queue entry, the
         // tombstone set, or the registered flag — never in a gap between.
-        let (task, accepted_us, raw, cancel) = {
+        let (task, accepted_us, inputs, cancel) = {
             let mut st = pipe.state.lock();
             loop {
                 if st.halt {
                     return Ok(());
                 }
-                if let Some((task, accepted_us, raw)) = st.queue.pop_front() {
+                if let Some((task, accepted_us, inputs)) = st.queue.pop_front() {
                     let key = (task.data, task.index, task.attempt);
                     if st.tombstones.remove(&key) {
                         // Cancelled before it ever ran: free the slot,
@@ -659,7 +657,7 @@ fn worker_loop(
                     }
                     let flag = Arc::new(AtomicBool::new(false));
                     st.active.insert(key, Arc::clone(&flag));
-                    break (task, accepted_us, raw, flag);
+                    break (task, accepted_us, inputs, flag);
                 }
                 pipe.cv.wait(&mut st);
             }
@@ -683,18 +681,14 @@ fn worker_loop(
         }
         let mut tally = JobMetrics::default();
         let outcome = if cancel.load(Ordering::Relaxed) {
-            Err(TaskError {
-                msg: Error::Cancelled.to_string(),
-                failed_input: None,
-                cancelled: true,
-            })
+            Err(TaskError::of(Error::Cancelled, None))
         } else {
             process_task(
                 &task,
-                &raw,
+                inputs,
                 program,
                 plane,
-                frames,
+                outputs,
                 server,
                 id,
                 &mut scratch,
@@ -786,31 +780,84 @@ pub struct TaskError {
     pub cancelled: bool,
 }
 
-/// Fetch the raw bytes of every input URL with [`fetch_buckets`]: one
-/// round trip per peer, results in input order, so downstream parsing sees
-/// inputs in assignment order (the determinism oracle depends on it). The
-/// first failing input makes the [`TaskError`]; once `cancel` is set the
-/// remaining inputs are skipped and the error is a cancelled one. What
-/// the fetch counted is added to `tally`.
+impl TaskError {
+    /// `e` as the failure of an attempt, blaming `input` if it was one.
+    fn of(e: Error, input: Option<&str>) -> TaskError {
+        TaskError {
+            cancelled: matches!(e, Error::Cancelled),
+            msg: e.to_string(),
+            failed_input: input.map(str::to_owned),
+        }
+    }
+}
+
+/// A direct-plane slave's task outputs by path: each the bucket the
+/// kernel returned, with whether its frame claims a sorted run. This
+/// slave's own reduce inputs are taken from here by reference count; a
+/// frame is built only when a peer asks for one ([`serve_outputs`]). A
+/// re-executed task overwrites its paths; purge orders remove them.
+type Outputs = Mutex<HashMap<String, (Arc<Bucket>, bool)>>;
+
+/// The data server's provider: each GET frames the bucket it names,
+/// compressed per this slave's policy. The frame is not kept — a bucket
+/// is normally fetched once, and a kept frame would only hold memory
+/// beside its bucket.
+fn serve_outputs(outputs: &Arc<Outputs>, compress: CompressMode) -> Provider {
+    let outputs = Arc::clone(outputs);
+    Arc::new(move |path: &str| {
+        let (bucket, sorted) = outputs.lock().get(path).cloned()?;
+        Some(mrs_codec::encode_vec_sorted(write_bucket(&bucket), compress, sorted).into())
+    })
+}
+
+/// One input of an accepted task, as the fetch stage hands it over.
+enum Input {
+    /// One of this slave's own outputs, by reference count.
+    Own(Arc<Bucket>),
+    /// A fetched bucket's decoded `MRSB1` bytes, not yet parsed.
+    Wire(Vec<u8>),
+}
+
+/// Resolve every input URL, in input order (the determinism oracle
+/// depends on it). A URL naming one of this slave's own outputs (`own`:
+/// its data server authority and output table) is taken from the table
+/// and counted as a short circuit; the rest are fetched with
+/// [`fetch_buckets`], one round trip per peer. The first failing input
+/// makes the [`TaskError`]; once `cancel` is set the remaining fetches are
+/// skipped and the error is a cancelled one. What the fetch counted is
+/// added to `tally`.
 fn fetch_inputs(
     urls: &[String],
     shared: Option<&Arc<dyn Store>>,
-    own_authority: Option<&str>,
-    frames: &FrameCache,
+    own: Option<(&str, &Outputs)>,
     cancel: &AtomicBool,
     tally: &mut JobMetrics,
-) -> std::result::Result<Vec<Vec<u8>>, TaskError> {
-    let refs: Vec<&str> = urls.iter().map(String::as_str).collect();
-    let fetched = fetch_buckets(&refs, shared, own_authority, Some(frames), Some(cancel), tally);
-    fetched
-        .into_iter()
-        .zip(urls)
-        .map(|(bytes, url)| {
-            bytes.map_err(|e| TaskError {
-                cancelled: matches!(e, Error::Cancelled),
-                msg: e.to_string(),
-                failed_input: Some(url.clone()),
-            })
+) -> std::result::Result<Vec<Input>, TaskError> {
+    // The table path of each URL that names one of this slave's outputs.
+    let own_paths: Vec<Option<&str>> = urls
+        .iter()
+        .map(|url| {
+            let (authority, _) = own?;
+            url.strip_prefix("http://")?.strip_prefix(authority)?.strip_prefix("/data/")
+        })
+        .collect();
+    let remote = urls.iter().zip(&own_paths).filter(|(_, path)| path.is_none());
+    let remote: Vec<&str> = remote.map(|(url, _)| url.as_str()).collect();
+    let mut fetched = fetch_buckets(&remote, shared, Some(cancel), tally).into_iter();
+    urls.iter()
+        .zip(own_paths)
+        .map(|(url, own_path)| {
+            let input = match own_path.zip(own) {
+                Some((path, (_, outputs))) => match outputs.lock().get(path) {
+                    Some((bucket, _)) => {
+                        tally.add(Counter::ShortcircuitFetches, 1);
+                        Ok(Input::Own(Arc::clone(bucket)))
+                    }
+                    None => Err(Error::MissingData(format!("own bucket {path} is gone"))),
+                },
+                None => fetched.next().expect("one result per fetched url").map(Input::Wire),
+            };
+            input.map_err(|e| TaskError::of(e, Some(url)))
         })
         .collect()
 }
@@ -820,18 +867,18 @@ fn task_tag(task: &TaskMsg) -> Tag {
     Tag::task(trace_op(&task.spec()), task.data, task.index, task.attempt)
 }
 
-/// Execute one task whose input bytes are already fetched (slot-ordered,
-/// one entry per input URL): gather them into runs, run the kernel, store
-/// the outputs and return their URLs. With a trace handle, the
-/// merge/exec/emit phases record as spans nested inside the caller's
-/// attempt span. The gathered input is counted into `tally`.
+/// Execute one task whose inputs are already fetched (one per input URL,
+/// in order): gather them into runs, run the kernel, store the outputs
+/// and return their URLs. With a trace handle, the merge/exec/emit phases
+/// record as spans nested inside the caller's attempt span. The gathered
+/// input is counted into `tally`.
 #[allow(clippy::too_many_arguments)]
 fn process_task(
     task: &TaskMsg,
-    raw: &[Vec<u8>],
+    inputs: Vec<Input>,
     program: &dyn Program,
     plane: &DataPlane,
-    frames: &Arc<FrameCache>,
+    outputs: &Outputs,
     server: Option<&DataServer>,
     slave: SlaveId,
     scratch: &mut Bucket,
@@ -851,77 +898,55 @@ fn process_task(
             h.end(name, tag);
         }
     };
-    let parse_err = |url: &String, e: mrs_core::Error| TaskError {
-        msg: e.to_string(),
-        failed_input: Some(url.clone()),
-        cancelled: false,
-    };
-    let run_err = |e: mrs_core::Error| TaskError {
-        cancelled: matches!(e, mrs_core::Error::Cancelled),
-        msg: e.to_string(),
-        failed_input: None,
-    };
+    let run_err = |e| TaskError::of(e, None);
 
-    // Gather: decode every input straight into an arena — no per-record
-    // `Vec<u8>` allocations. A reduce-like task reads each input as one
-    // merge run; a map's one split lands in the worker's scratch arena,
-    // reused across tasks, in the order it was written.
+    // Gather: a reduce-like task reads each input as one merge run; a
+    // map runs on its one own split as it is, and otherwise decodes its
+    // input into the worker's scratch arena, reused across tasks.
     let spec = task.spec();
-    let gathered: Vec<Bucket>;
-    let runs: &[Bucket] = if spec.gathers() {
+    let gathered: Vec<Arc<Bucket>>;
+    let runs: Vec<&Bucket> = if spec.gathers() {
         span_begin(Name::Merge);
-        let t0 = Instant::now();
-        let mut runs = Vec::with_capacity(raw.len());
-        let mut presorted = 0usize;
-        let mut records = 0usize;
-        for (url, bytes) in task.inputs.iter().zip(raw) {
-            let mut run = Bucket::new();
-            let info = read_bucket_run(bytes, &mut run).map_err(|e| parse_err(url, e))?;
-            if info.sorted {
-                presorted += 1;
-            } else {
-                // Input validation: the merge needs sorted runs, so a run
-                // that is not (its frame's sorted claim failed the check,
-                // or it never claimed) is sorted on arrival.
-                run.sort();
-            }
-            records += run.len();
-            runs.push(run);
-        }
-        count_merge_input(tally, runs.len(), presorted, records, t0);
+        gathered = gather_runs(&task.inputs, inputs, tally)?;
         span_end(Name::Merge);
-        gathered = runs;
-        &gathered
+        gathered.iter().map(|run| &**run).collect()
+    } else if let [Input::Own(split)] = &inputs[..] {
+        vec![&**split]
     } else {
         scratch.clear();
-        for (url, bytes) in task.inputs.iter().zip(raw) {
-            read_bucket_into(bytes, scratch).map_err(|e| parse_err(url, e))?;
+        for (url, input) in task.inputs.iter().zip(&inputs) {
+            match input {
+                Input::Own(split) => scratch.extend_from(split),
+                Input::Wire(bytes) => {
+                    read_bucket_into(bytes, scratch).map_err(|e| TaskError::of(e, Some(url)))?
+                }
+            }
         }
-        std::slice::from_ref(scratch)
+        vec![&*scratch]
     };
 
     span_begin(Name::Exec);
-    let out = run_task(program, &spec, runs, cancel).map_err(run_err);
+    let out = run_task(program, &spec, &runs, cancel).map_err(run_err);
     span_end(Name::Exec);
 
-    // Frame for the wire (checksum, compress per policy), then store
-    // and name the outputs. Encoding happens exactly once per bucket,
-    // here; every reader — remote peer, colocated short-circuit, shared
-    // store — gets the same encoded bytes. Every output rides with its
-    // sortedness so the frame can carry the sorted-run flag (the kernel
-    // sorts map-side, so in practice every bucket qualifies).
+    // Store and name the outputs: on the direct plane the bucket itself
+    // (framed when a peer asks for it), on a shared store its frame. A
+    // map-like task's outputs are sorted runs by the kernel's contract,
+    // so their frames claim it unscanned; a reduce's keys come in
+    // whatever order its program emitted them.
     let buckets = out?;
     span_begin(Name::Emit);
     let mut urls = Vec::with_capacity(buckets.len());
-    for (p, bucket) in buckets.iter().enumerate() {
+    for (p, bucket) in buckets.into_iter().enumerate() {
         let path = format!("s{slave}/d{}/t{}/b{p}.mrsb", task.data, task.index);
-        let wire = mrs_codec::encode_vec_sorted(write_bucket(bucket), compress, bucket.is_sorted());
+        let sorted = spec.parts().is_some() || bucket.is_sorted();
         match plane {
             DataPlane::Direct => {
-                frames.insert(&path, wire);
                 urls.push(server.expect("direct plane has a server").url_for(&path));
+                outputs.lock().insert(path, (Arc::new(bucket), sorted));
             }
             DataPlane::SharedFs(store) => {
+                let wire = mrs_codec::encode_vec_sorted(write_bucket(&bucket), compress, sorted);
                 store.put(&path, &wire).map_err(run_err)?;
                 urls.push(format!("file://{path}"));
             }
@@ -931,6 +956,43 @@ fn process_task(
     Ok(urls)
 }
 
+/// The merge runs of a reduce-like task, one per input, counted into
+/// `tally`. An own input is the map's bucket itself, presorted by the
+/// kernel's contract as on the pool ([`crate::data::record_runs`]); a
+/// fetched one is parsed, and sorted on arrival unless it is in order.
+fn gather_runs(
+    urls: &[String],
+    inputs: Vec<Input>,
+    tally: &mut JobMetrics,
+) -> std::result::Result<Vec<Arc<Bucket>>, TaskError> {
+    let t0 = Instant::now();
+    let mut presorted = 0usize;
+    let runs = urls
+        .iter()
+        .zip(inputs)
+        .map(|(url, input)| match input {
+            Input::Own(run) => {
+                presorted += 1;
+                Ok(run)
+            }
+            Input::Wire(bytes) => {
+                let mut run = Bucket::new();
+                let info =
+                    read_bucket_run(&bytes, &mut run).map_err(|e| TaskError::of(e, Some(url)))?;
+                if info.sorted {
+                    presorted += 1;
+                } else {
+                    run.sort();
+                }
+                Ok(Arc::new(run))
+            }
+        })
+        .collect::<std::result::Result<Vec<_>, _>>()?;
+    let records = runs.iter().map(|run| run.len()).sum();
+    count_merge_input(tally, runs.len(), presorted, records, t0);
+    Ok(runs)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -938,8 +1000,10 @@ mod tests {
     use crate::master::{Master, MasterConfig};
     use crate::proto::TaskKind;
     use mrs_core::kv::encode_record;
+    use mrs_core::TaskSpec;
     use mrs_core::{Datum, MapReduce, Simple};
     use mrs_fs::MemFs;
+    use std::sync::atomic::AtomicUsize;
 
     struct WordCount;
 
@@ -1036,7 +1100,8 @@ mod tests {
     }
 
     /// A multi-slot slave alone must still produce correct output (the
-    /// worker pool and prefetch stage preserve task semantics).
+    /// worker pool and prefetch stage preserve task semantics). Every
+    /// reduce input is its own, so each is a short circuit.
     #[test]
     fn multislot_slave_executes_job() {
         let master = Master::new(MasterConfig::default(), DataPlane::Direct).unwrap();
@@ -1061,6 +1126,7 @@ mod tests {
             .collect();
         counts.sort();
         assert_eq!(counts, vec![("a".into(), 2), ("b".into(), 2), ("c".into(), 1)]);
+        assert_eq!(master.metrics().shortcircuit_fetches(), 2 * 4, "one per map-output bucket");
 
         master.finish();
         handle.join().unwrap().unwrap();
@@ -1073,6 +1139,8 @@ mod tests {
         park: Duration,
         /// (data, index) of every piggybacked report.
         reports: Vec<(u32, usize)>,
+        /// The output URLs of every piggybacked report, in order.
+        urls: Vec<String>,
         /// The merge runs in the poll's tally.
         merge_runs: u64,
     }
@@ -1087,6 +1155,8 @@ mod tests {
         gate: Arc<Gate>,
         polls: Mutex<Vec<Polled>>,
         failed: Mutex<Vec<(u32, usize)>>,
+        /// (message, failed input) of every failure report.
+        failed_inputs: Mutex<Vec<(String, Option<String>)>>,
     }
 
     impl<F> Script<F> {
@@ -1097,6 +1167,7 @@ mod tests {
                 gate: Arc::clone(gate),
                 polls: Mutex::default(),
                 failed: Mutex::default(),
+                failed_inputs: Mutex::default(),
             })
         }
     }
@@ -1123,8 +1194,9 @@ mod tests {
             _trace: TraceBatch,
         ) -> Result<(Dispatch, bool)> {
             let mut polls = self.polls.lock();
+            let urls = reports.iter().flat_map(|r| r.urls.clone()).collect();
             let reports = reports.iter().map(|r| (r.data, r.index)).collect();
-            polls.push(Polled { free, park, reports, merge_runs: counts.merge_runs() });
+            polls.push(Polled { free, park, reports, urls, merge_runs: counts.merge_runs() });
             Ok((self.answer)(polls.len(), &polls))
         }
         fn task_failed(
@@ -1133,10 +1205,11 @@ mod tests {
             data: u32,
             index: usize,
             _: u32,
-            _: &str,
-            _: Option<&str>,
+            msg: &str,
+            input: Option<&str>,
         ) -> Result<()> {
             self.failed.lock().push((data, index));
+            self.failed_inputs.lock().push((msg.to_owned(), input.map(str::to_owned)));
             (self.on_failed)(&self.gate);
             Ok(())
         }
@@ -1400,8 +1473,8 @@ mod tests {
             self.called("poll");
             let carried: Vec<(u32, usize)> = reports.iter().map(|r| (r.data, r.index)).collect();
             self.reports.lock().extend(&carried);
-            let merge_runs = counts.merge_runs();
-            self.polls.lock().push(Polled { free, park, reports: carried, merge_runs });
+            let (urls, merge_runs) = (Vec::new(), counts.merge_runs());
+            self.polls.lock().push(Polled { free, park, reports: carried, urls, merge_runs });
             let answer = MasterLink::poll(&self.master, slave, free, park, reports, counts, trace);
             if matches!(&answer, Ok((d, _)) if d.assignment == Assignment::Exit) {
                 self.exited.store(true, Ordering::SeqCst);
@@ -1612,10 +1685,8 @@ mod tests {
             st.fetch_queue.push_back((task, 0));
         }
         let master = Master::new(MasterConfig::default(), DataPlane::Direct).unwrap();
-        let frames = FrameCache::new();
         std::thread::scope(|s| {
-            let stage =
-                s.spawn(|| fetch_loop(&master, Some(&store), None, &frames, 0, &pipe, None));
+            let stage = s.spawn(|| fetch_loop(&master, Some(&store), None, 0, &pipe, None));
             // Freeing a slot wakes the poll condvar; then stop the stage.
             let mut st = pipe.state.lock();
             while st.in_flight > 0 {
@@ -1635,12 +1706,12 @@ mod tests {
     /// Once the flag is set the remaining inputs are not fetched.
     #[test]
     fn cancelled_fetch_skips_remaining_inputs() {
-        let frames = FrameCache::new();
         let urls = vec!["file://never-stored".to_owned()];
         let cancel = AtomicBool::new(true);
         let mut tally = JobMetrics::default();
-        let err = fetch_inputs(&urls, None, None, &frames, &cancel, &mut tally)
-            .expect_err("a cancelled fetch yields no bytes");
+        let err = fetch_inputs(&urls, None, None, &cancel, &mut tally)
+            .err()
+            .expect("a cancelled fetch yields no bytes");
         assert!(err.cancelled, "{}", err.msg);
     }
 
@@ -1649,17 +1720,15 @@ mod tests {
     /// peer's batch it sits.
     #[test]
     fn missing_bucket_mid_batch_is_the_failed_input() {
-        let peer = Arc::new(FrameCache::new());
+        let peer = Arc::new(mrs_rpc::FrameCache::new());
         for path in ["b0", "b1", "b3"] {
             peer.insert(path, framed(&[]));
         }
         let server = DataServer::serve(0, peer.provider()).unwrap();
         let urls: Vec<String> = (0..4).map(|i| server.url_for(&format!("b{i}"))).collect();
         let cancel = AtomicBool::new(false);
-        let frames = FrameCache::new();
         let mut tally = JobMetrics::default();
-        let err =
-            fetch_inputs(&urls, None, None, &frames, &cancel, &mut tally).expect_err("b2 is gone");
+        let err = fetch_inputs(&urls, None, None, &cancel, &mut tally).err().expect("b2 is gone");
         assert_eq!(err.failed_input.as_deref(), Some(urls[2].as_str()), "{}", err.msg);
         assert!(!err.cancelled);
     }
@@ -1706,5 +1775,222 @@ mod tests {
 
         master.finish();
         h2.join().unwrap().unwrap();
+    }
+
+    /// A data server over `outputs` that counts the GETs its provider
+    /// answers.
+    fn counted_server(outputs: &Arc<Outputs>) -> (DataServer, Arc<AtomicUsize>) {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let provider: Provider = {
+            let (calls, inner) =
+                (Arc::clone(&calls), serve_outputs(outputs, CompressMode::default()));
+            Arc::new(move |path: &str| {
+                calls.fetch_add(1, Ordering::SeqCst);
+                inner(path)
+            })
+        };
+        (DataServer::serve(0, provider).unwrap(), calls)
+    }
+
+    /// An own input costs no socket and no codec: it reaches the kernel's
+    /// runs as the stored bucket itself, counted once as a short circuit,
+    /// and this slave's data server is never asked for it. Seen from any
+    /// other slave, the same URL is a peer's and crosses the wire.
+    #[test]
+    fn local_first_bypasses_the_socket_for_own_urls() {
+        let outputs = Arc::new(Outputs::default());
+        let bucket = Arc::new(Bucket::from_records(vec![(b"k".to_vec(), b"v".to_vec())]));
+        outputs.lock().insert("s0/d1/t0/b0.mrsb".into(), (Arc::clone(&bucket), true));
+        let (server, calls) = counted_server(&outputs);
+        let urls = vec![server.url_for("s0/d1/t0/b0.mrsb")];
+        let (authority, go) = (server.authority(), AtomicBool::new(false));
+
+        let mut tally = JobMetrics::default();
+        let inputs = fetch_inputs(&urls, None, Some((&authority, &outputs)), &go, &mut tally);
+        let runs = gather_runs(&urls, inputs.ok().unwrap(), &mut tally).ok().unwrap();
+        assert!(Arc::ptr_eq(&runs[0], &bucket), "the run is the stored bucket, not a copy");
+        assert_eq!((tally.shortcircuit_fetches(), tally.presorted_runs()), (1, 1));
+        assert_eq!(tally.bytes_on_wire(), 0, "nothing crossed a socket");
+        assert_eq!(calls.load(Ordering::SeqCst), 0, "the own data server was asked");
+
+        let mut tally = JobMetrics::default();
+        let inputs = fetch_inputs(&urls, None, None, &go, &mut tally).ok().unwrap();
+        assert!(matches!(&inputs[..], [Input::Wire(_)]));
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+        assert_eq!(tally.shortcircuit_fetches(), 0);
+        assert!(tally.bytes_on_wire() > 0);
+    }
+
+    /// Identity map; a reduce that emits every key complemented, so its
+    /// output comes out in descending key order.
+    struct Backwards;
+
+    impl Program for Backwards {
+        fn map_bytes(
+            &self,
+            _: mrs_core::FuncId,
+            key: &[u8],
+            value: &[u8],
+            emit: &mut dyn FnMut(&[u8], &[u8]),
+        ) -> Result<()> {
+            emit(key, value);
+            Ok(())
+        }
+        fn reduce_bytes(
+            &self,
+            _: mrs_core::FuncId,
+            key: &[u8],
+            values: &mut dyn Iterator<Item = &[u8]>,
+            emit: &mut dyn FnMut(&[u8], &[u8]),
+        ) -> Result<()> {
+            let complement: Vec<u8> = key.iter().map(|b| !b).collect();
+            values.for_each(|v| emit(&complement, v));
+            Ok(())
+        }
+    }
+
+    /// A map output's frame claims a sorted run by the kernel's contract;
+    /// a reduce output's claims one only when its keys are in order. Each
+    /// frame is the one of the bucket the table holds.
+    #[test]
+    fn sorted_run_flag_comes_from_the_task_kind() {
+        let outputs = Arc::new(Outputs::default());
+        let (server, _) = counted_server(&outputs);
+        let run = |kind: TaskKind, data: u32, input: Arc<Bucket>| -> (Vec<u8>, Arc<Bucket>) {
+            let task = TaskMsg { data, kind, parts: 1, ..map_task(0) };
+            let mut tally = JobMetrics::default();
+            let urls = process_task(
+                &task,
+                vec![Input::Own(input)],
+                &Backwards,
+                &DataPlane::Direct,
+                &outputs,
+                Some(&server),
+                0,
+                &mut Bucket::new(),
+                CompressMode::default(),
+                None,
+                None,
+                &mut tally,
+            )
+            .ok()
+            .unwrap();
+            let path = urls[0].strip_prefix(&format!("http://{}", server.authority())).unwrap();
+            let frame = mrs_rpc::dataserver::fetch(&server.authority(), path).unwrap();
+            (frame, Arc::clone(&outputs.lock()[&path["/data/".len()..]].0))
+        };
+        let split = vec![(b"a".to_vec(), b"1".to_vec()), (b"b".to_vec(), b"2".to_vec())];
+        let (frame, mapped) = run(TaskKind::Map, 1, Arc::new(Bucket::from_records(split)));
+        assert_ne!(frame[5] & mrs_codec::FLAG_SORTED_RUN, 0, "a map output claims its order");
+        let claimed = mrs_codec::encode_vec_sorted(write_bucket(&mapped), Default::default(), true);
+        assert_eq!(frame, claimed);
+
+        let (frame, reduced) = run(TaskKind::Reduce, 2, mapped);
+        assert!(!reduced.is_sorted(), "the program emitted its keys backwards");
+        assert_eq!(frame[5] & mrs_codec::FLAG_SORTED_RUN, 0, "an unsorted reduce claimed order");
+        let plain = mrs_codec::encode_vec_sorted(write_bucket(&reduced), Default::default(), false);
+        assert_eq!(frame, plain);
+    }
+
+    /// One direct-plane slave through the lives of one map output: each
+    /// attempt's frame is served from the bucket that attempt returned (a
+    /// re-execution overwrites the first life's), a purge order takes the
+    /// path off the data server, and a task that then reads it locally
+    /// fails naming it.
+    #[test]
+    fn direct_plane_outputs_are_served_overwritten_and_purged() {
+        // The map's two candidate splits, on a peer.
+        let peer = Arc::new(mrs_rpc::FrameCache::new());
+        let splits: Vec<Vec<mrs_core::Record>> = input().into_iter().map(|r| vec![r]).collect();
+        for (i, split) in splits.iter().enumerate() {
+            peer.insert(&format!("src{i}"), framed(split));
+        }
+        let peer_server = DataServer::serve(0, peer.provider()).unwrap();
+        let attempt = |n: u32| TaskMsg {
+            attempt: n,
+            parts: 2,
+            inputs: vec![peer_server.url_for(&format!("src{}", n - 1))],
+            ..map_task(0)
+        };
+        // (frames served after each attempt, answers after the purge)
+        type Seen = (Vec<Vec<Vec<u8>>>, Vec<Result<Vec<u8>>>);
+        let seen: Arc<Mutex<Seen>> = Arc::default();
+        let reduce_input = Arc::new(Mutex::new(String::new()));
+        let get_all = |urls: &[String]| -> Vec<Result<Vec<u8>>> {
+            urls.iter()
+                .map(|url| {
+                    let (authority, path) = url["http://".len()..].split_once('/').unwrap();
+                    mrs_rpc::dataserver::fetch(authority, &format!("/{path}"))
+                })
+                .collect()
+        };
+        let stage = Mutex::new(0);
+        let (seen2, reduce_input2) = (Arc::clone(&seen), Arc::clone(&reduce_input));
+        let link = Script::new(&Arc::new(Gate::default()), move |_, log: &[Polled]| {
+            let mut stage = stage.lock();
+            let last = log.last().unwrap();
+            let (tasks, purge) = match *stage {
+                0 => (vec![attempt(1)], vec![]),
+                1 | 2 if last.urls.is_empty() => (vec![], vec![]),
+                1 | 2 => {
+                    let frames = get_all(&last.urls).into_iter().map(|f| f.unwrap()).collect();
+                    seen2.lock().0.push(frames);
+                    *reduce_input2.lock() = last.urls[0].clone();
+                    match *stage {
+                        1 => (vec![attempt(2)], vec![]),
+                        _ => (vec![], vec!["s0/d1/".to_owned()]),
+                    }
+                }
+                3 => {
+                    seen2.lock().1 = get_all(&[reduce_input2.lock().clone()]);
+                    let input = reduce_input2.lock().clone();
+                    let reduce = TaskMsg {
+                        data: 2,
+                        kind: TaskKind::Reduce,
+                        inputs: vec![input],
+                        ..map_task(0)
+                    };
+                    (vec![reduce], vec![])
+                }
+                _ => {
+                    return answer(
+                        if last.free == 2 { Assignment::Exit } else { Assignment::Wait },
+                        false,
+                    )
+                }
+            };
+            if !tasks.is_empty() || !purge.is_empty() {
+                *stage += 1;
+            }
+            let (mut d, more) = answer(Assignment::Tasks(tasks), false);
+            d.purge = purge;
+            (d, more)
+        });
+        let opts = SlaveOptions { max_poll_interval: NEVER, slots: 1, ..SlaveOptions::default() };
+        let program: Arc<dyn Program> = Arc::new(Simple(WordCount));
+        run_slave(&*link, program, DataPlane::Direct, &opts, &AtomicBool::new(false)).unwrap();
+
+        let (served, after_purge) = std::mem::take(&mut *seen.lock());
+        for (split, frames) in splits.iter().zip(&served) {
+            let spec = TaskSpec::Map { func: 0, parts: 2, combine: false };
+            let split = Bucket::from_slice(split);
+            let buckets = run_task(&Simple(WordCount), &spec, &[split], None).unwrap();
+            let want: Vec<Vec<u8>> = buckets
+                .iter()
+                .map(|b| mrs_codec::encode_vec_sorted(write_bucket(b), Default::default(), true))
+                .collect();
+            assert_eq!(frames, &want, "served frames are not those of the live attempt");
+        }
+        assert_eq!(served.len(), 2);
+        assert!(
+            matches!(&after_purge[..], [Err(Error::MissingData(m))] if m.contains("http 404")),
+            "a purged path is still served: {after_purge:?}"
+        );
+        let failed = link.failed_inputs.lock().clone();
+        let url = reduce_input.lock().clone();
+        assert!(
+            matches!(&failed[..], [(msg, Some(input))] if msg.contains("s0/d1/t0/b0.mrsb") && *input == url),
+            "{failed:?}"
+        );
     }
 }

@@ -1,14 +1,17 @@
 //! What a default-config cluster puts on the data plane: checksummed
 //! *stored* `MRSF1` frames that advertise their sort order — and what a
-//! consumer does when one of them arrives damaged.
+//! consumer does when one of them arrives damaged. A direct-plane slave
+//! holds buckets and frames one only when a peer asks; the frame is the
+//! same bytes either way.
 
 use mrs::apps::wordcount::{decode_counts, lines_to_records, WordCount};
 use mrs::prelude::*;
-use mrs_core::task::run_map_task_bucket;
-use mrs_core::Bucket;
+use mrs_core::task::{run_map_task_bucket, run_task};
+use mrs_core::{Bucket, TaskSpec};
 use mrs_fs::format::{read_bucket_run, write_bucket, RunInfo};
 use mrs_fs::{MemFs, Store};
-use mrs_rpc::DataServer;
+use mrs_rpc::{dataserver, DataServer, HttpClient};
+use mrs_runtime::data::split_evenly;
 use mrs_runtime::metrics::JobMetrics;
 use mrs_runtime::proto::{fetch_records, Assignment};
 use mrs_runtime::slave::run_slave;
@@ -91,6 +94,70 @@ fn default_config_cluster_ships_stored_sorted_frames() {
         assert_eq!(&wire[FRAME_HEADER_LEN..], &write_bucket(bucket)[..], "{path} payload");
         if path.contains("/t") {
             assert_eq!(*info, RunInfo { claimed_sorted: true, sorted: true }, "{path}");
+        }
+    }
+}
+
+/// The direct-plane twin of the stored-frame check above: on a real
+/// cluster, every frame a slave serves is, byte for byte, the frame of the
+/// bucket its kernel returned — computed here from the same splits — in
+/// both compression modes. Map outputs claim a sorted run; so do these
+/// reduce outputs, whose keys are in order.
+#[test]
+fn direct_plane_serves_the_frame_of_the_bucket_the_kernel_returned() {
+    let (maps, reduces) = (4, 3);
+    let lines = lines();
+    let input = lines_to_records(lines.iter().map(String::as_str));
+    let program = Simple(WordCount);
+    let map = TaskSpec::Map { func: 0, parts: reduces, combine: false };
+    let mapped_buckets: Vec<Vec<Bucket>> = split_evenly(input.clone(), maps)
+        .into_iter()
+        .map(|split| run_task(&program, &map, &[Bucket::from_records(split)], None).unwrap())
+        .collect();
+    let reduced_buckets: Vec<Vec<Bucket>> = (0..reduces)
+        .map(|p| {
+            let runs: Vec<&Bucket> = mapped_buckets.iter().map(|task| &task[p]).collect();
+            run_task(&program, &TaskSpec::Reduce { func: 0 }, &runs, None).unwrap()
+        })
+        .collect();
+
+    for mode in [CompressMode::Off, CompressMode::On] {
+        let cfg = MasterConfig { compress: mode, ..MasterConfig::default() };
+        let mut cluster =
+            LocalCluster::start(Arc::new(Simple(WordCount)), 2, DataPlane::Direct, cfg).unwrap();
+        let src = cluster.local_data(input.clone(), maps).unwrap();
+        let mapped = cluster.map_data(src, 0, reduces, false).unwrap();
+        cluster.keep(mapped);
+        let reduced = cluster.reduce_data(mapped, 0).unwrap();
+        cluster.wait(reduced).unwrap();
+
+        // Every slave's data server, by slave id, from the master's page.
+        let (_, status) = HttpClient::get(&cluster.http_authority(), "/status").unwrap();
+        let status = String::from_utf8(status).unwrap();
+        let slaves: Vec<(&str, &str)> = status
+            .lines()
+            .filter_map(|l| l.trim_start().strip_prefix("slave ")?.split_once(": "))
+            .map(|(id, rest)| (id, rest.split(' ').next().unwrap()))
+            .collect();
+        assert_eq!(slaves.len(), 2, "{status}");
+
+        for (data, buckets) in [(mapped, &mapped_buckets), (reduced, &reduced_buckets)] {
+            for (t, task) in buckets.iter().enumerate() {
+                for (p, bucket) in task.iter().enumerate() {
+                    let want = mrs_codec::encode_vec_sorted(write_bucket(bucket), mode, true);
+                    let served: Vec<Vec<u8>> = slaves
+                        .iter()
+                        .filter_map(|(s, authority)| {
+                            let path = format!("/data/s{s}/d{}/t{t}/b{p}.mrsb", data.0);
+                            dataserver::fetch(authority, &path).ok()
+                        })
+                        .collect();
+                    assert!(!served.is_empty(), "no slave serves d{}/t{t}/b{p}", data.0);
+                    for frame in served {
+                        assert!(frame == want, "d{}/t{t}/b{p} ({mode:?}) differs", data.0);
+                    }
+                }
+            }
         }
     }
 }
