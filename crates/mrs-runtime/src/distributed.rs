@@ -13,140 +13,47 @@ use crate::job::JobApi;
 use crate::master::{Master, MasterConfig, SlaveId};
 use crate::metrics::{Counter, JobMetrics};
 use crate::proto::{
-    attempt_id, counts_from_value, counts_value, DataPlane, Dispatch, TaskReport, TraceBatch,
+    Answer, DataPlane, Dispatch, GetTask, Signin, TaskFailed, TaskReport, TraceBatch, BAD_PARAMS,
     PROTOCOL_VERSION,
 };
 use crate::slave::{run_slave, MasterLink, SlaveOptions};
 use mrs_core::{Error, FuncId, Program, Record, Result};
 use mrs_rpc::rpc::{Dispatch as RpcDispatch, RpcClient, RpcServer};
-use mrs_rpc::Value;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Fault code of a malformed call: a missing or mistyped parameter.
-const BAD_PARAMS: i64 = 3;
-/// Fault code of a `signin` from a peer speaking another protocol version.
-const VERSION_MISMATCH: i64 = 4;
-
-/// An XML-RPC fault: code and message.
-type Fault = (i64, String);
-
-/// Positional parameter `i` of `method` as an integer; every parameter of
-/// every method is required.
-fn int_param(
-    method: &str,
-    params: &[Value],
-    i: usize,
-    name: &str,
-) -> std::result::Result<i64, Fault> {
-    params
-        .get(i)
-        .and_then(Value::as_int)
-        .ok_or_else(|| (BAD_PARAMS, format!("{method}: missing {name} (parameter {i})")))
-}
-
-fn bad_params(method: &str, e: Error) -> Fault {
-    (BAD_PARAMS, format!("{method}: {e}"))
-}
-
 /// Expose a master over XML-RPC. The returned server lives as long as the
-/// handle; slaves connect to `server.authority()`.
+/// handle; slaves connect to `server.authority()`. The methods, each
+/// declared once in [`crate::proto`] with its positional parameters:
 ///
 /// | method | parameters |
 /// |---|---|
-/// | `signin` | authority, slots (>= 1), [`PROTOCOL_VERSION`] |
-/// | `get_task` | slave, free slots, park ms, reports, counts\[, trace batch\] |
-/// | `task_failed` | slave, data, index, message, failed input or `""`, attempt |
+/// | `signin` | authority, slots, version |
+/// | `get_task` | slave, free, park_ms, reports, counts, trace |
+/// | `task_failed` | slave, data, index, message, failed_input, attempt |
 ///
 /// A completion report rides `get_task`; there is no call of its own.
+/// `get_task`'s trace is left out when empty.
 pub fn serve_master(master: Master, port: u16) -> std::io::Result<RpcServer> {
-    let m1 = master.clone();
-    let m2 = master.clone();
-    let m3 = master;
-    let dispatch = RpcDispatch::new()
-        .register("signin", move |params| {
-            let authority = params
-                .first()
-                .and_then(Value::as_str)
-                .ok_or((BAD_PARAMS, "signin: missing authority".to_owned()))?;
-            let slots = int_param("signin", params, 1, "slots")?;
-            if slots < 1 {
-                return Err((BAD_PARAMS, format!("signin: {slots} slots (need at least 1)")));
-            }
-            // Checked before the slave is registered: a peer from another
-            // build never becomes a slave this master waits on.
-            match params.get(2).and_then(Value::as_int) {
-                Some(PROTOCOL_VERSION) => {}
-                theirs => {
-                    let theirs = theirs.map_or("none".to_owned(), |v| v.to_string());
-                    return Err((
-                        VERSION_MISMATCH,
-                        format!(
-                            "slave speaks protocol version {theirs}, this master speaks \
-                             {PROTOCOL_VERSION}; build both from the same commit"
-                        ),
-                    ));
-                }
-            }
-            Ok(Value::Int(m1.signin(authority, slots as usize) as i64))
-        })
-        .register("get_task", move |params| {
-            let slave = int_param("get_task", params, 0, "slave id")?;
-            let free = int_param("get_task", params, 1, "free slots")?.max(0) as usize;
-            let park = int_param("get_task", params, 2, "park ms")?.max(0) as u64;
-            let reports = params
-                .get(3)
-                .and_then(Value::as_array)
-                .ok_or((BAD_PARAMS, "get_task: missing reports (parameter 3)".to_owned()))?
-                .iter()
-                .map(TaskReport::from_value)
-                .collect::<Result<Vec<_>>>()
-                .map_err(|e| bad_params("get_task", e))?;
-            // The slave's counter tally since its last poll: nonzero
-            // counters only, an empty struct when there are none.
-            let counts = params
-                .get(4)
-                .ok_or((BAD_PARAMS, "get_task: missing counts (parameter 4)".to_owned()))
-                .and_then(|v| counts_from_value(v).map_err(|e| bad_params("get_task", e)))?;
-            // The trace delta is the one trailing parameter a slave leaves
-            // out: an empty batch is not worth its bytes.
-            let trace = match params.get(5) {
-                Some(v) => TraceBatch::from_value(v).map_err(|e| bad_params("get_task", e))?,
-                None => TraceBatch::default(),
-            };
-            let park = Duration::from_millis(park);
-            let (dispatch, more) = m2.poll(slave as SlaveId, free, park, &reports, &counts, &trace);
-            Ok(dispatch.answer_value(more))
-        })
-        .register("task_failed", move |params| {
-            let (slave, data, index) = task_coords("task_failed", params)?;
-            let text = |i: usize, name: &str| {
-                params.get(i).and_then(Value::as_str).ok_or_else(|| {
-                    (BAD_PARAMS, format!("task_failed: missing {name} (parameter {i})"))
-                })
-            };
-            let msg = text(3, "message")?;
-            let failed_input = Some(text(4, "failed input")?).filter(|u| !u.is_empty());
-            let attempt = attempt_id(int_param("task_failed", params, 5, "attempt")?)
-                .map_err(|e| bad_params("task_failed", e))?;
-            m3.task_failed(slave, data, index, attempt, msg, failed_input);
-            Ok(Value::Bool(true))
-        });
-    RpcServer::serve(port, dispatch)
-}
-
-/// The (slave, data, index) head of a `task_failed` call.
-fn task_coords(
-    method: &str,
-    params: &[Value],
-) -> std::result::Result<(SlaveId, u32, usize), Fault> {
-    Ok((
-        int_param(method, params, 0, "slave id")? as SlaveId,
-        int_param(method, params, 1, "data")? as u32,
-        int_param(method, params, 2, "index")? as usize,
-    ))
+    let (m1, m2, m3) = (master.clone(), master.clone(), master);
+    let rpc = Signin::serve(RpcDispatch::new(), move |call| match call.slots {
+        0 => Err((BAD_PARAMS, "signin: 0 slots (need at least 1)".to_owned())),
+        slots => Ok(m1.signin(&call.authority, slots)),
+    });
+    let rpc = GetTask::serve(rpc, move |call| {
+        let park = Duration::from_millis(call.park_ms);
+        let (dispatch, more) =
+            m2.poll(call.slave, call.free, park, &call.reports, &call.counts, &call.trace);
+        Ok(Answer { dispatch, more })
+    });
+    let rpc = TaskFailed::serve(rpc, move |call| {
+        let input = Some(call.failed_input.as_str()).filter(|u| !u.is_empty());
+        m3.task_failed(call.slave, call.data, call.index, call.attempt, &call.message, input);
+        Ok(true)
+    });
+    RpcServer::serve(port, rpc)
 }
 
 /// Slave-side stub speaking XML-RPC to a remote master.
@@ -163,15 +70,8 @@ impl RpcMasterLink {
 
 impl MasterLink for RpcMasterLink {
     fn signin(&self, authority: &str, slots: usize) -> Result<SlaveId> {
-        let v = self.client.call(
-            "signin",
-            &[
-                Value::Str(authority.to_owned()),
-                Value::Int(slots as i64),
-                Value::Int(PROTOCOL_VERSION),
-            ],
-        )?;
-        v.as_int().map(|i| i as SlaveId).ok_or_else(|| Error::Rpc("signin returned non-int".into()))
+        let authority = authority.to_owned();
+        Signin { authority, slots, version: PROTOCOL_VERSION }.call(&self.client)
     }
 
     fn poll(
@@ -183,20 +83,9 @@ impl MasterLink for RpcMasterLink {
         counts: JobMetrics,
         trace: TraceBatch,
     ) -> Result<(Dispatch, bool)> {
-        let reports = Value::Array(reports.iter().map(TaskReport::to_value).collect());
-        let mut params = vec![
-            Value::Int(slave as i64),
-            Value::Int(free as i64),
-            Value::Int(park.as_millis() as i64),
-            reports,
-            counts_value(&counts),
-        ];
-        // An empty batch (tracing off, nothing recorded) is left out.
-        if !trace.is_empty() {
-            params.push(trace.to_value());
-        }
-        let v = self.client.call("get_task", &params)?;
-        Dispatch::from_answer(&v)
+        let park_ms = u64::try_from(park.as_millis()).unwrap_or(u64::MAX);
+        let answer = GetTask { slave, free, park_ms, reports, counts, trace }.call(&self.client)?;
+        Ok((answer.dispatch, answer.more))
     }
 
     fn task_failed(
@@ -208,17 +97,8 @@ impl MasterLink for RpcMasterLink {
         msg: &str,
         failed_input: Option<&str>,
     ) -> Result<()> {
-        self.client.call(
-            "task_failed",
-            &[
-                Value::Int(slave as i64),
-                Value::Int(data as i64),
-                Value::Int(index as i64),
-                Value::Str(msg.to_owned()),
-                Value::Str(failed_input.unwrap_or_default().to_owned()),
-                Value::Int(attempt as i64),
-            ],
-        )?;
+        let (message, failed_input) = (msg.to_owned(), failed_input.unwrap_or_default().to_owned());
+        TaskFailed { slave, data, index, message, failed_input, attempt }.call(&self.client)?;
         Ok(())
     }
 }
@@ -448,6 +328,7 @@ mod tests {
     use mrs_core::kv::encode_record;
     use mrs_core::{Datum, MapReduce, Simple};
     use mrs_fs::MemFs;
+    use mrs_rpc::Value;
 
     struct WordCount;
 
@@ -877,4 +758,329 @@ mod tests {
             }
         }
     }
+
+    /// Every integer on the wire decodes into its declared type or not at
+    /// all: -1 is out of range everywhere, 2^32 wherever the type is a
+    /// `u32`. Either is refused naming the field — a decode error in a
+    /// message, fault 3 in a call — never narrowed into some other id.
+    #[test]
+    fn wire_integers_are_range_checked_not_cast() {
+        use crate::proto::{CancelOrder, TaskKind, TaskMsg};
+        use mrs_rpc::RpcClient;
+        let big = 1i64 << 32;
+        type Decode = fn(&Value) -> Result<()>;
+        type Keys = &'static [(&'static str, bool)];
+        type Positions = &'static [(usize, &'static str, bool)];
+        let task = TaskMsg {
+            data: 1,
+            index: 2,
+            kind: TaskKind::Map,
+            func: 3,
+            map_func: 0,
+            parts: 4,
+            combine: false,
+            attempt: 5,
+            inputs: vec![],
+        };
+        let report = TaskReport { data: 1, index: 2, attempt: 3, urls: vec![] };
+        let cancel = CancelOrder { data: 1, index: 2, attempt: 3 };
+        let trace = TraceBatch { sent_at_us: 1, rtt_us: 2, dropped: 3, events: vec![] };
+        // Per message: its value, its decoder, and each integer key with
+        // whether its type is a `u32`.
+        let messages: [(Value, Decode, Keys); 4] = [
+            (
+                task.to_value(),
+                |v| TaskMsg::from_value(v).map(drop),
+                &[
+                    ("data", true),
+                    ("index", false),
+                    ("func", true),
+                    ("map_func", true),
+                    ("parts", false),
+                    ("attempt", true),
+                ],
+            ),
+            (
+                report.to_value(),
+                |v| TaskReport::from_value(v).map(drop),
+                &[("data", true), ("index", false), ("attempt", true)],
+            ),
+            (
+                cancel.to_value(),
+                |v| CancelOrder::from_value(v).map(drop),
+                &[("data", true), ("index", false), ("attempt", true)],
+            ),
+            (
+                trace.to_value(),
+                |v| TraceBatch::from_value(v).map(drop),
+                &[("sent_at", false), ("rtt", false), ("dropped", false)],
+            ),
+        ];
+        for (value, decode, ints) in messages {
+            decode(&value).unwrap();
+            let Value::Struct(fields) = value else { panic!("a message is a struct") };
+            for &(key, narrow) in ints {
+                for (bad, refused) in [(-1, true), (big, narrow)] {
+                    let mut fields = fields.clone();
+                    fields.insert(key.to_owned(), Value::Int(bad));
+                    match decode(&Value::Struct(fields)) {
+                        Err(e) => {
+                            assert!(refused && e.to_string().contains(key), "{key} {bad}: {e}")
+                        }
+                        Ok(()) => assert!(!refused, "{key} = {bad} was accepted"),
+                    }
+                }
+            }
+        }
+
+        // The calls, on a master whose job is over, so that no poll parks.
+        let master = Master::new(MasterConfig::default(), DataPlane::Direct).unwrap();
+        let server = serve_master(master.clone(), 0).unwrap();
+        let client = RpcClient::new(server.authority());
+        let signin =
+            vec![Value::Str("127.0.0.1:1".into()), Value::Int(1), Value::Int(PROTOCOL_VERSION)];
+        let slave = client.call("signin", &signin).unwrap();
+        master.finish();
+        let no_reports = Value::Array(vec![]);
+        let no_counts = Value::Struct(Default::default());
+        let get_task = vec![slave.clone(), Value::Int(1), Value::Int(0), no_reports, no_counts];
+        let (msg, no_input) = (Value::Str("boom".into()), Value::Str(String::new()));
+        let task_failed = vec![slave, Value::Int(1), Value::Int(0), msg, no_input, Value::Int(1)];
+        // Per method: a well-formed call, and each integer parameter's
+        // position, name and whether its type is a `u32`.
+        let calls: [(&str, Vec<Value>, Positions); 3] = [
+            ("signin", signin, &[(1, "slots", false)]),
+            ("get_task", get_task, &[(0, "slave", true), (1, "free", false), (2, "park", false)]),
+            (
+                "task_failed",
+                task_failed,
+                &[(0, "slave", true), (1, "data", true), (2, "index", false), (5, "attempt", true)],
+            ),
+        ];
+        for (method, good, ints) in calls {
+            client.call(method, &good).unwrap();
+            for &(at, name, narrow) in ints {
+                for (bad, refused) in [(-1, true), (big, narrow)] {
+                    let mut params = good.clone();
+                    params[at] = Value::Int(bad);
+                    match client.call(method, &params) {
+                        Err(e) => {
+                            let e = e.to_string();
+                            assert!(refused && e.contains("fault 3"), "{method} {name} {bad}: {e}");
+                            assert!(e.contains(name), "{method} {name} {bad}: {e}");
+                        }
+                        Ok(_) => assert!(!refused, "{method} {name} = {bad} was accepted"),
+                    }
+                }
+            }
+        }
+    }
+
+    /// `serve_master`'s method table is the declared one: one row per
+    /// method, naming its parameters in their declared order.
+    #[test]
+    fn serve_master_doc_table_is_the_declaration() {
+        let source = include_str!("distributed.rs");
+        let rows: Vec<&str> = source.lines().filter(|l| l.starts_with("/// | `")).collect();
+        let declared = [
+            (Signin::METHOD, Signin::PARAMS),
+            (GetTask::METHOD, GetTask::PARAMS),
+            (TaskFailed::METHOD, TaskFailed::PARAMS),
+        ];
+        let want: Vec<String> = declared
+            .iter()
+            .map(|(method, params)| format!("/// | `{method}` | {} |", params.join(", ")))
+            .collect();
+        assert_eq!(rows, want);
+    }
+
+    /// The typed calls and answers of the wire golden test.
+    mod golden {
+        use crate::metrics::{Counter, JobMetrics};
+        use crate::proto::{
+            Assignment, CancelOrder, Dispatch, TaskKind, TaskMsg, TaskReport, TraceBatch,
+        };
+        use mrs_trace::{Event, Kind, Name, Op, Tag};
+
+        pub fn reports() -> Vec<TaskReport> {
+            let url = |b: u32| format!("http://127.0.0.1:40001/data/s7/d1/t0/b{b}.mrsb");
+            vec![
+                TaskReport { data: 1, index: 0, attempt: 1, urls: vec![url(0), url(1)] },
+                TaskReport { data: 2, index: 3, attempt: 2, urls: vec![url(2)] },
+            ]
+        }
+
+        pub fn tally() -> JobMetrics {
+            let mut tally = JobMetrics::default();
+            tally.add(Counter::MergeRuns, 4);
+            tally.max(Counter::PeakReduceRecords, 900);
+            tally.add_time(Counter::MergeTime, std::time::Duration::from_micros(1500));
+            tally
+        }
+
+        pub fn trace() -> TraceBatch {
+            let e = |at_us, kind| Event {
+                at_us,
+                kind,
+                name: Name::Exec,
+                lane: 2,
+                tag: Tag::task(Op::Map, 3, 7, 1),
+            };
+            let events = vec![e(10, Kind::Begin), e(20, Kind::End)];
+            TraceBatch { sent_at_us: 1_000_000, rtt_us: 450, dropped: 1, events }
+        }
+
+        /// Each answer under test and its `more` hint.
+        pub fn answers() -> Vec<(Dispatch, bool)> {
+            let task = |index, kind, map_func, parts| TaskMsg {
+                data: 2,
+                index,
+                kind,
+                func: 1,
+                map_func,
+                parts,
+                combine: kind == TaskKind::ReduceMap,
+                attempt: 3,
+                inputs: vec!["http://127.0.0.1:40001/data/s7/d1/t0/b0.mrsb".into()],
+            };
+            let tasks = vec![task(0, TaskKind::Reduce, 0, 1), task(1, TaskKind::ReduceMap, 4, 2)];
+            let dispatch = |assignment, purge: &[&str], cancel| Dispatch {
+                assignment,
+                purge: purge.iter().map(|p| p.to_string()).collect(),
+                eager: vec![],
+                cancel,
+            };
+            vec![
+                (
+                    dispatch(
+                        Assignment::Tasks(tasks),
+                        &["s7/d1/", "src0/"],
+                        vec![CancelOrder { data: 2, index: 1, attempt: 2 }],
+                    ),
+                    true,
+                ),
+                (dispatch(Assignment::Wait, &[], vec![]), false),
+                (dispatch(Assignment::Exit, &[], vec![]), false),
+            ]
+        }
+    }
+
+    /// Every control message as the wire carries it, byte for byte: the
+    /// request body the slave stub sends for each call, and the response
+    /// body the master's handler answers with for each answer kind, taken
+    /// before the messages were declared in one table. Each request goes
+    /// through `RpcMasterLink` to a server that keeps the raw body and
+    /// answers the next canned reply, which the stub must decode back to
+    /// its typed value; each golden request decodes back to its call.
+    #[test]
+    fn wire_bytes_are_golden() {
+        use crate::proto::Answer;
+        use mrs_rpc::xmlrpc::{encode_response, parse_request};
+        use mrs_rpc::{HttpServer, Request, Response};
+        let answers = golden::answers();
+        let replies: Vec<String> = [Value::Int(7)]
+            .into_iter()
+            .chain(
+                answers
+                    .iter()
+                    .map(|(d, more)| Answer { dispatch: d.clone(), more: *more }.to_value()),
+            )
+            .chain([Value::Bool(true), Value::Bool(true)])
+            .map(|v| encode_response(&v))
+            .collect();
+        let bodies = Arc::new(parking_lot::Mutex::new(Vec::<String>::new()));
+        let server = {
+            let (bodies, replies) = (Arc::clone(&bodies), replies.clone());
+            HttpServer::bind(
+                0,
+                Arc::new(move |req: Request| {
+                    let mut bodies = bodies.lock();
+                    bodies.push(String::from_utf8(req.body).unwrap());
+                    Response::ok("text/xml", replies[bodies.len() - 1].clone().into_bytes())
+                }),
+            )
+            .unwrap()
+        };
+        let link = RpcMasterLink::new(server.authority());
+        assert_eq!(link.signin("127.0.0.1:40001", 2).unwrap(), 7);
+        let full = link.poll(
+            7,
+            2,
+            Duration::from_millis(250),
+            golden::reports(),
+            golden::tally(),
+            golden::trace(),
+        );
+        assert_eq!(full.unwrap(), answers[0]);
+        for (want, (free, park)) in answers[1..].iter().zip([(1, 0), (3, 1000)]) {
+            let park = Duration::from_millis(park);
+            let idle =
+                link.poll(7, free, park, vec![], JobMetrics::default(), TraceBatch::default());
+            assert_eq!(&idle.unwrap(), want);
+        }
+        let failed_input = "http://127.0.0.1:40002/data/s8/d1/t3/b0.mrsb";
+        link.task_failed(7, 2, 3, 2, "bad <record> & more", Some(failed_input)).unwrap();
+        link.task_failed(7, 2, 4, 1, "kernel panicked", None).unwrap();
+
+        let requests = bodies.lock().clone();
+        let got: Vec<&str> = requests.iter().chain(&replies[1..4]).map(String::as_str).collect();
+        for (i, (&got, want)) in got.iter().zip(GOLDEN).enumerate() {
+            assert_eq!(got, want, "wire document {i}");
+        }
+        assert_eq!(got.len(), GOLDEN.len());
+
+        // The golden requests decode back to the typed calls.
+        let params = |i: usize| parse_request(GOLDEN[i]).unwrap().1;
+        let signin = Signin { authority: "127.0.0.1:40001".into(), slots: 2, version: 5 };
+        assert_eq!(Signin::from_params(&params(0)).unwrap(), signin);
+        let poll = |free, park_ms, reports, counts, trace| GetTask {
+            slave: 7,
+            free,
+            park_ms,
+            reports,
+            counts,
+            trace,
+        };
+        let full = poll(2, 250, golden::reports(), golden::tally(), golden::trace());
+        assert_eq!(GetTask::from_params(&params(1)).unwrap(), full);
+        let idle = |free, park| poll(free, park, vec![], JobMetrics::default(), Default::default());
+        assert_eq!(GetTask::from_params(&params(2)).unwrap(), idle(1, 0));
+        assert_eq!(GetTask::from_params(&params(3)).unwrap(), idle(3, 1000));
+        let failed = |index, message: &str, failed_input: Option<&str>, attempt| TaskFailed {
+            slave: 7,
+            data: 2,
+            index,
+            message: message.into(),
+            failed_input: failed_input.unwrap_or_default().into(),
+            attempt,
+        };
+        let with_input = failed(3, "bad <record> & more", Some(failed_input), 2);
+        assert_eq!(TaskFailed::from_params(&params(4)).unwrap(), with_input);
+        let without = failed(4, "kernel panicked", None, 1);
+        assert_eq!(TaskFailed::from_params(&params(5)).unwrap(), without);
+    }
+
+    /// The wire documents of `wire_bytes_are_golden`, in call order: signin,
+    /// a full and two idle `get_task` calls, two `task_failed` calls, then
+    /// the answers `Tasks` (with purge, cancel and `more`), `Wait` and `Exit`.
+    const GOLDEN: [&str; 9] = [
+        r#"<?xml version="1.0"?>
+<methodCall><methodName>signin</methodName><params><param><value><string>127.0.0.1:40001</string></value></param><param><value><int>2</int></value></param><param><value><int>5</int></value></param></params></methodCall>"#,
+        r#"<?xml version="1.0"?>
+<methodCall><methodName>get_task</methodName><params><param><value><int>7</int></value></param><param><value><int>2</int></value></param><param><value><int>250</int></value></param><param><value><array><data><value><struct><member><name>attempt</name><value><int>1</int></value></member><member><name>data</name><value><int>1</int></value></member><member><name>index</name><value><int>0</int></value></member><member><name>urls</name><value><array><data><value><string>http://127.0.0.1:40001/data/s7/d1/t0/b0.mrsb</string></value><value><string>http://127.0.0.1:40001/data/s7/d1/t0/b1.mrsb</string></value></data></array></value></member></struct></value><value><struct><member><name>attempt</name><value><int>2</int></value></member><member><name>data</name><value><int>2</int></value></member><member><name>index</name><value><int>3</int></value></member><member><name>urls</name><value><array><data><value><string>http://127.0.0.1:40001/data/s7/d1/t0/b2.mrsb</string></value></data></array></value></member></struct></value></data></array></value></param><param><value><struct><member><name>merge_runs</name><value><int>4</int></value></member><member><name>merge_time</name><value><int>1500</int></value></member><member><name>peak_reduce_records</name><value><int>900</int></value></member></struct></value></param><param><value><struct><member><name>dropped</name><value><int>1</int></value></member><member><name>events</name><value><base64>CgAAAAAAAAACAAAAAwAAAAcAAAABAAAAAAIBFAAAAAAAAAACAAAAAwAAAAcAAAABAAAAAQIB</base64></value></member><member><name>rtt</name><value><int>450</int></value></member><member><name>sent_at</name><value><int>1000000</int></value></member></struct></value></param></params></methodCall>"#,
+        r#"<?xml version="1.0"?>
+<methodCall><methodName>get_task</methodName><params><param><value><int>7</int></value></param><param><value><int>1</int></value></param><param><value><int>0</int></value></param><param><value><array><data></data></array></value></param><param><value><struct></struct></value></param></params></methodCall>"#,
+        r#"<?xml version="1.0"?>
+<methodCall><methodName>get_task</methodName><params><param><value><int>7</int></value></param><param><value><int>3</int></value></param><param><value><int>1000</int></value></param><param><value><array><data></data></array></value></param><param><value><struct></struct></value></param></params></methodCall>"#,
+        r#"<?xml version="1.0"?>
+<methodCall><methodName>task_failed</methodName><params><param><value><int>7</int></value></param><param><value><int>2</int></value></param><param><value><int>3</int></value></param><param><value><string>bad &lt;record&gt; &amp; more</string></value></param><param><value><string>http://127.0.0.1:40002/data/s8/d1/t3/b0.mrsb</string></value></param><param><value><int>2</int></value></param></params></methodCall>"#,
+        r#"<?xml version="1.0"?>
+<methodCall><methodName>task_failed</methodName><params><param><value><int>7</int></value></param><param><value><int>2</int></value></param><param><value><int>4</int></value></param><param><value><string>kernel panicked</string></value></param><param><value><string></string></value></param><param><value><int>1</int></value></param></params></methodCall>"#,
+        r#"<?xml version="1.0"?>
+<methodResponse><params><param><value><struct><member><name>cancel</name><value><array><data><value><struct><member><name>attempt</name><value><int>2</int></value></member><member><name>data</name><value><int>2</int></value></member><member><name>index</name><value><int>1</int></value></member></struct></value></data></array></value></member><member><name>more</name><value><boolean>1</boolean></value></member><member><name>purge</name><value><array><data><value><string>s7/d1/</string></value><value><string>src0/</string></value></data></array></value></member><member><name>tasks</name><value><array><data><value><struct><member><name>attempt</name><value><int>3</int></value></member><member><name>combine</name><value><boolean>0</boolean></value></member><member><name>data</name><value><int>2</int></value></member><member><name>func</name><value><int>1</int></value></member><member><name>index</name><value><int>0</int></value></member><member><name>inputs</name><value><array><data><value><string>http://127.0.0.1:40001/data/s7/d1/t0/b0.mrsb</string></value></data></array></value></member><member><name>kind</name><value><string>reduce</string></value></member><member><name>map_func</name><value><int>0</int></value></member><member><name>parts</name><value><int>1</int></value></member></struct></value><value><struct><member><name>attempt</name><value><int>3</int></value></member><member><name>combine</name><value><boolean>1</boolean></value></member><member><name>data</name><value><int>2</int></value></member><member><name>func</name><value><int>1</int></value></member><member><name>index</name><value><int>1</int></value></member><member><name>inputs</name><value><array><data><value><string>http://127.0.0.1:40001/data/s7/d1/t0/b0.mrsb</string></value></data></array></value></member><member><name>kind</name><value><string>reducemap</string></value></member><member><name>map_func</name><value><int>4</int></value></member><member><name>parts</name><value><int>2</int></value></member></struct></value></data></array></value></member><member><name>type</name><value><string>tasks</string></value></member></struct></value></param></params></methodResponse>"#,
+        r#"<?xml version="1.0"?>
+<methodResponse><params><param><value><struct><member><name>more</name><value><boolean>0</boolean></value></member><member><name>type</name><value><string>wait</string></value></member></struct></value></param></params></methodResponse>"#,
+        r#"<?xml version="1.0"?>
+<methodResponse><params><param><value><struct><member><name>more</name><value><boolean>0</boolean></value></member><member><name>type</name><value><string>exit</string></value></member></struct></value></param></params></methodResponse>"#,
+    ];
 }

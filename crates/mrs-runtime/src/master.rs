@@ -180,7 +180,7 @@ struct MState {
     /// The task graph: datasets, readiness, the barrier, lifetime GC.
     /// Everything below is policy over it.
     plan: Plan<String, Slot>,
-    /// Per-slave frame-cache purge orders not yet delivered; drained onto
+    /// Per-slave output-table purge orders not yet delivered; drained onto
     /// the next [`Master::poll`] answer for that slave — the same answer as
     /// any grant to it, so a rebuilt task's output never meets the purge
     /// order of its previous life.
@@ -966,9 +966,10 @@ impl Master {
     }
 
     /// The plan reclaimed dataset `data`: drop its storage everywhere.
-    /// Master-held source frames are removed immediately; slave-held
-    /// frames are purged via orders piggybacked on each slave's next poll
-    /// (direct plane only — on a shared filesystem slaves hold no frames).
+    /// Master-held source frames are removed immediately; the buckets in
+    /// slaves' output tables are purged via orders piggybacked on each
+    /// slave's next poll (direct plane only — on a shared filesystem slaves
+    /// hold no outputs).
     fn reclaimed_locked(&self, st: &mut MState, data: DataId, was_source: bool, by_gc: bool) {
         st.metrics.dataset_live(false);
         st.metrics.add(Counter::DatasetsFreed, by_gc as u64);

@@ -1,25 +1,36 @@
 //! Master↔slave protocol messages and their XML-RPC encoding.
 //!
-//! The control channel (§IV-B) is genuine XML-RPC; these are the typed
-//! views of the `signin` / `get_task` / `task_failed` payloads plus the URL
-//! resolver both sides use to read bucket data (`http://` direct transfer,
-//! `file://` / `mem://` shared filesystem).
+//! The control channel (§IV-B) is genuine XML-RPC, and this module is its
+//! schema. Each message is one `wire!` table, a line per field giving its
+//! name, its key on the wire and its wire type; the struct, its encoder
+//! and its strict decoder are generated from it. Each RPC method is one
+//! `method!` declaration of its ordered parameters and its reply, which
+//! the master's handlers ([`crate::distributed::serve_master`]) and the
+//! slave's stub ([`crate::distributed::RpcMasterLink`]) both use. Beside
+//! the schema: the URL resolver both sides use to read bucket data
+//! (`http://` direct transfer, `file://` / `mem://` shared filesystem).
 //!
 //! The wire has exactly one version, [`PROTOCOL_VERSION`]: a slave names
 //! it at `signin` and a master refuses any other, so behind that gate
-//! every decoder here *requires* every field its encoder writes. What the
-//! encoders leave out — empty `purge` / `cancel` lists, an empty
-//! trace batch, a zero counter in a slave's tally — is left out for
-//! compactness and means "none".
+//! every decoder is strict. A missing key, a key the message does not
+//! declare, a mistyped value or an integer outside its field's type is an
+//! error naming the key, and a fault 3 at the master. What the encoders
+//! leave out — empty `purge` / `cancel` lists, an empty trace batch, a
+//! zero counter in a slave's tally — is left out for compactness and
+//! means "none".
 
+use crate::master::SlaveId;
 use crate::metrics::{Counter, JobMetrics};
 use mrs_codec::FrameError;
 use mrs_core::{Error, Record, Result, TaskSpec};
 use mrs_fs::format::read_bucket_records;
 use mrs_fs::{BucketUrl, Store};
 use mrs_rpc::dataserver;
+use mrs_rpc::rpc::{Dispatch as RpcDispatch, RpcClient};
 use mrs_rpc::xmlrpc::Value;
+use mrs_trace::Event;
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -31,6 +42,359 @@ use std::sync::Arc;
 /// commit, so there are no older peers to stay readable for — bump this
 /// on any change to the wire instead of adding a fallback.
 pub const PROTOCOL_VERSION: i64 = 5;
+
+/// Fault code of a malformed call: a missing, surplus, mistyped or
+/// out-of-range parameter.
+pub(crate) const BAD_PARAMS: i64 = 3;
+
+/// An XML-RPC fault: code and message.
+pub(crate) type Fault = (i64, String);
+
+/// The members of an XML-RPC struct.
+type Fields = BTreeMap<String, Value>;
+
+/// A field read off the wire, or why it could not be.
+type Decoded<T> = std::result::Result<T, String>;
+
+/// A wire type: how a field of type `T` travels as the value of its key
+/// or parameter. A plain type is its own wire type; a declaration names
+/// another after `as`.
+pub(crate) trait Wire<T> {
+    /// The fault code of a call whose parameter of this type is refused.
+    const FAULT: i64 = BAD_PARAMS;
+    /// Whether `v` means "none" and is left off the wire.
+    fn omit(_: &T) -> bool {
+        false
+    }
+    /// The value `v` travels as.
+    fn put(v: &T) -> Value;
+    /// `T` from the value under `key` (`None`: absent).
+    fn get(v: Option<&Value>, key: &str) -> Decoded<T>;
+}
+
+/// The value under `key`, which must be there and be what `as_t` reads.
+fn typed<'v, T>(v: Option<&'v Value>, key: &str, as_t: fn(&'v Value) -> Option<T>) -> Decoded<T> {
+    as_t(v.ok_or_else(|| format!("missing {key}"))?).ok_or_else(|| format!("mistyped {key}"))
+}
+
+/// Integers travel as `<int>`, range-checked into their field's type.
+macro_rules! int_wire {
+    ($($t:ty),*) => {$(
+        impl Wire<$t> for $t {
+            fn put(v: &$t) -> Value {
+                Value::Int(i64::try_from(*v).unwrap_or(i64::MAX))
+            }
+            fn get(v: Option<&Value>, key: &str) -> Decoded<$t> {
+                let n = typed(v, key, Value::as_int)?;
+                <$t>::try_from(n).map_err(|_| format!("{key} {n} out of range"))
+            }
+        }
+    )*};
+}
+
+int_wire!(u32, u64, usize);
+
+impl Wire<String> for String {
+    fn put(v: &String) -> Value {
+        Value::Str(v.clone())
+    }
+    fn get(v: Option<&Value>, key: &str) -> Decoded<String> {
+        typed(v, key, Value::as_str).map(str::to_owned)
+    }
+}
+
+impl Wire<bool> for bool {
+    fn put(v: &bool) -> Value {
+        Value::Bool(*v)
+    }
+    fn get(v: Option<&Value>, key: &str) -> Decoded<bool> {
+        typed(v, key, |v| if let Value::Bool(b) = v { Some(*b) } else { None })
+    }
+}
+
+impl<T: Wire<T>> Wire<Vec<T>> for Vec<T> {
+    fn put(v: &Vec<T>) -> Value {
+        Value::Array(v.iter().map(T::put).collect())
+    }
+    fn get(v: Option<&Value>, key: &str) -> Decoded<Vec<T>> {
+        typed(v, key, Value::as_array)?.iter().map(|item| T::get(Some(item), key)).collect()
+    }
+}
+
+/// An attempt id: 1-based, so 0 on the wire is a malformed message, not
+/// "no attempt tracking".
+pub(crate) struct Attempt;
+
+impl Wire<u32> for Attempt {
+    fn put(v: &u32) -> Value {
+        u32::put(v)
+    }
+    fn get(v: Option<&Value>, key: &str) -> Decoded<u32> {
+        let id = Some(u32::get(v, key)?).filter(|&a| a > 0);
+        id.ok_or_else(|| format!("{key} 0 out of range (ids start at 1)"))
+    }
+}
+
+/// A value whose emptiness means "none".
+pub(crate) trait Empty: Default {
+    /// Whether the value is empty.
+    fn is_empty(&self) -> bool;
+}
+
+impl<T> Empty for Vec<T> {
+    fn is_empty(&self) -> bool {
+        <[T]>::is_empty(self)
+    }
+}
+
+/// Wire type `C`, left out when empty; absent reads as empty.
+pub(crate) struct Omit<C>(PhantomData<C>);
+
+impl<T: Empty, C: Wire<T>> Wire<T> for Omit<C> {
+    fn omit(v: &T) -> bool {
+        v.is_empty()
+    }
+    fn put(v: &T) -> Value {
+        C::put(v)
+    }
+    fn get(v: Option<&Value>, key: &str) -> Decoded<T> {
+        v.map_or_else(|| Ok(T::default()), |_| C::get(v, key))
+    }
+}
+
+/// `signin`'s protocol version: this build's, or the call is refused
+/// with fault 4 naming both versions, before the slave is registered.
+pub(crate) struct Version;
+
+impl Wire<i64> for Version {
+    const FAULT: i64 = 4;
+    fn put(v: &i64) -> Value {
+        Value::Int(*v)
+    }
+    fn get(v: Option<&Value>, _: &str) -> Decoded<i64> {
+        match v.and_then(Value::as_int) {
+            Some(PROTOCOL_VERSION) => Ok(PROTOCOL_VERSION),
+            theirs => Err(format!(
+                "slave speaks protocol version {}, this master speaks {PROTOCOL_VERSION}; \
+                 build both from the same commit",
+                theirs.map_or("none".to_owned(), |v| v.to_string())
+            )),
+        }
+    }
+}
+
+/// A struct on the wire, with its keys.
+pub(crate) trait Message: Sized {
+    /// Whether `key` is one of the message's keys.
+    fn known(key: &str) -> bool;
+    /// Write the message's keys into `fields`.
+    fn write(&self, fields: &mut Fields);
+    /// Read the message from its keys in `fields`, ignoring any others.
+    fn read(fields: &Fields) -> Decoded<Self>;
+}
+
+/// Decode `v` as an `M` that travels as (part of) a `W`: a key `W` does
+/// not declare is refused.
+fn strict<W: Message, M: Message>(v: &Value) -> Decoded<M> {
+    let Value::Struct(fields) = v else { return Err("not a struct".into()) };
+    match fields.keys().find(|k| !W::known(k)) {
+        Some(k) => Err(format!("unknown key {k:?}")),
+        None => M::read(fields),
+    }
+}
+
+/// [`strict`], naming `what` in its error.
+fn decode<W: Message, M: Message>(v: &Value, what: &str) -> Result<M> {
+    strict::<W, M>(v).map_err(|why| Error::Rpc(format!("{what}: {why}")))
+}
+
+/// `m` as an XML-RPC struct.
+fn encode<M: Message>(m: &M) -> Value {
+    let mut fields = Fields::new();
+    m.write(&mut fields);
+    Value::Struct(fields)
+}
+
+/// One field of a `wire!` table: `= "key"` travels under `key` as its own
+/// type, `= "key" as C` as wire type `C`; `= *` is a [`Message`] whose keys
+/// are this struct's too, and `= _` never travels.
+macro_rules! field {
+    (@as $t:ty) => { $t };
+    (@as $t:ty, $c:ty) => { $c };
+    (known $k:ident, $t:ty, *) => { <$t as Message>::known($k) };
+    (known $k:ident, $t:ty, _) => { false };
+    (known $k:ident, $t:ty, $key:literal $($c:ty)?) => { $k == $key };
+    (put $fields:ident, $v:expr, $t:ty, *) => { Message::write($v, $fields) };
+    (put $fields:ident, $v:expr, $t:ty, _) => {};
+    (put $fields:ident, $v:expr, $t:ty, $key:literal $($c:ty)?) => {
+        if !<field!(@as $t $(, $c)?) as Wire<$t>>::omit($v) {
+            $fields.insert($key.to_owned(), <field!(@as $t $(, $c)?) as Wire<$t>>::put($v));
+        }
+    };
+    (get $fields:ident, $t:ty, *) => { <$t as Message>::read($fields)? };
+    (get $fields:ident, $t:ty, _) => { <$t>::default() };
+    (get $fields:ident, $t:ty, $key:literal $($c:ty)?) => {
+        <field!(@as $t $(, $c)?) as Wire<$t>>::get($fields.get($key), $key)?
+    };
+}
+
+/// A message declared once: `field: Type = "key" [as WireType],` per line
+/// (see `field!`). Generates the struct, its [`Message`] and [`Wire`]
+/// impls, and `to_value` / `from_value`. The decoder is strict about this
+/// struct's keys or, after `in`, about those of the message it travels in.
+macro_rules! wire {
+    (@in $name:ident) => { $name };
+    (@in $name:ident $outer:ident) => { $outer };
+    (
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident $(in $outer:ident)? {
+            $($(#[$doc:meta])* $fvis:vis $f:ident: $t:ty = $key:tt $(as $c:ty)?,)*
+        }
+    ) => {
+        $(#[$attr])*
+        #[derive(Clone, Debug, PartialEq)]
+        $vis struct $name {
+            $($(#[$doc])* $fvis $f: $t,)*
+        }
+
+        impl Message for $name {
+            fn known(key: &str) -> bool {
+                $(field!(known key, $t, $key $($c)?))||*
+            }
+            fn write(&self, fields: &mut Fields) {
+                $(field!(put fields, &self.$f, $t, $key $($c)?);)*
+            }
+            fn read(fields: &Fields) -> Decoded<Self> {
+                Ok($name { $($f: field!(get fields, $t, $key $($c)?),)* })
+            }
+        }
+
+        impl Wire<$name> for $name {
+            fn put(v: &$name) -> Value {
+                encode(v)
+            }
+            fn get(v: Option<&Value>, key: &str) -> Decoded<$name> {
+                let v = v.ok_or_else(|| format!("missing {key}"))?;
+                strict::<$name, $name>(v).map_err(|why| format!("{key}: {why}"))
+            }
+        }
+
+        impl $name {
+            /// Encode for the wire.
+            pub fn to_value(&self) -> Value {
+                encode(self)
+            }
+
+            /// Decode from the wire; see the module doc for what is refused.
+            pub fn from_value(v: &Value) -> Result<$name> {
+                decode::<wire!(@in $name $($outer)?), $name>(v, stringify!($name))
+            }
+        }
+    };
+}
+
+/// One RPC method declared once: its struct, its name, its parameters in
+/// order (`name: Type [as WireType]` each; only the last may be left out)
+/// and its reply's type. The slave's stub makes the call with `call`, the
+/// master's handler reads it with `serve`: the layout exists here only.
+macro_rules! method {
+    (
+        $(#[$attr:meta])*
+        $name:ident $method:literal ($($p:ident: $t:ty $(as $c:ty)?),* $(,)?) -> $r:ty
+    ) => {
+        $(#[$attr])*
+        #[derive(Debug, PartialEq)]
+        pub(crate) struct $name {
+            $(pub(crate) $p: $t,)*
+        }
+
+        impl $name {
+            /// The method's name.
+            pub(crate) const METHOD: &'static str = $method;
+            /// Its parameters' names, in order.
+            pub(crate) const PARAMS: &'static [&'static str] = &[$(stringify!($p)),*];
+
+            /// Decode a call's parameters, strictly: a fault on refusal.
+            pub(crate) fn from_params(params: &[Value]) -> std::result::Result<$name, Fault> {
+                let (method, n) = (Self::METHOD, Self::PARAMS.len());
+                if params.len() > n {
+                    let why = format!("{method}: {} parameters, at most {n}", params.len());
+                    return Err((BAD_PARAMS, why));
+                }
+                let mut at = params.iter();
+                Ok($name {
+                    $($p: <field!(@as $t $(, $c)?) as Wire<$t>>::get(at.next(), stringify!($p))
+                        .map_err(|why| {
+                            let fault = <field!(@as $t $(, $c)?) as Wire<$t>>::FAULT;
+                            (fault, format!("{method}: {why}"))
+                        })?,)*
+                })
+            }
+
+            /// The call's positional parameters.
+            pub(crate) fn to_params(&self) -> Vec<Value> {
+                let mut params = Vec::new();
+                $(if !<field!(@as $t $(, $c)?) as Wire<$t>>::omit(&self.$p) {
+                    params.push(<field!(@as $t $(, $c)?) as Wire<$t>>::put(&self.$p));
+                })*
+                params
+            }
+
+            /// Make the call on `client`.
+            pub(crate) fn call(&self, client: &RpcClient) -> Result<$r> {
+                let reply = client.call(Self::METHOD, &self.to_params())?;
+                <$r as Wire<$r>>::get(Some(&reply), "reply")
+                    .map_err(|why| Error::Rpc(format!("{}: {why}", Self::METHOD)))
+            }
+
+            /// Add the method to `rpc`, answering each call with `f`'s reply.
+            pub(crate) fn serve(
+                rpc: RpcDispatch,
+                f: impl Fn($name) -> std::result::Result<$r, Fault> + Send + Sync + 'static,
+            ) -> RpcDispatch {
+                rpc.register(Self::METHOD, move |params| {
+                    f(Self::from_params(params)?).map(|r| <$r as Wire<$r>>::put(&r))
+                })
+            }
+        }
+    };
+}
+
+method! {
+    /// `signin`: a slave joins with its data server's authority, its slot
+    /// count (at least 1) and the protocol version it speaks; the reply is
+    /// its slave id.
+    Signin "signin" (authority: String, slots: usize, version: i64 as Version) -> SlaveId
+}
+
+method! {
+    /// `get_task`: a slave's poll. Its free slots, how long the master may
+    /// park the call when nothing is runnable, its piggybacked completion
+    /// reports, its counter tally since its last poll and its trace delta
+    /// (left out when empty); the reply is an [`Answer`].
+    GetTask "get_task" (
+        slave: SlaveId,
+        free: usize,
+        park_ms: u64,
+        reports: Vec<TaskReport>,
+        counts: JobMetrics,
+        trace: TraceBatch as Omit<TraceBatch>,
+    ) -> Answer
+}
+
+method! {
+    /// `task_failed`: an attempt of task `index` of dataset `data` failed
+    /// with `message`; `failed_input` names the input it could not read, or
+    /// is `""`.
+    TaskFailed "task_failed" (
+        slave: SlaveId,
+        data: u32,
+        index: usize,
+        message: String,
+        failed_input: String,
+        attempt: u32 as Attempt,
+    ) -> bool
+}
 
 /// Whether the master launches speculative backup copies of straggling
 /// tasks (§ speculative execution). When a task wave is nearly drained and
@@ -77,78 +441,19 @@ impl SpeculateMode {
     }
 }
 
-/// Integer field `name` of struct `v`, a `what` message.
-fn int_field(v: &Value, what: &str, name: &str) -> Result<i64> {
-    v.field(name)
-        .and_then(Value::as_int)
-        .ok_or_else(|| Error::Rpc(format!("{what} missing {name}")))
-}
-
-/// The strings of array `items`, the `name` list of a `what` message.
-fn strings(items: &[Value], what: &str, name: &str) -> Result<Vec<String>> {
-    items
-        .iter()
-        .map(|s| s.as_str().map(str::to_owned))
-        .collect::<Option<Vec<_>>>()
-        .ok_or_else(|| Error::Rpc(format!("non-string entry in {what} {name}")))
-}
-
-/// String-array field `name` of struct `v`, a `what` message.
-fn strings_field(v: &Value, what: &str, name: &str) -> Result<Vec<String>> {
-    let items = v
-        .field(name)
-        .and_then(Value::as_array)
-        .ok_or_else(|| Error::Rpc(format!("{what} missing {name}")))?;
-    strings(items, what, name)
-}
-
-/// Attempt ids are 1-based; 0 (or anything that does not fit) on the wire
-/// is a malformed message, not "no attempt tracking".
-pub(crate) fn attempt_id(wire: i64) -> Result<u32> {
-    u32::try_from(wire)
-        .ok()
-        .filter(|&a| a >= 1)
-        .ok_or_else(|| Error::Rpc(format!("attempt id {wire} out of range (ids start at 1)")))
-}
-
-/// A task-completion report, batched on `get_task` calls as the
-/// piggybacked `reports` parameter: one control round trip both returns
-/// finished work and fetches the next batch.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TaskReport {
-    /// Output dataset id the task contributed to.
-    pub data: u32,
-    /// Task index within the dataset.
-    pub index: usize,
-    /// The attempt id the task message carried (never 0).
-    pub attempt: u32,
-    /// Output bucket URLs (one per partition for map, one for reduce).
-    pub urls: Vec<String>,
-}
-
-impl TaskReport {
-    /// Encode for the RPC request.
-    pub fn to_value(&self) -> Value {
-        let mut m = BTreeMap::new();
-        m.insert("data".to_owned(), Value::Int(self.data as i64));
-        m.insert("index".to_owned(), Value::Int(self.index as i64));
-        m.insert("attempt".to_owned(), Value::Int(self.attempt as i64));
-        m.insert(
-            "urls".to_owned(),
-            Value::Array(self.urls.iter().map(|u| Value::Str(u.clone())).collect()),
-        );
-        Value::Struct(m)
-    }
-
-    /// Decode from the RPC request.
-    pub fn from_value(v: &Value) -> Result<TaskReport> {
-        let int = |name| int_field(v, "report", name);
-        Ok(TaskReport {
-            data: int("data")? as u32,
-            index: int("index")? as usize,
-            attempt: attempt_id(int("attempt")?)?,
-            urls: strings_field(v, "report", "urls")?,
-        })
+wire! {
+    /// A task-completion report, batched on `get_task` calls as the
+    /// piggybacked `reports` parameter: one control round trip both returns
+    /// finished work and fetches the next batch.
+    pub struct TaskReport {
+        /// Output dataset id the task contributed to.
+        pub data: u32 = "data",
+        /// Task index within the dataset.
+        pub index: usize = "index",
+        /// The attempt id the task message carried (never 0).
+        pub attempt: u32 = "attempt" as Attempt,
+        /// Output bucket URLs (one per partition for map, one for reduce).
+        pub urls: Vec<String> = "urls",
     }
 }
 
@@ -167,6 +472,53 @@ pub enum Assignment {
     Wait,
     /// The job is over; the slave should exit its loop.
     Exit,
+}
+
+/// On the wire an assignment is the `type` key (`tasks`, `wait` or
+/// `exit`) and, for a batch, the `tasks` key beside it.
+impl Message for Assignment {
+    fn known(key: &str) -> bool {
+        key == "type" || key == "tasks"
+    }
+
+    fn write(&self, fields: &mut Fields) {
+        let kind = match self {
+            Assignment::Tasks(tasks) => {
+                fields.insert("tasks".to_owned(), Vec::put(tasks));
+                "tasks"
+            }
+            Assignment::Wait => "wait",
+            Assignment::Exit => "exit",
+        };
+        fields.insert("type".to_owned(), Value::Str(kind.into()));
+    }
+
+    fn read(fields: &Fields) -> Decoded<Self> {
+        let tasks = fields.get("tasks");
+        match typed(fields.get("type"), "type", Value::as_str)? {
+            "tasks" => match Vec::<TaskMsg>::get(tasks, "tasks")? {
+                tasks if tasks.is_empty() => Err("empty task batch".into()),
+                tasks => Ok(Assignment::Tasks(tasks)),
+            },
+            kind if tasks.is_some() => Err(format!("tasks beside type {kind:?}")),
+            "wait" => Ok(Assignment::Wait),
+            "exit" => Ok(Assignment::Exit),
+            other => Err(format!("unknown type {other:?}")),
+        }
+    }
+}
+
+impl Assignment {
+    /// Encode for the RPC response.
+    pub fn to_value(&self) -> Value {
+        encode(self)
+    }
+
+    /// Decode the assignment of a `get_task` answer, whose other keys may
+    /// sit beside it.
+    pub fn from_value(v: &Value) -> Result<Assignment> {
+        decode::<Answer, Assignment>(v, "Assignment")
+    }
 }
 
 /// What a task does with its input.
@@ -192,21 +544,24 @@ impl TaskKind {
             TaskSpec::ReduceMap { .. } => TaskKind::ReduceMap,
         }
     }
+}
 
-    fn as_str(self) -> &'static str {
-        match self {
+/// A task kind travels as `map`, `reduce` or `reducemap`.
+impl Wire<TaskKind> for TaskKind {
+    fn put(v: &TaskKind) -> Value {
+        let name = match v {
             TaskKind::Map => "map",
             TaskKind::Reduce => "reduce",
             TaskKind::ReduceMap => "reducemap",
-        }
+        };
+        Value::Str(name.into())
     }
-
-    fn parse(s: &str) -> Result<TaskKind> {
-        match s {
+    fn get(v: Option<&Value>, key: &str) -> Decoded<TaskKind> {
+        match typed(v, key, Value::as_str)? {
             "map" => Ok(TaskKind::Map),
             "reduce" => Ok(TaskKind::Reduce),
             "reducemap" => Ok(TaskKind::ReduceMap),
-            other => Err(Error::Rpc(format!("unknown task kind {other:?}"))),
+            other => Err(format!("unknown {key} {other:?}")),
         }
     }
 }
@@ -220,30 +575,31 @@ pub(crate) fn trace_op(spec: &TaskSpec) -> mrs_trace::Op {
     }
 }
 
-/// A task assignment.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TaskMsg {
-    /// Output dataset id the task contributes to.
-    pub data: u32,
-    /// Task index within the dataset.
-    pub index: usize,
-    /// What the task does with its input.
-    pub kind: TaskKind,
-    /// Program function id (the reduce function for fused tasks).
-    pub func: u32,
-    /// Map function id for fused `ReduceMap` tasks; 0 otherwise.
-    pub map_func: u32,
-    /// Output partitions (map-like only; 1 for reduce).
-    pub parts: usize,
-    /// Run the combiner after mapping.
-    pub combine: bool,
-    /// Attempt id (1-based, unique per master): echoed back in the
-    /// completion report so the master can reject reports from attempts
-    /// that have since been cancelled or superseded — also from a life of
-    /// the task before its dataset was reclaimed and rebuilt.
-    pub attempt: u32,
-    /// Input bucket URLs.
-    pub inputs: Vec<String>,
+wire! {
+    /// A task assignment.
+    pub struct TaskMsg {
+        /// Output dataset id the task contributes to.
+        pub data: u32 = "data",
+        /// Task index within the dataset.
+        pub index: usize = "index",
+        /// What the task does with its input.
+        pub kind: TaskKind = "kind",
+        /// Program function id (the reduce function for fused tasks).
+        pub func: u32 = "func",
+        /// Map function id for fused `ReduceMap` tasks; 0 otherwise.
+        pub map_func: u32 = "map_func",
+        /// Output partitions (map-like only; 1 for reduce).
+        pub parts: usize = "parts",
+        /// Run the combiner after mapping.
+        pub combine: bool = "combine",
+        /// Attempt id (1-based, unique per master): echoed back in the
+        /// completion report so the master can reject reports from attempts
+        /// that have since been cancelled or superseded — also from a life of
+        /// the task before its dataset was reclaimed and rebuilt.
+        pub attempt: u32 = "attempt" as Attempt,
+        /// Input bucket URLs.
+        pub inputs: Vec<String> = "inputs",
+    }
 }
 
 impl TaskMsg {
@@ -284,135 +640,23 @@ impl TaskMsg {
             },
         }
     }
-
-    /// Encode for the RPC response.
-    pub fn to_value(&self) -> Value {
-        let mut m = BTreeMap::new();
-        m.insert("data".to_owned(), Value::Int(self.data as i64));
-        m.insert("index".to_owned(), Value::Int(self.index as i64));
-        m.insert("kind".to_owned(), Value::Str(self.kind.as_str().into()));
-        m.insert("func".to_owned(), Value::Int(self.func as i64));
-        m.insert("map_func".to_owned(), Value::Int(self.map_func as i64));
-        m.insert("parts".to_owned(), Value::Int(self.parts as i64));
-        m.insert("combine".to_owned(), Value::Bool(self.combine));
-        m.insert("attempt".to_owned(), Value::Int(self.attempt as i64));
-        m.insert(
-            "inputs".to_owned(),
-            Value::Array(self.inputs.iter().map(|u| Value::Str(u.clone())).collect()),
-        );
-        Value::Struct(m)
-    }
-
-    /// Decode from the RPC response; every key `to_value` writes is
-    /// required.
-    pub fn from_value(v: &Value) -> Result<TaskMsg> {
-        let int = |name| int_field(v, "assignment", name);
-        let kind = v
-            .field("kind")
-            .and_then(Value::as_str)
-            .ok_or_else(|| Error::Rpc("assignment missing kind".into()))?;
-        let combine = match v.field("combine") {
-            Some(Value::Bool(b)) => *b,
-            _ => return Err(Error::Rpc("assignment missing combine".into())),
-        };
-        Ok(TaskMsg {
-            data: int("data")? as u32,
-            index: int("index")? as usize,
-            kind: TaskKind::parse(kind)?,
-            func: int("func")? as u32,
-            map_func: int("map_func")? as u32,
-            parts: int("parts")? as usize,
-            combine,
-            attempt: attempt_id(int("attempt")?)?,
-            inputs: strings_field(v, "assignment", "inputs")?,
-        })
-    }
 }
 
-impl Assignment {
-    /// Encode for the RPC response.
-    pub fn to_value(&self) -> Value {
-        let mut m = BTreeMap::new();
-        match self {
-            Assignment::Wait => {
-                m.insert("type".to_owned(), Value::Str("wait".into()));
-            }
-            Assignment::Exit => {
-                m.insert("type".to_owned(), Value::Str("exit".into()));
-            }
-            Assignment::Tasks(tasks) => {
-                m.insert("type".to_owned(), Value::Str("tasks".into()));
-                m.insert(
-                    "tasks".to_owned(),
-                    Value::Array(tasks.iter().map(TaskMsg::to_value).collect()),
-                );
-            }
-        }
-        Value::Struct(m)
-    }
-
-    /// Decode from the RPC response.
-    pub fn from_value(v: &Value) -> Result<Assignment> {
-        let ty = v
-            .field("type")
-            .and_then(Value::as_str)
-            .ok_or_else(|| Error::Rpc("assignment missing type".into()))?;
-        match ty {
-            "wait" => Ok(Assignment::Wait),
-            "exit" => Ok(Assignment::Exit),
-            "tasks" => {
-                let tasks = v
-                    .field("tasks")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| Error::Rpc("assignment missing tasks".into()))?
-                    .iter()
-                    .map(TaskMsg::from_value)
-                    .collect::<Result<Vec<_>>>()?;
-                if tasks.is_empty() {
-                    return Err(Error::Rpc("empty task batch".into()));
-                }
-                Ok(Assignment::Tasks(tasks))
-            }
-            other => Err(Error::Rpc(format!("unknown assignment type {other:?}"))),
-        }
-    }
-}
-
-/// An order to abort a specific running attempt: piggybacked on the
-/// `Dispatch` response to the slave that is running an attempt which lost
-/// the first-completion race (or whose task became moot). The slave sets
-/// the attempt's cancellation flag — checked at kernel record/group
-/// boundaries — and silently discards the partial output, freeing the slot
-/// without reporting. An order that arrives too late to stop the attempt
-/// costs nothing: its stale report is rejected by attempt id.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CancelOrder {
-    /// Output dataset id of the task.
-    pub data: u32,
-    /// Task index within the dataset.
-    pub index: usize,
-    /// The specific attempt to abort (never 0).
-    pub attempt: u32,
-}
-
-impl CancelOrder {
-    /// Encode for the RPC response.
-    pub fn to_value(&self) -> Value {
-        let mut m = BTreeMap::new();
-        m.insert("data".to_owned(), Value::Int(self.data as i64));
-        m.insert("index".to_owned(), Value::Int(self.index as i64));
-        m.insert("attempt".to_owned(), Value::Int(self.attempt as i64));
-        Value::Struct(m)
-    }
-
-    /// Decode from the RPC response.
-    pub fn from_value(v: &Value) -> Result<CancelOrder> {
-        let int = |name| int_field(v, "cancel order", name);
-        Ok(CancelOrder {
-            data: int("data")? as u32,
-            index: int("index")? as usize,
-            attempt: attempt_id(int("attempt")?)?,
-        })
+wire! {
+    /// An order to abort a specific running attempt: piggybacked on the
+    /// `Dispatch` response to the slave that is running an attempt which lost
+    /// the first-completion race (or whose task became moot). The slave sets
+    /// the attempt's cancellation flag — checked at kernel record/group
+    /// boundaries — and silently discards the partial output, freeing the slot
+    /// without reporting. An order that arrives too late to stop the attempt
+    /// costs nothing: its stale report is rejected by attempt id.
+    pub struct CancelOrder {
+        /// Output dataset id of the task.
+        pub data: u32 = "data",
+        /// Task index within the dataset.
+        pub index: usize = "index",
+        /// The specific attempt to abort (never 0).
+        pub attempt: u32 = "attempt" as Attempt,
     }
 }
 
@@ -421,23 +665,25 @@ impl CancelOrder {
 /// `kind`, `name`, `op` codes one byte each.
 const EVENT_RECORD: usize = 27;
 
-/// A batch of trace events piggybacked on a `get_task` call: the slave
-/// drains its recorder every poll and ships the delta, so tracing costs
-/// zero extra RPCs. `sent_at_us` is the slave's clock at send time and
-/// `rtt_us` the slave-measured round trip of its *previous* poll (0 =
-/// not yet known); together they let the master fit a clock offset
-/// ([`mrs_trace::ClockSync`]) and map the events onto its own timeline.
-/// An empty batch (tracing off, or nothing recorded) is not sent at all.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TraceBatch {
-    /// Slave recorder clock (µs since its epoch) when the batch was sent.
-    pub sent_at_us: u64,
-    /// Slave-measured RTT of the previous `get_task` call (0 = unknown).
-    pub rtt_us: u64,
-    /// Events lost to ring-buffer overflow since the last batch.
-    pub dropped: u64,
-    /// The drained events, time-sorted on the slave's clock.
-    pub events: Vec<mrs_trace::Event>,
+wire! {
+    /// A batch of trace events piggybacked on a `get_task` call: the slave
+    /// drains its recorder every poll and ships the delta, so tracing costs
+    /// zero extra RPCs. `sent_at_us` is the slave's clock at send time and
+    /// `rtt_us` the slave-measured round trip of its *previous* poll (0 =
+    /// not yet known); together they let the master fit a clock offset
+    /// ([`mrs_trace::ClockSync`]) and map the events onto its own timeline.
+    /// An empty batch (tracing off, or nothing recorded) is not sent at all.
+    #[derive(Default)]
+    pub struct TraceBatch {
+        /// Slave recorder clock (µs since its epoch) when the batch was sent.
+        pub sent_at_us: u64 = "sent_at",
+        /// Slave-measured RTT of the previous `get_task` call (0 = unknown).
+        pub rtt_us: u64 = "rtt",
+        /// Events lost to ring-buffer overflow since the last batch.
+        pub dropped: u64 = "dropped",
+        /// The drained events, time-sorted on the slave's clock.
+        pub events: Vec<Event> = "events" as Events,
+    }
 }
 
 impl TraceBatch {
@@ -445,18 +691,26 @@ impl TraceBatch {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty() && self.dropped == 0
     }
+}
 
-    /// Encode for the RPC request. The events travel as one `<base64>`
-    /// blob of [`EVENT_RECORD`]-byte records rather than XML values: a
-    /// busy poll ships dozens of events, and an `<int>` element per field
-    /// made the trace delta the bulk of the request.
-    pub fn to_value(&self) -> Value {
-        let mut m = BTreeMap::new();
-        m.insert("sent_at".to_owned(), Value::Int(self.sent_at_us as i64));
-        m.insert("rtt".to_owned(), Value::Int(self.rtt_us as i64));
-        m.insert("dropped".to_owned(), Value::Int(self.dropped as i64));
-        let mut blob = Vec::with_capacity(self.events.len() * EVENT_RECORD);
-        for e in &self.events {
+impl Empty for TraceBatch {
+    fn is_empty(&self) -> bool {
+        TraceBatch::is_empty(self)
+    }
+}
+
+/// The events of a [`TraceBatch`]: one `<base64>` blob of
+/// [`EVENT_RECORD`]-byte records rather than XML values, since a busy poll
+/// ships dozens of events and an `<int>` element per field made the trace
+/// delta the bulk of the request. Tracing is best-effort observability:
+/// an event with an unknown kind/name/op code is skipped rather than
+/// failing the whole dispatch; only a blob cut mid-record is an error.
+pub(crate) struct Events;
+
+impl Wire<Vec<Event>> for Events {
+    fn put(events: &Vec<Event>) -> Value {
+        let mut blob = Vec::with_capacity(events.len() * EVENT_RECORD);
+        for e in events {
             blob.extend_from_slice(&e.at_us.to_le_bytes());
             blob.extend_from_slice(&e.lane.to_le_bytes());
             blob.extend_from_slice(&e.tag.data.to_le_bytes());
@@ -464,25 +718,14 @@ impl TraceBatch {
             blob.extend_from_slice(&e.tag.attempt.to_le_bytes());
             blob.extend_from_slice(&[e.kind.code(), e.name.code(), e.tag.op.code()]);
         }
-        m.insert("events".to_owned(), Value::Bytes(blob));
-        Value::Struct(m)
+        Value::Bytes(blob)
     }
 
-    /// Decode from the RPC request. Tracing is best-effort observability:
-    /// an event with an unknown kind/name/op code is skipped rather than
-    /// failing the whole dispatch; only a structurally malformed batch is
-    /// an error.
-    pub fn from_value(v: &Value) -> Result<TraceBatch> {
-        let int = |name| int_field(v, "trace batch", name);
-        let blob = v
-            .field("events")
-            .and_then(Value::as_bytes)
-            .ok_or_else(|| Error::Rpc("trace batch missing events".into()))?;
+    fn get(v: Option<&Value>, key: &str) -> Decoded<Vec<Event>> {
+        let blob = typed(v, key, Value::as_bytes)?;
         if blob.len() % EVENT_RECORD != 0 {
-            return Err(Error::Rpc(format!(
-                "trace event blob of {} bytes is not a multiple of {EVENT_RECORD}",
-                blob.len()
-            )));
+            let n = blob.len();
+            return Err(format!("{key} blob of {n} bytes is not a multiple of {EVENT_RECORD}"));
         }
         let u32_at = |r: &[u8], at: usize| {
             u32::from_le_bytes(r[at..at + 4].try_into().expect("four-byte slice"))
@@ -496,7 +739,7 @@ impl TraceBatch {
             ) else {
                 continue;
             };
-            events.push(mrs_trace::Event {
+            events.push(Event {
                 at_us: u64::from_le_bytes(r[..8].try_into().expect("eight-byte slice")),
                 kind,
                 name,
@@ -509,118 +752,90 @@ impl TraceBatch {
                 },
             });
         }
-        Ok(TraceBatch {
-            sent_at_us: int("sent_at")? as u64,
-            rtt_us: int("rtt")? as u64,
-            dropped: int("dropped")? as u64,
-            events,
-        })
+        Ok(events)
     }
 }
 
-/// Encode a slave's counter tally for `get_task` (its fifth parameter):
-/// a struct of one non-negative int per *nonzero* counter, keyed by the
-/// counter's `JobMetrics` accessor name — microseconds for a time
-/// counter. An idle poll's tally is the empty struct.
+/// A slave's counter tally travels, as `get_task`'s `counts`, as a struct of one
+/// non-negative int per *nonzero* counter, keyed by the counter's
+/// `JobMetrics` accessor name — microseconds for a time counter. An idle
+/// poll's tally is the empty struct. Strict: a name no counter has, or a
+/// value that is not a non-negative int, is an error.
+impl Wire<JobMetrics> for JobMetrics {
+    fn put(tally: &JobMetrics) -> Value {
+        let int = |v: u64| Value::Int(i64::try_from(v).unwrap_or(i64::MAX));
+        let nonzero = Counter::ALL.iter().filter(|&&c| tally.get(c) > 0);
+        Value::Struct(nonzero.map(|&c| (c.name().to_owned(), int(tally.get(c)))).collect())
+    }
+
+    fn get(v: Option<&Value>, key: &str) -> Decoded<JobMetrics> {
+        let fields = typed(v, key, |v| if let Value::Struct(f) = v { Some(f) } else { None })?;
+        let mut tally = JobMetrics::default();
+        for (name, value) in fields {
+            let c =
+                Counter::named(name).ok_or_else(|| format!("unknown counter {name:?} in {key}"))?;
+            let n = value
+                .as_int()
+                .and_then(|n| u64::try_from(n).ok())
+                .ok_or_else(|| format!("counter {name} is not a non-negative int"))?;
+            // One key per counter: adding to zero sets every kind alike.
+            tally.add(c, n);
+        }
+        Ok(tally)
+    }
+}
+
+/// Encode a slave's counter tally.
 pub fn counts_value(tally: &JobMetrics) -> Value {
-    let int = |v: u64| Value::Int(i64::try_from(v).unwrap_or(i64::MAX));
-    let nonzero = Counter::ALL.iter().filter(|&&c| tally.get(c) > 0);
-    Value::Struct(nonzero.map(|&c| (c.name().to_owned(), int(tally.get(c)))).collect())
+    <JobMetrics as Wire<_>>::put(tally)
 }
 
-/// Decode a [`counts_value`] tally. Strict: anything but a struct of
-/// known counter names mapped to non-negative ints is an error.
+/// Decode a [`counts_value`] tally, strictly.
 pub fn counts_from_value(v: &Value) -> Result<JobMetrics> {
-    let Value::Struct(fields) = v else {
-        return Err(Error::Rpc("counts is not a struct".into()));
-    };
-    let mut tally = JobMetrics::default();
-    for (name, value) in fields {
-        let c = Counter::named(name)
-            .ok_or_else(|| Error::Rpc(format!("unknown counter {name:?} in counts")))?;
-        let n = value
-            .as_int()
-            .and_then(|n| u64::try_from(n).ok())
-            .ok_or_else(|| Error::Rpc(format!("counter {name} is not a non-negative int")))?;
-        // One key per counter: adding to zero sets every kind alike.
-        tally.add(c, n);
-    }
-    Ok(tally)
+    <JobMetrics as Wire<_>>::get(Some(v), "counts").map_err(Error::Rpc)
 }
 
-/// A full `get_task` answer: the assignment plus lifetime-GC purge
-/// orders and attempt-cancellation orders. `purge` lists output-path
-/// prefixes whose datasets have no remaining consumers; the slave drops
-/// the matching frames from its cache before it queues the answer's
-/// tasks. `cancel` lists attempts this slave should abort cooperatively.
-/// Both ride as extra keys on the assignment struct, each written only
-/// when non-empty.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Dispatch {
-    /// What to run (or wait/exit).
-    pub assignment: Assignment,
-    /// Frame-cache path prefixes to drop.
-    pub purge: Vec<String>,
-    /// Always empty, and neither encoded nor decoded: the eager shuffle
-    /// that filled it is gone. Kept only because the repo benchmark
-    /// builds a `Dispatch` naming it (`bench/src/layers.rs:84`).
-    pub eager: Vec<std::convert::Infallible>,
-    /// Running attempts to abort.
-    pub cancel: Vec<CancelOrder>,
+wire! {
+    /// What a `get_task` answer carries beside its `more` hint: the
+    /// assignment plus lifetime-GC purge orders and attempt-cancellation
+    /// orders. `purge` lists output-path prefixes whose datasets have no
+    /// remaining consumers; the slave drops the matching buckets from its
+    /// output table before it queues the answer's tasks. `cancel` lists
+    /// attempts this slave should abort cooperatively. Both ride as extra
+    /// keys on the assignment struct, each written only when non-empty.
+    /// Decoding reads an answer's dispatch: `more` may sit beside it.
+    pub struct Dispatch in Answer {
+        /// What to run (or wait/exit).
+        pub assignment: Assignment = *,
+        /// Output-path prefixes whose buckets the slave drops.
+        pub purge: Vec<String> = "purge" as Omit<Vec<String>>,
+        /// Always empty, and neither encoded nor decoded: the eager shuffle
+        /// that filled it is gone. Kept only because the repo benchmark
+        /// builds a `Dispatch` naming it (`bench/src/layers.rs:84`).
+        pub eager: Vec<std::convert::Infallible> = _,
+        /// Running attempts to abort.
+        pub cancel: Vec<CancelOrder> = "cancel" as Omit<Vec<CancelOrder>>,
+    }
+}
+
+wire! {
+    /// A whole `get_task` answer: the dispatch and, as one more key of the
+    /// same struct, the hint `more` of [`crate::Master::poll`].
+    pub(crate) struct Answer {
+        pub(crate) dispatch: Dispatch = *,
+        pub(crate) more: bool = "more",
+    }
 }
 
 impl Dispatch {
-    /// Encode for the RPC response.
-    pub fn to_value(&self) -> Value {
-        let mut v = self.assignment.to_value();
-        if let Value::Struct(m) = &mut v {
-            if !self.purge.is_empty() {
-                m.insert(
-                    "purge".to_owned(),
-                    Value::Array(self.purge.iter().map(|p| Value::Str(p.clone())).collect()),
-                );
-            }
-            if !self.cancel.is_empty() {
-                m.insert(
-                    "cancel".to_owned(),
-                    Value::Array(self.cancel.iter().map(CancelOrder::to_value).collect()),
-                );
-            }
-        }
-        v
-    }
-
-    /// Decode from the RPC response. A missing `purge` or `cancel` key
-    /// means nothing to drop or abort.
-    pub fn from_value(v: &Value) -> Result<Dispatch> {
-        let assignment = Assignment::from_value(v)?;
-        let purge = match v.field("purge").and_then(Value::as_array) {
-            Some(items) => strings(items, "dispatch", "purge")?,
-            None => Vec::new(),
-        };
-        let cancel = match v.field("cancel").and_then(Value::as_array) {
-            Some(items) => items.iter().map(CancelOrder::from_value).collect::<Result<Vec<_>>>()?,
-            None => Vec::new(),
-        };
-        Ok(Dispatch { assignment, purge, eager: Vec::new(), cancel })
-    }
-
-    /// Encode a whole `get_task` answer: this dispatch and, as one more key
-    /// of the same struct, the hint `more` of [`crate::Master::poll`].
+    /// Encode a whole `get_task` answer: this dispatch and `more`.
     pub fn answer_value(&self, more: bool) -> Value {
-        let mut v = self.to_value();
-        if let Value::Struct(m) = &mut v {
-            m.insert("more".to_owned(), Value::Bool(more));
-        }
-        v
+        Answer { dispatch: self.clone(), more }.to_value()
     }
 
     /// Decode a whole `get_task` answer (`more` is always written).
     pub fn from_answer(v: &Value) -> Result<(Dispatch, bool)> {
-        match v.field("more") {
-            Some(&Value::Bool(more)) => Ok((Dispatch::from_value(v)?, more)),
-            _ => Err(Error::Rpc("dispatch missing more".into())),
-        }
+        Answer::from_value(v).map(|a| (a.dispatch, a.more))
     }
 }
 
@@ -847,11 +1062,90 @@ mod tests {
             ["attempt", "combine", "data", "func", "index", "inputs", "kind", "map_func", "parts"]
         );
         assert_eq!(TaskMsg::from_value(&Value::Struct(m.clone())).unwrap(), t);
-        for key in keys {
+        assert_strict(&t.to_value(), |v| TaskMsg::from_value(v).map(drop), &[]);
+    }
+
+    /// A message decoder, its result dropped.
+    type Decode = fn(&Value) -> Result<()>;
+
+    /// `decode` reads `value`, and refuses it, naming the key, with any
+    /// one of its keys dropped (but those `optional`) or with a key added
+    /// that the message does not declare.
+    fn assert_strict(value: &Value, decode: Decode, optional: &[&str]) {
+        decode(value).unwrap();
+        let Value::Struct(m) = value else { panic!("a message is a struct") };
+        for key in m.keys() {
             let mut without = m.clone();
             without.remove(key);
-            let err = TaskMsg::from_value(&Value::Struct(without)).unwrap_err();
-            assert!(err.to_string().contains(key), "dropping {key}: {err}");
+            match decode(&Value::Struct(without)) {
+                Err(e) => assert!(e.to_string().contains(key.as_str()), "dropping {key}: {e}"),
+                Ok(()) => assert!(optional.contains(&key.as_str()), "{key} is not required"),
+            }
+        }
+        let mut extra = m.clone();
+        extra.insert("attempts".to_owned(), Value::Int(1));
+        let err = decode(&Value::Struct(extra)).unwrap_err().to_string();
+        assert!(err.contains("unknown key \"attempts\""), "{err}");
+    }
+
+    /// Every declared message requires each key its encoder always writes
+    /// and refuses a key it does not declare, naming it; the methods
+    /// likewise refuse a short call (but for the trace left out) and a
+    /// surplus parameter.
+    #[test]
+    fn every_message_requires_its_keys_and_refuses_others() {
+        let task = TaskMsg::new(2, 3, &TaskSpec::Reduce { func: 1 }, 4, vec!["file://a".into()]);
+        let report = TaskReport { data: 2, index: 3, attempt: 4, urls: vec!["file://b".into()] };
+        let cancel = CancelOrder { data: 2, index: 3, attempt: 4 };
+        let trace = TraceBatch { sent_at_us: 9, rtt_us: 8, dropped: 7, events: vec![] };
+        let dispatch = Dispatch {
+            assignment: Assignment::Tasks(vec![task.clone()]),
+            purge: vec!["s0/d1/".into()],
+            eager: vec![],
+            cancel: vec![cancel.clone()],
+        };
+        let optional: &[&str] = &["purge", "cancel"];
+        let messages: [(Value, Decode, &[&str]); 6] = [
+            (task.to_value(), |v| TaskMsg::from_value(v).map(drop), &[]),
+            (report.to_value(), |v| TaskReport::from_value(v).map(drop), &[]),
+            (cancel.to_value(), |v| CancelOrder::from_value(v).map(drop), &[]),
+            (trace.to_value(), |v| TraceBatch::from_value(v).map(drop), &[]),
+            (dispatch.to_value(), |v| Dispatch::from_value(v).map(drop), optional),
+            (dispatch.answer_value(false), |v| Dispatch::from_answer(v).map(drop), optional),
+        ];
+        for (value, decode, optional) in &messages {
+            assert_strict(value, *decode, optional);
+        }
+
+        let signin = Signin { authority: "h:1".into(), slots: 2, version: PROTOCOL_VERSION };
+        let get_task = GetTask {
+            slave: 1,
+            free: 2,
+            park_ms: 3,
+            reports: vec![report],
+            counts: JobMetrics::default(),
+            trace,
+        };
+        let failed = TaskFailed {
+            slave: 1,
+            data: 2,
+            index: 3,
+            message: "m".into(),
+            failed_input: String::new(),
+            attempt: 4,
+        };
+        type Decodes = fn(&[Value]) -> bool;
+        let calls: [(Vec<Value>, Decodes, usize); 3] = [
+            (signin.to_params(), |p| Signin::from_params(p).is_ok(), 3),
+            (get_task.to_params(), |p| GetTask::from_params(p).is_ok(), 5),
+            (failed.to_params(), |p| TaskFailed::from_params(p).is_ok(), 6),
+        ];
+        for (full, decodes, required) in calls {
+            for given in 0..=full.len() {
+                assert_eq!(decodes(&full[..given]), given >= required, "{given} of {full:?}");
+            }
+            let surplus: Vec<Value> = full.iter().cloned().chain([Value::Int(0)]).collect();
+            assert!(!decodes(&surplus), "a surplus parameter: {surplus:?}");
         }
     }
 
