@@ -66,16 +66,11 @@ pub(crate) fn partition_runs<'a>(
 ) -> Vec<Arc<Bucket>> {
     let t0 = std::time::Instant::now();
     let runs: Vec<Arc<Bucket>> = tasks.map(|task| Arc::clone(&task[p])).collect();
-    record_runs(&runs, t0, metrics);
-    runs
-}
-
-/// Count the merge runs one reduce-like task was handed, gathered since
-/// `t0`. In-process runs come straight off the map kernels, which
-/// guarantee sorted output, so every run counts as presorted.
-pub(crate) fn record_runs(runs: &[Arc<Bucket>], t0: std::time::Instant, metrics: &mut JobMetrics) {
+    // In-process runs come straight off the map kernels, which guarantee
+    // sorted output, so every run counts as presorted.
     let records = runs.iter().map(|r| r.len()).sum();
     count_merge_input(metrics, runs.len(), runs.len(), records, t0);
+    runs
 }
 
 /// Count one reduce-like task's input, on any plane: `runs` merge runs,

@@ -14,6 +14,15 @@
 //!   shared filesystem, task→slave affinity, operation pipelining, and
 //!   slave-failure recovery,
 //!
+//! The pool, mock parallel and the slave run every task attempt through
+//! one worker loop (`workers`, crate-private): gather the attempt's
+//! inputs, run the task kernel under its cancel flag, store the outputs,
+//! trace the attempt in one span shape, hand the outcome back. Each plane
+//! supplies only a *source* — the pool's claim under its scheduler lock,
+//! the slave's queue of fetched assignments — and a *sink* — the pool's
+//! commit, the slave's report to the master. The serial plane stays
+//! apart: it is the reference the others are checked against.
+//!
 //! The distributed runtime is capacity-aware: each slave advertises
 //! `slots + 1` at signin ([`SlaveOptions::slots`] compute workers plus
 //! one prefetch buffer) and asks for up to its free capacity per poll.
@@ -60,6 +69,7 @@ mod plan;
 pub mod proto;
 pub mod serial;
 pub mod slave;
+mod workers;
 
 pub use cli::{main_with, CliOptions, Implementation};
 pub use data::DataId;

@@ -12,31 +12,31 @@
 //!   the paper's mock parallel implementation.
 //! * `LocalRuntime::pool(program, n)` — N worker threads, in-memory.
 //!
+//! The workers are the slave's (the crate-private `workers`): this
+//! module is only their source — a claim of the oldest runnable task
+//! under the scheduler lock — and their sink — the commit that publishes
+//! a task's outputs. Mock-parallel's spill is the workers' store step, as
+//! on the shared-filesystem plane.
+//!
 //! Speculative execution (`--mrs-speculate`) is deliberately a no-op on
 //! both of these planes: in a single process there is no "slow machine"
 //! for a backup attempt to dodge, every task here runs exactly once, and
 //! output stays byte-identical to the distributed planes with speculation
 //! on or off (the implementations-agree oracle enforces it).
 
-use crate::data::{count_task, materialize, record_runs, split_buckets, DataId};
+use crate::data::{count_task, materialize, split_buckets, DataId};
 use crate::job::JobApi;
 use crate::metrics::{Counter, JobMetrics};
 use crate::plan::Plan;
 use crate::proto::trace_op;
+use crate::workers::{Attempt, Done, Input, Plane, Workers};
 use mrs_codec::CompressMode;
-use mrs_core::task::run_task;
 use mrs_core::{Bucket, Error, FuncId, Program, Record, Result, TaskSpec};
-use mrs_fs::format::write_bucket;
 use mrs_fs::Store;
 use mrs_trace::{JobTrace, Name, Recorder, Tag, TraceHandle};
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// A finished task's output buckets: `parts` of them for a map-like
-/// task, the one output split for a reduce task. Shared by reference
-/// count with every task that reads them.
-type TaskOut = Vec<Arc<Bucket>>;
 
 struct State {
     /// The task graph. All this executor adds to a task is whether a
@@ -50,16 +50,18 @@ struct State {
 struct Shared {
     state: Mutex<State>,
     cv: Condvar,
-    program: Arc<dyn Program>,
-    spill: Option<Arc<dyn Store>>,
-    spill_compress: CompressMode,
+    /// Mock-parallel: each map-output bucket a reduce task receives is an
+    /// in-memory handover of data that the distributed runtime would fetch
+    /// over a socket — counted as a short-circuit fetch so mock-parallel
+    /// metrics mirror colocated fetches.
+    count_handover: bool,
     trace: Recorder,
 }
 
 /// The local (mock-parallel / thread-pool) runtime.
 pub struct LocalRuntime {
     shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
+    workers: Option<JoinHandle<Result<()>>>,
 }
 
 impl LocalRuntime {
@@ -76,20 +78,19 @@ impl LocalRuntime {
         store: Arc<dyn Store>,
         compress: CompressMode,
     ) -> Self {
-        Self::build(program, 1, Some(store), compress)
+        Self::build(program, 1, Some((store, compress)))
     }
 
     /// Thread-pool parallelism with `workers` threads, in-memory data.
     pub fn pool(program: Arc<dyn Program>, workers: usize) -> Self {
         assert!(workers > 0, "need at least one worker");
-        Self::build(program, workers, None, CompressMode::default())
+        Self::build(program, workers, None)
     }
 
     fn build(
         program: Arc<dyn Program>,
-        workers: usize,
-        spill: Option<Arc<dyn Store>>,
-        spill_compress: CompressMode,
+        slots: usize,
+        spill: Option<(Arc<dyn Store>, CompressMode)>,
     ) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
@@ -99,21 +100,21 @@ impl LocalRuntime {
                 metrics: JobMetrics::default(),
             }),
             cv: Condvar::new(),
-            program,
-            spill,
-            spill_compress,
+            count_handover: spill.is_some(),
             trace: Recorder::new(),
         });
-        let workers = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("mrs-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, i as u32))
-                    .expect("spawn worker")
-            })
-            .collect();
-        LocalRuntime { shared, workers }
+        let workers = {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("mrs-workers".into())
+                .spawn(move || {
+                    let store = spill.as_ref().map(|(store, compress)| (&**store, *compress));
+                    let trace = Some(&shared.trace);
+                    Workers { program: program.as_ref(), store, slots, trace }.run(&*shared)
+                })
+                .expect("spawn workers")
+        };
+        LocalRuntime { shared, workers: Some(workers) }
     }
 
     /// Metrics accumulated so far.
@@ -137,74 +138,62 @@ impl Drop for LocalRuntime {
             st.shutdown = true;
         }
         self.shared.cv.notify_all();
-        for w in self.workers.drain(..) {
+        if let Some(w) = self.workers.take() {
             let _ = w.join();
         }
     }
 }
 
-/// Claim the oldest runnable task no worker has yet and take its input
-/// (under the lock: O(1) per split or run, never per record; execution
-/// happens outside it). In spill mode (`count_handover`) each map-output
-/// bucket a reduce task receives is an in-memory handover of data that
-/// the distributed runtime would fetch over a socket — counted as a
-/// short-circuit fetch so mock-parallel metrics mirror colocated fetches.
-fn claim(st: &mut State, count_handover: bool) -> Option<(DataId, usize, TaskSpec, TaskOut)> {
-    let (data, index, op) = st.plan.runnable().find(|(_, i, op)| !op.tasks()[*i].x)?;
-    let spec = op.spec;
-    *st.plan.x_mut(data, index).expect("a runnable task") = true;
-    let t0 = std::time::Instant::now();
-    let input = st.plan.input(data, index);
-    if spec.gathers() {
-        record_runs(&input, t0, &mut st.metrics);
-        if count_handover {
-            st.metrics.add(Counter::ShortcircuitFetches, input.len() as u64);
-        }
-    }
-    Some((data, index, spec, input))
-}
+impl Plane for Shared {
+    type Task = (DataId, usize);
 
-fn worker_loop(shared: &Shared, lane: u32) {
-    let th = shared.trace.handle(lane);
-    loop {
-        let (picked_us, (data, index, spec, input)) = {
-            let mut st = shared.state.lock();
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                let picked_us = th.now_us();
-                if let Some(work) = claim(&mut st, shared.spill.is_some()) {
-                    break (picked_us, work);
-                }
-                shared.cv.wait(&mut st);
+    /// Claim the oldest runnable task no worker has yet and take its input
+    /// (under the lock: O(1) per split or run, never per record; execution
+    /// happens outside it).
+    fn next(&self, th: Option<&TraceHandle>) -> Option<Attempt<(DataId, usize)>> {
+        let mut st = self.state.lock();
+        let (data, index, spec) = loop {
+            if st.shutdown {
+                return None;
             }
+            let unclaimed = st.plan.runnable().find(|(_, i, op)| !op.tasks()[*i].x);
+            if let Some((data, index, op)) = unclaimed {
+                break (data, index, op.spec);
+            }
+            self.cv.wait(&mut st);
         };
-
-        // The attempt reaches back to when the task was claimed, so the
-        // gathered-input window (the in-memory shuffle handover, taken
-        // under the scheduler lock) is on the timeline too.
-        let tag = Tag::task(trace_op(&spec), data.0, index, 1);
-        th.begin_at(picked_us, Name::Attempt, tag);
-        if spec.gathers() {
-            th.begin_at(picked_us, Name::Merge, tag);
-            th.end(Name::Merge, tag);
+        // The attempt reaches back to the claim, so the handover of its
+        // input is on the timeline too.
+        let since_us = th.map_or(0, TraceHandle::now_us);
+        *st.plan.x_mut(data, index).expect("a runnable task") = true;
+        let inputs: Vec<Input> = st.plan.input(data, index).into_iter().map(Input::Own).collect();
+        if self.count_handover && spec.gathers() {
+            st.metrics.add(Counter::ShortcircuitFetches, inputs.len() as u64);
         }
-        th.instant(Name::Dispatch, tag);
+        let tag = Tag::task(trace_op(&spec), data.0, index, 1);
+        if let Some(h) = th {
+            h.instant(Name::Dispatch, tag);
+        }
+        Some(Attempt { task: (data, index), spec, tag, since_us, inputs, cancel: None })
+    }
 
-        let t0 = std::time::Instant::now();
-        let outcome = execute(shared, &spec, &input, &th, tag);
+    fn stem(&self, tag: &Tag) -> String {
+        format!("ds{}/{}{}", tag.data, tag.op.as_str(), tag.index)
+    }
 
-        // The attempt ends and reports in the critical section that
-        // publishes its completion: once `wait` sees the dataset
-        // complete, every event of its tasks is already in the trace.
-        let mut st = shared.state.lock();
-        th.end(Name::Attempt, tag);
+    fn finish(&self, done: Done<(DataId, usize)>, th: Option<&TraceHandle>) -> Result<()> {
+        let Done { task: (data, index), spec, tag, outcome, elapsed, tally } = done;
+        // Reported before the lock is taken, so a wait for it never opens
+        // a gap after the attempt's span.
+        if let (Some(h), Ok(_)) = (th, &outcome) {
+            h.instant(Name::Report, tag);
+        }
+        let mut st = self.state.lock();
+        st.metrics.merge(&tally);
         match outcome {
             Ok(out) => {
-                th.instant(Name::Report, tag);
                 let bytes = out.iter().map(|b| b.byte_size()).sum();
-                count_task(&mut st.metrics, &spec, t0.elapsed(), bytes);
+                count_task(&mut st.metrics, &spec, elapsed, bytes);
                 st.metrics.add(Counter::TasksExecuted, 1);
                 let done = st.plan.commit(data, index, out);
                 // Op outputs count as live when their last task lands, so
@@ -217,39 +206,11 @@ fn worker_loop(shared: &Shared, lane: u32) {
                     st.metrics.add(Counter::DatasetsFreed, 1);
                 }
             }
-            Err(e) => st.error = Some(e.to_string()),
+            Err(f) => st.error = Some(f.error.to_string()),
         }
-        shared.cv.notify_all();
+        self.cv.notify_all();
+        Ok(())
     }
-}
-
-/// Run one task outside the scheduler lock and, in spill mode, write its
-/// output buckets to the store.
-fn execute(
-    shared: &Shared,
-    spec: &TaskSpec,
-    input: &[Arc<Bucket>],
-    th: &TraceHandle,
-    tag: Tag,
-) -> Result<TaskOut> {
-    th.begin(Name::Exec, tag);
-    let out = run_task(shared.program.as_ref(), spec, input, None);
-    th.end(Name::Exec, tag);
-    let out = out?;
-    if let Some(store) = &shared.spill {
-        th.begin(Name::Emit, tag);
-        let stem = format!("ds{}/{}{}", tag.data, trace_op(spec).as_str(), tag.index);
-        for (p, b) in out.iter().enumerate() {
-            // A reduce task's one output bucket is the file itself.
-            let path = match spec {
-                TaskSpec::Reduce { .. } => format!("{stem}.mrsb"),
-                _ => format!("{stem}/b{p}.mrsb"),
-            };
-            store.put(&path, &mrs_codec::encode_vec(write_bucket(b), shared.spill_compress))?;
-        }
-        th.end(Name::Emit, tag);
-    }
-    Ok(out.into_iter().map(Arc::new).collect())
 }
 
 impl LocalRuntime {
@@ -340,10 +301,14 @@ impl JobApi for LocalRuntime {
 mod tests {
     use super::*;
     use crate::job::Job;
+    use crate::master::{Master, MasterConfig};
     use crate::plan::Ds;
+    use crate::proto::{DataPlane, SpeculateMode};
+    use crate::slave::{run_slave, SlaveOptions};
     use mrs_core::kv::encode_record;
     use mrs_core::{Datum, MapReduce, Simple};
     use mrs_fs::MemFs;
+    use std::sync::atomic::AtomicBool;
 
     struct WordCount;
 
@@ -649,7 +614,82 @@ mod tests {
             }
             let json = trace.chrome_json();
             assert!(json.contains("\"ph\":\"B\"") && json.contains("process_name"));
+            assert_attempt_shapes(&trace, false, 7);
         }
+
+        // One attempt-span shape on every plane that runs the workers,
+        // over a map, a fused reduce-map and a reduce: 3 + 4 + 2 tasks.
+        let program: Arc<dyn Program> = Arc::new(Simple(Rotate));
+        for (mut rt, store) in [
+            (LocalRuntime::pool(Arc::clone(&program), 4), false),
+            (LocalRuntime::mock_parallel(Arc::clone(&program), Arc::new(MemFs::new())), true),
+        ] {
+            fused_job(&mut rt);
+            assert_attempt_shapes(&rt.take_trace(), store, 9);
+        }
+        let cfg = MasterConfig { speculate: SpeculateMode::Off, ..MasterConfig::default() };
+        let master = Master::new(cfg, DataPlane::Direct).unwrap();
+        let slaves: Vec<_> = (0..2)
+            .map(|_| {
+                let (master, program) = (master.clone(), Arc::clone(&program));
+                let opts = SlaveOptions { slots: 2, ..SlaveOptions::default() };
+                std::thread::spawn(move || {
+                    run_slave(&master, program, DataPlane::Direct, &opts, &AtomicBool::new(false))
+                })
+            })
+            .collect();
+        fused_job(&mut master.clone());
+        let cluster = master.take_trace().expect("tracing on by default");
+        master.finish();
+        for slave in slaves {
+            slave.join().unwrap().unwrap();
+        }
+        assert_attempt_shapes(&cluster, false, 9);
+    }
+
+    /// Run `Rotate` as map → fused reduce-map → reduce on `rt`.
+    fn fused_job(rt: &mut impl JobApi) {
+        let src = rt.local_data(rotate_input(), 3).unwrap();
+        let mapped = rt.map_data(src, 0, 4, true).unwrap();
+        let fused = rt.reduce_map_data(mapped, 0, 0, 2, true).unwrap();
+        let reduced = rt.reduce_data(fused, 0).unwrap();
+        assert!(!rt.fetch_all(reduced).unwrap().is_empty());
+    }
+
+    /// On every worker lane of `trace`, each of the job's `tasks` attempts
+    /// has exactly one `Attempt` span, holding — in order — `Merge` when
+    /// it gathers, `Exec`, and `Emit` when the plane has a `store`.
+    fn assert_attempt_shapes(trace: &JobTrace, store: bool, tasks: usize) {
+        use mrs_trace::{Event, Kind, Op, MASTER_PID, PREFETCH_LANE};
+        let mut lanes: std::collections::BTreeMap<(u32, u32), Vec<&Event>> = Default::default();
+        for g in trace.events.iter().filter(|g| g.pid != MASTER_PID) {
+            if g.event.lane < PREFETCH_LANE {
+                lanes.entry((g.pid, g.event.lane)).or_default().push(&g.event);
+            }
+        }
+        let mut attempts = std::collections::HashSet::new();
+        for events in lanes.values() {
+            let mut rest = &events[..];
+            while let Some(first) = rest.first() {
+                let tag = first.tag;
+                let mut want = vec![(Kind::Begin, Name::Attempt)];
+                if tag.op != Op::Map {
+                    want.extend([(Kind::Begin, Name::Merge), (Kind::End, Name::Merge)]);
+                }
+                want.extend([(Kind::Begin, Name::Exec), (Kind::End, Name::Exec)]);
+                if store {
+                    want.extend([(Kind::Begin, Name::Emit), (Kind::End, Name::Emit)]);
+                }
+                want.push((Kind::End, Name::Attempt));
+                let (span, after) = rest.split_at(want.len().min(rest.len()));
+                let got: Vec<(Kind, Name)> = span.iter().map(|e| (e.kind, e.name)).collect();
+                assert_eq!(got, want, "{tag:?}");
+                assert!(span.iter().all(|e| e.tag == tag), "{span:?}");
+                assert!(attempts.insert(tag.key()), "a second Attempt span for {tag:?}");
+                rest = after;
+            }
+        }
+        assert_eq!(attempts.len(), tasks);
     }
 
     #[test]

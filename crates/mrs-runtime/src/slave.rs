@@ -16,12 +16,15 @@
 //! plane without silencing the control heartbeat. So a slave is
 //! `slots` workers + the poll thread + the fetch stage, and nothing else.
 //!
-//! The fetch stage is the only thing on a slave that moves bucket bytes:
-//! the inputs of accepted tasks, at one pipelined round trip per peer
-//! ([`crate::proto::fetch_buckets`]). An input this slave produced itself
-//! costs no bytes and no codec work: it is taken from the output table by
-//! reference count, as on the pool (§IV-B's writer reading its own local
-//! files).
+//! The workers are the pool's (the crate-private `workers`): a slave is
+//! a pool whose inputs are remote. This module supplies only their
+//! source — the fetched queue — and their sink — the report to the
+//! master. The fetch
+//! stage fetches the inputs of accepted tasks, at one pipelined round trip
+//! per peer ([`crate::proto::fetch_buckets`]). An input this slave
+//! produced itself costs no bytes and no codec work: it is taken from the
+//! output table by reference count, as on the pool (§IV-B's writer reading
+//! its own local files).
 //!
 //! What a slave counts — bytes fetched, merge runs — it tallies beside its
 //! pipe and drains into the next poll it sends anyway, so the master's
@@ -38,22 +41,23 @@
 //! runs over real XML-RPC (production/distributed tests) or direct method
 //! calls (scheduler unit tests).
 
-use crate::data::count_merge_input;
 use crate::master::SlaveId;
 use crate::metrics::{Counter, JobMetrics};
 use crate::proto::{
     fetch_buckets, trace_op, Assignment, CancelOrder, DataPlane, Dispatch, TaskMsg, TaskReport,
     TraceBatch,
 };
+use crate::workers::{
+    bucket_path, sorted_run, trace_abandoned, Attempt, Done, Failure, Input, Plane, Workers,
+};
 use mrs_codec::CompressMode;
-use mrs_core::task::run_task;
 use mrs_core::{Bucket, Error, Program, Result};
-use mrs_fs::format::{read_bucket_into, read_bucket_run, write_bucket};
+use mrs_fs::format::write_bucket;
 use mrs_fs::Store;
 use mrs_rpc::{DataServer, Provider};
 use mrs_trace::{Name, Recorder, Tag, TraceHandle, POLL_LANE, PREFETCH_LANE};
-use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, HashSet, VecDeque};
+use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -171,6 +175,7 @@ impl Default for SlaveOptions {
 
 /// Prefetched-task queue shared between the polling thread, the fetch
 /// stage and the compute workers.
+#[derive(Default)]
 struct Pipe {
     state: Mutex<PipeState>,
     /// Wakes compute workers when tasks are queued (or on shutdown).
@@ -182,6 +187,7 @@ struct Pipe {
     fetch_cv: Condvar,
 }
 
+#[derive(Default)]
 struct PipeState {
     /// Assignments accepted from the master, inputs not yet fetched. The
     /// stamp is the recorder time the assignment arrived (0 untraced), so
@@ -204,10 +210,6 @@ struct PipeState {
     /// for such an attempt sets its flag; the kernel observes it at the
     /// next record/group boundary, the prefetch stage between inputs.
     active: HashMap<(u32, usize, u32), Arc<AtomicBool>>,
-    /// Cancel orders for attempts this slave has accepted but not started
-    /// (or never saw): checked when a worker is about to run a task, so a
-    /// queued loser is abandoned without executing at all.
-    tombstones: HashSet<(u32, usize, u32)>,
     /// Stop immediately and silently — crash semantics (the fault-injection
     /// hook), a lost control channel, or the end of the job. Nothing
     /// further is reported.
@@ -215,25 +217,6 @@ struct PipeState {
 }
 
 impl Pipe {
-    fn new() -> Pipe {
-        Pipe {
-            state: Mutex::new(PipeState {
-                fetch_queue: VecDeque::new(),
-                queue: VecDeque::new(),
-                in_flight: 0,
-                reports: Vec::new(),
-                tally: JobMetrics::default(),
-                more: false,
-                active: HashMap::new(),
-                tombstones: HashSet::new(),
-                halt: false,
-            }),
-            cv: Condvar::new(),
-            poll_cv: Condvar::new(),
-            fetch_cv: Condvar::new(),
-        }
-    }
-
     fn shut_down(&self) {
         self.state.lock().halt = true;
         self.cv.notify_all();
@@ -258,58 +241,82 @@ impl Pipe {
         }
     }
 
-    /// Apply attempt-cancellation orders piggybacked on a dispatch. A
-    /// still-queued loser is dropped before it ever runs (freeing its slot
-    /// immediately); one running or mid-prefetch gets its cooperative flag
-    /// set; an attempt this slave has no record of (report already sent,
-    /// or the order raced the assignment) leaves a tombstone so it is
-    /// abandoned the moment a worker picks it up. A dequeued loser still
-    /// shows on
-    /// the timeline — its accepted→cancelled span and `Cancel` instant
-    /// land on the poll lane, since no worker ever owned it.
+    /// Apply attempt-cancellation orders piggybacked on a dispatch. A loser
+    /// still queued — for its fetch or for a worker — is dropped before it
+    /// runs, freeing its slot at once; one being fetched or run gets its
+    /// cooperative flag set. An order that finds none of these names an
+    /// attempt this slave has already finished, and is a no-op: the master
+    /// orders cancels only for attempts it dispatched in an earlier answer,
+    /// each answer is applied before the next poll is sent, and every move
+    /// of an attempt between the queues and `active` is one lock section.
+    /// A dequeued loser still shows on the timeline — its
+    /// accepted→cancelled span and `Cancel` instant land on the poll lane,
+    /// since no worker ever owned it.
     fn apply_cancels(&self, orders: &[CancelOrder], th: Option<&TraceHandle>) {
         if orders.is_empty() {
             return;
         }
         let mut st = self.state.lock();
-        let mut freed = false;
         let mut dequeued: Vec<(TaskMsg, u64)> = Vec::new();
         for o in orders {
-            let key = (o.data, o.index, o.attempt);
-            let hit =
-                |t: &TaskMsg| t.data == o.data && t.index == o.index && t.attempt == o.attempt;
+            let hit = |t: &TaskMsg| key(t) == (o.data, o.index, o.attempt);
             if let Some(pos) = st.fetch_queue.iter().position(|(t, _)| hit(t)) {
-                let (t, at) = st.fetch_queue.remove(pos).expect("position in range");
-                dequeued.push((t, at));
-                st.in_flight -= 1;
-                freed = true;
+                dequeued.extend(st.fetch_queue.remove(pos));
             } else if let Some(pos) = st.queue.iter().position(|(t, _, _)| hit(t)) {
-                let (t, at, _) = st.queue.remove(pos).expect("position in range");
-                dequeued.push((t, at));
-                st.in_flight -= 1;
-                freed = true;
-            } else if let Some(flag) = st.active.get(&key) {
+                dequeued.extend(st.queue.remove(pos).map(|(t, at, _)| (t, at)));
+            } else if let Some(flag) = st.active.get(&(o.data, o.index, o.attempt)) {
                 flag.store(true, Ordering::Relaxed);
-            } else {
-                st.tombstones.insert(key);
             }
         }
+        st.in_flight -= dequeued.len();
         drop(st);
-        if let Some(h) = th {
-            for (t, accepted_us) in &dequeued {
-                let tag = task_tag(t);
-                h.begin_at(*accepted_us, Name::Attempt, tag);
-                h.instant(Name::Cancel, tag);
-                h.end(Name::Attempt, tag);
-            }
+        for (t, accepted_us) in &dequeued {
+            trace_abandoned(th, *accepted_us, task_tag(t));
         }
-        if freed {
+        if !dequeued.is_empty() {
             self.poll_cv.notify_all();
         }
     }
 
     fn halted(&self) -> bool {
         self.state.lock().halt
+    }
+
+    /// Wait on `cv` for an entry `pop` takes off one of the queues, and
+    /// register its attempt's cancellation flag in the same lock section,
+    /// so a cancel order lands on the queue entry or on the flag — never
+    /// in a gap between. `None` once the slave halts.
+    fn pop<T>(
+        &self,
+        cv: &Condvar,
+        pop: impl Fn(&mut PipeState) -> Option<T>,
+        task: impl Fn(&T) -> &TaskMsg,
+    ) -> Option<(T, Arc<AtomicBool>)> {
+        let mut st = self.state.lock();
+        loop {
+            if st.halt {
+                return None;
+            }
+            if let Some(entry) = pop(&mut st) {
+                let flag = Arc::new(AtomicBool::new(false));
+                st.active.insert(key(task(&entry)), Arc::clone(&flag));
+                return Some((entry, flag));
+            }
+            cv.wait(&mut st);
+        }
+    }
+
+    /// Unregister `task`'s flag and count what it tallied, in the lock
+    /// section that then hands it on. `None` once the slave halts: crash
+    /// semantics, a halted slave goes silent.
+    fn settle(&self, task: &TaskMsg, tally: &JobMetrics) -> Option<MutexGuard<'_, PipeState>> {
+        let mut st = self.state.lock();
+        st.active.remove(&key(task));
+        if st.halt {
+            return None;
+        }
+        st.tally.merge(tally);
+        Some(st)
     }
 }
 
@@ -328,65 +335,50 @@ pub fn run_slave(
     // peer's GET frames the bucket it names, and this slave's own reduce
     // inputs are taken from the table without a socket or a codec.
     let outputs = Arc::new(Outputs::default());
-    let server = match &plane {
+    let (server, shared) = match &plane {
         DataPlane::Direct => {
-            Some(DataServer::serve(0, serve_outputs(&outputs, opts.compress)).map_err(Error::Io)?)
+            let provider = serve_outputs(&outputs, opts.compress);
+            (Some(DataServer::serve(0, provider).map_err(Error::Io)?), None)
         }
-        DataPlane::SharedFs(_) => None,
+        DataPlane::SharedFs(store) => (None, Some(store)),
     };
     let authority = server.as_ref().map(|s| s.authority()).unwrap_or_else(|| "shared".into());
-    let shared: Option<Arc<dyn Store>> = match &plane {
-        DataPlane::SharedFs(s) => Some(Arc::clone(s)),
-        DataPlane::Direct => None,
-    };
-    let own_authority = server.as_ref().map(|s| s.authority());
-    let own = own_authority.as_deref().map(|authority| (authority, &*outputs));
 
-    let workers = opts.slots.max(1);
+    let slots = opts.slots.max(1);
     // Advertise one slot beyond the worker count: while all workers
     // compute, one more assignment can sit in the queue with its inputs
     // already fetched (double buffering).
-    let capacity = workers + 1;
+    let capacity = slots + 1;
     let id = link.signin(&authority, capacity)?;
 
-    let pipe = Pipe::new();
+    let slave = Slave {
+        link,
+        id,
+        pipe: Pipe::default(),
+        outputs: &outputs,
+        server: server.as_ref(),
+        shared,
+        delays: &opts.test_delays,
+    };
+    let pipe = &slave.pipe;
     // Trace recording: one recorder per slave, one handle (ring shard)
-    // per recording thread. Handles live outside the thread scope so the
-    // worker closures can borrow them.
+    // per recording thread.
     let rec = opts.trace.then(Recorder::new);
-    let worker_handles: Vec<Option<TraceHandle>> =
-        (0..workers).map(|w| rec.as_ref().map(|r| r.handle(w as u32))).collect();
     let fetch_handle = rec.as_ref().map(|r| r.handle(PREFETCH_LANE));
     let poll_handle = rec.as_ref().map(|r| r.handle(POLL_LANE));
-    let mut result: Result<()> = Ok(());
+    let workers = Workers {
+        program: program.as_ref(),
+        store: shared.map(|store| (&**store, opts.compress)),
+        slots,
+        trace: rec.as_ref(),
+    };
     std::thread::scope(|s| {
-        let mut handles: Vec<_> = worker_handles
-            .iter()
-            .map(|th| {
-                s.spawn(|| {
-                    worker_loop(
-                        link,
-                        program.as_ref(),
-                        &plane,
-                        &outputs,
-                        server.as_ref(),
-                        id,
-                        &pipe,
-                        opts.compress,
-                        &opts.test_delays,
-                        th.as_ref(),
-                    )
-                })
-            })
-            .collect();
         // The fetch stage runs on its own thread so a slow or dead peer
         // stalls only the data plane: the polling thread keeps
         // heartbeating, and fetch failures report standalone so recovery
         // starts immediately.
-        handles.push(
-            s.spawn(|| fetch_loop(link, shared.as_ref(), own, id, &pipe, fetch_handle.as_ref())),
-        );
-
+        let handles =
+            [s.spawn(|| workers.run(&slave)), s.spawn(|| slave.fetch_loop(fetch_handle.as_ref()))];
         // The round-trip measured around the *previous* poll, shipped with
         // the next trace batch so the master's clock sync can bound the
         // one-way delay. Until a round-trip exists the batch stays empty —
@@ -483,310 +475,180 @@ pub fn run_slave(
             }
         };
 
-        result = main_res;
-        for h in handles {
-            match h.join() {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => {
-                    if result.is_ok() {
-                        result = Err(e);
-                    }
-                }
-                Err(_) => {
-                    if result.is_ok() {
-                        result = Err(Error::TaskFailed("slave worker panicked".into()));
-                    }
-                }
-            }
-        }
-    });
-    result
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join().unwrap_or_else(|_| Err(Error::TaskFailed("slave thread panicked".into())))
+            })
+            .fold(main_res, Result::and)
+    })
 }
 
-/// The fetch stage, the one thread of a slave that moves bucket bytes:
-/// pop accepted assignments, fetch their input buckets (overlapping the
-/// workers' compute) and queue them ready to run. Runs on its own thread
-/// so a stalled fetch — a dead peer, a slow store — never blocks the
-/// polling thread's control heartbeat. A task's fetch failure reports
-/// standalone via `task_failed` (recovery starts immediately) and frees
-/// the slot. `own` is this slave's data server authority and output
-/// table (direct plane only).
-fn fetch_loop(
-    link: &dyn MasterLink,
-    shared: Option<&Arc<dyn Store>>,
-    own: Option<(&str, &Outputs)>,
+/// What a slave's fetch stage and its workers' source and sink share.
+struct Slave<'a> {
+    link: &'a dyn MasterLink,
     id: SlaveId,
-    pipe: &Pipe,
-    th: Option<&TraceHandle>,
-) -> Result<()> {
-    loop {
-        // Pop an assignment and register its cancellation flag in one lock
-        // section (as the workers do), so a cancel order that arrives
-        // mid-fetch finds the attempt instead of leaving a tombstone.
-        let (task, accepted_us, cancel) = {
-            let mut st = pipe.state.lock();
-            loop {
-                if st.halt {
-                    return Ok(());
-                }
-                if let Some((task, accepted_us)) = st.fetch_queue.pop_front() {
-                    let flag = Arc::new(AtomicBool::new(false));
-                    st.active.insert((task.data, task.index, task.attempt), Arc::clone(&flag));
-                    break (task, accepted_us, flag);
-                }
-                pipe.fetch_cv.wait(&mut st);
+    pipe: Pipe,
+    outputs: &'a Outputs,
+    /// The data server peers fetch this slave's outputs from (direct
+    /// plane only).
+    server: Option<&'a DataServer>,
+    /// The shared-filesystem plane's store.
+    shared: Option<&'a Arc<dyn Store>>,
+    delays: &'a [(u32, usize, u64)],
+}
+
+impl Slave<'_> {
+    /// The fetch stage: pop accepted assignments, fetch their input
+    /// buckets (overlapping the workers' compute) and queue them ready to
+    /// run. Runs on its own thread so a stalled fetch — a dead peer, a slow
+    /// store — never blocks the polling thread's control heartbeat. A
+    /// task's fetch failure reports standalone via `task_failed`
+    /// (recovery starts immediately) and frees the slot.
+    fn fetch_loop(&self, th: Option<&TraceHandle>) -> Result<()> {
+        let pipe = &self.pipe;
+        let authority = self.server.map(|s| s.authority());
+        let own = authority.as_deref().map(|authority| (authority, self.outputs));
+        let pop = |st: &mut PipeState| st.fetch_queue.pop_front();
+        while let Some(((task, accepted_us), cancel)) = pipe.pop(&pipe.fetch_cv, pop, |e| &e.0) {
+            let tag = task_tag(&task);
+            if let Some(h) = th {
+                h.begin(Name::Fetch, tag);
             }
-        };
-        let tag = task_tag(&task);
-        if let Some(h) = th {
-            h.begin(Name::Fetch, tag);
-        }
-        let mut tally = JobMetrics::default();
-        let fetched = fetch_inputs(&task.inputs, shared, own, &cancel, &mut tally);
-        if let Some(h) = th {
-            h.end(Name::Fetch, tag);
-        }
-        // Hand the attempt over to the workers (or drop it) in the lock
-        // section that unregisters the flag: a cancel order lands on the
-        // flag before this point and on the queue entry after it. The
-        // fetch's counts go in first, well ahead of any report.
-        let mut st = pipe.state.lock();
-        if st.halt {
-            return Ok(());
-        }
-        st.tally.merge(&tally);
-        st.active.remove(&(task.data, task.index, task.attempt));
-        let cancelled = cancel.load(Ordering::Relaxed);
-        match fetched {
-            Ok(inputs) if !cancelled => {
-                st.queue.push_back((task, accepted_us, inputs));
-                drop(st);
-                pipe.cv.notify_one();
+            let mut tally = JobMetrics::default();
+            let fetched = fetch_inputs(&task.inputs, self.shared, own, &cancel, &mut tally);
+            if let Some(h) = th {
+                h.end(Name::Fetch, tag);
             }
-            Err(TaskError { msg, failed_input, cancelled: false }) if !cancelled => {
-                st.in_flight -= 1;
-                drop(st);
-                // The freed slot concerns the polling thread.
-                pipe.poll_cv.notify_all();
-                let r = link.task_failed(
-                    id,
-                    task.data,
-                    task.index,
-                    task.attempt,
-                    &msg,
-                    failed_input.as_deref(),
-                );
-                match r {
-                    Ok(()) => {}
-                    Err(Error::Rpc(_)) => {
-                        pipe.shut_down();
-                        return Ok(());
-                    }
-                    Err(e) => {
-                        pipe.shut_down();
-                        return Err(e);
-                    }
+            // Hand the attempt over to the workers (or drop it) in the lock
+            // section that unregisters the flag: a cancel order lands on
+            // the flag before this point and on the queue entry after it.
+            // The fetch's counts go in first, well ahead of any report.
+            let Some(mut st) = pipe.settle(&task, &tally) else { break };
+            let cancelled = cancel.load(Ordering::Relaxed);
+            match fetched {
+                Ok(inputs) if !cancelled => {
+                    st.queue.push_back((task, accepted_us, inputs));
+                    drop(st);
+                    pipe.cv.notify_one();
+                }
+                Err(failure) if !cancelled && !matches!(failure.error, Error::Cancelled) => {
+                    st.in_flight -= 1;
+                    drop(st);
+                    self.report_failure(&task, failure)?;
+                }
+                _ => {
+                    // The attempt lost its race while its inputs were in
+                    // flight (typically inputs lifetime GC had already
+                    // purged, so whatever the fetch came back with is
+                    // moot): free the slot unreported, its span closed
+                    // first like every attempt's.
+                    trace_abandoned(th, accepted_us, tag);
+                    st.in_flight -= 1;
+                    drop(st);
+                    pipe.poll_cv.notify_all();
                 }
             }
-            _ => {
-                // The attempt lost its race while its inputs were in
-                // flight (typically inputs lifetime GC had already
-                // purged, so whatever the fetch came back with is moot):
-                // free the slot unreported, and close its span like the
-                // other cancellation paths.
-                st.in_flight -= 1;
-                drop(st);
-                pipe.poll_cv.notify_all();
-                if let Some(h) = th {
-                    h.begin_at(accepted_us, Name::Attempt, tag);
-                    h.instant(Name::Cancel, tag);
-                    h.end(Name::Attempt, tag);
-                }
+        }
+        Ok(())
+    }
+
+    /// Report a failed attempt standalone, so recovery starts at once,
+    /// blaming the input it could not read, and wake the polling thread
+    /// for the slot it freed. A lost master stops the slave quietly, as a
+    /// failed poll does; any other error loudly.
+    fn report_failure(&self, task: &TaskMsg, failure: Failure) -> Result<()> {
+        let (msg, input) = (failure.error.to_string(), failure.input.map(|i| &*task.inputs[i]));
+        let sent = self.link.task_failed(self.id, task.data, task.index, task.attempt, &msg, input);
+        self.pipe.poll_cv.notify_all();
+        match sent {
+            Ok(()) => Ok(()),
+            Err(Error::Rpc(_)) => {
+                self.pipe.shut_down();
+                Ok(())
+            }
+            Err(e) => {
+                self.pipe.shut_down();
+                Err(e)
             }
         }
     }
 }
 
-/// One compute worker: pop prefetched tasks, execute, report. Successful
-/// completions are queued on the pipe for the polling thread to deliver
-/// inside its next poll (one fewer control RPC per task) and coalesce
-/// there until a poll is worth sending; failures always report standalone
-/// so recovery starts immediately.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    link: &dyn MasterLink,
-    program: &dyn Program,
-    plane: &DataPlane,
-    outputs: &Outputs,
-    server: Option<&DataServer>,
-    id: SlaveId,
-    pipe: &Pipe,
-    compress: CompressMode,
-    delays: &[(u32, usize, u64)],
-    th: Option<&TraceHandle>,
-) -> Result<()> {
-    // Per-worker scratch arena, reused across map tasks.
-    let mut scratch = Bucket::new();
-    loop {
-        // Pop a task and register its cancellation flag in one lock
-        // section, so a cancel order lands either on the queue entry, the
-        // tombstone set, or the registered flag — never in a gap between.
-        let (task, accepted_us, inputs, cancel) = {
-            let mut st = pipe.state.lock();
-            loop {
-                if st.halt {
-                    return Ok(());
-                }
-                if let Some((task, accepted_us, inputs)) = st.queue.pop_front() {
-                    let key = (task.data, task.index, task.attempt);
-                    if st.tombstones.remove(&key) {
-                        // Cancelled before it ever ran: free the slot,
-                        // never execute, never report. The attempt still
-                        // gets its accepted→cancelled span so the
-                        // timeline shows an orderly outcome, not a
-                        // dangling acceptance.
-                        st.in_flight -= 1;
-                        pipe.poll_cv.notify_all();
-                        if let Some(h) = th {
-                            let tag = task_tag(&task);
-                            h.begin_at(accepted_us, Name::Attempt, tag);
-                            h.instant(Name::Cancel, tag);
-                            h.end(Name::Attempt, tag);
-                        }
-                        continue;
-                    }
-                    let flag = Arc::new(AtomicBool::new(false));
-                    st.active.insert(key, Arc::clone(&flag));
-                    break (task, accepted_us, inputs, flag);
-                }
-                pipe.cv.wait(&mut st);
-            }
-        };
-        // The attempt span reaches back to when the assignment arrived:
-        // queue wait and prefetch both belong to the attempt's lifetime
-        // (the handle clamps it monotone against this lane's last event).
-        let tag = task_tag(&task);
-        if let Some(h) = th {
-            h.begin_at(accepted_us, Name::Attempt, tag);
-        }
+/// The workers' source and sink on a slave.
+impl Plane for Slave<'_> {
+    type Task = TaskMsg;
+
+    /// The next fetched task.
+    fn next(&self, _: Option<&TraceHandle>) -> Option<Attempt<TaskMsg>> {
+        let pop = |st: &mut PipeState| st.queue.pop_front();
+        let ((task, since_us, inputs), cancel) = self.pipe.pop(&self.pipe.cv, pop, |e| &e.0)?;
         // Straggler injection (test-only). The sleep is sliced to observe
         // the cancellation flag promptly.
         if let Some(&(_, _, ms)) =
-            delays.iter().find(|&&(d, i, _)| d == task.data && i == task.index)
+            self.delays.iter().find(|&&(d, i, _)| d == task.data && i == task.index)
         {
             let deadline = Instant::now() + Duration::from_millis(ms);
-            while Instant::now() < deadline && !cancel.load(Ordering::Relaxed) && !pipe.halted() {
+            while Instant::now() < deadline
+                && !cancel.load(Ordering::Relaxed)
+                && !self.pipe.halted()
+            {
                 std::thread::sleep(Duration::from_millis(2));
             }
         }
-        let mut tally = JobMetrics::default();
-        let outcome = if cancel.load(Ordering::Relaxed) {
-            Err(TaskError::of(Error::Cancelled, None))
-        } else {
-            process_task(
-                &task,
-                inputs,
-                program,
-                plane,
-                outputs,
-                server,
-                id,
-                &mut scratch,
-                compress,
-                Some(&cancel),
-                th,
-                &mut tally,
-            )
-        };
-        pipe.state.lock().active.remove(&(task.data, task.index, task.attempt));
-        if pipe.halted() {
-            // Crash semantics: a halted slave goes silent, never reports.
-            return Ok(());
-        }
-        // Close the attempt span (and mark a cancellation) *before* the
-        // report is queued or sent: the poll that carries the report to
-        // the master drains the recorder after taking reports, so the
-        // span's end is guaranteed to travel with (or ahead of) it.
-        if let Some(h) = th {
-            if matches!(&outcome, Err(TaskError { cancelled: true, .. })) {
-                h.instant(Name::Cancel, tag);
-            }
-            h.end(Name::Attempt, tag);
-        }
-        // One lock section frees the slot, counts the task and queues its
-        // report: the poll that takes the report takes its counts too.
-        let mut st = pipe.state.lock();
-        st.in_flight -= 1;
-        st.tally.merge(&tally);
-        let (msg, failed_input) = match outcome {
-            Ok(urls) => {
-                st.reports.push(TaskReport {
-                    data: task.data,
-                    index: task.index,
-                    attempt: task.attempt,
-                    urls,
-                });
-                // Worth a poll of its own only if it may close a wave
-                // (the slave is now idle) or the freed slot can be
-                // refilled; otherwise it rides the poll made anyway.
-                if st.in_flight == 0 || st.more {
-                    pipe.poll_cv.notify_all();
-                }
-                continue;
-            }
-            Err(TaskError { cancelled: true, .. }) => {
-                // Cooperative cancellation: another attempt already won at
-                // the master's commit point. Abandon silently — the slot
-                // frees, the partial output is never stored or announced.
-                drop(st);
-                pipe.poll_cv.notify_all();
-                continue;
-            }
-            Err(TaskError { msg, failed_input, .. }) => (msg, failed_input),
-        };
-        drop(st);
-        let reported = link.task_failed(
-            id,
-            task.data,
-            task.index,
-            task.attempt,
-            &msg,
-            failed_input.as_deref(),
-        );
-        pipe.poll_cv.notify_all();
-        match reported {
-            Ok(()) => {}
-            Err(Error::Rpc(_)) => {
-                pipe.shut_down();
-                return Ok(());
-            }
-            Err(e) => {
-                pipe.shut_down();
-                return Err(e);
-            }
-        }
+        let (spec, tag) = (task.spec(), task_tag(&task));
+        Some(Attempt { task, spec, tag, since_us, inputs, cancel: Some(cancel) })
     }
-}
 
-/// Why a task attempt failed: fetch failures carry the offending URL so
-/// the master can re-execute the producer (Hadoop's fetch-failure rule).
-pub struct TaskError {
-    /// Human-readable cause.
-    pub msg: String,
-    /// The input URL that could not be fetched, if applicable.
-    pub failed_input: Option<String>,
-    /// The attempt was cancelled cooperatively (it lost a speculation
-    /// race): abandon silently, never report.
-    pub cancelled: bool,
-}
+    fn stem(&self, tag: &Tag) -> String {
+        format!("s{}/d{}/t{}", self.id, tag.data, tag.index)
+    }
 
-impl TaskError {
-    /// `e` as the failure of an attempt, blaming `input` if it was one.
-    fn of(e: Error, input: Option<&str>) -> TaskError {
-        TaskError {
-            cancelled: matches!(e, Error::Cancelled),
-            msg: e.to_string(),
-            failed_input: input.map(str::to_owned),
+    /// Name the outputs, then, in one lock section, free the slot, count
+    /// the attempt and queue its report: the poll that takes the report
+    /// takes its counts too. A completion is queued to ride the next poll
+    /// (one fewer control RPC per task); a failure reports standalone; a
+    /// cancelled attempt — another attempt already won at the master's
+    /// commit point — is abandoned silently.
+    fn finish(&self, done: Done<TaskMsg>, _: Option<&TraceHandle>) -> Result<()> {
+        let Done { task, spec, tag, outcome, tally, .. } = done;
+        // On the direct plane each output stays the bucket itself, framed
+        // when a peer asks for it; a shared store holds their frames.
+        let urls = outcome.map(|buckets| {
+            let stem = self.stem(&tag);
+            let name = |(p, bucket): (usize, Arc<Bucket>)| {
+                let path = bucket_path(&stem, p);
+                let Some(server) = self.server else { return format!("file://{path}") };
+                let url = server.url_for(&path);
+                let sorted = sorted_run(&spec, &bucket);
+                self.outputs.lock().insert(path, (bucket, sorted));
+                url
+            };
+            buckets.into_iter().enumerate().map(name).collect()
+        });
+        let Some(mut st) = self.pipe.settle(&task, &tally) else { return Ok(()) };
+        st.in_flight -= 1;
+        match urls {
+            Ok(urls) => {
+                let TaskMsg { data, index, attempt, .. } = task;
+                st.reports.push(TaskReport { data, index, attempt, urls });
+                // Worth a poll of its own only if it may close a wave (the
+                // slave is now idle) or the freed slot can be refilled;
+                // otherwise it rides the poll made anyway.
+                if st.in_flight == 0 || st.more {
+                    self.pipe.poll_cv.notify_all();
+                }
+                Ok(())
+            }
+            Err(Failure { error: Error::Cancelled, .. }) => {
+                drop(st);
+                self.pipe.poll_cv.notify_all();
+                Ok(())
+            }
+            Err(failure) => {
+                drop(st);
+                self.report_failure(&task, failure)
+            }
         }
     }
 }
@@ -810,29 +672,21 @@ fn serve_outputs(outputs: &Arc<Outputs>, compress: CompressMode) -> Provider {
     })
 }
 
-/// One input of an accepted task, as the fetch stage hands it over.
-enum Input {
-    /// One of this slave's own outputs, by reference count.
-    Own(Arc<Bucket>),
-    /// A fetched bucket's decoded `MRSB1` bytes, not yet parsed.
-    Wire(Vec<u8>),
-}
-
 /// Resolve every input URL, in input order (the determinism oracle
 /// depends on it). A URL naming one of this slave's own outputs (`own`:
 /// its data server authority and output table) is taken from the table
 /// and counted as a short circuit; the rest are fetched with
 /// [`fetch_buckets`], one round trip per peer. The first failing input
-/// makes the [`TaskError`]; once `cancel` is set the remaining fetches are
-/// skipped and the error is a cancelled one. What the fetch counted is
-/// added to `tally`.
+/// makes the [`Failure`], naming it; once `cancel` is set the remaining
+/// fetches are skipped and the failure is a cancellation. What the fetch
+/// counted is added to `tally`.
 fn fetch_inputs(
     urls: &[String],
     shared: Option<&Arc<dyn Store>>,
     own: Option<(&str, &Outputs)>,
     cancel: &AtomicBool,
     tally: &mut JobMetrics,
-) -> std::result::Result<Vec<Input>, TaskError> {
+) -> std::result::Result<Vec<Input>, Failure> {
     // The table path of each URL that names one of this slave's outputs.
     let own_paths: Vec<Option<&str>> = urls
         .iter()
@@ -844,9 +698,10 @@ fn fetch_inputs(
     let remote = urls.iter().zip(&own_paths).filter(|(_, path)| path.is_none());
     let remote: Vec<&str> = remote.map(|(url, _)| url.as_str()).collect();
     let mut fetched = fetch_buckets(&remote, shared, Some(cancel), tally).into_iter();
-    urls.iter()
-        .zip(own_paths)
-        .map(|(url, own_path)| {
+    own_paths
+        .into_iter()
+        .enumerate()
+        .map(|(i, own_path)| {
             let input = match own_path.zip(own) {
                 Some((path, (_, outputs))) => match outputs.lock().get(path) {
                     Some((bucket, _)) => {
@@ -857,7 +712,7 @@ fn fetch_inputs(
                 },
                 None => fetched.next().expect("one result per fetched url").map(Input::Wire),
             };
-            input.map_err(|e| TaskError::of(e, Some(url)))
+            input.map_err(|error| Failure { error, input: Some(i) })
         })
         .collect()
 }
@@ -867,130 +722,9 @@ fn task_tag(task: &TaskMsg) -> Tag {
     Tag::task(trace_op(&task.spec()), task.data, task.index, task.attempt)
 }
 
-/// Execute one task whose inputs are already fetched (one per input URL,
-/// in order): gather them into runs, run the kernel, store the outputs
-/// and return their URLs. With a trace handle, the merge/exec/emit phases
-/// record as spans nested inside the caller's attempt span. The gathered
-/// input is counted into `tally`.
-#[allow(clippy::too_many_arguments)]
-fn process_task(
-    task: &TaskMsg,
-    inputs: Vec<Input>,
-    program: &dyn Program,
-    plane: &DataPlane,
-    outputs: &Outputs,
-    server: Option<&DataServer>,
-    slave: SlaveId,
-    scratch: &mut Bucket,
-    compress: CompressMode,
-    cancel: Option<&AtomicBool>,
-    th: Option<&TraceHandle>,
-    tally: &mut JobMetrics,
-) -> std::result::Result<Vec<String>, TaskError> {
-    let tag = task_tag(task);
-    let span_begin = |name: Name| {
-        if let Some(h) = th {
-            h.begin(name, tag);
-        }
-    };
-    let span_end = |name: Name| {
-        if let Some(h) = th {
-            h.end(name, tag);
-        }
-    };
-    let run_err = |e| TaskError::of(e, None);
-
-    // Gather: a reduce-like task reads each input as one merge run; a
-    // map runs on its one own split as it is, and otherwise decodes its
-    // input into the worker's scratch arena, reused across tasks.
-    let spec = task.spec();
-    let gathered: Vec<Arc<Bucket>>;
-    let runs: Vec<&Bucket> = if spec.gathers() {
-        span_begin(Name::Merge);
-        gathered = gather_runs(&task.inputs, inputs, tally)?;
-        span_end(Name::Merge);
-        gathered.iter().map(|run| &**run).collect()
-    } else if let [Input::Own(split)] = &inputs[..] {
-        vec![&**split]
-    } else {
-        scratch.clear();
-        for (url, input) in task.inputs.iter().zip(&inputs) {
-            match input {
-                Input::Own(split) => scratch.extend_from(split),
-                Input::Wire(bytes) => {
-                    read_bucket_into(bytes, scratch).map_err(|e| TaskError::of(e, Some(url)))?
-                }
-            }
-        }
-        vec![&*scratch]
-    };
-
-    span_begin(Name::Exec);
-    let out = run_task(program, &spec, &runs, cancel).map_err(run_err);
-    span_end(Name::Exec);
-
-    // Store and name the outputs: on the direct plane the bucket itself
-    // (framed when a peer asks for it), on a shared store its frame. A
-    // map-like task's outputs are sorted runs by the kernel's contract,
-    // so their frames claim it unscanned; a reduce's keys come in
-    // whatever order its program emitted them.
-    let buckets = out?;
-    span_begin(Name::Emit);
-    let mut urls = Vec::with_capacity(buckets.len());
-    for (p, bucket) in buckets.into_iter().enumerate() {
-        let path = format!("s{slave}/d{}/t{}/b{p}.mrsb", task.data, task.index);
-        let sorted = spec.parts().is_some() || bucket.is_sorted();
-        match plane {
-            DataPlane::Direct => {
-                urls.push(server.expect("direct plane has a server").url_for(&path));
-                outputs.lock().insert(path, (Arc::new(bucket), sorted));
-            }
-            DataPlane::SharedFs(store) => {
-                let wire = mrs_codec::encode_vec_sorted(write_bucket(&bucket), compress, sorted);
-                store.put(&path, &wire).map_err(run_err)?;
-                urls.push(format!("file://{path}"));
-            }
-        }
-    }
-    span_end(Name::Emit);
-    Ok(urls)
-}
-
-/// The merge runs of a reduce-like task, one per input, counted into
-/// `tally`. An own input is the map's bucket itself, presorted by the
-/// kernel's contract as on the pool ([`crate::data::record_runs`]); a
-/// fetched one is parsed, and sorted on arrival unless it is in order.
-fn gather_runs(
-    urls: &[String],
-    inputs: Vec<Input>,
-    tally: &mut JobMetrics,
-) -> std::result::Result<Vec<Arc<Bucket>>, TaskError> {
-    let t0 = Instant::now();
-    let mut presorted = 0usize;
-    let runs = urls
-        .iter()
-        .zip(inputs)
-        .map(|(url, input)| match input {
-            Input::Own(run) => {
-                presorted += 1;
-                Ok(run)
-            }
-            Input::Wire(bytes) => {
-                let mut run = Bucket::new();
-                let info =
-                    read_bucket_run(&bytes, &mut run).map_err(|e| TaskError::of(e, Some(url)))?;
-                if info.sorted {
-                    presorted += 1;
-                } else {
-                    run.sort();
-                }
-                Ok(Arc::new(run))
-            }
-        })
-        .collect::<std::result::Result<Vec<_>, _>>()?;
-    let records = runs.iter().map(|run| run.len()).sum();
-    count_merge_input(tally, runs.len(), presorted, records, t0);
-    Ok(runs)
+/// The identity of a task attempt: (data, index, attempt).
+fn key(task: &TaskMsg) -> (u32, usize, u32) {
+    (task.data, task.index, task.attempt)
 }
 
 #[cfg(test)]
@@ -1000,6 +734,7 @@ mod tests {
     use crate::master::{Master, MasterConfig};
     use crate::proto::TaskKind;
     use mrs_core::kv::encode_record;
+    use mrs_core::task::run_task;
     use mrs_core::TaskSpec;
     use mrs_core::{Datum, MapReduce, Simple};
     use mrs_fs::MemFs;
@@ -1624,21 +1359,22 @@ mod tests {
         assert_eq!(master.metrics().merge_runs(), (maps * reduces) as u64);
     }
 
-    /// A store that runs a hook on the pipe inside every `get` — the
-    /// interleaving "an order arrives mid-fetch", forced rather than
-    /// raced for.
-    struct MidFetchStore {
+    /// A store whose `get` of `path` stops at `gate`: the interleaving "an
+    /// attempt is being fetched", forced rather than raced for.
+    struct GatedStore {
         inner: MemFs,
-        pipe: Arc<Pipe>,
-        on_get: fn(&Pipe),
+        path: &'static str,
+        gate: Arc<Gate>,
     }
 
-    impl Store for MidFetchStore {
+    impl Store for GatedStore {
         fn put(&self, path: &str, data: &[u8]) -> Result<()> {
             self.inner.put(path, data)
         }
         fn get(&self, path: &str) -> Result<Vec<u8>> {
-            (self.on_get)(&self.pipe);
+            if path == self.path {
+                self.gate.pass();
+            }
             self.inner.get(path)
         }
         fn exists(&self, path: &str) -> bool {
@@ -1652,55 +1388,196 @@ mod tests {
         }
     }
 
-    /// A cancel order for the attempt the prefetch stage is fetching sets
-    /// that attempt's flag: the slot is freed, nothing reaches the workers
-    /// and no tombstone is left.
-    #[test]
-    fn cancel_order_reaches_the_attempt_being_prefetched() {
-        let pipe = Arc::new(Pipe::new());
-        let task = TaskMsg {
-            data: 3,
-            index: 1,
-            kind: TaskKind::Reduce,
-            func: 0,
-            map_func: 0,
-            parts: 1,
-            combine: false,
-            attempt: 2,
-            inputs: vec!["file://in0".into()],
-        };
-        let store = MidFetchStore {
-            inner: MemFs::new(),
-            pipe: Arc::clone(&pipe),
-            // The order names the task above.
-            on_get: |pipe| {
-                pipe.apply_cancels(&[CancelOrder { data: 3, index: 1, attempt: 2 }], None)
-            },
-        };
-        store.put("in0", &framed(&[])).unwrap();
-        let store: Arc<dyn Store> = Arc::new(store);
-        {
-            let mut st = pipe.state.lock();
-            st.in_flight = 1;
-            st.fetch_queue.push_back((task, 0));
-        }
-        let master = Master::new(MasterConfig::default(), DataPlane::Direct).unwrap();
-        std::thread::scope(|s| {
-            let stage = s.spawn(|| fetch_loop(&master, Some(&store), None, 0, &pipe, None));
-            // Freeing a slot wakes the poll condvar; then stop the stage.
-            let mut st = pipe.state.lock();
-            while st.in_flight > 0 {
-                pipe.poll_cv.wait(&mut st);
+    /// A link whose polls are never sent: the caller plays the polling
+    /// thread. Failure reports are logged.
+    fn unpolled() -> Arc<Script<Answer>> {
+        Script::new(&Arc::new(Gate::default()), |_, _| answer(Assignment::Wait, false))
+    }
+
+    type Answer = fn(usize, &[Polled]) -> (Dispatch, bool);
+
+    /// Run a one-worker slave's fetch stage and worker while `drive` plays
+    /// its polling thread (recording on the poll lane); returns what
+    /// `drive` returned and every event traced meanwhile. `shared` is the
+    /// shared-filesystem plane's store; `server` the direct plane's.
+    fn with_stages<R>(
+        link: &dyn MasterLink,
+        program: &dyn Program,
+        shared: Option<&Arc<dyn Store>>,
+        server: Option<&DataServer>,
+        outputs: &Outputs,
+        drive: impl FnOnce(&Slave, &TraceHandle) -> R,
+    ) -> (R, Vec<mrs_trace::Event>) {
+        /// Stops the stages even when `drive` panics.
+        struct Halt<'a>(&'a Pipe);
+        impl Drop for Halt<'_> {
+            fn drop(&mut self) {
+                self.0.shut_down();
             }
-            drop(st);
-            pipe.shut_down();
-            stage.join().unwrap().unwrap();
+        }
+        let pipe = Pipe::default();
+        let slave = Slave { link, id: 0, pipe, outputs, server, shared, delays: &[] };
+        let rec = Recorder::new();
+        let (fetch_lane, poll_lane) = (rec.handle(PREFETCH_LANE), rec.handle(POLL_LANE));
+        let store = shared.map(|s| (&**s, CompressMode::default()));
+        let workers = Workers { program, store, slots: 1, trace: Some(&rec) };
+        let out = std::thread::scope(|s| {
+            let stages =
+                [s.spawn(|| workers.run(&slave)), s.spawn(|| slave.fetch_loop(Some(&fetch_lane)))];
+            let out = {
+                let _halt = Halt(&slave.pipe);
+                drive(&slave, &poll_lane)
+            };
+            for stage in stages {
+                stage.join().unwrap().unwrap();
+            }
+            out
         });
-        let st = pipe.state.lock();
-        assert_eq!(st.in_flight, 0, "the cancelled attempt's slot is freed");
-        assert!(st.queue.is_empty(), "a cancelled attempt never reaches the workers");
-        assert!(st.tombstones.is_empty(), "the order found the attempt, not a gap");
-        assert!(st.active.is_empty());
+        (out, rec.drain().0)
+    }
+
+    /// Wait until `cond` holds of the pipe (re-checked whenever the slave
+    /// signals its polling thread, and every millisecond).
+    fn await_pipe(pipe: &Pipe, cond: impl Fn(&PipeState) -> bool) {
+        let mut st = pipe.state.lock();
+        while !cond(&st) {
+            pipe.poll_cv.wait_for(&mut st, Duration::from_millis(1));
+        }
+    }
+
+    /// How many entries the pipe holds for particular attempts.
+    fn held(st: &PipeState) -> usize {
+        let PipeState {
+            fetch_queue,
+            queue,
+            in_flight,
+            reports,
+            active,
+            tally: _,
+            more: _,
+            halt: _,
+        } = st;
+        fetch_queue.len() + queue.len() + in_flight + reports.len() + active.len()
+    }
+
+    /// Where an accepted attempt is when its cancel order arrives.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Stage {
+        QueuedForFetch,
+        BeingFetched,
+        WaitingForWorker,
+        Running,
+        Reported,
+    }
+
+    /// A cancel order reaches an accepted attempt at every stage it can be
+    /// in. The attempt is never reported (but for the one that reported
+    /// before the order), its slot is freed, it has exactly one closed
+    /// `Attempt` span — with a `Cancel` instant, unless it had already
+    /// reported — and nothing about it is left in the pipe.
+    #[test]
+    fn cancel_order_reaches_an_accepted_attempt_at_every_stage() {
+        use mrs_trace::{Kind, Name};
+        use Stage::*;
+        for stage in [QueuedForFetch, BeingFetched, WaitingForWorker, Running, Reported] {
+            let (fetch_gate, kernel_gate) = (Arc::new(Gate::default()), Arc::new(Gate::default()));
+            // `free` is a split nothing stops; `slow` the same behind the
+            // fetch gate; `gated` stops its kernel at its first record, and
+            // its second lets a cancelled kernel see the flag.
+            let store: Arc<dyn Store> = Arc::new(GatedStore {
+                inner: MemFs::new(),
+                path: "slow",
+                gate: fetch_gate.clone(),
+            });
+            let free = framed(&[encode_record(&0u64, &"a b".to_string())]);
+            store.put("free", &free).unwrap();
+            store.put("slow", &free).unwrap();
+            let gated =
+                [encode_record(&1u64, &"x".to_string()), encode_record(&2u64, &"y".to_string())];
+            store.put("gated", &framed(&gated)).unwrap();
+            let task = |index, input: &str| TaskMsg {
+                index,
+                inputs: vec![format!("file://{input}")],
+                ..map_task(0)
+            };
+            // (the input of an attempt accepted ahead of the target, the
+            // target's input)
+            let (ahead, input) = match stage {
+                QueuedForFetch => (Some("slow"), "free"),
+                BeingFetched => (None, "slow"),
+                WaitingForWorker => (Some("gated"), "free"),
+                Running => (None, "gated"),
+                Reported => (None, "free"),
+            };
+            let target = task(1, input);
+            let mut tasks: Vec<TaskMsg> = ahead.map(|i| task(0, i)).into_iter().collect();
+            tasks.push(target.clone());
+            let is_target = |t: &TaskMsg| key(t) == key(&target);
+
+            let link = unpolled();
+            let program = Simple(Gated(Arc::clone(&kernel_gate)));
+            let outputs = Outputs::default();
+            let (reported, events) =
+                with_stages(&*link, &program, Some(&store), None, &outputs, |slave, th| {
+                    slave.pipe.enqueue(tasks, th.now_us(), false);
+                    match stage {
+                        QueuedForFetch | BeingFetched => fetch_gate.await_arrival(),
+                        WaitingForWorker => {
+                            kernel_gate.await_arrival();
+                            await_pipe(&slave.pipe, |st| {
+                                st.queue.iter().any(|(t, ..)| is_target(t))
+                            });
+                        }
+                        Running => kernel_gate.await_arrival(),
+                        Reported => await_pipe(&slave.pipe, |st| st.in_flight == 0),
+                    }
+                    let order = CancelOrder { data: 1, index: 1, attempt: 1 };
+                    slave.pipe.apply_cancels(&[order], Some(th));
+                    fetch_gate.open();
+                    kernel_gate.open();
+                    await_pipe(&slave.pipe, |st| st.in_flight == 0);
+                    let st = slave.pipe.state.lock();
+                    assert!(!st.fetch_queue.iter().any(|(t, _)| is_target(t)), "{stage:?}");
+                    assert!(!st.queue.iter().any(|(t, ..)| is_target(t)), "{stage:?}");
+                    assert!(!st.active.contains_key(&key(&target)), "{stage:?}");
+                    st.reports.iter().filter(|r| r.index == target.index).count()
+                });
+            assert_eq!(reported, usize::from(stage == Reported), "{stage:?}");
+            assert!(link.failed.lock().is_empty(), "{stage:?}");
+            let traced = |name: Name, kind: Kind| {
+                let mine = |e: &&mrs_trace::Event| e.tag.key() == (1, 1, 1);
+                events.iter().filter(mine).filter(|e| e.name == name && e.kind == kind).count()
+            };
+            let span = (traced(Name::Attempt, Kind::Begin), traced(Name::Attempt, Kind::End));
+            assert_eq!(span, (1, 1), "{stage:?}: {events:?}");
+            let cancels = traced(Name::Cancel, Kind::Instant);
+            assert_eq!(cancels, usize::from(stage != Reported), "{stage:?}: {events:?}");
+        }
+    }
+
+    /// Cancel orders for attempts this slave has already reported find no
+    /// record and leave none: after 1,000 of them the pipe holds nothing
+    /// about any attempt.
+    #[test]
+    fn cancel_orders_for_reported_attempts_leave_nothing_behind() {
+        let store: Arc<dyn Store> = Arc::new(MemFs::new());
+        store.put("src0", &framed(&input()[..1])).unwrap();
+        let (link, outputs) = (unpolled(), Outputs::default());
+        let program = Simple(WordCount);
+        with_stages(&*link, &program, Some(&store), None, &outputs, |slave, th| {
+            let tasks = (0..1000).map(|index| TaskMsg { index, ..map_task(0) }).collect();
+            slave.pipe.enqueue(tasks, th.now_us(), false);
+            await_pipe(&slave.pipe, |st| st.in_flight == 0);
+            // The poll that carries the reports home.
+            let reports = std::mem::take(&mut slave.pipe.state.lock().reports);
+            assert_eq!(reports.len(), 1000);
+            let orders: Vec<CancelOrder> = reports
+                .iter()
+                .map(|r| CancelOrder { data: r.data, index: r.index, attempt: r.attempt })
+                .collect();
+            slave.pipe.apply_cancels(&orders, Some(th));
+            assert_eq!(held(&slave.pipe.state.lock()), 0);
+        });
     }
 
     /// Once the flag is set the remaining inputs are not fetched.
@@ -1712,7 +1589,7 @@ mod tests {
         let err = fetch_inputs(&urls, None, None, &cancel, &mut tally)
             .err()
             .expect("a cancelled fetch yields no bytes");
-        assert!(err.cancelled, "{}", err.msg);
+        assert!(matches!(err.error, Error::Cancelled), "{}", err.error);
     }
 
     /// A bucket the peer no longer has fails the attempt naming that
@@ -1729,8 +1606,8 @@ mod tests {
         let cancel = AtomicBool::new(false);
         let mut tally = JobMetrics::default();
         let err = fetch_inputs(&urls, None, None, &cancel, &mut tally).err().expect("b2 is gone");
-        assert_eq!(err.failed_input.as_deref(), Some(urls[2].as_str()), "{}", err.msg);
-        assert!(!err.cancelled);
+        assert_eq!(err.input, Some(2), "{}", err.error);
+        assert!(!matches!(err.error, Error::Cancelled));
     }
 
     #[test]
@@ -1807,7 +1684,7 @@ mod tests {
 
         let mut tally = JobMetrics::default();
         let inputs = fetch_inputs(&urls, None, Some((&authority, &outputs)), &go, &mut tally);
-        let runs = gather_runs(&urls, inputs.ok().unwrap(), &mut tally).ok().unwrap();
+        let runs = crate::workers::gather(inputs.ok().unwrap(), &mut tally).ok().unwrap();
         assert!(Arc::ptr_eq(&runs[0], &bucket), "the run is the stored bucket, not a copy");
         assert_eq!((tally.shortcircuit_fetches(), tally.presorted_runs()), (1, 1));
         assert_eq!(tally.bytes_on_wire(), 0, "nothing crossed a socket");
@@ -1858,23 +1735,17 @@ mod tests {
         let (server, _) = counted_server(&outputs);
         let run = |kind: TaskKind, data: u32, input: Arc<Bucket>| -> (Vec<u8>, Arc<Bucket>) {
             let task = TaskMsg { data, kind, parts: 1, ..map_task(0) };
-            let mut tally = JobMetrics::default();
-            let urls = process_task(
-                &task,
-                vec![Input::Own(input)],
-                &Backwards,
-                &DataPlane::Direct,
-                &outputs,
-                Some(&server),
-                0,
-                &mut Bucket::new(),
-                CompressMode::default(),
-                None,
-                None,
-                &mut tally,
-            )
-            .ok()
-            .unwrap();
+            let link = unpolled();
+            let (urls, _) =
+                with_stages(&*link, &Backwards, None, Some(&server), &outputs, |slave, _| {
+                    let mut st = slave.pipe.state.lock();
+                    st.in_flight += 1;
+                    st.queue.push_back((task, 0, vec![Input::Own(input)]));
+                    drop(st);
+                    slave.pipe.cv.notify_one();
+                    await_pipe(&slave.pipe, |st| st.in_flight == 0);
+                    slave.pipe.state.lock().reports.pop().expect("a report").urls
+                });
             let path = urls[0].strip_prefix(&format!("http://{}", server.authority())).unwrap();
             let frame = mrs_rpc::dataserver::fetch(&server.authority(), path).unwrap();
             (frame, Arc::clone(&outputs.lock()[&path["/data/".len()..]].0))

@@ -1,0 +1,431 @@
+//! The one worker loop of the pool and the slave.
+//!
+//! A worker takes an attempt from its plane's source, gathers the
+//! attempt's inputs into the kernel's runs, calls [`run_task`] under the
+//! attempt's cancel flag, stores the outputs and hands the outcome to its
+//! plane's sink. Everything from "an attempt has been picked" to "its
+//! outcome is handed back" is written here, once. A [`Plane`] supplies
+//! only where an attempt comes from (the pool's `Plan` claim, the slave's
+//! fetched queue) and where its outcome goes (the pool's commit, the
+//! slave's report to the master).
+//!
+//! Every attempt is traced on its worker's lane in one shape: an `Attempt`
+//! span from the claim or acceptance stamp, with `Merge` (gathering tasks
+//! only), `Exec` and `Emit` (only when the outputs go to a store) nested
+//! inside it, a `Cancel` instant when the attempt was cancelled, and the
+//! `Attempt` closed before the sink publishes the outcome — so whoever
+//! sees the outcome can see the whole span.
+
+use crate::data::count_merge_input;
+use crate::metrics::JobMetrics;
+use mrs_codec::CompressMode;
+use mrs_core::task::run_task;
+use mrs_core::{Bucket, Error, Program, Result, TaskSpec};
+use mrs_fs::format::{read_bucket_into, read_bucket_run, write_bucket};
+use mrs_fs::Store;
+use mrs_trace::{Name, Recorder, Tag, TraceHandle};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// One input of an attempt.
+pub(crate) enum Input {
+    /// A bucket this process holds — a source split or a task's output —
+    /// by reference count.
+    Own(Arc<Bucket>),
+    /// A fetched bucket's decoded `MRSB1` bytes, not yet parsed.
+    Wire(Vec<u8>),
+}
+
+/// An attempt, as a plane's source hands it to a worker.
+pub(crate) struct Attempt<T> {
+    /// What the plane's sink needs back about the attempt.
+    pub task: T,
+    pub spec: TaskSpec,
+    pub tag: Tag,
+    /// When the attempt was claimed or accepted (the recorder's clock; 0
+    /// untraced): its span reaches back to here.
+    pub since_us: u64,
+    /// One per input, in input order (the determinism oracle depends on it).
+    pub inputs: Vec<Input>,
+    /// Set to stop the attempt at the kernel's next record or group.
+    pub cancel: Option<Arc<AtomicBool>>,
+}
+
+/// An attempt's outcome, as a worker hands it to its plane's sink.
+pub(crate) struct Done<T> {
+    pub task: T,
+    pub spec: TaskSpec,
+    pub tag: Tag,
+    /// The output buckets, or why there are none.
+    pub outcome: std::result::Result<Vec<Arc<Bucket>>, Failure>,
+    /// Gather, kernel and store time.
+    pub elapsed: Duration,
+    /// What the gather counted.
+    pub tally: JobMetrics,
+}
+
+/// Why an attempt has no outputs.
+pub(crate) struct Failure {
+    pub error: Error,
+    /// The position of the input that could not be read, when that was
+    /// the cause.
+    pub input: Option<usize>,
+}
+
+impl From<Error> for Failure {
+    fn from(error: Error) -> Failure {
+        Failure { error, input: None }
+    }
+}
+
+/// What differs between the planes that run [`Workers`].
+pub(crate) trait Plane: Sync {
+    /// What the sink needs back about an attempt.
+    type Task;
+    /// Block until the next attempt for the worker recording on `th`;
+    /// `None` stops the worker.
+    fn next(&self, th: Option<&TraceHandle>) -> Option<Attempt<Self::Task>>;
+    /// The path prefix of the outputs of attempt `tag`: output `p` is
+    /// [`bucket_path`]`(stem, p)`.
+    fn stem(&self, tag: &Tag) -> String;
+    /// Take an attempt's outcome. An error stops the worker.
+    fn finish(&self, done: Done<Self::Task>, th: Option<&TraceHandle>) -> Result<()>;
+}
+
+/// A plane's worker slots.
+pub(crate) struct Workers<'a> {
+    pub program: &'a dyn Program,
+    /// Where every output is also put, framed with its sorted-run flag
+    /// (mock-parallel's spill, the shared-filesystem plane). Without a
+    /// store the sink only keeps the buckets.
+    pub store: Option<(&'a dyn Store, CompressMode)>,
+    pub slots: usize,
+    /// Each slot records on its own lane, its slot index.
+    pub trace: Option<&'a Recorder>,
+}
+
+impl Workers<'_> {
+    /// Run the slots until the source stops each of them; the first
+    /// error any of them met.
+    pub fn run<P: Plane>(&self, plane: &P) -> Result<()> {
+        std::thread::scope(|s| {
+            let slots: Vec<_> = (0..self.slots)
+                .map(|slot| {
+                    let th = self.trace.map(|r| r.handle(slot as u32));
+                    std::thread::Builder::new()
+                        .name(format!("mrs-worker-{slot}"))
+                        .spawn_scoped(s, move || self.work(plane, th.as_ref()))
+                        .expect("spawn worker")
+                })
+                .collect();
+            slots
+                .into_iter()
+                .map(|h| {
+                    h.join().unwrap_or_else(|_| Err(Error::TaskFailed("worker panicked".into())))
+                })
+                .fold(Ok(()), Result::and)
+        })
+    }
+
+    fn work<P: Plane>(&self, plane: &P, th: Option<&TraceHandle>) -> Result<()> {
+        // A map decodes a fetched split into this arena, reused across tasks.
+        let mut scratch = Bucket::new();
+        while let Some(Attempt { task, spec, tag, since_us, inputs, cancel }) = plane.next(th) {
+            if let Some(h) = th {
+                h.begin_at(since_us, Name::Attempt, tag);
+            }
+            let t0 = Instant::now();
+            let mut tally = JobMetrics::default();
+            let cancel = cancel.as_deref();
+            let outcome = if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+                Err(Error::Cancelled.into())
+            } else {
+                self.attempt(plane, &spec, tag, inputs, cancel, &mut scratch, &mut tally, th)
+            };
+            close(th, tag, matches!(outcome, Err(Failure { error: Error::Cancelled, .. })));
+            let elapsed = t0.elapsed();
+            plane.finish(Done { task, spec, tag, outcome, elapsed, tally }, th)?;
+        }
+        Ok(())
+    }
+
+    /// Gather, run and store one attempt.
+    #[allow(clippy::too_many_arguments)]
+    fn attempt<P: Plane>(
+        &self,
+        plane: &P,
+        spec: &TaskSpec,
+        tag: Tag,
+        inputs: Vec<Input>,
+        cancel: Option<&AtomicBool>,
+        scratch: &mut Bucket,
+        tally: &mut JobMetrics,
+        th: Option<&TraceHandle>,
+    ) -> std::result::Result<Vec<Arc<Bucket>>, Failure> {
+        // A map runs on its one own split as it is, and otherwise decodes
+        // its input into the scratch arena.
+        let gathered: Vec<Arc<Bucket>>;
+        let runs: Vec<&Bucket> = if spec.gathers() {
+            gathered = span(th, Name::Merge, tag, || gather(inputs, tally))?;
+            gathered.iter().map(|run| &**run).collect()
+        } else if let [Input::Own(split)] = &inputs[..] {
+            vec![&**split]
+        } else {
+            scratch.clear();
+            for (i, input) in inputs.iter().enumerate() {
+                match input {
+                    Input::Own(split) => scratch.extend_from(split),
+                    Input::Wire(bytes) => read_bucket_into(bytes, scratch)
+                        .map_err(|error| Failure { error, input: Some(i) })?,
+                }
+            }
+            vec![&*scratch]
+        };
+        let out = span(th, Name::Exec, tag, || run_task(self.program, spec, &runs, cancel))?;
+        let out: Vec<Arc<Bucket>> = out.into_iter().map(Arc::new).collect();
+        if let Some((store, compress)) = self.store {
+            span(th, Name::Emit, tag, || {
+                let stem = plane.stem(&tag);
+                out.iter().enumerate().try_for_each(|(p, b)| {
+                    let frame = mrs_codec::encode_vec_sorted(
+                        write_bucket(b),
+                        compress,
+                        sorted_run(spec, b),
+                    );
+                    store.put(&bucket_path(&stem, p), &frame)
+                })
+            })?;
+        }
+        Ok(out)
+    }
+}
+
+/// The merge runs of a reduce-like attempt, one per input, counted into
+/// `tally`. An own input is a map's output, presorted by the kernel's
+/// contract; a fetched one is parsed, and sorted on arrival unless its
+/// frame says it is in order.
+pub(crate) fn gather(
+    inputs: Vec<Input>,
+    tally: &mut JobMetrics,
+) -> std::result::Result<Vec<Arc<Bucket>>, Failure> {
+    let t0 = Instant::now();
+    let mut presorted = 0usize;
+    let runs = inputs
+        .into_iter()
+        .enumerate()
+        .map(|(i, input)| match input {
+            Input::Own(run) => {
+                presorted += 1;
+                Ok(run)
+            }
+            Input::Wire(bytes) => {
+                let mut run = Bucket::new();
+                let info = read_bucket_run(&bytes, &mut run)
+                    .map_err(|error| Failure { error, input: Some(i) })?;
+                if info.sorted {
+                    presorted += 1;
+                } else {
+                    run.sort();
+                }
+                Ok(Arc::new(run))
+            }
+        })
+        .collect::<std::result::Result<Vec<_>, Failure>>()?;
+    let records = runs.iter().map(|run| run.len()).sum();
+    count_merge_input(tally, runs.len(), presorted, records, t0);
+    Ok(runs)
+}
+
+/// Whether `bucket`, an output of `spec`, is a sorted run: a map-like
+/// task's outputs are by the kernel's contract, unscanned; a reduce's
+/// keys come in whatever order its program emitted them.
+pub(crate) fn sorted_run(spec: &TaskSpec, bucket: &Bucket) -> bool {
+    spec.parts().is_some() || bucket.is_sorted()
+}
+
+/// The path of output `p` of the attempt whose outputs live under `stem`.
+pub(crate) fn bucket_path(stem: &str, p: usize) -> String {
+    format!("{stem}/b{p}.mrsb")
+}
+
+/// Trace an attempt cancelled before a worker took it: its span from
+/// `since_us`, closed at once with a `Cancel` instant.
+pub(crate) fn trace_abandoned(th: Option<&TraceHandle>, since_us: u64, tag: Tag) {
+    if let Some(h) = th {
+        h.begin_at(since_us, Name::Attempt, tag);
+    }
+    close(th, tag, true);
+}
+
+/// Close an attempt's span, marking a cancelled one.
+fn close(th: Option<&TraceHandle>, tag: Tag, cancelled: bool) {
+    if let Some(h) = th {
+        if cancelled {
+            h.instant(Name::Cancel, tag);
+        }
+        h.end(Name::Attempt, tag);
+    }
+}
+
+/// Run `f` inside a span `name` of attempt `tag`.
+fn span<R>(th: Option<&TraceHandle>, name: Name, tag: Tag, f: impl FnOnce() -> R) -> R {
+    if let Some(h) = th {
+        h.begin(name, tag);
+    }
+    let r = f();
+    if let Some(h) = th {
+        h.end(name, tag);
+    }
+    r
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mrs_core::FuncId;
+    use mrs_fs::MemFs;
+    use mrs_trace::{Event, Kind, Op};
+    use parking_lot::Mutex;
+
+    /// Identity map and reduce; the map raises `flag`, when there is one,
+    /// at its first record — a cancel order landing mid-kernel.
+    struct Raise(Option<Arc<AtomicBool>>);
+
+    impl Program for Raise {
+        fn map_bytes(
+            &self,
+            _: FuncId,
+            key: &[u8],
+            value: &[u8],
+            emit: &mut dyn FnMut(&[u8], &[u8]),
+        ) -> Result<()> {
+            if let Some(flag) = &self.0 {
+                flag.store(true, Ordering::Relaxed);
+            }
+            emit(key, value);
+            Ok(())
+        }
+        fn reduce_bytes(
+            &self,
+            _: FuncId,
+            key: &[u8],
+            values: &mut dyn Iterator<Item = &[u8]>,
+            emit: &mut dyn FnMut(&[u8], &[u8]),
+        ) -> Result<()> {
+            values.for_each(|v| emit(key, v));
+            Ok(())
+        }
+    }
+
+    /// An attempt's outcome (its output count), tally and events, as its
+    /// sink saw them.
+    type Seen = (std::result::Result<usize, Error>, JobMetrics, Vec<Event>);
+
+    /// A plane handing out one attempt; its sink keeps the outcome and
+    /// every event recorded before the sink ran.
+    struct OneAttempt {
+        attempt: Mutex<Option<Attempt<()>>>,
+        rec: Recorder,
+        seen: Mutex<Option<Seen>>,
+    }
+
+    impl Plane for OneAttempt {
+        type Task = ();
+        fn next(&self, _: Option<&TraceHandle>) -> Option<Attempt<()>> {
+            self.attempt.lock().take()
+        }
+        fn stem(&self, tag: &Tag) -> String {
+            format!("t{}", tag.index)
+        }
+        fn finish(&self, done: Done<()>, _: Option<&TraceHandle>) -> Result<()> {
+            let outcome = done.outcome.map(|out| out.len()).map_err(|f| f.error);
+            *self.seen.lock() = Some((outcome, done.tally, self.rec.drain().0));
+            Ok(())
+        }
+    }
+
+    /// Each attempt shape through the one loop, on a plane with a store: a
+    /// map, a reduce gathering two own runs, and a map whose cancel flag
+    /// is raised inside the kernel. Before the sink runs, the attempt's
+    /// span is closed and holds exactly its phases, in order; the gather
+    /// counted own runs as presorted; a cancelled attempt stored nothing.
+    #[test]
+    fn one_span_shape_closed_before_the_sink() {
+        use Kind::{Begin, End, Instant};
+        use Name::{Cancel, Emit, Exec, Merge};
+        let split = || {
+            let records = [(b"a".to_vec(), b"1".to_vec()), (b"b".to_vec(), b"2".to_vec())];
+            Input::Own(Arc::new(Bucket::from_records(records.to_vec())))
+        };
+        let map = TaskSpec::Map { func: 0, parts: 2, combine: false };
+        let flag = Arc::new(AtomicBool::new(false));
+        type Row = (TaskSpec, Vec<Input>, Option<Arc<AtomicBool>>, Vec<(Kind, Name)>);
+        let rows: [Row; 3] = [
+            (
+                map,
+                vec![split()],
+                None,
+                vec![(Begin, Exec), (End, Exec), (Begin, Emit), (End, Emit)],
+            ),
+            (
+                TaskSpec::Reduce { func: 0 },
+                vec![split(), split()],
+                None,
+                vec![
+                    (Begin, Merge),
+                    (End, Merge),
+                    (Begin, Exec),
+                    (End, Exec),
+                    (Begin, Emit),
+                    (End, Emit),
+                ],
+            ),
+            (
+                map,
+                vec![split()],
+                Some(flag.clone()),
+                vec![(Begin, Exec), (End, Exec), (Instant, Cancel)],
+            ),
+        ];
+        for (index, (spec, inputs, cancel, phases)) in rows.into_iter().enumerate() {
+            let store = MemFs::new();
+            let tag = Tag::task(crate::proto::trace_op(&spec), 1, index, 1);
+            let cancelled = cancel.is_some();
+            let plane = OneAttempt {
+                attempt: Mutex::new(Some(Attempt {
+                    task: (),
+                    spec,
+                    tag,
+                    since_us: 0,
+                    inputs,
+                    cancel,
+                })),
+                rec: Recorder::new(),
+                seen: Mutex::default(),
+            };
+            let program = Raise(cancelled.then(|| flag.clone()));
+            let store_step = Some((&store as &dyn Store, CompressMode::default()));
+            let workers =
+                Workers { program: &program, store: store_step, slots: 1, trace: Some(&plane.rec) };
+            workers.run(&plane).unwrap();
+
+            let (outcome, tally, events) = plane.seen.lock().take().expect("the sink ran");
+            let mut want = vec![(Begin, Name::Attempt)];
+            want.extend(phases);
+            want.push((End, Name::Attempt));
+            assert!(events.iter().all(|e| e.tag == tag && e.lane == 0), "{events:?}");
+            assert_eq!(events.iter().map(|e| (e.kind, e.name)).collect::<Vec<_>>(), want);
+            match outcome {
+                Err(Error::Cancelled) => assert!(cancelled),
+                Ok(n) => {
+                    assert_eq!((n, store.list("").unwrap().len()), (spec.parts().unwrap_or(1), n))
+                }
+                Err(e) => panic!("{e}"),
+            }
+            assert!(!cancelled || store.list("").unwrap().is_empty(), "a cancelled attempt stored");
+            let gathered = if tag.op == Op::Map { 0 } else { 2 };
+            assert_eq!((tally.merge_runs(), tally.presorted_runs()), (gathered, gathered));
+        }
+    }
+}
