@@ -2,7 +2,7 @@
 //!
 //! [`serve_master`] exposes a [`Master`] as the paper's HTTP/XML-RPC control
 //! endpoint; [`RpcMasterLink`] is the slave-side stub; [`LocalCluster`]
-//! assembles a complete cluster on localhost — master RPC server, sweeper,
+//! assembles a complete cluster on localhost — master RPC server and
 //! N slave threads each with its own data server and real TCP sockets in
 //! between. This is the multi-node substitution documented in DESIGN.md:
 //! every protocol byte is real, only the process boundary is elided (slave
@@ -116,8 +116,6 @@ pub struct LocalCluster {
     master: Master,
     server: RpcServer,
     slaves: Vec<SlaveThread>,
-    sweeper_stop: Arc<AtomicBool>,
-    sweeper: Option<JoinHandle<()>>,
     program: Arc<dyn Program>,
     plane: DataPlane,
     options: SlaveOptions,
@@ -154,23 +152,10 @@ impl LocalCluster {
         options.trace = cfg.trace;
         let master = Master::new(cfg, plane.clone())?;
         let server = serve_master(master.clone(), 0).map_err(Error::Io)?;
-        let sweeper_stop = Arc::new(AtomicBool::new(false));
-        let sweeper = {
-            let master = master.clone();
-            let stop = Arc::clone(&sweeper_stop);
-            std::thread::Builder::new()
-                .name("mrs-sweeper".into())
-                // Condvar-driven: sleeps until the earliest possible slave
-                // death, not a fixed interval; exits on finish().
-                .spawn(move || master.sweeper_loop(&stop))
-                .map_err(Error::Io)?
-        };
         let mut cluster = LocalCluster {
             master,
             server,
             slaves: Vec::new(),
-            sweeper_stop,
-            sweeper: Some(sweeper),
             program,
             plane,
             options,
@@ -314,10 +299,6 @@ impl Drop for LocalCluster {
                 let _ = h.join();
             }
         }
-        self.sweeper_stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.sweeper.take() {
-            let _ = h.join();
-        }
     }
 }
 
@@ -420,7 +401,7 @@ mod tests {
         let out = job.fetch_all(reduced).unwrap();
         let counts = sorted_counts(out);
         assert_eq!(counts.iter().find(|(w, _)| w == "common").unwrap().1, 400);
-        // The sweeper eventually notices the silent slave.
+        // The master's death timer eventually notices the silent slave.
         for _ in 0..50 {
             if cluster.live_slaves() == 2 {
                 break;

@@ -47,9 +47,9 @@
 //! Its control plane is event-driven: an idle slave's `get_task` parks
 //! server-side on a condvar until a state transition makes work runnable
 //! (long-poll dispatch), completion reports ride piggybacked on the next
-//! poll instead of costing their own RPC, and the driver's
-//! `wait`/`fetch_all` and the dead-slave sweeper sleep on the completion
-//! condvar with a deadline at the earliest possible slave death. Master
+//! poll instead of costing their own RPC, the driver's `wait`/`fetch_all`
+//! sleep on the completion condvar, and one death timer per master sleeps
+//! until the earliest possible slave death. Master
 //! and slaves speak one wire version ([`proto::PROTOCOL_VERSION`]),
 //! checked at `signin`.
 //! * the **bypass** implementation is a plain function call in Rust: run

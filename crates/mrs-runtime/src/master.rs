@@ -19,35 +19,35 @@
 //! * cap per-task retry attempts so a poisoned task fails the job instead
 //!   of looping forever.
 //!
-//! The control plane is event-driven: a poll with nothing runnable
-//! parks server-side on a dispatch condvar and is woken precisely when a
-//! state transition (a completion crossing an operation barrier, a new
-//! operation, a dead slave's requeue) makes work available, with
-//! `Assignment::Wait` only as the long-poll timeout fallback. Completion
-//! reports ride piggybacked on the next poll and wake a thread only if
-//! they change what it does next (parked polls: work became runnable; the
-//! driver-side `wait`/`fetch_all`: a dataset completed); the sweeper sleeps
-//! on its own condvar until the earliest instant a slave could cross the
-//! death timeout — no loop here discovers state by fixed-interval sleep.
+//! The core (`MasterCore`, in `master/core.rs`) makes every decision and
+//! does no I/O: each entry takes `now` and returns its answer plus its
+//! effects. [`Master`] is the shell around it. It holds the lock, reads
+//! the clock and carries the effects out under the lock: it wakes parked
+//! polls or the drivers in `wait` / `fetch_all`, deletes reclaimed storage
+//! and arms the death timer. That timer, a thread holding the master
+//! weakly, is the one place that sleeps until the core's next death
+//! deadline and calls `tick`; nothing here discovers state by
+//! fixed-interval sleep.
 
+mod core;
+
+use self::core::{Effects, Grant, MasterCore};
 use crate::data::{split_slices, DataId};
 use crate::job::JobApi;
-use crate::metrics::{Counter, JobMetrics};
-use crate::plan::{Ds, Plan};
+use crate::metrics::JobMetrics;
 use crate::proto::{
-    fetch_buckets, trace_op, Assignment, CancelOrder, DataPlane, Dispatch, SpeculateMode, TaskKind,
-    TaskMsg, TaskReport, TraceBatch,
+    fetch_buckets, Assignment, DataPlane, Dispatch, SpeculateMode, TaskReport, TraceBatch,
 };
 use mrs_codec::CompressMode;
 use mrs_core::{Error, FuncId, Record, Result, TaskSpec};
 use mrs_fs::format::{read_bucket_records, write_bucket_bytes};
-use mrs_fs::Store;
 use mrs_rpc::{DataServer, FrameCache, Pages, Response};
-use mrs_trace::{ClockSync, GlobalEvent, JobTrace, Recorder, TraceHandle, MASTER_PID};
+use mrs_trace::{ClockSync, GlobalEvent, JobTrace, Recorder, MASTER_PID};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, OnceLock, Weak};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Identifies a signed-in slave.
@@ -100,122 +100,12 @@ impl Default for MasterConfig {
     }
 }
 
-/// One live execution attempt of a task. Speculative execution means a
-/// slot can hold several attempts racing on different slaves; the first
-/// completion commits and the rest are cancelled.
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct Attempt {
-    /// Unique per-master id (1-based, never reused): the task message
-    /// carries it out and the completion report echoes it back, so a report
-    /// from a cancelled or superseded attempt — or from a life of the task
-    /// before its dataset was reclaimed and rebuilt — is recognizably stale.
-    id: u32,
-    slave: SlaveId,
-    started: Instant,
-    /// Dispatched as a straggler backup rather than a primary attempt.
-    speculative: bool,
-}
-
-/// The master's own state of one task of the plan. The plan knows whether
-/// the task is committed; a task with no live attempt and no committed
-/// output is pending (it may or may not be dispatchable yet).
-#[derive(Debug, Default)]
-struct Slot {
-    /// The live attempts: more than one while a speculative backup races
-    /// the original, none once the task is committed.
-    running: Vec<Attempt>,
-    /// Charged execution attempts, compared against `max_attempts` (fetch
-    /// failures are forgiven and decrement this).
-    attempts: u32,
-    /// The slave holding the committed output on the direct data plane
-    /// (None when outputs live on the shared filesystem).
-    owner: Option<SlaveId>,
-    /// Wall-clock runtime (µs) of the committed attempt: the sample whose
-    /// median over the op sets the straggler cutoff for speculative
-    /// backups.
-    runtime_us: Option<u64>,
-}
-
-/// What an affinity claim is keyed by: task kind, program function (the
-/// reduce function of a fused op) and task index.
-type Claim = (TaskKind, FuncId, usize);
-
-fn claim(spec: &TaskSpec, index: usize) -> Claim {
-    let func = match *spec {
-        TaskSpec::Map { func, .. } | TaskSpec::Reduce { func } => func,
-        TaskSpec::ReduceMap { reduce_func, .. } => reduce_func,
-    };
-    (TaskKind::of(spec), func, index)
-}
-
-/// A backup is never launched before its original has run this long past
-/// the op's median: a backup pays one dispatch, one input fetch and one
-/// run of its own, so below that it cannot win the race it was started
-/// for — it only occupies the slot the next real task needs.
-const LAUNCH_FLOOR: Duration = Duration::from_millis(10);
-
-/// How long a task may run before it counts as a straggler, given the
-/// median runtime of its op's committed attempts.
-fn straggler_cutoff(median: Duration, threshold: f64) -> Duration {
-    median.mul_f64(threshold).max(median + LAUNCH_FLOOR)
-}
-
-/// Median of a (small, unsorted) runtime sample; `None` when empty.
-fn median_micros(mut samples: Vec<u64>) -> Option<u64> {
-    samples.sort_unstable();
-    samples.get(samples.len() / 2).copied()
-}
-
-#[derive(Clone)]
-struct SlaveInfo {
-    authority: String,
-    alive: bool,
-    last_seen: Instant,
-    /// Capacity advertised at signin: the maximum number of assignments
-    /// the slave holds at once (compute workers plus prefetch buffer).
-    slots: usize,
-}
-
-struct MState {
-    /// The task graph: datasets, readiness, the barrier, lifetime GC.
-    /// Everything below is policy over it.
-    plan: Plan<String, Slot>,
-    /// Per-slave output-table purge orders not yet delivered; drained onto
-    /// the next [`Master::poll`] answer for that slave — the same answer as
-    /// any grant to it, so a rebuilt task's output never meets the purge
-    /// order of its previous life.
-    pending_purge: Vec<Vec<String>>,
-    /// Per-slave attempt-cancellation orders not yet delivered: issued at
-    /// the commit point for every losing attempt of a won race, drained
-    /// like `pending_purge`.
-    pending_cancel: Vec<Vec<CancelOrder>>,
-    slaves: Vec<SlaveInfo>,
-    /// (kind, func, index) → slave that last completed that task shape.
-    /// Keying by kind means a fused `ReduceMap` op carries its own claims
-    /// from one iteration to the next, exactly like the map/reduce pair it
-    /// replaced.
-    affinity: HashMap<Claim, SlaveId>,
-    /// The last attempt id handed out. One counter for every task, never
-    /// reset, so ids are unique per master.
-    last_attempt: u32,
-    error: Option<String>,
-    finished: bool,
-    /// Polls currently parked on `dispatch_cv`. Wakes are
-    /// recorded (and broadcast) only while this is non-zero, so the
-    /// `wakeups` metric counts precise wakes, not every state change.
-    parked: usize,
-    /// Times the completion condvar was notified; tests read it to show
-    /// that a report which completes nothing wakes no driver.
-    sleeper_wakes: u64,
-    metrics: JobMetrics,
-}
-
 /// Master-side trace state: its own recorder (dispatch/report/cancel
-/// instants, one shared handle with per-slave lanes) plus the ingest
-/// side that maps slave-shipped batches onto the master clock.
+/// instants, written by the core through one handle with per-slave lanes)
+/// plus the ingest side that maps slave-shipped batches onto the master
+/// clock.
 struct MasterTrace {
     rec: Recorder,
-    handle: TraceHandle,
     ingest: Mutex<TraceIngest>,
 }
 
@@ -229,23 +119,41 @@ struct TraceIngest {
     dropped: u64,
 }
 
-impl MasterTrace {
-    fn new() -> MasterTrace {
-        let rec = Recorder::new();
-        let handle = rec.handle(0);
-        MasterTrace { rec, handle, ingest: Mutex::new(TraceIngest::default()) }
+/// The death timer: the one place that turns the core's death deadline
+/// into a `tick`. It sleeps until the earliest deadline announced on
+/// `alarms`, ticks the core and takes the deadline the tick names next.
+/// Heartbeats only move deadlines later, so they need not wake it: a
+/// healthy cluster costs one tick per timeout. It ends with the master.
+fn death_timer(master: Weak<MasterShared>, alarms: Receiver<Instant>) {
+    let mut next: Option<Instant> = None;
+    loop {
+        let heard = match next {
+            None => alarms.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            Some(at) => alarms.recv_timeout(at.saturating_duration_since(Instant::now())),
+        };
+        match heard {
+            Ok(at) => next = Some(next.map_or(at, |n| n.min(at))),
+            Err(RecvTimeoutError::Timeout) => {
+                next = None;
+                let Some(shared) = master.upgrade() else { return };
+                Master { shared }.with(|core, now| core.tick(now));
+            }
+            Err(RecvTimeoutError::Disconnected) => return,
+        }
     }
 }
 
 struct MasterShared {
     cfg: MasterConfig,
-    state: Mutex<MState>,
+    state: Mutex<MasterCore>,
     /// Completion condvar: driver `wait`/`fetch_all`.
     cv: Condvar,
     /// Dispatch condvar: parked polls.
     dispatch_cv: Condvar,
-    /// The sweeper's condvar: sign-in and the end of the job.
-    sweep_cv: Condvar,
+    /// The death timer's deadlines, announced by the core's effects, and
+    /// the timer itself.
+    alarms: Option<Sender<Instant>>,
+    timer: OnceLock<JoinHandle<()>>,
     plane: DataPlane,
     /// Master-local frame cache for source splits (direct plane): each
     /// split is encoded once and served zero-copy to every reader.
@@ -259,6 +167,18 @@ struct MasterShared {
     trace: Option<MasterTrace>,
 }
 
+impl Drop for MasterShared {
+    /// End the death timer and join it — unless this is the timer, which
+    /// held the last handle while it ticked and ends on its own.
+    fn drop(&mut self) {
+        drop(self.alarms.take());
+        let timer = self.timer.take().filter(|t| t.thread().id() != std::thread::current().id());
+        if timer.is_some_and(|t| t.join().is_err()) {
+            eprintln!("mrs master: the death timer panicked");
+        }
+    }
+}
+
 /// The master. Clone-cheap handle; all state is shared.
 #[derive(Clone)]
 pub struct Master {
@@ -268,29 +188,21 @@ pub struct Master {
 impl Master {
     /// Create a master for the given data plane.
     pub fn new(cfg: MasterConfig, plane: DataPlane) -> Result<Master> {
-        let source_frames = Arc::new(FrameCache::new());
-        let trace = cfg.trace.then(MasterTrace::new);
+        let trace =
+            cfg.trace.then(|| MasterTrace { rec: Recorder::new(), ingest: Mutex::default() });
+        let handle = trace.as_ref().map(|t| t.rec.handle(0));
+        let direct = matches!(plane, DataPlane::Direct);
+        let (alarms, timer) = std::sync::mpsc::channel();
         let master = Master {
             shared: Arc::new(MasterShared {
+                state: Mutex::new(MasterCore::new(cfg.clone(), direct, handle)),
                 cfg,
-                state: Mutex::new(MState {
-                    plan: Plan::new(),
-                    pending_purge: Vec::new(),
-                    pending_cancel: Vec::new(),
-                    slaves: Vec::new(),
-                    affinity: HashMap::new(),
-                    last_attempt: 0,
-                    error: None,
-                    finished: false,
-                    parked: 0,
-                    sleeper_wakes: 0,
-                    metrics: JobMetrics::default(),
-                }),
                 cv: Condvar::new(),
                 dispatch_cv: Condvar::new(),
-                sweep_cv: Condvar::new(),
+                alarms: Some(alarms),
+                timer: OnceLock::new(),
                 plane,
-                source_frames,
+                source_frames: Arc::new(FrameCache::new()),
                 source_server: OnceLock::new(),
                 trace,
             }),
@@ -312,7 +224,51 @@ impl Master {
         let server = DataServer::serve_with_pages(0, master.shared.source_frames.provider(), pages)
             .map_err(Error::Io)?;
         let _ = master.shared.source_server.set(server);
+        let weak = Arc::downgrade(&master.shared);
+        let timer = std::thread::Builder::new()
+            .name("mrs-death-timer".into())
+            .spawn(move || death_timer(weak, timer))
+            .map_err(Error::Io)?;
+        let _ = master.shared.timer.set(timer);
         Ok(master)
+    }
+
+    /// Run one core entry at the current instant and carry out its effects
+    /// under the same lock.
+    fn with<T>(&self, entry: impl FnOnce(&mut MasterCore, Instant) -> (T, Effects)) -> T {
+        let mut st = self.shared.state.lock();
+        let (answer, fx) = entry(&mut st, Instant::now());
+        self.apply(fx);
+        answer
+    }
+
+    /// Carry out a core entry's effects; the caller holds the state lock.
+    /// Deleting there orders a reclaimed dataset's delete before anything
+    /// the lock guards later, such as the grant of a task rebuilding it.
+    fn apply(&self, fx: Effects) {
+        if fx.wake_polls {
+            self.shared.dispatch_cv.notify_all();
+        }
+        if fx.wake_drivers {
+            self.shared.cv.notify_all();
+        }
+        if let (Some(at), Some(alarms)) = (fx.death, &self.shared.alarms) {
+            let _ = alarms.send(at);
+        }
+        for dir in fx.deletes {
+            match &self.shared.plane {
+                DataPlane::Direct => {
+                    self.shared.source_frames.remove_prefix(&format!("{dir}/"));
+                }
+                // A delete that fails leaves a file behind; it never fails
+                // the job.
+                DataPlane::SharedFs(store) => {
+                    for path in store.list(&dir).unwrap_or_default() {
+                        let _ = store.delete(&path);
+                    }
+                }
+            }
+        }
     }
 
     /// `host:port` serving this master's `/status` and `/metrics` pages
@@ -332,23 +288,7 @@ impl Master {
             (None, false) => "running".to_owned(),
         };
         let slaves = st.slaves.clone();
-        // (id, op name or `None` for a source, tasks or splits, done, running)
-        let rows: Vec<(usize, Option<&str>, usize, usize, usize)> = st
-            .plan
-            .datasets()
-            .iter()
-            .enumerate()
-            .filter_map(|(d, ds)| match ds {
-                Ds::Discarded(_) => None,
-                Ds::Loading => Some((d, None, 0, 0, 0)),
-                Ds::Source(urls) => Some((d, None, urls.len(), 0, 0)),
-                Ds::Op(op) => {
-                    let (tasks, name) = (op.tasks(), trace_op(&op.spec).as_str());
-                    let running = tasks.iter().filter(|t| !t.x.running.is_empty()).count();
-                    Some((d, Some(name), tasks.len(), op.done(), running))
-                }
-            })
-            .collect();
+        let rows = st.plan.rows(|slot| !slot.running.is_empty());
         let discarded = st.plan.datasets().len() - rows.len();
         let (executed, retried) = (st.metrics.tasks_executed(), st.metrics.tasks_retried());
         drop(st);
@@ -385,8 +325,7 @@ impl Master {
     /// as `/metrics` by the master's HTTP server, formatted outside the lock.
     pub fn metrics_page(&self) -> String {
         let st = self.shared.state.lock();
-        let (metrics, signed_in) = (st.metrics, st.slaves.len());
-        let alive = st.slaves.iter().filter(|s| s.alive).count();
+        let (metrics, signed_in, alive) = (st.metrics, st.slaves.len(), st.live_slaves());
         drop(st);
         let mut out = metrics.to_prometheus();
         out.push_str(&format!("mrs_slaves_alive {alive}\n"));
@@ -395,13 +334,6 @@ impl Master {
             out.push_str(&format!("mrs_trace_dropped_events {}\n", t.rec.dropped_events()));
         }
         out
-    }
-
-    /// Record a master-side instant on the lane of the slave it concerns.
-    fn trace_instant(&self, slave: SlaveId, name: mrs_trace::Name, tag: mrs_trace::Tag) {
-        if let Some(t) = &self.shared.trace {
-            t.handle.instant_on(slave, name, tag);
-        }
     }
 
     /// Fold a slave's piggybacked trace batch into the job timeline,
@@ -441,34 +373,15 @@ impl Master {
         Some(JobTrace { events, dropped })
     }
 
-    /// The shared store, if the data plane is a shared filesystem.
-    fn shared_store(&self) -> Option<Arc<dyn Store>> {
-        match &self.shared.plane {
-            DataPlane::SharedFs(s) => Some(Arc::clone(s)),
-            DataPlane::Direct => None,
-        }
-    }
-
     /// Register a slave advertising `slots` task slots; returns its id.
     /// `slots` is clamped to at least 1.
     pub fn signin(&self, authority: &str, slots: usize) -> SlaveId {
-        let mut st = self.shared.state.lock();
-        st.slaves.push(SlaveInfo {
-            authority: authority.to_owned(),
-            alive: true,
-            last_seen: Instant::now(),
-            slots: slots.max(1),
-        });
-        st.pending_purge.push(Vec::new());
-        st.pending_cancel.push(Vec::new());
-        // The sweeper's next deadline may now be this slave's.
-        self.shared.sweep_cv.notify_all();
-        st.slaves.len() as SlaveId - 1
+        self.with(|core, now| core.signin(authority, slots, now))
     }
 
     /// Number of slaves currently considered alive.
     pub fn live_slaves(&self) -> usize {
-        self.shared.state.lock().slaves.iter().filter(|s| s.alive).count()
+        self.shared.state.lock().live_slaves()
     }
 
     /// Metrics snapshot: the master's own counts and every tally its
@@ -479,51 +392,14 @@ impl Master {
 
     /// Mark the job finished: polling slaves are told to exit.
     pub fn finish(&self) {
-        let mut st = self.shared.state.lock();
-        st.finished = true;
-        Self::wake_dispatch(&mut st, &self.shared.dispatch_cv);
-        self.wake_sleepers(&mut st);
-    }
-
-    /// The configuration this master was built with.
-    pub fn config(&self) -> &MasterConfig {
-        &self.shared.cfg
-    }
-
-    fn touch(st: &mut MState, slave: SlaveId) {
-        if let Some(info) = st.slaves.get_mut(slave as usize) {
-            info.last_seen = Instant::now();
-            info.alive = true;
-        }
-    }
-
-    /// Wake any parked polls: a state transition has made work runnable,
-    /// queued a cancel order or ended the job (a report that does none of
-    /// these wakes nobody). Recorded only when someone is actually parked,
-    /// so `wakeups` measures precise wakes.
-    fn wake_dispatch(st: &mut MState, dispatch_cv: &Condvar) {
-        if st.parked > 0 {
-            st.metrics.add(Counter::Wakeups, 1);
-            dispatch_cv.notify_all();
-        }
-    }
-
-    /// Wake the drivers in `wait`/`fetch_all` — a dataset completed, a slave
-    /// was declared dead, the job is over — and, only then, the sweeper.
-    fn wake_sleepers(&self, st: &mut MState) {
-        st.sleeper_wakes += 1;
-        self.shared.cv.notify_all();
-        if st.finished || st.error.is_some() {
-            self.shared.sweep_cv.notify_all();
-        }
+        self.with(|core, now| core.finish(now))
     }
 
     /// A slave polls. In one critical section: merge its counter tally
     /// `counts` (what its fetches and tasks counted since its last poll —
     /// never later than the reports those tasks make), apply the
     /// piggybacked completion `reports`, grant up to `free_slots` tasks
-    /// (parking up to `park` when nothing is runnable, see
-    /// [`Self::assign`]) and drain the purge and cancel orders queued for
+    /// (parking up to `park` when nothing is runnable) and drain the purge and cancel orders queued for
     /// this slave. The `trace` batch is ingested first so its events land
     /// on the timeline before anything this poll itself dispatches. The
     /// boolean beside the dispatch is the hint "runnable work was left
@@ -541,16 +417,24 @@ impl Master {
     ) -> (Dispatch, bool) {
         self.ingest_trace(slave, trace);
         let mut st = self.shared.state.lock();
-        st.metrics.merge(counts);
-        let (assignment, more) = self.assign(&mut st, slave, free_slots, park, reports);
-        let at = slave as usize;
-        let dispatch = Dispatch {
-            assignment,
-            purge: st.pending_purge.get_mut(at).map(std::mem::take).unwrap_or_default(),
-            eager: Vec::new(),
-            cancel: st.pending_cancel.get_mut(at).map(std::mem::take).unwrap_or_default(),
+        let (until, fx) = st.poll(slave, reports, counts, park, Instant::now());
+        self.apply(fx);
+        // The park loop: the core answers at once or names the instant to
+        // park until; the poll sleeps until then or a wake, and asks again.
+        let mut resumed = false;
+        let (assignment, more) = loop {
+            let (grant, fx) = st.grant(slave, free_slots, until, resumed, Instant::now());
+            self.apply(fx);
+            match grant {
+                Grant::Now(assignment, more) => break (assignment, more),
+                Grant::Park(at) => {
+                    self.shared.dispatch_cv.wait_until(&mut st, at);
+                    resumed = true;
+                }
+            }
         };
-        (dispatch, more)
+        let (purge, cancel) = st.orders(slave);
+        (Dispatch { assignment, purge, eager: Vec::new(), cancel }, more)
     }
 
     /// [`Master::poll`] without parking, reports or order delivery: just
@@ -558,299 +442,10 @@ impl Master {
     /// tests, the dispatch microbenchmark); queued orders stay queued for
     /// the slave's next real poll.
     pub fn get_tasks(&self, slave: SlaveId, free_slots: usize) -> Assignment {
-        self.assign(&mut self.shared.state.lock(), slave, free_slots, Duration::ZERO, &[]).0
-    }
-
-    /// The grant half of a poll, under the state lock. First applies the
-    /// piggybacked completion `reports` (applied *before* the dispatch
-    /// budget is computed, so the slots they free are grantable in this
-    /// same round trip). Then grants up to
-    /// `min(free_slots, capacity − in_flight)` tasks, where `capacity` is
-    /// the slot count the slave advertised at signin — filling an N-slot
-    /// slave costs one poll, not N. With nothing runnable and a non-zero
-    /// `park`, the request parks on the dispatch condvar and is woken
-    /// precisely when a state transition makes work available. `Wait` is
-    /// returned only when the (clamped) park deadline expires or a cancel
-    /// order is due; beside the assignment, the hint of [`Self::poll`].
-    fn assign(
-        &self,
-        st: &mut parking_lot::MutexGuard<'_, MState>,
-        slave: SlaveId,
-        free_slots: usize,
-        park: Duration,
-        reports: &[TaskReport],
-    ) -> (Assignment, bool) {
-        Self::touch(st, slave);
-        // One wake for all of them, and only if one of them calls for it.
-        let mut wake = false;
-        for r in reports {
-            wake |= self.apply_done_locked(st, slave, r.data, r.index, r.attempt, r.urls.clone());
+        match self.with(|core, now| core.grant(slave, free_slots, now, false, now)) {
+            Grant::Now(assignment, _) => assignment,
+            Grant::Park(_) => unreachable!("a grant due now does not park"),
         }
-        if wake {
-            Self::wake_dispatch(st, &self.shared.dispatch_cv);
-        }
-        st.metrics.add(Counter::PiggybackedReports, reports.len() as u64);
-        // The clamp to `slave_timeout / 2` keeps a parked slave heartbeating
-        // at least twice per death timeout.
-        let park =
-            park.min(self.shared.cfg.long_poll_timeout).min(self.shared.cfg.slave_timeout / 2);
-        let deadline = Instant::now() + park;
-        let mut parked = false;
-        loop {
-            if st.finished || st.error.is_some() {
-                if parked {
-                    st.parked -= 1;
-                }
-                return (Assignment::Exit, false);
-            }
-            if let Some((granted, more)) = self.dispatch_locked(st, slave, free_slots) {
-                if parked {
-                    st.parked -= 1;
-                }
-                return (Assignment::Tasks(granted), more);
-            }
-            // An undelivered cancel order must not sit behind the park: its
-            // whole value is freeing the doomed slot *now* — so answer
-            // `Wait` at once and let `poll` attach it.
-            if st.pending_cancel.get(slave as usize).is_some_and(|v| !v.is_empty()) {
-                if parked {
-                    st.parked -= 1;
-                }
-                return (Assignment::Wait, false);
-            }
-            if park.is_zero() || Instant::now() >= deadline {
-                if parked {
-                    st.parked -= 1;
-                    st.metrics.add(Counter::LongpollTimeouts, 1);
-                }
-                return (Assignment::Wait, false);
-            }
-            if !parked {
-                parked = true;
-                st.parked += 1;
-                st.metrics.add(Counter::LongpollParks, 1);
-            }
-            // A running task becomes backup-eligible purely by time passing
-            // — no state transition fires, so no wake would. Cap the sleep
-            // at the earliest instant a task could cross the straggler
-            // cutoff for this poller; the retried dispatch then grants the
-            // backup within one wake of eligibility.
-            let wake = match self.next_speculation_deadline(st, slave) {
-                Some(spec) => deadline.min(spec),
-                None => deadline,
-            };
-            self.shared.dispatch_cv.wait_until(st, wake);
-            // Parked is not silent: the request being held here is proof of
-            // life, so refresh `last_seen` on every wake.
-            Self::touch(st, slave);
-        }
-    }
-
-    /// Try to grant tasks under the lock; `None` when nothing is runnable
-    /// for this slave right now (the park/`Wait` case). Beside the grant,
-    /// whether a task this slave would be given is still runnable after it.
-    fn dispatch_locked(
-        &self,
-        st: &mut MState,
-        slave: SlaveId,
-        free_slots: usize,
-    ) -> Option<(Vec<TaskMsg>, bool)> {
-        let capacity = st.slaves.get(slave as usize).map(|s| s.slots)?;
-
-        // In-flight counts are derived from task states on every poll, not
-        // kept as counters: a sweep's requeue or a duplicate/late report can
-        // therefore never leave the accounting stale. Every racing attempt
-        // occupies a slot on its slave, so attempts are counted, not slots.
-        let mut in_flight = vec![0usize; st.slaves.len()];
-        for (_, op) in st.plan.live_ops() {
-            for a in op.tasks().iter().flat_map(|t| &t.x.running) {
-                if let Some(n) = in_flight.get_mut(a.slave as usize) {
-                    *n += 1;
-                }
-            }
-        }
-
-        let budget = free_slots.min(capacity.saturating_sub(in_flight[slave as usize]));
-        let mut granted: Vec<TaskMsg> = Vec::new();
-        while granted.len() < budget {
-            // Primary work first; with none runnable, offer the idle slot
-            // to a straggling task as a speculative backup.
-            let (data, index, stolen, speculative) = match Self::pick_task(st, slave, &in_flight) {
-                Some((d, i, s)) => (d, i, s, false),
-                None => match self.pick_backup(st, slave, Instant::now()) {
-                    Some((d, i)) => (d, i, false, true),
-                    None => break,
-                },
-            };
-            let spec = st.plan.at(data).expect("candidates only contain ops").spec;
-            let inputs = st.plan.input(data, index);
-            if speculative {
-                st.metrics.add(Counter::SpeculativeLaunches, 1);
-            } else {
-                if self.shared.cfg.use_affinity {
-                    if let Some(&pref) = st.affinity.get(&claim(&spec, index)) {
-                        let hit = pref == slave;
-                        let c = if hit { Counter::AffinityHits } else { Counter::AffinityMisses };
-                        st.metrics.add(c, 1);
-                    }
-                }
-                if stolen {
-                    st.metrics.add(Counter::TasksStolen, 1);
-                }
-            }
-            st.last_attempt += 1;
-            let attempt =
-                Attempt { id: st.last_attempt, slave, started: Instant::now(), speculative };
-            let slot = st.plan.x_mut(data, index).expect("candidates only contain ops");
-            slot.attempts += 1;
-            slot.running.push(attempt);
-            in_flight[slave as usize] += 1;
-            let tag = mrs_trace::Tag::task(trace_op(&spec), data.0, index, attempt.id);
-            self.trace_instant(slave, mrs_trace::Name::Dispatch, tag);
-            if speculative {
-                self.trace_instant(slave, mrs_trace::Name::Speculate, tag);
-            }
-            granted.push(TaskMsg::new(data.0, index, &spec, attempt.id, inputs));
-        }
-        if granted.is_empty() {
-            return None;
-        }
-        let total: usize = in_flight.iter().sum();
-        st.metrics.add(Counter::DispatchPolls, 1);
-        st.metrics.add(Counter::DispatchedTasks, granted.len() as u64);
-        st.metrics.max(Counter::PeakInFlight, total as u64);
-        // One more pick, with this grant counted into the loads: work left
-        // for an equally idle claimant is not work left for this slave.
-        let more = Self::pick_task(st, slave, &in_flight).is_some();
-        Some((granted, more))
-    }
-
-    /// Choose the next task for `slave`. Priority order: a task whose
-    /// corresponding task ran on this slave last iteration (affinity), then
-    /// a task nobody alive has a claim to, and only then — when every
-    /// remaining candidate belongs to a live owner — an occupancy-driven
-    /// steal from the busiest owner, gated on the poller being *strictly*
-    /// less loaded (fractional occupancy, so 2-busy-of-4-slots loses to
-    /// 0-busy-of-1-slot). An equally-idle owner keeps its claim: it will
-    /// take the task on its own next poll, preserving affinity for free.
-    /// Returns `(data, index, was_steal)`.
-    fn pick_task(
-        st: &MState,
-        slave: SlaveId,
-        in_flight: &[usize],
-    ) -> Option<(DataId, usize, bool)> {
-        // Collect dispatchable tasks: pending, with satisfied inputs.
-        let mut candidates: Vec<(DataId, usize)> = Vec::new();
-        st.plan.runnable().for_each(|(d, i, op)| {
-            if op.tasks()[i].x.running.is_empty() {
-                candidates.push((d, i));
-            }
-        });
-        let &first = candidates.first()?;
-
-        let owner_of = |d: DataId, i: usize| -> Option<SlaveId> {
-            st.affinity.get(&claim(&st.plan.at(d)?.spec, i)).copied()
-        };
-        let live = |s: SlaveId| st.slaves.get(s as usize).map(|x| x.alive).unwrap_or(false);
-        // Fractional load (busy, slots) for cross-multiplied comparison.
-        let load = |s: SlaveId| -> (usize, usize) {
-            let slots = st.slaves.get(s as usize).map(|x| x.slots.max(1)).unwrap_or(1);
-            (in_flight.get(s as usize).copied().unwrap_or(0), slots)
-        };
-
-        if !st.affinity.is_empty() {
-            // 1. A task this slave has an affinity claim to.
-            for &(d, i) in &candidates {
-                if owner_of(d, i) == Some(slave) {
-                    return Some((d, i, false));
-                }
-            }
-            // 2. A task with no claim, or whose claimant is dead.
-            for &(d, i) in &candidates {
-                match owner_of(d, i) {
-                    None => return Some((d, i, false)),
-                    Some(o) if !live(o) => return Some((d, i, false)),
-                    Some(_) => {}
-                }
-            }
-            // 3. Every candidate is claimed by a live slave: steal from the
-            //    (fractionally) busiest owner, if busier than the poller.
-            let (my_busy, my_slots) = load(slave);
-            let mut best: Option<((DataId, usize), (usize, usize))> = None;
-            for &(d, i) in &candidates {
-                let Some(o) = owner_of(d, i) else { continue };
-                let (o_busy, o_slots) = load(o);
-                if o_busy * my_slots <= my_busy * o_slots {
-                    continue; // owner not strictly busier than us: leave it
-                }
-                let better = match best {
-                    None => true,
-                    Some((_, (b_busy, b_slots))) => o_busy * b_slots > b_busy * o_slots,
-                };
-                if better {
-                    best = Some(((d, i), (o_busy, o_slots)));
-                }
-            }
-            return best.map(|((d, i), _)| (d, i, true));
-        }
-        Some((first.0, first.1, false))
-    }
-
-    /// Straggler candidates for speculation: running single-attempt tasks
-    /// of ops past the wave threshold (≥ 75% complete), each paired with
-    /// its cutoff instant — `started +` [`straggler_cutoff`] of the median
-    /// completed runtime. Empty when speculation is off or no runtime
-    /// sample exists yet. One backup per task at most: racing more than
-    /// two attempts buys little and burns a slot.
-    fn straggler_candidates(&self, st: &MState) -> Vec<(DataId, usize, Attempt, Instant)> {
-        let SpeculateMode::On { threshold } = self.shared.cfg.speculate else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for (d, op) in st.plan.live_ops() {
-            let tasks = op.tasks();
-            if op.done() == 0 || op.done() * 4 < tasks.len() * 3 {
-                continue;
-            }
-            let runtimes = tasks.iter().filter_map(|t| t.x.runtime_us).collect();
-            let Some(median) = median_micros(runtimes) else { continue };
-            let cutoff = straggler_cutoff(Duration::from_micros(median), threshold);
-            for (i, task) in tasks.iter().enumerate() {
-                let [a] = task.x.running.as_slice() else { continue };
-                // A producer re-execution (dead slave on the direct plane)
-                // can unready the input of a still-running consumer; a
-                // backup could not fetch, so skip it.
-                if st.plan.ready(op, i) {
-                    out.push((d, i, *a, a.started + cutoff));
-                }
-            }
-        }
-        out
-    }
-
-    /// Choose a straggling task to back up on `slave`: the most overdue
-    /// single-attempt task running on a *different* slave.
-    fn pick_backup(&self, st: &MState, slave: SlaveId, now: Instant) -> Option<(DataId, usize)> {
-        self.straggler_candidates(st)
-            .into_iter()
-            .filter(|(_, _, a, deadline)| a.slave != slave && now >= *deadline)
-            .min_by_key(|(_, _, _, deadline)| *deadline)
-            .map(|(d, i, _, _)| (d, i))
-    }
-
-    /// Earliest future instant at which a running task becomes eligible
-    /// for a backup on `slave`. Bounds the dispatch park so an idle slave
-    /// wakes exactly when speculation could grant it work. Instants
-    /// already in the past are excluded: if an overdue task were grantable
-    /// now, dispatch would have granted it — re-waking immediately for one
-    /// it *cannot* take (e.g. no budget) would busy-loop the poll.
-    fn next_speculation_deadline(&self, st: &MState, slave: SlaveId) -> Option<Instant> {
-        let now = Instant::now();
-        self.straggler_candidates(st)
-            .into_iter()
-            .filter(|(_, _, a, deadline)| a.slave != slave && *deadline > now)
-            .map(|(_, _, _, deadline)| deadline)
-            .min()
     }
 
     /// Report a completed task without a poll: what a report on
@@ -866,134 +461,8 @@ impl Master {
         attempt: u32,
         urls: Vec<String>,
     ) {
-        let mut st = self.shared.state.lock();
-        Self::touch(&mut st, slave);
-        if self.apply_done_locked(&mut st, slave, data, index, attempt, urls) {
-            Self::wake_dispatch(&mut st, &self.shared.dispatch_cv);
-        }
-    }
-
-    /// Record one completed task under the lock. Wakes the waiting drivers
-    /// if it completes the op, and returns whether the caller must wake the
-    /// parked polls: the op completed, a cancel order was queued, a map
-    /// over this reduce output or a backup got nearer.
-    fn apply_done_locked(
-        &self,
-        st: &mut MState,
-        slave: SlaveId,
-        data: u32,
-        index: usize,
-        attempt: u32,
-        urls: Vec<String>,
-    ) -> bool {
-        let id = DataId(data);
-        // The commit point. The report must name an attempt that is live
-        // on the reporting slave. Any other report — a duplicate, one from
-        // a superseded attempt (cancelled, swept, or beaten to this very
-        // point), one for a slot a fetch failure sent back to pending — is
-        // stale: its URLs are never published and its completion is never
-        // counted.
-        let Some(slot) = st.plan.x_mut(id, index) else { return false };
-        let Some(won) = slot.running.iter().position(|a| a.slave == slave && a.id == attempt)
-        else {
-            return false;
-        };
-        // The racing attempts the winner beat.
-        let mut losers = std::mem::take(&mut slot.running);
-        let winner = losers.remove(won);
-        let now = Instant::now();
-        slot.runtime_us = Some((now - winner.started).as_micros() as u64);
-        slot.owner = matches!(self.shared.plane, DataPlane::Direct).then_some(slave);
-        let spec = st.plan.at(id).expect("the slot's op").spec;
-        let done = st.plan.commit(id, index, urls);
-        // Losers get cancellation orders piggybacked on their slave's next
-        // poll; the winner's margin over the slowest loser is the straggler
-        // time a speculative win saved.
-        let op = trace_op(&spec);
-        let slowest_loser = losers.iter().map(|l| now - l.started).max().unwrap_or(Duration::ZERO);
-        let mut wake = !losers.is_empty();
-        for l in losers {
-            if let Some(q) = st.pending_cancel.get_mut(l.slave as usize) {
-                q.push(CancelOrder { data, index, attempt: l.id });
-            }
-            self.trace_instant(
-                l.slave,
-                mrs_trace::Name::Cancel,
-                mrs_trace::Tag::task(op, data, index, l.id),
-            );
-            st.metrics.add(Counter::CancelledTasks, 1);
-            if l.speculative {
-                st.metrics.add(Counter::SpeculativeLosses, 1);
-            }
-        }
-        if winner.speculative {
-            st.metrics.add(Counter::SpeculativeWins, 1);
-            let saved = slowest_loser.saturating_sub(now - winner.started);
-            st.metrics.add_time(Counter::StragglerTimeSaved, saved);
-        }
-        self.trace_instant(
-            slave,
-            mrs_trace::Name::Report,
-            mrs_trace::Tag::task(op, data, index, attempt),
-        );
-        st.metrics.add(Counter::TasksExecuted, 1);
-        if matches!(spec, TaskSpec::ReduceMap { .. }) {
-            // Time and shuffle bytes happened slave-side; the master
-            // only observes that a fused task completed.
-            st.metrics.add(Counter::ReducemapTasks, 1);
-        }
-        if self.shared.cfg.use_affinity {
-            st.affinity.insert(claim(&spec, index), slave);
-        }
-        // A map task reads one split of a reduce output, so it is runnable
-        // with that split, ahead of the op's barrier; and a report that
-        // leaves a straggler candidate behind moves the instant a parked
-        // poll must wake to back it up.
-        wake |= st.parked > 0
-            && (spec.parts().is_none()
-                && st.plan.live_ops().any(|(_, op)| op.input == id && !op.spec.gathers())
-                || !done.completed && !self.straggler_candidates(st).is_empty());
-        if done.completed {
-            // The op's output is now fully materialized, and the op no
-            // longer needs its input.
-            st.metrics.dataset_live(true);
-            if let Some(spent) = done.freed {
-                self.reclaimed_locked(st, spent, false, true);
-            }
-            self.wake_sleepers(st);
-        }
-        wake || done.completed
-    }
-
-    /// The plan reclaimed dataset `data`: drop its storage everywhere.
-    /// Master-held source frames are removed immediately; the buckets in
-    /// slaves' output tables are purged via orders piggybacked on each
-    /// slave's next poll (direct plane only — on a shared filesystem slaves
-    /// hold no outputs).
-    fn reclaimed_locked(&self, st: &mut MState, data: DataId, was_source: bool, by_gc: bool) {
-        st.metrics.dataset_live(false);
-        st.metrics.add(Counter::DatasetsFreed, by_gc as u64);
-        if was_source {
-            self.shared.source_frames.remove_prefix(&format!("src{}/", data.0));
-        } else if matches!(self.shared.plane, DataPlane::Direct) {
-            for (s, orders) in st.pending_purge.iter_mut().enumerate() {
-                orders.push(format!("s{s}/d{}/", data.0));
-            }
-        }
-    }
-
-    /// Send a committed task whose output was lost back to pending; the
-    /// plan rebuilds whatever it reads that lifetime GC reclaimed. Fails
-    /// the job only when that lineage ends at a discarded source. An op
-    /// that was complete stops counting as live until it is again.
-    fn reopen_locked(st: &mut MState, data: DataId, index: usize) {
-        match st.plan.reopen(data, index) {
-            Ok(true) => st.metrics.dataset_live(false),
-            Ok(false) => {}
-            Err(e) => {
-                st.error.get_or_insert(e.to_string());
-            }
-        }
+        let report = TaskReport { data, index, attempt, urls };
+        self.with(|core, now| core.report(slave, &[report], now))
     }
 
     /// A slave reports a failed task attempt.
@@ -1013,158 +482,7 @@ impl Master {
         msg: &str,
         failed_input: Option<&str>,
     ) {
-        let mut st = self.shared.state.lock();
-        Self::touch(&mut st, slave);
-        // A failure naming no live attempt of this slave is stale (the
-        // attempt was cancelled or superseded): the slot moved on, nothing
-        // to re-queue or charge.
-        let Some(slot) = st.plan.x_mut(DataId(data), index) else { return };
-        let Some(pos) = slot.running.iter().position(|a| a.slave == slave && a.id == attempt)
-        else {
-            return;
-        };
-        // A failed backup while the original still runs is just a lost
-        // speculation, not a task failure.
-        let speculative_lost = slot.running.remove(pos).speculative && !slot.running.is_empty();
-        if failed_input.is_some() {
-            // Fetch failure: forgive the attempt.
-            slot.attempts = slot.attempts.saturating_sub(1);
-        }
-        // With no attempt left the task is pending again, unless it has
-        // used up its attempts.
-        let attempts = slot.attempts;
-        let exhausted = slot.running.is_empty() && attempts >= self.shared.cfg.max_attempts;
-        if exhausted && failed_input.is_none() {
-            st.error = Some(format!(
-                "task (data {data}, index {index}) failed {attempts} times; last error: {msg}"
-            ));
-        }
-        st.metrics.add(Counter::SpeculativeLosses, speculative_lost as u64);
-        st.metrics.add(Counter::TasksRetried, 1);
-        // Re-execute the task that produced the unfetchable URL.
-        let producer = failed_input.and_then(|url| {
-            let holds = |urls: &[String]| urls.iter().any(|u| u == url);
-            st.plan.tasks_mut().find(|(_, _, t)| t.out().is_some_and(holds)).map(|(d, i, _)| (d, i))
-        });
-        if let Some((producer, task)) = producer {
-            Self::reopen_locked(&mut st, producer, task);
-        }
-        Self::wake_dispatch(&mut st, &self.shared.dispatch_cv);
-        if st.error.is_some() {
-            self.wake_sleepers(&mut st);
-        }
-    }
-
-    /// Sweep for dead slaves: re-queue their running tasks and (on the
-    /// direct data plane) re-execute tasks whose completed outputs died
-    /// with them. Call periodically.
-    pub fn sweep(&self) {
-        let timeout = self.shared.cfg.slave_timeout;
-        let direct = matches!(self.shared.plane, DataPlane::Direct);
-        let mut st = self.shared.state.lock();
-        let now = Instant::now();
-        let mut newly_dead: Vec<SlaveId> = Vec::new();
-        for (id, info) in st.slaves.iter_mut().enumerate() {
-            if info.alive && now.duration_since(info.last_seen) > timeout {
-                info.alive = false;
-                newly_dead.push(id as SlaveId);
-            }
-        }
-        if newly_dead.is_empty() {
-            return;
-        }
-        let mut requeued = 0u64;
-        let mut speculative_lost = 0u64;
-        let mut lost: Vec<(DataId, usize)> = Vec::new();
-        for (d, i, task) in st.plan.tasks_mut() {
-            let had_any = !task.x.running.is_empty();
-            task.x.running.retain(|a| {
-                let dead = newly_dead.contains(&a.slave);
-                if dead && a.speculative {
-                    speculative_lost += 1;
-                }
-                !dead
-            });
-            // Re-queue only when every racing attempt died; a surviving
-            // attempt (original or backup) still owns the slot and will
-            // report in its own time.
-            if had_any && task.x.running.is_empty() {
-                requeued += 1;
-            } else if direct
-                && task.out().is_some()
-                && task.x.owner.is_some_and(|s| newly_dead.contains(&s))
-            {
-                lost.push((d, i));
-            }
-        }
-        requeued += lost.len() as u64;
-        for (d, i) in lost {
-            Self::reopen_locked(&mut st, d, i);
-        }
-        st.metrics.add(Counter::TasksRetried, requeued);
-        st.metrics.add(Counter::SpeculativeLosses, speculative_lost);
-        // If nobody is left to run re-queued work, fail rather than hang.
-        let any_alive = st.slaves.iter().any(|s| s.alive);
-        if !any_alive && st.plan.live_ops().next().is_some() {
-            st.error.get_or_insert("no live slaves remain".into());
-        }
-        // Requeued tasks (or the error) are runnable-state transitions.
-        Self::wake_dispatch(&mut st, &self.shared.dispatch_cv);
-        self.wake_sleepers(&mut st);
-    }
-
-    /// Earliest instant at which a currently-live slave could cross the
-    /// death timeout (its `last_seen + slave_timeout`, plus a millisecond
-    /// of grace so a sweep at the deadline sees *strictly* overdue).
-    /// `None` when no slave is alive.
-    fn next_death_deadline(&self, st: &MState) -> Option<Instant> {
-        st.slaves
-            .iter()
-            .filter(|s| s.alive)
-            .map(|s| s.last_seen + self.shared.cfg.slave_timeout + Duration::from_millis(1))
-            .min()
-    }
-
-    /// Run the dead-slave sweeper until the job finishes, errors, or
-    /// `stop` is set (checked at every wake; `finish` is what wakes it).
-    /// Sleeps on its own condvar until the earliest instant a slave could
-    /// cross the death timeout, instead of a fixed interval — requeue
-    /// happens as soon as it possibly could. Heartbeats move that instant
-    /// without waking it: a healthy cluster costs one sweep per timeout.
-    pub fn sweeper_loop(&self, stop: &AtomicBool) {
-        loop {
-            {
-                let mut st = self.shared.state.lock();
-                loop {
-                    if stop.load(Ordering::Acquire) || st.finished || st.error.is_some() {
-                        return;
-                    }
-                    let deadline = self
-                        .next_death_deadline(&st)
-                        .unwrap_or_else(|| Instant::now() + self.shared.cfg.slave_timeout);
-                    if self.shared.sweep_cv.wait_until(&mut st, deadline).timed_out() {
-                        break;
-                    }
-                }
-            }
-            self.sweep();
-        }
-    }
-
-    /// Authority of a slave (for tests/diagnostics).
-    pub fn slave_authority(&self, slave: SlaveId) -> Option<String> {
-        self.shared.state.lock().slaves.get(slave as usize).map(|s| s.authority.clone())
-    }
-
-    /// Queue an op and wake the parked polls for its tasks.
-    fn submit(&self, spec: TaskSpec, input: DataId) -> Result<DataId> {
-        let mut st = self.shared.state.lock();
-        let id = st.plan.op(spec, input)?;
-        if matches!(spec, TaskSpec::ReduceMap { .. }) {
-            st.metrics.add(Counter::FusedOps, 1);
-        }
-        Self::wake_dispatch(&mut st, &self.shared.dispatch_cv);
-        Ok(id)
+        self.with(|core, now| core.task_failed(slave, data, index, attempt, msg, failed_input, now))
     }
 
     fn put_source_split(&self, id: u32, split: usize, records: &[Record]) -> Result<String> {
@@ -1198,14 +516,7 @@ impl JobApi for Master {
             .enumerate()
             .map(|(i, split)| self.put_source_split(id.0, i, split))
             .collect();
-        let mut st = self.shared.state.lock();
-        let published = st.plan.source(id, urls);
-        if published.is_ok() {
-            st.metrics.dataset_live(true);
-        }
-        Self::wake_dispatch(&mut st, &self.shared.dispatch_cv);
-        self.wake_sleepers(&mut st);
-        published
+        self.with(|core, now| core.publish(id, urls, now))
     }
 
     fn map_data(
@@ -1215,11 +526,11 @@ impl JobApi for Master {
         parts: usize,
         combine: bool,
     ) -> Result<DataId> {
-        self.submit(TaskSpec::Map { func, parts, combine }, input)
+        self.with(|core, now| core.submit(TaskSpec::Map { func, parts, combine }, input, now))
     }
 
     fn reduce_data(&mut self, input: DataId, func: FuncId) -> Result<DataId> {
-        self.submit(TaskSpec::Reduce { func }, input)
+        self.with(|core, now| core.submit(TaskSpec::Reduce { func }, input, now))
     }
 
     fn reduce_map_data(
@@ -1230,7 +541,8 @@ impl JobApi for Master {
         parts: usize,
         combine: bool,
     ) -> Result<DataId> {
-        self.submit(TaskSpec::ReduceMap { reduce_func, map_func, parts, combine }, input)
+        let spec = TaskSpec::ReduceMap { reduce_func, map_func, parts, combine };
+        self.with(|core, now| core.submit(spec, input, now))
     }
 
     fn keep(&mut self, data: DataId) {
@@ -1246,26 +558,18 @@ impl JobApi for Master {
             if st.plan.complete(data)? {
                 return Ok(());
             }
-            // Sleep until a completion wakes us, or until the earliest
-            // instant a slave could cross the death timeout — then sweep.
-            // No fixed interval: progress is observed immediately, and the
-            // deadline exists only to run the sweep exactly when it could
-            // first find something.
-            let deadline = self
-                .next_death_deadline(&st)
-                .unwrap_or_else(|| Instant::now() + self.shared.cfg.slave_timeout);
-            if self.shared.cv.wait_until(&mut st, deadline).timed_out() {
-                drop(st);
-                self.sweep();
-                st = self.shared.state.lock();
-            }
+            // Every completion, death and the end of the job wakes us.
+            self.shared.cv.wait(&mut st);
         }
     }
 
     fn fetch_all(&mut self, data: DataId) -> Result<Vec<Record>> {
         // A slave can die *after* the job completes but before the driver
-        // fetches its buckets; on a fetch failure we sweep (so its lost
-        // outputs get re-queued), wait for the recomputation, and retry.
+        // fetches its buckets. After a failed fetch, wait until the death
+        // timer declares a slave dead (its lost outputs then re-queue, and
+        // the next round waits for the recomputation) or one
+        // `slave_timeout` of patience passes: nothing was going to die;
+        // the failure was transient.
         let mut last_err = None;
         for _attempt in 0..self.shared.cfg.max_attempts {
             self.wait(data)?;
@@ -1275,51 +579,39 @@ impl JobApi for Master {
             let urls: Vec<&str> = urls.iter().map(String::as_str).collect();
             let mut out = Vec::new();
             let mut tally = JobMetrics::default();
-            let shared = self.shared_store();
-            let fetched = fetch_buckets(&urls, shared.as_ref(), None, &mut tally);
+            let shared = match &self.shared.plane {
+                DataPlane::SharedFs(s) => Some(s),
+                DataPlane::Direct => None,
+            };
+            let fetched = fetch_buckets(&urls, shared, None, &mut tally);
             self.shared.state.lock().metrics.merge(&tally);
             match fetched.into_iter().try_for_each(|b| read_bucket_records(&b?, &mut out)) {
                 Ok(()) => return Ok(out),
                 Err(e) => last_err = Some(e),
             }
-            // The owner of the lost bucket stopped polling when it died, so
-            // the earliest death deadline is its `last_seen + slave_timeout`.
-            // Sweep as deadlines pass until a slave is actually declared
-            // dead (its outputs then re-queue and we go around again), or a
-            // full `slave_timeout` of patience elapses — nothing was going
-            // to die; the failure was transient.
-            let patience =
-                Instant::now() + self.shared.cfg.slave_timeout + Duration::from_millis(1);
-            loop {
-                let before = self.live_slaves();
-                {
-                    let mut st = self.shared.state.lock();
-                    let deadline = self.next_death_deadline(&st).unwrap_or(patience).min(patience);
-                    while st.error.is_none() && Instant::now() < deadline {
-                        self.shared.cv.wait_until(&mut st, deadline);
-                    }
-                }
-                self.sweep();
-                if self.live_slaves() < before || Instant::now() >= patience {
-                    break;
-                }
-            }
+            let mut st = self.shared.state.lock();
+            let (live, patience) =
+                (st.live_slaves(), Instant::now() + self.shared.cfg.slave_timeout);
+            while st.error.is_none()
+                && st.live_slaves() >= live
+                && !self.shared.cv.wait_until(&mut st, patience).timed_out()
+            {}
         }
         Err(last_err.unwrap_or(Error::NoSlaves))
     }
 
     fn discard(&mut self, data: DataId) {
-        let mut st = self.shared.state.lock();
-        if let Some(old) = st.plan.discard(data) {
-            self.reclaimed_locked(&mut st, data, matches!(old, Ds::Source(_)), false);
-        }
+        self.with(|core, now| core.discard(data, now))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::core::{straggler_cutoff, LAUNCH_FLOOR};
     use super::*;
-    use mrs_fs::MemFs;
+    use crate::proto::{TaskKind, TaskMsg};
+    use mrs_fs::{MemFs, Store};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn master_direct() -> Master {
         Master::new(MasterConfig::default(), DataPlane::Direct).unwrap()
@@ -1356,6 +648,71 @@ mod tests {
         (0..n).map(|i| (i.to_be_bytes().to_vec(), vec![])).collect()
     }
 
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    fn timeout(millis: u64) -> MasterConfig {
+        MasterConfig { slave_timeout: ms(millis), ..MasterConfig::default() }
+    }
+
+    /// A core driven by the test alone — no shell, no lock, no timer — at
+    /// instants given as offsets from `t0`. Nothing here sleeps: time is
+    /// whatever the test says it is.
+    struct Sim {
+        core: MasterCore,
+        t0: Instant,
+    }
+
+    impl Sim {
+        fn new(cfg: MasterConfig, direct: bool) -> Sim {
+            Sim { core: MasterCore::new(cfg, direct, None), t0: Instant::now() }
+        }
+
+        fn at(&self, offset: Duration) -> Instant {
+            self.t0 + offset
+        }
+
+        fn signin(&mut self, slots: usize) -> SlaveId {
+            self.core.signin("a:1", slots, self.t0).0
+        }
+
+        fn source(&mut self, splits: usize) -> DataId {
+            let id = self.core.plan.reserve();
+            let urls = (0..splits).map(|i| format!("file://src{}/s{i}.mrsb", id.0)).collect();
+            self.core.publish(id, Ok(urls), self.t0).0.unwrap()
+        }
+
+        fn map(&mut self, input: DataId, parts: usize) -> DataId {
+            let spec = TaskSpec::Map { func: 0, parts, combine: false };
+            self.core.submit(spec, input, self.t0).0.unwrap()
+        }
+
+        fn reduce(&mut self, input: DataId) -> DataId {
+            self.core.submit(TaskSpec::Reduce { func: 0 }, input, self.t0).0.unwrap()
+        }
+
+        /// A poll at `offset` that reports nothing and does not park.
+        fn grant(&mut self, slave: SlaveId, free_slots: usize, offset: Duration) -> Assignment {
+            let now = self.at(offset);
+            match self.core.grant(slave, free_slots, now, false, now).0 {
+                Grant::Now(a, _) => a,
+                park => panic!("a poll that may not park parked: {park:?}"),
+            }
+        }
+
+        /// `slave` reports `t` done at `offset`, with direct-plane URLs.
+        fn done(&mut self, slave: SlaveId, t: &TaskMsg, offset: Duration) -> Effects {
+            let urls = direct_urls(slave, t);
+            let report = TaskReport { data: t.data, index: t.index, attempt: t.attempt, urls };
+            self.core.report(slave, &[report], self.at(offset)).1
+        }
+
+        fn tick(&mut self, offset: Duration) -> Effects {
+            self.core.tick(self.at(offset)).1
+        }
+    }
+
     /// Unwrap an assignment expected to grant exactly one task.
     fn take1(a: Assignment) -> TaskMsg {
         match a {
@@ -1382,7 +739,7 @@ mod tests {
         assert_eq!(m.signin("a:1", 1), 0);
         assert_eq!(m.signin("b:2", 4), 1);
         assert_eq!(m.live_slaves(), 2);
-        assert_eq!(m.slave_authority(1).unwrap(), "b:2");
+        assert_eq!(m.shared.state.lock().slaves[1].authority, "b:2");
     }
 
     #[test]
@@ -1443,70 +800,60 @@ mod tests {
 
     #[test]
     fn dead_slave_tasks_are_requeued() {
-        let cfg =
-            MasterConfig { slave_timeout: Duration::from_millis(20), ..MasterConfig::default() };
-        let store: Arc<dyn Store> = Arc::new(MemFs::new());
-        let mut m = Master::new(cfg, DataPlane::SharedFs(store.clone())).unwrap();
-        let s1 = m.signin("a:1", 1);
-        let s2 = m.signin("b:2", 1);
-        let src = m.local_data(records(4), 1).unwrap();
-        let _mapped = m.map_data(src, 0, 1, false).unwrap();
+        let mut sim = Sim::new(timeout(20), false);
+        let (s1, s2) = (sim.signin(1), sim.signin(1));
+        let src = sim.source(1);
+        sim.map(src, 1);
 
         // s1 takes the task and goes silent.
-        let t = take1(m.get_tasks(s1, 1));
-        std::thread::sleep(Duration::from_millis(40));
-        // Keep s2 alive and sweep.
-        assert_eq!(m.get_tasks(s2, 1), Assignment::Wait);
-        m.sweep();
-        assert_eq!(m.live_slaves(), 1);
+        let t = take1(sim.grant(s1, 1, ms(0)));
+        // s2 keeps polling; the tick finds s1 overdue.
+        assert_eq!(sim.grant(s2, 1, ms(40)), Assignment::Wait);
+        sim.tick(ms(40));
+        assert_eq!(sim.core.live_slaves(), 1);
         // s2 gets the re-queued task.
-        let t2 = take1(m.get_tasks(s2, 1));
+        let t2 = take1(sim.grant(s2, 1, ms(40)));
         assert_eq!((t2.data, t2.index), (t.data, t.index));
     }
 
     #[test]
     fn dead_slave_completed_outputs_recomputed_on_direct_plane() {
-        let cfg =
-            MasterConfig { slave_timeout: Duration::from_millis(20), ..MasterConfig::default() };
-        let mut m = Master::new(cfg, DataPlane::Direct).unwrap();
-        let s1 = m.signin("a:1", 1);
+        let mut sim = Sim::new(timeout(20), true);
+        let s1 = sim.signin(1);
         // s2 needs a second slot: it still holds the doomed reduce when it
         // later asks for the re-queued map.
-        let s2 = m.signin("b:2", 2);
-        let src = m.local_data(records(4), 1).unwrap();
-        let mapped = m.map_data(src, 0, 1, false).unwrap();
-        let _reduced = m.reduce_data(mapped, 0).unwrap();
+        let s2 = sim.signin(2);
+        let src = sim.source(1);
+        let mapped = sim.map(src, 1);
+        sim.reduce(mapped);
 
         // s1 completes the map (its output lives on s1), then dies.
-        let t = take1(m.get_tasks(s1, 1));
+        let t = take1(sim.grant(s1, 1, ms(0)));
         assert_eq!(t.kind, TaskKind::Map);
-        m.task_done(s1, t.data, t.index, t.attempt, vec!["http://dead:1/data/x".into()]);
+        sim.done(s1, &t, ms(0));
         // s2 picks up the now-ready reduce whose input lives on s1.
-        let tr = take1(m.get_tasks(s2, 1));
+        let tr = take1(sim.grant(s2, 1, ms(0)));
         assert_eq!(tr.kind, TaskKind::Reduce);
-        std::thread::sleep(Duration::from_millis(40));
-        // Touch s2 so only s1 is swept; then the lost map output forces the
+        // s2 polls, so only s1 is overdue; the lost map output forces the
         // map task to be re-queued (direct plane: data died with s1).
-        assert_eq!(m.get_tasks(s2, 1), Assignment::Wait);
-        m.sweep();
-        let t2 = take1(m.get_tasks(s2, 1));
+        assert_eq!(sim.grant(s2, 1, ms(40)), Assignment::Wait);
+        sim.tick(ms(40));
+        let t2 = take1(sim.grant(s2, 1, ms(40)));
         assert_eq!(t2.kind, TaskKind::Map, "expected requeued map, got {t2:?}");
         assert_eq!((t2.data, t2.index), (t.data, t.index));
     }
 
     #[test]
     fn all_slaves_dead_fails_job() {
-        let cfg =
-            MasterConfig { slave_timeout: Duration::from_millis(10), ..MasterConfig::default() };
-        let store: Arc<dyn Store> = Arc::new(MemFs::new());
-        let mut m = Master::new(cfg, DataPlane::SharedFs(store)).unwrap();
-        let s = m.signin("a:1", 1);
-        let src = m.local_data(records(4), 1).unwrap();
-        let mapped = m.map_data(src, 0, 1, false).unwrap();
-        let _t = take1(m.get_tasks(s, 1));
-        std::thread::sleep(Duration::from_millis(30));
-        m.sweep();
-        assert!(m.wait(mapped).is_err());
+        let mut sim = Sim::new(timeout(10), false);
+        let s = sim.signin(1);
+        let src = sim.source(1);
+        sim.map(src, 1);
+        let _t = take1(sim.grant(s, 1, ms(0)));
+        let fx = sim.tick(ms(30));
+        assert!(fx.wake_drivers, "`wait` must see the error");
+        assert_eq!(sim.core.error.as_deref(), Some("no live slaves remain"));
+        assert_eq!(sim.grant(s, 1, ms(30)), Assignment::Exit);
     }
 
     #[test]
@@ -1708,7 +1055,7 @@ mod tests {
                 start.elapsed(),
             )
         });
-        std::thread::sleep(Duration::from_millis(30));
+        await_parked(&m);
         // Completing the map crosses the barrier and must wake s1 with the
         // reduce task well before its long-poll deadline.
         finish_task(&m, &store, s0, &t);
@@ -1743,7 +1090,7 @@ mod tests {
                 start.elapsed(),
             )
         });
-        std::thread::sleep(Duration::from_millis(20));
+        await_parked(&m);
         m.finish();
         let (a, elapsed) = parked.join().unwrap();
         assert_eq!(a, Assignment::Exit);
@@ -1781,38 +1128,84 @@ mod tests {
     }
 
     #[test]
-    fn sweeper_loop_requeues_dead_slave_work_and_stops_on_finish() {
-        let cfg =
-            MasterConfig { slave_timeout: Duration::from_millis(30), ..MasterConfig::default() };
+    fn the_death_timer_requeues_a_silent_slaves_task_with_no_driver_waiting() {
+        // Shaped like the CLI master: no cluster around it and no driver
+        // in `wait` or `fetch_all`. Only the death timer can notice s1.
         let store: Arc<dyn Store> = Arc::new(MemFs::new());
-        let mut m = Master::new(cfg, DataPlane::SharedFs(store)).unwrap();
+        let mut m = Master::new(timeout(200), DataPlane::SharedFs(store)).unwrap();
         let s1 = m.signin("a:1", 1);
         let s2 = m.signin("b:2", 1);
         let src = m.local_data(records(4), 1).unwrap();
         let _mapped = m.map_data(src, 0, 1, false).unwrap();
 
-        let stop = Arc::new(AtomicBool::new(false));
-        let m2 = m.clone();
-        let stop2 = Arc::clone(&stop);
-        let sweeper = std::thread::spawn(move || m2.sweeper_loop(&stop2));
-
-        // s1 takes the task and goes silent; s2 keeps heartbeating. The
-        // sweeper must declare s1 dead on its own (no manual sweep) and the
-        // task must become grantable to s2.
+        // s1 takes the task and goes silent; s2 long-polls, parking up to
+        // half the timeout each time, until the requeue wakes it with the
+        // task — or a generous deadline passes.
         let t = take1(m.get_tasks(s1, 1));
-        let deadline = Instant::now() + Duration::from_secs(2);
+        let (counts, trace) = (JobMetrics::default(), TraceBatch::default());
+        let deadline = Instant::now() + Duration::from_secs(10);
         let t2 = loop {
-            if let Assignment::Tasks(mut ts) = m.get_tasks(s2, 1) {
+            let (d, _) = m.poll(s2, 1, ms(60_000), &[], &counts, &trace);
+            if let Assignment::Tasks(mut ts) = d.assignment {
                 break ts.remove(0);
             }
-            assert!(Instant::now() < deadline, "sweeper never requeued the dead slave's task");
-            std::thread::sleep(Duration::from_millis(5));
+            assert!(Instant::now() < deadline, "nothing declared the silent slave dead");
         };
         assert_eq!((t2.data, t2.index), (t.data, t.index));
         assert_eq!(m.live_slaves(), 1);
-        // finish() alone must end the loop (LocalCluster drops this way).
-        m.finish();
-        sweeper.join().unwrap();
+        assert_eq!(m.metrics().tasks_retried(), 1);
+    }
+
+    #[test]
+    fn a_slave_is_alive_at_its_timeout_and_dead_a_millisecond_after() {
+        let mut sim = Sim::new(timeout(2000), false);
+        let (s, fx) = sim.core.signin("a:1", 1, sim.at(ms(0)));
+        assert_eq!(fx.death, Some(sim.at(ms(2001))), "the sign-in arms the death timer");
+        let fx = sim.tick(ms(2000));
+        assert_eq!((sim.core.live_slaves(), fx.death), (1, Some(sim.at(ms(2001)))));
+        assert!(!fx.wake_drivers, "nobody died");
+        let fx = sim.tick(ms(2001));
+        assert_eq!((sim.core.live_slaves(), fx.death), (0, None));
+        assert!(fx.wake_drivers);
+        // Heard from again, it is alive again and the timer is re-armed.
+        let (_, fx) =
+            sim.core.poll(s, &[], &JobMetrics::default(), Duration::ZERO, sim.at(ms(3000)));
+        assert_eq!((sim.core.live_slaves(), fx.death), (1, Some(sim.at(ms(5001)))));
+    }
+
+    #[test]
+    fn a_finished_job_arms_no_death_deadline_and_buries_nobody() {
+        let mut sim = Sim::new(timeout(20), false);
+        let s = sim.signin(1);
+        let src = sim.source(1);
+        sim.map(src, 1);
+        let _t = take1(sim.grant(s, 1, ms(0)));
+        let (_, fx) = sim.core.finish(sim.at(ms(1)));
+        assert!(fx.wake_drivers);
+        let fx = sim.tick(ms(100));
+        assert_eq!((fx.death, sim.core.live_slaves()), (None, 1));
+        assert_eq!(sim.core.metrics.tasks_retried(), 0);
+    }
+
+    #[test]
+    fn a_park_is_clamped_to_half_the_slave_timeout() {
+        let cfg = MasterConfig { long_poll_timeout: ms(5000), ..timeout(2000) };
+        let mut sim = Sim::new(cfg, false);
+        let s = sim.signin(1);
+        let none = JobMetrics::default();
+        let (until, _) = sim.core.poll(s, &[], &none, ms(60_000), sim.at(ms(0)));
+        assert_eq!(until, sim.at(ms(1000)));
+        assert_eq!(sim.core.grant(s, 1, until, false, sim.at(ms(0))).0, Grant::Park(until));
+        assert_eq!(sim.core.parked, 1);
+        // Woken at the deadline with nothing to do: `Wait`, counted as a
+        // long-poll timeout, and the poll is no longer parked.
+        let (grant, _) = sim.core.grant(s, 1, until, true, until);
+        assert_eq!(grant, Grant::Now(Assignment::Wait, false));
+        let metrics = sim.core.metrics;
+        assert_eq!(
+            (metrics.longpoll_parks(), metrics.longpoll_timeouts(), sim.core.parked),
+            (1, 1, 0)
+        );
     }
 
     #[test]
@@ -1926,236 +1319,210 @@ mod tests {
 
     #[test]
     fn dead_multislot_slave_has_all_running_tasks_requeued() {
-        let cfg =
-            MasterConfig { slave_timeout: Duration::from_millis(20), ..MasterConfig::default() };
-        let store: Arc<dyn Store> = Arc::new(MemFs::new());
-        let mut m = Master::new(cfg, DataPlane::SharedFs(store)).unwrap();
-        let s1 = m.signin("a:1", 4);
-        let s2 = m.signin("b:2", 4);
-        let src = m.local_data(records(8), 3).unwrap();
-        let _mapped = m.map_data(src, 0, 1, false).unwrap();
+        let mut sim = Sim::new(timeout(20), false);
+        let (s1, s2) = (sim.signin(4), sim.signin(4));
+        let src = sim.source(3);
+        sim.map(src, 1);
 
         // s1 grabs all three tasks in one poll, then goes silent.
-        let Assignment::Tasks(ts) = m.get_tasks(s1, 4) else { panic!() };
+        let Assignment::Tasks(ts) = sim.grant(s1, 4, ms(0)) else { panic!() };
         assert_eq!(ts.len(), 3);
-        std::thread::sleep(Duration::from_millis(40));
-        assert_eq!(m.get_tasks(s2, 4), Assignment::Wait);
-        m.sweep();
-        assert_eq!(m.live_slaves(), 1);
+        assert_eq!(sim.grant(s2, 4, ms(40)), Assignment::Wait);
+        sim.tick(ms(40));
+        assert_eq!(sim.core.live_slaves(), 1);
         // Every one of s1's running tasks is re-queued and lands on s2.
-        let Assignment::Tasks(ts2) = m.get_tasks(s2, 4) else { panic!() };
+        let Assignment::Tasks(ts2) = sim.grant(s2, 4, ms(40)) else { panic!() };
         let mut got: Vec<usize> = ts2.iter().map(|t| t.index).collect();
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 2]);
-        assert_eq!(m.metrics().tasks_retried(), 3);
+        assert_eq!(sim.core.metrics.tasks_retried(), 3);
     }
 
     /// A four-task map wave where s1 holds every task and finishes all but
-    /// the last, which keeps running long enough to cross the speculation
-    /// cutoff. Returns the still-running straggler's TaskMsg.
-    fn straggler_wave(
-        m: &mut Master,
-        store: &Arc<dyn Store>,
-        s1: SlaveId,
-    ) -> (DataId, Vec<TaskMsg>) {
-        let src = m.local_data(records(8), 4).unwrap();
-        let mapped = m.map_data(src, 0, 1, false).unwrap();
-        let ts = match m.get_tasks(s1, 4) {
+    /// the last at `finished`, so the op's median runtime is `finished`.
+    /// Returns the op and the tasks; the fourth is the straggler.
+    fn straggler_wave(sim: &mut Sim, s1: SlaveId, finished: Duration) -> (DataId, Vec<TaskMsg>) {
+        let src = sim.source(4);
+        let mapped = sim.map(src, 1);
+        let ts = match sim.grant(s1, 4, ms(0)) {
             Assignment::Tasks(ts) if ts.len() == 4 => ts,
             other => panic!("expected four tasks, got {other:?}"),
         };
         for t in &ts[..3] {
-            finish_task(m, store, s1, t);
+            sim.done(s1, t, finished);
         }
-        // Let the straggler run well past 1.5x the (tiny) median runtime.
-        std::thread::sleep(Duration::from_millis(10));
         (mapped, ts)
     }
 
     #[test]
     fn backup_dispatched_for_straggler_and_first_completion_wins() {
-        let (mut m, store) = shared_master();
-        let s1 = m.signin("a:1", 4);
-        let s2 = m.signin("b:2", 1);
-        let (mapped, ts) = straggler_wave(&mut m, &store, s1);
+        let mut sim = Sim::new(MasterConfig::default(), false);
+        let (s1, s2) = (sim.signin(4), sim.signin(1));
+        let (mapped, ts) = straggler_wave(&mut sim, s1, ms(1));
         let straggler = &ts[3];
 
         // s2's idle poll is granted a speculative backup of the straggler,
         // under a fresh attempt id.
-        let backup = take1(m.get_tasks(s2, 1));
+        let backup = take1(sim.grant(s2, 1, ms(20)));
         assert_eq!((backup.data, backup.index), (straggler.data, straggler.index));
         assert_ne!(backup.attempt, straggler.attempt);
 
         // The backup reports first: its completion is the commit point.
-        finish_task(&m, &store, s2, &backup);
-        m.wait(mapped).unwrap();
-        let metrics = m.metrics();
+        sim.done(s2, &backup, ms(25));
+        assert!(sim.core.plan.complete(mapped).unwrap());
+        let metrics = sim.core.metrics;
         assert_eq!(metrics.speculative_launches(), 1);
         assert_eq!(metrics.speculative_wins(), 1);
         assert_eq!(metrics.speculative_losses(), 0);
         assert_eq!(metrics.cancelled_tasks(), 1);
-        assert!(
-            metrics.straggler_time_saved() > Duration::ZERO,
-            "{:?}",
-            metrics.straggler_time_saved()
-        );
+        // The loser ran 25 ms, the winner 5 ms.
+        assert_eq!(metrics.straggler_time_saved(), ms(20));
 
         // The loser's slave receives a cancel order on its next poll,
         // exactly once.
-        let d = poll(&m, s1, 0);
-        assert_eq!(d.cancel.len(), 1, "{:?}", d.cancel);
+        let (_, cancel) = sim.core.orders(s1);
+        assert_eq!(cancel.len(), 1, "{cancel:?}");
         assert_eq!(
-            (d.cancel[0].data, d.cancel[0].index, d.cancel[0].attempt),
+            (cancel[0].data, cancel[0].index, cancel[0].attempt),
             (straggler.data, straggler.index, straggler.attempt)
         );
-        assert!(poll(&m, s1, 0).cancel.is_empty());
+        assert!(sim.core.orders(s1).1.is_empty());
 
         // The straggler's late report is stale: ignored entirely.
-        finish_task(&m, &store, s1, straggler);
-        assert_eq!(m.metrics().tasks_executed(), 4);
+        sim.done(s1, straggler, ms(30));
+        assert_eq!(sim.core.metrics.tasks_executed(), 4);
     }
 
     #[test]
     fn backup_loses_when_original_finishes_first() {
-        let (mut m, store) = shared_master();
-        let s1 = m.signin("a:1", 4);
-        let s2 = m.signin("b:2", 1);
-        let (mapped, ts) = straggler_wave(&mut m, &store, s1);
+        let mut sim = Sim::new(MasterConfig::default(), false);
+        let (s1, s2) = (sim.signin(4), sim.signin(1));
+        let (mapped, ts) = straggler_wave(&mut sim, s1, ms(1));
         let straggler = &ts[3];
-        let backup = take1(m.get_tasks(s2, 1));
+        let backup = take1(sim.grant(s2, 1, ms(20)));
 
         // The original beats its backup: the backup is the cancelled loser.
-        finish_task(&m, &store, s1, straggler);
-        m.wait(mapped).unwrap();
-        let metrics = m.metrics();
+        sim.done(s1, straggler, ms(25));
+        assert!(sim.core.plan.complete(mapped).unwrap());
+        let metrics = sim.core.metrics;
         assert_eq!(metrics.speculative_launches(), 1);
         assert_eq!(metrics.speculative_wins(), 0);
         assert_eq!(metrics.speculative_losses(), 1);
         assert_eq!(metrics.cancelled_tasks(), 1);
-        let d = poll(&m, s2, 0);
-        assert_eq!(d.cancel.len(), 1, "{:?}", d.cancel);
-        assert_eq!(d.cancel[0].attempt, backup.attempt);
+        let (_, cancel) = sim.core.orders(s2);
+        assert_eq!(cancel.len(), 1, "{cancel:?}");
+        assert_eq!(cancel[0].attempt, backup.attempt);
 
         // The backup's late report is stale.
-        finish_task(&m, &store, s2, &backup);
-        assert_eq!(m.metrics().tasks_executed(), 4);
+        sim.done(s2, &backup, ms(30));
+        assert_eq!(sim.core.metrics.tasks_executed(), 4);
     }
 
     #[test]
     fn stale_failure_from_cancelled_attempt_is_ignored() {
-        let (mut m, store) = shared_master();
-        let s1 = m.signin("a:1", 4);
-        let s2 = m.signin("b:2", 1);
-        let (mapped, ts) = straggler_wave(&mut m, &store, s1);
+        let mut sim = Sim::new(MasterConfig::default(), false);
+        let (s1, s2) = (sim.signin(4), sim.signin(1));
+        let (mapped, ts) = straggler_wave(&mut sim, s1, ms(1));
         let straggler = &ts[3];
-        let backup = take1(m.get_tasks(s2, 1));
-        finish_task(&m, &store, s2, &backup);
-        m.wait(mapped).unwrap();
+        let backup = take1(sim.grant(s2, 1, ms(20)));
+        sim.done(s2, &backup, ms(25));
+        assert!(sim.core.plan.complete(mapped).unwrap());
 
         // The loser aborts mid-run and reports a failure under its
         // superseded attempt id: the committed slot must stay untouched.
-        m.task_failed(s1, straggler.data, straggler.index, straggler.attempt, "cancelled", None);
-        assert_eq!(m.metrics().tasks_retried(), 0);
-        assert_eq!(m.get_tasks(s1, 4), Assignment::Wait);
+        let (data, index, attempt) = (straggler.data, straggler.index, straggler.attempt);
+        sim.core.task_failed(s1, data, index, attempt, "cancelled", None, sim.at(ms(30)));
+        assert_eq!(sim.core.metrics.tasks_retried(), 0);
+        assert_eq!(sim.grant(s1, 4, ms(30)), Assignment::Wait);
     }
 
     #[test]
     fn no_backup_until_the_launch_floor_has_passed() {
-        let (mut m, store) = shared_master();
-        let s1 = m.signin("a:1", 4);
-        let s2 = m.signin("b:2", 1);
-        let (mapped, ts) = straggler_wave(&mut m, &store, s1);
-        // Pin the op's runtime sample to a 1 ms median and read when the
-        // straggler started, so eligibility is a function of the instant
-        // handed to `pick_backup` rather than of how fast this test runs.
-        let median = Duration::from_millis(1);
-        let mut st = m.shared.state.lock();
-        for t in &ts[..3] {
-            st.plan.x_mut(mapped, t.index).unwrap().runtime_us = Some(median.as_micros() as u64);
-        }
-        let started = st.plan.x_mut(mapped, ts[3].index).unwrap().running[0].started;
+        let mut sim = Sim::new(MasterConfig::default(), false);
+        let (s1, s2) = (sim.signin(4), sim.signin(1));
+        // A 1 ms median; the straggler started at 0.
+        let (_, ts) = straggler_wave(&mut sim, s1, ms(1));
         // Three medians in — twice the 1.5x multiple — the task is still
         // younger than a backup's own dispatch + fetch + run.
-        assert_eq!(m.pick_backup(&st, s2, started + 3 * median), None);
-        assert_eq!(
-            m.pick_backup(&st, s2, started + median + LAUNCH_FLOOR),
-            Some((mapped, ts[3].index))
-        );
+        assert_eq!(sim.grant(s2, 1, ms(3)), Assignment::Wait);
+        let backup = take1(sim.grant(s2, 1, ms(1) + LAUNCH_FLOOR));
+        assert_eq!((backup.data, backup.index), (ts[3].data, ts[3].index));
         // A long task keeps the multiple: the floor only binds when
         // (threshold - 1) x median is below it.
         assert_eq!(straggler_cutoff(Duration::from_millis(40), 1.5), Duration::from_millis(60));
     }
 
     #[test]
+    fn no_backup_a_microsecond_before_the_cutoff_and_one_at_it() {
+        let mut sim = Sim::new(MasterConfig::default(), false);
+        let (s1, s2) = (sim.signin(4), sim.signin(1));
+        // A 40 ms median: the 1.5x multiple binds, the cutoff is 60 ms.
+        let (_, ts) = straggler_wave(&mut sim, s1, ms(40));
+        let cutoff = ms(60);
+        assert_eq!(sim.grant(s2, 1, cutoff - Duration::from_micros(1)), Assignment::Wait);
+        let backup = take1(sim.grant(s2, 1, cutoff));
+        assert_eq!((backup.data, backup.index), (ts[3].data, ts[3].index));
+        assert_eq!(sim.core.metrics.speculative_launches(), 1);
+    }
+
+    #[test]
     fn speculation_off_launches_no_backups() {
         let cfg = MasterConfig { speculate: SpeculateMode::Off, ..MasterConfig::default() };
-        let store: Arc<dyn Store> = Arc::new(MemFs::new());
-        let mut m = Master::new(cfg, DataPlane::SharedFs(Arc::clone(&store))).unwrap();
-        let s1 = m.signin("a:1", 4);
-        let s2 = m.signin("b:2", 1);
-        let _wave = straggler_wave(&mut m, &store, s1);
-        assert_eq!(m.get_tasks(s2, 1), Assignment::Wait);
-        assert_eq!(m.metrics().speculative_launches(), 0);
+        let mut sim = Sim::new(cfg, false);
+        let (s1, s2) = (sim.signin(4), sim.signin(1));
+        let _wave = straggler_wave(&mut sim, s1, ms(1));
+        assert_eq!(sim.grant(s2, 1, ms(100)), Assignment::Wait);
+        assert_eq!(sim.core.metrics.speculative_launches(), 0);
     }
 
     #[test]
     fn no_backup_before_wave_mostly_done() {
-        let (mut m, store) = shared_master();
-        let s1 = m.signin("a:1", 4);
-        let s2 = m.signin("b:2", 1);
-        let src = m.local_data(records(8), 4).unwrap();
-        let _mapped = m.map_data(src, 0, 1, false).unwrap();
-        let ts = match m.get_tasks(s1, 4) {
-            Assignment::Tasks(ts) => ts,
-            other => panic!("{other:?}"),
-        };
+        let mut sim = Sim::new(MasterConfig::default(), false);
+        let (s1, s2) = (sim.signin(4), sim.signin(1));
+        let src = sim.source(4);
+        sim.map(src, 1);
+        let Assignment::Tasks(ts) = sim.grant(s1, 4, ms(0)) else { panic!("four maps") };
         // Only half the wave is done: below the 75% speculation gate.
         for t in &ts[..2] {
-            finish_task(&m, &store, s1, t);
+            sim.done(s1, t, ms(1));
         }
-        std::thread::sleep(Duration::from_millis(10));
-        assert_eq!(m.get_tasks(s2, 1), Assignment::Wait);
-        assert_eq!(m.metrics().speculative_launches(), 0);
+        assert_eq!(sim.grant(s2, 1, ms(100)), Assignment::Wait);
+        assert_eq!(sim.core.metrics.speculative_launches(), 0);
     }
 
     #[test]
     fn no_backup_on_the_stragglers_own_slave() {
-        let (mut m, store) = shared_master();
-        let s1 = m.signin("a:1", 4);
-        let _wave = straggler_wave(&mut m, &store, s1);
+        let mut sim = Sim::new(MasterConfig::default(), false);
+        let s1 = sim.signin(4);
+        let _wave = straggler_wave(&mut sim, s1, ms(1));
         // s1 now has three free slots, but a backup on the same machine
         // as the original cannot dodge that machine's slowness.
-        assert_eq!(m.get_tasks(s1, 3), Assignment::Wait);
-        assert_eq!(m.metrics().speculative_launches(), 0);
+        assert_eq!(sim.grant(s1, 3, ms(100)), Assignment::Wait);
+        assert_eq!(sim.core.metrics.speculative_launches(), 0);
     }
 
     #[test]
     fn stale_attempt_report_is_ignored_after_requeue() {
-        let cfg =
-            MasterConfig { slave_timeout: Duration::from_millis(20), ..MasterConfig::default() };
-        let store: Arc<dyn Store> = Arc::new(MemFs::new());
-        let mut m = Master::new(cfg, DataPlane::SharedFs(Arc::clone(&store))).unwrap();
-        let s1 = m.signin("a:1", 1);
-        let s2 = m.signin("b:2", 1);
-        let src = m.local_data(records(4), 1).unwrap();
-        let mapped = m.map_data(src, 0, 1, false).unwrap();
+        let mut sim = Sim::new(timeout(20), false);
+        let (s1, s2) = (sim.signin(1), sim.signin(1));
+        let src = sim.source(1);
+        let mapped = sim.map(src, 1);
 
-        // s1 takes the task and goes silent long enough to be swept.
-        let t1 = take1(m.get_tasks(s1, 1));
-        std::thread::sleep(Duration::from_millis(40));
-        assert_eq!(m.get_tasks(s2, 1), Assignment::Wait);
-        m.sweep();
-        let t2 = take1(m.get_tasks(s2, 1));
+        // s1 takes the task and goes silent long enough to be declared dead.
+        let t1 = take1(sim.grant(s1, 1, ms(0)));
+        assert_eq!(sim.grant(s2, 1, ms(40)), Assignment::Wait);
+        sim.tick(ms(40));
+        let t2 = take1(sim.grant(s2, 1, ms(40)));
         assert_eq!((t2.data, t2.index), (t1.data, t1.index));
         assert_ne!(t2.attempt, t1.attempt, "attempt ids are never reused");
 
         // s1 was merely slow, not dead: its report names the superseded
         // attempt and must not commit (no double completion later).
-        finish_task(&m, &store, s1, &t1);
-        assert_eq!(m.metrics().tasks_executed(), 0);
-        finish_task(&m, &store, s2, &t2);
-        m.wait(mapped).unwrap();
-        assert_eq!(m.metrics().tasks_executed(), 1);
+        sim.done(s1, &t1, ms(41));
+        assert_eq!(sim.core.metrics.tasks_executed(), 0);
+        sim.done(s2, &t2, ms(42));
+        assert!(sim.core.plan.complete(mapped).unwrap());
+        assert_eq!(sim.core.metrics.tasks_executed(), 1);
     }
 
     #[test]
@@ -2227,40 +1594,27 @@ mod tests {
 
     #[test]
     fn parked_idle_slave_wakes_for_speculation_deadline() {
-        let (mut m, store) = shared_master();
-        let s1 = m.signin("a:1", 4);
-        let s2 = m.signin("b:2", 1);
-        let src = m.local_data(records(8), 4).unwrap();
-        let _mapped = m.map_data(src, 0, 1, false).unwrap();
-        let ts = match m.get_tasks(s1, 4) {
-            Assignment::Tasks(ts) => ts,
-            other => panic!("{other:?}"),
-        };
-        // Three tasks complete after ~40ms, so the median runtime is
-        // ~40ms and the straggler crosses the 1.5x cutoff ~20ms from now.
-        std::thread::sleep(Duration::from_millis(40));
-        for t in &ts[..3] {
-            finish_task(&m, &store, s1, t);
-        }
-        // An idle slave parking for 900ms must be woken at the
+        let mut sim = Sim::new(MasterConfig::default(), false);
+        let (s1, s2) = (sim.signin(4), sim.signin(1));
+        // Three tasks complete at 40 ms, so the median runtime is 40 ms and
+        // the straggler crosses the 1.5x cutoff at 60 ms.
+        let (_, ts) = straggler_wave(&mut sim, s1, ms(40));
+        // An idle slave parking for 900 ms is told to wake at the
         // speculation deadline instead of sleeping out its park.
-        let start = Instant::now();
-        let a = m
-            .poll(
-                s2,
-                1,
-                Duration::from_millis(900),
-                &[],
-                &JobMetrics::default(),
-                &TraceBatch::default(),
-            )
-            .0
-            .assignment;
-        let elapsed = start.elapsed();
+        let none = JobMetrics::default();
+        let (until, _) = sim.core.poll(s2, &[], &none, ms(900), sim.at(ms(40)));
+        assert_eq!(until, sim.at(ms(940)));
+        let (park, _) = sim.core.grant(s2, 1, until, false, sim.at(ms(40)));
+        assert_eq!(park, Grant::Park(sim.at(ms(60))));
+        // Woken then, it is granted the backup.
+        let Grant::Now(a, _) = sim.core.grant(s2, 1, until, true, sim.at(ms(60))).0 else {
+            panic!("a parked poll past its wake is answered")
+        };
         let backup = take1(a);
         assert_eq!((backup.data, backup.index), (ts[3].data, ts[3].index));
-        assert!(elapsed < Duration::from_millis(400), "woke too late: {elapsed:?}");
-        assert_eq!(m.metrics().speculative_launches(), 1);
+        let metrics = sim.core.metrics;
+        assert_eq!((metrics.speculative_launches(), metrics.longpoll_parks()), (1, 1));
+        assert_eq!((metrics.longpoll_timeouts(), sim.core.parked), (0, 0));
     }
     /// Block until a poll is parked on the dispatch condvar. A poll counts
     /// itself parked under the state lock it releases only by waiting, so
@@ -2346,23 +1700,21 @@ mod tests {
     }
 
     #[test]
-    fn reports_that_complete_nothing_wake_neither_wait_nor_the_sweeper() {
-        let (mut m, store) = shared_master();
-        let s = m.signin("a:1", 4);
-        let src = m.local_data(records(8), 4).unwrap();
-        let mapped = m.map_data(src, 0, 1, false).unwrap();
-        let Assignment::Tasks(ts) = m.get_tasks(s, 4) else { panic!("four maps") };
-        let wakes = |m: &Master| m.shared.state.lock().sleeper_wakes;
-        let before = wakes(&m);
+    fn reports_that_complete_nothing_wake_no_driver() {
+        let mut sim = Sim::new(MasterConfig::default(), false);
+        let s = sim.signin(4);
+        let src = sim.source(4);
+        let mapped = sim.map(src, 1);
+        let Assignment::Tasks(ts) = sim.grant(s, 4, ms(0)) else { panic!("four maps") };
         for t in &ts[..3] {
-            finish_task(&m, &store, s, t);
+            assert!(
+                !sim.done(s, t, ms(1)).wake_drivers,
+                "a report that completes nothing woke a driver"
+            );
         }
-        assert_eq!(wakes(&m), before, "a report that completes nothing woke a sleeper");
-        finish_task(&m, &store, s, &ts[3]);
-        assert_eq!(wakes(&m), before + 1, "the completed op wakes `wait`");
-        m.wait(mapped).unwrap();
-        m.finish();
-        assert_eq!(wakes(&m), before + 2, "the end of the job wakes `wait` and the sweeper");
+        assert!(sim.done(s, &ts[3], ms(1)).wake_drivers, "the completed op wakes `wait`");
+        assert!(sim.core.plan.complete(mapped).unwrap());
+        assert!(sim.core.finish(sim.at(ms(2))).1.wake_drivers, "the end of the job wakes `wait`");
     }
 
     #[test]
@@ -2433,25 +1785,20 @@ mod tests {
 
     #[test]
     fn reopened_ops_are_walked_again() {
-        let cfg =
-            MasterConfig { slave_timeout: Duration::from_millis(20), ..MasterConfig::default() };
-        let mut m = Master::new(cfg, DataPlane::Direct).unwrap();
-        let s1 = m.signin("a:1", 1);
-        let s2 = m.signin("b:2", 1);
-        let src = m.local_data(records(4), 1).unwrap();
-        let mapped = m.map_data(src, 0, 1, false).unwrap();
-        let t = take1(m.get_tasks(s1, 1));
-        m.task_done(s1, t.data, t.index, t.attempt, direct_urls(s1, &t));
-        let live = |m: &Master| -> Vec<DataId> {
-            m.shared.state.lock().plan.live_ops().map(|(d, _)| d).collect()
-        };
-        assert_eq!(live(&m), [], "the only op is complete");
+        let mut sim = Sim::new(timeout(20), true);
+        let (s1, s2) = (sim.signin(1), sim.signin(1));
+        let src = sim.source(1);
+        let mapped = sim.map(src, 1);
+        let t = take1(sim.grant(s1, 1, ms(0)));
+        sim.done(s1, &t, ms(0));
+        let live =
+            |sim: &Sim| -> Vec<DataId> { sim.core.plan.live_ops().map(|(d, _)| d).collect() };
+        assert_eq!(live(&sim), [], "the only op is complete");
         // s1 dies with the map's output: the op is incomplete again.
-        std::thread::sleep(Duration::from_millis(40));
-        assert_eq!(m.get_tasks(s2, 1), Assignment::Wait);
-        m.sweep();
-        assert_eq!(live(&m), [mapped]);
-        assert_eq!(take1(m.get_tasks(s2, 1)).index, t.index);
+        assert_eq!(sim.grant(s2, 1, ms(40)), Assignment::Wait);
+        sim.tick(ms(40));
+        assert_eq!(live(&sim), [mapped]);
+        assert_eq!(take1(sim.grant(s2, 1, ms(40))).index, t.index);
     }
 
     /// A direct-plane slave played by the test: it keeps the paths in its

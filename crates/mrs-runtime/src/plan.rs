@@ -113,7 +113,7 @@ pub(crate) struct Commit {
     pub freed: Option<DataId>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Plan<O, X> {
     datasets: Vec<Ds<O, X>>,
     /// Ids of the incomplete ops, ascending: all `runnable` ever walks, so
@@ -393,16 +393,47 @@ impl<O: Clone, X: Default> Plan<O, X> {
         }
     }
 
-    /// Every task of every op not reclaimed, complete or not: what a fault
-    /// sweep walks.
-    pub fn tasks_mut(&mut self) -> impl Iterator<Item = (DataId, usize, &mut Task<O, X>)> + '_ {
+    /// Every task of every op not reclaimed, complete or not — what a
+    /// dead slave's requeue walks: its id, whether it is committed, and its
+    /// executor state.
+    pub fn xs_mut(&mut self) -> impl Iterator<Item = (DataId, usize, bool, &mut X)> + '_ {
         self.datasets.iter_mut().enumerate().flat_map(|(d, ds)| {
             let tasks = match ds {
                 Ds::Op(op) => op.tasks.as_mut_slice(),
                 _ => &mut [],
             };
-            tasks.iter_mut().enumerate().map(move |(i, task)| (DataId(d as u32), i, task))
+            let at = DataId(d as u32);
+            tasks.iter_mut().enumerate().map(move |(i, t)| (at, i, t.out.is_some(), &mut t.x))
         })
+    }
+
+    /// The task with a committed output piece that `holds`, if any.
+    pub fn producer(&self, holds: impl Fn(&O) -> bool) -> Option<(DataId, usize)> {
+        self.datasets.iter().enumerate().find_map(|(d, ds)| {
+            let Ds::Op(op) = ds else { return None };
+            let i =
+                op.tasks.iter().position(|t| t.out().is_some_and(|out| out.iter().any(&holds)))?;
+            Some((DataId(d as u32), i))
+        })
+    }
+
+    /// One row per dataset not reclaimed, for a status page: its id, its
+    /// op's name (`None` for a source), its tasks or splits, the committed
+    /// ones and those `busy` says are running.
+    pub fn rows(
+        &self,
+        busy: impl Fn(&X) -> bool,
+    ) -> Vec<(usize, Option<&'static str>, usize, usize, usize)> {
+        let row = |(d, ds): (usize, &Ds<O, X>)| match ds {
+            Ds::Discarded(_) => None,
+            Ds::Loading => Some((d, None, 0, 0, 0)),
+            Ds::Source(splits) => Some((d, None, splits.len(), 0, 0)),
+            Ds::Op(op) => {
+                let running = op.tasks.iter().filter(|t| busy(&t.x)).count();
+                Some((d, Some(trace_op(&op.spec).as_str()), op.tasks.len(), op.done, running))
+            }
+        };
+        self.datasets.iter().enumerate().filter_map(row).collect()
     }
 }
 

@@ -1308,8 +1308,8 @@ mod tests {
         let reported = spy.reports.lock().clone();
         assert!(reported.is_empty(), "a stopped slave reported {reported:?}");
 
-        // A second slave arrives; the driver's wait sweeps the silent one
-        // and both tasks run again.
+        // A second slave arrives; the master's death timer declares the
+        // silent one dead and both tasks run again.
         let second = {
             let (m, stop) = (master.clone(), AtomicBool::new(false));
             std::thread::spawn(move || {
@@ -1632,8 +1632,8 @@ mod tests {
         stop1.store(true, Ordering::SeqCst);
         let _ = h1.join().unwrap();
 
-        // Slave 2 arrives and completes the job; the master's wait() path
-        // sweeps the dead slave.
+        // Slave 2 arrives and completes the job; the master's death timer
+        // declares the silent slave dead.
         let stop2 = Arc::new(AtomicBool::new(false));
         let h2 = {
             let m = master.clone();

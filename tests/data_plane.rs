@@ -48,6 +48,41 @@ fn wordcount(plane: DataPlane) -> JobMetrics {
     wordcount_on(plane, 2, None)
 }
 
+/// A store that keeps a copy of everything ever put in it. The master
+/// deletes a reclaimed dataset's files as soon as it is reclaimed; `seen`
+/// still holds every frame the job stored.
+struct Tee {
+    live: MemFs,
+    seen: MemFs,
+}
+
+impl Store for Tee {
+    fn put(&self, path: &str, data: &[u8]) -> mrs_core::Result<()> {
+        self.seen.put(path, data)?;
+        self.live.put(path, data)
+    }
+    fn get(&self, path: &str) -> mrs_core::Result<Vec<u8>> {
+        self.live.get(path)
+    }
+    fn exists(&self, path: &str) -> bool {
+        self.live.exists(path)
+    }
+    fn list(&self, prefix: &str) -> mrs_core::Result<Vec<String>> {
+        self.live.list(prefix)
+    }
+    fn delete(&self, path: &str) -> mrs_core::Result<()> {
+        self.live.delete(path)
+    }
+}
+
+/// Run the WordCount on a shared store; return every frame it stored,
+/// reclaimed ones included.
+fn wordcount_stored() -> MemFs {
+    let seen = MemFs::new();
+    wordcount(DataPlane::SharedFs(Arc::new(Tee { live: MemFs::new(), seen: seen.clone() })));
+    seen
+}
+
 /// Every bucket a default-config cluster wrote to `store`, with what the
 /// bucket reader made of it.
 fn stored_frames(store: &dyn Store) -> Vec<(String, Vec<u8>, Bucket, RunInfo)> {
@@ -82,9 +117,7 @@ fn default_config_cluster_ships_stored_sorted_frames() {
     // On a shared store the frames themselves can be inspected: master
     // source splits and slave task outputs alike are framed and stored,
     // and task outputs carry the sorted-run flag the reader honours.
-    let store = Arc::new(MemFs::new());
-    wordcount(DataPlane::SharedFs(store.clone()));
-    let frames = stored_frames(store.as_ref());
+    let frames = stored_frames(&wordcount_stored());
     let task_outputs = frames.iter().filter(|(path, ..)| path.contains("/t")).count();
     assert!(task_outputs >= 6 * 3 + 3, "map and reduce outputs are in the store: {task_outputs}");
     assert!(frames.len() > task_outputs, "so are the master's source splits");
@@ -165,9 +198,7 @@ fn direct_plane_serves_the_frame_of_the_bucket_the_kernel_returned() {
 #[test]
 fn flipped_byte_in_a_stored_frame_is_refetched_exactly_once() {
     // A frame as a default-config slave emits it.
-    let store = Arc::new(MemFs::new());
-    wordcount(DataPlane::SharedFs(store.clone()));
-    let (_, good, bucket, _) = stored_frames(store.as_ref())
+    let (_, good, bucket, _) = stored_frames(&wordcount_stored())
         .into_iter()
         .find(|(path, _, bucket, _)| path.contains("/t") && bucket.len() > 1)
         .expect("a non-trivial map output");
@@ -316,4 +347,34 @@ fn two_clusters_at_once_each_count_only_their_own_job() {
     });
     assert_eq!(counted(&a), solo);
     assert_eq!(counted(&b), solo);
+}
+
+/// Files left in a shared store after `jobs` WordCount jobs (6 maps and 3
+/// reduces on 2 slaves), each discarding its input and its answer.
+fn files_after_discarded_jobs(jobs: usize) -> usize {
+    let store = MemFs::new();
+    let plane = DataPlane::SharedFs(Arc::new(store.clone()));
+    let mut cluster =
+        LocalCluster::start(Arc::new(Simple(WordCount)), 2, plane, MasterConfig::default())
+            .unwrap();
+    let lines = lines();
+    for _ in 0..jobs {
+        let mut job = Job::new(&mut cluster);
+        let src = job.local_data(lines_to_records(lines.iter().map(String::as_str)), 6).unwrap();
+        let mapped = job.map_data(src, 0, 3, false).unwrap();
+        let reduced = job.reduce_data(mapped, 0).unwrap();
+        job.fetch_all(reduced).unwrap();
+        job.discard(src);
+        job.discard(reduced);
+    }
+    store.list("").unwrap().len()
+}
+
+/// A reclaimed dataset's files leave the shared store: the source's
+/// splits and the answer on discard, the map outputs when lifetime GC
+/// frees them.
+#[test]
+fn a_shared_store_holds_as_many_files_after_30_discarded_jobs_as_after_10() {
+    let files = [10, 20, 30].map(files_after_discarded_jobs);
+    assert_eq!(files, [files[0]; 3], "files left after 10, 20 and 30 jobs");
 }

@@ -5,8 +5,9 @@
 
 use mrs::apps::wordcount::{decode_counts, lines_to_records, WordCount};
 use mrs::prelude::*;
-use mrs_fs::MemFs;
+use mrs_fs::{MemFs, Store};
 use mrs_runtime::LocalCluster;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -301,4 +302,72 @@ fn a_chain_whose_reclaimed_rounds_died_with_their_slaves_is_rebuilt_from_lineage
     got.sort();
     assert_eq!(got, want, "rebuilt chain vs serial");
     assert!(cluster.metrics().tasks_retried() > 0, "round 2's output was lost and recomputed");
+}
+
+/// A shared store whose first read of a dataset-3 file fails as if the
+/// file were gone.
+struct LosesOnce {
+    inner: MemFs,
+    lost: AtomicBool,
+}
+
+impl Store for LosesOnce {
+    fn put(&self, path: &str, data: &[u8]) -> mrs_core::Result<()> {
+        self.inner.put(path, data)
+    }
+    fn get(&self, path: &str) -> mrs_core::Result<Vec<u8>> {
+        if path.contains("/d3/") && !self.lost.swap(true, Ordering::SeqCst) {
+            return Err(mrs_core::Error::MissingData(path.to_owned()));
+        }
+        self.inner.get(path)
+    }
+    fn exists(&self, path: &str) -> bool {
+        self.inner.exists(path)
+    }
+    fn list(&self, prefix: &str) -> mrs_core::Result<Vec<String>> {
+        self.inner.list(prefix)
+    }
+    fn delete(&self, path: &str) -> mrs_core::Result<()> {
+        self.inner.delete(path)
+    }
+}
+
+/// On a shared store, lifetime GC deletes a reclaimed dataset's files. A
+/// two-round chain loses one of round 2's map outputs (dataset 3) when
+/// round 2's reduce reads it. By then round 1's map and reduce were
+/// reclaimed and their files deleted, so the master rebuilds both from
+/// lineage, writing the deleted paths again — and the answer must equal
+/// serial. The rebuilt lives are freed in turn.
+#[test]
+fn a_rebuild_after_the_shared_store_deleted_its_inputs_equals_serial() {
+    let mut serial = SerialRuntime::new(Arc::new(Simple(Relay)));
+    let want = {
+        let mut job = Job::new(&mut serial);
+        let src = job.local_data(relay_input(), 4).unwrap();
+        let r1 = relay_round(&mut job, src);
+        let r2 = relay_round(&mut job, r1);
+        let mut out = job.fetch_all(r2).unwrap();
+        out.sort();
+        out
+    };
+
+    let store = Arc::new(LosesOnce { inner: MemFs::new(), lost: AtomicBool::new(false) });
+    let plane = DataPlane::SharedFs(store.clone());
+    let mut cluster =
+        LocalCluster::start(Arc::new(Simple(Relay)), 2, plane, MasterConfig::default()).unwrap();
+    let mut got = {
+        let mut job = Job::new(&mut cluster);
+        let src = job.local_data(relay_input(), 4).unwrap();
+        let r1 = relay_round(&mut job, src);
+        let r2 = relay_round(&mut job, r1);
+        assert_eq!(r2, DataId(4));
+        job.fetch_all(r2).unwrap()
+    };
+    got.sort();
+    assert_eq!(got, want, "rebuilt chain vs serial");
+    assert!(store.lost.load(Ordering::SeqCst), "no read of round 2's map output failed");
+    assert!(cluster.metrics().tasks_retried() > 0, "the lost output was recomputed");
+    let left = store.inner.list("").unwrap();
+    let kept = |path: &String| path.starts_with("src0/") || path.contains("/d4/");
+    assert!(left.iter().all(kept), "only the source and the answer remain: {left:?}");
 }
