@@ -94,15 +94,25 @@ pub fn read_bucket_run(b: &[u8], out: &mut Bucket) -> Result<RunInfo> {
     Ok(RunInfo { claimed_sorted, sorted })
 }
 
-/// Parse one bucket file straight into owned records appended to `out`:
-/// the driver's `fetch_all` edge, where a `Vec<Record>` is the result
-/// type and a [`Bucket`] in between would only be copied out of again.
-/// On error `out` is left as it was.
-pub fn read_bucket_records(b: &[u8], out: &mut Vec<Record>) -> Result<()> {
+/// Parse bucket files, in order, straight into owned records appended to
+/// `out`: the driver's `fetch_all` edge, where a `Vec<Record>` is the
+/// result type and a [`Bucket`] in between would only be copied out of
+/// again. `out` grows once, by the record counts the files' headers
+/// claim, before any record is parsed. On error `out` is left as it was.
+pub fn read_bucket_records(buckets: &[impl AsRef<[u8]>], out: &mut Vec<Record>) -> Result<()> {
     let start = out.len();
-    let parsed = unframe(b).and_then(|(unframed, _)| {
-        parse_records(&unframed, |k, v| out.push((k.to_vec(), v.to_vec())))
-    });
+    let parsed = buckets
+        .iter()
+        .map(|b| unframe(b.as_ref()).map(|(unframed, _)| unframed))
+        .collect::<Result<Vec<_>>>()
+        .and_then(|unframed| {
+            let count =
+                unframed.iter().map(|b| header(b).map(|(n, _)| n)).sum::<Result<usize>>()?;
+            out.reserve(count);
+            unframed
+                .iter()
+                .try_for_each(|b| parse_records(b, |k, v| out.push((k.to_vec(), v.to_vec()))))
+        });
     if parsed.is_err() {
         out.truncate(start);
     }
@@ -119,15 +129,26 @@ fn unframe(b: &[u8]) -> Result<(std::borrow::Cow<'_, [u8]>, bool)> {
     mrs_codec::decode_frame_sorted_cow(b).map_err(|e| Error::Codec(e.to_string()))
 }
 
-/// Walk the records of an unframed `MRSB1` bucket file.
-fn parse_records<'b>(mut b: &'b [u8], mut sink: impl FnMut(&'b [u8], &'b [u8])) -> Result<()> {
+/// The header of an unframed `MRSB1` bucket file: the record count it
+/// claims, and the records' bytes. A count the bytes could not hold (each
+/// record takes at least its two length bytes) is an error, so no reader
+/// sizes anything by a garbage claim.
+fn header(b: &[u8]) -> Result<(usize, &[u8])> {
     let magic =
         b.get(..BUCKET_MAGIC.len()).ok_or_else(|| Error::Codec("bucket file too short".into()))?;
     if magic != BUCKET_MAGIC {
         return Err(Error::Codec(format!("bad bucket magic {magic:?}")));
     }
-    b = &b[BUCKET_MAGIC.len()..];
-    let (count, mut rest) = read_varint(b)?;
+    let (count, rest) = read_varint(&b[BUCKET_MAGIC.len()..])?;
+    if count > rest.len() as u64 / 2 {
+        return Err(Error::Codec(format!("bucket claims {count} records in {} bytes", rest.len())));
+    }
+    Ok((count as usize, rest))
+}
+
+/// Walk the records of an unframed `MRSB1` bucket file.
+fn parse_records<'b>(b: &'b [u8], mut sink: impl FnMut(&'b [u8], &'b [u8])) -> Result<()> {
+    let (count, mut rest) = header(b)?;
     for _ in 0..count {
         let (klen, r) = read_varint(rest)?;
         if klen > r.len() as u64 {
@@ -174,7 +195,7 @@ mod tests {
         let mut bucket = Bucket::new();
         let arena = read_bucket_into(b, &mut bucket).map(|()| bucket.to_records());
         let mut records = vec![(b"kept".to_vec(), vec![])];
-        let direct = read_bucket_records(b, &mut records);
+        let direct = read_bucket_records(&[b], &mut records);
         assert_eq!(arena.is_ok(), direct.is_ok(), "{arena:?} vs {direct:?}");
         assert_eq!(records[0].0, b"kept", "earlier records stay");
         assert_eq!(records.len() - 1, arena.as_ref().map_or(0, Vec::len), "no partial append");
@@ -293,6 +314,44 @@ mod tests {
             bad[last] ^= 0xff;
             assert!(matches!(read_records(&bad), Err(Error::Codec(_))));
         }
+    }
+
+    /// The header's record count equals the parsed length for a raw
+    /// bucket, a stored frame and a compressed frame; truncated or garbage
+    /// bytes, or a count the bytes could not hold, are an error.
+    #[test]
+    fn header_count_agrees_with_the_parse() {
+        let count = |b: &[u8]| unframe(b).and_then(|(raw, _)| header(&raw).map(|(n, _)| n));
+        let records: Vec<Record> =
+            (0..300).map(|i| (format!("key{}", i % 7).into_bytes(), vec![1; 20])).collect();
+        let raw = write_bucket_bytes(&records);
+        let stored = mrs_codec::encode_vec(raw.clone(), mrs_codec::CompressMode::Off);
+        let compressed = mrs_codec::encode_vec(raw.clone(), mrs_codec::CompressMode::On);
+        assert!(compressed.len() < raw.len(), "the frame is compressed");
+        for b in [&raw, &stored, &compressed] {
+            assert_eq!(count(b).unwrap(), read_records(b).unwrap().len());
+            for cut in [0, 3, 5, mrs_codec::FRAME_HEADER_LEN, b.len() - 1] {
+                if b.as_ptr() != raw.as_ptr() || cut <= BUCKET_MAGIC.len() {
+                    assert!(count(&b[..cut]).is_err(), "{cut}");
+                }
+            }
+        }
+        let mut huge = BUCKET_MAGIC.to_vec();
+        write_varint(u64::MAX >> 1, &mut huge);
+        for garbage in [&b"MRSB1\xff"[..], b"not a bucket", &huge] {
+            assert!(count(garbage).is_err());
+            assert!(read_bucket_records(&[garbage], &mut Vec::new()).is_err());
+        }
+    }
+
+    /// The driver's result grows once, by the total of the counts, for
+    /// any number of buckets.
+    #[test]
+    fn reads_of_many_buckets_reserve_their_total_once() {
+        let bucket = |n: usize| write_bucket_bytes(&vec![(b"k".to_vec(), b"v".to_vec()); n]);
+        let mut out = Vec::new();
+        read_bucket_records(&[bucket(30), bucket(0), bucket(70)], &mut out).unwrap();
+        assert_eq!((out.len(), out.capacity()), (100, 100));
     }
 
     #[test]

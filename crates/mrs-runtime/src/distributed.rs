@@ -517,7 +517,7 @@ mod tests {
         let cfg = MasterConfig { speculate: SpeculateMode::Off, ..MasterConfig::default() };
         // Every map task (data 1) holds its worker for 50 ms. Whichever
         // slave polls first is granted three at once (two workers and the
-        // double-buffer slot), so both its workers run side by side, and
+        // task queued ahead), so both its workers run side by side, and
         // it stays full for the 200 ms it would need to run all eight:
         // the rest can only go to the other slave. Both slave rows and
         // both worker lanes are in the trace whatever the machine's load.

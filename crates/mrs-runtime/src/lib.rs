@@ -19,20 +19,21 @@
 //! inputs, run the task kernel under its cancel flag, store the outputs,
 //! trace the attempt in one span shape, hand the outcome back. Each plane
 //! supplies only a *source* — the pool's claim under its scheduler lock,
-//! the slave's queue of fetched assignments — and a *sink* — the pool's
-//! commit, the slave's report to the master. The serial plane stays
-//! apart: it is the reference the others are checked against.
+//! the slave's queue of accepted assignments, whose inputs each worker
+//! fetches itself — and a *sink* — the pool's commit, the slave's report
+//! to the master. The serial plane stays apart: it is the reference the
+//! others are checked against.
 //!
 //! The distributed runtime is capacity-aware: each slave advertises
-//! `slots + 1` at signin ([`SlaveOptions::slots`] compute workers plus
-//! one prefetch buffer) and asks for up to its free capacity per poll.
-//! Inside the slave, a fetch stage prefetches task inputs into a bounded
-//! queue that a pool of worker threads drains — fetch, compute, and
-//! report overlap (double buffering) — and an idle slave waits parked at
-//! the master, not in a local sleep. The master dispatches
-//! batches up to each slave's capacity, breaks affinity ties toward
-//! underloaded slaves, steals claims only from fractionally busier
-//! owners, and on a slave death re-queues *all* of its in-flight tasks.
+//! `slots + 1` at signin ([`SlaveOptions::slots`] workers plus one
+//! accepted task queued ahead, so one poll carries two) and asks for up
+//! to its free capacity per poll. Inside the slave, each worker takes an
+//! accepted task, fetches its inputs and runs it; the polling thread
+//! never fetches, and an idle slave waits parked at the master, not in a
+//! local sleep. The master dispatches batches up to each slave's
+//! capacity, breaks affinity ties toward underloaded slaves, steals
+//! claims only from fractionally busier owners, and on a slave death
+//! re-queues *all* of its in-flight tasks.
 //!
 //! Stragglers are handled by speculative execution
 //! ([`proto::SpeculateMode`], `--mrs-speculate`, default on): when a wave

@@ -174,6 +174,7 @@ impl Plane for Shared {
         if let Some(h) = th {
             h.instant(Name::Dispatch, tag);
         }
+        let inputs = Some(inputs);
         Some(Attempt { task: (data, index), spec, tag, since_us, inputs, cancel: None })
     }
 
@@ -308,6 +309,7 @@ mod tests {
     use mrs_core::kv::encode_record;
     use mrs_core::{Datum, MapReduce, Simple};
     use mrs_fs::MemFs;
+    use mrs_trace::POLL_LANE;
     use std::sync::atomic::AtomicBool;
 
     struct WordCount;
@@ -614,7 +616,7 @@ mod tests {
             }
             let json = trace.chrome_json();
             assert!(json.contains("\"ph\":\"B\"") && json.contains("process_name"));
-            assert_attempt_shapes(&trace, false, 7);
+            assert_attempt_shapes(&trace, false, false, 7);
         }
 
         // One attempt-span shape on every plane that runs the workers,
@@ -625,7 +627,7 @@ mod tests {
             (LocalRuntime::mock_parallel(Arc::clone(&program), Arc::new(MemFs::new())), true),
         ] {
             fused_job(&mut rt);
-            assert_attempt_shapes(&rt.take_trace(), store, 9);
+            assert_attempt_shapes(&rt.take_trace(), false, store, 9);
         }
         let cfg = MasterConfig { speculate: SpeculateMode::Off, ..MasterConfig::default() };
         let master = Master::new(cfg, DataPlane::Direct).unwrap();
@@ -644,7 +646,13 @@ mod tests {
         for slave in slaves {
             slave.join().unwrap().unwrap();
         }
-        assert_attempt_shapes(&cluster, false, 9);
+        // A slave records on its worker lanes and its poll lane alone: its
+        // workers fetch their own inputs, inside each attempt's span.
+        let lanes = |g: &&mrs_trace::GlobalEvent| g.event.lane < 2 || g.event.lane == POLL_LANE;
+        let slave_events = cluster.events.iter().filter(|g| g.pid != mrs_trace::MASTER_PID);
+        assert!(slave_events.clone().all(|g| lanes(&g)), "an event off the slave's lanes");
+        assert!(slave_events.clone().any(|g| g.event.name == Name::Fetch));
+        assert_attempt_shapes(&cluster, true, false, 9);
     }
 
     /// Run `Rotate` as map → fused reduce-map → reduce on `rt`.
@@ -657,13 +665,14 @@ mod tests {
     }
 
     /// On every worker lane of `trace`, each of the job's `tasks` attempts
-    /// has exactly one `Attempt` span, holding — in order — `Merge` when
-    /// it gathers, `Exec`, and `Emit` when the plane has a `store`.
-    fn assert_attempt_shapes(trace: &JobTrace, store: bool, tasks: usize) {
-        use mrs_trace::{Event, Kind, Op, MASTER_PID, PREFETCH_LANE};
+    /// has exactly one `Attempt` span, holding — in order — `Fetch` when
+    /// the plane `fetch`es its inputs, `Merge` when it gathers, `Exec`,
+    /// and `Emit` when the plane has a `store`.
+    fn assert_attempt_shapes(trace: &JobTrace, fetch: bool, store: bool, tasks: usize) {
+        use mrs_trace::{Event, Kind, Op, MASTER_PID};
         let mut lanes: std::collections::BTreeMap<(u32, u32), Vec<&Event>> = Default::default();
         for g in trace.events.iter().filter(|g| g.pid != MASTER_PID) {
-            if g.event.lane < PREFETCH_LANE {
+            if g.event.lane < POLL_LANE {
                 lanes.entry((g.pid, g.event.lane)).or_default().push(&g.event);
             }
         }
@@ -673,6 +682,9 @@ mod tests {
             while let Some(first) = rest.first() {
                 let tag = first.tag;
                 let mut want = vec![(Kind::Begin, Name::Attempt)];
+                if fetch {
+                    want.extend([(Kind::Begin, Name::Fetch), (Kind::End, Name::Fetch)]);
+                }
                 if tag.op != Op::Map {
                     want.extend([(Kind::Begin, Name::Merge), (Kind::End, Name::Merge)]);
                 }

@@ -575,7 +575,8 @@ impl JobApi for Master {
             self.wait(data)?;
             let urls = self.shared.state.lock().plan.outputs(data)?;
             // One round trip per slave holding a piece of the dataset,
-            // parsed in URL order straight into the result vector.
+            // parsed in URL order into a result vector sized once from
+            // the buckets' headers.
             let urls: Vec<&str> = urls.iter().map(String::as_str).collect();
             let mut out = Vec::new();
             let mut tally = JobMetrics::default();
@@ -585,7 +586,8 @@ impl JobApi for Master {
             };
             let fetched = fetch_buckets(&urls, shared, None, &mut tally);
             self.shared.state.lock().metrics.merge(&tally);
-            match fetched.into_iter().try_for_each(|b| read_bucket_records(&b?, &mut out)) {
+            let fetched = fetched.into_iter().collect::<Result<Vec<_>>>();
+            match fetched.and_then(|buckets| read_bucket_records(&buckets, &mut out)) {
                 Ok(()) => return Ok(out),
                 Err(e) => last_err = Some(e),
             }

@@ -91,7 +91,7 @@ pub(super) struct SlaveInfo {
     pub(super) alive: bool,
     pub(super) last_seen: Instant,
     /// Capacity advertised at signin: the maximum number of assignments
-    /// the slave holds at once (compute workers plus prefetch buffer).
+    /// the slave holds at once (its workers plus one task queued ahead).
     pub(super) slots: usize,
     /// Output-table purge orders not yet delivered; drained onto the next
     /// poll answer — the same answer as any grant, so a rebuilt task's

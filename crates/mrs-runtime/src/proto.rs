@@ -869,7 +869,7 @@ pub fn fetch_records(
 ) -> Result<Vec<Record>> {
     let fetched = fetch_buckets(&[url], shared, None, tally).pop();
     let mut out = Vec::new();
-    read_bucket_records(&fetched.expect("one result per url")?, &mut out)?;
+    read_bucket_records(&[fetched.expect("one result per url")?], &mut out)?;
     Ok(out)
 }
 

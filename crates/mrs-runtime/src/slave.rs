@@ -7,24 +7,20 @@
 //! plane it writes framed bucket files to the common store.
 //!
 //! A slave is multicore-aware: it advertises a slot count at signin and
-//! runs that many worker threads plus one fetch stage — a single thread
-//! that fetches the *next* assignment's input buckets while the workers
-//! compute, so transfer overlaps computation (the pipelining the paper's
-//! serial-phase analysis motivates). Capacity is one more than the worker
-//! count: that extra slot is the prefetch buffer. The polling thread
-//! itself never fetches data — a slow or dead peer can stall the data
-//! plane without silencing the control heartbeat. So a slave is
-//! `slots` workers + the poll thread + the fetch stage, and nothing else.
+//! runs that many worker threads beside its polling thread, and nothing
+//! else. Capacity is one more than the worker count: while every worker
+//! runs, one more accepted task waits in the queue, so a round's two tasks
+//! ride one poll. The polling thread never fetches data — a slow or dead
+//! peer can stall a worker without silencing the control heartbeat.
 //!
-//! The workers are the pool's (the crate-private `workers`): a slave is
-//! a pool whose inputs are remote. This module supplies only their
-//! source — the fetched queue — and their sink — the report to the
-//! master. The fetch
-//! stage fetches the inputs of accepted tasks, at one pipelined round trip
-//! per peer ([`crate::proto::fetch_buckets`]). An input this slave
-//! produced itself costs no bytes and no codec work: it is taken from the
-//! output table by reference count, as on the pool (§IV-B's writer reading
-//! its own local files).
+//! The workers are the pool's (the crate-private `workers`): a slave is a
+//! pool whose inputs are remote. This module supplies their source — the
+//! accepted queue —, the fetch each worker runs inside its attempt, and
+//! their sink — the report to the master. The fetch costs one pipelined
+//! round trip per peer ([`crate::proto::fetch_buckets`]). An input this
+//! slave produced itself costs no bytes and no codec work: it is taken
+//! from the output table by reference count, as on the pool (§IV-B's
+//! writer reading its own local files).
 //!
 //! What a slave counts — bytes fetched, merge runs — it tallies beside its
 //! pipe and drains into the next poll it sends anyway, so the master's
@@ -48,15 +44,15 @@ use crate::proto::{
     TraceBatch,
 };
 use crate::workers::{
-    bucket_path, sorted_run, trace_abandoned, Attempt, Done, Failure, Input, Plane, Workers,
+    bucket_path, join, sorted_run, trace_abandoned, Attempt, Done, Failure, Input, Plane, Workers,
 };
 use mrs_codec::CompressMode;
 use mrs_core::{Bucket, Error, Program, Result};
 use mrs_fs::format::write_bucket;
 use mrs_fs::Store;
 use mrs_rpc::{DataServer, Provider};
-use mrs_trace::{Name, Recorder, Tag, TraceHandle, POLL_LANE, PREFETCH_LANE};
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use mrs_trace::{Recorder, Tag, TraceHandle, POLL_LANE};
+use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -173,28 +169,24 @@ impl Default for SlaveOptions {
     }
 }
 
-/// Prefetched-task queue shared between the polling thread, the fetch
-/// stage and the compute workers.
+/// The accepted-task queue shared between the polling thread and the
+/// workers.
 #[derive(Default)]
 struct Pipe {
     state: Mutex<PipeState>,
-    /// Wakes compute workers when tasks are queued (or on shutdown).
+    /// Wakes workers when tasks are queued (or on shutdown).
     cv: Condvar,
     /// Wakes the polling thread on worker events worth a poll: the slave
     /// went idle, a slot was freed that can be refilled (or shutdown).
     poll_cv: Condvar,
-    /// Wakes the fetch stage when assignments land (or on shutdown).
-    fetch_cv: Condvar,
 }
 
 #[derive(Default)]
 struct PipeState {
-    /// Assignments accepted from the master, inputs not yet fetched. The
-    /// stamp is the recorder time the assignment arrived (0 untraced), so
-    /// the attempt span can reach back to acceptance.
-    fetch_queue: VecDeque<(TaskMsg, u64)>,
-    /// Tasks with their inputs already fetched, ready to compute.
-    queue: VecDeque<(TaskMsg, u64, Vec<Input>)>,
+    /// Assignments accepted from the master that no worker has taken yet.
+    /// The stamp is the recorder time the assignment arrived (0
+    /// untraced), so the attempt span can reach back to acceptance.
+    queue: VecDeque<(TaskMsg, u64)>,
     /// Assignments accepted from the master and not yet reported back.
     in_flight: usize,
     /// Completions waiting to ride on the next poll.
@@ -205,10 +197,10 @@ struct PipeState {
     /// The last poll answer said runnable work was left ungranted: a freed
     /// slot can be refilled, so a completion is worth a poll of its own.
     more: bool,
-    /// Cancellation flags of attempts currently executing or having their
-    /// inputs prefetched, keyed by (data, index, attempt). A cancel order
-    /// for such an attempt sets its flag; the kernel observes it at the
-    /// next record/group boundary, the prefetch stage between inputs.
+    /// Cancellation flags of the attempts workers hold, keyed by (data,
+    /// index, attempt). A cancel order for such an attempt sets its flag;
+    /// its fetch observes it between peers, its kernel at the next
+    /// record/group boundary, and its sink before entering any output.
     active: HashMap<(u32, usize, u32), Arc<AtomicBool>>,
     /// Stop immediately and silently — crash semantics (the fault-injection
     /// hook), a lost control channel, or the end of the job. Nothing
@@ -221,50 +213,42 @@ impl Pipe {
         self.state.lock().halt = true;
         self.cv.notify_all();
         self.poll_cv.notify_all();
-        self.fetch_cv.notify_all();
     }
 
-    /// Hand the fetch stage the tasks one poll answer granted, with the
+    /// Queue the tasks one poll answer granted for the workers, with the
     /// answer's `more` hint in the same critical section, so no completion
     /// is judged by a stale one.
     fn enqueue(&self, tasks: Vec<TaskMsg>, accepted_us: u64, more: bool) {
         let mut st = self.state.lock();
         st.more = more;
-        let queued = !tasks.is_empty();
-        for task in tasks {
-            st.in_flight += 1;
-            st.fetch_queue.push_back((task, accepted_us));
-        }
+        let queued = tasks.len();
+        st.in_flight += queued;
+        st.queue.extend(tasks.into_iter().map(|task| (task, accepted_us)));
         drop(st);
-        if queued {
-            self.fetch_cv.notify_all();
+        for _ in 0..queued {
+            self.cv.notify_one();
         }
     }
 
     /// Apply attempt-cancellation orders piggybacked on a dispatch. A loser
-    /// still queued — for its fetch or for a worker — is dropped before it
-    /// runs, freeing its slot at once; one being fetched or run gets its
-    /// cooperative flag set. An order that finds none of these names an
+    /// still queued is dropped before it runs, freeing its slot at once;
+    /// one a worker holds — fetching, running or about to report — gets
+    /// its cooperative flag set. An order that finds neither names an
     /// attempt this slave has already finished, and is a no-op: the master
     /// orders cancels only for attempts it dispatched in an earlier answer,
     /// each answer is applied before the next poll is sent, and every move
-    /// of an attempt between the queues and `active` is one lock section.
-    /// A dequeued loser still shows on the timeline — its
+    /// of an attempt between the queue, `active` and the reports is one
+    /// lock section. A dequeued loser still shows on the timeline — its
     /// accepted→cancelled span and `Cancel` instant land on the poll lane,
     /// since no worker ever owned it.
     fn apply_cancels(&self, orders: &[CancelOrder], th: Option<&TraceHandle>) {
-        if orders.is_empty() {
-            return;
-        }
         let mut st = self.state.lock();
         let mut dequeued: Vec<(TaskMsg, u64)> = Vec::new();
         for o in orders {
-            let hit = |t: &TaskMsg| key(t) == (o.data, o.index, o.attempt);
-            if let Some(pos) = st.fetch_queue.iter().position(|(t, _)| hit(t)) {
-                dequeued.extend(st.fetch_queue.remove(pos));
-            } else if let Some(pos) = st.queue.iter().position(|(t, _, _)| hit(t)) {
-                dequeued.extend(st.queue.remove(pos).map(|(t, at, _)| (t, at)));
-            } else if let Some(flag) = st.active.get(&(o.data, o.index, o.attempt)) {
+            let id = (o.data, o.index, o.attempt);
+            if let Some(pos) = st.queue.iter().position(|(t, _)| key(t) == id) {
+                dequeued.extend(st.queue.remove(pos));
+            } else if let Some(flag) = st.active.get(&id) {
                 flag.store(true, Ordering::Relaxed);
             }
         }
@@ -276,47 +260,6 @@ impl Pipe {
         if !dequeued.is_empty() {
             self.poll_cv.notify_all();
         }
-    }
-
-    fn halted(&self) -> bool {
-        self.state.lock().halt
-    }
-
-    /// Wait on `cv` for an entry `pop` takes off one of the queues, and
-    /// register its attempt's cancellation flag in the same lock section,
-    /// so a cancel order lands on the queue entry or on the flag — never
-    /// in a gap between. `None` once the slave halts.
-    fn pop<T>(
-        &self,
-        cv: &Condvar,
-        pop: impl Fn(&mut PipeState) -> Option<T>,
-        task: impl Fn(&T) -> &TaskMsg,
-    ) -> Option<(T, Arc<AtomicBool>)> {
-        let mut st = self.state.lock();
-        loop {
-            if st.halt {
-                return None;
-            }
-            if let Some(entry) = pop(&mut st) {
-                let flag = Arc::new(AtomicBool::new(false));
-                st.active.insert(key(task(&entry)), Arc::clone(&flag));
-                return Some((entry, flag));
-            }
-            cv.wait(&mut st);
-        }
-    }
-
-    /// Unregister `task`'s flag and count what it tallied, in the lock
-    /// section that then hands it on. `None` once the slave halts: crash
-    /// semantics, a halted slave goes silent.
-    fn settle(&self, task: &TaskMsg, tally: &JobMetrics) -> Option<MutexGuard<'_, PipeState>> {
-        let mut st = self.state.lock();
-        st.active.remove(&key(task));
-        if st.halt {
-            return None;
-        }
-        st.tally.merge(tally);
-        Some(st)
     }
 }
 
@@ -345,9 +288,9 @@ pub fn run_slave(
     let authority = server.as_ref().map(|s| s.authority()).unwrap_or_else(|| "shared".into());
 
     let slots = opts.slots.max(1);
-    // Advertise one slot beyond the worker count: while all workers
-    // compute, one more assignment can sit in the queue with its inputs
-    // already fetched (double buffering).
+    // Advertise one slot beyond the worker count: while all workers run,
+    // one more assignment waits in the queue, so one poll carries a
+    // round's next two tasks rather than each costing a poll of its own.
     let capacity = slots + 1;
     let id = link.signin(&authority, capacity)?;
 
@@ -364,7 +307,6 @@ pub fn run_slave(
     // Trace recording: one recorder per slave, one handle (ring shard)
     // per recording thread.
     let rec = opts.trace.then(Recorder::new);
-    let fetch_handle = rec.as_ref().map(|r| r.handle(PREFETCH_LANE));
     let poll_handle = rec.as_ref().map(|r| r.handle(POLL_LANE));
     let workers = Workers {
         program: program.as_ref(),
@@ -373,12 +315,11 @@ pub fn run_slave(
         trace: rec.as_ref(),
     };
     std::thread::scope(|s| {
-        // The fetch stage runs on its own thread so a slow or dead peer
-        // stalls only the data plane: the polling thread keeps
+        // Workers fetch their own inputs, so a slow or dead peer stalls
+        // only the worker waiting on it: the polling thread keeps
         // heartbeating, and fetch failures report standalone so recovery
         // starts immediately.
-        let handles =
-            [s.spawn(|| workers.run(&slave)), s.spawn(|| slave.fetch_loop(fetch_handle.as_ref()))];
+        let workers = workers.spawn(s, &slave);
         // The round-trip measured around the *previous* poll, shipped with
         // the next trace batch so the master's clock sync can bound the
         // one-way delay. Until a round-trip exists the batch stays empty —
@@ -390,7 +331,7 @@ pub fn run_slave(
                 pipe.shut_down();
                 break Ok(());
             }
-            if pipe.halted() {
+            if pipe.state.lock().halt {
                 // A worker lost the control channel; nothing left to do.
                 break Ok(());
             }
@@ -418,19 +359,7 @@ pub fn run_slave(
             };
             let polled_at = Instant::now();
             let answer = link.poll(id, free, park, reports, counts, batch).map(|(d, more)| {
-                // Apply lifetime-GC purge orders before queueing the
-                // answer's tasks: spent datasets leave this slave's output
-                // table, so long-running iterative jobs hold O(1)
-                // intermediate data, not O(iterations) — and a granted task
-                // that rebuilds a reclaimed dataset writes under the same
-                // paths only after its previous life's buckets are gone.
-                for prefix in &d.purge {
-                    outputs.lock().retain(|path, _| !path.starts_with(prefix.as_str()));
-                }
-                // Cancel orders never name a task granted in this same
-                // answer (they are issued for attempts dispatched earlier),
-                // so applying them before enqueueing the assignment is safe.
-                pipe.apply_cancels(&d.cancel, poll_handle.as_ref());
+                slave.apply_orders(&d, poll_handle.as_ref());
                 (d.assignment, more)
             });
             if rec.is_some() {
@@ -475,16 +404,12 @@ pub fn run_slave(
             }
         };
 
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|_| Err(Error::TaskFailed("slave thread panicked".into())))
-            })
-            .fold(main_res, Result::and)
+        main_res.and(join(workers))
     })
 }
 
-/// What a slave's fetch stage and its workers' source and sink share.
+/// What a slave's polling thread and its workers' source, fetch and sink
+/// share.
 struct Slave<'a> {
     link: &'a dyn MasterLink,
     id: SlaveId,
@@ -499,58 +424,23 @@ struct Slave<'a> {
 }
 
 impl Slave<'_> {
-    /// The fetch stage: pop accepted assignments, fetch their input
-    /// buckets (overlapping the workers' compute) and queue them ready to
-    /// run. Runs on its own thread so a stalled fetch — a dead peer, a slow
-    /// store — never blocks the polling thread's control heartbeat. A
-    /// task's fetch failure reports standalone via `task_failed`
-    /// (recovery starts immediately) and frees the slot.
-    fn fetch_loop(&self, th: Option<&TraceHandle>) -> Result<()> {
-        let pipe = &self.pipe;
-        let authority = self.server.map(|s| s.authority());
-        let own = authority.as_deref().map(|authority| (authority, self.outputs));
-        let pop = |st: &mut PipeState| st.fetch_queue.pop_front();
-        while let Some(((task, accepted_us), cancel)) = pipe.pop(&pipe.fetch_cv, pop, |e| &e.0) {
-            let tag = task_tag(&task);
-            if let Some(h) = th {
-                h.begin(Name::Fetch, tag);
-            }
-            let mut tally = JobMetrics::default();
-            let fetched = fetch_inputs(&task.inputs, self.shared, own, &cancel, &mut tally);
-            if let Some(h) = th {
-                h.end(Name::Fetch, tag);
-            }
-            // Hand the attempt over to the workers (or drop it) in the lock
-            // section that unregisters the flag: a cancel order lands on
-            // the flag before this point and on the queue entry after it.
-            // The fetch's counts go in first, well ahead of any report.
-            let Some(mut st) = pipe.settle(&task, &tally) else { break };
-            let cancelled = cancel.load(Ordering::Relaxed);
-            match fetched {
-                Ok(inputs) if !cancelled => {
-                    st.queue.push_back((task, accepted_us, inputs));
-                    drop(st);
-                    pipe.cv.notify_one();
-                }
-                Err(failure) if !cancelled && !matches!(failure.error, Error::Cancelled) => {
-                    st.in_flight -= 1;
-                    drop(st);
-                    self.report_failure(&task, failure)?;
-                }
-                _ => {
-                    // The attempt lost its race while its inputs were in
-                    // flight (typically inputs lifetime GC had already
-                    // purged, so whatever the fetch came back with is
-                    // moot): free the slot unreported, its span closed
-                    // first like every attempt's.
-                    trace_abandoned(th, accepted_us, tag);
-                    st.in_flight -= 1;
-                    drop(st);
-                    pipe.poll_cv.notify_all();
-                }
-            }
+    /// Apply the orders a poll answer carries, before its tasks are
+    /// queued. Cancels go first: an order for an attempt a worker holds
+    /// raises its flag, and the sink never enters the outputs of a flagged
+    /// attempt, so the purge that follows finds every output a loser of
+    /// the purged dataset will ever enter. Lifetime-GC purges then take
+    /// spent datasets off the output table, so long-running iterative jobs
+    /// hold O(1) intermediate data, not O(iterations) — and a granted task
+    /// that rebuilds a reclaimed dataset writes under the same paths only
+    /// after its previous life's buckets are gone. Cancel orders never
+    /// name a task granted in the same answer (they are issued for
+    /// attempts dispatched earlier), so applying them before the
+    /// assignment is queued is safe.
+    fn apply_orders(&self, d: &Dispatch, th: Option<&TraceHandle>) {
+        self.pipe.apply_cancels(&d.cancel, th);
+        for prefix in &d.purge {
+            self.outputs.lock().retain(|path, _| !path.starts_with(prefix.as_str()));
         }
-        Ok(())
     }
 
     /// Report a failed attempt standalone, so recovery starts at once,
@@ -561,28 +451,38 @@ impl Slave<'_> {
         let (msg, input) = (failure.error.to_string(), failure.input.map(|i| &*task.inputs[i]));
         let sent = self.link.task_failed(self.id, task.data, task.index, task.attempt, &msg, input);
         self.pipe.poll_cv.notify_all();
+        if sent.is_err() {
+            self.pipe.shut_down();
+        }
         match sent {
-            Ok(()) => Ok(()),
-            Err(Error::Rpc(_)) => {
-                self.pipe.shut_down();
-                Ok(())
-            }
-            Err(e) => {
-                self.pipe.shut_down();
-                Err(e)
-            }
+            Err(Error::Rpc(_)) => Ok(()),
+            sent => sent,
         }
     }
 }
 
-/// The workers' source and sink on a slave.
+/// The workers' source, fetch and sink on a slave.
 impl Plane for Slave<'_> {
     type Task = TaskMsg;
 
-    /// The next fetched task.
+    /// The next accepted task, its inputs left to [`Plane::fetch`]. Its
+    /// cancellation flag is registered in the lock section that dequeues
+    /// it, so a cancel order lands on the queue entry or on the flag —
+    /// never in a gap between. `None` once the slave halts.
     fn next(&self, _: Option<&TraceHandle>) -> Option<Attempt<TaskMsg>> {
-        let pop = |st: &mut PipeState| st.queue.pop_front();
-        let ((task, since_us, inputs), cancel) = self.pipe.pop(&self.pipe.cv, pop, |e| &e.0)?;
+        let mut st = self.pipe.state.lock();
+        let (task, since_us) = loop {
+            if st.halt {
+                return None;
+            }
+            if let Some(entry) = st.queue.pop_front() {
+                break entry;
+            }
+            self.pipe.cv.wait(&mut st);
+        };
+        let cancel = Arc::new(AtomicBool::new(false));
+        st.active.insert(key(&task), Arc::clone(&cancel));
+        drop(st);
         // Straggler injection (test-only). The sleep is sliced to observe
         // the cancellation flag promptly.
         if let Some(&(_, _, ms)) =
@@ -591,45 +491,65 @@ impl Plane for Slave<'_> {
             let deadline = Instant::now() + Duration::from_millis(ms);
             while Instant::now() < deadline
                 && !cancel.load(Ordering::Relaxed)
-                && !self.pipe.halted()
+                && !self.pipe.state.lock().halt
             {
                 std::thread::sleep(Duration::from_millis(2));
             }
         }
         let (spec, tag) = (task.spec(), task_tag(&task));
-        Some(Attempt { task, spec, tag, since_us, inputs, cancel: Some(cancel) })
+        Some(Attempt { task, spec, tag, since_us, inputs: None, cancel: Some(cancel) })
+    }
+
+    fn fetch(
+        &self,
+        task: &TaskMsg,
+        cancel: Option<&AtomicBool>,
+        tally: &mut JobMetrics,
+    ) -> std::result::Result<Vec<Input>, Failure> {
+        let authority = self.server.map(|s| s.authority());
+        let own = authority.as_deref().map(|authority| (authority, self.outputs));
+        fetch_inputs(&task.inputs, self.shared, own, cancel, tally)
     }
 
     fn stem(&self, tag: &Tag) -> String {
         format!("s{}/d{}/t{}", self.id, tag.data, tag.index)
     }
 
-    /// Name the outputs, then, in one lock section, free the slot, count
-    /// the attempt and queue its report: the poll that takes the report
-    /// takes its counts too. A completion is queued to ride the next poll
-    /// (one fewer control RPC per task); a failure reports standalone; a
-    /// cancelled attempt — another attempt already won at the master's
-    /// commit point — is abandoned silently.
+    /// In one lock section — the one a cancel order takes to raise the
+    /// attempt's flag — free the slot, count the attempt and, unless the
+    /// flag is raised, enter its outputs and queue its report: the poll
+    /// that takes the report takes its counts too. A completion is queued
+    /// to ride the next poll (one fewer control RPC per task); a failure
+    /// reports standalone; a cancelled attempt — another attempt already
+    /// won at the master's commit point — is abandoned silently, whatever
+    /// it came back with. A halted slave goes silent (crash semantics).
     fn finish(&self, done: Done<TaskMsg>, _: Option<&TraceHandle>) -> Result<()> {
         let Done { task, spec, tag, outcome, tally, .. } = done;
         // On the direct plane each output stays the bucket itself, framed
-        // when a peer asks for it; a shared store holds their frames.
-        let urls = outcome.map(|buckets| {
-            let stem = self.stem(&tag);
-            let name = |(p, bucket): (usize, Arc<Bucket>)| {
-                let path = bucket_path(&stem, p);
-                let Some(server) = self.server else { return format!("file://{path}") };
-                let url = server.url_for(&path);
-                let sorted = sorted_run(&spec, &bucket);
-                self.outputs.lock().insert(path, (bucket, sorted));
-                url
-            };
-            buckets.into_iter().enumerate().map(name).collect()
-        });
-        let Some(mut st) = self.pipe.settle(&task, &tally) else { return Ok(()) };
+        // when a peer asks for it; its sorted-run claim (a scan, for a
+        // reduce's) is read before the lock section. A shared store holds
+        // the frames.
+        let claim = |b: Arc<Bucket>| (self.server.is_some() && sorted_run(&spec, &b), b);
+        let outcome = outcome.map(|out| out.into_iter().map(claim).collect::<Vec<_>>());
+        let mut st = self.pipe.state.lock();
+        let flag = st.active.remove(&key(&task));
+        if st.halt {
+            return Ok(());
+        }
+        st.tally.merge(&tally);
         st.in_flight -= 1;
-        match urls {
-            Ok(urls) => {
+        let cancelled = flag.is_some_and(|flag| flag.load(Ordering::Relaxed));
+        match outcome {
+            Ok(outputs) if !cancelled => {
+                let stem = self.stem(&tag);
+                let name = |(p, (sorted, bucket)): (usize, (bool, Arc<Bucket>))| {
+                    let path = bucket_path(&stem, p);
+                    let Some(server) = self.server else { return format!("file://{path}") };
+                    let url = server.url_for(&path);
+                    self.outputs.lock().insert(path, (bucket, sorted));
+                    url
+                };
+                let urls = outputs.into_iter().enumerate().map(name).collect();
                 let TaskMsg { data, index, attempt, .. } = task;
                 st.reports.push(TaskReport { data, index, attempt, urls });
                 // Worth a poll of its own only if it may close a wave (the
@@ -640,14 +560,14 @@ impl Plane for Slave<'_> {
                 }
                 Ok(())
             }
-            Err(Failure { error: Error::Cancelled, .. }) => {
+            Err(failure) if !cancelled && !matches!(failure.error, Error::Cancelled) => {
+                drop(st);
+                self.report_failure(&task, failure)
+            }
+            _ => {
                 drop(st);
                 self.pipe.poll_cv.notify_all();
                 Ok(())
-            }
-            Err(failure) => {
-                drop(st);
-                self.report_failure(&task, failure)
             }
         }
     }
@@ -684,7 +604,7 @@ fn fetch_inputs(
     urls: &[String],
     shared: Option<&Arc<dyn Store>>,
     own: Option<(&str, &Outputs)>,
-    cancel: &AtomicBool,
+    cancel: Option<&AtomicBool>,
     tally: &mut JobMetrics,
 ) -> std::result::Result<Vec<Input>, Failure> {
     // The table path of each URL that names one of this slave's outputs.
@@ -697,7 +617,7 @@ fn fetch_inputs(
         .collect();
     let remote = urls.iter().zip(&own_paths).filter(|(_, path)| path.is_none());
     let remote: Vec<&str> = remote.map(|(url, _)| url.as_str()).collect();
-    let mut fetched = fetch_buckets(&remote, shared, Some(cancel), tally).into_iter();
+    let mut fetched = fetch_buckets(&remote, shared, cancel, tally).into_iter();
     own_paths
         .into_iter()
         .enumerate()
@@ -834,9 +754,9 @@ mod tests {
         handle.join().unwrap().unwrap();
     }
 
-    /// A multi-slot slave alone must still produce correct output (the
-    /// worker pool and prefetch stage preserve task semantics). Every
-    /// reduce input is its own, so each is a short circuit.
+    /// A multi-slot slave alone must still produce correct output (its
+    /// workers preserve task semantics). Every reduce input is its own, so
+    /// each is a short circuit.
     #[test]
     fn multislot_slave_executes_job() {
         let master = Master::new(MasterConfig::default(), DataPlane::Direct).unwrap();
@@ -1396,10 +1316,10 @@ mod tests {
 
     type Answer = fn(usize, &[Polled]) -> (Dispatch, bool);
 
-    /// Run a one-worker slave's fetch stage and worker while `drive` plays
-    /// its polling thread (recording on the poll lane); returns what
-    /// `drive` returned and every event traced meanwhile. `shared` is the
-    /// shared-filesystem plane's store; `server` the direct plane's.
+    /// Run a one-worker slave's worker while `drive` plays its polling
+    /// thread (recording on the poll lane); returns what `drive` returned
+    /// and every event traced meanwhile. `shared` is the shared-filesystem
+    /// plane's store; `server` the direct plane's.
     fn with_stages<R>(
         link: &dyn MasterLink,
         program: &dyn Program,
@@ -1408,7 +1328,7 @@ mod tests {
         outputs: &Outputs,
         drive: impl FnOnce(&Slave, &TraceHandle) -> R,
     ) -> (R, Vec<mrs_trace::Event>) {
-        /// Stops the stages even when `drive` panics.
+        /// Stops the worker even when `drive` panics.
         struct Halt<'a>(&'a Pipe);
         impl Drop for Halt<'_> {
             fn drop(&mut self) {
@@ -1418,19 +1338,16 @@ mod tests {
         let pipe = Pipe::default();
         let slave = Slave { link, id: 0, pipe, outputs, server, shared, delays: &[] };
         let rec = Recorder::new();
-        let (fetch_lane, poll_lane) = (rec.handle(PREFETCH_LANE), rec.handle(POLL_LANE));
+        let poll_lane = rec.handle(POLL_LANE);
         let store = shared.map(|s| (&**s, CompressMode::default()));
         let workers = Workers { program, store, slots: 1, trace: Some(&rec) };
         let out = std::thread::scope(|s| {
-            let stages =
-                [s.spawn(|| workers.run(&slave)), s.spawn(|| slave.fetch_loop(Some(&fetch_lane)))];
+            let worker = workers.spawn(s, &slave);
             let out = {
                 let _halt = Halt(&slave.pipe);
                 drive(&slave, &poll_lane)
             };
-            for stage in stages {
-                stage.join().unwrap().unwrap();
-            }
+            join(worker).unwrap();
             out
         });
         (out, rec.drain().0)
@@ -1447,25 +1364,17 @@ mod tests {
 
     /// How many entries the pipe holds for particular attempts.
     fn held(st: &PipeState) -> usize {
-        let PipeState {
-            fetch_queue,
-            queue,
-            in_flight,
-            reports,
-            active,
-            tally: _,
-            more: _,
-            halt: _,
-        } = st;
-        fetch_queue.len() + queue.len() + in_flight + reports.len() + active.len()
+        let PipeState { queue, in_flight, reports, active, tally: _, more: _, halt: _ } = st;
+        queue.len() + in_flight + reports.len() + active.len()
     }
 
-    /// Where an accepted attempt is when its cancel order arrives.
+    /// Where an accepted attempt is when its cancel order arrives. (There
+    /// is no stage between its fetch and its kernel: the worker that
+    /// fetched it runs it.)
     #[derive(Clone, Copy, Debug, PartialEq)]
     enum Stage {
-        QueuedForFetch,
+        Queued,
         BeingFetched,
-        WaitingForWorker,
         Running,
         Reported,
     }
@@ -1479,7 +1388,7 @@ mod tests {
     fn cancel_order_reaches_an_accepted_attempt_at_every_stage() {
         use mrs_trace::{Kind, Name};
         use Stage::*;
-        for stage in [QueuedForFetch, BeingFetched, WaitingForWorker, Running, Reported] {
+        for stage in [Queued, BeingFetched, Running, Reported] {
             let (fetch_gate, kernel_gate) = (Arc::new(Gate::default()), Arc::new(Gate::default()));
             // `free` is a split nothing stops; `slow` the same behind the
             // fetch gate; `gated` stops its kernel at its first record, and
@@ -1503,9 +1412,8 @@ mod tests {
             // (the input of an attempt accepted ahead of the target, the
             // target's input)
             let (ahead, input) = match stage {
-                QueuedForFetch => (Some("slow"), "free"),
+                Queued => (Some("slow"), "free"),
                 BeingFetched => (None, "slow"),
-                WaitingForWorker => (Some("gated"), "free"),
                 Running => (None, "gated"),
                 Reported => (None, "free"),
             };
@@ -1521,13 +1429,7 @@ mod tests {
                 with_stages(&*link, &program, Some(&store), None, &outputs, |slave, th| {
                     slave.pipe.enqueue(tasks, th.now_us(), false);
                     match stage {
-                        QueuedForFetch | BeingFetched => fetch_gate.await_arrival(),
-                        WaitingForWorker => {
-                            kernel_gate.await_arrival();
-                            await_pipe(&slave.pipe, |st| {
-                                st.queue.iter().any(|(t, ..)| is_target(t))
-                            });
-                        }
+                        Queued | BeingFetched => fetch_gate.await_arrival(),
                         Running => kernel_gate.await_arrival(),
                         Reported => await_pipe(&slave.pipe, |st| st.in_flight == 0),
                     }
@@ -1537,8 +1439,7 @@ mod tests {
                     kernel_gate.open();
                     await_pipe(&slave.pipe, |st| st.in_flight == 0);
                     let st = slave.pipe.state.lock();
-                    assert!(!st.fetch_queue.iter().any(|(t, _)| is_target(t)), "{stage:?}");
-                    assert!(!st.queue.iter().any(|(t, ..)| is_target(t)), "{stage:?}");
+                    assert!(!st.queue.iter().any(|(t, _)| is_target(t)), "{stage:?}");
                     assert!(!st.active.contains_key(&key(&target)), "{stage:?}");
                     st.reports.iter().filter(|r| r.index == target.index).count()
                 });
@@ -1580,21 +1481,41 @@ mod tests {
         });
     }
 
-    /// Once the flag is set the remaining inputs are not fetched.
+    /// A cancel order that reaches a worker while it fetches stops the
+    /// fetch before its next peer: the peer is never asked, and the
+    /// attempt goes unreported, not failed.
     #[test]
     fn cancelled_fetch_skips_remaining_inputs() {
-        let urls = vec!["file://never-stored".to_owned()];
-        let cancel = AtomicBool::new(true);
-        let mut tally = JobMetrics::default();
-        let err = fetch_inputs(&urls, None, None, &cancel, &mut tally)
-            .err()
-            .expect("a cancelled fetch yields no bytes");
-        assert!(matches!(err.error, Error::Cancelled), "{}", err.error);
+        let fetch_gate = Arc::new(Gate::default());
+        let store: Arc<dyn Store> =
+            Arc::new(GatedStore { inner: MemFs::new(), path: "slow", gate: fetch_gate.clone() });
+        store.put("slow", &framed(&input()[..1])).unwrap();
+        let peer_outputs = Arc::new(Outputs::default());
+        peer_outputs.lock().insert("b0".into(), (Arc::new(Bucket::new()), true));
+        let (peer, calls) = counted_server(&peer_outputs);
+        // The shared store's batch comes first, then the peer's.
+        let task =
+            TaskMsg { inputs: vec!["file://slow".into(), peer.url_for("b0")], ..map_task(0) };
+        let (link, outputs) = (unpolled(), Outputs::default());
+        let program = Simple(WordCount);
+        let (reports, _) =
+            with_stages(&*link, &program, Some(&store), None, &outputs, |slave, th| {
+                slave.pipe.enqueue(vec![task], th.now_us(), false);
+                fetch_gate.await_arrival();
+                slave
+                    .pipe
+                    .apply_cancels(&[CancelOrder { data: 1, index: 0, attempt: 1 }], Some(th));
+                fetch_gate.open();
+                await_pipe(&slave.pipe, |st| st.in_flight == 0);
+                slave.pipe.state.lock().reports.len()
+            });
+        assert_eq!((reports, calls.load(Ordering::SeqCst)), (0, 0));
+        assert!(link.failed.lock().is_empty(), "a cancelled fetch reported a failure");
     }
 
-    /// A bucket the peer no longer has fails the attempt naming that
-    /// bucket — the producer the master must re-execute — wherever in the
-    /// peer's batch it sits.
+    /// A bucket the peer no longer has fails the attempt, reported
+    /// standalone, naming that bucket — the producer the master must
+    /// re-execute — wherever in the peer's batch it sits.
     #[test]
     fn missing_bucket_mid_batch_is_the_failed_input() {
         let peer = Arc::new(mrs_rpc::FrameCache::new());
@@ -1603,11 +1524,52 @@ mod tests {
         }
         let server = DataServer::serve(0, peer.provider()).unwrap();
         let urls: Vec<String> = (0..4).map(|i| server.url_for(&format!("b{i}"))).collect();
-        let cancel = AtomicBool::new(false);
-        let mut tally = JobMetrics::default();
-        let err = fetch_inputs(&urls, None, None, &cancel, &mut tally).err().expect("b2 is gone");
-        assert_eq!(err.input, Some(2), "{}", err.error);
-        assert!(!matches!(err.error, Error::Cancelled));
+        let task = TaskMsg { kind: TaskKind::Reduce, inputs: urls.clone(), ..map_task(0) };
+        let (link, outputs) = (unpolled(), Outputs::default());
+        with_stages(&*link, &Simple(WordCount), None, None, &outputs, |slave, th| {
+            slave.pipe.enqueue(vec![task], th.now_us(), false);
+            await_pipe(&slave.pipe, |st| st.in_flight == 0);
+        });
+        let failed = link.failed_inputs.lock().clone();
+        assert!(matches!(&failed[..], [(_, Some(input))] if *input == urls[2]), "{failed:?}");
+        assert!(!failed[0].0.contains("cancelled"), "{failed:?}");
+    }
+
+    /// One poll answer can carry both the purge of a dataset and the
+    /// cancel order for a loser of it whose kernel has already returned.
+    /// The order raises the loser's flag before the purge runs, and the
+    /// sink enters no output of a flagged attempt, so the table ends
+    /// holding nothing of the dataset and nothing is reported.
+    #[test]
+    fn a_loser_cancelled_with_its_datasets_purge_leaves_no_outputs() {
+        let kernel_gate = Arc::new(Gate::default());
+        let outputs = Arc::new(Outputs::default());
+        let (server, _) = counted_server(&outputs);
+        // An own split of one record keyed 1: the map stops at the gate on
+        // it, after the kernel's last cancel check.
+        let split = Bucket::from_slice(&[encode_record(&1u64, &"x".to_string())]);
+        outputs.lock().insert("s0/d0/t0/b0.mrsb".into(), (Arc::new(split), true));
+        let task = TaskMsg { inputs: vec![server.url_for("s0/d0/t0/b0.mrsb")], ..map_task(0) };
+        let link = unpolled();
+        let program = Simple(Gated(Arc::clone(&kernel_gate)));
+        let (reports, events) =
+            with_stages(&*link, &program, None, Some(&server), &outputs, |slave, th| {
+                slave.pipe.enqueue(vec![task], th.now_us(), false);
+                kernel_gate.await_arrival();
+                let (mut d, _) = answer(Assignment::Wait, false);
+                d.purge.push("s0/d1/".into());
+                d.cancel.push(CancelOrder { data: 1, index: 0, attempt: 1 });
+                slave.apply_orders(&d, Some(th));
+                kernel_gate.open();
+                await_pipe(&slave.pipe, |st| st.in_flight == 0);
+                slave.pipe.state.lock().reports.len()
+            });
+        let left: Vec<String> =
+            outputs.lock().keys().filter(|path| path.starts_with("s0/d1/")).cloned().collect();
+        assert_eq!((reports, left), (0, Vec::<String>::new()));
+        assert!(link.failed.lock().is_empty());
+        // The kernel returned its outputs: the order landed after it.
+        assert!(!events.iter().any(|e| e.name == mrs_trace::Name::Cancel), "{events:?}");
     }
 
     #[test]
@@ -1680,10 +1642,10 @@ mod tests {
         outputs.lock().insert("s0/d1/t0/b0.mrsb".into(), (Arc::clone(&bucket), true));
         let (server, calls) = counted_server(&outputs);
         let urls = vec![server.url_for("s0/d1/t0/b0.mrsb")];
-        let (authority, go) = (server.authority(), AtomicBool::new(false));
+        let (authority, go) = (server.authority(), Some(&AtomicBool::new(false)));
 
         let mut tally = JobMetrics::default();
-        let inputs = fetch_inputs(&urls, None, Some((&authority, &outputs)), &go, &mut tally);
+        let inputs = fetch_inputs(&urls, None, Some((&authority, &outputs)), go, &mut tally);
         let runs = crate::workers::gather(inputs.ok().unwrap(), &mut tally).ok().unwrap();
         assert!(Arc::ptr_eq(&runs[0], &bucket), "the run is the stored bucket, not a copy");
         assert_eq!((tally.shortcircuit_fetches(), tally.presorted_runs()), (1, 1));
@@ -1691,7 +1653,7 @@ mod tests {
         assert_eq!(calls.load(Ordering::SeqCst), 0, "the own data server was asked");
 
         let mut tally = JobMetrics::default();
-        let inputs = fetch_inputs(&urls, None, None, &go, &mut tally).ok().unwrap();
+        let inputs = fetch_inputs(&urls, None, None, go, &mut tally).ok().unwrap();
         assert!(matches!(&inputs[..], [Input::Wire(_)]));
         assert_eq!(calls.load(Ordering::SeqCst), 1);
         assert_eq!(tally.shortcircuit_fetches(), 0);
@@ -1733,30 +1695,30 @@ mod tests {
     fn sorted_run_flag_comes_from_the_task_kind() {
         let outputs = Arc::new(Outputs::default());
         let (server, _) = counted_server(&outputs);
-        let run = |kind: TaskKind, data: u32, input: Arc<Bucket>| -> (Vec<u8>, Arc<Bucket>) {
-            let task = TaskMsg { data, kind, parts: 1, ..map_task(0) };
+        // Each task reads one own output, named by `input`.
+        let run = |kind: TaskKind, data: u32, input: &str| -> (Vec<u8>, Arc<Bucket>, String) {
+            let inputs = vec![server.url_for(input)];
+            let task = TaskMsg { data, kind, parts: 1, inputs, ..map_task(0) };
             let link = unpolled();
             let (urls, _) =
-                with_stages(&*link, &Backwards, None, Some(&server), &outputs, |slave, _| {
-                    let mut st = slave.pipe.state.lock();
-                    st.in_flight += 1;
-                    st.queue.push_back((task, 0, vec![Input::Own(input)]));
-                    drop(st);
-                    slave.pipe.cv.notify_one();
+                with_stages(&*link, &Backwards, None, Some(&server), &outputs, |slave, th| {
+                    slave.pipe.enqueue(vec![task], th.now_us(), false);
                     await_pipe(&slave.pipe, |st| st.in_flight == 0);
                     slave.pipe.state.lock().reports.pop().expect("a report").urls
                 });
             let path = urls[0].strip_prefix(&format!("http://{}", server.authority())).unwrap();
             let frame = mrs_rpc::dataserver::fetch(&server.authority(), path).unwrap();
-            (frame, Arc::clone(&outputs.lock()[&path["/data/".len()..]].0))
+            let path = &path["/data/".len()..];
+            (frame, Arc::clone(&outputs.lock()[path].0), path.to_owned())
         };
         let split = vec![(b"a".to_vec(), b"1".to_vec()), (b"b".to_vec(), b"2".to_vec())];
-        let (frame, mapped) = run(TaskKind::Map, 1, Arc::new(Bucket::from_records(split)));
+        outputs.lock().insert("src".into(), (Arc::new(Bucket::from_records(split)), true));
+        let (frame, mapped, mapped_path) = run(TaskKind::Map, 1, "src");
         assert_ne!(frame[5] & mrs_codec::FLAG_SORTED_RUN, 0, "a map output claims its order");
         let claimed = mrs_codec::encode_vec_sorted(write_bucket(&mapped), Default::default(), true);
         assert_eq!(frame, claimed);
 
-        let (frame, reduced) = run(TaskKind::Reduce, 2, mapped);
+        let (frame, reduced, _) = run(TaskKind::Reduce, 2, &mapped_path);
         assert!(!reduced.is_sorted(), "the program emitted its keys backwards");
         assert_eq!(frame[5] & mrs_codec::FLAG_SORTED_RUN, 0, "an unsorted reduce claimed order");
         let plain = mrs_codec::encode_vec_sorted(write_bucket(&reduced), Default::default(), false);

@@ -1,20 +1,22 @@
 //! The one worker loop of the pool and the slave.
 //!
-//! A worker takes an attempt from its plane's source, gathers the
-//! attempt's inputs into the kernel's runs, calls [`run_task`] under the
-//! attempt's cancel flag, stores the outputs and hands the outcome to its
-//! plane's sink. Everything from "an attempt has been picked" to "its
-//! outcome is handed back" is written here, once. A [`Plane`] supplies
-//! only where an attempt comes from (the pool's `Plan` claim, the slave's
-//! fetched queue) and where its outcome goes (the pool's commit, the
+//! A worker takes an attempt from its plane's source, fetches the inputs
+//! the source left remote, gathers them into the kernel's runs, calls
+//! [`run_task`] under the attempt's cancel flag, stores the outputs and
+//! hands the outcome to its plane's sink. Everything from "an attempt has
+//! been picked" to "its outcome is handed back" is written here, once. A
+//! [`Plane`] supplies only where an attempt comes from (the pool's `Plan`
+//! claim, the slave's accepted queue), how its remote inputs are fetched
+//! (the slave's only) and where its outcome goes (the pool's commit, the
 //! slave's report to the master).
 //!
 //! Every attempt is traced on its worker's lane in one shape: an `Attempt`
-//! span from the claim or acceptance stamp, with `Merge` (gathering tasks
-//! only), `Exec` and `Emit` (only when the outputs go to a store) nested
-//! inside it, a `Cancel` instant when the attempt was cancelled, and the
-//! `Attempt` closed before the sink publishes the outcome — so whoever
-//! sees the outcome can see the whole span.
+//! span from the claim or acceptance stamp, with `Fetch` (remote inputs
+//! only), `Merge` (gathering tasks only), `Exec` and `Emit` (only when the
+//! outputs go to a store) nested inside it, a `Cancel` instant when the
+//! attempt was cancelled, and the `Attempt` closed before the sink
+//! publishes the outcome — so whoever sees the outcome can see the whole
+//! span.
 
 use crate::data::count_merge_input;
 use crate::metrics::JobMetrics;
@@ -26,6 +28,7 @@ use mrs_fs::Store;
 use mrs_trace::{Name, Recorder, Tag, TraceHandle};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
 /// One input of an attempt.
@@ -46,8 +49,9 @@ pub(crate) struct Attempt<T> {
     /// When the attempt was claimed or accepted (the recorder's clock; 0
     /// untraced): its span reaches back to here.
     pub since_us: u64,
-    /// One per input, in input order (the determinism oracle depends on it).
-    pub inputs: Vec<Input>,
+    /// One per input, in input order (the determinism oracle depends on
+    /// it); `None` when the plane's [`Plane::fetch`] resolves them.
+    pub inputs: Option<Vec<Input>>,
     /// Set to stop the attempt at the kernel's next record or group.
     pub cancel: Option<Arc<AtomicBool>>,
 }
@@ -59,9 +63,9 @@ pub(crate) struct Done<T> {
     pub tag: Tag,
     /// The output buckets, or why there are none.
     pub outcome: std::result::Result<Vec<Arc<Bucket>>, Failure>,
-    /// Gather, kernel and store time.
+    /// Fetch, gather, kernel and store time.
     pub elapsed: Duration,
-    /// What the gather counted.
+    /// What the fetch and the gather counted.
     pub tally: JobMetrics,
 }
 
@@ -86,6 +90,18 @@ pub(crate) trait Plane: Sync {
     /// Block until the next attempt for the worker recording on `th`;
     /// `None` stops the worker.
     fn next(&self, th: Option<&TraceHandle>) -> Option<Attempt<Self::Task>>;
+    /// The inputs of an attempt handed over without them, in input order,
+    /// fetched inside its span and under its cancel flag; what the fetch
+    /// counted goes into `tally`. Only a plane whose source leaves inputs
+    /// remote is asked.
+    fn fetch(
+        &self,
+        _task: &Self::Task,
+        _cancel: Option<&AtomicBool>,
+        _tally: &mut JobMetrics,
+    ) -> std::result::Result<Vec<Input>, Failure> {
+        unreachable!("this plane hands every attempt over with its inputs")
+    }
     /// The path prefix of the outputs of attempt `tag`: output `p` is
     /// [`bucket_path`]`(stem, p)`.
     fn stem(&self, tag: &Tag) -> String;
@@ -109,23 +125,25 @@ impl Workers<'_> {
     /// Run the slots until the source stops each of them; the first
     /// error any of them met.
     pub fn run<P: Plane>(&self, plane: &P) -> Result<()> {
-        std::thread::scope(|s| {
-            let slots: Vec<_> = (0..self.slots)
-                .map(|slot| {
-                    let th = self.trace.map(|r| r.handle(slot as u32));
-                    std::thread::Builder::new()
-                        .name(format!("mrs-worker-{slot}"))
-                        .spawn_scoped(s, move || self.work(plane, th.as_ref()))
-                        .expect("spawn worker")
-                })
-                .collect();
-            slots
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| Err(Error::TaskFailed("worker panicked".into())))
-                })
-                .fold(Ok(()), Result::and)
-        })
+        std::thread::scope(|s| join(self.spawn(s, plane)))
+    }
+
+    /// Start the slots in `scope`, for a caller that has work of its own
+    /// to do on its thread meanwhile; [`join`] them.
+    pub fn spawn<'s, P: Plane>(
+        &'s self,
+        scope: &'s Scope<'s, '_>,
+        plane: &'s P,
+    ) -> Vec<ScopedJoinHandle<'s, Result<()>>> {
+        (0..self.slots)
+            .map(|slot| {
+                let th = self.trace.map(|r| r.handle(slot as u32));
+                std::thread::Builder::new()
+                    .name(format!("mrs-worker-{slot}"))
+                    .spawn_scoped(scope, move || self.work(plane, th.as_ref()))
+                    .expect("spawn worker")
+            })
+            .collect()
     }
 
     fn work<P: Plane>(&self, plane: &P, th: Option<&TraceHandle>) -> Result<()> {
@@ -141,7 +159,7 @@ impl Workers<'_> {
             let outcome = if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
                 Err(Error::Cancelled.into())
             } else {
-                self.attempt(plane, &spec, tag, inputs, cancel, &mut scratch, &mut tally, th)
+                self.attempt(plane, &task, &spec, tag, inputs, cancel, &mut scratch, &mut tally, th)
             };
             close(th, tag, matches!(outcome, Err(Failure { error: Error::Cancelled, .. })));
             let elapsed = t0.elapsed();
@@ -150,19 +168,24 @@ impl Workers<'_> {
         Ok(())
     }
 
-    /// Gather, run and store one attempt.
+    /// Fetch, gather, run and store one attempt.
     #[allow(clippy::too_many_arguments)]
     fn attempt<P: Plane>(
         &self,
         plane: &P,
+        task: &P::Task,
         spec: &TaskSpec,
         tag: Tag,
-        inputs: Vec<Input>,
+        inputs: Option<Vec<Input>>,
         cancel: Option<&AtomicBool>,
         scratch: &mut Bucket,
         tally: &mut JobMetrics,
         th: Option<&TraceHandle>,
     ) -> std::result::Result<Vec<Arc<Bucket>>, Failure> {
+        let inputs = match inputs {
+            Some(inputs) => inputs,
+            None => span(th, Name::Fetch, tag, || plane.fetch(task, cancel, tally))?,
+        };
         // A map runs on its one own split as it is, and otherwise decodes
         // its input into the scratch arena.
         let gathered: Vec<Arc<Bucket>>;
@@ -199,6 +222,15 @@ impl Workers<'_> {
         }
         Ok(out)
     }
+}
+
+/// Wait for every slot [`Workers::spawn`] started; the first error any
+/// of them met.
+pub(crate) fn join(slots: Vec<ScopedJoinHandle<'_, Result<()>>>) -> Result<()> {
+    slots
+        .into_iter()
+        .map(|h| h.join().unwrap_or_else(|_| Err(Error::TaskFailed("worker panicked".into()))))
+        .fold(Ok(()), Result::and)
 }
 
 /// The merge runs of a reduce-like attempt, one per input, counted into
@@ -322,10 +354,12 @@ mod tests {
     /// sink saw them.
     type Seen = (std::result::Result<usize, Error>, JobMetrics, Vec<Event>);
 
-    /// A plane handing out one attempt; its sink keeps the outcome and
-    /// every event recorded before the sink ran.
+    /// A plane handing out one attempt, fetching `remote` for it when it
+    /// came without inputs; its sink keeps the outcome and every event
+    /// recorded before the sink ran.
     struct OneAttempt {
         attempt: Mutex<Option<Attempt<()>>>,
+        remote: Vec<Bucket>,
         rec: Recorder,
         seen: Mutex<Option<Seen>>,
     }
@@ -334,6 +368,14 @@ mod tests {
         type Task = ();
         fn next(&self, _: Option<&TraceHandle>) -> Option<Attempt<()>> {
             self.attempt.lock().take()
+        }
+        fn fetch(
+            &self,
+            _: &(),
+            _: Option<&AtomicBool>,
+            _: &mut JobMetrics,
+        ) -> std::result::Result<Vec<Input>, Failure> {
+            Ok(self.remote.iter().map(|b| Input::Wire(write_bucket(b))).collect())
         }
         fn stem(&self, tag: &Tag) -> String {
             format!("t{}", tag.index)
@@ -346,31 +388,34 @@ mod tests {
     }
 
     /// Each attempt shape through the one loop, on a plane with a store: a
-    /// map, a reduce gathering two own runs, and a map whose cancel flag
-    /// is raised inside the kernel. Before the sink runs, the attempt's
-    /// span is closed and holds exactly its phases, in order; the gather
-    /// counted own runs as presorted; a cancelled attempt stored nothing.
+    /// map, a reduce gathering two own runs, a map whose cancel flag is
+    /// raised inside the kernel, and a reduce whose two runs the plane
+    /// fetches. Before the sink runs, the attempt's span is closed and
+    /// holds exactly its phases, in order; the gather counted own runs and
+    /// fetched sorted ones as presorted; a cancelled attempt stored
+    /// nothing.
     #[test]
     fn one_span_shape_closed_before_the_sink() {
         use Kind::{Begin, End, Instant};
-        use Name::{Cancel, Emit, Exec, Merge};
-        let split = || {
+        use Name::{Cancel, Emit, Exec, Fetch, Merge};
+        let bucket = || {
             let records = [(b"a".to_vec(), b"1".to_vec()), (b"b".to_vec(), b"2".to_vec())];
-            Input::Own(Arc::new(Bucket::from_records(records.to_vec())))
+            Bucket::from_records(records.to_vec())
         };
+        let split = || Input::Own(Arc::new(bucket()));
         let map = TaskSpec::Map { func: 0, parts: 2, combine: false };
         let flag = Arc::new(AtomicBool::new(false));
-        type Row = (TaskSpec, Vec<Input>, Option<Arc<AtomicBool>>, Vec<(Kind, Name)>);
-        let rows: [Row; 3] = [
+        type Row = (TaskSpec, Option<Vec<Input>>, Option<Arc<AtomicBool>>, Vec<(Kind, Name)>);
+        let rows: [Row; 4] = [
             (
                 map,
-                vec![split()],
+                Some(vec![split()]),
                 None,
                 vec![(Begin, Exec), (End, Exec), (Begin, Emit), (End, Emit)],
             ),
             (
                 TaskSpec::Reduce { func: 0 },
-                vec![split(), split()],
+                Some(vec![split(), split()]),
                 None,
                 vec![
                     (Begin, Merge),
@@ -383,9 +428,24 @@ mod tests {
             ),
             (
                 map,
-                vec![split()],
+                Some(vec![split()]),
                 Some(flag.clone()),
                 vec![(Begin, Exec), (End, Exec), (Instant, Cancel)],
+            ),
+            (
+                TaskSpec::Reduce { func: 0 },
+                None,
+                None,
+                vec![
+                    (Begin, Fetch),
+                    (End, Fetch),
+                    (Begin, Merge),
+                    (End, Merge),
+                    (Begin, Exec),
+                    (End, Exec),
+                    (Begin, Emit),
+                    (End, Emit),
+                ],
             ),
         ];
         for (index, (spec, inputs, cancel, phases)) in rows.into_iter().enumerate() {
@@ -401,6 +461,7 @@ mod tests {
                     inputs,
                     cancel,
                 })),
+                remote: vec![bucket(), bucket()],
                 rec: Recorder::new(),
                 seen: Mutex::default(),
             };

@@ -31,9 +31,8 @@ use std::time::Instant;
 /// drains on any realistic job.
 pub const DEFAULT_CAPACITY: usize = 65_536;
 
-/// Lane id used for a slave's input-prefetch thread.
-pub const PREFETCH_LANE: u32 = 1_000;
-/// Lane id used for a slave's poll/main loop.
+/// Lane id used for a slave's poll/main loop; its workers record on lanes
+/// `0..slots`.
 pub const POLL_LANE: u32 = 1_002;
 /// Chrome `pid` of the master's timeline; slave `s` renders as `s + 1`.
 pub const MASTER_PID: u32 = 0;
@@ -86,7 +85,8 @@ impl Kind {
 pub enum Name {
     /// One task attempt, dequeue → report, on its worker lane.
     Attempt,
-    /// Input transfer (cold fetches at task time, or prefetch-lane work).
+    /// Input transfer: a worker fetching its attempt's inputs, inside the
+    /// attempt's span.
     Fetch,
     /// The task kernel (map, reduce, or fused reduce+map).
     Exec,
@@ -242,9 +242,8 @@ pub struct Event {
     pub kind: Kind,
     /// Vocabulary name.
     pub name: Name,
-    /// Timeline lane: worker slot index, or one of the `*_LANE`
-    /// constants; on master-recorded events, the slave id the event is
-    /// about.
+    /// Timeline lane: worker slot index, or [`POLL_LANE`]; on
+    /// master-recorded events, the slave id the event is about.
     pub lane: u32,
     /// Task identity (or [`Tag::NONE`]).
     pub tag: Tag,
@@ -510,7 +509,6 @@ fn lane_name(pid: u32, lane: u32) -> String {
         return format!("slave {lane}");
     }
     match lane {
-        PREFETCH_LANE => "prefetch".to_owned(),
         POLL_LANE => "poll".to_owned(),
         w => format!("worker {w}"),
     }
@@ -544,9 +542,8 @@ impl JobTrace {
 
     /// Render as Chrome trace-event JSON (the array-of-events object
     /// form), loadable in Perfetto or `chrome://tracing`. One process
-    /// row per machine, one lane per slave worker slot (plus the
-    /// prefetch and poll service lanes and the master's per-slave
-    /// dispatch lanes).
+    /// row per machine, one lane per slave worker slot (plus the poll
+    /// service lane and the master's per-slave dispatch lanes).
     pub fn chrome_json(&self) -> String {
         let mut out = String::with_capacity(self.events.len() * 96 + 256);
         out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");

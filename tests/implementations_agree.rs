@@ -68,8 +68,8 @@ fn wordcount_identical_across_all_five_runtimes() {
         .unwrap();
         wordcount_on(&mut Job::new(&mut cluster), 3, 2)
     };
-    // Multi-slot slaves (capacity batching, worker pool, prefetch stage)
-    // must not perturb the answer.
+    // Multi-slot slaves (capacity batching, workers fetching their own
+    // inputs) must not perturb the answer.
     let multislot = {
         let mut cluster = LocalCluster::start_with(
             Arc::new(Simple(WordCount)),

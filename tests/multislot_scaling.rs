@@ -2,8 +2,8 @@
 //! the same cluster shape must produce byte-identical output whether each
 //! slave runs one task at a time or four concurrently. This is the
 //! paper's implementations-agree discipline applied to the capacity
-//! scheduler — concurrency inside a slave (worker pool, prefetch stage,
-//! batched dispatch) must never leak into the answer.
+//! scheduler — concurrency inside a slave (workers fetching their own
+//! inputs, batched dispatch) must never leak into the answer.
 
 use mrs::apps::wordcount::{lines_to_records, WordCount};
 use mrs::prelude::*;
