@@ -15,15 +15,25 @@
 //! * `shuffle_transfer` — bucket fetch over a persistent pooled connection
 //!   vs. a fresh TCP dial per request (the keep-alive ablation, A4).
 //! * `bucket_sort` — the map-side sort step alone, `Bucket::sort` on the
-//!   three shapes the suite's workloads hand it: one `wc_shuffle` map
-//!   output bucket (Zipf words over a 1 000-word vocabulary), one
-//!   `sort_range` map output bucket (random `u64` keys), and eight
-//!   `sort_range` buckets concatenated as sorted runs (what the layer
-//!   metric `core.sort_us_p50` sorts). Each iteration clones the unsorted
-//!   bucket first; clone cost is the same on every arm.
+//!   shapes the suite's workloads hand it: `wc_shuffle_bucket`, 1 300
+//!   Zipf words over the whole 1 000-word vocabulary (mostly distinct);
+//!   `wc_map_partition`, of the partitions of one 10 000-token
+//!   `wc_shuffle` map task the one nearest the mean size (1 518 records;
+//!   the mean is 1 250); `wc_serial_partition`, the largest partition of
+//!   the serial plane's one map task over all 160 000 tokens (about
+//!   62 000 records); one `sort_range` map output bucket (random `u64`
+//!   keys); and eight `sort_range` buckets concatenated as sorted runs
+//!   (what the layer metric `core.sort_us_p50` sorts). The two
+//!   `wc_*_partition` inputs are built with the benchmark's corpus
+//!   parameters (16 documents, seed 1, a 1 000-word vocabulary). Each
+//!   case's result is checked once against a std stable sort; each
+//!   iteration clones the unsorted bucket first, the same cost on every
+//!   arm.
 
 use corpus::zipf::{word_for_rank, Zipf};
+use corpus::{Corpus, CorpusConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
+use mrs::apps::wordcount::lines_to_records;
 use mrs_core::kv::encode_record;
 use mrs_core::program::Program;
 use mrs_core::task::run_map_task_bucket;
@@ -145,6 +155,45 @@ fn bench_combine(c: &mut Criterion) {
 /// sort records per map task, over 8 partitions.
 const BUCKET_RECORDS: usize = 1_300;
 
+/// The `wc_shuffle` input: 160 000 tokens of 16 documents over a 1 000-word
+/// vocabulary, seed 1, as the benchmark generates it.
+fn wc_shuffle_input() -> Vec<Record> {
+    const DOCS: u64 = 16;
+    const TOKENS: usize = 160_000;
+    let corpus = Corpus::new(CorpusConfig {
+        n_files: DOCS,
+        seed: 1,
+        mean_tokens: 2 * TOKENS as u64 / DOCS,
+        vocab: 1_000,
+        ..CorpusConfig::default()
+    });
+    let docs: Vec<String> = (0..DOCS).map(|i| corpus.document(i)).collect();
+    let mut left = TOKENS;
+    let mut lines = Vec::new();
+    for line in docs.iter().flat_map(|d| d.lines()) {
+        let words: Vec<&str> = line.split(' ').take(left).collect();
+        left -= words.len();
+        lines.push(words.join(" "));
+        if left == 0 {
+            break;
+        }
+    }
+    lines_to_records(lines.iter().map(String::as_str))
+}
+
+/// What a no-combiner WordCount map task over `input` leaves in each of
+/// 8 partitions before its sort: the records in emit order.
+fn unsorted_partitions(input: &[Record]) -> Vec<Bucket> {
+    let program = Simple(mrs::apps::wordcount::WordCount);
+    let mut parts: Vec<Bucket> = (0..8).map(|_| Bucket::new()).collect();
+    for (k, v) in input {
+        program
+            .map_bytes(0, k, v, &mut |k2, v2| parts[program.partition(k2, 8)].push(k2, v2))
+            .unwrap();
+    }
+    parts
+}
+
 fn bench_bucket_sort(c: &mut Criterion) {
     let zipf = Zipf::new(1_000, 1.1);
     let mut rng = SplitMix64::new(7);
@@ -162,10 +211,27 @@ fn bench_bucket_sort(c: &mut Criterion) {
         runs.extend_from(&run);
     }
 
+    let wc = wc_shuffle_input();
+    // Of the first of the 16 map splits, as `split_evenly` cuts them, the
+    // partition nearest the mean size.
+    let split = unsorted_partitions(&wc[..wc.len().div_ceil(16)]);
+    let mean = split.iter().map(Bucket::len).sum::<usize>() / split.len();
+    let map_partition = split.into_iter().min_by_key(|b| b.len().abs_diff(mean)).unwrap();
+    let serial_partition = unsorted_partitions(&wc).into_iter().max_by_key(Bucket::len).unwrap();
+
     let mut group = c.benchmark_group("bucket_sort");
-    for (name, bucket) in
-        [("wc_shuffle_bucket", &words), ("sort_range_bucket", &range), ("eight_sorted_runs", &runs)]
-    {
+    for (name, bucket) in [
+        ("wc_shuffle_bucket", &words),
+        ("wc_map_partition", &map_partition),
+        ("wc_serial_partition", &serial_partition),
+        ("sort_range_bucket", &range),
+        ("eight_sorted_runs", &runs),
+    ] {
+        let mut sorted = bucket.clone();
+        sorted.sort();
+        let mut records = bucket.to_records();
+        records.sort_by(|a, b| a.0.cmp(&b.0));
+        assert_eq!(sorted.to_records(), records, "{name}: not the std stable sort");
         group.bench_function(name, |b| {
             b.iter(|| {
                 let mut sorted = black_box(bucket).clone();

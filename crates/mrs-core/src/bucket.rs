@@ -14,7 +14,9 @@
 //! 8 bytes, big-endian ([`key_prefix`]). Sorting ([`Bucket::sort`], the
 //! hash combiner's final pass) packs it with the key length and an arrival
 //! tag into one `u128` and sorts integers, reading key bytes only for runs
-//! of longer-than-8-byte keys that tie on the prefix. Pairwise compares —
+//! of longer-than-8-byte keys that tie on the prefix. A bucket whose keys
+//! repeat sorts only its distinct `(prefix, length)` groups and counts
+//! its entries into their order, arrival order kept. Pairwise compares —
 //! the run merger's heads, its equal-key scans, the sortedness check on
 //! decode — compare prefixes first and read key bytes only on a tie
 //! ([`cmp_keys`]).
@@ -67,21 +69,32 @@ pub(crate) fn prefix_in(arena: &[u8], off: usize, klen: usize) -> u64 {
 /// Length field of a packed sort key whose key is longer than its prefix.
 const LONG: u128 = 9;
 
+/// The low 32 bits of a packed sort key: its index.
+const INDEX: u128 = u32::MAX as u128;
+
 /// The order of `keys`, given as `(prefix, length)` pairs, as their
 /// indices — one `u128` per key, `prefix << 64 | min(length, 9) << 32 |
 /// index`, sorted as integers; `key(i)` is read only to order keys longer
 /// than 8 bytes that share a prefix. Equal keys keep index order, so this
 /// is a stable sort by key bytes: for keys of at most 8 bytes (prefix,
 /// length) is key order, and a shorter key sharing a longer key's prefix
-/// is a prefix of it. Input made of a few presorted runs (counted as
-/// descents while packing) goes to the run-merging stable sort, anything
-/// else to the unstable one; the keys are distinct integers either way.
-/// The index of each entry is its low 32 bits.
+/// is a prefix of it. The index of each entry is its low 32 bits.
+///
+/// The input picks the path; all three give the same integers. A few
+/// presorted runs (counted as descents while packing) go to the
+/// run-merging stable sort. Otherwise, unless the caller's keys are known
+/// distinct (`repeats` false), 64 or more keys try [`sort_by_groups`],
+/// which counts them into the order of their d distinct `(prefix,
+/// length)` groups in O(n + d log d) — a WordCount partition repeats each
+/// word about ten times. It declines keys that rarely repeat among the
+/// first 128 or that form more than n/4 groups, and those go to the
+/// unstable sort.
 pub(crate) fn sorted_order<'k>(
     keys: impl ExactSizeIterator<Item = (u64, usize)>,
     key: impl Fn(u32) -> &'k [u8],
+    repeats: bool,
 ) -> Vec<u128> {
-    assert!(keys.len() <= 1 << 32, "more than 2^32 keys to sort");
+    assert!(keys.len() < 1 << 32, "2^32 or more keys to sort");
     let mut packed = Vec::with_capacity(keys.len());
     let (mut descents, mut long) = (0usize, false);
     let mut last = 0u128;
@@ -92,11 +105,7 @@ pub(crate) fn sorted_order<'k>(
         last = k;
         packed.push(k);
     }
-    if descents * 64 < packed.len() {
-        packed.sort();
-    } else {
-        packed.sort_unstable();
-    }
+    sort_packed(&mut packed, descents, repeats);
     if !long {
         return packed;
     }
@@ -109,6 +118,131 @@ pub(crate) fn sorted_order<'k>(
         }
     }
     packed
+}
+
+/// The sort [`sorted_order`] gave its packed keys.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Path {
+    Runs,
+    Groups,
+    Unstable,
+}
+
+/// Sort the packed keys of [`sorted_order`], which hold `descents`
+/// descents, by the path their shape picks.
+fn sort_packed(packed: &mut [u128], descents: usize, repeats: bool) -> Path {
+    if descents * 64 < packed.len() {
+        packed.sort();
+        Path::Runs
+    } else if repeats && packed.len() >= GROUP_MIN && sort_by_groups(packed) {
+        Path::Groups
+    } else {
+        packed.sort_unstable();
+        Path::Unstable
+    }
+}
+
+/// Fewest keys [`sorted_order`] tries to group: below this the table's
+/// set-up outweighs what a comparison sort of so few keys costs.
+const GROUP_MIN: usize = 64;
+
+/// [`sort_by_groups`] first looks at this many keys, and goes on only if
+/// more than a quarter of them repeat one before them.
+const PROBE: usize = 128;
+
+/// The hash of a group's key (a packed key's bits above its index) whose
+/// top bits [`sort_by_groups`]'s probe and its table take.
+#[inline]
+fn group_hash(k: u128) -> u64 {
+    ((k >> 64) as u64 ^ (k >> 32) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// True when more than a quarter of `keys` repeat a key before them, as a
+/// 1024-bit filter of their hashes counts: a collision can only add a
+/// repeat, and 128 distinct keys collide about 8 times.
+fn repeats_early(keys: &[u128]) -> bool {
+    let mut seen = [0u64; 16];
+    let mut repeats = 0;
+    for &k in keys {
+        let bit = (group_hash(k & !INDEX) >> 54) as usize;
+        repeats += (seen[bit / 64] >> (bit % 64)) as usize & 1;
+        seen[bit / 64] |= 1 << (bit % 64);
+    }
+    4 * repeats > keys.len()
+}
+
+/// Sort `packed` — the packed keys of [`sorted_order`], each at its index
+/// — by groups: one pass maps each key's `(prefix, length)` to its group
+/// in an open-addressing table, the d groups are sorted as integers, and
+/// the keys are counted into group order in index order, which keeps
+/// equal keys in index order. Each key's group id and then the index
+/// placed at its position live in its own slot; besides them the pass
+/// holds the table, at most 4 bytes a key, and the groups. False, with
+/// `packed` as it was, when the first [`PROBE`] keys rarely repeat or
+/// there prove to be more than n/4 groups.
+fn sort_by_groups(packed: &mut [u128]) -> bool {
+    let n = packed.len();
+    if !repeats_early(&packed[..n.min(PROBE)]) {
+        return false;
+    }
+    // Each group's key with its id in the index bits, and its count.
+    let mut groups: Vec<u128> = Vec::with_capacity((n / 4).min(256));
+    let mut counts: Vec<u32> = Vec::with_capacity(groups.capacity());
+    // Open addressing with linear probes, at most half full at n/4 groups;
+    // ids are stored plus one so that zero marks an empty slot.
+    let mut table = vec![0u32; (n / 2).next_power_of_two()];
+    let (shift, mask) = (64 - table.len().trailing_zeros(), table.len() - 1);
+    for i in 0..n {
+        let k = packed[i] & !INDEX;
+        let mut slot = (group_hash(k) >> shift) as usize;
+        let gid = loop {
+            match table[slot] {
+                0 => break groups.len(),
+                id if groups[id as usize - 1] & !INDEX == k => break id as usize - 1,
+                _ => slot = (slot + 1) & mask,
+            }
+        };
+        if gid == groups.len() {
+            if gid >= n / 4 {
+                for (j, slot) in packed[..i].iter_mut().enumerate() {
+                    *slot = groups[*slot as usize] & !INDEX | j as u128;
+                }
+                return false;
+            }
+            groups.push(k | gid as u128);
+            counts.push(0);
+            table[slot] = gid as u32 + 1;
+        }
+        counts[gid] += 1;
+        packed[i] = gid as u128;
+    }
+    groups.sort_unstable();
+    // Each group's first position, advanced as its keys are placed.
+    let mut next = counts;
+    let mut at = 0;
+    for g in &groups {
+        let gid = (g & INDEX) as usize;
+        let count = next[gid];
+        next[gid] = at;
+        at += count;
+    }
+    // The index placed at position p goes into bits 32..64 of slot p; the
+    // group id in its low bits, still needed if p > i, stays.
+    for i in 0..n {
+        let gid = (packed[i] & INDEX) as usize;
+        let p = next[gid] as usize;
+        next[gid] += 1;
+        packed[p] |= (i as u128) << 32;
+    }
+    let mut p = 0;
+    for g in &groups {
+        let end = next[(g & INDEX) as usize] as usize;
+        for slot in &mut packed[p..end] {
+            *slot = g & !INDEX | *slot >> 32;
+        }
+        p = end;
+    }
+    true
 }
 
 /// One record in the arena: `[off .. off+klen)` is the key,
@@ -269,6 +403,7 @@ impl Bucket {
                 .iter()
                 .map(|e| (prefix_in(data, e.off as usize, e.klen as usize), e.klen as usize)),
             |i| self.key_of(&entries[i as usize]),
+            true,
         );
         for slot in &mut order {
             *slot = entries[*slot as u32 as usize].pack();
@@ -468,11 +603,145 @@ pub(crate) mod tests {
         }
     }
 
+    /// A key from the edges of the grouped path: `EDGES` and
+    /// `colliding_key()`, so `""` and `"\0"`, 8- and 9-byte keys and long
+    /// keys sharing a prefix each land in a group of their own.
+    fn alphabet_key() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![colliding_key(), (0..EDGES.len()).prop_map(|i| EDGES[i].to_vec())]
+    }
+
+    /// `Bucket::sort` against the std stable sort of `keys` tagged with
+    /// their arrival index.
+    fn agrees_with_std(keys: Vec<Vec<u8>>) -> Result<(), String> {
+        let mut records = tagged(keys);
+        let mut bucket = Bucket::from_records(records.clone());
+        bucket.sort();
+        records.sort_by(|a, b| a.0.cmp(&b.0));
+        prop_assert_eq!(bucket.to_records(), records);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Many entries over a small alphabet: the grouped path, its tie
+        /// pass on long keys sharing a prefix included.
+        #[test]
+        fn grouped_sort_agrees_with_std_stable_sort(
+            alphabet in proptest::collection::vec(alphabet_key(), 1..41),
+            picks in proptest::collection::vec(any::<u16>(), 64..2000),
+        ) {
+            let keys = picks.iter().map(|&p| alphabet[p as usize % alphabet.len()].clone());
+            agrees_with_std(keys.collect())?;
+        }
+
+        /// All keys distinct: the grouped path refuses at its probe.
+        #[test]
+        fn distinct_sort_agrees_with_std_stable_sort(
+            keys in proptest::collection::vec(any::<u64>(), 300..1000),
+        ) {
+            let keys = keys.iter().enumerate().map(|(i, k)| {
+                [&k.to_be_bytes()[..(k % 9) as usize], &(i as u32).to_be_bytes()].concat()
+            });
+            agrees_with_std(keys.collect())?;
+        }
+
+        /// `fresh` distinct keys, then `more` entries repeating them: 256
+        /// fresh keys fail the probe; 17 to 63 pass it, and with fewer
+        /// than four entries a group the pass gives up part way and
+        /// restores the keys it grouped.
+        #[test]
+        fn repeats_after_distinct_keys_agree_with_std_stable_sort(
+            fresh in prop_oneof![Just(256usize), 17usize..64],
+            more in 0usize..1500,
+            seed in any::<u64>(),
+        ) {
+            // 2- to 8-byte keys, every third behind a shared 8-byte prefix.
+            let key = |i: u64| {
+                let k = &mix(i ^ seed).to_be_bytes()[..2 + (i % 7) as usize];
+                [if i.is_multiple_of(3) { &b"prefix--"[..] } else { b"" }, k].concat()
+            };
+            let first = (0..fresh as u64).map(key);
+            let then = (0..more as u64).map(|i| key(mix(i) % fresh as u64));
+            agrees_with_std(first.chain(then).collect())?;
+        }
+    }
+
+    fn mix(x: u64) -> u64 {
+        x.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29)
+    }
+
+    /// Packed keys of `keys` as `sorted_order` packs them, all 8 bytes
+    /// long, and their descents.
+    fn packed(keys: &[u64]) -> (Vec<u128>, usize) {
+        let packed: Vec<u128> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| (k as u128) << 64 | 8 << 32 | i as u128)
+            .collect();
+        let descents = packed.windows(2).filter(|w| w[1] < w[0]).count();
+        (packed, descents)
+    }
+
+    /// The path each shape of input takes, at the rule's edges; every
+    /// path gives the sorted integers.
+    #[test]
+    fn the_input_picks_the_sort_path() {
+        // Distinct keys whose probe filter bits differ, so that the
+        // filter counts their repeats exactly.
+        let mut bits = std::collections::HashSet::new();
+        let clean: Vec<u64> = (0..)
+            .map(mix)
+            .filter(|&k| bits.insert(group_hash((k as u128) << 64 | 8 << 32) >> 54))
+            .take(256)
+            .collect();
+        // `d` distinct keys over `n` entries: `early` of them first, the
+        // rest right after the probe's entries, repeats elsewhere.
+        let spread = |n: u64, early: u64, d: u64| -> Vec<u64> {
+            let probe = PROBE as u64;
+            let id = |i: u64| match i {
+                i if i < early => i,
+                i if (probe..probe + d - early).contains(&i) => i - probe + early,
+                i => mix(i) % early,
+            };
+            (0..n).map(|i| clean[id(i) as usize]).collect()
+        };
+        let cases = [
+            (spread(63, 8, 8), true, Path::Unstable),
+            (spread(64, 8, 8), true, Path::Groups),
+            (spread(64, 8, 8), false, Path::Unstable),
+            ((0..1000).map(|i| i / 10).collect(), true, Path::Runs),
+            (spread(1024, 95, 95), true, Path::Groups),
+            (spread(1024, 96, 96), true, Path::Unstable),
+            (spread(1000, 8, 250), true, Path::Groups),
+            (spread(1000, 8, 251), true, Path::Unstable),
+        ];
+        for (i, (keys, repeats, path)) in cases.into_iter().enumerate() {
+            let (mut got, descents) = packed(&keys);
+            let mut want = got.clone();
+            want.sort();
+            assert_eq!(sort_packed(&mut got, descents, repeats), path, "case {i}");
+            assert!(got == want, "case {i} is not sorted");
+        }
+    }
+
     /// The sort permutes the offset table in place: a freshly collected
     /// table in its stead measurably slowed the pool plane.
     #[test]
     fn sort_keeps_the_offset_table_allocation() {
         let keys = (0..1000u32).map(|i| i.wrapping_mul(2_654_435_761).to_le_bytes().to_vec());
+        let mut b = Bucket::from_records(tagged(keys.collect()));
+        let table = (b.entries.as_ptr(), b.entries.capacity());
+        b.sort();
+        assert!(b.is_sorted());
+        assert_eq!((b.entries.as_ptr(), b.entries.capacity()), table);
+    }
+
+    /// The same on the grouped path: a thousand entries of fifty keys.
+    #[test]
+    fn grouped_sort_keeps_the_offset_table_allocation() {
+        let keys =
+            (0..1000u32).map(|i| (i.wrapping_mul(2_654_435_761) % 50).to_le_bytes().to_vec());
         let mut b = Bucket::from_records(tagged(keys.collect()));
         let table = (b.entries.as_ptr(), b.entries.capacity());
         b.sort();

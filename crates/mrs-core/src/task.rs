@@ -569,7 +569,8 @@ impl PartSink for Combiner {
         self.gather();
         let mut out: Vec<Bucket> = (0..self.parts).map(|_| Bucket::new()).collect();
         let keys = self.groups.iter().map(|g| (g.prefix, g.klen as usize));
-        let order = sorted_order(keys, |gid| self.key_of(gid as usize));
+        // The groups are distinct keys, so grouping them gains nothing.
+        let order = sorted_order(keys, |gid| self.key_of(gid as usize), false);
         for gid in order.into_iter().map(|k| k as u32 as usize) {
             check_cancel(cancel)?;
             let raw = self.replay(program, func, gid)?;

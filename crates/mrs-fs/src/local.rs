@@ -32,13 +32,21 @@ impl LocalFs {
 impl Store for LocalFs {
     fn put(&self, path: &str, data: &[u8]) -> Result<()> {
         let full = self.full(path)?;
-        if let Some(parent) = full.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
         // Write-then-rename so concurrent readers never observe a torn file.
         let tmp = full.with_extension("tmp~");
-        std::fs::write(&tmp, data)?;
-        std::fs::rename(&tmp, &full)?;
+        let write = || {
+            if let Some(parent) = full.parent() {
+                std::fs::create_dir_all(parent)?;
+            }
+            std::fs::write(&tmp, data)?;
+            std::fs::rename(&tmp, &full)
+        };
+        // A delete of the directory's last other file may prune it between
+        // its creation and the write; then it is created once more.
+        match write() {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => write()?,
+            done => done?,
+        }
         Ok(())
     }
 
@@ -61,12 +69,24 @@ impl Store for LocalFs {
         Ok(out)
     }
 
+    /// Remove the file, then every directory that leaves empty, up to but
+    /// not including the root.
     fn delete(&self, path: &str) -> Result<()> {
-        match std::fs::remove_file(self.full(path)?) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e.into()),
+        let full = self.full(path)?;
+        match std::fs::remove_file(&full) {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e.into()),
         }
+        // `remove_dir` refuses a directory that still holds anything.
+        let mut dir = full.parent();
+        while let Some(d) = dir.filter(|d| *d != self.root) {
+            if std::fs::remove_dir(d).is_err() {
+                break;
+            }
+            dir = d.parent();
+        }
+        Ok(())
     }
 }
 
@@ -172,6 +192,25 @@ mod tests {
         t.delete("x").unwrap();
         t.delete("x").unwrap();
         assert!(!t.exists("x"));
+    }
+
+    #[test]
+    fn deleting_the_last_file_prunes_its_emptied_directories() {
+        let t = TempFs::new("t8").unwrap();
+        t.put("s0/d1/t0/b0", b"x").unwrap();
+        t.put("s0/d1/t0/b1", b"x").unwrap();
+        t.put("s0/d2/t0/b0", b"x").unwrap();
+        let root = t.fs().root().to_path_buf();
+        t.delete("s0/d1/t0/b0").unwrap();
+        assert!(root.join("s0/d1/t0").is_dir(), "a directory still holding a file stays");
+        t.delete("s0/d1/t0/b1").unwrap();
+        assert!(!root.join("s0/d1").exists(), "the emptied t0 and d1 go");
+        assert!(root.join("s0/d2/t0/b0").is_file(), "a non-empty sibling stays");
+        t.delete("s0/d2/t0/b0").unwrap();
+        assert!(!root.join("s0").exists());
+        assert!(root.is_dir(), "the root stays");
+        t.put("s0/d1/t0/b0", b"y").unwrap();
+        assert_eq!(t.get("s0/d1/t0/b0").unwrap(), b"y");
     }
 
     #[test]

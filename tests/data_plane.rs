@@ -9,13 +9,14 @@ use mrs::prelude::*;
 use mrs_core::task::{run_map_task_bucket, run_task};
 use mrs_core::{Bucket, TaskSpec};
 use mrs_fs::format::{read_bucket_run, write_bucket, RunInfo};
-use mrs_fs::{MemFs, Store};
+use mrs_fs::{MemFs, Store, TempFs};
 use mrs_rpc::{dataserver, DataServer, HttpClient};
 use mrs_runtime::data::split_evenly;
 use mrs_runtime::metrics::JobMetrics;
 use mrs_runtime::proto::{fetch_records, Assignment};
 use mrs_runtime::slave::run_slave;
 use std::collections::HashMap;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
@@ -349,11 +350,10 @@ fn two_clusters_at_once_each_count_only_their_own_job() {
     assert_eq!(counted(&b), solo);
 }
 
-/// Files left in a shared store after `jobs` WordCount jobs (6 maps and 3
-/// reduces on 2 slaves), each discarding its input and its answer.
-fn files_after_discarded_jobs(jobs: usize) -> usize {
-    let store = MemFs::new();
-    let plane = DataPlane::SharedFs(Arc::new(store.clone()));
+/// Run `jobs` WordCount jobs (6 maps and 3 reduces on 2 slaves) on a
+/// cluster sharing `store`, each discarding its input and its answer.
+fn discarded_jobs(store: Arc<dyn Store>, jobs: usize) {
+    let plane = DataPlane::SharedFs(store);
     let mut cluster =
         LocalCluster::start(Arc::new(Simple(WordCount)), 2, plane, MasterConfig::default())
             .unwrap();
@@ -367,7 +367,26 @@ fn files_after_discarded_jobs(jobs: usize) -> usize {
         job.discard(src);
         job.discard(reduced);
     }
+}
+
+/// Files left in a shared store after `jobs` discarded jobs.
+fn files_after_discarded_jobs(jobs: usize) -> usize {
+    let store = MemFs::new();
+    discarded_jobs(Arc::new(store.clone()), jobs);
     store.list("").unwrap().len()
+}
+
+/// Directories under the root of a shared `LocalFs` store after `jobs`
+/// discarded jobs.
+fn directories_after_discarded_jobs(jobs: usize) -> usize {
+    fn count(dir: &Path) -> usize {
+        let subdirs =
+            std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()).filter(|p| p.is_dir());
+        subdirs.map(|d| 1 + count(&d)).sum()
+    }
+    let store = Arc::new(TempFs::new("dirs").unwrap());
+    discarded_jobs(store.clone(), jobs);
+    count(store.fs().root())
 }
 
 /// A reclaimed dataset's files leave the shared store: the source's
@@ -377,4 +396,12 @@ fn files_after_discarded_jobs(jobs: usize) -> usize {
 fn a_shared_store_holds_as_many_files_after_30_discarded_jobs_as_after_10() {
     let files = [10, 20, 30].map(files_after_discarded_jobs);
     assert_eq!(files, [files[0]; 3], "files left after 10, 20 and 30 jobs");
+}
+
+/// On a `LocalFs` store the deletes also take the directories they empty,
+/// so no `s{slave}/d{d}/t{i}/` tree outlives a reclaimed dataset.
+#[test]
+fn a_shared_local_fs_holds_as_many_directories_after_30_discarded_jobs_as_after_10() {
+    let dirs = [10, 30].map(directories_after_discarded_jobs);
+    assert_eq!(dirs, [dirs[0]; 2], "directories left after 10 and 30 jobs");
 }

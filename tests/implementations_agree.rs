@@ -231,6 +231,69 @@ fn merge_oracle_wordcount_no_combiner_identical() {
     assert_eq!(cluster_merge, pool_merge, "cluster merge vs pool merge");
 }
 
+/// Long words whose encoded keys (a length byte, then the word) share an
+/// 8-byte prefix: the three 16-letter ones all begin `\x10interna`.
+const LONG_WORDS: [&str; 5] = [
+    "internationalization",
+    "internationalize",
+    "internationally",
+    "internationalism",
+    "internationalist",
+];
+
+/// 400 lines mixing the long words, in no sorted order, with short
+/// ones: four map tasks see about 170 records per partition.
+fn long_word_lines() -> Vec<String> {
+    (0..400)
+        .map(|i| {
+            let long = |k: usize| LONG_WORDS[(i * 7 + k * 3) % LONG_WORDS.len()];
+            format!("{} w{} {} alpha {} w{}", long(0), i % 9, long(1), long(2), i % 5)
+        })
+        .collect()
+}
+
+/// No-combiner WordCount where each map task's partitions repeat a few
+/// dozen words, some of them long words that tie on the 8-byte prefix:
+/// every bucket sort counts its entries into groups and then orders the
+/// tied long words by their bytes. The raw output is byte-identical on
+/// serial, mock parallel, the pool and a 2-slave cluster on both data
+/// planes, and counts what the bypass counts.
+#[test]
+fn no_combiner_wordcount_over_prefix_sharing_words_is_byte_identical_on_every_plane() {
+    let lines = long_word_lines();
+    let input = lines_to_records(lines.iter().map(String::as_str));
+    let (maps, reduces) = (4, 3);
+    let tied = LONG_WORDS.iter().filter(|w| w.len() == 16).map(|w| {
+        let key = mrs_core::kv::encode_record(&w.to_string(), &0u64).0;
+        Simple(WordCount).partition(&key, reduces)
+    });
+    let mut tied: Vec<usize> = tied.collect();
+    tied.sort();
+    assert!(tied.windows(2).any(|w| w[0] == w[1]), "no partition holds two tied long words");
+
+    let run = |api: &mut dyn JobApi| {
+        Job::new(api).map_reduce(input.clone(), maps, reduces, false).unwrap()
+    };
+    let program = || Arc::new(Simple(WordCount));
+    let serial = run(&mut SerialRuntime::new(program()));
+    let mock = run(&mut LocalRuntime::mock_parallel(program(), Arc::new(MemFs::new())));
+    let pool = run(&mut LocalRuntime::pool(program(), 4));
+    let direct =
+        run(&mut LocalCluster::start(program(), 2, DataPlane::Direct, MasterConfig::default())
+            .unwrap());
+    let shared = {
+        let plane = DataPlane::SharedFs(Arc::new(MemFs::new()));
+        run(&mut LocalCluster::start(program(), 2, plane, MasterConfig::default()).unwrap())
+    };
+
+    let bypass = corpus::tokenizer::reference_counts(lines.iter().map(String::as_str));
+    assert_eq!(decode_counts(&serial).unwrap(), bypass, "serial vs bypass");
+    assert_eq!(mock, serial, "mock parallel vs serial");
+    assert_eq!(pool, serial, "pool vs serial");
+    assert_eq!(direct, serial, "2-slave direct cluster vs serial");
+    assert_eq!(shared, serial, "2-slave shared-FS cluster vs serial");
+}
+
 /// A byte-level program over raw keys: map swaps each input record so
 /// its value becomes the intermediate key and its key (an arrival tag)
 /// the value; reduce — and the combiner, concatenation being associative —
