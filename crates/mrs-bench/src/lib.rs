@@ -1,16 +1,17 @@
 //! Shared harness utilities for the experiment binaries.
 //!
 //! Every table and figure of the paper's evaluation (§V) has a binary in
-//! `src/bin/` that regenerates it (see DESIGN.md's experiment index); this
-//! library holds the common pieces: aligned table printing, CSV output,
-//! repeat-and-summarize timing, and the standard experiment scales.
+//! `src/bin/` that regenerates it as `results/<bin>.csv` (see DESIGN.md's
+//! experiment index), and nothing else lives there: the system's own
+//! end-to-end and per-layer numbers come from the benchmark in `bench/`,
+//! and its correctness claims are tier-1 tests. This library holds the
+//! common pieces: aligned table printing, CSV output, repeat-and-summarize
+//! timing, and the standard experiment scales.
 
 pub mod pi_sweep;
-pub mod report;
 pub mod table;
 pub mod timing;
 
-pub use report::Report;
 pub use table::Table;
 pub use timing::{median_secs, time_secs};
 

@@ -96,10 +96,6 @@ pub struct CliOptions {
     /// Trace recording (`--mrs-no-trace` turns it off): with tracing off
     /// a slave ships no trace batches and the master keeps no timeline.
     pub trace: bool,
-    /// Hidden test hook (`--mrs-test-delay data:index:ms`, repeatable):
-    /// a slave delays every attempt of the named task it runs by `ms`,
-    /// manufacturing a deterministic straggler for tests and benches.
-    pub test_delays: Vec<(u32, usize, u64)>,
     /// Everything that was not an `--mrs*` option, for the program's own
     /// argument handling.
     pub rest: Vec<String>,
@@ -118,7 +114,6 @@ pub fn parse_options<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptio
     let mut speculate = SpeculateMode::default();
     let mut trace_path = None;
     let mut trace = true;
-    let mut test_delays = Vec::new();
     let mut rest = Vec::new();
 
     let mut iter = args.into_iter();
@@ -170,25 +165,6 @@ pub fn parse_options<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptio
             }
             "--mrs-trace" => trace_path = Some(value_of("--mrs-trace")?),
             "--mrs-no-trace" => trace = false,
-            "--mrs-test-delay" => {
-                let v = value_of("--mrs-test-delay")?;
-                let parts: Vec<&str> = v.split(':').collect();
-                let parsed = match parts.as_slice() {
-                    [d, i, ms] => match (d.parse::<u32>(), i.parse::<usize>(), ms.parse::<u64>()) {
-                        (Ok(d), Ok(i), Ok(ms)) => Some((d, i, ms)),
-                        _ => None,
-                    },
-                    _ => None,
-                };
-                match parsed {
-                    Some(t) => test_delays.push(t),
-                    None => {
-                        return Err(Error::Invalid(format!(
-                            "--mrs-test-delay {v:?} (expected data:index:ms)"
-                        )))
-                    }
-                }
-            }
             unknown if unknown.starts_with("--mrs") => {
                 return Err(Error::Invalid(format!("unknown option {unknown:?}")))
             }
@@ -224,16 +200,7 @@ pub fn parse_options<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptio
     if trace_path.is_some() && !trace {
         return Err(Error::Invalid("--mrs-trace conflicts with --mrs-no-trace".into()));
     }
-    Ok(CliOptions {
-        implementation,
-        long_poll,
-        compress,
-        speculate,
-        trace_path,
-        trace,
-        test_delays,
-        rest,
-    })
+    Ok(CliOptions { implementation, long_poll, compress, speculate, trace_path, trace, rest })
 }
 
 fn num_cpus() -> usize {
@@ -309,7 +276,6 @@ where
             }
             slave_opts.compress = options.compress;
             slave_opts.trace = options.trace;
-            slave_opts.test_delays = options.test_delays.clone();
             if let Some(lp) = options.long_poll {
                 slave_opts.long_poll = lp;
             }
@@ -441,13 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_test_delay_flag() {
-        assert!(opts(&[]).unwrap().test_delays.is_empty());
-        let o = opts(&["--mrs-test-delay", "1:0:500", "--mrs-test-delay", "3:2:50"]).unwrap();
-        assert_eq!(o.test_delays, vec![(1, 0, 500), (3, 2, 50)]);
-    }
-
-    #[test]
     fn program_args_pass_through() {
         let o = opts(&["input.txt", "--mrs", "pool", "--verbose"]).unwrap();
         assert_eq!(o.rest, vec!["input.txt", "--verbose"]);
@@ -469,12 +428,10 @@ mod tests {
         assert!(opts(&["--mrs-speculate", "threshold=0.5"]).is_err());
         // Retired and mistyped options are named, not passed through to
         // the program.
-        for flag in ["--mrs-control", "--mrs-merge", "--mrs-sloots"] {
+        for flag in ["--mrs-control", "--mrs-merge", "--mrs-test-delay", "--mrs-sloots"] {
             let err = opts(&["--mrs", "master", flag, "x"]).unwrap_err().to_string();
             assert!(err.contains("unknown option") && err.contains(flag), "{err}");
         }
-        assert!(opts(&["--mrs-test-delay", "1:0"]).is_err());
-        assert!(opts(&["--mrs-test-delay", "a:b:c"]).is_err());
     }
 
     struct Count;
@@ -520,7 +477,6 @@ mod tests {
             speculate: SpeculateMode::default(),
             trace_path: None,
             trace: true,
-            test_delays: vec![],
             rest: vec![],
         };
         // Driver with no work: just verify the port file exists while the

@@ -529,30 +529,45 @@ mod tests {
         while cluster.live_slaves() < 2 {
             std::thread::sleep(Duration::from_millis(1));
         }
-        let out = {
-            let mut job = Job::new(&mut cluster);
-            job.map_reduce(lines(50), 8, 3, true).unwrap()
+        // The live pages answer over plain HTTP on the master's data port:
+        // every `/metrics` line is one `mrs_*` sample with a numeric
+        // value, and no sample is named twice.
+        let authority = cluster.http_authority();
+        let get = |path: &str| {
+            let (code, body) = mrs_rpc::HttpClient::request(&authority, "GET", path, &[]).unwrap();
+            assert_eq!(code, 200, "{path}");
+            String::from_utf8(body).unwrap()
         };
+        let metrics_page = || {
+            let metrics = get("/metrics");
+            let mut names = std::collections::HashSet::new();
+            for line in metrics.lines() {
+                let mut it = line.split_whitespace();
+                let (name, value) = (it.next().unwrap(), it.next().expect(line));
+                assert!(it.next().is_none(), "{line}");
+                assert!(name.starts_with("mrs_"), "{line}");
+                assert!(names.insert(name), "{name} appears twice:\n{metrics}");
+                value.parse::<f64>().unwrap_or_else(|e| panic!("{line}: {e}"));
+            }
+            metrics
+        };
+        let started = std::time::Instant::now();
+        let reduced = {
+            let mut job = Job::new(&mut cluster);
+            let src = job.local_data(lines(50), 8).unwrap();
+            let mapped = job.map_data(src, 0, 3, true).unwrap();
+            job.reduce_data(mapped, 0).unwrap()
+        };
+        // Asked while the map wave holds its workers.
+        metrics_page();
+        let out = Job::new(&mut cluster).fetch_all(reduced).unwrap();
+        let job_us = started.elapsed().as_micros() as u64;
         assert!(!out.is_empty());
 
-        // The live pages answer over plain HTTP on the master's data port.
-        let authority = cluster.http_authority();
-        let (code, body) = mrs_rpc::HttpClient::request(&authority, "GET", "/status", &[]).unwrap();
-        let status = String::from_utf8(body).unwrap();
-        assert_eq!(code, 200);
+        let status = get("/status");
         assert!(status.contains("mrs master:"), "{status}");
         assert!(status.contains("slaves: 2 signed in"), "{status}");
-        let (code, body) =
-            mrs_rpc::HttpClient::request(&authority, "GET", "/metrics", &[]).unwrap();
-        assert_eq!(code, 200);
-        let metrics = String::from_utf8(body).unwrap();
-        for line in metrics.lines() {
-            let mut it = line.split_whitespace();
-            let (name, value) = (it.next().unwrap(), it.next().expect(line));
-            assert!(it.next().is_none(), "{line}");
-            assert!(name.starts_with("mrs_"), "{line}");
-            value.parse::<f64>().unwrap_or_else(|e| panic!("{line}: {e}"));
-        }
+        let metrics = metrics_page();
         assert!(metrics.contains("mrs_slaves_alive 2"), "{metrics}");
         assert!(metrics.contains("mrs_trace_dropped_events 0"), "{metrics}");
 
@@ -581,6 +596,10 @@ mod tests {
             .iter()
             .filter(|g| g.event.name == Name::Attempt)
             .all(|g| g.pid == 1 || g.pid == 2));
+        for pid in [1, 2] {
+            let spans = trace.count(|g| g.pid == pid && g.event.name == Name::Attempt);
+            assert!(spans > 0, "slave pid {pid} recorded no attempt spans");
+        }
         // Every dispatch→report window matches an attempt and is covered
         // by its spans up to control-plane latency.
         let cov = trace.coverage();
@@ -591,7 +610,17 @@ mod tests {
         // Phase totals partition the traced wall clock exactly.
         let phases = trace.critical_path();
         assert_eq!(phases.buckets().iter().map(|(_, us)| *us).sum::<u64>(), phases.wall_us);
+        // The master stamps its own row on the test's clock, between the
+        // job's submission and its answer: that row spans no more than the
+        // job, and no less than the 8 x 50 ms of held maps spread over
+        // four workers.
+        let master_row: Vec<u64> =
+            trace.events.iter().filter(|g| g.pid == MASTER_PID).map(|g| g.event.at_us).collect();
+        let master_span = master_row.last().unwrap() - master_row[0];
+        assert!((100_000..=job_us).contains(&master_span), "{master_span} us of a {job_us} us job");
+        assert!(phases.wall_us >= master_span);
         let json = trace.chrome_json();
+        assert!(json.contains("\"traceEvents\"") && json.contains("\"ph\":\"B\""));
         assert!(json.contains("\"name\":\"master\""), "missing master row");
         assert!(json.contains("\"name\":\"slave 0\"") && json.contains("\"name\":\"slave 1\""));
         assert!(json.contains("worker 0") && json.contains("worker 1"), "one lane per slot");

@@ -383,8 +383,9 @@ mod tests {
         let out = job.map_reduce(input(&["x y", "y z", "x x"]), 3, 2, false).unwrap();
         assert_eq!(sorted_counts(out).len(), 3);
         // Every reduce partition took all 3 map outputs by in-memory
-        // handover: 2 partitions × 3 map tasks.
-        assert_eq!(rt.metrics().shortcircuit_fetches(), 6);
+        // handover: 2 partitions × 3 map tasks, none of them over a wire.
+        let m = rt.metrics();
+        assert_eq!((m.shortcircuit_fetches(), m.bytes_on_wire(), m.checksum_retries()), (6, 0, 0));
         // Spilled buckets carry the MRSF1 frame and decode back to MRSB1.
         let files = store.list("").unwrap();
         let spilled = store.get(files.iter().find(|f| f.contains("/map")).unwrap()).unwrap();

@@ -148,9 +148,9 @@ pub struct SlaveOptions {
     /// poll loop; the recorder is bounded, so tracing never grows memory
     /// without bound and costs one uncontended lock per event.
     pub trace: bool,
-    /// Test-only straggler injection (`--mrs-test-delay data:index:ms`):
-    /// before running any attempt of the named task this slave sleeps the
-    /// given milliseconds (checking its cancellation flag, so a backed-up
+    /// Test-only straggler injection, `(data, index, ms)`: before running
+    /// any attempt of the named task this slave sleeps the given
+    /// milliseconds (checking its cancellation flag, so a backed-up
     /// straggler aborts promptly). A backup runs clean on a slave not
     /// given the delay.
     pub test_delays: Vec<(u32, usize, u64)>,

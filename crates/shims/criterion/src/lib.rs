@@ -7,7 +7,9 @@
 //! (`criterion_group!`/`criterion_main!`, groups, `Bencher::iter`) and
 //! reports mean/min wall-clock time per iteration. There is no
 //! statistical analysis, HTML report, or saved baseline — numbers are
-//! printed to stdout, one line per benchmark.
+//! printed to stdout, one line per benchmark. As with Criterion, the
+//! first argument that is not a flag (`cargo bench -- bucket_sort`)
+//! runs only the benchmarks whose `group/id` label contains it.
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -19,11 +21,15 @@ pub use std::hint::black_box;
 pub struct Criterion {
     /// Target measurement time per benchmark.
     measurement_time: Duration,
+    /// Substring a benchmark's `group/id` label must contain to run.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        Criterion { measurement_time: Duration::from_secs(1) }
+        // Cargo passes `--bench` ahead of the user's own arguments.
+        let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
+        Criterion { measurement_time: Duration::from_secs(1), filter }
     }
 }
 
@@ -95,6 +101,9 @@ impl BenchmarkGroup<'_> {
     {
         let id = id.into();
         let label = if id.is_empty() { self.name.clone() } else { format!("{}/{}", self.name, id) };
+        if self.criterion.filter.as_ref().is_some_and(|f| !label.contains(f.as_str())) {
+            return self;
+        }
         let budget = self.measurement_time.unwrap_or(self.criterion.measurement_time);
         let mut bencher = Bencher { budget, samples: self.sample_size, measurements: Vec::new() };
         f(&mut bencher);
@@ -210,7 +219,7 @@ mod tests {
 
     #[test]
     fn bench_runs_and_reports() {
-        let mut c = Criterion { measurement_time: Duration::from_millis(20) };
+        let mut c = Criterion { measurement_time: Duration::from_millis(20), filter: None };
         let mut group = c.benchmark_group("shim_smoke");
         group.sample_size(5);
         let mut count = 0u64;
@@ -222,6 +231,21 @@ mod tests {
         });
         group.finish();
         assert!(count > 0);
+    }
+
+    #[test]
+    fn filter_skips_benchmarks_whose_label_does_not_contain_it() {
+        let filter = Some("sort/wc".to_string());
+        let mut c = Criterion { measurement_time: Duration::from_millis(5), filter };
+        let mut group = c.benchmark_group("bucket_sort");
+        group.sample_size(1);
+        let (mut matched, mut skipped) = (0u64, 0u64);
+        group.bench_function("wc_map_partition", |b| b.iter(|| matched += 1));
+        group.bench_function("sort_range_bucket", |_| skipped += 1);
+        group.finish();
+        c.bench_function("shuffle_combine/wc", |_| skipped += 1);
+        assert!(matched > 0, "a matching label runs");
+        assert_eq!(skipped, 0, "a label without the filter never calls its closure");
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! holds buckets and frames one only when a peer asks; the frame is the
 //! same bytes either way.
 
+use corpus::{Corpus, CorpusConfig};
 use mrs::apps::wordcount::{decode_counts, lines_to_records, WordCount};
 use mrs::prelude::*;
 use mrs_core::task::{run_map_task_bucket, run_task};
@@ -132,16 +133,25 @@ fn default_config_cluster_ships_stored_sorted_frames() {
     }
 }
 
+/// Zipf text of about 32 000 tokens, as WordCount input records.
+fn zipf_input() -> Vec<Record> {
+    let config = CorpusConfig { n_files: 16, seed: 11, mean_tokens: 2_000, ..Default::default() };
+    let corpus = Corpus::new(config);
+    let docs: Vec<String> = (0..16).map(|i| corpus.document(i)).collect();
+    lines_to_records(docs.iter().flat_map(|d| d.lines()))
+}
+
 /// The direct-plane twin of the stored-frame check above: on a real
 /// cluster, every frame a slave serves is, byte for byte, the frame of the
 /// bucket its kernel returned — computed here from the same splits — in
 /// both compression modes. Map outputs claim a sorted run; so do these
-/// reduce outputs, whose keys are in order.
+/// reduce outputs, whose keys are in order. On Zipf text, compression
+/// at least halves the bytes a socket carries per decoded byte, and a
+/// stored frame carries more than its bucket: the bucket plus a header.
 #[test]
 fn direct_plane_serves_the_frame_of_the_bucket_the_kernel_returned() {
     let (maps, reduces) = (4, 3);
-    let lines = lines();
-    let input = lines_to_records(lines.iter().map(String::as_str));
+    let input = zipf_input();
     let program = Simple(WordCount);
     let map = TaskSpec::Map { func: 0, parts: reduces, combine: false };
     let mapped_buckets: Vec<Vec<Bucket>> = split_evenly(input.clone(), maps)
@@ -155,7 +165,7 @@ fn direct_plane_serves_the_frame_of_the_bucket_the_kernel_returned() {
         })
         .collect();
 
-    for mode in [CompressMode::Off, CompressMode::On] {
+    let wire = [CompressMode::Off, CompressMode::On].map(|mode| {
         let cfg = MasterConfig { compress: mode, ..MasterConfig::default() };
         let mut cluster =
             LocalCluster::start(Arc::new(Simple(WordCount)), 2, DataPlane::Direct, cfg).unwrap();
@@ -193,7 +203,21 @@ fn direct_plane_serves_the_frame_of_the_bucket_the_kernel_returned() {
                 }
             }
         }
-    }
+        let m = cluster.metrics();
+        assert_eq!(m.checksum_retries(), 0, "{mode:?}");
+        (m.bytes_pre_compress(), m.bytes_on_wire())
+    });
+    // Which buckets cross a socket depends on where the tasks ran, so the
+    // modes are compared per decoded byte.
+    let [(off_pre, off_wire), (on_pre, on_wire)] = wire;
+    assert!(
+        off_wire > off_pre,
+        "a stored frame is its bucket plus a header: {off_wire} <= {off_pre}"
+    );
+    assert!(
+        on_wire * 2 * off_pre <= off_wire * on_pre,
+        "compressed: {on_wire} of {on_pre} bytes; stored: {off_wire} of {off_pre}"
+    );
 }
 
 #[test]

@@ -486,7 +486,9 @@ fn stochastic_pso_bitwise_identical_across_runtimes() {
 /// unfused (materialized reduce then map) and fused (one ReduceMap op per
 /// interior round), across every plane, with lifetime GC reclaiming every
 /// interior round. Fusion and GC are perf transforms only — any byte of
-/// divergence is a bug.
+/// divergence is a bug. On the cluster, fusion saves exactly one task per
+/// island per interior round, and GC holds the live datasets to a constant
+/// either way.
 #[test]
 fn fused_reducemap_identical_across_runtimes_and_gc_modes() {
     let cfg = PsoConfig {
@@ -522,7 +524,7 @@ fn fused_reducemap_identical_across_runtimes_and_gc_modes() {
         let out = run(&mut Job::new(&mut rt), true);
         (out, rt.metrics().datasets_freed())
     };
-    let (cluster_fused, cluster_fused_ops, cluster_freed) = {
+    let on_cluster = |fused: bool| {
         let mut cluster = LocalCluster::start(
             Arc::new(PsoProgram::new(cfg.clone(), 4)),
             2,
@@ -530,10 +532,11 @@ fn fused_reducemap_identical_across_runtimes_and_gc_modes() {
             MasterConfig::default(),
         )
         .unwrap();
-        let out = run(&mut Job::new(&mut cluster), true);
-        let m = cluster.metrics();
-        (out, m.fused_ops(), m.datasets_freed())
+        let out = run(&mut Job::new(&mut cluster), fused);
+        (out, cluster.metrics(), cluster.control_requests())
     };
+    let (cluster_fused, fused, fused_rpcs) = on_cluster(true);
+    let (cluster_unfused, unfused, unfused_rpcs) = on_cluster(false);
     let cluster_sharedfs = {
         let store: Arc<dyn mrs_fs::Store> = Arc::new(MemFs::new());
         let mut cluster = LocalCluster::start(
@@ -550,10 +553,29 @@ fn fused_reducemap_identical_across_runtimes_and_gc_modes() {
     assert_eq!(mock_fused, serial_unfused, "mock fused vs serial unfused");
     assert_eq!(pool_fused, serial_unfused, "pool fused vs serial unfused");
     assert_eq!(cluster_fused, serial_unfused, "cluster fused vs serial unfused");
+    assert_eq!(cluster_unfused, serial_unfused, "cluster unfused vs serial unfused");
     assert_eq!(cluster_sharedfs, serial_unfused, "shared-fs cluster fused");
     // The machinery under test must actually have engaged.
-    assert_eq!(cluster_fused_ops, iters - 1, "cluster should run every interior round fused");
-    assert!(cluster_freed > 0, "cluster lifetime GC never freed a dataset");
+    let islands = PsoProgram::new(cfg.clone(), 4).n_islands();
+    assert_eq!(fused.fused_ops(), iters - 1, "cluster should run every interior round fused");
+    assert_eq!(fused.reducemap_tasks(), (iters - 1) * islands, "one fused task per island");
+    assert_eq!(unfused.fused_ops(), 0, "an unfused chain fused a round");
+    assert_eq!(
+        unfused.tasks_executed() - fused.tasks_executed(),
+        (iters - 1) * islands,
+        "fusion saves one task per island per interior round"
+    );
+    assert!(fused_rpcs < unfused_rpcs, "fused {fused_rpcs} control RPCs, unfused {unfused_rpcs}");
+    for (name, m) in [("fused", &fused), ("unfused", &unfused)] {
+        assert!(m.datasets_freed() > 0, "cluster lifetime GC never freed a dataset ({name})");
+    }
+    // Eight rounds without GC would hold a dataset per op.
+    assert!(fused.peak_live_datasets() <= 4, "fused peak live {}", fused.peak_live_datasets());
+    assert!(
+        unfused.peak_live_datasets() <= 5,
+        "unfused peak live {}",
+        unfused.peak_live_datasets()
+    );
     assert!(pool_freed > 0, "pool lifetime GC never freed a dataset");
 }
 

@@ -83,3 +83,41 @@ fn pso_trajectory_identical_one_slot_vs_four_slots() {
     };
     assert_eq!(run(1), run(4), "PSO trajectory must not depend on slot count");
 }
+
+/// The slot counts the tests above skip: two, and eight — as many slots
+/// as the job has map tasks, so a whole map wave runs at once in the one
+/// slave. WordCount and the PSO chain still reproduce the serial answer.
+#[test]
+fn wordcount_and_pso_match_serial_at_two_and_eight_slots() {
+    let lines: Vec<String> =
+        (0..60).map(|i| format!("omega w{} common w{} w{}", i % 7, i % 9, i % 3)).collect();
+    let cfg = PsoConfig {
+        objective: Objective::Sphere,
+        dim: 4,
+        n_particles: 8,
+        topology: Topology::Ring { k: 1 },
+        seed: 5,
+    };
+    let wordcount = |job: &mut Job| {
+        let input = lines_to_records(lines.iter().map(String::as_str));
+        sorted_bytes(job.map_reduce(input, 8, 4, true).unwrap())
+    };
+    let pso = |job: &mut Job| {
+        let program = PsoProgram::new(cfg.clone(), 1);
+        let mut ds = job.local_data(program.initial_particles(), 8).unwrap();
+        for _ in 0..4 {
+            let m = job.map_data(ds, FUNC_PARTICLE, 8, false).unwrap();
+            ds = job.reduce_data(m, FUNC_PARTICLE).unwrap();
+        }
+        sorted_bytes(job.fetch_all(ds).unwrap())
+    };
+    let serial_wc = wordcount(&mut Job::new(&mut SerialRuntime::new(Arc::new(Simple(WordCount)))));
+    let serial_pso =
+        pso(&mut Job::new(&mut SerialRuntime::new(Arc::new(PsoProgram::new(cfg.clone(), 1)))));
+    for slots in [2, 8] {
+        let mut cluster = cluster_with_slots(Arc::new(Simple(WordCount)), slots);
+        assert_eq!(wordcount(&mut Job::new(&mut cluster)), serial_wc, "{slots}-slot WordCount");
+        let mut cluster = cluster_with_slots(Arc::new(PsoProgram::new(cfg.clone(), 1)), slots);
+        assert_eq!(pso(&mut Job::new(&mut cluster)), serial_pso, "{slots}-slot PSO");
+    }
+}
