@@ -11,7 +11,8 @@
 //!   cluster-wide NFS/Lustre mount, with injectable latency and failures
 //!   for testing fault tolerance,
 //! * [`url::BucketUrl`] — `file://`, `mem://`, and `http://` URLs naming
-//!   bucket data wherever it lives,
+//!   bucket data wherever it lives, and `empty:` for a bucket with no
+//!   records, which lives nowhere,
 //! * [`format`] — the on-disk record formats (binary KV bucket files and
 //!   line-oriented text).
 

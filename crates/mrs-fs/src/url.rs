@@ -4,9 +4,14 @@
 //! corresponding URL, which is used for any future reads" (§IV-B). A
 //! [`BucketUrl`] is that name: `file://` for shared-filesystem data,
 //! `mem://` for the in-memory shared store, and `http://host:port/path`
-//! for direct slave-to-slave transfer via the data server.
+//! for direct slave-to-slave transfer via the data server. A bucket with
+//! no records has no location at all: it is named `empty:`, nothing
+//! stores or serves it, and reading it needs no I/O.
 
 use mrs_core::{Error, Result};
+
+/// The string form of [`BucketUrl::Empty`].
+pub const EMPTY: &str = "empty:";
 
 /// A parsed bucket URL.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -22,11 +27,16 @@ pub enum BucketUrl {
         /// Absolute path component (starts with `/`).
         path: String,
     },
+    /// A bucket with no records, stored nowhere.
+    Empty,
 }
 
 impl BucketUrl {
     /// Parse from string form.
     pub fn parse(s: &str) -> Result<BucketUrl> {
+        if s == EMPTY {
+            return Ok(BucketUrl::Empty);
+        }
         if let Some(rest) = s.strip_prefix("file://") {
             if rest.is_empty() {
                 return Err(Error::Url("empty file path".into()));
@@ -60,6 +70,7 @@ impl BucketUrl {
             BucketUrl::File(p) => format!("file://{p}"),
             BucketUrl::Mem(p) => format!("mem://{p}"),
             BucketUrl::Http { authority, path } => format!("http://{authority}{path}"),
+            BucketUrl::Empty => EMPTY.to_owned(),
         }
     }
 }
@@ -98,14 +109,21 @@ mod tests {
 
     #[test]
     fn roundtrip_display() {
-        for s in ["file://a/b", "mem://q", "http://h:1/p/q"] {
+        for s in ["file://a/b", "mem://q", "http://h:1/p/q", "empty:"] {
             assert_eq!(BucketUrl::parse(s).unwrap().to_url_string(), s);
         }
     }
 
     #[test]
+    fn parse_empty() {
+        assert_eq!(BucketUrl::parse(EMPTY).unwrap(), BucketUrl::Empty);
+    }
+
+    #[test]
     fn rejects_malformed() {
-        for s in ["", "ftp://x", "file://", "mem://", "http://", "http://hostonly"] {
+        for s in
+            ["", "ftp://x", "file://", "mem://", "http://", "http://hostonly", "empty:x", "empty"]
+        {
             assert!(BucketUrl::parse(s).is_err(), "{s} should fail");
         }
     }

@@ -444,8 +444,16 @@ mod tests {
         .unwrap();
         let mut job = Job::new(&mut cluster);
         // Plenty of tasks: 8 map splits × 4 partitions means 32 bucket
-        // transfers plus dozens of control-channel round trips.
-        let out = job.map_reduce(lines(200), 8, 4, true).unwrap();
+        // transfers plus dozens of control-channel round trips. Every line
+        // holds the same 40 words, which land in all 4 partitions, so no
+        // bucket is empty and each of the 32 crosses the data plane.
+        let words = (0..40).map(|w| format!("w{w}")).collect::<Vec<_>>();
+        let part = |w: &String| Simple(WordCount).partition(&encode_record(w, &0u64).0, 4);
+        let parts = words.iter().map(part).collect::<std::collections::BTreeSet<_>>();
+        assert_eq!(parts.len(), 4, "a partition holds none of the words");
+        let line = words.join(" ");
+        let input = (0..200).map(|i| encode_record(&(i as u64), &line)).collect();
+        let out = job.map_reduce(input, 8, 4, true).unwrap();
         assert!(!out.is_empty());
         let m = cluster.metrics();
         // The whole job must run over a handful of persistent connections:
@@ -678,6 +686,50 @@ mod tests {
         assert!(on_wire.parse::<u64>().unwrap() > 0, "the shuffle crossed no socket:\n{page}");
     }
 
+    /// A slave's link to the master that counts the polls it sends after
+    /// the first answer carrying a cancel order.
+    struct CancelWatch {
+        link: RpcMasterLink,
+        /// Polls sent since an answer first carried a cancel order; `None`
+        /// until one did.
+        since_cancel: parking_lot::Mutex<Option<usize>>,
+    }
+
+    impl MasterLink for CancelWatch {
+        fn signin(&self, authority: &str, slots: usize) -> Result<SlaveId> {
+            self.link.signin(authority, slots)
+        }
+        fn poll(
+            &self,
+            slave: SlaveId,
+            free: usize,
+            park: Duration,
+            reports: Vec<TaskReport>,
+            counts: JobMetrics,
+            trace: TraceBatch,
+        ) -> Result<(Dispatch, bool)> {
+            if let Some(n) = self.since_cancel.lock().as_mut() {
+                *n += 1;
+            }
+            let answer = self.link.poll(slave, free, park, reports, counts, trace)?;
+            if !answer.0.cancel.is_empty() {
+                self.since_cancel.lock().get_or_insert(0);
+            }
+            Ok(answer)
+        }
+        fn task_failed(
+            &self,
+            slave: SlaveId,
+            data: u32,
+            index: usize,
+            attempt: u32,
+            msg: &str,
+            failed_input: Option<&str>,
+        ) -> Result<()> {
+            self.link.task_failed(slave, data, index, attempt, msg, failed_input)
+        }
+    }
+
     #[test]
     fn cancelled_speculative_loser_traces_cancel_not_report() {
         use mrs_trace::{Kind, Name, MASTER_PID};
@@ -685,7 +737,8 @@ mod tests {
         // task 0 (data 1), the first task dispatched: it sleeps far past
         // the speculation cutoff, so the clean slave that joins next gets a
         // backup, wins, and the sleeper is cancelled (same setup as the
-        // straggler bench, scaled down).
+        // straggler bench, scaled down). Both slaves poll through a
+        // `CancelWatch`, in sign-in order, so slave id = index.
         let mut cluster = LocalCluster::start(
             Arc::new(Simple(WordCount)),
             0,
@@ -693,9 +746,21 @@ mod tests {
             MasterConfig::default(),
         )
         .unwrap();
-        let straggly =
-            SlaveOptions { slots: 2, test_delays: vec![(1, 0, 600)], ..SlaveOptions::default() };
-        cluster.add_slave_with(straggly);
+        let stop = Arc::new(AtomicBool::new(false));
+        let mut watches = Vec::new();
+        let mut slaves = Vec::new();
+        let authority = cluster.master_authority();
+        let mut add_slave = |options: SlaveOptions| {
+            let link = RpcMasterLink::new(authority.clone());
+            let watch = Arc::new(CancelWatch { link, since_cancel: Default::default() });
+            let (w, stop) = (Arc::clone(&watch), Arc::clone(&stop));
+            let program: Arc<dyn Program> = Arc::new(Simple(WordCount));
+            slaves.push(std::thread::spawn(move || {
+                run_slave(&*w, program, DataPlane::Direct, &options, &stop)
+            }));
+            watches.push(watch);
+        };
+        add_slave(SlaveOptions { slots: 2, test_delays: vec![(1, 0, 600)], ..Default::default() });
         let reduced = {
             let mut job = Job::new(&mut cluster);
             let src = job.local_data(lines(200), 8).unwrap();
@@ -705,7 +770,7 @@ mod tests {
         while cluster.metrics().dispatched_tasks() == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
-        cluster.add_slave_with(SlaveOptions { slots: 2, ..SlaveOptions::default() });
+        add_slave(SlaveOptions { slots: 2, ..Default::default() });
         let out = Job::new(&mut cluster).fetch_all(reduced).unwrap();
         assert!(!out.is_empty());
         let m = cluster.metrics();
@@ -713,13 +778,13 @@ mod tests {
         assert!(m.cancelled_tasks() >= 1);
 
         // The master row shows the speculative dispatch, the winner's
-        // report, and the loser's cancellation.
+        // report, and the loser's cancellation, on the loser's slave lane.
         let mut trace = cluster.take_trace().expect("tracing on by default");
         let master_cancels: Vec<_> = trace
             .events
             .iter()
             .filter(|g| g.pid == MASTER_PID && g.event.name == Name::Cancel)
-            .map(|g| g.event.tag)
+            .map(|g| (g.event.lane, g.event.tag))
             .collect();
         assert!(!master_cancels.is_empty(), "no cancel order on the master row");
         assert!(
@@ -728,7 +793,7 @@ mod tests {
         );
         // The cancelled attempt never commits: no Report instant under
         // the loser's attempt id.
-        for tag in &master_cancels {
+        for (_, tag) in &master_cancels {
             assert_eq!(
                 trace.count(|g| g.pid == MASTER_PID
                     && g.event.name == Name::Report
@@ -737,11 +802,18 @@ mod tests {
                 "a cancelled attempt also reported: {tag:?}"
             );
         }
-        // The sleeping loser wakes after the job is done, notices the
-        // cancel, and ships its Cancel instant (plus the closed attempt
-        // span) on a later poll — wait for it.
-        let loser = master_cancels[0];
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        // The sleeper notices the order its slave's next poll brings, closes
+        // its attempt with a Cancel instant, and the following polls ship
+        // both: wait for them, for as many polls as that takes, however
+        // slow the box; a slave that polled `POLLS` times after the order
+        // without shipping the Cancel never will. The wait is for the
+        // sleeper's cancel: another task may also have raced and lost once
+        // it had finished, with nothing left to cancel.
+        const POLLS: usize = 10;
+        let &(lane, loser) = master_cancels
+            .iter()
+            .find(|(_, tag)| (tag.data, tag.index) == (1, 0))
+            .unwrap_or_else(|| panic!("the sleeper was never cancelled: {master_cancels:?}"));
         loop {
             let slave_cancelled = trace.count(|g| {
                 g.pid != MASTER_PID
@@ -761,11 +833,20 @@ mod tests {
                 );
                 break;
             }
-            assert!(std::time::Instant::now() < deadline, "loser never traced its cancel");
-            std::thread::sleep(Duration::from_millis(50));
+            let polls = watches[lane as usize].since_cancel.lock().unwrap_or(0);
+            assert!(
+                polls < POLLS,
+                "loser never traced its cancel in {polls} polls after the order"
+            );
+            std::thread::sleep(Duration::from_millis(10));
             if let Some(more) = cluster.take_trace() {
                 trace.events.extend(more.events);
             }
+        }
+        drop(cluster);
+        stop.store(true, Ordering::SeqCst);
+        for slave in slaves {
+            slave.join().unwrap().unwrap();
         }
     }
 
@@ -1041,7 +1122,7 @@ mod tests {
 
         // The golden requests decode back to the typed calls.
         let params = |i: usize| parse_request(GOLDEN[i]).unwrap().1;
-        let signin = Signin { authority: "127.0.0.1:40001".into(), slots: 2, version: 5 };
+        let signin = Signin { authority: "127.0.0.1:40001".into(), slots: 2, version: 6 };
         assert_eq!(Signin::from_params(&params(0)).unwrap(), signin);
         let poll = |free, park_ms, reports, counts, trace| GetTask {
             slave: 7,
@@ -1075,7 +1156,7 @@ mod tests {
     /// the answers `Tasks` (with purge, cancel and `more`), `Wait` and `Exit`.
     const GOLDEN: [&str; 9] = [
         r#"<?xml version="1.0"?>
-<methodCall><methodName>signin</methodName><params><param><value><string>127.0.0.1:40001</string></value></param><param><value><int>2</int></value></param><param><value><int>5</int></value></param></params></methodCall>"#,
+<methodCall><methodName>signin</methodName><params><param><value><string>127.0.0.1:40001</string></value></param><param><value><int>2</int></value></param><param><value><int>6</int></value></param></params></methodCall>"#,
         r#"<?xml version="1.0"?>
 <methodCall><methodName>get_task</methodName><params><param><value><int>7</int></value></param><param><value><int>2</int></value></param><param><value><int>250</int></value></param><param><value><array><data><value><struct><member><name>attempt</name><value><int>1</int></value></member><member><name>data</name><value><int>1</int></value></member><member><name>index</name><value><int>0</int></value></member><member><name>urls</name><value><array><data><value><string>http://127.0.0.1:40001/data/s7/d1/t0/b0.mrsb</string></value><value><string>http://127.0.0.1:40001/data/s7/d1/t0/b1.mrsb</string></value></data></array></value></member></struct></value><value><struct><member><name>attempt</name><value><int>2</int></value></member><member><name>data</name><value><int>2</int></value></member><member><name>index</name><value><int>3</int></value></member><member><name>urls</name><value><array><data><value><string>http://127.0.0.1:40001/data/s7/d1/t0/b2.mrsb</string></value></data></array></value></member></struct></value></data></array></value></param><param><value><struct><member><name>merge_runs</name><value><int>4</int></value></member><member><name>merge_time</name><value><int>1500</int></value></member><member><name>peak_reduce_records</name><value><int>900</int></value></member></struct></value></param><param><value><struct><member><name>dropped</name><value><int>1</int></value></member><member><name>events</name><value><base64>CgAAAAAAAAACAAAAAwAAAAcAAAABAAAAAAIBFAAAAAAAAAACAAAAAwAAAAcAAAABAAAAAQIB</base64></value></member><member><name>rtt</name><value><int>450</int></value></member><member><name>sent_at</name><value><int>1000000</int></value></member></struct></value></param></params></methodCall>"#,
         r#"<?xml version="1.0"?>

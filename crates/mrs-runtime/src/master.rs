@@ -41,6 +41,7 @@ use crate::proto::{
 use mrs_codec::CompressMode;
 use mrs_core::{Error, FuncId, Record, Result, TaskSpec};
 use mrs_fs::format::{read_bucket_records, write_bucket_bytes};
+use mrs_fs::url::EMPTY;
 use mrs_rpc::{DataServer, FrameCache, Pages, Response};
 use mrs_trace::{ClockSync, GlobalEvent, JobTrace, Recorder, MASTER_PID};
 use parking_lot::{Condvar, Mutex};
@@ -485,7 +486,13 @@ impl Master {
         self.with(|core, now| core.task_failed(slave, data, index, attempt, msg, failed_input, now))
     }
 
+    /// Store and serve one source split; its URL. A split with no records
+    /// (a job asking for more splits than it has records) is `empty:`,
+    /// stored and served nowhere.
     fn put_source_split(&self, id: u32, split: usize, records: &[Record]) -> Result<String> {
+        if records.is_empty() {
+            return Ok(EMPTY.to_owned());
+        }
         let path = format!("src{id}/s{split}.mrsb");
         let wire = mrs_codec::encode_vec(write_bucket_bytes(records), self.shared.cfg.compress);
         match &self.shared.plane {
@@ -586,7 +593,9 @@ impl JobApi for Master {
             };
             let fetched = fetch_buckets(&urls, shared, None, &mut tally);
             self.shared.state.lock().metrics.merge(&tally);
-            let fetched = fetched.into_iter().collect::<Result<Vec<_>>>();
+            // An empty output adds nothing to parse.
+            let fetched = fetched.into_iter().filter_map(Result::transpose);
+            let fetched = fetched.collect::<Result<Vec<_>>>();
             match fetched.and_then(|buckets| read_bucket_records(&buckets, &mut out)) {
                 Ok(()) => return Ok(out),
                 Err(e) => last_err = Some(e),

@@ -8,7 +8,8 @@
 //! the master's handlers ([`crate::distributed::serve_master`]) and the
 //! slave's stub ([`crate::distributed::RpcMasterLink`]) both use. Beside
 //! the schema: the URL resolver both sides use to read bucket data
-//! (`http://` direct transfer, `file://` / `mem://` shared filesystem).
+//! (`http://` direct transfer, `file://` / `mem://` shared filesystem,
+//! `empty:` for a bucket with no records, read without I/O).
 //!
 //! The wire has exactly one version, [`PROTOCOL_VERSION`]: a slave names
 //! it at `signin` and a master refuses any other, so behind that gate
@@ -41,7 +42,7 @@ use std::sync::Arc;
 /// both, which ends the slave. Every node of a cluster is built from one
 /// commit, so there are no older peers to stay readable for — bump this
 /// on any change to the wire instead of adding a fallback.
-pub const PROTOCOL_VERSION: i64 = 5;
+pub const PROTOCOL_VERSION: i64 = 6;
 
 /// Fault code of a malformed call: a missing, surplus, mistyped or
 /// out-of-range parameter.
@@ -869,7 +870,9 @@ pub fn fetch_records(
 ) -> Result<Vec<Record>> {
     let fetched = fetch_buckets(&[url], shared, None, tally).pop();
     let mut out = Vec::new();
-    read_bucket_records(&[fetched.expect("one result per url")?], &mut out)?;
+    if let Some(bucket) = fetched.expect("one result per url")? {
+        read_bucket_records(&[bucket], &mut out)?;
+    }
     Ok(out)
 }
 
@@ -885,7 +888,9 @@ struct Batch<'a> {
 
 /// The transfer half of a fetch: resolve every URL to its raw (decoded
 /// `MRSB1`) bucket bytes without parsing them, one result per URL in
-/// input order, at one round trip per peer. URLs are grouped into batches
+/// input order, at one round trip per peer. An `empty:` URL resolves to
+/// `None` — a bucket with no records — in no batch, so a peer whose every
+/// bucket is empty is never dialled. The other URLs are grouped into batches
 /// in order of first appearance: one per peer authority, and one for the
 /// `file://`/`mem://` URLs served inline from the `shared` store. Each
 /// peer is sent its whole batch as pipelined GETs where the batch first
@@ -911,12 +916,16 @@ pub fn fetch_buckets(
     shared: Option<&Arc<dyn Store>>,
     cancel: Option<&AtomicBool>,
     tally: &mut JobMetrics,
-) -> Vec<Result<Vec<u8>>> {
+) -> Vec<Result<Option<Vec<u8>>>> {
     let cancelled = || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
-    let mut slots: Vec<Result<Vec<u8>>> = Vec::with_capacity(urls.len());
+    let mut slots: Vec<Result<Option<Vec<u8>>>> = Vec::with_capacity(urls.len());
     let parsed: Vec<Option<BucketUrl>> = urls
         .iter()
         .map(|url| match BucketUrl::parse(url) {
+            Ok(BucketUrl::Empty) => {
+                slots.push(Ok(None));
+                None
+            }
             Ok(parsed) => {
                 slots.push(Err(Error::Cancelled));
                 Some(parsed)
@@ -932,7 +941,7 @@ pub fn fetch_buckets(
         let (peer, path) = match url {
             Some(BucketUrl::Http { authority, path }) => (Some(authority.as_str()), path.as_str()),
             Some(BucketUrl::File(path) | BucketUrl::Mem(path)) => (None, path.as_str()),
-            None => continue,
+            Some(BucketUrl::Empty) | None => continue,
         };
         let batch = match batches.iter().position(|b| b.peer == peer) {
             Some(known) => &mut batches[known],
@@ -956,7 +965,7 @@ pub fn fetch_buckets(
                     if cancelled() {
                         return slots;
                     }
-                    slots[i] = fetch_shared(urls[i], path, shared);
+                    slots[i] = fetch_shared(urls[i], path, shared).map(Some);
                 }
             }
         }
@@ -966,7 +975,7 @@ pub fn fetch_buckets(
             return slots;
         }
         for ((&i, path), wire) in batch.slots.iter().zip(&batch.paths).zip(answers.finish()) {
-            slots[i] = wire.and_then(|wire| verify_remote(peer, path, wire, tally));
+            slots[i] = wire.and_then(|wire| verify_remote(peer, path, wire, tally)).map(Some);
         }
     }
     slots
@@ -1566,8 +1575,10 @@ mod tests {
         let urls: Vec<&str> = urls.iter().map(String::as_str).collect();
 
         let mut tally = JobMetrics::default();
-        let got: Vec<Vec<u8>> =
-            fetch_buckets(&urls, None, None, &mut tally).into_iter().map(|r| r.unwrap()).collect();
+        let got: Vec<Vec<u8>> = fetch_buckets(&urls, None, None, &mut tally)
+            .into_iter()
+            .map(|r| r.unwrap().unwrap())
+            .collect();
         assert_eq!(got, raws);
         assert_eq!(*hits.lock(), ["b0", "b1", "b2", "b3", "b2"], "one refetch, of b2 only");
         assert_eq!(tally.checksum_retries(), 1);
@@ -1584,10 +1595,10 @@ mod tests {
         let urls = [server.url_for("a"), server.url_for("gone"), server.url_for("c")];
         let urls: Vec<&str> = urls.iter().map(String::as_str).collect();
         let mut got = fetch_buckets(&urls, None, None, &mut JobMetrics::default());
-        assert_eq!(got.remove(0).unwrap(), raw);
+        assert_eq!(got.remove(0).unwrap(), Some(raw.clone()));
         let err = got.remove(0).unwrap_err();
         assert!(matches!(&err, Error::MissingData(m) if m.contains("/data/gone")), "{err}");
-        assert_eq!(got.remove(0).unwrap(), raw);
+        assert_eq!(got.remove(0).unwrap(), Some(raw));
         assert_eq!(*hits.lock(), ["a", "gone", "c"]);
     }
 
@@ -1644,5 +1655,25 @@ mod tests {
         assert!(matches!(got[0], Err(Error::Url(_))));
         assert!(got[1].is_ok());
         assert!(fetch_buckets(&[], None, None, &mut tally).is_empty());
+    }
+
+    /// An `empty:` URL is a bucket with no records, resolved in place: no
+    /// request names it, and no store is needed to read it.
+    #[test]
+    fn empty_urls_resolve_to_no_bucket_without_a_request() {
+        let (raw, frame) = frame_of(3);
+        let (server, hits) = counting_server(vec![("a", frame)]);
+        let a = server.url_for("a");
+        let mut tally = JobMetrics::default();
+        let got = fetch_buckets(&["empty:", &a, "empty:"], None, None, &mut tally);
+        let got: Vec<Option<Vec<u8>>> = got.into_iter().map(|r| r.unwrap()).collect();
+        assert_eq!(got, [None, Some(raw), None]);
+        assert_eq!(*hits.lock(), ["a"], "only the bucket with records was requested");
+        // Not even a set cancel flag keeps an empty bucket from resolving.
+        let cancel = AtomicBool::new(true);
+        let got = fetch_buckets(&["empty:"], None, Some(&cancel), &mut tally);
+        assert!(matches!(got[..], [Ok(None)]));
+        assert_eq!(fetch_records("empty:", None, &mut tally).unwrap(), Vec::<Record>::new());
+        assert_eq!(hits.lock().len(), 1);
     }
 }

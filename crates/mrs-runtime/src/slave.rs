@@ -44,16 +44,19 @@ use crate::proto::{
     TraceBatch,
 };
 use crate::workers::{
-    bucket_path, join, sorted_run, trace_abandoned, Attempt, Done, Failure, Input, Plane, Workers,
+    bucket_path, empty, join, sorted_run, trace_abandoned, Attempt, Done, Failure, Input, Plane,
+    Workers,
 };
 use mrs_codec::CompressMode;
 use mrs_core::{Bucket, Error, Program, Result};
 use mrs_fs::format::write_bucket;
+use mrs_fs::url::EMPTY;
 use mrs_fs::Store;
 use mrs_rpc::{DataServer, Provider};
 use mrs_trace::{Recorder, Tag, TraceHandle, POLL_LANE};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -439,7 +442,7 @@ impl Slave<'_> {
     fn apply_orders(&self, d: &Dispatch, th: Option<&TraceHandle>) {
         self.pipe.apply_cancels(&d.cancel, th);
         for prefix in &d.purge {
-            self.outputs.lock().retain(|path, _| !path.starts_with(prefix.as_str()));
+            purge(&mut self.outputs.lock(), prefix);
         }
     }
 
@@ -542,7 +545,12 @@ impl Plane for Slave<'_> {
         match outcome {
             Ok(outputs) if !cancelled => {
                 let stem = self.stem(&tag);
+                // An output with no records is entered nowhere and named
+                // `empty:`; a consumer resolves it without a request.
                 let name = |(p, (sorted, bucket)): (usize, (bool, Arc<Bucket>))| {
+                    if bucket.is_empty() {
+                        return EMPTY.to_owned();
+                    }
                     let path = bucket_path(&stem, p);
                     let Some(server) = self.server else { return format!("file://{path}") };
                     let url = server.url_for(&path);
@@ -577,8 +585,24 @@ impl Plane for Slave<'_> {
 /// kernel returned, with whether its frame claims a sorted run. This
 /// slave's own reduce inputs are taken from here by reference count; a
 /// frame is built only when a peer asks for one ([`serve_outputs`]). A
-/// re-executed task overwrites its paths; purge orders remove them.
-type Outputs = Mutex<HashMap<String, (Arc<Bucket>, bool)>>;
+/// re-executed task overwrites its paths; purge orders remove them. An
+/// output with no records is never entered. Ordered by path, so a
+/// dataset's outputs (`s{slave}/d{data}/…`) are one range of the table.
+type Outputs = Mutex<BTreeMap<String, (Arc<Bucket>, bool)>>;
+
+/// Remove every output under `prefix`: one range of the table, so a
+/// purge costs what it removes, not what the table holds.
+fn purge(outputs: &mut BTreeMap<String, (Arc<Bucket>, bool)>, prefix: &str) {
+    let doomed: Vec<String> = outputs
+        .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+        .map(|(path, _)| path)
+        .take_while(|path| path.starts_with(prefix))
+        .cloned()
+        .collect();
+    for path in doomed {
+        outputs.remove(&path);
+    }
+}
 
 /// The data server's provider: each GET frames the bucket it names,
 /// compressed per this slave's policy. The frame is not kept — a bucket
@@ -595,8 +619,9 @@ fn serve_outputs(outputs: &Arc<Outputs>, compress: CompressMode) -> Provider {
 /// Resolve every input URL, in input order (the determinism oracle
 /// depends on it). A URL naming one of this slave's own outputs (`own`:
 /// its data server authority and output table) is taken from the table
-/// and counted as a short circuit; the rest are fetched with
-/// [`fetch_buckets`], one round trip per peer. The first failing input
+/// and counted as a short circuit; an `empty:` one is the shared
+/// [`empty`] bucket; the rest are fetched with [`fetch_buckets`], one
+/// round trip per peer. The first failing input
 /// makes the [`Failure`], naming it; once `cancel` is set the remaining
 /// fetches are skipped and the failure is a cancellation. What the fetch
 /// counted is added to `tally`.
@@ -630,7 +655,11 @@ fn fetch_inputs(
                     }
                     None => Err(Error::MissingData(format!("own bucket {path} is gone"))),
                 },
-                None => fetched.next().expect("one result per fetched url").map(Input::Wire),
+                None => match fetched.next().expect("one result per fetched url") {
+                    Ok(Some(bytes)) => Ok(Input::Wire(bytes)),
+                    Ok(None) => Ok(Input::Own(empty())),
+                    Err(e) => Err(e),
+                },
             };
             input.map_err(|error| Failure { error, input: Some(i) })
         })
@@ -781,7 +810,18 @@ mod tests {
             .collect();
         counts.sort();
         assert_eq!(counts, vec![("a".into(), 2), ("b".into(), 2), ("c".into(), 1)]);
-        assert_eq!(master.metrics().shortcircuit_fetches(), 2 * 4, "one per map-output bucket");
+        // Every reduce merges both map outputs of its partition, but only
+        // a bucket with records is taken from the table: an empty one is
+        // `empty:`, resolved without it.
+        let partitions = |words: &[&str]| {
+            let part =
+                |w: &&str| Simple(WordCount).partition(&encode_record(&w.to_string(), &0u64).0, 4);
+            words.iter().map(part).collect::<std::collections::BTreeSet<_>>().len() as u64
+        };
+        let m = master.metrics();
+        assert_eq!(m.merge_runs(), 2 * 4, "one run per map-output bucket");
+        let with_records = partitions(&["a", "b"]) + partitions(&["b", "c"]);
+        assert_eq!(m.shortcircuit_fetches(), with_records, "one per bucket with records");
 
         master.finish();
         handle.join().unwrap().unwrap();
@@ -1732,9 +1772,12 @@ mod tests {
     /// fails naming it.
     #[test]
     fn direct_plane_outputs_are_served_overwritten_and_purged() {
-        // The map's two candidate splits, on a peer.
+        // The map's two candidate splits, on a peer; every output of
+        // either holds records, so each is served.
         let peer = Arc::new(mrs_rpc::FrameCache::new());
-        let splits: Vec<Vec<mrs_core::Record>> = input().into_iter().map(|r| vec![r]).collect();
+        let lines = ["a b c d e f", "b c d e f g"];
+        let splits: Vec<Vec<mrs_core::Record>> =
+            lines.iter().map(|l| vec![encode_record(&0u64, &l.to_string())]).collect();
         for (i, split) in splits.iter().enumerate() {
             peer.insert(&format!("src{i}"), framed(split));
         }
@@ -1808,6 +1851,7 @@ mod tests {
             let spec = TaskSpec::Map { func: 0, parts: 2, combine: false };
             let split = Bucket::from_slice(split);
             let buckets = run_task(&Simple(WordCount), &spec, &[split], None).unwrap();
+            assert!(buckets.iter().all(|b| !b.is_empty()), "an output without a frame to serve");
             let want: Vec<Vec<u8>> = buckets
                 .iter()
                 .map(|b| mrs_codec::encode_vec_sorted(write_bucket(b), Default::default(), true))
@@ -1825,5 +1869,97 @@ mod tests {
             matches!(&failed[..], [(msg, Some(input))] if msg.contains("s0/d1/t0/b0.mrsb") && *input == url),
             "{failed:?}"
         );
+    }
+
+    /// A map task with more partitions than its split has words reports
+    /// `empty:` for every output with no records, and enters only the
+    /// others in the output table: the data server answers exactly those
+    /// paths and 404s the rest. A map over an `empty:` split reports
+    /// nothing but `empty:`.
+    #[test]
+    fn an_output_with_no_records_is_reported_empty_and_entered_nowhere() {
+        let peer = Arc::new(mrs_rpc::FrameCache::new());
+        peer.insert("src", framed(&[encode_record(&0u64, &"a b a".to_string())]));
+        let peer_server = DataServer::serve(0, peer.provider()).unwrap();
+        let parts = 8;
+        let task = |index: usize, input: String| TaskMsg {
+            index,
+            parts,
+            inputs: vec![input],
+            ..map_task(index)
+        };
+        let tasks = vec![task(0, peer_server.url_for("src")), task(1, EMPTY.to_owned())];
+        let tasks = Mutex::new(Some(tasks));
+        // (URLs reported, whether each of task 0's paths was served)
+        type Seen = (Vec<String>, Vec<bool>);
+        let seen: Arc<Mutex<Seen>> = Arc::default();
+        let seen2 = Arc::clone(&seen);
+        let link = Script::new(&Arc::new(Gate::default()), move |_, log: &[Polled]| {
+            if let Some(tasks) = tasks.lock().take() {
+                return answer(Assignment::Tasks(tasks), false);
+            }
+            if reported(log) < 2 {
+                return answer(Assignment::Wait, false);
+            }
+            let urls: Vec<String> = log.iter().flat_map(|p| p.urls.clone()).collect();
+            let own = urls.iter().find_map(|u| u.strip_prefix("http://")).expect("an own URL");
+            let authority = own.split_once('/').unwrap().0;
+            let served = (0..parts)
+                .map(|p| dataserver_has(authority, &format!("/data/s0/d1/t0/b{p}.mrsb")))
+                .collect();
+            *seen2.lock() = (urls, served);
+            answer(Assignment::Exit, false)
+        });
+        let opts = SlaveOptions { slots: 1, ..SlaveOptions::default() };
+        let program: Arc<dyn Program> = Arc::new(Simple(WordCount));
+        run_slave(&*link, program, DataPlane::Direct, &opts, &AtomicBool::new(false)).unwrap();
+
+        let (urls, served) = std::mem::take(&mut *seen.lock());
+        assert_eq!(urls.len(), 2 * parts);
+        // Reports ride polls in completion order; task 1's are all empty.
+        let (first, second) = urls.split_at(parts);
+        let (with_records, all_empty) =
+            if first.iter().all(|u| u == EMPTY) { (second, first) } else { (first, second) };
+        assert!(all_empty.iter().all(|u| u == EMPTY), "{urls:?}");
+        let spec = TaskSpec::Map { func: 0, parts, combine: false };
+        let split = Bucket::from_records(vec![encode_record(&0u64, &"a b a".to_string())]);
+        let buckets = run_task(&Simple(WordCount), &spec, &[&split], None).unwrap();
+        for ((p, url), bucket) in with_records.iter().enumerate().zip(&buckets) {
+            assert_eq!(url == EMPTY, bucket.is_empty(), "output {p}: {url}");
+            assert_eq!(served[p], !bucket.is_empty(), "output {p} served: {}", served[p]);
+        }
+        assert!(buckets.iter().any(Bucket::is_empty) && !buckets.iter().all(Bucket::is_empty));
+    }
+
+    /// Whether the data server at `authority` answers `path`; a 404 is no.
+    fn dataserver_has(authority: &str, path: &str) -> bool {
+        match mrs_rpc::dataserver::fetch(authority, path) {
+            Ok(_) => true,
+            Err(Error::MissingData(m)) if m.contains("http 404") => false,
+            Err(e) => panic!("{path}: {e}"),
+        }
+    }
+
+    /// A purge order removes exactly the outputs under its prefix: a
+    /// dataset whose number extends the purged one's (`d1` vs `d10`), the
+    /// same dataset of another slave and other datasets stay.
+    #[test]
+    fn a_purge_removes_exactly_its_prefixs_outputs() {
+        let bucket = Arc::new(Bucket::new());
+        let paths =
+            ["s0/d1/t0/b0.mrsb", "s0/d1/t3/b1.mrsb", "s0/d10/t0/b0.mrsb", "s0/d0/t1/b0.mrsb"];
+        let others = ["s0/d2/t0/b0.mrsb", "s1/d1/t0/b0.mrsb", "s0/d1", "s0/d1-"];
+        let mut table: BTreeMap<String, (Arc<Bucket>, bool)> = paths
+            .iter()
+            .chain(&others)
+            .map(|p| (p.to_string(), (Arc::clone(&bucket), true)))
+            .collect();
+        purge(&mut table, "s0/d1/");
+        let left: Vec<&str> = table.keys().map(String::as_str).collect();
+        let mut want: Vec<&str> = paths[2..].iter().chain(&others).copied().collect();
+        want.sort();
+        assert_eq!(left, want);
+        purge(&mut table, "s9/d9/");
+        assert_eq!(table.len(), want.len(), "a purge of nothing removed something");
     }
 }

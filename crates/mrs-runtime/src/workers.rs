@@ -27,14 +27,14 @@ use mrs_fs::format::{read_bucket_into, read_bucket_run, write_bucket};
 use mrs_fs::Store;
 use mrs_trace::{Name, Recorder, Tag, TraceHandle};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
 /// One input of an attempt.
 pub(crate) enum Input {
-    /// A bucket this process holds — a source split or a task's output —
-    /// by reference count.
+    /// A bucket this process holds — a source split or a task's output,
+    /// or the [`empty`] bucket an `empty:` URL names — by reference count.
     Own(Arc<Bucket>),
     /// A fetched bucket's decoded `MRSB1` bytes, not yet parsed.
     Wire(Vec<u8>),
@@ -207,10 +207,12 @@ impl Workers<'_> {
         };
         let out = span(th, Name::Exec, tag, || run_task(self.program, spec, &runs, cancel))?;
         let out: Vec<Arc<Bucket>> = out.into_iter().map(Arc::new).collect();
+        // An output with no records is stored nowhere: its location is
+        // `empty:`.
         if let Some((store, compress)) = self.store {
             span(th, Name::Emit, tag, || {
                 let stem = plane.stem(&tag);
-                out.iter().enumerate().try_for_each(|(p, b)| {
+                out.iter().enumerate().filter(|(_, b)| !b.is_empty()).try_for_each(|(p, b)| {
                     let frame = mrs_codec::encode_vec_sorted(
                         write_bucket(b),
                         compress,
@@ -267,6 +269,13 @@ pub(crate) fn gather(
     let records = runs.iter().map(|run| run.len()).sum();
     count_merge_input(tally, runs.len(), presorted, records, t0);
     Ok(runs)
+}
+
+/// The bucket with no records that every `empty:` input of this process
+/// shares.
+pub(crate) fn empty() -> Arc<Bucket> {
+    static EMPTY: OnceLock<Arc<Bucket>> = OnceLock::new();
+    Arc::clone(EMPTY.get_or_init(Arc::default))
 }
 
 /// Whether `bucket`, an output of `spec`, is a sorted run: a map-like

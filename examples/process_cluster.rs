@@ -82,6 +82,24 @@ fn main() -> Result<()> {
     );
     assert!(m.merge_runs() >= (n_slaves * 4 * n_slaves * 2) as u64);
 
+    // A job whose buckets are mostly empty: five lines in more splits than
+    // records, four words in far more reduce partitions than words. Every
+    // empty split and output crosses the process boundary as `empty:`, and
+    // the answer equals the serial runtime's byte for byte.
+    let sparse = ["alpha beta", "gamma alpha", "beta", "delta", "alpha"];
+    let (splits, parts) = (n_slaves * 4, 64);
+    let sparse_job = |api: &mut dyn JobApi| {
+        Job::new(api).map_reduce(lines_to_records(sparse), splits, parts, true)
+    };
+    let out = sparse_job(&mut driver)?;
+    let serial = sparse_job(&mut SerialRuntime::new(Arc::new(Simple(WordCount))))?;
+    assert_eq!(out, serial, "the mostly-empty job differs from serial");
+    println!(
+        "mostly-empty job ({} lines, {splits} splits, {} words, {parts} partitions) equals serial ✓",
+        sparse.len(),
+        decode_counts(&out)?.len()
+    );
+
     // Shut down: slaves observe Exit on their next poll and terminate.
     master.finish();
     for mut child in children.drain(..) {

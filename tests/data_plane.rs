@@ -374,6 +374,105 @@ fn two_clusters_at_once_each_count_only_their_own_job() {
     assert_eq!(counted(&b), solo);
 }
 
+/// Two lines over three words, in more splits than records and more
+/// partitions than words: most buckets of the job have no records.
+fn sparse_lines() -> Vec<String> {
+    vec!["a b".into(), "b c".into()]
+}
+
+/// (splits, partitions) of the sparse job.
+const SPARSE: (usize, usize) = (3, 8);
+
+/// The buckets with records the sparse job makes: (source splits, map
+/// outputs, reduce outputs). A map task's output holds records in each
+/// partition a word of its split lands in; a reduce's, when its
+/// partition holds a word.
+fn sparse_buckets_with_records() -> (usize, usize, usize) {
+    let (splits, parts) = SPARSE;
+    let lines = sparse_lines();
+    let records = lines_to_records(lines.iter().map(String::as_str));
+    let partitions = |lines: &[String]| {
+        let words = lines.iter().flat_map(|l| l.split_whitespace());
+        let part = |w: &str| {
+            let key = mrs_core::kv::encode_record(&w.to_owned(), &0u64).0;
+            Simple(WordCount).partition(&key, parts)
+        };
+        words.map(part).collect::<std::collections::BTreeSet<_>>().len()
+    };
+    let mut rest = &lines[..];
+    let mut split_lines = Vec::new();
+    for split in split_evenly(records, splits) {
+        let (head, tail) = rest.split_at(split.len());
+        split_lines.push(head);
+        rest = tail;
+    }
+    let sources = split_lines.iter().filter(|s| !s.is_empty()).count();
+    (sources, split_lines.iter().map(|s| partitions(s)).sum(), partitions(&lines))
+}
+
+/// Run the sparse job on `api`, check its answer and discard its input
+/// and its answer.
+fn sparse_job(api: &mut dyn JobApi) {
+    let lines = sparse_lines();
+    let (splits, parts) = SPARSE;
+    let mut job = Job::new(api);
+    let src = job.local_data(lines_to_records(lines.iter().map(String::as_str)), splits).unwrap();
+    let mapped = job.map_data(src, 0, parts, false).unwrap();
+    let reduced = job.reduce_data(mapped, 0).unwrap();
+    let out = job.fetch_all(reduced).unwrap();
+    let bypass = corpus::tokenizer::reference_counts(lines.iter().map(String::as_str));
+    assert_eq!(decode_counts(&out).unwrap(), bypass);
+    job.discard(src);
+    job.discard(reduced);
+}
+
+/// An output with no records has no file. On the shared-filesystem plane
+/// the master stores only the source splits with records and the slaves
+/// only the map and reduce outputs with records; every stored frame holds
+/// records, and once the job's datasets are discarded the store is as
+/// empty as before the job. Mock parallel spills only the outputs with
+/// records, too.
+#[test]
+fn an_output_with_no_records_is_stored_nowhere() {
+    let (sources, maps, reduces) = sparse_buckets_with_records();
+    let (splits, parts) = SPARSE;
+    assert!(sources < splits && maps < splits * parts && reduces < parts, "nothing is empty");
+
+    let (live, seen) = (MemFs::new(), MemFs::new());
+    let tee = Tee { live: live.clone(), seen: seen.clone() };
+    let plane = DataPlane::SharedFs(Arc::new(tee));
+    let mut cluster =
+        LocalCluster::start(Arc::new(Simple(WordCount)), 2, plane, MasterConfig::default())
+            .unwrap();
+    sparse_job(&mut cluster);
+    drop(cluster);
+    let stored = stored_frames(&seen);
+    assert!(stored.iter().all(|(_, _, bucket, _)| !bucket.is_empty()), "an empty frame was stored");
+    let paths: Vec<&str> = stored.iter().map(|(path, ..)| path.as_str()).collect();
+    let count = |f: &dyn Fn(&str) -> bool| paths.iter().filter(|p| f(p)).count();
+    assert_eq!(count(&|p| p.starts_with("src")), sources, "{paths:?}");
+    assert_eq!(
+        count(&|p| p.starts_with('s') && !p.starts_with("src")),
+        maps + reduces,
+        "{paths:?}"
+    );
+    assert!(live.list("").unwrap().is_empty(), "left behind: {:?}", live.list(""));
+
+    let spill = MemFs::new();
+    sparse_job(&mut LocalRuntime::mock_parallel(
+        Arc::new(Simple(WordCount)),
+        Arc::new(spill.clone()),
+    ));
+    let stored = stored_frames(&spill);
+    assert!(
+        stored.iter().all(|(_, _, bucket, _)| !bucket.is_empty()),
+        "an empty frame was spilled"
+    );
+    let paths: Vec<&str> = stored.iter().map(|(path, ..)| path.as_str()).collect();
+    assert_eq!(paths.iter().filter(|p| p.contains("/map")).count(), maps, "{paths:?}");
+    assert_eq!(paths.len(), maps + reduces, "{paths:?}");
+}
+
 /// Run `jobs` WordCount jobs (6 maps and 3 reduces on 2 slaves) on a
 /// cluster sharing `store`, each discarding its input and its answer.
 fn discarded_jobs(store: Arc<dyn Store>, jobs: usize) {

@@ -16,6 +16,7 @@ use mrs_pso::serial::SerialPso;
 use mrs_pso::{Objective, Particle, PsoConfig, Topology};
 use mrs_runtime::{LocalCluster, LocalRuntime};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn sample_lines() -> Vec<String> {
@@ -292,6 +293,200 @@ fn no_combiner_wordcount_over_prefix_sharing_words_is_byte_identical_on_every_pl
     assert_eq!(pool, serial, "pool vs serial");
     assert_eq!(direct, serial, "2-slave direct cluster vs serial");
     assert_eq!(shared, serial, "2-slave shared-FS cluster vs serial");
+}
+
+/// WordCount whose partitioner sends every key to partition 0: every
+/// other partition of every map task is empty, and so is every other
+/// reduce's output.
+struct AllToZero;
+
+impl Program for AllToZero {
+    fn map_bytes(
+        &self,
+        func: FuncId,
+        key: &[u8],
+        value: &[u8],
+        emit: &mut dyn FnMut(&[u8], &[u8]),
+    ) -> Result<()> {
+        Simple(WordCount).map_bytes(func, key, value, emit)
+    }
+    fn reduce_bytes(
+        &self,
+        func: FuncId,
+        key: &[u8],
+        values: &mut dyn Iterator<Item = &[u8]>,
+        emit: &mut dyn FnMut(&[u8], &[u8]),
+    ) -> Result<()> {
+        Simple(WordCount).reduce_bytes(func, key, values, emit)
+    }
+    fn combine_bytes(
+        &self,
+        func: FuncId,
+        key: &[u8],
+        values: &mut dyn Iterator<Item = &[u8]>,
+        emit: &mut dyn FnMut(&[u8], &[u8]),
+    ) -> Result<()> {
+        Simple(WordCount).combine_bytes(func, key, values, emit)
+    }
+    fn has_combiner(&self, func: FuncId) -> bool {
+        Simple(WordCount).has_combiner(func)
+    }
+    fn partition(&self, _key: &[u8], _n: usize) -> usize {
+        0
+    }
+}
+
+/// A shared store that counts the reads it serves.
+#[derive(Default)]
+struct CountingStore {
+    fs: MemFs,
+    gets: AtomicUsize,
+}
+
+impl mrs_fs::Store for CountingStore {
+    fn put(&self, path: &str, data: &[u8]) -> Result<()> {
+        self.fs.put(path, data)
+    }
+    fn get(&self, path: &str) -> Result<Vec<u8>> {
+        self.gets.fetch_add(1, Ordering::SeqCst);
+        self.fs.get(path)
+    }
+    fn exists(&self, path: &str) -> bool {
+        self.fs.exists(path)
+    }
+    fn list(&self, prefix: &str) -> Result<Vec<String>> {
+        self.fs.list(prefix)
+    }
+    fn delete(&self, path: &str) -> Result<()> {
+        self.fs.delete(path)
+    }
+}
+
+/// One job's raw output on every plane, each named, serial first; beside
+/// it the direct cluster's metrics and how many reads the shared-FS
+/// cluster's store served.
+struct EveryPlane {
+    outputs: Vec<(&'static str, Vec<Record>)>,
+    direct: mrs_runtime::metrics::JobMetrics,
+    shared_reads: u64,
+}
+
+/// Run `job` on serial, mock parallel, the pool, and 2-slave clusters on
+/// the direct and the shared-filesystem plane. The clusters store their
+/// frames uncompressed and do not speculate, so what they move is exactly
+/// what the job needs.
+fn on_every_plane(
+    program: &dyn Fn() -> Arc<dyn Program>,
+    job: &dyn Fn(&mut Job) -> Vec<Record>,
+) -> EveryPlane {
+    let serial = job(&mut Job::new(&mut SerialRuntime::new(program())));
+    let spill = Arc::new(MemFs::new());
+    let mock = job(&mut Job::new(&mut LocalRuntime::mock_parallel(program(), spill)));
+    let pool = job(&mut Job::new(&mut LocalRuntime::pool(program(), 4)));
+    let cfg = MasterConfig {
+        compress: CompressMode::Off,
+        speculate: SpeculateMode::Off,
+        ..MasterConfig::default()
+    };
+    let mut cluster = LocalCluster::start(program(), 2, DataPlane::Direct, cfg.clone()).unwrap();
+    let direct = job(&mut Job::new(&mut cluster));
+    let direct_metrics = cluster.metrics();
+    let store = Arc::new(CountingStore::default());
+    let plane = DataPlane::SharedFs(store.clone());
+    let shared = job(&mut Job::new(&mut LocalCluster::start(program(), 2, plane, cfg).unwrap()));
+    EveryPlane {
+        outputs: vec![
+            ("serial", serial),
+            ("mock parallel", mock),
+            ("pool", pool),
+            ("2-slave direct cluster", direct),
+            ("2-slave shared-FS cluster", shared),
+        ],
+        direct: direct_metrics,
+        shared_reads: store.gets.load(Ordering::SeqCst) as u64,
+    }
+}
+
+/// Jobs whose buckets are mostly or wholly empty — no records at all,
+/// more splits than records, every key sent to partition 0 — give the
+/// same raw output on every plane, and count what the bypass counts.
+#[test]
+fn empty_buckets_are_byte_identical_on_every_plane() {
+    let lines = sample_lines();
+    type Shape = (&'static str, fn() -> Arc<dyn Program>, Vec<String>, usize, usize);
+    let shapes: [Shape; 3] = [
+        ("zero records", || Arc::new(Simple(WordCount)), Vec::new(), 3, 4),
+        ("more splits than records", || Arc::new(Simple(WordCount)), lines[..3].to_vec(), 8, 4),
+        ("every key to partition 0", || Arc::new(AllToZero), lines, 4, 3),
+    ];
+    for (shape, program, lines, maps, reduces) in shapes {
+        let input = lines_to_records(lines.iter().map(String::as_str));
+        let job = |job: &mut Job| job.map_reduce(input.clone(), maps, reduces, true).unwrap();
+        let planes = on_every_plane(&program, &job);
+        let (_, serial) = &planes.outputs[0];
+        let bypass = corpus::tokenizer::reference_counts(lines.iter().map(String::as_str));
+        assert_eq!(decode_counts(serial).unwrap(), bypass, "{shape}: serial vs bypass");
+        for (plane, out) in &planes.outputs[1..] {
+            assert_eq!(out, serial, "{shape}: {plane} vs serial");
+        }
+    }
+}
+
+/// PSO islands on the ring (the Apiary topology): a map task sends its
+/// island to its own partition and its best to the next island's, so of
+/// the 8 × 8 buckets of a round only 16 hold records. Fused and unfused,
+/// the chain is byte-identical on every plane, and each reduce still
+/// merges all 8 of its runs. But no request names an empty bucket: the
+/// frames the direct cluster fetched (counted by their headers) plus the
+/// buckets it took from its own tables, and the reads the shared-FS
+/// cluster's store served, are exactly the reads of buckets with records.
+#[test]
+fn ring_islands_agree_on_every_plane_and_never_fetch_an_empty_bucket() {
+    let cfg = PsoConfig {
+        objective: Objective::Sphere,
+        dim: 4,
+        n_particles: 40,
+        topology: Topology::Subswarms { size: 5 },
+        seed: 11,
+    };
+    let (iters, inner) = (4, 2);
+    let islands = PsoProgram::new(cfg.clone(), inner).n_islands();
+    assert_eq!(islands, 8);
+    let program = || Arc::new(PsoProgram::new(cfg.clone(), inner)) as Arc<dyn Program>;
+    let mut answers = Vec::new();
+    for fused in [true, false] {
+        let job = |job: &mut Job| {
+            PsoProgram::new(cfg.clone(), inner).run_islands(job, iters, fused).unwrap()
+        };
+        let planes = on_every_plane(&program, &job);
+        let (_, serial) = &planes.outputs[0];
+        for (plane, out) in &planes.outputs[1..] {
+            assert_eq!(out, serial, "fused {fused}: {plane} vs serial");
+        }
+        answers.push(serial.clone());
+
+        // Reads of a bucket with records: the source splits; two per task
+        // of each of the `iters` gathering ops (the fused rounds or the
+        // reduces, and the last reduce); unfused, one per task of each
+        // interior map; the answer's buckets.
+        let maps = if fused { 0 } else { iters - 1 };
+        let with_records = islands * (1 + 2 * iters + maps + 1);
+        let m = &planes.direct;
+        assert_eq!(m.merge_runs(), islands * islands * iters, "fused {fused}: runs merged");
+        assert_eq!(m.checksum_retries(), 0);
+        let frames =
+            (m.bytes_on_wire() - m.bytes_pre_compress()) / mrs_codec::FRAME_HEADER_LEN as u64;
+        assert_eq!(
+            frames + m.shortcircuit_fetches(),
+            with_records,
+            "fused {fused}: the direct cluster read an empty bucket"
+        );
+        assert_eq!(
+            planes.shared_reads, with_records,
+            "fused {fused}: the store served an empty one"
+        );
+    }
+    assert_eq!(answers[0], answers[1], "fused vs unfused");
 }
 
 /// A byte-level program over raw keys: map swaps each input record so
