@@ -320,9 +320,13 @@ impl PsoProgram {
     /// `iters - 1` interior rounds, then a final reduce. Interior rounds
     /// are either a materialized reduce followed by a map (unfused) or a
     /// single ReduceMap op (fused) — the shapes the iteration bench
-    /// compares. No intermediate is fetched, so lifetime GC reclaims each
-    /// dataset as its consumer completes and the chain holds O(1) live
-    /// datasets regardless of `iters`.
+    /// compares. No intermediate is fetched, so each is discarded as soon
+    /// as its consumer is queued and the chain holds O(1) live datasets
+    /// regardless of `iters`. A runtime with lifetime GC refuses that
+    /// discard (a queued consumer still needs the data) and reclaims the
+    /// dataset when the consumer completes; the serial runtime, which runs
+    /// each op as it is queued and has no lifetime GC, frees it at once
+    /// instead of holding every round until the job ends.
     fn run_chain(
         &self,
         job: &mut Job,
@@ -336,14 +340,19 @@ impl PsoProgram {
         let ds = job.local_data(initial, parts)?;
         let mut m = job.map_data(ds, func, parts, false)?;
         for _ in 1..iters {
-            m = if fused {
+            let next = if fused {
                 job.reduce_map_data(m, func, func, parts, false)?
             } else {
                 let r = job.reduce_data(m, func)?;
-                job.map_data(r, func, parts, false)?
+                let next = job.map_data(r, func, parts, false)?;
+                job.discard(r);
+                next
             };
+            job.discard(m);
+            m = next;
         }
         let r = job.reduce_data(m, func)?;
+        job.discard(m);
         job.fetch_all(r)
     }
 
@@ -425,7 +434,8 @@ mod tests {
     use super::*;
     use crate::functions::Objective;
     use crate::serial::SerialPso;
-    use mrs_runtime::{LocalRuntime, SerialRuntime};
+    use mrs_runtime::{DataId, JobApi, LocalRuntime, SerialRuntime};
+    use std::collections::HashSet;
     use std::sync::Arc;
 
     fn config(topology: Topology) -> PsoConfig {
@@ -547,6 +557,79 @@ mod tests {
             assert_eq!(&runs[0], r, "fused/unfused island chains must agree byte-for-byte");
         }
         assert!(PsoProgram::best_of_islands(&runs[0]).unwrap().is_finite());
+    }
+
+    /// A job interface over the serial runtime that counts the datasets
+    /// created and not yet discarded, and the most ever held at once.
+    struct Held<'a> {
+        inner: &'a mut dyn JobApi,
+        live: HashSet<DataId>,
+        peak: usize,
+    }
+
+    impl Held<'_> {
+        fn add(&mut self, id: Result<DataId>) -> Result<DataId> {
+            let id = id?;
+            self.live.insert(id);
+            self.peak = self.peak.max(self.live.len());
+            Ok(id)
+        }
+    }
+
+    impl JobApi for Held<'_> {
+        fn local_data(&mut self, records: Vec<Record>, splits: usize) -> Result<DataId> {
+            let id = self.inner.local_data(records, splits);
+            self.add(id)
+        }
+        fn map_data(&mut self, d: DataId, f: FuncId, parts: usize, c: bool) -> Result<DataId> {
+            let id = self.inner.map_data(d, f, parts, c);
+            self.add(id)
+        }
+        fn reduce_data(&mut self, d: DataId, f: FuncId) -> Result<DataId> {
+            let id = self.inner.reduce_data(d, f);
+            self.add(id)
+        }
+        fn reduce_map_data(
+            &mut self,
+            d: DataId,
+            rf: FuncId,
+            mf: FuncId,
+            parts: usize,
+            c: bool,
+        ) -> Result<DataId> {
+            let id = self.inner.reduce_map_data(d, rf, mf, parts, c);
+            self.add(id)
+        }
+        fn wait(&mut self, d: DataId) -> Result<()> {
+            self.inner.wait(d)
+        }
+        fn fetch_all(&mut self, d: DataId) -> Result<Vec<Record>> {
+            self.inner.fetch_all(d)
+        }
+        fn discard(&mut self, d: DataId) {
+            self.live.remove(&d);
+            self.inner.discard(d)
+        }
+    }
+
+    /// On the serial runtime, which has no lifetime GC, an op chain frees
+    /// each round once its consumer has run: it holds the source and at
+    /// most three rounds at any time, however many rounds it runs, and
+    /// its output is the pool's.
+    #[test]
+    fn serial_chain_holds_a_bounded_number_of_datasets() {
+        let cfg = config(Topology::Subswarms { size: 4 });
+        for fused in [false, true] {
+            let program = Arc::new(PsoProgram::new(cfg.clone(), 2));
+            let mut rt = SerialRuntime::new(program.clone());
+            let mut held = Held { inner: &mut rt, live: HashSet::new(), peak: 0 };
+            let got = program.run_islands(&mut Job::new(&mut held), 12, fused).unwrap();
+            // The source and the result are all that is left.
+            assert_eq!(held.live.len(), 2, "fused={fused}: {:?}", held.live);
+            assert!(held.peak <= if fused { 3 } else { 4 }, "fused={fused}: {}", held.peak);
+            let mut pool = LocalRuntime::pool(program.clone(), 3);
+            assert_eq!(got, program.run_islands(&mut Job::new(&mut pool), 12, fused).unwrap());
+        }
     }
 
     #[test]
