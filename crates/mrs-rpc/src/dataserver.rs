@@ -206,17 +206,21 @@ pub struct FetchMany<'a> {
 impl FetchMany<'_> {
     /// One result per path, in request order, each what [`fetch`] would
     /// have returned for it; a transport failure is the result of every
-    /// path it left unanswered.
-    pub fn finish(self) -> Vec<Result<Vec<u8>>> {
+    /// path it left unanswered. Beside them, the batch's
+    /// [`Pipelined::dials`].
+    pub fn finish(self) -> (Vec<Result<Vec<u8>>>, (u64, u64)) {
         let FetchMany { authority, paths, batch } = self;
         let mut answers = Vec::with_capacity(paths.len());
-        let failed = batch.and_then(|b| b.finish(&mut answers)).err();
+        let (failed, dials) = match batch {
+            Ok(mut batch) => (batch.finish(&mut answers).err(), batch.dials()),
+            Err(e) => (Some(e), (0, 0)),
+        };
         let mut out: Vec<_> =
             paths.iter().zip(answers).map(|(p, a)| bucket_of(authority, p, a)).collect();
         if let Some(e) = failed {
             out.extend(paths[out.len()..].iter().map(|p| Err(no_answer(authority, p, &e))));
         }
-        out
+        (out, dials)
     }
 }
 

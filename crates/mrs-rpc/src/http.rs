@@ -421,27 +421,17 @@ const POOL_PER_AUTHORITY: usize = 4;
 /// bucket fetch) reuse the same few sockets per peer.
 struct ConnectionPool {
     idle: Mutex<HashMap<String, Vec<TcpStream>>>,
-    opened: AtomicU64,
-    reused: AtomicU64,
 }
 
 impl ConnectionPool {
     fn global() -> &'static ConnectionPool {
         static POOL: OnceLock<ConnectionPool> = OnceLock::new();
-        POOL.get_or_init(|| ConnectionPool {
-            idle: Mutex::new(HashMap::new()),
-            opened: AtomicU64::new(0),
-            reused: AtomicU64::new(0),
-        })
+        POOL.get_or_init(|| ConnectionPool { idle: Mutex::new(HashMap::new()) })
     }
 
     fn checkout(&self, authority: &str) -> Option<TcpStream> {
         let mut idle = self.idle.lock().unwrap_or_else(|e| e.into_inner());
-        let conn = idle.get_mut(authority)?.pop();
-        if conn.is_some() {
-            self.reused.fetch_add(1, Ordering::Relaxed);
-        }
-        conn
+        idle.get_mut(authority)?.pop()
     }
 
     fn checkin(&self, authority: &str, conn: TcpStream) {
@@ -458,7 +448,6 @@ impl ConnectionPool {
         stream.set_read_timeout(Some(IO_TIMEOUT))?;
         stream.set_write_timeout(Some(IO_TIMEOUT))?;
         stream.set_nodelay(true)?;
-        self.opened.fetch_add(1, Ordering::Relaxed);
         Ok(stream)
     }
 }
@@ -509,14 +498,6 @@ impl HttpClient {
     pub fn post(authority: &str, path: &str, body: &[u8]) -> std::io::Result<(u16, Vec<u8>)> {
         Self::request(authority, "POST", path, body)
     }
-
-    /// `(connections opened, requests served by a reused connection)` for
-    /// the process-wide pool. Counters are cumulative; callers interested
-    /// in one job take deltas.
-    pub fn pool_stats() -> (u64, u64) {
-        let pool = ConnectionPool::global();
-        (pool.opened.load(Ordering::Relaxed), pool.reused.load(Ordering::Relaxed))
-    }
 }
 
 /// Most requests written before their answers are read. Bounds the bytes
@@ -543,6 +524,8 @@ pub struct Pipelined<'a> {
     answered: usize,
     /// `conn` was dialled for this batch, not taken from the pool.
     fresh: bool,
+    /// See [`Pipelined::dials`].
+    dials: (u64, u64),
 }
 
 impl<'a> Pipelined<'a> {
@@ -564,17 +547,26 @@ impl<'a> Pipelined<'a> {
             sent,
             answered: 0,
             fresh: false,
+            dials: (0, 0),
         };
         if !paths.is_empty() {
             let pool = ConnectionPool::global();
             batch.conn = pool.checkout(authority).filter(|c| batch.write_from(c, 0).is_ok());
+            batch.dials.1 = batch.conn.is_some() as u64;
             if batch.conn.is_none() {
                 let conn = pool.dial(authority)?;
+                batch.dials.0 += 1;
                 batch.write_from(&conn, 0)?;
                 (batch.conn, batch.fresh) = (Some(conn), true);
             }
         }
         Ok(batch)
+    }
+
+    /// How the batch reached its peer: `(connections dialled, whether it
+    /// started on a pooled one)`, so a caller counts its own traffic.
+    pub fn dials(&self) -> (u64, u64) {
+        self.dials
     }
 
     /// Write the next (at most [`PIPELINE_MAX`]) requests, starting at
@@ -600,7 +592,7 @@ impl<'a> Pipelined<'a> {
     /// a fresh dial; answered ones are never repeated. Fresh-connection
     /// failures with no answer propagate: those are real errors, not
     /// staleness, and `out` then holds the answers read so far.
-    pub fn finish(mut self, out: &mut Vec<(u16, Vec<u8>)>) -> std::io::Result<()> {
+    pub fn finish(&mut self, out: &mut Vec<(u16, Vec<u8>)>) -> std::io::Result<()> {
         let pool = ConnectionPool::global();
         while self.answered < self.paths.len() {
             let before = self.answered;
@@ -608,7 +600,9 @@ impl<'a> Pipelined<'a> {
                 Some(conn) => conn,
                 None => {
                     (self.sent, self.fresh) = (before, true);
-                    pool.dial(self.authority)?
+                    let conn = pool.dial(self.authority)?;
+                    self.dials.0 += 1;
+                    conn
                 }
             };
             match self.drain(&conn, out) {
@@ -983,18 +977,31 @@ mod tests {
         assert_eq!(large.bytes, [head().as_bytes(), &body[..]].concat());
     }
 
+    /// Each batch counts its own dials: against a fresh server the first
+    /// of six dials and the other five reuse its pooled connection, and a
+    /// batch whose pooled connection went stale counts the redial too.
     #[test]
-    fn pool_stats_reflect_reuse() {
+    fn each_batch_counts_its_dial_or_its_reuse() {
         let server = echo_server();
         let authority = server.authority();
-        let (o0, r0) = HttpClient::pool_stats();
-        for _ in 0..6 {
-            HttpClient::get(&authority, "/s").unwrap();
-        }
-        let (o1, r1) = HttpClient::pool_stats();
-        // This client dialled once and reused five times (other tests may
-        // add to the counters concurrently, so compare deltas loosely).
-        assert!(o1 - o0 >= 1);
-        assert!(r1 - r0 >= 5, "expected >=5 reuses, got {}", r1 - r0);
+        let dials: Vec<(u64, u64)> = (0..6)
+            .map(|_| {
+                let mut batch = HttpClient::send_gets(&authority, &["/s"]).unwrap();
+                batch.finish(&mut Vec::new()).unwrap();
+                batch.dials()
+            })
+            .collect();
+        assert_eq!(dials, [(1, 0), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1)]);
+
+        let options = ServerOptions { max_requests_per_connection: 1, ..Default::default() };
+        let closing = echo_server_with(options);
+        let authority = closing.authority();
+        let mut first = HttpClient::send_gets(&authority, &["/a"]).unwrap();
+        first.finish(&mut Vec::new()).unwrap();
+        let mut stale = HttpClient::send_gets(&authority, &["/b"]).unwrap();
+        let mut out = Vec::new();
+        stale.finish(&mut out).unwrap();
+        assert_eq!(out[0].1, b"GET /b ");
+        assert_eq!((first.dials(), stale.dials()), ((1, 0), (1, 1)));
     }
 }

@@ -74,8 +74,8 @@ pub enum Implementation {
 pub struct CliOptions {
     /// Selected implementation (default: serial, like the original Mrs).
     pub implementation: Implementation,
-    /// Long-poll cap override (`--mrs-longpoll-ms`): on a master the
-    /// maximum server-side park, on a slave the park it requests.
+    /// Long-poll cap override (`--mrs-longpoll-ms`): the longest a master
+    /// parks an idle slave's poll. A master-only flag; a slave refuses it.
     pub long_poll: Option<Duration>,
     /// Shuffle payload compression (`--mrs-compress=on|off`, default off:
     /// checksummed stored frames). Decoders read the compressed bit per
@@ -197,6 +197,9 @@ pub fn parse_options<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptio
     if long_poll == Some(Duration::ZERO) {
         return Err(Error::Invalid("--mrs-longpoll-ms must be positive".into()));
     }
+    if long_poll.is_some() && matches!(implementation, Implementation::Slave { .. }) {
+        return Err(Error::Invalid("--mrs-longpoll-ms applies to the master, not a slave".into()));
+    }
     if trace_path.is_some() && !trace {
         return Err(Error::Invalid("--mrs-trace conflicts with --mrs-no-trace".into()));
     }
@@ -276,9 +279,6 @@ where
             }
             slave_opts.compress = options.compress;
             slave_opts.trace = options.trace;
-            if let Some(lp) = options.long_poll {
-                slave_opts.long_poll = lp;
-            }
             run_slave(&link, program, DataPlane::Direct, &slave_opts, &stop)
         }
     }
@@ -336,11 +336,17 @@ mod tests {
         );
     }
 
+    /// The long-poll cap is the master's; on a slave, which would only
+    /// ask for a park the master clamps anyway, the flag is refused rather
+    /// than ignored.
     #[test]
     fn parses_longpoll_flag() {
         assert_eq!(opts(&["--mrs", "master"]).unwrap().long_poll, None);
         let o = opts(&["--mrs", "master", "--mrs-longpoll-ms", "250"]).unwrap();
         assert_eq!(o.long_poll, Some(Duration::from_millis(250)));
+        let slave = ["--mrs", "slave", "--mrs-master", "h:1", "--mrs-longpoll-ms", "250"];
+        let err = opts(&slave).unwrap_err().to_string();
+        assert!(err.contains("--mrs-longpoll-ms applies to the master"), "{err}");
     }
 
     #[test]

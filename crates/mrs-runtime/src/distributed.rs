@@ -11,7 +11,7 @@
 use crate::data::DataId;
 use crate::job::JobApi;
 use crate::master::{Master, MasterConfig, SlaveId};
-use crate::metrics::{Counter, JobMetrics};
+use crate::metrics::JobMetrics;
 use crate::proto::{
     Answer, DataPlane, Dispatch, GetTask, Signin, TaskFailed, TaskReport, TraceBatch, BAD_PARAMS,
     PROTOCOL_VERSION,
@@ -119,9 +119,6 @@ pub struct LocalCluster {
     program: Arc<dyn Program>,
     plane: DataPlane,
     options: SlaveOptions,
-    /// `HttpClient::pool_stats()` at cluster start; [`Self::metrics`]
-    /// reports the delta as this cluster's connection counters.
-    pool_baseline: (u64, u64),
 }
 
 impl LocalCluster {
@@ -152,15 +149,8 @@ impl LocalCluster {
         options.trace = cfg.trace;
         let master = Master::new(cfg, plane.clone())?;
         let server = serve_master(master.clone(), 0).map_err(Error::Io)?;
-        let mut cluster = LocalCluster {
-            master,
-            server,
-            slaves: Vec::new(),
-            program,
-            plane,
-            options,
-            pool_baseline: mrs_rpc::HttpClient::pool_stats(),
-        };
+        let mut cluster =
+            LocalCluster { master, server, slaves: Vec::new(), program, plane, options };
         for _ in 0..n_slaves {
             cluster.add_slave();
         }
@@ -235,16 +225,10 @@ impl LocalCluster {
     }
 
     /// Job metrics snapshot: the master's, which its slaves' polls keep
-    /// whole. Connection counters alone are the change in the
-    /// process-wide pool stats since this cluster started, so they include
-    /// any unrelated HTTP traffic made by the same process in that window
-    /// (in practice: this cluster's RPC polls and bucket transfers).
+    /// whole — the connection counters too, each counted by the fetch
+    /// whose data-plane batch dialled or reused it.
     pub fn metrics(&self) -> JobMetrics {
-        let mut m = self.master.metrics();
-        let (opened, reused) = mrs_rpc::HttpClient::pool_stats();
-        m.add(Counter::ConnectionsOpened, opened - self.pool_baseline.0);
-        m.add(Counter::ConnectionsReused, reused - self.pool_baseline.1);
-        m
+        self.master.metrics()
     }
 }
 
@@ -306,6 +290,7 @@ impl Drop for LocalCluster {
 mod tests {
     use super::*;
     use crate::job::Job;
+    use crate::proto::SpeculateMode;
     use mrs_core::kv::encode_record;
     use mrs_core::{Datum, MapReduce, Simple};
     use mrs_fs::MemFs;
@@ -331,6 +316,80 @@ mod tests {
 
         fn has_combiner(&self) -> bool {
             true
+        }
+    }
+
+    thread_local! {
+        /// This worker is in the first run of map task 0.
+        static STRAGGLING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    /// WordCount whose map pauses before each record of a slow run, so a
+    /// cancelled run stops at its next record. With `every_run` every map
+    /// run is slow; otherwise only the first run of map task 0 (the split
+    /// of the lines below `split`) is — a straggler whose backup runs at
+    /// full speed. That run's start is signalled.
+    struct Slow {
+        split: u64,
+        pause: Duration,
+        every_run: bool,
+        /// Whether the first run of map task 0 has started.
+        started: (parking_lot::Mutex<bool>, parking_lot::Condvar),
+    }
+
+    impl Slow {
+        fn new(split: u64, pause: Duration, every_run: bool) -> Arc<Slow> {
+            Arc::new(Slow { split, pause, every_run, started: Default::default() })
+        }
+
+        fn await_start(&self) {
+            let mut started = self.started.0.lock();
+            while !*started {
+                self.started.1.wait(&mut started);
+            }
+        }
+    }
+
+    impl Program for Slow {
+        fn map_bytes(
+            &self,
+            func: FuncId,
+            key: &[u8],
+            value: &[u8],
+            emit: &mut dyn FnMut(&[u8], &[u8]),
+        ) -> Result<()> {
+            let line = u64::from_bytes(key)?;
+            if line == 0 {
+                let mut started = self.started.0.lock();
+                STRAGGLING.set(!*started);
+                *started = true;
+                self.started.1.notify_all();
+            }
+            if self.every_run || line < self.split && STRAGGLING.get() {
+                std::thread::sleep(self.pause);
+            }
+            Simple(WordCount).map_bytes(func, key, value, emit)
+        }
+        fn reduce_bytes(
+            &self,
+            func: FuncId,
+            key: &[u8],
+            values: &mut dyn Iterator<Item = &[u8]>,
+            emit: &mut dyn FnMut(&[u8], &[u8]),
+        ) -> Result<()> {
+            Simple(WordCount).reduce_bytes(func, key, values, emit)
+        }
+        fn combine_bytes(
+            &self,
+            func: FuncId,
+            key: &[u8],
+            values: &mut dyn Iterator<Item = &[u8]>,
+            emit: &mut dyn FnMut(&[u8], &[u8]),
+        ) -> Result<()> {
+            Simple(WordCount).combine_bytes(func, key, values, emit)
+        }
+        fn has_combiner(&self, func: FuncId) -> bool {
+            Simple(WordCount).has_combiner(func)
         }
     }
 
@@ -435,46 +494,66 @@ mod tests {
 
     #[test]
     fn keep_alive_keeps_connections_near_peer_count() {
-        let mut cluster = LocalCluster::start(
-            Arc::new(Simple(WordCount)),
-            3,
-            DataPlane::Direct,
-            MasterConfig::default(),
-        )
-        .unwrap();
+        // No backups: a cancelled fetch closes its connection.
+        let cfg = MasterConfig { speculate: SpeculateMode::Off, ..MasterConfig::default() };
+        let (slaves, slots) = (3, 1);
+        let opts = SlaveOptions { slots, ..SlaveOptions::default() };
+        let program = Arc::new(Simple(WordCount));
+        let mut cluster =
+            LocalCluster::start_with(program, slaves, DataPlane::Direct, cfg, opts).unwrap();
         let mut job = Job::new(&mut cluster);
-        // Plenty of tasks: 8 map splits × 4 partitions means 32 bucket
-        // transfers plus dozens of control-channel round trips. Every line
-        // holds the same 40 words, which land in all 4 partitions, so no
-        // bucket is empty and each of the 32 crosses the data plane.
+        // 24 map splits × 4 partitions: 24 split fetches from the master
+        // and 96 bucket transfers, most of them from a peer slave. Every
+        // line holds the same 40 words, which land in all 4 partitions, so
+        // no bucket is empty and each of the 96 is read.
         let words = (0..40).map(|w| format!("w{w}")).collect::<Vec<_>>();
         let part = |w: &String| Simple(WordCount).partition(&encode_record(w, &0u64).0, 4);
         let parts = words.iter().map(part).collect::<std::collections::BTreeSet<_>>();
         assert_eq!(parts.len(), 4, "a partition holds none of the words");
         let line = words.join(" ");
-        let input = (0..200).map(|i| encode_record(&(i as u64), &line)).collect();
-        let out = job.map_reduce(input, 8, 4, true).unwrap();
+        let input = (0..240).map(|i| encode_record(&(i as u64), &line)).collect();
+        let out = job.map_reduce(input, 24, 4, true).unwrap();
         assert!(!out.is_empty());
         let m = cluster.metrics();
-        // The whole job must run over a handful of persistent connections:
-        // roughly one control connection per slave thread plus a few
-        // data-plane connections per peer pair — not one per request. The
-        // bound is generous because sibling tests share the process-wide
-        // pool, but it still fails instantly if pooling breaks (a dial per
-        // poll/transfer). Batched dispatch and idle-poll backoff keep the
-        // total request count low, so reuse only needs to beat dialing,
-        // not dwarf it.
-        assert!(
-            m.connections_opened() < 150,
-            "expected O(peers) dials, got {}",
-            m.connections_opened()
-        );
-        assert!(
-            m.connections_reused() > m.connections_opened(),
-            "expected reuse to dominate: opened={} reused={}",
-            m.connections_opened(),
-            m.connections_reused()
-        );
+        // Each fetching worker reads from the master (splits) and from the
+        // other slaves (map outputs), one batch at a time, and no peer
+        // serves more fetchers at once than the pool keeps per authority:
+        // with keep-alive a dial per (fetcher, peer) pair is the most. A
+        // dial per batch (24 split fetches alone) would exceed it.
+        let pairs = (slaves * slots * slaves) as u64;
+        let (opened, reused) = (m.connections_opened(), m.connections_reused());
+        assert!((1..=pairs).contains(&opened), "{opened} dials for {pairs} pairs");
+        assert!(reused > opened, "expected reuse to dominate: opened={opened} reused={reused}");
+    }
+
+    /// Two clusters in one process, side by side, each count only their
+    /// own dials: one slave with one worker fetches every split from its
+    /// master, one batch per map task, the first dialling and the rest
+    /// reusing (its reduces read only its own outputs, over no socket).
+    /// A pooled connection to a recycled port that went stale adds one
+    /// reuse and one redial; the sibling's traffic adds nothing.
+    #[test]
+    fn clusters_side_by_side_each_count_their_own_dials() {
+        let run = |maps: usize| {
+            let opts = SlaveOptions { slots: 1, ..SlaveOptions::default() };
+            let cfg = MasterConfig::default();
+            let program = Arc::new(Simple(WordCount));
+            let mut cluster =
+                LocalCluster::start_with(program, 1, DataPlane::Direct, cfg, opts).unwrap();
+            Job::new(&mut cluster).map_reduce(lines(10 * maps), maps, 2, true).unwrap();
+            let m = cluster.metrics();
+            (m.connections_opened(), m.connections_reused())
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| run(6));
+            let b = s.spawn(|| run(10));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        for ((opened, reused), maps) in [(a, 6), (b, 10)] {
+            let batches = opened + reused;
+            assert!((1..=2).contains(&opened), "{maps} maps: {opened} dials");
+            assert!((maps..=maps + 1).contains(&batches), "{maps} maps: {opened} + {reused}");
+        }
     }
 
     #[test]
@@ -520,22 +599,20 @@ mod tests {
 
     #[test]
     fn cluster_trace_pins_attempt_spans_and_serves_http() {
-        use crate::proto::SpeculateMode;
         use mrs_trace::{Kind, Name, MASTER_PID};
         let cfg = MasterConfig { speculate: SpeculateMode::Off, ..MasterConfig::default() };
-        // Every map task (data 1) holds its worker for 50 ms. Whichever
-        // slave polls first is granted three at once (two workers and the
-        // task queued ahead), so both its workers run side by side, and
-        // it stays full for the 200 ms it would need to run all eight:
-        // the rest can only go to the other slave. Both slave rows and
-        // both worker lanes are in the trace whatever the machine's load.
-        let test_delays = (0..8).map(|i| (1, i, 50)).collect();
-        let opts = SlaveOptions { slots: 2, test_delays, ..SlaveOptions::default() };
-        let mut cluster =
-            LocalCluster::start_with(Arc::new(Simple(WordCount)), 2, DataPlane::Direct, cfg, opts)
-                .unwrap();
+        // Every map task (data 1) holds its worker for more than 50 ms
+        // (9 ms before each of its 6 or 7 lines). Whichever slave polls
+        // first is granted three at once (two workers and the task queued
+        // ahead), so both its workers run side by side, and it stays full
+        // for the 200 ms it would need to run all eight: the rest can only
+        // go to the other slave. Both slave rows and both worker lanes are
+        // in the trace whatever the machine's load.
+        let slow = Slow::new(0, Duration::from_millis(9), true);
+        let opts = SlaveOptions { slots: 2, ..SlaveOptions::default() };
+        let mut cluster = LocalCluster::start_with(slow, 2, DataPlane::Direct, cfg, opts).unwrap();
         while cluster.live_slaves() < 2 {
-            std::thread::sleep(Duration::from_millis(1));
+            std::thread::yield_now();
         }
         // The live pages answer over plain HTTP on the master's data port:
         // every `/metrics` line is one `mrs_*` sample with a numeric
@@ -733,11 +810,11 @@ mod tests {
     #[test]
     fn cancelled_speculative_loser_traces_cancel_not_report() {
         use mrs_trace::{Kind, Name, MASTER_PID};
-        // The first slave carries the straggler injection, and draws map
-        // task 0 (data 1), the first task dispatched: it sleeps far past
-        // the speculation cutoff, so the clean slave that joins next gets a
-        // backup, wins, and the sleeper is cancelled (same setup as the
-        // straggler bench, scaled down). Both slaves poll through a
+        // The first slave draws map task 0 (data 1), the first task
+        // dispatched, and its first run is a straggler: 24 ms before each
+        // of its 25 lines, far past the speculation cutoff. The clean slave
+        // that joins once that run has started gets a backup, wins, and
+        // the sleeper is cancelled. Both slaves poll through a
         // `CancelWatch`, in sign-in order, so slave id = index.
         let mut cluster = LocalCluster::start(
             Arc::new(Simple(WordCount)),
@@ -746,6 +823,7 @@ mod tests {
             MasterConfig::default(),
         )
         .unwrap();
+        let slow = Slow::new(25, Duration::from_millis(24), false);
         let stop = Arc::new(AtomicBool::new(false));
         let mut watches = Vec::new();
         let mut slaves = Vec::new();
@@ -754,22 +832,20 @@ mod tests {
             let link = RpcMasterLink::new(authority.clone());
             let watch = Arc::new(CancelWatch { link, since_cancel: Default::default() });
             let (w, stop) = (Arc::clone(&watch), Arc::clone(&stop));
-            let program: Arc<dyn Program> = Arc::new(Simple(WordCount));
+            let program: Arc<dyn Program> = slow.clone();
             slaves.push(std::thread::spawn(move || {
                 run_slave(&*w, program, DataPlane::Direct, &options, &stop)
             }));
             watches.push(watch);
         };
-        add_slave(SlaveOptions { slots: 2, test_delays: vec![(1, 0, 600)], ..Default::default() });
+        add_slave(SlaveOptions { slots: 2, ..Default::default() });
         let reduced = {
             let mut job = Job::new(&mut cluster);
             let src = job.local_data(lines(200), 8).unwrap();
             let mapped = job.map_data(src, 0, 2, true).unwrap();
             job.reduce_data(mapped, 0).unwrap()
         };
-        while cluster.metrics().dispatched_tasks() == 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        slow.await_start();
         add_slave(SlaveOptions { slots: 2, ..Default::default() });
         let out = Job::new(&mut cluster).fetch_all(reduced).unwrap();
         assert!(!out.is_empty());

@@ -25,15 +25,15 @@
 //! others are checked against.
 //!
 //! The distributed runtime is capacity-aware: each slave advertises
-//! `slots + 1` at signin ([`SlaveOptions::slots`] workers plus one
-//! accepted task queued ahead, so one poll carries two) and asks for up
-//! to its free capacity per poll. Inside the slave, each worker takes an
-//! accepted task, fetches its inputs and runs it; the polling thread
-//! never fetches, and an idle slave waits parked at the master, not in a
-//! local sleep. The master dispatches batches up to each slave's
-//! capacity, breaks affinity ties toward underloaded slaves, steals
-//! claims only from fractionally busier owners, and on a slave death
-//! re-queues *all* of its in-flight tasks.
+//! `slots + 1` at signin ([`SlaveOptions::slots`] workers plus one task
+//! queued ahead, so one poll carries two) and asks for up to its free
+//! capacity per poll. Its workers fetch their own inputs; an idle slave
+//! parks at the master. What a slave does with an answer and when it
+//! polls is one clock-free state machine, like the master's core. The
+//! master dispatches batches up to each slave's capacity, breaks
+//! affinity ties toward underloaded slaves, steals claims only from
+//! fractionally busier owners, and on a slave death re-queues *all* of
+//! its in-flight tasks.
 //!
 //! Stragglers are handled by speculative execution
 //! ([`proto::SpeculateMode`], `--mrs-speculate`, default on): when a wave

@@ -76,8 +76,8 @@ metrics! {
     TasksRetried tasks_retried Sum "tasks_retried_total" "Tasks re-queued after a failure.",
     AffinityHits affinity_hits Sum "affinity_hits_total" "Tasks run on their affinity-preferred slave.",
     AffinityMisses affinity_misses Sum "affinity_misses_total" "Tasks run elsewhere than their preferred slave.",
-    ConnectionsOpened connections_opened Sum "connections_opened_total" "TCP connections dialled (O(peers) with keep-alive).",
-    ConnectionsReused connections_reused Sum "connections_reused_total" "Requests served over an already-open pooled connection.",
+    ConnectionsOpened connections_opened Sum "connections_opened_total" "TCP connections bucket fetches dialled (O(peers) with keep-alive).",
+    ConnectionsReused connections_reused Sum "connections_reused_total" "Bucket-fetch batches sent over an already-open pooled connection.",
     TasksStolen tasks_stolen Sum "tasks_stolen_total" "Tasks stolen from a live but busier affinity owner.",
     PeakInFlight peak_in_flight Max "peak_in_flight" "Most tasks running at once across all slaves.",
     DispatchPolls dispatch_polls Sum "dispatch_polls_total" "`get_task` polls that dispatched at least one task.",

@@ -902,9 +902,10 @@ struct Batch<'a> {
 /// the URLs of its own outputs before it calls this, by reference count
 /// (see [`crate::slave`]); every URL here is read.
 ///
-/// What the fetch moved — bytes decoded and on the wire, refetches — is
-/// added to `tally`, which the caller merges into its node's store (a
-/// slave's rides its next poll).
+/// What the fetch moved — bytes decoded and on the wire, refetches, the
+/// connection each batch it read dialled or reused — is added to `tally`,
+/// which the caller merges into its node's store (a slave's rides its
+/// next poll).
 ///
 /// Every resolution path runs the wire bytes through the `MRSF1` frame
 /// decoder, which verifies magic and checksum. A *remote* frame that
@@ -974,7 +975,10 @@ pub fn fetch_buckets(
         if cancelled() {
             return slots;
         }
-        for ((&i, path), wire) in batch.slots.iter().zip(&batch.paths).zip(answers.finish()) {
+        let (answers, (opened, reused)) = answers.finish();
+        tally.add(Counter::ConnectionsOpened, opened);
+        tally.add(Counter::ConnectionsReused, reused);
+        for ((&i, path), wire) in batch.slots.iter().zip(&batch.paths).zip(answers) {
             slots[i] = wire.and_then(|wire| verify_remote(peer, path, wire, tally)).map(Some);
         }
     }

@@ -6,42 +6,39 @@
 //! server, framing it only when a peer asks; on the shared-filesystem
 //! plane it writes framed bucket files to the common store.
 //!
-//! A slave is multicore-aware: it advertises a slot count at signin and
-//! runs that many worker threads beside its polling thread, and nothing
-//! else. Capacity is one more than the worker count: while every worker
-//! runs, one more accepted task waits in the queue, so a round's two tasks
-//! ride one poll. The polling thread never fetches data — a slow or dead
-//! peer can stall a worker without silencing the control heartbeat.
+//! It advertises a slot count at signin and runs that many worker threads
+//! beside its polling thread, and nothing else. Capacity is one more than
+//! the worker count, so a round's two tasks ride one poll. The polling
+//! thread never fetches data — a slow or dead peer can stall a worker
+//! without silencing the control heartbeat. The workers are the pool's
+//! (the crate-private `workers`); this module supplies their source — the
+//! accepted queue —, the fetch each runs inside its attempt (one pipelined
+//! round trip per peer, [`crate::proto::fetch_buckets`]; an input this
+//! slave produced itself is taken from its output table by reference
+//! count, as §IV-B's writer reads its own local files), and their sink —
+//! the report to the master.
 //!
-//! The workers are the pool's (the crate-private `workers`): a slave is a
-//! pool whose inputs are remote. This module supplies their source — the
-//! accepted queue —, the fetch each worker runs inside its attempt, and
-//! their sink — the report to the master. The fetch costs one pipelined
-//! round trip per peer ([`crate::proto::fetch_buckets`]). An input this
-//! slave produced itself costs no bytes and no codec work: it is taken
-//! from the output table by reference count, as on the pool (§IV-B's
-//! writer reading its own local files).
-//!
-//! What a slave counts — bytes fetched, merge runs — it tallies beside its
-//! pipe and drains into the next poll it sends anyway, so the master's
-//! metrics are the cluster's. A task's counts enter the tally no later
-//! than its report is queued, so they never reach the master after it.
-//!
-//! Every message to the master is a poll, except a failure report: a
-//! completion rides the next poll. When a poll is answered `Exit` the job
-//! is over, and the slave stops exactly as when it loses its master:
-//! queued work and unsent reports are dropped, since nothing they could
-//! tell the master would change what its driver sees.
+//! What the slave decides — what a poll answer does, whether a finished
+//! attempt reports, when the next poll is due and what it carries — is one
+//! state machine, `SlaveCore` (`slave/core.rs`), with no thread, socket or
+//! clock. This module is its shell: it runs each core entry and carries
+//! out its effects under one lock, so an answer's cancels and purges are
+//! one step, and so is an attempt's entry of its outputs. Every message to
+//! the master is a poll but a failure report, and a poll carries the
+//! counts tallied with its reports. Answered `Exit`, or having lost its
+//! master, the slave stops and drops queued work and unsent reports:
+//! nothing they could tell the master would change what its driver sees.
 //!
 //! The slave is written against the [`MasterLink`] trait so the same loop
-//! runs over real XML-RPC (production/distributed tests) or direct method
-//! calls (scheduler unit tests).
+//! runs over real XML-RPC or direct method calls (unit tests).
 
+mod core;
+
+use self::core::{Due, Effects, SlaveCore};
 use crate::master::SlaveId;
 use crate::metrics::{Counter, JobMetrics};
 use crate::proto::{
-    fetch_buckets, trace_op, Assignment, CancelOrder, DataPlane, Dispatch, TaskMsg, TaskReport,
-    TraceBatch,
+    fetch_buckets, trace_op, Assignment, DataPlane, Dispatch, TaskMsg, TaskReport, TraceBatch,
 };
 use crate::workers::{
     bucket_path, empty, join, sorted_run, trace_abandoned, Attempt, Done, Failure, Input, Plane,
@@ -54,8 +51,8 @@ use mrs_fs::url::EMPTY;
 use mrs_fs::Store;
 use mrs_rpc::{DataServer, Provider};
 use mrs_trace::{Recorder, Tag, TraceHandle, POLL_LANE};
-use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -131,17 +128,9 @@ impl MasterLink for crate::master::Master {
 /// Slave tuning knobs.
 #[derive(Clone, Debug)]
 pub struct SlaveOptions {
-    /// Longest a busy slave stays away from the master: with nothing to
-    /// ask for it polls this often anyway — its heartbeat, and the ride
-    /// out for any completion report it is holding.
-    pub max_poll_interval: Duration,
     /// Concurrent task slots (worker threads). Defaults to the number of
     /// available CPU cores.
     pub slots: usize,
-    /// Server-side park requested on fully-idle polls.
-    /// The master clamps it to its own `long_poll_timeout` and to half its
-    /// slave death timeout, so requesting generously is safe.
-    pub long_poll: Duration,
     /// Shuffle payload compression policy for this slave's outputs
     /// (`--mrs-compress`). Consumers auto-detect, so slaves with
     /// different settings interoperate.
@@ -151,117 +140,14 @@ pub struct SlaveOptions {
     /// poll loop; the recorder is bounded, so tracing never grows memory
     /// without bound and costs one uncontended lock per event.
     pub trace: bool,
-    /// Test-only straggler injection, `(data, index, ms)`: before running
-    /// any attempt of the named task this slave sleeps the given
-    /// milliseconds (checking its cancellation flag, so a backed-up
-    /// straggler aborts promptly). A backup runs clean on a slave not
-    /// given the delay.
-    pub test_delays: Vec<(u32, usize, u64)>,
 }
 
 impl Default for SlaveOptions {
     fn default() -> Self {
         SlaveOptions {
-            max_poll_interval: Duration::from_millis(50),
             slots: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            long_poll: Duration::from_secs(1),
             compress: CompressMode::default(),
             trace: true,
-            test_delays: Vec::new(),
-        }
-    }
-}
-
-/// The accepted-task queue shared between the polling thread and the
-/// workers.
-#[derive(Default)]
-struct Pipe {
-    state: Mutex<PipeState>,
-    /// Wakes workers when tasks are queued (or on shutdown).
-    cv: Condvar,
-    /// Wakes the polling thread on worker events worth a poll: the slave
-    /// went idle, a slot was freed that can be refilled (or shutdown).
-    poll_cv: Condvar,
-}
-
-#[derive(Default)]
-struct PipeState {
-    /// Assignments accepted from the master that no worker has taken yet.
-    /// The stamp is the recorder time the assignment arrived (0
-    /// untraced), so the attempt span can reach back to acceptance.
-    queue: VecDeque<(TaskMsg, u64)>,
-    /// Assignments accepted from the master and not yet reported back.
-    in_flight: usize,
-    /// Completions waiting to ride on the next poll.
-    reports: Vec<TaskReport>,
-    /// What this slave counted since its last poll; the next one carries
-    /// it. A task's counts land here before (or with) its report.
-    tally: JobMetrics,
-    /// The last poll answer said runnable work was left ungranted: a freed
-    /// slot can be refilled, so a completion is worth a poll of its own.
-    more: bool,
-    /// Cancellation flags of the attempts workers hold, keyed by (data,
-    /// index, attempt). A cancel order for such an attempt sets its flag;
-    /// its fetch observes it between peers, its kernel at the next
-    /// record/group boundary, and its sink before entering any output.
-    active: HashMap<(u32, usize, u32), Arc<AtomicBool>>,
-    /// Stop immediately and silently — crash semantics (the fault-injection
-    /// hook), a lost control channel, or the end of the job. Nothing
-    /// further is reported.
-    halt: bool,
-}
-
-impl Pipe {
-    fn shut_down(&self) {
-        self.state.lock().halt = true;
-        self.cv.notify_all();
-        self.poll_cv.notify_all();
-    }
-
-    /// Queue the tasks one poll answer granted for the workers, with the
-    /// answer's `more` hint in the same critical section, so no completion
-    /// is judged by a stale one.
-    fn enqueue(&self, tasks: Vec<TaskMsg>, accepted_us: u64, more: bool) {
-        let mut st = self.state.lock();
-        st.more = more;
-        let queued = tasks.len();
-        st.in_flight += queued;
-        st.queue.extend(tasks.into_iter().map(|task| (task, accepted_us)));
-        drop(st);
-        for _ in 0..queued {
-            self.cv.notify_one();
-        }
-    }
-
-    /// Apply attempt-cancellation orders piggybacked on a dispatch. A loser
-    /// still queued is dropped before it runs, freeing its slot at once;
-    /// one a worker holds — fetching, running or about to report — gets
-    /// its cooperative flag set. An order that finds neither names an
-    /// attempt this slave has already finished, and is a no-op: the master
-    /// orders cancels only for attempts it dispatched in an earlier answer,
-    /// each answer is applied before the next poll is sent, and every move
-    /// of an attempt between the queue, `active` and the reports is one
-    /// lock section. A dequeued loser still shows on the timeline — its
-    /// accepted→cancelled span and `Cancel` instant land on the poll lane,
-    /// since no worker ever owned it.
-    fn apply_cancels(&self, orders: &[CancelOrder], th: Option<&TraceHandle>) {
-        let mut st = self.state.lock();
-        let mut dequeued: Vec<(TaskMsg, u64)> = Vec::new();
-        for o in orders {
-            let id = (o.data, o.index, o.attempt);
-            if let Some(pos) = st.queue.iter().position(|(t, _)| key(t) == id) {
-                dequeued.extend(st.queue.remove(pos));
-            } else if let Some(flag) = st.active.get(&id) {
-                flag.store(true, Ordering::Relaxed);
-            }
-        }
-        st.in_flight -= dequeued.len();
-        drop(st);
-        for (t, accepted_us) in &dequeued {
-            trace_abandoned(th, *accepted_us, task_tag(t));
-        }
-        if !dequeued.is_empty() {
-            self.poll_cv.notify_all();
         }
     }
 }
@@ -290,25 +176,13 @@ pub fn run_slave(
     };
     let authority = server.as_ref().map(|s| s.authority()).unwrap_or_else(|| "shared".into());
 
-    let slots = opts.slots.max(1);
-    // Advertise one slot beyond the worker count: while all workers run,
-    // one more assignment waits in the queue, so one poll carries a
-    // round's next two tasks rather than each costing a poll of its own.
-    let capacity = slots + 1;
-    let id = link.signin(&authority, capacity)?;
-
-    let slave = Slave {
-        link,
-        id,
-        pipe: Pipe::default(),
-        outputs: &outputs,
-        server: server.as_ref(),
-        shared,
-        delays: &opts.test_delays,
-    };
-    let pipe = &slave.pipe;
-    // Trace recording: one recorder per slave, one handle (ring shard)
-    // per recording thread.
+    // One slot beyond the worker count: one assignment waits queued.
+    let (slots, outputs) = (opts.slots.max(1), &*outputs);
+    let id = link.signin(&authority, slots + 1)?;
+    let (core, work, poll_cv) =
+        (Mutex::new(SlaveCore::new(slots + 1)), Condvar::new(), Condvar::new());
+    let slave = Slave { link, id, core, work, poll_cv, outputs, server: server.as_ref(), shared };
+    // One trace recorder per slave, one handle (ring shard) per thread.
     let rec = opts.trace.then(Recorder::new);
     let poll_handle = rec.as_ref().map(|r| r.handle(POLL_LANE));
     let workers = Workers {
@@ -318,10 +192,6 @@ pub fn run_slave(
         trace: rec.as_ref(),
     };
     std::thread::scope(|s| {
-        // Workers fetch their own inputs, so a slow or dead peer stalls
-        // only the worker waiting on it: the polling thread keeps
-        // heartbeating, and fetch failures report standalone so recovery
-        // starts immediately.
         let workers = workers.spawn(s, &slave);
         // The round-trip measured around the *previous* poll, shipped with
         // the next trace batch so the master's clock sync can bound the
@@ -331,25 +201,20 @@ pub fn run_slave(
         let mut prev_rtt_us: Option<u64> = None;
         let main_res: Result<()> = loop {
             if stop.load(Ordering::SeqCst) {
-                pipe.shut_down();
-                break Ok(());
+                slave.halt();
             }
-            if pipe.state.lock().halt {
-                // A worker lost the control channel; nothing left to do.
-                break Ok(());
-            }
-            // Occupancy, pending reports and the tally, read in one lock
-            // section: every report leaves with its task's counts.
-            let (free, reports, counts) = {
-                let mut st = pipe.state.lock();
-                let reports = std::mem::take(&mut st.reports);
-                (capacity.saturating_sub(st.in_flight), reports, std::mem::take(&mut st.tally))
+            let (free, park, reports, tally) = {
+                let mut core = slave.core.lock();
+                match core.poll_due(Instant::now()) {
+                    Due::Poll { free, park, reports, tally } => (free, park, reports, tally),
+                    Due::Wait(until) => {
+                        slave.poll_cv.wait_until(&mut core, until);
+                        continue;
+                    }
+                    // Stopped, or a worker lost the control channel.
+                    Due::Halt => break Ok(()),
+                }
             };
-            // Park server-side only when fully idle: with workers running,
-            // a local completion could otherwise sit behind our own parked
-            // request, so a busy slave polls without parking and waits
-            // locally on the worker condvar instead.
-            let park = if free == capacity { opts.long_poll } else { Duration::ZERO };
             // Drain the trace delta *after* taking the reports: any event a
             // worker recorded before queueing its report is guaranteed to
             // ride the same (or an earlier) poll as the report itself.
@@ -361,101 +226,96 @@ pub fn run_slave(
                 _ => TraceBatch::default(),
             };
             let polled_at = Instant::now();
-            let answer = link.poll(id, free, park, reports, counts, batch).map(|(d, more)| {
-                slave.apply_orders(&d, poll_handle.as_ref());
-                (d.assignment, more)
-            });
+            let answer = link.poll(id, free, park, reports, tally, batch);
             if rec.is_some() {
                 // Parked long-polls inflate this sample; the master's
                 // min-RTT filter discards inflated ones on its own.
                 prev_rtt_us = Some(polled_at.elapsed().as_micros() as u64);
             }
-            match answer {
+            let end = match answer {
+                Ok((d, more)) if d.assignment != Assignment::Exit => {
+                    let accepted_us = rec.as_ref().map_or(0, |r| r.now_us());
+                    slave.answered(d, more, accepted_us, poll_handle.as_ref());
+                    continue;
+                }
                 // The job is over, or the master has vanished — a normal end
-                // of life for a slave: the paper's launch scripts tear
-                // everything down together (the scheduler "kills processes
-                // as soon as a job completes"). `Exit` is only answered once
-                // the job has finished or failed, so nothing left to report
-                // could change what the driver sees.
-                Ok((Assignment::Exit, _)) | Err(Error::Rpc(_)) => {
-                    pipe.shut_down();
-                    break Ok(());
-                }
-                Ok((assignment, more)) => {
-                    let tasks = match assignment {
-                        Assignment::Tasks(tasks) => tasks,
-                        _ => Vec::new(),
-                    };
-                    let accepted_us = rec.as_ref().map(|r| r.now_us()).unwrap_or(0);
-                    pipe.enqueue(tasks, accepted_us, more);
-                }
-                Err(e) => {
-                    pipe.shut_down();
-                    break Err(e);
-                }
-            }
-            // The next poll goes out when it can change something. An idle
-            // slave polls at once (it parks at the master, and its reports
-            // may close a wave); so does one with a free slot that was told
-            // more is runnable. A busy slave told nothing is left holds only
-            // reports the master cannot act on: it waits for a worker event
-            // (going idle, a slot freed by a failure or a cancel), bounded
-            // so that the empty request is its heartbeat and hears `Exit`.
-            let mut st = pipe.state.lock();
-            if st.in_flight > 0 && !(st.more && st.in_flight < capacity) && !st.halt {
-                pipe.poll_cv.wait_for(&mut st, opts.max_poll_interval);
-            }
+                // of life: the paper's launch scripts tear everything down
+                // together (the scheduler "kills processes as soon as a job
+                // completes").
+                Ok(_) | Err(Error::Rpc(_)) => Ok(()),
+                Err(e) => Err(e),
+            };
+            slave.halt();
+            break end;
         };
 
         main_res.and(join(workers))
     })
 }
 
-/// What a slave's polling thread and its workers' source, fetch and sink
-/// share.
+/// The shell around a [`SlaveCore`] that its polling thread and its
+/// workers' source, fetch and sink share.
 struct Slave<'a> {
     link: &'a dyn MasterLink,
     id: SlaveId,
-    pipe: Pipe,
+    /// Every entry runs, and its effects are carried out, under this lock.
+    core: Mutex<SlaveCore>,
+    /// Wakes workers when tasks are queued (or on halt).
+    work: Condvar,
+    /// Wakes the polling thread when a poll may be due (or on halt).
+    poll_cv: Condvar,
     outputs: &'a Outputs,
-    /// The data server peers fetch this slave's outputs from (direct
-    /// plane only).
+    /// The direct plane's data server, which peers fetch outputs from.
     server: Option<&'a DataServer>,
     /// The shared-filesystem plane's store.
     shared: Option<&'a Arc<dyn Store>>,
-    delays: &'a [(u32, usize, u64)],
 }
 
 impl Slave<'_> {
-    /// Apply the orders a poll answer carries, before its tasks are
-    /// queued. Cancels go first: an order for an attempt a worker holds
-    /// raises its flag, and the sink never enters the outputs of a flagged
-    /// attempt, so the purge that follows finds every output a loser of
-    /// the purged dataset will ever enter. Lifetime-GC purges then take
-    /// spent datasets off the output table, so long-running iterative jobs
-    /// hold O(1) intermediate data, not O(iterations) — and a granted task
-    /// that rebuilds a reclaimed dataset writes under the same paths only
-    /// after its previous life's buckets are gone. Cancel orders never
-    /// name a task granted in the same answer (they are issued for
-    /// attempts dispatched earlier), so applying them before the
-    /// assignment is queued is safe.
-    fn apply_orders(&self, d: &Dispatch, th: Option<&TraceHandle>) {
-        self.pipe.apply_cancels(&d.cancel, th);
-        for prefix in &d.purge {
-            purge(&mut self.outputs.lock(), prefix);
+    fn halt(&self) {
+        self.core.lock().halt = true;
+        self.work.notify_all();
+        self.poll_cv.notify_all();
+    }
+
+    /// Apply a poll answer — its cancels, its purges and its grant — as one
+    /// entry ([`SlaveCore::answered`]).
+    fn answered(&self, d: Dispatch, more: bool, accepted_us: u64, th: Option<&TraceHandle>) {
+        let mut core = self.core.lock();
+        let fx = core.answered(d, more, accepted_us, Instant::now());
+        self.apply(core, fx, th);
+    }
+
+    /// Carry out an entry's effects: flags raised and purged outputs
+    /// dropped before the core's lock is released, then the wakes. A
+    /// queued loser a cancel dropped still shows on the timeline: its span
+    /// and `Cancel` instant land on the poll lane, since no worker owned it.
+    fn apply(&self, core: MutexGuard<SlaveCore>, fx: Effects, th: Option<&TraceHandle>) {
+        fx.raise.iter().for_each(|flag| flag.store(true, Ordering::Relaxed));
+        if !fx.purge.is_empty() {
+            let mut table = self.outputs.lock();
+            fx.purge.iter().for_each(|prefix| purge(&mut table, prefix));
+        }
+        drop(core);
+        for (task, accepted_us) in &fx.dropped {
+            trace_abandoned(th, *accepted_us, task_tag(task));
+        }
+        for _ in 0..fx.queued {
+            self.work.notify_one();
+        }
+        if fx.wake_poller {
+            self.poll_cv.notify_all();
         }
     }
 
-    /// Report a failed attempt standalone, so recovery starts at once,
-    /// blaming the input it could not read, and wake the polling thread
-    /// for the slot it freed. A lost master stops the slave quietly, as a
-    /// failed poll does; any other error loudly.
+    /// Report a failed attempt standalone, blaming the input it could not
+    /// read. A lost master stops the slave quietly, as a failed poll does;
+    /// any other error loudly.
     fn report_failure(&self, task: &TaskMsg, failure: Failure) -> Result<()> {
         let (msg, input) = (failure.error.to_string(), failure.input.map(|i| &*task.inputs[i]));
         let sent = self.link.task_failed(self.id, task.data, task.index, task.attempt, &msg, input);
-        self.pipe.poll_cv.notify_all();
         if sent.is_err() {
-            self.pipe.shut_down();
+            self.halt();
         }
         match sent {
             Err(Error::Rpc(_)) => Ok(()),
@@ -468,37 +328,20 @@ impl Slave<'_> {
 impl Plane for Slave<'_> {
     type Task = TaskMsg;
 
-    /// The next accepted task, its inputs left to [`Plane::fetch`]. Its
-    /// cancellation flag is registered in the lock section that dequeues
-    /// it, so a cancel order lands on the queue entry or on the flag —
-    /// never in a gap between. `None` once the slave halts.
+    /// The next accepted task ([`SlaveCore::take`]), its inputs left to
+    /// [`Plane::fetch`]. `None` once the slave halts.
     fn next(&self, _: Option<&TraceHandle>) -> Option<Attempt<TaskMsg>> {
-        let mut st = self.pipe.state.lock();
-        let (task, since_us) = loop {
-            if st.halt {
+        let mut core = self.core.lock();
+        let (task, since_us, cancel) = loop {
+            if core.halt {
                 return None;
             }
-            if let Some(entry) = st.queue.pop_front() {
-                break entry;
+            if let Some(taken) = core.take() {
+                break taken;
             }
-            self.pipe.cv.wait(&mut st);
+            self.work.wait(&mut core);
         };
-        let cancel = Arc::new(AtomicBool::new(false));
-        st.active.insert(key(&task), Arc::clone(&cancel));
-        drop(st);
-        // Straggler injection (test-only). The sleep is sliced to observe
-        // the cancellation flag promptly.
-        if let Some(&(_, _, ms)) =
-            self.delays.iter().find(|&&(d, i, _)| d == task.data && i == task.index)
-        {
-            let deadline = Instant::now() + Duration::from_millis(ms);
-            while Instant::now() < deadline
-                && !cancel.load(Ordering::Relaxed)
-                && !self.pipe.state.lock().halt
-            {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
+        drop(core);
         let (spec, tag) = (task.spec(), task_tag(&task));
         Some(Attempt { task, spec, tag, since_us, inputs: None, cancel: Some(cancel) })
     }
@@ -518,66 +361,49 @@ impl Plane for Slave<'_> {
         format!("s{}/d{}/t{}", self.id, tag.data, tag.index)
     }
 
-    /// In one lock section — the one a cancel order takes to raise the
-    /// attempt's flag — free the slot, count the attempt and, unless the
-    /// flag is raised, enter its outputs and queue its report: the poll
-    /// that takes the report takes its counts too. A completion is queued
-    /// to ride the next poll (one fewer control RPC per task); a failure
-    /// reports standalone; a cancelled attempt — another attempt already
-    /// won at the master's commit point — is abandoned silently, whatever
-    /// it came back with. A halted slave goes silent (crash semantics).
-    fn finish(&self, done: Done<TaskMsg>, _: Option<&TraceHandle>) -> Result<()> {
+    /// Hand the outcome to the core and do what it says: enter the outputs
+    /// in its lock section, or report the failure after it.
+    fn finish(&self, done: Done<TaskMsg>, th: Option<&TraceHandle>) -> Result<()> {
         let Done { task, spec, tag, outcome, tally, .. } = done;
-        // On the direct plane each output stays the bucket itself, framed
-        // when a peer asks for it; its sorted-run claim (a scan, for a
-        // reduce's) is read before the lock section. A shared store holds
-        // the frames.
-        let claim = |b: Arc<Bucket>| (self.server.is_some() && sorted_run(&spec, &b), b);
-        let outcome = outcome.map(|out| out.into_iter().map(claim).collect::<Vec<_>>());
-        let mut st = self.pipe.state.lock();
-        let flag = st.active.remove(&key(&task));
-        if st.halt {
-            return Ok(());
-        }
-        st.tally.merge(&tally);
-        st.in_flight -= 1;
-        let cancelled = flag.is_some_and(|flag| flag.load(Ordering::Relaxed));
-        match outcome {
-            Ok(outputs) if !cancelled => {
-                let stem = self.stem(&tag);
-                // An output with no records is entered nowhere and named
-                // `empty:`; a consumer resolves it without a request.
-                let name = |(p, (sorted, bucket)): (usize, (bool, Arc<Bucket>))| {
-                    if bucket.is_empty() {
-                        return EMPTY.to_owned();
-                    }
-                    let path = bucket_path(&stem, p);
-                    let Some(server) = self.server else { return format!("file://{path}") };
-                    let url = server.url_for(&path);
-                    self.outputs.lock().insert(path, (bucket, sorted));
-                    url
-                };
-                let urls = outputs.into_iter().enumerate().map(name).collect();
-                let TaskMsg { data, index, attempt, .. } = task;
-                st.reports.push(TaskReport { data, index, attempt, urls });
-                // Worth a poll of its own only if it may close a wave (the
-                // slave is now idle) or the freed slot can be refilled;
-                // otherwise it rides the poll made anyway.
-                if st.in_flight == 0 || st.more {
-                    self.pipe.poll_cv.notify_all();
+        let outputs = match outcome {
+            Ok(outputs) => outputs,
+            Err(failure) => {
+                let cancelled = matches!(failure.error, Error::Cancelled);
+                let fx = self.core.lock().failed(&task, &tally, cancelled);
+                let sent =
+                    if fx.report_failure { self.report_failure(&task, failure) } else { Ok(()) };
+                if fx.wake_poller {
+                    self.poll_cv.notify_all();
                 }
-                Ok(())
+                return sent;
             }
-            Err(failure) if !cancelled && !matches!(failure.error, Error::Cancelled) => {
-                drop(st);
-                self.report_failure(&task, failure)
+        };
+        // Named before the lock section. An output with no records is
+        // `empty:`, entered nowhere. On the direct plane each other output
+        // is entered as the bucket itself with its sorted-run claim (a
+        // scan, for a reduce's); a shared store holds the frames.
+        let stem = self.stem(&tag);
+        let mut entries = Vec::new();
+        let name = |(p, bucket): (usize, Arc<Bucket>)| {
+            if bucket.is_empty() {
+                return EMPTY.to_owned();
             }
-            _ => {
-                drop(st);
-                self.pipe.poll_cv.notify_all();
-                Ok(())
-            }
+            let path = bucket_path(&stem, p);
+            let Some(server) = self.server else { return format!("file://{path}") };
+            let url = server.url_for(&path);
+            let sorted = sorted_run(&spec, &bucket);
+            entries.push((path, (bucket, sorted)));
+            url
+        };
+        let urls = outputs.into_iter().enumerate().map(name).collect();
+        let TaskMsg { data, index, attempt, .. } = task;
+        let mut core = self.core.lock();
+        let fx = core.finished(TaskReport { data, index, attempt, urls }, &tally);
+        if fx.enter && !entries.is_empty() {
+            self.outputs.lock().extend(entries);
         }
+        self.apply(core, fx, th);
+        Ok(())
     }
 }
 
@@ -671,17 +497,13 @@ fn task_tag(task: &TaskMsg) -> Tag {
     Tag::task(trace_op(&task.spec()), task.data, task.index, task.attempt)
 }
 
-/// The identity of a task attempt: (data, index, attempt).
-fn key(task: &TaskMsg) -> (u32, usize, u32) {
-    (task.data, task.index, task.attempt)
-}
-
 #[cfg(test)]
 mod tests {
+    use super::core::{key, IDLE_PARK, MAX_POLL_INTERVAL};
     use super::*;
     use crate::job::JobApi;
     use crate::master::{Master, MasterConfig};
-    use crate::proto::TaskKind;
+    use crate::proto::{CancelOrder, TaskKind};
     use mrs_core::kv::encode_record;
     use mrs_core::task::run_task;
     use mrs_core::TaskSpec;
@@ -831,7 +653,6 @@ mod tests {
     #[derive(Clone, Debug, PartialEq)]
     struct Polled {
         free: usize,
-        park: Duration,
         /// (data, index) of every piggybacked report.
         reports: Vec<(u32, usize)>,
         /// The output URLs of every piggybacked report, in order.
@@ -842,28 +663,17 @@ mod tests {
 
     /// A master that plays a script: every poll is logged and answered by
     /// `answer(n, log)` — `n` counts polls from 1 and `log[n - 1]` is the
-    /// poll being answered. Failure reports are logged and handed to
-    /// `on_failed`.
+    /// poll being answered. Failure reports are logged.
     struct Script<F> {
         answer: F,
-        on_failed: fn(&Gate),
-        gate: Arc<Gate>,
         polls: Mutex<Vec<Polled>>,
-        failed: Mutex<Vec<(u32, usize)>>,
         /// (message, failed input) of every failure report.
-        failed_inputs: Mutex<Vec<(String, Option<String>)>>,
+        failed: Mutex<Vec<(String, Option<String>)>>,
     }
 
     impl<F> Script<F> {
-        fn new(gate: &Arc<Gate>, answer: F) -> Arc<Self> {
-            Arc::new(Script {
-                answer,
-                on_failed: |_| {},
-                gate: Arc::clone(gate),
-                polls: Mutex::default(),
-                failed: Mutex::default(),
-                failed_inputs: Mutex::default(),
-            })
+        fn new(answer: F) -> Arc<Self> {
+            Arc::new(Script { answer, polls: Mutex::default(), failed: Mutex::default() })
         }
     }
 
@@ -883,7 +693,7 @@ mod tests {
             &self,
             _slave: SlaveId,
             free: usize,
-            park: Duration,
+            _park: Duration,
             reports: Vec<TaskReport>,
             counts: JobMetrics,
             _trace: TraceBatch,
@@ -891,21 +701,19 @@ mod tests {
             let mut polls = self.polls.lock();
             let urls = reports.iter().flat_map(|r| r.urls.clone()).collect();
             let reports = reports.iter().map(|r| (r.data, r.index)).collect();
-            polls.push(Polled { free, park, reports, urls, merge_runs: counts.merge_runs() });
+            polls.push(Polled { free, reports, urls, merge_runs: counts.merge_runs() });
             Ok((self.answer)(polls.len(), &polls))
         }
         fn task_failed(
             &self,
             _: SlaveId,
-            data: u32,
-            index: usize,
+            _: u32,
+            _: usize,
             _: u32,
             msg: &str,
             input: Option<&str>,
         ) -> Result<()> {
-            self.failed.lock().push((data, index));
-            self.failed_inputs.lock().push((msg.to_owned(), input.map(str::to_owned)));
-            (self.on_failed)(&self.gate);
+            self.failed.lock().push((msg.to_owned(), input.map(str::to_owned)));
             Ok(())
         }
     }
@@ -980,147 +788,201 @@ mod tests {
         }
     }
 
-    /// A store holding `input()` as the one-record splits `src0`, `src1`:
-    /// task 0 runs free, task 1 stops at the gate.
-    fn split_store() -> Arc<dyn Store> {
-        let store: Arc<dyn Store> = Arc::new(MemFs::new());
-        for (i, record) in input().into_iter().enumerate() {
-            store.put(&format!("src{i}"), &framed(&[record])).unwrap();
+    /// A bare core, driven at instants given as offsets from `t0`, with
+    /// one worker's capacity (two): nothing here sleeps or spawns.
+    struct Sim {
+        core: SlaveCore,
+        t0: Instant,
+    }
+
+    /// What a poll carried: free slots, park, (data, index) of each report.
+    #[derive(Debug)]
+    struct Sent {
+        free: usize,
+        park: Duration,
+        reports: Vec<(u32, usize)>,
+    }
+
+    impl Sim {
+        fn new() -> Sim {
+            Sim { core: SlaveCore::new(2), t0: Instant::now() }
         }
-        store
+
+        /// A core whose first (idle) poll has gone out at `t0`.
+        fn polled() -> Sim {
+            let mut sim = Sim::new();
+            sim.poll(Duration::ZERO);
+            sim
+        }
+
+        fn at(&self, offset: Duration) -> Instant {
+            self.t0 + offset
+        }
+
+        fn due(&mut self, offset: Duration) -> Due {
+            self.core.poll_due(self.at(offset))
+        }
+
+        /// The poll due at `offset`; panics when none is.
+        fn poll(&mut self, offset: Duration) -> Sent {
+            match self.due(offset) {
+                Due::Poll { free, park, reports, .. } => {
+                    let reports = reports.iter().map(|r| (r.data, r.index)).collect();
+                    Sent { free, park, reports }
+                }
+                other => panic!("no poll due at {offset:?}: {other:?}"),
+            }
+        }
+
+        fn answer(&mut self, d: Dispatch, more: bool, offset: Duration) -> Effects {
+            self.core.answered(d, more, 0, self.at(offset))
+        }
+
+        fn take(&mut self) -> TaskMsg {
+            self.core.take().expect("an accepted attempt").0
+        }
+
+        fn finish(&mut self, task: &TaskMsg) -> Effects {
+            let TaskMsg { data, index, attempt, .. } = *task;
+            let report = TaskReport { data, index, attempt, urls: Vec::new() };
+            self.core.finished(report, &JobMetrics::default())
+        }
     }
 
-    /// Run a one-worker slave against `link` until it exits on its own; a
-    /// slave that sleeps where it should poll hangs, and fails after 20 s.
-    fn run_scripted(
-        link: Arc<dyn MasterLink>,
-        gate: &Arc<Gate>,
-        store: &Arc<dyn Store>,
-        max_poll_interval: Duration,
-    ) {
-        let opts = SlaveOptions { max_poll_interval, slots: 1, ..SlaveOptions::default() };
-        let program: Arc<dyn Program> = Arc::new(Simple(Gated(Arc::clone(gate))));
-        let plane = DataPlane::SharedFs(Arc::clone(store));
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let slave = std::thread::spawn(move || {
-            let r = run_slave(&*link, program, plane, &opts, &AtomicBool::new(false));
-            let _ = done_tx.send(r);
-        });
-        done_rx
-            .recv_timeout(Duration::from_secs(20))
-            .expect("slave slept where it should have polled")
-            .unwrap();
-        slave.join().unwrap();
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
     }
 
-    /// Longer than any test runs: a wait this long only ends by a wake.
-    const NEVER: Duration = Duration::from_secs(60);
+    /// A poll answer granting `tasks`.
+    fn grant(tasks: Vec<TaskMsg>) -> Dispatch {
+        answer(Assignment::Tasks(tasks), false).0
+    }
+
+    /// A poll answer ordering attempt 1 of map task (`data`, `index`)
+    /// cancelled.
+    fn cancel(data: u32, index: usize) -> Dispatch {
+        let (mut d, _) = answer(Assignment::Wait, false);
+        d.cancel.push(CancelOrder { data, index, attempt: 1 });
+        d
+    }
 
     /// An idle slave whose park is cut short by a delivery goes straight
-    /// back to the master with the same park: the first (fully idle) poll
-    /// is answered `Wait` plus one cancel order — what a long-polling
-    /// master does when it cuts a park short to hand orders over — the
-    /// second grants one map task, and the report ends the script.
+    /// back to the master with the same park: its first poll is answered
+    /// `Wait` plus one cancel order — what a long-polling master does when
+    /// it cuts a park short to hand orders over — and the next poll is due
+    /// at that same instant.
     #[test]
     fn early_wait_with_deliveries_is_reparked_not_slept_on() {
-        let gate = Arc::new(Gate::default());
-        let link = Script::new(&gate, |n, log: &[Polled]| match n {
-            1 => {
-                let (mut d, more) = answer(Assignment::Wait, false);
-                d.cancel.push(CancelOrder { data: 9, index: 0, attempt: 9 });
-                (d, more)
-            }
-            2 => answer(Assignment::Tasks(vec![map_task(0)]), false),
-            _ if reported(log) == 1 => answer(Assignment::Exit, false),
-            _ => answer(Assignment::Wait, false),
-        });
-        run_scripted(link.clone(), &gate, &split_store(), NEVER);
-        let polls = link.polls.lock().clone();
-        assert_eq!(reported(&polls), 1, "the granted task must run and report");
-        assert_eq!(polls[0].park, SlaveOptions::default().long_poll, "an idle slave parks");
-        assert_eq!(polls[1].park, polls[0].park, "the re-poll after an early Wait parks too");
+        let mut sim = Sim::new();
+        let first = sim.poll(Duration::ZERO);
+        assert_eq!((first.free, first.park), (2, IDLE_PARK), "an idle slave parks");
+        let fx = sim.answer(cancel(9, 0), false, ms(1));
+        assert!(fx.raise.is_empty() && fx.dropped.is_empty() && fx.queued == 0);
+        let again = sim.poll(ms(1));
+        assert_eq!(again.park, first.park, "the re-poll after an early Wait parks too");
     }
 
-    /// Told nothing is left for it, a slave with two queued tasks keeps
+    /// Told nothing is left for it, a slave with two accepted tasks keeps
     /// the first report until the second task is done: one poll carries
     /// both, and finds the slave idle.
     #[test]
     fn told_nothing_left_one_poll_carries_both_reports() {
-        let gate = Arc::new(Gate::default());
-        gate.open();
-        let link = Script::new(&gate, |n, _: &[Polled]| match n {
-            1 => answer(Assignment::Tasks(vec![map_task(0), map_task(1)]), false),
-            _ => answer(Assignment::Exit, false),
-        });
-        run_scripted(link.clone(), &gate, &split_store(), NEVER);
-        let polls = link.polls.lock().clone();
-        assert_eq!(polls.len(), 2, "{polls:?}");
-        assert_eq!(polls[1].reports, [(1, 0), (1, 1)]);
-        assert_eq!((polls[1].free, polls[1].park), (2, SlaveOptions::default().long_poll));
+        let mut sim = Sim::polled();
+        sim.answer(grant(vec![map_task(0), map_task(1)]), false, ms(1));
+        let first = sim.take();
+        assert!(!sim.finish(&first).wake_poller);
+        assert!(matches!(sim.due(ms(2)), Due::Wait(at) if at == sim.at(ms(1) + MAX_POLL_INTERVAL)));
+        let second = sim.take();
+        assert!(sim.finish(&second).wake_poller, "the slave went idle");
+        let poll = sim.poll(ms(3));
+        assert_eq!(poll.reports, [(1, 0), (1, 1)]);
+        assert_eq!((poll.free, poll.park), (2, IDLE_PARK));
     }
 
     /// Told more is runnable, the first completion polls at once — while
     /// the second task still runs — so the freed slot is refilled.
     #[test]
     fn told_more_runnable_the_first_completion_polls_at_once() {
-        let gate = Arc::new(Gate::default());
-        let script_gate = Arc::clone(&gate);
-        let link = Script::new(&gate, move |n, log: &[Polled]| match n {
-            1 => answer(Assignment::Tasks(vec![map_task(0), map_task(1)]), true),
-            _ if reported(log) == 2 => answer(Assignment::Exit, false),
-            _ => {
-                // Only now may the second task finish.
-                script_gate.open();
-                answer(Assignment::Wait, false)
-            }
-        });
-        run_scripted(link.clone(), &gate, &split_store(), NEVER);
-        let polls = link.polls.lock().clone();
-        assert_eq!(polls[1].reports, [(1, 0)], "{polls:?}");
-        assert_eq!((polls[1].free, polls[1].park), (1, Duration::ZERO), "a busy slave never parks");
+        let mut sim = Sim::polled();
+        sim.answer(grant(vec![map_task(0), map_task(1)]), true, ms(1));
+        let (first, _second) = (sim.take(), sim.take());
+        assert!(sim.finish(&first).wake_poller);
+        let poll = sim.poll(ms(1));
+        assert_eq!(poll.reports, [(1, 0)]);
+        assert_eq!((poll.free, poll.park), (1, Duration::ZERO), "a busy slave never parks");
     }
 
-    /// A report withheld behind a running task leaves with the bounded
-    /// heartbeat poll: nothing but `max_poll_interval` running out sends
-    /// it, since the second task cannot finish before it has left.
+    /// A report withheld behind a running task leaves with the heartbeat:
+    /// no poll is due 1 µs before `MAX_POLL_INTERVAL` has passed since the
+    /// answer, one is at it.
     #[test]
-    fn withheld_report_leaves_within_max_poll_interval() {
-        let gate = Arc::new(Gate::default());
-        let script_gate = Arc::clone(&gate);
-        let link = Script::new(&gate, move |n, log: &[Polled]| match n {
-            1 => answer(Assignment::Tasks(vec![map_task(0), map_task(1)]), false),
-            _ if reported(log) == 2 => answer(Assignment::Exit, false),
-            _ => {
-                if reported(log) == 1 {
-                    script_gate.open();
-                }
-                answer(Assignment::Wait, false)
-            }
-        });
-        run_scripted(link.clone(), &gate, &split_store(), Duration::from_millis(5));
-        let polls = link.polls.lock().clone();
-        let carrier = polls.iter().find(|p| !p.reports.is_empty()).unwrap();
-        assert_eq!(carrier.reports, [(1, 0)], "{polls:?}");
-        assert_eq!(carrier.free, 1, "the second task still held its slot");
+    fn withheld_report_leaves_with_the_heartbeat() {
+        let mut sim = Sim::polled();
+        sim.answer(grant(vec![map_task(0), map_task(1)]), false, ms(1));
+        let (first, _second) = (sim.take(), sim.take());
+        assert!(!sim.finish(&first).wake_poller);
+        let heartbeat = ms(1) + MAX_POLL_INTERVAL;
+        let early = sim.due(heartbeat - Duration::from_micros(1));
+        assert!(matches!(early, Due::Wait(at) if at == sim.at(heartbeat)), "{early:?}");
+        let poll = sim.poll(heartbeat);
+        assert_eq!(poll.reports, [(1, 0)]);
+        assert_eq!(poll.free, 1, "the second task still held its slot");
     }
 
-    /// A failure is never withheld: it reports standalone while the other
-    /// task is still running, whatever the last answer said.
+    /// A failure is never withheld: it reports standalone at once, and
+    /// wakes the poller for its slot, whatever the last answer said. The
+    /// wake is spent by the poll it causes: once that poll is answered,
+    /// the busy slave waits for its heartbeat again. A cancelled attempt's
+    /// failure reports nothing.
     #[test]
     fn failure_reports_standalone_at_once() {
-        let gate = Arc::new(Gate::default());
-        let mut script = Script::new(&gate, |n, log: &[Polled]| match n {
-            // Split 7 does not exist: the fetch of task 7 fails.
-            1 => answer(Assignment::Tasks(vec![map_task(7), map_task(1)]), false),
-            _ if reported(log) == 1 => answer(Assignment::Exit, false),
-            _ => answer(Assignment::Wait, false),
-        });
-        // Only the failure report lets the other task finish.
-        Arc::get_mut(&mut script).unwrap().on_failed = Gate::open;
-        run_scripted(script.clone(), &gate, &split_store(), NEVER);
-        assert_eq!(*script.failed.lock(), [(1, 7)]);
-        let polls = script.polls.lock().clone();
-        assert_eq!(polls.last().unwrap().reports, [(1, 1)], "{polls:?}");
+        let mut sim = Sim::polled();
+        sim.answer(grant(vec![map_task(7), map_task(1)]), false, ms(1));
+        let (failing, running) = (sim.take(), sim.take());
+        let fx = sim.core.failed(&failing, &JobMetrics::default(), false);
+        assert!(fx.report_failure && fx.wake_poller);
+        let poll = sim.poll(ms(2));
+        assert!(poll.reports.is_empty() && poll.free == 1, "{poll:?}");
+        sim.answer(answer(Assignment::Wait, false).0, false, ms(3));
+        assert!(matches!(sim.due(ms(4)), Due::Wait(at) if at == sim.at(ms(3) + MAX_POLL_INTERVAL)));
+        let fx = sim.core.failed(&running, &JobMetrics::default(), true);
+        assert!(!fx.report_failure && fx.wake_poller);
+    }
+
+    /// A cancel order for an attempt a worker holds and the purge of its
+    /// dataset arrive in one answer. Whether the attempt finishes before
+    /// that answer (its report still waiting for a poll) or after it, none
+    /// of its outputs stays entered and it reports nothing. Effects are
+    /// applied to a model output table in the order the shell applies them.
+    #[test]
+    fn a_cancel_and_its_datasets_purge_in_one_answer_leave_nothing_in_either_order() {
+        for finish_first in [true, false] {
+            let mut sim = Sim::polled();
+            sim.answer(grant(vec![map_task(0)]), false, ms(1));
+            let task = sim.take();
+            let mut table = BTreeMap::new();
+            let finish = |sim: &mut Sim, table: &mut BTreeMap<_, _>| {
+                if sim.finish(&task).enter {
+                    table.insert("s0/d1/t0/b0.mrsb".to_owned(), (Arc::new(Bucket::new()), true));
+                }
+            };
+            if finish_first {
+                finish(&mut sim, &mut table);
+            }
+            let mut d = cancel(1, 0);
+            d.purge.push("s0/d1/".into());
+            let fx = sim.answer(d, false, ms(2));
+            fx.purge.iter().for_each(|prefix| purge(&mut table, prefix));
+            assert_eq!(fx.raise.len(), usize::from(!finish_first), "finish first: {finish_first}");
+            if !finish_first {
+                finish(&mut sim, &mut table);
+            }
+            let left: Vec<&String> = table.keys().collect();
+            assert!(left.is_empty(), "finish first: {finish_first}: {left:?}");
+            let poll = sim.poll(ms(3));
+            assert!(poll.reports.is_empty(), "finish first: {finish_first}: {poll:?}");
+            assert_eq!(held(&sim.core), 0);
+        }
     }
 
     /// A link to a real master that logs every completion report and
@@ -1169,7 +1031,7 @@ mod tests {
             let carried: Vec<(u32, usize)> = reports.iter().map(|r| (r.data, r.index)).collect();
             self.reports.lock().extend(&carried);
             let (urls, merge_runs) = (Vec::new(), counts.merge_runs());
-            self.polls.lock().push(Polled { free, park, reports: carried, urls, merge_runs });
+            self.polls.lock().push(Polled { free, reports: carried, urls, merge_runs });
             let answer = MasterLink::poll(&self.master, slave, free, park, reports, counts, trace);
             if matches!(&answer, Ok((d, _)) if d.assignment == Assignment::Exit) {
                 self.exited.store(true, Ordering::SeqCst);
@@ -1208,11 +1070,7 @@ mod tests {
         let spy = Spy::new(&master);
         let slave = {
             let (spy, plane) = (Arc::clone(&spy), plane.clone());
-            let opts = SlaveOptions {
-                max_poll_interval: Duration::from_millis(5),
-                slots: 1,
-                ..SlaveOptions::default()
-            };
+            let opts = SlaveOptions { slots: 1, ..SlaveOptions::default() };
             std::thread::spawn(move || {
                 run_slave(&*spy, program, plane, &opts, &AtomicBool::new(false))
             })
@@ -1243,25 +1101,25 @@ mod tests {
         let gate = Arc::new(Gate::default());
         let program: Arc<dyn Program> = Arc::new(Simple(Gated(Arc::clone(&gate))));
         let mut driver = master.clone();
-        let src = driver.local_data(input(), 2).unwrap();
+        // The gated record (keyed 1) first: map task 0 stops at the gate.
+        let src = driver.local_data(input().into_iter().rev().collect(), 2).unwrap();
         let mapped = driver.map_data(src, 0, 1, false).unwrap();
 
         // The first slave is granted both map tasks and told nothing is
-        // left. Its one worker reaches the gate inside the second task, so
-        // the first task's report is queued by then — and stays queued:
-        // the slave is busy, and its bounded wait is a minute.
+        // left. Its one worker stops at the gate inside the first; the
+        // slave is stopped there, before either task has finished. Every
+        // poll is preceded by a look at the stop flag, so the reports the
+        // two tasks then queue — the first waiting behind the second, the
+        // second for the poll its idleness wakes — are never sent.
         let spy = Spy::new(&master);
         let stop = Arc::new(AtomicBool::new(false));
         let first = {
             let (spy, program, plane, stop) =
                 (Arc::clone(&spy), Arc::clone(&program), plane.clone(), Arc::clone(&stop));
-            let opts =
-                SlaveOptions { max_poll_interval: NEVER, slots: 1, ..SlaveOptions::default() };
+            let opts = SlaveOptions { slots: 1, ..SlaveOptions::default() };
             std::thread::spawn(move || run_slave(&*spy, program, plane, &opts, &stop))
         };
         gate.await_arrival();
-        // Stop it, then let the second task finish: going idle wakes the
-        // poll thread, which finds the stop flag instead of polling.
         stop.store(true, Ordering::SeqCst);
         gate.open();
         first.join().unwrap().unwrap();
@@ -1351,10 +1209,21 @@ mod tests {
     /// A link whose polls are never sent: the caller plays the polling
     /// thread. Failure reports are logged.
     fn unpolled() -> Arc<Script<Answer>> {
-        Script::new(&Arc::new(Gate::default()), |_, _| answer(Assignment::Wait, false))
+        Script::new(|_, _| answer(Assignment::Wait, false))
     }
 
     type Answer = fn(usize, &[Polled]) -> (Dispatch, bool);
+
+    /// Slave 0's shell, holding one worker's capacity (two).
+    fn shell<'a>(
+        link: &'a dyn MasterLink,
+        outputs: &'a Outputs,
+        server: Option<&'a DataServer>,
+        shared: Option<&'a Arc<dyn Store>>,
+    ) -> Slave<'a> {
+        let (core, work, poll_cv) = (Mutex::new(SlaveCore::new(2)), Condvar::new(), Condvar::new());
+        Slave { link, id: 0, core, work, poll_cv, outputs, server, shared }
+    }
 
     /// Run a one-worker slave's worker while `drive` plays its polling
     /// thread (recording on the poll lane); returns what `drive` returned
@@ -1369,14 +1238,13 @@ mod tests {
         drive: impl FnOnce(&Slave, &TraceHandle) -> R,
     ) -> (R, Vec<mrs_trace::Event>) {
         /// Stops the worker even when `drive` panics.
-        struct Halt<'a>(&'a Pipe);
-        impl Drop for Halt<'_> {
+        struct Halt<'a, 'b>(&'a Slave<'b>);
+        impl Drop for Halt<'_, '_> {
             fn drop(&mut self) {
-                self.0.shut_down();
+                self.0.halt();
             }
         }
-        let pipe = Pipe::default();
-        let slave = Slave { link, id: 0, pipe, outputs, server, shared, delays: &[] };
+        let slave = shell(link, outputs, server, shared);
         let rec = Recorder::new();
         let poll_lane = rec.handle(POLL_LANE);
         let store = shared.map(|s| (&**s, CompressMode::default()));
@@ -1384,7 +1252,7 @@ mod tests {
         let out = std::thread::scope(|s| {
             let worker = workers.spawn(s, &slave);
             let out = {
-                let _halt = Halt(&slave.pipe);
+                let _halt = Halt(&slave);
                 drive(&slave, &poll_lane)
             };
             join(worker).unwrap();
@@ -1393,42 +1261,42 @@ mod tests {
         (out, rec.drain().0)
     }
 
-    /// Wait until `cond` holds of the pipe (re-checked whenever the slave
-    /// signals its polling thread, and every millisecond).
-    fn await_pipe(pipe: &Pipe, cond: impl Fn(&PipeState) -> bool) {
-        let mut st = pipe.state.lock();
-        while !cond(&st) {
-            pipe.poll_cv.wait_for(&mut st, Duration::from_millis(1));
+    /// Wait until the slave's attempts are all finished (re-checked
+    /// whenever the slave signals its polling thread, and every
+    /// millisecond).
+    fn await_idle(slave: &Slave) {
+        let mut core = slave.core.lock();
+        while core.in_flight > 0 {
+            slave.poll_cv.wait_for(&mut core, Duration::from_millis(1));
         }
     }
 
-    /// How many entries the pipe holds for particular attempts.
-    fn held(st: &PipeState) -> usize {
-        let PipeState { queue, in_flight, reports, active, tally: _, more: _, halt: _ } = st;
-        queue.len() + in_flight + reports.len() + active.len()
+    /// How many entries the core holds for particular attempts.
+    fn held(core: &SlaveCore) -> usize {
+        core.queue.len() + core.in_flight + core.reports.len() + core.active.len()
     }
 
     /// Where an accepted attempt is when its cancel order arrives. (There
     /// is no stage between its fetch and its kernel: the worker that
-    /// fetched it runs it.)
+    /// fetched it runs it.) `Finished`: its report waits for a poll.
     #[derive(Clone, Copy, Debug, PartialEq)]
     enum Stage {
         Queued,
         BeingFetched,
         Running,
-        Reported,
+        Finished,
     }
 
     /// A cancel order reaches an accepted attempt at every stage it can be
-    /// in. The attempt is never reported (but for the one that reported
-    /// before the order), its slot is freed, it has exactly one closed
+    /// in. The attempt is never reported (a report still waiting for a
+    /// poll is withdrawn), its slot is freed, it has exactly one closed
     /// `Attempt` span — with a `Cancel` instant, unless it had already
-    /// reported — and nothing about it is left in the pipe.
+    /// finished — and nothing about it is left in the core.
     #[test]
     fn cancel_order_reaches_an_accepted_attempt_at_every_stage() {
         use mrs_trace::{Kind, Name};
         use Stage::*;
-        for stage in [Queued, BeingFetched, Running, Reported] {
+        for stage in [Queued, BeingFetched, Running, Finished] {
             let (fetch_gate, kernel_gate) = (Arc::new(Gate::default()), Arc::new(Gate::default()));
             // `free` is a split nothing stops; `slow` the same behind the
             // fetch gate; `gated` stops its kernel at its first record, and
@@ -1455,7 +1323,7 @@ mod tests {
                 Queued => (Some("slow"), "free"),
                 BeingFetched => (None, "slow"),
                 Running => (None, "gated"),
-                Reported => (None, "free"),
+                Finished => (None, "free"),
             };
             let target = task(1, input);
             let mut tasks: Vec<TaskMsg> = ahead.map(|i| task(0, i)).into_iter().collect();
@@ -1467,23 +1335,22 @@ mod tests {
             let outputs = Outputs::default();
             let (reported, events) =
                 with_stages(&*link, &program, Some(&store), None, &outputs, |slave, th| {
-                    slave.pipe.enqueue(tasks, th.now_us(), false);
+                    slave.answered(grant(tasks), false, th.now_us(), Some(th));
                     match stage {
                         Queued | BeingFetched => fetch_gate.await_arrival(),
                         Running => kernel_gate.await_arrival(),
-                        Reported => await_pipe(&slave.pipe, |st| st.in_flight == 0),
+                        Finished => await_idle(slave),
                     }
-                    let order = CancelOrder { data: 1, index: 1, attempt: 1 };
-                    slave.pipe.apply_cancels(&[order], Some(th));
+                    slave.answered(cancel(1, 1), false, 0, Some(th));
                     fetch_gate.open();
                     kernel_gate.open();
-                    await_pipe(&slave.pipe, |st| st.in_flight == 0);
-                    let st = slave.pipe.state.lock();
-                    assert!(!st.queue.iter().any(|(t, _)| is_target(t)), "{stage:?}");
-                    assert!(!st.active.contains_key(&key(&target)), "{stage:?}");
-                    st.reports.iter().filter(|r| r.index == target.index).count()
+                    await_idle(slave);
+                    let core = slave.core.lock();
+                    assert!(!core.queue.iter().any(|(t, _)| is_target(t)), "{stage:?}");
+                    assert!(!core.active.contains_key(&key(&target)), "{stage:?}");
+                    core.reports.iter().filter(|r| r.index == target.index).count()
                 });
-            assert_eq!(reported, usize::from(stage == Reported), "{stage:?}");
+            assert_eq!(reported, 0, "{stage:?}");
             assert!(link.failed.lock().is_empty(), "{stage:?}");
             let traced = |name: Name, kind: Kind| {
                 let mine = |e: &&mrs_trace::Event| e.tag.key() == (1, 1, 1);
@@ -1492,12 +1359,12 @@ mod tests {
             let span = (traced(Name::Attempt, Kind::Begin), traced(Name::Attempt, Kind::End));
             assert_eq!(span, (1, 1), "{stage:?}: {events:?}");
             let cancels = traced(Name::Cancel, Kind::Instant);
-            assert_eq!(cancels, usize::from(stage != Reported), "{stage:?}: {events:?}");
+            assert_eq!(cancels, usize::from(stage != Finished), "{stage:?}: {events:?}");
         }
     }
 
     /// Cancel orders for attempts this slave has already reported find no
-    /// record and leave none: after 1,000 of them the pipe holds nothing
+    /// record and leave none: after 1,000 of them the core holds nothing
     /// about any attempt.
     #[test]
     fn cancel_orders_for_reported_attempts_leave_nothing_behind() {
@@ -1507,17 +1374,18 @@ mod tests {
         let program = Simple(WordCount);
         with_stages(&*link, &program, Some(&store), None, &outputs, |slave, th| {
             let tasks = (0..1000).map(|index| TaskMsg { index, ..map_task(0) }).collect();
-            slave.pipe.enqueue(tasks, th.now_us(), false);
-            await_pipe(&slave.pipe, |st| st.in_flight == 0);
+            slave.answered(grant(tasks), false, th.now_us(), Some(th));
+            await_idle(slave);
             // The poll that carries the reports home.
-            let reports = std::mem::take(&mut slave.pipe.state.lock().reports);
+            let reports = std::mem::take(&mut slave.core.lock().reports);
             assert_eq!(reports.len(), 1000);
-            let orders: Vec<CancelOrder> = reports
+            let (mut d, _) = answer(Assignment::Wait, false);
+            d.cancel = reports
                 .iter()
                 .map(|r| CancelOrder { data: r.data, index: r.index, attempt: r.attempt })
                 .collect();
-            slave.pipe.apply_cancels(&orders, Some(th));
-            assert_eq!(held(&slave.pipe.state.lock()), 0);
+            slave.answered(d, false, 0, Some(th));
+            assert_eq!(held(&slave.core.lock()), 0);
         });
     }
 
@@ -1540,14 +1408,12 @@ mod tests {
         let program = Simple(WordCount);
         let (reports, _) =
             with_stages(&*link, &program, Some(&store), None, &outputs, |slave, th| {
-                slave.pipe.enqueue(vec![task], th.now_us(), false);
+                slave.answered(grant(vec![task]), false, th.now_us(), Some(th));
                 fetch_gate.await_arrival();
-                slave
-                    .pipe
-                    .apply_cancels(&[CancelOrder { data: 1, index: 0, attempt: 1 }], Some(th));
+                slave.answered(cancel(1, 0), false, 0, Some(th));
                 fetch_gate.open();
-                await_pipe(&slave.pipe, |st| st.in_flight == 0);
-                slave.pipe.state.lock().reports.len()
+                await_idle(slave);
+                slave.core.lock().reports.len()
             });
         assert_eq!((reports, calls.load(Ordering::SeqCst)), (0, 0));
         assert!(link.failed.lock().is_empty(), "a cancelled fetch reported a failure");
@@ -1567,10 +1433,10 @@ mod tests {
         let task = TaskMsg { kind: TaskKind::Reduce, inputs: urls.clone(), ..map_task(0) };
         let (link, outputs) = (unpolled(), Outputs::default());
         with_stages(&*link, &Simple(WordCount), None, None, &outputs, |slave, th| {
-            slave.pipe.enqueue(vec![task], th.now_us(), false);
-            await_pipe(&slave.pipe, |st| st.in_flight == 0);
+            slave.answered(grant(vec![task]), false, th.now_us(), Some(th));
+            await_idle(slave);
         });
-        let failed = link.failed_inputs.lock().clone();
+        let failed = link.failed.lock().clone();
         assert!(matches!(&failed[..], [(_, Some(input))] if *input == urls[2]), "{failed:?}");
         assert!(!failed[0].0.contains("cancelled"), "{failed:?}");
     }
@@ -1594,15 +1460,14 @@ mod tests {
         let program = Simple(Gated(Arc::clone(&kernel_gate)));
         let (reports, events) =
             with_stages(&*link, &program, None, Some(&server), &outputs, |slave, th| {
-                slave.pipe.enqueue(vec![task], th.now_us(), false);
+                slave.answered(grant(vec![task]), false, th.now_us(), Some(th));
                 kernel_gate.await_arrival();
-                let (mut d, _) = answer(Assignment::Wait, false);
+                let mut d = cancel(1, 0);
                 d.purge.push("s0/d1/".into());
-                d.cancel.push(CancelOrder { data: 1, index: 0, attempt: 1 });
-                slave.apply_orders(&d, Some(th));
+                slave.answered(d, false, 0, Some(th));
                 kernel_gate.open();
-                await_pipe(&slave.pipe, |st| st.in_flight == 0);
-                slave.pipe.state.lock().reports.len()
+                await_idle(slave);
+                slave.core.lock().reports.len()
             });
         let left: Vec<String> =
             outputs.lock().keys().filter(|path| path.starts_with("s0/d1/")).cloned().collect();
@@ -1610,6 +1475,56 @@ mod tests {
         assert!(link.failed.lock().is_empty());
         // The kernel returned its outputs: the order landed after it.
         assert!(!events.iter().any(|e| e.name == mrs_trace::Name::Cancel), "{events:?}");
+    }
+
+    /// A loser's sink and the answer that cancels it and purges its
+    /// dataset, run side by side 200 times: the answer's cancels and its
+    /// purges are one lock section, so wherever the sink's entry of the
+    /// outputs lands, nothing of the dataset stays and nothing is
+    /// reported. The purged dataset holds 1,000 other outputs, and the
+    /// answer runs on the thread the barrier releases first while the sink
+    /// must wake: a purge run outside that section leaves a wide window
+    /// for the entry to land after it and stay.
+    #[test]
+    fn a_loser_finishing_beside_the_answer_that_cancels_and_purges_it_leaves_nothing() {
+        let outputs = Arc::new(Outputs::default());
+        let (server, _) = counted_server(&outputs);
+        let link = unpolled();
+        let slave = shell(&*link, &outputs, Some(&server), None);
+        let bucket = Arc::new(Bucket::from_records(vec![(b"k".to_vec(), b"v".to_vec())]));
+        let start = std::sync::Barrier::new(2);
+        for attempt in 1..=200 {
+            slave.answered(grant(vec![TaskMsg { attempt, ..map_task(0) }]), false, 0, None);
+            let Attempt { task, spec, tag, .. } = slave.next(None).expect("the granted attempt");
+            let mut table = outputs.lock();
+            for t in 1..=1000 {
+                table.insert(format!("s0/d1/t{t}/b0.mrsb"), (Arc::clone(&bucket), true));
+            }
+            drop(table);
+            let mut d = cancel(1, 0);
+            d.cancel[0].attempt = attempt;
+            d.purge.push("s0/d1/".into());
+            let outcome = Ok(vec![Arc::clone(&bucket)]);
+            let done = Done {
+                task,
+                spec,
+                tag,
+                outcome,
+                elapsed: Duration::ZERO,
+                tally: JobMetrics::default(),
+            };
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    start.wait();
+                    slave.finish(done, None).unwrap();
+                });
+                start.wait();
+                slave.answered(d, false, 0, None);
+            });
+            let left: Vec<String> = outputs.lock().keys().cloned().collect();
+            assert_eq!(left, Vec::<String>::new(), "attempt {attempt}");
+            assert!(slave.core.lock().reports.is_empty(), "attempt {attempt} reported");
+        }
     }
 
     #[test]
@@ -1630,7 +1545,9 @@ mod tests {
             let stop = Arc::clone(&stop1);
             std::thread::spawn(move || run_slave(&m, p, plane, &SlaveOptions::default(), &stop))
         };
-        std::thread::sleep(Duration::from_millis(20));
+        while master.live_slaves() == 0 {
+            std::thread::yield_now();
+        }
         stop1.store(true, Ordering::SeqCst);
         let _ = h1.join().unwrap();
 
@@ -1742,9 +1659,9 @@ mod tests {
             let link = unpolled();
             let (urls, _) =
                 with_stages(&*link, &Backwards, None, Some(&server), &outputs, |slave, th| {
-                    slave.pipe.enqueue(vec![task], th.now_us(), false);
-                    await_pipe(&slave.pipe, |st| st.in_flight == 0);
-                    slave.pipe.state.lock().reports.pop().expect("a report").urls
+                    slave.answered(grant(vec![task]), false, th.now_us(), Some(th));
+                    await_idle(slave);
+                    slave.core.lock().reports.pop().expect("a report").urls
                 });
             let path = urls[0].strip_prefix(&format!("http://{}", server.authority())).unwrap();
             let frame = mrs_rpc::dataserver::fetch(&server.authority(), path).unwrap();
@@ -1802,7 +1719,7 @@ mod tests {
         };
         let stage = Mutex::new(0);
         let (seen2, reduce_input2) = (Arc::clone(&seen), Arc::clone(&reduce_input));
-        let link = Script::new(&Arc::new(Gate::default()), move |_, log: &[Polled]| {
+        let link = Script::new(move |_, log: &[Polled]| {
             let mut stage = stage.lock();
             let last = log.last().unwrap();
             let (tasks, purge) = match *stage {
@@ -1842,7 +1759,7 @@ mod tests {
             d.purge = purge;
             (d, more)
         });
-        let opts = SlaveOptions { max_poll_interval: NEVER, slots: 1, ..SlaveOptions::default() };
+        let opts = SlaveOptions { slots: 1, ..SlaveOptions::default() };
         let program: Arc<dyn Program> = Arc::new(Simple(WordCount));
         run_slave(&*link, program, DataPlane::Direct, &opts, &AtomicBool::new(false)).unwrap();
 
@@ -1863,7 +1780,7 @@ mod tests {
             matches!(&after_purge[..], [Err(Error::MissingData(m))] if m.contains("http 404")),
             "a purged path is still served: {after_purge:?}"
         );
-        let failed = link.failed_inputs.lock().clone();
+        let failed = link.failed.lock().clone();
         let url = reduce_input.lock().clone();
         assert!(
             matches!(&failed[..], [(msg, Some(input))] if msg.contains("s0/d1/t0/b0.mrsb") && *input == url),
@@ -1894,7 +1811,7 @@ mod tests {
         type Seen = (Vec<String>, Vec<bool>);
         let seen: Arc<Mutex<Seen>> = Arc::default();
         let seen2 = Arc::clone(&seen);
-        let link = Script::new(&Arc::new(Gate::default()), move |_, log: &[Polled]| {
+        let link = Script::new(move |_, log: &[Polled]| {
             if let Some(tasks) = tasks.lock().take() {
                 return answer(Assignment::Tasks(tasks), false);
             }

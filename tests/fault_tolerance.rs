@@ -11,6 +11,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+mod common;
+
 fn big_input() -> Vec<mrs_core::Record> {
     let lines: Vec<String> =
         (0..600).map(|i| format!("common w{} w{} w{}", i % 13, i % 29, i % 7)).collect();
@@ -121,35 +123,25 @@ fn killing_all_but_one_slave_still_completes() {
 /// report from the cancelled loser.
 #[test]
 fn winners_slave_dying_after_commit_recomputes_the_task() {
-    let mut cluster = LocalCluster::start(
-        Arc::new(Simple(WordCount)),
-        0,
-        DataPlane::Direct,
-        quick_sweep_config(),
-    )
-    .unwrap();
-    // Dataset ids are deterministic per job: source = 0, map = 1. The
-    // first slave holds map task (1, 0) for 400ms, and draws it: it is the
-    // first task dispatched. Only then does a clean slave join, whose
-    // backup of the task commits first.
-    let straggly = SlaveOptions { slots: 2, test_delays: vec![(1, 0, 400)], ..Default::default() };
-    cluster.add_slave_with(straggly);
-    let reduced = {
+    // Map task 0 reads lines 0..75; its first run takes 75 x 6 ms.
+    let straggler = common::Straggler::new(75, Duration::from_millis(6));
+    let mut cluster =
+        LocalCluster::start(straggler.clone(), 0, DataPlane::Direct, quick_sweep_config()).unwrap();
+    // The first slave draws map task 0: it is the first task dispatched.
+    // Only once its straggling run has started does a clean slave join,
+    // whose backup of the task commits first.
+    cluster.add_slave_with(SlaveOptions { slots: 2, ..Default::default() });
+    let (mapped, reduced) = {
         let mut job = Job::new(&mut cluster);
         let src = job.local_data(big_input(), 8).unwrap();
         let mapped = job.map_data(src, 0, 4, false).unwrap();
-        job.reduce_data(mapped, 0).unwrap()
+        (mapped, job.reduce_data(mapped, 0).unwrap())
     };
-    while cluster.metrics().dispatched_tasks() == 0 {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    straggler.await_start();
     cluster.add_slave_with(SlaveOptions { slots: 2, ..Default::default() });
-    // Wait for the backup's completion to be committed.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while cluster.metrics().speculative_wins() == 0 {
-        assert!(std::time::Instant::now() < deadline, "speculative backup never won");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    // Once the map wave is complete, the backup's completion is committed.
+    Job::new(&mut cluster).wait(mapped).unwrap();
+    assert!(cluster.metrics().speculative_wins() >= 1, "speculative backup never won");
     // The winner is the second slave; kill both, with a replacement
     // arriving first so the job is never slave-less.
     cluster.add_slave();

@@ -19,6 +19,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+mod common;
+
 fn sample_lines() -> Vec<String> {
     (0..60).map(|i| format!("alpha w{} w{} beta w{}", i % 7, i % 11, i % 3)).collect()
 }
@@ -125,44 +127,38 @@ fn wordcount_identical_across_all_five_runtimes() {
 }
 
 /// Force an actual backup-vs-original race and check it is answer-neutral:
-/// a hidden per-slave test hook holds one map task far past the
-/// speculation cutoff on the slave that draws it, so the master launches a
-/// backup on the other slave, the backup wins, and the delayed original is
-/// cancelled. First-completion-wins arbitration must keep the output
-/// byte-identical to the bypass count.
+/// the first run of one map task is a straggler that runs far past the
+/// speculation cutoff, so the master launches a backup on the other
+/// slave, the backup wins, and the straggler is cancelled.
+/// First-completion-wins arbitration must keep the output byte-identical
+/// to the bypass count.
 #[test]
 fn forced_backup_race_preserves_the_answer() {
     let lines = sample_lines();
     let bypass = corpus::tokenizer::reference_counts(lines.iter().map(String::as_str));
 
-    let mut cluster = LocalCluster::start(
-        Arc::new(Simple(WordCount)),
-        0,
-        DataPlane::Direct,
-        MasterConfig::default(),
-    )
-    .unwrap();
-    // Dataset ids are deterministic per job: source = 0, map = 1. The
-    // first slave holds map task (1, 0) for 400ms, and draws it: it is the
-    // first task dispatched. Only then does a clean slave join.
-    let straggly = SlaveOptions { slots: 2, test_delays: vec![(1, 0, 400)], ..Default::default() };
-    cluster.add_slave_with(straggly);
+    // Map task 0 reads lines 0..8; its first run takes 8 x 50 ms.
+    let straggler = common::Straggler::new(8, std::time::Duration::from_millis(50));
+    let mut cluster =
+        LocalCluster::start(straggler.clone(), 0, DataPlane::Direct, MasterConfig::default())
+            .unwrap();
+    // The first slave draws map task 0: it is the first task dispatched.
+    // Only once its straggling run has started does a clean slave join.
+    cluster.add_slave_with(SlaveOptions { slots: 2, ..Default::default() });
     let reduced = {
         let mut job = Job::new(&mut cluster);
         let src = job.local_data(lines_to_records(lines.iter().map(String::as_str)), 8).unwrap();
         let mapped = job.map_data(src, 0, 3, true).unwrap();
         job.reduce_data(mapped, 0).unwrap()
     };
-    while cluster.metrics().dispatched_tasks() == 0 {
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
+    straggler.await_start();
     cluster.add_slave_with(SlaveOptions { slots: 2, ..Default::default() });
 
     let raced = decode_counts(&Job::new(&mut cluster).fetch_all(reduced).unwrap()).unwrap();
     assert_eq!(raced, bypass, "forced-backup cluster vs bypass");
     let metrics = cluster.metrics();
     assert!(metrics.speculative_launches() >= 1, "the injected straggler never got a backup");
-    assert!(metrics.speculative_wins() >= 1, "a full-speed backup should beat a 400ms sleeper");
+    assert!(metrics.speculative_wins() >= 1, "a full-speed backup should beat a 400 ms straggler");
     assert_eq!(
         metrics.speculative_launches(),
         metrics.speculative_wins() + metrics.speculative_losses(),
