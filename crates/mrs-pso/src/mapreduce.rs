@@ -239,7 +239,8 @@ impl PsoProgram {
     /// Drive `outer_iters` island-granularity MapReduce iterations on any
     /// runtime, queueing the next iteration before fetching the previous
     /// one's result (the paper's operation pipelining: the convergence
-    /// check overlaps the next iteration's computation).
+    /// check overlaps the next iteration's computation). It leaves no
+    /// dataset behind.
     pub fn drive_islands(&self, job: &mut Job, outer_iters: u64) -> Result<Vec<IterRecord>> {
         let n_islands = self.n_islands() as usize;
         let n = self.config.n_particles;
@@ -249,7 +250,8 @@ impl PsoProgram {
             best_val: Self::best_of_islands(&self.initial_islands())?,
             func_evals: n,
         });
-        let mut ds = job.local_data(self.initial_islands(), n_islands)?;
+        let src = job.local_data(self.initial_islands(), n_islands)?;
+        let mut ds = src;
         // Pipelining discipline: iteration t+1's ops are queued *before*
         // iteration t's result is fetched. A dataset may only be discarded
         // once its consumer is complete: fetching r_t proves m_t complete,
@@ -296,7 +298,9 @@ impl PsoProgram {
                 job.discard(old);
             }
             job.discard(m_last);
+            job.discard(r_last);
         }
+        job.discard(src);
         Ok(history)
     }
 
@@ -326,7 +330,8 @@ impl PsoProgram {
     /// discard (a queued consumer still needs the data) and reclaims the
     /// dataset when the consumer completes; the serial runtime, which runs
     /// each op as it is queued and has no lifetime GC, frees it at once
-    /// instead of holding every round until the job ends.
+    /// instead of holding every round until the job ends. The source and
+    /// the result go once the result is fetched.
     fn run_chain(
         &self,
         job: &mut Job,
@@ -353,10 +358,14 @@ impl PsoProgram {
         }
         let r = job.reduce_data(m, func)?;
         job.discard(m);
-        job.fetch_all(r)
+        let out = job.fetch_all(r)?;
+        job.discard(ds);
+        job.discard(r);
+        Ok(out)
     }
 
-    /// Drive `iters` per-particle MapReduce iterations.
+    /// Drive `iters` per-particle MapReduce iterations. It leaves no
+    /// dataset behind.
     pub fn drive_particles(&self, job: &mut Job, iters: u64) -> Result<Vec<IterRecord>> {
         let n = self.config.n_particles;
         let parts = n as usize;
@@ -377,8 +386,10 @@ impl PsoProgram {
                 func_evals: n + t * n,
             });
             job.discard(ds);
+            job.discard(m);
             ds = r;
         }
+        job.discard(ds);
         Ok(history)
     }
 
@@ -624,12 +635,25 @@ mod tests {
             let mut rt = SerialRuntime::new(program.clone());
             let mut held = Held { inner: &mut rt, live: HashSet::new(), peak: 0 };
             let got = program.run_islands(&mut Job::new(&mut held), 12, fused).unwrap();
-            // The source and the result are all that is left.
-            assert_eq!(held.live.len(), 2, "fused={fused}: {:?}", held.live);
+            // Nothing is left.
+            assert!(held.live.is_empty(), "fused={fused}: {:?}", held.live);
             assert!(held.peak <= if fused { 3 } else { 4 }, "fused={fused}: {}", held.peak);
             let mut pool = LocalRuntime::pool(program.clone(), 3);
             assert_eq!(got, program.run_islands(&mut Job::new(&mut pool), 12, fused).unwrap());
         }
+    }
+
+    /// The paper's iterative drivers free every dataset they made by the
+    /// time they return.
+    #[test]
+    fn drivers_leave_no_dataset_behind() {
+        let program = Arc::new(PsoProgram::new(config(Topology::Subswarms { size: 4 }), 2));
+        let mut rt = SerialRuntime::new(program.clone());
+        let mut held = Held { inner: &mut rt, live: HashSet::new(), peak: 0 };
+        program.drive_islands(&mut Job::new(&mut held), 5).unwrap();
+        assert!(held.live.is_empty(), "drive_islands: {:?}", held.live);
+        program.drive_particles(&mut Job::new(&mut held), 3).unwrap();
+        assert!(held.live.is_empty(), "drive_particles: {:?}", held.live);
     }
 
     #[test]

@@ -13,12 +13,9 @@
 //! prog --mrs master --mrs-port-file P     # master: binds, writes its port
 //! prog --mrs slave  --mrs-master H:P      # slave: joins an existing master
 //! prog --mrs slave  --mrs-master H:P --mrs-slots 4   # slave with 4 task slots
-//! prog --mrs master --mrs-longpoll-ms 250 # cap server-side get_task parks
 //! prog --mrs master --mrs-compress on    # LZ-compress buckets (a link slower than loopback)
 //! prog --mrs master --mrs-speculate off      # no straggler backup tasks
-//! prog --mrs master --mrs-speculate threshold=2.5  # back up at 2.5× median runtime
 //! prog --mrs master --mrs-trace trace.json   # write a Chrome trace at job end
-//! prog --mrs slave --mrs-master H:P --mrs-no-trace  # slave ships no trace deltas
 //! ```
 //!
 //! An `--mrs…` argument that is none of these options is an error, not a
@@ -32,8 +29,8 @@
 use crate::distributed::{serve_master, RpcMasterLink};
 use crate::job::Job;
 use crate::local::LocalRuntime;
-use crate::master::{Master, MasterConfig};
-use crate::proto::{DataPlane, SpeculateMode};
+use crate::master::{Master, MasterConfig, SpeculateMode};
+use crate::proto::DataPlane;
 use crate::serial::SerialRuntime;
 use crate::slave::{run_slave, SlaveOptions};
 use mrs_codec::CompressMode;
@@ -41,7 +38,6 @@ use mrs_core::{Error, Program, Result};
 use mrs_fs::TempFs;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Which execution implementation to use.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -74,17 +70,13 @@ pub enum Implementation {
 pub struct CliOptions {
     /// Selected implementation (default: serial, like the original Mrs).
     pub implementation: Implementation,
-    /// Long-poll cap override (`--mrs-longpoll-ms`): the longest a master
-    /// parks an idle slave's poll. A master-only flag; a slave refuses it.
-    pub long_poll: Option<Duration>,
     /// Shuffle payload compression (`--mrs-compress=on|off`, default off:
     /// checksummed stored frames). Decoders read the compressed bit per
     /// payload, so mixed settings across a cluster interoperate.
     pub compress: CompressMode,
-    /// Speculative execution (`--mrs-speculate on|off|threshold=X`,
-    /// default on at 1.5×): once a wave is mostly done, a task running
-    /// longer than X× the median completed runtime gets a backup attempt
-    /// on another slave; first completion wins and the loser is cancelled.
+    /// Speculative execution (`--mrs-speculate on|off`, default on): once
+    /// a wave is mostly done, a task running longer than 1.5× the median
+    /// completed runtime gets a backup attempt on another slave; first completion wins and the loser is cancelled.
     /// `off` is the non-speculative scheduler, kept as a first-class
     /// oracle. A no-op on the single-process implementations.
     pub speculate: SpeculateMode,
@@ -93,9 +85,6 @@ pub struct CliOptions {
     /// critical-path report to stderr. Loadable in Perfetto or
     /// `chrome://tracing`.
     pub trace_path: Option<String>,
-    /// Trace recording (`--mrs-no-trace` turns it off): with tracing off
-    /// a slave ships no trace batches and the master keeps no timeline.
-    pub trace: bool,
     /// Everything that was not an `--mrs*` option, for the program's own
     /// argument handling.
     pub rest: Vec<String>,
@@ -109,11 +98,9 @@ pub fn parse_options<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptio
     let mut port_file = None;
     let mut master = None;
     let mut slots = None;
-    let mut long_poll = None;
     let mut compress = CompressMode::default();
     let mut speculate = SpeculateMode::default();
     let mut trace_path = None;
-    let mut trace = true;
     let mut rest = Vec::new();
 
     let mut iter = args.into_iter();
@@ -148,13 +135,6 @@ pub fn parse_options<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptio
                         .map_err(|e| Error::Invalid(format!("--mrs-slots {v:?}: {e}")))?,
                 );
             }
-            "--mrs-longpoll-ms" => {
-                let v = value_of("--mrs-longpoll-ms")?;
-                let ms = v
-                    .parse::<u64>()
-                    .map_err(|e| Error::Invalid(format!("--mrs-longpoll-ms {v:?}: {e}")))?;
-                long_poll = Some(Duration::from_millis(ms));
-            }
             "--mrs-compress" => {
                 let v = value_of("--mrs-compress")?;
                 compress = CompressMode::parse(&v).map_err(Error::Invalid)?;
@@ -164,7 +144,6 @@ pub fn parse_options<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptio
                 speculate = SpeculateMode::parse(&v)?;
             }
             "--mrs-trace" => trace_path = Some(value_of("--mrs-trace")?),
-            "--mrs-no-trace" => trace = false,
             unknown if unknown.starts_with("--mrs") => {
                 return Err(Error::Invalid(format!("unknown option {unknown:?}")))
             }
@@ -194,16 +173,7 @@ pub fn parse_options<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptio
     if slots == Some(0) {
         return Err(Error::Invalid("--mrs-slots must be positive".into()));
     }
-    if long_poll == Some(Duration::ZERO) {
-        return Err(Error::Invalid("--mrs-longpoll-ms must be positive".into()));
-    }
-    if long_poll.is_some() && matches!(implementation, Implementation::Slave { .. }) {
-        return Err(Error::Invalid("--mrs-longpoll-ms applies to the master, not a slave".into()));
-    }
-    if trace_path.is_some() && !trace {
-        return Err(Error::Invalid("--mrs-trace conflicts with --mrs-no-trace".into()));
-    }
-    Ok(CliOptions { implementation, long_poll, compress, speculate, trace_path, trace, rest })
+    Ok(CliOptions { implementation, compress, speculate, trace_path, rest })
 }
 
 fn num_cpus() -> usize {
@@ -211,9 +181,9 @@ fn num_cpus() -> usize {
 }
 
 /// Write the timeline as Chrome trace JSON and print the critical-path
-/// report to stderr. No-op without a `--mrs-trace` path or a trace.
-fn export_trace(path: Option<&str>, trace: Option<mrs_trace::JobTrace>) -> Result<()> {
-    let (Some(path), Some(trace)) = (path, trace) else {
+/// report to stderr. No-op without a `--mrs-trace` path.
+fn export_trace(path: Option<&str>, trace: mrs_trace::JobTrace) -> Result<()> {
+    let Some(path) = path else {
         return Ok(());
     };
     std::fs::write(path, trace.chrome_json())?;
@@ -231,29 +201,25 @@ where
         Implementation::Serial => {
             let mut rt = SerialRuntime::new(program);
             let result = driver(&mut Job::new(&mut rt));
-            result.and(export_trace(options.trace_path.as_deref(), Some(rt.take_trace())))
+            result.and(export_trace(options.trace_path.as_deref(), rt.take_trace()))
         }
         Implementation::MockParallel => {
             let spill = Arc::new(TempFs::new("mockparallel")?);
             let mut rt = LocalRuntime::mock_parallel_with(program, spill, options.compress);
             let result = driver(&mut Job::new(&mut rt));
-            result.and(export_trace(options.trace_path.as_deref(), Some(rt.take_trace())))
+            result.and(export_trace(options.trace_path.as_deref(), rt.take_trace()))
         }
         Implementation::Pool(workers) => {
             let mut rt = LocalRuntime::pool(program, *workers);
             let result = driver(&mut Job::new(&mut rt));
-            result.and(export_trace(options.trace_path.as_deref(), Some(rt.take_trace())))
+            result.and(export_trace(options.trace_path.as_deref(), rt.take_trace()))
         }
         Implementation::Master { port, port_file } => {
-            let mut cfg = MasterConfig {
+            let cfg = MasterConfig {
                 compress: options.compress,
                 speculate: options.speculate,
-                trace: options.trace,
                 ..MasterConfig::default()
             };
-            if let Some(lp) = options.long_poll {
-                cfg.long_poll_timeout = lp;
-            }
             let master = Master::new(cfg, DataPlane::Direct)?;
             let server = serve_master(master.clone(), *port).map_err(Error::Io)?;
             if let Some(path) = port_file {
@@ -278,7 +244,6 @@ where
                 slave_opts.slots = *n;
             }
             slave_opts.compress = options.compress;
-            slave_opts.trace = options.trace;
             run_slave(&link, program, DataPlane::Direct, &slave_opts, &stop)
         }
     }
@@ -336,19 +301,6 @@ mod tests {
         );
     }
 
-    /// The long-poll cap is the master's; on a slave, which would only
-    /// ask for a park the master clamps anyway, the flag is refused rather
-    /// than ignored.
-    #[test]
-    fn parses_longpoll_flag() {
-        assert_eq!(opts(&["--mrs", "master"]).unwrap().long_poll, None);
-        let o = opts(&["--mrs", "master", "--mrs-longpoll-ms", "250"]).unwrap();
-        assert_eq!(o.long_poll, Some(Duration::from_millis(250)));
-        let slave = ["--mrs", "slave", "--mrs-master", "h:1", "--mrs-longpoll-ms", "250"];
-        let err = opts(&slave).unwrap_err().to_string();
-        assert!(err.contains("--mrs-longpoll-ms applies to the master"), "{err}");
-    }
-
     #[test]
     fn parses_compress_flag() {
         assert_eq!(opts(&[]).unwrap().compress, CompressMode::Off);
@@ -358,16 +310,22 @@ mod tests {
         assert!(err.contains("on|off"), "{err}");
     }
 
-    /// `--mrs-keep-data` (lineage rebuilds what GC reclaimed) and
-    /// `--mrs-eager-shuffle` (every reduce input is fetched at task time)
-    /// are gone: each is an unknown option now, with or without a value,
-    /// not an argument for the program.
+    /// `--mrs-keep-data` (lineage rebuilds what GC reclaimed),
+    /// `--mrs-eager-shuffle` (every reduce input is fetched at task time),
+    /// `--mrs-longpoll-ms` (a park is capped at half the slave timeout)
+    /// and `--mrs-no-trace` (tracing is always on, its memory bounded) are
+    /// gone: each is an unknown option now, with or without a value, not
+    /// an argument for the program.
     #[test]
     fn retired_flags_are_rejected_as_unknown() {
         for args in [
             &["--mrs", "pool", "--mrs-keep-data", "rest.txt"][..],
             &["--mrs", "master", "--mrs-eager-shuffle", "off"],
             &["--mrs-eager-shuffle"],
+            &["--mrs", "master", "--mrs-longpoll-ms", "250"],
+            &["--mrs", "slave", "--mrs-master", "h:1", "--mrs-longpoll-ms", "250"],
+            &["--mrs", "slave", "--mrs-master", "h:1", "--mrs-no-trace"],
+            &["--mrs-no-trace", "--mrs-trace", "/tmp/t.json"],
         ] {
             let err = opts(args).unwrap_err().to_string();
             assert!(err.contains("unknown option \"--mrs-"), "{args:?}: {err}");
@@ -378,23 +336,41 @@ mod tests {
     fn parses_speculate_flag() {
         assert_eq!(opts(&[]).unwrap().speculate, SpeculateMode::default());
         assert_eq!(opts(&["--mrs-speculate", "off"]).unwrap().speculate, SpeculateMode::Off);
-        assert_eq!(opts(&["--mrs-speculate", "on"]).unwrap().speculate, SpeculateMode::default());
-        assert_eq!(
-            opts(&["--mrs-speculate", "threshold=2.5"]).unwrap().speculate,
-            SpeculateMode::On { threshold: 2.5 }
-        );
+        assert_eq!(opts(&["--mrs-speculate", "on"]).unwrap().speculate, SpeculateMode::On);
+        // The straggler multiple is a constant now.
+        let err = opts(&["--mrs-speculate", "threshold=2.5"]).unwrap_err().to_string();
+        assert!(err.contains("on|off"), "{err}");
     }
 
     #[test]
     fn parses_trace_flags() {
-        let o = opts(&[]).unwrap();
-        assert!(o.trace, "tracing defaults on");
-        assert_eq!(o.trace_path, None);
+        assert_eq!(opts(&[]).unwrap().trace_path, None);
         let o = opts(&["--mrs-trace", "/tmp/t.json"]).unwrap();
         assert_eq!(o.trace_path.as_deref(), Some("/tmp/t.json"));
-        assert!(!opts(&["--mrs-no-trace"]).unwrap().trace);
         assert!(opts(&["--mrs-trace"]).is_err());
-        assert!(opts(&["--mrs-no-trace", "--mrs-trace", "/tmp/t.json"]).is_err());
+    }
+
+    /// Every flag in README.md's "Runtime flags at a glance" table is one
+    /// the parser accepts with the first value its row lists: a retired
+    /// flag cannot stay in the table.
+    #[test]
+    fn readme_flag_table_is_the_parser() {
+        let readme = include_str!("../../../README.md");
+        let section = readme.split("### Runtime flags at a glance").nth(1).expect("the section");
+        let table = section.lines().skip_while(|l| !l.starts_with('|'));
+        let rows: Vec<&str> = table.take_while(|l| l.starts_with('|')).skip(2).collect();
+        assert!(rows.len() >= 4, "{rows:?}");
+        // The first `code` span of a cell.
+        let code = |cell: &str| cell.split('`').nth(1).map(str::to_owned);
+        for row in rows {
+            let cells: Vec<&str> = row.trim_matches('|').split(" | ").collect();
+            let (flag, value) = (code(cells[0]), cells.get(1).and_then(|c| code(c)));
+            let (Some(flag), Some(value)) = (flag, value) else { panic!("row {row:?}") };
+            assert!(flag.starts_with("--mrs-"), "{row}");
+            if let Err(e) = opts(&["--mrs", "master", &flag, &value]) {
+                panic!("README lists {flag} {value}: {e}");
+            }
+        }
     }
 
     #[test]
@@ -426,12 +402,9 @@ mod tests {
         assert!(opts(&["--mrs", "pool", "--mrs-workers", "0"]).is_err());
         assert!(opts(&["--mrs-port", "not-a-port"]).is_err());
         assert!(opts(&["--mrs", "slave", "--mrs-master", "h:1", "--mrs-slots", "0"]).is_err());
-        assert!(opts(&["--mrs-longpoll-ms", "0"]).is_err());
-        assert!(opts(&["--mrs-longpoll-ms", "soon"]).is_err());
         assert!(opts(&["--mrs-compress"]).is_err());
         assert!(opts(&["--mrs-compress", "maybe"]).is_err());
         assert!(opts(&["--mrs-speculate", "perhaps"]).is_err());
-        assert!(opts(&["--mrs-speculate", "threshold=0.5"]).is_err());
         // Retired and mistyped options are named, not passed through to
         // the program.
         for flag in ["--mrs-control", "--mrs-merge", "--mrs-test-delay", "--mrs-sloots"] {
@@ -478,11 +451,9 @@ mod tests {
                 port: 0,
                 port_file: Some(path.to_string_lossy().into_owned()),
             },
-            long_poll: None,
             compress: CompressMode::default(),
             speculate: SpeculateMode::default(),
             trace_path: None,
-            trace: true,
             rest: vec![],
         };
         // Driver with no work: just verify the port file exists while the

@@ -146,7 +146,6 @@ impl LocalCluster {
         // payload), but a uniform default keeps the benchmarks honest;
         // add_slave_with can diverge.
         options.compress = cfg.compress;
-        options.trace = cfg.trace;
         let master = Master::new(cfg, plane.clone())?;
         let server = serve_master(master.clone(), 0).map_err(Error::Io)?;
         let mut cluster =
@@ -169,10 +168,11 @@ impl LocalCluster {
     }
 
     /// Drain the assembled job trace (master events plus every ingested
-    /// slave delta, on the master clock). `None` when tracing is off;
-    /// a second call returns only events recorded since the first.
+    /// slave delta, on the master clock); a second call returns only
+    /// events recorded since the first. Always `Some`: tracing is always
+    /// on.
     pub fn take_trace(&self) -> Option<mrs_trace::JobTrace> {
-        self.master.take_trace()
+        Some(self.master.take_trace())
     }
 
     /// Add one slave thread to the cluster.
@@ -290,7 +290,7 @@ impl Drop for LocalCluster {
 mod tests {
     use super::*;
     use crate::job::Job;
-    use crate::proto::SpeculateMode;
+    use crate::master::SpeculateMode;
     use mrs_core::kv::encode_record;
     use mrs_core::{Datum, MapReduce, Simple};
     use mrs_fs::MemFs;
@@ -576,25 +576,6 @@ mod tests {
             sorted_counts(job.map_reduce(input, 5, 3, true).unwrap())
         };
         assert_eq!(serial, distributed);
-        // The tracing-off arm must agree byte for byte: with no trace the
-        // slave's get_task request has no fifth parameter.
-        let untraced = {
-            let cfg = MasterConfig { trace: false, ..MasterConfig::default() };
-            let opts = SlaveOptions { trace: false, ..SlaveOptions::default() };
-            let mut cluster = LocalCluster::start_with(
-                Arc::new(Simple(WordCount)),
-                4,
-                DataPlane::Direct,
-                cfg,
-                opts,
-            )
-            .unwrap();
-            let mut job = Job::new(&mut cluster);
-            let out = sorted_counts(job.map_reduce(lines(37), 5, 3, true).unwrap());
-            assert!(cluster.take_trace().is_none(), "tracing off keeps no timeline");
-            out
-        };
-        assert_eq!(serial, untraced, "tracing off changed the answer");
     }
 
     #[test]

@@ -182,7 +182,10 @@ impl<'a> Job<'a> {
     }
 
     /// The classic one-shot pattern: map then reduce with the `Simple`
-    /// program's single function pair, returning the reduce output.
+    /// program's single function pair, returning the reduce output. Once
+    /// it is fetched the job holds nothing: every dataset it made is
+    /// discarded (lifetime GC already took the map output, on a runtime
+    /// that has it).
     pub fn map_reduce(
         &mut self,
         input: Vec<Record>,
@@ -193,7 +196,11 @@ impl<'a> Job<'a> {
         let src = self.local_data(input, map_tasks)?;
         let mapped = self.map_data(src, 0, reduce_tasks, combine)?;
         let reduced = self.reduce_data(mapped, 0)?;
-        self.fetch_all(reduced)
+        let out = self.fetch_all(reduced)?;
+        for data in [src, mapped, reduced] {
+            self.discard(data);
+        }
+        Ok(out)
     }
 }
 

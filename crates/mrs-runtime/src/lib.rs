@@ -36,10 +36,10 @@
 //! its in-flight tasks.
 //!
 //! Stragglers are handled by speculative execution
-//! ([`proto::SpeculateMode`], `--mrs-speculate`, default on): when a wave
-//! is mostly complete and idle slots exist, a task running past a
-//! configurable multiple of the median completed-task runtime gets a
-//! backup attempt on a different slave. The first
+//! ([`master::SpeculateMode`], `--mrs-speculate on|off`, default on):
+//! when a wave is mostly complete and idle slots exist, a task running
+//! past 1.5 times the median completed-task runtime gets a backup
+//! attempt on a different slave. The first
 //! completion wins at the master's commit point; every losing attempt is
 //! cancelled cooperatively via an order piggybacked on its slave's next
 //! poll, and a stale report from a loser is recognized by its attempt id
@@ -53,6 +53,11 @@
 //! until the earliest possible slave death. Master
 //! and slaves speak one wire version ([`proto::PROTOCOL_VERSION`]),
 //! checked at `signin`.
+//!
+//! Every plane traces every task attempt, always: each recording thread
+//! writes into a fixed-size ring, and the master holds each slave's
+//! ingested events in one more, so the timeline's memory is bounded by
+//! the slave count, not by the rounds run.
 //! * the **bypass** implementation is a plain function call in Rust: run
 //!   your serial code directly (see `examples/`).
 //!
@@ -77,8 +82,8 @@ pub use data::DataId;
 pub use distributed::LocalCluster;
 pub use job::{Job, JobApi};
 pub use local::LocalRuntime;
-pub use master::{Master, MasterConfig};
+pub use master::{Master, MasterConfig, SpeculateMode};
 pub use mrs_codec::CompressMode;
-pub use proto::{DataPlane, SpeculateMode};
+pub use proto::DataPlane;
 pub use serial::SerialRuntime;
 pub use slave::SlaveOptions;

@@ -109,7 +109,7 @@ impl LocalRuntime {
                 .name("mrs-workers".into())
                 .spawn(move || {
                     let store = spill.as_ref().map(|(store, compress)| (&**store, *compress));
-                    let trace = Some(&shared.trace);
+                    let trace = &shared.trace;
                     Workers { program: program.as_ref(), store, slots, trace }.run(&*shared)
                 })
                 .expect("spawn workers")
@@ -124,7 +124,9 @@ impl LocalRuntime {
 
     /// Drain the recorded timeline: one lane per pool worker, the same
     /// span vocabulary as the distributed slaves. A second call returns
-    /// only events recorded since the first.
+    /// only events recorded since the first. Between calls each worker
+    /// holds its newest `DEFAULT_CAPACITY` events; older ones are counted
+    /// in `dropped`.
     pub fn take_trace(&self) -> JobTrace {
         let (events, dropped) = self.shared.trace.drain();
         JobTrace::from_local(events, dropped)
@@ -150,7 +152,7 @@ impl Plane for Shared {
     /// Claim the oldest runnable task no worker has yet and take its input
     /// (under the lock: O(1) per split or run, never per record; execution
     /// happens outside it).
-    fn next(&self, th: Option<&TraceHandle>) -> Option<Attempt<(DataId, usize)>> {
+    fn next(&self, th: &TraceHandle) -> Option<Attempt<(DataId, usize)>> {
         let mut st = self.state.lock();
         let (data, index, spec) = loop {
             if st.shutdown {
@@ -164,16 +166,14 @@ impl Plane for Shared {
         };
         // The attempt reaches back to the claim, so the handover of its
         // input is on the timeline too.
-        let since_us = th.map_or(0, TraceHandle::now_us);
+        let since_us = th.now_us();
         *st.plan.x_mut(data, index).expect("a runnable task") = true;
         let inputs: Vec<Input> = st.plan.input(data, index).into_iter().map(Input::Own).collect();
         if self.count_handover && spec.gathers() {
             st.metrics.add(Counter::ShortcircuitFetches, inputs.len() as u64);
         }
         let tag = Tag::task(trace_op(&spec), data.0, index, 1);
-        if let Some(h) = th {
-            h.instant(Name::Dispatch, tag);
-        }
+        th.instant(Name::Dispatch, tag);
         let inputs = Some(inputs);
         Some(Attempt { task: (data, index), spec, tag, since_us, inputs, cancel: None })
     }
@@ -182,12 +182,12 @@ impl Plane for Shared {
         format!("ds{}/{}{}", tag.data, tag.op.as_str(), tag.index)
     }
 
-    fn finish(&self, done: Done<(DataId, usize)>, th: Option<&TraceHandle>) -> Result<()> {
+    fn finish(&self, done: Done<(DataId, usize)>, th: &TraceHandle) -> Result<()> {
         let Done { task: (data, index), spec, tag, outcome, elapsed, tally } = done;
         // Reported before the lock is taken, so a wait for it never opens
         // a gap after the attempt's span.
-        if let (Some(h), Ok(_)) = (th, &outcome) {
-            h.instant(Name::Report, tag);
+        if outcome.is_ok() {
+            th.instant(Name::Report, tag);
         }
         let mut st = self.state.lock();
         st.metrics.merge(&tally);
@@ -302,9 +302,9 @@ impl JobApi for LocalRuntime {
 mod tests {
     use super::*;
     use crate::job::Job;
-    use crate::master::{Master, MasterConfig};
+    use crate::master::{Master, MasterConfig, SpeculateMode};
     use crate::plan::Ds;
-    use crate::proto::{DataPlane, SpeculateMode};
+    use crate::proto::DataPlane;
     use crate::slave::{run_slave, SlaveOptions};
     use mrs_core::kv::encode_record;
     use mrs_core::{Datum, MapReduce, Simple};
@@ -649,7 +649,7 @@ mod tests {
             })
             .collect();
         fused_job(&mut master.clone());
-        let cluster = master.take_trace().expect("tracing on by default");
+        let cluster = master.take_trace();
         master.finish();
         for slave in slaves {
             slave.join().unwrap().unwrap();

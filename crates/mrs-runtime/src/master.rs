@@ -31,21 +31,21 @@
 
 mod core;
 
-use self::core::{Effects, Grant, MasterCore};
+use self::core::{Effects, Grant, MasterCore, MAX_ATTEMPTS};
 use crate::data::{split_slices, DataId};
 use crate::job::JobApi;
 use crate::metrics::JobMetrics;
-use crate::proto::{
-    fetch_buckets, Assignment, DataPlane, Dispatch, SpeculateMode, TaskReport, TraceBatch,
-};
+use crate::proto::{fetch_buckets, Assignment, DataPlane, Dispatch, TaskReport, TraceBatch};
 use mrs_codec::CompressMode;
 use mrs_core::{Error, FuncId, Record, Result, TaskSpec};
 use mrs_fs::format::{read_bucket_records, write_bucket_bytes};
 use mrs_fs::url::EMPTY;
 use mrs_rpc::{DataServer, FrameCache, Pages, Response};
-use mrs_trace::{ClockSync, GlobalEvent, JobTrace, Recorder, MASTER_PID};
+use mrs_trace::{
+    ClockSync, Event, GlobalEvent, JobTrace, Recorder, Ring, DEFAULT_CAPACITY, MASTER_PID,
+};
 use parking_lot::{Condvar, Mutex};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
@@ -57,46 +57,55 @@ pub type SlaveId = u32;
 /// Master tuning knobs.
 #[derive(Clone, Debug)]
 pub struct MasterConfig {
-    /// A slave silent for longer than this is presumed dead.
+    /// A slave silent for longer than this is presumed dead. A poll parks
+    /// at most half of it, so a parked slave still heartbeats twice per
+    /// timeout.
     pub slave_timeout: Duration,
-    /// Maximum execution attempts per task before the job fails.
-    pub max_attempts: u32,
     /// Prefer the slave that ran the corresponding task last time.
     pub use_affinity: bool,
-    /// Upper bound on how long a poll may park server-side
-    /// before returning `Wait`. Also clamped to `slave_timeout / 2` so a
-    /// parked slave still heartbeats; must stay well below the RPC
-    /// client's I/O timeout (10s) or held requests would look like hangs.
-    pub long_poll_timeout: Duration,
     /// Shuffle payload compression policy for the master's own outputs
     /// (source splits). [`crate::LocalCluster`] propagates the same
     /// setting to its slaves.
     pub compress: CompressMode,
-    /// Speculative execution policy (`--mrs-speculate`): when a task wave
-    /// is nearly drained and a poller has idle slots, a running task whose
-    /// elapsed time exceeds the configured multiple of the operation's
-    /// median completed-task runtime (and a fixed launch floor past that
-    /// median) gets a backup attempt on a different slave; first completion
-    /// wins and the loser is cancelled.
+    /// Speculative execution policy (`--mrs-speculate`).
     pub speculate: SpeculateMode,
-    /// Record task-attempt trace events (on by default — the recorder is
-    /// bounded and lock-cheap, and `--mrs-no-trace` exists to prove it).
-    /// Export is separately opt-in via [`Master::take_trace`] /
-    /// `--mrs-trace <path>`. [`crate::LocalCluster`] propagates the
-    /// setting to its slaves.
-    pub trace: bool,
 }
 
 impl Default for MasterConfig {
     fn default() -> Self {
         MasterConfig {
             slave_timeout: Duration::from_secs(2),
-            max_attempts: 4,
             use_affinity: true,
-            long_poll_timeout: Duration::from_secs(1),
             compress: CompressMode::default(),
             speculate: SpeculateMode::default(),
-            trace: true,
+        }
+    }
+}
+
+/// Whether the master launches speculative backup copies of straggling
+/// tasks. When a task wave is nearly drained and idle slots exist, a
+/// running task whose elapsed time exceeds 1.5 times the median
+/// completed-task runtime of its operation (and a fixed launch floor past
+/// that median) gets a backup attempt on a different slave; the first
+/// attempt to finish wins and the loser is cancelled cooperatively. `Off`
+/// keeps the non-speculative scheduler as a first-class oracle for
+/// benchmarks.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum SpeculateMode {
+    /// Launch backup attempts for stragglers.
+    #[default]
+    On,
+    /// Never launch backup attempts.
+    Off,
+}
+
+impl SpeculateMode {
+    /// Parse a `--mrs-speculate` value: `on` or `off`.
+    pub fn parse(s: &str) -> Result<SpeculateMode> {
+        match s {
+            "on" => Ok(SpeculateMode::On),
+            "off" => Ok(SpeculateMode::Off),
+            other => Err(Error::Invalid(format!("unknown speculate mode {other:?} (on|off)"))),
         }
     }
 }
@@ -112,12 +121,14 @@ struct MasterTrace {
 
 #[derive(Default)]
 struct TraceIngest {
-    /// Per-slave clock-offset estimators, fed by batch RTT samples.
-    sync: HashMap<SlaveId, ClockSync>,
-    /// Slave events already mapped onto the master clock.
-    remote: Vec<GlobalEvent>,
-    /// Ring-overflow losses reported by slaves.
-    dropped: u64,
+    /// Per slave: its clock-offset estimator, fed by batch RTT samples,
+    /// and its events already mapped onto the master clock, in a ring of
+    /// [`DEFAULT_CAPACITY`] that overwrites the oldest first.
+    slaves: BTreeMap<SlaveId, (ClockSync, Ring)>,
+    /// Ring-overflow losses slaves reported, not yet taken.
+    reported: u64,
+    /// Every loss reported or overwritten here, for `/metrics`.
+    lost: u64,
 }
 
 /// The death timer: the one place that turns the core's death deadline
@@ -164,8 +175,7 @@ struct MasterShared {
     /// the shared state exists — the pages closure needs a weak
     /// back-reference — so it is always set by the time `new` returns.
     source_server: OnceLock<DataServer>,
-    /// Trace recording (None when `cfg.trace` is off).
-    trace: Option<MasterTrace>,
+    trace: MasterTrace,
 }
 
 impl Drop for MasterShared {
@@ -189,9 +199,8 @@ pub struct Master {
 impl Master {
     /// Create a master for the given data plane.
     pub fn new(cfg: MasterConfig, plane: DataPlane) -> Result<Master> {
-        let trace =
-            cfg.trace.then(|| MasterTrace { rec: Recorder::new(), ingest: Mutex::default() });
-        let handle = trace.as_ref().map(|t| t.rec.handle(0));
+        let trace = MasterTrace { rec: Recorder::new(), ingest: Mutex::default() };
+        let handle = trace.rec.handle(0);
         let direct = matches!(plane, DataPlane::Direct);
         let (alarms, timer) = std::sync::mpsc::channel();
         let master = Master {
@@ -331,47 +340,59 @@ impl Master {
         let mut out = metrics.to_prometheus();
         out.push_str(&format!("mrs_slaves_alive {alive}\n"));
         out.push_str(&format!("mrs_slaves_signed_in {signed_in}\n"));
-        if let Some(t) = &self.shared.trace {
-            out.push_str(&format!("mrs_trace_dropped_events {}\n", t.rec.dropped_events()));
-        }
+        let lost = self.shared.trace.ingest.lock().lost;
+        let dropped = self.shared.trace.rec.dropped_events() + lost;
+        out.push_str(&format!("mrs_trace_dropped_events {dropped}\n"));
         out
     }
 
     /// Fold a slave's piggybacked trace batch into the job timeline,
     /// mapping its timestamps onto the master clock via the batch's RTT
-    /// sample. No-op when tracing is off or the batch is empty.
+    /// sample. The slave's ring keeps its newest [`DEFAULT_CAPACITY`]
+    /// events; every one it overwrites, like every loss the slave
+    /// reports, is counted. No-op when the batch is empty.
     pub fn ingest_trace(&self, slave: SlaveId, batch: &TraceBatch) {
-        let Some(t) = &self.shared.trace else { return };
         if batch.is_empty() {
             return;
         }
+        let t = &self.shared.trace;
         let local_now = t.rec.now_us();
         let mut ing = t.ingest.lock();
-        let TraceIngest { sync, remote, dropped } = &mut *ing;
-        let cs = sync.entry(slave).or_default();
-        cs.observe(batch.sent_at_us, batch.rtt_us, local_now);
-        remote.extend(batch.events.iter().map(|e| GlobalEvent {
-            pid: slave + 1,
-            event: mrs_trace::Event { at_us: cs.map_monotone(e.at_us), ..*e },
-        }));
-        *dropped += batch.dropped;
+        let (sync, ring) = ing
+            .slaves
+            .entry(slave)
+            .or_insert_with(|| (ClockSync::new(), Ring::new(DEFAULT_CAPACITY)));
+        sync.observe(batch.sent_at_us, batch.rtt_us, local_now);
+        let overwritten = ring.dropped();
+        for e in &batch.events {
+            ring.push(Event { at_us: sync.map_monotone(e.at_us), ..*e });
+        }
+        let overwritten = ring.dropped() - overwritten;
+        ing.reported += batch.dropped;
+        ing.lost += batch.dropped + overwritten;
     }
 
     /// Take the job timeline assembled so far: master instants plus every
-    /// ingested slave event, time-sorted on the master clock. Drains the
-    /// recorder — a second call returns only what happened since. `None`
-    /// when tracing is off.
-    pub fn take_trace(&self) -> Option<JobTrace> {
-        let t = self.shared.trace.as_ref()?;
-        let (master_events, master_dropped) = t.rec.drain();
+    /// ingested slave event still held, time-sorted on the master clock,
+    /// and every loss since the last call. Drains the recorder and the
+    /// slaves' rings — a second call returns only what happened since.
+    pub fn take_trace(&self) -> JobTrace {
+        let t = &self.shared.trace;
+        let (master_events, mut dropped) = t.rec.drain();
         let mut events: Vec<GlobalEvent> =
             master_events.into_iter().map(|event| GlobalEvent { pid: MASTER_PID, event }).collect();
         let mut ing = t.ingest.lock();
-        events.append(&mut ing.remote);
-        let dropped = master_dropped + std::mem::take(&mut ing.dropped);
+        dropped += std::mem::take(&mut ing.reported);
+        for (&slave, (_, ring)) in &mut ing.slaves {
+            let (slave_events, overwritten) = ring.drain();
+            events.extend(
+                slave_events.into_iter().map(|event| GlobalEvent { pid: slave + 1, event }),
+            );
+            dropped += overwritten;
+        }
         drop(ing);
         events.sort_by_key(|e| e.event.at_us);
-        Some(JobTrace { events, dropped })
+        JobTrace { events, dropped }
     }
 
     /// Register a slave advertising `slots` task slots; returns its id.
@@ -578,7 +599,7 @@ impl JobApi for Master {
         // `slave_timeout` of patience passes: nothing was going to die;
         // the failure was transient.
         let mut last_err = None;
-        for _attempt in 0..self.shared.cfg.max_attempts {
+        for _attempt in 0..MAX_ATTEMPTS {
             self.wait(data)?;
             let urls = self.shared.state.lock().plan.outputs(data)?;
             // One round trip per slave holding a piece of the dataset,
@@ -677,7 +698,10 @@ mod tests {
 
     impl Sim {
         fn new(cfg: MasterConfig, direct: bool) -> Sim {
-            Sim { core: MasterCore::new(cfg, direct, None), t0: Instant::now() }
+            Sim {
+                core: MasterCore::new(cfg, direct, Recorder::new().handle(0)),
+                t0: Instant::now(),
+            }
         }
 
         fn at(&self, offset: Duration) -> Instant {
@@ -789,24 +813,81 @@ mod tests {
         assert_eq!(m.get_tasks(s, 1), Assignment::Wait);
     }
 
+    /// The master holds at most [`DEFAULT_CAPACITY`] of one slave's
+    /// events — the newest — however many it ingests; every event its
+    /// ring overwrote and every loss the slave reported is counted, in the
+    /// taken trace and on `/metrics`.
+    #[test]
+    fn ingested_slave_events_are_bounded_and_every_loss_counted() {
+        use mrs_trace::{Kind, Name, Op, Tag};
+        let m = master_direct();
+        let s = m.signin("a:1", 1);
+        let batch = |from: usize, n: usize, dropped: u64| TraceBatch {
+            sent_at_us: 0,
+            rtt_us: 10,
+            dropped,
+            events: (from..from + n)
+                .map(|i| Event {
+                    at_us: i as u64,
+                    kind: Kind::Instant,
+                    name: Name::Exec,
+                    lane: 0,
+                    tag: Tag::task(Op::Map, 1, i, 1),
+                })
+                .collect(),
+        };
+        // 1,000 events past the capacity, in two batches, and 3 events the
+        // slave's own ring lost.
+        let excess = 1_000;
+        m.ingest_trace(s, &batch(0, DEFAULT_CAPACITY, 0));
+        m.ingest_trace(s, &batch(DEFAULT_CAPACITY, excess, 3));
+        let lost = format!("\nmrs_trace_dropped_events {}\n", excess + 3);
+        assert!(m.metrics_page().contains(&lost), "{}", m.metrics_page());
+        let trace = m.take_trace();
+        let held: Vec<u32> =
+            trace.events.iter().filter(|e| e.pid == s + 1).map(|e| e.event.tag.index).collect();
+        assert_eq!(held.len(), DEFAULT_CAPACITY);
+        assert_eq!(
+            (held[0], held[held.len() - 1]),
+            (excess as u32, (DEFAULT_CAPACITY + excess - 1) as u32)
+        );
+        assert_eq!(trace.dropped, excess as u64 + 3);
+        // Taken: nothing is held or counted twice, and `/metrics` keeps
+        // the lifetime count.
+        let again = m.take_trace();
+        assert_eq!((again.events.len(), again.dropped), (0, 0));
+        assert!(m.metrics_page().contains(&lost));
+    }
+
+    #[test]
+    fn speculate_mode_parses_and_rejects() {
+        assert_eq!(SpeculateMode::parse("off").unwrap(), SpeculateMode::Off);
+        assert_eq!(SpeculateMode::parse("on").unwrap(), SpeculateMode::On);
+        assert_eq!(SpeculateMode::default(), SpeculateMode::On);
+        for retired in ["threshold=2.5", "threshold=0.5", "maybe"] {
+            let err = SpeculateMode::parse(retired).unwrap_err().to_string();
+            assert!(err.contains(retired) && err.contains("on|off"), "{err}");
+        }
+    }
+
     #[test]
     fn failed_task_is_requeued_until_attempt_cap() {
-        let cfg = MasterConfig { max_attempts: 2, ..MasterConfig::default() };
-        let store: Arc<dyn Store> = Arc::new(MemFs::new());
-        let mut m = Master::new(cfg, DataPlane::SharedFs(store)).unwrap();
+        let (mut m, _store) = shared_master();
         let s = m.signin("a:1", 1);
         let src = m.local_data(records(4), 1).unwrap();
         let _mapped = m.map_data(src, 0, 1, false).unwrap();
 
-        let t = take1(m.get_tasks(s, 1));
-        m.task_failed(s, t.data, t.index, t.attempt, "boom", None);
-        // Re-queued: same task handed out again.
-        let t2 = take1(m.get_tasks(s, 1));
-        assert_eq!((t2.data, t2.index), (t.data, t.index));
-        m.task_failed(s, t2.data, t2.index, t2.attempt, "boom again", None);
+        let first = take1(m.get_tasks(s, 1));
+        for n in 1..=MAX_ATTEMPTS {
+            // Re-queued until the cap: the same task is handed out again.
+            let t = if n == 1 { first.clone() } else { take1(m.get_tasks(s, 1)) };
+            assert_eq!((t.data, t.index), (first.data, first.index));
+            m.task_failed(s, t.data, t.index, t.attempt, "boom", None);
+        }
         // Attempt cap reached: job errors out, slaves are told to exit.
         assert_eq!(m.get_tasks(s, 1), Assignment::Exit);
-        assert!(m.wait(DataId(1)).is_err());
+        let err = m.wait(DataId(1)).unwrap_err().to_string();
+        assert!(err.contains(&format!("failed {MAX_ATTEMPTS} times")), "{err}");
     }
 
     #[test]
@@ -1008,12 +1089,7 @@ mod tests {
 
     #[test]
     fn parked_request_returns_wait_after_deadline() {
-        let cfg = MasterConfig {
-            long_poll_timeout: Duration::from_millis(30),
-            ..MasterConfig::default()
-        };
-        let store: Arc<dyn Store> = Arc::new(MemFs::new());
-        let m = Master::new(cfg, DataPlane::SharedFs(store)).unwrap();
+        let (m, _store) = shared_master();
         let s = m.signin("a:1", 1);
         // Nothing queued: the request parks, the deadline expires, and the
         // timeout fallback is Wait — not a hang, not a busy poll.
@@ -1022,7 +1098,7 @@ mod tests {
             .poll(
                 s,
                 1,
-                Duration::from_millis(200),
+                Duration::from_millis(30),
                 &[],
                 &JobMetrics::default(),
                 &TraceBatch::default(),
@@ -1200,8 +1276,7 @@ mod tests {
 
     #[test]
     fn a_park_is_clamped_to_half_the_slave_timeout() {
-        let cfg = MasterConfig { long_poll_timeout: ms(5000), ..timeout(2000) };
-        let mut sim = Sim::new(cfg, false);
+        let mut sim = Sim::new(timeout(2000), false);
         let s = sim.signin(1);
         let none = JobMetrics::default();
         let (until, _) = sim.core.poll(s, &[], &none, ms(60_000), sim.at(ms(0)));
@@ -1459,8 +1534,8 @@ mod tests {
         let backup = take1(sim.grant(s2, 1, ms(1) + LAUNCH_FLOOR));
         assert_eq!((backup.data, backup.index), (ts[3].data, ts[3].index));
         // A long task keeps the multiple: the floor only binds when
-        // (threshold - 1) x median is below it.
-        assert_eq!(straggler_cutoff(Duration::from_millis(40), 1.5), Duration::from_millis(60));
+        // 0.5 x median is below it.
+        assert_eq!(straggler_cutoff(Duration::from_millis(40)), Duration::from_millis(60));
     }
 
     #[test]

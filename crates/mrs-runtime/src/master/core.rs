@@ -8,13 +8,11 @@
 //! instant by instant. Trace instants are stamped by the trace handle;
 //! they feed no decision.
 
-use super::{MasterConfig, SlaveId};
+use super::{MasterConfig, SlaveId, SpeculateMode};
 use crate::data::DataId;
 use crate::metrics::{Counter, JobMetrics};
 use crate::plan::{Ds, Plan};
-use crate::proto::{
-    trace_op, Assignment, CancelOrder, SpeculateMode, TaskKind, TaskMsg, TaskReport,
-};
+use crate::proto::{trace_op, Assignment, CancelOrder, TaskKind, TaskMsg, TaskReport};
 use mrs_core::{FuncId, Result, TaskSpec};
 use mrs_trace::{Name, Tag, TraceHandle};
 use std::collections::HashMap;
@@ -44,8 +42,8 @@ pub(super) struct Slot {
     /// The live attempts: more than one while a speculative backup races
     /// the original, none once the task is committed.
     pub(super) running: Vec<Attempt>,
-    /// Charged execution attempts, compared against `max_attempts` (fetch
-    /// failures are forgiven and decrement this).
+    /// Charged execution attempts, compared against [`MAX_ATTEMPTS`]
+    /// (fetch failures are forgiven and decrement this).
     attempts: u32,
     /// The slave holding the committed output on the direct data plane
     /// (None when outputs live on the shared filesystem).
@@ -67,6 +65,15 @@ fn claim(spec: &TaskSpec, index: usize) -> Claim {
     (TaskKind::of(spec), func, index)
 }
 
+/// Execution attempts per task before the job fails: a poisoned task
+/// ends the job instead of looping forever. The driver's `fetch_all`
+/// tries as often.
+pub(super) const MAX_ATTEMPTS: u32 = 4;
+
+/// A task counts as a straggler once it has run this many times its op's
+/// median completed runtime (and [`LAUNCH_FLOOR`] past it).
+const STRAGGLER_MULTIPLE: f64 = 1.5;
+
 /// A backup is never launched before its original has run this long past
 /// the op's median: a backup pays one dispatch, one input fetch and one
 /// run of its own, so below that it cannot win the race it was started
@@ -75,8 +82,8 @@ pub(super) const LAUNCH_FLOOR: Duration = Duration::from_millis(10);
 
 /// How long a task may run before it counts as a straggler, given the
 /// median runtime of its op's committed attempts.
-pub(super) fn straggler_cutoff(median: Duration, threshold: f64) -> Duration {
-    median.mul_f64(threshold).max(median + LAUNCH_FLOOR)
+pub(super) fn straggler_cutoff(median: Duration) -> Duration {
+    median.mul_f64(STRAGGLER_MULTIPLE).max(median + LAUNCH_FLOOR)
 }
 
 /// Median of a (small, unsorted) runtime sample; `None` when empty.
@@ -132,7 +139,6 @@ pub(super) enum Grant {
     Park(Instant),
 }
 
-#[derive(Default)]
 pub(super) struct MasterCore {
     cfg: MasterConfig,
     /// Slaves keep their outputs (direct plane) rather than a shared store.
@@ -156,14 +162,27 @@ pub(super) struct MasterCore {
     /// wakes, not every state change.
     pub(super) parked: usize,
     pub(super) metrics: JobMetrics,
-    trace: Option<TraceHandle>,
+    trace: TraceHandle,
     /// The effects of the entry in progress.
     fx: Effects,
 }
 
 impl MasterCore {
-    pub(super) fn new(cfg: MasterConfig, direct: bool, trace: Option<TraceHandle>) -> Self {
-        MasterCore { cfg, direct, trace, ..MasterCore::default() }
+    pub(super) fn new(cfg: MasterConfig, direct: bool, trace: TraceHandle) -> Self {
+        MasterCore {
+            cfg,
+            direct,
+            plan: Plan::new(),
+            slaves: Vec::new(),
+            affinity: HashMap::new(),
+            last_attempt: 0,
+            error: None,
+            finished: false,
+            parked: 0,
+            metrics: JobMetrics::default(),
+            trace,
+            fx: Effects::default(),
+        }
     }
 
     /// End an entry: its answer and the effects it gathered.
@@ -177,13 +196,6 @@ impl MasterCore {
 
     pub(super) fn live_slaves(&self) -> usize {
         self.slaves.iter().filter(|s| s.alive).count()
-    }
-
-    /// Record a master-side instant on the lane of the slave it concerns.
-    fn trace_instant(&self, slave: SlaveId, name: Name, tag: Tag) {
-        if let Some(t) = &self.trace {
-            t.instant_on(slave, name, tag);
-        }
     }
 
     fn wake_polls(&mut self) {
@@ -251,9 +263,8 @@ impl MasterCore {
 
     /// The first half of a poll: merge the slave's counter tally and take
     /// its piggybacked `reports`. Returns the instant the poll may park
-    /// until: `park` clamped to `long_poll_timeout` and to
-    /// `slave_timeout / 2`, so a parked slave still heartbeats at least
-    /// twice per death timeout.
+    /// until: `park` clamped to `slave_timeout / 2`, so a parked slave
+    /// still heartbeats at least twice per death timeout.
     pub(super) fn poll(
         &mut self,
         slave: SlaveId,
@@ -265,7 +276,7 @@ impl MasterCore {
         self.metrics.merge(counts);
         self.metrics.add(Counter::PiggybackedReports, reports.len() as u64);
         self.fx = self.report(slave, reports, now).1;
-        let park = park.min(self.cfg.long_poll_timeout).min(self.cfg.slave_timeout / 2);
+        let park = park.min(self.cfg.slave_timeout / 2);
         self.out(now + park)
     }
 
@@ -379,9 +390,9 @@ impl MasterCore {
             slot.running.push(attempt);
             in_flight[slave as usize] += 1;
             let tag = Tag::task(trace_op(&spec), data.0, index, attempt.id);
-            self.trace_instant(slave, Name::Dispatch, tag);
+            self.trace.instant_on(slave, Name::Dispatch, tag);
             if speculative {
-                self.trace_instant(slave, Name::Speculate, tag);
+                self.trace.instant_on(slave, Name::Speculate, tag);
             }
             granted.push(TaskMsg::new(data.0, index, &spec, attempt.id, inputs));
         }
@@ -474,7 +485,9 @@ impl MasterCore {
     /// runtime sample exists yet. One backup per task at most: racing more
     /// than two attempts buys little and burns a slot.
     fn straggler(&self, slave: Option<SlaveId>) -> Option<(DataId, usize, Instant)> {
-        let SpeculateMode::On { threshold } = self.cfg.speculate else { return None };
+        if self.cfg.speculate == SpeculateMode::Off {
+            return None;
+        }
         let mut best: Option<(DataId, usize, Instant)> = None;
         for (d, op) in self.plan.live_ops() {
             let tasks = op.tasks();
@@ -483,7 +496,7 @@ impl MasterCore {
             }
             let runtimes = tasks.iter().filter_map(|t| t.x.runtime_us).collect();
             let Some(median) = median_micros(runtimes) else { continue };
-            let cutoff = straggler_cutoff(Duration::from_micros(median), threshold);
+            let cutoff = straggler_cutoff(Duration::from_micros(median));
             for (i, task) in tasks.iter().enumerate() {
                 let [a] = task.x.running.as_slice() else { continue };
                 // A producer re-execution (dead slave on the direct plane)
@@ -541,7 +554,7 @@ impl MasterCore {
             if let Some(s) = self.slaves.get_mut(l.slave as usize) {
                 s.cancel.push(CancelOrder { data, index, attempt: l.id });
             }
-            self.trace_instant(l.slave, Name::Cancel, Tag::task(op, data, index, l.id));
+            self.trace.instant_on(l.slave, Name::Cancel, Tag::task(op, data, index, l.id));
             self.metrics.add(Counter::CancelledTasks, 1);
             if l.speculative {
                 self.metrics.add(Counter::SpeculativeLosses, 1);
@@ -552,7 +565,7 @@ impl MasterCore {
             let saved = slowest_loser.saturating_sub(now - winner.started);
             self.metrics.add_time(Counter::StragglerTimeSaved, saved);
         }
-        self.trace_instant(slave, Name::Report, Tag::task(op, data, index, attempt));
+        self.trace.instant_on(slave, Name::Report, Tag::task(op, data, index, attempt));
         self.metrics.add(Counter::TasksExecuted, 1);
         if matches!(spec, TaskSpec::ReduceMap { .. }) {
             // Time and shuffle bytes happened slave-side; the master
@@ -648,7 +661,7 @@ impl MasterCore {
         // With no attempt left the task is pending again, unless it has
         // used up its attempts.
         let attempts = slot.attempts;
-        let exhausted = slot.running.is_empty() && attempts >= self.cfg.max_attempts;
+        let exhausted = slot.running.is_empty() && attempts >= MAX_ATTEMPTS;
         if exhausted && failed_input.is_none() {
             self.error = Some(format!(
                 "task (data {data}, index {index}) failed {attempts} times; last error: {msg}"

@@ -397,51 +397,6 @@ method! {
     ) -> bool
 }
 
-/// Whether the master launches speculative backup copies of straggling
-/// tasks (§ speculative execution). When a task wave is nearly drained and
-/// idle slots exist, a running task whose elapsed time exceeds
-/// `threshold ×` the median completed-task runtime of its operation (and
-/// a fixed launch floor past that median) gets a backup attempt on a
-/// different slave; the first attempt to finish wins and the loser is
-/// cancelled cooperatively. `Off` keeps the non-speculative scheduler as
-/// a first-class oracle for benchmarks.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum SpeculateMode {
-    /// Never launch backup attempts.
-    Off,
-    /// Launch a backup when a task has run longer than `threshold` times
-    /// the median completed runtime of its operation.
-    On {
-        /// Straggler multiple; 1.5 by default.
-        threshold: f64,
-    },
-}
-
-impl Default for SpeculateMode {
-    fn default() -> Self {
-        SpeculateMode::On { threshold: 1.5 }
-    }
-}
-
-impl SpeculateMode {
-    /// Parse a `--mrs-speculate` value: `on`, `off`, or `threshold=X`.
-    pub fn parse(s: &str) -> Result<SpeculateMode> {
-        match s {
-            "off" => Ok(SpeculateMode::Off),
-            "on" => Ok(SpeculateMode::default()),
-            other => match other.strip_prefix("threshold=") {
-                Some(t) => match t.parse::<f64>() {
-                    Ok(x) if x.is_finite() && x >= 1.0 => Ok(SpeculateMode::On { threshold: x }),
-                    _ => Err(Error::Invalid(format!("speculate threshold {t:?} must be >= 1.0"))),
-                },
-                None => Err(Error::Invalid(format!(
-                    "unknown speculate mode {other:?} (on|off|threshold=X)"
-                ))),
-            },
-        }
-    }
-}
-
 wire! {
     /// A task-completion report, batched on `get_task` calls as the
     /// piggybacked `reports` parameter: one control round trip both returns
@@ -1409,20 +1364,6 @@ mod tests {
         assert!(TraceBatch::from_value(&Value::Struct(m.clone())).is_err());
         m.insert("events".to_owned(), Value::Array(vec![]));
         assert!(TraceBatch::from_value(&Value::Struct(m)).is_err());
-    }
-
-    #[test]
-    fn speculate_mode_parses_and_rejects() {
-        assert_eq!(SpeculateMode::parse("off").unwrap(), SpeculateMode::Off);
-        assert_eq!(SpeculateMode::parse("on").unwrap(), SpeculateMode::On { threshold: 1.5 });
-        assert_eq!(
-            SpeculateMode::parse("threshold=2.5").unwrap(),
-            SpeculateMode::On { threshold: 2.5 }
-        );
-        assert!(SpeculateMode::parse("threshold=0.5").is_err(), "sub-1 multiples thrash");
-        assert!(SpeculateMode::parse("threshold=nan").is_err());
-        assert!(SpeculateMode::parse("maybe").is_err());
-        assert_eq!(SpeculateMode::default(), SpeculateMode::On { threshold: 1.5 });
     }
 
     #[test]

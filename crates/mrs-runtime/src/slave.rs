@@ -67,12 +67,11 @@ pub trait MasterLink: Send + Sync {
     /// `free` tasks in one batch), delivering piggybacked completion
     /// `reports` and the `counts` tallied since the last poll, and asking
     /// the master to hold the request up to `park` when nothing is
-    /// runnable (long-poll dispatch). The `trace` batch
-    /// piggybacks this slave's trace-event delta (empty when tracing is
-    /// off). The answer is a full [`Dispatch`] — the assignment plus the
-    /// purge and cancel orders queued for this slave — and the hint that
-    /// runnable work was left ungranted for it, which decides whether its
-    /// next completion is worth a poll of its own.
+    /// runnable (long-poll dispatch). The `trace` batch piggybacks this
+    /// slave's trace-event delta. The answer is a full [`Dispatch`] — the
+    /// assignment plus the purge and cancel orders queued for this slave —
+    /// and the hint that runnable work was left ungranted for it, which
+    /// decides whether its next completion is worth a poll of its own.
     fn poll(
         &self,
         slave: SlaveId,
@@ -135,11 +134,6 @@ pub struct SlaveOptions {
     /// (`--mrs-compress`). Consumers auto-detect, so slaves with
     /// different settings interoperate.
     pub compress: CompressMode,
-    /// Record task-attempt trace events (on by default; `--mrs-no-trace`
-    /// turns it off). Events are shipped to the master piggybacked on the
-    /// poll loop; the recorder is bounded, so tracing never grows memory
-    /// without bound and costs one uncontended lock per event.
-    pub trace: bool,
 }
 
 impl Default for SlaveOptions {
@@ -147,7 +141,6 @@ impl Default for SlaveOptions {
         SlaveOptions {
             slots: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             compress: CompressMode::default(),
-            trace: true,
         }
     }
 }
@@ -183,13 +176,15 @@ pub fn run_slave(
         (Mutex::new(SlaveCore::new(slots + 1)), Condvar::new(), Condvar::new());
     let slave = Slave { link, id, core, work, poll_cv, outputs, server: server.as_ref(), shared };
     // One trace recorder per slave, one handle (ring shard) per thread.
-    let rec = opts.trace.then(Recorder::new);
-    let poll_handle = rec.as_ref().map(|r| r.handle(POLL_LANE));
+    // Its events ride the polls to the master, so it is drained as often
+    // as the slave polls.
+    let rec = Recorder::new();
+    let poll_handle = rec.handle(POLL_LANE);
     let workers = Workers {
         program: program.as_ref(),
         store: shared.map(|store| (&**store, opts.compress)),
         slots,
-        trace: rec.as_ref(),
+        trace: &rec,
     };
     std::thread::scope(|s| {
         let workers = workers.spawn(s, &slave);
@@ -218,24 +213,21 @@ pub fn run_slave(
             // Drain the trace delta *after* taking the reports: any event a
             // worker recorded before queueing its report is guaranteed to
             // ride the same (or an earlier) poll as the report itself.
-            let batch = match (&rec, prev_rtt_us) {
-                (Some(r), Some(rtt_us)) => {
-                    let (events, dropped) = r.drain();
-                    TraceBatch { sent_at_us: r.now_us(), rtt_us, dropped, events }
+            let batch = match prev_rtt_us {
+                Some(rtt_us) => {
+                    let (events, dropped) = rec.drain();
+                    TraceBatch { sent_at_us: rec.now_us(), rtt_us, dropped, events }
                 }
-                _ => TraceBatch::default(),
+                None => TraceBatch::default(),
             };
             let polled_at = Instant::now();
             let answer = link.poll(id, free, park, reports, tally, batch);
-            if rec.is_some() {
-                // Parked long-polls inflate this sample; the master's
-                // min-RTT filter discards inflated ones on its own.
-                prev_rtt_us = Some(polled_at.elapsed().as_micros() as u64);
-            }
+            // Parked long-polls inflate this sample; the master's min-RTT
+            // filter discards inflated ones on its own.
+            prev_rtt_us = Some(polled_at.elapsed().as_micros() as u64);
             let end = match answer {
                 Ok((d, more)) if d.assignment != Assignment::Exit => {
-                    let accepted_us = rec.as_ref().map_or(0, |r| r.now_us());
-                    slave.answered(d, more, accepted_us, poll_handle.as_ref());
+                    slave.answered(d, more, rec.now_us(), &poll_handle);
                     continue;
                 }
                 // The job is over, or the master has vanished — a normal end
@@ -280,7 +272,7 @@ impl Slave<'_> {
 
     /// Apply a poll answer — its cancels, its purges and its grant — as one
     /// entry ([`SlaveCore::answered`]).
-    fn answered(&self, d: Dispatch, more: bool, accepted_us: u64, th: Option<&TraceHandle>) {
+    fn answered(&self, d: Dispatch, more: bool, accepted_us: u64, th: &TraceHandle) {
         let mut core = self.core.lock();
         let fx = core.answered(d, more, accepted_us, Instant::now());
         self.apply(core, fx, th);
@@ -290,7 +282,7 @@ impl Slave<'_> {
     /// dropped before the core's lock is released, then the wakes. A
     /// queued loser a cancel dropped still shows on the timeline: its span
     /// and `Cancel` instant land on the poll lane, since no worker owned it.
-    fn apply(&self, core: MutexGuard<SlaveCore>, fx: Effects, th: Option<&TraceHandle>) {
+    fn apply(&self, core: MutexGuard<SlaveCore>, fx: Effects, th: &TraceHandle) {
         fx.raise.iter().for_each(|flag| flag.store(true, Ordering::Relaxed));
         if !fx.purge.is_empty() {
             let mut table = self.outputs.lock();
@@ -330,7 +322,7 @@ impl Plane for Slave<'_> {
 
     /// The next accepted task ([`SlaveCore::take`]), its inputs left to
     /// [`Plane::fetch`]. `None` once the slave halts.
-    fn next(&self, _: Option<&TraceHandle>) -> Option<Attempt<TaskMsg>> {
+    fn next(&self, _: &TraceHandle) -> Option<Attempt<TaskMsg>> {
         let mut core = self.core.lock();
         let (task, since_us, cancel) = loop {
             if core.halt {
@@ -363,7 +355,7 @@ impl Plane for Slave<'_> {
 
     /// Hand the outcome to the core and do what it says: enter the outputs
     /// in its lock section, or report the failure after it.
-    fn finish(&self, done: Done<TaskMsg>, th: Option<&TraceHandle>) -> Result<()> {
+    fn finish(&self, done: Done<TaskMsg>, th: &TraceHandle) -> Result<()> {
         let Done { task, spec, tag, outcome, tally, .. } = done;
         let outputs = match outcome {
             Ok(outputs) => outputs,
@@ -1248,7 +1240,7 @@ mod tests {
         let rec = Recorder::new();
         let poll_lane = rec.handle(POLL_LANE);
         let store = shared.map(|s| (&**s, CompressMode::default()));
-        let workers = Workers { program, store, slots: 1, trace: Some(&rec) };
+        let workers = Workers { program, store, slots: 1, trace: &rec };
         let out = std::thread::scope(|s| {
             let worker = workers.spawn(s, &slave);
             let out = {
@@ -1335,13 +1327,13 @@ mod tests {
             let outputs = Outputs::default();
             let (reported, events) =
                 with_stages(&*link, &program, Some(&store), None, &outputs, |slave, th| {
-                    slave.answered(grant(tasks), false, th.now_us(), Some(th));
+                    slave.answered(grant(tasks), false, th.now_us(), th);
                     match stage {
                         Queued | BeingFetched => fetch_gate.await_arrival(),
                         Running => kernel_gate.await_arrival(),
                         Finished => await_idle(slave),
                     }
-                    slave.answered(cancel(1, 1), false, 0, Some(th));
+                    slave.answered(cancel(1, 1), false, 0, th);
                     fetch_gate.open();
                     kernel_gate.open();
                     await_idle(slave);
@@ -1374,7 +1366,7 @@ mod tests {
         let program = Simple(WordCount);
         with_stages(&*link, &program, Some(&store), None, &outputs, |slave, th| {
             let tasks = (0..1000).map(|index| TaskMsg { index, ..map_task(0) }).collect();
-            slave.answered(grant(tasks), false, th.now_us(), Some(th));
+            slave.answered(grant(tasks), false, th.now_us(), th);
             await_idle(slave);
             // The poll that carries the reports home.
             let reports = std::mem::take(&mut slave.core.lock().reports);
@@ -1384,7 +1376,7 @@ mod tests {
                 .iter()
                 .map(|r| CancelOrder { data: r.data, index: r.index, attempt: r.attempt })
                 .collect();
-            slave.answered(d, false, 0, Some(th));
+            slave.answered(d, false, 0, th);
             assert_eq!(held(&slave.core.lock()), 0);
         });
     }
@@ -1408,9 +1400,9 @@ mod tests {
         let program = Simple(WordCount);
         let (reports, _) =
             with_stages(&*link, &program, Some(&store), None, &outputs, |slave, th| {
-                slave.answered(grant(vec![task]), false, th.now_us(), Some(th));
+                slave.answered(grant(vec![task]), false, th.now_us(), th);
                 fetch_gate.await_arrival();
-                slave.answered(cancel(1, 0), false, 0, Some(th));
+                slave.answered(cancel(1, 0), false, 0, th);
                 fetch_gate.open();
                 await_idle(slave);
                 slave.core.lock().reports.len()
@@ -1433,7 +1425,7 @@ mod tests {
         let task = TaskMsg { kind: TaskKind::Reduce, inputs: urls.clone(), ..map_task(0) };
         let (link, outputs) = (unpolled(), Outputs::default());
         with_stages(&*link, &Simple(WordCount), None, None, &outputs, |slave, th| {
-            slave.answered(grant(vec![task]), false, th.now_us(), Some(th));
+            slave.answered(grant(vec![task]), false, th.now_us(), th);
             await_idle(slave);
         });
         let failed = link.failed.lock().clone();
@@ -1460,11 +1452,11 @@ mod tests {
         let program = Simple(Gated(Arc::clone(&kernel_gate)));
         let (reports, events) =
             with_stages(&*link, &program, None, Some(&server), &outputs, |slave, th| {
-                slave.answered(grant(vec![task]), false, th.now_us(), Some(th));
+                slave.answered(grant(vec![task]), false, th.now_us(), th);
                 kernel_gate.await_arrival();
                 let mut d = cancel(1, 0);
                 d.purge.push("s0/d1/".into());
-                slave.answered(d, false, 0, Some(th));
+                slave.answered(d, false, 0, th);
                 kernel_gate.open();
                 await_idle(slave);
                 slave.core.lock().reports.len()
@@ -1493,9 +1485,10 @@ mod tests {
         let slave = shell(&*link, &outputs, Some(&server), None);
         let bucket = Arc::new(Bucket::from_records(vec![(b"k".to_vec(), b"v".to_vec())]));
         let start = std::sync::Barrier::new(2);
+        let th = Recorder::new().handle(0);
         for attempt in 1..=200 {
-            slave.answered(grant(vec![TaskMsg { attempt, ..map_task(0) }]), false, 0, None);
-            let Attempt { task, spec, tag, .. } = slave.next(None).expect("the granted attempt");
+            slave.answered(grant(vec![TaskMsg { attempt, ..map_task(0) }]), false, 0, &th);
+            let Attempt { task, spec, tag, .. } = slave.next(&th).expect("the granted attempt");
             let mut table = outputs.lock();
             for t in 1..=1000 {
                 table.insert(format!("s0/d1/t{t}/b0.mrsb"), (Arc::clone(&bucket), true));
@@ -1516,10 +1509,10 @@ mod tests {
             std::thread::scope(|s| {
                 s.spawn(|| {
                     start.wait();
-                    slave.finish(done, None).unwrap();
+                    slave.finish(done, &th).unwrap();
                 });
                 start.wait();
-                slave.answered(d, false, 0, None);
+                slave.answered(d, false, 0, &th);
             });
             let left: Vec<String> = outputs.lock().keys().cloned().collect();
             assert_eq!(left, Vec::<String>::new(), "attempt {attempt}");
@@ -1659,7 +1652,7 @@ mod tests {
             let link = unpolled();
             let (urls, _) =
                 with_stages(&*link, &Backwards, None, Some(&server), &outputs, |slave, th| {
-                    slave.answered(grant(vec![task]), false, th.now_us(), Some(th));
+                    slave.answered(grant(vec![task]), false, th.now_us(), th);
                     await_idle(slave);
                     slave.core.lock().reports.pop().expect("a report").urls
                 });

@@ -16,9 +16,9 @@ use std::time::{Duration, Instant};
 /// any completion report it is holding.
 pub(super) const MAX_POLL_INTERVAL: Duration = Duration::from_millis(50);
 
-/// The park an idle slave asks for. The master clamps it to its
-/// `long_poll_timeout` and to half its slave timeout; half the RPC
-/// client's 10 s I/O timeout keeps even an unclamped park inside it.
+/// The park an idle slave asks for. The master clamps it to half its
+/// slave timeout (1 s at the default 2 s); half the RPC client's 10 s I/O
+/// timeout keeps even an unclamped park inside it.
 pub(super) const IDLE_PARK: Duration = Duration::from_secs(5);
 
 /// The identity of a task attempt: (data, index, attempt).

@@ -46,8 +46,8 @@ pub(crate) struct Attempt<T> {
     pub task: T,
     pub spec: TaskSpec,
     pub tag: Tag,
-    /// When the attempt was claimed or accepted (the recorder's clock; 0
-    /// untraced): its span reaches back to here.
+    /// When the attempt was claimed or accepted (the recorder's clock):
+    /// its span reaches back to here.
     pub since_us: u64,
     /// One per input, in input order (the determinism oracle depends on
     /// it); `None` when the plane's [`Plane::fetch`] resolves them.
@@ -89,7 +89,7 @@ pub(crate) trait Plane: Sync {
     type Task;
     /// Block until the next attempt for the worker recording on `th`;
     /// `None` stops the worker.
-    fn next(&self, th: Option<&TraceHandle>) -> Option<Attempt<Self::Task>>;
+    fn next(&self, th: &TraceHandle) -> Option<Attempt<Self::Task>>;
     /// The inputs of an attempt handed over without them, in input order,
     /// fetched inside its span and under its cancel flag; what the fetch
     /// counted goes into `tally`. Only a plane whose source leaves inputs
@@ -106,7 +106,7 @@ pub(crate) trait Plane: Sync {
     /// [`bucket_path`]`(stem, p)`.
     fn stem(&self, tag: &Tag) -> String;
     /// Take an attempt's outcome. An error stops the worker.
-    fn finish(&self, done: Done<Self::Task>, th: Option<&TraceHandle>) -> Result<()>;
+    fn finish(&self, done: Done<Self::Task>, th: &TraceHandle) -> Result<()>;
 }
 
 /// A plane's worker slots.
@@ -118,7 +118,7 @@ pub(crate) struct Workers<'a> {
     pub store: Option<(&'a dyn Store, CompressMode)>,
     pub slots: usize,
     /// Each slot records on its own lane, its slot index.
-    pub trace: Option<&'a Recorder>,
+    pub trace: &'a Recorder,
 }
 
 impl Workers<'_> {
@@ -137,22 +137,20 @@ impl Workers<'_> {
     ) -> Vec<ScopedJoinHandle<'s, Result<()>>> {
         (0..self.slots)
             .map(|slot| {
-                let th = self.trace.map(|r| r.handle(slot as u32));
+                let th = self.trace.handle(slot as u32);
                 std::thread::Builder::new()
                     .name(format!("mrs-worker-{slot}"))
-                    .spawn_scoped(scope, move || self.work(plane, th.as_ref()))
+                    .spawn_scoped(scope, move || self.work(plane, &th))
                     .expect("spawn worker")
             })
             .collect()
     }
 
-    fn work<P: Plane>(&self, plane: &P, th: Option<&TraceHandle>) -> Result<()> {
+    fn work<P: Plane>(&self, plane: &P, th: &TraceHandle) -> Result<()> {
         // A map decodes a fetched split into this arena, reused across tasks.
         let mut scratch = Bucket::new();
         while let Some(Attempt { task, spec, tag, since_us, inputs, cancel }) = plane.next(th) {
-            if let Some(h) = th {
-                h.begin_at(since_us, Name::Attempt, tag);
-            }
+            th.begin_at(since_us, Name::Attempt, tag);
             let t0 = Instant::now();
             let mut tally = JobMetrics::default();
             let cancel = cancel.as_deref();
@@ -180,7 +178,7 @@ impl Workers<'_> {
         cancel: Option<&AtomicBool>,
         scratch: &mut Bucket,
         tally: &mut JobMetrics,
-        th: Option<&TraceHandle>,
+        th: &TraceHandle,
     ) -> std::result::Result<Vec<Arc<Bucket>>, Failure> {
         let inputs = match inputs {
             Some(inputs) => inputs,
@@ -292,32 +290,24 @@ pub(crate) fn bucket_path(stem: &str, p: usize) -> String {
 
 /// Trace an attempt cancelled before a worker took it: its span from
 /// `since_us`, closed at once with a `Cancel` instant.
-pub(crate) fn trace_abandoned(th: Option<&TraceHandle>, since_us: u64, tag: Tag) {
-    if let Some(h) = th {
-        h.begin_at(since_us, Name::Attempt, tag);
-    }
+pub(crate) fn trace_abandoned(th: &TraceHandle, since_us: u64, tag: Tag) {
+    th.begin_at(since_us, Name::Attempt, tag);
     close(th, tag, true);
 }
 
 /// Close an attempt's span, marking a cancelled one.
-fn close(th: Option<&TraceHandle>, tag: Tag, cancelled: bool) {
-    if let Some(h) = th {
-        if cancelled {
-            h.instant(Name::Cancel, tag);
-        }
-        h.end(Name::Attempt, tag);
+fn close(th: &TraceHandle, tag: Tag, cancelled: bool) {
+    if cancelled {
+        th.instant(Name::Cancel, tag);
     }
+    th.end(Name::Attempt, tag);
 }
 
 /// Run `f` inside a span `name` of attempt `tag`.
-fn span<R>(th: Option<&TraceHandle>, name: Name, tag: Tag, f: impl FnOnce() -> R) -> R {
-    if let Some(h) = th {
-        h.begin(name, tag);
-    }
+fn span<R>(th: &TraceHandle, name: Name, tag: Tag, f: impl FnOnce() -> R) -> R {
+    th.begin(name, tag);
     let r = f();
-    if let Some(h) = th {
-        h.end(name, tag);
-    }
+    th.end(name, tag);
     r
 }
 
@@ -375,7 +365,7 @@ mod tests {
 
     impl Plane for OneAttempt {
         type Task = ();
-        fn next(&self, _: Option<&TraceHandle>) -> Option<Attempt<()>> {
+        fn next(&self, _: &TraceHandle) -> Option<Attempt<()>> {
             self.attempt.lock().take()
         }
         fn fetch(
@@ -389,7 +379,7 @@ mod tests {
         fn stem(&self, tag: &Tag) -> String {
             format!("t{}", tag.index)
         }
-        fn finish(&self, done: Done<()>, _: Option<&TraceHandle>) -> Result<()> {
+        fn finish(&self, done: Done<()>, _: &TraceHandle) -> Result<()> {
             let outcome = done.outcome.map(|out| out.len()).map_err(|f| f.error);
             *self.seen.lock() = Some((outcome, done.tally, self.rec.drain().0));
             Ok(())
@@ -477,7 +467,7 @@ mod tests {
             let program = Raise(cancelled.then(|| flag.clone()));
             let store_step = Some((&store as &dyn Store, CompressMode::default()));
             let workers =
-                Workers { program: &program, store: store_step, slots: 1, trace: Some(&plane.rec) };
+                Workers { program: &program, store: store_step, slots: 1, trace: &plane.rec };
             workers.run(&plane).unwrap();
 
             let (outcome, tally, events) = plane.seen.lock().take().expect("the sink ran");

@@ -11,9 +11,11 @@
 //! * **Never perturb the job.** Each recording thread owns its own shard
 //!   (an uncontended `Mutex` around a fixed ring), so the hot path is a
 //!   lock with no waiters plus a slot write — no allocation, no I/O.
-//! * **Never grow without bound.** Rings have a fixed capacity; overflow
-//!   overwrites the *oldest* events and counts every loss in
-//!   `dropped_events` — a visible counter, not a silent cap.
+//! * **Never grow without bound.** Every event is held in a [`Ring`] of
+//!   fixed capacity — a recording shard's, or the one a master keeps per
+//!   slave for the events it ingests; overflow overwrites the *oldest*
+//!   events and counts every loss in `dropped_events` — a visible
+//!   counter, not a silent cap.
 //! * **No dependencies.** Standard library only, like the rest of the
 //!   networking stack; the runtime and benches both link this crate.
 //!
@@ -26,9 +28,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Default per-shard ring capacity: 64k events ≈ 2 MiB per recording
-/// thread, enough for hundreds of thousands of task phases between
-/// drains on any realistic job.
+/// Default ring capacity: 64k events ≈ 2 MiB per recording thread (or per
+/// slave, at a master), enough for tens of thousands of task phases
+/// between drains on any realistic job.
 pub const DEFAULT_CAPACITY: usize = 65_536;
 
 /// Lane id used for a slave's poll/main loop; its workers record on lanes
@@ -250,8 +252,9 @@ pub struct Event {
 }
 
 /// Fixed-capacity ring that overwrites its *oldest* event on overflow
-/// and counts every overwrite.
-struct Ring {
+/// and counts every overwrite: each recording shard is one, and so is
+/// each slave's share of a master's timeline.
+pub struct Ring {
     buf: Vec<Event>,
     /// Index of the oldest event once the ring has wrapped.
     head: usize,
@@ -260,11 +263,13 @@ struct Ring {
 }
 
 impl Ring {
-    fn new(capacity: usize) -> Ring {
+    /// An empty ring holding at most `capacity` events (at least one).
+    pub fn new(capacity: usize) -> Ring {
         Ring { buf: Vec::new(), head: 0, capacity: capacity.max(1), dropped: 0 }
     }
 
-    fn push(&mut self, e: Event) {
+    /// Append `e`, overwriting the oldest event when full.
+    pub fn push(&mut self, e: Event) {
         if self.buf.len() < self.capacity {
             self.buf.push(e);
         } else {
@@ -274,8 +279,14 @@ impl Ring {
         }
     }
 
-    /// Events in insertion order (oldest first), leaving the ring empty.
-    fn drain(&mut self) -> (Vec<Event>, u64) {
+    /// Events overwritten since the last drain.
+    pub fn dropped(&self) -> u64 {
+        self.dropped
+    }
+
+    /// Events in insertion order (oldest first) and the number overwritten
+    /// since the last drain, leaving the ring empty.
+    pub fn drain(&mut self) -> (Vec<Event>, u64) {
         let mut out = Vec::with_capacity(self.buf.len());
         out.extend_from_slice(&self.buf[self.head..]);
         out.extend_from_slice(&self.buf[..self.head]);
@@ -368,8 +379,8 @@ impl Recorder {
     /// Total events lost to ring overflow over this recorder's lifetime
     /// (drained and still-pending losses both included).
     pub fn dropped_events(&self) -> u64 {
-        let pending: u64 =
-            self.inner.shards.lock().unwrap().iter().map(|s| s.ring.lock().unwrap().dropped).sum();
+        let shards = self.inner.shards.lock().unwrap();
+        let pending: u64 = shards.iter().map(|s| s.ring.lock().unwrap().dropped()).sum();
         self.inner.drained_dropped.load(Ordering::Relaxed) + pending
     }
 }

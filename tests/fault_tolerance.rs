@@ -185,15 +185,21 @@ fn transient_shared_fs_failures_are_retried() {
 #[test]
 fn poisoned_task_fails_the_job_after_attempt_cap() {
     // A program whose map always fails on decode: give it garbage records.
-    let cfg = MasterConfig { max_attempts: 2, ..MasterConfig::default() };
-    let mut cluster =
-        LocalCluster::start(Arc::new(Simple(WordCount)), 2, DataPlane::Direct, cfg).unwrap();
+    let mut cluster = LocalCluster::start(
+        Arc::new(Simple(WordCount)),
+        2,
+        DataPlane::Direct,
+        MasterConfig::default(),
+    )
+    .unwrap();
     let mut job = Job::new(&mut cluster);
     let src = job.local_data(vec![(vec![1, 2], vec![3])], 1).unwrap();
     let mapped = job.map_data(src, 0, 1, false).unwrap();
     let err = job.wait(mapped).unwrap_err();
     let msg = err.to_string();
-    assert!(msg.contains("failed"), "{msg}");
+    // The cap is four attempts.
+    assert!(msg.contains("failed 4 times"), "{msg}");
+    assert_eq!(cluster.metrics().tasks_retried(), 4, "{msg}");
 }
 
 #[test]
