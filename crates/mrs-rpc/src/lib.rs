@@ -16,7 +16,7 @@ pub mod http;
 pub mod rpc;
 pub mod xmlrpc;
 
-pub use dataserver::{DataServer, FrameCache, Pages, Provider};
+pub use dataserver::{DataServer, FrameCache, Pages, Provider, Served};
 pub use http::{Body, HttpClient, HttpServer, Request, Response, ServerOptions};
 pub use rpc::{RpcClient, RpcServer};
 pub use xmlrpc::Value;

@@ -1179,7 +1179,7 @@ mod tests {
 
         // The golden requests decode back to the typed calls.
         let params = |i: usize| parse_request(GOLDEN[i]).unwrap().1;
-        let signin = Signin { authority: "127.0.0.1:40001".into(), slots: 2, version: 6 };
+        let signin = Signin { authority: "127.0.0.1:40001".into(), slots: 2, version: 7 };
         assert_eq!(Signin::from_params(&params(0)).unwrap(), signin);
         let poll = |free, park_ms, reports, counts, trace| GetTask {
             slave: 7,
@@ -1213,7 +1213,7 @@ mod tests {
     /// the answers `Tasks` (with purge, cancel and `more`), `Wait` and `Exit`.
     const GOLDEN: [&str; 9] = [
         r#"<?xml version="1.0"?>
-<methodCall><methodName>signin</methodName><params><param><value><string>127.0.0.1:40001</string></value></param><param><value><int>2</int></value></param><param><value><int>6</int></value></param></params></methodCall>"#,
+<methodCall><methodName>signin</methodName><params><param><value><string>127.0.0.1:40001</string></value></param><param><value><int>2</int></value></param><param><value><int>7</int></value></param></params></methodCall>"#,
         r#"<?xml version="1.0"?>
 <methodCall><methodName>get_task</methodName><params><param><value><int>7</int></value></param><param><value><int>2</int></value></param><param><value><int>250</int></value></param><param><value><array><data><value><struct><member><name>attempt</name><value><int>1</int></value></member><member><name>data</name><value><int>1</int></value></member><member><name>index</name><value><int>0</int></value></member><member><name>urls</name><value><array><data><value><string>http://127.0.0.1:40001/data/s7/d1/t0/b0.mrsb</string></value><value><string>http://127.0.0.1:40001/data/s7/d1/t0/b1.mrsb</string></value></data></array></value></member></struct></value><value><struct><member><name>attempt</name><value><int>2</int></value></member><member><name>data</name><value><int>2</int></value></member><member><name>index</name><value><int>3</int></value></member><member><name>urls</name><value><array><data><value><string>http://127.0.0.1:40001/data/s7/d1/t0/b2.mrsb</string></value></data></array></value></member></struct></value></data></array></value></param><param><value><struct><member><name>merge_runs</name><value><int>4</int></value></member><member><name>merge_time</name><value><int>1500</int></value></member><member><name>peak_reduce_records</name><value><int>900</int></value></member></struct></value></param><param><value><struct><member><name>dropped</name><value><int>1</int></value></member><member><name>events</name><value><base64>CgAAAAAAAAACAAAAAwAAAAcAAAABAAAAAAIBFAAAAAAAAAACAAAAAwAAAAcAAAABAAAAAQIB</base64></value></member><member><name>rtt</name><value><int>450</int></value></member><member><name>sent_at</name><value><int>1000000</int></value></member></struct></value></param></params></methodCall>"#,
         r#"<?xml version="1.0"?>

@@ -86,6 +86,8 @@ metrics! {
     LongpollTimeouts longpoll_timeouts Sum "longpoll_timeouts_total" "Parked requests that expired into a `Wait`.",
     PiggybackedReports piggybacked_reports Sum "piggybacked_reports_total" "Completion reports that rode a `get_task` call.",
     Wakeups wakeups Sum "wakeups_total" "State transitions that woke a parked poll.",
+    AheadGrants ahead_grants Sum "ahead_grants_total" "Tasks granted before their inputs were all committed, naming pending ones by the URL they will have.",
+    HeldFetches held_fetches Sum "held_fetches_total" "Lookups of a pending output a slave held until it was written or given up.",
     BytesPreCompress bytes_pre_compress Sum "bytes_pre_compress_total" "Decoded bytes of buckets fetched over HTTP.",
     BytesOnWire bytes_on_wire Sum "bytes_on_wire_total" "HTTP body bytes those fetches moved (framed, maybe compressed).",
     ShortcircuitFetches shortcircuit_fetches Sum "shortcircuit_fetches_total" "Fetches served without a socket (own output table, in-memory handover).",
@@ -308,11 +310,12 @@ mod tests {
 
     /// The sample names `JobMetrics::to_prometheus` emitted before the
     /// table existed (hand-listed), in order, less the four the eager
-    /// shuffle took with it: the table must emit exactly these —
-    /// dashboards and the CI smoke read them by name.
+    /// shuffle took with it and plus the two of the grants ahead of their
+    /// inputs: the table must emit exactly these — dashboards and the CI
+    /// smoke read them by name.
     #[test]
     fn prometheus_names_are_the_hand_listed_ones() {
-        const BEFORE: [&str; 37] = [
+        const BEFORE: [&str; 39] = [
             "mrs_map_ops_total",
             "mrs_reduce_ops_total",
             "mrs_shuffle_bytes_total",
@@ -330,6 +333,8 @@ mod tests {
             "mrs_longpoll_timeouts_total",
             "mrs_piggybacked_reports_total",
             "mrs_wakeups_total",
+            "mrs_ahead_grants_total",
+            "mrs_held_fetches_total",
             "mrs_bytes_pre_compress_total",
             "mrs_bytes_on_wire_total",
             "mrs_shortcircuit_fetches_total",

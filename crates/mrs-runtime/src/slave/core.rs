@@ -48,6 +48,12 @@ pub(super) struct Effects {
     /// Queued attempts a cancel order dropped, with their acceptance
     /// stamps: traced on the poll lane.
     pub(super) dropped: Vec<(TaskMsg, u64)>,
+    /// The attempts an answer accepted: what they will write is pending
+    /// until they finish.
+    pub(super) accepted: Vec<(u32, usize, u32)>,
+    /// The unfinished attempts a cancel order ended, queued or held by a
+    /// worker: what they would have written never will be.
+    pub(super) abandoned: Vec<(u32, usize, u32)>,
     /// Wake this many workers for the attempts queued.
     pub(super) queued: usize,
     /// Enter the finished attempt's outputs.
@@ -91,8 +97,9 @@ impl SlaveCore {
 
     /// A poll was answered. Cancels go first: a loser still queued is
     /// dropped, freeing its slot at once; one a worker holds has its flag
-    /// taken and raised, so its outputs are never entered; one already
-    /// finished has its waiting report withdrawn. The purges follow in the
+    /// taken and raised, so its outputs are never entered (either way it
+    /// is abandoned); one already finished has its waiting report
+    /// withdrawn. The purges follow in the
     /// same step, so they find every output a loser of the purged dataset
     /// will ever enter, and a granted task that rebuilds a reclaimed
     /// dataset writes its paths only after its previous life's are gone.
@@ -108,11 +115,14 @@ impl SlaveCore {
                 fx.raise.push(flag);
             } else {
                 self.reports.retain(|r| (r.data, r.index, r.attempt) != id);
+                continue;
             }
+            fx.abandoned.push(id);
         }
         self.in_flight -= fx.dropped.len();
         if let Assignment::Tasks(tasks) = d.assignment {
             (fx.queued, self.in_flight) = (tasks.len(), self.in_flight + tasks.len());
+            fx.accepted = tasks.iter().map(key).collect();
             self.queue.extend(tasks.into_iter().map(|task| (task, us)));
         }
         (self.more, self.answered_at, self.woken) = (more, Some(now), false);

@@ -189,7 +189,7 @@ fn signin_with_a_missing_or_different_protocol_version_is_a_fault() {
     // this wire no longer has, a version-3 slave sends no counts (its
     // shuffle counts would be visible nowhere), and version 2's answers
     // had no `more` key.
-    assert_eq!(PROTOCOL_VERSION, 6);
+    assert_eq!(PROTOCOL_VERSION, 7);
     for version in [None, Some(PROTOCOL_VERSION + 1), Some(5), Some(4), Some(3), Some(2)] {
         let link = OtherBuild { client: RpcClient::new(server.authority()), version };
         let err = link.signin("127.0.0.1:1", 2).unwrap_err().to_string();
