@@ -14,26 +14,38 @@ thread_local! {
 }
 
 /// WordCount over `lines_to_records` input whose first run of map task 0
-/// (the split of the lines below `split`) pauses before each of its
-/// records: a straggler whose backup runs at full speed. Pausing record
-/// by record, a cancelled run stops at its next record. That run's start
-/// is signalled, so a race adds its clean slave only once the straggler
+/// (the split of the lines below `split`) waits before each of its
+/// records until the test releases it: a straggler that cannot finish
+/// before the test has seen its backup win, whatever the load. Released,
+/// a cancelled run stops at its next record. That run's start is
+/// signalled, so a race adds its clean slave only once the straggler
 /// holds the task.
 pub struct Straggler {
     split: u64,
-    pause: Duration,
-    started: (Mutex<bool>, Condvar),
+    /// (the straggling run has started, the straggler is released)
+    state: Mutex<(bool, bool)>,
+    cv: Condvar,
 }
 
+/// How long an unreleased straggler waits in all before it runs on
+/// regardless, so a race that never comes fails its test's assertions
+/// instead of hanging it.
+const PATIENCE: Duration = Duration::from_secs(30);
+
 impl Straggler {
-    pub fn new(split: u64, pause: Duration) -> Arc<Straggler> {
-        Arc::new(Straggler { split, pause, started: Default::default() })
+    pub fn new(split: u64) -> Arc<Straggler> {
+        Arc::new(Straggler { split, state: Mutex::default(), cv: Condvar::new() })
     }
 
     /// Block until the first run of map task 0 has started.
     pub fn await_start(&self) {
-        let started = self.started.0.lock().unwrap();
-        drop(self.started.1.wait_while(started, |started| !*started).unwrap());
+        drop(self.cv.wait_while(self.state.lock().unwrap(), |s| !s.0).unwrap());
+    }
+
+    /// Let the straggling run go on.
+    pub fn release(&self) {
+        self.state.lock().unwrap().1 = true;
+        self.cv.notify_all();
     }
 }
 
@@ -47,13 +59,16 @@ impl Program for Straggler {
     ) -> Result<()> {
         let line = u64::from_bytes(key)?;
         if line == 0 {
-            let mut started = self.started.0.lock().unwrap();
-            STRAGGLING.set(!*started);
-            *started = true;
-            self.started.1.notify_all();
+            let mut state = self.state.lock().unwrap();
+            STRAGGLING.set(!state.0);
+            state.0 = true;
+            self.cv.notify_all();
         }
         if line < self.split && STRAGGLING.get() {
-            std::thread::sleep(self.pause);
+            let state = self.state.lock().unwrap();
+            let (mut state, waited) =
+                self.cv.wait_timeout_while(state, PATIENCE, |s| !s.1).unwrap();
+            state.1 |= waited.timed_out();
         }
         Simple(WordCount).map_bytes(func, key, value, emit)
     }

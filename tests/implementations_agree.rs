@@ -137,8 +137,8 @@ fn forced_backup_race_preserves_the_answer() {
     let lines = sample_lines();
     let bypass = corpus::tokenizer::reference_counts(lines.iter().map(String::as_str));
 
-    // Map task 0 reads lines 0..8; its first run takes 8 x 50 ms.
-    let straggler = common::Straggler::new(8, std::time::Duration::from_millis(50));
+    // Map task 0 reads lines 0..8; its first run waits for the release.
+    let straggler = common::Straggler::new(8);
     let mut cluster =
         LocalCluster::start(straggler.clone(), 0, DataPlane::Direct, MasterConfig::default())
             .unwrap();
@@ -155,10 +155,11 @@ fn forced_backup_race_preserves_the_answer() {
     cluster.add_slave_with(SlaveOptions { slots: 2, ..Default::default() });
 
     let raced = decode_counts(&Job::new(&mut cluster).fetch_all(reduced).unwrap()).unwrap();
+    straggler.release();
     assert_eq!(raced, bypass, "forced-backup cluster vs bypass");
     let metrics = cluster.metrics();
     assert!(metrics.speculative_launches() >= 1, "the injected straggler never got a backup");
-    assert!(metrics.speculative_wins() >= 1, "a full-speed backup should beat a 400 ms straggler");
+    assert!(metrics.speculative_wins() >= 1, "a full-speed backup should beat a held straggler");
     assert_eq!(
         metrics.speculative_launches(),
         metrics.speculative_wins() + metrics.speculative_losses(),
