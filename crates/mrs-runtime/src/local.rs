@@ -202,7 +202,7 @@ impl Plane for Shared {
                 if done.completed {
                     st.metrics.dataset_live(true);
                 }
-                if done.freed.is_some() {
+                for _ in 0..usize::from(done.freed.is_some()) + usize::from(done.orphan_freed) {
                     st.metrics.dataset_live(false);
                     st.metrics.add(Counter::DatasetsFreed, 1);
                 }

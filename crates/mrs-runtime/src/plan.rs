@@ -111,6 +111,10 @@ pub(crate) struct Commit {
     /// The completed op was the last registered consumer of this dataset,
     /// and lifetime GC reclaimed it.
     pub freed: Option<DataId>,
+    /// The completed op itself had no reader left — an op rebuilt from
+    /// lineage whose readers finished before it did — and lifetime GC
+    /// reclaimed it too.
+    pub orphan_freed: bool,
 }
 
 #[derive(Debug, Default)]
@@ -126,11 +130,21 @@ pub(crate) struct Plan<O, X> {
     /// Datasets pinned by `keep`: exempt from lifetime GC until an
     /// explicit discard.
     pins: HashSet<u32>,
+    /// Incomplete ops whose last reader completed before them: reclaimed
+    /// when they complete. Only a rebuild makes one — an op revived whole
+    /// for a map task that reads one of its splits.
+    orphans: HashSet<u32>,
 }
 
 impl<O: Clone, X: Default> Plan<O, X> {
     pub fn new() -> Self {
-        Plan { datasets: Vec::new(), live: Vec::new(), consumers: Vec::new(), pins: HashSet::new() }
+        Plan {
+            datasets: Vec::new(),
+            live: Vec::new(),
+            consumers: Vec::new(),
+            pins: HashSet::new(),
+            orphans: HashSet::new(),
+        }
     }
 
     fn push(&mut self, ds: Ds<O, X>) -> DataId {
@@ -183,7 +197,7 @@ impl<O: Clone, X: Default> Plan<O, X> {
                 return Err(Error::Invalid("map cannot consume an unreduced map output".into()))
             }
         };
-        self.consumers[input.0 as usize] += 1;
+        self.read(input);
         let id = self.push(Ds::Op(Op::new(spec, input, ntasks)));
         self.live.push(id.0);
         Ok(id)
@@ -251,31 +265,50 @@ impl<O: Clone, X: Default> Plan<O, X> {
         }
         let input = op.input;
         self.live.retain(|&d| d != data.0);
-        Commit { completed: true, freed: self.release(input) }
+        let freed = self.release(input);
+        let orphan_freed = self.orphans.remove(&data.0) && !self.pins.contains(&data.0);
+        if orphan_freed {
+            let at = data.0 as usize;
+            self.datasets[at] = self.datasets[at].reclaimed();
+        }
+        Commit { completed: true, freed, orphan_freed }
+    }
+
+    /// One more incomplete op reads `input`.
+    fn read(&mut self, input: DataId) {
+        self.consumers[input.0 as usize] += 1;
+        self.orphans.remove(&input.0);
     }
 
     /// Lifetime GC: a completed op no longer needs `input`; when it was
     /// the last registered consumer, reclaim the dataset — unless the
-    /// driver pinned it. Sources are exempt: real Mrs re-reads job input
+    /// driver pinned it, or it is not complete yet (an orphan, reclaimed
+    /// when it is). Sources are exempt: real Mrs re-reads job input
     /// from the filesystem, so keeping splits means every lineage bottoms
     /// out in data that is still there. Only an explicit discard frees
     /// them.
     fn release(&mut self, input: DataId) -> Option<DataId> {
         let at = input.0 as usize;
         self.consumers[at] -= 1;
-        let spent = self.consumers[at] == 0
-            && !self.pins.contains(&input.0)
-            && matches!(&self.datasets[at], Ds::Op(op) if op.complete());
-        spent.then(|| {
-            self.datasets[at] = self.datasets[at].reclaimed();
-            input
-        })
+        if self.consumers[at] > 0 || self.pins.contains(&input.0) {
+            return None;
+        }
+        match &self.datasets[at] {
+            Ds::Op(op) if op.complete() => {}
+            Ds::Op(_) => {
+                self.orphans.insert(input.0);
+                return None;
+            }
+            _ => return None,
+        }
+        self.datasets[at] = self.datasets[at].reclaimed();
+        Some(input)
     }
 
     /// Op `data` is incomplete again: it holds its input against GC and
     /// `runnable` walks it.
     fn relive(&mut self, data: DataId, input: DataId) {
-        self.consumers[input.0 as usize] += 1;
+        self.read(input);
         let at = self.live.partition_point(|&d| d < data.0);
         self.live.insert(at, data.0);
     }
@@ -469,6 +502,11 @@ mod tests {
         plan.commit(data, index, (0..pieces).map(|p| (data.0, index, p)).collect())
     }
 
+    /// The commit of an op's last task, freeing nothing.
+    fn done() -> Commit {
+        Commit { completed: true, ..Commit::default() }
+    }
+
     fn runnable(plan: &TestPlan) -> Vec<(DataId, usize)> {
         plan.runnable().map(|(d, i, _)| (d, i)).collect()
     }
@@ -540,7 +578,7 @@ mod tests {
         let m2 = plan.op(map(1), r1).unwrap();
         assert!(plan.discard(r1).is_none());
         assert_eq!(runnable(&plan), [(m2, 0)]);
-        assert_eq!(finish(&mut plan, m2, 0), Commit { completed: true, freed: Some(r1) });
+        assert_eq!(finish(&mut plan, m2, 0), Commit { completed: true, freed: Some(r1), ..done() });
         // Complete and unread: the driver's word is enough, once.
         assert!(matches!(plan.discard(m2), Some(Ds::Op(_))));
         assert!(plan.discard(m2).is_none());
@@ -558,10 +596,53 @@ mod tests {
         let m2 = plan.op(map(1), r1).unwrap();
         finish(&mut plan, m1, 0);
         assert_eq!(finish(&mut plan, r1, 0).freed, Some(m1), "unpinned: freed by its reader");
-        assert_eq!(finish(&mut plan, m2, 0), Commit { completed: true, freed: None });
+        assert_eq!(finish(&mut plan, m2, 0), Commit { completed: true, freed: None, ..done() });
         assert_eq!(plan.outputs(r1).unwrap(), [(r1.0, 0, 0)]);
         assert!(plan.discard(r1).is_some(), "an explicit discard releases the pin");
         assert!(plan.outputs(r1).is_err());
+    }
+
+    /// A map task that lost its output after its input was reclaimed
+    /// rebuilds that input whole, but reads one split of it: the map
+    /// completes first. The rebuilt op, its last reader done, is
+    /// reclaimed when it completes — not kept for good, which on a shared
+    /// store left its files behind after the job — unless it has a reader
+    /// again by then, or the driver pinned it.
+    #[test]
+    fn a_rebuilt_op_whose_reader_finished_first_is_freed_when_it_completes() {
+        for then in ["nothing", "another loss", "a pin"] {
+            let mut plan = TestPlan::new();
+            let src = source(&mut plan, 1);
+            let m1 = plan.op(map(2), src).unwrap();
+            let r1 = plan.op(reduce(), m1).unwrap();
+            let m2 = plan.op(map(1), r1).unwrap();
+            finish(&mut plan, m1, 0);
+            finish(&mut plan, r1, 0);
+            assert_eq!(finish(&mut plan, r1, 1).freed, Some(m1));
+            finish(&mut plan, m2, 0);
+            let first = finish(&mut plan, m2, 1);
+            assert_eq!(first, Commit { completed: true, freed: Some(r1), ..done() });
+            // m2's split 0 is lost: r1 and m1 are rebuilt whole.
+            assert!(plan.reopen(m2, 0).unwrap());
+            assert_eq!(runnable(&plan), [(m1, 0)]);
+            finish(&mut plan, m1, 0);
+            finish(&mut plan, r1, 0);
+            assert_eq!(runnable(&plan), [(r1, 1), (m2, 0)], "split 0 is all m2 reads");
+            assert_eq!(finish(&mut plan, m2, 0), done(), "{then}: r1 is incomplete, not freed");
+            match then {
+                "another loss" => assert!(plan.reopen(m2, 1).unwrap()),
+                "a pin" => plan.keep(r1),
+                _ => {}
+            }
+            let last = finish(&mut plan, r1, 1);
+            let orphan_freed = then == "nothing";
+            assert_eq!(last, Commit { completed: true, freed: Some(m1), orphan_freed }, "{then}");
+            assert_eq!(plan.outputs(r1).is_err(), orphan_freed, "{then}");
+            if then == "another loss" {
+                assert_eq!(finish(&mut plan, m2, 1).freed, Some(r1), "freed by its new reader");
+            }
+            assert_eq!(plan.live_ops().count(), 0);
+        }
     }
 
     #[test]
@@ -578,7 +659,7 @@ mod tests {
         assert_eq!(runnable(&plan), [(m, 1)]);
         assert_eq!(plan.live_ops().map(|(d, _)| d).collect::<Vec<_>>(), [m, r], "oldest first");
         finish(&mut plan, m, 1);
-        assert_eq!(finish(&mut plan, r, 0), Commit { completed: true, freed: Some(m) });
+        assert_eq!(finish(&mut plan, r, 0), Commit { completed: true, freed: Some(m), ..done() });
         // The reduce's output is lost after its input was reclaimed: the
         // map is rebuilt from its lineage, whole, and the barrier holds
         // the reduce until it is.
@@ -592,7 +673,8 @@ mod tests {
         finish(&mut plan, m, 1);
         assert_eq!(plan.input(r, 0), [(m.0, 0, 0), (m.0, 1, 0)]);
         let again = finish(&mut plan, r, 0);
-        assert_eq!(again, Commit { completed: true, freed: Some(m) }, "freed once more, once read");
+        let once_more = Commit { completed: true, freed: Some(m), ..done() };
+        assert_eq!(again, once_more, "freed once more, once read");
         // Only a lineage that ends at a discarded source cannot be rebuilt,
         // and then nothing changes.
         assert!(plan.discard(src).is_some());
@@ -621,6 +703,9 @@ mod tests {
         lives: usize,
         /// Times it was reclaimed, by GC or by a discard.
         freed: usize,
+        /// Its last reader completed before it did: reclaimed once it
+        /// completes.
+        orphaned: bool,
     }
 
     impl Shadow {
@@ -635,6 +720,7 @@ mod tests {
                 readers: 0,
                 lives: 1,
                 freed: 0,
+                orphaned: false,
             }
         }
 
@@ -703,19 +789,28 @@ mod tests {
                 let at = d.0 as usize;
                 shadows[at].done[i] = true;
                 let completed = shadows[at].complete();
-                let mut freed = None;
+                let (mut freed, mut orphan_freed) = (None, false);
                 if completed {
                     let input = shadows[at].input.expect("an op");
                     let s = &mut shadows[input];
                     s.readers -= 1;
-                    let spent = s.readers == 0 && s.input.is_some() && s.complete();
-                    if spent && !s.kept {
+                    if s.readers == 0 && s.input.is_some() && !s.kept {
+                        if s.complete() {
+                            s.gone = true;
+                            s.freed += 1;
+                            freed = Some(DataId(input as u32));
+                        } else {
+                            s.orphaned = true;
+                        }
+                    }
+                    let s = &mut shadows[at];
+                    if std::mem::take(&mut s.orphaned) && !s.kept {
                         s.gone = true;
                         s.freed += 1;
-                        freed = Some(DataId(input as u32));
+                        orphan_freed = true;
                     }
                 }
-                (got, Commit { completed, freed })
+                (got, Commit { completed, freed, orphan_freed })
             };
             for step in &steps {
                 match *step {
@@ -739,6 +834,7 @@ mod tests {
                         };
                         prop_assert_eq!(plan.at(id).unwrap().tasks().len(), tasks);
                         shadows[input].readers += 1;
+                        shadows[input].orphaned = false;
                         shadows.push(Shadow::new(Some(input), Some(spec), tasks, keep));
                         if keep {
                             plan.keep(id);
@@ -786,9 +882,11 @@ mod tests {
                                 s.done.fill(false);
                                 let read = s.input.expect("only an op has a lineage");
                                 shadows[read].readers += 1;
+                                shadows[read].orphaned = false;
                             }
                             if was_complete {
                                 shadows[input].readers += 1;
+                                shadows[input].orphaned = false;
                             }
                             shadows[d].done[i] = false;
                         }
@@ -821,6 +919,9 @@ mod tests {
                 prop_assert!(s.gone || s.complete(), "dataset {} never finished: {:?}", d, s);
                 prop_assert_eq!(plan.outputs(DataId(d as u32)).is_err(), s.gone);
                 prop_assert_eq!(s.freed, s.lives - usize::from(!s.gone), "dataset {}: {:?}", d, s);
+                // A rebuilt life exists for its readers: they are done, so
+                // it was freed.
+                prop_assert!(s.gone || s.kept || s.lives == 1, "dataset {} outlived: {:?}", d, s);
             }
         }
     }
