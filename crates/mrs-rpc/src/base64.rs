@@ -8,6 +8,13 @@ const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwx
 /// Encode bytes to base64 text.
 pub fn encode(data: &[u8]) -> String {
     let mut out = String::with_capacity(data.len().div_ceil(3) * 4);
+    encode_into(data, &mut out);
+    out
+}
+
+/// Append the base64 text of `data` to `out`.
+pub fn encode_into(data: &[u8], out: &mut String) {
+    out.reserve(data.len().div_ceil(3) * 4);
     let mut chunks = data.chunks_exact(3);
     for c in &mut chunks {
         let n = u32::from(c[0]) << 16 | u32::from(c[1]) << 8 | u32::from(c[2]);
@@ -32,58 +39,50 @@ pub fn encode(data: &[u8]) -> String {
         }
         _ => {}
     }
-    out
 }
 
-fn decode_char(c: u8) -> Option<u8> {
-    match c {
-        b'A'..=b'Z' => Some(c - b'A'),
-        b'a'..=b'z' => Some(c - b'a' + 26),
-        b'0'..=b'9' => Some(c - b'0' + 52),
-        b'+' => Some(62),
-        b'/' => Some(63),
-        _ => None,
+/// Each byte's symbol value, or [`NOT_A_SYMBOL`].
+const SYMBOLS: [u8; 256] = {
+    let mut table = [NOT_A_SYMBOL; 256];
+    let mut i = 0;
+    while i < 64 {
+        table[ALPHABET[i] as usize] = i as u8;
+        i += 1;
     }
-}
+    table
+};
 
-/// Decode base64 text (whitespace tolerated, as XML often wraps lines).
+const NOT_A_SYMBOL: u8 = 0xff;
+
+/// Decode base64 text (whitespace tolerated, as XML often wraps lines),
+/// in one pass: each group of four symbols is three bytes.
 pub fn decode(text: &str) -> Option<Vec<u8>> {
-    let mut syms: Vec<u8> = Vec::with_capacity(text.len());
-    let mut padding = 0usize;
+    let mut out = Vec::with_capacity(text.len() / 4 * 3);
+    let (mut group, mut held, mut padding) = (0u32, 0usize, 0usize);
     for &b in text.as_bytes() {
-        if b.is_ascii_whitespace() {
-            continue;
+        match SYMBOLS[usize::from(b)] {
+            NOT_A_SYMBOL if b == b'=' => padding += 1,
+            NOT_A_SYMBOL if b.is_ascii_whitespace() => {}
+            NOT_A_SYMBOL => return None,
+            // Data after padding.
+            _ if padding > 0 => return None,
+            sym => {
+                group = group << 6 | u32::from(sym);
+                held += 1;
+                if held == 4 {
+                    out.extend_from_slice(&[(group >> 16) as u8, (group >> 8) as u8, group as u8]);
+                    (group, held) = (0, 0);
+                }
+            }
         }
-        if b == b'=' {
-            padding += 1;
-            continue;
-        }
-        if padding > 0 {
-            return None; // data after padding
-        }
-        syms.push(decode_char(b)?);
     }
-    if !(syms.len() + padding).is_multiple_of(4) || padding > 2 {
+    if !(held + padding).is_multiple_of(4) || padding > 2 {
         return None;
     }
-    let mut out = Vec::with_capacity(syms.len() * 3 / 4);
-    let mut chunks = syms.chunks_exact(4);
-    for c in &mut chunks {
-        let n =
-            u32::from(c[0]) << 18 | u32::from(c[1]) << 12 | u32::from(c[2]) << 6 | u32::from(c[3]);
-        out.extend_from_slice(&[(n >> 16) as u8, (n >> 8) as u8, n as u8]);
-    }
-    match *chunks.remainder() {
-        [] => {}
-        [a, b] => {
-            let n = u32::from(a) << 18 | u32::from(b) << 12;
-            out.push((n >> 16) as u8);
-        }
-        [a, b, c] => {
-            let n = u32::from(a) << 18 | u32::from(b) << 12 | u32::from(c) << 6;
-            out.push((n >> 16) as u8);
-            out.push((n >> 8) as u8);
-        }
+    match held {
+        0 => {}
+        2 => out.push((group >> 4) as u8),
+        3 => out.extend_from_slice(&[(group >> 10) as u8, (group >> 2) as u8]),
         _ => return None, // single leftover symbol is invalid
     }
     Some(out)

@@ -5,17 +5,21 @@
 //! `task_failed`, …) and slaves call them through [`RpcClient`].
 
 use crate::http::{Handler, HttpServer, Request, Response};
-use crate::xmlrpc::{self, Value};
+use crate::xmlrpc::{self, Reader, Value};
 use mrs_core::{Error, Result};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Result type for method handlers: `Err((code, message))` becomes an
 /// XML-RPC fault.
 pub type MethodResult = std::result::Result<Value, (i64, String)>;
 
-/// A registered RPC method.
-pub type Method = Box<dyn Fn(&[Value]) -> MethodResult + Send + Sync>;
+/// A registered RPC method: it reads its parameters off the request
+/// document, and the end of the document, and answers with a whole
+/// response document (`Err((code, message))`: a fault).
+pub type Method =
+    Box<dyn Fn(Reader<'_>) -> std::result::Result<String, (i64, String)> + Send + Sync>;
 
 /// Builder for the method table.
 #[derive(Default)]
@@ -29,10 +33,29 @@ impl Dispatch {
         Dispatch::default()
     }
 
-    /// Register a method by name.
-    pub fn register<F>(mut self, name: &str, f: F) -> Self
+    /// Register a method by name that takes its parameters as [`Value`]s;
+    /// a document they cannot be read from is fault 1.
+    pub fn register<F>(self, name: &str, f: F) -> Self
     where
         F: Fn(&[Value]) -> MethodResult + Send + Sync + 'static,
+    {
+        self.register_doc(name, move |mut r| {
+            let malformed = |e: xmlrpc::XmlError| (1, format!("malformed request: {e}"));
+            let mut params = Vec::new();
+            while r.more().map_err(malformed)? {
+                params.push(r.read().map_err(malformed)?);
+            }
+            r.finish().map_err(malformed)?;
+            f(&params).map(|v| xmlrpc::encode_response(&v))
+        })
+    }
+
+    /// Register a method that decodes its own parameters from the
+    /// request's [`Reader`] (and checks the document's end) and encodes
+    /// its own response: no [`Value`] is built for either.
+    pub fn register_doc<F>(mut self, name: &str, f: F) -> Self
+    where
+        F: Fn(Reader<'_>) -> std::result::Result<String, (i64, String)> + Send + Sync + 'static,
     {
         self.methods.insert(name.to_owned(), Box::new(f));
         self
@@ -56,16 +79,16 @@ impl RpcServer {
                 Ok(s) => s,
                 Err(_) => return rpc_fault(1, "request body is not utf-8"),
             };
-            let (name, params) = match xmlrpc::parse_request(xml) {
+            let (name, params) = match Reader::request(xml) {
                 Ok(x) => x,
                 Err(e) => return rpc_fault(1, &format!("malformed request: {e}")),
             };
-            match methods.get(&name) {
-                None => rpc_fault(2, &format!("unknown method {name:?}")),
-                Some(m) => match m(&params) {
-                    Ok(v) => Response::ok("text/xml", xmlrpc::encode_response(&v).into_bytes()),
-                    Err((code, msg)) => rpc_fault(code, &msg),
-                },
+            let Some(method) = methods.get(&*name) else {
+                return rpc_fault(2, &format!("unknown method {name:?}"));
+            };
+            match method(params) {
+                Ok(doc) => Response::ok("text/xml", doc.into_bytes()),
+                Err((code, msg)) => rpc_fault(code, &msg),
             }
         });
         Ok(RpcServer { http: HttpServer::bind(port, handler)? })
@@ -96,27 +119,42 @@ fn rpc_fault(code: i64, msg: &str) -> Response {
 #[derive(Clone, Debug)]
 pub struct RpcClient {
     authority: String,
+    /// Request plus response body bytes of every call that was answered,
+    /// shared by the client's clones.
+    moved: Arc<AtomicU64>,
 }
 
 impl RpcClient {
     /// A client for `host:port`.
     pub fn new(authority: impl Into<String>) -> Self {
-        RpcClient { authority: authority.into() }
+        RpcClient { authority: authority.into(), moved: Arc::default() }
+    }
+
+    /// The body bytes, request plus response, of the calls answered since
+    /// the last take.
+    pub fn take_moved(&self) -> u64 {
+        self.moved.swap(0, Ordering::Relaxed)
+    }
+
+    /// POST the request document `body` of a call of `method`; the
+    /// response document, fault or not, undecoded. Transport errors
+    /// surface as [`Error::Rpc`].
+    pub fn post(&self, method: &str, body: &str) -> Result<String> {
+        let (status, resp) =
+            crate::http::HttpClient::post(&self.authority, "/RPC2", body.as_bytes())
+                .map_err(|e| Error::Rpc(format!("{method} -> {}: {e}", self.authority)))?;
+        self.moved.fetch_add((body.len() + resp.len()) as u64, Ordering::Relaxed);
+        if status != 200 {
+            return Err(Error::Rpc(format!("{method}: http status {status}")));
+        }
+        String::from_utf8(resp).map_err(|_| Error::Rpc(format!("{method}: non-utf8 response")))
     }
 
     /// Call a remote method. Transport errors and faults both surface as
     /// [`Error::Rpc`].
     pub fn call(&self, method: &str, params: &[Value]) -> Result<Value> {
-        let body = xmlrpc::encode_request(method, params);
-        let (status, resp) =
-            crate::http::HttpClient::post(&self.authority, "/RPC2", body.as_bytes())
-                .map_err(|e| Error::Rpc(format!("{method} -> {}: {e}", self.authority)))?;
-        if status != 200 {
-            return Err(Error::Rpc(format!("{method}: http status {status}")));
-        }
-        let xml = std::str::from_utf8(&resp)
-            .map_err(|_| Error::Rpc(format!("{method}: non-utf8 response")))?;
-        match xmlrpc::parse_response(xml)
+        let xml = self.post(method, &xmlrpc::encode_request(method, params))?;
+        match xmlrpc::parse_response(&xml)
             .map_err(|e| Error::Rpc(format!("{method}: bad response: {e}")))?
         {
             Ok(v) => Ok(v),

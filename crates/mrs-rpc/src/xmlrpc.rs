@@ -8,11 +8,15 @@
 //! elements without attributes, character data, and the five standard
 //! entities.
 //!
-//! The codec sits on every control round trip, so neither direction
-//! allocates per tag or per number: the parser matches an expected tag by
-//! stripping `<`, the name and `>` off the input, reads a value's type
-//! tag once and dispatches on the name, and borrows character data that
-//! holds no entity; the writer formats numbers straight into the
+//! The codec sits on every control round trip, so it works in place: a
+//! [`Writer`] writes values straight into the document and a [`Reader`]
+//! reads them straight off it, one at a time, so a typed message needs no
+//! [`Value`] tree on either side; [`encode_request`], [`parse_request`]
+//! and their response twins are the same writer and reader over a
+//! [`Value`]. Neither direction allocates per tag or per number: the
+//! reader matches an expected tag by comparing bytes, reads a value's
+//! type tag once and dispatches on the name, and borrows character data
+//! that holds no entity; the writer formats numbers straight into the
 //! document. What is accepted, what is rejected (and with which message)
 //! and the bytes produced are pinned by the tests below against the
 //! previous, `format!`-per-probe implementation.
@@ -167,86 +171,151 @@ fn escape_into(s: &str, out: &mut String) {
     out.push_str(rest);
 }
 
-fn write_value(v: &Value, out: &mut String) {
-    out.push_str("<value>");
-    match v {
-        Value::Int(i) => {
-            // `fmt::Write` into a `String` cannot fail.
-            let _ = write!(out, "<int>{i}</int>");
-        }
-        Value::Bool(b) => {
-            out.push_str("<boolean>");
-            out.push(if *b { '1' } else { '0' });
-            out.push_str("</boolean>");
-        }
-        Value::Str(s) => {
-            out.push_str("<string>");
-            escape_into(s, out);
-            out.push_str("</string>");
-        }
-        Value::Double(d) => {
-            // Display for f64 is shortest-round-trip; inf/nan spelled so
-            // that f64::from_str reads them back.
-            let _ = write!(out, "<double>{d}</double>");
-        }
-        Value::Bytes(b) => {
-            out.push_str("<base64>");
-            out.push_str(&base64::encode(b));
-            out.push_str("</base64>");
-        }
-        Value::Array(items) => {
-            out.push_str("<array><data>");
-            for item in items {
-                write_value(item, out);
-            }
-            out.push_str("</data></array>");
-        }
-        Value::Struct(fields) => {
-            out.push_str("<struct>");
-            for (name, val) in fields {
-                out.push_str("<member><name>");
-                escape_into(name, out);
-                out.push_str("</name>");
-                write_value(val, out);
-                out.push_str("</member>");
-            }
-            out.push_str("</struct>");
+/// A document written value by value, with no [`Value`] built: a typed
+/// message writes its fields straight into the text that goes on the
+/// wire. [`encode_request`] and [`encode_response`] are this writer
+/// walking a [`Value`].
+pub struct Writer {
+    out: String,
+    /// What closes the document.
+    tail: &'static str,
+}
+
+impl Writer {
+    /// A `<methodCall>` of `method`; its parameters follow, each written
+    /// by [`Writer::param`].
+    pub fn request(method: &str) -> Writer {
+        let mut out = String::with_capacity(512);
+        out.push_str("<?xml version=\"1.0\"?>\n<methodCall><methodName>");
+        escape_into(method, &mut out);
+        out.push_str("</methodName><params>");
+        Writer { out, tail: "</params></methodCall>" }
+    }
+
+    /// A successful `<methodResponse>`; its one value follows.
+    pub fn response() -> Writer {
+        let mut out = String::with_capacity(512);
+        out.push_str("<?xml version=\"1.0\"?>\n<methodResponse><params><param>");
+        Writer { out, tail: "</param></params></methodResponse>" }
+    }
+
+    /// The finished document.
+    pub fn finish(mut self) -> String {
+        self.out.push_str(self.tail);
+        self.out
+    }
+
+    /// One parameter of a request: the value `value` writes.
+    pub fn param(&mut self, value: impl FnOnce(&mut Writer)) {
+        self.out.push_str("<param>");
+        value(self);
+        self.out.push_str("</param>");
+    }
+
+    /// `<int>`.
+    pub fn int(&mut self, i: i64) {
+        // `fmt::Write` into a `String` cannot fail.
+        let _ = write!(self.out, "<value><int>{i}</int></value>");
+    }
+
+    /// `<boolean>`.
+    pub fn boolean(&mut self, b: bool) {
+        self.out.push_str(if b {
+            "<value><boolean>1</boolean></value>"
+        } else {
+            "<value><boolean>0</boolean></value>"
+        });
+    }
+
+    /// `<string>`, escaped.
+    pub fn string(&mut self, s: &str) {
+        self.out.push_str("<value><string>");
+        escape_into(s, &mut self.out);
+        self.out.push_str("</string></value>");
+    }
+
+    /// `<double>`: Display for f64 is shortest-round-trip; inf/nan
+    /// spelled so that f64::from_str reads them back.
+    pub fn double(&mut self, d: f64) {
+        let _ = write!(self.out, "<value><double>{d}</double></value>");
+    }
+
+    /// `<base64>`.
+    pub fn bytes(&mut self, b: &[u8]) {
+        self.out.push_str("<value><base64>");
+        base64::encode_into(b, &mut self.out);
+        self.out.push_str("</base64></value>");
+    }
+
+    /// `<array>` of the values `items` writes.
+    pub fn array(&mut self, items: impl FnOnce(&mut Writer)) {
+        self.out.push_str("<value><array><data>");
+        items(self);
+        self.out.push_str("</data></array></value>");
+    }
+
+    /// `<struct>` of the members `members` writes, each by
+    /// [`Writer::member`].
+    pub fn structure(&mut self, members: impl FnOnce(&mut Writer)) {
+        self.out.push_str("<value><struct>");
+        members(self);
+        self.out.push_str("</struct></value>");
+    }
+
+    /// One struct member: `name` and the value `value` writes.
+    pub fn member(&mut self, name: &str, value: impl FnOnce(&mut Writer)) {
+        self.out.push_str("<member><name>");
+        escape_into(name, &mut self.out);
+        self.out.push_str("</name>");
+        value(self);
+        self.out.push_str("</member>");
+    }
+
+    /// A whole [`Value`].
+    pub fn value(&mut self, v: &Value) {
+        match v {
+            Value::Int(i) => self.int(*i),
+            Value::Bool(b) => self.boolean(*b),
+            Value::Str(s) => self.string(s),
+            Value::Double(d) => self.double(*d),
+            Value::Bytes(b) => self.bytes(b),
+            Value::Array(items) => self.array(|w| items.iter().for_each(|item| w.value(item))),
+            Value::Struct(fields) => self.structure(|w| {
+                for (name, val) in fields {
+                    w.member(name, |w| w.value(val));
+                }
+            }),
         }
     }
-    out.push_str("</value>");
 }
 
 /// Serialize a `<methodCall>` document.
 pub fn encode_request(method: &str, params: &[Value]) -> String {
-    let mut out = String::from("<?xml version=\"1.0\"?>\n<methodCall><methodName>");
-    escape_into(method, &mut out);
-    out.push_str("</methodName><params>");
+    let mut w = Writer::request(method);
     for p in params {
-        out.push_str("<param>");
-        write_value(p, &mut out);
-        out.push_str("</param>");
+        w.param(|w| w.value(p));
     }
-    out.push_str("</params></methodCall>");
-    out
+    w.finish()
 }
 
 /// Serialize a successful `<methodResponse>` document.
 pub fn encode_response(value: &Value) -> String {
-    let mut out = String::from("<?xml version=\"1.0\"?>\n<methodResponse><params><param>");
-    write_value(value, &mut out);
-    out.push_str("</param></params></methodResponse>");
-    out
+    let mut w = Writer::response();
+    w.value(value);
+    w.finish()
 }
 
 /// Serialize a fault `<methodResponse>` document.
 pub fn encode_fault(code: i64, message: &str) -> String {
-    let mut fields = BTreeMap::new();
-    fields.insert("faultCode".to_owned(), Value::Int(code));
-    fields.insert("faultString".to_owned(), Value::Str(message.to_owned()));
-    let mut out = String::from("<?xml version=\"1.0\"?>\n<methodResponse><fault>");
-    write_value(&Value::Struct(fields), &mut out);
-    out.push_str("</fault></methodResponse>");
-    out
+    let mut w = Writer {
+        out: String::from("<?xml version=\"1.0\"?>\n<methodResponse><fault>"),
+        tail: "</fault></methodResponse>",
+    };
+    w.structure(|w| {
+        w.member("faultCode", |w| w.int(code));
+        w.member("faultString", |w| w.string(message));
+    });
+    w.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -263,7 +332,10 @@ impl<'a> Cursor<'a> {
     }
 
     fn skip_ws(&mut self) {
-        self.s = self.s.trim_start();
+        // Between tags there is rarely anything to skip.
+        if !self.s.starts_with('<') {
+            self.s = self.s.trim_start();
+        }
     }
 
     fn skip_prolog(&mut self) {
@@ -280,8 +352,13 @@ impl<'a> Cursor<'a> {
     /// next: three prefix strips, so a probe allocates nothing.
     fn after_tag(&mut self, closing: bool, tag: &str) -> Option<&'a str> {
         self.skip_ws();
-        let s = self.s.strip_prefix(if closing { "</" } else { "<" })?;
-        s.strip_prefix(tag)?.strip_prefix('>')
+        let (b, at) = (self.s.as_bytes(), 1 + usize::from(closing));
+        let end = at + tag.len();
+        let tagged = b.get(end) == Some(&b'>')
+            && b[0] == b'<'
+            && (!closing || b[1] == b'/')
+            && &b[at..end] == tag.as_bytes();
+        tagged.then(|| &self.s[end + 1..])
     }
 
     /// Consume `<tag>`; error if the next tag is something else.
@@ -335,6 +412,25 @@ impl<'a> Cursor<'a> {
         self.s = &self.s[end..];
         unescape(raw)
     }
+
+    /// The character data of `<tag>…</tag>`, whose opening tag is next.
+    fn element(&mut self, tag: &str) -> Result<Cow<'a, str>, XmlError> {
+        self.open(tag)?;
+        self.rest_of(tag)
+    }
+
+    /// Consume `<tag>`, which [`Self::peek_open`] just read.
+    fn skip_peeked(&mut self, tag: &str) {
+        self.s = &self.s[tag.len() + 2..];
+    }
+
+    /// The character data of an element whose opening tag is read, and
+    /// its closing `</tag>`.
+    fn rest_of(&mut self, tag: &str) -> Result<Cow<'a, str>, XmlError> {
+        let text = self.text()?;
+        self.close(tag)?;
+        Ok(text)
+    }
 }
 
 fn head(s: &str) -> &str {
@@ -372,140 +468,243 @@ fn unescape(raw: &str) -> Result<Cow<'_, str>, XmlError> {
 /// Maximum element nesting the parser accepts. Deeper documents are
 /// rejected instead of recursing toward a stack overflow — a malicious
 /// peer must not be able to kill the server with `<array>` bombs.
-const MAX_DEPTH: u32 = 64;
+const MAX_DEPTH: usize = 64;
 
-fn parse_value(c: &mut Cursor) -> Result<Value, XmlError> {
-    parse_value_depth(c, 0)
+/// One value as [`Reader::value`] reads it: a scalar whole, or the
+/// opening of a container, whose contents [`Reader::more`] (an array)
+/// or [`Reader::member`] (a struct) then walk.
+#[derive(Debug)]
+pub enum Item<'a> {
+    /// `<int>` / `<i4>`.
+    Int(i64),
+    /// `<boolean>`.
+    Bool(bool),
+    /// `<string>` or bare text, borrowed from the document unless it held
+    /// an entity.
+    Str(Cow<'a, str>),
+    /// `<double>`.
+    Double(f64),
+    /// `<base64>`, decoded.
+    Bytes(Vec<u8>),
+    /// An opened `<array>`.
+    Array,
+    /// An opened `<struct>`.
+    Struct,
 }
 
-fn parse_value_depth(c: &mut Cursor, depth: u32) -> Result<Value, XmlError> {
-    if depth >= MAX_DEPTH {
-        return Err(XmlError(format!("value nesting exceeds {MAX_DEPTH}")));
+/// A document read value by value, with no [`Value`] built: a typed
+/// message takes its fields straight off the text, borrowing strings that
+/// hold no entity. [`parse_request`] and [`parse_response`] are this
+/// reader building a [`Value`].
+pub struct Reader<'a> {
+    c: Cursor<'a>,
+    /// Whether each container open around the cursor is a struct (else an
+    /// array), innermost last.
+    open: Vec<bool>,
+    /// A request whose `<params>` has not closed yet.
+    params: bool,
+    /// What closes the document once its values are read.
+    tail: &'static [&'static str],
+}
+
+impl<'a> Reader<'a> {
+    /// A `<methodCall>`: its method name, and a reader whose
+    /// [`Reader::more`] walks its parameters.
+    pub fn request(xml: &'a str) -> Result<(Cow<'a, str>, Reader<'a>), XmlError> {
+        let mut c = Cursor::new(xml);
+        c.skip_prolog();
+        c.open("methodCall")?;
+        let method = c.element("methodName")?;
+        let params = c.try_open("params");
+        Ok((method, Reader { c, open: Vec::new(), params, tail: &["methodCall"] }))
     }
-    c.open("value")?;
-    let v = match c.peek_open() {
-        Some(tag @ ("int" | "i4")) => {
-            c.open(tag)?;
-            let t = c.text()?;
-            let i =
-                t.trim().parse::<i64>().map_err(|e| XmlError(format!("bad {tag} {t:?}: {e}")))?;
-            c.close(tag)?;
-            Value::Int(i)
+
+    /// A `<methodResponse>`: a reader at its one value, or its fault.
+    pub fn response(xml: &'a str) -> Result<Result<Reader<'a>, Fault>, XmlError> {
+        let mut c = Cursor::new(xml);
+        c.skip_prolog();
+        c.open("methodResponse")?;
+        if c.try_open("fault") {
+            let tail = &["fault", "methodResponse"];
+            let mut r = Reader { c, open: Vec::new(), params: false, tail };
+            let v = r.read()?;
+            r.finish()?;
+            let code = v
+                .field("faultCode")
+                .and_then(Value::as_int)
+                .ok_or_else(|| XmlError("fault missing faultCode".into()))?;
+            let message = v
+                .field("faultString")
+                .and_then(Value::as_str)
+                .ok_or_else(|| XmlError("fault missing faultString".into()))?
+                .to_owned();
+            return Ok(Err(Fault { code, message }));
         }
-        Some(tag @ "boolean") => {
-            c.open(tag)?;
-            let b = match c.text()?.trim() {
-                "0" => false,
-                "1" => true,
+        c.open("params")?;
+        c.open("param")?;
+        let tail = &["param", "params", "methodResponse"];
+        Ok(Ok(Reader { c, open: Vec::new(), params: false, tail }))
+    }
+
+    /// Close the document once its values are read.
+    pub fn finish(mut self) -> Result<(), XmlError> {
+        self.tail.iter().try_for_each(|tag| self.c.close(tag))
+    }
+
+    /// Whether another value follows in the open array, or among a
+    /// request's parameters; at their end, they are closed.
+    pub fn more(&mut self) -> Result<bool, XmlError> {
+        if let Some(false) = self.open.last() {
+            if !self.c.at_close("data") {
+                return Ok(true);
+            }
+            self.c.close("data")?;
+            self.c.close("array")?;
+            self.open.pop();
+            self.end_value()?;
+        } else if self.open.is_empty() && self.params {
+            if !self.c.at_close("params") {
+                self.c.open("param")?;
+                return Ok(true);
+            }
+            self.c.close("params")?;
+            self.params = false;
+        }
+        Ok(false)
+    }
+
+    /// The name of the open struct's next member, whose value follows; at
+    /// its end, `None` and the struct is closed.
+    pub fn member(&mut self) -> Result<Option<Cow<'a, str>>, XmlError> {
+        if self.c.at_close("struct") {
+            self.c.close("struct")?;
+            self.open.pop();
+            self.end_value()?;
+            return Ok(None);
+        }
+        self.c.open("member")?;
+        self.c.element("name").map(Some)
+    }
+
+    /// The next value: a scalar whole, or a container opened.
+    pub fn value(&mut self) -> Result<Item<'a>, XmlError> {
+        if self.open.len() >= MAX_DEPTH {
+            return Err(XmlError(format!("value nesting exceeds {MAX_DEPTH}")));
+        }
+        let c = &mut self.c;
+        c.open("value")?;
+        // A tag this reader does not know stays in the input.
+        let tag = c.peek_open().filter(|tag| {
+            ["int", "i4", "boolean", "double", "string", "base64", "array", "struct"].contains(tag)
+        });
+        if let Some(tag) = tag {
+            c.skip_peeked(tag);
+        }
+        let item = match tag {
+            Some(tag @ ("int" | "i4")) => {
+                let t = c.rest_of(tag)?;
+                let i = t
+                    .trim()
+                    .parse::<i64>()
+                    .map_err(|e| XmlError(format!("bad {tag} {t:?}: {e}")))?;
+                Item::Int(i)
+            }
+            Some(tag @ "boolean") => match c.rest_of(tag)?.trim() {
+                "0" => Item::Bool(false),
+                "1" => Item::Bool(true),
                 other => return Err(XmlError(format!("bad boolean {other:?}"))),
-            };
-            c.close(tag)?;
-            Value::Bool(b)
-        }
-        Some(tag @ "double") => {
-            c.open(tag)?;
-            let t = c.text()?;
-            let d =
-                t.trim().parse::<f64>().map_err(|e| XmlError(format!("bad double {t:?}: {e}")))?;
-            c.close(tag)?;
-            Value::Double(d)
-        }
-        Some(tag @ "string") => {
-            c.open(tag)?;
-            let t = c.text()?;
-            c.close(tag)?;
-            Value::Str(t.into_owned())
-        }
-        Some(tag @ "base64") => {
-            c.open(tag)?;
-            let b =
-                base64::decode(&c.text()?).ok_or_else(|| XmlError("bad base64 payload".into()))?;
-            c.close(tag)?;
-            Value::Bytes(b)
-        }
-        Some(tag @ "array") => {
-            c.open(tag)?;
-            c.open("data")?;
-            let mut items = Vec::new();
-            while !c.at_close("data") {
-                items.push(parse_value_depth(c, depth + 1)?);
+            },
+            Some(tag @ "double") => {
+                let t = c.rest_of(tag)?;
+                let d = t
+                    .trim()
+                    .parse::<f64>()
+                    .map_err(|e| XmlError(format!("bad double {t:?}: {e}")))?;
+                Item::Double(d)
             }
-            c.close("data")?;
-            c.close(tag)?;
-            Value::Array(items)
-        }
-        Some(tag @ "struct") => {
-            c.open(tag)?;
-            let mut fields = BTreeMap::new();
-            while !c.at_close(tag) {
-                c.open("member")?;
-                c.open("name")?;
-                let name = c.text()?.into_owned();
-                c.close("name")?;
-                let val = parse_value_depth(c, depth + 1)?;
-                c.close("member")?;
-                fields.insert(name, val);
+            Some(tag @ "string") => Item::Str(c.rest_of(tag)?),
+            Some(tag @ "base64") => {
+                let t = c.rest_of(tag)?;
+                let bytes =
+                    base64::decode(&t).ok_or_else(|| XmlError("bad base64 payload".into()))?;
+                Item::Bytes(bytes)
             }
-            c.close(tag)?;
-            Value::Struct(fields)
+            Some("array") => {
+                c.open("data")?;
+                self.open.push(false);
+                return Ok(Item::Array);
+            }
+            Some("struct") => {
+                self.open.push(true);
+                return Ok(Item::Struct);
+            }
+            // Bare text inside <value> is a string, per the XML-RPC spec. A
+            // tag that is none of the above lands here too: `text` stops at
+            // its `<` and the `</value>` check below reports it.
+            _ => Item::Str(c.text()?),
+        };
+        self.end_value()?;
+        Ok(item)
+    }
+
+    /// A value is read: close it, and the member or parameter it was.
+    fn end_value(&mut self) -> Result<(), XmlError> {
+        self.c.close("value")?;
+        match self.open.last() {
+            Some(true) => self.c.close("member"),
+            None if self.params => self.c.close("param"),
+            _ => Ok(()),
         }
-        // Bare text inside <value> is a string, per the XML-RPC spec. A
-        // tag that is none of the above lands here too: `text` stops at
-        // its `<` and the `</value>` check below reports it.
-        _ => Value::Str(c.text()?.into_owned()),
-    };
-    c.close("value")?;
-    Ok(v)
+    }
+
+    /// The next value, whole, as a [`Value`].
+    pub fn read(&mut self) -> Result<Value, XmlError> {
+        Ok(match self.value()? {
+            Item::Int(i) => Value::Int(i),
+            Item::Bool(b) => Value::Bool(b),
+            Item::Str(s) => Value::Str(s.into_owned()),
+            Item::Double(d) => Value::Double(d),
+            Item::Bytes(b) => Value::Bytes(b),
+            Item::Array => {
+                let mut items = Vec::new();
+                while self.more()? {
+                    items.push(self.read()?);
+                }
+                Value::Array(items)
+            }
+            Item::Struct => {
+                let mut fields = BTreeMap::new();
+                while let Some(name) = self.member()? {
+                    let val = self.read()?;
+                    fields.insert(name.into_owned(), val);
+                }
+                Value::Struct(fields)
+            }
+        })
+    }
 }
 
 /// Parse a `<methodCall>` document into `(method, params)`.
 pub fn parse_request(xml: &str) -> Result<(String, Vec<Value>), XmlError> {
-    let mut c = Cursor::new(xml);
-    c.skip_prolog();
-    c.open("methodCall")?;
-    c.open("methodName")?;
-    let method = c.text()?.into_owned();
-    c.close("methodName")?;
+    let (method, mut r) = Reader::request(xml)?;
     let mut params = Vec::new();
-    if c.try_open("params") {
-        while !c.at_close("params") {
-            c.open("param")?;
-            params.push(parse_value(&mut c)?);
-            c.close("param")?;
-        }
-        c.close("params")?;
+    while r.more()? {
+        params.push(r.read()?);
     }
-    c.close("methodCall")?;
-    Ok((method, params))
+    r.finish()?;
+    Ok((method.into_owned(), params))
 }
 
 /// Parse a `<methodResponse>` document into a value or a [`Fault`].
 pub fn parse_response(xml: &str) -> Result<Result<Value, Fault>, XmlError> {
-    let mut c = Cursor::new(xml);
-    c.skip_prolog();
-    c.open("methodResponse")?;
-    if c.try_open("fault") {
-        let v = parse_value(&mut c)?;
-        c.close("fault")?;
-        c.close("methodResponse")?;
-        let code = v
-            .field("faultCode")
-            .and_then(Value::as_int)
-            .ok_or_else(|| XmlError("fault missing faultCode".into()))?;
-        let message = v
-            .field("faultString")
-            .and_then(Value::as_str)
-            .ok_or_else(|| XmlError("fault missing faultString".into()))?
-            .to_owned();
-        return Ok(Err(Fault { code, message }));
+    match Reader::response(xml)? {
+        Ok(mut r) => {
+            let v = r.read()?;
+            r.finish()?;
+            Ok(Ok(v))
+        }
+        Err(fault) => Ok(Err(fault)),
     }
-    c.open("params")?;
-    c.open("param")?;
-    let v = parse_value(&mut c)?;
-    c.close("param")?;
-    c.close("params")?;
-    c.close("methodResponse")?;
-    Ok(Ok(v))
 }
 
 #[cfg(test)]

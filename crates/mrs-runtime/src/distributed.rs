@@ -11,7 +11,7 @@
 use crate::data::DataId;
 use crate::job::JobApi;
 use crate::master::{Master, MasterConfig, SlaveId};
-use crate::metrics::JobMetrics;
+use crate::metrics::{Counter, JobMetrics};
 use crate::proto::{
     Answer, DataPlane, Dispatch, GetTask, Signin, TaskFailed, TaskReport, TraceBatch, BAD_PARAMS,
     PROTOCOL_VERSION,
@@ -35,7 +35,10 @@ use std::time::Duration;
 /// | `task_failed` | slave, data, index, message, failed_input, attempt |
 ///
 /// A completion report rides `get_task`; there is no call of its own.
-/// `get_task`'s trace is left out when empty.
+/// It names its attempt and the partitions that came out empty, not a
+/// URL: the master derives every output's. `counts` and the trace's
+/// events are packed `<base64>` blobs, and the trace is left out when
+/// empty (protocol 8).
 pub fn serve_master(master: Master, port: u16) -> std::io::Result<RpcServer> {
     let (m1, m2, m3) = (master.clone(), master.clone(), master);
     let rpc = Signin::serve(RpcDispatch::new(), move |call| match call.slots {
@@ -84,6 +87,9 @@ impl MasterLink for RpcMasterLink {
         trace: TraceBatch,
     ) -> Result<(Dispatch, bool)> {
         let park_ms = u64::try_from(park.as_millis()).unwrap_or(u64::MAX);
+        // The bytes of every call answered before this one ride its tally.
+        let mut counts = counts;
+        counts.add(Counter::ControlBytes, self.client.take_moved());
         let answer = GetTask { slave, free, park_ms, reports, counts, trace }.call(&self.client)?;
         Ok((answer.dispatch, answer.more))
     }
@@ -930,7 +936,7 @@ mod tests {
             attempt: 5,
             inputs: vec![],
         };
-        let report = TaskReport { data: 1, index: 2, attempt: 3, urls: vec![] };
+        let report = TaskReport { data: 1, index: 2, attempt: 3, empty: vec![] };
         let cancel = CancelOrder { data: 1, index: 2, attempt: 3 };
         let trace = TraceBatch { sent_at_us: 1, rtt_us: 2, dropped: 3, events: vec![] };
         // Per message: its value, its decoder, and each integer key with
@@ -990,7 +996,7 @@ mod tests {
         let slave = client.call("signin", &signin).unwrap();
         master.finish();
         let no_reports = Value::Array(vec![]);
-        let no_counts = Value::Struct(Default::default());
+        let no_counts = Value::Bytes(vec![]);
         let get_task = vec![slave.clone(), Value::Int(1), Value::Int(0), no_reports, no_counts];
         let (msg, no_input) = (Value::Str("boom".into()), Value::Str(String::new()));
         let task_failed = vec![slave, Value::Int(1), Value::Int(0), msg, no_input, Value::Int(1)];
@@ -1042,6 +1048,83 @@ mod tests {
         assert_eq!(rows, want);
     }
 
+    /// A `pso_iter` round trip as one slave of its 2 x 1 cluster sends and
+    /// receives it: the poll reports the round's two fused tasks (on the
+    /// 4-island ring two partitions of each come out empty), tallies what
+    /// their fetches moved and ships their 16 trace events; the answer
+    /// grants the next round's two tasks, each reading four partitions
+    /// (one of them empty), and a purge. Pinned to the byte, so a change
+    /// that grows the poll fails here. At protocol 7 the same poll was
+    /// 2,805 bytes (without the control bytes, uncounted then) and its
+    /// answer 2,284: the answer's members are the same, in another order.
+    #[test]
+    fn a_pso_iter_poll_and_its_answer_are_pinned_in_bytes() {
+        use crate::proto::{Answer, Assignment, TaskKind, TaskMsg, Wire};
+        use mrs_rpc::xmlrpc::Writer;
+        use mrs_trace::{Event, Kind, Name, Op, Tag};
+        let report = |index, attempt, empty| TaskReport { data: 1035, index, attempt, empty };
+        let reports = vec![report(2, 3985, vec![0, 1]), report(3, 3986, vec![1, 2])];
+        let mut counts = JobMetrics::default();
+        for (c, n) in [
+            (Counter::ConnectionsReused, 2),
+            (Counter::ControlBytes, 3_734),
+            (Counter::BytesPreCompress, 2_028),
+            (Counter::BytesOnWire, 2_046),
+            (Counter::ShortcircuitFetches, 3),
+            (Counter::MergeRuns, 8),
+            (Counter::PresortedRuns, 8),
+            (Counter::PeakReduceRecords, 2),
+        ] {
+            counts.add(c, n);
+        }
+        let mut events = Vec::new();
+        for (index, attempt, lane) in [(2, 3985, 0), (3, 3986, 1)] {
+            let tag = Tag::task(Op::ReduceMap, 1035, index, attempt);
+            let span = [Name::Fetch, Name::Merge, Name::Exec]
+                .into_iter()
+                .flat_map(|name| [(name, Kind::Begin), (name, Kind::End)]);
+            let span = std::iter::once((Name::Attempt, Kind::Begin))
+                .chain(span)
+                .chain([(Name::Attempt, Kind::End)]);
+            for (i, (name, kind)) in span.enumerate() {
+                let at_us = 406_500 + 100 * lane as u64 + 13 * i as u64;
+                events.push(Event { at_us, kind, name, lane, tag });
+            }
+        }
+        events.sort_by_key(|e| e.at_us);
+        let trace = TraceBatch { sent_at_us: 406_623, rtt_us: 40, dropped: 0, events };
+        let poll = GetTask { slave: 1, free: 2, park_ms: 5000, reports, counts, trace };
+
+        let input = |slave: u32, port, t| {
+            format!("http://127.0.0.1:{port}/data/s{slave}/d1035/t{t}/b2.mrsb")
+        };
+        let task = |index, attempt| TaskMsg {
+            data: 1036,
+            index,
+            kind: TaskKind::ReduceMap,
+            func: 1,
+            map_func: 1,
+            parts: 4,
+            combine: false,
+            attempt,
+            inputs: vec![
+                input(0, 39343, 0),
+                input(0, 39343, 1),
+                input(1, 34413, 2),
+                "empty:".into(),
+            ],
+        };
+        let dispatch = Dispatch {
+            assignment: Assignment::Tasks(vec![task(2, 3989), task(3, 3990)]),
+            purge: vec!["s1/d1033/".into()],
+            eager: vec![],
+            cancel: vec![],
+        };
+        let mut w = Writer::response();
+        Answer::put(&Answer { dispatch, more: false }, &mut w);
+        assert_eq!((poll.request().len(), w.finish().len()), (1_476, 2_284));
+    }
+
     /// The typed calls and answers of the wire golden test.
     mod golden {
         use crate::metrics::{Counter, JobMetrics};
@@ -1051,10 +1134,9 @@ mod tests {
         use mrs_trace::{Event, Kind, Name, Op, Tag};
 
         pub fn reports() -> Vec<TaskReport> {
-            let url = |b: u32| format!("http://127.0.0.1:40001/data/s7/d1/t0/b{b}.mrsb");
             vec![
-                TaskReport { data: 1, index: 0, attempt: 1, urls: vec![url(0), url(1)] },
-                TaskReport { data: 2, index: 3, attempt: 2, urls: vec![url(2)] },
+                TaskReport { data: 1, index: 0, attempt: 1, empty: vec![] },
+                TaskReport { data: 2, index: 3, attempt: 2, empty: vec![0, 2] },
             ]
         }
 
@@ -1115,26 +1197,27 @@ mod tests {
 
     /// Every control message as the wire carries it, byte for byte: the
     /// request body the slave stub sends for each call, and the response
-    /// body the master's handler answers with for each answer kind, taken
-    /// before the messages were declared in one table. Each request goes
+    /// body the master's handler answers with for each answer kind, as
+    /// protocol 8 writes them (a report without URLs, packed tally and
+    /// trace events, members in declaration order). Each request goes
     /// through `RpcMasterLink` to a server that keeps the raw body and
     /// answers the next canned reply, which the stub must decode back to
     /// its typed value; each golden request decodes back to its call.
     #[test]
     fn wire_bytes_are_golden() {
-        use crate::proto::Answer;
-        use mrs_rpc::xmlrpc::{encode_response, parse_request};
+        use crate::proto::{Answer, Wire};
+        use mrs_rpc::xmlrpc::{encode_response, parse_request, Writer};
         use mrs_rpc::{HttpServer, Request, Response};
         let answers = golden::answers();
-        let replies: Vec<String> = [Value::Int(7)]
-            .into_iter()
-            .chain(
-                answers
-                    .iter()
-                    .map(|(d, more)| Answer { dispatch: d.clone(), more: *more }.to_value()),
-            )
-            .chain([Value::Bool(true), Value::Bool(true)])
-            .map(|v| encode_response(&v))
+        // Each answer as the master's handler writes it.
+        let answer_doc = |(d, more): &(Dispatch, bool)| {
+            let mut w = Writer::response();
+            Answer::put(&Answer { dispatch: d.clone(), more: *more }, &mut w);
+            w.finish()
+        };
+        let replies: Vec<String> = std::iter::once(encode_response(&Value::Int(7)))
+            .chain(answers.iter().map(answer_doc))
+            .chain([Value::Bool(true), Value::Bool(true)].iter().map(encode_response))
             .collect();
         let bodies = Arc::new(parking_lot::Mutex::new(Vec::<String>::new()));
         let server = {
@@ -1179,7 +1262,7 @@ mod tests {
 
         // The golden requests decode back to the typed calls.
         let params = |i: usize| parse_request(GOLDEN[i]).unwrap().1;
-        let signin = Signin { authority: "127.0.0.1:40001".into(), slots: 2, version: 7 };
+        let signin = Signin { authority: "127.0.0.1:40001".into(), slots: 2, version: 8 };
         assert_eq!(Signin::from_params(&params(0)).unwrap(), signin);
         let poll = |free, park_ms, reports, counts, trace| GetTask {
             slave: 7,
@@ -1189,11 +1272,19 @@ mod tests {
             counts,
             trace,
         };
-        let full = poll(2, 250, golden::reports(), golden::tally(), golden::trace());
+        // Each poll's tally carries the body bytes of the call before it.
+        let moved = |call: usize| {
+            let mut tally = JobMetrics::default();
+            tally.add(Counter::ControlBytes, (GOLDEN[call].len() + replies[call].len()) as u64);
+            tally
+        };
+        let mut counts = golden::tally();
+        counts.merge(&moved(0));
+        let full = poll(2, 250, golden::reports(), counts, golden::trace());
         assert_eq!(GetTask::from_params(&params(1)).unwrap(), full);
-        let idle = |free, park| poll(free, park, vec![], JobMetrics::default(), Default::default());
-        assert_eq!(GetTask::from_params(&params(2)).unwrap(), idle(1, 0));
-        assert_eq!(GetTask::from_params(&params(3)).unwrap(), idle(3, 1000));
+        let idle = |free, park, call| poll(free, park, vec![], moved(call), Default::default());
+        assert_eq!(GetTask::from_params(&params(2)).unwrap(), idle(1, 0, 1));
+        assert_eq!(GetTask::from_params(&params(3)).unwrap(), idle(3, 1000, 2));
         let failed = |index, message: &str, failed_input: Option<&str>, attempt| TaskFailed {
             slave: 7,
             data: 2,
@@ -1213,22 +1304,22 @@ mod tests {
     /// the answers `Tasks` (with purge, cancel and `more`), `Wait` and `Exit`.
     const GOLDEN: [&str; 9] = [
         r#"<?xml version="1.0"?>
-<methodCall><methodName>signin</methodName><params><param><value><string>127.0.0.1:40001</string></value></param><param><value><int>2</int></value></param><param><value><int>7</int></value></param></params></methodCall>"#,
+<methodCall><methodName>signin</methodName><params><param><value><string>127.0.0.1:40001</string></value></param><param><value><int>2</int></value></param><param><value><int>8</int></value></param></params></methodCall>"#,
         r#"<?xml version="1.0"?>
-<methodCall><methodName>get_task</methodName><params><param><value><int>7</int></value></param><param><value><int>2</int></value></param><param><value><int>250</int></value></param><param><value><array><data><value><struct><member><name>attempt</name><value><int>1</int></value></member><member><name>data</name><value><int>1</int></value></member><member><name>index</name><value><int>0</int></value></member><member><name>urls</name><value><array><data><value><string>http://127.0.0.1:40001/data/s7/d1/t0/b0.mrsb</string></value><value><string>http://127.0.0.1:40001/data/s7/d1/t0/b1.mrsb</string></value></data></array></value></member></struct></value><value><struct><member><name>attempt</name><value><int>2</int></value></member><member><name>data</name><value><int>2</int></value></member><member><name>index</name><value><int>3</int></value></member><member><name>urls</name><value><array><data><value><string>http://127.0.0.1:40001/data/s7/d1/t0/b2.mrsb</string></value></data></array></value></member></struct></value></data></array></value></param><param><value><struct><member><name>merge_runs</name><value><int>4</int></value></member><member><name>merge_time</name><value><int>1500</int></value></member><member><name>peak_reduce_records</name><value><int>900</int></value></member></struct></value></param><param><value><struct><member><name>dropped</name><value><int>1</int></value></member><member><name>events</name><value><base64>CgAAAAAAAAACAAAAAwAAAAcAAAABAAAAAAIBFAAAAAAAAAACAAAAAwAAAAcAAAABAAAAAQIB</base64></value></member><member><name>rtt</name><value><int>450</int></value></member><member><name>sent_at</name><value><int>1000000</int></value></member></struct></value></param></params></methodCall>"#,
+<methodCall><methodName>get_task</methodName><params><param><value><int>7</int></value></param><param><value><int>2</int></value></param><param><value><int>250</int></value></param><param><value><array><data><value><struct><member><name>data</name><value><int>1</int></value></member><member><name>index</name><value><int>0</int></value></member><member><name>attempt</name><value><int>1</int></value></member></struct></value><value><struct><member><name>data</name><value><int>2</int></value></member><member><name>index</name><value><int>3</int></value></member><member><name>attempt</name><value><int>2</int></value></member><member><name>empty</name><value><base64>BQ==</base64></value></member></struct></value></data></array></value></param><param><value><base64>E+MCIQQjhAcn3As=</base64></value></param><param><value><struct><member><name>sent_at</name><value><int>1000000</int></value></member><member><name>rtt</name><value><int>450</int></value></member><member><name>dropped</name><value><int>1</int></value></member><member><name>events</name><value><base64>FAIDBwEAAgEUAgMHAQECAQ==</base64></value></member></struct></value></param></params></methodCall>"#,
         r#"<?xml version="1.0"?>
-<methodCall><methodName>get_task</methodName><params><param><value><int>7</int></value></param><param><value><int>1</int></value></param><param><value><int>0</int></value></param><param><value><array><data></data></array></value></param><param><value><struct></struct></value></param></params></methodCall>"#,
+<methodCall><methodName>get_task</methodName><params><param><value><int>7</int></value></param><param><value><int>1</int></value></param><param><value><int>0</int></value></param><param><value><array><data></data></array></value></param><param><value><base64>E8Ea</base64></value></param></params></methodCall>"#,
         r#"<?xml version="1.0"?>
-<methodCall><methodName>get_task</methodName><params><param><value><int>7</int></value></param><param><value><int>3</int></value></param><param><value><int>1000</int></value></param><param><value><array><data></data></array></value></param><param><value><struct></struct></value></param></params></methodCall>"#,
+<methodCall><methodName>get_task</methodName><params><param><value><int>7</int></value></param><param><value><int>3</int></value></param><param><value><int>1000</int></value></param><param><value><array><data></data></array></value></param><param><value><base64>E84E</base64></value></param></params></methodCall>"#,
         r#"<?xml version="1.0"?>
 <methodCall><methodName>task_failed</methodName><params><param><value><int>7</int></value></param><param><value><int>2</int></value></param><param><value><int>3</int></value></param><param><value><string>bad &lt;record&gt; &amp; more</string></value></param><param><value><string>http://127.0.0.1:40002/data/s8/d1/t3/b0.mrsb</string></value></param><param><value><int>2</int></value></param></params></methodCall>"#,
         r#"<?xml version="1.0"?>
 <methodCall><methodName>task_failed</methodName><params><param><value><int>7</int></value></param><param><value><int>2</int></value></param><param><value><int>4</int></value></param><param><value><string>kernel panicked</string></value></param><param><value><string></string></value></param><param><value><int>1</int></value></param></params></methodCall>"#,
         r#"<?xml version="1.0"?>
-<methodResponse><params><param><value><struct><member><name>cancel</name><value><array><data><value><struct><member><name>attempt</name><value><int>2</int></value></member><member><name>data</name><value><int>2</int></value></member><member><name>index</name><value><int>1</int></value></member></struct></value></data></array></value></member><member><name>more</name><value><boolean>1</boolean></value></member><member><name>purge</name><value><array><data><value><string>s7/d1/</string></value><value><string>src0/</string></value></data></array></value></member><member><name>tasks</name><value><array><data><value><struct><member><name>attempt</name><value><int>3</int></value></member><member><name>combine</name><value><boolean>0</boolean></value></member><member><name>data</name><value><int>2</int></value></member><member><name>func</name><value><int>1</int></value></member><member><name>index</name><value><int>0</int></value></member><member><name>inputs</name><value><array><data><value><string>http://127.0.0.1:40001/data/s7/d1/t0/b0.mrsb</string></value></data></array></value></member><member><name>kind</name><value><string>reduce</string></value></member><member><name>map_func</name><value><int>0</int></value></member><member><name>parts</name><value><int>1</int></value></member></struct></value><value><struct><member><name>attempt</name><value><int>3</int></value></member><member><name>combine</name><value><boolean>1</boolean></value></member><member><name>data</name><value><int>2</int></value></member><member><name>func</name><value><int>1</int></value></member><member><name>index</name><value><int>1</int></value></member><member><name>inputs</name><value><array><data><value><string>http://127.0.0.1:40001/data/s7/d1/t0/b0.mrsb</string></value></data></array></value></member><member><name>kind</name><value><string>reducemap</string></value></member><member><name>map_func</name><value><int>4</int></value></member><member><name>parts</name><value><int>2</int></value></member></struct></value></data></array></value></member><member><name>type</name><value><string>tasks</string></value></member></struct></value></param></params></methodResponse>"#,
+<methodResponse><params><param><value><struct><member><name>type</name><value><string>tasks</string></value></member><member><name>tasks</name><value><array><data><value><struct><member><name>data</name><value><int>2</int></value></member><member><name>index</name><value><int>0</int></value></member><member><name>kind</name><value><string>reduce</string></value></member><member><name>func</name><value><int>1</int></value></member><member><name>map_func</name><value><int>0</int></value></member><member><name>parts</name><value><int>1</int></value></member><member><name>combine</name><value><boolean>0</boolean></value></member><member><name>attempt</name><value><int>3</int></value></member><member><name>inputs</name><value><array><data><value><string>http://127.0.0.1:40001/data/s7/d1/t0/b0.mrsb</string></value></data></array></value></member></struct></value><value><struct><member><name>data</name><value><int>2</int></value></member><member><name>index</name><value><int>1</int></value></member><member><name>kind</name><value><string>reducemap</string></value></member><member><name>func</name><value><int>1</int></value></member><member><name>map_func</name><value><int>4</int></value></member><member><name>parts</name><value><int>2</int></value></member><member><name>combine</name><value><boolean>1</boolean></value></member><member><name>attempt</name><value><int>3</int></value></member><member><name>inputs</name><value><array><data><value><string>http://127.0.0.1:40001/data/s7/d1/t0/b0.mrsb</string></value></data></array></value></member></struct></value></data></array></value></member><member><name>purge</name><value><array><data><value><string>s7/d1/</string></value><value><string>src0/</string></value></data></array></value></member><member><name>cancel</name><value><array><data><value><struct><member><name>data</name><value><int>2</int></value></member><member><name>index</name><value><int>1</int></value></member><member><name>attempt</name><value><int>2</int></value></member></struct></value></data></array></value></member><member><name>more</name><value><boolean>1</boolean></value></member></struct></value></param></params></methodResponse>"#,
         r#"<?xml version="1.0"?>
-<methodResponse><params><param><value><struct><member><name>more</name><value><boolean>0</boolean></value></member><member><name>type</name><value><string>wait</string></value></member></struct></value></param></params></methodResponse>"#,
+<methodResponse><params><param><value><struct><member><name>type</name><value><string>wait</string></value></member><member><name>more</name><value><boolean>0</boolean></value></member></struct></value></param></params></methodResponse>"#,
         r#"<?xml version="1.0"?>
-<methodResponse><params><param><value><struct><member><name>more</name><value><boolean>0</boolean></value></member><member><name>type</name><value><string>exit</string></value></member></struct></value></param></params></methodResponse>"#,
+<methodResponse><params><param><value><struct><member><name>type</name><value><string>exit</string></value></member><member><name>more</name><value><boolean>0</boolean></value></member></struct></value></param></params></methodResponse>"#,
     ];
 }

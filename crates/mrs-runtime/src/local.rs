@@ -612,19 +612,26 @@ mod tests {
                 .all(|g| (g.pid == MASTER_PID)
                     == matches!(g.event.name, Name::Dispatch | Name::Report)));
             assert!(trace.events.iter().all(|g| g.pid == MASTER_PID || g.event.lane < 4));
-            let cov = trace.coverage();
-            assert_eq!(cov.len(), 7);
-            for c in &cov {
-                // Tasks here finish in microseconds, so bound the uncovered
-                // remainder absolutely rather than as a flaky ratio.
-                assert!(
-                    c.window_us - c.covered_us < 1_000,
-                    "attempt should fill its window: {c:?}"
-                );
-            }
+            assert_eq!(trace.coverage().len(), 7);
             let json = trace.chrome_json();
             assert!(json.contains("\"ph\":\"B\"") && json.contains("process_name"));
-            assert_attempt_shapes(&trace, false, false, 7);
+            // Structural, not timed: on the pool's one clock each attempt's
+            // span begins at its claim, before the master row's dispatch,
+            // its phases follow one another inside it, each ending before
+            // the next begins, and it ends before the report.
+            let at = |name: Name| -> std::collections::HashMap<_, u64> {
+                let instants = trace.events.iter().filter(|g| g.event.name == name);
+                instants.map(|g| (g.event.tag.key(), g.event.at_us)).collect()
+            };
+            let (dispatched, reported) = (at(Name::Dispatch), at(Name::Report));
+            for span in assert_attempt_shapes(&trace, false, false, 7) {
+                let key = span[0].tag.key();
+                let times: Vec<u64> = span.iter().map(|e| e.at_us).collect();
+                assert!(times.windows(2).all(|w| w[0] <= w[1]), "phases out of order: {span:?}");
+                let (claim, first_phase, end) = (times[0], times[1], times[times.len() - 1]);
+                assert!((claim..=first_phase).contains(&dispatched[&key]), "{span:?}");
+                assert!(end <= reported[&key], "reported before its span ended: {span:?}");
+            }
         }
 
         // One attempt-span shape on every plane that runs the workers,
@@ -675,8 +682,13 @@ mod tests {
     /// On every worker lane of `trace`, each of the job's `tasks` attempts
     /// has exactly one `Attempt` span, holding — in order — `Fetch` when
     /// the plane `fetch`es its inputs, `Merge` when it gathers, `Exec`,
-    /// and `Emit` when the plane has a `store`.
-    fn assert_attempt_shapes(trace: &JobTrace, fetch: bool, store: bool, tasks: usize) {
+    /// and `Emit` when the plane has a `store`. Returns the spans' events.
+    fn assert_attempt_shapes(
+        trace: &JobTrace,
+        fetch: bool,
+        store: bool,
+        tasks: usize,
+    ) -> Vec<Vec<mrs_trace::Event>> {
         use mrs_trace::{Event, Kind, Op, MASTER_PID};
         let mut lanes: std::collections::BTreeMap<(u32, u32), Vec<&Event>> = Default::default();
         for g in trace.events.iter().filter(|g| g.pid != MASTER_PID) {
@@ -684,7 +696,7 @@ mod tests {
                 lanes.entry((g.pid, g.event.lane)).or_default().push(&g.event);
             }
         }
-        let mut attempts = std::collections::HashSet::new();
+        let (mut attempts, mut spans) = (std::collections::HashSet::new(), Vec::new());
         for events in lanes.values() {
             let mut rest = &events[..];
             while let Some(first) = rest.first() {
@@ -706,10 +718,12 @@ mod tests {
                 assert_eq!(got, want, "{tag:?}");
                 assert!(span.iter().all(|e| e.tag == tag), "{span:?}");
                 assert!(attempts.insert(tag.key()), "a second Attempt span for {tag:?}");
+                spans.push(span.iter().map(|e| **e).collect());
                 rest = after;
             }
         }
         assert_eq!(attempts.len(), tasks);
+        spans
     }
 
     #[test]

@@ -483,8 +483,7 @@ impl Master {
         attempt: u32,
         urls: Vec<String>,
     ) {
-        let report = TaskReport { data, index, attempt, urls };
-        self.with(|core, now| core.report(slave, &[report], now))
+        self.with(|core, now| core.commit(slave, data, index, attempt, urls, now))
     }
 
     /// A slave reports a failed task attempt.
@@ -752,10 +751,10 @@ mod tests {
             }
         }
 
-        /// `slave` reports `t` done at `offset`, with direct-plane URLs.
+        /// `slave` reports `t` done at `offset`, every output with records.
         fn done(&mut self, slave: SlaveId, t: &TaskMsg, offset: Duration) -> Effects {
-            let urls = direct_urls(slave, t);
-            let report = TaskReport { data: t.data, index: t.index, attempt: t.attempt, urls };
+            let report =
+                TaskReport { data: t.data, index: t.index, attempt: t.attempt, empty: vec![] };
             self.core.report(slave, &[report], self.at(offset)).1
         }
 
@@ -1210,13 +1209,10 @@ mod tests {
         let t1 = take1(m.get_tasks(s, 1));
         // The slave is at capacity (1 slot). Reporting t1 inside the next
         // poll must free the slot *before* the budget is computed, so the
-        // second task is granted in the same round trip.
-        let report = TaskReport {
-            data: t1.data,
-            index: t1.index,
-            attempt: t1.attempt,
-            urls: output_urls(&store, &t1),
-        };
+        // second task is granted in the same round trip. Its one output
+        // holds no records.
+        let report =
+            TaskReport { data: t1.data, index: t1.index, attempt: t1.attempt, empty: vec![0] };
         let t2 = take1(
             m.poll(s, 1, Duration::ZERO, &[report], &JobMetrics::default(), &TraceBatch::default())
                 .0
@@ -1929,14 +1925,9 @@ mod tests {
                 for path in t.inputs.iter().filter_map(|u| own(u)) {
                     assert!(self.frames.contains(&path), "{t:?} granted, its input {path} purged");
                 }
-                let urls = direct_urls(self.id, t);
-                self.frames.extend(urls.iter().filter_map(|u| own(u)));
-                self.reports.push(TaskReport {
-                    data: t.data,
-                    index: t.index,
-                    attempt: t.attempt,
-                    urls,
-                });
+                self.frames.extend(direct_urls(self.id, t).iter().filter_map(|u| own(u)));
+                let (data, index, attempt) = (t.data, t.index, t.attempt);
+                self.reports.push(TaskReport { data, index, attempt, empty: vec![] });
             }
             d
         }
@@ -1962,11 +1953,12 @@ mod tests {
         }
         // m2's report arrives without a poll: r1's purge order waits.
         let report = slave.reports.pop().expect("m2's report");
-        m.task_done(id, report.data, report.index, report.attempt, report.urls.clone());
+        let url = format!("http://a:1/data/s{id}/d{}/t{}/b0.mrsb", report.data, report.index);
+        m.task_done(id, report.data, report.index, report.attempt, vec![url.clone()]);
         assert_eq!(m.metrics().datasets_freed(), 2);
         let t = take1(m.get_tasks(id, 1));
         assert_eq!(t.data, r2.0);
-        m.task_failed(id, t.data, t.index, t.attempt, "fetch", Some(&report.urls[0]));
+        m.task_failed(id, t.data, t.index, t.attempt, "fetch", Some(&url));
         (slave, [m1, r1, m2, r2])
     }
 

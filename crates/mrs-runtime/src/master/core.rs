@@ -12,10 +12,8 @@ use super::{MasterConfig, SlaveId, SpeculateMode};
 use crate::data::DataId;
 use crate::metrics::{Counter, JobMetrics};
 use crate::plan::{Ds, Op, Plan, Task};
-use crate::proto::{output_stem, trace_op, Assignment, CancelOrder, TaskKind, TaskMsg, TaskReport};
-use crate::workers::bucket_path;
+use crate::proto::{output_url, trace_op, Assignment, CancelOrder, TaskKind, TaskMsg, TaskReport};
 use mrs_core::{FuncId, Result, TaskSpec};
-use mrs_rpc::dataserver;
 use mrs_trace::{Name, Tag, TraceHandle};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -251,7 +249,9 @@ impl MasterCore {
 
     /// Completion reports from `slave`, the proof of life they are: on a
     /// poll, before any grant (so the slots they free are grantable in the
-    /// same round trip), or on their own.
+    /// same round trip), or on their own. Each output's URL is the one
+    /// [`Self::output_url`] names, or `empty:` for a partition the report
+    /// lists empty.
     pub(super) fn report(
         &mut self,
         slave: SlaveId,
@@ -262,12 +262,38 @@ impl MasterCore {
         // One wake for all of them, and only if one of them calls for it.
         let mut wake = false;
         for r in reports {
-            wake |= self.apply_done(slave, r.data, r.index, r.attempt, r.urls.clone(), now);
+            let urls =
+                |core: &Self, parts| r.urls(parts, |p| core.output_url(slave, r.data, r.index, p));
+            wake |= self.apply_done(slave, r.data, r.index, r.attempt, urls, now);
         }
         if wake {
             self.wake_polls();
         }
         self.out(())
+    }
+
+    /// A completion whose output URLs the caller names; see
+    /// [`super::Master::task_done`].
+    pub(super) fn commit(
+        &mut self,
+        slave: SlaveId,
+        data: u32,
+        index: usize,
+        attempt: u32,
+        urls: Vec<String>,
+        now: Instant,
+    ) -> Out<()> {
+        self.touch(slave, now);
+        if self.apply_done(slave, data, index, attempt, |_, _| urls, now) {
+            self.wake_polls();
+        }
+        self.out(())
+    }
+
+    /// The URL of output `p` of task `index` of `data` written by `slave`.
+    fn output_url(&self, slave: SlaveId, data: u32, index: usize, p: usize) -> String {
+        let authority = self.direct.then(|| self.slaves[slave as usize].authority.as_str());
+        output_url(authority, slave, data, index, p)
     }
 
     /// The first half of a poll: merge the slave's counter tally and take
@@ -504,11 +530,7 @@ impl MasterCore {
         let input = self.plan.at(op.input).expect("an ahead task's input op");
         let producer = |(j, t): (usize, &Task<String, Slot>)| match t.out() {
             Some(out) => out[index].clone(),
-            None => {
-                let a = t.x.running[0];
-                let path = bucket_path(&output_stem(a.slave, op.input.0, j), index);
-                dataserver::url(&self.slaves[a.slave as usize].authority, &path)
-            }
+            None => self.output_url(t.x.running[0].slave, op.input.0, j, index),
         };
         input.tasks().iter().enumerate().map(producer).collect()
     }
@@ -612,7 +634,8 @@ impl MasterCore {
         best
     }
 
-    /// Record one completed task. Wakes the drivers if it completes an op
+    /// Record one completed task, whose output URLs `urls` names given
+    /// the task's output count. Wakes the drivers if it completes an op
     /// one of them waits for, and returns whether the parked polls must be
     /// woken: the op completed, a cancel order was queued, a map over this
     /// reduce output or a backup got nearer.
@@ -622,7 +645,7 @@ impl MasterCore {
         data: u32,
         index: usize,
         attempt: u32,
-        urls: Vec<String>,
+        urls: impl FnOnce(&Self, usize) -> Vec<String>,
         now: Instant,
     ) -> bool {
         let id = DataId(data);
@@ -643,6 +666,7 @@ impl MasterCore {
         slot.runtime_us = Some((now - winner.started).as_micros() as u64);
         slot.owner = self.direct.then_some(slave);
         let spec = self.plan.at(id).expect("the slot's op").spec;
+        let urls = urls(self, spec.parts().unwrap_or(1));
         let done = self.plan.commit(id, index, urls);
         // Losers get cancellation orders piggybacked on their slave's next
         // poll; the winner's margin over the slowest loser is the straggler

@@ -4,9 +4,9 @@
 //! `Counter` variant, accessor, kind, Prometheus sample name and doc —
 //! and everything else is generated from it: the plain-`u64`
 //! [`JobMetrics`] store, one accessor per counter, the Prometheus text of
-//! the master's `/metrics` page, and the names a slave's tally travels
-//! under on `get_task` ([`crate::proto::counts_value`]). Adding a metric is
-//! one table line plus its call sites.
+//! the master's `/metrics` page, and the codes a slave's tally travels
+//! under on `get_task` (a counter's place in the table). Adding a metric
+//! is one table line plus its call sites, and a protocol version bump.
 //!
 //! Every node owns one store beside the state it already locks (the
 //! master's scheduler state, the pool's, the serial runtime, a slave's
@@ -88,6 +88,7 @@ metrics! {
     Wakeups wakeups Sum "wakeups_total" "State transitions that woke a parked poll.",
     AheadGrants ahead_grants Sum "ahead_grants_total" "Tasks granted before their inputs were all committed, naming pending ones by the URL they will have.",
     HeldFetches held_fetches Sum "held_fetches_total" "Lookups of a pending output a slave held until it was written or given up.",
+    ControlBytes control_bytes Sum "control_bytes_total" "Request plus answer body bytes of the slaves' control RPCs, counted at their links.",
     BytesPreCompress bytes_pre_compress Sum "bytes_pre_compress_total" "Decoded bytes of buckets fetched over HTTP.",
     BytesOnWire bytes_on_wire Sum "bytes_on_wire_total" "HTTP body bytes those fetches moved (framed, maybe compressed).",
     ShortcircuitFetches shortcircuit_fetches Sum "shortcircuit_fetches_total" "Fetches served without a socket (own output table, in-memory handover).",
@@ -124,6 +125,7 @@ impl Counter {
     }
 
     /// The counter whose [`Self::name`] is `name`.
+    #[cfg(test)]
     pub(crate) fn named(name: &str) -> Option<Counter> {
         Self::ALL.iter().copied().find(|c| c.name() == name)
     }
@@ -311,11 +313,11 @@ mod tests {
     /// The sample names `JobMetrics::to_prometheus` emitted before the
     /// table existed (hand-listed), in order, less the four the eager
     /// shuffle took with it and plus the two of the grants ahead of their
-    /// inputs: the table must emit exactly these — dashboards and the CI
-    /// smoke read them by name.
+    /// inputs and the control bytes: the table must emit exactly these —
+    /// dashboards and the CI smoke read them by name.
     #[test]
     fn prometheus_names_are_the_hand_listed_ones() {
-        const BEFORE: [&str; 39] = [
+        const BEFORE: [&str; 40] = [
             "mrs_map_ops_total",
             "mrs_reduce_ops_total",
             "mrs_shuffle_bytes_total",
@@ -335,6 +337,7 @@ mod tests {
             "mrs_wakeups_total",
             "mrs_ahead_grants_total",
             "mrs_held_fetches_total",
+            "mrs_control_bytes_total",
             "mrs_bytes_pre_compress_total",
             "mrs_bytes_on_wire_total",
             "mrs_shortcircuit_fetches_total",

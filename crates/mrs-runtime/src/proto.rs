@@ -6,43 +6,59 @@
 //! and its strict decoder are generated from it. Each RPC method is one
 //! `method!` declaration of its ordered parameters and its reply, which
 //! the master's handlers ([`crate::distributed::serve_master`]) and the
-//! slave's stub ([`crate::distributed::RpcMasterLink`]) both use. Beside
-//! the schema: the URL resolver both sides use to read bucket data
-//! (`http://` direct transfer, `file://` / `mem://` shared filesystem,
-//! `empty:` for a bucket with no records, read without I/O).
+//! slave's stub ([`crate::distributed::RpcMasterLink`]) both use. The
+//! generated codec writes each field straight into the XML document and
+//! reads it straight off the text ([`mrs_rpc::xmlrpc::Writer`] /
+//! [`mrs_rpc::xmlrpc::Reader`]): no [`Value`] tree is built on the way,
+//! and a string stays borrowed from the document until a field owns it.
+//! `to_value` / `from_value` are that codec seen through the generic
+//! parser, for callers that want the tree. Beside the schema: the URL
+//! resolver both sides use to read bucket data (`http://` direct
+//! transfer, `file://` / `mem://` shared filesystem, `empty:` for a bucket
+//! with no records, read without I/O).
+//!
+//! A message carries only what its receiver cannot derive: a completion
+//! report names its attempt and which of its partitions came out empty,
+//! and the master builds each output's URL from the slave's location
+//! ([`output_url`]), the same function that names the inputs of a task
+//! granted ahead of them. A slave's counter tally and its trace events
+//! travel packed in one `<base64>` blob each.
 //!
 //! The wire has exactly one version, [`PROTOCOL_VERSION`]: a slave names
 //! it at `signin` and a master refuses any other, so behind that gate
 //! every decoder is strict. A missing key, a key the message does not
-//! declare, a mistyped value or an integer outside its field's type is an
-//! error naming the key, and a fault 3 at the master. What the encoders
-//! leave out — empty `purge` / `cancel` lists, an empty trace batch, a
-//! zero counter in a slave's tally — is left out for compactness and
-//! means "none".
+//! declare, a key given twice, a mistyped value or an integer outside its
+//! field's type is an error naming the key, and a fault 3 at the master.
+//! What the encoders leave out — empty `purge` / `cancel` lists, an empty
+//! trace batch, a report's empty-partition set when none is — is left out
+//! for compactness and means "none".
 
 use crate::master::SlaveId;
 use crate::metrics::{Counter, JobMetrics};
 use mrs_codec::FrameError;
+use mrs_core::kv::{read_varint, write_varint};
 use mrs_core::{Error, Record, Result, TaskSpec};
 use mrs_fs::format::read_bucket_records;
+use mrs_fs::url::EMPTY;
 use mrs_fs::{BucketUrl, Store};
 use mrs_rpc::dataserver;
 use mrs_rpc::rpc::{Dispatch as RpcDispatch, RpcClient};
-use mrs_rpc::xmlrpc::Value;
+use mrs_rpc::xmlrpc::{self, Item, Reader, Value, Writer, XmlError};
 use mrs_trace::Event;
-use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// The version of the master↔slave wire protocol this build speaks: the
-/// set of RPC methods, their positional parameters, and the keys of every
-/// struct in this module. A slave sends it as `signin`'s third parameter;
-/// a master answers a missing or different version with a fault naming
-/// both, which ends the slave. Every node of a cluster is built from one
-/// commit, so there are no older peers to stay readable for — bump this
-/// on any change to the wire instead of adding a fallback.
-pub const PROTOCOL_VERSION: i64 = 7;
+/// set of RPC methods, their positional parameters, the keys of every
+/// struct in this module and the layout of its packed blobs (the counter
+/// codes of a tally are the counters' places in the metrics table). A
+/// slave sends it as `signin`'s third parameter; a master answers a
+/// missing or different version with a fault naming both, which ends the
+/// slave. Every node of a cluster is built from one commit, so there are
+/// no older peers to stay readable for — bump this on any change to the
+/// wire instead of adding a fallback.
+pub const PROTOCOL_VERSION: i64 = 8;
 
 /// Fault code of a malformed call: a missing, surplus, mistyped or
 /// out-of-range parameter.
@@ -51,11 +67,18 @@ pub(crate) const BAD_PARAMS: i64 = 3;
 /// An XML-RPC fault: code and message.
 pub(crate) type Fault = (i64, String);
 
-/// The members of an XML-RPC struct.
-type Fields = BTreeMap<String, Value>;
-
 /// A field read off the wire, or why it could not be.
 type Decoded<T> = std::result::Result<T, String>;
+
+/// The next value of `r`, which travels under `key`.
+fn item<'a>(r: &mut Reader<'a>, key: &str) -> Decoded<Item<'a>> {
+    r.value().map_err(|e| format!("{key}: {e}"))
+}
+
+/// Why the value under `key` is not what it should be.
+fn mistyped<T>(key: &str) -> Decoded<T> {
+    Err(format!("mistyped {key}"))
+}
 
 /// A wire type: how a field of type `T` travels as the value of its key
 /// or parameter. A plain type is its own wire type; a declaration names
@@ -67,26 +90,25 @@ pub(crate) trait Wire<T> {
     fn omit(_: &T) -> bool {
         false
     }
-    /// The value `v` travels as.
-    fn put(v: &T) -> Value;
-    /// `T` from the value under `key` (`None`: absent).
-    fn get(v: Option<&Value>, key: &str) -> Decoded<T>;
-}
-
-/// The value under `key`, which must be there and be what `as_t` reads.
-fn typed<'v, T>(v: Option<&'v Value>, key: &str, as_t: fn(&'v Value) -> Option<T>) -> Decoded<T> {
-    as_t(v.ok_or_else(|| format!("missing {key}"))?).ok_or_else(|| format!("mistyped {key}"))
+    /// Write `v` as one value.
+    fn put(v: &T, w: &mut Writer);
+    /// `T` from the value next in `r`, which travels under `key`.
+    fn get(r: &mut Reader, key: &str) -> Decoded<T>;
+    /// `T` when `key` is absent.
+    fn absent(key: &str) -> Decoded<T> {
+        Err(format!("missing {key}"))
+    }
 }
 
 /// Integers travel as `<int>`, range-checked into their field's type.
 macro_rules! int_wire {
     ($($t:ty),*) => {$(
         impl Wire<$t> for $t {
-            fn put(v: &$t) -> Value {
-                Value::Int(i64::try_from(*v).unwrap_or(i64::MAX))
+            fn put(v: &$t, w: &mut Writer) {
+                w.int(i64::try_from(*v).unwrap_or(i64::MAX));
             }
-            fn get(v: Option<&Value>, key: &str) -> Decoded<$t> {
-                let n = typed(v, key, Value::as_int)?;
+            fn get(r: &mut Reader, key: &str) -> Decoded<$t> {
+                let Item::Int(n) = item(r, key)? else { return mistyped(key) };
                 <$t>::try_from(n).map_err(|_| format!("{key} {n} out of range"))
             }
         }
@@ -96,29 +118,36 @@ macro_rules! int_wire {
 int_wire!(u32, u64, usize);
 
 impl Wire<String> for String {
-    fn put(v: &String) -> Value {
-        Value::Str(v.clone())
+    fn put(v: &String, w: &mut Writer) {
+        w.string(v);
     }
-    fn get(v: Option<&Value>, key: &str) -> Decoded<String> {
-        typed(v, key, Value::as_str).map(str::to_owned)
+    fn get(r: &mut Reader, key: &str) -> Decoded<String> {
+        let Item::Str(s) = item(r, key)? else { return mistyped(key) };
+        Ok(s.into_owned())
     }
 }
 
 impl Wire<bool> for bool {
-    fn put(v: &bool) -> Value {
-        Value::Bool(*v)
+    fn put(v: &bool, w: &mut Writer) {
+        w.boolean(*v);
     }
-    fn get(v: Option<&Value>, key: &str) -> Decoded<bool> {
-        typed(v, key, |v| if let Value::Bool(b) = v { Some(*b) } else { None })
+    fn get(r: &mut Reader, key: &str) -> Decoded<bool> {
+        let Item::Bool(b) = item(r, key)? else { return mistyped(key) };
+        Ok(b)
     }
 }
 
 impl<T: Wire<T>> Wire<Vec<T>> for Vec<T> {
-    fn put(v: &Vec<T>) -> Value {
-        Value::Array(v.iter().map(T::put).collect())
+    fn put(v: &Vec<T>, w: &mut Writer) {
+        w.array(|w| v.iter().for_each(|item| T::put(item, w)));
     }
-    fn get(v: Option<&Value>, key: &str) -> Decoded<Vec<T>> {
-        typed(v, key, Value::as_array)?.iter().map(|item| T::get(Some(item), key)).collect()
+    fn get(r: &mut Reader, key: &str) -> Decoded<Vec<T>> {
+        let Item::Array = item(r, key)? else { return mistyped(key) };
+        let mut items = Vec::new();
+        while r.more().map_err(|e| format!("{key}: {e}"))? {
+            items.push(T::get(r, key)?);
+        }
+        Ok(items)
     }
 }
 
@@ -127,11 +156,11 @@ impl<T: Wire<T>> Wire<Vec<T>> for Vec<T> {
 pub(crate) struct Attempt;
 
 impl Wire<u32> for Attempt {
-    fn put(v: &u32) -> Value {
-        u32::put(v)
+    fn put(v: &u32, w: &mut Writer) {
+        u32::put(v, w)
     }
-    fn get(v: Option<&Value>, key: &str) -> Decoded<u32> {
-        let id = Some(u32::get(v, key)?).filter(|&a| a > 0);
+    fn get(r: &mut Reader, key: &str) -> Decoded<u32> {
+        let id = Some(u32::get(r, key)?).filter(|&a| a > 0);
         id.ok_or_else(|| format!("{key} 0 out of range (ids start at 1)"))
     }
 }
@@ -155,11 +184,14 @@ impl<T: Empty, C: Wire<T>> Wire<T> for Omit<C> {
     fn omit(v: &T) -> bool {
         v.is_empty()
     }
-    fn put(v: &T) -> Value {
-        C::put(v)
+    fn put(v: &T, w: &mut Writer) {
+        C::put(v, w)
     }
-    fn get(v: Option<&Value>, key: &str) -> Decoded<T> {
-        v.map_or_else(|| Ok(T::default()), |_| C::get(v, key))
+    fn get(r: &mut Reader, key: &str) -> Decoded<T> {
+        C::get(r, key)
+    }
+    fn absent(_: &str) -> Decoded<T> {
+        Ok(T::default())
     }
 }
 
@@ -167,53 +199,81 @@ impl<T: Empty, C: Wire<T>> Wire<T> for Omit<C> {
 /// with fault 4 naming both versions, before the slave is registered.
 pub(crate) struct Version;
 
+impl Version {
+    fn refuse(theirs: Option<i64>) -> String {
+        format!(
+            "slave speaks protocol version {}, this master speaks {PROTOCOL_VERSION}; \
+             build both from the same commit",
+            theirs.map_or("none".to_owned(), |v| v.to_string())
+        )
+    }
+}
+
 impl Wire<i64> for Version {
     const FAULT: i64 = 4;
-    fn put(v: &i64) -> Value {
-        Value::Int(*v)
+    fn put(v: &i64, w: &mut Writer) {
+        w.int(*v)
     }
-    fn get(v: Option<&Value>, _: &str) -> Decoded<i64> {
-        match v.and_then(Value::as_int) {
-            Some(PROTOCOL_VERSION) => Ok(PROTOCOL_VERSION),
-            theirs => Err(format!(
-                "slave speaks protocol version {}, this master speaks {PROTOCOL_VERSION}; \
-                 build both from the same commit",
-                theirs.map_or("none".to_owned(), |v| v.to_string())
-            )),
+    fn get(r: &mut Reader, _: &str) -> Decoded<i64> {
+        match r.value() {
+            Ok(Item::Int(PROTOCOL_VERSION)) => Ok(PROTOCOL_VERSION),
+            Ok(Item::Int(theirs)) => Err(Version::refuse(Some(theirs))),
+            _ => Err(Version::refuse(None)),
         }
     }
-}
-
-/// A struct on the wire, with its keys.
-pub(crate) trait Message: Sized {
-    /// Whether `key` is one of the message's keys.
-    fn known(key: &str) -> bool;
-    /// Write the message's keys into `fields`.
-    fn write(&self, fields: &mut Fields);
-    /// Read the message from its keys in `fields`, ignoring any others.
-    fn read(fields: &Fields) -> Decoded<Self>;
-}
-
-/// Decode `v` as an `M` that travels as (part of) a `W`: a key `W` does
-/// not declare is refused.
-fn strict<W: Message, M: Message>(v: &Value) -> Decoded<M> {
-    let Value::Struct(fields) = v else { return Err("not a struct".into()) };
-    match fields.keys().find(|k| !W::known(k)) {
-        Some(k) => Err(format!("unknown key {k:?}")),
-        None => M::read(fields),
+    fn absent(_: &str) -> Decoded<i64> {
+        Err(Version::refuse(None))
     }
 }
 
-/// [`strict`], naming `what` in its error.
-fn decode<W: Message, M: Message>(v: &Value, what: &str) -> Result<M> {
-    strict::<W, M>(v).map_err(|why| Error::Rpc(format!("{what}: {why}")))
+/// A struct on the wire, with its keys. Its members are read one at a
+/// time, in any order, into its `Partial` — a tuple of one slot per field
+/// —, which `finish` then checks for every required key.
+pub(crate) trait Message: Sized {
+    /// The members read so far.
+    type Partial: Default;
+    /// Whether `key` is one of the message's keys.
+    fn known(key: &str) -> bool;
+    /// Write the message's members.
+    fn write(&self, w: &mut Writer);
+    /// Read the value of member `key` into `partial`; `false` (nothing
+    /// read) when `key` is not one of the message's.
+    fn take(partial: &mut Self::Partial, key: &str, r: &mut Reader) -> Decoded<bool>;
+    /// The message from the members read.
+    fn finish(partial: Self::Partial) -> Decoded<Self>;
 }
 
-/// `m` as an XML-RPC struct.
-fn encode<M: Message>(m: &M) -> Value {
-    let mut fields = Fields::new();
-    m.write(&mut fields);
-    Value::Struct(fields)
+/// Read the struct next in `r` as an `M` that travels as (part of) a `W`:
+/// a key of `W` that is not `M`'s is passed over; one `W` does not
+/// declare is refused.
+fn strict<W: Message, M: Message>(r: &mut Reader) -> Decoded<M> {
+    let xml = |e: XmlError| e.to_string();
+    let Item::Struct = r.value().map_err(xml)? else { return Err("not a struct".into()) };
+    let mut partial = M::Partial::default();
+    while let Some(key) = r.member().map_err(xml)? {
+        if !M::take(&mut partial, &key, r)? {
+            if !W::known(&key) {
+                return Err(format!("unknown key {key:?}"));
+            }
+            r.read().map_err(xml)?;
+        }
+    }
+    M::finish(partial)
+}
+
+/// The `Value` of what `put` writes.
+fn to_tree(put: impl FnOnce(&mut Writer)) -> Value {
+    let mut w = Writer::response();
+    put(&mut w);
+    let doc = w.finish();
+    xmlrpc::parse_response(&doc).expect("the writer's own document").expect("not a fault")
+}
+
+/// Read `v` with `get`, naming `what` in its error.
+fn from_tree<T>(v: &Value, what: &str, get: impl FnOnce(&mut Reader) -> Decoded<T>) -> Result<T> {
+    let doc = xmlrpc::encode_response(v);
+    let mut r = Reader::response(&doc).expect("a response").expect("not a fault");
+    get(&mut r).map_err(|why| Error::Rpc(format!("{what}: {why}")))
 }
 
 /// One field of a `wire!` table: `= "key"` travels under `key` as its own
@@ -222,20 +282,44 @@ fn encode<M: Message>(m: &M) -> Value {
 macro_rules! field {
     (@as $t:ty) => { $t };
     (@as $t:ty, $c:ty) => { $c };
+    (partial $t:ty, *) => { <$t as Message>::Partial };
+    (partial $t:ty, _) => { () };
+    (partial $t:ty, $key:literal $($c:ty)?) => { Option<$t> };
     (known $k:ident, $t:ty, *) => { <$t as Message>::known($k) };
     (known $k:ident, $t:ty, _) => { false };
     (known $k:ident, $t:ty, $key:literal $($c:ty)?) => { $k == $key };
-    (put $fields:ident, $v:expr, $t:ty, *) => { Message::write($v, $fields) };
-    (put $fields:ident, $v:expr, $t:ty, _) => {};
-    (put $fields:ident, $v:expr, $t:ty, $key:literal $($c:ty)?) => {
+    (put $w:ident, $v:expr, $t:ty, *) => { Message::write($v, $w) };
+    (put $w:ident, $v:expr, $t:ty, _) => {};
+    (put $w:ident, $v:expr, $t:ty, $key:literal $($c:ty)?) => {
         if !<field!(@as $t $(, $c)?) as Wire<$t>>::omit($v) {
-            $fields.insert($key.to_owned(), <field!(@as $t $(, $c)?) as Wire<$t>>::put($v));
+            $w.member($key, |w| <field!(@as $t $(, $c)?) as Wire<$t>>::put($v, w));
         }
     };
-    (get $fields:ident, $t:ty, *) => { <$t as Message>::read($fields)? };
-    (get $fields:ident, $t:ty, _) => { <$t>::default() };
-    (get $fields:ident, $t:ty, $key:literal $($c:ty)?) => {
-        <field!(@as $t $(, $c)?) as Wire<$t>>::get($fields.get($key), $key)?
+    (take $slot:ident, $k:ident, $r:ident, $t:ty, *) => {
+        if <$t as Message>::take($slot, $k, $r)? {
+            return Ok(true);
+        }
+    };
+    (take $slot:ident, $k:ident, $r:ident, $t:ty, _) => { let () = *$slot; };
+    (take $slot:ident, $k:ident, $r:ident, $t:ty, $key:literal $($c:ty)?) => {
+        if $k == $key {
+            if $slot.is_some() {
+                return Err(format!("{} given twice", $key));
+            }
+            *$slot = Some(<field!(@as $t $(, $c)?) as Wire<$t>>::get($r, $key)?);
+            return Ok(true);
+        }
+    };
+    (finish $slot:ident, $t:ty, *) => { <$t as Message>::finish($slot)? };
+    (finish $slot:ident, $t:ty, _) => {{
+        let () = $slot;
+        <$t>::default()
+    }};
+    (finish $slot:ident, $t:ty, $key:literal $($c:ty)?) => {
+        match $slot {
+            Some(v) => v,
+            None => <field!(@as $t $(, $c)?) as Wire<$t>>::absent($key)?,
+        }
     };
 }
 
@@ -259,36 +343,45 @@ macro_rules! wire {
         }
 
         impl Message for $name {
+            type Partial = ($(field!(partial $t, $key $($c)?),)*);
             fn known(key: &str) -> bool {
                 $(field!(known key, $t, $key $($c)?))||*
             }
-            fn write(&self, fields: &mut Fields) {
-                $(field!(put fields, &self.$f, $t, $key $($c)?);)*
+            fn write(&self, w: &mut Writer) {
+                $(field!(put w, &self.$f, $t, $key $($c)?);)*
             }
-            fn read(fields: &Fields) -> Decoded<Self> {
-                Ok($name { $($f: field!(get fields, $t, $key $($c)?),)* })
+            fn take(partial: &mut Self::Partial, key: &str, r: &mut Reader) -> Decoded<bool> {
+                let ($($f,)*) = partial;
+                $(field!(take $f, key, r, $t, $key $($c)?);)*
+                Ok(false)
+            }
+            fn finish(partial: Self::Partial) -> Decoded<Self> {
+                let ($($f,)*) = partial;
+                Ok($name { $($f: field!(finish $f, $t, $key $($c)?),)* })
             }
         }
 
         impl Wire<$name> for $name {
-            fn put(v: &$name) -> Value {
-                encode(v)
+            fn put(v: &$name, w: &mut Writer) {
+                w.structure(|w| v.write(w));
             }
-            fn get(v: Option<&Value>, key: &str) -> Decoded<$name> {
-                let v = v.ok_or_else(|| format!("missing {key}"))?;
-                strict::<$name, $name>(v).map_err(|why| format!("{key}: {why}"))
+            fn get(r: &mut Reader, key: &str) -> Decoded<$name> {
+                strict::<$name, $name>(r).map_err(|why| format!("{key}: {why}"))
             }
         }
 
+        // A crate-private message's trees serve tests only.
+        #[allow(dead_code)]
         impl $name {
-            /// Encode for the wire.
+            /// Encode as a [`Value`] tree.
             pub fn to_value(&self) -> Value {
-                encode(self)
+                to_tree(|w| <$name as Wire<$name>>::put(self, w))
             }
 
-            /// Decode from the wire; see the module doc for what is refused.
+            /// Decode from a [`Value`] tree; see the module doc for what is
+            /// refused.
             pub fn from_value(v: &Value) -> Result<$name> {
-                decode::<wire!(@in $name $($outer)?), $name>(v, stringify!($name))
+                from_tree(v, stringify!($name), strict::<wire!(@in $name $($outer)?), $name>)
             }
         }
     };
@@ -315,37 +408,52 @@ macro_rules! method {
             /// Its parameters' names, in order.
             pub(crate) const PARAMS: &'static [&'static str] = &[$(stringify!($p)),*];
 
-            /// Decode a call's parameters, strictly: a fault on refusal.
-            pub(crate) fn from_params(params: &[Value]) -> std::result::Result<$name, Fault> {
-                let (method, n) = (Self::METHOD, Self::PARAMS.len());
-                if params.len() > n {
-                    let why = format!("{method}: {} parameters, at most {n}", params.len());
-                    return Err((BAD_PARAMS, why));
+            /// Read a call's parameters, and the end of its document,
+            /// strictly: a fault on refusal.
+            pub(crate) fn read(mut r: Reader) -> std::result::Result<$name, Fault> {
+                let method = Self::METHOD;
+                let malformed = |e: XmlError| (BAD_PARAMS, format!("{method}: {e}"));
+                $(let $p = {
+                    type W = field!(@as $t $(, $c)?);
+                    let (p, given) = (stringify!($p), r.more().map_err(malformed)?);
+                    if given { <W as Wire<$t>>::get(&mut r, p) } else { W::absent(p) }
+                        .map_err(|why| (<W as Wire<$t>>::FAULT, format!("{method}: {why}")))?
+                };)*
+                let mut n = Self::PARAMS.len();
+                while r.more().map_err(malformed)? {
+                    r.read().map_err(malformed)?;
+                    n += 1;
                 }
-                let mut at = params.iter();
-                Ok($name {
-                    $($p: <field!(@as $t $(, $c)?) as Wire<$t>>::get(at.next(), stringify!($p))
-                        .map_err(|why| {
-                            let fault = <field!(@as $t $(, $c)?) as Wire<$t>>::FAULT;
-                            (fault, format!("{method}: {why}"))
-                        })?,)*
-                })
+                if n > Self::PARAMS.len() {
+                    let at_most = Self::PARAMS.len();
+                    return Err((BAD_PARAMS, format!("{method}: {n} parameters, at most {at_most}")));
+                }
+                r.finish().map_err(malformed)?;
+                Ok($name { $($p,)* })
             }
 
-            /// The call's positional parameters.
-            pub(crate) fn to_params(&self) -> Vec<Value> {
-                let mut params = Vec::new();
+            /// The call's request document.
+            pub(crate) fn request(&self) -> String {
+                let mut w = Writer::request(Self::METHOD);
                 $(if !<field!(@as $t $(, $c)?) as Wire<$t>>::omit(&self.$p) {
-                    params.push(<field!(@as $t $(, $c)?) as Wire<$t>>::put(&self.$p));
+                    w.param(|w| <field!(@as $t $(, $c)?) as Wire<$t>>::put(&self.$p, w));
                 })*
-                params
+                w.finish()
             }
 
             /// Make the call on `client`.
             pub(crate) fn call(&self, client: &RpcClient) -> Result<$r> {
-                let reply = client.call(Self::METHOD, &self.to_params())?;
-                <$r as Wire<$r>>::get(Some(&reply), "reply")
-                    .map_err(|why| Error::Rpc(format!("{}: {why}", Self::METHOD)))
+                let method = Self::METHOD;
+                let doc = client.post(method, &self.request())?;
+                let bad = |why: String| Error::Rpc(format!("{method}: {why}"));
+                let mut r = match Reader::response(&doc) {
+                    Ok(Ok(r)) => r,
+                    Ok(Err(f)) => return Err(bad(format!("fault {}: {}", f.code, f.message))),
+                    Err(e) => return Err(bad(format!("bad response: {e}"))),
+                };
+                let reply = <$r as Wire<$r>>::get(&mut r, "reply").map_err(bad)?;
+                r.finish().map_err(|e| bad(format!("bad response: {e}")))?;
+                Ok(reply)
             }
 
             /// Add the method to `rpc`, answering each call with `f`'s reply.
@@ -353,9 +461,26 @@ macro_rules! method {
                 rpc: RpcDispatch,
                 f: impl Fn($name) -> std::result::Result<$r, Fault> + Send + Sync + 'static,
             ) -> RpcDispatch {
-                rpc.register(Self::METHOD, move |params| {
-                    f(Self::from_params(params)?).map(|r| <$r as Wire<$r>>::put(&r))
+                rpc.register_doc(Self::METHOD, move |r| {
+                    let reply = f(Self::read(r)?)?;
+                    let mut w = Writer::response();
+                    <$r as Wire<$r>>::put(&reply, &mut w);
+                    Ok(w.finish())
                 })
+            }
+        }
+
+        #[cfg(test)]
+        impl $name {
+            /// Decode a call's parameters from their [`Value`]s.
+            pub(crate) fn from_params(params: &[Value]) -> std::result::Result<$name, Fault> {
+                let doc = xmlrpc::encode_request(Self::METHOD, params);
+                Self::read(Reader::request(&doc).expect("a request").1)
+            }
+
+            /// The call's positional parameters as [`Value`]s.
+            pub(crate) fn to_params(&self) -> Vec<Value> {
+                xmlrpc::parse_request(&self.request()).expect("the writer's own document").1
             }
         }
     };
@@ -400,7 +525,9 @@ method! {
 wire! {
     /// A task-completion report, batched on `get_task` calls as the
     /// piggybacked `reports` parameter: one control round trip both returns
-    /// finished work and fetches the next batch.
+    /// finished work and fetches the next batch. It names no URL: the
+    /// master derives each output's from the slave and the task
+    /// ([`TaskReport::urls`]).
     pub struct TaskReport {
         /// Output dataset id the task contributed to.
         pub data: u32 = "data",
@@ -408,12 +535,49 @@ wire! {
         pub index: usize = "index",
         /// The attempt id the task message carried (never 0).
         pub attempt: u32 = "attempt" as Attempt,
-        /// Output bucket URLs (one per partition for map, one for reduce).
-        pub urls: Vec<String> = "urls",
+        /// The partitions whose output holds no records, ascending: each
+        /// is located at `empty:`, stored nowhere.
+        pub empty: Vec<usize> = "empty" as Omit<Parts>,
     }
 }
 
-/// What `get_task` returns to a polling slave.
+impl TaskReport {
+    /// The report's output URLs, one per partition of its task's
+    /// `parts`: `empty:` for each listed empty, else `at(p)`.
+    pub(crate) fn urls(&self, parts: usize, at: impl Fn(usize) -> String) -> Vec<String> {
+        let mut empty = self.empty.iter().peekable();
+        (0..parts)
+            .map(|p| match empty.next_if_eq(&&p) {
+                Some(_) => EMPTY.to_owned(),
+                None => at(p),
+            })
+            .collect()
+    }
+}
+
+/// A set of partitions: one `<base64>` bitset whose bit `p % 8` of byte
+/// `p / 8` is partition `p`, trailing zero bytes dropped.
+pub(crate) struct Parts;
+
+impl Wire<Vec<usize>> for Parts {
+    fn put(parts: &Vec<usize>, w: &mut Writer) {
+        let mut bits = vec![0u8; parts.last().map_or(0, |&p| p / 8 + 1)];
+        for &p in parts {
+            bits[p / 8] |= 1 << (p % 8);
+        }
+        w.bytes(&bits);
+    }
+
+    fn get(r: &mut Reader, key: &str) -> Decoded<Vec<usize>> {
+        let Item::Bytes(bits) = item(r, key)? else { return mistyped(key) };
+        let set = |(i, &byte): (usize, &u8)| {
+            (0..8).filter(move |b| byte >> b & 1 == 1).map(move |b| i * 8 + b)
+        };
+        Ok(bits.iter().enumerate().flat_map(set).collect())
+    }
+}
+
+/// What a `get_task` returns to a polling slave.
 ///
 /// A multicore slave polls with its free slot count and can be handed a
 /// whole batch in one round trip, so filling an N-slot slave costs one
@@ -433,47 +597,69 @@ pub enum Assignment {
 /// On the wire an assignment is the `type` key (`tasks`, `wait` or
 /// `exit`) and, for a batch, the `tasks` key beside it.
 impl Message for Assignment {
+    type Partial = (Option<&'static str>, Option<Vec<TaskMsg>>);
+
     fn known(key: &str) -> bool {
         key == "type" || key == "tasks"
     }
 
-    fn write(&self, fields: &mut Fields) {
+    fn write(&self, w: &mut Writer) {
         let kind = match self {
-            Assignment::Tasks(tasks) => {
-                fields.insert("tasks".to_owned(), Vec::put(tasks));
-                "tasks"
-            }
+            Assignment::Tasks(_) => "tasks",
             Assignment::Wait => "wait",
             Assignment::Exit => "exit",
         };
-        fields.insert("type".to_owned(), Value::Str(kind.into()));
+        w.member("type", |w| w.string(kind));
+        if let Assignment::Tasks(tasks) = self {
+            w.member("tasks", |w| Vec::put(tasks, w));
+        }
     }
 
-    fn read(fields: &Fields) -> Decoded<Self> {
-        let tasks = fields.get("tasks");
-        match typed(fields.get("type"), "type", Value::as_str)? {
-            "tasks" => match Vec::<TaskMsg>::get(tasks, "tasks")? {
-                tasks if tasks.is_empty() => Err("empty task batch".into()),
-                tasks => Ok(Assignment::Tasks(tasks)),
-            },
-            kind if tasks.is_some() => Err(format!("tasks beside type {kind:?}")),
-            "wait" => Ok(Assignment::Wait),
-            "exit" => Ok(Assignment::Exit),
-            other => Err(format!("unknown type {other:?}")),
+    fn take(partial: &mut Self::Partial, key: &str, r: &mut Reader) -> Decoded<bool> {
+        let (kind, tasks) = partial;
+        match key {
+            "type" if kind.is_some() => Err("type given twice".into()),
+            "type" => {
+                let Item::Str(s) = item(r, key)? else { return mistyped(key) };
+                *kind = Some(match &*s {
+                    "tasks" => "tasks",
+                    "wait" => "wait",
+                    "exit" => "exit",
+                    other => return Err(format!("unknown type {other:?}")),
+                });
+                Ok(true)
+            }
+            "tasks" if tasks.is_some() => Err("tasks given twice".into()),
+            "tasks" => {
+                *tasks = Some(Vec::get(r, key)?);
+                Ok(true)
+            }
+            _ => Ok(false),
+        }
+    }
+
+    fn finish((kind, tasks): Self::Partial) -> Decoded<Self> {
+        match (kind.ok_or("missing type")?, tasks) {
+            ("tasks", Some(tasks)) if tasks.is_empty() => Err("empty task batch".into()),
+            ("tasks", Some(tasks)) => Ok(Assignment::Tasks(tasks)),
+            ("tasks", None) => Err("missing tasks".into()),
+            (kind, Some(_)) => Err(format!("tasks beside type {kind:?}")),
+            ("wait", None) => Ok(Assignment::Wait),
+            (_, None) => Ok(Assignment::Exit),
         }
     }
 }
 
 impl Assignment {
-    /// Encode for the RPC response.
+    /// Encode as a [`Value`] tree.
     pub fn to_value(&self) -> Value {
-        encode(self)
+        to_tree(|w| w.structure(|w| self.write(w)))
     }
 
     /// Decode the assignment of a `get_task` answer, whose other keys may
     /// sit beside it.
     pub fn from_value(v: &Value) -> Result<Assignment> {
-        decode::<Answer, Assignment>(v, "Assignment")
+        from_tree(v, "Assignment", strict::<Answer, Assignment>)
     }
 }
 
@@ -504,16 +690,16 @@ impl TaskKind {
 
 /// A task kind travels as `map`, `reduce` or `reducemap`.
 impl Wire<TaskKind> for TaskKind {
-    fn put(v: &TaskKind) -> Value {
-        let name = match v {
+    fn put(v: &TaskKind, w: &mut Writer) {
+        w.string(match v {
             TaskKind::Map => "map",
             TaskKind::Reduce => "reduce",
             TaskKind::ReduceMap => "reducemap",
-        };
-        Value::Str(name.into())
+        });
     }
-    fn get(v: Option<&Value>, key: &str) -> Decoded<TaskKind> {
-        match typed(v, key, Value::as_str)? {
+    fn get(r: &mut Reader, key: &str) -> Decoded<TaskKind> {
+        let Item::Str(s) = item(r, key)? else { return mistyped(key) };
+        match &*s {
             "map" => Ok(TaskKind::Map),
             "reduce" => Ok(TaskKind::Reduce),
             "reducemap" => Ok(TaskKind::ReduceMap),
@@ -616,11 +802,6 @@ wire! {
     }
 }
 
-/// Bytes per event in a [`TraceBatch`] blob, all little-endian: `at_us`
-/// u64, then `lane`, `data`, `index`, `attempt` u32 each, then the
-/// `kind`, `name`, `op` codes one byte each.
-const EVENT_RECORD: usize = 27;
-
 wire! {
     /// A batch of trace events piggybacked on a `get_task` call: the slave
     /// drains its recorder every poll and ships the delta, so tracing costs
@@ -655,100 +836,105 @@ impl Empty for TraceBatch {
     }
 }
 
-/// The events of a [`TraceBatch`]: one `<base64>` blob of
-/// [`EVENT_RECORD`]-byte records rather than XML values, since a busy poll
-/// ships dozens of events and an `<int>` element per field made the trace
-/// delta the bulk of the request. Tracing is best-effort observability:
-/// an event with an unknown kind/name/op code is skipped rather than
-/// failing the whole dispatch; only a blob cut mid-record is an error.
+/// The events of a [`TraceBatch`]: one `<base64>` blob of packed records
+/// rather than XML values, since a busy poll ships dozens of events and an
+/// `<int>` element per field made the trace delta the bulk of the request.
+/// Per event, LEB128 varints: `at_us` as the zigzag difference from the
+/// event before (from 0 for the first), then `lane`, `data`, `index` and
+/// `attempt`; then the `kind`, `name` and `op` codes, one byte each.
+/// Tracing is best-effort observability: an event with an unknown code is
+/// skipped rather than failing the whole dispatch; only a blob cut
+/// mid-record, or a field out of its type's range, is an error.
 pub(crate) struct Events;
 
 impl Wire<Vec<Event>> for Events {
-    fn put(events: &Vec<Event>) -> Value {
-        let mut blob = Vec::with_capacity(events.len() * EVENT_RECORD);
+    fn put(events: &Vec<Event>, w: &mut Writer) {
+        let mut blob = Vec::with_capacity(events.len() * 12);
+        let mut prev = 0u64;
         for e in events {
-            blob.extend_from_slice(&e.at_us.to_le_bytes());
-            blob.extend_from_slice(&e.lane.to_le_bytes());
-            blob.extend_from_slice(&e.tag.data.to_le_bytes());
-            blob.extend_from_slice(&e.tag.index.to_le_bytes());
-            blob.extend_from_slice(&e.tag.attempt.to_le_bytes());
+            let step = e.at_us.wrapping_sub(prev) as i64;
+            write_varint(((step << 1) ^ (step >> 63)) as u64, &mut blob);
+            for field in [e.lane, e.tag.data, e.tag.index, e.tag.attempt] {
+                write_varint(u64::from(field), &mut blob);
+            }
             blob.extend_from_slice(&[e.kind.code(), e.name.code(), e.tag.op.code()]);
+            prev = e.at_us;
         }
-        Value::Bytes(blob)
+        w.bytes(&blob);
     }
 
-    fn get(v: Option<&Value>, key: &str) -> Decoded<Vec<Event>> {
-        let blob = typed(v, key, Value::as_bytes)?;
-        if blob.len() % EVENT_RECORD != 0 {
-            let n = blob.len();
-            return Err(format!("{key} blob of {n} bytes is not a multiple of {EVENT_RECORD}"));
-        }
-        let u32_at = |r: &[u8], at: usize| {
-            u32::from_le_bytes(r[at..at + 4].try_into().expect("four-byte slice"))
-        };
-        let mut events = Vec::with_capacity(blob.len() / EVENT_RECORD);
-        for r in blob.chunks_exact(EVENT_RECORD) {
+    fn get(r: &mut Reader, key: &str) -> Decoded<Vec<Event>> {
+        let Item::Bytes(blob) = item(r, key)? else { return mistyped(key) };
+        let cut = |at: usize| format!("{key} blob cut mid-record at byte {at}");
+        let (mut rest, mut prev) = (&blob[..], 0u64);
+        let mut events = Vec::new();
+        while !rest.is_empty() {
+            let at = blob.len() - rest.len();
+            let mut fields = [0u64; 5];
+            for field in &mut fields {
+                (*field, rest) = read_varint(rest).map_err(|_| cut(at))?;
+            }
+            let [step, lane, data, index, attempt] = fields;
+            let [lane, data, index, attempt] = [lane, data, index, attempt]
+                .map(|f| u32::try_from(f).map_err(|_| format!("{key} field {f} out of range")));
+            let [kind, name, op, after @ ..] = rest else { return Err(cut(at)) };
+            rest = after;
+            prev = prev.wrapping_add(((step >> 1) as i64 ^ -((step & 1) as i64)) as u64);
             let (Some(kind), Some(name), Some(op)) = (
-                mrs_trace::Kind::from_code(r[24]),
-                mrs_trace::Name::from_code(r[25]),
-                mrs_trace::Op::from_code(r[26]),
+                mrs_trace::Kind::from_code(*kind),
+                mrs_trace::Name::from_code(*name),
+                mrs_trace::Op::from_code(*op),
             ) else {
                 continue;
             };
-            events.push(Event {
-                at_us: u64::from_le_bytes(r[..8].try_into().expect("eight-byte slice")),
-                kind,
-                name,
-                lane: u32_at(r, 8),
-                tag: mrs_trace::Tag {
-                    op,
-                    data: u32_at(r, 12),
-                    index: u32_at(r, 16),
-                    attempt: u32_at(r, 20),
-                },
-            });
+            let tag = mrs_trace::Tag { op, data: data?, index: index?, attempt: attempt? };
+            events.push(Event { at_us: prev, kind, name, lane: lane?, tag });
         }
         Ok(events)
     }
 }
 
-/// A slave's counter tally travels, as `get_task`'s `counts`, as a struct of one
-/// non-negative int per *nonzero* counter, keyed by the counter's
-/// `JobMetrics` accessor name — microseconds for a time counter. An idle
-/// poll's tally is the empty struct. Strict: a name no counter has, or a
-/// value that is not a non-negative int, is an error.
+/// A slave's counter tally travels, as `get_task`'s `counts`, packed in
+/// one `<base64>` blob: per *nonzero* counter, in table order, its code
+/// (its place in the metrics table, one byte) and its value as a LEB128
+/// varint — microseconds for a time counter. An idle poll's tally is the
+/// empty blob. Strict: a code no counter has, a code not above the one
+/// before it, a zero or a value cut short is an error.
 impl Wire<JobMetrics> for JobMetrics {
-    fn put(tally: &JobMetrics) -> Value {
-        let int = |v: u64| Value::Int(i64::try_from(v).unwrap_or(i64::MAX));
-        let nonzero = Counter::ALL.iter().filter(|&&c| tally.get(c) > 0);
-        Value::Struct(nonzero.map(|&c| (c.name().to_owned(), int(tally.get(c)))).collect())
+    fn put(tally: &JobMetrics, w: &mut Writer) {
+        let mut blob = Vec::new();
+        for (code, &c) in Counter::ALL.iter().enumerate() {
+            if tally.get(c) > 0 {
+                blob.push(code as u8);
+                write_varint(tally.get(c), &mut blob);
+            }
+        }
+        w.bytes(&blob);
     }
 
-    fn get(v: Option<&Value>, key: &str) -> Decoded<JobMetrics> {
-        let fields = typed(v, key, |v| if let Value::Struct(f) = v { Some(f) } else { None })?;
+    fn get(r: &mut Reader, key: &str) -> Decoded<JobMetrics> {
+        let Item::Bytes(blob) = item(r, key)? else { return mistyped(key) };
         let mut tally = JobMetrics::default();
-        for (name, value) in fields {
-            let c =
-                Counter::named(name).ok_or_else(|| format!("unknown counter {name:?} in {key}"))?;
-            let n = value
-                .as_int()
-                .and_then(|n| u64::try_from(n).ok())
-                .ok_or_else(|| format!("counter {name} is not a non-negative int"))?;
-            // One key per counter: adding to zero sets every kind alike.
+        let (mut rest, mut next) = (&blob[..], 0);
+        while let [code, after @ ..] = rest {
+            let code = usize::from(*code);
+            let c = *Counter::ALL
+                .get(code)
+                .ok_or_else(|| format!("unknown counter code {code} in {key}"))?;
+            if code < next {
+                return Err(format!("counter {} out of order in {key}", c.name()));
+            }
+            let (n, after) =
+                read_varint(after).map_err(|e| format!("counter {}: {e}", c.name()))?;
+            if n == 0 {
+                return Err(format!("counter {} is zero in {key}", c.name()));
+            }
+            // One entry per counter: adding to zero sets every kind alike.
             tally.add(c, n);
+            (rest, next) = (after, code + 1);
         }
         Ok(tally)
     }
-}
-
-/// Encode a slave's counter tally.
-pub fn counts_value(tally: &JobMetrics) -> Value {
-    <JobMetrics as Wire<_>>::put(tally)
-}
-
-/// Decode a [`counts_value`] tally, strictly.
-pub fn counts_from_value(v: &Value) -> Result<JobMetrics> {
-    <JobMetrics as Wire<_>>::get(Some(v), "counts").map_err(Error::Rpc)
 }
 
 wire! {
@@ -783,25 +969,31 @@ wire! {
     }
 }
 
-impl Dispatch {
-    /// Encode a whole `get_task` answer: this dispatch and `more`.
-    pub fn answer_value(&self, more: bool) -> Value {
-        Answer { dispatch: self.clone(), more }.to_value()
-    }
-
-    /// Decode a whole `get_task` answer (`more` is always written).
-    pub fn from_answer(v: &Value) -> Result<(Dispatch, bool)> {
-        Answer::from_value(v).map(|a| (a.dispatch, a.more))
-    }
-}
-
 /// Where slave `slave` keeps the outputs of task `index` of dataset
 /// `data`: output `p` lives at [`crate::workers::bucket_path`]`(stem, p)`,
 /// on its data server (direct plane) or in the shared store. The slave
-/// names what it writes by it, and the master names by it the URL of an
-/// output a task granted ahead of its inputs will read.
+/// names what it writes by it, and the master the URLs ([`output_url`]).
 pub(crate) fn output_stem(slave: SlaveId, data: u32, index: usize) -> String {
     format!("s{slave}/d{data}/t{index}")
+}
+
+/// The URL of output `p` of task `index` of dataset `data` written by
+/// slave `slave`: on the data server at `authority` (direct plane), else
+/// in the shared store. The master names by it each output a report
+/// commits and each pending input of a task granted ahead of it, so the
+/// two agree by construction.
+pub(crate) fn output_url(
+    authority: Option<&str>,
+    slave: SlaveId,
+    data: u32,
+    index: usize,
+    p: usize,
+) -> String {
+    let path = crate::workers::bucket_path(&output_stem(slave, data, index), p);
+    match authority {
+        Some(authority) => dataserver::url(authority, &path),
+        None => format!("file://{path}"),
+    }
 }
 
 /// How intermediate data moves between slaves.
@@ -1029,6 +1221,7 @@ fn verify_remote(
 mod tests {
     use super::*;
     use mrs_rpc::Served;
+    use std::collections::BTreeMap;
 
     #[test]
     fn assignment_roundtrip_tasks() {
@@ -1083,6 +1276,16 @@ mod tests {
     /// A message decoder, its result dropped.
     type Decode = fn(&Value) -> Result<()>;
 
+    /// A whole `get_task` answer: `d` and `more`.
+    fn answer_value(d: &Dispatch, more: bool) -> Value {
+        Answer { dispatch: d.clone(), more }.to_value()
+    }
+
+    /// A whole `get_task` answer read back (`more` is always written).
+    fn from_answer(v: &Value) -> Result<(Dispatch, bool)> {
+        Answer::from_value(v).map(|a| (a.dispatch, a.more))
+    }
+
     /// `decode` reads `value`, and refuses it, naming the key, with any
     /// one of its keys dropped (but those `optional`) or with a key added
     /// that the message does not declare.
@@ -1110,7 +1313,7 @@ mod tests {
     #[test]
     fn every_message_requires_its_keys_and_refuses_others() {
         let task = TaskMsg::new(2, 3, &TaskSpec::Reduce { func: 1 }, 4, vec!["file://a".into()]);
-        let report = TaskReport { data: 2, index: 3, attempt: 4, urls: vec!["file://b".into()] };
+        let report = TaskReport { data: 2, index: 3, attempt: 4, empty: vec![1, 9] };
         let cancel = CancelOrder { data: 2, index: 3, attempt: 4 };
         let trace = TraceBatch { sent_at_us: 9, rtt_us: 8, dropped: 7, events: vec![] };
         let dispatch = Dispatch {
@@ -1122,11 +1325,11 @@ mod tests {
         let optional: &[&str] = &["purge", "cancel"];
         let messages: [(Value, Decode, &[&str]); 6] = [
             (task.to_value(), |v| TaskMsg::from_value(v).map(drop), &[]),
-            (report.to_value(), |v| TaskReport::from_value(v).map(drop), &[]),
+            (report.to_value(), |v| TaskReport::from_value(v).map(drop), &["empty"]),
             (cancel.to_value(), |v| CancelOrder::from_value(v).map(drop), &[]),
             (trace.to_value(), |v| TraceBatch::from_value(v).map(drop), &[]),
             (dispatch.to_value(), |v| Dispatch::from_value(v).map(drop), optional),
-            (dispatch.answer_value(false), |v| Dispatch::from_answer(v).map(drop), optional),
+            (answer_value(&dispatch, false), |v| from_answer(v).map(drop), optional),
         ];
         for (value, decode, optional) in &messages {
             assert_strict(value, *decode, optional);
@@ -1162,6 +1365,42 @@ mod tests {
             let surplus: Vec<Value> = full.iter().cloned().chain([Value::Int(0)]).collect();
             assert!(!decodes(&surplus), "a surplus parameter: {surplus:?}");
         }
+    }
+
+    /// A key given twice is refused, naming it: the generic tree keeps
+    /// only one of two equal keys, so a duplicate is written by hand.
+    #[test]
+    fn a_key_given_twice_is_refused() {
+        let report = TaskReport { data: 2, index: 3, attempt: 4, empty: vec![] };
+        let dispatch =
+            Dispatch { assignment: Assignment::Wait, purge: vec![], eager: vec![], cancel: vec![] };
+        let docs = [
+            (to_doc(|w| TaskReport::put(&report, w)), "<member><name>data</name>", "data"),
+            (to_doc(|w| Dispatch::put(&dispatch, w)), "<member><name>type</name>", "type"),
+        ];
+        for (doc, member, key) in docs {
+            let at = doc.find(member).expect("the member");
+            let len = doc[at..].find("</member>").expect("its end") + "</member>".len();
+            let twice = format!("{}{}", &doc[..at + len], &doc[at..]);
+            let err = match key {
+                "data" => from_doc(&twice, |r| TaskReport::get(r, "m")).map(drop),
+                _ => from_doc(&twice, |r| Dispatch::get(r, "m")).map(drop),
+            };
+            let err = err.expect_err(key);
+            assert!(err.contains(&format!("{key} given twice")), "{err}");
+        }
+    }
+
+    /// The response document `put` writes.
+    fn to_doc(put: impl FnOnce(&mut Writer)) -> String {
+        let mut w = Writer::response();
+        put(&mut w);
+        w.finish()
+    }
+
+    /// What `get` reads from the response document `doc`.
+    fn from_doc<T>(doc: &str, get: impl FnOnce(&mut Reader) -> Decoded<T>) -> Decoded<T> {
+        get(&mut Reader::response(doc).expect("a response").expect("not a fault"))
     }
 
     #[test]
@@ -1201,7 +1440,7 @@ mod tests {
             inputs: vec![],
         };
         assert_eq!(TaskMsg::from_value(&t.to_value()).unwrap().attempt, 7);
-        let r = TaskReport { data: 2, index: 3, attempt: 5, urls: vec!["file://a".into()] };
+        let r = TaskReport { data: 2, index: 3, attempt: 5, empty: vec![0] };
         assert_eq!(TaskReport::from_value(&r.to_value()).unwrap().attempt, 5);
         let c = CancelOrder { data: 2, index: 3, attempt: 5 };
         // Attempt ids start at 1: a 0, a negative or an absent id is a
@@ -1277,60 +1516,82 @@ mod tests {
             cancel: vec![],
         };
         for more in [false, true] {
-            let v = d.answer_value(more);
+            let v = answer_value(&d, more);
             let Value::Struct(m) = &v else { panic!("an answer is a struct") };
             let keys: Vec<&str> = m.keys().map(String::as_str).collect();
             assert_eq!(keys, ["more", "purge", "type"]);
             assert_eq!(m["more"], Value::Bool(more));
-            assert_eq!(Dispatch::from_answer(&v).unwrap(), (d.clone(), more));
+            assert_eq!(from_answer(&v).unwrap(), (d.clone(), more));
             // The dispatch inside reads as before: `more` sits beside it.
             assert_eq!(Dispatch::from_value(&v).unwrap(), d);
         }
-        let err = Dispatch::from_answer(&d.to_value()).unwrap_err().to_string();
+        let err = from_answer(&d.to_value()).unwrap_err().to_string();
         assert!(err.contains("missing more"), "{err}");
-        let mut mistyped = d.answer_value(true);
+        let mut mistyped = answer_value(&d, true);
         if let Value::Struct(m) = &mut mistyped {
             m.insert("more".into(), Value::Int(1));
         }
-        assert!(Dispatch::from_answer(&mistyped).is_err(), "an int is not the hint");
+        assert!(from_answer(&mistyped).is_err(), "an int is not the hint");
     }
 
-    /// The golden shape of a slave's tally on `get_task`: one int per
-    /// nonzero counter under its accessor name, raw microseconds for a
-    /// time; an idle tally is the empty struct. Decoding is strict.
+    /// A tally as it travels.
+    fn counts_value(tally: &JobMetrics) -> Value {
+        to_tree(|w| <JobMetrics as Wire<_>>::put(tally, w))
+    }
+
+    /// A tally read back, strictly.
+    fn counts_from_value(v: &Value) -> Result<JobMetrics> {
+        from_tree(v, "counts", |r| <JobMetrics as Wire<_>>::get(r, "counts"))
+    }
+
+    /// The golden shape of a slave's tally on `get_task`: one packed blob
+    /// of one code and one varint per nonzero counter, in table order, raw
+    /// microseconds for a time; an idle tally is the empty blob. Decoding
+    /// is strict.
     #[test]
     fn counts_wire_is_one_int_per_nonzero_counter() {
         let mut tally = JobMetrics::default();
         tally.add(Counter::MergeRuns, 4);
         tally.max(Counter::PeakReduceRecords, 900);
         tally.add_time(Counter::MergeTime, std::time::Duration::from_micros(1500));
-        let mut golden = BTreeMap::new();
-        golden.insert("merge_runs".to_owned(), Value::Int(4));
-        golden.insert("merge_time".to_owned(), Value::Int(1500));
-        golden.insert("peak_reduce_records".to_owned(), Value::Int(900));
-        assert_eq!(counts_value(&tally), Value::Struct(golden.clone()));
+        let code = |c: Counter| Counter::ALL.iter().position(|&k| k == c).unwrap() as u8;
+        // 900 and 1500 as LEB128: 0x384 and 0x5dc, seven bits at a time.
+        let golden = vec![
+            code(Counter::MergeRuns),
+            4,
+            code(Counter::PeakReduceRecords),
+            0x84,
+            0x07,
+            code(Counter::MergeTime),
+            0xdc,
+            0x0b,
+        ];
+        assert_eq!(counts_value(&tally), Value::Bytes(golden.clone()));
         assert_eq!(counts_from_value(&counts_value(&tally)).unwrap(), tally);
-        assert_eq!(counts_value(&JobMetrics::default()), Value::Struct(BTreeMap::new()));
-        let empty = counts_from_value(&Value::Struct(BTreeMap::new())).unwrap();
+        assert_eq!(counts_value(&JobMetrics::default()), Value::Bytes(vec![]));
+        let empty = counts_from_value(&Value::Bytes(vec![])).unwrap();
         assert_eq!(empty, JobMetrics::default());
-        // Every counter travels under its own name.
+        // Every counter travels under its own code, the largest values too.
         let mut all = JobMetrics::default();
         for (n, &c) in Counter::ALL.iter().enumerate() {
-            all.add(c, n as u64 + 1);
+            all.add(c, if n % 2 == 0 { u64::MAX - n as u64 } else { n as u64 + 1 });
         }
         assert_eq!(counts_from_value(&counts_value(&all)).unwrap(), all);
-        // An unknown name, a non-int and a negative value are malformed.
-        for (key, bad) in [
-            ("mrs_merge_runs_total", Value::Int(1)),
-            ("merge_runs", Value::Str("4".into())),
-            ("merge_runs", Value::Int(-1)),
+        // An unknown code, a code twice or out of order, a zero, a value
+        // cut short and a tally that is not a blob are malformed, each
+        // named.
+        let unknown = Counter::ALL.len() as u8;
+        for (bad, named) in [
+            (vec![unknown, 1], format!("code {unknown}")),
+            (vec![code(Counter::MergeRuns), 1, code(Counter::MergeRuns), 1], "merge_runs".into()),
+            (vec![code(Counter::MergeTime), 1, code(Counter::MergeRuns), 1], "merge_runs".into()),
+            (vec![code(Counter::MergeRuns), 0], "merge_runs".into()),
+            (vec![code(Counter::MergeTime), 0x80], "merge_time".into()),
         ] {
-            let mut m = golden.clone();
-            m.insert(key.to_owned(), bad);
-            let err = counts_from_value(&Value::Struct(m)).unwrap_err().to_string();
-            assert!(err.contains(key), "{key}: {err}");
+            let err = counts_from_value(&Value::Bytes(bad)).unwrap_err().to_string();
+            assert!(err.contains(&named), "{named}: {err}");
         }
-        assert!(counts_from_value(&Value::Array(vec![])).is_err(), "not a struct");
+        assert!(counts_from_value(&Value::Struct(BTreeMap::new())).is_err(), "not a blob");
     }
 
     #[test]
@@ -1353,17 +1614,32 @@ mod tests {
         assert!(Assignment::from_value(&Value::Struct(m)).is_err());
     }
 
+    /// A report names its empty partitions in a bitset, left out when no
+    /// partition is empty; the master reads it back into the URLs.
     #[test]
     fn task_report_roundtrip() {
-        let r = TaskReport {
-            data: 9,
-            index: 4,
-            attempt: 2,
-            urls: vec!["http://h:1/data/a".into(), "file://b".into()],
-        };
+        let r = TaskReport { data: 9, index: 4, attempt: 2, empty: vec![0, 3, 8, 63] };
+        let Value::Struct(m) = r.to_value() else { panic!("struct") };
+        let mut bits = vec![0b1001, 0b1, 0, 0, 0, 0, 0, 0x80];
+        assert_eq!(m["empty"], Value::Bytes(bits.clone()));
         assert_eq!(TaskReport::from_value(&r.to_value()).unwrap(), r);
-        let empty = TaskReport { data: 0, index: 0, attempt: 1, urls: vec![] };
-        assert_eq!(TaskReport::from_value(&empty.to_value()).unwrap(), empty);
+        let full = TaskReport { data: 0, index: 0, attempt: 1, empty: vec![] };
+        assert_eq!(full.to_value().field("empty"), None, "nothing empty, nothing written");
+        assert_eq!(TaskReport::from_value(&full.to_value()).unwrap(), full);
+        // Trailing zero bytes and an empty blob read as the same sets.
+        bits.extend([0, 0]);
+        let mut padded = m.clone();
+        padded.insert("empty".into(), Value::Bytes(bits));
+        assert_eq!(TaskReport::from_value(&Value::Struct(padded)).unwrap(), r);
+        padded = m;
+        padded.insert("empty".into(), Value::Bytes(vec![]));
+        assert_eq!(
+            TaskReport::from_value(&Value::Struct(padded)).unwrap().empty,
+            Vec::<usize>::new()
+        );
+        // The URLs: `empty:` for each listed partition, derived for the rest.
+        let urls = r.urls(5, |p| format!("u{p}"));
+        assert_eq!(urls, [EMPTY, "u1", "u2", EMPTY, "u4"]);
     }
 
     #[test]
@@ -1371,8 +1647,15 @@ mod tests {
         assert!(TaskReport::from_value(&Value::Int(1)).is_err());
         let mut m = BTreeMap::new();
         m.insert("data".to_owned(), Value::Int(1));
-        // Missing index/urls.
-        assert!(TaskReport::from_value(&Value::Struct(m)).is_err());
+        // Missing index/attempt.
+        assert!(TaskReport::from_value(&Value::Struct(m.clone())).is_err());
+        // The empty partitions in anything but a blob.
+        m.insert("index".to_owned(), Value::Int(0));
+        m.insert("attempt".to_owned(), Value::Int(1));
+        TaskReport::from_value(&Value::Struct(m.clone())).unwrap();
+        m.insert("empty".to_owned(), Value::Array(vec![Value::Int(0)]));
+        let err = TaskReport::from_value(&Value::Struct(m)).unwrap_err().to_string();
+        assert!(err.contains("mistyped empty"), "{err}");
     }
 
     #[test]
@@ -1395,12 +1678,23 @@ mod tests {
         assert!(!b.is_empty());
         assert!(TraceBatch::default().is_empty());
         assert_eq!(TraceBatch::from_value(&TraceBatch::default().to_value()).unwrap().events, []);
-        // An event with an unknown name code (future vocabulary) is
-        // skipped, not fatal…
+        // The golden record: a time step of 10 (zigzag 20), lane 2, data
+        // 3, index 7, attempt 1, then the kind, name and op codes; the
+        // second event differs only by its step.
         let Value::Struct(mut m) = b.to_value() else { panic!("struct") };
         let Some(Value::Bytes(mut blob)) = m.remove("events") else { panic!("bytes") };
-        assert_eq!(blob.len(), 2 * EVENT_RECORD);
-        blob[25] = 200;
+        let codes = [Kind::Begin.code(), Name::Exec.code(), Op::Map.code()];
+        let record = [&[20, 2, 3, 7, 1][..], &codes].concat();
+        assert_eq!(blob, [record.clone(), record].concat());
+        // Any times, far apart or out of order, and fields at their
+        // type's bounds travel exactly.
+        let far = |at_us, lane| Event { at_us, lane, ..e(0) };
+        let events = vec![far(u64::MAX, u32::MAX), far(0, 0), far(1 << 40, 1), far(5, 9)];
+        let odd = TraceBatch { events, ..TraceBatch::default() };
+        assert_eq!(TraceBatch::from_value(&odd.to_value()).unwrap(), odd);
+        // An event with an unknown name code (future vocabulary) is
+        // skipped, not fatal, and the next one keeps its time…
+        blob[6] = 200;
         m.insert("events".to_owned(), Value::Bytes(blob.clone()));
         assert_eq!(TraceBatch::from_value(&Value::Struct(m.clone())).unwrap().events, [e(20)]);
         // …but a structurally broken batch is rejected: not a struct, a
@@ -1696,5 +1990,275 @@ mod tests {
         assert!(matches!(got[..], [Ok(None)]));
         assert_eq!(fetch_records("empty:", None, &mut tally).unwrap(), Vec::<Record>::new());
         assert_eq!(hits.lock().len(), 1);
+    }
+
+    /// Every `wire!` message and `method!` call, generated: each
+    /// round-trips through the codec, each document the writer emits
+    /// parses with the generic parser, and the strict decoder refuses
+    /// any message with a key missing (but an omittable one), a key it
+    /// does not declare or a key of the wrong type — at the master, a
+    /// fault 3.
+    mod props {
+        use super::*;
+        use mrs_trace::{Kind, Name, Op, Tag};
+        use proptest::prelude::*;
+
+        /// Strings leaning on XML's specials, non-ASCII and the empty one.
+        fn text() -> impl Strategy<Value = String> {
+            let chars = proptest::collection::vec(any::<char>(), 0..12);
+            prop_oneof![
+                Just(String::new()),
+                Just("<>&\"' \u{e9}\u{2603}\u{1f600}\0".to_owned()),
+                ".*",
+                chars.prop_map(|cs| cs.into_iter().collect::<String>()),
+            ]
+        }
+
+        /// Integers up to their wire bound, the bounds included.
+        fn uint() -> impl Strategy<Value = u64> {
+            prop_oneof![Just(0), Just(i64::MAX as u64), any::<u64>().prop_map(|n| n >> 1)]
+        }
+
+        fn u32s() -> impl Strategy<Value = u32> {
+            prop_oneof![Just(0), Just(u32::MAX), any::<u32>()]
+        }
+
+        fn attempt() -> impl Strategy<Value = u32> {
+            prop_oneof![Just(1), Just(u32::MAX), any::<u32>().prop_map(|a| a.max(1))]
+        }
+
+        fn kind() -> impl Strategy<Value = TaskKind> {
+            prop_oneof![Just(TaskKind::Map), Just(TaskKind::Reduce), Just(TaskKind::ReduceMap)]
+        }
+
+        fn task() -> impl Strategy<Value = TaskMsg> {
+            let ids = (u32s(), uint(), kind(), u32s(), u32s());
+            let rest = (uint(), any::<bool>(), attempt(), proptest::collection::vec(text(), 0..4));
+            (ids, rest).prop_map(|((data, index, kind, func, map_func), rest)| {
+                let (parts, combine, attempt, inputs) = rest;
+                let (index, parts) = (index as usize, parts as usize);
+                TaskMsg { data, index, kind, func, map_func, parts, combine, attempt, inputs }
+            })
+        }
+
+        fn report() -> impl Strategy<Value = TaskReport> {
+            let parts = proptest::collection::vec(any::<u16>(), 0..6);
+            (u32s(), uint(), attempt(), parts).prop_map(|(data, index, attempt, parts)| {
+                let mut empty: Vec<usize> =
+                    parts.into_iter().map(|p| usize::from(p) % 300).collect();
+                empty.sort_unstable();
+                empty.dedup();
+                TaskReport { data, index: index as usize, attempt, empty }
+            })
+        }
+
+        fn cancel() -> impl Strategy<Value = CancelOrder> {
+            (u32s(), uint(), attempt()).prop_map(|(data, index, attempt)| CancelOrder {
+                data,
+                index: index as usize,
+                attempt,
+            })
+        }
+
+        fn event() -> impl Strategy<Value = Event> {
+            let code =
+                |known: fn(u8) -> bool| any::<u8>().prop_filter("a known code", move |c| known(*c));
+            let codes = (
+                code(|c| Kind::from_code(c).is_some()),
+                code(|c| Name::from_code(c).is_some()),
+                code(|c| Op::from_code(c).is_some()),
+            );
+            let at = prop_oneof![Just(0), Just(u64::MAX), any::<u64>()];
+            (at, (u32s(), u32s(), u32s(), u32s()), codes).prop_map(|(at_us, ids, codes)| {
+                let (lane, data, index, attempt) = ids;
+                let (kind, name, op) = codes;
+                Event {
+                    at_us,
+                    kind: Kind::from_code(kind).unwrap(),
+                    name: Name::from_code(name).unwrap(),
+                    lane,
+                    tag: Tag { op: Op::from_code(op).unwrap(), data, index, attempt },
+                }
+            })
+        }
+
+        fn trace() -> impl Strategy<Value = TraceBatch> {
+            let events = proptest::collection::vec(event(), 0..6);
+            (uint(), uint(), uint(), events).prop_map(|(sent_at_us, rtt_us, dropped, events)| {
+                TraceBatch { sent_at_us, rtt_us, dropped, events }
+            })
+        }
+
+        fn tally() -> impl Strategy<Value = JobMetrics> {
+            let values = proptest::collection::vec((any::<u8>(), uint(), any::<bool>()), 0..8);
+            values.prop_map(|values| {
+                let mut tally = JobMetrics::default();
+                for (c, n, max) in values {
+                    let c = Counter::ALL[usize::from(c) % Counter::ALL.len()];
+                    let n = if max { u64::MAX } else { n };
+                    tally.add(c, n);
+                }
+                tally
+            })
+        }
+
+        fn dispatch() -> impl Strategy<Value = Dispatch> {
+            let assignment = prop_oneof![
+                Just(Assignment::Wait),
+                Just(Assignment::Exit),
+                proptest::collection::vec(task(), 1..3).prop_map(Assignment::Tasks),
+            ];
+            let purge = proptest::collection::vec(text(), 0..3);
+            let cancel = proptest::collection::vec(cancel(), 0..3);
+            (assignment, purge, cancel).prop_map(|(assignment, purge, cancel)| Dispatch {
+                assignment,
+                purge,
+                eager: vec![],
+                cancel,
+            })
+        }
+
+        fn answer() -> impl Strategy<Value = Answer> {
+            (dispatch(), any::<bool>()).prop_map(|(dispatch, more)| Answer { dispatch, more })
+        }
+
+        fn get_task() -> impl Strategy<Value = GetTask> {
+            let reports = proptest::collection::vec(report(), 0..3);
+            let ids = (u32s(), uint(), uint());
+            (ids, reports, tally(), trace()).prop_map(
+                |((slave, free, park_ms), reports, counts, trace)| {
+                    // An empty batch is "none" and is left out.
+                    let trace = if trace.is_empty() { TraceBatch::default() } else { trace };
+                    GetTask { slave, free: free as usize, park_ms, reports, counts, trace }
+                },
+            )
+        }
+
+        fn task_failed() -> impl Strategy<Value = TaskFailed> {
+            let ids = (u32s(), u32s(), uint(), attempt());
+            (ids, text(), text()).prop_map(
+                |((slave, data, index, attempt), message, failed_input)| TaskFailed {
+                    slave,
+                    data,
+                    index: index as usize,
+                    message,
+                    failed_input,
+                    attempt,
+                },
+            )
+        }
+
+        /// `m` written as a response document.
+        fn doc<M: Wire<M>>(m: &M) -> String {
+            to_doc(|w| M::put(m, w))
+        }
+
+        /// `M` read back from `doc`.
+        fn read<M: Wire<M>>(doc: &str) -> Decoded<M> {
+            let mut r = Reader::response(doc).expect("a response").expect("not a fault");
+            let m = M::get(&mut r, "m")?;
+            r.finish().map_err(|e| e.to_string())?;
+            Ok(m)
+        }
+
+        /// Round trip `m`, check its document with the generic parser, and
+        /// check the strict decoder on the generic tree of the document:
+        /// every key but the `optional` ones required, a surplus key and a
+        /// mistyped one refused naming it.
+        fn check<M: Wire<M> + PartialEq + std::fmt::Debug>(
+            m: &M,
+            optional: &[&str],
+        ) -> std::result::Result<(), String> {
+            let doc = doc(m);
+            prop_assert_eq!(&read::<M>(&doc)?, m);
+            let tree = xmlrpc::parse_response(&doc).map_err(|e| e.to_string())?.unwrap();
+            let Value::Struct(fields) = &tree else {
+                return Err(format!("not a struct: {tree:?}"));
+            };
+            let strict = |fields: &BTreeMap<String, Value>| {
+                read::<M>(&xmlrpc::encode_response(&Value::Struct(fields.clone())))
+            };
+            for key in fields.keys() {
+                let mut without = fields.clone();
+                without.remove(key);
+                match strict(&without) {
+                    Err(why) => prop_assert!(why.contains(key.as_str()), "{}: {}", key, why),
+                    Ok(_) => prop_assert!(optional.contains(&key.as_str()), "{} not required", key),
+                }
+                let mut mistyped = fields.clone();
+                mistyped.insert(key.clone(), Value::Double(0.5));
+                let why = strict(&mistyped).err().ok_or(format!("{key} as a double"))?;
+                prop_assert!(why.contains(key.as_str()), "{}: {}", key, why);
+            }
+            let mut surplus = fields.clone();
+            surplus.insert("surplus".to_owned(), Value::Int(1));
+            let why = strict(&surplus).err().ok_or("a surplus key was read")?;
+            prop_assert!(why.contains("unknown key \"surplus\""), "{}", why);
+            Ok(())
+        }
+
+        /// Round trip `call`, check its document with the generic parser,
+        /// and refuse it with fault 3 given a surplus parameter, each
+        /// required one missing or each one mistyped.
+        fn check_call<C: PartialEq + std::fmt::Debug>(
+            call: &C,
+            request: fn(&C) -> String,
+            read: fn(Reader) -> std::result::Result<C, Fault>,
+            required: usize,
+        ) -> std::result::Result<(), String> {
+            let doc = request(call);
+            let (_, params) = xmlrpc::parse_request(&doc).map_err(|e| e.to_string())?;
+            prop_assert_eq!(&read(Reader::request(&doc).unwrap().1).map_err(|f| f.1)?, call);
+            let fault = |params: &[Value]| {
+                let doc = xmlrpc::encode_request("m", params);
+                read(Reader::request(&doc).unwrap().1).err().map(|f| f.0)
+            };
+            let surplus: Vec<Value> = params.iter().cloned().chain([Value::Int(1)]).collect();
+            prop_assert_eq!(fault(&surplus), Some(BAD_PARAMS));
+            for at in 0..params.len() {
+                if at < required {
+                    prop_assert_eq!(fault(&params[..at]), Some(BAD_PARAMS), "{} given", at);
+                }
+                let mut mistyped = params.clone();
+                mistyped[at] = Value::Double(0.5);
+                prop_assert_eq!(fault(&mistyped), Some(BAD_PARAMS), "parameter {} mistyped", at);
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn every_message_round_trips_and_is_strict(
+                task in task(),
+                report in report(),
+                cancel in cancel(),
+                trace in trace(),
+                answer in answer(),
+            ) {
+                check(&task, &[])?;
+                check(&report, &["empty"])?;
+                check(&cancel, &[])?;
+                check(&trace, &[])?;
+                check(&answer, &["purge", "cancel"])?;
+                check(&answer.dispatch, &["purge", "cancel"])?;
+            }
+
+            #[test]
+            fn every_call_round_trips_and_is_strict(
+                get_task in get_task(),
+                failed in task_failed(),
+                authority in text(),
+                slots in uint(),
+            ) {
+                check_call(&get_task, GetTask::request, GetTask::read, 5)?;
+                check_call(&failed, TaskFailed::request, TaskFailed::read, 6)?;
+                let signin = Signin { authority, slots: slots as usize, version: PROTOCOL_VERSION };
+                let doc = signin.request();
+                xmlrpc::parse_request(&doc).map_err(|e| e.to_string())?;
+                prop_assert_eq!(Signin::read(Reader::request(&doc).unwrap().1).map_err(|f| f.1)?, signin);
+            }
+        }
     }
 }

@@ -60,7 +60,6 @@ use crate::workers::{
 use mrs_codec::CompressMode;
 use mrs_core::{Bucket, Error, Program, Result};
 use mrs_fs::format::write_bucket;
-use mrs_fs::url::EMPTY;
 use mrs_fs::Store;
 use mrs_rpc::{DataServer, Provider, Served};
 use mrs_trace::{Recorder, Tag, TraceHandle, POLL_LANE};
@@ -438,29 +437,27 @@ impl Plane for Slave<'_> {
                 return sent;
             }
         };
-        // Named before the lock section. An output with no records is
-        // reported `empty:`. On the direct plane every output is entered,
-        // each other one as the bucket itself with its sorted-run claim (a
-        // scan, for a reduce's) and an empty one as what a lookup of its
-        // path, which a task granted ahead may name, answers; a shared
-        // store holds the frames of the others.
-        let stem = self.stem(&tag);
+        // Named before the lock section. The report lists the outputs
+        // with no records; the master names the others by their paths. On
+        // the direct plane every output is entered, each other one as the
+        // bucket itself with its sorted-run claim (a scan, for a reduce's)
+        // and an empty one as what a lookup of its path, which a task
+        // granted ahead may name, answers; a shared store holds the frames
+        // of the others.
+        let empty = (outputs.iter().enumerate())
+            .filter_map(|(p, bucket)| bucket.is_empty().then_some(p))
+            .collect();
         let mut entries = Vec::new();
-        let name = |(p, bucket): (usize, Arc<Bucket>)| {
-            let path = bucket_path(&stem, p);
-            let url = match self.server {
-                _ if bucket.is_empty() => EMPTY.to_owned(),
-                Some(server) => server.url_for(&path),
-                None => format!("file://{path}"),
-            };
-            if self.server.is_some() {
+        if self.server.is_some() {
+            let stem = self.stem(&tag);
+            for (p, bucket) in outputs.into_iter().enumerate() {
                 let sorted = sorted_run(&spec, &bucket);
-                entries.push((path, (!bucket.is_empty()).then_some((bucket, sorted))));
+                let entry = (!bucket.is_empty()).then_some((bucket, sorted));
+                entries.push((bucket_path(&stem, p), entry));
             }
-            url
-        };
-        let urls = outputs.into_iter().enumerate().map(name).collect();
-        let report = TaskReport { data: task.data, index: task.index, attempt: task.attempt, urls };
+        }
+        let report =
+            TaskReport { data: task.data, index: task.index, attempt: task.attempt, empty };
         let mut core = self.core.lock();
         let fx = core.finished(report, &tally);
         self.settle(&task, if fx.enter { entries } else { Vec::new() });
@@ -677,11 +674,12 @@ mod tests {
     use super::*;
     use crate::job::JobApi;
     use crate::master::{Master, MasterConfig};
-    use crate::proto::{CancelOrder, TaskKind};
+    use crate::proto::{output_url, CancelOrder, TaskKind};
     use mrs_core::kv::encode_record;
     use mrs_core::task::run_task;
     use mrs_core::TaskSpec;
     use mrs_core::{Datum, MapReduce, Simple};
+    use mrs_fs::url::EMPTY;
     use mrs_fs::MemFs;
     use std::sync::atomic::AtomicUsize;
 
@@ -829,10 +827,26 @@ mod tests {
         free: usize,
         /// (data, index) of every piggybacked report.
         reports: Vec<(u32, usize)>,
-        /// The output URLs of every piggybacked report, in order.
-        urls: Vec<String>,
+        /// The empty partitions of every piggybacked report, in order.
+        empty: Vec<Vec<usize>>,
+        /// The data server the slave signed in with.
+        authority: String,
         /// The merge runs in the poll's tally.
         merge_runs: u64,
+    }
+
+    impl Polled {
+        /// The output URLs a master derives for the reports, each task of
+        /// slave 0 having `parts` outputs.
+        fn urls(&self, parts: usize) -> Vec<String> {
+            let at = |data, index| move |p| output_url(Some(&self.authority), 0, data, index, p);
+            (self.reports.iter().zip(&self.empty))
+                .flat_map(|(&(data, index), empty)| {
+                    let r = TaskReport { data, index, attempt: 1, empty: empty.clone() };
+                    r.urls(parts, at(data, index))
+                })
+                .collect()
+        }
     }
 
     /// A master that plays a script: every poll is logged and answered by
@@ -840,6 +854,7 @@ mod tests {
     /// poll being answered. Failure reports are logged.
     struct Script<F> {
         answer: F,
+        authority: Mutex<String>,
         polls: Mutex<Vec<Polled>>,
         /// (message, failed input) of every failure report.
         failed: Mutex<Vec<(String, Option<String>)>>,
@@ -847,7 +862,8 @@ mod tests {
 
     impl<F> Script<F> {
         fn new(answer: F) -> Arc<Self> {
-            Arc::new(Script { answer, polls: Mutex::default(), failed: Mutex::default() })
+            let (authority, polls, failed) = Default::default();
+            Arc::new(Script { answer, authority, polls, failed })
         }
     }
 
@@ -860,7 +876,8 @@ mod tests {
     where
         F: Fn(usize, &[Polled]) -> (Dispatch, bool) + Send + Sync,
     {
-        fn signin(&self, _authority: &str, _slots: usize) -> Result<SlaveId> {
+        fn signin(&self, authority: &str, _slots: usize) -> Result<SlaveId> {
+            *self.authority.lock() = authority.to_owned();
             Ok(0)
         }
         fn poll(
@@ -873,9 +890,10 @@ mod tests {
             _trace: TraceBatch,
         ) -> Result<(Dispatch, bool)> {
             let mut polls = self.polls.lock();
-            let urls = reports.iter().flat_map(|r| r.urls.clone()).collect();
+            let empty = reports.iter().map(|r| r.empty.clone()).collect();
             let reports = reports.iter().map(|r| (r.data, r.index)).collect();
-            polls.push(Polled { free, reports, urls, merge_runs: counts.merge_runs() });
+            let (authority, merge_runs) = (self.authority.lock().clone(), counts.merge_runs());
+            polls.push(Polled { free, reports, empty, authority, merge_runs });
             Ok((self.answer)(polls.len(), &polls))
         }
         fn task_failed(
@@ -1018,7 +1036,7 @@ mod tests {
 
         fn finish(&mut self, task: &TaskMsg) -> Effects {
             let TaskMsg { data, index, attempt, .. } = *task;
-            let report = TaskReport { data, index, attempt, urls: Vec::new() };
+            let report = TaskReport { data, index, attempt, empty: Vec::new() };
             self.core.finished(report, &JobMetrics::default())
         }
     }
@@ -1204,8 +1222,10 @@ mod tests {
             self.called("poll");
             let carried: Vec<(u32, usize)> = reports.iter().map(|r| (r.data, r.index)).collect();
             self.reports.lock().extend(&carried);
-            let (urls, merge_runs) = (Vec::new(), counts.merge_runs());
-            self.polls.lock().push(Polled { free, reports: carried, urls, merge_runs });
+            let empty = reports.iter().map(|r| r.empty.clone()).collect();
+            let (authority, merge_runs) = (String::new(), counts.merge_runs());
+            let polled = Polled { free, reports: carried, empty, authority, merge_runs };
+            self.polls.lock().push(polled);
             let answer = MasterLink::poll(&self.master, slave, free, park, reports, counts, trace);
             if matches!(&answer, Ok((d, _)) if d.assignment == Assignment::Exit) {
                 self.exited.store(true, Ordering::SeqCst);
@@ -1839,13 +1859,14 @@ mod tests {
             let inputs = vec![server.url_for(input)];
             let task = TaskMsg { data, kind, parts: 1, inputs, ..map_task(0) };
             let link = unpolled();
-            let (urls, _) =
+            let (url, _) =
                 with_stages(&*link, &Backwards, None, Some(&server), &outputs, |slave, th| {
                     slave.answered(grant(vec![task]), false, th.now_us(), th);
                     await_idle(slave);
-                    slave.core.lock().reports.pop().expect("a report").urls
+                    let r = slave.core.lock().reports.pop().expect("a report");
+                    output_url(Some(&server.authority()), 0, r.data, r.index, 0)
                 });
-            let path = urls[0].strip_prefix(&format!("http://{}", server.authority())).unwrap();
+            let path = url.strip_prefix(&format!("http://{}", server.authority())).unwrap();
             let frame = mrs_rpc::dataserver::fetch(&server.authority(), path).unwrap();
             let path = &path["/data/".len()..];
             (
@@ -1918,11 +1939,12 @@ mod tests {
             let last = log.last().unwrap();
             let (tasks, purge) = match *stage {
                 0 => (vec![attempt(1)], vec![]),
-                1 | 2 if last.urls.is_empty() => (vec![], vec![]),
+                1 | 2 if last.reports.is_empty() => (vec![], vec![]),
                 1 | 2 => {
-                    let frames = get_all(&last.urls).into_iter().map(|f| f.unwrap()).collect();
+                    let urls = last.urls(2);
+                    let frames = get_all(&urls).into_iter().map(|f| f.unwrap()).collect();
                     seen2.lock().0.push(frames);
-                    *reduce_input2.lock() = last.urls[0].clone();
+                    *reduce_input2.lock() = urls[0].clone();
                     match *stage {
                         1 => (vec![attempt(2)], vec![]),
                         _ => (vec![], vec!["s0/d1/".to_owned()]),
@@ -2032,7 +2054,7 @@ mod tests {
             if reported(log) < 2 {
                 return answer(Assignment::Wait, false);
             }
-            let urls: Vec<String> = log.iter().flat_map(|p| p.urls.clone()).collect();
+            let urls: Vec<String> = log.iter().flat_map(|p| p.urls(parts)).collect();
             let own = urls.iter().find_map(|u| u.strip_prefix("http://")).expect("an own URL");
             let authority = own.split_once('/').unwrap().0;
             let served = (0..parts)
@@ -2259,10 +2281,13 @@ mod tests {
     }
 
     /// A master grants a slave's next round ahead of the round it is
-    /// running: the URL it names each pending input by is the one the
-    /// slave reports when that producer finishes (or `empty:`, for an
-    /// output with no records, whose predicted path then answers the empty
-    /// run), and the ahead tasks run to completion on those URLs.
+    /// running, naming each pending input by the URL it derives for that
+    /// producer's output. When the producer reports, the master derives
+    /// the same URL again, and it names the path the slave entered the
+    /// output under: with its records, or as the empty run of an output
+    /// the report lists empty (the master commits `empty:` for it). The
+    /// ahead tasks run to completion on those URLs, and the driver reads
+    /// the last round through the URLs the master committed for it.
     #[test]
     fn a_predicted_url_is_the_one_its_producer_reports() {
         let master = Master::new(MasterConfig::default(), DataPlane::Direct).unwrap();
@@ -2278,14 +2303,14 @@ mod tests {
         let f3 = driver.reduce_map_data(f2, 0, 0, 2, false).unwrap();
         let link = unpolled();
         with_stages(&*link, &Backwards, None, Some(&server), &outputs, |slave, th| {
+            // The reports reach the master as a poll carries them.
             let run = |tasks: Vec<TaskMsg>| -> Vec<TaskReport> {
                 slave.answered(grant(tasks), false, th.now_us(), th);
                 await_idle(slave);
                 let mut reports = std::mem::take(&mut slave.core.lock().reports);
                 reports.sort_by_key(|r| r.index);
-                for r in &reports {
-                    master.task_done(0, r.data, r.index, r.attempt, r.urls.clone());
-                }
+                let (none, no_trace) = (JobMetrics::default(), TraceBatch::default());
+                master.poll(0, 0, Duration::ZERO, &reports, &none, &no_trace);
                 reports
             };
             let granted = || match master.get_tasks(0, 3) {
@@ -2302,19 +2327,31 @@ mod tests {
             assert!(ahead.iter().all(|t| t.data == f3.0), "{ahead:?}");
             assert_eq!(master.metrics().ahead_grants(), ahead.len() as u64);
             let f2_reports = run(f2_tasks);
+            let own = format!("http://{}/data/", server.authority());
             for t in &ahead {
                 for (named, r) in t.inputs.iter().zip(&f2_reports) {
-                    let reported = &r.urls[t.index];
-                    if reported == EMPTY {
-                        let path = &named[named.find("/data/").unwrap()..];
-                        assert!(!framed_at(&server.authority(), path), "{named}");
-                    } else {
-                        assert_eq!(named, reported, "f3 task {} input {}", t.index, r.index);
-                    }
+                    let path = named.strip_prefix(&own).expect("an output of this slave");
+                    let entered = outputs.lock().entered.get(path).map(Option::is_some);
+                    let empty = r.empty.contains(&t.index);
+                    assert_eq!(entered, Some(!empty), "f3 task {} input {named}", t.index);
+                    let derived =
+                        r.urls(2, |p| output_url(Some(&server.authority()), 0, f2.0, r.index, p));
+                    let committed = if empty { EMPTY } else { named.as_str() };
+                    assert_eq!(
+                        derived[t.index], committed,
+                        "f3 task {} input {}",
+                        t.index, r.index
+                    );
                 }
             }
             let n = ahead.len();
             assert_eq!(run(ahead).len(), n, "every task granted ahead reported");
+            // The rest of f3, granted once f2 is committed.
+            if n < 2 {
+                run(granted());
+            }
+            let out = driver.fetch_all(f3).unwrap();
+            assert_eq!(out.len(), 8, "the last round, read where committed");
         });
         let failed = link.failed.lock().clone();
         assert!(failed.is_empty(), "{failed:?}");

@@ -76,11 +76,14 @@ fn main() -> Result<()> {
     // every reduce merged one run per map task (a backup attempt, more).
     let m = master.metrics();
     println!(
-        "master's view of the slaves' shuffle: {} merge runs, {} bytes on the wire",
+        "master's view of the slaves' shuffle: {} merge runs, {} bytes on the wire; \
+         their control RPCs: {} bytes",
         m.merge_runs(),
-        m.bytes_on_wire()
+        m.bytes_on_wire(),
+        m.control_bytes()
     );
     assert!(m.merge_runs() >= (n_slaves * 4 * n_slaves * 2) as u64);
+    assert!(m.control_bytes() > 0, "the slaves' links counted no control bytes");
 
     // A job whose buckets are mostly empty: five lines in more splits than
     // records, four words in far more reduce partitions than words. Every

@@ -183,14 +183,15 @@ impl MasterLink for OtherBuild {
 fn signin_with_a_missing_or_different_protocol_version_is_a_fault() {
     let master = Master::new(MasterConfig::default(), DataPlane::Direct).unwrap();
     let server = serve_master(master.clone(), 0).unwrap();
-    // No version, the next one, and the last four: a version-5 slave
-    // cannot parse the `empty:` location of an output with no records, a
-    // version-4 slave flushes its last reports with `task_done`, which
-    // this wire no longer has, a version-3 slave sends no counts (its
-    // shuffle counts would be visible nowhere), and version 2's answers
-    // had no `more` key.
-    assert_eq!(PROTOCOL_VERSION, 7);
-    for version in [None, Some(PROTOCOL_VERSION + 1), Some(5), Some(4), Some(3), Some(2)] {
+    // No version, the next one, and the last five: a version-7 slave
+    // reports a URL per output and a tally of named ints, which this wire
+    // reads as neither, a version-5 slave cannot parse the `empty:`
+    // location of an output with no records, a version-4 slave flushes
+    // its last reports with `task_done`, which this wire no longer has, a
+    // version-3 slave sends no counts (its shuffle counts would be visible
+    // nowhere), and version 2's answers had no `more` key.
+    assert_eq!(PROTOCOL_VERSION, 8);
+    for version in [None, Some(PROTOCOL_VERSION + 1), Some(7), Some(5), Some(4), Some(3), Some(2)] {
         let link = OtherBuild { client: RpcClient::new(server.authority()), version };
         let err = link.signin("127.0.0.1:1", 2).unwrap_err().to_string();
         let theirs = version.map_or("none".to_owned(), |v| v.to_string());
@@ -244,7 +245,7 @@ fn calls_with_missing_parameters_are_fault_3() {
     let slave = client
         .call("signin", &[Value::Str("127.0.0.1:1".into()), Value::Int(1), version.clone()])
         .unwrap();
-    let counts = Value::Struct(BTreeMap::new());
+    let counts = Value::Bytes(vec![]);
     let full = [slave, Value::Int(1), Value::Int(0), Value::Array(vec![]), counts];
     assert!(client.call("get_task", &full).is_ok());
     for given in 0..full.len() {
@@ -278,9 +279,10 @@ fn task_done_is_an_unknown_method() {
     assert_eq!(master.metrics().tasks_executed(), 0);
 }
 
-/// A slave's counter tally is decoded strictly: a name no counter has, a
-/// value that is not an int, or a negative one makes the whole `get_task`
-/// a malformed call (fault 3) — and nothing of it is counted.
+/// A slave's counter tally is decoded strictly: a code no counter has, a
+/// code not above the one before it, a zero, a value cut short or a tally
+/// that is not a blob makes the whole `get_task` a malformed call (fault
+/// 3) — and nothing of it is counted.
 #[test]
 fn get_task_with_malformed_counts_is_fault_3() {
     let master = Master::new(MasterConfig::default(), DataPlane::Direct).unwrap();
@@ -289,32 +291,35 @@ fn get_task_with_malformed_counts_is_fault_3() {
     let version = Value::Int(PROTOCOL_VERSION);
     let slave =
         client.call("signin", &[Value::Str("127.0.0.1:1".into()), Value::Int(1), version]).unwrap();
-    let poll = |counts: &[(&str, Value)]| {
-        let counts = counts.iter().map(|(k, v)| (k.to_string(), v.clone())).collect();
-        let params = [
-            slave.clone(),
-            Value::Int(1),
-            Value::Int(0),
-            Value::Array(vec![]),
-            Value::Struct(counts),
-        ];
+    let poll = |counts: Value| {
+        let params = [slave.clone(), Value::Int(1), Value::Int(0), Value::Array(vec![]), counts];
         client.call("get_task", &params)
     };
-    assert!(poll(&[("merge_runs", Value::Int(3))]).is_ok());
+    // A counter's code is its place in the table: the order `/metrics`
+    // prints its samples in.
+    let code = |sample: &str| {
+        let page = JobMetrics::default().to_prometheus();
+        page.lines().position(|l| l.split(' ').next() == Some(sample)).unwrap() as u8
+    };
+    let (runs, wire) = (code("mrs_merge_runs_total"), code("mrs_bytes_on_wire_total"));
+    assert!(wire < runs, "the table lists bytes on the wire first");
+    assert!(poll(Value::Bytes(vec![runs, 3])).is_ok());
     assert_eq!(master.metrics().merge_runs(), 3, "a well-formed tally is merged");
-    for bad in [
-        [("merge_runs", Value::Int(1)), ("no_such_counter", Value::Int(1))],
-        [("merge_runs", Value::Int(1)), ("bytes_on_wire", Value::Str("7".into()))],
-        [("merge_runs", Value::Int(1)), ("bytes_on_wire", Value::Int(-7))],
+    let unknown = JobMetrics::default().to_prometheus().lines().count() as u8;
+    for (bad, named) in [
+        (vec![wire, 1, unknown, 1], format!("code {unknown}")),
+        (vec![runs, 1, wire, 7], "bytes_on_wire".to_owned()),
+        (vec![wire, 7, wire, 7], "bytes_on_wire".to_owned()),
+        (vec![runs, 1, wire, 0], "bytes_on_wire".to_owned()),
+        (vec![runs, 1, wire, 0x87], "bytes_on_wire".to_owned()),
     ] {
-        let err = poll(&bad).unwrap_err().to_string();
-        assert!(err.contains("fault 3") && err.contains(bad[1].0), "{bad:?}: {err}");
+        let err = poll(Value::Bytes(bad.clone())).unwrap_err().to_string();
+        assert!(err.contains("fault 3") && err.contains(&named), "{bad:?}: {err}");
     }
     let m = master.metrics();
     assert_eq!((m.merge_runs(), m.bytes_on_wire()), (3, 0), "a refused tally counted");
-    let err = client.call(
-        "get_task",
-        &[slave, Value::Int(1), Value::Int(0), Value::Array(vec![]), Value::Int(0)],
-    );
-    assert!(err.unwrap_err().to_string().contains("fault 3"), "counts must be a struct");
+    for not_a_blob in [Value::Int(0), Value::Struct(BTreeMap::new())] {
+        let err = poll(not_a_blob).unwrap_err().to_string();
+        assert!(err.contains("fault 3"), "counts must be a blob: {err}");
+    }
 }
