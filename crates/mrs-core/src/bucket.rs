@@ -378,8 +378,7 @@ impl Bucket {
         (0..self.entries.len()).map(move |i| self.get(i))
     }
 
-    /// Copy each record out as an owned pair: the conversion a runtime
-    /// does exactly once, in `fetch_all`, to fill the driver's vector.
+    /// Copy each record out as an owned pair.
     pub fn records(&self) -> impl ExactSizeIterator<Item = Record> + '_ {
         self.iter().map(|(k, v)| (k.to_vec(), v.to_vec()))
     }

@@ -317,6 +317,17 @@ pub fn decode_record<K: Datum, V: Datum>(r: &Record) -> Result<(K, V)> {
     Ok((K::from_bytes(&r.0)?, V::from_bytes(&r.1)?))
 }
 
+/// Write `(k, v)` into `rec` in place: into its own key and value
+/// buffers, each reallocated only when it is too small. The driver edges
+/// write an answer over the records a driver handed in this way, so it
+/// costs no allocation per record.
+pub fn overwrite_record(rec: &mut Record, k: &[u8], v: &[u8]) {
+    rec.0.clear();
+    rec.0.extend_from_slice(k);
+    rec.1.clear();
+    rec.1.extend_from_slice(v);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

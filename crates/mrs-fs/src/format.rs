@@ -16,7 +16,7 @@
 //! frames.
 
 use mrs_core::bucket::{cmp_keys, key_prefix};
-use mrs_core::kv::{encode_record, read_varint, write_varint};
+use mrs_core::kv::{encode_record, overwrite_record, read_varint, write_varint};
 use mrs_core::{Bucket, Datum, Error, Record, Result};
 
 /// Magic prefix of bucket files (format version 1).
@@ -94,13 +94,18 @@ pub fn read_bucket_run(b: &[u8], out: &mut Bucket) -> Result<RunInfo> {
     Ok(RunInfo { claimed_sorted, sorted })
 }
 
-/// Parse bucket files, in order, straight into owned records appended to
-/// `out`: the driver's `fetch_all` edge, where a `Vec<Record>` is the
-/// result type and a [`Bucket`] in between would only be copied out of
-/// again. `out` grows once, by the record counts the files' headers
-/// claim, before any record is parsed. On error `out` is left as it was.
+/// Parse bucket files, in order, straight into owned records: the
+/// driver's `fetch_all` edge, where a `Vec<Record>` is the result type and
+/// a [`Bucket`] in between would only be copied out of again. The answer
+/// is written *over* the records `out` already holds
+/// ([`overwrite_record`]): record `i` goes into the buffers of `out[i]`,
+/// records past `out`'s end are pushed and leftover ones dropped, so `out`
+/// ends holding exactly the answer. It grows once, to the record count
+/// the files' headers claim, before any record is parsed. On error no
+/// record of the failed read is left: `out` keeps its length and its
+/// records' buffers, every one of them emptied, for a retry.
 pub fn read_bucket_records(buckets: &[impl AsRef<[u8]>], out: &mut Vec<Record>) -> Result<()> {
-    let start = out.len();
+    let stock = out.len();
     let parsed = buckets
         .iter()
         .map(|b| unframe(b.as_ref()).map(|(unframed, _)| unframed))
@@ -108,13 +113,26 @@ pub fn read_bucket_records(buckets: &[impl AsRef<[u8]>], out: &mut Vec<Record>) 
         .and_then(|unframed| {
             let count =
                 unframed.iter().map(|b| header(b).map(|(n, _)| n)).sum::<Result<usize>>()?;
-            out.reserve(count);
-            unframed
-                .iter()
-                .try_for_each(|b| parse_records(b, |k, v| out.push((k.to_vec(), v.to_vec()))))
+            out.reserve(count.saturating_sub(stock));
+            let mut at = 0;
+            unframed.iter().try_for_each(|b| {
+                parse_records(b, |k, v| {
+                    match out.get_mut(at) {
+                        Some(rec) => overwrite_record(rec, k, v),
+                        None => out.push((k.to_vec(), v.to_vec())),
+                    }
+                    at += 1;
+                })
+            })?;
+            out.truncate(count);
+            Ok(())
         });
     if parsed.is_err() {
-        out.truncate(start);
+        out.truncate(stock);
+        for (k, v) in out.iter_mut() {
+            k.clear();
+            v.clear();
+        }
     }
     parsed
 }
@@ -189,20 +207,36 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Stock for the record path: `n` records whose keys vary in length
+    /// and whose values are longer than any a test writes.
+    fn stock(n: usize) -> Vec<Record> {
+        (0..n).map(|i| (vec![b's'; i % 5], vec![b'v'; 64])).collect()
+    }
+
     /// Decode through both readers — the arena path and the driver-edge
-    /// record path must agree — and hand back owned records.
+    /// record path must agree — and hand back owned records. The record
+    /// path writes over no stock, stock shorter than the answer and stock
+    /// longer than it; after an error it holds no record of the read.
     fn read_records(b: &[u8]) -> Result<Vec<Record>> {
         let mut bucket = Bucket::new();
         let arena = read_bucket_into(b, &mut bucket).map(|()| bucket.to_records());
-        let mut records = vec![(b"kept".to_vec(), vec![])];
-        let direct = read_bucket_records(&[b], &mut records);
-        assert_eq!(arena.is_ok(), direct.is_ok(), "{arena:?} vs {direct:?}");
-        assert_eq!(records[0].0, b"kept", "earlier records stay");
-        assert_eq!(records.len() - 1, arena.as_ref().map_or(0, Vec::len), "no partial append");
-        if let Ok(arena) = &arena {
-            assert_eq!(&records[1..], arena);
+        let n = arena.as_ref().map_or(4, Vec::len);
+        for stock_len in [0, n / 2, n + 3] {
+            let mut records = stock(stock_len);
+            let direct = read_bucket_records(&[b], &mut records);
+            assert_eq!(arena.is_ok(), direct.is_ok(), "{arena:?} vs {direct:?}");
+            match &arena {
+                Ok(arena) => assert_eq!(&records, arena, "stock of {stock_len}"),
+                Err(_) => assert_emptied(&records, stock_len),
+            }
         }
         arena
+    }
+
+    /// What a failed read leaves: the stock's records, all empty.
+    fn assert_emptied(records: &[Record], stock_len: usize) {
+        assert_eq!(records.len(), stock_len, "the stock is kept");
+        assert!(records.iter().all(|(k, v)| k.is_empty() && v.is_empty()), "no partial answer");
     }
 
     #[test]
@@ -344,14 +378,66 @@ mod tests {
         }
     }
 
-    /// The driver's result grows once, by the total of the counts, for
-    /// any number of buckets.
+    /// A fresh result grows once, to the total of the counts, for any
+    /// number of buckets.
     #[test]
     fn reads_of_many_buckets_reserve_their_total_once() {
         let bucket = |n: usize| write_bucket_bytes(&vec![(b"k".to_vec(), b"v".to_vec()); n]);
         let mut out = Vec::new();
         read_bucket_records(&[bucket(30), bucket(0), bucket(70)], &mut out).unwrap();
         assert_eq!((out.len(), out.capacity()), (100, 100));
+    }
+
+    /// Record `i` of the answer lands in the buffers of stock record `i`
+    /// when they are large enough, and only a buffer too small moves;
+    /// stock past the answer is dropped, an answer past the stock pushed,
+    /// and the stock's own vector is the result.
+    #[test]
+    fn answers_are_written_over_the_stock_in_place() {
+        let answer: Vec<Record> =
+            (0..6u8).map(|i| (vec![i; 3], vec![i; 2 + 20 * i as usize])).collect();
+        let bytes = write_bucket_bytes(&answer);
+        for stock_len in [0, 4, 6, 9] {
+            let mut out = stock(stock_len);
+            let (spine, keys, values) = (
+                out.as_ptr(),
+                out.iter().map(|(k, _)| k.as_ptr()).collect::<Vec<_>>(),
+                out.iter().map(|(_, v)| v.as_ptr()).collect::<Vec<_>>(),
+            );
+            read_bucket_records(&[&bytes], &mut out).unwrap();
+            assert_eq!(out, answer, "stock of {stock_len}");
+            if stock_len >= answer.len() {
+                assert_eq!(out.as_ptr(), spine, "the stock's vector is the answer");
+            }
+            // Stock key `i` holds `i % 5` bytes in a buffer of that size,
+            // every stock value 64; a buffer that fits is written in place.
+            for (i, (k, v)) in out.iter().enumerate().take(stock_len) {
+                if i % 5 >= k.len() {
+                    assert_eq!(k.as_ptr(), keys[i], "key {i}");
+                }
+                if v.len() <= 64 {
+                    assert_eq!(v.as_ptr(), values[i], "value {i}");
+                }
+            }
+        }
+    }
+
+    /// A read that fails part way — on a later bucket's header, or on a
+    /// record in the middle of a bucket after earlier records were
+    /// written — leaves no record of it behind, over stock or none.
+    #[test]
+    fn a_failed_read_leaves_no_partial_answer() {
+        let good = write_bucket_bytes(&vec![(b"key".to_vec(), b"value".to_vec()); 10]);
+        let mut cut = good.clone();
+        cut.truncate(good.len() / 2);
+        let bad_magic = b"MRSB0\x00".to_vec();
+        for buckets in [vec![good.clone(), cut.clone()], vec![cut], vec![good, bad_magic]] {
+            for stock_len in [0, 3, 25] {
+                let mut out = stock(stock_len);
+                assert!(read_bucket_records(&buckets, &mut out).is_err());
+                assert_emptied(&out, stock_len);
+            }
+        }
     }
 
     #[test]

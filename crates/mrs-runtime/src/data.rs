@@ -9,8 +9,22 @@
 //! holds each split, run and op output as an `Arc<Bucket>`: a task takes
 //! its input by reference count, and the two conversions at the edges
 //! ([`split_buckets`], [`materialize`]) each run once per dataset.
+//!
+//! The edges convert bytes, not allocations. `local_data` copies the
+//! caller's records into buckets (on the cluster, into source frames) and
+//! then keeps the records themselves as the runtime's *stock*, replacing
+//! any earlier one; the next `fetch_all` takes the stock and writes its
+//! answer over it, record by record into the stock's key and value
+//! buffers, and returns the stock's own vector. The driver thread thus
+//! neither frees an input nor allocates an answer per record. The stock
+//! is at most one input, held until the next `fetch_all`, the next
+//! `local_data` or the runtime's drop; a returned record may keep spare
+//! capacity from the input record it was written into. Serial, the
+//! oracle, keeps no stock: it builds each answer fresh, so comparing the
+//! planes with it compares the recycled edge with the plain one.
 
 use crate::metrics::{Counter, JobMetrics};
+use mrs_core::kv::overwrite_record;
 use mrs_core::{Bucket, Record, TaskSpec};
 use std::sync::Arc;
 use std::time::Duration;
@@ -48,12 +62,22 @@ pub(crate) fn split_buckets(records: &[Record], splits: usize) -> Vec<Arc<Bucket
     split_slices(records, splits).map(|s| Arc::new(Bucket::from_slice(s))).collect()
 }
 
-/// The `fetch_all` edge: owned records copied once out of `buckets`.
-pub(crate) fn materialize(buckets: &[Arc<Bucket>]) -> Vec<Record> {
-    let mut out = Vec::with_capacity(buckets.iter().map(|b| b.len()).sum());
+/// The `fetch_all` edge: `buckets`' records copied once, in order, over
+/// the records `out` holds ([`overwrite_record`]), those past its end
+/// pushed; `out`, holding exactly them, is the answer.
+pub(crate) fn materialize(buckets: &[Arc<Bucket>], mut out: Vec<Record>) -> Vec<Record> {
+    let count: usize = buckets.iter().map(|b| b.len()).sum();
+    out.reserve(count.saturating_sub(out.len()));
+    let mut at = 0;
     for b in buckets {
-        out.extend(b.records());
+        let reuse = out.len().saturating_sub(at).min(b.len());
+        for (rec, (k, v)) in out[at..at + reuse].iter_mut().zip(b.iter()) {
+            overwrite_record(rec, k, v);
+        }
+        out.extend((reuse..b.len()).map(|i| b.get(i)).map(|(k, v)| (k.to_vec(), v.to_vec())));
+        at += b.len();
     }
+    out.truncate(count);
     out
 }
 
@@ -162,7 +186,9 @@ mod tests {
         assert!(split_slices(&original, 5).eq(ds.iter().map(Vec::as_slice)));
         let buckets = split_buckets(&original, 5);
         assert!(buckets.iter().map(|b| b.to_records()).eq(ds.iter().cloned()));
-        assert_eq!(materialize(&buckets), original);
+        for stock in [vec![], recs(3), recs(40)] {
+            assert_eq!(materialize(&buckets, stock), original);
+        }
         assert_eq!(concat(&buckets).to_records(), original);
     }
 

@@ -236,6 +236,12 @@ impl LocalCluster {
     pub fn metrics(&self) -> JobMetrics {
         self.master.metrics()
     }
+
+    /// See [`Master::stock_records`].
+    #[doc(hidden)]
+    pub fn stock_records(&self) -> usize {
+        self.master.stock_records()
+    }
 }
 
 impl JobApi for LocalCluster {

@@ -62,6 +62,9 @@ struct Shared {
 pub struct LocalRuntime {
     shared: Arc<Shared>,
     workers: Option<JoinHandle<Result<()>>>,
+    /// The records of the last `local_data`, kept once their splits are
+    /// stored: the next `fetch_all` writes its answer into them.
+    stock: Vec<Record>,
 }
 
 impl LocalRuntime {
@@ -114,12 +117,19 @@ impl LocalRuntime {
                 })
                 .expect("spawn workers")
         };
-        LocalRuntime { shared, workers: Some(workers) }
+        LocalRuntime { shared, workers: Some(workers), stock: Vec::new() }
     }
 
     /// Metrics accumulated so far.
     pub fn metrics(&self) -> JobMetrics {
         self.shared.state.lock().metrics
+    }
+
+    /// Records held as stock for the next `fetch_all`: at most one
+    /// `local_data` input. A diagnostic for tests, not a setting.
+    #[doc(hidden)]
+    pub fn stock_records(&self) -> usize {
+        self.stock.len()
     }
 
     /// Drain the recorded timeline: one lane per pool worker, the same
@@ -234,10 +244,14 @@ impl JobApi for LocalRuntime {
             return Err(Error::Invalid("need at least one split".into()));
         }
         let splits = split_buckets(&records, splits);
-        let mut st = self.shared.state.lock();
-        let id = st.plan.reserve();
-        st.metrics.dataset_live(true);
-        st.plan.source(id, Ok(splits))
+        let id = {
+            let mut st = self.shared.state.lock();
+            let id = st.plan.reserve();
+            st.metrics.dataset_live(true);
+            st.plan.source(id, Ok(splits))
+        };
+        self.stock = records;
+        id
     }
 
     fn map_data(
@@ -275,7 +289,7 @@ impl JobApi for LocalRuntime {
             if let Some(e) = &st.error {
                 return Err(Error::TaskFailed(e.clone()));
             }
-            if st.plan.complete(data)? {
+            if st.plan.settled(data)? {
                 return Ok(());
             }
             self.shared.cv.wait(&mut st);
@@ -285,9 +299,9 @@ impl JobApi for LocalRuntime {
     fn fetch_all(&mut self, data: DataId) -> Result<Vec<Record>> {
         self.wait(data)?;
         // Under the lock only the reference counts move; the records are
-        // materialized once, after it is released.
+        // materialized once, after it is released, over the stock.
         let buckets = self.shared.state.lock().plan.outputs(data)?;
-        Ok(materialize(&buckets))
+        Ok(materialize(&buckets, std::mem::take(&mut self.stock)))
     }
 
     fn discard(&mut self, data: DataId) {

@@ -176,6 +176,10 @@ struct MasterShared {
     /// back-reference — so it is always set by the time `new` returns.
     source_server: OnceLock<DataServer>,
     trace: MasterTrace,
+    /// The records of the last `local_data`, kept once its splits are
+    /// stored: the next `fetch_all` writes its answer into them. Off the
+    /// state lock, which neither edge needs while it copies.
+    stock: Mutex<Vec<Record>>,
 }
 
 impl Drop for MasterShared {
@@ -215,6 +219,7 @@ impl Master {
                 source_frames: Arc::new(FrameCache::new()),
                 source_server: OnceLock::new(),
                 trace,
+                stock: Mutex::default(),
             }),
         };
         // The server outlives neither the master (Weak) nor a request in
@@ -320,11 +325,20 @@ impl Master {
             ));
         }
         out.push_str(&format!("datasets: {} live, {discarded} discarded\n", rows.len()));
-        for (d, op, total, done, running) in rows {
-            out.push_str(&match op {
-                None => format!("  data {d}: source, {total} split(s)\n"),
-                Some(op) => format!("  data {d}: {op} {done}/{total} done, {running} running\n"),
+        for row in rows {
+            let (d, total) = (row.data, row.total);
+            out.push_str(&match row.op {
+                None => format!("  data {d}: source, {total} split(s)"),
+                Some(op) => {
+                    format!("  data {d}: {op} {}/{total} done, {} running", row.done, row.running)
+                }
             });
+            for (flag, name) in [(row.pinned, "pinned"), (row.orphan, "orphan")] {
+                if flag {
+                    out.push_str(&format!(", {name}"));
+                }
+            }
+            out.push('\n');
         }
         out.push_str(&format!("tasks executed: {executed}, retries: {retried}\n"));
         out
@@ -410,6 +424,13 @@ impl Master {
     /// slaves' polls delivered.
     pub fn metrics(&self) -> JobMetrics {
         self.shared.state.lock().metrics
+    }
+
+    /// Records held as stock for the next `fetch_all`: at most one
+    /// `local_data` input. A diagnostic for tests, not a setting.
+    #[doc(hidden)]
+    pub fn stock_records(&self) -> usize {
+        self.shared.stock.lock().len()
     }
 
     /// Mark the job finished: polling slaves are told to exit.
@@ -543,7 +564,11 @@ impl JobApi for Master {
             .enumerate()
             .map(|(i, split)| self.put_source_split(id.0, i, split))
             .collect();
-        self.with(|core, now| core.publish(id, urls, now))
+        let id = self.with(|core, now| core.publish(id, urls, now));
+        // The stock it replaces, if no `fetch_all` took it, is freed
+        // outside the lock.
+        drop(std::mem::replace(&mut *self.shared.stock.lock(), records));
+        id
     }
 
     fn map_data(
@@ -582,10 +607,10 @@ impl JobApi for Master {
             if let Some(e) = &st.error {
                 return Err(Error::TaskFailed(e.clone()));
             }
-            if st.plan.complete(data)? {
+            if st.plan.settled(data)? {
                 return Ok(());
             }
-            // Woken when `data` completes, a slave dies, the job fails or
+            // Woken when `data` settles, a slave dies, the job fails or
             // ends: not by the completion of every op of a chain.
             st.waiting.push(data);
             self.shared.cv.wait(&mut st);
@@ -602,14 +627,16 @@ impl JobApi for Master {
         // `slave_timeout` of patience passes: nothing was going to die;
         // the failure was transient.
         let mut last_err = None;
+        // Every attempt writes over the stock; a failed one leaves it
+        // emptied, never holding part of an answer.
+        let mut out = std::mem::take(&mut *self.shared.stock.lock());
         for _attempt in 0..MAX_ATTEMPTS {
             self.wait(data)?;
             let urls = self.shared.state.lock().plan.outputs(data)?;
             // One round trip per slave holding a piece of the dataset,
-            // parsed in URL order into a result vector sized once from
-            // the buckets' headers.
+            // parsed in URL order into the stock, grown at most once to
+            // the buckets' header counts.
             let urls: Vec<&str> = urls.iter().map(String::as_str).collect();
-            let mut out = Vec::new();
             let mut tally = JobMetrics::default();
             let shared = match &self.shared.plane {
                 DataPlane::SharedFs(s) => Some(s),
@@ -2017,7 +2044,8 @@ mod tests {
     fn pages_render_while_a_poll_is_parked() {
         let mut m = master_direct();
         let s = m.signin("a:1", 1);
-        let _src = m.local_data(records(2), 1).unwrap();
+        let src = m.local_data(records(2), 1).unwrap();
+        m.keep(src);
         let m2 = m.clone();
         let parked = std::thread::spawn(move || {
             m2.poll(
@@ -2033,6 +2061,7 @@ mod tests {
         let status = m.status_page();
         assert!(status.contains("mrs master: running"), "{status}");
         assert!(status.contains("datasets: 1 live, 0 discarded"), "{status}");
+        assert!(status.contains("  data 0: source, 1 split(s), pinned\n"), "{status}");
         assert!(status.contains("data 0: source, 1 split(s)"), "{status}");
         assert!(m.metrics_page().contains("mrs_slaves_alive 1"));
         m.finish();
@@ -2166,6 +2195,60 @@ mod tests {
         }
         let m = sim.core.metrics;
         assert_eq!((m.ahead_grants(), m.longpoll_parks(), sim.core.parked), (2, 0, 0));
+    }
+
+    /// A reduce granted ahead of its inputs reports before the last map it
+    /// read from: it is complete, but it settles — and wakes the driver
+    /// waiting for it — only with that map's report, after which the
+    /// driver's discards leave nothing live. (Woken at the reduce's own
+    /// report, the driver discarded the source while the map, incomplete,
+    /// still read it: the discard was refused and the source stayed live.)
+    #[test]
+    fn a_reduce_reported_before_a_map_it_read_settles_only_with_that_map() {
+        let mut sim = Sim::new(MasterConfig::default(), true);
+        let (s0, s1) = (sim.signin(2), sim.signin(2));
+        // Two jobs of map (2 tasks) and reduce (2 tasks). The first gives
+        // s0 the affinity claim to both reduce tasks.
+        let mut jobs = Vec::new();
+        for job in 0..2u64 {
+            let src = sim.source(2);
+            let m = sim.map(src, 2);
+            let r = sim.reduce(m);
+            jobs.push((src, m, r));
+            let at = |n: u64| ms(10 * job + n);
+            let map0 = take1(sim.grant(s0, 1, at(0)));
+            let map1 = take1(sim.grant(s1, 1, at(0)));
+            sim.done(s0, &map0, at(1));
+            if job == 0 {
+                sim.done(s1, &map1, at(1));
+                let Assignment::Tasks(reduces) = sim.grant(s0, 2, at(2)) else { panic!() };
+                for t in &reduces {
+                    sim.done(s0, t, at(3));
+                }
+                continue;
+            }
+            let Grant::Now(Assignment::Tasks(ahead), _) = sim.poll(s0, 2, at(1)) else {
+                panic!("no ahead grant")
+            };
+            assert_eq!(
+                ahead.iter().map(|t| (t.data, t.index)).collect::<Vec<_>>(),
+                [(r.0, 0), (r.0, 1)]
+            );
+            sim.core.waiting.push(r);
+            for t in &ahead {
+                assert!(!sim.done(s0, t, at(2)).wake_drivers, "woken before the map reported");
+            }
+            assert!(sim.core.plan.complete(r).unwrap());
+            assert!(!sim.core.plan.settled(r).unwrap(), "settled before a map it read");
+            assert!(sim.done(s1, &map1, at(3)).wake_drivers, "the map's report settles the reduce");
+            assert!(sim.core.plan.settled(r).unwrap());
+        }
+        for (src, m, r) in jobs {
+            for d in [src, m, r] {
+                sim.core.discard(d, sim.at(ms(30)));
+            }
+        }
+        assert_eq!(sim.core.metrics.live_datasets(), 0);
     }
 
     /// No task is granted ahead over a producer that is not dispatched, is

@@ -119,7 +119,7 @@ pub(super) struct Effects {
     /// the job ended); only ever set while one is parked.
     pub(super) wake_polls: bool,
     /// Wake the drivers in `wait` / `fetch_all`: a dataset one of them
-    /// waits for completed, a slave died, the job failed or ended.
+    /// waits for settled, a slave died, the job failed or ended.
     pub(super) wake_drivers: bool,
     /// The earliest instant a live slave could be declared dead, when it
     /// may have moved earlier (a sign-in, a revival) and after every tick.
@@ -717,7 +717,10 @@ impl MasterCore {
             if done.orphan_freed {
                 self.reclaimed(id, false, true);
             }
-            self.fx.wake_drivers |= self.waiting.contains(&id);
+            // A driver waits for its dataset to settle: this op or one it
+            // was computed from completing may be what it waits for.
+            let settled = |w: &DataId| self.plan.settled(*w).unwrap_or(true);
+            self.fx.wake_drivers |= self.waiting.iter().any(settled);
         }
         wake || done.completed
     }

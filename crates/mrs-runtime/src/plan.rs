@@ -391,6 +391,23 @@ impl<O: Clone, X: Default> Plan<O, X> {
         }
     }
 
+    /// Is the dataset complete, and so is every op it was computed from
+    /// that still holds data? What `wait` sleeps on. A task granted ahead
+    /// of its inputs (`master/core.rs`) reads its producer's output before
+    /// the producer's report lands, so a consumer can complete first; until
+    /// the producer completes it still holds its own input, and a driver
+    /// that discarded its datasets then would leave that input live.
+    pub fn settled(&self, data: DataId) -> Result<bool> {
+        let mut at = data;
+        while self.complete(at)? {
+            match &self.datasets[at.0 as usize] {
+                Ds::Op(op) => at = op.input,
+                _ => return Ok(true),
+            }
+        }
+        Ok(false)
+    }
+
     /// Every committed piece of a dataset, in split order.
     pub fn outputs(&self, data: DataId) -> Result<Vec<O>> {
         match self.datasets.get(data.0 as usize) {
@@ -450,24 +467,39 @@ impl<O: Clone, X: Default> Plan<O, X> {
         })
     }
 
-    /// One row per dataset not reclaimed, for a status page: its id, its
-    /// op's name (`None` for a source), its tasks or splits, the committed
-    /// ones and those `busy` says are running.
-    pub fn rows(
-        &self,
-        busy: impl Fn(&X) -> bool,
-    ) -> Vec<(usize, Option<&'static str>, usize, usize, usize)> {
-        let row = |(d, ds): (usize, &Ds<O, X>)| match ds {
-            Ds::Discarded(_) => None,
-            Ds::Loading => Some((d, None, 0, 0, 0)),
-            Ds::Source(splits) => Some((d, None, splits.len(), 0, 0)),
-            Ds::Op(op) => {
-                let running = op.tasks.iter().filter(|t| busy(&t.x)).count();
-                Some((d, Some(trace_op(&op.spec).as_str()), op.tasks.len(), op.done, running))
-            }
+    /// One row per dataset not reclaimed, for a status page; `busy` says
+    /// which tasks are running.
+    pub fn rows(&self, busy: impl Fn(&X) -> bool) -> Vec<Row> {
+        let row = |(d, ds): (usize, &Ds<O, X>)| {
+            let (op, total, done, running) = match ds {
+                Ds::Discarded(_) => return None,
+                Ds::Loading => (None, 0, 0, 0),
+                Ds::Source(splits) => (None, splits.len(), 0, 0),
+                Ds::Op(op) => {
+                    let running = op.tasks.iter().filter(|t| busy(&t.x)).count();
+                    (Some(trace_op(&op.spec).as_str()), op.tasks.len(), op.done, running)
+                }
+            };
+            let (pinned, orphan) =
+                (self.pins.contains(&(d as u32)), self.orphans.contains(&(d as u32)));
+            Some(Row { data: d, op, total, done, running, pinned, orphan })
         };
         self.datasets.iter().enumerate().filter_map(row).collect()
     }
+}
+
+/// A dataset not reclaimed, as a status page shows it.
+pub(crate) struct Row {
+    pub data: usize,
+    /// Its op's name; `None` for a source.
+    pub op: Option<&'static str>,
+    /// Its tasks (or splits), the committed ones and the running ones.
+    pub total: usize,
+    pub done: usize,
+    pub running: usize,
+    /// Pinned by `keep`; an orphan, reclaimed when it completes.
+    pub pinned: bool,
+    pub orphan: bool,
 }
 
 #[cfg(test)]

@@ -187,8 +187,8 @@ impl JobApi for SerialRuntime {
 
     fn fetch_all(&mut self, data: DataId) -> Result<Vec<Record>> {
         match self.get(data)? {
-            SerialData::Plain(splits) => Ok(materialize(splits)),
-            SerialData::Mapped(tasks) => Ok(materialize(&tasks.concat())),
+            SerialData::Plain(splits) => Ok(materialize(splits, Vec::new())),
+            SerialData::Mapped(tasks) => Ok(materialize(&tasks.concat(), Vec::new())),
             SerialData::Discarded => {
                 Err(Error::MissingData(format!("dataset {data:?} was discarded")))
             }

@@ -696,3 +696,63 @@ fn a_producer_failing_under_its_ahead_consumer_on_a_one_slot_slave_equals_serial
     master.finish();
     slave.handle.join().unwrap().unwrap();
 }
+
+/// A shared store whose first read of the last reduce task's output of a
+/// `map_reduce` (dataset 2, task 2 of 3) is a well-formed frame holding
+/// the first half of that bucket's bytes: a parse error in the middle of
+/// a bucket, after the earlier buckets' records were parsed.
+struct CutsOnce {
+    inner: MemFs,
+    cut: AtomicBool,
+}
+
+impl Store for CutsOnce {
+    fn put(&self, path: &str, data: &[u8]) -> mrs_core::Result<()> {
+        self.inner.put(path, data)
+    }
+    fn get(&self, path: &str) -> mrs_core::Result<Vec<u8>> {
+        let bytes = self.inner.get(path)?;
+        if !path.contains("/d2/t2/") || self.cut.swap(true, Ordering::SeqCst) {
+            return Ok(bytes);
+        }
+        let mut raw = mrs_codec::decode_vec(bytes).expect("a stored frame");
+        raw.truncate(raw.len() / 2);
+        Ok(mrs_codec::encode_vec(raw, mrs_codec::CompressMode::Off))
+    }
+    fn exists(&self, path: &str) -> bool {
+        self.inner.exists(path)
+    }
+    fn list(&self, prefix: &str) -> mrs_core::Result<Vec<String>> {
+        self.inner.list(prefix)
+    }
+    fn delete(&self, path: &str) -> mrs_core::Result<()> {
+        self.inner.delete(path)
+    }
+}
+
+/// The driver's `fetch_all` fails to parse the answer once, part way
+/// through, and tries again: the retry returns serial's answer, written
+/// into the records the driver handed to `local_data` (its vector is the
+/// answer's), and no part of the failed read survives into it.
+#[test]
+fn a_fetch_all_retried_after_a_parse_error_returns_serials_answer_from_the_stock() {
+    let mut rng = mrs_rng::SplitMix64::new(3);
+    let keys: Vec<u64> = (0..3_000).map(|_| rng.next_u64()).collect();
+    let input = || mrs::apps::sort::keyed_records(&keys);
+    let sample = mrs::apps::sort::RangeSort::sample(&input(), 128, 3);
+    let program = Arc::new(Simple(mrs::apps::sort::RangeSort::plan(&sample, 3).unwrap()));
+    let want = Job::new(&mut SerialRuntime::new(program.clone()))
+        .map_reduce(input(), 4, 3, false)
+        .unwrap();
+
+    let store = Arc::new(CutsOnce { inner: MemFs::new(), cut: AtomicBool::new(false) });
+    let plane = DataPlane::SharedFs(store.clone());
+    let mut cluster = LocalCluster::start(program, 2, plane, quick_sweep_config()).unwrap();
+    let input = input();
+    let spine = input.as_ptr();
+    let got = Job::new(&mut cluster).map_reduce(input, 4, 3, false).unwrap();
+    assert!(store.cut.load(Ordering::SeqCst), "no read was cut");
+    assert!(got == want, "the retried answer differs from serial's");
+    assert_eq!(got.as_ptr(), spine, "the answer is not the driver's input vector");
+    assert_eq!(cluster.stock_records(), 0, "the stock outlived its fetch");
+}

@@ -857,3 +857,100 @@ fn malformed_plans_are_rejected_identically_by_pool_and_cluster() {
         "{pool:#?}"
     );
 }
+
+/// A byte-level program whose map is the function it holds and whose
+/// reduce emits every value under its key: jobs that reshape their input
+/// so that the answer fits the records the driver handed in (the stock a
+/// recycling `fetch_all` writes over) in every way it can fail to.
+struct Reshape(MapFn);
+
+type MapFn = fn(&[u8], &[u8], &mut dyn FnMut(&[u8], &[u8]));
+
+impl Program for Reshape {
+    fn map_bytes(
+        &self,
+        _func: FuncId,
+        key: &[u8],
+        value: &[u8],
+        emit: &mut dyn FnMut(&[u8], &[u8]),
+    ) -> Result<()> {
+        (self.0)(key, value, emit);
+        Ok(())
+    }
+    fn reduce_bytes(
+        &self,
+        _func: FuncId,
+        key: &[u8],
+        values: &mut dyn Iterator<Item = &[u8]>,
+        emit: &mut dyn FnMut(&[u8], &[u8]),
+    ) -> Result<()> {
+        values.for_each(|v| emit(key, v));
+        Ok(())
+    }
+}
+
+/// An answer longer or shorter than its input, keys and values longer
+/// than the input's buffers, empty values, no answer at all, a range
+/// sort, and a second fetch of one dataset — when the first took the
+/// stock — are byte-identical to serial's on every plane.
+#[test]
+fn answers_of_every_shape_against_the_stock_are_byte_identical_on_every_plane() {
+    let mut rng = mrs_rng::SplitMix64::new(11);
+    let keys: Vec<u64> = (0..1_500).map(|_| rng.next_u64()).collect();
+    let input = mrs::apps::sort::keyed_records(&keys);
+    let sample = mrs::apps::sort::RangeSort::sample(&input, 128, 11);
+    type Maker = Box<dyn Fn() -> Arc<dyn Program>>;
+    let reshape = |map: MapFn| -> Maker { Box::new(move || Arc::new(Reshape(map))) };
+    let shapes: [(&str, Maker); 6] = [
+        ("range sort", {
+            let sample = sample.clone();
+            Box::new(move || {
+                Arc::new(Simple(mrs::apps::sort::RangeSort::plan(&sample, 3).unwrap()))
+            })
+        }),
+        (
+            "twice as long",
+            reshape(|k, v, emit| {
+                emit(k, v);
+                emit(k, v);
+            }),
+        ),
+        (
+            "shorter",
+            reshape(|k, v, emit| {
+                if k[k.len() - 1] % 3 == 0 {
+                    emit(k, v)
+                }
+            }),
+        ),
+        ("longer keys and values", reshape(|k, v, emit| emit(&[k, k, k].concat(), &v.repeat(40)))),
+        ("empty values", reshape(|k, _, emit| emit(k, b""))),
+        ("empty answer", reshape(|_, _, _| {})),
+    ];
+    for (shape, program) in &shapes {
+        let job = |job: &mut Job| job.map_reduce(input.clone(), 4, 3, false).unwrap();
+        let planes = on_every_plane(program.as_ref(), &job);
+        let (_, serial) = &planes.outputs[0];
+        assert_eq!(serial.is_empty(), *shape == "empty answer", "{shape}");
+        for (plane, out) in &planes.outputs[1..] {
+            assert!(out == serial, "{shape}: {plane} vs serial");
+        }
+    }
+
+    // The first fetch takes the stock; the second writes into nothing.
+    let twice = |job: &mut Job| {
+        let src = job.local_data(input.clone(), 4).unwrap();
+        let mapped = job.map_data(src, 0, 3, false).unwrap();
+        let reduced = job.reduce_data(mapped, 0).unwrap();
+        let first = job.fetch_all(reduced).unwrap();
+        let second = job.fetch_all(reduced).unwrap();
+        assert!(first == second, "two fetches of one dataset differ");
+        second
+    };
+    let planes = on_every_plane(shapes[1].1.as_ref(), &twice);
+    let (_, serial) = &planes.outputs[0];
+    assert_eq!(serial.len(), 2 * input.len());
+    for (plane, out) in &planes.outputs[1..] {
+        assert!(out == serial, "second fetch: {plane} vs serial");
+    }
+}

@@ -15,6 +15,10 @@ use std::sync::Arc;
 
 const JOBS: usize = 200;
 
+/// Records of the larger job input: 40 WordCount lines (a PSO chain
+/// starts from 8 islands).
+const INPUT_RECORDS: usize = 40;
+
 /// WordCount on function 0 and PSO's island stage on [`FUNC_ISLAND`], so
 /// one runtime runs both kinds of job. Keys go to partitions by PSO's rule
 /// (their last eight bytes), which serves WordCount's as well as any.
@@ -84,7 +88,8 @@ fn mixed() -> Arc<Mixed> {
 /// fused PSO chain over 8 islands, each answer equal to the first of its kind; `check`
 /// sees the runtime after each job.
 fn run_jobs<T: JobApi>(program: &Mixed, rt: &mut T, check: impl Fn(&T, usize)) {
-    let lines: Vec<String> = (0..40).map(|i| format!("w{} w{} common", i % 7, i % 3)).collect();
+    let lines: Vec<String> =
+        (0..INPUT_RECORDS).map(|i| format!("w{} w{} common", i % 7, i % 3)).collect();
     let records = || lines_to_records(lines.iter().map(String::as_str));
     let mut answers: [Option<Vec<Record>>; 2] = [None, None];
     for n in 0..JOBS {
@@ -112,26 +117,36 @@ fn assert_trace_bounded(cluster: &LocalCluster) {
     assert!(trace.dropped > 0, "no event was dropped: the bound went untested");
 }
 
+/// The master's `/status` page: every dataset it holds, each with its
+/// op, tasks done of total, and whether it is pinned or an orphan.
+fn status(cluster: &LocalCluster) -> String {
+    let (_, status) = HttpClient::get(&cluster.http_authority(), "/status").unwrap();
+    String::from_utf8(status).unwrap()
+}
+
 /// After every one of 200 jobs — WordCounts and fused PSO chains — on a
 /// pool, a 2-slave direct-plane cluster and a 2-slave shared-FS cluster,
 /// no dataset is live; the shared store holds no file and the direct
-/// master's `/status` lists no dataset; and the master's trace stays
-/// within its bound.
+/// master's `/status` lists no dataset; the records the runtime keeps to
+/// write the next answer into are at most one job's input; and the
+/// master's trace stays within its bound.
 #[test]
 fn every_job_leaves_the_runtime_as_it_found_it() {
     let program = mixed();
     let mut pool = LocalRuntime::pool(program.clone(), 2);
     run_jobs(&program, &mut pool, |pool, n| {
         assert_eq!(pool.metrics().live_datasets(), 0, "pool, job {n}");
+        assert!(pool.stock_records() <= INPUT_RECORDS, "pool, job {n}");
     });
 
     let cfg = MasterConfig::default();
     let mut direct = LocalCluster::start(program.clone(), 2, DataPlane::Direct, cfg).unwrap();
     run_jobs(&program, &mut direct, |cluster, n| {
-        assert_eq!(cluster.metrics().live_datasets(), 0, "direct, job {n}");
-        let (_, status) = HttpClient::get(&cluster.http_authority(), "/status").unwrap();
-        let status = String::from_utf8(status).unwrap();
+        let live = cluster.metrics().live_datasets();
+        assert_eq!(live, 0, "direct, job {n}: {}", status(cluster));
+        let status = status(cluster);
         assert!(status.contains("\ndatasets: 0 live,"), "direct, job {n}: {status}");
+        assert!(cluster.stock_records() <= INPUT_RECORDS, "direct, job {n}");
     });
     assert_trace_bounded(&direct);
 
@@ -140,8 +155,10 @@ fn every_job_leaves_the_runtime_as_it_found_it() {
     let mut shared =
         LocalCluster::start(program.clone(), 2, plane, MasterConfig::default()).unwrap();
     run_jobs(&program, &mut shared, |cluster, n| {
-        assert_eq!(cluster.metrics().live_datasets(), 0, "shared, job {n}");
+        let live = cluster.metrics().live_datasets();
+        assert_eq!(live, 0, "shared, job {n}: {}", status(cluster));
         assert_eq!(store.list("").unwrap(), Vec::<String>::new(), "shared, job {n}");
+        assert!(cluster.stock_records() <= INPUT_RECORDS, "shared, job {n}");
     });
     assert_trace_bounded(&shared);
 }
