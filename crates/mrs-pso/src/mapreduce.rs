@@ -252,18 +252,13 @@ impl PsoProgram {
         });
         let src = job.local_data(self.initial_islands(), n_islands)?;
         let mut ds = src;
-        // Pipelining discipline: iteration t+1's ops are queued *before*
-        // iteration t's result is fetched. A dataset may only be discarded
-        // once its consumer is complete: fetching r_t proves m_t complete,
-        // which proves r_{t-1} fully consumed — so at that point r_{t-1}
-        // and m_t (whose consumer r_t is complete) can both go. Each r_t
-        // is pinned (`keep`) at creation because the convergence check
-        // still needs to fetch it after iteration t+1's map — its only
-        // plan consumer — completes; without the pin, lifetime GC would
-        // reclaim it first. The m_t datasets carry no pin: GC may beat
-        // the explicit discard, which is then a no-op.
-        let mut pending: Option<(u64, mrs_runtime::DataId, mrs_runtime::DataId)> = None;
-        let mut fetched_reduce: Option<mrs_runtime::DataId> = None;
+        // Iteration t+1's ops are queued *before* iteration t's result is
+        // fetched. Each r_t is pinned (`keep`): the convergence check
+        // fetches it after iteration t+1's map, its only reader, may have
+        // completed. Each m_t is discarded once its reduce is queued and
+        // r_t once it is fetched; the runtime frees each once its reader
+        // completes.
+        let mut pending: Option<(u64, mrs_runtime::DataId)> = None;
         let record = |job: &mut Job,
                       history: &mut Vec<IterRecord>,
                       iter: u64,
@@ -280,24 +275,17 @@ impl PsoProgram {
         for t in 1..=outer_iters {
             let m = job.map_data(ds, FUNC_ISLAND, n_islands, false)?;
             let r = job.reduce_data(m, FUNC_ISLAND)?;
+            job.discard(m);
             job.keep(r);
-            if let Some((iter, r_prev, m_prev)) = pending.take() {
+            if let Some((iter, r_prev)) = pending.take() {
                 record(job, &mut history, iter, r_prev)?;
-                if let Some(old) = fetched_reduce.take() {
-                    job.discard(old);
-                }
-                job.discard(m_prev);
-                fetched_reduce = Some(r_prev);
+                job.discard(r_prev);
             }
             ds = r;
-            pending = Some((t, r, m));
+            pending = Some((t, r));
         }
-        if let Some((iter, r_last, m_last)) = pending {
+        if let Some((iter, r_last)) = pending {
             record(job, &mut history, iter, r_last)?;
-            if let Some(old) = fetched_reduce.take() {
-                job.discard(old);
-            }
-            job.discard(m_last);
             job.discard(r_last);
         }
         job.discard(src);
@@ -326,12 +314,10 @@ impl PsoProgram {
     /// single ReduceMap op (fused) — the shapes the iteration bench
     /// compares. No intermediate is fetched, so each is discarded as soon
     /// as its consumer is queued and the chain holds O(1) live datasets
-    /// regardless of `iters`. A runtime with lifetime GC refuses that
-    /// discard (a queued consumer still needs the data) and reclaims the
-    /// dataset when the consumer completes; the serial runtime, which runs
-    /// each op as it is queued and has no lifetime GC, frees it at once
-    /// instead of holding every round until the job ends. The source and
-    /// the result go once the result is fetched.
+    /// regardless of `iters`: a runtime frees such a dataset once its
+    /// consumer completes, and the serial runtime, which runs each op as it
+    /// is queued, at once. The source and the result go once the result is
+    /// fetched.
     fn run_chain(
         &self,
         job: &mut Job,

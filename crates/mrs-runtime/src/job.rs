@@ -54,15 +54,15 @@ pub trait JobApi {
     /// order).
     fn fetch_all(&mut self, data: DataId) -> Result<Vec<Record>>;
 
-    /// Hint that a dataset's storage can be reclaimed. Runtimes may ignore
-    /// it; iterative programs call it on data from finished iterations.
+    /// The driver is done with a dataset, pinned or not: it is freed now,
+    /// or once it is complete and its last queued reader has completed.
+    /// Never refused: a driver may call it once the readers are queued.
     fn discard(&mut self, data: DataId);
 
-    /// Pin a dataset against automatic lifetime GC: the runtime must keep
-    /// it fetchable after its last queued consumer finishes, until the
-    /// driver explicitly discards it. Drivers that queue iteration `t+1`
-    /// before fetching iteration `t`'s result pin that result first. The
-    /// default is a no-op, correct for runtimes without lifetime GC.
+    /// Pin a dataset against automatic lifetime GC: it stays fetchable
+    /// after its last queued consumer finishes, until it is discarded.
+    /// Drivers that queue iteration `t+1` before fetching iteration `t`'s
+    /// result pin that result first. A no-op without lifetime GC.
     fn keep(&mut self, _data: DataId) {}
 }
 

@@ -132,6 +132,12 @@ impl LocalRuntime {
         self.stock.len()
     }
 
+    /// Entries the plan holds, lineage included: a test diagnostic, not a setting.
+    #[doc(hidden)]
+    pub fn plan_entries(&self) -> usize {
+        self.shared.state.lock().plan.entries()
+    }
+
     /// Drain the recorded timeline: one lane per pool worker, the same
     /// span vocabulary as the distributed slaves. A second call returns
     /// only events recorded since the first. Between calls each worker
@@ -206,15 +212,11 @@ impl Plane for Shared {
                 let bytes = out.iter().map(|b| b.byte_size()).sum();
                 count_task(&mut st.metrics, &spec, elapsed, bytes);
                 st.metrics.add(Counter::TasksExecuted, 1);
-                let done = st.plan.commit(data, index, out);
                 // Op outputs count as live when their last task lands, so
                 // `peak_live_datasets` tracks held storage, not queue depth.
-                if done.completed {
+                if let Some(freed) = st.plan.commit(data, index, out) {
                     st.metrics.dataset_live(true);
-                }
-                for _ in 0..usize::from(done.freed.is_some()) + usize::from(done.orphan_freed) {
-                    st.metrics.dataset_live(false);
-                    st.metrics.add(Counter::DatasetsFreed, 1);
+                    freed.iter().for_each(|_| st.metrics.dataset_freed(true));
                 }
             }
             Err(f) => st.error = Some(f.error.to_string()),
@@ -306,9 +308,8 @@ impl JobApi for LocalRuntime {
 
     fn discard(&mut self, data: DataId) {
         let mut st = self.shared.state.lock();
-        if st.plan.discard(data).is_some() {
-            st.metrics.dataset_live(false);
-        }
+        let freed = st.plan.discard(data);
+        freed.iter().for_each(|_| st.metrics.dataset_freed(false));
     }
 }
 
@@ -317,7 +318,6 @@ mod tests {
     use super::*;
     use crate::job::Job;
     use crate::master::{Master, MasterConfig, SpeculateMode};
-    use crate::plan::Ds;
     use crate::proto::DataPlane;
     use crate::slave::{run_slave, SlaveOptions};
     use mrs_core::kv::encode_record;
@@ -750,7 +750,7 @@ mod tests {
         {
             let st = rt.shared.state.lock();
             let split = st.plan.input(mapped, 1);
-            let Ds::Source(splits) = &st.plan.datasets()[src.0 as usize] else { panic!("source") };
+            let splits = st.plan.outputs(src).unwrap();
             assert_eq!(split.len(), 1);
             assert!(Arc::ptr_eq(&split[0], &splits[1]), "the split is handed over, not copied");
         }

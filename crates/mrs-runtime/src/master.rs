@@ -293,8 +293,8 @@ impl Master {
     }
 
     /// Human-readable live state: job phase, per-slave rows, task progress
-    /// of every undiscarded dataset. Served as `/status` by the master's HTTP
-    /// server; numbers are copied under the state lock, text formatted after.
+    /// of every dataset holding data, the count kept as lineage. Served as
+    /// `/status`; numbers are copied under the state lock, text after.
     pub fn status_page(&self) -> String {
         let st = self.shared.state.lock();
         let phase = match (&st.error, st.finished) {
@@ -304,7 +304,7 @@ impl Master {
         };
         let slaves = st.slaves.clone();
         let rows = st.plan.rows(|slot| !slot.running.is_empty());
-        let discarded = st.plan.datasets().len() - rows.len();
+        let lineage = st.plan.entries() - rows.len();
         let (executed, retried) = (st.metrics.tasks_executed(), st.metrics.tasks_retried());
         drop(st);
 
@@ -324,7 +324,7 @@ impl Master {
                 s.last_seen.elapsed().as_millis()
             ));
         }
-        out.push_str(&format!("datasets: {} live, {discarded} discarded\n", rows.len()));
+        out.push_str(&format!("datasets: {} live, {lineage} lineage\n", rows.len()));
         for row in rows {
             let (d, total) = (row.data, row.total);
             out.push_str(&match row.op {
@@ -333,7 +333,7 @@ impl Master {
                     format!("  data {d}: {op} {}/{total} done, {} running", row.done, row.running)
                 }
             });
-            for (flag, name) in [(row.pinned, "pinned"), (row.orphan, "orphan")] {
+            for (flag, name) in [(row.pinned, "pinned"), (row.doomed, "freed once complete")] {
                 if flag {
                     out.push_str(&format!(", {name}"));
                 }
@@ -1904,7 +1904,7 @@ mod tests {
         }
         assert_eq!(walked(&used), 0, "nothing is left to walk between jobs");
         submit(&mut used);
-        assert_eq!(used.shared.state.lock().plan.datasets().len(), 501 * 3);
+        assert_eq!(used.shared.state.lock().plan.entries(), 3, "the plan forgot the 500 jobs");
         assert_eq!(walked(&used), walked(&fresh), "2 maps + 1 reduce, whatever came before");
         assert_eq!(take1(used.get_tasks(s, 1)).kind, TaskKind::Map);
     }
@@ -2060,7 +2060,7 @@ mod tests {
         await_parked(&m);
         let status = m.status_page();
         assert!(status.contains("mrs master: running"), "{status}");
-        assert!(status.contains("datasets: 1 live, 0 discarded"), "{status}");
+        assert!(status.contains("datasets: 1 live, 0 lineage\n"), "{status}");
         assert!(status.contains("  data 0: source, 1 split(s), pinned\n"), "{status}");
         assert!(status.contains("data 0: source, 1 split(s)"), "{status}");
         assert!(m.metrics_page().contains("mrs_slaves_alive 1"));
@@ -2110,7 +2110,7 @@ mod tests {
             );
             let err = m.map_data(DataId(0), 0, 1, false).expect_err("an op over zero splits");
             assert!(matches!(err, Error::MissingData(_)), "{err}");
-            assert_eq!(m.shared.state.lock().plan.datasets().len(), 1, "no op was queued");
+            assert_eq!(m.shared.state.lock().plan.entries(), 1, "no op was queued");
             looked2.store(true, Ordering::SeqCst);
         };
         let store: Arc<dyn Store> = Arc::new(MidPutStore { inner: MemFs::new(), hook });
@@ -2201,8 +2201,8 @@ mod tests {
     /// read from: it is complete, but it settles — and wakes the driver
     /// waiting for it — only with that map's report, after which the
     /// driver's discards leave nothing live. (Woken at the reduce's own
-    /// report, the driver discarded the source while the map, incomplete,
-    /// still read it: the discard was refused and the source stayed live.)
+    /// report, the driver would discard the source while the map,
+    /// incomplete, still read it, and find it live until that report.)
     #[test]
     fn a_reduce_reported_before_a_map_it_read_settles_only_with_that_map() {
         let mut sim = Sim::new(MasterConfig::default(), true);

@@ -11,7 +11,7 @@
 use super::{MasterConfig, SlaveId, SpeculateMode};
 use crate::data::DataId;
 use crate::metrics::{Counter, JobMetrics};
-use crate::plan::{Ds, Op, Plan, Task};
+use crate::plan::{Freed, Op, Plan, Task};
 use crate::proto::{output_url, trace_op, Assignment, CancelOrder, TaskKind, TaskMsg, TaskReport};
 use mrs_core::{FuncId, Result, TaskSpec};
 use mrs_trace::{Name, Tag, TraceHandle};
@@ -667,7 +667,8 @@ impl MasterCore {
         slot.owner = self.direct.then_some(slave);
         let spec = self.plan.at(id).expect("the slot's op").spec;
         let urls = urls(self, spec.parts().unwrap_or(1));
-        let done = self.plan.commit(id, index, urls);
+        let freed = self.plan.commit(id, index, urls);
+        let completed = freed.is_some();
         // Losers get cancellation orders piggybacked on their slave's next
         // poll; the winner's margin over the slowest loser is the straggler
         // time a speculative win saved.
@@ -706,43 +707,38 @@ impl MasterCore {
         wake |= self.parked > 0
             && (spec.parts().is_none()
                 && self.plan.live_ops().any(|(_, op)| op.input == id && !op.spec.gathers())
-                || !done.completed && self.straggler(None).is_some());
-        if done.completed {
+                || !completed && self.straggler(None).is_some());
+        if let Some(freed) = freed {
             // The op's output is now fully materialized, and the op no
             // longer needs its input.
             self.metrics.dataset_live(true);
-            if let Some(spent) = done.freed {
-                self.reclaimed(spent, false, true);
-            }
-            if done.orphan_freed {
-                self.reclaimed(id, false, true);
-            }
+            self.reclaimed(freed, true);
             // A driver waits for its dataset to settle: this op or one it
             // was computed from completing may be what it waits for.
             let settled = |w: &DataId| self.plan.settled(*w).unwrap_or(true);
             self.fx.wake_drivers |= self.waiting.iter().any(settled);
         }
-        wake || done.completed
+        wake || completed
     }
 
-    /// The plan reclaimed dataset `data`: drop its storage everywhere.
-    /// Slaves' output tables (direct plane) are purged via orders
-    /// piggybacked on each slave's next poll; the master's source splits
-    /// and, on a shared filesystem, every slave's outputs are deleted by
-    /// the shell before it releases the lock — before anything can rebuild
-    /// the dataset and write the same paths again.
-    fn reclaimed(&mut self, data: DataId, was_source: bool, by_gc: bool) {
-        self.metrics.dataset_live(false);
-        self.metrics.add(Counter::DatasetsFreed, by_gc as u64);
-        let d = data.0;
-        if was_source {
-            self.fx.deletes.push(format!("src{d}"));
-        } else if self.direct {
-            for (s, slave) in self.slaves.iter_mut().enumerate() {
-                slave.purge.push(format!("s{s}/d{d}/"));
+    /// The plan freed these datasets, at a commit or on a discard: drop
+    /// their storage everywhere. Slaves' output tables (direct plane) are
+    /// purged via orders piggybacked on each slave's next poll; the
+    /// master's source splits and, on a shared filesystem, every slave's
+    /// outputs are deleted by the shell before it releases the lock —
+    /// before anything can rebuild a dataset and write its paths again.
+    fn reclaimed(&mut self, freed: Freed, at_commit: bool) {
+        for (DataId(d), was_source) in freed {
+            self.metrics.dataset_freed(at_commit);
+            if was_source {
+                self.fx.deletes.push(format!("src{d}"));
+            } else if self.direct {
+                for (s, slave) in self.slaves.iter_mut().enumerate() {
+                    slave.purge.push(format!("s{s}/d{d}/"));
+                }
+            } else {
+                self.fx.deletes.extend((0..self.slaves.len()).map(|s| format!("s{s}/d{d}")));
             }
-        } else {
-            self.fx.deletes.extend((0..self.slaves.len()).map(|s| format!("s{s}/d{d}")));
         }
     }
 
@@ -905,11 +901,10 @@ impl MasterCore {
         self.out(published)
     }
 
-    /// Reclaim a complete dataset on the driver's word.
+    /// The driver is done with a dataset: freed now, or once it may be.
     pub(super) fn discard(&mut self, data: DataId, _: Instant) -> Out<()> {
-        if let Some(old) = self.plan.discard(data) {
-            self.reclaimed(data, matches!(old, Ds::Source(_)), false);
-        }
+        let freed = self.plan.discard(data);
+        self.reclaimed(freed, false);
         self.out(())
     }
 

@@ -192,6 +192,13 @@ impl JobMetrics {
         self.max(Counter::PeakLiveDatasets, live);
     }
 
+    /// A dataset was freed, at a commit (`datasets_freed` counts those) or
+    /// on a discard.
+    pub(crate) fn dataset_freed(&mut self, at_commit: bool) {
+        self.dataset_live(false);
+        self.add(Counter::DatasetsFreed, at_commit as u64);
+    }
+
     /// Counters of retired features, always 0 and outside the table: the
     /// repo benchmark still reads them (`bench/src/main.rs:498-501`), and
     /// they go with those metrics. Background pre-merge is gone (every

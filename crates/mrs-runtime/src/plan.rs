@@ -4,19 +4,28 @@
 //! run the *same* task graph — a map task waits only for its own split, a
 //! reduce-like task for every task of the op it gathers from (Fig. 1/2) —
 //! so the graph is written down once, here: submission validation and task
-//! counts, readiness and the barrier, consumer-refcount lifetime GC,
-//! `keep` / `discard`, completion, and rebuilding lost outputs from
-//! lineage. An executor only says *where* an attempt runs. `O` is one
-//! stored output piece (an `Arc<Bucket>` in process, a URL on the
-//! cluster); `X` is executor-private per-task state the plan never
-//! inspects (claimed or not; attempts and owner). The plan takes no lock,
-//! no clock and no thread: every call is a state transition, so a test or
-//! a simulator can drive it step by step.
+//! counts, readiness and the barrier, dataset lifetime, `keep` /
+//! `discard`, completion, and rebuilding lost outputs from lineage. An
+//! executor only says *where* an attempt runs. `O` is one stored output
+//! piece (an `Arc<Bucket>` in process, a URL on the cluster); `X` is
+//! executor-private per-task state the plan never inspects (claimed or
+//! not; attempts and owner). The plan takes no lock, no clock and no
+//! thread: every call is a state transition, so a test or a simulator can
+//! drive it step by step.
+//!
+//! **Lifetime.** A dataset that can still be needed has one entry: its
+//! [`Ds`], its count of incomplete readers and its holder. One rule frees
+//! it: a *released* dataset (read by an op, or discarded) with no reader
+//! is freed once it is complete — checked when a reader completes, when
+//! the op itself does and on `discard`, which is never refused. A freed
+//! op keeps a lineage entry while its input has one; any other freed
+//! entry is forgotten, with the lineage that read it. An id below the
+//! next one with no entry reads as a discarded source.
 
 use crate::data::DataId;
 use crate::proto::trace_op;
 use mrs_core::{Error, Result, TaskSpec};
-use std::collections::HashSet;
+use std::collections::BTreeMap;
 
 /// One task of an op.
 #[derive(Debug)]
@@ -60,6 +69,11 @@ impl<O, X> Op<O, X> {
     fn complete(&self) -> bool {
         self.open == self.tasks.len()
     }
+
+    /// What the op leaves behind once freed.
+    fn lineage(&self) -> Lineage {
+        Lineage { spec: self.spec, input: self.input, tasks: self.tasks.len() }
+    }
 }
 
 impl<O, X: Default> Op<O, X> {
@@ -70,7 +84,7 @@ impl<O, X: Default> Op<O, X> {
     }
 }
 
-/// What a reclaimed op leaves behind: enough to run it again.
+/// What a freed op leaves behind: enough to run it again.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Lineage {
     spec: TaskSpec,
@@ -86,84 +100,78 @@ pub(crate) enum Ds<O, X> {
     /// Job input, one piece per split.
     Source(Vec<O>),
     Op(Op<O, X>),
-    /// Reclaimed, by lifetime GC or an explicit discard. An op keeps its
-    /// lineage, so a lost output downstream can rebuild it; a source
-    /// keeps nothing.
-    Discarded(Option<Lineage>),
+    /// A freed op: no data, only how to compute it again.
+    Lineage(Lineage),
 }
 
-impl<O, X> Ds<O, X> {
-    /// What this dataset leaves behind when it is reclaimed.
-    fn reclaimed(&self) -> Self {
-        Ds::Discarded(match self {
-            Ds::Op(op) => Some(Lineage { spec: op.spec, input: op.input, tasks: op.tasks.len() }),
-            Ds::Discarded(lineage) => *lineage,
-            Ds::Loading | Ds::Source(_) => None,
-        })
-    }
+/// Who holds a dataset against the lifetime rule. A read moves a holder
+/// up to `Released`, never down from `Pinned`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Holder {
+    /// A fresh op that nothing has read or discarded yet.
+    Unread,
+    /// Read by some op, or discarded: freed once complete and unread.
+    Released,
+    /// A source, or a dataset passed to `keep`: freed only once discarded.
+    Pinned,
 }
 
-/// What a [`Plan::commit`] changed beyond the task itself.
-#[derive(Debug, Default, PartialEq)]
-pub(crate) struct Commit {
-    /// The op's last task landed: its dataset is complete.
-    pub completed: bool,
-    /// The completed op was the last registered consumer of this dataset,
-    /// and lifetime GC reclaimed it.
-    pub freed: Option<DataId>,
-    /// The completed op itself had no reader left — an op rebuilt from
-    /// lineage whose readers finished before it did — and lifetime GC
-    /// reclaimed it too.
-    pub orphan_freed: bool,
+/// One dataset that can still be needed.
+#[derive(Debug)]
+struct Entry<O, X> {
+    ds: Ds<O, X>,
+    /// Incomplete ops reading it.
+    readers: u32,
+    holder: Holder,
 }
 
-#[derive(Debug, Default)]
+/// What the lifetime rule freed, in order: each dataset's id and whether
+/// it was a source.
+pub(crate) type Freed = Vec<(DataId, bool)>;
+
+#[derive(Debug)]
 pub(crate) struct Plan<O, X> {
-    datasets: Vec<Ds<O, X>>,
+    entries: BTreeMap<u32, Entry<O, X>>,
     /// Ids of the incomplete ops, ascending: all `runnable` ever walks, so
-    /// it costs the same after a thousand discarded jobs as after none.
+    /// it costs the same however much lineage a long job remembers.
     live: Vec<u32>,
-    /// Incomplete ops reading each dataset (index-aligned with
-    /// `datasets`). Lifetime GC frees a dataset when its count returns to
-    /// zero.
-    consumers: Vec<u32>,
-    /// Datasets pinned by `keep`: exempt from lifetime GC until an
-    /// explicit discard.
-    pins: HashSet<u32>,
-    /// Incomplete ops whose last reader completed before them: reclaimed
-    /// when they complete. Only a rebuild makes one — an op revived whole
-    /// for a map task that reads one of its splits.
-    orphans: HashSet<u32>,
+    /// The id the next dataset gets. Ids only grow.
+    next: u32,
 }
 
 impl<O: Clone, X: Default> Plan<O, X> {
     pub fn new() -> Self {
-        Plan {
-            datasets: Vec::new(),
-            live: Vec::new(),
-            consumers: Vec::new(),
-            pins: HashSet::new(),
-            orphans: HashSet::new(),
-        }
+        Plan { entries: BTreeMap::new(), live: Vec::new(), next: 0 }
     }
 
-    fn push(&mut self, ds: Ds<O, X>) -> DataId {
-        self.datasets.push(ds);
-        self.consumers.push(0);
-        DataId(self.datasets.len() as u32 - 1)
+    fn push(&mut self, ds: Ds<O, X>, holder: Holder) -> DataId {
+        self.entries.insert(self.next, Entry { ds, readers: 0, holder });
+        self.next += 1;
+        DataId(self.next - 1)
+    }
+
+    fn ds(&self, data: DataId) -> Option<&Ds<O, X>> {
+        self.entries.get(&data.0).map(|e| &e.ds)
+    }
+
+    /// The error for an id with no entry: `gone` says the plan forgot it.
+    fn missing(&self, data: DataId, gone: &str) -> Error {
+        let gone = if data.0 < self.next { gone } else { "" };
+        Error::MissingData(format!("dataset {data:?}{gone}"))
     }
 
     /// Reserve a source's id while its data is stored outside the lock
     /// that guards the plan; [`Plan::source`] publishes it.
     pub fn reserve(&mut self) -> DataId {
-        self.push(Ds::Loading)
+        self.push(Ds::Loading, Holder::Pinned)
     }
 
     /// Publish a reserved source, one piece per split — or, if storing it
     /// failed, retire the id and hand the error on.
     pub fn source(&mut self, id: DataId, splits: Result<Vec<O>>) -> Result<DataId> {
-        self.datasets[id.0 as usize] = Ds::Discarded(None);
-        self.datasets[id.0 as usize] = Ds::Source(splits?);
+        self.entries.remove(&id.0);
+        self.entries
+            .insert(id.0, Entry { ds: Ds::Source(splits?), readers: 0, holder: Holder::Pinned });
         Ok(id)
     }
 
@@ -173,32 +181,22 @@ impl<O: Clone, X: Default> Plan<O, X> {
         if spec.parts() == Some(0) {
             return Err(Error::Invalid("need at least one partition".into()));
         }
-        let ds = self
-            .datasets
-            .get(input.0 as usize)
-            .ok_or_else(|| Error::MissingData(format!("dataset {input:?}")))?;
-        let input_parts = match ds {
-            Ds::Op(op) => op.spec.parts(),
-            _ => None,
-        };
-        let ntasks = match ds {
-            Ds::Loading | Ds::Discarded(_) => {
-                return Err(Error::MissingData(format!(
-                    "dataset {input:?} is discarded or loading"
-                )));
+        let ntasks = match (self.ds(input), spec.gathers()) {
+            (Some(Ds::Source(splits)), false) => splits.len(),
+            (Some(Ds::Op(op)), gathers) if gathers == op.spec.parts().is_some() => {
+                op.spec.parts().unwrap_or(op.tasks.len())
             }
-            _ if spec.gathers() => input_parts.ok_or_else(|| {
+            (Some(Ds::Source(_) | Ds::Op(_)), true) => {
                 let op = trace_op(&spec).as_str();
-                Error::Invalid(format!("{op} must consume a map output"))
-            })?,
-            Ds::Source(splits) => splits.len(),
-            Ds::Op(op) if input_parts.is_none() => op.tasks.len(),
-            Ds::Op(_) => {
+                return Err(Error::Invalid(format!("{op} must consume a map output")));
+            }
+            (Some(Ds::Op(_)), false) => {
                 return Err(Error::Invalid("map cannot consume an unreduced map output".into()))
             }
+            _ => return Err(self.missing(input, " is discarded or loading")),
         };
         self.read(input);
-        let id = self.push(Ds::Op(Op::new(spec, input, ntasks)));
+        let id = self.push(Ds::Op(Op::new(spec, input, ntasks)), Holder::Unread);
         self.live.push(id.0);
         Ok(id)
     }
@@ -209,12 +207,7 @@ impl<O: Clone, X: Default> Plan<O, X> {
     /// *every* task of its input, so it waits for the whole op — the
     /// barrier of Fig. 1.
     pub fn ready(&self, op: &Op<O, X>, index: usize) -> bool {
-        match &self.datasets[op.input.0 as usize] {
-            Ds::Source(_) => true,
-            Ds::Op(input) if op.spec.gathers() => input.complete(),
-            Ds::Op(input) => input.tasks[index].out.is_some(),
-            Ds::Loading | Ds::Discarded(_) => false,
-        }
+        ready_over(self.ds(op.input), op, index)
     }
 
     /// The incomplete ops, oldest first.
@@ -227,7 +220,8 @@ impl<O: Clone, X: Default> Plan<O, X> {
     /// doing with it: whether it is claimed or running is in its `x`.
     pub fn runnable(&self) -> impl Iterator<Item = (DataId, usize, &Op<O, X>)> + '_ {
         self.live_ops().flat_map(move |(d, op)| {
-            let open = move |&i: &usize| op.tasks[i].out.is_none() && self.ready(op, i);
+            let input = self.ds(op.input);
+            let open = move |&i: &usize| op.tasks[i].out.is_none() && ready_over(input, op, i);
             (op.open..op.tasks.len()).filter(open).map(move |i| (d, i, op))
         })
     }
@@ -237,76 +231,85 @@ impl<O: Clone, X: Default> Plan<O, X> {
     /// task's input.
     pub fn input(&self, data: DataId, index: usize) -> Vec<O> {
         let Some(op) = self.at(data) else { return Vec::new() };
-        match &self.datasets[op.input.0 as usize] {
-            Ds::Source(splits) => vec![splits[index].clone()],
-            Ds::Op(input) if op.spec.gathers() => {
+        match self.ds(op.input) {
+            Some(Ds::Source(splits)) => vec![splits[index].clone()],
+            Some(Ds::Op(input)) if op.spec.gathers() => {
                 input.tasks.iter().filter_map(|t| t.out()?.get(index).cloned()).collect()
             }
-            Ds::Op(input) => input.tasks[index].out.clone().unwrap_or_default(),
-            Ds::Loading | Ds::Discarded(_) => Vec::new(),
+            Some(Ds::Op(input)) => input.tasks[index].out.clone().unwrap_or_default(),
+            _ => Vec::new(),
         }
     }
 
     /// Publish the output of task `index` of op `data`. When that was the
-    /// op's last task, the op releases the refcount it held on its input.
-    pub fn commit(&mut self, data: DataId, index: usize, outs: Vec<O>) -> Commit {
-        let Some(Ds::Op(op)) = self.datasets.get_mut(data.0 as usize) else {
-            return Commit::default();
+    /// op's last task, the op stops reading its input and the lifetime
+    /// rule is checked on both: `Some` of what it freed, the input first.
+    /// `None` while the op is incomplete, or for a task already committed.
+    pub fn commit(&mut self, data: DataId, index: usize, outs: Vec<O>) -> Option<Freed> {
+        let Some(Ds::Op(op)) = self.entries.get_mut(&data.0).map(|e| &mut e.ds) else {
+            return None;
         };
         let task = &mut op.tasks[index];
         if task.out.is_some() {
-            return Commit::default();
+            return None;
         }
         task.out = Some(outs);
         op.done += 1;
         op.open += op.tasks[op.open..].iter().take_while(|t| t.out.is_some()).count();
         if !op.complete() {
-            return Commit::default();
+            return None;
         }
         let input = op.input;
         self.live.retain(|&d| d != data.0);
-        let freed = self.release(input);
-        let orphan_freed = self.orphans.remove(&data.0) && !self.pins.contains(&data.0);
-        if orphan_freed {
-            let at = data.0 as usize;
-            self.datasets[at] = self.datasets[at].reclaimed();
-        }
-        Commit { completed: true, freed, orphan_freed }
+        let mut freed = Vec::new();
+        self.entries.get_mut(&input.0).expect("a read dataset has an entry").readers -= 1;
+        self.collect(input, &mut freed);
+        self.collect(data, &mut freed);
+        Some(freed)
     }
 
-    /// One more incomplete op reads `input`.
+    /// One more incomplete op reads `input`, which releases it.
     fn read(&mut self, input: DataId) {
-        self.consumers[input.0 as usize] += 1;
-        self.orphans.remove(&input.0);
+        let e = self.entries.get_mut(&input.0).expect("a read dataset has an entry");
+        e.readers += 1;
+        e.holder = e.holder.max(Holder::Released);
     }
 
-    /// Lifetime GC: a completed op no longer needs `input`; when it was
-    /// the last registered consumer, reclaim the dataset — unless the
-    /// driver pinned it, or it is not complete yet (an orphan, reclaimed
-    /// when it is). Sources are exempt: real Mrs re-reads job input
-    /// from the filesystem, so keeping splits means every lineage bottoms
-    /// out in data that is still there. Only an explicit discard frees
-    /// them.
-    fn release(&mut self, input: DataId) -> Option<DataId> {
-        let at = input.0 as usize;
-        self.consumers[at] -= 1;
-        if self.consumers[at] > 0 || self.pins.contains(&input.0) {
-            return None;
+    /// The lifetime rule: a released dataset with no reader is freed once
+    /// it is complete. Sources are pinned until discarded: real Mrs
+    /// re-reads job input from the filesystem, so every lineage bottoms
+    /// out in data the driver still holds.
+    fn collect(&mut self, data: DataId, freed: &mut Freed) {
+        let Some(e) = self.entries.get(&data.0) else { return };
+        let lineage = match &e.ds {
+            _ if e.holder != Holder::Released || e.readers > 0 => return,
+            Ds::Op(op) if op.complete() => Some(op.lineage()),
+            Ds::Source(_) => None,
+            _ => return,
+        };
+        freed.push((data, lineage.is_none()));
+        match lineage.filter(|l| self.entries.contains_key(&l.input.0)) {
+            Some(l) => self.entries.get_mut(&data.0).expect("collected").ds = Ds::Lineage(l),
+            None => self.forget(data),
         }
-        match &self.datasets[at] {
-            Ds::Op(op) if op.complete() => {}
-            Ds::Op(_) => {
-                self.orphans.insert(input.0);
-                return None;
+    }
+
+    /// Drop `data`'s entry and every lineage entry that can only be
+    /// rebuilt through it. A reader's id is above its input's, so one
+    /// ascending pass finds them all.
+    fn forget(&mut self, data: DataId) {
+        self.entries.remove(&data.0);
+        let mut gone = vec![data.0];
+        for (&d, e) in self.entries.range(data.0..) {
+            if matches!(e.ds, Ds::Lineage(l) if gone.binary_search(&l.input.0).is_ok()) {
+                gone.push(d);
             }
-            _ => return None,
         }
-        self.datasets[at] = self.datasets[at].reclaimed();
-        Some(input)
+        self.entries.retain(|d, _| gone.binary_search(d).is_err());
     }
 
-    /// Op `data` is incomplete again: it holds its input against GC and
-    /// `runnable` walks it.
+    /// Op `data` is incomplete again: it reads its input and `runnable`
+    /// walks it.
     fn relive(&mut self, data: DataId, input: DataId) {
         self.read(input);
         let at = self.live.partition_point(|&d| d < data.0);
@@ -314,13 +317,13 @@ impl<O: Clone, X: Default> Plan<O, X> {
     }
 
     /// The fault path: the committed output of a task was lost, so the
-    /// task is pending again and its op, incomplete again, re-registers
-    /// as a consumer of its input. An input reclaimed meanwhile is rebuilt
-    /// from its lineage — stage resubmission: its op is revived whole
-    /// (every task pending, live again, a consumer of its own input
-    /// again), and so on down the chain to a dataset that still holds
-    /// data. Errs, changing nothing, only when that chain ends at a
-    /// discarded source. Returns whether the op was complete before.
+    /// task is pending again and its op, incomplete again, reads its input
+    /// again. An input freed meanwhile is rebuilt from its lineage — stage
+    /// resubmission: its op is revived whole (every task pending, live
+    /// again, a reader of its own input again), and so on down the chain
+    /// to a dataset that still holds data. Errs, changing nothing, only
+    /// when that chain ends at a dataset the plan forgot. Returns whether
+    /// the op was complete before.
     pub fn reopen(&mut self, data: DataId, index: usize) -> Result<bool> {
         let (input, was_complete) = match self.at(data) {
             Some(op) if op.tasks.get(index).is_some_and(|t| t.out.is_some()) => {
@@ -328,80 +331,68 @@ impl<O: Clone, X: Default> Plan<O, X> {
             }
             _ => return Err(Error::Invalid(format!("no committed task {index} of {data:?}"))),
         };
-        let mut revive = Vec::new();
-        let mut at = input;
-        while let Ds::Discarded(lineage) = self.datasets[at.0 as usize] {
-            let Some(lineage) = lineage else {
-                return Err(Error::MissingData(format!(
-                    "task input (dataset {}) was reclaimed and its lineage ends at \
-                     discarded source {}",
-                    input.0, at.0
-                )));
-            };
+        let (mut revive, mut at) = (Vec::new(), input);
+        while let Some(ds) = self.ds(at) {
+            let Ds::Lineage(lineage) = *ds else { break };
             revive.push((at, lineage));
             at = lineage.input;
         }
+        if !self.entries.contains_key(&at.0) {
+            return Err(Error::MissingData(format!(
+                "task input (dataset {}) was reclaimed and its lineage ends at discarded source {}",
+                input.0, at.0
+            )));
+        }
         for (d, Lineage { spec, input, tasks }) in revive {
-            self.datasets[d.0 as usize] = Ds::Op(Op::new(spec, input, tasks));
+            self.entries.get_mut(&d.0).expect("revived").ds = Ds::Op(Op::new(spec, input, tasks));
             self.relive(d, input);
         }
         if was_complete {
             self.relive(data, input);
         }
-        let Some(Ds::Op(op)) = self.datasets.get_mut(data.0 as usize) else { unreachable!() };
+        let Some(Ds::Op(op)) = self.entries.get_mut(&data.0).map(|e| &mut e.ds) else {
+            unreachable!()
+        };
         op.tasks[index].out = None;
         op.done -= 1;
         op.open = op.open.min(index);
         Ok(was_complete)
     }
 
-    /// Pin a dataset against lifetime GC until it is discarded.
+    /// Pin a dataset against the lifetime rule until it is discarded.
     pub fn keep(&mut self, data: DataId) {
-        self.pins.insert(data.0);
+        self.entries.entry(data.0).and_modify(|e| e.holder = Holder::Pinned);
     }
 
-    /// Reclaim a complete dataset on the driver's word, returning what it
-    /// held. Advisory: refused (`None`) while a queued consumer still
-    /// needs the data — its tasks would never become ready.
-    pub fn discard(&mut self, data: DataId) -> Option<Ds<O, X>> {
-        let at = data.0 as usize;
-        if *self.consumers.get(at)? > 0 {
-            return None;
-        }
-        self.pins.remove(&data.0);
-        let slot = &mut self.datasets[at];
-        let spent = match slot {
-            Ds::Source(_) => true,
-            Ds::Op(op) => op.complete(),
-            Ds::Loading | Ds::Discarded(_) => false,
-        };
-        spent.then(|| {
-            let gone = slot.reclaimed();
-            std::mem::replace(slot, gone)
-        })
+    /// The driver is done with a dataset: release it, pin included. It is
+    /// freed now, or once it is complete and its last queued reader has
+    /// completed. Never refused.
+    pub fn discard(&mut self, data: DataId) -> Freed {
+        let mut freed = Vec::new();
+        self.entries.entry(data.0).and_modify(|e| e.holder = Holder::Released);
+        self.collect(data, &mut freed);
+        freed
     }
 
-    /// Is the dataset fully materialized (or gone)? What `wait` sleeps on.
+    /// Is the dataset fully materialized (or gone)?
     pub fn complete(&self, data: DataId) -> Result<bool> {
-        match self.datasets.get(data.0 as usize) {
-            None => Err(Error::MissingData(format!("dataset {data:?}"))),
+        match self.ds(data) {
+            None if data.0 >= self.next => Err(self.missing(data, "")),
             Some(Ds::Loading) => Ok(false),
             Some(Ds::Op(op)) => Ok(op.complete()),
-            Some(Ds::Source(_) | Ds::Discarded(_)) => Ok(true),
+            _ => Ok(true),
         }
     }
 
     /// Is the dataset complete, and so is every op it was computed from
-    /// that still holds data? What `wait` sleeps on. A task granted ahead
-    /// of its inputs (`master/core.rs`) reads its producer's output before
-    /// the producer's report lands, so a consumer can complete first; until
-    /// the producer completes it still holds its own input, and a driver
-    /// that discarded its datasets then would leave that input live.
+    /// that still holds data? What `wait` sleeps on: a task granted ahead
+    /// of its inputs (`master/core.rs`) can complete before its producer,
+    /// which until then still holds its own input.
     pub fn settled(&self, data: DataId) -> Result<bool> {
         let mut at = data;
         while self.complete(at)? {
-            match &self.datasets[at.0 as usize] {
-                Ds::Op(op) => at = op.input,
+            match self.ds(at) {
+                Some(Ds::Op(op)) => at = op.input,
                 _ => return Ok(true),
             }
         }
@@ -410,26 +401,23 @@ impl<O: Clone, X: Default> Plan<O, X> {
 
     /// Every committed piece of a dataset, in split order.
     pub fn outputs(&self, data: DataId) -> Result<Vec<O>> {
-        match self.datasets.get(data.0 as usize) {
-            None => Err(Error::MissingData(format!("dataset {data:?}"))),
+        match self.ds(data) {
             Some(Ds::Source(splits)) => Ok(splits.clone()),
             Some(Ds::Op(op)) => {
                 Ok(op.tasks.iter().filter_map(Task::out).flatten().cloned().collect())
             }
-            Some(Ds::Loading | Ds::Discarded(_)) => {
-                Err(Error::MissingData(format!("dataset {data:?} was discarded")))
-            }
+            _ => Err(self.missing(data, " was discarded")),
         }
     }
 
-    /// Every dataset ever created, by id.
-    pub fn datasets(&self) -> &[Ds<O, X>] {
-        &self.datasets
+    /// How many datasets the plan holds an entry for, lineage included.
+    pub fn entries(&self) -> usize {
+        self.entries.len()
     }
 
-    /// The op producing `data`, if it is an op and not reclaimed.
+    /// The op producing `data`, if it is an op and not freed.
     pub fn at(&self, data: DataId) -> Option<&Op<O, X>> {
-        match self.datasets.get(data.0 as usize) {
+        match self.ds(data) {
             Some(Ds::Op(op)) => Some(op),
             _ => None,
         }
@@ -437,42 +425,39 @@ impl<O: Clone, X: Default> Plan<O, X> {
 
     /// The executor's state of one task.
     pub fn x_mut(&mut self, data: DataId, index: usize) -> Option<&mut X> {
-        match self.datasets.get_mut(data.0 as usize) {
+        match self.entries.get_mut(&data.0).map(|e| &mut e.ds) {
             Some(Ds::Op(op)) => op.tasks.get_mut(index).map(|t| &mut t.x),
             _ => None,
         }
     }
 
-    /// Every task of every op not reclaimed, complete or not — what a
-    /// dead slave's requeue walks: its id, whether it is committed, and its
+    /// Every task of every op not freed, complete or not — what a dead
+    /// slave's requeue walks: its id, whether it is committed, and its
     /// executor state.
     pub fn xs_mut(&mut self) -> impl Iterator<Item = (DataId, usize, bool, &mut X)> + '_ {
-        self.datasets.iter_mut().enumerate().flat_map(|(d, ds)| {
-            let tasks = match ds {
-                Ds::Op(op) => op.tasks.as_mut_slice(),
-                _ => &mut [],
-            };
-            let at = DataId(d as u32);
+        self.entries.iter_mut().flat_map(|(&d, e)| {
+            let tasks = if let Ds::Op(op) = &mut e.ds { op.tasks.as_mut_slice() } else { &mut [] };
+            let at = DataId(d);
             tasks.iter_mut().enumerate().map(move |(i, t)| (at, i, t.out.is_some(), &mut t.x))
         })
     }
 
     /// The task with a committed output piece that `holds`, if any.
     pub fn producer(&self, holds: impl Fn(&O) -> bool) -> Option<(DataId, usize)> {
-        self.datasets.iter().enumerate().find_map(|(d, ds)| {
-            let Ds::Op(op) = ds else { return None };
+        self.entries.iter().find_map(|(&d, e)| {
+            let Ds::Op(op) = &e.ds else { return None };
             let i =
                 op.tasks.iter().position(|t| t.out().is_some_and(|out| out.iter().any(&holds)))?;
-            Some((DataId(d as u32), i))
+            Some((DataId(d), i))
         })
     }
 
-    /// One row per dataset not reclaimed, for a status page; `busy` says
-    /// which tasks are running.
+    /// One row per dataset that holds or will hold data, for a status
+    /// page; `busy` says which tasks are running.
     pub fn rows(&self, busy: impl Fn(&X) -> bool) -> Vec<Row> {
-        let row = |(d, ds): (usize, &Ds<O, X>)| {
-            let (op, total, done, running) = match ds {
-                Ds::Discarded(_) => return None,
+        let row = |(&d, e): (&u32, &Entry<O, X>)| {
+            let (op, total, done, running) = match &e.ds {
+                Ds::Lineage(_) => return None,
                 Ds::Loading => (None, 0, 0, 0),
                 Ds::Source(splits) => (None, splits.len(), 0, 0),
                 Ds::Op(op) => {
@@ -480,15 +465,25 @@ impl<O: Clone, X: Default> Plan<O, X> {
                     (Some(trace_op(&op.spec).as_str()), op.tasks.len(), op.done, running)
                 }
             };
-            let (pinned, orphan) =
-                (self.pins.contains(&(d as u32)), self.orphans.contains(&(d as u32)));
-            Some(Row { data: d, op, total, done, running, pinned, orphan })
+            let (pinned, doomed) = (e.holder == Holder::Pinned, e.holder == Holder::Released);
+            let doomed = doomed && e.readers == 0;
+            Some(Row { data: d as usize, op, total, done, running, pinned, doomed })
         };
-        self.datasets.iter().enumerate().filter_map(row).collect()
+        self.entries.iter().filter_map(row).collect()
     }
 }
 
-/// A dataset not reclaimed, as a status page shows it.
+/// [`Plan::ready`] given the op's input, looked up once per op.
+fn ready_over<O, X>(input: Option<&Ds<O, X>>, op: &Op<O, X>, index: usize) -> bool {
+    match input {
+        Some(Ds::Source(_)) => true,
+        Some(Ds::Op(input)) if op.spec.gathers() => input.complete(),
+        Some(Ds::Op(input)) => input.tasks[index].out.is_some(),
+        _ => false,
+    }
+}
+
+/// A dataset holding or computing data, as a status page shows it.
 pub(crate) struct Row {
     pub data: usize,
     /// Its op's name; `None` for a source.
@@ -497,9 +492,10 @@ pub(crate) struct Row {
     pub total: usize,
     pub done: usize,
     pub running: usize,
-    /// Pinned by `keep`; an orphan, reclaimed when it completes.
+    /// Pinned by `keep`, or a source not yet discarded.
     pub pinned: bool,
-    pub orphan: bool,
+    /// Released with no reader left: freed once it completes.
+    pub doomed: bool,
 }
 
 #[cfg(test)]
@@ -529,14 +525,14 @@ mod tests {
     }
 
     /// Commit task `index` of `data` with as many pieces as its op makes.
-    fn finish(plan: &mut TestPlan, data: DataId, index: usize) -> Commit {
+    fn finish(plan: &mut TestPlan, data: DataId, index: usize) -> Option<Freed> {
         let pieces = plan.at(data).expect("an op").spec.parts().unwrap_or(1);
         plan.commit(data, index, (0..pieces).map(|p| (data.0, index, p)).collect())
     }
 
-    /// The commit of an op's last task, freeing nothing.
-    fn done() -> Commit {
-        Commit { completed: true, ..Commit::default() }
+    /// The commit of an op's last task, freeing `freed`.
+    fn done(freed: &[(DataId, bool)]) -> Option<Freed> {
+        Some(freed.to_vec())
     }
 
     fn runnable(plan: &TestPlan) -> Vec<(DataId, usize)> {
@@ -562,7 +558,7 @@ mod tests {
         assert_eq!(plan.input(m2, 1), [(r.0, 1, 0)]);
         // A task is yielded until committed, then never again.
         finish(&mut plan, m2, 1);
-        assert_eq!(finish(&mut plan, m2, 1), Commit::default(), "a second commit is ignored");
+        assert_eq!(finish(&mut plan, m2, 1), None, "a second commit is ignored");
         assert_eq!(runnable(&plan), [(r, 0)]);
     }
 
@@ -574,8 +570,9 @@ mod tests {
         let r = plan.op(reduce(), m).unwrap();
         let loading = plan.reserve();
         let gone = source(&mut plan, 1);
-        assert!(plan.discard(gone).is_some());
-        let datasets = plan.datasets().len();
+        assert_eq!(plan.discard(gone), [(gone, true)]);
+        let entries = plan.entries();
+        assert_eq!(entries, 4, "the source, the map, the reduce and the loading source");
         for (spec, input, says) in [
             (reduce(), src, "reduce must consume a map output"),
             (fused(2), src, "reducemap must consume a map output"),
@@ -592,30 +589,48 @@ mod tests {
             let got = plan.op(spec, input).expect_err("a malformed plan").to_string();
             assert!(got.contains(says), "{spec:?} over {input:?}: {got}");
         }
-        assert_eq!(plan.datasets().len(), datasets, "a rejected op queues nothing");
-        assert_eq!(runnable(&plan), [(m, 0)], "and registers no consumer");
+        let got = plan.op(map(1), DataId(99)).expect_err("never made").to_string();
+        assert!(!got.contains("discarded"), "{got}");
+        assert_eq!(plan.entries(), entries, "a rejected op queues nothing");
+        assert_eq!(runnable(&plan), [(m, 0)], "and registers no reader");
     }
 
+    /// A discard is never refused. While a queued reader still needs the
+    /// data it is deferred: the reader's tasks stay ready until they
+    /// complete, and the last one to complete frees the data.
     #[test]
-    fn discard_is_refused_while_a_queued_consumer_needs_the_data() {
+    fn a_discard_while_a_queued_reader_needs_the_data_frees_it_after_the_reader() {
         let mut plan = TestPlan::new();
         let src = source(&mut plan, 1);
         let m1 = plan.op(map(1), src).unwrap();
+        assert_eq!(plan.discard(src), [], "m1 reads it");
         let r1 = plan.op(reduce(), m1).unwrap();
-        assert!(plan.discard(m1).is_none(), "incomplete, and r1 reads it");
-        finish(&mut plan, m1, 0);
-        finish(&mut plan, r1, 0);
-        // A second round is queued over r1; discarding r1 now would leave
-        // its tasks unready forever.
+        assert_eq!(plan.discard(m1), [], "incomplete, and r1 reads it");
+        assert_eq!(runnable(&plan), [(m1, 0)]);
+        assert_eq!(finish(&mut plan, m1, 0), done(&[(src, true)]), "a source, freed by its map");
+        assert_eq!(runnable(&plan), [(r1, 0)]);
+        assert_eq!(finish(&mut plan, r1, 0), done(&[(m1, false)]));
+        // A second round is queued over r1 and r1 is discarded at once.
         let m2 = plan.op(map(1), r1).unwrap();
-        assert!(plan.discard(r1).is_none());
+        assert_eq!(plan.discard(r1), []);
         assert_eq!(runnable(&plan), [(m2, 0)]);
-        assert_eq!(finish(&mut plan, m2, 0), Commit { completed: true, freed: Some(r1), ..done() });
-        // Complete and unread: the driver's word is enough, once.
-        assert!(matches!(plan.discard(m2), Some(Ds::Op(_))));
-        assert!(plan.discard(m2).is_none());
+        assert_eq!(finish(&mut plan, m2, 0), done(&[(r1, false)]));
+        // Complete and unread: the driver's word frees it at once, and once.
+        assert_eq!(plan.discard(m2), [(m2, false)]);
+        assert_eq!(plan.discard(m2), []);
         assert!(plan.outputs(m2).is_err() && plan.complete(m2).unwrap());
-        assert!(matches!(plan.discard(src), Some(Ds::Source(_))), "only a discard frees a source");
+        // An op discarded before it completes, with no reader, is freed
+        // when it does.
+        let src = source(&mut plan, 1);
+        let m = plan.op(map(1), src).unwrap();
+        let r = plan.op(reduce(), m).unwrap();
+        assert_eq!(plan.discard(r), []);
+        assert_eq!(finish(&mut plan, m, 0), done(&[]));
+        assert_eq!(finish(&mut plan, r, 0), done(&[(m, false), (r, false)]));
+        assert_eq!(plan.entries(), 3, "the source and what can be rebuilt from it");
+        assert_eq!(plan.discard(src), [(src, true)]);
+        assert_eq!(plan.entries(), 0, "with the source, its lineage goes");
+        assert!(plan.complete(r).unwrap() && plan.settled(r).unwrap());
     }
 
     #[test]
@@ -627,10 +642,14 @@ mod tests {
         plan.keep(r1);
         let m2 = plan.op(map(1), r1).unwrap();
         finish(&mut plan, m1, 0);
-        assert_eq!(finish(&mut plan, r1, 0).freed, Some(m1), "unpinned: freed by its reader");
-        assert_eq!(finish(&mut plan, m2, 0), Commit { completed: true, freed: None, ..done() });
+        assert_eq!(
+            finish(&mut plan, r1, 0).unwrap(),
+            [(m1, false)],
+            "unpinned: freed by its reader"
+        );
+        assert_eq!(finish(&mut plan, m2, 0), done(&[]));
         assert_eq!(plan.outputs(r1).unwrap(), [(r1.0, 0, 0)]);
-        assert!(plan.discard(r1).is_some(), "an explicit discard releases the pin");
+        assert_eq!(plan.discard(r1), [(r1, false)], "an explicit discard releases the pin");
         assert!(plan.outputs(r1).is_err());
     }
 
@@ -650,28 +669,32 @@ mod tests {
             let m2 = plan.op(map(1), r1).unwrap();
             finish(&mut plan, m1, 0);
             finish(&mut plan, r1, 0);
-            assert_eq!(finish(&mut plan, r1, 1).freed, Some(m1));
+            assert_eq!(finish(&mut plan, r1, 1).unwrap(), [(m1, false)]);
             finish(&mut plan, m2, 0);
-            let first = finish(&mut plan, m2, 1);
-            assert_eq!(first, Commit { completed: true, freed: Some(r1), ..done() });
+            assert_eq!(finish(&mut plan, m2, 1), done(&[(r1, false)]));
             // m2's split 0 is lost: r1 and m1 are rebuilt whole.
             assert!(plan.reopen(m2, 0).unwrap());
             assert_eq!(runnable(&plan), [(m1, 0)]);
             finish(&mut plan, m1, 0);
             finish(&mut plan, r1, 0);
             assert_eq!(runnable(&plan), [(r1, 1), (m2, 0)], "split 0 is all m2 reads");
-            assert_eq!(finish(&mut plan, m2, 0), done(), "{then}: r1 is incomplete, not freed");
+            assert_eq!(finish(&mut plan, m2, 0), done(&[]), "{then}: r1 is incomplete, not freed");
             match then {
                 "another loss" => assert!(plan.reopen(m2, 1).unwrap()),
                 "a pin" => plan.keep(r1),
                 _ => {}
             }
             let last = finish(&mut plan, r1, 1);
-            let orphan_freed = then == "nothing";
-            assert_eq!(last, Commit { completed: true, freed: Some(m1), orphan_freed }, "{then}");
-            assert_eq!(plan.outputs(r1).is_err(), orphan_freed, "{then}");
+            let itself = then == "nothing";
+            let freed = [(m1, false), (r1, false)];
+            assert_eq!(last, done(&freed[..1 + usize::from(itself)]), "{then}");
+            assert_eq!(plan.outputs(r1).is_err(), itself, "{then}");
             if then == "another loss" {
-                assert_eq!(finish(&mut plan, m2, 1).freed, Some(r1), "freed by its new reader");
+                assert_eq!(
+                    finish(&mut plan, m2, 1),
+                    done(&[(r1, false)]),
+                    "freed by its new reader"
+                );
             }
             assert_eq!(plan.live_ops().count(), 0);
         }
@@ -691,7 +714,7 @@ mod tests {
         assert_eq!(runnable(&plan), [(m, 1)]);
         assert_eq!(plan.live_ops().map(|(d, _)| d).collect::<Vec<_>>(), [m, r], "oldest first");
         finish(&mut plan, m, 1);
-        assert_eq!(finish(&mut plan, r, 0), Commit { completed: true, freed: Some(m), ..done() });
+        assert_eq!(finish(&mut plan, r, 0), done(&[(m, false)]));
         // The reduce's output is lost after its input was reclaimed: the
         // map is rebuilt from its lineage, whole, and the barrier holds
         // the reduce until it is.
@@ -699,21 +722,25 @@ mod tests {
         assert_eq!(plan.live_ops().map(|(d, _)| d).collect::<Vec<_>>(), [m, r]);
         assert_eq!(runnable(&plan), [(m, 0), (m, 1)], "every task of the revived map");
         assert_eq!(plan.input(m, 1), [(src.0, 1, 0)]);
-        assert!(plan.discard(m).is_none() && plan.discard(src).is_none(), "both are read again");
+        assert_eq!(plan.discard(m), [], "read again: freed once its reader completes");
         finish(&mut plan, m, 0);
         assert_eq!(runnable(&plan), [(m, 1)]);
         finish(&mut plan, m, 1);
         assert_eq!(plan.input(r, 0), [(m.0, 0, 0), (m.0, 1, 0)]);
-        let again = finish(&mut plan, r, 0);
-        let once_more = Commit { completed: true, freed: Some(m), ..done() };
-        assert_eq!(again, once_more, "freed once more, once read");
+        assert_eq!(finish(&mut plan, r, 0), done(&[(m, false)]), "freed once more, once read");
         // Only a lineage that ends at a discarded source cannot be rebuilt,
-        // and then nothing changes.
-        assert!(plan.discard(src).is_some());
+        // and then nothing changes. The plan forgot the source and the
+        // lineage through it: the chain ends where its entries do.
+        assert_eq!(plan.discard(src), [(src, true)]);
+        assert_eq!(plan.entries(), 1, "only the reduce's data is left");
         let err = plan.reopen(r, 0).expect_err("the source is gone").to_string();
-        assert!(err.contains("discarded source 0"), "{err}");
+        let says =
+            format!("(dataset {}) was reclaimed and its lineage ends at discarded source", m.0);
+        assert!(err.contains(&says), "{err}");
         assert!(plan.complete(r).unwrap() && plan.live_ops().next().is_none());
         assert!(plan.outputs(m).is_err() && plan.outputs(r).is_ok());
+        assert_eq!(plan.discard(r), [(r, false)]);
+        assert_eq!(plan.entries(), 0);
     }
 
     /// What the test knows about one dataset, written down beside the plan
@@ -726,18 +753,18 @@ mod tests {
         /// Pieces per task when the output is map-like.
         parts: Option<usize>,
         done: Vec<bool>,
+        /// A source, or passed to `keep`, and not discarded since.
         kept: bool,
-        /// Reclaimed, by GC or by a discard.
+        /// Read by some op, or discarded.
+        released: bool,
+        /// Freed, at a commit or by a discard.
         gone: bool,
         /// Incomplete ops reading it.
         readers: usize,
         /// Times it was created or rebuilt from its lineage.
         lives: usize,
-        /// Times it was reclaimed, by GC or by a discard.
+        /// Times it was freed.
         freed: usize,
-        /// Its last reader completed before it did: reclaimed once it
-        /// completes.
-        orphaned: bool,
     }
 
     impl Shadow {
@@ -748,11 +775,11 @@ mod tests {
                 parts: spec.and_then(|s| s.parts()),
                 done: vec![spec.is_none(); tasks],
                 kept,
+                released: false,
                 gone: false,
                 readers: 0,
                 lives: 1,
                 freed: 0,
-                orphaned: false,
             }
         }
 
@@ -775,6 +802,39 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The lifetime rule over the shadows: a released dataset, not kept,
+    /// with no reader, is freed once it is complete.
+    fn collect(shadows: &mut [Shadow], d: usize, freed: &mut Freed) {
+        let s = &mut shadows[d];
+        if !s.gone && s.released && !s.kept && s.readers == 0 && s.complete() {
+            s.gone = true;
+            s.freed += 1;
+            freed.push((DataId(d as u32), s.input.is_none()));
+        }
+    }
+
+    /// A freed dataset is rebuilt from data that still exists down its
+    /// chain of freed ops; a freed source ends the chain.
+    fn rebuildable(shadows: &[Shadow], mut at: usize) -> bool {
+        while shadows[at].gone {
+            let Some(next) = shadows[at].input else { return false };
+            at = next;
+        }
+        true
+    }
+
+    /// Entries the plan should hold: every dataset not freed, and every
+    /// freed op that can still be rebuilt.
+    fn expected_entries(shadows: &[Shadow]) -> usize {
+        (0..shadows.len()).filter(|&d| rebuildable(shadows, d)).count()
+    }
+
+    /// One more incomplete op reads `input`.
+    fn read(shadows: &mut [Shadow], input: usize) {
+        shadows[input].readers += 1;
+        shadows[input].released = true;
     }
 
     #[derive(Clone, Debug)]
@@ -802,9 +862,13 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(2048))]
 
         /// Any committed task may lose its output at any point — also one
-        /// whose input GC already reclaimed, which the shadows rebuild
-        /// whole from lineage — and the graph still drains: `live` empty,
-        /// every life of every dataset ended by exactly one free.
+        /// whose input was freed, which the shadows rebuild whole from
+        /// lineage — and a discard may come at any point, before the data
+        /// is complete or while readers still need it. The graph still
+        /// drains: `live` empty, every life of every dataset ended by
+        /// exactly one free, and the plan holds an entry only for what
+        /// holds data or can still be rebuilt — none at all once every
+        /// dataset is discarded.
         #[test]
         fn random_graphs_obey_the_barrier_and_free_every_spent_dataset_once(
             splits in 1usize..4,
@@ -813,36 +877,22 @@ mod tests {
         ) {
             let mut plan = TestPlan::new();
             source(&mut plan, splits);
-            let mut shadows = vec![Shadow::new(None, None, splits, false)];
+            let mut shadows = vec![Shadow::new(None, None, splits, true)];
             // Apply one commit to the plan and to the shadows, and check
-            // that lifetime GC freed exactly what the shadows say is spent.
+            // that the lifetime rule freed exactly what the shadows say.
             let commit = |plan: &mut TestPlan, shadows: &mut Vec<Shadow>, (d, i): (DataId, usize)| {
                 let got = finish(plan, d, i);
                 let at = d.0 as usize;
                 shadows[at].done[i] = true;
                 let completed = shadows[at].complete();
-                let (mut freed, mut orphan_freed) = (None, false);
+                let mut freed = Vec::new();
                 if completed {
                     let input = shadows[at].input.expect("an op");
-                    let s = &mut shadows[input];
-                    s.readers -= 1;
-                    if s.readers == 0 && s.input.is_some() && !s.kept {
-                        if s.complete() {
-                            s.gone = true;
-                            s.freed += 1;
-                            freed = Some(DataId(input as u32));
-                        } else {
-                            s.orphaned = true;
-                        }
-                    }
-                    let s = &mut shadows[at];
-                    if std::mem::take(&mut s.orphaned) && !s.kept {
-                        s.gone = true;
-                        s.freed += 1;
-                        orphan_freed = true;
-                    }
+                    shadows[input].readers -= 1;
+                    collect(shadows, input, &mut freed);
+                    collect(shadows, at, &mut freed);
                 }
-                (got, Commit { completed, freed, orphan_freed })
+                (got, completed.then_some(freed))
             };
             for step in &steps {
                 match *step {
@@ -865,8 +915,7 @@ mod tests {
                             None => shadows[input].done.len(),
                         };
                         prop_assert_eq!(plan.at(id).unwrap().tasks().len(), tasks);
-                        shadows[input].readers += 1;
-                        shadows[input].orphaned = false;
+                        read(&mut shadows, input);
                         shadows.push(Shadow::new(Some(input), Some(spec), tasks, keep));
                         if keep {
                             plan.keep(id);
@@ -891,49 +940,43 @@ mod tests {
                         }
                         let (d, i) = committed[pick % committed.len()];
                         // Down the lineage to data that still exists: every
-                        // reclaimed op on the way is rebuilt; a reclaimed
-                        // source cannot be.
+                        // freed op on the way is rebuilt; a freed source
+                        // cannot be.
                         let input = shadows[d].input.expect("an op");
-                        let (mut chain, mut at) = (Vec::new(), input);
-                        while shadows[at].gone {
-                            chain.push(at);
-                            match shadows[at].input {
-                                Some(next) => at = next,
-                                None => break,
-                            }
-                        }
-                        let rebuilt = !shadows[at].gone;
+                        let rebuilt = rebuildable(&shadows, input);
                         let was_complete = shadows[d].complete();
                         let got = plan.reopen(DataId(d as u32), i).ok();
                         prop_assert_eq!(got, rebuilt.then_some(was_complete), "reopen of {:?}", (d, i));
                         if rebuilt {
-                            for r in chain {
-                                let s = &mut shadows[r];
+                            let mut at = input;
+                            while shadows[at].gone {
+                                let s = &mut shadows[at];
                                 s.gone = false;
                                 s.lives += 1;
                                 s.done.fill(false);
-                                let read = s.input.expect("only an op has a lineage");
-                                shadows[read].readers += 1;
-                                shadows[read].orphaned = false;
+                                let read_at = s.input.expect("only an op has a lineage");
+                                read(&mut shadows, read_at);
+                                at = read_at;
                             }
                             if was_complete {
-                                shadows[input].readers += 1;
-                                shadows[input].orphaned = false;
+                                read(&mut shadows, input);
                             }
                             shadows[d].done[i] = false;
                         }
                     }
                     Step::Discard(pick) => {
+                        // Never refused: freed now, or deferred until the
+                        // data is complete and its readers are done.
                         let d = pick % shadows.len();
-                        let s = &mut shadows[d];
-                        let spent = !s.gone && s.readers == 0 && s.complete();
-                        prop_assert_eq!(plan.discard(DataId(d as u32)).is_some(), spent);
-                        s.kept &= s.readers > 0;
-                        s.gone |= spent;
-                        s.freed += usize::from(spent);
+                        shadows[d].kept = false;
+                        shadows[d].released = true;
+                        let mut freed = Vec::new();
+                        collect(&mut shadows, d, &mut freed);
+                        prop_assert_eq!(plan.discard(DataId(d as u32)), freed, "discard of {}", d);
                     }
                 }
                 prop_assert_eq!(runnable(&plan), expected_runnable(&shadows), "after {:?}", step);
+                prop_assert_eq!(plan.entries(), expected_entries(&shadows), "after {:?}", step);
             }
             // Run what is left to the end, in an arbitrary order.
             for turn in 0.. {
@@ -955,6 +998,21 @@ mod tests {
                 // it was freed.
                 prop_assert!(s.gone || s.kept || s.lives == 1, "dataset {} outlived: {:?}", d, s);
             }
+            // The driver discards everything, in an arbitrary order: every
+            // life is freed once, and the plan forgets every dataset.
+            let n = shadows.len();
+            for d in (0..n).map(|k| (k + drain[0]) % n) {
+                shadows[d].kept = false;
+                shadows[d].released = true;
+                let mut freed = Vec::new();
+                collect(&mut shadows, d, &mut freed);
+                prop_assert_eq!(plan.discard(DataId(d as u32)), freed, "discard of {}", d);
+                prop_assert_eq!(plan.entries(), expected_entries(&shadows));
+            }
+            for (d, s) in shadows.iter().enumerate() {
+                prop_assert_eq!(s.freed, s.lives, "dataset {}: {:?}", d, s);
+            }
+            prop_assert_eq!(plan.entries(), 0);
         }
     }
 }

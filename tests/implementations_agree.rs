@@ -360,12 +360,14 @@ impl mrs_fs::Store for CountingStore {
 }
 
 /// One job's raw output on every plane, each named, serial first; beside
-/// it the direct cluster's metrics and how many reads the shared-FS
-/// cluster's store served.
+/// it the direct cluster's metrics, how many reads the shared-FS
+/// cluster's store served, and the datasets each parallel plane still
+/// held live after the job.
 struct EveryPlane {
     outputs: Vec<(&'static str, Vec<Record>)>,
     direct: mrs_runtime::metrics::JobMetrics,
     shared_reads: u64,
+    live: Vec<(&'static str, u64)>,
 }
 
 /// Run `job` on serial, mock parallel, the pool, and 2-slave clusters on
@@ -377,9 +379,10 @@ fn on_every_plane(
     job: &dyn Fn(&mut Job) -> Vec<Record>,
 ) -> EveryPlane {
     let serial = job(&mut Job::new(&mut SerialRuntime::new(program())));
-    let spill = Arc::new(MemFs::new());
-    let mock = job(&mut Job::new(&mut LocalRuntime::mock_parallel(program(), spill)));
-    let pool = job(&mut Job::new(&mut LocalRuntime::pool(program(), 4)));
+    let mut mock_rt = LocalRuntime::mock_parallel(program(), Arc::new(MemFs::new()));
+    let mock = job(&mut Job::new(&mut mock_rt));
+    let mut pool_rt = LocalRuntime::pool(program(), 4);
+    let pool = job(&mut Job::new(&mut pool_rt));
     let cfg = MasterConfig {
         compress: CompressMode::Off,
         speculate: SpeculateMode::Off,
@@ -390,7 +393,8 @@ fn on_every_plane(
     let direct_metrics = cluster.metrics();
     let store = Arc::new(CountingStore::default());
     let plane = DataPlane::SharedFs(store.clone());
-    let shared = job(&mut Job::new(&mut LocalCluster::start(program(), 2, plane, cfg).unwrap()));
+    let mut shared_cluster = LocalCluster::start(program(), 2, plane, cfg).unwrap();
+    let shared = job(&mut Job::new(&mut shared_cluster));
     EveryPlane {
         outputs: vec![
             ("serial", serial),
@@ -399,8 +403,43 @@ fn on_every_plane(
             ("2-slave direct cluster", direct),
             ("2-slave shared-FS cluster", shared),
         ],
+        live: vec![
+            ("mock parallel", mock_rt.metrics().live_datasets()),
+            ("pool", pool_rt.metrics().live_datasets()),
+            ("2-slave direct cluster", direct_metrics.live_datasets()),
+            ("2-slave shared-FS cluster", shared_cluster.metrics().live_datasets()),
+        ],
         direct: direct_metrics,
         shared_reads: store.gets.load(Ordering::SeqCst) as u64,
+    }
+}
+
+/// A driver that discards each dataset as soon as its reader is queued —
+/// the source after its map, the map after its reduce, the result once it
+/// is fetched — gets serial's answer on every plane, and no plane holds a
+/// dataset live after it: each is freed once its reader completes.
+#[test]
+fn early_discards_are_byte_identical_and_free_everything_on_every_plane() {
+    let lines = sample_lines();
+    let input = lines_to_records(lines.iter().map(String::as_str));
+    let job = |job: &mut Job| {
+        let src = job.local_data(input.clone(), 4).unwrap();
+        let mapped = job.map_data(src, 0, 3, true).unwrap();
+        job.discard(src);
+        let reduced = job.reduce_data(mapped, 0).unwrap();
+        job.discard(mapped);
+        let out = job.fetch_all(reduced).unwrap();
+        job.discard(reduced);
+        out
+    };
+    let program = || -> Arc<dyn Program> { Arc::new(Simple(WordCount)) };
+    let planes = on_every_plane(&program, &job);
+    let (_, serial) = &planes.outputs[0];
+    for (plane, out) in &planes.outputs[1..] {
+        assert_eq!(out, serial, "{plane} vs serial");
+    }
+    for (plane, live) in &planes.live {
+        assert_eq!(*live, 0, "{plane}: datasets left live");
     }
 }
 

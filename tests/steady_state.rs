@@ -1,7 +1,9 @@
 //! A runtime that runs job after job returns to the same state after each
-//! one: a driver's one-shot jobs leave no dataset, no stored file, no
-//! source frame and no output behind, and the trace events the master
-//! holds stay within its bound however many jobs it has seen.
+//! one: a driver's one-shot jobs leave no dataset, no entry in the plan,
+//! no stored file, no source frame and no output behind — also when the
+//! driver discards each dataset as soon as its reader is queued — and the
+//! trace events the master holds stay within its bound however many jobs
+//! it has seen.
 
 use mrs::apps::wordcount::{lines_to_records, WordCount};
 use mrs::prelude::*;
@@ -14,6 +16,9 @@ use mrs_trace::{DEFAULT_CAPACITY, MASTER_PID};
 use std::sync::Arc;
 
 const JOBS: usize = 200;
+
+/// The soak: as many jobs as a long iterative run makes, on every plane.
+const SOAK_JOBS: usize = 1_000;
 
 /// Records of the larger job input: 40 WordCount lines (a PSO chain
 /// starts from 8 islands).
@@ -84,22 +89,40 @@ fn mixed() -> Arc<Mixed> {
     Arc::new(Mixed { wc: Simple(WordCount), pso: PsoProgram::new(config, 1) })
 }
 
-/// Run [`JOBS`] jobs on `rt`, alternating a WordCount and a 25-round
-/// fused PSO chain over 8 islands, each answer equal to the first of its kind; `check`
+/// A one-shot WordCount whose driver discards each dataset as soon as
+/// its reader is queued: the source after its map, the map after its
+/// reduce, the result after it is fetched. The runtime frees each once
+/// its reader completes.
+fn early_discards(job: &mut Job, input: Vec<Record>) -> Result<Vec<Record>> {
+    let src = job.local_data(input, 4)?;
+    let mapped = job.map_data(src, 0, 3, true)?;
+    job.discard(src);
+    let reduced = job.reduce_data(mapped, 0)?;
+    job.discard(mapped);
+    let out = job.fetch_all(reduced)?;
+    job.discard(reduced);
+    Ok(out)
+}
+
+/// Run `jobs` jobs on `rt`: every other one a 25-round fused PSO chain
+/// over 8 islands, between them a WordCount and a WordCount that discards
+/// early in turn, each answer equal to the first of its kind; `check`
 /// sees the runtime after each job.
-fn run_jobs<T: JobApi>(program: &Mixed, rt: &mut T, check: impl Fn(&T, usize)) {
+fn run_jobs<T: JobApi>(program: &Mixed, rt: &mut T, jobs: usize, check: impl Fn(&T, usize)) {
     let lines: Vec<String> =
         (0..INPUT_RECORDS).map(|i| format!("w{} w{} common", i % 7, i % 3)).collect();
     let records = || lines_to_records(lines.iter().map(String::as_str));
-    let mut answers: [Option<Vec<Record>>; 2] = [None, None];
-    for n in 0..JOBS {
+    let mut answers: [Option<Vec<Record>>; 3] = [None, None, None];
+    for n in 0..jobs {
         let mut job = Job::new(rt);
-        let answer = match n % 2 {
+        let kind = [0, 1, 2, 1][n % 4];
+        let answer = match kind {
             0 => job.map_reduce(records(), 4, 3, true),
-            _ => program.pso.run_islands(&mut job, 25, true),
+            1 => program.pso.run_islands(&mut job, 25, true),
+            _ => early_discards(&mut job, records()),
         };
         let answer = answer.unwrap_or_else(|e| panic!("job {n}: {e}"));
-        assert_eq!(answers[n % 2].get_or_insert_with(|| answer.clone()), &answer, "job {n}");
+        assert_eq!(answers[kind].get_or_insert_with(|| answer.clone()), &answer, "job {n}");
         check(rt, n);
     }
 }
@@ -117,35 +140,38 @@ fn assert_trace_bounded(cluster: &LocalCluster) {
     assert!(trace.dropped > 0, "no event was dropped: the bound went untested");
 }
 
-/// The master's `/status` page: every dataset it holds, each with its
-/// op, tasks done of total, and whether it is pinned or an orphan.
+/// The master's `/status` page: every dataset its plan holds data for,
+/// each with its op, tasks done of total, and whether it is pinned or
+/// freed once complete, and how many freed ops it keeps as lineage.
 fn status(cluster: &LocalCluster) -> String {
     let (_, status) = HttpClient::get(&cluster.http_authority(), "/status").unwrap();
     String::from_utf8(status).unwrap()
 }
 
-/// After every one of 200 jobs — WordCounts and fused PSO chains — on a
-/// pool, a 2-slave direct-plane cluster and a 2-slave shared-FS cluster,
-/// no dataset is live; the shared store holds no file and the direct
-/// master's `/status` lists no dataset; the records the runtime keeps to
-/// write the next answer into are at most one job's input; and the
-/// master's trace stays within its bound.
-#[test]
-fn every_job_leaves_the_runtime_as_it_found_it() {
+/// After every one of `jobs` jobs — WordCounts, fused PSO chains and
+/// WordCounts that discard early — on a pool, a 2-slave direct-plane
+/// cluster and a 2-slave shared-FS cluster, no dataset is live and the
+/// plan holds no entry (the pool's count, the masters' `/status`); the
+/// shared store holds no file; the records the runtime keeps to write the
+/// next answer into are at most one job's input; and the master's trace
+/// stays within its bound.
+fn every_plane_returns_to_empty(jobs: usize) {
+    const EMPTY: &str = "\ndatasets: 0 live, 0 lineage\n";
     let program = mixed();
     let mut pool = LocalRuntime::pool(program.clone(), 2);
-    run_jobs(&program, &mut pool, |pool, n| {
+    run_jobs(&program, &mut pool, jobs, |pool, n| {
         assert_eq!(pool.metrics().live_datasets(), 0, "pool, job {n}");
+        assert_eq!(pool.plan_entries(), 0, "pool, job {n}");
         assert!(pool.stock_records() <= INPUT_RECORDS, "pool, job {n}");
     });
 
     let cfg = MasterConfig::default();
     let mut direct = LocalCluster::start(program.clone(), 2, DataPlane::Direct, cfg).unwrap();
-    run_jobs(&program, &mut direct, |cluster, n| {
+    run_jobs(&program, &mut direct, jobs, |cluster, n| {
         let live = cluster.metrics().live_datasets();
         assert_eq!(live, 0, "direct, job {n}: {}", status(cluster));
         let status = status(cluster);
-        assert!(status.contains("\ndatasets: 0 live,"), "direct, job {n}: {status}");
+        assert!(status.contains(EMPTY), "direct, job {n}: {status}");
         assert!(cluster.stock_records() <= INPUT_RECORDS, "direct, job {n}");
     });
     assert_trace_bounded(&direct);
@@ -154,11 +180,26 @@ fn every_job_leaves_the_runtime_as_it_found_it() {
     let plane = DataPlane::SharedFs(Arc::new(store.clone()));
     let mut shared =
         LocalCluster::start(program.clone(), 2, plane, MasterConfig::default()).unwrap();
-    run_jobs(&program, &mut shared, |cluster, n| {
+    run_jobs(&program, &mut shared, jobs, |cluster, n| {
         let live = cluster.metrics().live_datasets();
         assert_eq!(live, 0, "shared, job {n}: {}", status(cluster));
+        let status = status(cluster);
+        assert!(status.contains(EMPTY), "shared, job {n}: {status}");
         assert_eq!(store.list("").unwrap(), Vec::<String>::new(), "shared, job {n}");
         assert!(cluster.stock_records() <= INPUT_RECORDS, "shared, job {n}");
     });
     assert_trace_bounded(&shared);
+}
+
+#[test]
+fn every_job_leaves_the_runtime_as_it_found_it() {
+    every_plane_returns_to_empty(JOBS);
+}
+
+/// The same over [`SOAK_JOBS`] jobs per plane: what one job leaves
+/// behind, however small, adds up. Run with `--ignored`.
+#[test]
+#[ignore = "a soak of 1,000 jobs per plane; CI runs it with --ignored"]
+fn a_thousand_jobs_leave_the_runtime_as_it_found_it() {
+    every_plane_returns_to_empty(SOAK_JOBS);
 }
