@@ -15,10 +15,18 @@
 //! The checksum covers the payload *as stored* (compressed bytes when
 //! flag 0 is set), so corruption is detected before the decompressor
 //! ever runs. A frame with flag 0 clear is a *stored* frame: the payload
-//! is the bucket bytes themselves, so producing it is one copy and one
-//! checksum pass, and decoding it one checksum pass — the default, since
-//! every link the runtime opens today is loopback (DESIGN.md §2 records
-//! the break-even). Every decoder here is strict: input that does not
+//! is the bucket bytes themselves — the default, since every link the
+//! runtime opens today is loopback (DESIGN.md §2 records the break-even).
+//!
+//! A stored frame is written and read in place. The producer reserves the
+//! header ([`reserve_frame`]), writes its bucket bytes straight behind it
+//! and seals it ([`seal_frame`]): one checksum pass over bytes that never
+//! move again. The reader verifies the checksum where the payload lies
+//! ([`open_vec`]) and gets the very buffer the frame arrived in back as a
+//! [`Payload`], header and all, for the bucket parser to index in place.
+//! Only a compressed frame has its cleartext in a buffer of its own.
+//!
+//! Every decoder here is strict: input that does not
 //! start with the frame magic is [`FrameError::NotFramed`], so a damaged
 //! magic byte is caught like any other damaged byte. (The one reader of
 //! bucket *files*, `mrs_fs::format`, tests [`is_framed`] itself and parses
@@ -158,25 +166,70 @@ pub fn encode_vec_sorted(raw: Vec<u8>, mode: CompressMode, sorted: bool) -> Vec<
 }
 
 fn encode_with_flags(raw: Vec<u8>, mode: CompressMode, extra_flags: u8) -> Vec<u8> {
-    assert!(
-        raw.len() <= u32::MAX as usize,
-        "bucket of {} bytes exceeds the 4 GiB frame",
-        raw.len()
-    );
-    let compressed = (mode == CompressMode::On && raw.len() >= COMPRESS_FLOOR)
-        .then(|| lz::compress(&raw))
-        .filter(|c| c.len() < raw.len());
-    let (flags, payload) = match &compressed {
-        Some(c) => (FLAG_COMPRESSED, c.as_slice()),
-        None => (0, raw.as_slice()),
-    };
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(FRAME_MAGIC);
-    out.push(flags | extra_flags);
-    out.extend_from_slice(&(raw.len() as u32).to_le_bytes());
-    out.extend_from_slice(&xxh64(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    check_len(raw.len());
+    if let Some(frame) = compressed_frame(&raw, mode, extra_flags) {
+        return frame;
+    }
+    let mut frame = reserve_frame(raw.len());
+    frame.extend_from_slice(&raw);
+    write_header(&mut frame, extra_flags, raw.len());
+    frame
+}
+
+/// A buffer for a frame written in place: the header's bytes, reserved,
+/// and room for `payload` bytes behind them. The producer appends its
+/// bucket bytes and hands the buffer to [`seal_frame`].
+pub fn reserve_frame(payload: usize) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload);
+    frame.resize(FRAME_HEADER_LEN, 0);
+    frame
+}
+
+/// Seal a frame begun with [`reserve_frame`]: the payload written behind
+/// the reserved header is checksummed where it lies and the header filled
+/// in — the frame [`encode_vec_sorted`] would make of the payload, without
+/// copying it. Under [`CompressMode::On`] a payload that compresses
+/// smaller is framed compressed instead, in a buffer of its own.
+///
+/// # Panics
+/// If `frame` is shorter than the header, or its payload exceeds
+/// `u32::MAX` bytes (see [`encode_vec`]).
+pub fn seal_frame(mut frame: Vec<u8>, mode: CompressMode, sorted: bool) -> Vec<u8> {
+    let raw_len = frame.len().checked_sub(FRAME_HEADER_LEN).expect("a reserved frame header");
+    check_len(raw_len);
+    let extra_flags = if sorted { FLAG_SORTED_RUN } else { 0 };
+    if let Some(compressed) = compressed_frame(&frame[FRAME_HEADER_LEN..], mode, extra_flags) {
+        return compressed;
+    }
+    write_header(&mut frame, extra_flags, raw_len);
+    frame
+}
+
+fn check_len(raw_len: usize) {
+    assert!(raw_len <= u32::MAX as usize, "bucket of {raw_len} bytes exceeds the 4 GiB frame");
+}
+
+/// `raw` framed compressed, when `mode` asks for it and compression wins.
+fn compressed_frame(raw: &[u8], mode: CompressMode, extra_flags: u8) -> Option<Vec<u8>> {
+    if mode != CompressMode::On || raw.len() < COMPRESS_FLOOR {
+        return None;
+    }
+    let mut frame = reserve_frame(raw.len() / 2 + 16);
+    lz::compress_into(raw, &mut frame);
+    (frame.len() - FRAME_HEADER_LEN < raw.len()).then(|| {
+        write_header(&mut frame, FLAG_COMPRESSED | extra_flags, raw.len());
+        frame
+    })
+}
+
+/// Fill in the reserved header of `frame` for the payload behind it,
+/// which decodes to `raw_len` bytes.
+fn write_header(frame: &mut [u8], flags: u8, raw_len: usize) {
+    let checksum = xxh64(&frame[FRAME_HEADER_LEN..]);
+    frame[..5].copy_from_slice(FRAME_MAGIC);
+    frame[5] = flags;
+    frame[6..10].copy_from_slice(&(raw_len as u32).to_le_bytes());
+    frame[10..FRAME_HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
 }
 
 /// Verify a frame and return its cleartext and flags. A stored payload
@@ -212,18 +265,56 @@ fn open(bytes: &[u8]) -> Result<(Cow<'_, [u8]>, u8), FrameError> {
     }
 }
 
-/// Decode wire bytes back to raw bucket bytes.
-///
-/// The frame is checksum-verified; a stored payload is then returned in
-/// the buffer it arrived in (the header is shifted out, nothing is
-/// allocated), a compressed one is decompressed.
-pub fn decode_vec(mut bytes: Vec<u8>) -> Result<Vec<u8>, FrameError> {
-    let header = match open(&bytes)?.0 {
-        Cow::Owned(raw) => return Ok(raw),
-        Cow::Borrowed(payload) => bytes.len() - payload.len(),
+/// The cleartext of a verified frame — the `MRSB1` bytes a reader parses —
+/// where it lies: behind the header in the very buffer a stored frame
+/// arrived in, or in a buffer of its own for a decompressed one.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Payload {
+    buf: Vec<u8>,
+    start: usize,
+    sorted: bool,
+}
+
+impl Payload {
+    /// Unframed bucket bytes, as they are: no checksum, no sorted claim.
+    pub fn raw(bytes: Vec<u8>) -> Payload {
+        Payload { buf: bytes, start: 0, sorted: false }
+    }
+
+    /// The frame carried a *verified* sorted-run claim, as
+    /// [`decode_frame_sorted`] reports it.
+    pub fn claims_sorted(&self) -> bool {
+        self.sorted
+    }
+
+    /// The buffer and the offset of the cleartext in it.
+    pub fn into_parts(self) -> (Vec<u8>, usize) {
+        (self.buf, self.start)
+    }
+}
+
+impl AsRef<[u8]> for Payload {
+    /// The cleartext.
+    fn as_ref(&self) -> &[u8] {
+        &self.buf[self.start..]
+    }
+}
+
+/// Verify wire bytes as a frame where they lie: the checksum is computed
+/// over the payload in place, and a stored payload stays in `bytes`, not
+/// shifted or copied; a compressed one is decompressed. The sorted-run
+/// claim is spot-checked as by [`decode_frame_sorted`].
+pub fn open_vec(bytes: Vec<u8>) -> Result<Payload, FrameError> {
+    let (decompressed, flags) = match open(&bytes)? {
+        (Cow::Owned(raw), flags) => (Some(raw), flags),
+        (Cow::Borrowed(_), flags) => (None, flags),
     };
-    bytes.drain(..header);
-    Ok(bytes)
+    let mut payload = match decompressed {
+        Some(raw) => Payload::raw(raw),
+        None => Payload { buf: bytes, start: FRAME_HEADER_LEN, sorted: false },
+    };
+    payload.sorted = verified_claim(payload.as_ref(), flags);
+    Ok(payload)
 }
 
 /// Decode a frame from a shared or borrowed buffer (the zero-copy serve
@@ -245,12 +336,19 @@ pub fn decode_frame_sorted(bytes: &[u8]) -> Result<(Vec<u8>, bool), FrameError> 
 /// a stored payload is borrowed from `bytes`, never copied.
 pub fn decode_frame_sorted_cow(bytes: &[u8]) -> Result<(Cow<'_, [u8]>, bool), FrameError> {
     let (raw, flags) = open(bytes)?;
+    let sorted = verified_claim(&raw, flags);
+    Ok((raw, sorted))
+}
+
+/// Whether `flags` claim a sorted run that the cleartext `raw` bears out;
+/// a claim that fails the spot-check is counted.
+fn verified_claim(raw: &[u8], flags: u8) -> bool {
     let claimed = flags & FLAG_SORTED_RUN != 0;
-    if claimed && !spot_check_sorted(&raw) {
+    if claimed && !spot_check_sorted(raw) {
         SORTED_CLAIM_REJECTS.fetch_add(1, Ordering::Relaxed);
-        return Ok((raw, false));
+        return false;
     }
-    Ok((raw, claimed))
+    claimed
 }
 
 /// Cheap monotonicity spot-check of a sorted-run claim: walk the head of
@@ -305,6 +403,11 @@ fn varint(b: &[u8]) -> Option<(u64, &[u8])> {
 mod tests {
     use super::*;
 
+    /// A frame's verified cleartext, copied out of its [`Payload`].
+    fn cleartext(bytes: Vec<u8>) -> Result<Vec<u8>, FrameError> {
+        open_vec(bytes).map(|p| p.as_ref().to_vec())
+    }
+
     #[test]
     fn mode_parsing() {
         assert_eq!(CompressMode::parse("on"), Ok(CompressMode::On));
@@ -323,20 +426,77 @@ mod tests {
         assert!(is_framed(&framed));
         assert_eq!(framed[5] & FLAG_COMPRESSED, 0);
         assert_eq!(&framed[FRAME_HEADER_LEN..], &raw[..], "payload is the bucket itself");
-        assert_eq!(decode_vec(framed).unwrap(), raw);
+        assert_eq!(cleartext(framed).unwrap(), raw);
     }
 
     #[test]
     fn stored_frame_decodes_in_the_buffer_it_arrived_in() {
         let framed = encode_vec(vec![7u8; 4096], CompressMode::Off);
-        let (ptr, cap) = (framed.as_ptr(), framed.capacity());
-        let raw = decode_vec(framed).unwrap();
-        assert_eq!(raw, vec![7u8; 4096]);
-        assert_eq!((raw.as_ptr(), raw.capacity()), (ptr, cap), "no second allocation");
+        let ptr = framed.as_ptr();
+        let payload = open_vec(framed).unwrap();
+        assert_eq!(payload.as_ref(), &[7u8; 4096][..]);
+        let (buf, start) = payload.into_parts();
+        assert_eq!((buf.as_ptr(), start), (ptr, FRAME_HEADER_LEN), "no second allocation");
         // The borrowing decoder hands out the frame's own payload bytes.
-        let framed = encode_vec_sorted(raw.clone(), CompressMode::Off, false);
+        let framed = encode_vec_sorted(vec![7u8; 4096], CompressMode::Off, false);
         let (view, _) = decode_frame_sorted_cow(&framed).unwrap();
         assert!(matches!(view, Cow::Borrowed(p) if std::ptr::eq(p, &framed[FRAME_HEADER_LEN..])));
+    }
+
+    /// A frame written in place is the frame `encode_vec_sorted` makes of
+    /// the same payload, in every mode, claim and size around the
+    /// compression floor; a stored one is sealed in the buffer it was
+    /// written in.
+    #[test]
+    fn a_frame_sealed_in_place_is_the_encoded_frame() {
+        let payloads = [Vec::new(), b"MRSB1 x".repeat(73), vec![7u8; COMPRESS_FLOOR]];
+        for raw in payloads {
+            for mode in [CompressMode::Off, CompressMode::On] {
+                for sorted in [false, true] {
+                    let mut frame = reserve_frame(raw.len());
+                    frame.extend_from_slice(&raw);
+                    let written = frame.as_ptr();
+                    let sealed = seal_frame(frame, mode, sorted);
+                    assert_eq!(sealed, encode_vec_sorted(raw.clone(), mode, sorted));
+                    if sealed[5] & FLAG_COMPRESSED == 0 {
+                        assert_eq!(sealed.as_ptr(), written, "a stored frame is not copied");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `open_vec` verifies a stored frame where it arrived: its payload is
+    /// the frame's own bytes behind the header. A compressed frame opens
+    /// to its cleartext, a verified claim survives and a bogus one does
+    /// not, and damage is an error.
+    #[test]
+    fn a_stored_frame_opens_in_the_buffer_it_arrived_in() {
+        let raw = bucket_bytes(&[(b"a", b"1"), (b"b", b"2")]);
+        let framed = encode_vec_sorted(raw.clone(), CompressMode::Off, true);
+        let arrived = framed.as_ptr();
+        let payload = open_vec(framed).unwrap();
+        assert_eq!(payload.as_ref(), &raw[..]);
+        assert!(payload.claims_sorted());
+        let (buf, start) = payload.into_parts();
+        assert_eq!((buf.as_ptr(), start), (arrived, FRAME_HEADER_LEN), "no copy, no shift");
+
+        let big = b"MRSB1".iter().chain(&[7u8; 4096]).copied().collect::<Vec<_>>();
+        let compressed = encode_vec(big.clone(), CompressMode::On);
+        assert_ne!(compressed[5] & FLAG_COMPRESSED, 0);
+        let opened = open_vec(compressed).unwrap();
+        assert_eq!((opened.as_ref(), opened.claims_sorted()), (&big[..], false));
+
+        let unsorted = bucket_bytes(&[(b"b", b"1"), (b"a", b"2")]);
+        let bogus = encode_vec_sorted(unsorted, CompressMode::Off, true);
+        assert!(!open_vec(bogus).unwrap().claims_sorted(), "a bogus claim is demoted");
+
+        let mut damaged = encode_vec(raw.clone(), CompressMode::Off);
+        let last = damaged.len() - 1;
+        damaged[last] ^= 1;
+        assert!(matches!(open_vec(damaged), Err(FrameError::Checksum { .. })));
+        assert_eq!(open_vec(raw.clone()), Err(FrameError::NotFramed));
+        assert_eq!(Payload::raw(raw.clone()).as_ref(), &raw[..]);
     }
 
     #[test]
@@ -345,11 +505,11 @@ mod tests {
         let big = vec![7u8; COMPRESS_FLOOR];
         let framed = encode_vec(small.clone(), CompressMode::On);
         assert_eq!(framed[5] & FLAG_COMPRESSED, 0, "below the floor stays stored");
-        assert_eq!(decode_vec(framed).unwrap(), small);
+        assert_eq!(cleartext(framed).unwrap(), small);
         let framed = encode_vec(big.clone(), CompressMode::On);
         assert_ne!(framed[5] & FLAG_COMPRESSED, 0);
         assert!(framed.len() < big.len(), "repetitive payload compresses");
-        assert_eq!(decode_vec(framed).unwrap(), big);
+        assert_eq!(cleartext(framed).unwrap(), big);
     }
 
     #[test]
@@ -367,33 +527,33 @@ mod tests {
         assert!(is_framed(&framed));
         assert_eq!(framed.len(), raw.len() + FRAME_HEADER_LEN, "stored, not inflated");
         assert_eq!(framed[5] & FLAG_COMPRESSED, 0);
-        assert_eq!(decode_vec(framed).unwrap(), raw);
+        assert_eq!(cleartext(framed).unwrap(), raw);
     }
 
     #[test]
     fn input_without_the_magic_is_not_a_frame() {
         let raw = b"MRSB1 bucket bytes, never framed".to_vec();
-        assert_eq!(decode_vec(raw.clone()), Err(FrameError::NotFramed));
+        assert_eq!(cleartext(raw.clone()), Err(FrameError::NotFramed));
         assert_eq!(decode_frame(&raw), Err(FrameError::NotFramed));
         assert_eq!(decode_frame_sorted(&raw), Err(FrameError::NotFramed));
         // One damaged magic byte of a real frame is caught the same way.
         let mut framed = encode_vec(raw, CompressMode::Off);
         framed[0] ^= 1;
-        assert_eq!(decode_vec(framed), Err(FrameError::NotFramed));
+        assert_eq!(cleartext(framed), Err(FrameError::NotFramed));
     }
 
     #[test]
     fn truncated_header_is_an_error() {
         let framed = encode_vec(vec![1u8; 600], CompressMode::On);
         for cut in FRAME_MAGIC.len()..FRAME_HEADER_LEN {
-            assert_eq!(decode_vec(framed[..cut].to_vec()), Err(FrameError::Truncated));
+            assert_eq!(cleartext(framed[..cut].to_vec()), Err(FrameError::Truncated));
         }
     }
 
     #[test]
     fn empty_input_roundtrips_in_every_mode() {
         for mode in [CompressMode::On, CompressMode::Off] {
-            assert_eq!(decode_vec(encode_vec(Vec::new(), mode)).unwrap(), Vec::<u8>::new());
+            assert_eq!(cleartext(encode_vec(Vec::new(), mode)).unwrap(), Vec::<u8>::new());
         }
     }
 
@@ -420,7 +580,7 @@ mod tests {
         assert_eq!(back, raw);
         assert!(sorted, "genuinely sorted claim must survive the spot-check");
         // The plain decoders accept the new flag bit too.
-        assert_eq!(decode_vec(framed.clone()).unwrap(), raw);
+        assert_eq!(cleartext(framed.clone()).unwrap(), raw);
         assert_eq!(decode_frame(&framed).unwrap(), raw);
     }
 

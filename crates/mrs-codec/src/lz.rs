@@ -56,18 +56,25 @@ fn push_length(mut n: usize, out: &mut Vec<u8>) {
 /// input degrades to one literal run with ~1 byte of overhead per 255
 /// bytes of input.
 pub fn compress(input: &[u8]) -> Vec<u8> {
-    compress_with_skip(input, SKIP_SHIFT)
+    let mut out = Vec::with_capacity(input.len() / 2 + 16);
+    compress_into(input, &mut out);
+    out
 }
 
-/// [`compress`] with the skip-ahead shift as a parameter, so the tests can
-/// compare against the probe-every-byte encoder (a shift no miss count
-/// reaches).
+/// [`compress`], appending the block to `out` (behind a frame header the
+/// caller reserved, say) instead of returning a buffer of its own.
+pub(crate) fn compress_into(input: &[u8], out: &mut Vec<u8>) {
+    compress_with_skip(input, SKIP_SHIFT, out)
+}
+
+/// [`compress_into`] with the skip-ahead shift as a parameter, so the
+/// tests can compare against the probe-every-byte encoder (a shift no
+/// miss count reaches).
 #[inline]
-fn compress_with_skip(input: &[u8], skip_shift: u32) -> Vec<u8> {
+fn compress_with_skip(input: &[u8], skip_shift: u32, out: &mut Vec<u8>) {
     let n = input.len();
-    let mut out = Vec::with_capacity(n / 2 + 16);
     if n == 0 {
-        return out;
+        return;
     }
     let mut table = [0usize; 1 << HASH_BITS];
     let mut anchor = 0usize; // start of the pending literal run
@@ -96,19 +103,18 @@ fn compress_with_skip(input: &[u8], skip_shift: u32) -> Vec<u8> {
         let literals = pos - anchor;
         let token = ((literals.min(15) as u8) << 4) | (len - MIN_MATCH).min(15) as u8;
         out.push(token);
-        push_length(literals, &mut out);
+        push_length(literals, out);
         out.extend_from_slice(&input[anchor..pos]);
         out.extend_from_slice(&((pos - cand) as u16).to_le_bytes());
-        push_length(len - MIN_MATCH, &mut out);
+        push_length(len - MIN_MATCH, out);
         pos += len;
         anchor = pos;
     }
     // Final literal-only sequence.
     let literals = n - anchor;
     out.push((literals.min(15) as u8) << 4);
-    push_length(literals, &mut out);
+    push_length(literals, out);
     out.extend_from_slice(&input[anchor..]);
-    out
 }
 
 /// Why a block failed to decompress. All variants indicate a corrupt or
@@ -290,7 +296,8 @@ mod tests {
             data.extend_from_slice(&1u64.to_le_bytes());
         }
         let skip = compress(&data);
-        let no_skip = compress_with_skip(&data, usize::BITS - 1);
+        let mut no_skip = Vec::new();
+        compress_with_skip(&data, usize::BITS - 1, &mut no_skip);
         assert_eq!(decompress(&skip, data.len()).unwrap(), data);
         let ratio = |c: &[u8]| c.len() as f64 / data.len() as f64;
         assert!(

@@ -4,10 +4,15 @@
 //! by the frame checksum, never silently decoded.
 
 use mrs_codec::{
-    compress, decode_vec, decompress, encode_vec, is_framed, CompressMode, FrameError,
+    compress, decompress, encode_vec, is_framed, open_vec, CompressMode, FrameError,
     FRAME_HEADER_LEN,
 };
 use proptest::prelude::*;
+
+/// A frame's verified cleartext, copied out of its `Payload`.
+fn cleartext(bytes: Vec<u8>) -> Result<Vec<u8>, FrameError> {
+    open_vec(bytes).map(|p| p.as_ref().to_vec())
+}
 
 proptest! {
     #[test]
@@ -39,13 +44,13 @@ proptest! {
         for mode in [CompressMode::On, CompressMode::Off] {
             let wire = encode_vec(data.clone(), mode);
             prop_assert!(is_framed(&wire));
-            prop_assert_eq!(decode_vec(wire).unwrap(), data.clone());
+            prop_assert_eq!(cleartext(wire).unwrap(), data.clone());
         }
     }
 
     #[test]
     fn prop_frame_decode_never_panics(garbage in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = decode_vec(garbage);
+        let _ = cleartext(garbage);
     }
 }
 
@@ -84,7 +89,7 @@ fn every_single_byte_flip_is_caught() {
             for bit in [0x01u8, 0x80u8] {
                 let mut bad = wire.clone();
                 bad[i] ^= bit;
-                match decode_vec(bad) {
+                match cleartext(bad) {
                     Err(FrameError::NotFramed) => assert!(i < 5, "flip at byte {i}"),
                     Err(_) => assert!(i >= 5, "magic flip at byte {i} must be NotFramed"),
                     Ok(decoded) => {
@@ -97,7 +102,7 @@ fn every_single_byte_flip_is_caught() {
         for i in FRAME_HEADER_LEN..wire.len() {
             let mut bad = wire.clone();
             bad[i] ^= 0x40;
-            match decode_vec(bad) {
+            match cleartext(bad) {
                 Err(FrameError::Checksum { .. }) => {}
                 other => panic!("payload flip at byte {i}: expected checksum error, got {other:?}"),
             }
@@ -112,8 +117,8 @@ fn mixed_mode_compat_matrix() {
     let raw = b"MRSB1-ish bucket payload ".repeat(30);
     let stored = encode_vec(raw.clone(), CompressMode::default());
     assert_eq!(stored.len(), raw.len() + FRAME_HEADER_LEN);
-    assert_eq!(decode_vec(stored).unwrap(), raw);
+    assert_eq!(cleartext(stored).unwrap(), raw);
     let compressed = encode_vec(raw.clone(), CompressMode::On);
     assert!(compressed.len() < raw.len());
-    assert_eq!(decode_vec(compressed).unwrap(), raw);
+    assert_eq!(cleartext(compressed).unwrap(), raw);
 }

@@ -10,6 +10,15 @@
 //! matter how many records flow through it. Sorting reorders only the
 //! offset table, in place; the payload bytes never move.
 //!
+//! A bucket that arrives as bytes need not be copied into an arena at all:
+//! [`Bucket::adopt`] takes the received buffer *as* its arena and only
+//! builds the offset table, pointing each entry at the key and value bytes
+//! where they lie. Such an arena keeps the `MRSB1` layout, each value
+//! behind its length varint; the bucket holds that varint's width, one
+//! for all its records, as the distance from a key's end to its value,
+//! which is zero in an arena of pushes — so a record is read the same way
+//! in either.
+//!
 //! Every key order in the workspace starts from one integer: a key's first
 //! 8 bytes, big-endian ([`key_prefix`]). Sorting ([`Bucket::sort`], the
 //! hash combiner's final pass) packs it with the key length and an arrival
@@ -22,6 +31,7 @@
 //! ([`cmp_keys`]).
 
 use crate::kv::Record;
+use crate::Error;
 use std::cmp::Ordering;
 
 /// The first 8 bytes of `key` as a big-endian integer, zero-padded on the
@@ -270,6 +280,94 @@ impl Entry {
 pub struct Bucket {
     data: Vec<u8>,
     entries: Vec<Entry>,
+    /// Bytes between each key and its value: none in an arena of pushes;
+    /// in an adopted buffer, the width of the length varint each value
+    /// lies behind, one width for every record.
+    lead: u32,
+    /// Bytes of `data` that are no record's key or value: an adopted
+    /// buffer's framing.
+    framing: usize,
+}
+
+/// The offset table of a buffer being indexed in place (see
+/// [`Bucket::adopt`]): the caller walks the buffer and reports where each
+/// record lies; every report is bounds-checked here.
+pub struct Spans<'a> {
+    data: &'a [u8],
+    entries: Vec<Entry>,
+    /// Bytes between a key's end and its value's start, as the first
+    /// record has it.
+    lead: Option<usize>,
+    /// Key and value bytes reported.
+    bytes: usize,
+    sorted: bool,
+    /// The last record's key: its offset, length and prefix.
+    last: (usize, usize, u64),
+    /// The records copied into an arena of pushes, once one of them lay a
+    /// different distance behind its key than the first.
+    copied: Option<Bucket>,
+}
+
+impl<'a> Spans<'a> {
+    /// The buffer being indexed.
+    pub fn data(&self) -> &'a [u8] {
+        self.data
+    }
+
+    /// One record: its key is `data[key..key + klen]` and its value
+    /// `data[value..value + vlen]`, no earlier than the key's end. Key
+    /// order is checked against the record before, as [`Bucket::adopt`]'s
+    /// verdict. A record reaching past the buffer, or a value before its
+    /// key's end, is an error.
+    #[inline]
+    pub fn push(
+        &mut self,
+        key: usize,
+        klen: usize,
+        value: usize,
+        vlen: usize,
+    ) -> crate::Result<()> {
+        let lead = key.checked_add(klen).and_then(|end| value.checked_sub(end));
+        let fits = value.checked_add(vlen).is_some_and(|end| end <= self.data.len());
+        let Some(lead) = lead.filter(|_| fits) else {
+            return Err(Error::Codec(format!(
+                "record at {key} ({klen}-byte key, {vlen}-byte value at {value}) \
+                 does not fit a {}-byte buffer",
+                self.data.len()
+            )));
+        };
+        let prefix = prefix_in(self.data, key, klen);
+        let (at, len, before) = self.last;
+        if cmp_keys(before, prefix, || (&self.data[at..at + len], &self.data[key..key + klen]))
+            .is_gt()
+        {
+            self.sorted = false;
+        }
+        self.last = (key, klen, prefix);
+        self.bytes += klen + vlen;
+        if *self.lead.get_or_insert(lead) != lead && self.copied.is_none() {
+            self.copied = Some(self.copy_out());
+        }
+        match &mut self.copied {
+            Some(copied) => copied.push(&self.data[key..key + klen], &self.data[value..][..vlen]),
+            None => {
+                self.entries.push(Entry { off: key as u32, klen: klen as u32, vlen: vlen as u32 })
+            }
+        }
+        Ok(())
+    }
+
+    /// The records indexed so far, copied into an arena of pushes.
+    #[cold]
+    fn copy_out(&mut self) -> Bucket {
+        let lead = self.lead.unwrap_or(0);
+        let mut copied = Bucket::with_capacity(self.entries.capacity(), self.data.len());
+        for e in self.entries.drain(..) {
+            let (k, klen) = (e.off as usize, e.klen as usize);
+            copied.push(&self.data[k..k + klen], &self.data[k + klen + lead..][..e.vlen as usize]);
+        }
+        copied
+    }
 }
 
 impl Bucket {
@@ -280,7 +378,58 @@ impl Bucket {
 
     /// An empty bucket with pre-sized arena capacity.
     pub fn with_capacity(records: usize, bytes: usize) -> Self {
-        Bucket { data: Vec::with_capacity(bytes), entries: Vec::with_capacity(records) }
+        Bucket {
+            data: Vec::with_capacity(bytes),
+            entries: Vec::with_capacity(records),
+            lead: 0,
+            framing: 0,
+        }
+    }
+
+    /// A bucket whose arena is `data` itself, no byte of it copied: `walk`
+    /// reports its (at most `records`) records to [`Spans::push`] in
+    /// order, each key and value where it lies in `data` — the `MRSB1`
+    /// record layout, which the caller parses, puts each value behind its
+    /// length varint. Returns the bucket and whether its keys arrived in
+    /// non-decreasing order, found in the same pass (one adjacent-prefix
+    /// compare per record, key bytes read only on a tie).
+    ///
+    /// The bucket finds a value one fixed distance behind its key, so
+    /// every record must lie the first one's distance behind it — as all
+    /// do whose value lengths take varints of one width (all values under
+    /// 128 bytes, say). A buffer whose records do not is copied into an
+    /// arena of pushes instead. A buffer of 4 GiB or more, or a record
+    /// [`Spans::push`] refuses, is an error, as is whatever `walk` returns.
+    pub fn adopt(
+        data: Vec<u8>,
+        records: usize,
+        walk: impl FnOnce(&mut Spans<'_>) -> crate::Result<()>,
+    ) -> crate::Result<(Bucket, bool)> {
+        if data.len() > u32::MAX as usize {
+            return Err(Error::Codec(format!(
+                "{}-byte buffer exceeds the 4 GiB arena",
+                data.len()
+            )));
+        }
+        let mut spans = Spans {
+            data: &data,
+            // Every record takes at least its two length bytes.
+            entries: Vec::with_capacity(records.min(data.len() / 2)),
+            lead: None,
+            bytes: 0,
+            sorted: true,
+            // `""` sorts first, so the first record is never a descent.
+            last: (0, 0, 0),
+            copied: None,
+        };
+        walk(&mut spans)?;
+        let Spans { entries, lead, bytes, sorted, copied, .. } = spans;
+        if let Some(copied) = copied {
+            return Ok((copied, sorted));
+        }
+        let lead = lead.unwrap_or(0) as u32;
+        let framing = data.len() - bytes;
+        Ok((Bucket { data, entries, lead, framing }, sorted))
     }
 
     /// Build from existing records.
@@ -300,6 +449,9 @@ impl Bucket {
 
     /// Append one record by copying it into the arena.
     pub fn push(&mut self, key: &[u8], value: &[u8]) {
+        if self.lead != 0 {
+            return self.push_behind_lead(key, value);
+        }
         let off = self.data.len();
         assert!(
             off + key.len() + value.len() <= u32::MAX as usize,
@@ -314,13 +466,35 @@ impl Bucket {
         });
     }
 
+    /// [`Bucket::push`] onto an adopted arena: the value goes the arena's
+    /// lead behind its key, the bytes between them filler.
+    #[cold]
+    fn push_behind_lead(&mut self, key: &[u8], value: &[u8]) {
+        let off = self.data.len();
+        let lead = self.lead as usize;
+        assert!(
+            off + key.len() + lead + value.len() <= u32::MAX as usize,
+            "bucket exceeds 4 GiB arena limit"
+        );
+        self.data.extend_from_slice(key);
+        self.data.resize(self.data.len() + lead, 0);
+        self.data.extend_from_slice(value);
+        self.framing += lead;
+        self.entries.push(Entry {
+            off: off as u32,
+            klen: key.len() as u32,
+            vlen: value.len() as u32,
+        });
+    }
+
     /// Drop all records but keep the arena and offset-table allocations,
     /// so a long-lived scratch bucket stops allocating once it has grown
-    /// to the working-set size (the slave worker pool reuses one per
-    /// worker across tasks).
+    /// to the working-set size.
     pub fn clear(&mut self) {
         self.data.clear();
         self.entries.clear();
+        self.lead = 0;
+        self.framing = 0;
     }
 
     /// Append all records from another bucket.
@@ -343,7 +517,13 @@ impl Bucket {
     /// Total payload bytes (keys + values), the shuffle-volume metric used
     /// by the combiner ablation (A3).
     pub fn byte_size(&self) -> usize {
-        self.data.len()
+        self.data.len() - self.framing
+    }
+
+    /// Each record's key and value lengths, in current order, read off
+    /// the offset table alone.
+    pub fn lengths(&self) -> impl ExactSizeIterator<Item = (usize, usize)> + Clone + '_ {
+        self.entries.iter().map(|e| (e.klen as usize, e.vlen as usize))
     }
 
     /// The record at position `i` as borrowed (key, value) slices.
@@ -351,7 +531,8 @@ impl Bucket {
         let e = self.entries[i];
         let k = e.off as usize;
         let v = k + e.klen as usize;
-        (&self.data[k..v], &self.data[v..v + e.vlen as usize])
+        let at = v + self.lead as usize;
+        (&self.data[k..v], &self.data[at..at + e.vlen as usize])
     }
 
     /// The key of the record at position `i` (the merge machinery walks
@@ -746,6 +927,83 @@ pub(crate) mod tests {
         b.sort();
         assert!(b.is_sorted());
         assert_eq!((b.entries.as_ptr(), b.entries.capacity()), table);
+    }
+
+    /// Where one record lies, as `Bucket::adopt` is told:
+    /// `(key, klen, value, vlen)`.
+    type Span = (usize, usize, usize, usize);
+
+    /// `MRSB1`-shaped bytes for `records`, each value behind a length
+    /// field `lead(value)` bytes wide, and their spans.
+    fn laid_out(records: &[Record], lead: impl Fn(&[u8]) -> usize) -> (Vec<u8>, Vec<Span>) {
+        let mut data = b"HEAD".to_vec();
+        let mut spans = Vec::new();
+        for (k, v) in records {
+            data.push(k.len() as u8);
+            let key = data.len();
+            data.extend_from_slice(k);
+            data.resize(data.len() + lead(v), 0xee);
+            spans.push((key, k.len(), data.len(), v.len()));
+            data.extend_from_slice(v);
+        }
+        (data, spans)
+    }
+
+    fn adopt(data: Vec<u8>, spans: &[Span]) -> Result<(Bucket, bool), Error> {
+        Bucket::adopt(data, spans.len(), |s| {
+            spans.iter().try_for_each(|&(k, kl, v, vl)| s.push(k, kl, v, vl))
+        })
+    }
+
+    /// A buffer whose values all lie one distance behind their keys is
+    /// the bucket's arena: its records are read where they lie, it holds
+    /// only their key and value bytes as its size, and a record pushed
+    /// onto it reads back. Records lying at different distances are
+    /// copied into an arena of pushes; both give the same records and
+    /// the same order verdict as the records themselves.
+    #[test]
+    fn an_adopted_buffer_is_read_where_it_lies() {
+        let records = vec![rec("a", "1"), rec("", ""), rec("prefix--b", "22"), rec("b", "x")];
+        for lead in [0, 1, 2] {
+            let (data, spans) = laid_out(&records, |_| lead);
+            let range = data.as_ptr_range();
+            let (mut b, sorted) = adopt(data, &spans).unwrap();
+            assert!(!sorted, "\"a\" before \"\" is a descent");
+            assert_eq!(b.to_records(), records);
+            let bytes = Bucket::from_records(records.clone()).byte_size();
+            assert_eq!(b.byte_size(), bytes);
+            assert!(b
+                .iter()
+                .all(|(k, v)| range.contains(&k.as_ptr()) && range.contains(&v.as_ptr())
+                    || k.is_empty() && v.is_empty()));
+            b.push(b"zz", b"tail");
+            assert_eq!(b.get(4), (&b"zz"[..], &b"tail"[..]));
+            assert_eq!(b.byte_size(), bytes + 6);
+            b.sort();
+            assert!(b.is_sorted());
+        }
+        let (data, spans) = laid_out(&records, |v| 1 + v.len() % 2);
+        let range = data.as_ptr_range();
+        let (b, sorted) = adopt(data, &spans).unwrap();
+        assert_eq!((b.to_records(), sorted), (records.clone(), false));
+        assert!(!range.contains(&b.get(0).0.as_ptr()), "mixed distances are copied");
+        let mut in_order = records.clone();
+        in_order.sort();
+        let (data, spans) = laid_out(&in_order, |_| 1);
+        assert!(adopt(data, &spans).unwrap().1, "sorted records are a sorted run");
+    }
+
+    /// A span past the buffer's end, or a value starting inside its key,
+    /// is refused.
+    #[test]
+    fn an_adopted_span_must_lie_in_the_buffer() {
+        let (data, spans) = laid_out(&[rec("key", "value")], |_| 1);
+        let (k, kl, v, vl) = spans[0];
+        for bad in
+            [(k, kl, v, vl + 1), (k, kl, k + 1, vl), (k, usize::MAX, v, vl), (k, kl, v, usize::MAX)]
+        {
+            assert!(adopt(data.clone(), &[bad]).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

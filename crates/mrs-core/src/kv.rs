@@ -98,6 +98,12 @@ pub fn write_varint(mut v: u64, buf: &mut Vec<u8>) {
     }
 }
 
+/// Bytes [`write_varint`] takes for `v`.
+#[inline]
+pub fn varint_len(v: u64) -> usize {
+    (70 - (v | 1).leading_zeros() as usize) / 7
+}
+
 /// Read a LEB128 unsigned varint from the front of `b`.
 #[inline]
 pub fn read_varint(b: &[u8]) -> Result<(u64, &[u8])> {

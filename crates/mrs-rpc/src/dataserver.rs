@@ -5,10 +5,11 @@
 //! HTTP server" (§IV-B). A [`DataServer`] exposes a provider callback over
 //! HTTP GET; the companion [`fetch`] retrieves a bucket by URL.
 //!
-//! The provider answers a frame as `Arc<[u8]>`, not owned bytes, which go
-//! straight to the socket (see [`crate::http::Body::Shared`]): a provider
-//! may hand every reader one buffer it holds (a [`FrameCache`]) or build a
-//! frame per request (a slave framing the bucket a peer asked for). Beside
+//! The provider answers a frame as the shared buffer it was written in,
+//! which goes straight to the socket uncopied (see
+//! [`crate::http::Body::Shared`]): a provider may hand every reader one
+//! buffer it holds (a [`FrameCache`]) or build a frame per request (a
+//! slave framing the bucket a peer asked for, in place). Beside
 //! a frame it may answer that the bucket has no records, that there is no
 //! such bucket, or — having held the request while the bucket's producer
 //! runs — that it is not there yet ([`Served`]). A GET may name the task
@@ -29,7 +30,7 @@ use std::sync::Arc;
 #[derive(Clone, Debug, PartialEq)]
 pub enum Served {
     /// The bucket's frame: 200 with the frame as the body.
-    Frame(Arc<[u8]>),
+    Frame(Arc<Vec<u8>>),
     /// The bucket has no records: 200 with an empty body, which a reader
     /// takes as the empty run (a frame is never empty).
     Empty,
@@ -40,8 +41,8 @@ pub enum Served {
     Missing,
 }
 
-impl From<Option<Arc<[u8]>>> for Served {
-    fn from(frame: Option<Arc<[u8]>>) -> Served {
+impl From<Option<Arc<Vec<u8>>>> for Served {
+    fn from(frame: Option<Arc<Vec<u8>>>) -> Served {
         frame.map_or(Served::Missing, Served::Frame)
     }
 }
@@ -60,15 +61,15 @@ pub fn with_reader(path: &str, reader: u32) -> String {
 }
 
 /// A shared cache of encoded frames keyed by bucket path: wire-ready
-/// bytes inserted once and handed to every reader as the same
-/// `Arc<[u8]>`.
+/// bytes inserted once, kept in the buffer they were written in, and
+/// handed to every reader as the same `Arc`.
 ///
 /// The master serves its source splits from one: a split is framed once
 /// by `local_data` and read once per map attempt. A slave keeps no
 /// frames; it frames a bucket per GET.
 #[derive(Default)]
 pub struct FrameCache {
-    frames: Mutex<HashMap<String, Arc<[u8]>>>,
+    frames: Mutex<HashMap<String, Arc<Vec<u8>>>>,
 }
 
 impl FrameCache {
@@ -77,15 +78,16 @@ impl FrameCache {
         FrameCache::default()
     }
 
-    /// Insert wire-ready bytes for `path`, returning the shared buffer.
-    pub fn insert(&self, path: &str, bytes: Vec<u8>) -> Arc<[u8]> {
-        let shared: Arc<[u8]> = bytes.into();
+    /// Insert wire-ready bytes for `path`, returning the shared buffer:
+    /// `bytes` itself, not a copy.
+    pub fn insert(&self, path: &str, bytes: Vec<u8>) -> Arc<Vec<u8>> {
+        let shared = Arc::new(bytes);
         self.frames.lock().insert(path.to_owned(), Arc::clone(&shared));
         shared
     }
 
     /// Look up the frame for `path`.
-    pub fn get(&self, path: &str) -> Option<Arc<[u8]>> {
+    pub fn get(&self, path: &str) -> Option<Arc<Vec<u8>>> {
         self.frames.lock().get(path).cloned()
     }
 
@@ -196,7 +198,8 @@ impl DataServer {
         pages: Pages,
     ) -> std::io::Result<DataServer> {
         let handler: Handler = Arc::new(move |req: Request| route(&req, &provider, &pages));
-        Ok(DataServer { http: HttpServer::bind(port, handler)? })
+        let http = HttpServer::bind_named("mrs-data", port, handler, Default::default())?;
+        Ok(DataServer { http })
     }
 
     /// `host:port` of the server.
@@ -330,7 +333,7 @@ mod tests {
             let calls = Arc::clone(&calls);
             Arc::new(move |p: &str, _| {
                 calls.lock().push(p.to_owned());
-                Served::Frame(Arc::from(b"leak".as_slice()))
+                Served::Frame(Arc::new(b"leak".to_vec()))
             })
         };
         let s = DataServer::serve(0, provider).unwrap();
@@ -371,7 +374,7 @@ mod tests {
         let cache = Arc::new(FrameCache::new());
         cache.insert("b", vec![7]);
         let pages: Pages = Arc::new(|page: &str| match page {
-            "status" => Some(Response::ok("text/plain", Arc::from(b"live".as_slice()))),
+            "status" => Some(Response::ok("text/plain", Arc::new(b"live".to_vec()))),
             _ => None,
         });
         let s = DataServer::serve_with_pages(0, cache.provider(), pages).unwrap();
@@ -412,8 +415,8 @@ mod tests {
     #[test]
     fn every_served_answer_reaches_the_reader_as_itself() {
         let provider: Provider = Arc::new(|p: &str, reader| match (p, reader) {
-            ("frame", None) => Served::Frame(Arc::from(b"abc".as_slice())),
-            ("frame", Some(7)) => Served::Frame(Arc::from(b"read by 7".as_slice())),
+            ("frame", None) => Served::Frame(Arc::new(b"abc".to_vec())),
+            ("frame", Some(7)) => Served::Frame(Arc::new(b"read by 7".to_vec())),
             ("empty", None) => Served::Empty,
             ("later", None) => Served::NotYet,
             _ => Served::Missing,
@@ -439,7 +442,10 @@ mod tests {
     #[test]
     fn frame_cache_shares_one_buffer() {
         let cache = Arc::new(FrameCache::new());
-        let inserted = cache.insert("p", vec![9u8; 64]);
+        let bytes = vec![9u8; 64];
+        let written = bytes.as_ptr();
+        let inserted = cache.insert("p", bytes);
+        assert_eq!(inserted.as_ptr(), written, "the cache holds the frame it was given, uncopied");
         let got = cache.get("p").unwrap();
         assert!(Arc::ptr_eq(&inserted, &got), "get must return the inserted buffer");
         assert_eq!(cache.len(), 1);

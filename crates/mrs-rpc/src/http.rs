@@ -11,8 +11,9 @@
 //! requests are written back to back in one `write` on one connection
 //! (at most 64 ahead of the answers read, so neither side can block
 //! writing into a full buffer) and the answers are read in request order
-//! — plain HTTP/1.1 pipelining, which the server gets for free by
-//! answering requests one after another from one buffered reader. A
+//! through one buffer sized for the batch — plain HTTP/1.1 pipelining,
+//! which the server gets for free by answering requests one after another
+//! from one buffered reader. A
 //! single `get`/`post` is a batch of one and puts the same bytes on the
 //! wire as ever. The contract of a batch: answers come back in request
 //! order; a request the server never answered (it closed the connection
@@ -28,6 +29,11 @@
 //! data plane into a connection churn benchmark. With pooling, the number
 //! of sockets is O(peers).
 //!
+//! Every message leaves in one vectored write, head and body together,
+//! and a body is read into a buffer that grows only with the bytes that
+//! arrive: a `Content-Length` is a peer's claim, not an allocation, and
+//! no body is zero-filled before its bytes land.
+//!
 //! The server counts payload bytes, requests, and *connections accepted* —
 //! the last is the measurement hook for the keep-alive ablation (A4): with
 //! pooling on, connections stay flat as request count grows.
@@ -40,7 +46,7 @@
 //! ([`IO_TIMEOUT`], 10s) or the held request reads as a dead server.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -59,15 +65,16 @@ pub struct Request {
 }
 
 /// A response body: either owned bytes or a shared reference-counted
-/// buffer. The `Shared` arm is the zero-copy serve path — a cached
-/// shuffle frame is handed to the socket writer without cloning, so N
-/// readers of one bucket cost one serialization and zero re-copies.
+/// buffer. The `Shared` arm is the zero-copy serve path — a shuffle frame,
+/// cached or built for one GET, is handed to the socket writer in the
+/// buffer it was written in, so N readers of one bucket cost one
+/// serialization and zero re-copies.
 #[derive(Debug, Clone)]
 pub enum Body {
     /// Bytes owned by this response.
     Vec(Vec<u8>),
     /// Bytes shared with a cache (and possibly other in-flight responses).
-    Shared(Arc<[u8]>),
+    Shared(Arc<Vec<u8>>),
 }
 
 impl Body {
@@ -89,11 +96,12 @@ impl Body {
         self.as_slice().is_empty()
     }
 
-    /// Convert into owned bytes (copies only the `Shared` arm).
+    /// Convert into owned bytes (copies only a `Shared` buffer that is
+    /// still shared).
     pub fn into_vec(self) -> Vec<u8> {
         match self {
             Body::Vec(v) => v,
-            Body::Shared(s) => s.to_vec(),
+            Body::Shared(s) => Arc::unwrap_or_clone(s),
         }
     }
 }
@@ -104,8 +112,8 @@ impl From<Vec<u8>> for Body {
     }
 }
 
-impl From<Arc<[u8]>> for Body {
-    fn from(s: Arc<[u8]>) -> Self {
+impl From<Arc<Vec<u8>>> for Body {
+    fn from(s: Arc<Vec<u8>>) -> Self {
         Body::Shared(s)
     }
 }
@@ -188,6 +196,17 @@ impl HttpServer {
         handler: Handler,
         options: ServerOptions,
     ) -> std::io::Result<HttpServer> {
+        Self::bind_named("http", port, handler, options)
+    }
+
+    /// [`HttpServer::bind_with`], its threads named `{name}-{port}`: the
+    /// accept loop and every connection's.
+    pub(crate) fn bind_named(
+        name: &str,
+        port: u16,
+        handler: Handler,
+        options: ServerOptions,
+    ) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -201,15 +220,16 @@ impl HttpServer {
             let requests = Arc::clone(&requests);
             let connections = Arc::clone(&connections);
             let live = Arc::clone(&live);
-            std::thread::Builder::new().name(format!("http-{}", addr.port())).spawn(move || {
+            let name = format!("{name}-{}", addr.port());
+            std::thread::Builder::new().name(name.clone()).spawn(move || {
                 for stream in listener.incoming() {
                     if shutdown.load(Ordering::SeqCst) {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
-                    // Large responses are written as header + body segments;
-                    // with Nagle on, the trailing segment waits out the
-                    // peer's delayed ACK (~40 ms) — per-RPC poison for the
+                    // A response larger than a segment leaves as several;
+                    // with Nagle on, the trailing one waits out the peer's
+                    // delayed ACK (~40 ms) — per-RPC poison for the
                     // long-poll control plane's round-trip latency.
                     let _ = stream.set_nodelay(true);
                     connections.fetch_add(1, Ordering::Relaxed);
@@ -224,14 +244,18 @@ impl HttpServer {
                     let handler = Arc::clone(&handler);
                     let bytes_served = Arc::clone(&bytes_served);
                     let requests = Arc::clone(&requests);
-                    std::thread::spawn(move || {
+                    let connection = move || {
                         let _ =
                             serve_connection(&stream, &handler, &bytes_served, &requests, options);
                         // The registry above holds a duplicate fd, so merely
                         // dropping `stream` would not send FIN; shut the
                         // socket down so the peer sees the close promptly.
                         let _ = stream.shutdown(Shutdown::Both);
-                    });
+                    };
+                    std::thread::Builder::new()
+                        .name(name.clone())
+                        .spawn(connection)
+                        .expect("spawn a connection thread");
                 }
             })?
         };
@@ -327,7 +351,7 @@ fn serve_connection(
 /// Read one request. Returns `None` on a clean EOF before a request line.
 /// The boolean is true when the client asked for `Connection: close` (or
 /// spoke HTTP/1.0 without opting in to keep-alive).
-fn read_request<R: BufRead>(reader: &mut R) -> std::io::Result<Option<(Request, bool)>> {
+fn read_request<R: Read>(reader: &mut BufReader<R>) -> std::io::Result<Option<(Request, bool)>> {
     let mut line = String::new();
     if reader.read_line(&mut line)? == 0 {
         return Ok(None);
@@ -339,8 +363,7 @@ fn read_request<R: BufRead>(reader: &mut R) -> std::io::Result<Option<(Request, 
     };
     let http10 = parts.next() == Some("HTTP/1.0");
     let (content_length, connection) = read_headers(reader)?;
-    let mut body = vec![0u8; content_length.unwrap_or(0)];
-    reader.read_exact(&mut body)?;
+    let body = read_body(reader, content_length.unwrap_or(0))?;
     let closes = connection.contains("close") || (http10 && !connection.contains("keep-alive"));
     Ok(Some((Request { method, path, body }, closes)))
 }
@@ -388,27 +411,54 @@ fn write_response(
         resp.body.len(),
         connection,
     );
-    write_message(&mut stream, head, resp.body.as_slice())
+    write_message(
+        &mut stream,
+        &mut [IoSlice::new(head.as_bytes()), IoSlice::new(resp.body.as_slice())],
+    )
 }
 
-/// Bodies up to this size are copied behind the head so the whole message
-/// leaves in one `write`: with `TCP_NODELAY`, head and body written apart
-/// are two segments and two reader wake-ups per message. Control RPCs and
-/// small buckets fit; larger bodies (shuffle frames shared with the
-/// cache) are written in place instead of copied.
-const COALESCE_MAX: usize = 16 * 1024;
-
-/// Write one HTTP message (request or response) and flush it.
-fn write_message<W: Write>(out: &mut W, head: String, body: &[u8]) -> std::io::Result<()> {
-    if body.len() <= COALESCE_MAX {
-        let mut message = head.into_bytes();
-        message.extend_from_slice(body);
-        out.write_all(&message)?;
-    } else {
-        out.write_all(head.as_bytes())?;
-        out.write_all(body)?;
+/// Write one HTTP message (request or response), or several pipelined
+/// ones, as `parts` in order, in one vectored write — one write call
+/// where the socket takes it all, never a body copied behind its head —
+/// and flush it. With `TCP_NODELAY`, head and body written apart would be
+/// two segments and two reader wake-ups per message.
+fn write_message<W: Write>(out: &mut W, mut parts: &mut [IoSlice<'_>]) -> std::io::Result<()> {
+    IoSlice::advance_slices(&mut parts, 0);
+    while !parts.is_empty() {
+        match out.write_vectored(parts) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
     out.flush()
+}
+
+/// Most of a body reserved before its bytes arrive; a longer body's
+/// buffer grows as they do. The bound is what a claimed `Content-Length`
+/// can cost before the peer sends anything.
+const BODY_RESERVE: usize = 4 << 20;
+
+/// A body of `n` bytes off `reader`, `n` being what the peer claimed:
+/// what the reader holds buffered is copied out, the rest read straight
+/// into the body as it arrives. The body is reserved up to
+/// [`BODY_RESERVE`], grows only as bytes arrive and is never zero-filled;
+/// a body that ends early is an error.
+fn read_body<R: Read>(reader: &mut BufReader<R>, n: usize) -> std::io::Result<Vec<u8>> {
+    let mut body = Vec::with_capacity(n.min(BODY_RESERVE));
+    let buffered = reader.buffer();
+    body.extend_from_slice(&buffered[..buffered.len().min(n)]);
+    reader.consume(body.len());
+    let rest = (n - body.len()) as u64;
+    reader.get_mut().take(rest).read_to_end(&mut body)?;
+    if body.len() < n {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("body ended after {} of {n} bytes", body.len()),
+        ));
+    }
+    Ok(body)
 }
 
 /// How many idle connections the pool keeps per authority. More than the
@@ -570,18 +620,28 @@ impl<'a> Pipelined<'a> {
     }
 
     /// Write the next (at most [`PIPELINE_MAX`]) requests, starting at
-    /// `paths[from]`, in one `write`.
+    /// `paths[from]`, in one vectored write: their heads, each followed by
+    /// the body where there is one.
     fn write_from(&self, mut conn: &TcpStream, from: usize) -> std::io::Result<()> {
         let (method, authority, len) = (self.method, self.authority, self.body.len());
-        let mut message = Vec::new();
+        let mut heads = Vec::new();
+        let mut ends = Vec::new();
         for path in self.paths[from..].iter().take(PIPELINE_MAX) {
             write!(
-                message,
+                heads,
                 "{method} {path} HTTP/1.1\r\nHost: {authority}\r\nContent-Length: {len}\r\nConnection: keep-alive\r\n\r\n"
             )?;
-            message.extend_from_slice(self.body);
+            ends.push(heads.len());
         }
-        conn.write_all(&message)
+        let mut parts = vec![IoSlice::new(&heads)];
+        if !self.body.is_empty() {
+            parts.clear();
+            let starts = std::iter::once(0).chain(ends.iter().copied());
+            for (start, end) in starts.zip(ends.iter().copied()) {
+                parts.extend([IoSlice::new(&heads[start..end]), IoSlice::new(self.body)]);
+            }
+        }
+        write_message(&mut conn, &mut parts)
     }
 
     /// The read half: append `(status, body)` per path to `out`, in
@@ -621,7 +681,9 @@ impl<'a> Pipelined<'a> {
     /// buffer. `Ok(true)` means every answer was read and the server keeps
     /// the connection open — the only state in which it may be pooled.
     fn drain(&mut self, conn: &TcpStream, out: &mut Vec<(u16, Vec<u8>)>) -> std::io::Result<bool> {
-        let mut reader = BufReader::new(conn);
+        let answers = (self.paths.len() - self.answered).min(PIPELINE_MAX);
+        let size = (answers * BATCH_READ_PER_ANSWER).min(BATCH_READ_MAX);
+        let mut reader = BufReader::with_capacity(size, conn);
         while self.answered < self.paths.len() {
             if self.answered == self.sent {
                 self.write_from(conn, self.sent)?;
@@ -638,8 +700,14 @@ impl<'a> Pipelined<'a> {
     }
 }
 
+/// Bytes of read buffer a batch asks for per answer it expects, up to
+/// [`BATCH_READ_MAX`]: a batch of small answers then takes several of
+/// them per `read`, and a large body is read past the buffer.
+const BATCH_READ_PER_ANSWER: usize = 16 * 1024;
+const BATCH_READ_MAX: usize = 256 * 1024;
+
 /// Read one response: `(status, body, server keeps the connection open)`.
-fn read_response<R: BufRead>(reader: &mut R) -> std::io::Result<(u16, Vec<u8>, bool)> {
+fn read_response<R: Read>(reader: &mut BufReader<R>) -> std::io::Result<(u16, Vec<u8>, bool)> {
     let mut status_line = String::new();
     reader.read_line(&mut status_line)?;
     if status_line.is_empty() {
@@ -655,19 +723,17 @@ fn read_response<R: BufRead>(reader: &mut R) -> std::io::Result<(u16, Vec<u8>, b
         .ok_or_else(|| std::io::Error::other(format!("bad status line {status_line:?}")))?;
     let (content_length, connection) = read_headers(reader)?;
     let mut keep_alive = status_line.starts_with("HTTP/1.1") && !connection.contains("close");
-    let mut body = Vec::new();
-    match content_length {
-        Some(n) => {
-            body.resize(n, 0);
-            reader.read_exact(&mut body)?;
-        }
+    let body = match content_length {
+        Some(n) => read_body(reader, n)?,
         None => {
             // Without a length the body runs to EOF, which also means
             // the connection cannot be reused.
             keep_alive = false;
+            let mut body = Vec::new();
             reader.read_to_end(&mut body)?;
+            body
         }
-    }
+    };
     Ok((status, body, keep_alive))
 }
 
@@ -943,7 +1009,7 @@ mod tests {
         server.join().unwrap();
     }
 
-    /// Counts `write` calls and keeps what was written.
+    /// Counts `write` calls, vectored or not, and keeps what was written.
     #[derive(Default)]
     struct CountingWriter {
         writes: usize,
@@ -952,29 +1018,48 @@ mod tests {
 
     impl Write for CountingWriter {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
             self.writes += 1;
-            self.bytes.extend_from_slice(buf);
-            Ok(buf.len())
+            bufs.iter().for_each(|b| self.bytes.extend_from_slice(b));
+            Ok(bufs.iter().map(|b| b.len()).sum())
         }
         fn flush(&mut self) -> std::io::Result<()> {
             Ok(())
         }
     }
 
+    /// Head and body leave in one vectored write at every size, the body
+    /// written from where it lies; a writer that takes a little at a time
+    /// is fed the rest, in order.
     #[test]
     fn small_message_leaves_in_one_write_large_body_is_not_copied() {
-        let head = || "POST /RPC2 HTTP/1.1\r\n\r\n".to_owned();
-        let mut small = CountingWriter::default();
-        let body = vec![b'x'; COALESCE_MAX];
-        write_message(&mut small, head(), &body).unwrap();
-        assert_eq!(small.writes, 1, "head and body must share one write");
-        assert_eq!(small.bytes, [head().as_bytes(), &body[..]].concat());
+        let head = b"POST /RPC2 HTTP/1.1\r\n\r\n";
+        for len in [0, 100, 16 * 1024, 16 * 1024 + 1, 1 << 20] {
+            let body = vec![b'x'; len];
+            let mut out = CountingWriter::default();
+            write_message(&mut out, &mut [IoSlice::new(head), IoSlice::new(&body)]).unwrap();
+            assert_eq!(out.writes, 1, "{len}-byte body: head and body must share one write");
+            assert_eq!(out.bytes, [&head[..], &body[..]].concat());
+        }
 
-        let mut large = CountingWriter::default();
-        let body = vec![b'y'; COALESCE_MAX + 1];
-        write_message(&mut large, head(), &body).unwrap();
-        assert_eq!(large.writes, 2, "a large body is written in place after the head");
-        assert_eq!(large.bytes, [head().as_bytes(), &body[..]].concat());
+        /// Takes at most 7 bytes per call.
+        struct Trickle(Vec<u8>);
+        impl Write for Trickle {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                let n = buf.len().min(7);
+                self.0.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let body = vec![b'y'; 50];
+        let mut out = Trickle(Vec::new());
+        write_message(&mut out, &mut [IoSlice::new(head), IoSlice::new(&body)]).unwrap();
+        assert_eq!(out.0, [&head[..], &body[..]].concat());
     }
 
     /// Each batch counts its own dials: against a fresh server the first

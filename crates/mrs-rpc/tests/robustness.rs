@@ -4,8 +4,8 @@
 
 use mrs_rpc::rpc::{Dispatch, RpcServer};
 use mrs_rpc::{DataServer, HttpClient, RpcClient, Value};
-use std::io::Write;
-use std::net::TcpStream;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
 fn echo_rpc() -> RpcServer {
@@ -63,6 +63,47 @@ fn lying_content_length_is_survivable() {
     assert_eq!(client.call("echo", &[Value::Int(2)]).unwrap(), Value::Int(2));
 }
 
+/// 2^40 bytes: far more than any machine could allocate.
+const HUGE: u64 = 1 << 40;
+
+/// A request claiming 2^40 body bytes, followed by a few and a close,
+/// costs the server an error on that connection, not an allocation of
+/// the claim: the connection ends unanswered and the server serves on.
+#[test]
+fn a_claimed_request_length_is_not_an_allocation() {
+    let server = echo_rpc();
+    let mut s = TcpStream::connect(server.authority()).unwrap();
+    write!(s, "POST /RPC2 HTTP/1.1\r\nContent-Length: {HUGE}\r\n\r\n<methodCall>").unwrap();
+    s.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut answer = Vec::new();
+    s.read_to_end(&mut answer).unwrap();
+    assert!(answer.is_empty(), "{}", String::from_utf8_lossy(&answer));
+    let client = RpcClient::new(server.authority());
+    assert_eq!(client.call("echo", &[Value::Int(4)]).unwrap(), Value::Int(4));
+}
+
+/// An answer claiming 2^40 body bytes, followed by a few and a close, is
+/// an error for the client that asked — a single GET, a bucket fetch and
+/// a pipelined batch alike — not an allocation of the claim.
+#[test]
+fn a_claimed_response_length_is_not_an_allocation() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let authority = listener.local_addr().unwrap().to_string();
+    let liar = std::thread::spawn(move || {
+        for _ in 0..3 {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut head = [0u8; 1024];
+            let _ = conn.read(&mut head).unwrap();
+            write!(conn, "HTTP/1.1 200 OK\r\nContent-Length: {HUGE}\r\n\r\nMRSF1").unwrap();
+        }
+    });
+    let err = HttpClient::get(&authority, "/data/a").unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
+    assert!(mrs_rpc::dataserver::fetch(&authority, "/data/b").is_err());
+    assert!(HttpClient::get_many(&authority, &["/data/c", "/data/d"]).is_err());
+    liar.join().unwrap();
+}
+
 #[test]
 fn deeply_nested_xml_is_rejected_cleanly() {
     let server = echo_rpc();
@@ -86,7 +127,7 @@ fn data_server_rejects_path_traversal() {
     // miss. The provider interface never touches the real filesystem.
     let server = DataServer::serve(
         0,
-        Arc::new(|p: &str, _| (p == "ok").then(|| Arc::from(b"fine".as_slice())).into()),
+        Arc::new(|p: &str, _| (p == "ok").then(|| Arc::new(b"fine".to_vec())).into()),
     )
     .unwrap();
     let (status, body) = HttpClient::get(&server.authority(), "/data/ok").unwrap();

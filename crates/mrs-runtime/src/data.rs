@@ -8,7 +8,8 @@
 //! arguments and `fetch_all` results. In between, every in-process plane
 //! holds each split, run and op output as an `Arc<Bucket>`: a task takes
 //! its input by reference count, and the two conversions at the edges
-//! ([`split_buckets`], [`materialize`]) each run once per dataset.
+//! ([`split_buckets`], [`materialize`]) each run once per dataset. A
+//! bucket crossing the wire is its frame end to end ([`crate::workers`]).
 //!
 //! The edges convert bytes, not allocations. `local_data` copies the
 //! caller's records into buckets (on the cluster, into source frames) and

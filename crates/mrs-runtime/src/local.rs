@@ -411,8 +411,8 @@ mod tests {
         let files = store.list("").unwrap();
         let spilled = store.get(files.iter().find(|f| f.contains("/map")).unwrap()).unwrap();
         assert!(mrs_codec::is_framed(&spilled));
-        let raw = mrs_codec::decode_vec(spilled).unwrap();
-        assert!(raw.starts_with(b"MRSB1"));
+        let raw = mrs_codec::open_vec(spilled).unwrap();
+        assert!(raw.as_ref().starts_with(b"MRSB1"));
     }
 
     #[test]

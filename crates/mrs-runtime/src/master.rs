@@ -38,7 +38,7 @@ use crate::metrics::JobMetrics;
 use crate::proto::{fetch_buckets, Assignment, DataPlane, Dispatch, TaskReport, TraceBatch};
 use mrs_codec::CompressMode;
 use mrs_core::{Error, FuncId, Record, Result, TaskSpec};
-use mrs_fs::format::{read_bucket_records, write_bucket_bytes};
+use mrs_fs::format::{frame_records, read_bucket_records};
 use mrs_fs::url::EMPTY;
 use mrs_rpc::{DataServer, FrameCache, Pages, Response};
 use mrs_trace::{
@@ -234,7 +234,7 @@ impl Master {
                 "metrics" => (m.metrics_page(), "text/plain; version=0.0.4"),
                 _ => return None,
             };
-            Some(Response::ok(content_type, Arc::from(text.into_bytes())))
+            Some(Response::ok(content_type, text.into_bytes()))
         });
         let server = DataServer::serve_with_pages(0, master.shared.source_frames.provider(), pages)
             .map_err(Error::Io)?;
@@ -535,7 +535,7 @@ impl Master {
             return Ok(EMPTY.to_owned());
         }
         let path = format!("src{id}/s{split}.mrsb");
-        let wire = mrs_codec::encode_vec(write_bucket_bytes(records), self.shared.cfg.compress);
+        let wire = frame_records(records, self.shared.cfg.compress);
         match &self.shared.plane {
             DataPlane::Direct => {
                 self.shared.source_frames.insert(&path, wire);
@@ -689,7 +689,7 @@ mod tests {
 
     /// An empty bucket as a slave would store it: framed.
     fn empty_bucket() -> Vec<u8> {
-        mrs_codec::encode_vec(write_bucket_bytes(&[]), CompressMode::default())
+        frame_records(&[], CompressMode::default())
     }
 
     /// A poll that neither parks nor reports: the grant plus this slave's

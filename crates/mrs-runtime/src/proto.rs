@@ -35,7 +35,7 @@
 
 use crate::master::SlaveId;
 use crate::metrics::{Counter, JobMetrics};
-use mrs_codec::FrameError;
+use mrs_codec::{FrameError, Payload};
 use mrs_core::kv::{read_varint, write_varint};
 use mrs_core::{Error, Record, Result, TaskSpec};
 use mrs_fs::format::read_bucket_records;
@@ -1042,9 +1042,9 @@ struct Batch<'a> {
     paths: Vec<&'a str>,
 }
 
-/// The transfer half of a fetch: resolve every URL to its raw (decoded
-/// `MRSB1`) bucket bytes without parsing them, one result per URL in
-/// input order, at one round trip per peer. An `empty:` URL resolves to
+/// The transfer half of a fetch: resolve every URL to its opened frame
+/// (a [`Payload`], where it arrived) without parsing it, one result per
+/// URL in input order, at one round trip per peer. An `empty:` URL resolves to
 /// `None` — a bucket with no records — in no batch, so a peer whose every
 /// bucket is empty is never dialled. The other URLs are grouped into batches
 /// in order of first appearance: one per peer authority, and one for the
@@ -1071,8 +1071,8 @@ struct Batch<'a> {
 /// which the caller merges into its node's store (a slave's rides its
 /// next poll).
 ///
-/// Every resolution path runs the wire bytes through the `MRSF1` frame
-/// decoder, which verifies magic and checksum. A *remote* frame that
+/// Every resolution path opens the wire bytes as an `MRSF1` frame where
+/// they lie, verifying magic and checksum. A *remote* frame that
 /// fails either is fetched once more from the peer, alone (transient
 /// corruption), before the error surfaces; shared-store corruption is not
 /// retried — re-reading the same bytes cannot help.
@@ -1082,9 +1082,9 @@ pub fn fetch_buckets(
     reader: Option<u32>,
     cancel: Option<&AtomicBool>,
     tally: &mut JobMetrics,
-) -> Vec<Result<Option<Vec<u8>>>> {
+) -> Vec<Result<Option<Payload>>> {
     let cancelled = || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
-    let mut slots: Vec<Result<Option<Vec<u8>>>> = Vec::with_capacity(urls.len());
+    let mut slots: Vec<Result<Option<Payload>>> = Vec::with_capacity(urls.len());
     let parsed: Vec<Option<BucketUrl>> = urls
         .iter()
         .map(|url| match BucketUrl::parse(url) {
@@ -1178,43 +1178,38 @@ pub fn fetch_buckets(
     slots
 }
 
-/// Read and decode `url`, whose path in the `shared` store is `path`.
-fn fetch_shared(url: &str, path: &str, shared: Option<&Arc<dyn Store>>) -> Result<Vec<u8>> {
+/// Read `url` (`path` in the `shared` store) and open its frame in place.
+fn fetch_shared(url: &str, path: &str, shared: Option<&Arc<dyn Store>>) -> Result<Payload> {
     let store = shared.ok_or_else(|| Error::Url(format!("no shared store to resolve {url}")))?;
-    mrs_codec::decode_vec(store.get(path)?).map_err(|e| Error::Codec(format!("bucket {path}: {e}")))
+    mrs_codec::open_vec(store.get(path)?).map_err(|e| Error::Codec(format!("bucket {path}: {e}")))
 }
 
-/// Decode the frame a peer answered with, re-fetching that one bucket
-/// once when the bytes were damaged on the way (bad checksum, bad magic).
-/// Successful transfers count their raw and on-wire bytes into `tally`.
+/// Open the frame a peer answered with in place, fetching that bucket
+/// once more when its bytes were damaged on the way (bad checksum, bad
+/// magic). Successful transfers count raw and on-wire bytes into `tally`.
 fn verify_remote(
     authority: &str,
     path: &str,
     wire: Vec<u8>,
     tally: &mut JobMetrics,
-) -> Result<Vec<u8>> {
-    let moved = |tally: &mut JobMetrics, raw: &[u8], wire_len: usize| {
-        tally.add(Counter::BytesPreCompress, raw.len() as u64);
-        tally.add(Counter::BytesOnWire, wire_len as u64);
-    };
+) -> Result<Payload> {
     let wire_len = wire.len();
-    match mrs_codec::decode_vec(wire) {
-        Ok(raw) => {
-            moved(tally, &raw, wire_len);
-            Ok(raw)
-        }
+    let (raw, wire_len) = match mrs_codec::open_vec(wire) {
+        Ok(raw) => (raw, wire_len),
         Err(FrameError::Checksum { .. } | FrameError::NotFramed) => {
             tally.add(Counter::ChecksumRetries, 1);
             let wire = dataserver::fetch(authority, path)?;
             let wire_len = wire.len();
-            let raw = mrs_codec::decode_vec(wire).map_err(|e| {
+            let raw = mrs_codec::open_vec(wire).map_err(|e| {
                 Error::Codec(format!("bucket {authority}{path} corrupt after refetch: {e}"))
             })?;
-            moved(tally, &raw, wire_len);
-            Ok(raw)
+            (raw, wire_len)
         }
-        Err(e) => Err(Error::Codec(format!("bucket {authority}{path}: {e}"))),
-    }
+        Err(e) => return Err(Error::Codec(format!("bucket {authority}{path}: {e}"))),
+    };
+    tally.add(Counter::BytesPreCompress, raw.as_ref().len() as u64);
+    tally.add(Counter::BytesOnWire, wire_len as u64);
+    Ok(raw)
 }
 
 #[cfg(test)]
@@ -1764,8 +1759,9 @@ mod tests {
         let records = vec![(b"key".to_vec(), vec![9u8; 800])];
         let modes = [mrs_codec::CompressMode::Off, mrs_codec::CompressMode::On];
         for (mode, flip_first) in modes.into_iter().flat_map(|m| [(m, false), (m, true)]) {
-            let good: Arc<[u8]> = mrs_codec::encode_vec(write_bucket_bytes(&records), mode).into();
-            let bad: Arc<[u8]> = {
+            let good: Arc<Vec<u8>> =
+                mrs_codec::encode_vec(write_bucket_bytes(&records), mode).into();
+            let bad: Arc<Vec<u8>> = {
                 let mut b = good.to_vec();
                 let at = if flip_first { 0 } else { b.len() - 1 };
                 b[at] ^= 0xff;
@@ -1812,7 +1808,7 @@ mod tests {
     /// A data server over a fixed set of frames that counts the requests
     /// each path received.
     fn counting_server(
-        frames: Vec<(&'static str, Arc<[u8]>)>,
+        frames: Vec<(&'static str, Arc<Vec<u8>>)>,
     ) -> (mrs_rpc::DataServer, Arc<parking_lot::Mutex<Vec<String>>>) {
         let hits = Arc::new(parking_lot::Mutex::new(Vec::new()));
         let provider: mrs_rpc::dataserver::Provider = {
@@ -1825,7 +1821,12 @@ mod tests {
         (mrs_rpc::DataServer::serve(0, provider).unwrap(), hits)
     }
 
-    fn frame_of(tag: u8) -> (Vec<u8>, Arc<[u8]>) {
+    /// A fetched bucket's cleartext, copied out.
+    fn cleartext(fetched: Result<Option<Payload>>) -> Option<Vec<u8>> {
+        fetched.unwrap().map(|payload| payload.as_ref().to_vec())
+    }
+
+    fn frame_of(tag: u8) -> (Vec<u8>, Arc<Vec<u8>>) {
         let raw = mrs_fs::format::write_bucket_bytes(&[(vec![tag], vec![tag; 40])]);
         let frame = mrs_codec::encode_vec(raw.clone(), mrs_codec::CompressMode::Off);
         (raw, frame.into())
@@ -1838,7 +1839,7 @@ mod tests {
     fn flipped_byte_in_one_bucket_of_a_batch_refetches_only_that_bucket() {
         let (raws, frames): (Vec<_>, Vec<_>) = (0..4).map(frame_of).unzip();
         let wire_bytes: u64 = frames.iter().map(|f| f.len() as u64).sum();
-        let bad: Arc<[u8]> = {
+        let bad: Arc<Vec<u8>> = {
             let mut b = frames[2].to_vec();
             let last = b.len() - 1;
             b[last] ^= 0x10;
@@ -1863,7 +1864,7 @@ mod tests {
         let mut tally = JobMetrics::default();
         let got: Vec<Vec<u8>> = fetch_buckets(&urls, None, None, None, &mut tally)
             .into_iter()
-            .map(|r| r.unwrap().unwrap())
+            .map(|r| r.unwrap().unwrap().as_ref().to_vec())
             .collect();
         assert_eq!(got, raws);
         assert_eq!(*hits.lock(), ["b0", "b1", "b2", "b3", "b2"], "one refetch, of b2 only");
@@ -1896,7 +1897,7 @@ mod tests {
         let urls: Vec<&str> = urls.iter().map(String::as_str).collect();
         let go = AtomicBool::new(false);
         let got = fetch_buckets(&urls, None, None, Some(&go), &mut JobMetrics::default());
-        assert_eq!(got.into_iter().map(Result::unwrap).collect::<Vec<_>>(), [Some(raw), None]);
+        assert_eq!(got.into_iter().map(cleartext).collect::<Vec<_>>(), [Some(raw), None]);
         assert_eq!(*hits.lock(), ["later", "none", "later"], "only the late bucket again");
     }
 
@@ -1909,10 +1910,10 @@ mod tests {
         let urls = [server.url_for("a"), server.url_for("gone"), server.url_for("c")];
         let urls: Vec<&str> = urls.iter().map(String::as_str).collect();
         let mut got = fetch_buckets(&urls, None, None, None, &mut JobMetrics::default());
-        assert_eq!(got.remove(0).unwrap(), Some(raw.clone()));
+        assert_eq!(cleartext(got.remove(0)), Some(raw.clone()));
         let err = got.remove(0).unwrap_err();
         assert!(matches!(&err, Error::MissingData(m) if m.contains("/data/gone")), "{err}");
-        assert_eq!(got.remove(0).unwrap(), Some(raw));
+        assert_eq!(cleartext(got.remove(0)), Some(raw));
         assert_eq!(*hits.lock(), ["a", "gone", "c"]);
     }
 
@@ -1981,7 +1982,7 @@ mod tests {
         let a = server.url_for("a");
         let mut tally = JobMetrics::default();
         let got = fetch_buckets(&["empty:", &a, "empty:"], None, None, None, &mut tally);
-        let got: Vec<Option<Vec<u8>>> = got.into_iter().map(|r| r.unwrap()).collect();
+        let got: Vec<Option<Vec<u8>>> = got.into_iter().map(cleartext).collect();
         assert_eq!(got, [None, Some(raw), None]);
         assert_eq!(*hits.lock(), ["a"], "only the bucket with records was requested");
         // Not even a set cancel flag keeps an empty bucket from resolving.

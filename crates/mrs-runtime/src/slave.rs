@@ -59,7 +59,7 @@ use crate::workers::{
 };
 use mrs_codec::CompressMode;
 use mrs_core::{Bucket, Error, Program, Result};
-use mrs_fs::format::write_bucket;
+use mrs_fs::format::frame_bucket;
 use mrs_fs::Store;
 use mrs_rpc::{DataServer, Provider, Served};
 use mrs_trace::{Recorder, Tag, TraceHandle, POLL_LANE};
@@ -571,18 +571,18 @@ fn purge<V>(outputs: &mut BTreeMap<String, V>, prefix: &str) {
     }
 }
 
-/// The data server's provider: each GET frames the bucket it names,
-/// compressed per this slave's policy, once the table holds it; a GET that
-/// names no reader waits for any attempt. The frame
-/// is not kept — a bucket is normally fetched once, and a kept frame would
-/// only hold memory beside its bucket.
+/// The data server's provider: each GET frames the bucket it names in
+/// place ([`frame_bucket`]), compressed per this slave's policy, once the
+/// table holds it; a GET that names no reader waits for any attempt. The
+/// frame is not kept — a bucket is normally fetched once, and a kept frame
+/// would only hold memory beside its bucket.
 fn serve_outputs(outputs: &Arc<Outputs>, compress: CompressMode) -> Provider {
     let outputs = Arc::clone(outputs);
     Arc::new(move |path: &str, reader: Option<u32>| {
         match outputs.find(path, reader.unwrap_or(u32::MAX), true, Instant::now() + HOLD) {
-            Found::Entered(Some((bucket, sorted))) => Served::Frame(
-                mrs_codec::encode_vec_sorted(write_bucket(&bucket), compress, sorted).into(),
-            ),
+            Found::Entered(Some((bucket, sorted))) => {
+                Served::Frame(Arc::new(frame_bucket(&bucket, compress, sorted)))
+            }
             Found::Entered(None) => Served::Empty,
             Found::NotYet => Served::NotYet,
             Found::Missing => Served::Missing,
@@ -626,7 +626,7 @@ fn fetch_inputs(
             let input = match own_path.zip(own) {
                 Some((path, (_, outputs))) => own_input(outputs, path, reader, cancel, tally),
                 None => match fetched.next().expect("one result per fetched url") {
-                    Ok(Some(bytes)) => Ok(Input::Wire(bytes)),
+                    Ok(Some(payload)) => Ok(Input::Wire(payload)),
                     Ok(None) => Ok(Input::Own(empty())),
                     Err(e) => Err(e),
                 },
@@ -679,6 +679,7 @@ mod tests {
     use mrs_core::task::run_task;
     use mrs_core::TaskSpec;
     use mrs_core::{Datum, MapReduce, Simple};
+    use mrs_fs::format::write_bucket;
     use mrs_fs::url::EMPTY;
     use mrs_fs::MemFs;
     use std::sync::atomic::AtomicUsize;

@@ -10,6 +10,11 @@
 //! (the slave's only) and where its outcome goes (the pool's commit, the
 //! slave's report to the master).
 //!
+//! A fetched input is never copied into an arena: it arrives as the frame
+//! its producer wrote, opened where it lies ([`mrs_codec::Payload`]), and
+//! the worker indexes it in place ([`index_bucket`]) — the map arm and the
+//! gather alike — so the received buffer is the bucket the kernel reads.
+//!
 //! Every attempt is traced on its worker's lane in one shape: an `Attempt`
 //! span from the claim or acceptance stamp, with `Fetch` (remote inputs
 //! only), `Merge` (gathering tasks only), `Exec` and `Emit` (only when the
@@ -18,12 +23,12 @@
 //! publishes the outcome — so whoever sees the outcome can see the whole
 //! span.
 
-use crate::data::count_merge_input;
+use crate::data::{concat, count_merge_input};
 use crate::metrics::JobMetrics;
-use mrs_codec::CompressMode;
+use mrs_codec::{CompressMode, Payload};
 use mrs_core::task::run_task;
 use mrs_core::{Bucket, Error, Program, Result, TaskSpec};
-use mrs_fs::format::{read_bucket_into, read_bucket_run, write_bucket};
+use mrs_fs::format::{frame_bucket, index_bucket, RunInfo};
 use mrs_fs::Store;
 use mrs_trace::{Name, Recorder, Tag, TraceHandle};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -36,8 +41,8 @@ pub(crate) enum Input {
     /// A bucket this process holds — a source split or a task's output,
     /// or the [`empty`] bucket an `empty:` URL names — by reference count.
     Own(Arc<Bucket>),
-    /// A fetched bucket's decoded `MRSB1` bytes, not yet parsed.
-    Wire(Vec<u8>),
+    /// A fetched bucket's verified frame, unparsed: its `MRSB1` bytes where they arrived.
+    Wire(Payload),
 }
 
 /// An attempt, as a plane's source hands it to a worker.
@@ -147,8 +152,6 @@ impl Workers<'_> {
     }
 
     fn work<P: Plane>(&self, plane: &P, th: &TraceHandle) -> Result<()> {
-        // A map decodes a fetched split into this arena, reused across tasks.
-        let mut scratch = Bucket::new();
         while let Some(Attempt { task, spec, tag, since_us, inputs, cancel }) = plane.next(th) {
             th.begin_at(since_us, Name::Attempt, tag);
             let t0 = Instant::now();
@@ -157,7 +160,7 @@ impl Workers<'_> {
             let outcome = if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
                 Err(Error::Cancelled.into())
             } else {
-                self.attempt(plane, &task, &spec, tag, inputs, cancel, &mut scratch, &mut tally, th)
+                self.attempt(plane, &task, &spec, tag, inputs, cancel, &mut tally, th)
             };
             close(th, tag, matches!(outcome, Err(Failure { error: Error::Cancelled, .. })));
             let elapsed = t0.elapsed();
@@ -176,7 +179,6 @@ impl Workers<'_> {
         tag: Tag,
         inputs: Option<Vec<Input>>,
         cancel: Option<&AtomicBool>,
-        scratch: &mut Bucket,
         tally: &mut JobMetrics,
         th: &TraceHandle,
     ) -> std::result::Result<Vec<Arc<Bucket>>, Failure> {
@@ -184,24 +186,21 @@ impl Workers<'_> {
             Some(inputs) => inputs,
             None => span(th, Name::Fetch, tag, || plane.fetch(task, cancel, tally))?,
         };
-        // A map runs on its one own split as it is, and otherwise decodes
-        // its input into the scratch arena.
-        let gathered: Vec<Arc<Bucket>>;
-        let runs: Vec<&Bucket> = if spec.gathers() {
-            gathered = span(th, Name::Merge, tag, || gather(inputs, tally))?;
-            gathered.iter().map(|run| &**run).collect()
-        } else if let [Input::Own(split)] = &inputs[..] {
-            vec![&**split]
+        // A map runs on its split as it is — its own, or the fetched one
+        // indexed where it arrived; several splits are read as one.
+        let runs: Vec<Arc<Bucket>> = if spec.gathers() {
+            span(th, Name::Merge, tag, || gather(inputs, tally))?
         } else {
-            scratch.clear();
-            for (i, input) in inputs.iter().enumerate() {
-                match input {
-                    Input::Own(split) => scratch.extend_from(split),
-                    Input::Wire(bytes) => read_bucket_into(bytes, scratch)
-                        .map_err(|error| Failure { error, input: Some(i) })?,
-                }
+            let splits = inputs.into_iter().enumerate().map(|(i, input)| match input {
+                Input::Own(split) => Ok(split),
+                Input::Wire(payload) => index(payload, i).map(|(split, _)| Arc::new(split)),
+            });
+            let splits = splits.collect::<std::result::Result<Vec<_>, Failure>>()?;
+            if splits.len() == 1 {
+                splits
+            } else {
+                vec![Arc::new(concat(&splits))]
             }
-            vec![&*scratch]
         };
         let out = span(th, Name::Exec, tag, || run_task(self.program, spec, &runs, cancel))?;
         let out: Vec<Arc<Bucket>> = out.into_iter().map(Arc::new).collect();
@@ -211,11 +210,7 @@ impl Workers<'_> {
             span(th, Name::Emit, tag, || {
                 let stem = plane.stem(&tag);
                 out.iter().enumerate().filter(|(_, b)| !b.is_empty()).try_for_each(|(p, b)| {
-                    let frame = mrs_codec::encode_vec_sorted(
-                        write_bucket(b),
-                        compress,
-                        sorted_run(spec, b),
-                    );
+                    let frame = frame_bucket(b, compress, sorted_run(spec, b));
                     store.put(&bucket_path(&stem, p), &frame)
                 })
             })?;
@@ -235,8 +230,8 @@ pub(crate) fn join(slots: Vec<ScopedJoinHandle<'_, Result<()>>>) -> Result<()> {
 
 /// The merge runs of a reduce-like attempt, one per input, counted into
 /// `tally`. An own input is a map's output, presorted by the kernel's
-/// contract; a fetched one is parsed, and sorted on arrival unless its
-/// frame says it is in order.
+/// contract; a fetched one is indexed where it arrived, and sorted on
+/// arrival unless its records, checked in the same pass, are in order.
 pub(crate) fn gather(
     inputs: Vec<Input>,
     tally: &mut JobMetrics,
@@ -251,10 +246,8 @@ pub(crate) fn gather(
                 presorted += 1;
                 Ok(run)
             }
-            Input::Wire(bytes) => {
-                let mut run = Bucket::new();
-                let info = read_bucket_run(&bytes, &mut run)
-                    .map_err(|error| Failure { error, input: Some(i) })?;
+            Input::Wire(payload) => {
+                let (mut run, info) = index(payload, i)?;
                 if info.sorted {
                     presorted += 1;
                 } else {
@@ -267,6 +260,13 @@ pub(crate) fn gather(
     let records = runs.iter().map(|run| run.len()).sum();
     count_merge_input(tally, runs.len(), presorted, records, t0);
     Ok(runs)
+}
+
+/// Fetched input `i` as a bucket on the buffer it arrived in, and what
+/// the index learned of its order; a malformed one fails the attempt,
+/// naming the input.
+fn index(payload: Payload, i: usize) -> std::result::Result<(Bucket, RunInfo), Failure> {
+    index_bucket(payload).map_err(|error| Failure { error, input: Some(i) })
 }
 
 /// The bucket with no records that every `empty:` input of this process
@@ -315,6 +315,7 @@ fn span<R>(th: &TraceHandle, name: Name, tag: Tag, f: impl FnOnce() -> R) -> R {
 mod tests {
     use super::*;
     use mrs_core::FuncId;
+    use mrs_fs::format::write_bucket;
     use mrs_fs::MemFs;
     use mrs_trace::{Event, Kind, Op};
     use parking_lot::Mutex;
@@ -374,7 +375,7 @@ mod tests {
             _: Option<&AtomicBool>,
             _: &mut JobMetrics,
         ) -> std::result::Result<Vec<Input>, Failure> {
-            Ok(self.remote.iter().map(|b| Input::Wire(write_bucket(b))).collect())
+            Ok(self.remote.iter().map(|b| Input::Wire(Payload::raw(write_bucket(b)))).collect())
         }
         fn stem(&self, tag: &Tag) -> String {
             format!("t{}", tag.index)
@@ -486,6 +487,106 @@ mod tests {
             assert!(!cancelled || store.list("").unwrap().is_empty(), "a cancelled attempt stored");
             let gathered = if tag.op == Op::Map { 0 } else { 2 };
             assert_eq!((tally.merge_runs(), tally.presorted_runs()), (gathered, gathered));
+        }
+    }
+
+    /// Notes the address range of every key and value slice the kernel
+    /// is handed; identity map and reduce.
+    #[derive(Default)]
+    struct Addresses(Mutex<Vec<std::ops::Range<usize>>>);
+
+    impl Addresses {
+        fn note(&self, bytes: &[u8]) {
+            let range = bytes.as_ptr_range();
+            self.0.lock().push(range.start as usize..range.end as usize);
+        }
+    }
+
+    impl Program for Addresses {
+        fn map_bytes(
+            &self,
+            _: FuncId,
+            key: &[u8],
+            value: &[u8],
+            emit: &mut dyn FnMut(&[u8], &[u8]),
+        ) -> Result<()> {
+            self.note(key);
+            self.note(value);
+            emit(key, value);
+            Ok(())
+        }
+        fn reduce_bytes(
+            &self,
+            _: FuncId,
+            key: &[u8],
+            values: &mut dyn Iterator<Item = &[u8]>,
+            emit: &mut dyn FnMut(&[u8], &[u8]),
+        ) -> Result<()> {
+            self.note(key);
+            for value in values {
+                self.note(value);
+                emit(key, value);
+            }
+            Ok(())
+        }
+    }
+
+    /// A map's fetched split and a reduce's fetched runs reach the kernel
+    /// where they arrived: every key and value slice it reads lies inside
+    /// a body the fetch received off the socket, not in a copy of it.
+    #[test]
+    fn fetched_inputs_are_read_where_they_arrived() {
+        let cache = Arc::new(mrs_rpc::FrameCache::new());
+        let records = |tag: u8| -> Vec<mrs_core::Record> {
+            (1..40u8).map(|i| (vec![tag, i, i], vec![i; 1 + i as usize % 9])).collect()
+        };
+        cache.insert("split", mrs_fs::format::frame_records(&records(0), CompressMode::Off));
+        for (path, tag) in [("run0", 1), ("run1", 2)] {
+            let run = Bucket::from_records(records(tag));
+            cache.insert(path, frame_bucket(&run, CompressMode::Off, true));
+        }
+        let server = mrs_rpc::DataServer::serve(0, cache.provider()).unwrap();
+        let map = TaskSpec::Map { func: 0, parts: 2, combine: false };
+        for (spec, paths) in
+            [(map, vec!["split"]), (TaskSpec::Reduce { func: 0 }, vec!["run0", "run1"])]
+        {
+            let urls: Vec<String> = paths.iter().map(|p| server.url_for(p)).collect();
+            let urls: Vec<&str> = urls.iter().map(String::as_str).collect();
+            let fetched =
+                crate::proto::fetch_buckets(&urls, None, None, None, &mut JobMetrics::default());
+            let (inputs, bodies): (Vec<Input>, Vec<std::ops::Range<usize>>) = fetched
+                .into_iter()
+                .map(|got| {
+                    let payload = got.unwrap().expect("a bucket with records");
+                    let body = payload.as_ref().as_ptr_range();
+                    (Input::Wire(payload), body.start as usize..body.end as usize)
+                })
+                .unzip();
+            let tag = Tag::task(crate::proto::trace_op(&spec), 1, 0, 1);
+            let plane = OneAttempt {
+                attempt: Mutex::new(Some(Attempt {
+                    task: (),
+                    spec,
+                    tag,
+                    since_us: 0,
+                    inputs: Some(inputs),
+                    cancel: None,
+                })),
+                remote: Vec::new(),
+                rec: Recorder::new(),
+                seen: Mutex::default(),
+            };
+            let program = Addresses::default();
+            let workers = Workers { program: &program, store: None, slots: 1, trace: &plane.rec };
+            workers.run(&plane).unwrap();
+            let (outcome, _, _) = plane.seen.lock().take().expect("the sink ran");
+            assert!(outcome.is_ok(), "{spec:?}");
+            let read = program.0.lock();
+            assert_eq!(read.len(), 2 * 39 * paths.len(), "{spec:?}: every key and value");
+            for slice in read.iter() {
+                let inside = bodies.iter().any(|b| b.start <= slice.start && slice.end <= b.end);
+                assert!(inside, "{spec:?}: a slice at {slice:?} lies outside every received body");
+            }
         }
     }
 }

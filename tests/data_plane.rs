@@ -232,7 +232,7 @@ fn flipped_byte_in_a_stored_frame_is_refetched_exactly_once() {
     bad[mid] ^= 0x04;
 
     // A peer that serves the damaged copy first and the clean one after.
-    let (good, bad): (Arc<[u8]>, Arc<[u8]>) = (good.into(), bad.into());
+    let (good, bad): (Arc<Vec<u8>>, Arc<Vec<u8>>) = (good.into(), bad.into());
     let hits = Arc::new(AtomicUsize::new(0));
     let server = {
         let hits = Arc::clone(&hits);
@@ -281,7 +281,7 @@ fn flipped_magic_byte_costs_one_refetch_and_no_reexecution() {
 
     // The map wave runs on a hand-driven producer whose data server
     // damages the first byte of the first frame it is asked for, once.
-    let frames: Arc<Mutex<HashMap<String, Arc<[u8]>>>> = Arc::default();
+    let frames: Arc<Mutex<HashMap<String, Arc<Vec<u8>>>>> = Arc::default();
     let hits: Arc<Mutex<Vec<String>>> = Arc::default();
     let server = {
         let (frames, hits) = (Arc::clone(&frames), Arc::clone(&hits));

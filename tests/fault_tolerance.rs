@@ -715,7 +715,7 @@ impl Store for CutsOnce {
         if !path.contains("/d2/t2/") || self.cut.swap(true, Ordering::SeqCst) {
             return Ok(bytes);
         }
-        let mut raw = mrs_codec::decode_vec(bytes).expect("a stored frame");
+        let mut raw = mrs_codec::open_vec(bytes).expect("a stored frame").as_ref().to_vec();
         raw.truncate(raw.len() / 2);
         Ok(mrs_codec::encode_vec(raw, mrs_codec::CompressMode::Off))
     }
